@@ -18,9 +18,11 @@ vet:
 # The concurrency-critical packages get a -race pass: the worker pool
 # and the kernels scheduled on it, the guarded train loop, the retrying
 # data pipeline, the fault injector, the serving subsystem's
-# batcher/replica machinery, and the distributed coordinator/worker.
+# batcher/replica machinery, the shared frame/connection layer, and the
+# two tiers built on it (distributed coordinator/worker, fleet
+# router/worker).
 race:
-	go test -race -count=1 ./internal/tensor/ ./internal/nn/ ./internal/train/ ./internal/data/ ./internal/faults/ ./internal/serve/ ./internal/obs/ ./internal/dist/ ./internal/fleet/
+	go test -race -count=1 ./internal/tensor/ ./internal/nn/ ./internal/train/ ./internal/data/ ./internal/faults/ ./internal/serve/ ./internal/obs/ ./internal/wire/ ./internal/dist/ ./internal/fleet/
 
 # bench re-measures the kernel and training-step baselines, fails
 # loudly if anything regressed beyond benchdiff's tolerance, and
@@ -51,7 +53,7 @@ benchreport:
 # doccheck enforces doc comments on every exported identifier in the
 # public-facing internal packages (see scripts/doccheck).
 doccheck:
-	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
+	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
 verify: vet tier1 doccheck race benchreport
 

@@ -35,7 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/appmult/retrain/internal/dist"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 type predictRequest struct {
@@ -70,7 +70,7 @@ func main() {
 	)
 	flag.Parse()
 
-	bo := dist.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+	bo := wire.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 	var retried atomic.Int64
 
 	imageLen, name := discover(*base, *model, bo, *retries, &retried)
@@ -336,7 +336,7 @@ func (h *histogram) export() []histBucket {
 // discover reads /v1/models to find the target model's input size. It
 // retries transient failures so loadgen can be launched while the
 // server is still coming up.
-func discover(base, model string, bo dist.Backoff, retries int, retried *atomic.Int64) (imageLen int, name string) {
+func discover(base, model string, bo wire.Backoff, retries int, retried *atomic.Int64) (imageLen int, name string) {
 	resp, err := doWithRetry(func() (*http.Response, error) {
 		return http.Get(base + "/v1/models")
 	}, bo, rand.New(rand.NewSource(0)), retries, func() { retried.Add(1) })

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 
-	"github.com/appmult/retrain/internal/dist"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 // transient reports whether a request outcome is worth retrying:
@@ -23,12 +23,12 @@ func transient(status int, err error) bool {
 }
 
 // doWithRetry runs do, retrying transient outcomes with capped
-// exponential backoff + jitter (the same dist.Backoff policy the
+// exponential backoff + jitter (the same wire.Backoff policy the
 // distributed worker dial loop uses). onRetry is called once per
 // retry. When the attempt budget is exhausted the last response (even
 // a 5xx) is returned unconsumed so the caller can record its status;
 // intermediate responses are drained and closed here.
-func doWithRetry(do func() (*http.Response, error), bo dist.Backoff, rng *rand.Rand,
+func doWithRetry(do func() (*http.Response, error), bo wire.Backoff, rng *rand.Rand,
 	maxAttempts int, onRetry func()) (*http.Response, error) {
 	if maxAttempts < 1 {
 		maxAttempts = 1

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/appmult/retrain/internal/dist"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 func TestTransient(t *testing.T) {
@@ -38,7 +38,7 @@ func TestTransient(t *testing.T) {
 }
 
 // fastBackoff keeps retry tests quick without disabling the sleep path.
-var fastBackoff = dist.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: -1}
+var fastBackoff = wire.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: -1}
 
 func TestDoWithRetryRecovers(t *testing.T) {
 	var calls atomic.Int64

@@ -2,16 +2,17 @@ package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 // CoordinatorConfig parameterizes NewCoordinator.
@@ -46,20 +47,11 @@ type CoordinatorConfig struct {
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 5 * time.Second
-	}
 	if c.StepTimeout <= 0 {
 		c.StepTimeout = 2 * time.Minute
 	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = c.StepTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.SliceRows < 1 {
 		c.SliceRows = train.DefaultSliceRows
@@ -92,10 +84,7 @@ type event struct {
 
 // remote is the coordinator's handle on one worker connection.
 type remote struct {
-	id       int
-	fc       *frameConn
-	lastPong atomic.Int64
-	dead     atomic.Bool
+	*wire.Peer
 	// outstanding tracks the slices currently assigned to this worker.
 	// Only the training goroutine touches it.
 	outstanding map[int]bool
@@ -109,8 +98,7 @@ type remote struct {
 // model state is never snapshotted concurrently with an optimizer
 // step.
 type Coordinator struct {
-	cfg  CoordinatorConfig
-	spec Spec
+	cfg CoordinatorConfig
 
 	model    *nn.Sequential
 	params   []*nn.Param
@@ -121,21 +109,13 @@ type Coordinator struct {
 	offsets  []int
 	numel    int
 
-	ln     net.Listener
+	srv    *wire.Server
 	joinCh chan *remote
 	events chan event
-	done   chan struct{}
 
-	// Connection-goroutine lifecycle: every accepted conn is tracked so
-	// Close can force-close it (unblocking its reader), and every
-	// spawned goroutine registers in connWG so Close can join them all.
-	// Without the join, a dying readLoop could still be calling
-	// logf/metrics after Close returns — in tests that means t.Logf
-	// after the test completed, a scheduling-sensitive panic under
-	// -race.
-	connWG sync.WaitGroup
-	connMu sync.Mutex
-	conns  map[net.Conn]bool
+	// bnWG joins the sync-BN handler goroutines the frame handler
+	// spawns; the wire server joins every connection goroutine itself.
+	bnWG sync.WaitGroup
 
 	// Training-goroutine-owned scheduling state.
 	workers map[int]*remote
@@ -182,21 +162,21 @@ type bnStash struct {
 // alone). Call Close when training finishes.
 func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	ln, err := net.Listen("tcp", cfg.Addr)
+	srv, err := wire.Listen(proto, wire.ServerConfig{
+		Addr: cfg.Addr, HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
+		WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("dist: listen %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		spec:    spec,
 		model:   model,
 		params:  model.Params(),
-		ln:      ln,
+		srv:     srv,
 		joinCh:  make(chan *remote, 64),
 		events:  make(chan event, 4096),
-		done:    make(chan struct{}),
 		workers: make(map[int]*remote),
-		conns:   make(map[net.Conn]bool),
 	}
 	c.bnCond = sync.NewCond(&c.mu)
 	nn.VisitLayers(model, func(l nn.Layer) {
@@ -219,12 +199,14 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 		}
 	}
 	c.offsets, c.numel = train.ParamLayout(c.params)
-	go c.acceptLoop()
+	var welcome wire.Enc
+	spec.encode(&welcome)
+	srv.Serve(wire.Handler{Welcome: welcome.B, Joined: c.joined, Frame: c.frame, Dead: c.dead})
 	return c, nil
 }
 
 // Addr returns the listener's address (useful with ":0").
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
+func (c *Coordinator) Addr() string { return c.srv.Addr() }
 
 // Workers returns the number of currently admitted workers. Only
 // meaningful from the training goroutine.
@@ -236,188 +218,65 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// acceptLoop admits TCP connections and handshakes each in its own
-// goroutine. It exits when the listener closes.
-func (c *Coordinator) acceptLoop() {
-	for id := 1; ; id++ {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		if c.cfg.WrapConn != nil {
-			conn = c.cfg.WrapConn(conn)
-		}
-		c.trackConn(conn)
-		c.connWG.Add(1)
-		go func(conn net.Conn, id int) {
-			defer c.connWG.Done()
-			c.handshake(conn, id)
-		}(conn, id)
-	}
-}
-
-// trackConn registers an accepted connection so Close can force it
-// shut; that unblocks any goroutine parked in a read on it.
-func (c *Coordinator) trackConn(conn net.Conn) {
-	c.connMu.Lock()
-	c.conns[conn] = true
-	c.connMu.Unlock()
-}
-
-func (c *Coordinator) untrackConn(conn net.Conn) {
-	c.connMu.Lock()
-	delete(c.conns, conn)
-	c.connMu.Unlock()
-}
-
-// handshake validates a connecting worker and parks it on joinCh for
-// the training goroutine to admit. The reader and heartbeat monitor
-// start immediately so the worker sees liveness even while admission
-// waits for a safe point in the training loop.
-func (c *Coordinator) handshake(conn net.Conn, id int) {
-	fc := newFrameConn(conn, c.cfg.WriteTimeout, 10*time.Second)
-	t, p, err := fc.recv()
-	if err != nil || t != frameHello {
-		conn.Close()
-		c.untrackConn(conn)
-		return
-	}
-	d := &dec{b: p}
-	ver := d.u32()
-	if d.err() != nil || ver != ProtocolVersion {
-		c.logf("rejecting worker speaking protocol %d (want %d)", ver, ProtocolVersion)
-		conn.Close()
-		c.untrackConn(conn)
-		return
-	}
-	fc.readTimeout = 0 // liveness is the heartbeat monitor's job now
-	var e enc
-	e.u32(ProtocolVersion)
-	e.u32(uint32(id))
-	c.spec.encode(&e)
-	if fc.send(frameWelcome, e.b) != nil {
-		conn.Close()
-		c.untrackConn(conn)
-		return
-	}
-	w := &remote{id: id, fc: fc, outstanding: make(map[int]bool)}
-	w.lastPong.Store(time.Now().UnixNano())
-	c.connWG.Add(2)
-	go func() {
-		defer c.connWG.Done()
-		defer c.untrackConn(conn)
-		c.readLoop(w)
-	}()
-	go func() {
-		defer c.connWG.Done()
-		c.heartbeatLoop(w)
-	}()
+// joined parks a handshaked worker on joinCh for the training goroutine
+// to admit at a safe point in the training loop. The wire server starts
+// the worker's reader and heartbeat monitor as soon as this returns, so
+// the worker sees liveness even while admission waits.
+func (c *Coordinator) joined(p *wire.Peer) error {
+	w := &remote{Peer: p, outstanding: make(map[int]bool)}
+	p.Data = w
 	select {
 	case c.joinCh <- w:
-	case <-c.done:
-		conn.Close()
+		return nil
+	case <-c.srv.Done():
+		return errors.New("coordinator closed")
 	}
 }
 
-// readLoop routes one worker's frames: pongs feed the liveness clock,
-// sync-BN requests get their own handler goroutine (they block in
-// barriers), and step results become events for the training
-// goroutine. Any framing error kills the connection.
-func (c *Coordinator) readLoop(w *remote) {
-	for {
-		t, p, err := w.fc.recv()
-		if err != nil {
-			c.workerDead(w, fmt.Sprintf("read: %v", err), false)
-			return
+// frame routes one worker frame: sync-BN requests get their own handler
+// goroutine (they block in barriers), and step results become events
+// for the training goroutine. Anything else is a protocol violation.
+func (c *Coordinator) frame(p *wire.Peer, t uint8, payload []byte) error {
+	w := p.Data.(*remote)
+	switch t {
+	case frameBNReduce:
+		cp := append([]byte(nil), payload...)
+		c.bnWG.Add(1) // Close waits on bnWG only after the server joined this reader
+		go func() {
+			defer c.bnWG.Done()
+			c.handleBN(w, cp)
+		}()
+	case frameSliceResult, frameSliceAborted:
+		d := wire.Dec{B: payload}
+		ev := event{w: w, step: d.U64(), attempt: d.U32(), slice: int(d.U32())}
+		if t == frameSliceResult {
+			ev.kind = evResult
+			ev.payload = append([]byte(nil), payload...)
+		} else {
+			ev.kind = evAborted
+			ev.fatal = d.U8() != 0
+			ev.reason = d.Str()
 		}
-		switch t {
-		case framePong:
-			w.lastPong.Store(time.Now().UnixNano())
-		case frameBNReduce:
-			cp := append([]byte(nil), p...)
-			c.connWG.Add(1) // safe: our own readLoop entry keeps connWG > 0
-			go func() {
-				defer c.connWG.Done()
-				c.handleBN(w, cp)
-			}()
-		case frameSliceResult, frameSliceAborted:
-			d := &dec{b: p}
-			ev := event{w: w, step: d.u64(), attempt: d.u32(), slice: int(d.u32())}
-			if t == frameSliceResult {
-				ev.kind = evResult
-				ev.payload = append([]byte(nil), p...)
-			} else {
-				ev.kind = evAborted
-				ev.fatal = d.u8() != 0
-				ev.reason = d.str()
-			}
-			if d.fail {
-				c.workerDead(w, "malformed result frame", false)
-				return
-			}
-			c.pushEvent(ev)
-		default:
-			c.workerDead(w, fmt.Sprintf("unexpected %s frame", t), false)
-			return
+		if d.Failed() {
+			return errors.New("malformed result frame")
 		}
-	}
-}
-
-// heartbeatLoop pings the worker and declares it dead when pongs stop.
-func (c *Coordinator) heartbeatLoop(w *remote) {
-	tick := time.NewTicker(c.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if w.dead.Load() {
-				return
-			}
-			last := time.Unix(0, w.lastPong.Load())
-			if time.Since(last) > c.cfg.HeartbeatTimeout {
-				c.workerDead(w, fmt.Sprintf("heartbeat timeout (%s since last pong)",
-					time.Since(last).Round(time.Millisecond)), true)
-				return
-			}
-			var e enc
-			e.u64(uint64(time.Now().UnixNano()))
-			if err := w.fc.send(framePing, e.b); err != nil {
-				c.workerDead(w, fmt.Sprintf("ping: %v", err), false)
-				return
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// workerDead marks a worker dead exactly once, closes its connection
-// (unblocking its reader), and queues the death for the training
-// goroutine's bookkeeping.
-func (c *Coordinator) workerDead(w *remote, reason string, byHeartbeat bool) {
-	if !w.dead.CompareAndSwap(false, true) {
-		return
-	}
-	w.fc.close()
-	workersLost.Inc()
-	if byHeartbeat {
-		heartbeatTimeouts.Inc()
-	}
-	select {
-	case <-c.done:
-		// Shutdown teardown, not a failure: every reader dies when
-		// Close force-closes its conn. Stay quiet so the log sink
-		// (t.Logf in tests) is never touched during teardown.
+		c.pushEvent(ev)
 	default:
-		c.logf("worker %d lost: %s", w.id, reason)
+		return fmt.Errorf("unexpected %s frame", proto.TypeName(t))
 	}
-	c.pushEvent(event{w: w, kind: evDead, reason: reason})
+	return nil
+}
+
+// dead queues a worker's death (reported exactly once by the wire
+// server) for the training goroutine's bookkeeping.
+func (c *Coordinator) dead(p *wire.Peer, reason string) {
+	c.pushEvent(event{w: p.Data.(*remote), kind: evDead, reason: reason})
 }
 
 func (c *Coordinator) pushEvent(ev event) {
 	select {
 	case c.events <- ev:
-	case <-c.done:
+	case <-c.srv.Done():
 	}
 }
 
@@ -425,26 +284,26 @@ func (c *Coordinator) pushEvent(ev event) {
 // the scheduling set. Only the training goroutine calls it, at points
 // where the primary's state is stable.
 func (c *Coordinator) admit(w *remote) {
-	if w.dead.Load() {
+	if w.Dead() {
 		return
 	}
 	if err := c.sendState(w); err != nil {
-		w.fc.close() // its reader will report the death
+		w.Conn.Close() // its reader will report the death
 		return
 	}
-	c.workers[w.id] = w
+	c.workers[w.ID] = w
 	workersJoined.Inc()
 	workersLive.Set(float64(len(c.workers)))
-	c.logf("worker %d admitted (%d live)", w.id, len(c.workers))
+	c.logf("worker %d admitted (%d live)", w.ID, len(c.workers))
 }
 
 // removeWorker drops a dead worker from scheduling and requeues its
 // outstanding slices, reporting how many were reassigned.
 func (c *Coordinator) removeWorker(w *remote) int {
-	if _, ok := c.workers[w.id]; !ok {
+	if _, ok := c.workers[w.ID]; !ok {
 		return 0
 	}
-	delete(c.workers, w.id)
+	delete(c.workers, w.ID)
 	workersLive.Set(float64(len(c.workers)))
 	n := 0
 	for s := range w.outstanding {
@@ -454,7 +313,7 @@ func (c *Coordinator) removeWorker(w *remote) int {
 	}
 	if n > 0 {
 		sliceReassignments.Add(float64(n))
-		c.logf("worker %d: %d slice(s) reassigned to survivors", w.id, n)
+		c.logf("worker %d: %d slice(s) reassigned to survivors", w.ID, n)
 	}
 	return n
 }
@@ -468,14 +327,14 @@ func (c *Coordinator) sendState(w *remote) error {
 		return err
 	}
 	state := nn.CollectState(c.model)
-	var e enc
-	e.bytes(blob.Bytes())
-	e.u32(uint32(len(state)))
+	var e wire.Enc
+	e.Bytes(blob.Bytes())
+	e.U32(uint32(len(state)))
 	for _, v := range state {
-		e.f32s(v)
+		e.F32s(v)
 	}
 	stateSyncs.Inc()
-	return w.fc.send(frameState, e.b)
+	return w.Conn.Send(frameState, e.B)
 }
 
 // liveSorted returns the admitted workers in ascending id order — the
@@ -485,7 +344,7 @@ func (c *Coordinator) liveSorted() []*remote {
 	for _, w := range c.workers {
 		out = append(out, w)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -600,7 +459,7 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 					continue
 				}
 				if ev.fatal {
-					panic(fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.id, ev.slice, ev.reason))
+					panic(fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.ID, ev.slice, ev.reason))
 				}
 				delete(ev.w.outstanding, ev.slice)
 				if !done[ev.slice] {
@@ -620,7 +479,7 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 			// so the resulting death events reassign their slices.
 			for _, w := range c.liveSorted() {
 				if len(w.outstanding) > 0 {
-					c.workerDead(w, "step deadline exceeded", false)
+					w.Kill("step deadline exceeded")
 				}
 			}
 			deadline = time.Now().Add(c.cfg.StepTimeout)
@@ -634,21 +493,8 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 // counted skip, and the run resumes when a worker appears).
 func (c *Coordinator) awaitAnyWorker() {
 	c.logf("no live workers; waiting up to %s for a join", c.cfg.JoinTimeout)
-	deadline := time.Now().Add(c.cfg.JoinTimeout)
-	for len(c.workers) == 0 {
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			panic(fmt.Errorf("dist: no live workers after %s", c.cfg.JoinTimeout))
-		}
-		select {
-		case w := <-c.joinCh:
-			c.admit(w)
-		case ev := <-c.events:
-			if ev.kind == evDead {
-				c.removeWorker(ev.w)
-			}
-		case <-time.After(wait):
-		}
+	if c.AwaitWorkers(1, c.cfg.JoinTimeout) != nil {
+		panic(fmt.Errorf("dist: no live workers after %s", c.cfg.JoinTimeout))
 	}
 }
 
@@ -665,7 +511,7 @@ func (c *Coordinator) dispatch(x *tensor.Tensor, y []int, n int, bounds []int, p
 // parts > 0 the slice participates in sync-BN as participant
 // slice-index of parts.
 func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bounds []int, parts int) {
-	if len(c.queue) == 0 || w.dead.Load() {
+	if len(c.queue) == 0 || w.Dead() {
 		return
 	}
 	s := c.queue[len(c.queue)-1]
@@ -673,7 +519,7 @@ func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bo
 	w.outstanding[s] = true
 	if err := c.sendSlice(w, s, x, y, n, bounds, parts); err != nil {
 		// The death event will requeue it from w.outstanding.
-		c.workerDead(w, fmt.Sprintf("send slice: %v", err), false)
+		w.Kill(fmt.Sprintf("send slice: %v", err))
 	}
 }
 
@@ -682,19 +528,19 @@ func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bo
 func (c *Coordinator) sendSlice(w *remote, s int, x *tensor.Tensor, y []int, n int, bounds []int, parts int) error {
 	lo, hi := bounds[s], bounds[s+1]
 	chw := x.Numel() / n
-	var e enc
-	e.u64(c.stepID)
-	e.u32(c.curAttempt())
-	e.u32(uint32(s))
-	e.u32(uint32(n))
-	e.u32(uint32(s)) // BN participant index == slice index
-	e.u32(uint32(parts))
-	e.u32(uint32(hi - lo))
+	var e wire.Enc
+	e.U64(c.stepID)
+	e.U32(c.curAttempt())
+	e.U32(uint32(s))
+	e.U32(uint32(n))
+	e.U32(uint32(s)) // BN participant index == slice index
+	e.U32(uint32(parts))
+	e.U32(uint32(hi - lo))
 	for _, lbl := range y[lo:hi] {
-		e.u32(uint32(lbl))
+		e.U32(uint32(lbl))
 	}
-	e.f32s(x.Data[lo*chw : hi*chw])
-	return w.fc.send(frameSlice, e.b)
+	e.F32s(x.Data[lo*chw : hi*chw])
+	return w.Conn.Send(frameSlice, e.B)
 }
 
 func (c *Coordinator) curAttempt() uint32 {
@@ -707,23 +553,23 @@ func (c *Coordinator) curAttempt() uint32 {
 // scratch. A malformed payload is a protocol violation: the worker
 // dies and the slice is reassigned via its death event.
 func (c *Coordinator) recordResult(ev event, S int) bool {
-	d := &dec{b: ev.payload}
-	d.u64() // step, already checked
-	d.u32() // attempt, already checked by caller where relevant
-	slice := int(d.u32())
-	loss := d.f64()
-	nObs := int(d.u32())
+	d := wire.Dec{B: ev.payload}
+	d.U64() // step, already checked
+	d.U32() // attempt, already checked by caller where relevant
+	slice := int(d.U32())
+	loss := d.F64()
+	nObs := int(d.U32())
 	if nObs != len(c.observed) {
-		c.workerDead(ev.w, fmt.Sprintf("result carries %d observers, model has %d", nObs, len(c.observed)), false)
+		ev.w.Kill(fmt.Sprintf("result carries %d observers, model has %d", nObs, len(c.observed)))
 		return false
 	}
 	for i := 0; i < nObs; i++ {
-		c.rngMin[slice*nObs+i] = d.f32()
-		c.rngMax[slice*nObs+i] = d.f32()
-		c.rngOK[slice*nObs+i] = d.u8() != 0
+		c.rngMin[slice*nObs+i] = d.F32()
+		c.rngMax[slice*nObs+i] = d.F32()
+		c.rngOK[slice*nObs+i] = d.U8() != 0
 	}
-	if !d.f32sInto(c.sliceGrads[slice]) || d.err() != nil {
-		c.workerDead(ev.w, "malformed slice result", false)
+	if !d.F32sInto(c.sliceGrads[slice]) || d.Err() != nil {
+		ev.w.Kill("malformed slice result")
 		return false
 	}
 	c.sliceLoss[slice] = loss
@@ -752,21 +598,21 @@ func (c *Coordinator) finishStep(S, n int) float64 {
 		c.observed[i].ActivationObserver().ObserveRange(mn, mx)
 		c.obsMn[i], c.obsMx[i], c.obsHave[i] = mn, mx, true
 	})
-	var e enc
-	e.u64(c.stepID)
-	e.u32(uint32(nObs))
+	var e wire.Enc
+	e.U64(c.stepID)
+	e.U32(uint32(nObs))
 	for i := 0; i < nObs; i++ {
-		e.f32(c.obsMn[i])
-		e.f32(c.obsMx[i])
+		e.F32(c.obsMn[i])
+		e.F32(c.obsMx[i])
 		if c.obsHave[i] {
-			e.u8(1)
+			e.U8(1)
 		} else {
-			e.u8(0)
+			e.U8(0)
 		}
 	}
 	for _, w := range c.liveSorted() {
-		if err := w.fc.send(frameObserve, e.b); err != nil {
-			c.workerDead(w, fmt.Sprintf("send observe: %v", err), false)
+		if err := w.Conn.Send(frameObserve, e.B); err != nil {
+			w.Kill(fmt.Sprintf("send observe: %v", err))
 		}
 	}
 	return lossSum / float64(n)
@@ -838,7 +684,7 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 		w := live[s]
 		w.outstanding[s] = true
 		if err := c.sendSlice(w, s, x, y, n, bounds, S); err != nil {
-			c.workerDead(w, fmt.Sprintf("send slice: %v", err), false)
+			w.Kill(fmt.Sprintf("send slice: %v", err))
 			return false, nil
 		}
 	}
@@ -863,7 +709,7 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 				}
 				delete(ev.w.outstanding, ev.slice)
 				if ev.fatal {
-					return false, fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.id, ev.slice, ev.reason)
+					return false, fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.ID, ev.slice, ev.reason)
 				}
 				return false, nil
 			case evDead:
@@ -880,7 +726,7 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 		case <-time.After(time.Until(deadline)):
 			for _, w := range c.liveSorted() {
 				if len(w.outstanding) > 0 {
-					c.workerDead(w, "step deadline exceeded", false)
+					w.Kill("step deadline exceeded")
 				}
 			}
 			return false, nil
@@ -894,19 +740,19 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 // participant). Stale requests — a previous attempt's stragglers — are
 // answered with an abort so the worker unwinds.
 func (c *Coordinator) handleBN(w *remote, payload []byte) {
-	d := &dec{b: payload}
-	att := d.u32()
-	group := int(d.u32())
-	phase := d.u8()
-	part := int(d.u32())
-	cnt := int(d.u32())
-	v1 := d.f64s()
+	d := wire.Dec{B: payload}
+	att := d.U32()
+	group := int(d.U32())
+	phase := d.U8()
+	part := int(d.U32())
+	cnt := int(d.U32())
+	v1 := d.F64s()
 	var v2 []float64
 	if phase == 3 {
-		v2 = d.f64s()
+		v2 = d.F64s()
 	}
-	if d.err() != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 {
-		c.workerDead(w, "malformed BN frame", false)
+	if d.Err() != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 {
+		w.Kill("malformed BN frame")
 		return
 	}
 	c.mu.Lock()
@@ -932,37 +778,37 @@ func (c *Coordinator) handleBN(w *remote, payload []byte) {
 	}()
 	g := c.groups[group]
 	start := time.Now()
-	var e enc
-	e.u32(att)
-	e.u32(uint32(group))
-	e.u8(phase)
+	var e wire.Enc
+	e.U32(att)
+	e.U32(uint32(group))
+	e.U8(phase)
 	switch phase {
 	case 1:
 		out, total := g.ReduceMoments(part, v1, cnt)
 		c.stashMoments(group, att, out, total)
-		e.u32(uint32(total))
-		e.f64s(out)
+		e.U32(uint32(total))
+		e.F64s(out)
 	case 2:
 		out := g.ReduceSquares(part, v1)
 		c.stashSquares(group, att, out)
-		e.f64s(out)
+		e.F64s(out)
 	case 3:
 		gdy, gdyx := g.ReduceGrads(part, v1, v2)
-		e.f64s(gdy)
-		e.f64s(gdyx)
+		e.F64s(gdy)
+		e.F64s(gdyx)
 	}
 	bnReduceMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if err := w.fc.send(frameBNResult, e.b); err != nil {
-		c.workerDead(w, fmt.Sprintf("send BN result: %v", err), false)
+	if err := w.Conn.Send(frameBNResult, e.B); err != nil {
+		w.Kill(fmt.Sprintf("send BN result: %v", err))
 	}
 }
 
 func (c *Coordinator) sendBNAbort(w *remote, att uint32, group int, phase uint8) {
-	var e enc
-	e.u32(att)
-	e.u32(uint32(group))
-	e.u8(phase)
-	w.fc.send(frameBNAbort, e.b) // best effort; conn may be gone
+	var e wire.Enc
+	e.U32(att)
+	e.U32(uint32(group))
+	e.U8(phase)
+	w.Conn.Send(frameBNAbort, e.B) // best effort; conn may be gone
 }
 
 // stashMoments records one group's folded phase-1 moments (every
@@ -1022,12 +868,12 @@ func (c *Coordinator) Broadcast() {
 	for pi, p := range c.params {
 		copy(buf[c.offsets[pi]:], p.Value.Data)
 	}
-	var e enc
-	e.u64(c.stepID)
-	e.f32s(buf)
+	var e wire.Enc
+	e.U64(c.stepID)
+	e.F32s(buf)
 	for _, w := range c.liveSorted() {
-		if err := w.fc.send(frameParams, e.b); err != nil {
-			c.workerDead(w, fmt.Sprintf("send params: %v", err), false)
+		if err := w.Conn.Send(frameParams, e.B); err != nil {
+			w.Kill(fmt.Sprintf("send params: %v", err))
 		}
 	}
 }
@@ -1038,7 +884,7 @@ func (c *Coordinator) SyncReplicas() {
 	c.drainIdle()
 	for _, w := range c.liveSorted() {
 		if err := c.sendState(w); err != nil {
-			c.workerDead(w, fmt.Sprintf("send state: %v", err), false)
+			w.Kill(fmt.Sprintf("send state: %v", err))
 		}
 	}
 }
@@ -1057,26 +903,13 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	for _, w := range c.liveSorted() {
-		w.fc.send(frameBye, nil)
-		w.fc.close()
-	}
-	c.ln.Close()
-	close(c.done)
 	// Poison the BN barriers so any handler still parked on behalf of a
 	// remote participant unwinds instead of blocking the join below.
 	for _, g := range c.groups {
 		g.Abort()
 	}
-	// Force-close every remaining conn — including ones still mid
-	// handshake, which the Bye loop above (admitted workers only)
-	// misses — then join all connection goroutines.
-	c.connMu.Lock()
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.connMu.Unlock()
-	c.connWG.Wait()
+	c.srv.Close()
+	c.bnWG.Wait()
 	for _, ol := range c.observed {
 		ol.SetDeferObserve(false)
 	}

@@ -12,6 +12,8 @@ import (
 	"github.com/appmult/retrain/internal/faults"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/train"
+	"github.com/appmult/retrain/internal/wire"
+	"github.com/appmult/retrain/internal/wiretest"
 )
 
 // tinySpec is the shared job description for the end-to-end tests:
@@ -209,13 +211,13 @@ func TestDistWorkerKillMidRun(t *testing.T) {
 		<-ctx.Done()
 		cl.cancel[1]()
 	}()
-	lost := workersLost.Value()
+	lost := proto.Metrics.WorkersLost.Value()
 	reassigned := sliceReassignments.Value()
 	cl.run(nil)
 	if !killed.Load() {
 		t.Fatal("kill wrapper never armed")
 	}
-	if workersLost.Value() <= lost {
+	if proto.Metrics.WorkersLost.Value() <= lost {
 		t.Fatal("coordinator never observed the worker death")
 	}
 	if sliceReassignments.Value() <= reassigned {
@@ -265,11 +267,11 @@ func TestDistHeartbeatStallRecovery(t *testing.T) {
 		CoordinatorConfig{HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 200 * time.Millisecond},
 		WorkerConfig{
 			HeartbeatTimeout: 2 * time.Second,
-			Dial:             Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+			Dial:             wire.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
 		}, wrap)
-	hb := heartbeatTimeouts.Value()
+	hb := proto.Metrics.HeartbeatTimeouts.Value()
 	cl.run(nil)
-	if heartbeatTimeouts.Value() <= hb {
+	if proto.Metrics.HeartbeatTimeouts.Value() <= hb {
 		t.Fatal("heartbeat monitor never fired")
 	}
 	if conns.Load() < 2 {
@@ -320,7 +322,7 @@ func TestDistFaultInjectionBitIdentity(t *testing.T) {
 	wrap := func(i int) func(net.Conn) net.Conn { return wrapOne }
 	cl := startCluster(t, spec, 2,
 		CoordinatorConfig{WrapConn: wrapOne, HeartbeatEvery: 50 * time.Millisecond, HeartbeatTimeout: time.Second},
-		WorkerConfig{HeartbeatTimeout: 2 * time.Second, Dial: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}},
+		WorkerConfig{HeartbeatTimeout: 2 * time.Second, Dial: wire.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}},
 		wrap)
 	cl.run(nil)
 	mu.Lock()
@@ -423,5 +425,24 @@ func TestAwaitWorkersTimeout(t *testing.T) {
 	defer co.Close()
 	if err := co.AwaitWorkers(1, 50*time.Millisecond); err == nil {
 		t.Fatal("AwaitWorkers returned nil with zero workers")
+	}
+}
+
+// TestDistWorkerOutlivesHandshakeWindow: admission must clear the read
+// deadline that bounded the handshake — the last SetReadDeadline the
+// coordinator issues on the connection is the zero time — so an idle
+// worker is still admitted, with no death counted, once the handshake
+// window has elapsed. (The coordinator used to stop re-arming the
+// deadline but leave the armed one in place, dropping every worker 10 s
+// after it joined.)
+func TestDistWorkerOutlivesHandshakeWindow(t *testing.T) {
+	var dl wiretest.Deadlines
+	cl := startCluster(t, tinySpec("lenet"), 1, CoordinatorConfig{WrapConn: dl.Wrap}, WorkerConfig{}, nil)
+	lost := proto.Metrics.WorkersLost.Value()
+	dl.AwaitWindow(t)
+	cl.co.drainIdle()
+	if n := cl.co.Workers(); n != 1 || proto.Metrics.WorkersLost.Value() != lost {
+		t.Fatalf("after the handshake window: %d workers admitted, dist_workers_lost_total moved by %v",
+			n, proto.Metrics.WorkersLost.Value()-lost)
 	}
 }

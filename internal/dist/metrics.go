@@ -5,18 +5,16 @@ import "github.com/appmult/retrain/internal/obs"
 // Distributed-training telemetry (see DESIGN.md "Observability"). The
 // robustness claims of the coordinator/worker split are only auditable
 // if every failure-handling transition is counted: worker churn,
-// reassignments, step retries, heartbeat expiries, and the per-reason
-// frame-error breakdown that tells protocol corruption apart from
-// plain connection loss.
+// reassignments, and step retries. The connection-level half — frame
+// traffic, the per-reason frame-error breakdown that tells protocol
+// corruption apart from plain connection loss, worker deaths and
+// heartbeat expiries, dial retries — is proto.Metrics, registered by
+// internal/wire under the same dist_ prefix.
 var (
 	workersLive = obs.Default().Gauge("dist_workers_live",
 		"Workers currently admitted to the coordinator's step scheduling.")
 	workersJoined = obs.Default().Counter("dist_workers_joined_total",
 		"Workers admitted by the coordinator (reconnects count again).")
-	workersLost = obs.Default().Counter("dist_workers_lost_total",
-		"Workers declared dead (heartbeat expiry, read/write error, or kill).")
-	heartbeatTimeouts = obs.Default().Counter("dist_heartbeat_timeouts_total",
-		"Workers declared dead specifically by heartbeat expiry.")
 	sliceReassignments = obs.Default().Counter("dist_slice_reassignments_total",
 		"Gradient slices re-queued to surviving workers after their assignee died.")
 	stepRetries = obs.Default().Counter("dist_step_retries_total",
@@ -32,30 +30,10 @@ var (
 		"Coordinator-side latency of one sync-BN barrier reduction (includes waiting for sibling participants).",
 		obs.LatencyBucketsMs)
 
-	framesSent = obs.Default().Counter("dist_frames_sent_total",
-		"Protocol frames written by this process.")
-	framesRecv = obs.Default().Counter("dist_frames_recv_total",
-		"Protocol frames received and validated by this process.")
-	frameBytesSent = obs.Default().Counter("dist_frame_bytes_sent_total",
-		"Bytes of protocol frames written by this process.")
-	frameBytesRecv = obs.Default().Counter("dist_frame_bytes_recv_total",
-		"Bytes of protocol frames received by this process.")
 	frameSizeBytes = obs.Default().Histogram("dist_frame_size_bytes",
 		"Size distribution of sent protocol frames.",
 		obs.ByteBuckets)
 
-	dialRetries = obs.Default().Counter("dist_worker_dial_retries_total",
-		"Worker dial attempts that failed and were retried with backoff.")
-	workerReconnects = obs.Default().Counter("dist_worker_reconnects_total",
-		"Worker sessions that ended in an error and re-entered the dial loop.")
 	workerSlices = obs.Default().Counter("dist_worker_slices_total",
 		"Gradient slices computed by this worker process.")
 )
-
-// frameErrors counts framing violations by reason; each reason is a
-// distinct labeled series registered on first use.
-func frameErrors(reason string) *obs.Counter {
-	return obs.Default().Counter("dist_frame_errors_total",
-		"Frames rejected by protocol validation, by reason (magic, seq, crc, length, io).",
-		"reason", reason)
-}

@@ -7,340 +7,58 @@
 // same observer merge — which is what makes a 2-worker run over the
 // network bit-identical to `-shards 1` on BN-free models.
 //
-// Robustness is structural, not best-effort: every frame is CRC32- and
-// sequence-checked, so a dropped, truncated, or corrupted frame kills
-// the connection rather than desynchronizing the replicas; a killed
-// connection triggers worker-side reconnect with exponential backoff
-// and a full state re-sync, so recovery is idempotent; and a worker
-// that dies mid-step has its outstanding slices reassigned to
-// survivors within the same step. See docs/dist-protocol.md for the
-// wire format and DESIGN.md for the failure-handling state machine.
+// Robustness is structural, not best-effort: internal/wire tears a
+// connection down on any dropped, truncated, or corrupted frame rather
+// than let the replicas desynchronize; a killed connection triggers
+// worker-side reconnect with exponential backoff and a full state
+// re-sync, so recovery is idempotent; and a worker that dies mid-step
+// has its outstanding slices reassigned to survivors within the same
+// step. See docs/dist-protocol.md for the frame types, docs/wire-frame.md
+// for the frame layer under them, and DESIGN.md for the
+// failure-handling state machine.
 package dist
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
-	"net"
-	"sync"
-	"time"
-)
+import "github.com/appmult/retrain/internal/wire"
 
 // ProtocolVersion is the frame-protocol generation carried in
 // Hello/Welcome. A coordinator refuses workers speaking a different
 // version — silent cross-version operation could break bit-identity.
 const ProtocolVersion = 1
 
-// frameMagic opens every frame, TRCKPv1-style: ASCII tag + version +
-// newline so a stray connection (or a desynchronized stream) is
-// detected on the first 8 bytes.
-var frameMagic = [8]byte{'D', 'S', 'T', 'F', 'R', 'v', '1', '\n'}
-
-// maxFramePayload bounds a frame's declared payload length. A corrupt
-// length field must not make the receiver allocate gigabytes before
-// the CRC check can catch it. State frames carry whole models; 1 GiB
-// is far above any model this repo trains but still a sane cap.
-const maxFramePayload = 1 << 30
-
-// frameType tags a frame's payload schema.
-type frameType uint8
-
 // Frame types. The payload layouts are specified in
 // docs/dist-protocol.md; encode/decode helpers live next to their
 // users in coordinator.go and worker.go.
 const (
-	frameHello frameType = iota + 1 // worker → coord: protocol version
-	frameWelcome                    // coord → worker: worker id + job spec
-	frameState                      // coord → worker: params blob + layer state
-	frameSlice                      // coord → worker: one gradient-slice work item
-	frameSliceResult                // worker → coord: loss + ranges + gradients
-	frameSliceAborted               // worker → coord: slice unwound (abort or panic)
-	frameObserve                    // coord → worker: merged observer ranges
-	frameParams                     // coord → worker: post-optimizer parameter values
-	framePing                       // either: liveness probe
-	framePong                       // either: liveness answer
-	frameBNReduce                   // worker → coord: sync-BN partial vectors
-	frameBNResult                   // coord → worker: folded sync-BN vectors
-	frameBNAbort                    // coord → worker: sync-BN reduction aborted
-	frameBye                        // coord → worker: run finished, disconnect
+	frameHello        uint8 = iota + 1 // worker → coord: protocol version
+	frameWelcome                       // coord → worker: worker id + job spec
+	frameState                         // coord → worker: params blob + layer state
+	frameSlice                         // coord → worker: one gradient-slice work item
+	frameSliceResult                   // worker → coord: loss + ranges + gradients
+	frameSliceAborted                  // worker → coord: slice unwound (abort or panic)
+	frameObserve                       // coord → worker: merged observer ranges
+	frameParams                        // coord → worker: post-optimizer parameter values
+	framePing                          // coord → worker: liveness probe
+	framePong                          // worker → coord: liveness answer
+	frameBNReduce                      // worker → coord: sync-BN partial vectors
+	frameBNResult                      // coord → worker: folded sync-BN vectors
+	frameBNAbort                       // coord → worker: sync-BN reduction aborted
+	frameBye                           // coord → worker: run finished, disconnect
 )
 
-func (t frameType) String() string {
-	names := [...]string{"?", "hello", "welcome", "state", "slice", "slice_result",
+// proto is DSTFRv1. State frames carry whole models; the 1 GiB payload
+// cap is far above any model this repo trains but still a sane bound
+// on what a corrupt length field can make a receiver allocate.
+var proto = &wire.Protocol{
+	Magic:      [8]byte{'D', 'S', 'T', 'F', 'R', 'v', '1', '\n'},
+	MaxPayload: 1 << 30,
+	Version:    ProtocolVersion,
+	Hello:      frameHello,
+	Welcome:    frameWelcome,
+	Ping:       framePing,
+	Pong:       framePong,
+	Bye:        frameBye,
+	Names: []string{"?", "hello", "welcome", "state", "slice", "slice_result",
 		"slice_aborted", "observe", "params", "ping", "pong", "bn_reduce",
-		"bn_result", "bn_abort", "bye"}
-	if int(t) < len(names) {
-		return names[t]
-	}
-	return fmt.Sprintf("frame(%d)", uint8(t))
-}
-
-// frameConn frames a net.Conn: each frame is
-//
-//	magic[8] | seq u64 | type u8 | length u32 | payload | crc32 u32
-//
-// with the CRC (IEEE, as in TRCKPv1) covering every preceding byte of
-// the frame. The per-direction sequence number starts at 0 and
-// increments per frame, so a silently dropped frame is detected at the
-// next frame's seq check (heartbeats bound the detection latency), and
-// a truncated frame is detected as a magic mismatch mid-stream. Every
-// send issues exactly one Write, which is what lets the
-// faults.NetFaultModel injector operate per-frame.
-//
-// Any framing violation is terminal for the connection: the caller
-// tears it down and the worker-side reconnect restores coherence with
-// a full state re-sync.
-type frameConn struct {
-	c  net.Conn
-	br *bufio.Reader
-
-	wmu  sync.Mutex
-	wseq uint64
-	wbuf []byte
-
-	rseq uint64
-	rbuf []byte
-
-	// writeTimeout bounds each send so a dead peer cannot block the
-	// sender forever; readTimeout bounds each recv (liveness: the peer
-	// heartbeats well inside it). Zero disables the deadline.
-	writeTimeout time.Duration
-	readTimeout  time.Duration
-}
-
-func newFrameConn(c net.Conn, writeTimeout, readTimeout time.Duration) *frameConn {
-	return &frameConn{
-		c:            c,
-		br:           bufio.NewReaderSize(c, 1<<16),
-		writeTimeout: writeTimeout,
-		readTimeout:  readTimeout,
-	}
-}
-
-const frameHeaderLen = 8 + 8 + 1 + 4 // magic + seq + type + length
-
-// send frames payload and writes it with a single Write call.
-func (fc *frameConn) send(t frameType, payload []byte) error {
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	total := frameHeaderLen + len(payload) + 4
-	if cap(fc.wbuf) < total {
-		fc.wbuf = make([]byte, total)
-	}
-	b := fc.wbuf[:total]
-	copy(b, frameMagic[:])
-	binary.LittleEndian.PutUint64(b[8:], fc.wseq)
-	b[16] = byte(t)
-	binary.LittleEndian.PutUint32(b[17:], uint32(len(payload)))
-	copy(b[frameHeaderLen:], payload)
-	crc := crc32.ChecksumIEEE(b[:frameHeaderLen+len(payload)])
-	binary.LittleEndian.PutUint32(b[frameHeaderLen+len(payload):], crc)
-	if fc.writeTimeout > 0 {
-		fc.c.SetWriteDeadline(time.Now().Add(fc.writeTimeout))
-	}
-	if _, err := fc.c.Write(b); err != nil {
-		frameErrors("io").Inc()
-		return err
-	}
-	fc.wseq++
-	framesSent.Inc()
-	frameBytesSent.Add(float64(total))
-	frameSizeBytes.Observe(float64(total))
-	return nil
-}
-
-// recv reads and validates one frame, returning its type and payload.
-// The payload slice is reused across calls: decode before the next
-// recv.
-func (fc *frameConn) recv() (frameType, []byte, error) {
-	if fc.readTimeout > 0 {
-		fc.c.SetReadDeadline(time.Now().Add(fc.readTimeout))
-	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(fc.br, hdr[:]); err != nil {
-		frameErrors("io").Inc()
-		return 0, nil, err
-	}
-	if [8]byte(hdr[:8]) != frameMagic {
-		frameErrors("magic").Inc()
-		return 0, nil, fmt.Errorf("dist: bad frame magic %q (stream desynchronized)", hdr[:8])
-	}
-	seq := binary.LittleEndian.Uint64(hdr[8:])
-	if seq != fc.rseq {
-		frameErrors("seq").Inc()
-		return 0, nil, fmt.Errorf("dist: frame seq %d, want %d (frame lost)", seq, fc.rseq)
-	}
-	t := frameType(hdr[16])
-	plen := binary.LittleEndian.Uint32(hdr[17:])
-	if plen > maxFramePayload {
-		frameErrors("length").Inc()
-		return 0, nil, fmt.Errorf("dist: frame payload %d exceeds cap", plen)
-	}
-	need := int(plen) + 4
-	if cap(fc.rbuf) < need {
-		fc.rbuf = make([]byte, need)
-	}
-	body := fc.rbuf[:need]
-	if _, err := io.ReadFull(fc.br, body); err != nil {
-		frameErrors("io").Inc()
-		return 0, nil, err
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, body[:plen])
-	if crc != binary.LittleEndian.Uint32(body[plen:]) {
-		frameErrors("crc").Inc()
-		return 0, nil, fmt.Errorf("dist: frame %s seq %d failed CRC", t, seq)
-	}
-	fc.rseq++
-	framesRecv.Inc()
-	frameBytesRecv.Add(float64(frameHeaderLen + need))
-	return t, body[:plen], nil
-}
-
-func (fc *frameConn) close() error { return fc.c.Close() }
-
-// enc builds a frame payload. All integers are little-endian,
-// matching the TRCKPv1 checkpoint conventions.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f32(v float32) {
-	e.u32(math.Float32bits(v))
-}
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *enc) f32s(vs []float32) {
-	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u32(math.Float32bits(v))
-	}
-}
-func (e *enc) f64s(vs []float64) {
-	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u64(math.Float64bits(v))
-	}
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *enc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
-}
-
-// dec reads a frame payload with sticky error handling: after the
-// first short read every accessor returns zero values and err() tells
-// the caller the payload was malformed. All length fields are bounds-
-// checked against the remaining payload before allocation.
-type dec struct {
-	b    []byte
-	off  int
-	fail bool
-}
-
-func (d *dec) take(n int) []byte {
-	if d.fail || n < 0 || d.off+n > len(d.b) {
-		d.fail = true
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-func (d *dec) u8() uint8 {
-	s := d.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-func (d *dec) u32() uint32 {
-	s := d.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-func (d *dec) u64() uint64 {
-	s := d.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *dec) f32s() []float32 {
-	n := int(d.u32())
-	s := d.take(4 * n)
-	if s == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[4*i:]))
-	}
-	return out
-}
-
-// f32sInto decodes a float32 vector into dst, requiring an exact
-// length match.
-func (d *dec) f32sInto(dst []float32) bool {
-	n := int(d.u32())
-	if n != len(dst) {
-		d.fail = true
-		return false
-	}
-	s := d.take(4 * n)
-	if s == nil {
-		return false
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[4*i:]))
-	}
-	return true
-}
-func (d *dec) f64s() []float64 {
-	n := int(d.u32())
-	s := d.take(8 * n)
-	if s == nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(s[8*i:]))
-	}
-	return out
-}
-func (d *dec) str() string {
-	n := int(d.u32())
-	s := d.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	return d.take(n)
-}
-
-// err reports whether decoding consumed malformed or missing bytes; a
-// complete decode must also have consumed the whole payload.
-func (d *dec) err() error {
-	if d.fail {
-		return fmt.Errorf("dist: malformed frame payload (offset %d of %d)", d.off, len(d.b))
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("dist: frame payload has %d trailing bytes", len(d.b)-d.off)
-	}
-	return nil
+		"bn_result", "bn_abort", "bye"},
+	Metrics: wire.NewMetrics("dist", frameSizeBytes),
 }

@@ -2,157 +2,39 @@ package dist
 
 import (
 	"bytes"
-	"net"
-	"strings"
 	"testing"
-	"time"
+
+	"github.com/appmult/retrain/internal/wire"
+	"github.com/appmult/retrain/internal/wiretest"
 )
 
-// bufConn is an in-memory net.Conn stub: frames written via send land
-// in the buffer and recv reads them back, all on one goroutine.
-type bufConn struct{ bytes.Buffer }
+func TestMain(m *testing.M) { wiretest.Main(m) }
 
-func (c *bufConn) Close() error                       { return nil }
-func (c *bufConn) LocalAddr() net.Addr                { return nil }
-func (c *bufConn) RemoteAddr() net.Addr               { return nil }
-func (c *bufConn) SetDeadline(t time.Time) error      { return nil }
-func (c *bufConn) SetReadDeadline(t time.Time) error  { return nil }
-func (c *bufConn) SetWriteDeadline(t time.Time) error { return nil }
-
-func TestFrameRoundTrip(t *testing.T) {
-	c := &bufConn{}
-	fc := newFrameConn(c, 0, 0)
-	payloads := [][]byte{[]byte("hello"), nil, bytes.Repeat([]byte{0xAB}, 10_000)}
-	types := []frameType{frameHello, framePing, frameState}
-	for i := range payloads {
-		if err := fc.send(types[i], payloads[i]); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	rc := newFrameConn(c, 0, 0) // fresh read state over the same stream
-	rc.br = fc.br
-	for i := range payloads {
-		ft, p, err := rc.recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if ft != types[i] || !bytes.Equal(p, payloads[i]) {
-			t.Fatalf("frame %d: got %s %d bytes, want %s %d bytes", i, ft, len(p), types[i], len(payloads[i]))
-		}
-	}
-}
-
-// frameBytes returns the wire form of one frame with the given
-// zero-based stream sequence number.
-func frameBytes(t *testing.T, seq uint64, ft frameType, payload []byte) []byte {
-	t.Helper()
-	c := &bufConn{}
-	fc := newFrameConn(c, 0, 0)
-	fc.wseq = seq
-	if err := fc.send(ft, payload); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	return append([]byte(nil), c.Bytes()...)
-}
-
-// TestFrameValidation feeds damaged streams to recv and checks each
-// damage class is detected and classified: flipped payload bits (crc),
-// clobbered magic, dropped frames (seq), truncation (io), and an
-// oversized declared length.
-func TestFrameValidation(t *testing.T) {
-	good := frameBytes(t, 0, frameSlice, []byte("payload-bytes"))
-	cases := []struct {
-		name string
-		mut  func([]byte) []byte
-		want string
+// TestGoldenFrames pins DSTFRv1 as this package speaks it — proto's
+// magic plus the frame-type numbers and payload encoders declared here
+// — to the bytes the pre-internal/wire encoder produced.
+func TestGoldenFrames(t *testing.T) {
+	golden := wiretest.Golden(t)
+	var hello, aborted wire.Enc
+	hello.U32(ProtocolVersion)
+	aborted.U64(42) // step
+	aborted.U32(7)  // attempt
+	aborted.U32(5)  // slice
+	aborted.U8(0)   // not fatal
+	aborted.Str("sync aborted")
+	for _, tc := range []struct {
+		name    string
+		seq     uint64
+		t       uint8
+		payload []byte
 	}{
-		{"payload bit flip", func(b []byte) []byte {
-			b[frameHeaderLen+3] ^= 0x10
-			return b
-		}, "CRC"},
-		{"crc bit flip", func(b []byte) []byte {
-			b[len(b)-1] ^= 0x01
-			return b
-		}, "CRC"},
-		{"magic clobbered", func(b []byte) []byte {
-			b[0] = 'X'
-			return b
-		}, "magic"},
-		{"frame dropped", func(b []byte) []byte {
-			next := frameBytes(t, 1, frameSlice, []byte("payload-bytes"))
-			return next // seq 1 arrives where 0 was expected
-		}, "seq"},
-		{"truncated mid-payload", func(b []byte) []byte {
-			return b[:frameHeaderLen+4]
-		}, ""},
-		{"length over cap", func(b []byte) []byte {
-			hdr := append([]byte(nil), b[:frameHeaderLen]...)
-			hdr[17] = 0xFF
-			hdr[18] = 0xFF
-			hdr[19] = 0xFF
-			hdr[20] = 0xFF
-			return hdr
-		}, "cap"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := &bufConn{}
-			c.Write(tc.mut(append([]byte(nil), good...)))
-			fc := newFrameConn(c, 0, 0)
-			_, _, err := fc.recv()
-			if err == nil {
-				t.Fatal("damaged frame accepted")
-			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
-	}
-}
-
-func TestEncDecRoundTrip(t *testing.T) {
-	var e enc
-	e.u8(7)
-	e.u32(0xDEADBEEF)
-	e.u64(1 << 40)
-	e.f32(-1.5)
-	e.f64(3.25)
-	e.f32s([]float32{1, 2, 3})
-	e.f64s([]float64{4, 5})
-	e.str("spec")
-	e.bytes([]byte{9, 8})
-	d := &dec{b: e.b}
-	if d.u8() != 7 || d.u32() != 0xDEADBEEF || d.u64() != 1<<40 ||
-		d.f32() != -1.5 || d.f64() != 3.25 {
-		t.Fatal("scalar round trip failed")
-	}
-	if f := d.f32s(); len(f) != 3 || f[2] != 3 {
-		t.Fatalf("f32s round trip: %v", f)
-	}
-	if f := d.f64s(); len(f) != 2 || f[1] != 5 {
-		t.Fatalf("f64s round trip: %v", f)
-	}
-	if d.str() != "spec" {
-		t.Fatal("str round trip failed")
-	}
-	if b := d.bytes(); !bytes.Equal(b, []byte{9, 8}) {
-		t.Fatalf("bytes round trip: %v", b)
-	}
-	if err := d.err(); err != nil {
-		t.Fatalf("clean decode errored: %v", err)
-	}
-	// Trailing garbage must be flagged.
-	d2 := &dec{b: append(append([]byte(nil), e.b...), 0)}
-	d2.take(len(e.b))
-	if d2.err() == nil {
-		t.Fatal("trailing byte not flagged")
-	}
-	// Truncated vector length must fail sticky, not panic or allocate.
-	var e3 enc
-	e3.u32(1 << 30) // claims a billion floats
-	d3 := &dec{b: e3.b}
-	if d3.f32s() != nil || d3.err() == nil {
-		t.Fatal("oversized vector accepted")
+		{"dstfrv1/hello", 0, frameHello, hello.B},
+		{"dstfrv1/slice_aborted", 3, frameSliceAborted, aborted.B},
+		{"dstfrv1/bye", 5, frameBye, nil},
+	} {
+		if got := proto.Frame(nil, tc.seq, tc.t, tc.payload); !bytes.Equal(got, golden[tc.name]) {
+			t.Errorf("%s:\n got %x\nwant %x", tc.name, got, golden[tc.name])
+		}
 	}
 }
 
@@ -161,11 +43,11 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		Model: "lenet", Mult: "mul8u_17C8", Estimator: "ours", Scale: "tiny",
 		Classes: 7, Seed: -3, Epochs: 9, BatchSize: 20, SliceRows: 4,
 	}
-	var e enc
+	var e wire.Enc
 	in.encode(&e)
-	d := &dec{b: e.b}
-	out := decodeSpec(d)
-	if err := d.err(); err != nil {
+	d := wire.Dec{B: e.B}
+	out := decodeSpec(&d)
+	if err := d.Err(); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if out != in {

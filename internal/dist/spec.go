@@ -9,6 +9,7 @@ import (
 	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/train"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 // Spec is the job description a coordinator hands every worker in its
@@ -115,29 +116,29 @@ func (s Spec) Datasets(sc train.Scale) (trainSet, testSet *data.Dataset) {
 }
 
 // encode appends the spec's wire form.
-func (s Spec) encode(e *enc) {
-	e.str(s.Model)
-	e.str(s.Mult)
-	e.str(s.Estimator)
-	e.str(s.Scale)
-	e.u32(uint32(s.Classes))
-	e.u64(uint64(s.Seed))
-	e.u32(uint32(s.Epochs))
-	e.u32(uint32(s.BatchSize))
-	e.u32(uint32(s.SliceRows))
+func (s Spec) encode(e *wire.Enc) {
+	e.Str(s.Model)
+	e.Str(s.Mult)
+	e.Str(s.Estimator)
+	e.Str(s.Scale)
+	e.U32(uint32(s.Classes))
+	e.U64(uint64(s.Seed))
+	e.U32(uint32(s.Epochs))
+	e.U32(uint32(s.BatchSize))
+	e.U32(uint32(s.SliceRows))
 }
 
 // decodeSpec reads a spec's wire form.
-func decodeSpec(d *dec) Spec {
+func decodeSpec(d *wire.Dec) Spec {
 	return Spec{
-		Model:     d.str(),
-		Mult:      d.str(),
-		Estimator: d.str(),
-		Scale:     d.str(),
-		Classes:   int(d.u32()),
-		Seed:      int64(d.u64()),
-		Epochs:    int(d.u32()),
-		BatchSize: int(d.u32()),
-		SliceRows: int(d.u32()),
+		Model:     d.Str(),
+		Mult:      d.Str(),
+		Estimator: d.Str(),
+		Scale:     d.Str(),
+		Classes:   int(d.U32()),
+		Seed:      int64(d.U64()),
+		Epochs:    int(d.U32()),
+		BatchSize: int(d.U32()),
+		SliceRows: int(d.U32()),
 	}
 }

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 // WorkerConfig parameterizes RunWorker.
@@ -18,7 +18,7 @@ type WorkerConfig struct {
 	// Coordinator is the coordinator's TCP address.
 	Coordinator string
 	// Dial is the backoff policy for failed dials and reconnects.
-	Dial Backoff
+	Dial wire.Backoff
 	// MaxDialAttempts gives up after this many consecutive dial
 	// failures; 0 retries forever (a crashed coordinator restarting
 	// from a checkpoint picks the worker back up).
@@ -40,19 +40,6 @@ type WorkerConfig struct {
 	WrapConn func(net.Conn) net.Conn
 }
 
-func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	return c
-}
-
 func (c WorkerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
@@ -66,48 +53,18 @@ func (c WorkerConfig) logf(format string, args ...any) {
 // coordinator re-syncs full state on readmission, so a reconnect is
 // always safe.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	fails := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		conn, err := net.DialTimeout("tcp", cfg.Coordinator, cfg.DialTimeout)
-		if err != nil {
-			fails++
-			dialRetries.Inc()
-			if cfg.MaxDialAttempts > 0 && fails >= cfg.MaxDialAttempts {
-				return fmt.Errorf("dist: dialing %s: %d attempts, last: %w", cfg.Coordinator, fails, err)
-			}
-			cfg.logf("dial %s failed (attempt %d): %v", cfg.Coordinator, fails, err)
-			if !cfg.Dial.Sleep(ctx, fails-1, rng) {
-				return ctx.Err()
-			}
-			continue
-		}
-		fails = 0
-		if cfg.WrapConn != nil {
-			conn = cfg.WrapConn(conn)
-		}
-		done, err := serveWorker(ctx, conn, cfg)
-		if done {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		workerReconnects.Inc()
-		cfg.logf("session ended: %v; reconnecting", err)
-		if !cfg.Dial.Sleep(ctx, 0, rng) {
-			return ctx.Err()
-		}
-	}
+	return wire.RunClient(ctx, proto, wire.ClientConfig{
+		Addr: cfg.Coordinator, Dial: cfg.Dial, MaxDialAttempts: cfg.MaxDialAttempts,
+		DialTimeout: cfg.DialTimeout, HeartbeatTimeout: cfg.HeartbeatTimeout, WriteTimeout: cfg.WriteTimeout,
+		Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+	}, func(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec) error {
+		return serveWorker(ctx, fc, id, welcome, cfg)
+	})
 }
 
 // wframe is one routed frame (or the reader's terminal error).
 type wframe struct {
-	t   frameType
+	t   uint8
 	p   []byte
 	err error
 }
@@ -116,7 +73,7 @@ type wframe struct {
 // from the coordinator's spec plus the frame routing channels.
 type workerSession struct {
 	cfg WorkerConfig
-	fc  *frameConn
+	fc  *wire.Conn
 	id  int
 
 	model    *nn.Sequential
@@ -142,31 +99,13 @@ type workerSession struct {
 	gradBuf []float32
 }
 
-// serveWorker runs one connection's lifetime. done=true means the
-// coordinator dismissed us (run finished).
-func serveWorker(ctx context.Context, conn net.Conn, cfg WorkerConfig) (done bool, err error) {
-	fc := newFrameConn(conn, cfg.WriteTimeout, cfg.HeartbeatTimeout)
-	defer fc.close()
-	var e enc
-	e.u32(ProtocolVersion)
-	if err := fc.send(frameHello, e.b); err != nil {
-		return false, err
-	}
-	t, p, err := fc.recv()
-	if err != nil {
-		return false, err
-	}
-	if t != frameWelcome {
-		return false, fmt.Errorf("dist: expected welcome, got %s", t)
-	}
-	d := &dec{b: p}
-	if ver := d.u32(); ver != ProtocolVersion {
-		return false, fmt.Errorf("dist: coordinator speaks protocol %d, want %d", ver, ProtocolVersion)
-	}
-	id := int(d.u32())
-	spec := decodeSpec(d)
-	if err := d.err(); err != nil {
-		return false, err
+// serveWorker is one connection's session body: rebuild the replica
+// from the welcome's spec, then apply state and compute slices until
+// the stream ends (wire.ErrDismissed when the coordinator said Bye).
+func serveWorker(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec, cfg WorkerConfig) error {
+	spec := decodeSpec(welcome)
+	if err := welcome.Err(); err != nil {
+		return err
 	}
 	s := &workerSession{
 		cfg:        cfg,
@@ -179,19 +118,9 @@ func serveWorker(ctx context.Context, conn net.Conn, cfg WorkerConfig) (done boo
 	}
 	defer close(s.stop)
 	if err := s.buildModel(spec); err != nil {
-		return false, err
+		return err
 	}
 	cfg.logf("worker %d: joined %s (model %s, %d params)", id, cfg.Coordinator, spec.Model, s.numel)
-
-	// The context watcher closes the connection so a cancelled worker
-	// unblocks even mid-read or mid-barrier.
-	go func() {
-		select {
-		case <-ctx.Done():
-			fc.close()
-		case <-s.stop:
-		}
-	}()
 	go s.readLoop()
 
 	for {
@@ -199,38 +128,35 @@ func serveWorker(ctx context.Context, conn net.Conn, cfg WorkerConfig) (done boo
 		select {
 		case f = <-s.workCh:
 		case <-ctx.Done():
-			return false, ctx.Err()
+			return ctx.Err()
 		}
 		if f.err != nil {
-			return false, f.err
+			return f.err
 		}
 		switch f.t {
 		case frameState:
 			if err := s.applyState(f.p); err != nil {
-				return false, err
+				return err
 			}
 		case frameSlice:
 			if !s.stateReady {
-				return false, fmt.Errorf("dist: slice before state sync")
+				return fmt.Errorf("dist: slice before state sync")
 			}
 			if err := s.handleSlice(f.p); err != nil {
-				return false, err
+				return err
 			}
 		case frameObserve:
 			if err := s.applyObserve(f.p); err != nil {
-				return false, err
+				return err
 			}
 		case frameParams:
 			if err := s.applyParams(f.p); err != nil {
-				return false, err
+				return err
 			}
-		case frameBye:
-			s.cfg.logf("worker %d: dismissed", s.id)
-			return true, nil
 		case frameBNResult, frameBNAbort:
 			// Stale reply from an aborted reduction; drop.
 		default:
-			return false, fmt.Errorf("dist: unexpected %s frame", f.t)
+			return fmt.Errorf("dist: unexpected %s frame", proto.TypeName(f.t))
 		}
 	}
 }
@@ -267,12 +193,13 @@ func (s *workerSession) buildModel(spec Spec) error {
 	return nil
 }
 
-// readLoop routes inbound frames: pings are answered inline (liveness
-// must not wait for compute), BN replies go to the blocked reduction,
-// everything else to the main loop. On error it wakes both consumers.
+// readLoop routes inbound frames: BN replies go to the blocked
+// reduction, everything else to the main loop (wire answers pings
+// inline — liveness must not wait for compute). On error, which
+// includes the coordinator's Bye, it wakes both consumers.
 func (s *workerSession) readLoop() {
 	for {
-		t, p, err := s.fc.recv()
+		t, p, err := s.fc.RecvData()
 		if err != nil {
 			close(s.readerDead)
 			select {
@@ -281,29 +208,14 @@ func (s *workerSession) readLoop() {
 			}
 			return
 		}
-		switch t {
-		case framePing:
-			cp := append([]byte(nil), p...)
-			if err := s.fc.send(framePong, cp); err != nil {
-				close(s.readerDead)
-				select {
-				case s.workCh <- wframe{err: err}:
-				case <-s.stop:
-				}
-				return
-			}
-		case frameBNResult, frameBNAbort:
-			select {
-			case s.bnCh <- wframe{t: t, p: append([]byte(nil), p...)}:
-			case <-s.stop:
-				return
-			}
-		default:
-			select {
-			case s.workCh <- wframe{t: t, p: append([]byte(nil), p...)}:
-			case <-s.stop:
-				return
-			}
+		ch := s.workCh
+		if t == frameBNResult || t == frameBNAbort {
+			ch = s.bnCh
+		}
+		select {
+		case ch <- wframe{t: t, p: append([]byte(nil), p...)}:
+		case <-s.stop:
+			return
 		}
 	}
 }
@@ -311,14 +223,14 @@ func (s *workerSession) readLoop() {
 // applyState loads the primary's full state: params blob plus layer
 // state vectors.
 func (s *workerSession) applyState(p []byte) error {
-	d := &dec{b: p}
-	blob := d.bytes()
-	nStates := int(d.u32())
+	d := wire.Dec{B: p}
+	blob := d.Bytes()
+	nStates := int(d.U32())
 	vecs := make([][]float32, 0, nStates)
-	for i := 0; i < nStates && !d.fail; i++ {
-		vecs = append(vecs, d.f32s())
+	for i := 0; i < nStates && !d.Failed(); i++ {
+		vecs = append(vecs, d.F32s())
 	}
-	if err := d.err(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if err := nn.LoadParams(bytes.NewReader(blob), s.model); err != nil {
@@ -334,35 +246,35 @@ func (s *workerSession) applyState(p []byte) error {
 // applyObserve folds the coordinator's merged observer ranges, exactly
 // as an in-process replica folds them in mergeObservers.
 func (s *workerSession) applyObserve(p []byte) error {
-	d := &dec{b: p}
-	d.u64() // step
-	nObs := int(d.u32())
+	d := wire.Dec{B: p}
+	d.U64() // step
+	nObs := int(d.U32())
 	if nObs != len(s.observed) {
 		return fmt.Errorf("dist: observe carries %d observers, model has %d", nObs, len(s.observed))
 	}
 	for i := 0; i < nObs; i++ {
-		mn := d.f32()
-		mx := d.f32()
-		have := d.u8() != 0
-		if d.fail {
+		mn := d.F32()
+		mx := d.F32()
+		have := d.U8() != 0
+		if d.Failed() {
 			break
 		}
 		if have {
 			s.observed[i].ActivationObserver().ObserveRange(mn, mx)
 		}
 	}
-	return d.err()
+	return d.Err()
 }
 
 // applyParams overwrites parameter values with the primary's
 // post-optimizer state.
 func (s *workerSession) applyParams(p []byte) error {
-	d := &dec{b: p}
-	d.u64() // step
-	if !d.f32sInto(s.gradBuf) {
+	d := wire.Dec{B: p}
+	d.U64() // step
+	if !d.F32sInto(s.gradBuf) {
 		return fmt.Errorf("dist: params frame length mismatch")
 	}
-	if err := d.err(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 	for pi, prm := range s.params {
@@ -376,15 +288,15 @@ func (s *workerSession) applyParams(p []byte) error {
 // retries the step); any other panic is reported fatal and surfaces as
 // a skipped step on the coordinator.
 func (s *workerSession) handleSlice(p []byte) error {
-	d := &dec{b: p}
-	step := d.u64()
-	att := d.u32()
-	slice := d.u32()
-	batchN := int(d.u32())
-	partIdx := int(d.u32())
-	parts := int(d.u32())
-	rows := int(d.u32())
-	if d.fail || rows < 1 || batchN < rows {
+	d := wire.Dec{B: p}
+	step := d.U64()
+	att := d.U32()
+	slice := d.U32()
+	batchN := int(d.U32())
+	partIdx := int(d.U32())
+	parts := int(d.U32())
+	rows := int(d.U32())
+	if d.Failed() || rows < 1 || batchN < rows {
 		return fmt.Errorf("dist: malformed slice header")
 	}
 	if cap(s.labels) < rows {
@@ -392,13 +304,13 @@ func (s *workerSession) handleSlice(p []byte) error {
 	}
 	s.labels = s.labels[:rows]
 	for i := range s.labels {
-		s.labels[i] = int(d.u32())
+		s.labels[i] = int(d.U32())
 	}
 	s.x = tensor.Ensure(s.x, rows, 3, s.hw, s.hw)
-	if !d.f32sInto(s.x.Data) {
+	if !d.F32sInto(s.x.Data) {
 		return fmt.Errorf("dist: slice input length mismatch")
 	}
-	if err := d.err(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 
@@ -422,37 +334,37 @@ func (s *workerSession) handleSlice(p []byte) error {
 
 	loss, abortReason, fatal := s.computeSlice(batchN)
 	if abortReason != "" {
-		var e enc
-		e.u64(step)
-		e.u32(att)
-		e.u32(slice)
+		var e wire.Enc
+		e.U64(step)
+		e.U32(att)
+		e.U32(slice)
 		if fatal {
-			e.u8(1)
+			e.U8(1)
 		} else {
-			e.u8(0)
+			e.U8(0)
 		}
-		e.str(abortReason)
-		return s.fc.send(frameSliceAborted, e.b)
+		e.Str(abortReason)
+		return s.fc.Send(frameSliceAborted, e.B)
 	}
-	var e enc
-	e.u64(step)
-	e.u32(att)
-	e.u32(slice)
-	e.f64(loss)
-	e.u32(uint32(len(s.observed)))
+	var e wire.Enc
+	e.U64(step)
+	e.U32(att)
+	e.U32(slice)
+	e.F64(loss)
+	e.U32(uint32(len(s.observed)))
 	for _, ol := range s.observed {
 		mn, mx, ok := ol.DeferredRange()
-		e.f32(mn)
-		e.f32(mx)
+		e.F32(mn)
+		e.F32(mx)
 		if ok {
-			e.u8(1)
+			e.U8(1)
 		} else {
-			e.u8(0)
+			e.U8(0)
 		}
 	}
-	e.f32s(s.gradBuf)
+	e.F32s(s.gradBuf)
 	workerSlices.Inc()
-	return s.fc.send(frameSliceResult, e.b)
+	return s.fc.Send(frameSliceResult, e.B)
 }
 
 // computeSlice runs forward/backward over the staged input, packing
@@ -503,17 +415,17 @@ func (p *bnProxy) Channels() int { return p.c }
 
 // ReduceMoments implements nn.BNSyncer.
 func (p *bnProxy) ReduceMoments(idx int, sum []float64, cnt int) ([]float64, int) {
-	var e enc
-	e.u32(p.s.attempt)
-	e.u32(uint32(p.group))
-	e.u8(1)
-	e.u32(uint32(idx))
-	e.u32(uint32(cnt))
-	e.f64s(sum)
-	d := p.roundTrip(1, e.b)
-	total := int(d.u32())
-	out := d.f64s()
-	if err := d.err(); err != nil {
+	var e wire.Enc
+	e.U32(p.s.attempt)
+	e.U32(uint32(p.group))
+	e.U8(1)
+	e.U32(uint32(idx))
+	e.U32(uint32(cnt))
+	e.F64s(sum)
+	d := p.roundTrip(1, e.B)
+	total := int(d.U32())
+	out := d.F64s()
+	if err := d.Err(); err != nil {
 		panic(err)
 	}
 	return out, total
@@ -521,16 +433,16 @@ func (p *bnProxy) ReduceMoments(idx int, sum []float64, cnt int) ([]float64, int
 
 // ReduceSquares implements nn.BNSyncer.
 func (p *bnProxy) ReduceSquares(idx int, sq []float64) []float64 {
-	var e enc
-	e.u32(p.s.attempt)
-	e.u32(uint32(p.group))
-	e.u8(2)
-	e.u32(uint32(idx))
-	e.u32(0)
-	e.f64s(sq)
-	d := p.roundTrip(2, e.b)
-	out := d.f64s()
-	if err := d.err(); err != nil {
+	var e wire.Enc
+	e.U32(p.s.attempt)
+	e.U32(uint32(p.group))
+	e.U8(2)
+	e.U32(uint32(idx))
+	e.U32(0)
+	e.F64s(sq)
+	d := p.roundTrip(2, e.B)
+	out := d.F64s()
+	if err := d.Err(); err != nil {
 		panic(err)
 	}
 	return out
@@ -538,18 +450,18 @@ func (p *bnProxy) ReduceSquares(idx int, sq []float64) []float64 {
 
 // ReduceGrads implements nn.BNSyncer.
 func (p *bnProxy) ReduceGrads(idx int, dy, dyx []float64) ([]float64, []float64) {
-	var e enc
-	e.u32(p.s.attempt)
-	e.u32(uint32(p.group))
-	e.u8(3)
-	e.u32(uint32(idx))
-	e.u32(0)
-	e.f64s(dy)
-	e.f64s(dyx)
-	d := p.roundTrip(3, e.b)
-	gdy := d.f64s()
-	gdyx := d.f64s()
-	if err := d.err(); err != nil {
+	var e wire.Enc
+	e.U32(p.s.attempt)
+	e.U32(uint32(p.group))
+	e.U8(3)
+	e.U32(uint32(idx))
+	e.U32(0)
+	e.F64s(dy)
+	e.F64s(dyx)
+	d := p.roundTrip(3, e.B)
+	gdy := d.F64s()
+	gdyx := d.F64s()
+	if err := d.Err(); err != nil {
 		panic(err)
 	}
 	return gdy, gdyx
@@ -557,18 +469,18 @@ func (p *bnProxy) ReduceGrads(idx int, dy, dyx []float64) ([]float64, []float64)
 
 // roundTrip sends one BNReduce request and waits for its matching
 // reply, panicking ErrSyncAborted on abort or connection loss.
-func (p *bnProxy) roundTrip(phase uint8, payload []byte) *dec {
-	if err := p.s.fc.send(frameBNReduce, payload); err != nil {
+func (p *bnProxy) roundTrip(phase uint8, payload []byte) *wire.Dec {
+	if err := p.s.fc.Send(frameBNReduce, payload); err != nil {
 		panic(nn.ErrSyncAborted)
 	}
 	for {
 		select {
 		case r := <-p.s.bnCh:
-			d := &dec{b: r.p}
-			ratt := d.u32()
-			rgroup := int(d.u32())
-			rphase := d.u8()
-			if d.fail || ratt != p.s.attempt || rgroup != p.group || rphase != phase {
+			d := &wire.Dec{B: r.p}
+			ratt := d.U32()
+			rgroup := int(d.U32())
+			rphase := d.U8()
+			if d.Failed() || ratt != p.s.attempt || rgroup != p.group || rphase != phase {
 				continue // stale reply from an aborted attempt
 			}
 			if r.t == frameBNAbort {

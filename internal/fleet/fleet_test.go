@@ -14,8 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/appmult/retrain/internal/dist"
 	"github.com/appmult/retrain/internal/serve"
+	"github.com/appmult/retrain/internal/wire"
+	"github.com/appmult/retrain/internal/wiretest"
 )
 
 // fleetSpec is the small deterministic model every e2e test serves:
@@ -37,7 +38,7 @@ func testImage(rng *rand.Rand) []float32 {
 // func plus a channel closed when Run returns.
 func startWorker(t *testing.T, cfg WorkerConfig) (context.CancelFunc, chan struct{}) {
 	t.Helper()
-	cfg.Dial = dist.Backoff{Base: 10 * time.Millisecond, Jitter: -1}
+	cfg.Dial = wire.Backoff{Base: 10 * time.Millisecond, Jitter: -1}
 	if cfg.MaxDialAttempts == 0 {
 		cfg.MaxDialAttempts = 50
 	}
@@ -304,21 +305,34 @@ func TestFleetHTTPHandler(t *testing.T) {
 	}
 }
 
+// crashConn stops delivering writes once crashed is set: the peer sees
+// its socket die with nothing further on it.
+type crashConn struct {
+	net.Conn
+	crashed *atomic.Bool
+}
+
+func (c *crashConn) Write(b []byte) (int, error) {
+	if c.crashed.Load() {
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
 func TestFleetWorkerReconnectsAfterRouterRestart(t *testing.T) {
-	r := startRouter(t, RouterConfig{})
+	var crashed atomic.Bool
+	r := startRouter(t, RouterConfig{WrapConn: func(c net.Conn) net.Conn {
+		return &crashConn{Conn: c, crashed: &crashed}
+	}})
 	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
 	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	addr := r.Addr()
-	// Crash the router abruptly: no Bye frame (that would be a clean
-	// dismissal), just dead sockets — the worker must redial.
-	r.ln.Close()
-	r.mu.Lock()
-	for _, w := range r.workers {
-		w.fc.close()
-	}
-	r.mu.Unlock()
+	// Crash the router abruptly: no Bye frame reaches the worker (that
+	// would be a clean dismissal), just dead sockets — it must redial.
+	crashed.Store(true)
+	r.Close()
 
 	// A new router on the same address picks the worker back up.
 	r2, err := NewRouter(RouterConfig{Addr: addr})
@@ -386,5 +400,30 @@ func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 	wg.Wait()
 	if !grew {
 		t.Error("autoscaler never added a replica under sustained queue pressure")
+	}
+}
+
+// TestFleetWorkerOutlivesHandshakeWindow: admission must clear the read
+// deadline that bounded the handshake — the last SetReadDeadline the
+// router issues on the connection is the zero time — so an idle worker
+// is still registered, with no death counted, once the handshake window
+// has elapsed. (The router used to stop re-arming the deadline but
+// leave the armed one in place, dropping every worker 10 s after it
+// joined and answering 503 until it was back.)
+func TestFleetWorkerOutlivesHandshakeWindow(t *testing.T) {
+	var dl wiretest.Deadlines
+	r := startRouter(t, RouterConfig{WrapConn: dl.Wrap})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	lost := proto.Metrics.WorkersLost.Value()
+	dl.AwaitWindow(t)
+	if n := r.Workers(); n != 1 || proto.Metrics.WorkersLost.Value() != lost {
+		t.Fatalf("after the handshake window: %d workers registered, fleet_workers_lost_total moved by %v",
+			n, proto.Metrics.WorkersLost.Value()-lost)
+	}
+	if _, _, err := r.Predict(context.Background(), "m", testImage(rand.New(rand.NewSource(31))), 0); err != nil {
+		t.Fatalf("predict after the handshake window: %v", err)
 	}
 }

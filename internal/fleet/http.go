@@ -167,9 +167,9 @@ func (r *Router) handleFleetz(w http.ResponseWriter, req *http.Request) {
 	workers := make([]fleetzWorker, 0, len(r.workers))
 	for _, fw := range r.workers {
 		workers = append(workers, fleetzWorker{
-			ID:         fw.id,
+			ID:         fw.ID,
 			Models:     modelNames(fw.models),
-			LastPongMS: float64(time.Since(time.Unix(0, fw.lastPong.Load()))) / float64(time.Millisecond),
+			LastPongMS: float64(time.Since(fw.LastPong())) / float64(time.Millisecond),
 		})
 	}
 	r.mu.Unlock()

@@ -7,16 +7,15 @@ import "github.com/appmult/retrain/internal/obs"
 // hedging that trims the tail, a cache that actually hits — are only
 // auditable if every routing decision is counted: per-outcome request
 // totals, hedge launches and wins, failover re-dispatches, cache
-// traffic, and worker churn.
+// traffic, and worker churn. The connection-level half — frame traffic
+// and errors, worker deaths and heartbeat expiries, dial retries — is
+// proto.Metrics, registered by internal/wire under the same fleet_
+// prefix.
 var (
 	workersLive = obs.Default().Gauge("fleet_workers_live",
 		"Workers currently registered with the router.")
 	workersJoined = obs.Default().Counter("fleet_workers_joined_total",
 		"Workers admitted by the router (reconnects count again).")
-	workersLost = obs.Default().Counter("fleet_workers_lost_total",
-		"Workers declared dead (heartbeat expiry, read/write error, or kill).")
-	heartbeatTimeouts = obs.Default().Counter("fleet_heartbeat_timeouts_total",
-		"Workers declared dead specifically by heartbeat expiry.")
 
 	hedges = obs.Default().Counter("fleet_hedges_total",
 		"Hedge dispatches: a second worker was engaged after the hedge deadline.")
@@ -46,19 +45,6 @@ var (
 	routerInflight = obs.Default().Gauge("fleet_inflight",
 		"Predictions currently admitted and awaiting a worker answer.")
 
-	framesSent = obs.Default().Counter("fleet_frames_sent_total",
-		"Protocol frames written by this process.")
-	framesRecv = obs.Default().Counter("fleet_frames_recv_total",
-		"Protocol frames received and validated by this process.")
-	frameBytesSent = obs.Default().Counter("fleet_frame_bytes_sent_total",
-		"Bytes of protocol frames written by this process.")
-	frameBytesRecv = obs.Default().Counter("fleet_frame_bytes_recv_total",
-		"Bytes of protocol frames received by this process.")
-
-	workerDialRetries = obs.Default().Counter("fleet_worker_dial_retries_total",
-		"Worker dial attempts that failed and were retried with backoff.")
-	workerReconnects = obs.Default().Counter("fleet_worker_reconnects_total",
-		"Worker sessions that ended in an error and re-entered the dial loop.")
 	workerPredicts = obs.Default().Counter("fleet_worker_predicts_total",
 		"Predict frames served by this worker process.")
 )
@@ -69,13 +55,6 @@ func requests(outcome string) *obs.Counter {
 	return obs.Default().Counter("fleet_requests_total",
 		"Routed predictions by final outcome (completed, cached, rejected, expired, failed, no_worker).",
 		"outcome", outcome)
-}
-
-// frameErrors counts framing violations by reason.
-func frameErrors(reason string) *obs.Counter {
-	return obs.Default().Counter("fleet_frame_errors_total",
-		"Frames rejected by protocol validation, by reason (magic, seq, crc, length, io).",
-		"reason", reason)
 }
 
 // autoscaleEvents counts worker-local replica scaling decisions by

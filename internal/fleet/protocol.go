@@ -1,7 +1,7 @@
 // Package fleet is the distributed multi-node serving tier: a router
 // that fronts client HTTP traffic and a set of worker processes that
 // host warm internal/serve replicas, speaking a compact length-prefixed
-// binary frame protocol (FLTFRv1, modeled on internal/dist's DSTFRv1).
+// binary frame protocol (FLTFRv1, carried by internal/wire).
 //
 // The router owns the fleet-wide request path: consistent-hash routing
 // by model name over per-model replica sets, bounded admission, request
@@ -15,64 +15,32 @@
 // micro-batching queues, and autoscale their per-model replica counts
 // from the live serve_* gauges in internal/obs.
 //
-// See docs/fleet-protocol.md for the wire format and the
-// routing/hedging/failover state machine.
+// See docs/fleet-protocol.md for the frame types and the
+// routing/hedging/failover state machine, and docs/wire-frame.md for
+// the frame layer under them.
 package fleet
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
-	"net"
-	"sync"
-	"time"
-)
+import "github.com/appmult/retrain/internal/wire"
 
 // ProtocolVersion is the frame-protocol generation carried in
 // Hello/Welcome. A router refuses workers speaking a different
 // version.
 const ProtocolVersion = 1
 
-// frameMagic opens every frame: ASCII tag + version + newline, so a
-// stray connection or a desynchronized stream is detected on the first
-// 8 bytes.
-var frameMagic = [8]byte{'F', 'L', 'T', 'F', 'R', 'v', '1', '\n'}
-
-// maxFramePayload bounds a frame's declared payload length so a
-// corrupt length field cannot make the receiver allocate gigabytes
-// before the CRC check catches it. Predict frames carry one image
-// (a few KiB); 64 MiB is far above any request this tier routes.
-const maxFramePayload = 1 << 26
-
-// frameType tags a frame's payload schema.
-type frameType uint8
-
 // Frame types. Payload layouts are specified in docs/fleet-protocol.md;
 // encode/decode helpers live next to their users in router.go and
 // worker.go.
 const (
-	frameHello    frameType = iota + 1 // worker → router: protocol version
-	frameWelcome                       // router → worker: worker id
-	frameRegister                      // worker → router: hosted model set
-	framePredict                       // router → worker: one prediction request
-	frameResult                        // worker → router: scores for one request
-	frameError                         // worker → router: failure for one request
-	framePing                          // router → worker: liveness probe
-	framePong                          // worker → router: liveness answer + load report
-	frameBye                           // router → worker: dismissed, disconnect
+	frameHello    uint8 = iota + 1 // worker → router: protocol version
+	frameWelcome                   // router → worker: worker id
+	frameRegister                  // worker → router: hosted model set
+	framePredict                   // router → worker: one prediction request
+	frameResult                    // worker → router: scores for one request
+	frameError                     // worker → router: failure for one request
+	framePing                      // router → worker: liveness probe
+	framePong                      // worker → router: liveness answer + load report
+	frameBye                       // router → worker: dismissed, disconnect
 )
-
-func (t frameType) String() string {
-	names := [...]string{"?", "hello", "welcome", "register", "predict",
-		"result", "error", "ping", "pong", "bye"}
-	if int(t) < len(names) {
-		return names[t]
-	}
-	return fmt.Sprintf("frame(%d)", uint8(t))
-}
 
 // Worker-reported error codes carried in frameError payloads. The
 // router maps them onto retry decisions and HTTP statuses.
@@ -83,226 +51,20 @@ const (
 	errCodeExpired    = 4 // deadline passed while queued — not retryable
 )
 
-// frameConn frames a net.Conn: each frame is
-//
-//	magic[8] | seq u64 | type u8 | length u32 | payload | crc32 u32
-//
-// with the CRC (IEEE, as in TRCKPv1) covering every preceding byte of
-// the frame. The per-direction sequence number starts at 0 and
-// increments per frame, so a silently dropped frame is detected at the
-// next frame's seq check, and a truncated frame is detected as a magic
-// mismatch mid-stream. Every send issues exactly one Write, so the
-// faults.NetFaultModel injector operates per-frame. Any framing
-// violation is terminal for the connection: the worker redials and
-// re-registers; the router fails its in-flight requests over to the
-// surviving replicas.
-type frameConn struct {
-	c  net.Conn
-	br *bufio.Reader
-
-	wmu  sync.Mutex
-	wseq uint64
-	wbuf []byte
-
-	rseq uint64
-	rbuf []byte
-
-	writeTimeout time.Duration
-	readTimeout  time.Duration
-}
-
-func newFrameConn(c net.Conn, writeTimeout, readTimeout time.Duration) *frameConn {
-	return &frameConn{
-		c:            c,
-		br:           bufio.NewReaderSize(c, 1<<16),
-		writeTimeout: writeTimeout,
-		readTimeout:  readTimeout,
-	}
-}
-
-const frameHeaderLen = 8 + 8 + 1 + 4 // magic + seq + type + length
-
-// send frames payload and writes it with a single Write call. It is
-// safe for concurrent use: responders for different requests share one
-// connection back to the router.
-func (fc *frameConn) send(t frameType, payload []byte) error {
-	fc.wmu.Lock()
-	defer fc.wmu.Unlock()
-	total := frameHeaderLen + len(payload) + 4
-	if cap(fc.wbuf) < total {
-		fc.wbuf = make([]byte, total)
-	}
-	b := fc.wbuf[:total]
-	copy(b, frameMagic[:])
-	binary.LittleEndian.PutUint64(b[8:], fc.wseq)
-	b[16] = byte(t)
-	binary.LittleEndian.PutUint32(b[17:], uint32(len(payload)))
-	copy(b[frameHeaderLen:], payload)
-	crc := crc32.ChecksumIEEE(b[:frameHeaderLen+len(payload)])
-	binary.LittleEndian.PutUint32(b[frameHeaderLen+len(payload):], crc)
-	if fc.writeTimeout > 0 {
-		fc.c.SetWriteDeadline(time.Now().Add(fc.writeTimeout))
-	}
-	if _, err := fc.c.Write(b); err != nil {
-		frameErrors("io").Inc()
-		return err
-	}
-	fc.wseq++
-	framesSent.Inc()
-	frameBytesSent.Add(float64(total))
-	return nil
-}
-
-// recv reads and validates one frame, returning its type and payload.
-// The payload slice is reused across calls: decode (or copy) before
-// the next recv. recv must be called from a single goroutine per
-// connection.
-func (fc *frameConn) recv() (frameType, []byte, error) {
-	if fc.readTimeout > 0 {
-		fc.c.SetReadDeadline(time.Now().Add(fc.readTimeout))
-	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(fc.br, hdr[:]); err != nil {
-		frameErrors("io").Inc()
-		return 0, nil, err
-	}
-	if [8]byte(hdr[:8]) != frameMagic {
-		frameErrors("magic").Inc()
-		return 0, nil, fmt.Errorf("fleet: bad frame magic %q (stream desynchronized)", hdr[:8])
-	}
-	seq := binary.LittleEndian.Uint64(hdr[8:])
-	if seq != fc.rseq {
-		frameErrors("seq").Inc()
-		return 0, nil, fmt.Errorf("fleet: frame seq %d, want %d (frame lost)", seq, fc.rseq)
-	}
-	t := frameType(hdr[16])
-	plen := binary.LittleEndian.Uint32(hdr[17:])
-	if plen > maxFramePayload {
-		frameErrors("length").Inc()
-		return 0, nil, fmt.Errorf("fleet: frame payload %d exceeds cap", plen)
-	}
-	need := int(plen) + 4
-	if cap(fc.rbuf) < need {
-		fc.rbuf = make([]byte, need)
-	}
-	body := fc.rbuf[:need]
-	if _, err := io.ReadFull(fc.br, body); err != nil {
-		frameErrors("io").Inc()
-		return 0, nil, err
-	}
-	crc := crc32.ChecksumIEEE(hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, body[:plen])
-	if crc != binary.LittleEndian.Uint32(body[plen:]) {
-		frameErrors("crc").Inc()
-		return 0, nil, fmt.Errorf("fleet: frame %s seq %d failed CRC", t, seq)
-	}
-	fc.rseq++
-	framesRecv.Inc()
-	frameBytesRecv.Add(float64(frameHeaderLen + need))
-	return t, body[:plen], nil
-}
-
-func (fc *frameConn) close() error { return fc.c.Close() }
-
-// enc builds a frame payload. All integers are little-endian, matching
-// the TRCKPv1 checkpoint conventions.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f32(v float32) {
-	e.u32(math.Float32bits(v))
-}
-func (e *enc) f32s(vs []float32) {
-	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u32(math.Float32bits(v))
-	}
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *enc) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.b = append(e.b, b...)
-}
-
-// dec reads a frame payload with sticky error handling: after the
-// first short read every accessor returns zero values and err() tells
-// the caller the payload was malformed. All length fields are bounds-
-// checked against the remaining payload before allocation.
-type dec struct {
-	b    []byte
-	off  int
-	fail bool
-}
-
-func (d *dec) take(n int) []byte {
-	if d.fail || n < 0 || d.off+n > len(d.b) {
-		d.fail = true
-		return nil
-	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
-	return s
-}
-func (d *dec) u8() uint8 {
-	s := d.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
-func (d *dec) u32() uint32 {
-	s := d.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-func (d *dec) u64() uint64 {
-	s := d.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-func (d *dec) f32() float32 { return math.Float32frombits(d.u32()) }
-func (d *dec) f32s() []float32 {
-	n := int(d.u32())
-	s := d.take(4 * n)
-	if s == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(s[4*i:]))
-	}
-	return out
-}
-func (d *dec) str() string {
-	n := int(d.u32())
-	s := d.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-func (d *dec) bytes() []byte {
-	n := int(d.u32())
-	return d.take(n)
-}
-
-// err reports whether decoding consumed malformed or missing bytes; a
-// complete decode must also have consumed the whole payload.
-func (d *dec) err() error {
-	if d.fail {
-		return fmt.Errorf("fleet: malformed frame payload (offset %d of %d)", d.off, len(d.b))
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("fleet: frame payload has %d trailing bytes", len(d.b)-d.off)
-	}
-	return nil
+// proto is FLTFRv1: its own magic, so a worker dialed at a traind port
+// (or vice versa) fails on the first 8 bytes. Predict frames carry one
+// image (a few KiB); the 64 MiB payload cap is far above any request
+// this tier routes.
+var proto = &wire.Protocol{
+	Magic:      [8]byte{'F', 'L', 'T', 'F', 'R', 'v', '1', '\n'},
+	MaxPayload: 1 << 26,
+	Version:    ProtocolVersion,
+	Hello:      frameHello,
+	Welcome:    frameWelcome,
+	Ping:       framePing,
+	Pong:       framePong,
+	Bye:        frameBye,
+	Names: []string{"?", "hello", "welcome", "register", "predict",
+		"result", "error", "ping", "pong", "bye"},
+	Metrics: wire.NewMetrics("fleet", nil),
 }

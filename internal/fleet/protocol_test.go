@@ -1,197 +1,100 @@
 package fleet
 
 import (
-	"net"
-	"strings"
-	"sync"
+	"bytes"
+	"context"
+	"math"
 	"testing"
 	"time"
+
+	"github.com/appmult/retrain/internal/serve"
+	"github.com/appmult/retrain/internal/wire"
+	"github.com/appmult/retrain/internal/wiretest"
 )
 
-// pipeConns returns a connected frameConn pair over an in-memory pipe.
-func pipeConns(t *testing.T) (*frameConn, *frameConn) {
-	t.Helper()
-	a, b := net.Pipe()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return newFrameConn(a, time.Second, time.Second), newFrameConn(b, time.Second, time.Second)
-}
+func TestMain(m *testing.M) { wiretest.Main(m) }
 
-func TestFrameRoundTrip(t *testing.T) {
-	fa, fb := pipeConns(t)
-	payloads := [][]byte{[]byte("hello fleet"), nil, make([]byte, 1<<15)}
-	for i := range payloads[2] {
-		payloads[2][i] = byte(i * 7)
-	}
-	go func() {
-		for i, p := range payloads {
-			if err := fa.send(frameType(i+1), p); err != nil {
-				t.Errorf("send %d: %v", i, err)
-			}
-		}
-	}()
-	for i, want := range payloads {
-		ft, p, err := fb.recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if ft != frameType(i+1) || len(p) != len(want) {
-			t.Fatalf("frame %d: type %s len %d, want type %s len %d", i, ft, len(p), frameType(i+1), len(want))
-		}
-		for j := range want {
-			if p[j] != want[j] {
-				t.Fatalf("frame %d byte %d: %d != %d", i, j, p[j], want[j])
-			}
-		}
-	}
-}
-
-func TestFrameConcurrentSenders(t *testing.T) {
-	fa, fb := pipeConns(t)
-	const n = 50
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var e enc
-			e.u64(uint64(i))
-			fa.send(frameResult, e.b)
-		}(i)
-	}
-	seen := make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		ft, p, err := fb.recv()
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if ft != frameResult {
-			t.Fatalf("got %s frame", ft)
-		}
-		d := &dec{b: p}
-		v := d.u64()
-		if d.err() != nil || seen[v] {
-			t.Fatalf("frame %d: value %d (dup=%v, err=%v)", i, v, seen[v], d.err())
-		}
-		seen[v] = true
-	}
-	wg.Wait()
-}
-
-// tamperConn flips one byte at a chosen frame offset on its way through.
-type tamperConn struct {
-	net.Conn
-	offset int64
-	pos    int64
-}
-
-func (c *tamperConn) Write(b []byte) (int, error) {
-	mod := append([]byte(nil), b...)
-	if c.offset >= c.pos && c.offset < c.pos+int64(len(b)) {
-		mod[c.offset-c.pos] ^= 0x40
-	}
-	c.pos += int64(len(b))
-	return c.Conn.Write(mod)
-}
-
-func TestFrameCorruptionDetected(t *testing.T) {
-	cases := []struct {
-		name   string
-		offset int64 // byte to flip in the first frame
-		want   string
+// TestGoldenFrames pins FLTFRv1 as this package speaks it — proto's
+// magic plus the frame-type numbers, error codes and payload encoders
+// declared here — to the bytes the pre-internal/wire encoder produced.
+func TestGoldenFrames(t *testing.T) {
+	golden := wiretest.Golden(t)
+	var hello, overloaded wire.Enc
+	hello.U32(ProtocolVersion)
+	overloaded.U64(42) // attempt id
+	overloaded.U8(errCodeOverloaded)
+	overloaded.Str("queue full")
+	for _, tc := range []struct {
+		name    string
+		seq     uint64
+		t       uint8
+		payload []byte
 	}{
-		{"magic", 2, "magic"},
-		{"seq", 9, "seq"},
-		{"payload", frameHeaderLen + 1, "CRC"},
-		{"crc", frameHeaderLen + 5, "CRC"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := net.Pipe()
-			defer a.Close()
-			defer b.Close()
-			fa := newFrameConn(&tamperConn{Conn: a, offset: tc.offset}, time.Second, time.Second)
-			fb := newFrameConn(b, time.Second, time.Second)
-			go fa.send(framePredict, []byte("payload"))
-			_, _, err := fb.recv()
-			if err == nil {
-				t.Fatal("corrupt frame accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
+		{"fltfrv1/hello", 0, frameHello, hello.B},
+		{"fltfrv1/error", 2, frameError, overloaded.B},
+		{"fltfrv1/bye", 4, frameBye, nil},
+	} {
+		if got := proto.Frame(nil, tc.seq, tc.t, tc.payload); !bytes.Equal(got, golden[tc.name]) {
+			t.Errorf("%s:\n got %x\nwant %x", tc.name, got, golden[tc.name])
+		}
 	}
 }
 
-func TestFramePayloadCapEnforced(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	fb := newFrameConn(b, time.Second, time.Second)
-	// Hand-build a header declaring an absurd payload length.
-	hdr := make([]byte, frameHeaderLen)
-	copy(hdr, frameMagic[:])
-	hdr[16] = byte(framePredict)
-	hdr[17], hdr[18], hdr[19], hdr[20] = 0xff, 0xff, 0xff, 0x7f
-	go a.Write(hdr)
-	_, _, err := fb.recv()
-	if err == nil || !strings.Contains(err.Error(), "exceeds cap") {
-		t.Fatalf("oversized length accepted: %v", err)
+// TestRegisterWireRoundTrip: what a worker's encodeRegister announces
+// is what the router's register installs, and a payload cut anywhere is
+// refused without touching the catalog.
+func TestRegisterWireRoundTrip(t *testing.T) {
+	wk, err := NewWorker(WorkerConfig{Models: []serve.Spec{fleetSpec(time.Millisecond)}, QuantLo: -2, QuantHi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wk.Drain(context.Background())
+	payload := wk.encodeRegister()
+
+	r := &Router{workers: map[int]*fworker{}, catalog: map[string]*modelEntry{}, ring: NewRing()}
+	w := &fworker{Peer: &wire.Peer{ID: 3}, member: "w3", models: map[string]bool{}}
+	if err := r.register(w, payload); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	ent := r.catalog["m"]
+	if ent == nil || ent.kind != "lenet" || ent.classes != 3 || ent.imageLen != 3*8*8 ||
+		ent.quantLo != -2 || ent.quantHi != 2 || ent.hosts[3] != w || !w.models["m"] {
+		t.Fatalf("registered entry %+v", ent)
+	}
+	for cut := 0; cut < len(payload); cut++ {
+		r2 := &Router{workers: map[int]*fworker{}, catalog: map[string]*modelEntry{}, ring: NewRing()}
+		if r2.register(w, payload[:cut]) == nil || len(r2.catalog) != 0 {
+			t.Fatalf("registration cut at %d of %d accepted", cut, len(payload))
+		}
 	}
 }
 
-func TestEncDecRoundTrip(t *testing.T) {
-	var e enc
-	e.u8(7)
-	e.u32(1 << 30)
-	e.u64(1 << 60)
-	e.f32(-1.5)
-	e.f32s([]float32{0, 1.25, -3e7})
-	e.str("model-a")
-	e.bytes([]byte{9, 8})
-
-	d := &dec{b: e.b}
-	if d.u8() != 7 || d.u32() != 1<<30 || d.u64() != 1<<60 || d.f32() != -1.5 {
-		t.Fatal("scalar round trip failed")
+// TestPredictWireRoundTrip: the router's predict encoding decodes to
+// the same request bit for bit, and trailing or missing bytes are
+// refused.
+func TestPredictWireRoundTrip(t *testing.T) {
+	img := []float32{0, -1.5, float32(math.Inf(1)), 3e-9}
+	var e wire.Enc
+	e.U64(99)
+	e.Str("m")
+	e.U32(250)
+	e.F32s(img)
+	req, err := decodePredict(e.B)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fs := d.f32s()
-	if len(fs) != 3 || fs[1] != 1.25 {
-		t.Fatalf("f32s round trip: %v", fs)
+	if req.id != 99 || req.model != "m" || req.budgetMS != 250 || len(req.image) != len(img) {
+		t.Fatalf("decoded %+v", req)
 	}
-	if d.str() != "model-a" {
-		t.Fatal("str round trip failed")
+	for i := range img {
+		if math.Float32bits(req.image[i]) != math.Float32bits(img[i]) {
+			t.Fatalf("image[%d]: %x != %x", i, math.Float32bits(req.image[i]), math.Float32bits(img[i]))
+		}
 	}
-	if bs := d.bytes(); len(bs) != 2 || bs[0] != 9 {
-		t.Fatalf("bytes round trip: %v", bs)
+	if _, err := decodePredict(append(e.B, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
-	if err := d.err(); err != nil {
-		t.Fatalf("clean payload decodes with error: %v", err)
-	}
-}
-
-func TestDecMalformedAndTrailing(t *testing.T) {
-	// Truncated string length: sticky failure.
-	var e enc
-	e.u32(1000) // claims 1000 bytes follow
-	d := &dec{b: e.b}
-	if s := d.str(); s != "" {
-		t.Fatalf("truncated str decoded as %q", s)
-	}
-	if d.err() == nil {
-		t.Fatal("truncated payload decoded cleanly")
-	}
-	// After failure every accessor stays zero.
-	if d.u64() != 0 || d.f32() != 0 {
-		t.Fatal("sticky failure not sticky")
-	}
-
-	// Trailing bytes are an error too.
-	var e2 enc
-	e2.u8(1)
-	e2.u8(2)
-	d2 := &dec{b: e2.b}
-	d2.u8()
-	if d2.err() == nil {
-		t.Fatal("trailing byte not reported")
+	if _, err := decodePredict(e.B[:len(e.B)-1]); err == nil {
+		t.Fatal("short payload accepted")
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/appmult/retrain/internal/wire"
 )
 
 // Errors the router returns for a routed prediction; the HTTP layer
@@ -93,26 +95,14 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	return c
 }
 
 // fworker is the router's handle on one registered worker connection.
 type fworker struct {
-	id       int
-	member   string // consistent-hash ring member name
-	fc       *frameConn
-	models   map[string]bool
-	lastPong atomic.Int64
-	dead     atomic.Bool
+	*wire.Peer
+	member string // consistent-hash ring member name
+	models map[string]bool
 }
 
 // modelEntry is the router's catalog record for one model name.
@@ -151,9 +141,9 @@ type callResult struct {
 
 // attempt is one dispatch of a call to one worker.
 type attempt struct {
-	id   uint64
-	c    *call
-	w    *fworker
+	id      uint64
+	c       *call
+	w       *fworker
 	isHedge bool
 }
 
@@ -163,7 +153,7 @@ type attempt struct {
 // safe for concurrent use.
 type Router struct {
 	cfg   RouterConfig
-	ln    net.Listener
+	srv   *wire.Server
 	cache *Cache
 
 	inflight chan struct{}
@@ -174,34 +164,26 @@ type Router struct {
 	ring     *Ring
 	attempts map[uint64]*attempt
 	nextID   uint64
-	nworkers int // admitted so far, for id assignment
 
 	lat   map[string]*latWindow
 	latMu sync.Mutex
 
-	// Connection-goroutine lifecycle: every accepted conn is tracked so
-	// Close can force-close it, and every spawned goroutine registers
-	// in connWG so Close can join them — after Close returns, nothing
-	// touches the router or its log sink.
-	connWG sync.WaitGroup
-	connMu sync.Mutex
-	conns  map[net.Conn]bool
-
-	done      chan struct{}
-	closeOnce sync.Once
-	start     time.Time
+	start time.Time
 }
 
 // NewRouter starts listening for workers. Call Close when done.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
-	ln, err := net.Listen("tcp", cfg.Addr)
+	srv, err := wire.Listen(proto, wire.ServerConfig{
+		Addr: cfg.Addr, HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
+		WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+	})
 	if err != nil {
-		return nil, fmt.Errorf("fleet: listen %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	r := &Router{
 		cfg:      cfg,
-		ln:       ln,
+		srv:      srv,
 		cache:    NewCache(cfg.CacheBytes),
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		workers:  make(map[int]*fworker),
@@ -209,16 +191,14 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		ring:     NewRing(),
 		attempts: make(map[uint64]*attempt),
 		lat:      make(map[string]*latWindow),
-		conns:    make(map[net.Conn]bool),
-		done:     make(chan struct{}),
 		start:    time.Now(),
 	}
-	go r.acceptLoop()
+	srv.Serve(wire.Handler{Joined: r.joined, Frame: r.frame, Dead: r.dead})
 	return r, nil
 }
 
 // Addr returns the worker listener's address (useful with ":0").
-func (r *Router) Addr() string { return r.ln.Addr().String() }
+func (r *Router) Addr() string { return r.srv.Addr() }
 
 func (r *Router) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
@@ -231,31 +211,7 @@ func (r *Router) logf(format string, args ...any) {
 // goroutine (handshakes, readers, heartbeat monitors) has exited, so
 // nothing touches the router — or its log sink — afterwards.
 // Idempotent.
-func (r *Router) Close() {
-	r.closeOnce.Do(func() {
-		close(r.done)
-		r.ln.Close()
-		r.mu.Lock()
-		ws := make([]*fworker, 0, len(r.workers))
-		for _, w := range r.workers {
-			ws = append(ws, w)
-		}
-		r.mu.Unlock()
-		for _, w := range ws {
-			w.fc.send(frameBye, nil)
-			r.workerDead(w, "router closed", false)
-		}
-		// Force-close every remaining conn — including ones still mid
-		// handshake, which the Bye loop above (registered workers only)
-		// misses — then join all connection goroutines.
-		r.connMu.Lock()
-		for conn := range r.conns {
-			conn.Close()
-		}
-		r.connMu.Unlock()
-		r.connWG.Wait()
-	})
-}
+func (r *Router) Close() { r.srv.Close() }
 
 // Workers returns the number of currently registered workers.
 func (r *Router) Workers() int {
@@ -279,96 +235,24 @@ func (r *Router) AwaitWorkers(min int, timeout time.Duration) error {
 	}
 }
 
-// acceptLoop admits TCP connections and handshakes each in its own
-// goroutine. It exits when the listener closes.
-func (r *Router) acceptLoop() {
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		if r.cfg.WrapConn != nil {
-			conn = r.cfg.WrapConn(conn)
-		}
-		r.trackConn(conn)
-		r.connWG.Add(1)
-		go func(conn net.Conn) {
-			defer r.connWG.Done()
-			r.handshake(conn)
-		}(conn)
+// joined completes a welcomed worker's handshake: it reads the model
+// registration and admits the worker into routing.
+func (r *Router) joined(p *wire.Peer) error {
+	t, payload, err := p.Conn.Recv()
+	if err != nil {
+		return err
 	}
-}
-
-// trackConn registers an accepted connection so Close can force it
-// shut; that unblocks any goroutine parked in a read on it.
-func (r *Router) trackConn(conn net.Conn) {
-	r.connMu.Lock()
-	r.conns[conn] = true
-	r.connMu.Unlock()
-}
-
-func (r *Router) untrackConn(conn net.Conn) {
-	r.connMu.Lock()
-	delete(r.conns, conn)
-	r.connMu.Unlock()
-}
-
-// handshake validates a connecting worker, reads its model
-// registration, and admits it into routing.
-func (r *Router) handshake(conn net.Conn) {
-	fc := newFrameConn(conn, r.cfg.WriteTimeout, 10*time.Second)
-	t, p, err := fc.recv()
-	if err != nil || t != frameHello {
-		conn.Close()
-		r.untrackConn(conn)
-		return
+	if t != frameRegister {
+		return fmt.Errorf("expected register, got %s", proto.TypeName(t))
 	}
-	d := &dec{b: p}
-	if ver := d.u32(); d.err() != nil || ver != ProtocolVersion {
-		r.logf("rejecting worker speaking protocol %d (want %d)", d.u32(), ProtocolVersion)
-		conn.Close()
-		r.untrackConn(conn)
-		return
+	w := &fworker{Peer: p, member: fmt.Sprintf("w%d", p.ID), models: make(map[string]bool)}
+	p.Data = w
+	if err := r.register(w, payload); err != nil {
+		return fmt.Errorf("bad registration: %w", err)
 	}
-	r.mu.Lock()
-	r.nworkers++
-	id := r.nworkers
-	r.mu.Unlock()
-	var e enc
-	e.u32(ProtocolVersion)
-	e.u32(uint32(id))
-	if fc.send(frameWelcome, e.b) != nil {
-		conn.Close()
-		r.untrackConn(conn)
-		return
-	}
-	t, p, err = fc.recv()
-	if err != nil || t != frameRegister {
-		conn.Close()
-		r.untrackConn(conn)
-		return
-	}
-	w := &fworker{id: id, member: fmt.Sprintf("w%d", id), fc: fc, models: make(map[string]bool)}
-	w.lastPong.Store(time.Now().UnixNano())
-	if err := r.register(w, p); err != nil {
-		r.logf("worker %d: bad registration: %v", id, err)
-		conn.Close()
-		r.untrackConn(conn)
-		return
-	}
-	fc.readTimeout = 0 // liveness is the heartbeat monitor's job now
-	r.connWG.Add(2)
-	go func() {
-		defer r.connWG.Done()
-		defer r.untrackConn(conn)
-		r.readLoop(w)
-	}()
-	go func() {
-		defer r.connWG.Done()
-		r.heartbeatLoop(w)
-	}()
 	workersJoined.Inc()
-	r.logf("worker %d registered %v (%d live)", id, modelNames(w.models), r.Workers())
+	r.logf("worker %d registered %v (%d live)", p.ID, modelNames(w.models), r.Workers())
+	return nil
 }
 
 func modelNames(m map[string]bool) []string {
@@ -384,22 +268,22 @@ func modelNames(m map[string]bool) []string {
 // the catalog and the ring. Conflicting model metadata (same name,
 // different shape) is a registration error.
 func (r *Router) register(w *fworker, payload []byte) error {
-	d := &dec{b: payload}
-	n := int(d.u32())
+	d := wire.Dec{B: payload}
+	n := int(d.U32())
 	type reg struct {
 		name, kind       string
 		classes, imgLen  int
 		quantLo, quantHi float32
 	}
 	regs := make([]reg, 0, n)
-	for i := 0; i < n && !d.fail; i++ {
+	for i := 0; i < n && !d.Failed(); i++ {
 		regs = append(regs, reg{
-			name: d.str(), kind: d.str(),
-			classes: int(d.u32()), imgLen: int(d.u32()),
-			quantLo: d.f32(), quantHi: d.f32(),
+			name: d.Str(), kind: d.Str(),
+			classes: int(d.U32()), imgLen: int(d.U32()),
+			quantLo: d.F32(), quantHi: d.F32(),
 		})
 	}
-	if err := d.err(); err != nil {
+	if err := d.Err(); err != nil {
 		return err
 	}
 	if len(regs) == 0 {
@@ -417,109 +301,55 @@ func (r *Router) register(w *fworker, payload []byte) error {
 			ent.quantLo != g.quantLo || ent.quantHi != g.quantHi {
 			return fmt.Errorf("fleet: model %q registered with conflicting shape", g.name)
 		}
-		ent.hosts[w.id] = w
+		ent.hosts[w.ID] = w
 		w.models[g.name] = true
 	}
-	r.workers[w.id] = w
+	r.workers[w.ID] = w
 	r.ring.Add(w.member)
 	workersLive.Set(float64(len(r.workers)))
 	return nil
 }
 
-// readLoop routes one worker's frames: pongs feed the liveness clock,
-// results and errors complete their attempts. Any framing error kills
-// the connection.
-func (r *Router) readLoop(w *fworker) {
-	for {
-		t, p, err := w.fc.recv()
-		if err != nil {
-			r.workerDead(w, fmt.Sprintf("read: %v", err), false)
-			return
+// frame routes one worker frame: results and errors complete their
+// attempts. Anything else — or a malformed payload — is a protocol
+// violation that kills the connection.
+func (r *Router) frame(p *wire.Peer, t uint8, payload []byte) error {
+	d := wire.Dec{B: payload}
+	res := callResult{attemptID: d.U64(), workerID: p.ID}
+	switch t {
+	case frameResult:
+		res.batchSize = int(d.U32())
+		res.scores = d.F32s()
+		if d.Err() != nil {
+			return errors.New("malformed result frame")
 		}
-		switch t {
-		case framePong:
-			w.lastPong.Store(time.Now().UnixNano())
-		case frameResult:
-			d := &dec{b: p}
-			res := callResult{attemptID: d.u64(), workerID: w.id}
-			res.batchSize = int(d.u32())
-			res.scores = d.f32s()
-			if d.err() != nil {
-				r.workerDead(w, "malformed result frame", false)
-				return
-			}
-			r.complete(res)
-		case frameError:
-			d := &dec{b: p}
-			res := callResult{attemptID: d.u64(), workerID: w.id}
-			res.code = d.u8()
-			res.msg = d.str()
-			if d.err() != nil || res.code == 0 {
-				r.workerDead(w, "malformed error frame", false)
-				return
-			}
-			r.complete(res)
-		default:
-			r.workerDead(w, fmt.Sprintf("unexpected %s frame", t), false)
-			return
+	case frameError:
+		res.code = d.U8()
+		res.msg = d.Str()
+		if d.Err() != nil || res.code == 0 {
+			return errors.New("malformed error frame")
 		}
-	}
-}
-
-// heartbeatLoop pings the worker and declares it dead when pongs stop.
-func (r *Router) heartbeatLoop(w *fworker) {
-	tick := time.NewTicker(r.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if w.dead.Load() {
-				return
-			}
-			last := time.Unix(0, w.lastPong.Load())
-			if time.Since(last) > r.cfg.HeartbeatTimeout {
-				heartbeatTimeouts.Inc()
-				r.workerDead(w, fmt.Sprintf("heartbeat timeout (%s since last pong)",
-					time.Since(last).Round(time.Millisecond)), true)
-				return
-			}
-			var e enc
-			e.u64(uint64(time.Now().UnixNano()))
-			if err := w.fc.send(framePing, e.b); err != nil {
-				r.workerDead(w, fmt.Sprintf("ping: %v", err), false)
-				return
-			}
-		case <-r.done:
-			return
-		}
-	}
-}
-
-// workerDead removes a worker exactly once and fails its in-flight
-// attempts over to the surviving replicas — the warm-standby failover
-// path. Requests whose call is already finished are dropped; the rest
-// are re-dispatched (or failed when no untried replica remains), so a
-// killed worker costs latency, never a lost response.
-func (r *Router) workerDead(w *fworker, reason string, byHeartbeat bool) {
-	if !w.dead.CompareAndSwap(false, true) {
-		return
-	}
-	w.fc.close()
-	workersLost.Inc()
-	select {
-	case <-r.done:
-		// Shutdown teardown, not a failure; stay quiet so the log sink
-		// (t.Logf in tests) is never touched during teardown.
 	default:
-		r.logf("worker %d lost: %s", w.id, reason)
+		return fmt.Errorf("unexpected %s frame", proto.TypeName(t))
 	}
+	r.complete(res)
+	return nil
+}
 
+// dead removes a lost worker (the wire server reports each death
+// exactly once) and fails its in-flight attempts over to the surviving
+// replicas — the warm-standby failover path. Requests whose call is
+// already finished are dropped; the rest are re-dispatched (or failed
+// when no untried replica remains), so a killed worker costs latency,
+// never a lost response.
+func (r *Router) dead(p *wire.Peer, reason string) {
+	w := p.Data.(*fworker)
 	r.mu.Lock()
-	delete(r.workers, w.id)
+	delete(r.workers, w.ID)
 	r.ring.Remove(w.member)
 	for name := range w.models {
 		if ent, ok := r.catalog[name]; ok {
-			delete(ent.hosts, w.id)
+			delete(ent.hosts, w.ID)
 		}
 	}
 	workersLive.Set(float64(len(r.workers)))
@@ -606,7 +436,7 @@ func (r *Router) dispatch(c *call, asFailover bool) error {
 	for i := 0; i < len(set); i++ {
 		member := set[(start+i)%len(set)]
 		cand := r.memberWorker(member)
-		if cand == nil || cand.dead.Load() || !cand.models[c.model] || c.tried[cand.id] {
+		if cand == nil || cand.Dead() || !cand.models[c.model] || c.tried[cand.ID] {
 			continue
 		}
 		w = cand
@@ -617,7 +447,7 @@ func (r *Router) dispatch(c *call, asFailover bool) error {
 		// untried host of the model (the set may be smaller than the
 		// host count).
 		for _, cand := range ent.hosts {
-			if !cand.dead.Load() && !c.tried[cand.id] {
+			if !cand.Dead() && !c.tried[cand.ID] {
 				w = cand
 				break
 			}
@@ -627,7 +457,7 @@ func (r *Router) dispatch(c *call, asFailover bool) error {
 		r.mu.Unlock()
 		return ErrNoWorker
 	}
-	c.tried[w.id] = true
+	c.tried[w.ID] = true
 	c.attempts++
 	r.nextID++
 	att := &attempt{id: r.nextID, c: c, w: w, isHedge: c.attempts > 1 && !asFailover}
@@ -637,14 +467,14 @@ func (r *Router) dispatch(c *call, asFailover bool) error {
 	r.attempts[att.id] = att
 	r.mu.Unlock()
 
-	var e enc
-	e.u64(att.id)
-	e.str(c.model)
-	e.u32(c.budgetMS)
-	e.f32s(c.image)
-	if err := w.fc.send(framePredict, e.b); err != nil {
+	var e wire.Enc
+	e.U64(att.id)
+	e.Str(c.model)
+	e.U32(c.budgetMS)
+	e.F32s(c.image)
+	if err := w.Conn.Send(framePredict, e.B); err != nil {
 		// The death path re-dispatches this attempt to a survivor.
-		r.workerDead(w, fmt.Sprintf("send predict: %v", err), false)
+		w.Kill(fmt.Sprintf("send predict: %v", err))
 	}
 	return nil
 }
@@ -658,13 +488,6 @@ func (r *Router) memberWorker(member string) *fworker {
 		}
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PredictMeta reports how a routed prediction was served.

@@ -3,13 +3,12 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
-	"github.com/appmult/retrain/internal/dist"
 	"github.com/appmult/retrain/internal/obs"
 	"github.com/appmult/retrain/internal/serve"
+	"github.com/appmult/retrain/internal/wire"
 )
 
 // WorkerConfig parameterizes NewWorker.
@@ -29,7 +28,7 @@ type WorkerConfig struct {
 	// autoscaler.
 	Autoscale AutoscaleConfig
 	// Dial is the backoff policy for failed dials and reconnects.
-	Dial dist.Backoff
+	Dial wire.Backoff
 	// MaxDialAttempts gives up after this many consecutive dial
 	// failures; 0 retries forever (a restarting router picks the worker
 	// back up).
@@ -54,15 +53,6 @@ type WorkerConfig struct {
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.QuantLo == 0 && c.QuantHi == 0 {
 		c.QuantLo, c.QuantHi = -3, 3
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -129,110 +119,38 @@ func (w *Worker) Run(ctx context.Context) error {
 			go runAutoscaler(ctx, w.models[name], w.cfg.Autoscale, w.cfg.Logf)
 		}
 	}
-	rng := rand.New(rand.NewSource(w.cfg.Seed))
-	fails := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		conn, err := net.DialTimeout("tcp", w.cfg.Router, w.cfg.DialTimeout)
-		if err != nil {
-			fails++
-			workerDialRetries.Inc()
-			if w.cfg.MaxDialAttempts > 0 && fails >= w.cfg.MaxDialAttempts {
-				return fmt.Errorf("fleet: dialing %s: %d attempts, last: %w", w.cfg.Router, fails, err)
-			}
-			w.cfg.logf("dial %s failed (attempt %d): %v", w.cfg.Router, fails, err)
-			if !w.cfg.Dial.Sleep(ctx, fails-1, rng) {
-				return ctx.Err()
-			}
-			continue
-		}
-		fails = 0
-		if w.cfg.WrapConn != nil {
-			conn = w.cfg.WrapConn(conn)
-		}
-		done, err := w.serveConn(ctx, conn)
-		if done {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		workerReconnects.Inc()
-		w.cfg.logf("session ended: %v; reconnecting", err)
-		if !w.cfg.Dial.Sleep(ctx, 0, rng) {
-			return ctx.Err()
-		}
-	}
+	cfg := w.cfg
+	return wire.RunClient(ctx, proto, wire.ClientConfig{
+		Addr: cfg.Router, Dial: cfg.Dial, MaxDialAttempts: cfg.MaxDialAttempts,
+		DialTimeout: cfg.DialTimeout, HeartbeatTimeout: cfg.HeartbeatTimeout, WriteTimeout: cfg.WriteTimeout,
+		Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+	}, w.serveConn)
 }
 
-// serveConn runs one connection's lifetime: handshake, register, then
-// serve predict frames until the stream dies or the router dismisses
-// us. done=true means dismissed.
-func (w *Worker) serveConn(ctx context.Context, conn net.Conn) (done bool, err error) {
-	fc := newFrameConn(conn, w.cfg.WriteTimeout, w.cfg.HeartbeatTimeout)
-	defer fc.close()
-	var e enc
-	e.u32(ProtocolVersion)
-	if err := fc.send(frameHello, e.b); err != nil {
-		return false, err
+// serveConn is one connection's session body: register, then serve
+// predict frames until the stream ends (wire.ErrDismissed when the
+// router said Bye).
+func (w *Worker) serveConn(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec) error {
+	if err := welcome.Err(); err != nil {
+		return err
 	}
-	t, p, err := fc.recv()
-	if err != nil {
-		return false, err
-	}
-	if t != frameWelcome {
-		return false, fmt.Errorf("fleet: expected welcome, got %s", t)
-	}
-	d := &dec{b: p}
-	if ver := d.u32(); ver != ProtocolVersion {
-		return false, fmt.Errorf("fleet: router speaks protocol %d, want %d", ver, ProtocolVersion)
-	}
-	id := int(d.u32())
-	if err := d.err(); err != nil {
-		return false, err
-	}
-	if err := fc.send(frameRegister, w.encodeRegister()); err != nil {
-		return false, err
+	if err := fc.Send(frameRegister, w.encodeRegister()); err != nil {
+		return err
 	}
 	w.cfg.logf("worker %d: joined %s hosting %v", id, w.cfg.Router, w.order)
-
-	// The context watcher closes the connection so a cancelled worker
-	// unblocks even mid-read.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			fc.close()
-		case <-stop:
-		}
-	}()
-
 	for {
-		t, p, err := fc.recv()
+		t, p, err := fc.RecvData()
 		if err != nil {
-			return false, err
+			return err
 		}
-		switch t {
-		case framePing:
-			cp := append([]byte(nil), p...)
-			if err := fc.send(framePong, cp); err != nil {
-				return false, err
-			}
-		case framePredict:
-			req, perr := decodePredict(p)
-			if perr != nil {
-				return false, perr
-			}
-			go w.handlePredict(ctx, fc, req)
-		case frameBye:
-			w.cfg.logf("worker %d: dismissed", id)
-			return true, nil
-		default:
-			return false, fmt.Errorf("fleet: unexpected %s frame", t)
+		if t != framePredict {
+			return fmt.Errorf("fleet: unexpected %s frame", proto.TypeName(t))
 		}
+		req, err := decodePredict(p)
+		if err != nil {
+			return err
+		}
+		go w.handlePredict(ctx, fc, req)
 	}
 }
 
@@ -240,19 +158,19 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) (done bool, err e
 // kind, classes, flattened input length, and the canonical quantization
 // grid for caching.
 func (w *Worker) encodeRegister() []byte {
-	var e enc
-	e.u32(uint32(len(w.order)))
+	var e wire.Enc
+	e.U32(uint32(len(w.order)))
 	for _, name := range w.order {
 		m := w.models[name]
 		sp := m.Spec()
-		e.str(name)
-		e.str(sp.Kind)
-		e.u32(uint32(sp.Classes))
-		e.u32(uint32(m.ImageLen()))
-		e.f32(w.cfg.QuantLo)
-		e.f32(w.cfg.QuantHi)
+		e.Str(name)
+		e.Str(sp.Kind)
+		e.U32(uint32(sp.Classes))
+		e.U32(uint32(m.ImageLen()))
+		e.F32(w.cfg.QuantLo)
+		e.F32(w.cfg.QuantHi)
 	}
-	return e.b
+	return e.B
 }
 
 // predictReq is one decoded predict frame.
@@ -264,21 +182,21 @@ type predictReq struct {
 }
 
 func decodePredict(p []byte) (predictReq, error) {
-	d := &dec{b: p}
+	d := wire.Dec{B: p}
 	req := predictReq{
-		id:       d.u64(),
-		model:    d.str(),
-		budgetMS: d.u32(),
-		image:    d.f32s(), // copies out of the recv buffer
+		id:       d.U64(),
+		model:    d.Str(),
+		budgetMS: d.U32(),
+		image:    d.F32s(), // copies out of the recv buffer
 	}
-	return req, d.err()
+	return req, d.Err()
 }
 
 // handlePredict serves one request through the model's micro-batching
 // queue and answers with a result or error frame. It runs on its own
 // goroutine: predictions for different requests batch together inside
 // serve while the frame reader keeps draining the connection.
-func (w *Worker) handlePredict(ctx context.Context, fc *frameConn, req predictReq) {
+func (w *Worker) handlePredict(ctx context.Context, fc *wire.Conn, req predictReq) {
 	m, ok := w.models[req.model]
 	if !ok {
 		w.sendError(fc, req.id, errCodeBadRequest, fmt.Sprintf("unknown model %q", req.model))
@@ -305,20 +223,20 @@ func (w *Worker) handlePredict(ctx context.Context, fc *frameConn, req predictRe
 		w.sendError(fc, req.id, code, res.Err.Error())
 		return
 	}
-	var e enc
-	e.u64(req.id)
-	e.u32(uint32(res.BatchSize))
-	e.f32s(res.Scores)
+	var e wire.Enc
+	e.U64(req.id)
+	e.U32(uint32(res.BatchSize))
+	e.F32s(res.Scores)
 	workerPredicts.Inc()
-	fc.send(frameResult, e.b) // a failed send tears the session down via the reader
+	fc.Send(frameResult, e.B) // a failed send tears the session down via the reader
 }
 
-func (w *Worker) sendError(fc *frameConn, id uint64, code uint8, msg string) {
-	var e enc
-	e.u64(id)
-	e.u8(code)
-	e.str(msg)
-	fc.send(frameError, e.b)
+func (w *Worker) sendError(fc *wire.Conn, id uint64, code uint8, msg string) {
+	var e wire.Enc
+	e.U64(id)
+	e.U8(code)
+	e.Str(msg)
+	fc.Send(frameError, e.B)
 }
 
 // Drain gracefully drains every hosted model's batcher.

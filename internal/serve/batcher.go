@@ -239,11 +239,15 @@ func (b *Batcher) admit(j *job) error {
 	if b.draining {
 		return ErrDraining
 	}
+	// Count the job before it is visible to the dispatcher: a batch can
+	// be gathered, served and Done()d before a post-enqueue Add(1) runs,
+	// taking the counter negative.
+	b.inflight.Add(1)
 	select {
 	case b.queue <- j:
-		b.inflight.Add(1)
 		return nil
 	default:
+		b.inflight.Done()
 		return ErrOverloaded
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -400,5 +401,47 @@ func TestBatcherRunnerScaling(t *testing.T) {
 	}
 	if err := b.AddRunner(&stubRunner{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("AddRunner while draining got %v, want ErrDraining", err)
+	}
+}
+
+// TestBatcherAdmitCountsBeforeEnqueue: a job must be counted in flight
+// before the dispatcher can see it. With batches that complete as fast
+// as they form (MaxBatch 1, or MaxBatch 2 filled instantly, over a
+// no-op runner) a batch used to be served and Done()d before its
+// rider's Add(1) ran; with nothing else in flight at that moment — a
+// few callers, not a crowd — the counter went negative and "sync:
+// negative WaitGroup counter" killed the process. Every admitted job
+// must be answered and Drain must find the counter balanced.
+func TestBatcherAdmitCountsBeforeEnqueue(t *testing.T) {
+	for _, maxBatch := range []int{1, 2} {
+		b := NewBatcher([]Runner{&stubRunner{}}, BatcherConfig{MaxBatch: maxBatch, MaxDelay: time.Millisecond, QueueDepth: 4}, nil)
+		const callers, each = 4, 20000
+		var wg sync.WaitGroup
+		var answered, rejected atomic.Int64
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					switch res := b.Do(context.Background(), []float32{float32(c)}, time.Time{}); {
+					case res.Err == ErrOverloaded:
+						rejected.Add(1)
+					case res.Err != nil || len(res.Scores) != 1 || res.Scores[0] != float32(c):
+						t.Errorf("caller %d: %+v", c, res)
+					default:
+						answered.Add(1)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := b.Drain(ctx); err != nil {
+			t.Errorf("MaxBatch %d: drain: %v", maxBatch, err)
+		}
+		cancel()
+		if got := answered.Load() + rejected.Load(); got != callers*each || answered.Load() == 0 {
+			t.Errorf("MaxBatch %d: %d answered + %d rejected of %d submitted", maxBatch, answered.Load(), rejected.Load(), callers*each)
+		}
 	}
 }

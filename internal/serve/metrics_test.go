@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +106,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // sliding-window Stats snapshot counts must land identically in the
 // registry counters.
 func TestMetricsMirrorsStatz(t *testing.T) {
-	mm := NewMetrics("mirror-test")
+	// The registry is process-wide and get-or-create, so each run
+	// (-count=N) needs its own model label to start from zero.
+	mm := NewMetrics("mirror-test-" + strconv.FormatInt(time.Now().UnixNano(), 36))
 	mm.Complete(3 * time.Millisecond)
 	mm.Complete(7 * time.Millisecond)
 	mm.Reject()

@@ -1,4 +1,4 @@
-package dist
+package wire
 
 import (
 	"context"
