@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet race bench benchreport doccheck verify clean
+.PHONY: build test tier1 vet race bench benchreport benchsmoke doccheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -50,12 +50,20 @@ benchreport:
 	-go run ./scripts/benchdiff -tol 1.5 $(BENCH_TRAIN) $(BENCH_TRAIN).quick
 	-rm -f $(BENCH_TRAIN).quick
 
+# benchsmoke runs the end-to-end benchmark's own tests (~20 s). bench/
+# is a nested module, so `go test ./...` at the root never sees them;
+# its -quick smoke is the check that each workload still reaches its
+# kernel tier (vgg11 fused only, resnet18 affine only, lenet small
+# only) after a dispatch gate moves.
+benchsmoke:
+	cd bench && go test ./...
+
 # doccheck enforces doc comments on every exported identifier in the
 # public-facing internal packages (see scripts/doccheck).
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet tier1 doccheck race benchreport
+verify: vet tier1 benchsmoke doccheck race benchreport
 
 clean:
 	go clean ./...

@@ -6,10 +6,14 @@
 // kernel on both table families (general tables → fused gather, STE's
 // affine tables → gather-free affine) plus a forced-fused row on the
 // affine op, the preserved reference kernels, and an ApproxConv2D
-// forward+backward step end-to-end, then writes ns/op, B/op, and
-// allocs/op per benchmark — plus the dispatch path each forward and
-// backward benchmark actually took and tier-vs-tier speedup summaries
-// — to a JSON file.
+// forward+backward step end-to-end — all at one wide shape — then the
+// backward small-vs-fused pairs at the narrow, row-heavy shapes the
+// training workloads really run, over dense and sparse upstream
+// gradients (the rows that justify BackwardGEMM's sparse-gradient
+// gate), and a layer step at the vgg11 first-conv shape. It writes
+// ns/op, B/op, and allocs/op per benchmark — plus the dispatch path
+// each forward and backward benchmark actually took and tier-vs-tier
+// speedup summaries — to a JSON file.
 //
 // The committed BENCH_kernels.json at the repository root is the
 // current baseline; `make bench` re-measures, diffs against it with
@@ -35,14 +39,32 @@ import (
 	"github.com/appmult/retrain/internal/tensor"
 )
 
-// Kernel shape: batch 4 of 16x16x16 activations through a 3x3 16->32
-// conv — rows=1024, k=144, outC=32, the same shape as the repository's
+// shape is one GEMM: rows x k operands against outC x k weights.
+type shape struct{ rows, outC, k int }
+
+// wide is the historical kernel shape: batch 4 of 16x16x16 activations
+// through a 3x3 16->32 conv, the same shape as the repository's
 // BenchmarkKernel_* microbenchmarks.
-const (
-	rows = 1024
-	outC = 32
-	k    = 144
-)
+var wide = shape{rows: 1024, outC: 32, k: 144}
+
+// narrow lists the row-heavy early-layer GEMMs of the benchmark's
+// training workloads with the share of dy that is nonzero there (1 in
+// nzOf): behind a batch norm (vgg11, resnet18) the gradient is dense,
+// behind ReLU + 2x2 max pool (lenet) at most a quarter survives and
+// about an eighth does. Each is measured on the small path and on the
+// fused tier; the dense lenet row and the sparse vgg11 row are the
+// counterfactuals showing that density, not outC, moves the crossover.
+var narrow = []struct {
+	shape
+	nzOf int
+}{
+	{shape{8192, 8, 27}, 1},  // vgg11 conv1
+	{shape{2048, 16, 72}, 1}, // vgg11 conv2
+	{shape{8192, 4, 75}, 1},
+	{shape{8192, 4, 75}, 4},
+	{shape{8192, 4, 75}, 8}, // lenet conv1
+	{shape{8192, 8, 27}, 8},
+}
 
 type result struct {
 	NsOp     float64 `json:"ns_op"`
@@ -51,16 +73,64 @@ type result struct {
 }
 
 type record struct {
-	Note       string             `json:"note"`
-	Multiplier string             `json:"multiplier"`
-	Shape      string             `json:"shape"`
-	Benchmarks map[string]result  `json:"benchmarks"`
+	Note       string            `json:"note"`
+	Multiplier string            `json:"multiplier"`
+	Shape      string            `json:"shape"`
+	Benchmarks map[string]result `json:"benchmarks"`
 	// Paths records the dispatch tier each forward or backward benchmark
 	// actually ran on (host-dependent: the arith tier needs AVX2, so a
 	// forced-arith row can legitimately fall back elsewhere; forced
 	// backward rows likewise fall back when the op lacks the tier).
 	Paths    map[string]string  `json:"paths"`
 	Speedups map[string]float64 `json:"speedups"`
+}
+
+// operands is one GEMM's inputs and outputs. One dy entry in nzOf is
+// nonzero.
+type operands struct {
+	shape
+	xq, wq            []uint8
+	xClip, wClip      []bool
+	dy                []float32
+	dst, dw, dx, gsum []float32
+}
+
+func newOperands(sh shape, nzOf int, rng *rand.Rand) *operands {
+	o := &operands{shape: sh,
+		xq: make([]uint8, sh.rows*sh.k), wq: make([]uint8, sh.outC*sh.k),
+		xClip: make([]bool, sh.rows*sh.k), wClip: make([]bool, sh.outC*sh.k),
+		dy:  make([]float32, sh.rows*sh.outC),
+		dst: make([]float32, sh.rows*sh.outC), dw: make([]float32, sh.outC*sh.k),
+		dx: make([]float32, sh.rows*sh.k), gsum: make([]float32, sh.outC)}
+	for i := range o.xq {
+		o.xq[i] = uint8(rng.Intn(128))
+	}
+	for i := range o.wq {
+		o.wq[i] = uint8(rng.Intn(128))
+	}
+	for i := range o.dy {
+		if rng.Intn(nzOf) == 0 {
+			o.dy[i] = float32(rng.NormFloat64())
+		}
+	}
+	return o
+}
+
+// convStep benchmarks one ApproxConv2D forward+backward at the given
+// layer and input geometry.
+func convStep(op *nn.Op, inC, outC, k, n, hw int, rng *rand.Rand) func(b *testing.B) {
+	layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
+	x := tensor.New(n, inC, hw, hw)
+	x.RandNormal(rng, 1)
+	dy := tensor.New(layer.Forward(x, true).Shape...)
+	dy.RandNormal(rng, 1)
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			layer.Forward(x, true)
+			layer.Backward(dy)
+		}
+	}
 }
 
 func main() {
@@ -89,114 +159,104 @@ func main() {
 	steOp := nn.STEOp(e.Mult)
 
 	rng := rand.New(rand.NewSource(42))
-	xq := make([]uint8, rows*k)
-	wq := make([]uint8, outC*k)
-	xClip := make([]bool, rows*k)
-	wClip := make([]bool, outC*k)
-	dy := make([]float32, rows*outC)
-	for i := range xq {
-		xq[i] = uint8(rng.Intn(128))
-	}
-	for i := range wq {
-		wq[i] = uint8(rng.Intn(128))
-	}
-	for i := range dy {
-		dy[i] = float32(rng.NormFloat64())
-	}
 	pw := []quant.Params{quant.Calibrate(-1, 1, 7)}
 	px := quant.Calibrate(0, 2, 7)
-	bias := make([]float32, outC)
-
 	var s nn.KernelScratch
-	dst := make([]float32, rows*outC)
-	dw := make([]float32, outC*k)
-	dx := make([]float32, rows*k)
-	gsum := make([]float32, outC)
 
-	// End-to-end layer step at the same shape.
-	layer := nn.NewApproxConv2D("bench", 16, 32, 3, 1, 1, op, rng)
-	x := tensor.New(4, 16, 16, 16)
-	x.RandNormal(rng, 1)
-	y := layer.Forward(x, true)
-	dyT := tensor.New(y.Shape...)
-	dyT.RandNormal(rng, 1)
-
-	fwd := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			op.ForwardGEMM(&s, dst, xq, wq, rows, outC, k, pw, px, bias)
-		}
-	}
-	bwd := func(bop *nn.Op) func(b *testing.B) {
+	fwd := func(o *operands) func(b *testing.B) {
+		bias := make([]float32, o.outC)
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bop.BackwardGEMM(&s, dw, dx, gsum, dy, xq, wq, xClip, wClip, rows, outC, k, pw, px)
+				op.ForwardGEMM(&s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
 			}
 		}
 	}
-	// Each entry is one benchmark row; tier forces ForwardGEMM onto a
-	// specific dispatch path for that row, bwdTier likewise for
-	// BackwardGEMM on bwdOp ("" = auto). Forced rows fall back to the
-	// auto choice when the host or op cannot provide the tier — the
-	// recorded path makes that visible.
-	benches := []struct {
+	bwd := func(bop *nn.Op, o *operands) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bop.BackwardGEMM(&s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pw, px)
+			}
+		}
+	}
+
+	// Each entry is one benchmark row. fwdPath rows report the forward
+	// tier they ran on, with tier forcing ForwardGEMM onto a specific
+	// dispatch path; bwdOp rows report the backward tier bwdOp takes for
+	// the row's dy, with bwdTier forcing it ("" = auto). Forced rows
+	// fall back to the auto choice when the host or op cannot provide
+	// the tier — the recorded path makes that visible.
+	type bench struct {
 		name    string
+		fwdPath bool
 		tier    string
 		bwdOp   *nn.Op
 		bwdTier string
+		o       *operands
 		fn      func(b *testing.B)
-	}{
-		{"Kernel_GEMMForwardBlocked", "", nil, "", fwd},
-		{"Kernel_GEMMForwardArith", nn.FwdPathArith, nil, "", fwd},
-		{"Kernel_GEMMForwardPacked16", nn.FwdPathPacked16, nil, "", fwd},
-		{"Kernel_GEMMForwardRef", "", nil, "", func(b *testing.B) {
+	}
+	w := newOperands(wide, 1, rng)
+	benches := []bench{
+		{name: "Kernel_GEMMForwardAuto", fwdPath: true, o: w, fn: fwd(w)},
+		{name: "Kernel_GEMMForwardArith", fwdPath: true, tier: nn.FwdPathArith, o: w, fn: fwd(w)},
+		{name: "Kernel_GEMMForwardPacked16", fwdPath: true, tier: nn.FwdPathPacked16, o: w, fn: fwd(w)},
+		{name: "Kernel_GEMMForwardRef", fn: func(b *testing.B) {
+			bias := make([]float32, w.outC)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				op.ForwardGEMMRef(xq, wq, rows, outC, k, pw, px, bias)
+				op.ForwardGEMMRef(w.xq, w.wq, w.rows, w.outC, w.k, pw, px, bias)
 			}
 		}},
-		// The general-table backward (difference estimator, auto → fused)
-		// keeps its historical name: "blocked" was the tier's PR 2 label.
-		{"Kernel_GEMMBackwardBlocked", "", op, "", bwd(op)},
-		// The affine-family backward (STE, auto → affine) and the same op
+		// The general-table backward (difference estimator, auto → fused),
+		// the affine-family backward (STE, auto → affine), and the STE op
 		// forced onto the fused gather kernels — the affine-vs-gather gap
 		// on identical operands.
-		{"Kernel_GEMMBackwardAffine", "", steOp, "", bwd(steOp)},
-		{"Kernel_GEMMBackwardFusedForced", "", steOp, nn.BwdPathFused, bwd(steOp)},
-		{"Kernel_GEMMBackwardRef", "", nil, "", func(b *testing.B) {
+		{name: "Kernel_GEMMBackwardFused", bwdOp: op, o: w, fn: bwd(op, w)},
+		{name: "Kernel_GEMMBackwardAffine", bwdOp: steOp, o: w, fn: bwd(steOp, w)},
+		{name: "Kernel_GEMMBackwardFusedForced", bwdOp: steOp, bwdTier: nn.BwdPathFused, o: w, fn: bwd(steOp, w)},
+		{name: "Kernel_GEMMBackwardRef", fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				op.BackwardGEMMRef(dy, xq, wq, xClip, wClip, rows, outC, k, pw, px)
+				op.BackwardGEMMRef(w.dy, w.xq, w.wq, w.xClip, w.wClip, w.rows, w.outC, w.k, pw, px)
 			}
 		}},
-		{"Layer_ApproxConvStep", "", nil, "", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				layer.Forward(x, true)
-				layer.Backward(dyT)
-			}
-		}},
+		{name: "Layer_ApproxConvStep", fn: convStep(op, 16, 32, 3, 4, 16, rng)},
+		// vgg11's first conv on a benchmark batch: 8 images of 3x32x32
+		// into 8 channels (rows=8192 outC=8 k=27).
+		{name: "Layer_ApproxConvStep_VGG11Conv1", fn: convStep(op, 3, 8, 3, 8, 32, rng)},
+	}
+	type pair struct{ label, small, fused string }
+	var pairs []pair
+	for _, n := range narrow {
+		o := newOperands(n.shape, n.nzOf, rng)
+		label := fmt.Sprintf("r%d_oc%d_k%d_nz1of%d", n.rows, n.outC, n.k, n.nzOf)
+		p := pair{label, "Kernel_BwdSmall_" + label, "Kernel_BwdFused_" + label}
+		pairs = append(pairs, p)
+		benches = append(benches,
+			bench{name: p.small, bwdOp: op, bwdTier: nn.BwdPathSmall, o: o, fn: bwd(op, o)},
+			bench{name: p.fused, bwdOp: op, bwdTier: nn.BwdPathFused, o: o, fn: bwd(op, o)})
 	}
 
 	rec := record{
 		Note:       "approximate-GEMM kernel baseline; regenerate with `make bench`",
 		Multiplier: op.Label,
-		Shape:      fmt.Sprintf("rows=%d outC=%d k=%d", rows, outC, k),
+		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd{Small,Fused}_* rows carry their own shape and nonzero share of dy",
+			wide.rows, wide.outC, wide.k),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},
 		Speedups:   map[string]float64{},
 	}
 	for _, bm := range benches {
 		path := ""
-		if bm.name == "Kernel_GEMMForwardBlocked" || bm.tier != "" {
+		if bm.fwdPath {
 			nn.SetForwardTierOverride(bm.tier)
-			path = op.ForwardPath(rows, k)
+			path = op.ForwardPath(bm.o.rows, bm.o.k)
 			rec.Paths[bm.name] = path
 		}
 		if bm.bwdOp != nil {
 			nn.SetBackwardTierOverride(bm.bwdTier)
-			path = bm.bwdOp.BackwardPath(outC, k)
+			path = bm.bwdOp.BackwardPath(bm.o.dy)
 			rec.Paths[bm.name] = path
 		}
 		r := testing.Benchmark(bm.fn)
@@ -211,22 +271,21 @@ func main() {
 		if path != "" {
 			note = "  path=" + path
 		}
-		fmt.Printf("%-28s %12.0f ns/op %10d B/op %6d allocs/op%s\n",
+		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n",
 			bm.name, rec.Benchmarks[bm.name].NsOp, rec.Benchmarks[bm.name].BytesOp,
 			rec.Benchmarks[bm.name].AllocsOp, note)
 	}
-	rec.Speedups["forward_blocked_vs_ref"] = rec.Benchmarks["Kernel_GEMMForwardRef"].NsOp /
-		rec.Benchmarks["Kernel_GEMMForwardBlocked"].NsOp
-	rec.Speedups["forward_arith_vs_packed16"] = rec.Benchmarks["Kernel_GEMMForwardPacked16"].NsOp /
-		rec.Benchmarks["Kernel_GEMMForwardArith"].NsOp
-	rec.Speedups["backward_blocked_vs_ref"] = rec.Benchmarks["Kernel_GEMMBackwardRef"].NsOp /
-		rec.Benchmarks["Kernel_GEMMBackwardBlocked"].NsOp
-	rec.Speedups["backward_affine_vs_ref"] = rec.Benchmarks["Kernel_GEMMBackwardRef"].NsOp /
-		rec.Benchmarks["Kernel_GEMMBackwardAffine"].NsOp
-	fmt.Printf("forward  dispatch vs ref:     %.2fx\n", rec.Speedups["forward_blocked_vs_ref"])
-	fmt.Printf("forward  arith vs packed16:   %.2fx\n", rec.Speedups["forward_arith_vs_packed16"])
-	fmt.Printf("backward fused vs ref:        %.2fx\n", rec.Speedups["backward_blocked_vs_ref"])
-	fmt.Printf("backward affine vs ref:       %.2fx\n", rec.Speedups["backward_affine_vs_ref"])
+	ratio := func(key, num, den string) {
+		rec.Speedups[key] = rec.Benchmarks[num].NsOp / rec.Benchmarks[den].NsOp
+		fmt.Printf("%-44s %.2fx\n", key+":", rec.Speedups[key])
+	}
+	ratio("forward_auto_vs_ref", "Kernel_GEMMForwardRef", "Kernel_GEMMForwardAuto")
+	ratio("forward_arith_vs_packed16", "Kernel_GEMMForwardPacked16", "Kernel_GEMMForwardArith")
+	ratio("backward_fused_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardFused")
+	ratio("backward_affine_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardAffine")
+	for _, p := range pairs {
+		ratio("backward_fused_vs_small_"+p.label, p.small, p.fused)
+	}
 
 	buf, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -2,10 +2,10 @@ package nn
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/obs"
 	"github.com/appmult/retrain/internal/tensor"
 )
 
@@ -14,14 +14,10 @@ import (
 // lives in the layer's arena and every pool dispatch goes through a
 // RangeRunner held in scratch state (kernels_runners.go), so after the
 // first step has grown the buffers, Forward+Backward must not allocate
-// at all. The assertion is exact only when the shared worker pool runs
-// inline (one worker): the pooled path allocates one job header per
-// dispatch by design, so on multi-proc hosts the test is skipped rather
-// than encoding a worker-count-dependent bound.
+// at all — on the pooled dispatch path too: TestMain gives the shared
+// pool at least two workers, the pool recycles its job headers, and
+// the test checks that the measured steps really fanned jobs out.
 func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
-	if runtime.GOMAXPROCS(0) != 1 {
-		t.Skip("exact alloc count requires the inline pool (GOMAXPROCS=1)")
-	}
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact count holds only without -race")
 	}
@@ -29,14 +25,20 @@ func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
 	if !ok {
 		t.Fatal("mul7u_rm6 missing")
 	}
-	// Both backward families: STE reaches the affine tier, the
-	// difference estimator the fused gather tier.
-	ops := map[string]*Op{
-		"affine": STEOp(e.Mult),
-		"fused":  DifferenceOp(e.Mult, 6),
-	}
-	for name, op := range ops {
-		t.Run(name, func(t *testing.T) {
+	// Every backward path: STE reaches the affine tier, the difference
+	// estimator the fused gather tier, and a gradient thinned to one
+	// nonzero in eight the small path.
+	for _, tc := range []struct {
+		name   string
+		op     *Op
+		sparse bool
+	}{
+		{BwdPathAffine, STEOp(e.Mult), false},
+		{BwdPathFused, DifferenceOp(e.Mult, 6), false},
+		{BwdPathSmall, DifferenceOp(e.Mult, 6), true},
+	} {
+		op := tc.op
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			layer := NewApproxConv2D("alloc", 16, 32, 3, 1, 1, op, rng)
 			x := tensor.New(4, 16, 16, 16)
@@ -44,17 +46,35 @@ func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
 			y := layer.Forward(x, true)
 			dy := tensor.New(y.Shape...)
 			dy.RandNormal(rng, 1)
+			if tc.sparse {
+				for i := range dy.Data {
+					if i%8 != 0 {
+						dy.Data[i] = 0
+					}
+				}
+			}
+			if got := op.BackwardPath(dy.Data); got != tc.name {
+				t.Fatalf("backward dispatches to %q", got)
+			}
 			// Warm the arena, the op's padded tables, and the tile pool.
 			for i := 0; i < 3; i++ {
 				layer.Forward(x, true)
 				layer.Backward(dy)
 			}
+			pooled := func() float64 {
+				v, _ := obs.Default().ReadValue("tensor_pool_jobs_total", "mode", "pooled")
+				return v
+			}
+			before := pooled()
 			allocs := testing.AllocsPerRun(10, func() {
 				layer.Forward(x, true)
 				layer.Backward(dy)
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state conv step allocates %.1f times per step, want 0", allocs)
+			}
+			if pooled() == before {
+				t.Fatal("no job was dispatched to the worker pool; the 0-alloc claim covered only the inline path")
 			}
 		})
 	}

@@ -18,9 +18,17 @@ import (
 // with per-tensor affine parameters (Eq. 7); products are dequantized
 // per Eq. (8); parameter updates flow through Eq. (9).
 //
-// The layer owns a scratch-buffer arena: the im2col matrix, quantized
-// operands, GEMM output, and gradient buffers are allocated once and
-// reused across steps, so steady-state training steps allocate
+// The data path is byte-first: the NCHW input is quantized (and its
+// clip flags recorded) once per element, im2col expands the uint8
+// levels into the patch matrix the GEMMs read — padding positions get
+// the zero-point level, which is what a float zero quantizes to — and
+// the straight-through clip mask is applied to the input gradient after
+// col2im, per input element. No float patch matrix and no per-patch
+// clip matrix exist.
+//
+// The layer owns a scratch-buffer arena: quantized operands, the level
+// patch matrix, GEMM output, and gradient buffers are allocated once
+// and reused across steps, so steady-state training steps allocate
 // nothing here. Consequently the tensors returned by Forward and
 // Backward are owned by the layer and remain valid only until its
 // next Forward/Backward call — the same single-graph discipline the
@@ -42,10 +50,14 @@ type ApproxConv2D struct {
 	// Deferred-observe state (see ObservedLayer).
 	lag observerLag
 
-	// Forward caches consumed by Backward.
+	// Forward caches consumed by Backward: xq and xClip hold one level
+	// and one clip flag per input element (N*C*H*W), xcols the
+	// (rows x k) level patch matrix; the clip flags stay nil on a layer
+	// that only ever ran Infer.
 	geom         tensor.ConvGeom
 	batch        int
-	xq, wq       []uint8
+	xq, xcols    []uint8
+	wq           []uint8
 	xClip, wClip []bool
 	pw           []quant.Params
 	px           quant.Params
@@ -53,9 +65,8 @@ type ApproxConv2D struct {
 	// Scratch arena (see KernelScratch): buffers sized on first use,
 	// reused every step.
 	ks     KernelScratch
-	im2col tensor.Im2ColJob
+	im2col tensor.Im2ColU8Job
 	col2im tensor.Col2ImJob
-	cols   *tensor.Tensor
 	flat   *tensor.Tensor
 	y      *tensor.Tensor
 	dyFlat *tensor.Tensor
@@ -110,44 +121,64 @@ func minMax(data []float32) (mn, mx float32) {
 // Forward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Forward call.
 func (c *ApproxConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	c.checkInput(x)
+	c.lag.observe(&c.Observer, x, train)
+	return c.forward(x, true)
+}
+
+func (c *ApproxConv2D) checkInput(x *tensor.Tensor) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", c.name, c.InC, x.Shape))
 	}
+}
+
+// forward is the one forward body behind Forward and Infer: quantize
+// the weights and the input tensor, expand the input levels into the
+// patch matrix, run the GEMM, and reshape to NCHW. withClip also
+// records the clip flags Backward masks with; Infer skips them.
+func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
 	c.geom = g
 	c.batch = x.Shape[0]
-
-	c.lag.observe(&c.Observer, x, train)
 	c.px = c.Observer.Params(c.op.Bits)
 	k := g.K()
-	nw := c.OutC * k
-	c.wq = grow(c.wq, nw)
-	c.wClip = grow(c.wClip, nw)
+
+	c.wq = grow(c.wq, c.OutC*k)
+	c.xq = grow(c.xq, len(x.Data))
+	var wClip, xClip []bool
+	if withClip {
+		c.wClip = grow(c.wClip, len(c.wq))
+		c.xClip = grow(c.xClip, len(c.xq))
+		wClip, xClip = c.wClip, c.xClip
+	}
 	if c.PerChannel {
 		c.pw = grow(c.pw, c.OutC)
 		for oc := 0; oc < c.OutC; oc++ {
 			ws := c.Weight.Value.Data[oc*k : (oc+1)*k]
 			mn, mx := minMax(ws)
-			p := quant.Calibrate(mn, mx, c.op.Bits)
-			c.pw[oc] = p
-			c.ks.quantizeWithClip(c.wq[oc*k:(oc+1)*k], c.wClip[oc*k:(oc+1)*k], ws, p)
+			c.pw[oc] = quant.Calibrate(mn, mx, c.op.Bits)
+			var clip []bool
+			if withClip {
+				clip = wClip[oc*k : (oc+1)*k]
+			}
+			c.ks.quantizeWithClip(c.wq[oc*k:(oc+1)*k], clip, ws, c.pw[oc])
 		}
 	} else {
-		p := quant.CalibrateTensor(c.Weight.Value, c.op.Bits)
 		c.pw = grow(c.pw, 1)
-		c.pw[0] = p
-		c.ks.quantizeWithClip(c.wq, c.wClip, c.Weight.Value.Data, p)
+		c.pw[0] = quant.CalibrateTensor(c.Weight.Value, c.op.Bits)
+		c.ks.quantizeWithClip(c.wq, wClip, c.Weight.Value.Data, c.pw[0])
 	}
 
+	// Calibrate widens every range to include zero, so the zero point
+	// is the level of a float zero — the padding value — and is never
+	// clipped.
+	c.ks.quantizeWithClip(c.xq, xClip, x.Data, c.px)
 	rows := c.batch * g.OutH * g.OutW
-	c.cols = tensor.Ensure2(c.cols, rows, k)
-	c.im2col.Run(c.cols, x, g)
-	c.xq = grow(c.xq, rows*k)
-	c.xClip = grow(c.xClip, rows*k)
-	c.ks.quantizeWithClip(c.xq, c.xClip, c.cols.Data, c.px)
+	c.xcols = grow(c.xcols, rows*k)
+	c.im2col.Run(c.xcols, c.xq, c.batch, g, uint8(c.px.Zero))
 
 	c.flat = tensor.Ensure2(c.flat, rows, c.OutC)
-	c.op.ForwardGEMM(&c.ks, c.flat.Data, c.xq, c.wq, rows, c.OutC, k, c.pw, c.px, c.Bias.Value.Data)
+	c.op.ForwardGEMM(&c.ks, c.flat.Data, c.xcols, c.wq, rows, c.OutC, k, c.pw, c.px, c.Bias.Value.Data)
 	c.y = tensor.Ensure4(c.y, c.batch, g.OutC, g.OutH, g.OutW)
 	rowsToNCHWInto(c.y, c.flat, c.batch, g)
 	return c.y
@@ -165,8 +196,9 @@ func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	c.dw = grow(c.dw, c.OutC*k)
 	c.gsum = grow(c.gsum, c.OutC)
 	c.dxcols = tensor.Ensure2(c.dxcols, rows, k)
+	// nil xClip: the mask is applied below, once per input element.
 	c.op.BackwardGEMM(&c.ks, c.dw, c.dxcols.Data, c.gsum, c.dyFlat.Data,
-		c.xq, c.wq, c.xClip, c.wClip, rows, c.OutC, k, c.pw, c.px)
+		c.xcols, c.wq, nil, c.wClip, rows, c.OutC, k, c.pw, c.px)
 
 	for i, v := range c.dw {
 		c.Weight.Grad.Data[i] += v
@@ -178,5 +210,9 @@ func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	c.dx = tensor.Ensure4(c.dx, c.batch, g.InC, g.InH, g.InW)
 	c.col2im.Run(c.dx, c.dxcols, c.batch, g)
+	// Every patch entry aliasing one input element shares its clip
+	// flag, and a sum of masked zeros is +0, so masking the summed
+	// gradient equals masking each patch entry before the sum.
+	c.ks.maskClipped(c.dx.Data, c.xClip)
 	return c.dx
 }

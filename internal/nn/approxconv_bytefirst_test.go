@@ -1,0 +1,158 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/quant"
+	"github.com/appmult/retrain/internal/tensor"
+)
+
+// convOracle is the formulation ApproxConv2D used before its data path
+// went byte-first, written from the pieces that never changed: float
+// im2col, every patch entry quantized and clip-flagged by the scalar
+// quant.Params methods, the reference GEMMs with the rows x k mask,
+// then col2im. It reads the layer's weights and the quantization
+// parameters of its last forward, and returns y, dx, dW and db.
+func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw, db []float32) {
+	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
+	n, k := x.Shape[0], g.K()
+	rows := n * g.OutH * g.OutW
+	px := c.px
+	pw := append([]quant.Params(nil), c.pw...)
+
+	cols := tensor.Im2Col(x, g)
+	xq, xClip := make([]uint8, rows*k), make([]bool, rows*k)
+	for i, v := range cols.Data {
+		xq[i], xClip[i] = uint8(px.Quantize(v)), px.Clipped(v)
+	}
+	wq, wClip := make([]uint8, c.OutC*k), make([]bool, c.OutC*k)
+	for i, v := range c.Weight.Value.Data {
+		p := pwAt(pw, i/k)
+		wq[i], wClip[i] = uint8(p.Quantize(v)), p.Clipped(v)
+	}
+
+	flat := c.op.ForwardGEMMRef(xq, wq, rows, c.OutC, k, pw, px, c.Bias.Value.Data)
+	y = tensor.New(n, g.OutC, g.OutH, g.OutW)
+	rowsToNCHWInto(y, flat, n, g)
+
+	dyFlat := tensor.New(rows, c.OutC)
+	nchwToRowsInto(dyFlat, dy, g)
+	dw, dxcols := c.op.BackwardGEMMRef(dyFlat.Data, xq, wq, xClip, wClip, rows, c.OutC, k, pw, px)
+	dx = tensor.Col2Im(tensor.FromData(dxcols, rows, k), n, g)
+	db = make([]float32, c.OutC)
+	for r := 0; r < rows; r++ {
+		for oc := range db {
+			db[oc] += dyFlat.Data[r*c.OutC+oc]
+		}
+	}
+	return y, dx, dw, db
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, oracle %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (bits %#x), oracle %v (%#x)", what, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestApproxConvByteFirstMatchesPatchFormulation pins the byte-first
+// layer — quantize once per input element, byte im2col, mask dx after
+// col2im — to the per-patch-entry formulation bit for bit on y, dx, dW
+// and db, over the geometry, quantization-scheme and estimator table,
+// with inputs that clip on both sides (also on the image border, next
+// to padding) and with dense and sparse upstream gradients so both the
+// big tiers and the small path run. The same table checks Infer
+// against Forward(x, false).
+func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
+	e, ok := appmult.Lookup("mul7u_rm6")
+	if !ok {
+		t.Fatal("mul7u_rm6 missing")
+	}
+	ops := []struct {
+		name string
+		op   *Op
+	}{
+		{"ste", STEOp(e.Mult)},
+		{"smoothdiff", DifferenceOp(e.Mult, 6)},
+	}
+	geoms := []struct{ n, inC, h, w, outC, k, stride, pad int }{
+		{2, 3, 8, 8, 4, 3, 1, 1},
+		{2, 3, 9, 6, 8, 3, 2, 1},
+		{1, 1, 7, 10, 5, 5, 1, 2},
+		{3, 2, 11, 7, 3, 5, 2, 2},
+		{2, 4, 6, 9, 6, 1, 1, 0},
+		{1, 2, 8, 5, 9, 1, 2, 0},
+		{2, 2, 7, 7, 4, 3, 1, 0},
+		{1, 3, 6, 6, 16, 3, 1, 2},
+	}
+	for _, o := range ops {
+		for _, gm := range geoms {
+			for _, perChannel := range []bool{false, true} {
+				name := fmt.Sprintf("%s/n%d_c%d_%dx%d_oc%d_k%d_s%d_p%d/perchannel=%v",
+					o.name, gm.n, gm.inC, gm.h, gm.w, gm.outC, gm.k, gm.stride, gm.pad, perChannel)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(gm.n*1000 + gm.h*10 + gm.k)))
+					c := NewApproxConv2D("c", gm.inC, gm.outC, gm.k, gm.stride, gm.pad, o.op, rng)
+					c.PerChannel = perChannel
+					c.Bias.Value.RandNormal(rng, 0.1)
+
+					// Calibrate on a narrow batch, then step on a wide one: the
+					// moving-average range covers a fraction of it, so the
+					// input clips below and above.
+					calib := tensor.New(gm.n, gm.inC, gm.h, gm.w)
+					calib.RandNormal(rng, 0.3)
+					c.Forward(calib, true)
+					x := tensor.New(gm.n, gm.inC, gm.h, gm.w)
+					x.RandNormal(rng, 2)
+					x.Data[0], x.Data[len(x.Data)-1] = -50, 50 // corners: clipped border elements
+
+					for _, nzOf := range []int{1, 8} {
+						got := c.Forward(x, true)
+						dy := tensor.New(got.Shape...)
+						for i := range dy.Data {
+							if rng.Intn(nzOf) == 0 {
+								dy.Data[i] = float32(rng.NormFloat64())
+							}
+						}
+						if sparse := c.op.BackwardPath(dy.Data) == BwdPathSmall; sparse != (nzOf == 8) {
+							t.Fatalf("1-in-%d gradient: small path %v", nzOf, sparse)
+						}
+						var low, high int
+						for i, cl := range c.xClip {
+							if cl && c.xq[i] == 0 {
+								low++
+							} else if cl {
+								high++
+							}
+						}
+						if low == 0 || high == 0 || !c.xClip[0] || !c.xClip[len(c.xClip)-1] {
+							t.Fatalf("input clips %d low, %d high, corners %v %v; want all of them",
+								low, high, c.xClip[0], c.xClip[len(c.xClip)-1])
+						}
+
+						ZeroGrads(c)
+						gotDX := c.Backward(dy)
+						wantY, wantDX, wantDW, wantDB := convOracle(c, x, dy)
+						requireSameBits(t, "y", got.Data, wantY.Data)
+						requireSameBits(t, "dx", gotDX.Data, wantDX.Data)
+						requireSameBits(t, "dW", c.Weight.Grad.Data, wantDW)
+						requireSameBits(t, "db", c.Bias.Grad.Data, wantDB)
+					}
+
+					want := c.Forward(x, false).Clone()
+					requireSameBits(t, "Infer", c.Infer(x).Data, want.Data)
+				})
+			}
+		}
+	}
+}

@@ -221,13 +221,3 @@ func checkPW(pw []quant.Params, outC int) {
 		panic("nn: weight quantization params must be per-tensor or per-channel")
 	}
 }
-
-// quantizeWithClip quantizes a float slice and records which entries
-// were clamped to the representable range. It allocates; the layers
-// use quantizeWithClipInto with their scratch arenas instead.
-func quantizeWithClip(data []float32, p quant.Params) (q []uint8, clip []bool) {
-	q = make([]uint8, len(data))
-	clip = make([]bool, len(data))
-	quantizeWithClipInto(q, clip, data, p)
-	return q, clip
-}

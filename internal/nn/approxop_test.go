@@ -159,7 +159,8 @@ func TestApproxBackwardClipMasksZeroGradients(t *testing.T) {
 
 func TestQuantizeWithClip(t *testing.T) {
 	p := quant.Calibrate(-1, 1, 6)
-	q, clip := quantizeWithClip([]float32{-5, 0, 5}, p)
+	q, clip := make([]uint8, 3), make([]bool, 3)
+	new(KernelScratch).quantizeWithClip(q, clip, []float32{-5, 0, 5}, p)
 	if q[0] != 0 || q[2] != uint8(p.QMax()) {
 		t.Errorf("clamped levels: %v", q)
 	}

@@ -133,49 +133,15 @@ func (b *BatchNorm2D) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Infer implements Inferer: the LUT forward without the clip masks the
-// straight-through backward needs. Quantized levels, GEMM, and
-// epilogue are shared with Forward, so outputs are bit-identical.
+// Infer implements Inferer: the LUT forward without the clip flags the
+// straight-through backward needs. Everything else is Forward's own
+// body (see ApproxConv2D.forward), so outputs are bit-identical.
 func (c *ApproxConv2D) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", c.name, c.InC, x.Shape))
-	}
-	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
-	batch := x.Shape[0]
-
+	c.checkInput(x)
 	if !c.Observer.Seen() {
 		c.Observer.Observe(x)
 	}
-	px := c.Observer.Params(c.op.Bits)
-	k := g.K()
-	c.wq = grow(c.wq, c.OutC*k)
-	if c.PerChannel {
-		c.pw = grow(c.pw, c.OutC)
-		for oc := 0; oc < c.OutC; oc++ {
-			ws := c.Weight.Value.Data[oc*k : (oc+1)*k]
-			mn, mx := minMax(ws)
-			p := quant.Calibrate(mn, mx, c.op.Bits)
-			c.pw[oc] = p
-			quantizeInto(c.wq[oc*k:(oc+1)*k], ws, p)
-		}
-	} else {
-		p := quant.CalibrateTensor(c.Weight.Value, c.op.Bits)
-		c.pw = grow(c.pw, 1)
-		c.pw[0] = p
-		quantizeInto(c.wq, c.Weight.Value.Data, p)
-	}
-
-	rows := batch * g.OutH * g.OutW
-	c.cols = tensor.Ensure2(c.cols, rows, k)
-	tensor.Im2ColInto(c.cols, x, g)
-	c.xq = grow(c.xq, rows*k)
-	quantizeInto(c.xq, c.cols.Data, px)
-
-	c.flat = tensor.Ensure2(c.flat, rows, c.OutC)
-	c.op.ForwardGEMM(&c.ks, c.flat.Data, c.xq, c.wq, rows, c.OutC, k, c.pw, px, c.Bias.Value.Data)
-	c.y = tensor.Ensure4(c.y, batch, g.OutC, g.OutH, g.OutW)
-	rowsToNCHWInto(c.y, c.flat, batch, g)
-	return c.y
+	return c.forward(x, false)
 }
 
 // Infer implements Inferer: see ApproxConv2D.Infer.
@@ -192,22 +158,10 @@ func (l *ApproxLinear) Infer(x *tensor.Tensor) *tensor.Tensor {
 	l.pw[0] = p
 	rows := x.Shape[0]
 	l.xq = grow(l.xq, len(x.Data))
-	quantizeInto(l.xq, x.Data, px)
+	l.ks.quantizeWithClip(l.xq, nil, x.Data, px)
 	l.wq = grow(l.wq, len(l.Weight.Value.Data))
-	quantizeInto(l.wq, l.Weight.Value.Data, p)
+	l.ks.quantizeWithClip(l.wq, nil, l.Weight.Value.Data, p)
 	l.out = tensor.Ensure2(l.out, rows, l.Out)
 	l.op.ForwardGEMM(&l.ks, l.out.Data, l.xq, l.wq, rows, l.Out, l.In, l.pw, px, l.Bias.Value.Data)
 	return l.out
-}
-
-// quantizeInto is quantizeWithClipInto without the clip mask — the
-// inference path has no straight-through gradient to mask. Levels are
-// computed by the same quant.Params.Quantize, so they match the
-// training path exactly.
-func quantizeInto(q []uint8, data []float32, p quant.Params) {
-	tensor.ParallelBlocks(len(data), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q[i] = uint8(p.Quantize(data[i]))
-		}
-	})
 }

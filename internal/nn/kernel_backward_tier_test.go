@@ -68,6 +68,10 @@ func backwardTierCompare(t *testing.T, op *Op, rows, outC, k int, seed int64) {
 // asserted to reach the affine tier — if the detector ever stops
 // verifying STE tables, the flagship tier silently disappears and this
 // test is the tripwire.
+// denseDY stands in for a gradient the sparse gate leaves alone when a
+// test asks BackwardPath which tier an op can provide.
+var denseDY = []float32{1}
+
 func TestBackwardTierBitExact(t *testing.T) {
 	defer SetBackwardTierOverride("")
 	ests := []string{gradient.EstSTE, gradient.EstCVSTE, gradient.EstSmoothDiff, gradient.EstStochastic}
@@ -88,7 +92,7 @@ func TestBackwardTierBitExact(t *testing.T) {
 					}
 					SetBackwardTierOverride(tier)
 					defer SetBackwardTierOverride("")
-					if got := op.BackwardPath(outC, k); got != tier {
+					if got := op.BackwardPath(denseDY); got != tier {
 						if spec == gradient.EstSTE && tier == BwdPathAffine {
 							t.Fatalf("STE must support the affine tier, fell back to %s", got)
 						}
@@ -125,7 +129,7 @@ func TestBackwardTierRowBoundaries(t *testing.T) {
 	for _, tc := range tiers {
 		SetBackwardTierOverride(tc.tier)
 		for _, rows := range []int{1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 95, 96, 97} {
-			if got := tc.op.BackwardPath(outC, k); got != tc.tier {
+			if got := tc.op.BackwardPath(denseDY); got != tc.tier {
 				t.Fatalf("tier %s: dispatch fell back to %s", tc.tier, got)
 			}
 			t.Run(fmt.Sprintf("%s/rows=%d", tc.tier, rows), func(t *testing.T) {

@@ -59,7 +59,7 @@ func makeBenchOperands() benchOperands {
 	return o
 }
 
-func BenchmarkKernel_GEMMForwardBlocked(b *testing.B) {
+func BenchmarkKernel_GEMMForwardAuto(b *testing.B) {
 	o := makeBenchOperands()
 	var s KernelScratch
 	dst := make([]float32, benchRows*benchOutC)
@@ -80,7 +80,7 @@ func BenchmarkKernel_GEMMForwardRef(b *testing.B) {
 	}
 }
 
-func BenchmarkKernel_GEMMBackwardBlocked(b *testing.B) {
+func BenchmarkKernel_GEMMBackwardFused(b *testing.B) {
 	o := makeBenchOperands()
 	var s KernelScratch
 	dw := make([]float32, benchOutC*benchK)
@@ -112,7 +112,7 @@ func BenchmarkKernel_GEMMBackwardAffine(b *testing.B) {
 	gsum := make([]float32, benchOutC)
 	op.BackwardGEMM(&s, dw, dx, gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip,
 		benchRows, benchOutC, benchK, o.pw, o.px) // warm the arena
-	if got := op.BackwardPath(benchOutC, benchK); got != BwdPathAffine {
+	if got := op.BackwardPath(o.dy); got != BwdPathAffine {
 		b.Fatalf("expected affine dispatch, got %q", got)
 	}
 	b.ReportAllocs()

@@ -136,21 +136,22 @@ func TestBlockedForwardBitExact(t *testing.T) {
 	}
 }
 
-// TestBlockedBackwardBitExact: blocked backward == reference backward,
-// bit for bit, including clip masks and the folded bias gradient. Both
-// dispatch paths (column-blocked and small-shape) are forced for every
-// case regardless of where the size threshold would send it.
+// TestBlockedBackwardBitExact: tiered backward == reference backward,
+// bit for bit, including clip masks and the folded bias gradient, on
+// both sides of the dispatch gate for every case: the mostly-nonzero
+// gradient auto-dispatches to a big tier, the same gradient is forced
+// onto the small path, and a gradient thinned to one nonzero in eight
+// must reach the small path by itself.
 func TestBlockedBackwardBitExact(t *testing.T) {
-	savedMin := backwardBlockMin
-	defer func() { backwardBlockMin = savedMin }()
+	defer SetBackwardTierOverride("")
 	for _, mode := range []struct {
-		name string
-		min  int
+		name, override string
+		sparse         bool
 	}{
-		{"blocked", 0},
-		{"small", 1 << 30},
+		{"blocked", "", false},
+		{"small", BwdPathSmall, false},
+		{"sparse", "", true},
 	} {
-		backwardBlockMin = mode.min
 		for _, c := range equivOps(t) {
 			if c.skipBackwardGrad {
 				continue
@@ -159,6 +160,18 @@ func TestBlockedBackwardBitExact(t *testing.T) {
 				rng := rand.New(rand.NewSource(202))
 				xq, wq, xClip, wClip, dy := randOperands(rng, c)
 				pw, px := quantParams(rng, c)
+				if mode.sparse {
+					for i := range dy {
+						if i%8 != 0 {
+							dy[i] = 0
+						}
+					}
+				}
+				SetBackwardTierOverride(mode.override)
+				defer SetBackwardTierOverride("")
+				if got := c.op.BackwardPath(dy); (got == BwdPathSmall) != (mode.name != "blocked") {
+					t.Fatalf("dispatch took %q", got)
+				}
 
 				refDW, refDX := c.op.BackwardGEMMRef(dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
 				var s KernelScratch

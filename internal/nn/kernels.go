@@ -81,6 +81,7 @@ type KernelScratch struct {
 	// &s.<runner> to the *On scheduling entry points allocates nothing.
 	sumRun   levelSumRun
 	qcRun    quantClipRun
+	maskRun  clipMaskRun
 	fwdB16   fwdBlockedRun[uint16]
 	fwdB32   fwdBlockedRun[uint32]
 	arithRun arithFwdRun
@@ -190,7 +191,7 @@ const (
 
 // forwardTierOverride forces ForwardGEMM onto a specific dispatch tier
 // when the op supports it (falling back to automatic selection when it
-// does not) — a test/bench hook like backwardBlockMin, not part of the
+// does not) — a test/bench hook like backwardTierOverride, not part of the
 // API. Write it only from single-threaded setup code.
 var forwardTierOverride = ""
 
@@ -412,8 +413,10 @@ func (op *Op) forwardBehavioral(s *KernelScratch, dst []float32, xq, wq []uint8,
 // weight gradient into dw (outC x k), the patch-matrix input gradient
 // into dxcols (rows x k), and the per-channel column sums of dy into
 // gsum (outC) — the bias gradient, folded into the dW sweep so the
-// layers need no separate scalar accumulation pass. s may be nil for
-// one-off calls.
+// layers need no separate scalar accumulation pass. A nil xClip leaves
+// dxcols unmasked: the caller applies the straight-through mask itself
+// (ApproxConv2D does, once per input element after col2im). s may be
+// nil for one-off calls.
 func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
@@ -425,7 +428,7 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 		s = &KernelScratch{}
 	}
 	op.ensurePadded()
-	path := op.backwardPath(outC, k)
+	path := op.backwardPath(dy)
 	if path == BwdPathSmall {
 		kernelBackwardSmall.Inc()
 		op.backwardSmall(s, dw, dxcols, gsum, dy, xq, wq, xClip, wClip, rows, outC, k, pw, px)
@@ -435,16 +438,28 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 	op.backwardBig(path, s, dw, dxcols, gsum, dy, xq, wq, xClip, wClip, rows, outC, k, pw, px)
 }
 
-// backwardBlockMin is the outC*k size below which BackwardGEMM uses
-// the untransposed small-shape path: the blocked kernel pays four
-// O(rows*k) transpose/zero passes, which only amortize once each k
-// column is shared by enough output channels. Early layers of narrow
-// models (outC of 2-8, k under ~100) sit below the break-even point.
-// A variable, not a constant, so tests can force either path.
-var backwardBlockMin = 2048
+// sparseGrad is the small-tier gate: at most a quarter of the upstream
+// gradient is nonzero — the most a 2x2 max pool passes back, so true
+// behind conv -> ReLU -> pool and never behind a batch norm, whose
+// backward is dense. The small path pays per nonzero gradient and
+// skips zeros whole; the big tiers pay per row whatever dy holds
+// (BENCH_kernels.json: small 1.6-2.1x ahead of fused at one nonzero in
+// eight, about level at one in four, 2.1-2.5x behind on a dense dy, at
+// outC 4 and 8 alike). A dense dy ends the scan after a quarter of it.
+func sparseGrad(dy []float32) bool {
+	budget := len(dy) / 4
+	for _, g := range dy {
+		if g != 0 {
+			if budget--; budget < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
 
-// backwardSmall is the reference-shaped backward used below
-// backwardBlockMin: the same loops as BackwardGEMMRef (hence bit-exact
+// backwardSmall is the reference-shaped backward used for sparse
+// gradients (see sparseGrad): the same loops as BackwardGEMMRef (hence bit-exact
 // with it by construction) writing into the caller's buffers, plus the
 // folded gsum accumulation. The g == 0 test hoisted per (r, oc) skips
 // whole k walks, which the column-blocked kernel cannot do.
@@ -512,14 +527,4 @@ func transposeF32Tiles(dst, src []float32, rows, cols, lo, hi int) {
 			}
 		}
 	}
-}
-
-// quantizeWithClipInto quantizes a float slice into caller-owned level
-// and clip buffers (see quant.Params.Quantize), scheduling blocks on
-// the worker pool. One-off entry point: the layers' step paths call the
-// KernelScratch.quantizeWithClip method instead, whose reused runner
-// keeps the dispatch allocation-free.
-func quantizeWithClipInto(q []uint8, clip []bool, data []float32, p quant.Params) {
-	r := quantClipRun{q: q, clip: clip, data: data, p: p}
-	tensor.ParallelBlocksOn(len(data), 4096, &r)
 }

@@ -46,8 +46,8 @@ const (
 	// BwdPathFused: general tables; both sweeps gather, fused with the
 	// gsum/gsT production (the relabeled PR 2 "blocked" tier).
 	BwdPathFused = "fused"
-	// BwdPathSmall: the reference-shaped small-shape path below
-	// backwardBlockMin (see backwardSmall).
+	// BwdPathSmall: the reference-shaped path for sparse upstream
+	// gradients (see sparseGrad and backwardSmall).
 	BwdPathSmall = "small"
 )
 
@@ -65,17 +65,17 @@ var backwardTierOverride = ""
 // single-threaded setup code, never during concurrent GEMMs.
 func SetBackwardTierOverride(tier string) { backwardTierOverride = tier }
 
-// BackwardPath reports which dispatch tier BackwardGEMM will use for a
-// GEMM with the given output-channel count and reduction depth (the
-// small-shape gate is outC*k; the tier choice itself depends only on
-// the op's verified table structure). The benchmark harness prints it
-// next to each backward measurement.
-func (op *Op) BackwardPath(outC, k int) string {
+// BackwardPath reports which dispatch tier BackwardGEMM will use for
+// the upstream gradient dy: a sparse dy takes the small path (see
+// sparseGrad), otherwise the choice depends only on the op's verified
+// table structure. The benchmark harness prints it next to each
+// backward measurement.
+func (op *Op) BackwardPath(dy []float32) string {
 	op.ensurePadded()
-	return op.backwardPath(outC, k)
+	return op.backwardPath(dy)
 }
 
-func (op *Op) backwardPath(outC, k int) string {
+func (op *Op) backwardPath(dy []float32) string {
 	dwA, dxA := op.dwAff != nil, op.dxAff != nil
 	switch backwardTierOverride {
 	case BwdPathAffine:
@@ -91,7 +91,7 @@ func (op *Op) backwardPath(outC, k int) string {
 	case BwdPathSmall:
 		return BwdPathSmall
 	}
-	if outC*k < backwardBlockMin {
+	if sparseGrad(dy) {
 		return BwdPathSmall
 	}
 	switch {
@@ -106,7 +106,7 @@ func (op *Op) backwardPath(outC, k int) string {
 
 // backwardBig is the shared driver of the affine/mixed/fused tiers:
 // transpose setup, the dW sweep (with gsum and gsT folded in), the dX
-// sweep, and the clip-masked transpose back to row-major.
+// sweep, and the (optionally clip-masked) transpose back to row-major.
 func (op *Op) backwardBig(path string, s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8,
 	xClip, wClip []bool, rows, outC, k int, pw []quant.Params, px quant.Params) {
 
@@ -166,14 +166,16 @@ func (op *Op) backwardBig(path string, s *KernelScratch, dw, dxcols, gsum, dy []
 	s.dxRun = bwdDXRun{op: op, s: s, wq: wq, rows: rows, outC: outC, k: k, affine: affDX}
 	tensor.ParallelBlocksOn(k, transTile, &s.dxRun)
 
-	// Transpose back to row-major and apply the straight-through clip
-	// mask (zero gradient for operands clamped during quantization).
+	// Transpose back to row-major and, unless the caller masks (nil
+	// xClip), apply the straight-through clip mask (zero gradient for
+	// operands clamped during quantization).
 	s.toutRun = bwdTransOutRun{s: s, dxcols: dxcols, xClip: xClip, rows: rows, k: k}
 	tensor.ParallelBlocksOn(rows, transTile, &s.toutRun)
 }
 
 // backwardTransposeOut writes dxT (k x rows) back into row-major
-// dxcols for rows [lo, hi), zeroing clip-masked entries.
+// dxcols for rows [lo, hi), zeroing clip-masked entries (none when
+// xClip is nil).
 func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k int) {
 	for rb := lo; rb < hi; rb += transTile {
 		rhi := rb + transTile
@@ -188,7 +190,7 @@ func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k i
 			for r := rb; r < rhi; r++ {
 				for i := ib; i < ihi; i++ {
 					v := dxT[i*rows+r]
-					if xClip[r*k+i] {
+					if xClip != nil && xClip[r*k+i] {
 						v = 0
 					}
 					dxcols[r*k+i] = v

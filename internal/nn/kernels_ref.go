@@ -86,7 +86,8 @@ func (op *Op) ForwardGEMMRef(xq, wq []uint8, rows, outC, k int, pw []quant.Param
 //	dL/dxcols[r][k] = sum_oc dy[r][oc] * s_w * (dAM/dX - Z_w)
 //
 // Entries whose operand was clipped during quantization receive zero
-// gradient (straight-through clamping). dy is rows x outC row-major.
+// gradient (straight-through clamping); a nil xClip leaves dxcols
+// unmasked for a caller that masks itself. dy is rows x outC row-major.
 func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) (dw, dxcols []float32) {
 
@@ -151,7 +152,7 @@ func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
 				}
 			}
 			for i := range dxr {
-				if xClip[r*k+i] {
+				if xClip != nil && xClip[r*k+i] {
 					dxr[i] = 0
 				}
 			}

@@ -33,7 +33,8 @@ func (t *levelSumRun) RunRange(lo, hi int) {
 	}
 }
 
-// quantClipRun is the quantizeWithClipInto body.
+// quantClipRun is the quantizeWithClip body; clip is nil on the
+// inference path.
 type quantClipRun struct {
 	q    []uint8
 	clip []bool
@@ -42,10 +43,25 @@ type quantClipRun struct {
 }
 
 func (t *quantClipRun) RunRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := t.data[i]
-		t.q[i] = uint8(t.p.Quantize(v))
-		t.clip[i] = t.p.Clipped(v)
+	var clip []bool
+	if t.clip != nil {
+		clip = t.clip[lo:hi]
+	}
+	t.p.QuantizeInto(t.q[lo:hi], clip, t.data[lo:hi])
+}
+
+// clipMaskRun is the maskClipped body.
+type clipMaskRun struct {
+	grad []float32
+	clip []bool
+}
+
+func (t *clipMaskRun) RunRange(lo, hi int) {
+	grad := t.grad[lo:hi]
+	for i, c := range t.clip[lo:hi] {
+		if c {
+			grad[i] = 0
+		}
 	}
 }
 
@@ -219,8 +235,8 @@ func (t *bwdDXRun) RunRange(lo, hi int) {
 	}
 }
 
-// bwdTransOutRun is the backward clip-masked transpose of dxT back to
-// row-major.
+// bwdTransOutRun is the backward transpose of dxT back to row-major,
+// clip-masked unless xClip is nil.
 type bwdTransOutRun struct {
 	s       *KernelScratch
 	dxcols  []float32
@@ -311,6 +327,9 @@ func (t *bwdSmallDXRun) RunRange(lo, hi int) {
 				dxr[i] += gs * (gx[idx] - zw)
 			}
 		}
+		if t.xClip == nil {
+			continue
+		}
 		for i := range dxr {
 			if t.xClip[r*t.k+i] {
 				dxr[i] = 0
@@ -328,12 +347,20 @@ func (s *KernelScratch) levelSums(dst []int64, q []uint8, m, k int) {
 	tensor.ParallelRowsOn(m, &s.sumRun)
 }
 
-// quantizeWithClip quantizes into caller-owned buffers through the
-// arena's runner — quantization is a measurable share of the forward
-// pass at training batch sizes, and this form keeps it alloc-free.
+// quantizeWithClip quantizes data into the caller-owned level buffer q
+// and, when clip is non-nil, records which entries were clamped (the
+// straight-through mask; the inference path passes nil) — one pass
+// through the arena's runner, alloc-free.
 func (s *KernelScratch) quantizeWithClip(q []uint8, clip []bool, data []float32, p quant.Params) {
 	s.qcRun = quantClipRun{q: q, clip: clip, data: data, p: p}
 	tensor.ParallelBlocksOn(len(data), 4096, &s.qcRun)
+}
+
+// maskClipped zeroes the entries of grad whose forward operand was
+// clamped during quantization (the straight-through mask).
+func (s *KernelScratch) maskClipped(grad []float32, clip []bool) {
+	s.maskRun = clipMaskRun{grad: grad, clip: clip}
+	tensor.ParallelBlocksOn(len(grad), 16384, &s.maskRun)
 }
 
 // transposeU8 writes the (rows x cols) matrix src into dst in

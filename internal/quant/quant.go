@@ -100,16 +100,38 @@ func (p Params) Clipped(v float32) bool {
 	return q < 0 || q > int32(p.QMax())
 }
 
-// QuantizeTensor quantizes a whole tensor into a uint8-per-level slice
-// (levels <= 255 requires Bits <= 8; wider widths use QuantizeTensor16).
-func (p Params) QuantizeTensor(t *tensor.Tensor) []uint8 {
+// QuantizeInto writes Quantize(v) for every element of data into q and,
+// when clip is non-nil, Clipped(v) into clip — both derived from one
+// divide and round per element, where calling the two scalar methods
+// redoes them. The division stays a division: multiplying by a
+// reciprocal would round differently. Levels are stored as uint8, so
+// Bits must be <= 8.
+func (p Params) QuantizeInto(q []uint8, clip []bool, data []float32) {
 	if p.Bits > 8 {
-		panic("quant: QuantizeTensor supports Bits <= 8")
+		panic("quant: QuantizeInto supports Bits <= 8")
 	}
+	q = q[:len(data)]
+	qmax := int32(p.QMax())
+	for i, v := range data {
+		l := int32(math.Round(float64(v/p.Scale))) + p.Zero
+		clipped := false
+		if l < 0 {
+			l, clipped = 0, true
+		} else if l > qmax {
+			l, clipped = qmax, true
+		}
+		q[i] = uint8(l)
+		if clip != nil {
+			clip[i] = clipped
+		}
+	}
+}
+
+// QuantizeTensor quantizes a whole tensor into a uint8-per-level slice
+// (levels <= 255 requires Bits <= 8).
+func (p Params) QuantizeTensor(t *tensor.Tensor) []uint8 {
 	out := make([]uint8, t.Numel())
-	for i, v := range t.Data {
-		out[i] = uint8(p.Quantize(v))
-	}
+	p.QuantizeInto(out, nil, t.Data)
 	return out
 }
 

@@ -169,3 +169,70 @@ func TestCalibrateRejectsEmptyRange(t *testing.T) {
 	}()
 	Calibrate(2, 1, 8)
 }
+
+// TestQuantizeIntoMatchesScalar pins the fused slice quantizer to the
+// scalar definitions: for every value, the level equals Quantize and
+// the flag equals Clipped, over sweeps that clip on both sides, sit on
+// rounding ties, and include the padding value zero.
+func TestQuantizeIntoMatchesScalar(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mn, mx float32
+		bits   int
+	}{
+		{"symmetric/8", -1, 1, 8},
+		{"symmetric/7", -1, 1, 7},
+		{"positive/6", 0, 2, 6},
+		{"negative/4", -3, 0, 4},
+		{"skewed/2", -0.25, 4, 2},
+		{"widened-to-zero/7", 0.5, 1.5, 7},
+		{"degenerate/8", 0, 0, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Calibrate(tc.mn, tc.mx, tc.bits)
+			span := tc.mx - tc.mn
+			if span == 0 {
+				span = 1
+			}
+			var data []float32
+			for v := tc.mn - 2*span; v <= tc.mx+2*span; v += span / 997 {
+				data = append(data, v)
+			}
+			// Exact ties between adjacent levels, on and beyond both edges.
+			for l := -3; l <= int(p.QMax())+3; l++ {
+				data = append(data, (float32(l)+0.5-float32(p.Zero))*p.Scale)
+			}
+			data = append(data, 0, float32(math.Copysign(0, -1)), 1e30, -1e30, p.Scale/2, -p.Scale/2)
+
+			q := make([]uint8, len(data))
+			clip := make([]bool, len(data))
+			p.QuantizeInto(q, clip, data)
+			qOnly := make([]uint8, len(data))
+			p.QuantizeInto(qOnly, nil, data)
+			var low, high int
+			for i, v := range data {
+				if uint32(q[i]) != p.Quantize(v) || clip[i] != p.Clipped(v) {
+					t.Fatalf("v=%v: got (level %d, clipped %v), scalar (%d, %v)",
+						v, q[i], clip[i], p.Quantize(v), p.Clipped(v))
+				}
+				if qOnly[i] != q[i] {
+					t.Fatalf("v=%v: level %d without flags, %d with", v, qOnly[i], q[i])
+				}
+				if clip[i] && q[i] == 0 {
+					low++
+				}
+				if clip[i] && uint32(q[i]) == p.QMax() {
+					high++
+				}
+			}
+			if low == 0 || high == 0 {
+				t.Fatalf("sweep clipped %d low, %d high; want both sides", low, high)
+			}
+			// The byte im2col pads with the zero point: it must be what a
+			// float zero quantizes to, unclipped.
+			if p.Quantize(0) != uint32(p.Zero) || p.Clipped(0) {
+				t.Fatalf("Quantize(0) = %d (clipped %v), zero point %d", p.Quantize(0), p.Clipped(0), p.Zero)
+			}
+		})
+	}
+}

@@ -41,53 +41,81 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 // (N*outH*outW, K). Every position is written (padding positions get
 // explicit zeros), so dst may hold stale data from a previous step.
 func Im2ColInto(dst, x *Tensor, g ConvGeom) {
-	var j Im2ColJob
-	j.Run(dst, x, g)
-}
-
-// Im2ColJob is a reusable Im2ColInto: a layer keeps one across steps
-// and calls Run, so the parallel dispatch reuses this struct as its
-// RangeRunner instead of allocating a closure context per call.
-type Im2ColJob struct {
-	dst, x *Tensor
-	g      ConvGeom
-	k, chw int
-}
-
-// Run performs Im2ColInto(dst, x, g) through the job's reusable state.
-func (j *Im2ColJob) Run(dst, x *Tensor, g ConvGeom) {
 	n := x.Shape[0]
-	k := g.K()
-	if dst.Shape[0] != n*g.OutH*g.OutW || dst.Shape[1] != k {
+	if dst.Shape[0] != n*g.OutH*g.OutW || dst.Shape[1] != g.K() {
 		panic(fmt.Sprintf("tensor: Im2Col destination %v does not match geometry", dst.Shape))
 	}
-	j.dst, j.x, j.g, j.k = dst, x, g, k
-	j.chw = g.InC * g.InH * g.InW
+	ParallelRows(n, func(lo, hi int) { im2colRange(dst.Data, x.Data, 0, g, lo, hi) })
+}
+
+// Im2ColU8Job is Im2ColInto over quantized levels: it expands n NCHW
+// images of uint8 levels into the (n*outH*outW, K) patch matrix,
+// writing pad at padding positions — the quantized zero point, so the
+// result equals the quantized float patch matrix. The approximate
+// layers quantize once per input element and expand bytes, instead of
+// expanding floats and quantizing every element K*K times. A layer
+// keeps one job across steps and calls Run, so the parallel dispatch
+// reuses this struct as its RangeRunner instead of allocating a
+// closure context per call.
+type Im2ColU8Job struct {
+	dst, src []uint8
+	pad      uint8
+	g        ConvGeom
+}
+
+// Run expands the n images in src into dst (every position is
+// written) through the job's reusable state.
+func (j *Im2ColU8Job) Run(dst, src []uint8, n int, g ConvGeom, pad uint8) {
+	if len(dst) != n*g.OutH*g.OutW*g.K() || len(src) != n*g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Im2ColU8 buffers (%d, %d) do not match geometry", len(dst), len(src)))
+	}
+	j.dst, j.src, j.pad, j.g = dst, src, pad, g
 	ParallelRowsOn(n, j)
 }
 
 // RunRange expands images [lo, hi); it implements RangeRunner for the
 // pool and is not meant to be called directly.
-func (j *Im2ColJob) RunRange(lo, hi int) {
-	g, k := j.g, j.k
+func (j *Im2ColU8Job) RunRange(lo, hi int) {
+	im2colRange(j.dst, j.src, j.pad, j.g, lo, hi)
+}
+
+// im2colRange expands images [lo, hi) of the NCHW batch src into their
+// patch-matrix rows of dst, writing pad where a patch overhangs the
+// image. One kernel row (KW entries) moves per step: a row wholly
+// inside the image is a straight copy.
+func im2colRange[T float32 | uint8](dst, src []T, pad T, g ConvGeom, lo, hi int) {
+	k := g.K()
+	hw := g.InH * g.InW
 	for img := lo; img < hi; img++ {
-		base := img * j.chw
+		base := img * g.InC * hw
 		for oy := 0; oy < g.OutH; oy++ {
 			for ox := 0; ox < g.OutW; ox++ {
 				row := ((img*g.OutH+oy)*g.OutW + ox) * k
-				col := 0
+				ix0 := ox*g.Stride - g.Pad
+				inside := ix0 >= 0 && ix0+g.KW <= g.InW
 				for c := 0; c < g.InC; c++ {
-					cbase := base + c*g.InH*g.InW
+					cbase := base + c*hw
 					for ky := 0; ky < g.KH; ky++ {
+						d := dst[row : row+g.KW]
+						row += g.KW
 						iy := oy*g.Stride - g.Pad + ky
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ox*g.Stride - g.Pad + kx
-							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-								j.dst.Data[row+col] = j.x.Data[cbase+iy*g.InW+ix]
-							} else {
-								j.dst.Data[row+col] = 0
+						if iy < 0 || iy >= g.InH {
+							for i := range d {
+								d[i] = pad
 							}
-							col++
+							continue
+						}
+						s := src[cbase+iy*g.InW : cbase+(iy+1)*g.InW]
+						if inside {
+							copy(d, s[ix0:])
+							continue
+						}
+						for i := range d {
+							if ix := ix0 + i; ix >= 0 && ix < g.InW {
+								d[i] = s[ix]
+							} else {
+								d[i] = pad
+							}
 						}
 					}
 				}
@@ -111,7 +139,7 @@ func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) {
 	j.Run(dst, cols, n, g)
 }
 
-// Col2ImJob is the reusable Col2ImInto, symmetric to Im2ColJob.
+// Col2ImJob is the reusable Col2ImInto, symmetric to Im2ColU8Job.
 type Col2ImJob struct {
 	dst, cols *Tensor
 	g         ConvGeom
@@ -136,28 +164,43 @@ func (j *Col2ImJob) Run(dst, cols *Tensor, n int, g ConvGeom) {
 }
 
 // RunRange scatters images [lo, hi); it implements RangeRunner for the
-// pool and is not meant to be called directly.
+// pool and is not meant to be called directly. Like im2colRange it
+// moves one kernel row per step, visiting patch entries in the same
+// order as the defining loop nest, so every destination accumulates
+// its overlaps in ascending (oy, ox, c, ky, kx) order.
 func (j *Col2ImJob) RunRange(lo, hi int) {
-	g, k := j.g, j.k
+	g := j.g
+	dst, cols := j.dst.Data, j.cols.Data
+	hw := g.InH * g.InW
 	for img := lo; img < hi; img++ {
 		base := img * j.chw
-		for i := base; i < base+j.chw; i++ {
-			j.dst.Data[i] = 0
-		}
+		clear(dst[base : base+j.chw])
 		for oy := 0; oy < g.OutH; oy++ {
 			for ox := 0; ox < g.OutW; ox++ {
-				row := ((img*g.OutH+oy)*g.OutW + ox) * k
-				col := 0
+				row := ((img*g.OutH+oy)*g.OutW + ox) * j.k
+				ix0 := ox*g.Stride - g.Pad
+				inside := ix0 >= 0 && ix0+g.KW <= g.InW
 				for c := 0; c < g.InC; c++ {
-					cbase := base + c*g.InH*g.InW
+					cbase := base + c*hw
 					for ky := 0; ky < g.KH; ky++ {
+						s := cols[row : row+g.KW]
+						row += g.KW
 						iy := oy*g.Stride - g.Pad + ky
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ox*g.Stride - g.Pad + kx
-							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-								j.dst.Data[cbase+iy*g.InW+ix] += j.cols.Data[row+col]
+						if iy < 0 || iy >= g.InH {
+							continue
+						}
+						d := dst[cbase+iy*g.InW : cbase+(iy+1)*g.InW]
+						if inside {
+							d = d[ix0 : ix0+g.KW]
+							for i, v := range s {
+								d[i] += v
 							}
-							col++
+							continue
+						}
+						for i, v := range s {
+							if ix := ix0 + i; ix >= 0 && ix < g.InW {
+								d[ix] += v
+							}
 						}
 					}
 				}

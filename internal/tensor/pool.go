@@ -19,9 +19,9 @@ import (
 // object whose RunRange method processes [lo, hi). The *On variants of
 // ParallelRows/ParallelBlocks accept one so hot per-step call sites can
 // keep a runner struct in long-lived scratch state instead of
-// allocating a closure context per call — on the inline path (one
-// worker, or a single block) the runner is invoked directly and the
-// dispatch allocates nothing.
+// allocating a closure context per call: the inline path (one worker,
+// or a single block) invokes the runner directly and the pooled path
+// recycles its job header, so the dispatch allocates nothing.
 type RangeRunner interface {
 	RunRange(lo, hi int)
 }
@@ -35,7 +35,12 @@ func (f funcRunner) RunRange(lo, hi int) { f(lo, hi) }
 
 // poolJob is one parallel invocation: runner applied to every block of
 // [0, n) of size chunk. Workers claim block indices from next until
-// exhausted; wg counts completed blocks.
+// exhausted; wg counts completed blocks. refs counts the goroutines
+// that may still touch the job — the submitter plus one per wake-up
+// sitting in (or taken from) the work queue. A wake-up can be received
+// long after every block completed, so the job returns to the free
+// list only when the last holder lets go (workerPool.release); until
+// then it is never reinitialised.
 type poolJob struct {
 	runner RangeRunner
 	next   atomic.Int64
@@ -43,6 +48,7 @@ type poolJob struct {
 	chunk  int
 	nblk   int64
 	wg     sync.WaitGroup
+	refs   atomic.Int32
 }
 
 // run claims and executes blocks until none remain. It is called by
@@ -69,6 +75,11 @@ func (j *poolJob) run() {
 type workerPool struct {
 	work    chan *poolJob
 	workers int
+	// free recycles job headers so a pooled dispatch allocates nothing
+	// in steady state. It is as deep as the work queue: at most that
+	// many stale wake-ups can pin jobs at once, and an overflowing
+	// release just drops the job for the collector.
+	free chan *poolJob
 }
 
 // newWorkerPool starts workers-1 goroutines (the submitting goroutine
@@ -79,10 +90,12 @@ func newWorkerPool(workers int) *workerPool {
 		// A deep buffer lets submitters hand off wake-ups without
 		// blocking even when all workers are mid-job.
 		p.work = make(chan *poolJob, 4*workers)
+		p.free = make(chan *poolJob, 4*workers)
 		for i := 1; i < workers; i++ {
 			go func() {
 				for j := range p.work {
 					j.run()
+					p.release(j)
 				}
 			}()
 		}
@@ -90,11 +103,23 @@ func newWorkerPool(workers int) *workerPool {
 	return p
 }
 
+// release drops one reference to j; the last holder recycles it.
+func (p *workerPool) release(j *poolJob) {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	j.runner = nil // do not pin the caller's state from the free list
+	select {
+	case p.free <- j:
+	default:
+	}
+}
+
 // run executes r over [0, n) in blocks of chunk, in parallel across
 // the pool. It returns once every block has completed. A job whose
-// block count is 1 (or a pool without workers) runs inline — without
-// allocating, which is what makes the *On entry points alloc-free on
-// single-worker hosts.
+// block count is 1 (or a pool without workers) runs inline; a pooled job
+// takes its header from the free list, so either way the *On entry
+// points allocate nothing in steady state.
 func (p *workerPool) run(n, chunk int, r RangeRunner) {
 	if n <= 0 {
 		return
@@ -111,8 +136,16 @@ func (p *workerPool) run(n, chunk int, r RangeRunner) {
 	poolJobsPooled.Inc()
 	poolBlocksTotal.Add(float64(nblk))
 	start := time.Now()
-	j := &poolJob{runner: r, n: n, chunk: chunk, nblk: int64(nblk)}
+	var j *poolJob
+	select {
+	case j = <-p.free:
+	default:
+		j = new(poolJob)
+	}
+	j.runner, j.n, j.chunk, j.nblk = r, n, chunk, int64(nblk)
+	j.next.Store(0)
 	j.wg.Add(nblk)
+	j.refs.Store(1)
 	// Wake at most nblk-1 workers (the caller handles the rest). The
 	// sends are non-blocking: if the queue is full every worker is
 	// already busy and will find this job too late or not at all — the
@@ -123,14 +156,17 @@ func (p *workerPool) run(n, chunk int, r RangeRunner) {
 	}
 wakeLoop:
 	for i := 0; i < wake; i++ {
+		j.refs.Add(1) // before the send: the receiver may release at once
 		select {
 		case p.work <- j:
 		default:
+			j.refs.Add(-1)
 			break wakeLoop // queue full: every worker is already busy
 		}
 	}
 	j.run()
 	j.wg.Wait()
+	p.release(j)
 	poolJobMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 }
 
@@ -164,7 +200,7 @@ func ParallelRows(m int, fn func(lo, hi int)) {
 
 // ParallelRowsOn is ParallelRows for a reusable RangeRunner: passing a
 // pointer to a runner struct held in long-lived state (a scratch arena,
-// a layer) makes the dispatch allocation-free on the inline path.
+// a layer) makes the dispatch allocation-free.
 func ParallelRowsOn(m int, r RangeRunner) {
 	if m <= 0 {
 		return

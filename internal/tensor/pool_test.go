@@ -193,3 +193,59 @@ func TestWorkerPoolRespectsChunk(t *testing.T) {
 	})
 	checkCoverage(t, counts)
 }
+
+// sumRunner is a reusable RangeRunner body, the shape hot call sites
+// keep in their scratch state.
+type sumRunner struct{ hits []int32 }
+
+func (r *sumRunner) RunRange(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&r.hits[i], 1)
+	}
+}
+
+// TestPooledDispatchDoesNotAllocate: a pooled job takes its header
+// from the pool's free list, so once the list is primed a dispatch
+// through a reused runner allocates nothing — with real workers, not
+// only on the inline path.
+func TestPooledDispatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; exact count holds only without -race")
+	}
+	p := newWorkerPool(4)
+	r := &sumRunner{hits: make([]int32, 256)}
+	for i := 0; i < 64; i++ {
+		p.run(len(r.hits), 16, r) // prime the free list
+	}
+	if allocs := testing.AllocsPerRun(200, func() { p.run(len(r.hits), 16, r) }); allocs != 0 {
+		t.Fatalf("pooled dispatch allocates %.1f times per job, want 0", allocs)
+	}
+}
+
+// TestWorkerPoolRecycledJobsUnderLateWakeups floods the pool with
+// two-block jobs from several submitters. The submitter usually runs
+// both blocks itself before a worker picks the wake-up off the queue,
+// so workers keep dequeuing jobs that already completed while their
+// headers are wanted for new jobs — exactly the window in which a
+// recycled header must not be handed out. Every job must still cover
+// its range exactly once; run under -race.
+func TestWorkerPoolRecycledJobsUnderLateWakeups(t *testing.T) {
+	p := newWorkerPool(4)
+	const submitters, jobs = 6, 3000
+	var wg sync.WaitGroup
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := &sumRunner{hits: make([]int32, 2)}
+			for j := 1; j <= jobs; j++ {
+				p.run(2, 1, r)
+				if r.hits[0] != int32(j) || r.hits[1] != int32(j) {
+					t.Errorf("job %d: blocks ran %v times", j, r.hits)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

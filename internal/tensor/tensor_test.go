@@ -346,3 +346,110 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// patchGeoms is the geometry table of the im2col/col2im oracle tests.
+var patchGeoms = []struct{ n, c, h, w, k, stride, pad int }{
+	{2, 3, 8, 8, 3, 1, 1},
+	{1, 1, 5, 5, 3, 2, 0},
+	{3, 2, 7, 9, 5, 1, 2},
+	{2, 2, 6, 4, 1, 1, 0},
+	{2, 2, 9, 6, 1, 2, 0},
+	{1, 3, 5, 8, 3, 2, 1},
+	{2, 1, 6, 7, 5, 2, 2},
+	{1, 2, 4, 2, 3, 1, 1},
+	{1, 1, 3, 3, 5, 1, 2},
+}
+
+// TestIm2ColMatchesIndexOracle checks both im2col instantiations entry
+// by entry against the defining index arithmetic: patch row (img, oy,
+// ox), column (c, ky, kx) holds input (img, c, oy*s-p+ky, ox*s-p+kx),
+// or the pad value outside the image. Geometries cover strides 1/2,
+// pads 0-2, 1x1 to 5x5 kernels, non-square inputs, a kernel wider than
+// the image, a single channel and a single image.
+func TestIm2ColMatchesIndexOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const pad = 77
+	for _, cse := range patchGeoms {
+		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
+		x := New(cse.n, cse.c, cse.h, cse.w)
+		lv := make([]uint8, len(x.Data))
+		for i := range lv {
+			lv[i] = uint8(1 + rng.Intn(255))
+			x.Data[i] = float32(lv[i])
+		}
+		cols := Im2Col(x, g)
+		colsU8 := make([]uint8, len(cols.Data))
+		for i := range colsU8 {
+			colsU8[i] = 200 // stale contents must be overwritten
+		}
+		var job Im2ColU8Job
+		job.Run(colsU8, lv, cse.n, g, pad)
+		k := g.K()
+		for img := 0; img < cse.n; img++ {
+			for oy := 0; oy < g.OutH; oy++ {
+				for ox := 0; ox < g.OutW; ox++ {
+					row := (img*g.OutH+oy)*g.OutW + ox
+					for c := 0; c < cse.c; c++ {
+						for ky := 0; ky < cse.k; ky++ {
+							for kx := 0; kx < cse.k; kx++ {
+								col := (c*cse.k+ky)*cse.k + kx
+								iy, ix := oy*cse.stride-cse.pad+ky, ox*cse.stride-cse.pad+kx
+								wantF, wantU := float32(0), uint8(pad)
+								if iy >= 0 && iy < cse.h && ix >= 0 && ix < cse.w {
+									wantU = lv[((img*cse.c+c)*cse.h+iy)*cse.w+ix]
+									wantF = float32(wantU)
+								}
+								if got := cols.Data[row*k+col]; got != wantF {
+									t.Fatalf("case %+v: float cols[%d][%d] = %v, want %v", cse, row, col, got, wantF)
+								}
+								if got := colsU8[row*k+col]; got != wantU {
+									t.Fatalf("case %+v: uint8 cols[%d][%d] = %d, want %d", cse, row, col, got, wantU)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCol2ImMatchesLoopNest pins Col2Im bit for bit to the defining
+// scatter: patch entries visited in ascending (img, oy, ox, c, ky, kx)
+// order, each added to its input element. Float addition does not
+// reassociate, so the visiting order is part of the contract the
+// approximate layers' bit-identity guarantees rest on.
+func TestCol2ImMatchesLoopNest(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, cse := range patchGeoms {
+		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
+		cols := randT(rng, cse.n*g.OutH*g.OutW, g.K())
+		want := make([]float32, cse.n*cse.c*cse.h*cse.w)
+		i := 0
+		for img := 0; img < cse.n; img++ {
+			for oy := 0; oy < g.OutH; oy++ {
+				for ox := 0; ox < g.OutW; ox++ {
+					for c := 0; c < cse.c; c++ {
+						for ky := 0; ky < cse.k; ky++ {
+							for kx := 0; kx < cse.k; kx++ {
+								iy, ix := oy*cse.stride-cse.pad+ky, ox*cse.stride-cse.pad+kx
+								if iy >= 0 && iy < cse.h && ix >= 0 && ix < cse.w {
+									want[((img*cse.c+c)*cse.h+iy)*cse.w+ix] += cols.Data[i]
+								}
+								i++
+							}
+						}
+					}
+				}
+			}
+		}
+		got := New(cse.n, cse.c, cse.h, cse.w)
+		got.Fill(3) // stale contents must be cleared
+		Col2ImInto(got, cols, cse.n, g)
+		for i := range want {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("case %+v: dx[%d] = %v, loop nest %v", cse, i, got.Data[i], want[i])
+			}
+		}
+	}
+}
