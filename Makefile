@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet race bench benchreport benchsmoke doccheck verify clean
+.PHONY: build test tier1 vet purego race bench benchreport benchsmoke doccheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -14,6 +14,13 @@ tier1: build test
 
 vet:
 	go vet ./...
+
+# purego runs the kernel packages with the assembly compiled out (the
+# `purego` build tag selects the same portable files a non-amd64 host
+# builds), so the pure-Go twins of every SIMD kernel and the dispatch
+# that routes to them are tested on the amd64 hosts CI has.
+purego:
+	go test -tags purego ./internal/nn/ ./internal/tensor/
 
 # The concurrency-critical packages get a -race pass: the worker pool
 # and the kernels scheduled on it, the guarded train loop, the retrying
@@ -63,7 +70,7 @@ benchsmoke:
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet tier1 benchsmoke doccheck race benchreport
+verify: vet tier1 purego benchsmoke doccheck race benchreport
 
 clean:
 	go clean ./...

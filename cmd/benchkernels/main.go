@@ -6,14 +6,18 @@
 // kernel on both table families (general tables → fused gather, STE's
 // affine tables → gather-free affine) plus a forced-fused row on the
 // affine op, the preserved reference kernels, and an ApproxConv2D
-// forward+backward step end-to-end — all at one wide shape — then the
-// backward small-vs-fused pairs at the narrow, row-heavy shapes the
-// training workloads really run, over dense and sparse upstream
-// gradients (the rows that justify BackwardGEMM's sparse-gradient
-// gate), and a layer step at the vgg11 first-conv shape. It writes
-// ns/op, B/op, and allocs/op per benchmark — plus the dispatch path
-// each forward and backward benchmark actually took and tier-vs-tier
-// speedup summaries — to a JSON file.
+// forward+backward step end-to-end — all at one wide shape, the GEMMs
+// through the row-major ForwardGEMM/BackwardGEMM adapters (their
+// transposes included) — then the backward small-vs-fused pairs at the
+// narrow, row-heavy shapes the training workloads really run, over
+// dense and sparse upstream gradients (the rows that justify
+// BackwardGEMM's sparse-gradient gate), and, at the shapes of the
+// benchmark's first layers, the pieces of the k-major conv step: the
+// k-major byte im2col and col2im next to the row-major float ones, the
+// dW lane kernels alone, and whole layer steps on the affine, fused and
+// small tiers. It writes ns/op, B/op, and allocs/op per benchmark —
+// plus the dispatch path each forward and backward benchmark actually
+// took and tier-vs-tier speedup summaries — to a JSON file.
 //
 // The committed BENCH_kernels.json at the repository root is the
 // current baseline; `make bench` re-measures, diffs against it with
@@ -117,13 +121,31 @@ func newOperands(sh shape, nzOf int, rng *rand.Rand) *operands {
 }
 
 // convStep benchmarks one ApproxConv2D forward+backward at the given
-// layer and input geometry.
-func convStep(op *nn.Op, inC, outC, k, n, hw int, rng *rand.Rand) func(b *testing.B) {
+// layer and input geometry. pooled thins dy to what conv -> ReLU -> 2x2
+// max pool passes back: one position per 2x2 window, half of those
+// zeroed, one nonzero in eight.
+func convStep(op *nn.Op, inC, outC, k, n, hw int, pooled bool, rng *rand.Rand) func(b *testing.B) {
 	layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
 	x := tensor.New(n, inC, hw, hw)
 	x.RandNormal(rng, 1)
 	dy := tensor.New(layer.Forward(x, true).Shape...)
 	dy.RandNormal(rng, 1)
+	if pooled {
+		for base := 0; base < len(dy.Data); base += hw * hw {
+			for oy := 0; oy < hw; oy += 2 {
+				for ox := 0; ox < hw; ox += 2 {
+					// keep < 4: that position was the window's maximum;
+					// otherwise the ReLU had zeroed it.
+					keep := rng.Intn(8)
+					for j, d := range [4]int{0, 1, hw, hw + 1} {
+						if j != keep {
+							dy.Data[base+oy*hw+ox+d] = 0
+						}
+					}
+				}
+			}
+		}
+	}
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -221,10 +243,73 @@ func main() {
 				op.BackwardGEMMRef(w.dy, w.xq, w.wq, w.xClip, w.wClip, w.rows, w.outC, w.k, pw, px)
 			}
 		}},
-		{name: "Layer_ApproxConvStep", fn: convStep(op, 16, 32, 3, 4, 16, rng)},
+		{name: "Layer_ApproxConvStep", fn: convStep(op, 16, 32, 3, 4, 16, false, rng)},
 		// vgg11's first conv on a benchmark batch: 8 images of 3x32x32
-		// into 8 channels (rows=8192 outC=8 k=27).
-		{name: "Layer_ApproxConvStep_VGG11Conv1", fn: convStep(op, 3, 8, 3, 8, 32, rng)},
+		// into 8 channels (rows=8192 outC=8 k=27), fused tier.
+		{name: "Layer_ApproxConvStep_VGG11Conv1", fn: convStep(op, 3, 8, 3, 8, 32, false, rng)},
+		// resnet18's stem and a stage-1 conv on one shard's half batch, 16
+		// images of 16x16 (rows=4096 outC=8, k=27 and 72), STE: affine.
+		{name: "Layer_ApproxConvStep_ResNet18Stem", fn: convStep(steOp, 3, 8, 3, 16, 16, false, rng)},
+		{name: "Layer_ApproxConvStep_ResNet18Stage1", fn: convStep(steOp, 8, 8, 3, 16, 16, false, rng)},
+		// lenet's second conv on one worker's half batch, 16 images of
+		// 4x8x8 (rows=1024 outC=4 k=100), behind ReLU + 2x2 pool: small.
+		{name: "Layer_ApproxConvStep_LeNetConv2", fn: convStep(op, 4, 4, 5, 16, 8, true, rng)},
+	}
+	// The layout movers of the conv step at the vgg11-conv1 and
+	// resnet18-stem geometries: the k-major byte im2col / col2im the
+	// approximate layers run, next to the row-major float ones Conv2D
+	// runs.
+	for _, g := range []struct {
+		label string
+		n, hw int
+	}{{"VGG11Conv1", 8, 32}, {"ResNet18Stem", 16, 16}} {
+		geom := tensor.Geometry(3, g.hw, g.hw, 8, 3, 3, 1, 1)
+		rows, k := g.n*g.hw*g.hw, geom.K()
+		x := tensor.New(g.n, 3, g.hw, g.hw)
+		x.RandNormal(rng, 1)
+		lv := make([]uint8, len(x.Data))
+		for i := range lv {
+			lv[i] = uint8(rng.Intn(128))
+		}
+		cols, colsT := tensor.New(rows, k), make([]uint8, k*rows)
+		dcols, dcolsT := tensor.New(rows, k), make([]float32, k*rows)
+		dcols.RandNormal(rng, 1)
+		copy(dcolsT, dcols.Data)
+		dx := tensor.New(g.n, 3, g.hw, g.hw)
+		var im2colT tensor.Im2ColTJob
+		var col2im tensor.Col2ImJob
+		var col2imT tensor.Col2ImTJob
+		loop := func(fn func()) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+			}
+		}
+		benches = append(benches,
+			bench{name: "Kernel_Im2Col_" + g.label, fn: loop(func() { tensor.Im2ColInto(cols, x, geom) })},
+			bench{name: "Kernel_Im2ColT_" + g.label, fn: loop(func() { im2colT.Run(colsT, lv, g.n, geom, 64) })},
+			bench{name: "Kernel_Col2Im_" + g.label, fn: loop(func() { col2im.Run(dx, dcols, g.n, geom) })},
+			bench{name: "Kernel_Col2ImT_" + g.label, fn: loop(func() { col2imT.Run(dx.Data, dcolsT, g.n, geom) })})
+	}
+	// The dW lane kernels alone (gradient scan + dW sweep on a k-major
+	// operand) at the resnet18 stage-1 GEMM: STE on the affine kernel,
+	// the difference op on the gather kernel.
+	dwShape := newOperands(shape{4096, 8, 72}, 1, rng)
+	for _, d := range []struct {
+		name string
+		op   *nn.Op
+	}{{"Kernel_BwdDWAffine_r4096_oc8_k72", steOp}, {"Kernel_BwdDWGather_r4096_oc8_k72", op}} {
+		d, o := d, dwShape
+		benches = append(benches, bench{name: d.name, fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// xq's bytes read as a (k x rows) matrix: random levels
+				// either way.
+				d.op.BackwardDW(&s, o.dw, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+			}
+		}})
 	}
 	type pair struct{ label, small, fused string }
 	var pairs []pair
@@ -241,7 +326,7 @@ func main() {
 	rec := record{
 		Note:       "approximate-GEMM kernel baseline; regenerate with `make bench`",
 		Multiplier: op.Label,
-		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd{Small,Fused}_* rows carry their own shape and nonzero share of dy",
+		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, *_VGG11Conv1, *_ResNet18* and *_LeNetConv2 rows carry their own shape",
 			wide.rows, wide.outC, wide.k),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},

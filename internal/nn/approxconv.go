@@ -18,16 +18,18 @@ import (
 // with per-tensor affine parameters (Eq. 7); products are dequantized
 // per Eq. (8); parameter updates flow through Eq. (9).
 //
-// The data path is byte-first: the NCHW input is quantized (and its
-// clip flags recorded) once per element, im2col expands the uint8
-// levels into the patch matrix the GEMMs read — padding positions get
-// the zero-point level, which is what a float zero quantizes to — and
-// the straight-through clip mask is applied to the input gradient after
-// col2im, per input element. No float patch matrix and no per-patch
-// clip matrix exist.
+// The data path is byte-first and k-major: the NCHW input is quantized
+// (and its clip flags recorded) once per element, im2col expands the
+// uint8 levels into the one patch matrix xT (k x rows) the GEMM kernels
+// scan — padding positions get the zero-point level, which is what a
+// float zero quantizes to — the forward epilogue writes NCHW, the
+// backward kernels read dy as NCHW and leave the input gradient k-major
+// (dxT) for col2im to scatter, and the straight-through clip mask is
+// applied after col2im, per input element. No float patch matrix, no
+// per-patch clip matrix and no transpose of either patch matrix exist.
 //
-// The layer owns a scratch-buffer arena: quantized operands, the level
-// patch matrix, GEMM output, and gradient buffers are allocated once
+// The layer owns a scratch-buffer arena: quantized operands, the two
+// patch matrices, GEMM output, and gradient buffers are allocated once
 // and reused across steps, so steady-state training steps allocate
 // nothing here. Consequently the tensors returned by Forward and
 // Backward are owned by the layer and remain valid only until its
@@ -51,26 +53,28 @@ type ApproxConv2D struct {
 	lag observerLag
 
 	// Forward caches consumed by Backward: xq and xClip hold one level
-	// and one clip flag per input element (N*C*H*W), xcols the
-	// (rows x k) level patch matrix; the clip flags stay nil on a layer
-	// that only ever ran Infer.
+	// and one clip flag per input element (N*C*H*W), xT the (k x rows)
+	// level patch matrix; the clip flags stay nil on a layer that only
+	// ever ran Infer. trained records that the caches come from Forward:
+	// Infer overwrites the levels but not the flags, so Backward refuses
+	// to run after it.
 	geom         tensor.ConvGeom
 	batch        int
-	xq, xcols    []uint8
+	trained      bool
+	xq, xT       []uint8
 	wq           []uint8
 	xClip, wClip []bool
 	pw           []quant.Params
 	px           quant.Params
 
 	// Scratch arena (see KernelScratch): buffers sized on first use,
-	// reused every step.
+	// reused every step. dxT is the (k x rows) input-gradient patch
+	// matrix.
 	ks     KernelScratch
-	im2col tensor.Im2ColU8Job
-	col2im tensor.Col2ImJob
-	flat   *tensor.Tensor
+	im2col tensor.Im2ColTJob
+	col2im tensor.Col2ImTJob
 	y      *tensor.Tensor
-	dyFlat *tensor.Tensor
-	dxcols *tensor.Tensor
+	dxT    []float32
 	dx     *tensor.Tensor
 	dw     []float32
 	gsum   []float32
@@ -134,12 +138,14 @@ func (c *ApproxConv2D) checkInput(x *tensor.Tensor) {
 
 // forward is the one forward body behind Forward and Infer: quantize
 // the weights and the input tensor, expand the input levels into the
-// patch matrix, run the GEMM, and reshape to NCHW. withClip also
-// records the clip flags Backward masks with; Infer skips them.
+// k-major patch matrix, and run the GEMM, whose epilogue writes NCHW.
+// withClip also records the clip flags Backward masks with; Infer skips
+// them.
 func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
 	c.geom = g
 	c.batch = x.Shape[0]
+	c.trained = withClip
 	c.px = c.Observer.Params(c.op.Bits)
 	k := g.K()
 
@@ -174,42 +180,41 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	// clipped.
 	c.ks.quantizeWithClip(c.xq, xClip, x.Data, c.px)
 	rows := c.batch * g.OutH * g.OutW
-	c.xcols = grow(c.xcols, rows*k)
-	c.im2col.Run(c.xcols, c.xq, c.batch, g, uint8(c.px.Zero))
+	c.xT = grow(c.xT, k*rows)
+	c.im2col.Run(c.xT, c.xq, c.batch, g, uint8(c.px.Zero))
 
-	c.flat = tensor.Ensure2(c.flat, rows, c.OutC)
-	c.op.ForwardGEMM(&c.ks, c.flat.Data, c.xcols, c.wq, rows, c.OutC, k, c.pw, c.px, c.Bias.Value.Data)
 	c.y = tensor.Ensure4(c.y, c.batch, g.OutC, g.OutH, g.OutW)
-	rowsToNCHWInto(c.y, c.flat, c.batch, g)
+	c.op.forwardT(&c.ks, c.y.Data, c.xT, c.wq, rows, c.OutC, k, g.OutH*g.OutW, c.pw, c.px, c.Bias.Value.Data)
 	return c.y
 }
 
 // Backward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Backward call.
 func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if !c.trained {
+		panic(fmt.Sprintf("nn: %s: Backward must follow Forward; Infer records no clip flags", c.name))
+	}
 	g := c.geom
 	rows := c.batch * g.OutH * g.OutW
 	k := g.K()
-	c.dyFlat = tensor.Ensure2(c.dyFlat, rows, c.OutC)
-	nchwToRowsInto(c.dyFlat, dy, g)
-
 	c.dw = grow(c.dw, c.OutC*k)
 	c.gsum = grow(c.gsum, c.OutC)
-	c.dxcols = tensor.Ensure2(c.dxcols, rows, k)
-	// nil xClip: the mask is applied below, once per input element.
-	c.op.BackwardGEMM(&c.ks, c.dw, c.dxcols.Data, c.gsum, c.dyFlat.Data,
-		c.xcols, c.wq, nil, c.wClip, rows, c.OutC, k, c.pw, c.px)
+	c.dxT = grow(c.dxT, k*rows)
+	// dxT comes back unmasked: the mask is applied below, once per input
+	// element.
+	c.op.backwardT(&c.ks, c.dw, c.dxT, c.gsum, dy.Data, g.OutH*g.OutW,
+		c.xT, c.wq, c.wClip, rows, c.OutC, k, c.pw, c.px)
 
 	for i, v := range c.dw {
 		c.Weight.Grad.Data[i] += v
 	}
 	// The bias gradient (per-channel column sums of dy) falls out of
-	// the pooled backward kernel.
+	// the backward kernel's scan of dy.
 	for oc, v := range c.gsum {
 		c.Bias.Grad.Data[oc] += v
 	}
 	c.dx = tensor.Ensure4(c.dx, c.batch, g.InC, g.InH, g.InW)
-	c.col2im.Run(c.dx, c.dxcols, c.batch, g)
+	c.col2im.Run(c.dx.Data, c.dxT, c.batch, g)
 	// Every patch entry aliasing one input element shares its clip
 	// flag, and a sum of masked zeros is +0, so masking the summed
 	// gradient equals masking each patch entry before the sum.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
 )
@@ -65,18 +66,28 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// TestApproxConvByteFirstMatchesPatchFormulation pins the byte-first
-// layer — quantize once per input element, byte im2col, mask dx after
-// col2im — to the per-patch-entry formulation bit for bit on y, dx, dW
-// and db, over the geometry, quantization-scheme and estimator table,
-// with inputs that clip on both sides (also on the image border, next
-// to padding) and with dense and sparse upstream gradients so both the
-// big tiers and the small path run. The same table checks Infer
-// against Forward(x, false).
+// TestApproxConvByteFirstMatchesPatchFormulation pins the byte-first,
+// k-major layer — quantize once per input element, k-major byte im2col,
+// NCHW epilogue, k-major col2im, mask dx after it — to the
+// per-patch-entry row-major formulation bit for bit on y, dx, dW and
+// db, over the geometry, quantization-scheme and estimator table, with
+// inputs that clip on both sides (also on the image border, next to
+// padding) and with dense and sparse upstream gradients. Every kernel
+// tier is reached through the layer (checked at the end): forward arith
+// (rows >= 32) and packed16; backward affine (ste), fused (smoothdiff),
+// mixed (cvste) and small; output channel counts below, at and off the
+// dW kernels' eight lanes; row counts off the 32-row SIMD chunk; and
+// images whose OutH*OutW does not divide the 64-row forward tile, so
+// the NCHW epilogue crosses an image boundary mid-tile. The same table
+// checks Infer against Forward(x, false).
 func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 	e, ok := appmult.Lookup("mul7u_rm6")
 	if !ok {
 		t.Fatal("mul7u_rm6 missing")
+	}
+	cvste, err := gradient.ParseEstimator(gradient.EstCVSTE)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ops := []struct {
 		name string
@@ -84,6 +95,7 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 	}{
 		{"ste", STEOp(e.Mult)},
 		{"smoothdiff", DifferenceOp(e.Mult, 6)},
+		{"cvste", EstimatorOp(e.Mult, cvste, e.HWS)},
 	}
 	geoms := []struct{ n, inC, h, w, outC, k, stride, pad int }{
 		{2, 3, 8, 8, 4, 3, 1, 1},
@@ -94,7 +106,12 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 		{1, 2, 8, 5, 9, 1, 2, 0},
 		{2, 2, 7, 7, 4, 3, 1, 0},
 		{1, 3, 6, 6, 16, 3, 1, 2},
+		{2, 2, 10, 9, 8, 3, 1, 1},   // rows 180: one full lane group
+		{2, 3, 9, 7, 12, 3, 1, 1},   // rows 126, 63 per image; lanes 0-7 + 4-11
+		{3, 2, 6, 7, 24, 3, 1, 1},   // rows 126, 42 per image; three lane groups
+		{2, 1, 12, 11, 16, 5, 2, 2}, // rows 72, odd k = 25
 	}
+	reached := map[string]bool{}
 	for _, o := range ops {
 		for _, gm := range geoms {
 			for _, perChannel := range []bool{false, true} {
@@ -124,9 +141,12 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 								dy.Data[i] = float32(rng.NormFloat64())
 							}
 						}
-						if sparse := c.op.BackwardPath(dy.Data) == BwdPathSmall; sparse != (nzOf == 8) {
+						bwd := c.op.BackwardPath(dy.Data)
+						if sparse := bwd == BwdPathSmall; sparse != (nzOf == 8) {
 							t.Fatalf("1-in-%d gradient: small path %v", nzOf, sparse)
 						}
+						reached["bwd "+bwd] = true
+						reached["fwd "+c.op.ForwardPath(len(dy.Data)/gm.outC, gm.inC*gm.k*gm.k)] = true
 						var low, high int
 						for i, cl := range c.xClip {
 							if cl && c.xq[i] == 0 {
@@ -153,6 +173,15 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 					requireSameBits(t, "Infer", c.Infer(x).Data, want.Data)
 				})
 			}
+		}
+	}
+	tiers := []string{"fwd " + FwdPathPacked16, "bwd " + BwdPathAffine, "bwd " + BwdPathMixed, "bwd " + BwdPathFused, "bwd " + BwdPathSmall}
+	if hasGemmAsm {
+		tiers = append(tiers, "fwd "+FwdPathArith)
+	}
+	for _, tier := range tiers {
+		if !reached[tier] {
+			t.Errorf("no case of the table dispatched to %q", tier)
 		}
 	}
 }

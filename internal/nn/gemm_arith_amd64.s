@@ -1,3 +1,5 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 kernels for the closed-form ("arith") forward GEMM tier: see

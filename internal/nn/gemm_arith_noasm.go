@@ -1,9 +1,10 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package nn
 
-// Non-amd64 fallback: the arith tier's SIMD kernels are unavailable, so
-// dispatch never selects the tier and the stubs below are unreachable.
+// Portable fallback (non-amd64 hosts and the purego build tag): the
+// arith tier's SIMD kernels are unavailable, so dispatch never selects
+// the tier and the stubs below are unreachable.
 
 var hasGemmAsm = false
 

@@ -1,4 +1,4 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package nn
 
@@ -7,30 +7,39 @@ package nn
 // bit-exactness argument). All four are gated on the same hasGemmAsm
 // detection as the forward arith kernels and preserve the reference
 // accumulation orders exactly: SIMD lanes always map to independent
-// destinations (k columns for dW, rows for dX), never to summation
+// destinations (output channels for dW, rows for dX), never to summation
 // terms, and every float operation is a separately rounded VMULPS /
 // VADDPS / VSUBPS — no FMA contraction.
 
-// bwdAffineDWAVX2 accumulates, for one output channel,
+// levelF32[x] = float32(x): the dW kernels broadcast an operand level
+// as a float straight from this table (two loads, no shuffle-port
+// convert sequence).
+var levelF32 = func() (t [256]float32) {
+	for i := range t {
+		t[i] = float32(i)
+	}
+	return t
+}()
+
+// bwdAffineDWAVX2 accumulates, for the two k columns x0 and x1 (rows
+// operand levels each) and eight output channels,
 //
-//	dw[i] = sum_{r<rows} dyc[r] * ((aRow[i]*x(r,i) + bRow[i]) - zx)
+//	out0[l] = sum_{r<rows} dyR[r*outC+l] * ((a0[l]*x0[r] + b0[l]) - zx)
 //
-// over i in [0, kBlk) in blocks of 16 columns, r ascending, where
-// x(r,i) = float32(xq[r*k+i]) reads the row-major operand matrix
-// directly. kBlk is k&^15; the caller evaluates the tail columns in Go
-// with the identical expression. dw entries are stored, not
+// and out1 likewise from (x1, a1, b1), r ascending, l in [0, 8). The
+// caller offsets dyR, the coefficient rows and out to the first of the
+// eight channels; rows must be positive. Entries are stored, not
 // accumulated.
 //
 //go:noescape
-func bwdAffineDWAVX2(dw *float32, xq *uint8, dyc *float32, aRow, bRow *float32, zx float32, rows, k, kBlk int64)
+func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a1, b1 *float32, zx float32, rows, outC int64)
 
 // bwdGatherDWAVX2 is the general-table counterpart: the parenthesized
-// term is gwPad[woff[i] + xq[r*k+i]] fetched by VGATHERDPS, with
-// woff[i] = wq[oc][i]*padStride precomputed by the caller. Blocks of 8
-// columns over i in [0, kBlk) (kBlk = k&^7), r ascending.
+// term is gwPad[woff0[l] + x0[r]] fetched by VGATHERDPS, with
+// woff0[l] = wq[oc+l][i]*padStride precomputed by the caller.
 //
 //go:noescape
-func bwdGatherDWAVX2(dw *float32, xq *uint8, dyc *float32, woff *int32, gwPad *float32, zx float32, rows, k, kBlk int64)
+func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, woff1 *int32, gwPad *float32, zx float32, rows, outC int64)
 
 // bwdAffineDXAVX2 accumulates, for one k column,
 //

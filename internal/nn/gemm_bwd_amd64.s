@@ -1,132 +1,124 @@
+//go:build !purego
+
 #include "textflag.h"
 
 // AVX2 kernels for the tiered backward GEMM: see kernels_backward.go
 // for the dispatch and the bit-exactness argument, and
 // gemm_bwd_amd64.go for the calling contracts. The invariant all four
-// kernels share: SIMD lanes map to independent destinations (k columns
-// for the dW kernels, rows for the dX kernels) while the summation
-// direction (r for dW, oc for dX) stays a sequential scalar loop, so
-// every destination accumulates its terms in exactly the reference
-// order. All float arithmetic is separately rounded VMULPS / VADDPS /
-// VSUBPS — never FMA — matching the Go expressions (and, for the
-// affine kernels, the verifier's reconstruction) bit for bit.
+// kernels share: SIMD lanes map to independent destinations (output
+// channels for the dW kernels, rows for the dX kernels) while the
+// summation direction (r for dW, oc for dX) stays a sequential scalar
+// loop, so every destination accumulates its terms in exactly the
+// reference order. All float arithmetic is separately rounded VMULPS /
+// VADDPS / VSUBPS — never FMA — matching the Go expressions (and, for
+// the affine kernels, the verifier's reconstruction) bit for bit.
 
-// func bwdAffineDWAVX2(dw *float32, xq *uint8, dyc *float32, aRow, bRow *float32, zx float32, rows, k, kBlk int64)
+// func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a1, b1 *float32, zx float32, rows, outC int64)
 //
 // Register plan:
-//   DI = dw   SI = xq   R8 = dyc   R9 = aRow   R10 = bRow
-//   R12 = rows  R13 = k  R14 = kBlk  BX = ib  DX = x cursor
-//   AX = dyc cursor  CX = row countdown
-//   Y0,Y1 = accumulators  Y2,Y3 = a lanes  Y4,Y5 = b lanes
-//   Y6 = zx bcast  Y7 = g bcast  Y8,Y9 = scratch
-TEXT ·bwdAffineDWAVX2(SB), NOSPLIT, $0-72
-	MOVQ dw+0(FP), DI
-	MOVQ xq+8(FP), SI
-	MOVQ dyc+16(FP), R8
-	MOVQ aRow+24(FP), R9
-	MOVQ bRow+32(FP), R10
-	MOVQ rows+48(FP), R12
-	MOVQ k+56(FP), R13
-	MOVQ kBlk+64(FP), R14
-	VBROADCASTSS zx+40(FP), Y6
-
-	XORQ BX, BX            // ib = 0
-
-adwblk:
-	CMPQ BX, R14
-	JGE  adwdone
-
-	VMOVUPS (R9)(BX*4), Y2   // a for columns ib..ib+7
-	VMOVUPS 32(R9)(BX*4), Y3 // a for columns ib+8..ib+15
-	VMOVUPS (R10)(BX*4), Y4
-	VMOVUPS 32(R10)(BX*4), Y5
-	VPXOR   Y0, Y0, Y0
-	VPXOR   Y1, Y1, Y1
-
-	LEAQ (SI)(BX*1), DX    // &xq[ib], advances by k per row
-	MOVQ R8, AX
-	MOVQ R12, CX
+//   DI = out0  SI = out1  R8 = x0 cursor  R9 = x1 cursor
+//   R10 = dyR cursor  R11 = dyR row stride (bytes)  R12 = levelF32
+//   CX = row countdown  AX, BX = levels
+//   Y0,Y1 = accumulators  Y2,Y3 = a0,b0  Y4,Y5 = a1,b1  Y6 = zx
+//   Y7 = dy lanes  Y8,Y9 = scratch
+TEXT ·bwdAffineDWAVX2(SB), NOSPLIT, $0-96
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), SI
+	MOVQ x0+16(FP), R8
+	MOVQ x1+24(FP), R9
+	MOVQ dyR+32(FP), R10
+	MOVQ a0+40(FP), AX
+	VMOVUPS (AX), Y2
+	MOVQ b0+48(FP), AX
+	VMOVUPS (AX), Y3
+	MOVQ a1+56(FP), AX
+	VMOVUPS (AX), Y4
+	MOVQ b1+64(FP), AX
+	VMOVUPS (AX), Y5
+	VBROADCASTSS zx+72(FP), Y6
+	MOVQ rows+80(FP), CX
+	MOVQ outC+88(FP), R11
+	SHLQ $2, R11
+	LEAQ ·levelF32(SB), R12
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
 
 adwrow:
-	VBROADCASTSS (AX), Y7  // g = dyc[r]
-	VPMOVZXBD    (DX), Y8  // 8 operand levels -> int32 lanes
-	VPMOVZXBD    8(DX), Y9
-	VCVTDQ2PS    Y8, Y8    // exact: levels < 2^8
-	VCVTDQ2PS    Y9, Y9
+	VMOVUPS      (R10), Y7          // dy[r][oc..oc+7]
+	MOVBLZX      (R8), AX
+	MOVBLZX      (R9), BX
+	VBROADCASTSS (R12)(AX*4), Y8    // float32(x0[r]), exact: levels < 2^8
+	VBROADCASTSS (R12)(BX*4), Y9
 	VMULPS       Y2, Y8, Y8
-	VMULPS       Y3, Y9, Y9
-	VADDPS       Y4, Y8, Y8
+	VMULPS       Y4, Y9, Y9
+	VADDPS       Y3, Y8, Y8
 	VADDPS       Y5, Y9, Y9
-	VSUBPS       Y6, Y8, Y8 // t - zx
+	VSUBPS       Y6, Y8, Y8         // t - zx
 	VSUBPS       Y6, Y9, Y9
 	VMULPS       Y7, Y8, Y8
 	VMULPS       Y7, Y9, Y9
 	VADDPS       Y8, Y0, Y0
 	VADDPS       Y9, Y1, Y1
-	ADDQ         R13, DX
-	ADDQ         $4, AX
+	INCQ         R8
+	INCQ         R9
+	ADDQ         R11, R10
 	DECQ         CX
 	JNZ          adwrow
 
-	VMOVUPS Y0, (DI)(BX*4)
-	VMOVUPS Y1, 32(DI)(BX*4)
-	ADDQ    $16, BX
-	JMP     adwblk
-
-adwdone:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (SI)
 	VZEROUPPER
 	RET
 
-// func bwdGatherDWAVX2(dw *float32, xq *uint8, dyc *float32, woff *int32, gwPad *float32, zx float32, rows, k, kBlk int64)
+// func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, woff1 *int32, gwPad *float32, zx float32, rows, outC int64)
 //
-//   DI = dw   SI = xq   R8 = dyc   R9 = woff   R10 = gwPad
-//   R12 = rows  R13 = k  R14 = kBlk  BX = ib  DX = x cursor
-//   AX = dyc cursor  CX = row countdown
-//   Y0 = accumulator  Y2 = row offsets  Y5 = gather mask  Y6 = zx
-//   Y7 = g  Y8 = index  Y9 = gathered values
-TEXT ·bwdGatherDWAVX2(SB), NOSPLIT, $0-72
-	MOVQ dw+0(FP), DI
-	MOVQ xq+8(FP), SI
-	MOVQ dyc+16(FP), R8
-	MOVQ woff+24(FP), R9
-	MOVQ gwPad+32(FP), R10
-	MOVQ rows+48(FP), R12
-	MOVQ k+56(FP), R13
-	MOVQ kBlk+64(FP), R14
-	VBROADCASTSS zx+40(FP), Y6
-
-	XORQ BX, BX
-
-gdwblk:
-	CMPQ BX, R14
-	JGE  gdwdone
-
-	VMOVDQU (R9)(BX*4), Y2 // wq*padStride for columns ib..ib+7
-	VPXOR   Y0, Y0, Y0
-
-	LEAQ (SI)(BX*1), DX
-	MOVQ R8, AX
-	MOVQ R12, CX
+//   DI = out0  SI = out1  R8 = x0 cursor  R9 = x1 cursor
+//   R10 = dyR cursor  R11 = dyR row stride (bytes)  R12 = gwPad
+//   CX = row countdown  AX, BX = gather bases (gwPad + level)
+//   Y0,Y1 = accumulators  Y2,Y3 = row offsets (the gather indices)
+//   Y4,Y5 = gather masks  Y6 = zx  Y7 = dy lanes  Y8,Y9 = gathered values
+TEXT ·bwdGatherDWAVX2(SB), NOSPLIT, $0-88
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), SI
+	MOVQ x0+16(FP), R8
+	MOVQ x1+24(FP), R9
+	MOVQ dyR+32(FP), R10
+	MOVQ woff0+40(FP), AX
+	VMOVDQU (AX), Y2
+	MOVQ woff1+48(FP), AX
+	VMOVDQU (AX), Y3
+	MOVQ gwPad+56(FP), R12
+	VBROADCASTSS zx+64(FP), Y6
+	MOVQ rows+72(FP), CX
+	MOVQ outC+80(FP), R11
+	SHLQ $2, R11
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
 
 gdwrow:
-	VBROADCASTSS (AX), Y7
-	VPMOVZXBD    (DX), Y8
-	VPADDD       Y2, Y8, Y8 // index = woff + x
-	VPCMPEQD     Y5, Y5, Y5 // gather consumes the mask: reset to all-ones
-	VGATHERDPS   Y5, (R10)(Y8*4), Y9
-	VSUBPS       Y6, Y9, Y9
-	VMULPS       Y7, Y9, Y9
-	VADDPS       Y9, Y0, Y0
-	ADDQ         R13, DX
-	ADDQ         $4, AX
-	DECQ         CX
-	JNZ          gdwrow
+	VMOVUPS    (R10), Y7
+	MOVBLZX    (R8), AX
+	MOVBLZX    (R9), BX
+	LEAQ       (R12)(AX*4), AX      // &gwPad[x0[r]]: entry woff + x is woff floats on
+	LEAQ       (R12)(BX*4), BX
+	VPCMPEQD   Y4, Y4, Y4           // gather consumes the mask: reset to all-ones
+	VPCMPEQD   Y5, Y5, Y5
+	VGATHERDPS Y4, (AX)(Y2*4), Y8
+	VGATHERDPS Y5, (BX)(Y3*4), Y9
+	VSUBPS     Y6, Y8, Y8
+	VSUBPS     Y6, Y9, Y9
+	VMULPS     Y7, Y8, Y8
+	VMULPS     Y7, Y9, Y9
+	VADDPS     Y8, Y0, Y0
+	VADDPS     Y9, Y1, Y1
+	INCQ       R8
+	INCQ       R9
+	ADDQ       R11, R10
+	DECQ       CX
+	JNZ        gdwrow
 
-	VMOVUPS Y0, (DI)(BX*4)
-	ADDQ    $8, BX
-	JMP     gdwblk
-
-gdwdone:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (SI)
 	VZEROUPPER
 	RET
 

@@ -1,17 +1,18 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package nn
 
-// Non-amd64 fallback: the backward tiers' SIMD kernels are
-// unavailable; kernels_backward.go passes zero block bounds (kBlk,
-// rows32) when hasGemmAsm is false, so the pure-Go loops cover every
-// column/row and the stubs below are unreachable.
+// Portable fallback (non-amd64 hosts and the purego build tag): the
+// backward tiers' SIMD kernels are unavailable. kernels_backward.go
+// routes the dW sweep to the pure-Go lane twins and passes zero row
+// bounds (rows32) to the dX kernels when hasGemmAsm is false, so the Go
+// loops cover everything and the stubs below are unreachable.
 
-func bwdAffineDWAVX2(dw *float32, xq *uint8, dyc *float32, aRow, bRow *float32, zx float32, rows, k, kBlk int64) {
+func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a1, b1 *float32, zx float32, rows, outC int64) {
 	panic("nn: backward kernel called without assembly support")
 }
 
-func bwdGatherDWAVX2(dw *float32, xq *uint8, dyc *float32, woff *int32, gwPad *float32, zx float32, rows, k, kBlk int64) {
+func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, woff1 *int32, gwPad *float32, zx float32, rows, outC int64) {
 	panic("nn: backward kernel called without assembly support")
 }
 

@@ -157,6 +157,7 @@ func (l *ApproxLinear) Infer(x *tensor.Tensor) *tensor.Tensor {
 	l.pw = grow(l.pw, 1)
 	l.pw[0] = p
 	rows := x.Shape[0]
+	l.trained = false
 	l.xq = grow(l.xq, len(x.Data))
 	l.ks.quantizeWithClip(l.xq, nil, x.Data, px)
 	l.wq = grow(l.wq, len(l.Weight.Value.Data))

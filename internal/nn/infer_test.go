@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -130,7 +131,7 @@ func approxScratch(m *Sequential) (total, clipFlags int) {
 			walk(v.Shortcut)
 		case *ApproxConv2D:
 			clipFlags += cap(v.xClip) + cap(v.wClip)
-			total += cap(v.xq) + cap(v.xcols) + cap(v.wq) + cap(v.xClip) + cap(v.wClip)
+			total += cap(v.xq) + cap(v.xT) + cap(v.wq) + cap(v.xClip) + cap(v.wClip)
 		case *ApproxLinear:
 			clipFlags += cap(v.xClip) + cap(v.wClip)
 			total += cap(v.xq) + cap(v.wq) + cap(v.xClip) + cap(v.wClip)
@@ -178,5 +179,43 @@ func TestPredictSkipsBackwardScratch(t *testing.T) {
 	}
 	if prdKept >= fwdKept {
 		t.Errorf("Predict retains %d scratch bytes in the approximate layers, Forward %d; want strictly less", prdKept, fwdKept)
+	}
+}
+
+// TestBackwardAfterInferPanics: Infer overwrites an approximate layer's
+// cached levels (and batch size) but records no clip flags, so a
+// Backward that follows it would mask the inference batch with the
+// previous Forward's flags. It must refuse, and work again after the
+// next Forward.
+func TestBackwardAfterInferPanics(t *testing.T) {
+	op := STEOp(appmult.NewAccurate(6))
+	rng := rand.New(rand.NewSource(4))
+	for _, tc := range []struct {
+		layer  Layer
+		train  *tensor.Tensor
+		served *tensor.Tensor
+	}{
+		{NewApproxConv2D("conv", 2, 3, 3, 1, 1, op, rng), tensor.New(2, 2, 5, 5), tensor.New(1, 2, 5, 5)},
+		{NewApproxLinear("fc", 6, 4, op, rng), tensor.New(3, 6), tensor.New(1, 6)},
+	} {
+		tc.train.RandNormal(rng, 1)
+		tc.served.RandNormal(rng, 1)
+		dy := tensor.New(tc.layer.Forward(tc.train, true).Shape...)
+		dy.RandNormal(rng, 1)
+		tc.layer.Backward(dy)
+
+		Infer(tc.layer, tc.served)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "Backward must follow Forward") {
+					t.Errorf("%s: Backward after Infer: recovered %q, want the ordering panic", tc.layer.Name(), msg)
+				}
+			}()
+			tc.layer.Backward(dy)
+		}()
+
+		tc.layer.Forward(tc.train, true)
+		tc.layer.Backward(dy)
 	}
 }

@@ -17,11 +17,21 @@ import (
 // the LUT row for that weight turns the gather stream from random
 // accesses into a full 2^(2B)-entry table (256 KiB at 8 bits, L2 at
 // best) into repeated hits on one padded 1 KiB row that stays L1
-// resident. Operand tiles are transposed so the row-scan direction is
-// contiguous, accumulation happens in int32 whenever the LUT's largest
-// product times k provably fits (always true for B <= 7 and every
-// realistic k at B = 8), and every scratch buffer lives in a reusable
-// KernelScratch arena so steady-state steps allocate nothing.
+// resident. The kernels therefore work on the k-major operand matrix
+// xT (k x rows), whose row-scan direction is contiguous — the layout
+// ApproxConv2D's im2col writes and its col2im reads, so the
+// convolution never transposes. Accumulation happens in int32 whenever
+// the LUT's largest product times k provably fits (always true for
+// B <= 7 and every realistic k at B = 8), and every scratch buffer
+// lives in a reusable KernelScratch arena so steady-state steps
+// allocate nothing.
+//
+// There is one kernel family: forwardT and backwardT (kernels_backward.go)
+// take xT and address the output-side matrices — y, dy — as NCHW planes
+// of hw positions per (image, channel). The exported row-major
+// ForwardGEMM and BackwardGEMM are adapters around them: they transpose
+// the operand matrix in (and the input gradient out) and pass hw = 1,
+// under which the plane layout is the row-major (rows x outC) matrix.
 //
 // Bit-exactness with the reference kernels is guaranteed by
 // construction: the integer forward accumulation is order-independent,
@@ -30,10 +40,10 @@ import (
 // gradients, ascending oc for input gradients), so the equivalence
 // tests can require exact equality. See kernel_equiv_test.go.
 
-// Blocking parameters. fwdRowTile rows of a fwdKTile-wide operand
+// Blocking parameters. fwdRowTile rows of a fwdKTile-deep operand
 // tile occupy 16 KiB — half a typical L1d — leaving room for the hot
 // LUT rows and accumulators; transTile is the square tile of the
-// operand transposes.
+// adapters' transposes.
 const (
 	fwdRowTile = 64
 	fwdKTile   = 256
@@ -46,34 +56,40 @@ const (
 // state. The zero value is ready to use.
 type KernelScratch struct {
 	// Forward: per-channel dequantization constants and Eq. (8) cross
-	// terms.
+	// terms (the per-row level sums live in the worker's fwdTile).
 	zw   []int64
 	ss   []float32
 	kzz  []int64
 	sumW []int64
-	sumX []int64
-	// Backward: per-channel scales and the operand/gradient transposes
-	// (xT and dxT are k x rows, dyT is outC x rows).
+	// Backward: per-channel scales.
 	swc []float32
 	zwc []float32
+	// Backward big tiers (kernels_backward.go): one scan of dy produces
+	// gsT[oc][r] = dy[r][oc]*s_w[oc], the pre-scaled gradients of the dX
+	// sweep, and dyR, dy as a row-major (rows x outC) matrix, whose rows
+	// the dW sweep loads as vectors. dwT (k x outC) receives the dW
+	// sweep's lanes; ak/bk and woff are the k-major (k x outC) tables of
+	// the per-(i, oc) affine coefficients and padded-row offsets
+	// wq*padStride, filled per column block by whichever sweep reads
+	// them. On the dW side all of them have a row stride of at least
+	// dwLanes (see sweepDW).
+	gsT  []float32
+	dyR  []float32
+	dwT  []float32
+	ak   []float32
+	bk   []float32
+	woff []int32
+	// Backward small tier: per-channel lists of the nonzero gradients,
+	// channel oc owning entries nzOff[oc]..nzOff[oc+1] of (nzR, nzG).
+	nzOff []int
+	nzR   []int32
+	nzG   []float32
+	// Row-major adapters only: the operand transpose and the k-major
+	// input gradient (a conv layer owns both matrices itself).
 	xT  []uint8
-	dyT []float32
 	dxT []float32
-	// Backward tier state (kernels_backward.go): gsT holds the
-	// pre-scaled gradients gsT[oc][r] = dy[r][oc]*s_w[oc] the dW sweep
-	// produces for the dX sweep; awk/bwk (outC x k) and axk/bxk
-	// (k x outC) are the gathered per-(oc,i) affine coefficients;
-	// woffW/woffX are the padded-row offsets wq*padStride the gather
-	// kernels index with.
-	gsT   []float32
-	awk   []float32
-	bwk   []float32
-	axk   []float32
-	bxk   []float32
-	woffW []int32
-	woffX []int32
 	// Arith pair tier: the per-call VPMADDUBSW coefficient stream
-	// (outC x ceil(k/2) x nT byte pairs), built once per ForwardGEMM
+	// (outC x ceil(k/2) x nT byte pairs), built once per forward GEMM
 	// and shared read-only by every row-block worker.
 	cwp []uint8
 	// Reusable RangeRunner bodies for the pool dispatches on the step
@@ -82,16 +98,13 @@ type KernelScratch struct {
 	sumRun   levelSumRun
 	qcRun    quantClipRun
 	maskRun  clipMaskRun
-	fwdB16   fwdBlockedRun[uint16]
-	fwdB32   fwdBlockedRun[uint32]
-	arithRun arithFwdRun
+	fwdRun   fwdTileRun
 	tU8Run   transU8Run
-	tF32Run  transF32Run
+	toutRun  bwdTransOutRun
+	gradRun  bwdGradRun
 	dwRun    bwdDWRun
 	dxRun    bwdDXRun
-	toutRun  bwdTransOutRun
-	sdwRun   bwdSmallDWRun
-	sdxRun   bwdSmallDXRun
+	smallRun bwdSmallRun
 }
 
 // grow returns s resized to n elements, reallocating only when the
@@ -104,11 +117,13 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// fwdTile holds one worker's private forward accumulators. Tiles are
+// fwdTile holds one worker's private forward state: the (nK x nR)
+// operand tile, its per-row level sums, and the accumulators. Tiles are
 // pooled so concurrent row blocks never share accumulators and
 // steady-state steps still allocate nothing.
 type fwdTile struct {
 	xt    []uint8
+	sumX  []int64
 	acc32 []int32
 	acc64 []int64
 }
@@ -116,16 +131,27 @@ type fwdTile struct {
 var fwdTilePool = sync.Pool{New: func() any { return new(fwdTile) }}
 
 // ForwardGEMM is the blocked counterpart of ForwardGEMMRef, writing
-// the (rows x outC) result into dst. s may be nil for one-off calls
-// (a temporary arena is then used).
+// the (rows x outC) result into dst: the row-major adapter around
+// forwardT. s may be nil for one-off calls (a temporary arena is then
+// used).
 func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xq, wq []uint8, rows, outC, k int, pw []quant.Params, px quant.Params, bias []float32) {
-	checkPW(pw, outC)
 	if len(dst) != rows*outC {
 		panic("nn: ForwardGEMM destination has wrong size")
 	}
 	if s == nil {
 		s = &KernelScratch{}
 	}
+	s.xT = grow(s.xT, k*rows)
+	s.transposeU8(s.xT, xq, rows, k)
+	op.forwardT(s, dst, s.xT, wq, rows, outC, k, 1, pw, px, bias)
+}
+
+// forwardT is the forward GEMM on the k-major operand matrix xT
+// (k x rows). Row r is output position r%hw of image r/hw and y is
+// NCHW: y[(r/hw*outC+oc)*hw + r%hw] receives DQ(sum_i AM(wq[oc][i],
+// xT[i][r])) + bias[oc] per Eq. (8).
+func (op *Op) forwardT(s *KernelScratch, y []float32, xT, wq []uint8, rows, outC, k, hw int, pw []quant.Params, px quant.Params, bias []float32) {
+	checkPW(pw, outC)
 	op.ensurePadded()
 
 	zx := int64(px.Zero)
@@ -138,37 +164,38 @@ func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xq, wq []uint8, rows,
 		s.ss[oc] = p.Scale * px.Scale
 		s.kzz[oc] = int64(k) * s.zw[oc] * zx
 	}
-
-	// Eq. (8) cross terms: per-column and per-row level sums.
+	// Eq. (8) cross terms: the per-channel level sums here, the per-row
+	// ones from each worker's operand tile.
 	s.sumW = grow(s.sumW, outC)
 	s.levelSums(s.sumW, wq, outC, k)
-	s.sumX = grow(s.sumX, rows)
-	s.levelSums(s.sumX, xq, rows, k)
 
+	path := op.forwardPath(rows, k)
 	// int32 accumulation is safe when the worst-case row sum fits (see
-	// forwardPath, which applies the same gate to the tier choice).
-	use32 := uint64(op.lutMax)*uint64(k) <= math.MaxInt32
-	switch path := op.forwardPath(rows, k); path {
+	// forwardPath, which applies the same gate to the tier choice); a
+	// behavioral MulFn has no table to bound it by.
+	run := fwdTileRun{op: op, s: s, y: y, xT: xT, wq: wq, bias: bias,
+		rows: rows, outC: outC, k: k, hw: hw, zx: zx, path: path,
+		use32: path != FwdPathBehavioral && uint64(op.lutMax)*uint64(k) <= math.MaxInt32}
+	switch path {
 	case FwdPathBehavioral:
 		if op.MulFn == nil {
 			panic("nn: Op has neither a LUT nor a behavioral MulFn")
 		}
 		kernelForwardBehavioral.Inc()
-		op.forwardBehavioral(s, dst, xq, wq, rows, outC, k, px, bias)
 	case FwdPathArith:
 		kernelForwardArith.Inc()
-		op.forwardArith(s, dst, xq, wq, rows, outC, k, bias, zx)
+		run.kComp = int64(k) * int64(op.arith.comp)
+		if op.arith.pairOK {
+			s.cwp = grow(s.cwp, outC*((k+1)/2)*op.arith.nT*2)
+			buildPairStream(s.cwp, wq, op.arith, outC, k)
+		}
 	case FwdPathPacked16:
 		kernelForwardPacked16.Inc()
-		s.fwdB16 = fwdBlockedRun[uint16]{s: s, dst: dst, lutPad: op.lutPad16,
-			xq: xq, wq: wq, bias: bias, outC: outC, k: k, zx: zx, use32: use32}
-		tensor.ParallelBlocksOn(rows, fwdRowTile, &s.fwdB16)
 	default:
 		kernelForwardBlocked.Inc()
-		s.fwdB32 = fwdBlockedRun[uint32]{s: s, dst: dst, lutPad: op.lutPad,
-			xq: xq, wq: wq, bias: bias, outC: outC, k: k, zx: zx, use32: use32}
-		tensor.ParallelBlocksOn(rows, fwdRowTile, &s.fwdB32)
 	}
+	s.fwdRun = run
+	tensor.ParallelBlocksOn(rows, fwdRowTile, &s.fwdRun)
 }
 
 // Forward dispatch tier names, in descending preference order. They
@@ -244,86 +271,83 @@ func (op *Op) forwardPath(rows, k int) string {
 	return FwdPathBlocked
 }
 
-// gemmAccumTiles accumulates acc[oc][r] = sum_i LUT[wq[oc][i], xq[lo+r][i]]
-// over k tiles. The operand tile is transposed once per k tile so the
-// inner gather loop walks contiguous memory, and the hoisted LUT row
+// loadTile copies the (nK x nR) operand tile at k offset kb, row offset
+// lo out of the k-major matrix xT (k x rows) into xt — nR-byte runs, no
+// transpose — and adds each row's levels into sumX, the Eq. (8) cross
+// term the epilogue needs for exactly these rows (four columns per pass
+// over sumX, like gemmAccumTile's accumulator rows).
+func loadTile(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) {
+	for i := 0; i < nK; i++ {
+		copy(xt[i*nR:(i+1)*nR], xT[(kb+i)*rows+lo:])
+	}
+	sx := sumX[:nR]
+	i := 0
+	for ; i+3 < nK; i += 4 {
+		c0 := xt[i*nR : (i+1)*nR][:len(sx)]
+		c1 := xt[(i+1)*nR : (i+2)*nR][:len(sx)]
+		c2 := xt[(i+2)*nR : (i+3)*nR][:len(sx)]
+		c3 := xt[(i+3)*nR : (i+4)*nR][:len(sx)]
+		for r := range sx {
+			sx[r] += int64(c0[r]) + int64(c1[r]) + int64(c2[r]) + int64(c3[r])
+		}
+	}
+	for ; i < nK; i++ {
+		for r, v := range xt[i*nR : (i+1)*nR][:len(sx)] {
+			sx[r] += int64(v)
+		}
+	}
+}
+
+// gemmAccumTile adds one k tile into acc[oc][r]: the sum over the
+// tile's nK columns of LUT[wq[oc][kb+i], xt[i][r]]. The inner gather
+// loop walks a contiguous tile column, and the hoisted LUT row
 // (padStride entries, uint8 index) is gathered without bounds checks.
 // E is the padded-row element: packed uint16 rows keep the hot row at
 // 512 B of L1 (the packed16 tier), uint32 rows carry products beyond
 // uint16 (the blocked tier).
-func gemmAccumTiles[T int32 | int64, E uint16 | uint32](acc []T, xt []uint8, lutPad []E, xq, wq []uint8, lo, nR, outC, k int) {
-	for i := range acc {
-		acc[i] = 0
-	}
-	for kb := 0; kb < k; kb += fwdKTile {
-		nK := k - kb
-		if nK > fwdKTile {
-			nK = fwdKTile
-		}
-		transposeTileU8(xt, xq, lo, nR, kb, nK, k)
-		for oc := 0; oc < outC; oc++ {
-			accRow := acc[oc*nR : oc*nR+nR]
-			wr := wq[oc*k+kb : oc*k+kb+nK]
-			// Four k entries share one pass over the accumulator row,
-			// quartering its load/store traffic; integer addition is
-			// associative, so the grouping cannot change the result.
-			i := 0
-			for ; i+3 < nK; i += 4 {
-				lr0 := lutPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
-				lr1 := lutPad[int(wr[i+1])*padStride : int(wr[i+1])*padStride+padStride]
-				lr2 := lutPad[int(wr[i+2])*padStride : int(wr[i+2])*padStride+padStride]
-				lr3 := lutPad[int(wr[i+3])*padStride : int(wr[i+3])*padStride+padStride]
-				x0 := xt[i*nR : i*nR+nR]
-				x1 := xt[(i+1)*nR : (i+1)*nR+nR][:len(x0)]
-				x2 := xt[(i+2)*nR : (i+2)*nR+nR][:len(x0)]
-				x3 := xt[(i+3)*nR : (i+3)*nR+nR][:len(x0)]
-				ar := accRow[:len(x0)]
-				for r, xv := range x0 {
-					ar[r] += T(lr0[xv]) + T(lr1[x1[r]]) + T(lr2[x2[r]]) + T(lr3[x3[r]])
-				}
+func gemmAccumTile[T int32 | int64, E uint16 | uint32](acc []T, xt []uint8, lutPad []E, wq []uint8, nR, outC, k, kb, nK int) {
+	for oc := 0; oc < outC; oc++ {
+		accRow := acc[oc*nR : oc*nR+nR]
+		wr := wq[oc*k+kb : oc*k+kb+nK]
+		// Four k entries share one pass over the accumulator row,
+		// quartering its load/store traffic; integer addition is
+		// associative, so the grouping cannot change the result.
+		i := 0
+		for ; i+3 < nK; i += 4 {
+			lr0 := lutPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
+			lr1 := lutPad[int(wr[i+1])*padStride : int(wr[i+1])*padStride+padStride]
+			lr2 := lutPad[int(wr[i+2])*padStride : int(wr[i+2])*padStride+padStride]
+			lr3 := lutPad[int(wr[i+3])*padStride : int(wr[i+3])*padStride+padStride]
+			x0 := xt[i*nR : i*nR+nR]
+			x1 := xt[(i+1)*nR : (i+1)*nR+nR][:len(x0)]
+			x2 := xt[(i+2)*nR : (i+2)*nR+nR][:len(x0)]
+			x3 := xt[(i+3)*nR : (i+3)*nR+nR][:len(x0)]
+			ar := accRow[:len(x0)]
+			for r, xv := range x0 {
+				ar[r] += T(lr0[xv]) + T(lr1[x1[r]]) + T(lr2[x2[r]]) + T(lr3[x3[r]])
 			}
-			for ; i < nK; i++ {
-				lr := lutPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
-				xcol := xt[i*nR : i*nR+nR]
-				for r, xv := range xcol {
-					accRow[r] += T(lr[xv])
-				}
+		}
+		for ; i < nK; i++ {
+			lr := lutPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
+			xcol := xt[i*nR : i*nR+nR]
+			for r, xv := range xcol {
+				accRow[r] += T(lr[xv])
 			}
 		}
 	}
 }
 
-// transposeTileU8 writes the (nR x nK) operand tile starting at row lo,
-// column kb of the (rows x k) matrix xq into xt in (nK x nR) layout.
-// The bulk moves through 8x8 byte blocks held in uint64 registers
-// (transpose8x8), turning 64 single-byte load/store pairs into 16
-// word-sized memory operations plus shifts — the naive byte loop was a
-// quarter of the whole forward kernel.
-func transposeTileU8(xt, xq []uint8, lo, nR, kb, nK, k int) {
-	r := 0
-	for ; r+7 < nR; r += 8 {
-		i := 0
-		for ; i+7 < nK; i += 8 {
-			var v [8]uint64
-			for j := 0; j < 8; j++ {
-				v[j] = leU64(xq[(lo+r+j)*k+kb+i:])
+// behavioralAccumTile is gemmAccumTile with MulFn evaluated per MAC —
+// the [12]-style simulation path. It cannot hoist LUT rows; the
+// LUT-vs-behavioral gap is exactly what
+// BenchmarkKernel_BehavioralVsLUTForward measures.
+func behavioralAccumTile(acc []int64, xt []uint8, mulFn func(w, x uint32) uint32, wq []uint8, nR, outC, k, kb, nK int) {
+	for oc := 0; oc < outC; oc++ {
+		accRow := acc[oc*nR : oc*nR+nR]
+		for i, wv := range wq[oc*k+kb : oc*k+kb+nK] {
+			for r, xv := range xt[i*nR : i*nR+nR] {
+				accRow[r] += int64(mulFn(uint32(wv), uint32(xv)))
 			}
-			transpose8x8(&v)
-			for j := 0; j < 8; j++ {
-				putLeU64(xt[(i+j)*nR+r:], v[j])
-			}
-		}
-		for ; i < nK; i++ {
-			col := xt[i*nR+r : i*nR+r+8]
-			for j := range col {
-				col[j] = xq[(lo+r+j)*k+kb+i]
-			}
-		}
-	}
-	for ; r < nR; r++ {
-		row := xq[(lo+r)*k+kb : (lo+r)*k+kb+nK]
-		for i, v := range row {
-			xt[i*nR+r] = v
 		}
 	}
 }
@@ -368,74 +392,60 @@ func putLeU64(b []uint8, v uint64) {
 }
 
 // fwdEpilogue applies the Eq. (8) zero-point corrections and
-// dequantization, matching the reference expression exactly. addConst
-// is added to every accumulator before correction: the arith tier
-// accumulates compensation-free strip sums and folds k*comp back here
-// (zero for the LUT tiers, whose table entries already include comp).
-func fwdEpilogue[T int32 | int64](dst []float32, acc []T, s *KernelScratch, bias []float32, lo, nR, outC int, zx, addConst int64) {
-	for r := 0; r < nR; r++ {
-		or := dst[(lo+r)*outC : (lo+r+1)*outC]
-		sx := s.sumX[lo+r]
-		for oc := range or {
-			a := int64(acc[oc*nR+r]) + addConst - zx*s.sumW[oc] - s.zw[oc]*sx + s.kzz[oc]
-			or[oc] = s.ss[oc]*float32(a) + bias[oc]
+// dequantization to the tile rows [lo, lo+nR), matching the reference
+// expression exactly, and writes them to their NCHW positions in t.y.
+// addConst is added to every accumulator before correction: the arith
+// tier accumulates compensation-free strip sums and folds k*comp back
+// here (zero for the LUT tiers, whose table entries already include
+// comp).
+func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR int, addConst int64) {
+	s, hw := t.s, t.hw
+	for oc := 0; oc < t.outC; oc++ {
+		accRow := acc[oc*nR : (oc+1)*nR]
+		sx := sumX[:len(accRow)]
+		c0 := addConst - t.zx*s.sumW[oc] + s.kzz[oc]
+		zw, ss, b := s.zw[oc], s.ss[oc], t.bias[oc]
+		// j walks channel oc's plane of each image in turn, from
+		// position lo%hw of image lo/hw: to the end of the plane, then on
+		// to the next image's.
+		j, p := (lo/hw*t.outC+oc)*hw+lo%hw, lo%hw
+		for r, a := range accRow {
+			t.y[j] = ss*float32(int64(a)+c0-zw*sx[r]) + b
+			j++
+			if p++; p == hw {
+				j, p = j+(t.outC-1)*hw, 0
+			}
 		}
 	}
 }
 
-// forwardBehavioral evaluates MulFn per MAC — the [12]-style simulation
-// path. It shares the scratch arena and pool scheduling but cannot
-// hoist LUT rows; the LUT-vs-behavioral gap is exactly what
-// BenchmarkKernel_BehavioralVsLUTForward measures.
-func (op *Op) forwardBehavioral(s *KernelScratch, dst []float32, xq, wq []uint8, rows, outC, k int, px quant.Params, bias []float32) {
-	mulFn := op.MulFn
-	zx := int64(px.Zero)
-	tensor.ParallelRows(rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			xr := xq[r*k : (r+1)*k]
-			or := dst[r*outC : (r+1)*outC]
-			for oc := 0; oc < outC; oc++ {
-				wr := wq[oc*k : (oc+1)*k]
-				var sy int64
-				for i, xv := range xr {
-					sy += int64(mulFn(uint32(wr[i]), uint32(xv)))
-				}
-				acc := sy - zx*s.sumW[oc] - s.zw[oc]*s.sumX[r] + s.kzz[oc]
-				or[oc] = s.ss[oc]*float32(acc) + bias[oc]
-			}
-		}
-	})
-}
-
-// BackwardGEMM is the tiered counterpart of BackwardGEMMRef (see
-// kernels_backward.go for the dispatch: affine > mixed > fused >
-// small, every tier bit-exact with the reference). It writes the
-// weight gradient into dw (outC x k), the patch-matrix input gradient
-// into dxcols (rows x k), and the per-channel column sums of dy into
-// gsum (outC) — the bias gradient, folded into the dW sweep so the
-// layers need no separate scalar accumulation pass. A nil xClip leaves
-// dxcols unmasked: the caller applies the straight-through mask itself
-// (ApproxConv2D does, once per input element after col2im). s may be
-// nil for one-off calls.
+// BackwardGEMM is the tiered counterpart of BackwardGEMMRef: the
+// row-major adapter around backwardT (see kernels_backward.go for the
+// dispatch: affine > mixed > fused > small, every tier bit-exact with
+// the reference). It writes the weight gradient into dw (outC x k), the
+// patch-matrix input gradient into dxcols (rows x k), and the
+// per-channel column sums of dy into gsum (outC) — the bias gradient,
+// folded into the kernels' one scan of dy so the layers need no
+// separate accumulation pass. A nil xClip leaves dxcols unmasked for a
+// caller that masks itself. s may be nil for one-off calls.
 func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
-	checkPW(pw, outC)
 	if len(dw) != outC*k || len(dxcols) != rows*k || len(gsum) != outC {
 		panic("nn: BackwardGEMM destination has wrong size")
 	}
 	if s == nil {
 		s = &KernelScratch{}
 	}
-	op.ensurePadded()
-	path := op.backwardPath(dy)
-	if path == BwdPathSmall {
-		kernelBackwardSmall.Inc()
-		op.backwardSmall(s, dw, dxcols, gsum, dy, xq, wq, xClip, wClip, rows, outC, k, pw, px)
-		return
-	}
-	noteBackwardPath(path)
-	op.backwardBig(path, s, dw, dxcols, gsum, dy, xq, wq, xClip, wClip, rows, outC, k, pw, px)
+	s.xT = grow(s.xT, k*rows)
+	s.transposeU8(s.xT, xq, rows, k)
+	s.dxT = grow(s.dxT, k*rows)
+	op.backwardT(s, dw, s.dxT, gsum, dy, 1, s.xT, wq, wClip, rows, outC, k, pw, px)
+	// Transpose back to row-major and, unless the caller masks (nil
+	// xClip), apply the straight-through clip mask (zero gradient for
+	// operands clamped during quantization).
+	s.toutRun = bwdTransOutRun{s: s, dxcols: dxcols, xClip: xClip, rows: rows, k: k}
+	tensor.ParallelBlocksOn(rows, transTile, &s.toutRun)
 }
 
 // sparseGrad is the small-tier gate: at most a quarter of the upstream
@@ -443,9 +453,10 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 // behind conv -> ReLU -> pool and never behind a batch norm, whose
 // backward is dense. The small path pays per nonzero gradient and
 // skips zeros whole; the big tiers pay per row whatever dy holds
-// (BENCH_kernels.json: small 1.6-2.1x ahead of fused at one nonzero in
-// eight, about level at one in four, 2.1-2.5x behind on a dense dy, at
-// outC 4 and 8 alike). A dense dy ends the scan after a quarter of it.
+// (BENCH_kernels.json, Kernel_Bwd{Small,Fused}_* pairs: small 1.4-1.5x
+// ahead of fused at one nonzero in eight and in four, 1.1-1.4x behind
+// on a dense dy, at outC 4, 8 and 16 alike). A dense dy ends the scan
+// after a quarter of it.
 func sparseGrad(dy []float32) bool {
 	budget := len(dy) / 4
 	for _, g := range dy {
@@ -458,27 +469,12 @@ func sparseGrad(dy []float32) bool {
 	return true
 }
 
-// backwardSmall is the reference-shaped backward used for sparse
-// gradients (see sparseGrad): the same loops as BackwardGEMMRef (hence bit-exact
-// with it by construction) writing into the caller's buffers, plus the
-// folded gsum accumulation. The g == 0 test hoisted per (r, oc) skips
-// whole k walks, which the column-blocked kernel cannot do.
-func (op *Op) backwardSmall(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8, xClip, wClip []bool,
-	rows, outC, k int, pw []quant.Params, px quant.Params) {
-
-	s.sdwRun = bwdSmallDWRun{op: op, dw: dw, gsum: gsum, dy: dy, xq: xq, wq: wq,
-		wClip: wClip, rows: rows, outC: outC, k: k, zx: float32(px.Zero), scale: px.Scale}
-	tensor.ParallelRowsOn(outC, &s.sdwRun)
-
-	s.sdxRun = bwdSmallDXRun{op: op, dxcols: dxcols, dy: dy, xq: xq, wq: wq,
-		xClip: xClip, pw: pw, outC: outC, k: k}
-	tensor.ParallelRowsOn(rows, &s.sdxRun)
-}
-
 // transposeU8Tiles moves columns [lo, hi) of the (rows x cols) matrix
-// src into dst in (cols x rows) layout, in cache-sized tiles moved
-// through the same 8x8 uint64 block kernel as transposeTileU8. The
-// full-matrix entry point is KernelScratch.transposeU8.
+// src into dst in (cols x rows) layout, in cache-sized tiles. The bulk
+// moves through 8x8 byte blocks held in uint64 registers
+// (transpose8x8), turning 64 single-byte load/store pairs into 16
+// word-sized memory operations plus shifts. The full-matrix entry
+// point is KernelScratch.transposeU8.
 func transposeU8Tiles(dst, src []uint8, rows, cols, lo, hi int) {
 	for rb := 0; rb < rows; rb += transTile {
 		rhi := rb + transTile
@@ -508,22 +504,6 @@ func transposeU8Tiles(dst, src []uint8, rows, cols, lo, hi int) {
 		for ; i < hi; i++ {
 			for r := rb; r < rhi; r++ {
 				dst[i*rows+r] = src[r*cols+i]
-			}
-		}
-	}
-}
-
-// transposeF32Tiles is transposeU8Tiles for float32 matrices.
-func transposeF32Tiles(dst, src []float32, rows, cols, lo, hi int) {
-	for rb := 0; rb < rows; rb += transTile {
-		rhi := rb + transTile
-		if rhi > rows {
-			rhi = rows
-		}
-		for r := rb; r < rhi; r++ {
-			row := src[r*cols:]
-			for i := lo; i < hi; i++ {
-				dst[i*rows+r] = row[i]
 			}
 		}
 	}

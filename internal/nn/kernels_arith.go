@@ -1,13 +1,10 @@
 package nn
 
-import (
-	"github.com/appmult/retrain/internal/tensor"
-)
-
-// Driver for the closed-form forward tier (FwdPathArith): the same row
-// tiling, transposes, and Eq. (8) epilogue as the blocked LUT tiers,
-// with the per-tile accumulation handed to the AVX2 strip kernels in
-// gemm_arith_amd64.s. Two kernel flavours share the tile loop:
+// Tile kernel of the closed-form forward tier (FwdPathArith): the same
+// row tiling, operand tiles, and Eq. (8) epilogue as the blocked LUT
+// tiers (fwdTileRun), with the per-tile accumulation handed to the AVX2
+// strip kernels in gemm_arith_amd64.s. Two kernel flavours share the
+// tile loop:
 //
 //   - pair (VPMADDUBSW): two k-steps per multiply-add; used whenever
 //     the op's coefficients fit the signed-byte operand and its strip
@@ -21,23 +18,39 @@ import (
 // scalar strip evaluation — the identical integer sum, so the tier
 // stays bit-exact with ForwardGEMMRef regardless of shape.
 
-// forwardArith dispatches one forward GEMM through the strip kernels.
-// Caller guarantees op.arith != nil, hasGemmAsm, rows >= 32, and the
-// int32 accumulator gate (see forwardPath).
-func (op *Op) forwardArith(s *KernelScratch, dst []float32, xq, wq []uint8, rows, outC, k int, bias []float32, zx int64) {
-	af := op.arith
+// arithAccumTile adds one (nK x nR) operand tile into acc through the
+// strip kernels. forwardPath guarantees op.arith != nil, hasGemmAsm,
+// rows >= 32, and the int32 accumulator gate; forwardT has built the
+// pair stream.
+func (t *fwdTileRun) arithAccumTile(acc []int32, xt []uint8, nR, kb, nK int) {
+	af := t.op.arith
 	nT := af.nT
-	kComp := int64(k) * int64(af.comp)
-	usePair := af.pairOK
-	nKpTot := (k + 1) / 2
-	if usePair {
-		s.cwp = grow(s.cwp, outC*nKpTot*nT*2)
-		buildPairStream(s.cwp, wq, af, outC, k)
+	nR32 := nR &^ 31
+	if af.pairOK && nK&1 == 1 {
+		// Odd k-step count: the pair kernel reads a virtual last
+		// column whose coefficient byte is zero; zero the column
+		// so the dead VPAND input is defined.
+		clear(xt[nK*nR : (nK+1)*nR])
 	}
-
-	s.arithRun = arithFwdRun{op: op, s: s, dst: dst, xq: xq, wq: wq, bias: bias,
-		outC: outC, k: k, zx: zx, kComp: kComp, usePair: usePair}
-	tensor.ParallelBlocksOn(rows, fwdRowTile, &s.arithRun)
+	if nR32 > 0 {
+		if af.pairOK {
+			nKpTot := (t.k + 1) / 2
+			for oc := 0; oc < t.outC; oc++ {
+				gemmArithPairAVX2(&acc[oc*nR], &xt[0],
+					&t.s.cwp[(oc*nKpTot+kb/2)*nT*2], &af.xmPair[0],
+					int64(nR), int64((nK+1)/2), int64(nT), int64(af.cadPair))
+			}
+		} else {
+			for oc := 0; oc < t.outC; oc++ {
+				gemmArithAccumAVX2(&acc[oc*nR], &xt[0],
+					&t.wq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
+					int64(nR), int64(nK), int64(nT), int64(af.cadWord))
+			}
+		}
+	}
+	if nR32 < nR {
+		arithTailRows(acc, xt, af, t.wq, nR32, nR, nK, kb, t.outC, t.k)
+	}
 }
 
 // buildPairStream writes the pair kernel's coefficient stream: for each

@@ -18,13 +18,20 @@ import (
 //     while its DW table does not ("mixed").
 //   - fused: general tables (smoothdiff/stochastic/rawdiff) keep the
 //     gather but run it as an AVX2 VGATHERDPS kernel over the padded
-//     rows, or as the PR 2 column-pair Go loops without asm. The gsum
-//     column sums and the per-channel dy scaling (gsT) fall out of the
-//     dW sweep's single dyT scan instead of their own passes.
+//     rows, or as Go loops without asm.
+//
+// Both sweeps read the k-major operand matrix xT (k x rows). The dW
+// kernels put SIMD lanes on 8 output channels: for one k column they
+// broadcast the level xT[i][r] and load dy[r][oc..oc+7] as one vector,
+// r ascending, so lane oc accumulates dW[oc][i] in the reference order;
+// the dX kernels put lanes on rows and walk oc ascending. The gsum
+// column sums, the per-channel dy scaling (gsT) and the row-major dy
+// copy the dW lanes load fall out of one scan of dy (bwdGradRun).
 //
 // Bit-exactness with BackwardGEMMRef is preserved by construction on
 // every tier: per-destination accumulation order is unchanged
-// (ascending r for dW, ascending oc for dX), the affine substitution
+// (ascending r for dW, ascending oc for dX — lanes map to independent
+// destinations, never to summation terms), the affine substitution
 // reproduces the table entry bit for bit (that is what the verifier
 // proves), and the dense kernels may include the g == 0 terms the
 // reference skips because a zero gradient contributes ±0 and a float32
@@ -46,8 +53,9 @@ const (
 	// BwdPathFused: general tables; both sweeps gather, fused with the
 	// gsum/gsT production (the relabeled PR 2 "blocked" tier).
 	BwdPathFused = "fused"
-	// BwdPathSmall: the reference-shaped path for sparse upstream
-	// gradients (see sparseGrad and backwardSmall).
+	// BwdPathSmall: the path for sparse upstream gradients, which pays
+	// per nonzero gradient (see sparseGrad, nonzeroLists and
+	// bwdSmallRun).
 	BwdPathSmall = "small"
 )
 
@@ -104,12 +112,56 @@ func (op *Op) backwardPath(dy []float32) string {
 	}
 }
 
-// backwardBig is the shared driver of the affine/mixed/fused tiers:
-// transpose setup, the dW sweep (with gsum and gsT folded in), the dX
-// sweep, and the (optionally clip-masked) transpose back to row-major.
-func (op *Op) backwardBig(path string, s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8,
-	xClip, wClip []bool, rows, outC, k int, pw []quant.Params, px quant.Params) {
+// backwardT is the backward GEMM on the k-major operand matrix xT
+// (k x rows): it writes the weight gradient into dw (outC x k), the
+// unmasked k-major input gradient into dxT (k x rows) and the column
+// sums of dy into gsum. Like forwardT's y, dy is NCHW planes of hw
+// positions: dy[(r/hw*outC+oc)*hw + r%hw] is the gradient of row r,
+// channel oc.
+func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
+	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
+	op.ensurePadded()
+	s.weightParams(pw, outC)
+	zx := float32(px.Zero)
+
+	path := op.backwardPath(dy)
+	if path == BwdPathSmall {
+		kernelBackwardSmall.Inc()
+		s.nonzeroLists(gsum, dy, rows, outC, hw)
+		s.smallRun = bwdSmallRun{op: op, s: s, dw: dw, dxT: dxT, xT: xT, wq: wq, wClip: wClip,
+			rows: rows, outC: outC, k: k, zx: zx, scale: px.Scale}
+		tensor.ParallelRowsOn(k, &s.smallRun)
+		return
+	}
+	noteBackwardPath(path)
+
+	// A forced fused tier runs both sweeps on the general kernels even
+	// when affine coefficients exist; otherwise each sweep independently
+	// takes the affine kernel its table qualifies for.
+	affDW := op.dwAff != nil && path != BwdPathFused
+	affDX := op.dxAff != nil && path != BwdPathFused
+	op.sweepDW(s, dw, gsum, dy, hw, xT, wq, wClip, rows, outC, k, zx, px.Scale, affDW)
+
+	// Input-gradient sweep: each k column of dxT is touched by every
+	// output channel but by no other column; the oc loop stays
+	// ascending per destination. Its column blocks refill the
+	// coefficient tables the dW sweep is done with.
+	if affDX {
+		s.ak = grow(s.ak, k*outC)
+		s.bk = grow(s.bk, k*outC)
+	} else {
+		s.woff = grow(s.woff, k*outC)
+	}
+	s.dxRun = bwdDXRun{op: op, s: s, dxT: dxT, xT: xT, wq: wq, rows: rows, outC: outC, k: k, affine: affDX}
+	tensor.ParallelBlocksOn(k, transTile, &s.dxRun)
+}
+
+// weightParams spreads the per-tensor or per-channel weight
+// quantization parameters into the per-channel scale and zero-point
+// rows the backward kernels read.
+func (s *KernelScratch) weightParams(pw []quant.Params, outC int) {
+	checkPW(pw, outC)
 	s.swc = grow(s.swc, outC)
 	s.zwc = grow(s.zwc, outC)
 	for oc := 0; oc < outC; oc++ {
@@ -117,65 +169,97 @@ func (op *Op) backwardBig(path string, s *KernelScratch, dw, dxcols, gsum, dy []
 		s.swc[oc] = p.Scale
 		s.zwc[oc] = float32(p.Zero)
 	}
+}
 
-	// Operand and upstream-gradient transposes: xT and dxT are
-	// (k x rows) so the backward inner loops scan rows contiguously;
-	// dyT is (outC x rows) for the same reason.
-	s.xT = grow(s.xT, k*rows)
-	s.transposeU8(s.xT, xq, rows, k)
-	s.dyT = grow(s.dyT, outC*rows)
-	s.transposeF32(s.dyT, dy, rows, outC)
-	s.dxT = grow(s.dxT, k*rows)
+// sweepDW is the first half of the big tiers: the scan of dy (gsum, gsT,
+// dyR; see bwdGradRun) and the weight-gradient sweep. Column i of dwT
+// is touched by no other column, so column blocks parallelize freely; r
+// stays ascending per destination. The k-major tables are grown here
+// (never inside the workers, which share the arena) and filled by the
+// worker that owns the block.
+func (op *Op) sweepDW(s *KernelScratch, dw, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
+	rows, outC, k int, zx, scale float32, affine bool) {
+
+	// The dW side's matrices have a lane stride of at least one vector:
+	// below eight channels the spare lanes carry zero gradients (and zero
+	// coefficients), so the lane kernels serve every width.
+	ld := max(outC, dwLanes)
 	s.gsT = grow(s.gsT, outC*rows)
-
-	// A forced fused tier runs both sweeps on the general kernels even
-	// when affine coefficients exist; otherwise each sweep independently
-	// takes the affine kernel its table qualifies for.
-	affDW := op.dwAff != nil && path != BwdPathFused
-	affDX := op.dxAff != nil && path != BwdPathFused
-
-	// Per-sweep prep buffers, grown here (never inside the workers,
-	// which share the arena).
-	if affDW {
-		s.awk = grow(s.awk, outC*k)
-		s.bwk = grow(s.bwk, outC*k)
-	} else if hasGemmAsm {
-		s.woffW = grow(s.woffW, outC*k)
+	s.dyR = grow(s.dyR, rows*ld)
+	if ld > outC {
+		clear(s.dyR)
 	}
-	if affDX {
-		s.axk = grow(s.axk, k*outC)
-		s.bxk = grow(s.bxk, k*outC)
-	} else if hasGemmAsm {
-		s.woffX = grow(s.woffX, k*outC)
+	s.gradRun = bwdGradRun{s: s, gsum: gsum, dy: dy, rows: rows, outC: outC, ld: ld, hw: hw}
+	tensor.ParallelRowsOn(outC, &s.gradRun)
+
+	s.dwT = grow(s.dwT, k*ld)
+	if affine {
+		s.ak = grow(s.ak, k*ld)
+		s.bk = grow(s.bk, k*ld)
+	} else {
+		s.woff = grow(s.woff, k*ld)
 	}
+	s.dwRun = bwdDWRun{op: op, s: s, dw: dw, xT: xT, wq: wq, wClip: wClip,
+		rows: rows, outC: outC, ld: ld, k: k, zx: zx, scale: scale, affine: affine}
+	tensor.ParallelRowsOn(k, &s.dwRun)
+}
 
-	zx := float32(px.Zero)
+// dwLanes is the SIMD width of the dW kernels, in output channels.
+const dwLanes = 8
 
-	// Weight-gradient sweep, one output channel per work item. The
-	// single dyT scan that feeds the kernels also produces gsum (the
-	// bias gradient, ascending r like the layers' original loop) and
-	// gsT[oc][r] = dy[r][oc] * s_w[oc], the pre-scaled gradients the dX
-	// sweep consumes — the former standalone gsum pass is gone.
-	s.dwRun = bwdDWRun{op: op, s: s, dw: dw, gsum: gsum, xq: xq, wq: wq,
-		wClip: wClip, rows: rows, k: k, zx: zx, scale: px.Scale, affine: affDW}
-	tensor.ParallelRowsOn(outC, &s.dwRun)
+// BackwardDW runs only the first half of BackwardGEMM's big tiers — the
+// scan of dy (row-major, rows x outC) and the weight-gradient sweep —
+// on an already k-major operand matrix xT (k x rows), on the affine
+// kernel when the op's DW table admits it and fused is not forced. A
+// benchmark-harness hook like SetBackwardTierOverride: cmd/benchkernels
+// times the dW lane kernels with it; no layer calls it.
+func (op *Op) BackwardDW(s *KernelScratch, dw, gsum, dy []float32, xT, wq []uint8, wClip []bool,
+	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
-	// Input-gradient sweep: each k column of dxT is touched by every
-	// output channel but by no other column, so columns parallelize
-	// freely; the oc loop stays ascending per destination.
-	s.dxRun = bwdDXRun{op: op, s: s, wq: wq, rows: rows, outC: outC, k: k, affine: affDX}
-	tensor.ParallelBlocksOn(k, transTile, &s.dxRun)
+	op.ensurePadded()
+	s.weightParams(pw, outC)
+	op.sweepDW(s, dw, gsum, dy, 1, xT, wq, wClip, rows, outC, k, float32(px.Zero), px.Scale,
+		op.dwAff != nil && backwardTierOverride != BwdPathFused)
+}
 
-	// Transpose back to row-major and, unless the caller masks (nil
-	// xClip), apply the straight-through clip mask (zero gradient for
-	// operands clamped during quantization).
-	s.toutRun = bwdTransOutRun{s: s, dxcols: dxcols, xClip: xClip, rows: rows, k: k}
-	tensor.ParallelBlocksOn(rows, transTile, &s.toutRun)
+// nonzeroLists builds the small tier's operand: for every output
+// channel the (row, gradient) pairs of its nonzero upstream gradients,
+// rows ascending, plus gsum — one scan of dy (NCHW planes of hw
+// positions) per call instead of one zero test per (r, oc, i).
+func (s *KernelScratch) nonzeroLists(gsum, dy []float32, rows, outC, hw int) {
+	nnz := 0
+	for _, g := range dy {
+		if g != 0 {
+			nnz++
+		}
+	}
+	s.nzOff = grow(s.nzOff, outC+1)
+	s.nzR = grow(s.nzR, nnz)
+	s.nzG = grow(s.nzG, nnz)
+	n := 0
+	for oc := 0; oc < outC; oc++ {
+		s.nzOff[oc] = n
+		j, p := oc*hw, 0 // as in bwdGradRun
+		var sum float32
+		for r := 0; r < rows; r++ {
+			if g := dy[j]; g != 0 { // a zero adds nothing to gsum either
+				sum += g
+				s.nzR[n], s.nzG[n] = int32(r), g
+				n++
+			}
+			j++
+			if p++; p == hw {
+				j, p = j+(outC-1)*hw, 0
+			}
+		}
+		gsum[oc] = sum
+	}
+	s.nzOff[outC] = n
 }
 
 // backwardTransposeOut writes dxT (k x rows) back into row-major
 // dxcols for rows [lo, hi), zeroing clip-masked entries (none when
-// xClip is nil).
+// xClip is nil) — BackwardGEMM's way out of the k-major kernels.
 func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k int) {
 	for rb := lo; rb < hi; rb += transTile {
 		rhi := rb + transTile
@@ -200,152 +284,90 @@ func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k i
 	}
 }
 
-// dwPrologue is the folded first pass of every dW kernel: one scan of
-// the channel's upstream gradients produces gsum[oc] (ascending r,
-// exactly the layers' original bias accumulation) and the pre-scaled
-// row gsT[oc][r] for the dX sweep.
-func (s *KernelScratch) dwPrologue(gsum, dyc []float32, oc, rows int) {
-	gp := s.gsT[oc*rows : (oc+1)*rows][:len(dyc)]
-	sw := s.swc[oc]
-	var sum float32
-	for r, g := range dyc {
-		sum += g
-		gp[r] = g * sw
-	}
-	gsum[oc] = sum
-}
-
-// bwdDWAffine computes one channel's weight gradients on the affine
-// tier: dwr[i] accumulates g * (fl(fl(a_i*x) + b_i) - zx) over
-// ascending r, where (a_i, b_i) are the verified coefficients of the
-// DW row for weight level wq[oc][i]. Full 16-column blocks run in asm
-// directly over the row-major operand matrix; tail columns use the
-// contiguous xT columns in Go with the identical expression.
-func (op *Op) bwdDWAffine(s *KernelScratch, dw, gsum, dyc []float32, xq, wq []uint8, oc, rows, k int, zx float32) {
-	s.dwPrologue(gsum, dyc, oc, rows)
-	aRow := s.awk[oc*k : (oc+1)*k]
-	bRow := s.bwk[oc*k : (oc+1)*k]
-	wr := wq[oc*k : (oc+1)*k]
-	for i, wv := range wr {
-		aRow[i] = op.dwAff[wv].A
-		bRow[i] = op.dwAff[wv].B
-	}
-	dwr := dw[oc*k : (oc+1)*k]
-	iLo := 0
-	if hasGemmAsm && rows > 0 {
-		if kBlk := k &^ 15; kBlk > 0 {
-			bwdAffineDWAVX2(&dwr[0], &xq[0], &dyc[0], &aRow[0], &bRow[0], zx,
-				int64(rows), int64(k), int64(kBlk))
-			iLo = kBlk
+// bwdDWCols computes the weight gradients of k columns [lo, hi) into
+// dwT (k x ld): dwT[i][oc] accumulates dyR[r][oc] * (T - zx) over
+// ascending r, where T is the DW table entry for weight level
+// wq[oc][i] and operand level x = xT[i][r] — on the affine tier its
+// verified reconstruction fl(fl(a*x) + b), on the fused tier the entry
+// gwPad[wq[oc][i]*padStride + x] itself, fetched by VGATHERDPS with the
+// eight channels' row offsets as the index vector and the level as the
+// base. The block first fills its rows of the k-major tables (spare
+// lanes zero). The asm kernels take two columns and eight channels per
+// call; an odd block repeats its last column and a channel count off
+// the lane width its last eight channels (same values stored twice).
+// Without asm the Go twins take whole columns.
+func (op *Op) bwdDWCols(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32, affine bool) {
+	for i := lo; i < hi; i++ {
+		if affine {
+			aRow, bRow := s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld]
+			clear(aRow[outC:])
+			clear(bRow[outC:])
+			for oc := 0; oc < outC; oc++ {
+				af := op.dwAff[wq[oc*k+i]]
+				aRow[oc], bRow[oc] = af.A, af.B
+			}
+		} else {
+			woff := s.woff[i*ld : (i+1)*ld]
+			clear(woff[outC:]) // spare lanes gather row 0
+			for oc := 0; oc < outC; oc++ {
+				woff[oc] = int32(wq[oc*k+i]) * padStride
+			}
 		}
 	}
-	for i := iLo; i < k; i++ {
-		a, b := aRow[i], bRow[i]
-		xrow := s.xT[i*rows : i*rows+rows][:len(dyc)]
-		var acc float32
-		for r, g := range dyc {
-			t := float32(a*float32(xrow[r])) + b
-			acc += g * (t - zx)
+	if !hasGemmAsm || rows == 0 {
+		for i := lo; i < hi; i++ {
+			out, xcol := s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows]
+			if affine {
+				bwdAffineDWLanes(out, xcol, s.dyR, s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld], zx)
+			} else {
+				bwdGatherDWLanes(out, xcol, s.dyR, s.woff[i*ld:(i+1)*ld], op.gwPad, zx)
+			}
 		}
-		dwr[i] = acc
+		return
 	}
-}
-
-// bwdDWGather computes one channel's weight gradients on the fused
-// gather tier with asm: per 8-column block the DW entry is fetched by
-// VGATHERDPS at index woff_i + x (woff_i = wq[oc][i]*padStride), then
-// accumulated exactly like the reference. Tail columns gather in Go
-// from the padded rows.
-func (op *Op) bwdDWGather(s *KernelScratch, dw, gsum, dyc []float32, xq, wq []uint8, oc, rows, k int, zx float32) {
-	s.dwPrologue(gsum, dyc, oc, rows)
-	woff := s.woffW[oc*k : (oc+1)*k]
-	wr := wq[oc*k : (oc+1)*k]
-	for i, wv := range wr {
-		woff[i] = int32(wv) * padStride
-	}
-	dwr := dw[oc*k : (oc+1)*k]
-	iLo := 0
-	if rows > 0 {
-		if kBlk := k &^ 7; kBlk > 0 {
-			bwdGatherDWAVX2(&dwr[0], &xq[0], &dyc[0], &woff[0], &op.gwPad[0], zx,
-				int64(rows), int64(k), int64(kBlk))
-			iLo = kBlk
+	for i := lo; i < hi; i += 2 {
+		i1 := min(i+1, hi-1)
+		for oc := 0; oc < ld; oc += dwLanes {
+			oc = min(oc, ld-dwLanes)
+			c0, c1 := i*ld+oc, i1*ld+oc
+			if affine {
+				bwdAffineDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
+					&s.ak[c0], &s.bk[c0], &s.ak[c1], &s.bk[c1], zx, int64(rows), int64(ld))
+			} else {
+				bwdGatherDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
+					&s.woff[c0], &s.woff[c1], &op.gwPad[0], zx, int64(rows), int64(ld))
+			}
 		}
-	}
-	gwPad := op.gwPad
-	for i := iLo; i < k; i++ {
-		gw := gwPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
-		xrow := s.xT[i*rows : i*rows+rows][:len(dyc)]
-		var acc float32
-		for r, g := range dyc {
-			acc += g * (gw[xrow[r]] - zx)
-		}
-		dwr[i] = acc
 	}
 }
 
-// bwdDWPairs is the no-asm general dW kernel: the PR 2 column-pair
-// loops, with the gsum/gsT prologue folded into the first column
-// pair's dy scan so dyT is still scanned only k/2 times total.
-func (op *Op) bwdDWPairs(s *KernelScratch, dw, gsum, dyc []float32, wq []uint8, oc, rows, k int, zx float32) {
-	gwPad := op.gwPad
-	wr := wq[oc*k : (oc+1)*k]
-	dwr := dw[oc*k : (oc+1)*k]
-	gp := s.gsT[oc*rows : (oc+1)*rows][:len(dyc)]
-	sw := s.swc[oc]
-	i := 0
-	if i+1 < len(wr) {
-		// First pair carries the folded prologue: the same scan that
-		// feeds the two accumulators also sums gsum (every g, including
-		// zeros) and writes the pre-scaled gsT row.
-		gw0 := gwPad[int(wr[0])*padStride : int(wr[0])*padStride+padStride]
-		gw1 := gwPad[int(wr[1])*padStride : int(wr[1])*padStride+padStride]
-		x0 := s.xT[0:rows][:len(dyc)]
-		x1 := s.xT[rows : 2*rows][:len(dyc)]
-		var sum, acc0, acc1 float32
-		for r, g := range dyc {
-			sum += g
-			gp[r] = g * sw
-			if g == 0 {
-				continue
-			}
-			acc0 += g * (gw0[x0[r]] - zx)
-			acc1 += g * (gw1[x1[r]] - zx)
+// bwdAffineDWLanes is the pure-Go twin of bwdAffineDWAVX2 for one k
+// column and every lane: out[oc] accumulates the weight gradient over
+// the column's levels xcol, with the identical separately rounded
+// expression. dyR's row stride is len(out).
+func bwdAffineDWLanes(out []float32, xcol []uint8, dyR, a, b []float32, zx float32) {
+	clear(out)
+	a, b = a[:len(out)], b[:len(out)]
+	for r, xv := range xcol {
+		xf := float32(xv)
+		g := dyR[r*len(out):][:len(out)]
+		for l := range out {
+			t := float32(a[l]*xf) + b[l]
+			out[l] += g[l] * (t - zx)
 		}
-		gsum[oc] = sum
-		dwr[0] = acc0
-		dwr[1] = acc1
-		i = 2
-	} else {
-		s.dwPrologue(gsum, dyc, oc, rows)
 	}
-	for ; i+1 < len(wr); i += 2 {
-		gw0 := gwPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
-		gw1 := gwPad[int(wr[i+1])*padStride : int(wr[i+1])*padStride+padStride]
-		x0 := s.xT[i*rows : i*rows+rows][:len(dyc)]
-		x1 := s.xT[(i+1)*rows : (i+1)*rows+rows][:len(dyc)]
-		var acc0, acc1 float32
-		for r, g := range dyc {
-			if g == 0 {
-				continue
-			}
-			acc0 += g * (gw0[x0[r]] - zx)
-			acc1 += g * (gw1[x1[r]] - zx)
+}
+
+// bwdGatherDWLanes is the pure-Go twin of bwdGatherDWAVX2 for one k
+// column.
+func bwdGatherDWLanes(out []float32, xcol []uint8, dyR []float32, woff []int32, gwPad []float32, zx float32) {
+	clear(out)
+	woff = woff[:len(out)]
+	for r, xv := range xcol {
+		g := dyR[r*len(out):][:len(out)]
+		for l := range out {
+			out[l] += g[l] * (gwPad[int(woff[l])+int(xv)] - zx)
 		}
-		dwr[i] = acc0
-		dwr[i+1] = acc1
-	}
-	if i < len(wr) {
-		gw := gwPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
-		xrow := s.xT[i*rows : i*rows+rows][:len(dyc)]
-		var acc float32
-		for r, g := range dyc {
-			if g == 0 {
-				continue
-			}
-			acc += g * (gw[xrow[r]] - zx)
-		}
-		dwr[i] = acc
 	}
 }
 
@@ -354,21 +376,21 @@ func (op *Op) bwdDWPairs(s *KernelScratch, dw, gsum, dyc []float32, wq []uint8, 
 // gsT[oc][r] * (fl(fl(a*x) + b) - zw[oc]) with (a, b) the verified DX
 // coefficients for weight level wq[oc][i]. Full 32-row chunks run in
 // asm; tail rows use the identical Go expression.
-func (op *Op) bwdDXAffine(s *KernelScratch, wq []uint8, lo, hi, rows, outC, k int) {
+func (op *Op) bwdDXAffine(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
 	rows32 := 0
 	if hasGemmAsm {
 		rows32 = rows &^ 31
 	}
 	for i := lo; i < hi; i++ {
-		aCol := s.axk[i*outC : (i+1)*outC]
-		bCol := s.bxk[i*outC : (i+1)*outC]
+		aCol := s.ak[i*outC : (i+1)*outC]
+		bCol := s.bk[i*outC : (i+1)*outC]
 		for oc := 0; oc < outC; oc++ {
 			af := op.dxAff[wq[oc*k+i]]
 			aCol[oc] = af.A
 			bCol[oc] = af.B
 		}
-		xcol := s.xT[i*rows : (i+1)*rows]
-		dxr := s.dxT[i*rows : (i+1)*rows]
+		xcol := xT[i*rows : (i+1)*rows]
+		dxr := dxT[i*rows : (i+1)*rows]
 		if rows32 > 0 {
 			bwdAffineDXAVX2(&dxr[0], &xcol[0], &s.gsT[0], &aCol[0], &bCol[0], &s.zwc[0],
 				int64(rows32), int64(rows), int64(outC))
@@ -389,16 +411,16 @@ func (op *Op) bwdDXAffine(s *KernelScratch, wq []uint8, lo, hi, rows, outC, k in
 // the fused gather tier with asm: per output channel the DX row base
 // is wq[oc][i]*padStride and VGATHERDPS fetches 8 entries at the x
 // levels of 32-row chunks. Tail rows gather in Go.
-func (op *Op) bwdDXGather(s *KernelScratch, wq []uint8, lo, hi, rows, outC, k int) {
+func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
 	rows32 := rows &^ 31
 	gxPad := op.gxPad
 	for i := lo; i < hi; i++ {
-		woff := s.woffX[i*outC : (i+1)*outC]
+		woff := s.woff[i*outC : (i+1)*outC]
 		for oc := 0; oc < outC; oc++ {
 			woff[oc] = int32(wq[oc*k+i]) * padStride
 		}
-		xcol := s.xT[i*rows : (i+1)*rows]
-		dxr := s.dxT[i*rows : (i+1)*rows]
+		xcol := xT[i*rows : (i+1)*rows]
+		dxr := dxT[i*rows : (i+1)*rows]
 		if rows32 > 0 {
 			bwdGatherDXAVX2(&dxr[0], &xcol[0], &s.gsT[0], &woff[0], &gxPad[0], &s.zwc[0],
 				int64(rows32), int64(rows), int64(outC))
@@ -421,14 +443,14 @@ func (op *Op) bwdDXGather(s *KernelScratch, wq []uint8, lo, hi, rows, outC, k in
 // loops, reading the pre-scaled gsT rows the dW sweep produced instead
 // of rescaling dy per use (identical bits: gsT holds the same g*s_w
 // products, and skipped ±0 entries contribute bit-neutral terms).
-func (op *Op) bwdDXPairs(s *KernelScratch, wq []uint8, lo, hi, rows, outC, k int) {
+func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
 	gxPad := op.gxPad
 	i := lo
 	for ; i+1 < hi; i += 2 {
-		x0 := s.xT[i*rows : i*rows+rows]
-		x1 := s.xT[(i+1)*rows : (i+1)*rows+rows]
-		d0 := s.dxT[i*rows : i*rows+rows]
-		d1 := s.dxT[(i+1)*rows : (i+1)*rows+rows]
+		x0 := xT[i*rows : i*rows+rows]
+		x1 := xT[(i+1)*rows : (i+1)*rows+rows]
+		d0 := dxT[i*rows : i*rows+rows]
+		d1 := dxT[(i+1)*rows : (i+1)*rows+rows]
 		for r := range d0 {
 			d0[r] = 0
 		}
@@ -454,8 +476,8 @@ func (op *Op) bwdDXPairs(s *KernelScratch, wq []uint8, lo, hi, rows, outC, k int
 		}
 	}
 	if i < hi {
-		xrow := s.xT[i*rows : i*rows+rows]
-		dxr := s.dxT[i*rows : i*rows+rows]
+		xrow := xT[i*rows : i*rows+rows]
+		dxr := dxT[i*rows : i*rows+rows]
 		for r := range dxr {
 			dxr[r] = 0
 		}

@@ -65,104 +65,65 @@ func (t *clipMaskRun) RunRange(lo, hi int) {
 	}
 }
 
-// fwdBlockedRun is the blocked-LUT forward tile body (uint32 or packed
-// uint16 rows); the arena holds one instance per element width.
-type fwdBlockedRun[E uint16 | uint32] struct {
-	s       *KernelScratch
-	dst     []float32
-	lutPad  []E
-	xq, wq  []uint8
-	bias    []float32
-	outC, k int
-	zx      int64
-	use32   bool
+// fwdTileRun is the forward row-block body shared by every tier: load
+// each k tile of the block's rows out of the k-major operand matrix,
+// accumulate it on the dispatched tier's kernel, then dequantize into
+// NCHW (see forwardT).
+type fwdTileRun struct {
+	op            *Op
+	s             *KernelScratch
+	y             []float32
+	xT, wq        []uint8
+	bias          []float32
+	rows, outC, k int
+	hw            int
+	zx, kComp     int64
+	path          string
+	use32         bool
 }
 
-func (t *fwdBlockedRun[E]) RunRange(lo, hi int) {
+func (t *fwdTileRun) RunRange(lo, hi int) {
 	tl := fwdTilePool.Get().(*fwdTile)
 	nR := hi - lo
 	tl.xt = grow(tl.xt, fwdKTile*nR)
+	tl.sumX = grow(tl.sumX, nR)
+	clear(tl.sumX)
 	if t.use32 {
 		tl.acc32 = grow(tl.acc32, t.outC*nR)
-		gemmAccumTiles(tl.acc32, tl.xt, t.lutPad, t.xq, t.wq, lo, nR, t.outC, t.k)
-		fwdEpilogue(t.dst, tl.acc32, t.s, t.bias, lo, nR, t.outC, t.zx, 0)
+		clear(tl.acc32)
 	} else {
 		tl.acc64 = grow(tl.acc64, t.outC*nR)
-		gemmAccumTiles(tl.acc64, tl.xt, t.lutPad, t.xq, t.wq, lo, nR, t.outC, t.k)
-		fwdEpilogue(t.dst, tl.acc64, t.s, t.bias, lo, nR, t.outC, t.zx, 0)
+		clear(tl.acc64)
 	}
-	fwdTilePool.Put(tl)
-}
-
-// arithFwdRun is the closed-form forward tier's tile body (see
-// kernels_arith.go for the kernel commentary).
-type arithFwdRun struct {
-	op      *Op
-	s       *KernelScratch
-	dst     []float32
-	xq, wq  []uint8
-	bias    []float32
-	outC, k int
-	zx      int64
-	kComp   int64
-	usePair bool
-}
-
-func (t *arithFwdRun) RunRange(lo, hi int) {
-	af := t.op.arith
-	nT := af.nT
-	nKpTot := (t.k + 1) / 2
-	cwp := t.s.cwp
-	tl := fwdTilePool.Get().(*fwdTile)
-	nR := hi - lo
-	tl.xt = grow(tl.xt, fwdKTile*nR)
-	tl.acc32 = grow(tl.acc32, t.outC*nR)
-	acc := tl.acc32
-	for i := range acc {
-		acc[i] = 0
-	}
-	nR32 := nR &^ 31
+	op := t.op
 	for kb := 0; kb < t.k; kb += fwdKTile {
-		nK := t.k - kb
-		if nK > fwdKTile {
-			nK = fwdKTile
-		}
-		transposeTileU8(tl.xt, t.xq, lo, nR, kb, nK, t.k)
-		if t.usePair && nK&1 == 1 {
-			// Odd k-step count: the pair kernel reads a virtual last
-			// column whose coefficient byte is zero; zero the column
-			// so the dead VPAND input is defined.
-			pad := tl.xt[nK*nR : (nK+1)*nR]
-			for i := range pad {
-				pad[i] = 0
-			}
-		}
-		if nR32 > 0 {
-			if t.usePair {
-				bNKp := (nK + 1) / 2
-				for oc := 0; oc < t.outC; oc++ {
-					gemmArithPairAVX2(&acc[oc*nR], &tl.xt[0],
-						&cwp[(oc*nKpTot+kb/2)*nT*2], &af.xmPair[0],
-						int64(nR), int64(bNKp), int64(nT), int64(af.cadPair))
-				}
-			} else {
-				for oc := 0; oc < t.outC; oc++ {
-					gemmArithAccumAVX2(&acc[oc*nR], &tl.xt[0],
-						&t.wq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
-						int64(nR), int64(nK), int64(nT), int64(af.cadWord))
-				}
-			}
-		}
-		if nR32 < nR {
-			arithTailRows(acc, tl.xt, af, t.wq, nR32, nR, nK, kb, t.outC, t.k)
+		nK := min(t.k-kb, fwdKTile)
+		loadTile(tl.xt, tl.sumX, t.xT, t.rows, lo, nR, kb, nK)
+		switch {
+		case t.path == FwdPathArith:
+			t.arithAccumTile(tl.acc32, tl.xt, nR, kb, nK)
+		case t.path == FwdPathBehavioral:
+			behavioralAccumTile(tl.acc64, tl.xt, op.MulFn, t.wq, nR, t.outC, t.k, kb, nK)
+		case op.lutPad16 != nil && t.use32:
+			gemmAccumTile(tl.acc32, tl.xt, op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
+		case op.lutPad16 != nil:
+			gemmAccumTile(tl.acc64, tl.xt, op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
+		case t.use32:
+			gemmAccumTile(tl.acc32, tl.xt, op.lutPad, t.wq, nR, t.outC, t.k, kb, nK)
+		default:
+			gemmAccumTile(tl.acc64, tl.xt, op.lutPad, t.wq, nR, t.outC, t.k, kb, nK)
 		}
 	}
-	fwdEpilogue(t.dst, acc, t.s, t.bias, lo, nR, t.outC, t.zx, t.kComp)
+	if t.use32 {
+		fwdEpilogue(t, tl.acc32, tl.sumX, lo, nR, t.kComp)
+	} else {
+		fwdEpilogue(t, tl.acc64, tl.sumX, lo, nR, t.kComp)
+	}
 	fwdTilePool.Put(tl)
 }
 
-// transU8Run / transF32Run carry the tiled full-matrix transposes of
-// the backward setup.
+// transU8Run carries the tiled full-matrix transpose of the row-major
+// adapters.
 type transU8Run struct {
 	dst, src   []uint8
 	rows, cols int
@@ -172,70 +133,7 @@ func (t *transU8Run) RunRange(lo, hi int) {
 	transposeU8Tiles(t.dst, t.src, t.rows, t.cols, lo, hi)
 }
 
-type transF32Run struct {
-	dst, src   []float32
-	rows, cols int
-}
-
-func (t *transF32Run) RunRange(lo, hi int) {
-	transposeF32Tiles(t.dst, t.src, t.rows, t.cols, lo, hi)
-}
-
-// bwdDWRun is the tiered dW sweep (one output channel per work item),
-// including the folded gsum/gsT prologue and the clip/scale epilogue.
-type bwdDWRun struct {
-	op       *Op
-	s        *KernelScratch
-	dw, gsum []float32
-	xq, wq   []uint8
-	wClip    []bool
-	rows, k  int
-	zx       float32
-	scale    float32
-	affine   bool
-}
-
-func (t *bwdDWRun) RunRange(lo, hi int) {
-	for oc := lo; oc < hi; oc++ {
-		dyc := t.s.dyT[oc*t.rows : (oc+1)*t.rows]
-		if t.affine {
-			t.op.bwdDWAffine(t.s, t.dw, t.gsum, dyc, t.xq, t.wq, oc, t.rows, t.k, t.zx)
-		} else if hasGemmAsm {
-			t.op.bwdDWGather(t.s, t.dw, t.gsum, dyc, t.xq, t.wq, oc, t.rows, t.k, t.zx)
-		} else {
-			t.op.bwdDWPairs(t.s, t.dw, t.gsum, dyc, t.wq, oc, t.rows, t.k, t.zx)
-		}
-		dwr := t.dw[oc*t.k : (oc+1)*t.k]
-		for i := range dwr {
-			if t.wClip[oc*t.k+i] {
-				dwr[i] = 0
-			} else {
-				dwr[i] *= t.scale
-			}
-		}
-	}
-}
-
-// bwdDXRun is the tiered dX sweep over k columns.
-type bwdDXRun struct {
-	op            *Op
-	s             *KernelScratch
-	wq            []uint8
-	rows, outC, k int
-	affine        bool
-}
-
-func (t *bwdDXRun) RunRange(lo, hi int) {
-	if t.affine {
-		t.op.bwdDXAffine(t.s, t.wq, lo, hi, t.rows, t.outC, t.k)
-	} else if hasGemmAsm {
-		t.op.bwdDXGather(t.s, t.wq, lo, hi, t.rows, t.outC, t.k)
-	} else {
-		t.op.bwdDXPairs(t.s, t.wq, lo, hi, t.rows, t.outC, t.k)
-	}
-}
-
-// bwdTransOutRun is the backward transpose of dxT back to row-major,
+// bwdTransOutRun is BackwardGEMM's transpose of dxT back to row-major,
 // clip-masked unless xClip is nil.
 type bwdTransOutRun struct {
 	s       *KernelScratch
@@ -248,92 +146,133 @@ func (t *bwdTransOutRun) RunRange(lo, hi int) {
 	backwardTransposeOut(t.dxcols, t.s.dxT, t.xClip, lo, hi, t.rows, t.k)
 }
 
-// bwdSmallDWRun / bwdSmallDXRun are the small-shape backward passes
-// (reference-shaped loops; see backwardSmall).
-type bwdSmallDWRun struct {
-	op            *Op
-	dw, gsum      []float32
-	dy            []float32
-	xq, wq        []uint8
-	wClip         []bool
-	rows, outC, k int
-	zx            float32
-	scale         float32
+// bwdGradRun is the big tiers' one scan of the upstream gradient, a
+// block of output channels per work item: gsum[oc] (the bias gradient,
+// ascending r like the layers' original loop), the pre-scaled row
+// gsT[oc][r] = dy[r][oc]*s_w[oc] of the dX sweep, and column oc of the
+// row-major copy dyR (row stride ld) the dW sweep loads its lanes
+// from. dy is NCHW planes of hw positions (see backwardT).
+type bwdGradRun struct {
+	s                  *KernelScratch
+	gsum, dy           []float32
+	rows, outC, ld, hw int
 }
 
-func (t *bwdSmallDWRun) RunRange(lo, hi int) {
-	bits := uint(t.op.Bits)
-	gw := t.op.Grads.DW
+func (t *bwdGradRun) RunRange(lo, hi int) {
+	s := t.s
 	for oc := lo; oc < hi; oc++ {
-		wr := t.wq[oc*t.k : (oc+1)*t.k]
-		dwr := t.dw[oc*t.k : (oc+1)*t.k]
-		for i := range dwr {
-			dwr[i] = 0
-		}
+		gp := s.gsT[oc*t.rows : (oc+1)*t.rows]
+		sw := s.swc[oc]
+		// j walks channel oc's plane of each image in turn: hw
+		// positions, then on to the next image's.
+		j, p := oc*t.hw, 0
 		var sum float32
-		for r := 0; r < t.rows; r++ {
-			g := t.dy[r*t.outC+oc]
+		for r := range gp {
+			g := t.dy[j]
 			sum += g
-			if g == 0 {
-				continue
-			}
-			xr := t.xq[r*t.k : (r+1)*t.k]
-			for i, xv := range xr {
-				idx := int(wr[i])<<bits | int(xv)
-				dwr[i] += g * (gw[idx] - t.zx)
+			gp[r] = g * sw
+			s.dyR[r*t.ld+oc] = g
+			j++
+			if p++; p == t.hw {
+				j, p = j+(t.outC-1)*t.hw, 0
 			}
 		}
 		t.gsum[oc] = sum
-		for i := range dwr {
+	}
+}
+
+// bwdDWRun is the tiered dW sweep, a block of k columns per work item
+// (so a narrow layer still fills every core): the oc-lane kernels into
+// dwT (k x ld, see bwdDWCols), then the clip/scale epilogue into dw.
+type bwdDWRun struct {
+	op         *Op
+	s          *KernelScratch
+	dw         []float32
+	xT, wq     []uint8
+	wClip      []bool
+	rows, outC int
+	ld, k      int
+	zx, scale  float32
+	affine     bool
+}
+
+func (t *bwdDWRun) RunRange(lo, hi int) {
+	t.op.bwdDWCols(t.s, t.xT, t.wq, lo, hi, t.rows, t.outC, t.ld, t.k, t.zx, t.affine)
+	for i := lo; i < hi; i++ {
+		for oc, v := range t.s.dwT[i*t.ld : i*t.ld+t.outC] {
 			if t.wClip[oc*t.k+i] {
-				dwr[i] = 0
+				v = 0
 			} else {
-				dwr[i] *= t.scale
+				v *= t.scale
 			}
+			t.dw[oc*t.k+i] = v
 		}
 	}
 }
 
-type bwdSmallDXRun struct {
-	op      *Op
-	dxcols  []float32
-	dy      []float32
-	xq, wq  []uint8
-	xClip   []bool
-	pw      []quant.Params
-	outC, k int
+// bwdDXRun is the tiered dX sweep over k columns.
+type bwdDXRun struct {
+	op            *Op
+	s             *KernelScratch
+	dxT           []float32
+	xT, wq        []uint8
+	rows, outC, k int
+	affine        bool
 }
 
-func (t *bwdSmallDXRun) RunRange(lo, hi int) {
-	bits := uint(t.op.Bits)
-	gx := t.op.Grads.DX
-	for r := lo; r < hi; r++ {
-		xr := t.xq[r*t.k : (r+1)*t.k]
-		dxr := t.dxcols[r*t.k : (r+1)*t.k]
-		for i := range dxr {
-			dxr[i] = 0
-		}
-		for oc := 0; oc < t.outC; oc++ {
-			g := t.dy[r*t.outC+oc]
-			if g == 0 {
-				continue
+func (t *bwdDXRun) RunRange(lo, hi int) {
+	if t.affine {
+		t.op.bwdDXAffine(t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
+	} else if hasGemmAsm {
+		t.op.bwdDXGather(t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
+	} else {
+		t.op.bwdDXPairs(t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
+	}
+}
+
+// bwdSmallRun is the small tier's sweep over k columns: both gradients
+// of a column block in one walk of each channel's nonzero list (see
+// nonzeroLists). The summands and orders are the reference's: channel
+// oc's list is row-ascending, so dw[oc][i] accumulates over ascending
+// r, and oc is the outermost loop, so every dxT[i][r] accumulates over
+// ascending oc; the hoisted padded rows hold the table entries
+// Grads.DW/DX[w<<B|x] themselves.
+type bwdSmallRun struct {
+	op            *Op
+	s             *KernelScratch
+	dw, dxT       []float32
+	xT, wq        []uint8
+	wClip         []bool
+	rows, outC, k int
+	zx, scale     float32
+}
+
+func (t *bwdSmallRun) RunRange(lo, hi int) {
+	s, rows, k := t.s, t.rows, t.k
+	gwPad, gxPad := t.op.gwPad, t.op.gxPad
+	clear(t.dxT[lo*rows : hi*rows])
+	for oc := 0; oc < t.outC; oc++ {
+		nzR := s.nzR[s.nzOff[oc]:s.nzOff[oc+1]]
+		nzG := s.nzG[s.nzOff[oc]:s.nzOff[oc+1]][:len(nzR)]
+		sw, zw := s.swc[oc], s.zwc[oc]
+		for i := lo; i < hi; i++ {
+			row := int(t.wq[oc*k+i]) * padStride
+			gw := gwPad[row : row+padStride]
+			gx := gxPad[row : row+padStride]
+			xcol := t.xT[i*rows : (i+1)*rows]
+			dcol := t.dxT[i*rows : (i+1)*rows]
+			var acc float32
+			for j, r := range nzR {
+				g, xv := nzG[j], xcol[r]
+				acc += g * (gw[xv] - t.zx)
+				dcol[r] += g * sw * (gx[xv] - zw)
 			}
-			p := pwAt(t.pw, oc)
-			gs := g * p.Scale
-			zw := float32(p.Zero)
-			wr := t.wq[oc*t.k : (oc+1)*t.k]
-			for i, xv := range xr {
-				idx := int(wr[i])<<bits | int(xv)
-				dxr[i] += gs * (gx[idx] - zw)
+			if t.wClip[oc*k+i] {
+				acc = 0
+			} else {
+				acc *= t.scale
 			}
-		}
-		if t.xClip == nil {
-			continue
-		}
-		for i := range dxr {
-			if t.xClip[r*t.k+i] {
-				dxr[i] = 0
-			}
+			t.dw[oc*k+i] = acc
 		}
 	}
 }
@@ -368,10 +307,4 @@ func (s *KernelScratch) maskClipped(grad []float32, clip []bool) {
 func (s *KernelScratch) transposeU8(dst, src []uint8, rows, cols int) {
 	s.tU8Run = transU8Run{dst: dst, src: src, rows: rows, cols: cols}
 	tensor.ParallelBlocksOn(cols, transTile, &s.tU8Run)
-}
-
-// transposeF32 is transposeU8 for float32 matrices.
-func (s *KernelScratch) transposeF32(dst, src []float32, rows, cols int) {
-	s.tF32Run = transF32Run{dst: dst, src: src, rows: rows, cols: cols}
-	tensor.ParallelBlocksOn(cols, transTile, &s.tF32Run)
 }

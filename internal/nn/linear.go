@@ -97,7 +97,10 @@ type ApproxLinear struct {
 	// Deferred-observe state (see ObservedLayer).
 	lag observerLag
 
+	// trained: the caches below come from Forward, not Infer (see
+	// ApproxConv2D).
 	rows         int
+	trained      bool
 	xq, wq       []uint8
 	xClip, wClip []bool
 	pw           []quant.Params
@@ -147,6 +150,7 @@ func (l *ApproxLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.pw = grow(l.pw, 1)
 	l.pw[0] = p
 	l.rows = x.Shape[0]
+	l.trained = true
 	l.xq = grow(l.xq, len(x.Data))
 	l.xClip = grow(l.xClip, len(x.Data))
 	l.ks.quantizeWithClip(l.xq, l.xClip, x.Data, l.px)
@@ -162,6 +166,9 @@ func (l *ApproxLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Backward call.
 func (l *ApproxLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	if !l.trained {
+		panic(fmt.Sprintf("nn: %s: Backward must follow Forward; Infer records no clip flags", l.name))
+	}
 	l.dw = grow(l.dw, l.Out*l.In)
 	l.gsum = grow(l.gsum, l.Out)
 	l.dx = tensor.Ensure2(l.dx, l.rows, l.In)

@@ -45,45 +45,14 @@ func Im2ColInto(dst, x *Tensor, g ConvGeom) {
 	if dst.Shape[0] != n*g.OutH*g.OutW || dst.Shape[1] != g.K() {
 		panic(fmt.Sprintf("tensor: Im2Col destination %v does not match geometry", dst.Shape))
 	}
-	ParallelRows(n, func(lo, hi int) { im2colRange(dst.Data, x.Data, 0, g, lo, hi) })
-}
-
-// Im2ColU8Job is Im2ColInto over quantized levels: it expands n NCHW
-// images of uint8 levels into the (n*outH*outW, K) patch matrix,
-// writing pad at padding positions — the quantized zero point, so the
-// result equals the quantized float patch matrix. The approximate
-// layers quantize once per input element and expand bytes, instead of
-// expanding floats and quantizing every element K*K times. A layer
-// keeps one job across steps and calls Run, so the parallel dispatch
-// reuses this struct as its RangeRunner instead of allocating a
-// closure context per call.
-type Im2ColU8Job struct {
-	dst, src []uint8
-	pad      uint8
-	g        ConvGeom
-}
-
-// Run expands the n images in src into dst (every position is
-// written) through the job's reusable state.
-func (j *Im2ColU8Job) Run(dst, src []uint8, n int, g ConvGeom, pad uint8) {
-	if len(dst) != n*g.OutH*g.OutW*g.K() || len(src) != n*g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColU8 buffers (%d, %d) do not match geometry", len(dst), len(src)))
-	}
-	j.dst, j.src, j.pad, j.g = dst, src, pad, g
-	ParallelRowsOn(n, j)
-}
-
-// RunRange expands images [lo, hi); it implements RangeRunner for the
-// pool and is not meant to be called directly.
-func (j *Im2ColU8Job) RunRange(lo, hi int) {
-	im2colRange(j.dst, j.src, j.pad, j.g, lo, hi)
+	ParallelRows(n, func(lo, hi int) { im2colRange(dst.Data, x.Data, g, lo, hi) })
 }
 
 // im2colRange expands images [lo, hi) of the NCHW batch src into their
-// patch-matrix rows of dst, writing pad where a patch overhangs the
+// patch-matrix rows of dst, writing zeros where a patch overhangs the
 // image. One kernel row (KW entries) moves per step: a row wholly
 // inside the image is a straight copy.
-func im2colRange[T float32 | uint8](dst, src []T, pad T, g ConvGeom, lo, hi int) {
+func im2colRange(dst, src []float32, g ConvGeom, lo, hi int) {
 	k := g.K()
 	hw := g.InH * g.InW
 	for img := lo; img < hi; img++ {
@@ -100,9 +69,7 @@ func im2colRange[T float32 | uint8](dst, src []T, pad T, g ConvGeom, lo, hi int)
 						row += g.KW
 						iy := oy*g.Stride - g.Pad + ky
 						if iy < 0 || iy >= g.InH {
-							for i := range d {
-								d[i] = pad
-							}
+							clear(d)
 							continue
 						}
 						s := src[cbase+iy*g.InW : cbase+(iy+1)*g.InW]
@@ -114,13 +81,96 @@ func im2colRange[T float32 | uint8](dst, src []T, pad T, g ConvGeom, lo, hi int)
 							if ix := ix0 + i; ix >= 0 && ix < g.InW {
 								d[i] = s[ix]
 							} else {
-								d[i] = pad
+								d[i] = 0
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// validOut returns the half-open range of output positions o in
+// [0, out) whose input coordinate o*stride + off lies in [0, in) — the
+// part of a k-major patch row (or column run) that is not padding.
+// off is the kernel offset minus the padding; the range is empty
+// (lo == hi) when the tap only ever sees padding.
+func validOut(off, stride, in, out int) (lo, hi int) {
+	if off < 0 {
+		lo = (-off + stride - 1) / stride
+	}
+	if last := in - 1 - off; last >= 0 {
+		hi = last/stride + 1
+	}
+	lo = min(lo, out)
+	return lo, max(min(hi, out), lo)
+}
+
+// Im2ColTJob is the k-major byte im2col of the approximate layers: it
+// expands n NCHW images of uint8 levels into the transposed patch
+// matrix dst (K x n*outH*outW), row i = (c, ky, kx) holding that kernel
+// tap's input level for every output position (img, oy, ox), and pad —
+// the quantized zero point, which is what a float zero quantizes to —
+// where the tap overhangs the image. The layers quantize once per input
+// element and expand bytes; the GEMM kernels scan rows of this matrix
+// contiguously, so no transpose follows. At stride 1 every (i, img, oy)
+// is one copy of an input-row run between two pad fills. A layer keeps
+// one job across steps and calls Run, so the parallel dispatch reuses
+// this struct as its RangeRunner instead of allocating a closure.
+type Im2ColTJob struct {
+	dst, src []uint8
+	pad      uint8
+	n        int
+	g        ConvGeom
+}
+
+// Run expands the n images in src into dst (every position is
+// written) through the job's reusable state.
+func (j *Im2ColTJob) Run(dst, src []uint8, n int, g ConvGeom, pad uint8) {
+	if len(dst) != n*g.OutH*g.OutW*g.K() || len(src) != n*g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Im2ColT buffers (%d, %d) do not match geometry", len(dst), len(src)))
+	}
+	j.dst, j.src, j.pad, j.n, j.g = dst, src, pad, n, g
+	ParallelRowsOn(g.K(), j)
+}
+
+// RunRange writes patch-matrix rows [lo, hi); it implements
+// RangeRunner for the pool and is not meant to be called directly.
+func (j *Im2ColTJob) RunRange(lo, hi int) {
+	g := j.g
+	ohw := g.OutH * g.OutW
+	for i := lo; i < hi; i++ {
+		c, ky, kx := i/(g.KH*g.KW), i/g.KW%g.KH, i%g.KW
+		ix0 := kx - g.Pad
+		oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
+		for img := 0; img < j.n; img++ {
+			plane := j.src[(img*g.InC+c)*g.InH*g.InW:]
+			for oy := 0; oy < g.OutH; oy++ {
+				d := j.dst[(i*j.n+img)*ohw+oy*g.OutW:][:g.OutW]
+				iy := oy*g.Stride - g.Pad + ky
+				if iy < 0 || iy >= g.InH {
+					fill(d, j.pad)
+					continue
+				}
+				s := plane[iy*g.InW:][:g.InW]
+				fill(d[:oxLo], j.pad)
+				fill(d[oxHi:], j.pad)
+				if g.Stride == 1 {
+					copy(d[oxLo:oxHi], s[oxLo+ix0:])
+					continue
+				}
+				for ox := oxLo; ox < oxHi; ox++ {
+					d[ox] = s[ox*g.Stride+ix0]
+				}
+			}
+		}
+	}
+}
+
+func fill(d []uint8, v uint8) {
+	for i := range d {
+		d[i] = v
 	}
 }
 
@@ -139,7 +189,7 @@ func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) {
 	j.Run(dst, cols, n, g)
 }
 
-// Col2ImJob is the reusable Col2ImInto, symmetric to Im2ColU8Job.
+// Col2ImJob is the reusable Col2ImInto.
 type Col2ImJob struct {
 	dst, cols *Tensor
 	g         ConvGeom
@@ -202,6 +252,73 @@ func (j *Col2ImJob) RunRange(lo, hi int) {
 								d[ix] += v
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Col2ImTJob is the k-major col2im of the approximate layers, the
+// adjoint of Im2ColTJob: it scatters the transposed patch-matrix
+// gradient cols (K x n*outH*outW) straight into the NCHW input gradient
+// dst, so the GEMM's k-major output needs no transpose first.
+//
+// The result is bit-identical to Col2ImJob on the transposed matrix.
+// Col2ImJob adds an input element's overlaps in ascending (oy, ox)
+// order; for one element (c, iy, ix) the kernel tap is a function of
+// the output position — ky = iy + pad - oy*stride, kx likewise — so
+// ascending oy is descending ky and, within one oy, ascending ox is
+// descending kx. Walking the taps of a channel with ky then kx
+// descending therefore feeds every element its summands in exactly
+// that order, whole patch-matrix rows at a time.
+type Col2ImTJob struct {
+	dst, cols []float32
+	n         int
+	g         ConvGeom
+}
+
+// Run zeroes dst (n NCHW images of the geometry's input shape) and
+// accumulates cols into it through the job's reusable state.
+func (j *Col2ImTJob) Run(dst, cols []float32, n int, g ConvGeom) {
+	if len(cols) != n*g.OutH*g.OutW*g.K() || len(dst) != n*g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: Col2ImT buffers (%d, %d) do not match geometry", len(dst), len(cols)))
+	}
+	j.dst, j.cols, j.n, j.g = dst, cols, n, g
+	// Parallel over (image, channel) planes: each is written by exactly
+	// one block, so no synchronization is needed.
+	ParallelRowsOn(n*g.InC, j)
+}
+
+// RunRange scatters into input planes [lo, hi) (plane = img*InC + c);
+// it implements RangeRunner for the pool and is not meant to be called
+// directly.
+func (j *Col2ImTJob) RunRange(lo, hi int) {
+	g := j.g
+	ohw := g.OutH * g.OutW
+	for pl := lo; pl < hi; pl++ {
+		img, c := pl/g.InC, pl%g.InC
+		plane := j.dst[pl*g.InH*g.InW:][:g.InH*g.InW]
+		clear(plane)
+		for ky := g.KH - 1; ky >= 0; ky-- {
+			oyLo, oyHi := validOut(ky-g.Pad, g.Stride, g.InH, g.OutH)
+			for kx := g.KW - 1; kx >= 0; kx-- {
+				ix0 := kx - g.Pad
+				oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
+				i := (c*g.KH+ky)*g.KW + kx
+				src := j.cols[(i*j.n+img)*ohw:][:ohw]
+				for oy := oyLo; oy < oyHi; oy++ {
+					d := plane[(oy*g.Stride-g.Pad+ky)*g.InW:][:g.InW]
+					s := src[oy*g.OutW+oxLo : oy*g.OutW+oxHi]
+					if g.Stride == 1 {
+						d = d[oxLo+ix0:][:len(s)]
+						for ox, v := range s {
+							d[ox] += v
+						}
+						continue
+					}
+					for ox, v := range s {
+						d[(oxLo+ox)*g.Stride+ix0] += v
 					}
 				}
 			}

@@ -76,9 +76,11 @@ type workerPool struct {
 	work    chan *poolJob
 	workers int
 	// free recycles job headers so a pooled dispatch allocates nothing
-	// in steady state. It is as deep as the work queue: at most that
-	// many stale wake-ups can pin jobs at once, and an overflowing
-	// release just drops the job for the collector.
+	// in steady state. It holds every header that can be live at once —
+	// one per stale wake-up in the work queue, one per worker, one per
+	// submitter (as many as workers, typically) — so a worker draining a
+	// full queue of stale wake-ups overflows nothing; should it overflow
+	// anyway, release just drops the job for the collector.
 	free chan *poolJob
 }
 
@@ -90,7 +92,7 @@ func newWorkerPool(workers int) *workerPool {
 		// A deep buffer lets submitters hand off wake-ups without
 		// blocking even when all workers are mid-job.
 		p.work = make(chan *poolJob, 4*workers)
-		p.free = make(chan *poolJob, 4*workers)
+		p.free = make(chan *poolJob, cap(p.work)+2*workers)
 		for i := 1; i < workers; i++ {
 			go func() {
 				for j := range p.work {

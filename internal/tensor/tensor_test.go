@@ -358,14 +358,22 @@ var patchGeoms = []struct{ n, c, h, w, k, stride, pad int }{
 	{2, 1, 6, 7, 5, 2, 2},
 	{1, 2, 4, 2, 3, 1, 1},
 	{1, 1, 3, 3, 5, 1, 2},
+	{2, 2, 6, 5, 3, 1, 2}, // pad reaches past the kernel centre
+	{1, 2, 7, 6, 3, 2, 2},
+	{2, 2, 6, 3, 3, 1, 0}, // OutW = 1
+	{2, 3, 3, 3, 3, 1, 0}, // 1x1 spatial output
+	{1, 2, 5, 5, 5, 2, 0},
 }
 
-// TestIm2ColMatchesIndexOracle checks both im2col instantiations entry
-// by entry against the defining index arithmetic: patch row (img, oy,
-// ox), column (c, ky, kx) holds input (img, c, oy*s-p+ky, ox*s-p+kx),
-// or the pad value outside the image. Geometries cover strides 1/2,
-// pads 0-2, 1x1 to 5x5 kernels, non-square inputs, a kernel wider than
-// the image, a single channel and a single image.
+// TestIm2ColMatchesIndexOracle checks the float im2col and the k-major
+// byte im2col entry by entry against the defining index arithmetic:
+// patch position (img, oy, ox), kernel tap (c, ky, kx) holds input
+// (img, c, oy*s-p+ky, ox*s-p+kx), or the pad value outside the image —
+// at [position][tap] of the float matrix and [tap][position] of the
+// k-major one. Geometries cover strides 1/2, pads 0-2 (also past the
+// kernel centre), 1x1 to 5x5 kernels, non-square inputs, a kernel wider
+// than the image, one output column, a 1x1 output, a single channel
+// and a single image.
 func TestIm2ColMatchesIndexOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const pad = 77
@@ -378,13 +386,14 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 			x.Data[i] = float32(lv[i])
 		}
 		cols := Im2Col(x, g)
-		colsU8 := make([]uint8, len(cols.Data))
-		for i := range colsU8 {
-			colsU8[i] = 200 // stale contents must be overwritten
+		colsT := make([]uint8, len(cols.Data))
+		for i := range colsT {
+			colsT[i] = 200 // stale contents must be overwritten
 		}
-		var job Im2ColU8Job
-		job.Run(colsU8, lv, cse.n, g, pad)
+		var job Im2ColTJob
+		job.Run(colsT, lv, cse.n, g, pad)
 		k := g.K()
+		rows := cse.n * g.OutH * g.OutW
 		for img := 0; img < cse.n; img++ {
 			for oy := 0; oy < g.OutH; oy++ {
 				for ox := 0; ox < g.OutW; ox++ {
@@ -402,13 +411,42 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 								if got := cols.Data[row*k+col]; got != wantF {
 									t.Fatalf("case %+v: float cols[%d][%d] = %v, want %v", cse, row, col, got, wantF)
 								}
-								if got := colsU8[row*k+col]; got != wantU {
-									t.Fatalf("case %+v: uint8 cols[%d][%d] = %d, want %d", cse, row, col, got, wantU)
+								if got := colsT[col*rows+row]; got != wantU {
+									t.Fatalf("case %+v: k-major cols[%d][%d] = %d, want %d", cse, col, row, got, wantU)
 								}
 							}
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCol2ImTMatchesCol2Im pins the k-major col2im bit for bit to
+// Col2ImJob fed the transposed matrix: walking the kernel taps in
+// descending (ky, kx) order must hand every input element its overlaps
+// in the ascending (oy, ox) order of the row-major scatter.
+func TestCol2ImTMatchesCol2Im(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, cse := range patchGeoms {
+		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
+		rows, k := cse.n*g.OutH*g.OutW, g.K()
+		cols := randT(rng, rows, k)
+		colsT := make([]float32, rows*k)
+		for r := 0; r < rows; r++ {
+			for i := 0; i < k; i++ {
+				colsT[i*rows+r] = cols.Data[r*k+i]
+			}
+		}
+		want := Col2Im(cols, cse.n, g)
+		got := New(cse.n, cse.c, cse.h, cse.w)
+		got.Fill(3) // stale contents must be cleared
+		var job Col2ImTJob
+		job.Run(got.Data, colsT, cse.n, g)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("case %+v: dx[%d] = %v, row-major col2im %v", cse, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
