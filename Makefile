@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet purego race bench benchreport benchsmoke doccheck verify clean
+.PHONY: build test tier1 vet purego maxprocs1 race bench benchreport benchsmoke doccheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -18,9 +18,20 @@ vet:
 # purego runs the kernel packages with the assembly compiled out (the
 # `purego` build tag selects the same portable files a non-amd64 host
 # builds), so the pure-Go twins of every SIMD kernel and the dispatch
-# that routes to them are tested on the amd64 hosts CI has.
+# that routes to them are tested on the amd64 hosts CI has — a second
+# time under the race detector, because the twins are scheduled on the
+# same worker pool as the assembly they replace.
 purego:
 	go test -tags purego ./internal/nn/ ./internal/tensor/
+	go test -tags purego -race -count=1 ./internal/nn/ ./internal/tensor/
+
+# maxprocs1 runs the worker pool and what is scheduled on it with
+# GOMAXPROCS=1: the pool sizes itself from GOMAXPROCS on first use, so
+# this is the one-worker configuration no other target reaches
+# (internal/nn's TestMain still raises it to two for its pooled-path
+# tests).
+maxprocs1:
+	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/
 
 # The concurrency-critical packages get a -race pass: the worker pool
 # and the kernels scheduled on it, the guarded train loop, the retrying
@@ -70,7 +81,7 @@ benchsmoke:
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet tier1 purego benchsmoke doccheck race benchreport
+verify: vet tier1 purego maxprocs1 benchsmoke doccheck race benchreport
 
 clean:
 	go clean ./...

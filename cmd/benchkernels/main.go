@@ -1,11 +1,11 @@
 // Command benchkernels measures the approximate-GEMM kernel stack and
 // records the results as a machine-readable baseline. It benchmarks
 // the dispatching forward kernel (the training hot path, on whatever
-// tier it auto-selects), each forward tier forced individually
-// (closed-form arith, packed-uint16 LUT), the dispatching backward
-// kernel on both table families (general tables → fused gather, STE's
-// affine tables → gather-free affine) plus a forced-fused row on the
-// affine op, the preserved reference kernels, and an ApproxConv2D
+// tier it auto-selects), each forward tier forced individually through
+// an op pinned to it (closed-form arith, packed-uint16 LUT), the
+// dispatching backward kernel on both table families (general tables →
+// fused gather, STE's affine tables → gather-free affine) plus a
+// forced-fused row on the affine op, the preserved reference kernels, and an ApproxConv2D
 // forward+backward step end-to-end — all at one wide shape, the GEMMs
 // through the row-major ForwardGEMM/BackwardGEMM adapters (their
 // transposes included) — then the backward small-vs-fused pairs at the
@@ -120,6 +120,16 @@ func newOperands(sh shape, nzOf int, rng *rand.Rand) *operands {
 	return o
 }
 
+// loop is the benchmark body that calls fn b.N times, reporting allocs.
+func loop(fn func()) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fn()
+		}
+	}
+}
+
 // convStep benchmarks one ApproxConv2D forward+backward at the given
 // layer and input geometry. pooled thins dy to what conv -> ReLU -> 2x2
 // max pool passes back: one position per 2x2 window, half of those
@@ -146,13 +156,10 @@ func convStep(op *nn.Op, inC, outC, k, n, hw int, pooled bool, rng *rand.Rand) f
 			}
 		}
 	}
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			layer.Forward(x, true)
-			layer.Backward(dy)
-		}
-	}
+	return loop(func() {
+		layer.Forward(x, true)
+		layer.Backward(dy)
+	})
 }
 
 func main() {
@@ -185,64 +192,45 @@ func main() {
 	px := quant.Calibrate(0, 2, 7)
 	var s nn.KernelScratch
 
-	fwd := func(o *operands) func(b *testing.B) {
-		bias := make([]float32, o.outC)
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op.ForwardGEMM(&s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
-			}
-		}
-	}
-	bwd := func(bop *nn.Op, o *operands) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bop.BackwardGEMM(&s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pw, px)
-			}
-		}
-	}
-
-	// Each entry is one benchmark row. fwdPath rows report the forward
-	// tier they ran on, with tier forcing ForwardGEMM onto a specific
-	// dispatch path; bwdOp rows report the backward tier bwdOp takes for
-	// the row's dy, with bwdTier forcing it ("" = auto). Forced rows
-	// fall back to the auto choice when the host or op cannot provide
-	// the tier — the recorded path makes that visible.
+	// Each entry is one benchmark row. A GEMM row records the dispatch
+	// tier its op takes for the row's shape (forward) or dy (backward). A
+	// forced row runs an op pinned to a tier (nn.Op.Pinned), which falls
+	// back to the auto choice when the host or op cannot provide the tier
+	// — the recorded path makes that visible.
 	type bench struct {
-		name    string
-		fwdPath bool
-		tier    string
-		bwdOp   *nn.Op
-		bwdTier string
-		o       *operands
-		fn      func(b *testing.B)
+		name, path string
+		fn         func(b *testing.B)
+	}
+	fwd := func(name string, fop *nn.Op, o *operands) bench {
+		bias := make([]float32, o.outC)
+		return bench{name: name, path: fop.ForwardPath(o.rows, o.k), fn: loop(func() {
+			fop.ForwardGEMM(&s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
+		})}
+	}
+	bwd := func(name string, bop *nn.Op, o *operands) bench {
+		return bench{name: name, path: bop.BackwardPath(o.dy), fn: loop(func() {
+			bop.BackwardGEMM(&s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pw, px)
+		})}
 	}
 	w := newOperands(wide, 1, rng)
+	refBias := make([]float32, w.outC)
 	benches := []bench{
-		{name: "Kernel_GEMMForwardAuto", fwdPath: true, o: w, fn: fwd(w)},
-		{name: "Kernel_GEMMForwardArith", fwdPath: true, tier: nn.FwdPathArith, o: w, fn: fwd(w)},
-		{name: "Kernel_GEMMForwardPacked16", fwdPath: true, tier: nn.FwdPathPacked16, o: w, fn: fwd(w)},
-		{name: "Kernel_GEMMForwardRef", fn: func(b *testing.B) {
-			bias := make([]float32, w.outC)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op.ForwardGEMMRef(w.xq, w.wq, w.rows, w.outC, w.k, pw, px, bias)
-			}
-		}},
+		fwd("Kernel_GEMMForwardAuto", op, w),
+		fwd("Kernel_GEMMForwardArith", op.Pinned(nn.FwdPathArith, ""), w),
+		fwd("Kernel_GEMMForwardPacked16", op.Pinned(nn.FwdPathPacked16, ""), w),
+		{name: "Kernel_GEMMForwardRef", fn: loop(func() {
+			op.ForwardGEMMRef(w.xq, w.wq, w.rows, w.outC, w.k, pw, px, refBias)
+		})},
 		// The general-table backward (difference estimator, auto → fused),
 		// the affine-family backward (STE, auto → affine), and the STE op
 		// forced onto the fused gather kernels — the affine-vs-gather gap
 		// on identical operands.
-		{name: "Kernel_GEMMBackwardFused", bwdOp: op, o: w, fn: bwd(op, w)},
-		{name: "Kernel_GEMMBackwardAffine", bwdOp: steOp, o: w, fn: bwd(steOp, w)},
-		{name: "Kernel_GEMMBackwardFusedForced", bwdOp: steOp, bwdTier: nn.BwdPathFused, o: w, fn: bwd(steOp, w)},
-		{name: "Kernel_GEMMBackwardRef", fn: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				op.BackwardGEMMRef(w.dy, w.xq, w.wq, w.xClip, w.wClip, w.rows, w.outC, w.k, pw, px)
-			}
-		}},
+		bwd("Kernel_GEMMBackwardFused", op, w),
+		bwd("Kernel_GEMMBackwardAffine", steOp, w),
+		bwd("Kernel_GEMMBackwardFusedForced", steOp.Pinned("", nn.BwdPathFused), w),
+		{name: "Kernel_GEMMBackwardRef", fn: loop(func() {
+			op.BackwardGEMMRef(w.dy, w.xq, w.wq, w.xClip, w.wClip, w.rows, w.outC, w.k, pw, px)
+		})},
 		{name: "Layer_ApproxConvStep", fn: convStep(op, 16, 32, 3, 4, 16, false, rng)},
 		// vgg11's first conv on a benchmark batch: 8 images of 3x32x32
 		// into 8 channels (rows=8192 outC=8 k=27), fused tier.
@@ -279,14 +267,6 @@ func main() {
 		var im2colT tensor.Im2ColTJob
 		var col2im tensor.Col2ImJob
 		var col2imT tensor.Col2ImTJob
-		loop := func(fn func()) func(b *testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fn()
-				}
-			}
-		}
 		benches = append(benches,
 			bench{name: "Kernel_Im2Col_" + g.label, fn: loop(func() { tensor.Im2ColInto(cols, x, geom) })},
 			bench{name: "Kernel_Im2ColT_" + g.label, fn: loop(func() { im2colT.Run(colsT, lv, g.n, geom, 64) })},
@@ -302,25 +282,21 @@ func main() {
 		op   *nn.Op
 	}{{"Kernel_BwdDWAffine_r4096_oc8_k72", steOp}, {"Kernel_BwdDWGather_r4096_oc8_k72", op}} {
 		d, o := d, dwShape
-		benches = append(benches, bench{name: d.name, fn: func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// xq's bytes read as a (k x rows) matrix: random levels
-				// either way.
-				d.op.BackwardDW(&s, o.dw, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
-			}
-		}})
+		benches = append(benches, bench{name: d.name, fn: loop(func() {
+			// xq's bytes read as a (k x rows) matrix: random levels
+			// either way.
+			d.op.BackwardDW(&s, o.dw, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+		})})
 	}
 	type pair struct{ label, small, fused string }
 	var pairs []pair
+	smallOp, fusedOp := op.Pinned("", nn.BwdPathSmall), op.Pinned("", nn.BwdPathFused)
 	for _, n := range narrow {
 		o := newOperands(n.shape, n.nzOf, rng)
 		label := fmt.Sprintf("r%d_oc%d_k%d_nz1of%d", n.rows, n.outC, n.k, n.nzOf)
 		p := pair{label, "Kernel_BwdSmall_" + label, "Kernel_BwdFused_" + label}
 		pairs = append(pairs, p)
-		benches = append(benches,
-			bench{name: p.small, bwdOp: op, bwdTier: nn.BwdPathSmall, o: o, fn: bwd(op, o)},
-			bench{name: p.fused, bwdOp: op, bwdTier: nn.BwdPathFused, o: o, fn: bwd(op, o)})
+		benches = append(benches, bwd(p.small, smallOp, o), bwd(p.fused, fusedOp, o))
 	}
 
 	rec := record{
@@ -333,28 +309,16 @@ func main() {
 		Speedups:   map[string]float64{},
 	}
 	for _, bm := range benches {
-		path := ""
-		if bm.fwdPath {
-			nn.SetForwardTierOverride(bm.tier)
-			path = op.ForwardPath(bm.o.rows, bm.o.k)
-			rec.Paths[bm.name] = path
-		}
-		if bm.bwdOp != nil {
-			nn.SetBackwardTierOverride(bm.bwdTier)
-			path = bm.bwdOp.BackwardPath(bm.o.dy)
-			rec.Paths[bm.name] = path
-		}
 		r := testing.Benchmark(bm.fn)
-		nn.SetForwardTierOverride("")
-		nn.SetBackwardTierOverride("")
 		rec.Benchmarks[bm.name] = result{
 			NsOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesOp:  r.AllocedBytesPerOp(),
 			AllocsOp: r.AllocsPerOp(),
 		}
 		note := ""
-		if path != "" {
-			note = "  path=" + path
+		if bm.path != "" {
+			rec.Paths[bm.name] = bm.path
+			note = "  path=" + bm.path
 		}
 		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n",
 			bm.name, rec.Benchmarks[bm.name].NsOp, rec.Benchmarks[bm.name].BytesOp,

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/appmult/retrain/internal/obs"
 	"github.com/appmult/retrain/internal/serve"
 	"github.com/appmult/retrain/internal/wire"
 	"github.com/appmult/retrain/internal/wiretest"
@@ -425,5 +426,30 @@ func TestFleetWorkerOutlivesHandshakeWindow(t *testing.T) {
 	}
 	if _, _, err := r.Predict(context.Background(), "m", testImage(rand.New(rand.NewSource(31))), 0); err != nil {
 		t.Fatalf("predict after the handshake window: %v", err)
+	}
+}
+
+// TestHedgedCompletionsLeaveHedgeDelayAlone: the hedge deadline tracks
+// plain worker round trips only. A hedged completion is at least one
+// hedge deadline long, so letting it (or a microsecond cache hit) into
+// the window would make every hedge move the next deadline.
+func TestHedgedCompletionsLeaveHedgeDelayAlone(t *testing.T) {
+	r := &Router{
+		cfg: RouterConfig{Hedge: true, HedgeMin: time.Millisecond}.withDefaults(),
+		lat: make(map[string]*obs.Window),
+	}
+	for i := 0; i < 20; i++ {
+		r.observeLatency("m", time.Now().Add(-10*time.Millisecond), true)
+	}
+	before := r.hedgeDelay("m")
+	if before < 20*time.Millisecond || before > 40*time.Millisecond {
+		t.Fatalf("hedge delay %s after 10ms round trips, want about HedgeFactor (2) times that", before)
+	}
+	for i := 0; i < 8; i++ {
+		r.observeLatency("m", time.Now().Add(-time.Second), false) // hedged
+		r.observeLatency("m", time.Now(), false)                   // cache hit
+	}
+	if after := r.hedgeDelay("m"); after != before {
+		t.Fatalf("8 hedged completions and 8 cache hits moved the hedge delay from %s to %s", before, after)
 	}
 }

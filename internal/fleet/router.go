@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/appmult/retrain/internal/obs"
 	"github.com/appmult/retrain/internal/wire"
 )
 
@@ -165,7 +166,7 @@ type Router struct {
 	attempts map[uint64]*attempt
 	nextID   uint64
 
-	lat   map[string]*latWindow
+	lat   map[string]*obs.Window
 	latMu sync.Mutex
 
 	start time.Time
@@ -190,7 +191,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		catalog:  make(map[string]*modelEntry),
 		ring:     NewRing(),
 		attempts: make(map[uint64]*attempt),
-		lat:      make(map[string]*latWindow),
+		lat:      make(map[string]*obs.Window),
 		start:    time.Now(),
 	}
 	srv.Serve(wire.Handler{Joined: r.joined, Frame: r.frame, Dead: r.dead})
@@ -563,7 +564,7 @@ func (r *Router) Predict(ctx context.Context, model string, image []float32, tim
 			cacheHits.Inc()
 			requests("cached").Inc()
 			meta.Cached = true
-			r.observeLatency(model, start)
+			r.observeLatency(model, start, false)
 			return scores, meta, nil
 		}
 		cacheMisses.Inc()
@@ -617,7 +618,7 @@ func (r *Router) Predict(ctx context.Context, model string, image []float32, tim
 				return nil, meta, r.failCall(c, res)
 			}
 			requests("completed").Inc()
-			r.observeLatency(model, start)
+			r.observeLatency(model, start, !meta.Hedged)
 			if r.cache != nil {
 				r.cache.Put(key, res.scores)
 			}
@@ -671,28 +672,28 @@ func (r *Router) abandon(c *call) {
 	r.mu.Unlock()
 }
 
-// latWindow is a small sliding window of recent request latencies per
-// model, feeding the hedge deadline.
-type latWindow struct {
-	buf [512]float64
-	n   int
-	idx int
-}
+// hedgeWindow is the number of recent request latencies per model that
+// feed the hedge deadline.
+const hedgeWindow = 512
 
-func (r *Router) observeLatency(model string, start time.Time) {
+// observeLatency records one answered request. Only a plain one —
+// neither a cache hit nor hedged — enters the model's hedge window: the
+// window estimates how long an un-hedged worker round trip takes, and a
+// hedged completion, which is at least one hedge deadline long, would
+// raise the next deadline in turn.
+func (r *Router) observeLatency(model string, start time.Time, plain bool) {
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	routerLatencyMs.Observe(ms)
+	if !plain {
+		return
+	}
 	r.latMu.Lock()
 	w, ok := r.lat[model]
 	if !ok {
-		w = &latWindow{}
+		w = obs.NewWindow(hedgeWindow)
 		r.lat[model] = w
 	}
-	w.buf[w.idx] = ms
-	w.idx = (w.idx + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
+	w.Observe(ms)
 	r.latMu.Unlock()
 }
 
@@ -703,21 +704,14 @@ func (r *Router) observeLatency(model string, start time.Time) {
 // slow.
 func (r *Router) hedgeDelay(model string) time.Duration {
 	r.latMu.Lock()
-	w, ok := r.lat[model]
-	var sample []float64
-	if ok && w.n > 0 {
-		sample = append(sample, w.buf[:w.n]...)
+	var q []float64
+	if w, ok := r.lat[model]; ok {
+		q = w.Quantiles(r.cfg.HedgeQuantile)
 	}
 	r.latMu.Unlock()
 	d := r.cfg.HedgeMin
-	if len(sample) > 0 {
-		sort.Float64s(sample)
-		idx := int(r.cfg.HedgeQuantile * float64(len(sample)))
-		if idx >= len(sample) {
-			idx = len(sample) - 1
-		}
-		q := time.Duration(sample[idx] * float64(time.Millisecond))
-		if hd := time.Duration(r.cfg.HedgeFactor * float64(q)); hd > d {
+	if q != nil {
+		if hd := time.Duration(r.cfg.HedgeFactor * q[0] * float64(time.Millisecond)); hd > d {
 			d = hd
 		}
 	}

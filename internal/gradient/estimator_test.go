@@ -18,22 +18,35 @@ func mulInfo(t *testing.T, name string) MulInfo {
 	return MulInfo{Name: e.Mult.Name(), Bits: e.Mult.Bits(), HWS: e.HWS, Mul: e.Mult.Mul}
 }
 
+// parseCases are specs ParseEstimator accepts, with the Name and
+// Describe of what they parse to; badSpecs are specs it rejects. Both
+// seed FuzzParseEstimator.
+var parseCases = []struct {
+	spec     string
+	name     string
+	describe string
+}{
+	{"ste", "ste", "ste"},
+	{"smoothdiff", "smoothdiff", "smoothdiff"},
+	{"smoothdiff(hws=8)", "smoothdiff", "smoothdiff(hws=8)"},
+	{" smoothdiff( hws = 8 ) ", "smoothdiff", "smoothdiff(hws=8)"},
+	{"cvste", "cvste", "cvste"},
+	{"stochastic", "stochastic", "stochastic(seed=0,samples=4,radius=4)"},
+	{"stochastic(seed=7,samples=8,radius=2)", "stochastic", "stochastic(seed=7,samples=8,radius=2)"},
+	{"rawdiff", "rawdiff", "rawdiff"},
+}
+
+var badSpecs = []string{
+	"gradient-descent",          // unknown name
+	"smoothdiff(hws=8",          // missing )
+	"smoothdiff(hws)",           // missing =
+	"smoothdiff(hws=four)",      // non-integer
+	"ste(seed=1)",               // parameter on parameterless estimator
+	"stochastic(temperature=2)", // unknown parameter
+}
+
 func TestParseEstimatorSpecs(t *testing.T) {
-	cases := []struct {
-		spec     string
-		name     string
-		describe string
-	}{
-		{"ste", "ste", "ste"},
-		{"smoothdiff", "smoothdiff", "smoothdiff"},
-		{"smoothdiff(hws=8)", "smoothdiff", "smoothdiff(hws=8)"},
-		{" smoothdiff( hws = 8 ) ", "smoothdiff", "smoothdiff(hws=8)"},
-		{"cvste", "cvste", "cvste"},
-		{"stochastic", "stochastic", "stochastic(seed=0,samples=4,radius=4)"},
-		{"stochastic(seed=7,samples=8,radius=2)", "stochastic", "stochastic(seed=7,samples=8,radius=2)"},
-		{"rawdiff", "rawdiff", "rawdiff"},
-	}
-	for _, c := range cases {
+	for _, c := range parseCases {
 		est, err := ParseEstimator(c.spec)
 		if err != nil {
 			t.Errorf("ParseEstimator(%q): %v", c.spec, err)
@@ -49,14 +62,7 @@ func TestParseEstimatorSpecs(t *testing.T) {
 }
 
 func TestParseEstimatorRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{
-		"gradient-descent",          // unknown name
-		"smoothdiff(hws=8",          // missing )
-		"smoothdiff(hws)",           // missing =
-		"smoothdiff(hws=four)",      // non-integer
-		"ste(seed=1)",               // parameter on parameterless estimator
-		"stochastic(temperature=2)", // unknown parameter
-	} {
+	for _, spec := range badSpecs {
 		if _, err := ParseEstimator(spec); err == nil {
 			t.Errorf("ParseEstimator(%q) accepted", spec)
 		}

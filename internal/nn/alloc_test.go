@@ -22,24 +22,11 @@ func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; exact count holds only without -race")
 	}
-	e, ok := appmult.Lookup("mul7u_rm6")
-	if !ok {
-		t.Fatal("mul7u_rm6 missing")
-	}
-	// Every backward path: STE reaches the affine tier, the difference
-	// estimator the fused gather tier, and a gradient thinned to one
-	// nonzero in eight the small path.
-	for _, tc := range []struct {
-		name   string
-		op     *Op
-		sparse bool
-	}{
-		{BwdPathAffine, STEOp(e.Mult), false},
-		{BwdPathFused, DifferenceOp(e.Mult, 6), false},
-		{BwdPathSmall, DifferenceOp(e.Mult, 6), true},
-	} {
-		op := tc.op
-		t.Run(tc.name, func(t *testing.T) {
+	// Every backward label of the ladder, each on an op and a gradient
+	// density that reach it by automatic dispatch.
+	for _, label := range bwdLabels() {
+		op, sparse := bwdExemplar(t, label)
+		t.Run(label, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			layer := NewApproxConv2D("alloc", 16, 32, 3, 1, 1, op, rng)
 			x := tensor.New(4, 16, 16, 16)
@@ -47,14 +34,14 @@ func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
 			y := layer.Forward(x, true)
 			dy := tensor.New(y.Shape...)
 			dy.RandNormal(rng, 1)
-			if tc.sparse {
+			if sparse {
 				for i := range dy.Data {
 					if i%8 != 0 {
 						dy.Data[i] = 0
 					}
 				}
 			}
-			if got := op.BackwardPath(dy.Data); got != tc.name {
+			if got := op.BackwardPath(dy.Data); got != label {
 				t.Fatalf("backward dispatches to %q", got)
 			}
 			// Warm the arena, the op's padded tables, and the tile pool.

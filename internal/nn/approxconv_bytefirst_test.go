@@ -175,9 +175,16 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 			}
 		}
 	}
-	tiers := []string{"fwd " + FwdPathPacked16, "bwd " + BwdPathAffine, "bwd " + BwdPathMixed, "bwd " + BwdPathFused, "bwd " + BwdPathSmall}
-	if hasGemmAsm {
-		tiers = append(tiers, "fwd "+FwdPathArith)
+	// Every label of both ladders, less what this table cannot reach: it
+	// has no LUT-less op, and the arith row needs AVX2.
+	tiers := []string{}
+	for _, l := range fwdLabels() {
+		if l != FwdPathBehavioral && (l != FwdPathArith || hasGemmAsm) {
+			tiers = append(tiers, "fwd "+l)
+		}
+	}
+	for _, l := range bwdLabels() {
+		tiers = append(tiers, "bwd "+l)
 	}
 	for _, tier := range tiers {
 		if !reached[tier] {

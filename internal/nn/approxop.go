@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -32,20 +33,24 @@ type Op struct {
 
 	// Padded copies of LUT/Grads built lazily on first kernel use (see
 	// ensurePadded): rows of padStride entries so a uint8 operand
-	// index provably stays in bounds, which lets the blocked kernels
-	// gather without bounds checks. Products are packed into uint16
-	// rows (lutPad16) whenever lutMax fits — half the L1 working set
-	// per hot row — and kept as uint32 rows (lutPad) otherwise; exactly
-	// one of the two is non-nil for a LUT-backed op. The tables are
-	// treated as immutable once any kernel has run.
+	// index provably stays in bounds, which lets the kernels gather
+	// without bounds checks. A product of two operands of at most 8 bits
+	// fits 16, so the product rows are packed as uint16 — 512 B of L1
+	// per hot row. The tables are treated as immutable once any kernel
+	// has run.
 	padOnce  sync.Once
-	lutPad   []uint32
 	lutPad16 []uint16
 	gwPad    []float32
 	gxPad    []float32
-	// lutMax is the largest product in LUT; it decides whether a k-long
-	// accumulation provably fits in int32.
+	// lutMax bounds every product of the forward pass — the largest LUT
+	// entry, or MaxUint32 for a behavioral op, whose MulFn has no table
+	// to bound it by; it decides whether a k-long accumulation provably
+	// fits in int32 (see fits32).
 	lutMax uint32
+
+	// pinFwd/pinBwd name the tiers the dispatch ladders prefer (see
+	// Pinned); empty on every op a layer or CLI builds.
+	pinFwd, pinBwd string
 
 	// mask/comp capture the multiplier's partial-product structure when
 	// it exposes one (the Masked/Accurate families); ensurePadded
@@ -58,9 +63,9 @@ type Op struct {
 	// dwAff/dxAff are the verified per-weight-level affine coefficients
 	// of the gradient tables (gradient.RowAffinity over DW/DX), nil when
 	// the corresponding table has any non-affine row. They gate the
-	// backward affine/mixed tiers (kernels_backward.go): like the arith
-	// tier, the structure is synthesized and verified bitwise, so the
-	// tier is bit-exact or silently absent.
+	// backward affine row (tiers.go): like the arith tier, the structure
+	// is synthesized and verified bitwise, so the tier is bit-exact or
+	// silently absent.
 	dwAff []gradient.Affine
 	dxAff []gradient.Affine
 }
@@ -163,30 +168,17 @@ func (op *Op) ensurePadded() {
 			panic(fmt.Sprintf("nn: GEMM kernels support 1..8-bit operands, got %d", op.Bits))
 		}
 		n := 1 << uint(op.Bits)
+		op.lutMax = math.MaxUint32
 		if op.LUT != nil {
-			var mx uint32
-			for _, v := range op.LUT[:n*n] {
-				if v > mx {
-					mx = v
+			op.lutMax = 0
+			op.lutPad16 = make([]uint16, n*padStride)
+			for i, v := range op.LUT[:n*n] {
+				if v > math.MaxUint16 {
+					panic(fmt.Sprintf("nn: %s: LUT[%d] (w=%d, x=%d) = %d does not fit the 16-bit product of two 8-bit operands",
+						op.Label, i, i/n, i%n, v))
 				}
-			}
-			op.lutMax = mx
-			if mx <= 0xFFFF {
-				// Packed rows: uint16 entries halve the L1 footprint of
-				// every hoisted hot row (512 B instead of 1 KiB).
-				op.lutPad16 = make([]uint16, n*padStride)
-				for w := 0; w < n; w++ {
-					row := op.lutPad16[w*padStride : w*padStride+n]
-					src := op.LUT[w*n : (w+1)*n]
-					for i, v := range src {
-						row[i] = uint16(v)
-					}
-				}
-			} else {
-				op.lutPad = make([]uint32, n*padStride)
-				for w := 0; w < n; w++ {
-					copy(op.lutPad[w*padStride:w*padStride+n], op.LUT[w*n:(w+1)*n])
-				}
+				op.lutMax = max(op.lutMax, v)
+				op.lutPad16[i/n*padStride+i%n] = uint16(v)
 			}
 			if op.mask != nil {
 				// Synthesize the closed-form tier and verify it against

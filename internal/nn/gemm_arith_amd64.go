@@ -9,8 +9,8 @@ package nn
 // having enabled XMM+YMM state saving.
 
 // hasGemmAsm reports whether the assembly arith kernels are usable on
-// this machine. Set once at init; the dispatch in kernels.go falls back
-// to the packed16/blocked LUT tiers when false.
+// this machine. Set once at init; the forward ladder (tiers.go) falls
+// back to the packed16 LUT tier when false.
 var hasGemmAsm = detectAVX2()
 
 func detectAVX2() bool {

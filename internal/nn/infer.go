@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
 )
 
@@ -146,23 +145,9 @@ func (c *ApproxConv2D) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // Infer implements Inferer: see ApproxConv2D.Infer.
 func (l *ApproxLinear) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if len(x.Shape) != 2 || x.Shape[1] != l.In {
-		panic(fmt.Sprintf("nn: %s expects (N,%d), got %v", l.name, l.In, x.Shape))
-	}
+	l.checkInput(x)
 	if !l.Observer.Seen() {
 		l.Observer.Observe(x)
 	}
-	px := l.Observer.Params(l.op.Bits)
-	p := quant.CalibrateTensor(l.Weight.Value, l.op.Bits)
-	l.pw = grow(l.pw, 1)
-	l.pw[0] = p
-	rows := x.Shape[0]
-	l.trained = false
-	l.xq = grow(l.xq, len(x.Data))
-	l.ks.quantizeWithClip(l.xq, nil, x.Data, px)
-	l.wq = grow(l.wq, len(l.Weight.Value.Data))
-	l.ks.quantizeWithClip(l.wq, nil, l.Weight.Value.Data, p)
-	l.out = tensor.Ensure2(l.out, rows, l.Out)
-	l.op.ForwardGEMM(&l.ks, l.out.Data, l.xq, l.wq, rows, l.Out, l.In, l.pw, px, l.Bias.Value.Data)
-	return l.out
+	return l.forward(x, false)
 }

@@ -1,62 +1,165 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/gradient"
+	"github.com/appmult/retrain/internal/obs"
 	"github.com/appmult/retrain/internal/quant"
 )
 
-// These tests pin the blocked kernels (kernels.go) to the preserved
-// reference kernels (kernels_ref.go) with EXACT float equality. The
-// blocked kernels are constructed to be bit-identical — integer-only
-// forward accumulation plus reference accumulation order in the float
-// backward — so any tolerance here would only hide a broken tiling.
+// These tests pin every row of the dispatch ladders (tiers.go) to the
+// preserved reference kernels (kernels_ref.go) with Float32bits
+// equality. The tiers are constructed to be bit-identical —
+// integer-only forward accumulation plus reference accumulation order
+// in the float backward — so any tolerance here would only hide a
+// broken tiling.
 
-// equivCase is one kernel shape/op configuration. Shapes are chosen to
-// be deliberately hostile to the tiling: prime-ish sizes that are not
-// multiples of fwdRowTile (64), fwdKTile (256), or transTile (64), plus
-// sizes that cross a tile boundary by one.
+// equivCase is one op/shape configuration of the equivalence table.
 type equivCase struct {
-	name             string
-	op               *Op
-	rows, outC, k    int
-	perChannel       bool
-	wantInt64Accum   bool
-	skipBackwardGrad bool // behavioral forward shares the backward path
+	name           string
+	op             *Op
+	rows, outC, k  int
+	perChannel     bool
+	wantInt64Accum bool
+	// wantArith/wantAffine: the op must provide the arith forward row
+	// (given AVX2) / the affine backward row. If the verifiers ever stop
+	// accepting the mask family or STE's tables, the flagship tiers
+	// silently disappear and these flags are the tripwire.
+	wantArith, wantAffine bool
 }
 
-func equivOps(t *testing.T) []equivCase {
+func lookupMult(t testing.TB, name string) appmult.Multiplier {
 	t.Helper()
-	lk := func(name string) appmult.Multiplier {
-		e, ok := appmult.Lookup(name)
-		if !ok {
-			t.Fatalf("registry multiplier %s missing", name)
-		}
-		return e.Mult
+	e, ok := appmult.Lookup(name)
+	if !ok {
+		t.Fatalf("registry multiplier %s missing", name)
 	}
-	// A synthetic 4-bit op whose LUT holds huge products: lutMax*k
-	// overflows int32 even at tiny k, forcing the int64 accumulator.
+	return e.Mult
+}
+
+// bwdExemplar returns an op over mul7u_rm6 whose dense upstream
+// gradients auto-dispatch to the given backward label, and whether
+// reaching the label needs a sparse gradient instead.
+func bwdExemplar(t testing.TB, label string) (op *Op, sparse bool) {
+	t.Helper()
+	e, ok := appmult.Lookup("mul7u_rm6")
+	if !ok {
+		t.Fatal("mul7u_rm6 missing")
+	}
+	switch label {
+	case BwdPathSmall:
+		return DifferenceOp(e.Mult, 6), true
+	case BwdPathAffine:
+		return STEOp(e.Mult), false
+	case BwdPathFused:
+		return DifferenceOp(e.Mult, 6), false
+	case BwdPathMixed:
+		cvste, err := gradient.ParseEstimator(gradient.EstCVSTE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return EstimatorOp(e.Mult, cvste, e.HWS), false
+	}
+	t.Fatalf("backward tier %q has no exemplar op: add one", label)
+	return nil, false
+}
+
+// fwdLabels and bwdLabels enumerate the ladders of tiers.go; bwdLabels
+// includes the derived mixed label.
+func fwdLabels() (labels []string) {
+	for i := range fwdTiers {
+		labels = append(labels, fwdTiers[i].label)
+	}
+	return labels
+}
+
+func bwdLabels() []string {
+	labels := []string{bwdSmall.label}
+	for i := range bwdSweeps {
+		labels = append(labels, bwdSweeps[i].label)
+	}
+	return append(labels, BwdPathMixed)
+}
+
+// equivCases is the shape table every tier runs over.
+func equivCases(t *testing.T) []equivCase {
+	t.Helper()
+	// A synthetic op whose products reach the 16-bit ceiling: at
+	// k = 32800 lutMax*k overflows int32, forcing the int64 accumulator.
 	bigLUT := make([]uint32, 1<<8)
 	for i := range bigLUT {
-		bigLUT[i] = uint32(i) * (1 << 26)
+		bigLUT[i] = uint32(i) * 257
 	}
 	big := &Op{Label: "big4", Bits: 4, LUT: bigLUT, Grads: gradient.STE(4)}
 
-	return []equivCase{
+	// Shapes deliberately hostile to the tiling: prime-ish sizes that
+	// are not multiples of fwdRowTile (64), fwdKTile (256), or transTile
+	// (64), plus sizes that cross a tile boundary by one.
+	cases := []equivCase{
 		{name: "accurate2/tiny", op: STEOp(appmult.NewAccurate(2)), rows: 3, outC: 2, k: 5},
 		{name: "accurate4/odd", op: STEOp(appmult.NewAccurate(4)), rows: 13, outC: 5, k: 17},
-		{name: "mul6u_rm4/odd", op: DifferenceOp(lk("mul6u_rm4"), 2), rows: 67, outC: 5, k: 37},
-		{name: "mul6u_rm4/perchannel", op: DifferenceOp(lk("mul6u_rm4"), 2), rows: 65, outC: 7, k: 144, perChannel: true},
-		{name: "mul7u_rm6/tile+1", op: DifferenceOp(lk("mul7u_rm6"), 6), rows: 65, outC: 3, k: 257},
-		{name: "mul8u_1DMU/ktile-cross", op: STEOp(lk("mul8u_1DMU")), rows: 30, outC: 4, k: 259},
+		{name: "mul6u_rm4/odd", op: DifferenceOp(lookupMult(t, "mul6u_rm4"), 2), rows: 67, outC: 5, k: 37},
+		{name: "mul6u_rm4/perchannel", op: DifferenceOp(lookupMult(t, "mul6u_rm4"), 2), rows: 65, outC: 7, k: 144, perChannel: true},
+		{name: "mul7u_rm6/tile+1", op: DifferenceOp(lookupMult(t, "mul7u_rm6"), 6), rows: 65, outC: 3, k: 257},
+		{name: "mul8u_1DMU/ktile-cross", op: STEOp(lookupMult(t, "mul8u_1DMU")), rows: 30, outC: 4, k: 259},
 		{name: "accurate8/perchannel", op: STEOp(appmult.NewAccurate(8)), rows: 129, outC: 6, k: 65, perChannel: true},
-		{name: "big4/int64-accum", op: big, rows: 13, outC: 3, k: 40, wantInt64Accum: true},
-		{name: "mul7u_rm6/behavioral", op: BehavioralOp(lk("mul7u_rm6"), gradient.STE(7)),
-			rows: 50, outC: 4, k: 70, skipBackwardGrad: true},
+		{name: "big4/int64-accum", op: big, rows: 13, outC: 3, k: 32800, wantInt64Accum: true},
+		{name: "mul7u_rm6/behavioral", op: BehavioralOp(lookupMult(t, "mul7u_rm6"), gradient.STE(7)), rows: 50, outC: 4, k: 70},
 	}
+
+	// The full multiplier registry crossed with the estimator families
+	// whose tables differ in affine structure (ste: both tables affine;
+	// cvste: DX only; smoothdiff/stochastic: neither).
+	for _, spec := range []string{gradient.EstSTE, gradient.EstCVSTE, gradient.EstSmoothDiff, gradient.EstStochastic} {
+		est, err := gradient.ParseEstimator(spec)
+		if err != nil {
+			t.Fatalf("estimator %s: %v", spec, err)
+		}
+		for _, e := range appmult.Registry() {
+			cases = append(cases, equivCase{name: spec + "/" + e.Mult.Name(), op: EstimatorOp(e.Mult, est, e.HWS),
+				rows: 37, outC: 4, k: 33, wantAffine: spec == gradient.EstSTE})
+		}
+	}
+
+	for i := range bwdSweeps {
+		label := bwdSweeps[i].label
+		op, _ := bwdExemplar(t, label)
+		affine := label == BwdPathAffine
+		// Row counts across the asm kernels' 32-row dX chunk boundary and
+		// down to single-digit rows, where the chunked dX path is entirely
+		// tail. k=35 exercises the dW tails too: 35 = 2*16+3 (affine
+		// blocks) and 4*8+3 (gather blocks).
+		for _, rows := range []int{1, 2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 95, 96, 97} {
+			cases = append(cases, equivCase{name: fmt.Sprintf("%s/rows=%d", label, rows), op: op,
+				rows: rows, outC: 3, k: 35, wantAffine: affine})
+		}
+		// Output-channel counts at, off and below the dW kernels' eight
+		// lanes (below, the spare lanes are zero-padded) and even, odd and
+		// single-column k, where the column-pair calls repeat a column and
+		// the lane groups overlap.
+		for _, outC := range []int{7, 8, 9, 12, 16, 24, 31} {
+			for _, k := range []int{1, 2, 3, 16, 27, 70} {
+				cases = append(cases, equivCase{name: fmt.Sprintf("%s/outC=%d/k=%d", label, outC, k), op: op,
+					rows: 45, outC: outC, k: k, wantAffine: affine})
+			}
+		}
+	}
+
+	// The arith row's rows >= 32 SIMD gate together with its scalar tail:
+	// the asm kernels run over none, some, or all rows.
+	ste, _ := bwdExemplar(t, BwdPathAffine)
+	for _, rows := range []int{32, 33, 63, 64, 65, 95, 96} {
+		cases = append(cases, equivCase{name: fmt.Sprintf("arith/rows=%d", rows), op: ste,
+			rows: rows, outC: 3, k: 51, wantArith: true, wantAffine: true})
+	}
+	return cases
 }
 
 // randOperands builds random quantized operands, clip masks with a few
@@ -100,207 +203,168 @@ func quantParams(rng *rand.Rand, c equivCase) (pw []quant.Params, px quant.Param
 	return pw, px
 }
 
-// TestBlockedForwardBitExact: blocked forward == reference forward,
-// bit for bit, across bit widths, quantization schemes, accumulator
-// widths, and tile-hostile shapes.
-func TestBlockedForwardBitExact(t *testing.T) {
-	for _, c := range equivOps(t) {
-		t.Run(c.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(101))
-			xq, wq, _, _, _ := randOperands(rng, c)
-			pw, px := quantParams(rng, c)
-			bias := make([]float32, c.outC)
-			for i := range bias {
-				bias[i] = float32(rng.NormFloat64())
-			}
+// pinName names a pin in a subtest path.
+func pinName(pin string) string {
+	if pin == "" {
+		return "auto"
+	}
+	return pin
+}
 
-			ref := c.op.ForwardGEMMRef(xq, wq, c.rows, c.outC, c.k, pw, px, bias)
-			var s KernelScratch
-			got := make([]float32, c.rows*c.outC)
-			// Run twice through the same scratch arena: the second pass
-			// must not see stale state.
-			for pass := 0; pass < 2; pass++ {
-				c.op.ForwardGEMM(&s, got, xq, wq, c.rows, c.outC, c.k, pw, px, bias)
-				for i := range got {
-					if got[i] != ref.Data[i] {
-						t.Fatalf("pass %d: forward[%d] = %v, ref %v", pass, i, got[i], ref.Data[i])
-					}
+// TestTierEquivalence runs every case of equivCases on every row of
+// both ladders — automatic dispatch, then each row pinned through
+// Op.Pinned, the hook the benchmark harness uses — and requires
+// Float32bits equality with ForwardGEMMRef / BackwardGEMMRef, clip
+// masks and the folded bias gradient included. A row the op, host or
+// shape cannot provide is reported and skipped, so the test also
+// documents which tiers each registry family reaches. Every GEMM runs
+// twice through one scratch arena (the second pass must not see stale
+// state), the forward cases follow up with an automatic backward in the
+// same arena, and the backward cases run on a mostly-nonzero gradient
+// and on one thinned to one nonzero in eight, and automatic dispatch
+// must send exactly the gradients with at most a quarter nonzero to the
+// small row by itself.
+func TestTierEquivalence(t *testing.T) {
+	for ci, c := range equivCases(t) {
+		rng := rand.New(rand.NewSource(int64(ci)))
+		xq, wq, xClip, wClip, dense := randOperands(rng, c)
+		pw, px := quantParams(rng, c)
+		bias := make([]float32, c.outC)
+		for i := range bias {
+			bias[i] = float32(rng.NormFloat64())
+		}
+		sparse := make([]float32, len(dense))
+		for i := 0; i < len(dense); i += 8 {
+			sparse[i] = dense[i]
+		}
+		ref := c.op.ForwardGEMMRef(xq, wq, c.rows, c.outC, c.k, pw, px, bias)
+
+		// backward runs op's BackwardGEMM twice in s and compares it
+		// with the reference.
+		backward := func(t *testing.T, op *Op, s *KernelScratch, dy []float32) {
+			t.Helper()
+			refDW, refDX := c.op.BackwardGEMMRef(dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
+			wantSum := make([]float32, c.outC)
+			for r := 0; r < c.rows; r++ {
+				for oc := range wantSum {
+					wantSum[oc] += dy[r*c.outC+oc]
 				}
 			}
-			if c.wantInt64Accum {
-				if fits := uint64(c.op.lutMax)*uint64(c.k) <= 1<<31-1; fits {
+			dw := make([]float32, c.outC*c.k)
+			dx := make([]float32, c.rows*c.k)
+			gsum := make([]float32, c.outC)
+			for pass := 0; pass < 2; pass++ {
+				op.BackwardGEMM(s, dw, dx, gsum, dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
+				requireSameBits(t, fmt.Sprintf("pass %d: dw", pass), dw, refDW)
+				requireSameBits(t, fmt.Sprintf("pass %d: dx", pass), dx, refDX)
+				requireSameBits(t, fmt.Sprintf("pass %d: gsum", pass), gsum, wantSum)
+			}
+		}
+
+		for _, pin := range append([]string{""}, fwdLabels()...) {
+			t.Run("fwd/"+pinName(pin)+"/"+c.name, func(t *testing.T) {
+				op := c.op.Pinned(pin, "")
+				if got := op.ForwardPath(c.rows, c.k); pin != "" && got != pin {
+					if c.wantArith && pin == FwdPathArith && hasGemmAsm {
+						t.Fatalf("op must provide the arith row, fell back to %s", got)
+					}
+					t.Skipf("op, host or shape cannot provide %s (falls back to %s)", pin, got)
+				}
+				if c.wantInt64Accum && op.fits32(c.k) {
 					t.Fatal("case meant to exercise the int64 accumulator fits in int32")
 				}
-			}
-		})
-	}
-}
-
-// TestBlockedBackwardBitExact: tiered backward == reference backward,
-// bit for bit, including clip masks and the folded bias gradient, on
-// both sides of the dispatch gate for every case: the mostly-nonzero
-// gradient auto-dispatches to a big tier, the same gradient is forced
-// onto the small path, and a gradient thinned to one nonzero in eight
-// must reach the small path by itself.
-func TestBlockedBackwardBitExact(t *testing.T) {
-	defer SetBackwardTierOverride("")
-	for _, mode := range []struct {
-		name, override string
-		sparse         bool
-	}{
-		{"blocked", "", false},
-		{"small", BwdPathSmall, false},
-		{"sparse", "", true},
-	} {
-		for _, c := range equivOps(t) {
-			if c.skipBackwardGrad {
-				continue
-			}
-			t.Run(mode.name+"/"+c.name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(202))
-				xq, wq, xClip, wClip, dy := randOperands(rng, c)
-				pw, px := quantParams(rng, c)
-				if mode.sparse {
-					for i := range dy {
-						if i%8 != 0 {
-							dy[i] = 0
-						}
-					}
-				}
-				SetBackwardTierOverride(mode.override)
-				defer SetBackwardTierOverride("")
-				if got := c.op.BackwardPath(dy); (got == BwdPathSmall) != (mode.name != "blocked") {
-					t.Fatalf("dispatch took %q", got)
-				}
-
-				refDW, refDX := c.op.BackwardGEMMRef(dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
-				var s KernelScratch
-				dw := make([]float32, c.outC*c.k)
-				dx := make([]float32, c.rows*c.k)
-				gsum := make([]float32, c.outC)
-				for pass := 0; pass < 2; pass++ {
-					c.op.BackwardGEMM(&s, dw, dx, gsum, dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
-					for i := range dw {
-						if dw[i] != refDW[i] {
-							t.Fatalf("pass %d: dw[%d] = %v, ref %v", pass, i, dw[i], refDW[i])
-						}
-					}
-					for i := range dx {
-						if dx[i] != refDX[i] {
-							t.Fatalf("pass %d: dx[%d] = %v, ref %v", pass, i, dx[i], refDX[i])
-						}
-					}
-					for oc := 0; oc < c.outC; oc++ {
-						var want float32
-						for r := 0; r < c.rows; r++ {
-							want += dy[r*c.outC+oc]
-						}
-						if gsum[oc] != want {
-							t.Fatalf("pass %d: gsum[%d] = %v, want %v", pass, oc, gsum[oc], want)
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestForwardTierBitExact forces ForwardGEMM onto each dispatch tier a
-// case supports — via forwardTierOverride, the same hook the benchmark
-// harness uses — and requires exact equality with the reference forward
-// on every tier, then runs the backward pass under the same override to
-// prove the tiers leave no state behind that the backward kernels
-// could trip over. Tiers the op/host cannot provide (no AVX2, products
-// beyond uint16, or vice versa) are reported and skipped, so the test
-// also documents which tiers each registry family reaches.
-func TestForwardTierBitExact(t *testing.T) {
-	defer func() { forwardTierOverride = "" }()
-	for _, tier := range []string{FwdPathArith, FwdPathPacked16, FwdPathBlocked} {
-		for _, c := range equivOps(t) {
-			t.Run(tier+"/"+c.name, func(t *testing.T) {
-				forwardTierOverride = ""
-				if c.op.ForwardPath(c.rows, c.k) == FwdPathBehavioral {
-					t.Skip("behavioral op has no LUT tiers")
-				}
-				forwardTierOverride = tier
-				if got := c.op.ForwardPath(c.rows, c.k); got != tier {
-					if tier == FwdPathArith && !hasGemmAsm {
-						t.Skipf("host has no AVX2; tier fell back to %s", got)
-					}
-					t.Skipf("op cannot provide tier %s (falls back to %s)", tier, got)
-				}
-
-				rng := rand.New(rand.NewSource(303))
-				xq, wq, xClip, wClip, dy := randOperands(rng, c)
-				pw, px := quantParams(rng, c)
-				bias := make([]float32, c.outC)
-				for i := range bias {
-					bias[i] = float32(rng.NormFloat64())
-				}
-
-				ref := c.op.ForwardGEMMRef(xq, wq, c.rows, c.outC, c.k, pw, px, bias)
 				var s KernelScratch
 				got := make([]float32, c.rows*c.outC)
 				for pass := 0; pass < 2; pass++ {
-					c.op.ForwardGEMM(&s, got, xq, wq, c.rows, c.outC, c.k, pw, px, bias)
-					for i := range got {
-						if got[i] != ref.Data[i] {
-							t.Fatalf("pass %d: forward[%d] = %v, ref %v", pass, i, got[i], ref.Data[i])
+					op.ForwardGEMM(&s, got, xq, wq, c.rows, c.outC, c.k, pw, px, bias)
+					requireSameBits(t, fmt.Sprintf("pass %d: forward", pass), got, ref.Data)
+				}
+				backward(t, op, &s, dense)
+			})
+		}
+		for _, pin := range append([]string{""}, bwdLabels()...) {
+			op := c.op.Pinned("", pin)
+			for _, g := range []struct {
+				density string
+				dy      []float32
+			}{{"dense", dense}, {"1in8", sparse}} {
+				t.Run("bwd/"+pinName(pin)+"/"+g.density+"/"+c.name, func(t *testing.T) {
+					nonzero := 0
+					for _, v := range g.dy {
+						if v != 0 {
+							nonzero++
 						}
 					}
-				}
-
-				refDW, refDX := c.op.BackwardGEMMRef(dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
-				dw := make([]float32, c.outC*c.k)
-				dx := make([]float32, c.rows*c.k)
-				gsum := make([]float32, c.outC)
-				c.op.BackwardGEMM(&s, dw, dx, gsum, dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
-				for i := range dw {
-					if dw[i] != refDW[i] {
-						t.Fatalf("dw[%d] = %v, ref %v", i, dw[i], refDW[i])
+					switch got := op.BackwardPath(g.dy); {
+					case pin == "" && (got == BwdPathSmall) != (4*nonzero <= len(g.dy)):
+						t.Fatalf("automatic dispatch sent a gradient with %d of %d entries nonzero to %q", nonzero, len(g.dy), got)
+					case pin != "" && got != pin:
+						if c.wantAffine && pin == BwdPathAffine {
+							t.Fatalf("op must provide the affine row, fell back to %s", got)
+						}
+						t.Skipf("op cannot provide %s (falls back to %s)", pin, got)
 					}
-				}
-				for i := range dx {
-					if dx[i] != refDX[i] {
-						t.Fatalf("dx[%d] = %v, ref %v", i, dx[i], refDX[i])
-					}
-				}
-			})
+					backward(t, op, &KernelScratch{}, g.dy)
+				})
+			}
 		}
 	}
 }
 
-// TestArithTierSmallRows pins the rows >= 32 SIMD gate together with
-// the scalar tail: shapes straddling the 32-row chunk boundary must be
-// bit-exact whether the asm kernels run over none, some, or all rows.
-func TestArithTierSmallRows(t *testing.T) {
-	if !hasGemmAsm {
-		t.Skip("host has no AVX2")
-	}
-	e, ok := appmult.Lookup("mul7u_rm6")
-	if !ok {
-		t.Fatal("mul7u_rm6 missing")
-	}
-	op := STEOp(e.Mult)
-	defer func() { forwardTierOverride = "" }()
-	forwardTierOverride = FwdPathArith
-	for _, rows := range []int{32, 33, 63, 64, 65, 95, 96} {
-		c := equivCase{op: op, rows: rows, outC: 3, k: 51}
-		if got := op.ForwardPath(rows, c.k); got != FwdPathArith {
-			t.Fatalf("rows=%d: path %s, want arith", rows, got)
+// TestOversizedProductPanics: a LUT entry beyond the 16-bit product of
+// two 8-bit operands is rejected at first kernel use, naming the entry.
+func TestOversizedProductPanics(t *testing.T) {
+	lut := make([]uint32, 1<<8)
+	lut[0x2B] = 0x10000
+	op := &Op{Label: "oversized", Bits: 4, LUT: lut, Grads: gradient.STE(4)}
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		op.ForwardGEMM(nil, make([]float32, 1), []uint8{1}, []uint8{1}, 1, 1, 1,
+			[]quant.Params{quant.Calibrate(-1, 1, 4)}, quant.Calibrate(0, 1, 4), []float32{0})
+		return
+	}()
+	for _, want := range []string{"oversized", "LUT[43]", "w=2", "x=11", "65536"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("first kernel use panicked with %q, which does not name %s", msg, want)
 		}
-		rng := rand.New(rand.NewSource(int64(rows)))
-		xq, wq, _, _, _ := randOperands(rng, c)
-		pw, px := quantParams(rng, c)
-		bias := make([]float32, c.outC)
-		ref := op.ForwardGEMMRef(xq, wq, rows, c.outC, c.k, pw, px, bias)
-		got := make([]float32, rows*c.outC)
-		op.ForwardGEMM(nil, got, xq, wq, rows, c.outC, c.k, pw, px, bias)
-		for i := range got {
-			if got[i] != ref.Data[i] {
-				t.Fatalf("rows=%d: forward[%d] = %v, ref %v", rows, i, got[i], ref.Data[i])
+	}
+}
+
+// TestTierLabelsAreTheDispatchMetric: the `path` values registered
+// under nn_kernel_dispatch_total are exactly the labels of the ladders
+// in tiers.go plus "ref" — a tier cannot run uncounted, and no series
+// outlives its tier.
+func TestTierLabelsAreTheDispatchMetric(t *testing.T) {
+	want := map[string]bool{"forward/ref": true, "backward/ref": true}
+	for _, l := range fwdLabels() {
+		want["forward/"+l] = true
+	}
+	for _, l := range bwdLabels() {
+		want["backward/"+l] = true
+	}
+	got := map[string]bool{}
+	for _, fam := range obs.Default().Snapshot() {
+		if fam.Name != "nn_kernel_dispatch_total" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			lv := map[string]string{}
+			for i := 0; i+1 < len(s.Labels); i += 2 {
+				lv[s.Labels[i]] = s.Labels[i+1]
 			}
+			got[lv["kernel"]+"/"+lv["path"]] = true
 		}
+	}
+	keys := func(m map[string]bool) []string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	if g, w := fmt.Sprint(keys(got)), fmt.Sprint(keys(want)); g != w {
+		t.Fatalf("nn_kernel_dispatch_total series %s, tier table %s", g, w)
 	}
 }
 
@@ -334,7 +398,7 @@ func TestBehavioralMatchesLUTForward(t *testing.T) {
 	lutOp.ForwardGEMM(nil, a, xq, wq, rows, outC, k, pw, px, bias)
 	behOp.ForwardGEMM(nil, b, xq, wq, rows, outC, k, pw, px, bias)
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			t.Fatalf("LUT and behavioral forwards diverge at %d: %v vs %v", i, a[i], b[i])
 		}
 	}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"sync"
 
 	"github.com/appmult/retrain/internal/quant"
@@ -16,7 +15,7 @@ import (
 // weight level that stays fixed while the GEMM scans rows: hoisting
 // the LUT row for that weight turns the gather stream from random
 // accesses into a full 2^(2B)-entry table (256 KiB at 8 bits, L2 at
-// best) into repeated hits on one padded 1 KiB row that stays L1
+// best) into repeated hits on one padded 512 B row that stays L1
 // resident. The kernels therefore work on the k-major operand matrix
 // xT (k x rows), whose row-scan direction is contiguous — the layout
 // ApproxConv2D's im2col writes and its col2im reads, so the
@@ -27,8 +26,9 @@ import (
 // allocate nothing.
 //
 // There is one kernel family: forwardT and backwardT (kernels_backward.go)
-// take xT and address the output-side matrices — y, dy — as NCHW planes
-// of hw positions per (image, channel). The exported row-major
+// run the tier their dispatch ladder (tiers.go) selects; both take xT
+// and address the output-side matrices — y, dy — as NCHW planes of hw
+// positions per (image, channel). The exported row-major
 // ForwardGEMM and BackwardGEMM are adapters around them: they transpose
 // the operand matrix in (and the input gradient out) and pass hw = 1,
 // under which the plane layout is the row-major (rows x outC) matrix.
@@ -169,106 +169,14 @@ func (op *Op) forwardT(s *KernelScratch, y []float32, xT, wq []uint8, rows, outC
 	s.sumW = grow(s.sumW, outC)
 	s.levelSums(s.sumW, wq, outC, k)
 
-	path := op.forwardPath(rows, k)
-	// int32 accumulation is safe when the worst-case row sum fits (see
-	// forwardPath, which applies the same gate to the tier choice); a
-	// behavioral MulFn has no table to bound it by.
-	run := fwdTileRun{op: op, s: s, y: y, xT: xT, wq: wq, bias: bias,
-		rows: rows, outC: outC, k: k, hw: hw, zx: zx, path: path,
-		use32: path != FwdPathBehavioral && uint64(op.lutMax)*uint64(k) <= math.MaxInt32}
-	switch path {
-	case FwdPathBehavioral:
-		if op.MulFn == nil {
-			panic("nn: Op has neither a LUT nor a behavioral MulFn")
-		}
-		kernelForwardBehavioral.Inc()
-	case FwdPathArith:
-		kernelForwardArith.Inc()
-		run.kComp = int64(k) * int64(op.arith.comp)
-		if op.arith.pairOK {
-			s.cwp = grow(s.cwp, outC*((k+1)/2)*op.arith.nT*2)
-			buildPairStream(s.cwp, wq, op.arith, outC, k)
-		}
-	case FwdPathPacked16:
-		kernelForwardPacked16.Inc()
-	default:
-		kernelForwardBlocked.Inc()
+	tier := op.forwardTier(rows, k)
+	tier.count.Inc()
+	s.fwdRun = fwdTileRun{op: op, s: s, y: y, xT: xT, wq: wq, bias: bias,
+		rows: rows, outC: outC, k: k, hw: hw, zx: zx, tier: tier, use32: op.fits32(k)}
+	if tier.setup != nil {
+		tier.setup(&s.fwdRun)
 	}
-	s.fwdRun = run
 	tensor.ParallelBlocksOn(rows, fwdRowTile, &s.fwdRun)
-}
-
-// Forward dispatch tier names, in descending preference order. They
-// double as the `path` label values of the nn_kernel_dispatch_total
-// metric (the backward tiers are the BwdPath* constants in
-// kernels_backward.go, the reference kernels "ref").
-const (
-	// FwdPathArith is the closed-form strip-arithmetic SIMD tier
-	// (mask-family multipliers on AVX2 hosts; see arith.go).
-	FwdPathArith = "arith"
-	// FwdPathPacked16 is the blocked-LUT tier with packed uint16 rows
-	// (any op whose largest product fits uint16).
-	FwdPathPacked16 = "packed16"
-	// FwdPathBlocked is the blocked-LUT tier with uint32 rows (the PR 2
-	// kernel; ops with products beyond uint16).
-	FwdPathBlocked = "blocked"
-	// FwdPathBehavioral evaluates MulFn per MAC (ops without a LUT).
-	FwdPathBehavioral = "behavioral"
-)
-
-// forwardTierOverride forces ForwardGEMM onto a specific dispatch tier
-// when the op supports it (falling back to automatic selection when it
-// does not) — a test/bench hook like backwardTierOverride, not part of the
-// API. Write it only from single-threaded setup code.
-var forwardTierOverride = ""
-
-// SetForwardTierOverride forces ForwardGEMM onto the given dispatch
-// tier (one of the FwdPath* constants) whenever an op supports it,
-// falling back to automatic selection when it does not. The empty
-// string restores automatic selection. A benchmark-harness hook (see
-// cmd/benchkernels): call it only from single-threaded setup code,
-// never during concurrent GEMMs.
-func SetForwardTierOverride(tier string) { forwardTierOverride = tier }
-
-// ForwardPath reports which dispatch tier ForwardGEMM will use for a
-// GEMM of the given row count and reduction depth — `rows` gates the
-// SIMD tier's 32-row chunking, `k` the int32 accumulator. The benchmark
-// harness prints it next to each measurement.
-func (op *Op) ForwardPath(rows, k int) string {
-	op.ensurePadded()
-	return op.forwardPath(rows, k)
-}
-
-func (op *Op) forwardPath(rows, k int) string {
-	if op.lutPad == nil && op.lutPad16 == nil {
-		return FwdPathBehavioral
-	}
-	// int32 accumulation is safe when the worst-case row sum fits;
-	// lutMax*k also bounds the true sum for every smaller operand (and
-	// bounds the arith tier's comp-free sums, since stripMax <= lutMax).
-	use32 := uint64(op.lutMax)*uint64(k) <= math.MaxInt32
-	arithOK := op.arith != nil && hasGemmAsm && use32 && rows >= 32
-	switch forwardTierOverride {
-	case FwdPathArith:
-		if arithOK {
-			return FwdPathArith
-		}
-	case FwdPathPacked16:
-		if op.lutPad16 != nil {
-			return FwdPathPacked16
-		}
-	case FwdPathBlocked:
-		if op.lutPad != nil {
-			return FwdPathBlocked
-		}
-	}
-	if arithOK {
-		return FwdPathArith
-	}
-	if op.lutPad16 != nil {
-		return FwdPathPacked16
-	}
-	return FwdPathBlocked
 }
 
 // loadTile copies the (nK x nR) operand tile at k offset kb, row offset
@@ -298,14 +206,22 @@ func loadTile(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) {
 	}
 }
 
+// packed16AccumTile is the packed16 row's tile kernel: gemmAccumTile
+// on the accumulator width forwardT chose.
+func packed16AccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
+	if t.use32 {
+		gemmAccumTile(tl.acc32, tl.xt, t.op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
+	} else {
+		gemmAccumTile(tl.acc64, tl.xt, t.op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
+	}
+}
+
 // gemmAccumTile adds one k tile into acc[oc][r]: the sum over the
 // tile's nK columns of LUT[wq[oc][kb+i], xt[i][r]]. The inner gather
 // loop walks a contiguous tile column, and the hoisted LUT row
-// (padStride entries, uint8 index) is gathered without bounds checks.
-// E is the padded-row element: packed uint16 rows keep the hot row at
-// 512 B of L1 (the packed16 tier), uint32 rows carry products beyond
-// uint16 (the blocked tier).
-func gemmAccumTile[T int32 | int64, E uint16 | uint32](acc []T, xt []uint8, lutPad []E, wq []uint8, nR, outC, k, kb, nK int) {
+// (padStride uint16 entries, uint8 index) is gathered without bounds
+// checks.
+func gemmAccumTile[T int32 | int64](acc []T, xt []uint8, lut16 []uint16, wq []uint8, nR, outC, k, kb, nK int) {
 	for oc := 0; oc < outC; oc++ {
 		accRow := acc[oc*nR : oc*nR+nR]
 		wr := wq[oc*k+kb : oc*k+kb+nK]
@@ -314,10 +230,10 @@ func gemmAccumTile[T int32 | int64, E uint16 | uint32](acc []T, xt []uint8, lutP
 		// associative, so the grouping cannot change the result.
 		i := 0
 		for ; i+3 < nK; i += 4 {
-			lr0 := lutPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
-			lr1 := lutPad[int(wr[i+1])*padStride : int(wr[i+1])*padStride+padStride]
-			lr2 := lutPad[int(wr[i+2])*padStride : int(wr[i+2])*padStride+padStride]
-			lr3 := lutPad[int(wr[i+3])*padStride : int(wr[i+3])*padStride+padStride]
+			lr0 := lut16[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
+			lr1 := lut16[int(wr[i+1])*padStride : int(wr[i+1])*padStride+padStride]
+			lr2 := lut16[int(wr[i+2])*padStride : int(wr[i+2])*padStride+padStride]
+			lr3 := lut16[int(wr[i+3])*padStride : int(wr[i+3])*padStride+padStride]
 			x0 := xt[i*nR : i*nR+nR]
 			x1 := xt[(i+1)*nR : (i+1)*nR+nR][:len(x0)]
 			x2 := xt[(i+2)*nR : (i+2)*nR+nR][:len(x0)]
@@ -328,7 +244,7 @@ func gemmAccumTile[T int32 | int64, E uint16 | uint32](acc []T, xt []uint8, lutP
 			}
 		}
 		for ; i < nK; i++ {
-			lr := lutPad[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
+			lr := lut16[int(wr[i])*padStride : int(wr[i])*padStride+padStride]
 			xcol := xt[i*nR : i*nR+nR]
 			for r, xv := range xcol {
 				accRow[r] += T(lr[xv])
@@ -337,15 +253,16 @@ func gemmAccumTile[T int32 | int64, E uint16 | uint32](acc []T, xt []uint8, lutP
 	}
 }
 
-// behavioralAccumTile is gemmAccumTile with MulFn evaluated per MAC —
-// the [12]-style simulation path. It cannot hoist LUT rows; the
-// LUT-vs-behavioral gap is exactly what
+// behavioralAccumTile is the behavioral row's tile kernel: gemmAccumTile
+// with MulFn evaluated per MAC — the [12]-style simulation path. It
+// cannot hoist LUT rows; the LUT-vs-behavioral gap is exactly what
 // BenchmarkKernel_BehavioralVsLUTForward measures.
-func behavioralAccumTile(acc []int64, xt []uint8, mulFn func(w, x uint32) uint32, wq []uint8, nR, outC, k, kb, nK int) {
-	for oc := 0; oc < outC; oc++ {
-		accRow := acc[oc*nR : oc*nR+nR]
-		for i, wv := range wq[oc*k+kb : oc*k+kb+nK] {
-			for r, xv := range xt[i*nR : i*nR+nR] {
+func behavioralAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
+	mulFn := t.op.MulFn
+	for oc := 0; oc < t.outC; oc++ {
+		accRow := tl.acc64[oc*nR : oc*nR+nR]
+		for i, wv := range t.wq[oc*t.k+kb : oc*t.k+kb+nK] {
+			for r, xv := range tl.xt[i*nR : i*nR+nR] {
 				accRow[r] += int64(mulFn(uint32(wv), uint32(xv)))
 			}
 		}
@@ -420,13 +337,12 @@ func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR i
 }
 
 // BackwardGEMM is the tiered counterpart of BackwardGEMMRef: the
-// row-major adapter around backwardT (see kernels_backward.go for the
-// dispatch: affine > mixed > fused > small, every tier bit-exact with
-// the reference). It writes the weight gradient into dw (outC x k), the
-// patch-matrix input gradient into dxcols (rows x k), and the
-// per-channel column sums of dy into gsum (outC) — the bias gradient,
-// folded into the kernels' one scan of dy so the layers need no
-// separate accumulation pass. A nil xClip leaves dxcols unmasked for a
+// row-major adapter around backwardT (see tiers.go for the dispatch
+// ladder; every tier is bit-exact with the reference). It writes the
+// weight gradient into dw (outC x k), the patch-matrix input gradient
+// into dxcols (rows x k), and the per-channel column sums of dy into
+// gsum (outC) — the bias gradient, folded into the kernels' one scan of
+// dy so the layers need no separate accumulation pass. A nil xClip leaves dxcols unmasked for a
 // caller that masks itself. s may be nil for one-off calls.
 func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {

@@ -1,10 +1,10 @@
 package nn
 
-// Tile kernel of the closed-form forward tier (FwdPathArith): the same
-// row tiling, operand tiles, and Eq. (8) epilogue as the blocked LUT
-// tiers (fwdTileRun), with the per-tile accumulation handed to the AVX2
-// strip kernels in gemm_arith_amd64.s. Two kernel flavours share the
-// tile loop:
+// Tile kernel of the closed-form forward tier (the arith row of
+// tiers.go): the same row tiling, operand tiles, and Eq. (8) epilogue
+// as the LUT tier (fwdTileRun), with the per-tile accumulation handed
+// to the AVX2 strip kernels in gemm_arith_amd64.s. Two kernel flavours
+// share the tile loop:
 //
 //   - pair (VPMADDUBSW): two k-steps per multiply-add; used whenever
 //     the op's coefficients fit the signed-byte operand and its strip
@@ -18,12 +18,23 @@ package nn
 // scalar strip evaluation — the identical integer sum, so the tier
 // stays bit-exact with ForwardGEMMRef regardless of shape.
 
-// arithAccumTile adds one (nK x nR) operand tile into acc through the
-// strip kernels. forwardPath guarantees op.arith != nil, hasGemmAsm,
-// rows >= 32, and the int32 accumulator gate; forwardT has built the
-// pair stream.
-func (t *fwdTileRun) arithAccumTile(acc []int32, xt []uint8, nR, kb, nK int) {
+// arithSetup is the arith row's per-call state: the compensation the
+// epilogue folds back and, for the pair kernel, the coefficient stream.
+func arithSetup(t *fwdTileRun) {
 	af := t.op.arith
+	t.kComp = int64(t.k) * int64(af.comp)
+	if af.pairOK {
+		t.s.cwp = grow(t.s.cwp, t.outC*((t.k+1)/2)*af.nT*2)
+		buildPairStream(t.s.cwp, t.wq, af, t.outC, t.k)
+	}
+}
+
+// arithAccumTile adds one (nK x nR) operand tile into tl.acc32 through
+// the strip kernels. The row's predicate guarantees op.arith != nil,
+// hasGemmAsm, rows >= 32, and the int32 accumulator; arithSetup has
+// built the pair stream.
+func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
+	af, acc, xt := t.op.arith, tl.acc32, tl.xt
 	nT := af.nT
 	nR32 := nR &^ 31
 	if af.pairOK && nK&1 == 1 {

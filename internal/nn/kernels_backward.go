@@ -5,9 +5,10 @@ import (
 	"github.com/appmult/retrain/internal/tensor"
 )
 
-// Tiered backward dispatch, mirroring the forward architecture: the
-// dW and dX sweeps each run on the best kernel the op's gradient-table
-// structure admits.
+// Tiered backward kernels, mirroring the forward architecture: a sparse
+// upstream gradient runs whole on the small row of the backward ladder
+// (tiers.go); otherwise the dW and the dX sweep each run on the best
+// kernel their own gradient table's structure admits.
 //
 //   - affine: every row of the table is an exact affine function of the
 //     opposing level (verified bitwise at ensurePadded, see
@@ -15,7 +16,7 @@ import (
 //     float ops — a multiply and an add — evaluated 8/32 lanes at a
 //     time in AVX2 asm (gemm_bwd_amd64.s) with a pure-Go fallback.
 //     STE tables take it on both sweeps; cvste's DX table qualifies
-//     while its DW table does not ("mixed").
+//     while its DW table does not.
 //   - fused: general tables (smoothdiff/stochastic/rawdiff) keep the
 //     gather but run it as an AVX2 VGATHERDPS kernel over the padded
 //     rows, or as Go loops without asm.
@@ -40,78 +41,6 @@ import (
 // rounded multiply then add (VMULPS + VADDPS, float32(a*x) + b in Go),
 // matching the verifier's expression exactly.
 
-// Backward dispatch tier names, in descending preference order; also
-// the backward `path` label values of nn_kernel_dispatch_total (the
-// reference kernel reports "ref").
-const (
-	// BwdPathAffine: both gradient tables verified row-affine; both
-	// sweeps run gather-free.
-	BwdPathAffine = "affine"
-	// BwdPathMixed: exactly one table is row-affine; that sweep runs
-	// gather-free, the other on the fused gather kernel.
-	BwdPathMixed = "mixed"
-	// BwdPathFused: general tables; both sweeps gather, fused with the
-	// gsum/gsT production (the relabeled PR 2 "blocked" tier).
-	BwdPathFused = "fused"
-	// BwdPathSmall: the path for sparse upstream gradients, which pays
-	// per nonzero gradient (see sparseGrad, nonzeroLists and
-	// bwdSmallRun).
-	BwdPathSmall = "small"
-)
-
-// backwardTierOverride forces BackwardGEMM onto a specific dispatch
-// tier when the op supports it, symmetric to forwardTierOverride.
-// Write it only from single-threaded setup code.
-var backwardTierOverride = ""
-
-// SetBackwardTierOverride forces BackwardGEMM onto the given dispatch
-// tier (one of the BwdPath* constants) whenever an op supports it,
-// falling back to automatic selection when it does not (an op without
-// affine tables cannot provide "affine"; any op can provide "fused" or
-// "small"). The empty string restores automatic selection. A
-// test/benchmark hook like SetForwardTierOverride: call it only from
-// single-threaded setup code, never during concurrent GEMMs.
-func SetBackwardTierOverride(tier string) { backwardTierOverride = tier }
-
-// BackwardPath reports which dispatch tier BackwardGEMM will use for
-// the upstream gradient dy: a sparse dy takes the small path (see
-// sparseGrad), otherwise the choice depends only on the op's verified
-// table structure. The benchmark harness prints it next to each
-// backward measurement.
-func (op *Op) BackwardPath(dy []float32) string {
-	op.ensurePadded()
-	return op.backwardPath(dy)
-}
-
-func (op *Op) backwardPath(dy []float32) string {
-	dwA, dxA := op.dwAff != nil, op.dxAff != nil
-	switch backwardTierOverride {
-	case BwdPathAffine:
-		if dwA && dxA {
-			return BwdPathAffine
-		}
-	case BwdPathMixed:
-		if dwA != dxA {
-			return BwdPathMixed
-		}
-	case BwdPathFused:
-		return BwdPathFused
-	case BwdPathSmall:
-		return BwdPathSmall
-	}
-	if sparseGrad(dy) {
-		return BwdPathSmall
-	}
-	switch {
-	case dwA && dxA:
-		return BwdPathAffine
-	case dwA || dxA:
-		return BwdPathMixed
-	default:
-		return BwdPathFused
-	}
-}
-
 // backwardT is the backward GEMM on the k-major operand matrix xT
 // (k x rows): it writes the weight gradient into dw (outC x k), the
 // unmasked k-major input gradient into dxT (k x rows) and the column
@@ -125,36 +54,33 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 	s.weightParams(pw, outC)
 	zx := float32(px.Zero)
 
-	path := op.backwardPath(dy)
-	if path == BwdPathSmall {
-		kernelBackwardSmall.Inc()
-		s.nonzeroLists(gsum, dy, rows, outC, hw)
-		s.smallRun = bwdSmallRun{op: op, s: s, dw: dw, dxT: dxT, xT: xT, wq: wq, wClip: wClip,
-			rows: rows, outC: outC, k: k, zx: zx, scale: px.Scale}
-		tensor.ParallelRowsOn(k, &s.smallRun)
+	dwTier, dxTier, _, count := op.backwardTiers(dy)
+	count.Inc()
+	if dwTier == nil {
+		bwdSmall.run(op, s, dw, dxT, gsum, dy, hw, xT, wq, wClip, rows, outC, k, zx, px.Scale)
 		return
 	}
-	noteBackwardPath(path)
-
-	// A forced fused tier runs both sweeps on the general kernels even
-	// when affine coefficients exist; otherwise each sweep independently
-	// takes the affine kernel its table qualifies for.
-	affDW := op.dwAff != nil && path != BwdPathFused
-	affDX := op.dxAff != nil && path != BwdPathFused
-	op.sweepDW(s, dw, gsum, dy, hw, xT, wq, wClip, rows, outC, k, zx, px.Scale, affDW)
+	op.sweepDW(s, dw, gsum, dy, hw, xT, wq, wClip, rows, outC, k, zx, px.Scale, dwTier)
 
 	// Input-gradient sweep: each k column of dxT is touched by every
 	// output channel but by no other column; the oc loop stays
 	// ascending per destination. Its column blocks refill the
 	// coefficient tables the dW sweep is done with.
-	if affDX {
-		s.ak = grow(s.ak, k*outC)
-		s.bk = grow(s.bk, k*outC)
-	} else {
-		s.woff = grow(s.woff, k*outC)
-	}
-	s.dxRun = bwdDXRun{op: op, s: s, dxT: dxT, xT: xT, wq: wq, rows: rows, outC: outC, k: k, affine: affDX}
+	dxTier.tables(s, k*outC)
+	s.dxRun = bwdDXRun{op: op, s: s, dxT: dxT, xT: xT, wq: wq, rows: rows, outC: outC, k: k, tier: dxTier}
 	tensor.ParallelBlocksOn(k, transTile, &s.dxRun)
+}
+
+// backwardSmall is the small row's kernel: one scan of dy into the
+// per-channel nonzero lists, then both gradients of every k column in
+// one walk of them (bwdSmallRun).
+func (op *Op) backwardSmall(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
+	rows, outC, k int, zx, scale float32) {
+
+	s.nonzeroLists(gsum, dy, rows, outC, hw)
+	s.smallRun = bwdSmallRun{op: op, s: s, dw: dw, dxT: dxT, xT: xT, wq: wq, wClip: wClip,
+		rows: rows, outC: outC, k: k, zx: zx, scale: scale}
+	tensor.ParallelRowsOn(k, &s.smallRun)
 }
 
 // weightParams spreads the per-tensor or per-channel weight
@@ -171,14 +97,14 @@ func (s *KernelScratch) weightParams(pw []quant.Params, outC int) {
 	}
 }
 
-// sweepDW is the first half of the big tiers: the scan of dy (gsum, gsT,
-// dyR; see bwdGradRun) and the weight-gradient sweep. Column i of dwT
-// is touched by no other column, so column blocks parallelize freely; r
-// stays ascending per destination. The k-major tables are grown here
+// sweepDW is the first half of the sweep rows: the scan of dy (gsum, gsT,
+// dyR; see bwdGradRun) and the weight-gradient sweep on tier's kernel.
+// Column i of dwT is touched by no other column, so column blocks
+// parallelize freely; r stays ascending per destination. The k-major tables are grown here
 // (never inside the workers, which share the arena) and filled by the
 // worker that owns the block.
 func (op *Op) sweepDW(s *KernelScratch, dw, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
-	rows, outC, k int, zx, scale float32, affine bool) {
+	rows, outC, k int, zx, scale float32, tier *bwdSweep) {
 
 	// The dW side's matrices have a lane stride of at least one vector:
 	// below eight channels the spare lanes carry zero gradients (and zero
@@ -193,33 +119,28 @@ func (op *Op) sweepDW(s *KernelScratch, dw, gsum, dy []float32, hw int, xT, wq [
 	tensor.ParallelRowsOn(outC, &s.gradRun)
 
 	s.dwT = grow(s.dwT, k*ld)
-	if affine {
-		s.ak = grow(s.ak, k*ld)
-		s.bk = grow(s.bk, k*ld)
-	} else {
-		s.woff = grow(s.woff, k*ld)
-	}
+	tier.tables(s, k*ld)
 	s.dwRun = bwdDWRun{op: op, s: s, dw: dw, xT: xT, wq: wq, wClip: wClip,
-		rows: rows, outC: outC, ld: ld, k: k, zx: zx, scale: scale, affine: affine}
+		rows: rows, outC: outC, ld: ld, k: k, zx: zx, scale: scale, tier: tier}
 	tensor.ParallelRowsOn(k, &s.dwRun)
 }
 
 // dwLanes is the SIMD width of the dW kernels, in output channels.
 const dwLanes = 8
 
-// BackwardDW runs only the first half of BackwardGEMM's big tiers — the
+// BackwardDW runs only the first half of BackwardGEMM's sweep rows — the
 // scan of dy (row-major, rows x outC) and the weight-gradient sweep —
-// on an already k-major operand matrix xT (k x rows), on the affine
-// kernel when the op's DW table admits it and fused is not forced. A
-// benchmark-harness hook like SetBackwardTierOverride: cmd/benchkernels
-// times the dW lane kernels with it; no layer calls it.
+// on an already k-major operand matrix xT (k x rows), on the row the
+// ladder picks for the op's DW table and pin. A benchmark-harness hook
+// like Pinned: cmd/benchkernels times the dW lane kernels with it; no
+// layer calls it.
 func (op *Op) BackwardDW(s *KernelScratch, dw, gsum, dy []float32, xT, wq []uint8, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
 	op.ensurePadded()
 	s.weightParams(pw, outC)
 	op.sweepDW(s, dw, gsum, dy, 1, xT, wq, wClip, rows, outC, k, float32(px.Zero), px.Scale,
-		op.dwAff != nil && backwardTierOverride != BwdPathFused)
+		op.sweepTier(op.dwAff))
 }
 
 // nonzeroLists builds the small tier's operand: for every output
@@ -284,45 +205,31 @@ func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k i
 	}
 }
 
-// bwdDWCols computes the weight gradients of k columns [lo, hi) into
-// dwT (k x ld): dwT[i][oc] accumulates dyR[r][oc] * (T - zx) over
-// ascending r, where T is the DW table entry for weight level
-// wq[oc][i] and operand level x = xT[i][r] — on the affine tier its
-// verified reconstruction fl(fl(a*x) + b), on the fused tier the entry
-// gwPad[wq[oc][i]*padStride + x] itself, fetched by VGATHERDPS with the
-// eight channels' row offsets as the index vector and the level as the
-// base. The block first fills its rows of the k-major tables (spare
-// lanes zero). The asm kernels take two columns and eight channels per
-// call; an odd block repeats its last column and a channel count off
-// the lane width its last eight channels (same values stored twice).
-// Without asm the Go twins take whole columns.
-func (op *Op) bwdDWCols(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32, affine bool) {
+// bwdDWAffine computes the weight gradients of k columns [lo, hi) into
+// dwT (k x ld) on the affine row: dwT[i][oc] accumulates
+// dyR[r][oc] * (T - zx) over ascending r, where T is the verified
+// reconstruction fl(fl(a*x) + b) of the DW table entry for weight level
+// wq[oc][i] and operand level x = xT[i][r]. The block first fills its
+// rows of the k-major coefficient tables (spare lanes zero). The asm
+// kernel takes two columns and eight channels per call; an odd block
+// repeats its last column and a channel count off the lane width its
+// last eight channels (same values stored twice). Without asm the Go
+// twin takes whole columns.
+func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
+	goLanes := !hasGemmAsm || rows == 0
 	for i := lo; i < hi; i++ {
-		if affine {
-			aRow, bRow := s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld]
-			clear(aRow[outC:])
-			clear(bRow[outC:])
-			for oc := 0; oc < outC; oc++ {
-				af := op.dwAff[wq[oc*k+i]]
-				aRow[oc], bRow[oc] = af.A, af.B
-			}
-		} else {
-			woff := s.woff[i*ld : (i+1)*ld]
-			clear(woff[outC:]) // spare lanes gather row 0
-			for oc := 0; oc < outC; oc++ {
-				woff[oc] = int32(wq[oc*k+i]) * padStride
-			}
+		aRow, bRow := s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld]
+		clear(aRow[outC:])
+		clear(bRow[outC:])
+		for oc := 0; oc < outC; oc++ {
+			af := op.dwAff[wq[oc*k+i]]
+			aRow[oc], bRow[oc] = af.A, af.B
+		}
+		if goLanes {
+			bwdAffineDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, aRow, bRow, zx)
 		}
 	}
-	if !hasGemmAsm || rows == 0 {
-		for i := lo; i < hi; i++ {
-			out, xcol := s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows]
-			if affine {
-				bwdAffineDWLanes(out, xcol, s.dyR, s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld], zx)
-			} else {
-				bwdGatherDWLanes(out, xcol, s.dyR, s.woff[i*ld:(i+1)*ld], op.gwPad, zx)
-			}
-		}
+	if goLanes {
 		return
 	}
 	for i := lo; i < hi; i += 2 {
@@ -330,13 +237,38 @@ func (op *Op) bwdDWCols(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld
 		for oc := 0; oc < ld; oc += dwLanes {
 			oc = min(oc, ld-dwLanes)
 			c0, c1 := i*ld+oc, i1*ld+oc
-			if affine {
-				bwdAffineDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
-					&s.ak[c0], &s.bk[c0], &s.ak[c1], &s.bk[c1], zx, int64(rows), int64(ld))
-			} else {
-				bwdGatherDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
-					&s.woff[c0], &s.woff[c1], &op.gwPad[0], zx, int64(rows), int64(ld))
-			}
+			bwdAffineDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
+				&s.ak[c0], &s.bk[c0], &s.ak[c1], &s.bk[c1], zx, int64(rows), int64(ld))
+		}
+	}
+}
+
+// bwdDWGather is bwdDWAffine on the fused row: T is the table entry
+// gwPad[wq[oc][i]*padStride + x] itself, fetched by VGATHERDPS with the
+// eight channels' row offsets as the index vector and the level as the
+// base.
+func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
+	goLanes := !hasGemmAsm || rows == 0
+	for i := lo; i < hi; i++ {
+		woff := s.woff[i*ld : (i+1)*ld]
+		clear(woff[outC:]) // spare lanes gather row 0
+		for oc := 0; oc < outC; oc++ {
+			woff[oc] = int32(wq[oc*k+i]) * padStride
+		}
+		if goLanes {
+			bwdGatherDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, woff, op.gwPad, zx)
+		}
+	}
+	if goLanes {
+		return
+	}
+	for i := lo; i < hi; i += 2 {
+		i1 := min(i+1, hi-1)
+		for oc := 0; oc < ld; oc += dwLanes {
+			oc = min(oc, ld-dwLanes)
+			c0, c1 := i*ld+oc, i1*ld+oc
+			bwdGatherDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
+				&s.woff[c0], &s.woff[c1], &op.gwPad[0], zx, int64(rows), int64(ld))
 		}
 	}
 }
@@ -408,10 +340,15 @@ func (op *Op) bwdDXAffine(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 }
 
 // bwdDXGather computes the input gradients for k columns [lo, hi) on
-// the fused gather tier with asm: per output channel the DX row base
-// is wq[oc][i]*padStride and VGATHERDPS fetches 8 entries at the x
-// levels of 32-row chunks. Tail rows gather in Go.
+// the fused gather tier: per output channel the DX row base is
+// wq[oc][i]*padStride and VGATHERDPS fetches 8 entries at the x levels
+// of 32-row chunks. Tail rows gather in Go; without asm the column-pair
+// loops of bwdDXPairs take the whole block.
 func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
+	if !hasGemmAsm {
+		op.bwdDXPairs(s, dxT, xT, wq, lo, hi, rows, outC, k)
+		return
+	}
 	rows32 := rows &^ 31
 	gxPad := op.gxPad
 	for i := lo; i < hi; i++ {
@@ -439,8 +376,8 @@ func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 	}
 }
 
-// bwdDXPairs is the no-asm general dX kernel: the PR 2 column-pair
-// loops, reading the pre-scaled gsT rows the dW sweep produced instead
+// bwdDXPairs is the no-asm general dX kernel: column-pair loops
+// reading the pre-scaled gsT rows the dW sweep produced instead
 // of rescaling dy per use (identical bits: gsT holds the same g*s_w
 // products, and skipped ±0 entries contribute bit-neutral terms).
 func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {

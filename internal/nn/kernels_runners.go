@@ -67,8 +67,8 @@ func (t *clipMaskRun) RunRange(lo, hi int) {
 
 // fwdTileRun is the forward row-block body shared by every tier: load
 // each k tile of the block's rows out of the k-major operand matrix,
-// accumulate it on the dispatched tier's kernel, then dequantize into
-// NCHW (see forwardT).
+// accumulate it on the dispatched row's kernel (tiers.go), then
+// dequantize into NCHW (see forwardT).
 type fwdTileRun struct {
 	op            *Op
 	s             *KernelScratch
@@ -78,7 +78,7 @@ type fwdTileRun struct {
 	rows, outC, k int
 	hw            int
 	zx, kComp     int64
-	path          string
+	tier          *fwdTier
 	use32         bool
 }
 
@@ -95,24 +95,10 @@ func (t *fwdTileRun) RunRange(lo, hi int) {
 		tl.acc64 = grow(tl.acc64, t.outC*nR)
 		clear(tl.acc64)
 	}
-	op := t.op
 	for kb := 0; kb < t.k; kb += fwdKTile {
 		nK := min(t.k-kb, fwdKTile)
 		loadTile(tl.xt, tl.sumX, t.xT, t.rows, lo, nR, kb, nK)
-		switch {
-		case t.path == FwdPathArith:
-			t.arithAccumTile(tl.acc32, tl.xt, nR, kb, nK)
-		case t.path == FwdPathBehavioral:
-			behavioralAccumTile(tl.acc64, tl.xt, op.MulFn, t.wq, nR, t.outC, t.k, kb, nK)
-		case op.lutPad16 != nil && t.use32:
-			gemmAccumTile(tl.acc32, tl.xt, op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
-		case op.lutPad16 != nil:
-			gemmAccumTile(tl.acc64, tl.xt, op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
-		case t.use32:
-			gemmAccumTile(tl.acc32, tl.xt, op.lutPad, t.wq, nR, t.outC, t.k, kb, nK)
-		default:
-			gemmAccumTile(tl.acc64, tl.xt, op.lutPad, t.wq, nR, t.outC, t.k, kb, nK)
-		}
+		t.tier.accum(t, tl, nR, kb, nK)
 	}
 	if t.use32 {
 		fwdEpilogue(t, tl.acc32, tl.sumX, lo, nR, t.kComp)
@@ -182,8 +168,9 @@ func (t *bwdGradRun) RunRange(lo, hi int) {
 }
 
 // bwdDWRun is the tiered dW sweep, a block of k columns per work item
-// (so a narrow layer still fills every core): the oc-lane kernels into
-// dwT (k x ld, see bwdDWCols), then the clip/scale epilogue into dw.
+// (so a narrow layer still fills every core): the dispatched row's
+// oc-lane kernel into dwT (k x ld, see bwdDWAffine), then the clip/scale
+// epilogue into dw.
 type bwdDWRun struct {
 	op         *Op
 	s          *KernelScratch
@@ -193,11 +180,11 @@ type bwdDWRun struct {
 	rows, outC int
 	ld, k      int
 	zx, scale  float32
-	affine     bool
+	tier       *bwdSweep
 }
 
 func (t *bwdDWRun) RunRange(lo, hi int) {
-	t.op.bwdDWCols(t.s, t.xT, t.wq, lo, hi, t.rows, t.outC, t.ld, t.k, t.zx, t.affine)
+	t.tier.dw(t.op, t.s, t.xT, t.wq, lo, hi, t.rows, t.outC, t.ld, t.k, t.zx)
 	for i := lo; i < hi; i++ {
 		for oc, v := range t.s.dwT[i*t.ld : i*t.ld+t.outC] {
 			if t.wClip[oc*t.k+i] {
@@ -217,17 +204,11 @@ type bwdDXRun struct {
 	dxT           []float32
 	xT, wq        []uint8
 	rows, outC, k int
-	affine        bool
+	tier          *bwdSweep
 }
 
 func (t *bwdDXRun) RunRange(lo, hi int) {
-	if t.affine {
-		t.op.bwdDXAffine(t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
-	} else if hasGemmAsm {
-		t.op.bwdDXGather(t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
-	} else {
-		t.op.bwdDXPairs(t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
-	}
+	t.tier.dx(t.op, t.s, t.dxT, t.xT, t.wq, lo, hi, t.rows, t.outC, t.k)
 }
 
 // bwdSmallRun is the small tier's sweep over k columns: both gradients

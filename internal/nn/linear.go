@@ -141,23 +141,36 @@ func (l *ApproxLinear) SetOp(op *Op) { l.op = op }
 // Forward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Forward call.
 func (l *ApproxLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	l.checkInput(x)
+	l.lag.observe(&l.Observer, x, train)
+	return l.forward(x, true)
+}
+
+func (l *ApproxLinear) checkInput(x *tensor.Tensor) {
 	if len(x.Shape) != 2 || x.Shape[1] != l.In {
 		panic(fmt.Sprintf("nn: %s expects (N,%d), got %v", l.name, l.In, x.Shape))
 	}
-	l.lag.observe(&l.Observer, x, train)
+}
+
+// forward is the one forward body behind Forward and Infer (see
+// ApproxConv2D.forward): quantize the input and the weights, run the
+// GEMM. withClip also records the clip flags Backward masks with.
+func (l *ApproxLinear) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	l.px = l.Observer.Params(l.op.Bits)
-	p := quant.CalibrateTensor(l.Weight.Value, l.op.Bits)
 	l.pw = grow(l.pw, 1)
-	l.pw[0] = p
+	l.pw[0] = quant.CalibrateTensor(l.Weight.Value, l.op.Bits)
 	l.rows = x.Shape[0]
-	l.trained = true
+	l.trained = withClip
 	l.xq = grow(l.xq, len(x.Data))
-	l.xClip = grow(l.xClip, len(x.Data))
-	l.ks.quantizeWithClip(l.xq, l.xClip, x.Data, l.px)
-	nw := len(l.Weight.Value.Data)
-	l.wq = grow(l.wq, nw)
-	l.wClip = grow(l.wClip, nw)
-	l.ks.quantizeWithClip(l.wq, l.wClip, l.Weight.Value.Data, p)
+	l.wq = grow(l.wq, len(l.Weight.Value.Data))
+	var xClip, wClip []bool
+	if withClip {
+		l.xClip = grow(l.xClip, len(l.xq))
+		l.wClip = grow(l.wClip, len(l.wq))
+		xClip, wClip = l.xClip, l.wClip
+	}
+	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px)
+	l.ks.quantizeWithClip(l.wq, wClip, l.Weight.Value.Data, l.pw[0])
 	l.out = tensor.Ensure2(l.out, l.rows, l.Out)
 	l.op.ForwardGEMM(&l.ks, l.out.Data, l.xq, l.wq, l.rows, l.Out, l.In, l.pw, l.px, l.Bias.Value.Data)
 	return l.out

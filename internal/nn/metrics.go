@@ -12,53 +12,20 @@ import (
 // KernelScratch arenas (plus the pooled forward tiles) currently hold.
 // One atomic update per GEMM call keeps the overhead invisible next to
 // the kernels' microsecond-to-millisecond runtimes.
-var (
-	kernelForwardArith = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "forward", "path", FwdPathArith)
-	kernelForwardPacked16 = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "forward", "path", FwdPathPacked16)
-	kernelForwardBlocked = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "forward", "path", FwdPathBlocked)
-	kernelForwardBehavioral = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "forward", "path", FwdPathBehavioral)
-	kernelForwardRef = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "forward", "path", "ref")
-	kernelBackwardAffine = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "backward", "path", BwdPathAffine)
-	kernelBackwardMixed = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "backward", "path", BwdPathMixed)
-	kernelBackwardFused = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "backward", "path", BwdPathFused)
-	kernelBackwardSmall = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "backward", "path", BwdPathSmall)
-	kernelBackwardRef = obs.Default().Counter("nn_kernel_dispatch_total",
-		"Approximate-GEMM kernel invocations by dispatch path.",
-		"kernel", "backward", "path", "ref")
-)
 
-// noteBackwardPath counts one tiered BackwardGEMM dispatch. The PR 2
-// general tier's "blocked" label is retired: its successor (the fused
-// gather kernel) reports "fused", and the gather-free tiers report
-// "affine"/"mixed" (see DESIGN.md metric inventory for the relabel).
-func noteBackwardPath(path string) {
-	switch path {
-	case BwdPathAffine:
-		kernelBackwardAffine.Inc()
-	case BwdPathMixed:
-		kernelBackwardMixed.Inc()
-	default:
-		kernelBackwardFused.Inc()
-	}
+// dispatchCounter is the nn_kernel_dispatch_total series of one
+// dispatch path: every row of the ladders in tiers.go owns one, and the
+// reference kernels report under "ref".
+func dispatchCounter(kernel, path string) *obs.Counter {
+	return obs.Default().Counter("nn_kernel_dispatch_total",
+		"Approximate-GEMM kernel invocations by dispatch path.",
+		"kernel", kernel, "path", path)
 }
+
+var (
+	kernelForwardRef  = dispatchCounter("forward", "ref")
+	kernelBackwardRef = dispatchCounter("backward", "ref")
+)
 
 // noteEstimatorOp counts one EstimatorOp construction per estimator
 // family. The label value is runtime data (the estimator registry

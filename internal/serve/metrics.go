@@ -1,29 +1,26 @@
 package serve
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/appmult/retrain/internal/obs"
 )
 
-// latWindow is the sliding window of per-request latencies kept for
-// percentile estimation. 4096 samples bound both memory and the cost
-// of the sort in Snapshot while covering several seconds of traffic at
-// the throughputs a CPU backend reaches.
+// latWindow is the size of the sliding window of per-request latencies
+// kept for percentile estimation. 4096 samples bound both memory and
+// the cost of the sort in Snapshot while covering several seconds of
+// traffic at the throughputs a CPU backend reaches.
 const latWindow = 4096
 
 // Metrics aggregates one served model's counters: request outcomes,
 // achieved batch sizes, and a sliding latency window. All methods are
 // safe for concurrent use.
 //
-// Metrics is a facade over two sinks kept deliberately in lockstep:
-// the private sliding-window state that /statz has always reported
-// (exact percentiles over recent traffic, lifetime throughput), and
-// the process-wide obs registry, where the same events land as
-// counters and fixed-bucket histograms labeled by model — the
+// Metrics is a facade over two sinks: the state /statz reports (exact
+// percentiles over recent traffic from an obs.Window, lifetime
+// throughput), and the process-wide obs registry, where the same events
+// land as counters and fixed-bucket histograms labeled by model — the
 // canonical /metrics export. The registry is get-or-create, so two
 // Metrics for the same model name share series.
 type Metrics struct {
@@ -35,9 +32,7 @@ type Metrics struct {
 	failed    uint64
 	batches   uint64
 	batched   uint64 // sum of achieved batch sizes
-	lat       [latWindow]float64
-	latN      int // filled entries (caps at latWindow)
-	latIdx    int // next write position
+	lat       *obs.Window
 
 	model      string
 	completedC *obs.Counter
@@ -60,6 +55,7 @@ func NewMetrics(model string) *Metrics {
 	const outcomeHelp = "Requests by final outcome: completed, rejected (queue full), expired (deadline passed while queued), failed (replica error or panic)."
 	return &Metrics{
 		start:      time.Now(),
+		lat:        obs.NewWindow(latWindow),
 		model:      model,
 		completedC: reg.Counter("serve_requests_total", outcomeHelp, "model", model, "outcome", "completed"),
 		rejectedC:  reg.Counter("serve_requests_total", outcomeHelp, "model", model, "outcome", "rejected"),
@@ -84,11 +80,7 @@ func (m *Metrics) Complete(latency time.Duration) {
 	ms := float64(latency) / float64(time.Millisecond)
 	m.mu.Lock()
 	m.completed++
-	m.lat[m.latIdx] = ms
-	m.latIdx = (m.latIdx + 1) % latWindow
-	if m.latN < latWindow {
-		m.latN++
-	}
+	m.lat.Observe(ms)
 	m.mu.Unlock()
 	m.completedC.Inc()
 	m.latencyH.Observe(ms)
@@ -161,26 +153,9 @@ func (m *Metrics) Snapshot() Stats {
 	if el := time.Since(m.start).Seconds(); el > 0 {
 		s.ThroughputRPS = float64(m.completed) / el
 	}
-	window := append([]float64(nil), m.lat[:m.latN]...)
+	if p := m.lat.Quantiles(0.50, 0.95, 0.99); p != nil {
+		s.P50Ms, s.P95Ms, s.P99Ms = p[0], p[1], p[2]
+	}
 	m.mu.Unlock()
-
-	if len(window) > 0 {
-		sort.Float64s(window)
-		s.P50Ms = percentile(window, 0.50)
-		s.P95Ms = percentile(window, 0.95)
-		s.P99Ms = percentile(window, 0.99)
-	}
 	return s
-}
-
-// percentile is the nearest-rank percentile of a sorted sample.
-func percentile(sorted []float64, q float64) float64 {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
