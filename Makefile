@@ -17,13 +17,14 @@ vet:
 
 # purego runs the kernel packages with the assembly compiled out (the
 # `purego` build tag selects the same portable files a non-amd64 host
-# builds), so the pure-Go twins of every SIMD kernel and the dispatch
-# that routes to them are tested on the amd64 hosts CI has — a second
-# time under the race detector, because the twins are scheduled on the
-# same worker pool as the assembly they replace.
+# builds), so the pure-Go twins of every SIMD kernel (GEMM, quantize,
+# vector add) and the dispatch that routes to them are tested on the
+# amd64 hosts CI has — a second time under the race detector, because
+# the twins are scheduled on the same worker pool as the assembly they
+# replace.
 purego:
-	go test -tags purego ./internal/nn/ ./internal/tensor/
-	go test -tags purego -race -count=1 ./internal/nn/ ./internal/tensor/
+	go test -tags purego ./internal/nn/ ./internal/tensor/ ./internal/quant/
+	go test -tags purego -race -count=1 ./internal/nn/ ./internal/tensor/ ./internal/quant/
 
 # maxprocs1 runs the worker pool and what is scheduled on it with
 # GOMAXPROCS=1: the pool sizes itself from GOMAXPROCS on first use, so

@@ -15,9 +15,12 @@
 // benchmark's first layers, the pieces of the k-major conv step: the
 // k-major byte im2col and col2im next to the row-major float ones, the
 // dW lane kernels alone, and whole layer steps on the affine, fused and
-// small tiers. It writes ns/op, B/op, and allocs/op per benchmark —
-// plus the dispatch path each forward and backward benchmark actually
-// took and tier-vs-tier speedup summaries — to a JSON file.
+// small tiers — and the passes between the GEMMs: the slice quantizer
+// against its scalar definition and a step of each glue layer (ReLU,
+// batch norm, max pool). It writes ns/op, B/op, and allocs/op per
+// benchmark — plus the dispatch path each forward and backward
+// benchmark actually took and tier-vs-tier speedup summaries — to a
+// JSON file.
 //
 // The committed BENCH_kernels.json at the repository root is the
 // current baseline; `make bench` re-measures, diffs against it with
@@ -286,6 +289,38 @@ func main() {
 			// xq's bytes read as a (k x rows) matrix: random levels
 			// either way.
 			d.op.BackwardDW(&s, o.dw, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+		})})
+	}
+	// The passes between the GEMMs. The slice quantizer on one 64k-element
+	// tensor next to the scalar Quantize/Clipped loop that defines it, and
+	// a forward+backward step of each glue layer on one shard's
+	// resnet18-stage-1 activation (16 images of 8x16x16).
+	qData := tensor.New(1 << 16)
+	qData.RandNormal(rng, 1)
+	qLv, qClip := make([]uint8, len(qData.Data)), make([]bool, len(qData.Data))
+	benches = append(benches,
+		bench{name: "Kernel_QuantizeInto_64k", fn: loop(func() { px.QuantizeInto(qLv, qClip, qData.Data) })},
+		bench{name: "Kernel_QuantizeInto_64k_Scalar", fn: loop(func() {
+			for i, v := range qData.Data {
+				qLv[i], qClip[i] = uint8(px.Quantize(v)), px.Clipped(v)
+			}
+		})})
+	for _, g := range []struct {
+		name  string
+		layer nn.Layer
+	}{
+		{"Layer_ReLUStep", nn.NewReLU()},
+		{"Layer_BatchNormStep", nn.NewBatchNorm2D("bench", 8)},
+		{"Layer_MaxPoolStep", nn.NewMaxPool2D(2, 2)},
+	} {
+		layer := g.layer
+		x := tensor.New(16, 8, 16, 16)
+		x.RandNormal(rng, 1)
+		dy := tensor.New(layer.Forward(x, true).Shape...)
+		dy.RandNormal(rng, 1)
+		benches = append(benches, bench{name: g.name, fn: loop(func() {
+			layer.Forward(x, true)
+			layer.Backward(dy)
 		})})
 	}
 	type pair struct{ label, small, fused string }

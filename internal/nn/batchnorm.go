@@ -20,10 +20,11 @@ type BatchNorm2D struct {
 	RunningMean *tensor.Tensor
 	RunningVar  *tensor.Tensor
 
-	// Forward caches.
+	// Forward caches, and the layer-owned output and input gradient.
 	xhat    *tensor.Tensor
 	invStd  []float64
 	inShape []int
+	out, dx *tensor.Tensor
 
 	// Sync-BN hookup (see BNSyncer): when sync is non-nil, training
 	// forwards compute full-batch statistics by all-reducing moments
@@ -75,61 +76,110 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != b.C {
-		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", b.name, b.C, x.Shape))
-	}
 	if train && b.sync != nil {
 		return b.forwardSync(x)
 	}
 	b.syncActive = false
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	hw := h * w
+	n, c, hw := b.begin(x, true)
 	cnt := float64(n * hw)
-	b.inShape = append(b.inShape[:0], x.Shape...)
-
-	out := tensor.New(x.Shape...)
-	b.xhat = tensor.New(x.Shape...)
-	b.invStd = make([]float64, c)
-
 	for ch := 0; ch < c; ch++ {
-		var mean, vr float64
+		mean, vr := float64(b.RunningMean.Data[ch]), float64(b.RunningVar.Data[ch])
 		if train {
-			for img := 0; img < n; img++ {
-				base := (img*c + ch) * hw
-				for j := 0; j < hw; j++ {
-					mean += float64(x.Data[base+j])
-				}
-			}
-			mean /= cnt
-			for img := 0; img < n; img++ {
-				base := (img*c + ch) * hw
-				for j := 0; j < hw; j++ {
-					d := float64(x.Data[base+j]) - mean
-					vr += d * d
-				}
-			}
-			vr /= cnt
-			m := b.Momentum
-			b.RunningMean.Data[ch] = float32((1-m)*float64(b.RunningMean.Data[ch]) + m*mean)
-			b.RunningVar.Data[ch] = float32((1-m)*float64(b.RunningVar.Data[ch]) + m*vr)
-		} else {
-			mean = float64(b.RunningMean.Data[ch])
-			vr = float64(b.RunningVar.Data[ch])
+			mean = sumChannel(x.Data, n, c, hw, ch) / cnt
+			vr = sqDevChannel(x.Data, n, c, hw, ch, mean) / cnt
+			b.updateRunning(ch, mean, vr)
 		}
-		inv := 1 / math.Sqrt(vr+b.Eps)
-		b.invStd[ch] = inv
-		g := float64(b.Gamma.Value.Data[ch])
-		bt := float64(b.Beta.Value.Data[ch])
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				xh := (float64(x.Data[base+j]) - mean) * inv
-				b.xhat.Data[base+j] = float32(xh)
-				out.Data[base+j] = float32(g*xh + bt)
-			}
+		b.normalizeChannel(x.Data, n, c, hw, ch, mean, vr, true)
+	}
+	return b.out
+}
+
+// Infer implements Inferer: evaluation-mode normalization from the
+// running statistics, without the xhat/invStd backward caches — the
+// float64 sequence of Forward(train=false), so bit-identical outputs.
+func (b *BatchNorm2D) Infer(x *tensor.Tensor) *tensor.Tensor {
+	n, c, hw := b.begin(x, false)
+	for ch := 0; ch < c; ch++ {
+		b.normalizeChannel(x.Data, n, c, hw, ch, float64(b.RunningMean.Data[ch]), float64(b.RunningVar.Data[ch]), false)
+	}
+	return b.out
+}
+
+// begin validates x and sizes the layer-owned output, plus the forward
+// caches when a Backward may follow.
+func (b *BatchNorm2D) begin(x *tensor.Tensor, caches bool) (n, c, hw int) {
+	if len(x.Shape) != 4 || x.Shape[1] != b.C {
+		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", b.name, b.C, x.Shape))
+	}
+	n, c, hw = x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3]
+	b.out = tensor.Ensure4(b.out, n, c, x.Shape[2], x.Shape[3])
+	if caches {
+		b.inShape = append(b.inShape[:0], x.Shape...)
+		b.xhat = tensor.Ensure4(b.xhat, n, c, x.Shape[2], x.Shape[3])
+		b.invStd = grow(b.invStd, c)
+	}
+	return n, c, hw
+}
+
+// sumChannel returns the float64 sum of channel ch of the NCHW buffer x
+// (n images of c channels of hw positions), images and positions
+// ascending — the summation order of every per-channel pass below.
+func sumChannel(x []float32, n, c, hw, ch int) float64 {
+	var s float64
+	for img := 0; img < n; img++ {
+		for _, v := range x[(img*c+ch)*hw:][:hw] {
+			s += float64(v)
 		}
 	}
-	return out
+	return s
+}
+
+// sqDevChannel returns channel ch's sum of squared deviations about
+// mean.
+func sqDevChannel(x []float32, n, c, hw, ch int, mean float64) float64 {
+	var s float64
+	for img := 0; img < n; img++ {
+		for _, v := range x[(img*c+ch)*hw:][:hw] {
+			d := float64(v) - mean
+			s += d * d
+		}
+	}
+	return s
+}
+
+// updateRunning folds one training batch's moments into the running
+// statistics.
+func (b *BatchNorm2D) updateRunning(ch int, mean, vr float64) {
+	m := b.Momentum
+	b.RunningMean.Data[ch] = float32((1-m)*float64(b.RunningMean.Data[ch]) + m*mean)
+	b.RunningVar.Data[ch] = float32((1-m)*float64(b.RunningVar.Data[ch]) + m*vr)
+}
+
+// normalizeChannel writes channel ch of the output from the given
+// moments; caches also records xhat and invStd for Backward.
+func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr float64, caches bool) {
+	inv := 1 / math.Sqrt(vr+b.Eps)
+	g := float64(b.Gamma.Value.Data[ch])
+	bt := float64(b.Beta.Value.Data[ch])
+	if caches {
+		b.invStd[ch] = inv
+	}
+	for img := 0; img < n; img++ {
+		base := (img*c + ch) * hw
+		out := b.out.Data[base:][:hw]
+		if !caches {
+			for j, v := range x[base:][:hw] {
+				out[j] = float32(g*((float64(v)-mean)*inv) + bt)
+			}
+			continue
+		}
+		xhat := b.xhat.Data[base:][:hw]
+		for j, v := range x[base:][:hw] {
+			xh := (float64(v) - mean) * inv
+			xhat[j] = float32(xh)
+			out[j] = float32(g*xh + bt)
+		}
+	}
 }
 
 // forwardSync is the training forward in sync-BN mode: a two-phase
@@ -143,32 +193,14 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // state identical without a broadcast. With one participant the math
 // degenerates to the legacy path exactly.
 func (b *BatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	hw := h * w
-	b.inShape = append(b.inShape[:0], x.Shape...)
+	n, c, hw := b.begin(x, true)
 	b.syncActive = true
-
-	out := tensor.New(x.Shape...)
-	b.xhat = tensor.New(x.Shape...)
-	b.invStd = make([]float64, c)
-	if cap(b.meanBuf) < c {
-		b.meanBuf = make([]float64, c)
-	}
-	if cap(b.sumBuf) < c {
-		b.sumBuf = make([]float64, c)
-	}
-	mean := b.meanBuf[:c]
-	local := b.sumBuf[:c]
+	b.meanBuf = grow(b.meanBuf, c)
+	b.sumBuf = grow(b.sumBuf, c)
+	mean, local := b.meanBuf, b.sumBuf
 
 	for ch := 0; ch < c; ch++ {
-		var s float64
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				s += float64(x.Data[base+j])
-			}
-		}
-		local[ch] = s
+		local[ch] = sumChannel(x.Data, n, c, hw, ch)
 	}
 	gsum, totalCnt := b.sync.ReduceMoments(b.syncIdx, local, n*hw)
 
@@ -176,42 +208,45 @@ func (b *BatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
 	b.syncCnt = cnt
 	for ch := 0; ch < c; ch++ {
 		mean[ch] = gsum[ch] / cnt
-	}
-
-	for ch := 0; ch < c; ch++ {
-		var s float64
-		m := mean[ch]
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				d := float64(x.Data[base+j]) - m
-				s += d * d
-			}
-		}
-		local[ch] = s
+		local[ch] = sqDevChannel(x.Data, n, c, hw, ch, mean[ch])
 	}
 	gsq := b.sync.ReduceSquares(b.syncIdx, local)
 
 	for ch := 0; ch < c; ch++ {
 		vr := gsq[ch] / cnt
-		m := b.Momentum
-		b.RunningMean.Data[ch] = float32((1-m)*float64(b.RunningMean.Data[ch]) + m*mean[ch])
-		b.RunningVar.Data[ch] = float32((1-m)*float64(b.RunningVar.Data[ch]) + m*vr)
-		inv := 1 / math.Sqrt(vr+b.Eps)
-		b.invStd[ch] = inv
-		ga := float64(b.Gamma.Value.Data[ch])
-		bt := float64(b.Beta.Value.Data[ch])
-		mch := mean[ch]
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				xh := (float64(x.Data[base+j]) - mch) * inv
-				b.xhat.Data[base+j] = float32(xh)
-				out.Data[base+j] = float32(ga*xh + bt)
-			}
+		b.updateRunning(ch, mean[ch], vr)
+		b.normalizeChannel(x.Data, n, c, hw, ch, mean[ch], vr, true)
+	}
+	return b.out
+}
+
+// gradSumsChannel returns channel ch's sum of dy and of dy*xhat.
+func gradSumsChannel(dy, xhat []float32, n, c, hw, ch int) (sumDy, sumDyXhat float64) {
+	for img := 0; img < n; img++ {
+		base := (img*c + ch) * hw
+		xh := xhat[base:][:hw]
+		for j, v := range dy[base:][:hw] {
+			g := float64(v)
+			sumDy += g
+			sumDyXhat += g * float64(xh[j])
 		}
 	}
-	return out
+	return sumDy, sumDyXhat
+}
+
+// inputGradChannel writes channel ch of dx from the (full-batch)
+// gradient sums and element count — the training-mode formula
+// gamma*inv/cnt * (cnt*dy - sumDy - xhat*sumDyXhat), its loop-invariant
+// factor evaluated once, in the order the expression associates.
+func (b *BatchNorm2D) inputGradChannel(dy []float32, n, c, hw, ch int, cnt, sumDy, sumDyXhat float64) {
+	coef := float64(b.Gamma.Value.Data[ch]) * b.invStd[ch] / cnt
+	for img := 0; img < n; img++ {
+		base := (img*c + ch) * hw
+		dx, xhat := b.dx.Data[base:][:hw], b.xhat.Data[base:][:hw]
+		for j, v := range dy[base:][:hw] {
+			dx[j] = float32(coef * (cnt*float64(v) - sumDy - float64(xhat[j])*sumDyXhat))
+		}
+	}
 }
 
 // Backward implements Layer. It uses the full batch-statistics
@@ -222,34 +257,14 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	n, c := b.inShape[0], b.inShape[1]
 	hw := b.inShape[2] * b.inShape[3]
-	cnt := float64(n * hw)
-	dx := tensor.New(b.inShape...)
-
+	b.dx = tensor.Ensure4(b.dx, n, c, b.inShape[2], b.inShape[3])
 	for ch := 0; ch < c; ch++ {
-		var sumDy, sumDyXhat float64
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				g := float64(dy.Data[base+j])
-				sumDy += g
-				sumDyXhat += g * float64(b.xhat.Data[base+j])
-			}
-		}
+		sumDy, sumDyXhat := gradSumsChannel(dy.Data, b.xhat.Data, n, c, hw, ch)
 		b.Beta.Grad.Data[ch] += float32(sumDy)
 		b.Gamma.Grad.Data[ch] += float32(sumDyXhat)
-
-		gamma := float64(b.Gamma.Value.Data[ch])
-		inv := b.invStd[ch]
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				g := float64(dy.Data[base+j])
-				xh := float64(b.xhat.Data[base+j])
-				dx.Data[base+j] = float32(gamma * inv / cnt * (cnt*g - sumDy - xh*sumDyXhat))
-			}
-		}
+		b.inputGradChannel(dy.Data, n, c, hw, ch, float64(n*hw), sumDy, sumDyXhat)
 	}
-	return dx
+	return b.dx
 }
 
 // backwardSync is Backward in sync-BN mode: the per-channel gradient
@@ -261,44 +276,19 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (b *BatchNorm2D) backwardSync(dy *tensor.Tensor) *tensor.Tensor {
 	n, c := b.inShape[0], b.inShape[1]
 	hw := b.inShape[2] * b.inShape[3]
-	dx := tensor.New(b.inShape...)
-
-	if cap(b.dyBuf) < c {
-		b.dyBuf = make([]float64, c)
-		b.dyxBuf = make([]float64, c)
-	}
-	ldy := b.dyBuf[:c]
-	ldyx := b.dyxBuf[:c]
+	b.dx = tensor.Ensure4(b.dx, n, c, b.inShape[2], b.inShape[3])
+	b.dyBuf = grow(b.dyBuf, c)
+	b.dyxBuf = grow(b.dyxBuf, c)
+	ldy, ldyx := b.dyBuf, b.dyxBuf
 	for ch := 0; ch < c; ch++ {
-		var sumDy, sumDyXhat float64
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				gv := float64(dy.Data[base+j])
-				sumDy += gv
-				sumDyXhat += gv * float64(b.xhat.Data[base+j])
-			}
-		}
-		ldy[ch] = sumDy
-		ldyx[ch] = sumDyXhat
+		ldy[ch], ldyx[ch] = gradSumsChannel(dy.Data, b.xhat.Data, n, c, hw, ch)
 	}
 	gdy, gdyx := b.sync.ReduceGrads(b.syncIdx, ldy, ldyx)
 
-	cnt := b.syncCnt
 	for ch := 0; ch < c; ch++ {
 		b.Beta.Grad.Data[ch] += float32(ldy[ch])
 		b.Gamma.Grad.Data[ch] += float32(ldyx[ch])
-		sumDy, sumDyXhat := gdy[ch], gdyx[ch]
-		gamma := float64(b.Gamma.Value.Data[ch])
-		inv := b.invStd[ch]
-		for img := 0; img < n; img++ {
-			base := (img*c + ch) * hw
-			for j := 0; j < hw; j++ {
-				gv := float64(dy.Data[base+j])
-				xh := float64(b.xhat.Data[base+j])
-				dx.Data[base+j] = float32(gamma * inv / cnt * (cnt*gv - sumDy - xh*sumDyXhat))
-			}
-		}
+		b.inputGradChannel(dy.Data, n, c, hw, ch, b.syncCnt, gdy[ch], gdyx[ch])
 	}
-	return dx
+	return b.dx
 }

@@ -3,33 +3,7 @@
 package nn
 
 // Go-side contracts for the AVX2 arith-tier kernels in
-// gemm_arith_amd64.s, plus the runtime feature detection that gates
-// dispatching to them. Detection is hand-rolled CPUID/XGETBV (the repo
-// carries no dependencies): AVX2 requires the CPU flag and the OS
-// having enabled XMM+YMM state saving.
-
-// hasGemmAsm reports whether the assembly arith kernels are usable on
-// this machine. Set once at init; the forward ladder (tiers.go) falls
-// back to the packed16 LUT tier when false.
-var hasGemmAsm = detectAVX2()
-
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, c, _ := cpuidAsm(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if c&osxsave == 0 || c&avx == 0 {
-		return false
-	}
-	if xa, _ := xgetbvAsm(); xa&0x6 != 0x6 { // XCR0: XMM and YMM state
-		return false
-	}
-	_, b, _, _ := cpuidAsm(7, 0)
-	return b&(1<<5) != 0 // EBX bit 5: AVX2
-}
+// gemm_arith_amd64.s; hasGemmAsm (tiers.go) gates dispatching to them.
 
 // gemmArithAccumAVX2 is the word-path arith kernel: for one output
 // channel it accumulates, over r in [0, nR&^31),
@@ -61,7 +35,3 @@ func gemmArithAccumAVX2(acc *int32, xt *uint8, wr *uint8, cw *uint16, xm *uint16
 //
 //go:noescape
 func gemmArithPairAVX2(acc *int32, xt *uint8, cwp *uint8, xm *uint16, nR, nKp, nT, cad int64)
-
-func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbvAsm() (eax, edx uint32)

@@ -6,8 +6,6 @@ package nn
 // arith tier's SIMD kernels are unavailable, so dispatch never selects
 // the tier and the stubs below are unreachable.
 
-var hasGemmAsm = false
-
 func gemmArithAccumAVX2(acc *int32, xt *uint8, wr *uint8, cw *uint16, xm *uint16, nR, nK, nT, cad int64) {
 	panic("nn: arith kernel called without assembly support")
 }

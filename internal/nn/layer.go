@@ -6,6 +6,14 @@
 // Layers are stateful: Forward caches whatever Backward needs, so a
 // layer instance serves one training stream at a time (the standard
 // single-graph discipline). Parallelism lives inside the kernels.
+//
+// Layers also own their results. The tensors returned by Forward,
+// Backward and Infer belong to the layer and are valid until its next
+// call of that method (Forward and Infer share one output buffer): every
+// layer writes into buffers it sized on its first step, so a
+// steady-state step allocates nothing between the GEMMs. A caller that
+// keeps a result across steps clones it; a layer never writes into its
+// argument, so handing one layer's result to the next is always safe.
 package nn
 
 import (
@@ -19,11 +27,12 @@ type Layer interface {
 	// Name identifies the layer for debugging and reports.
 	Name() string
 	// Forward computes the layer output. train selects training
-	// behaviour (batch statistics, observer updates).
+	// behaviour (batch statistics, observer updates). The result
+	// belongs to the layer (see the package comment).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the loss gradient w.r.t. the output and
-	// returns the gradient w.r.t. the input, accumulating parameter
-	// gradients into Params().
+	// returns the gradient w.r.t. the input — likewise the layer's —
+	// accumulating parameter gradients into Params().
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameters (empty for stateless
 	// layers).

@@ -11,6 +11,7 @@ type MaxPool2D struct {
 	K, Stride int
 	inShape   []int
 	argmax    []int
+	out, dx   *tensor.Tensor
 }
 
 // NewMaxPool2D returns a max pooling layer (window k, stride s).
@@ -29,54 +30,70 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return p.pool(x, true)
+}
+
+// Infer implements Inferer: max pooling without the argmax map.
+func (p *MaxPool2D) Infer(x *tensor.Tensor) *tensor.Tensor { return p.pool(x, false) }
+
+// pool is the one body behind Forward and Infer; withArgmax also records
+// where each maximum came from, which Backward scatters to.
+func (p *MaxPool2D) pool(x *tensor.Tensor, withArgmax bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := (h-p.K)/p.Stride + 1
 	ow := (w-p.K)/p.Stride + 1
 	if oh < 1 || ow < 1 {
 		panic(fmt.Sprintf("nn: maxpool output collapses for input %v", x.Shape))
 	}
-	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, oh, ow)
-	p.argmax = make([]int, out.Numel())
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			in := x.Data[(img*c+ch)*h*w:]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := (oy*p.Stride)*w + ox*p.Stride
-					best := in[bestIdx]
-					for ky := 0; ky < p.K; ky++ {
-						for kx := 0; kx < p.K; kx++ {
-							idx := (oy*p.Stride+ky)*w + ox*p.Stride + kx
-							if in[idx] > best {
-								best = in[idx]
-								bestIdx = idx
-							}
+	p.out = tensor.Ensure4(p.out, n, c, oh, ow)
+	var argmax []int
+	if withArgmax {
+		p.inShape = append(p.inShape[:0], x.Shape...)
+		p.argmax = grow(p.argmax, len(p.out.Data))
+		argmax = p.argmax
+	}
+	for pl := 0; pl < n*c; pl++ {
+		in := x.Data[pl*h*w:][:h*w]
+		out := p.out.Data[pl*oh*ow:][:oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := (oy*p.Stride)*w + ox*p.Stride
+				best := in[bestIdx]
+				for ky := 0; ky < p.K; ky++ {
+					row := in[(oy*p.Stride+ky)*w+ox*p.Stride:][:p.K]
+					for kx, v := range row {
+						if v > best {
+							best = v
+							bestIdx = (oy*p.Stride+ky)*w + ox*p.Stride + kx
 						}
 					}
-					o := ((img*c+ch)*oh+oy)*ow + ox
-					out.Data[o] = best
-					p.argmax[o] = (img*c+ch)*h*w + bestIdx
+				}
+				out[oy*ow+ox] = best
+				if argmax != nil {
+					argmax[pl*oh*ow+oy*ow+ox] = pl*h*w + bestIdx
 				}
 			}
 		}
 	}
-	return out
+	return p.out
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(p.inShape...)
+	p.dx = tensor.Ensure(p.dx, p.inShape...)
+	dx := p.dx.Data
+	clear(dx)
 	for o, src := range p.argmax {
-		dx.Data[src] += dy.Data[o]
+		dx[src] += dy.Data[o]
 	}
-	return dx
+	return p.dx
 }
 
 // GlobalAvgPool averages each channel's spatial map to a single value,
 // producing (N, C, 1, 1) — the ResNet head pooling.
 type GlobalAvgPool struct {
 	inShape []int
+	out, dx *tensor.Tensor
 }
 
 // NewGlobalAvgPool returns a global average pooling layer.
@@ -92,29 +109,29 @@ func (p *GlobalAvgPool) Params() []*Param { return nil }
 func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(n, c, 1, 1)
+	p.out = tensor.Ensure4(p.out, n, c, 1, 1)
 	hw := h * w
-	for i := 0; i < n*c; i++ {
+	for i := range p.out.Data {
 		var s float64
 		for _, v := range x.Data[i*hw : (i+1)*hw] {
 			s += float64(v)
 		}
-		out.Data[i] = float32(s / float64(hw))
+		p.out.Data[i] = float32(s / float64(hw))
 	}
-	return out
+	return p.out
 }
 
 // Backward implements Layer.
 func (p *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	h, w := p.inShape[2], p.inShape[3]
-	hw := h * w
-	dx := tensor.New(p.inShape...)
+	hw := p.inShape[2] * p.inShape[3]
+	p.dx = tensor.Ensure(p.dx, p.inShape...)
 	inv := 1 / float32(hw)
-	for i := 0; i < p.inShape[0]*p.inShape[1]; i++ {
-		g := dy.Data[i] * inv
-		for j := 0; j < hw; j++ {
-			dx.Data[i*hw+j] = g
+	for i, g := range dy.Data[:len(p.dx.Data)/hw] {
+		g *= inv
+		plane := p.dx.Data[i*hw : (i+1)*hw]
+		for j := range plane {
+			plane[j] = g
 		}
 	}
-	return dx
+	return p.dx
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "github.com/appmult/retrain/internal/tensor"
+import (
+	"fmt"
+
+	"github.com/appmult/retrain/internal/tensor"
+)
 
 // Residual computes main(x) + shortcut(x) — the ResNet building block
 // connective. The shortcut is Identity for same-shape blocks or a
@@ -9,6 +13,7 @@ type Residual struct {
 	name     string
 	Main     Layer
 	Shortcut Layer
+	out, dx  *tensor.Tensor
 }
 
 // NewResidual constructs a residual connection. A nil shortcut means
@@ -28,20 +33,34 @@ func (r *Residual) Params() []*Param {
 	return append(r.Main.Params(), r.Shortcut.Params()...)
 }
 
+// sumInto returns a + b, shaped like a, in buf's storage (see
+// tensor.Ensure).
+func sumInto(buf, a, b *tensor.Tensor) *tensor.Tensor {
+	if len(a.Data) != len(b.Data) {
+		panic(fmt.Sprintf("nn: residual branches disagree: %v vs %v", a.Shape, b.Shape))
+	}
+	buf = tensor.Ensure(buf, a.Shape...)
+	bd := b.Data
+	for i, v := range a.Data {
+		buf.Data[i] = v + bd[i]
+	}
+	return buf
+}
+
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	m := r.Main.Forward(x, train)
-	s := r.Shortcut.Forward(x, train)
-	out := m.Clone()
-	out.Add(s)
-	return out
+	r.out = sumInto(r.out, r.Main.Forward(x, train), r.Shortcut.Forward(x, train))
+	return r.out
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dm := r.Main.Backward(dy)
-	ds := r.Shortcut.Backward(dy)
-	dx := dm.Clone()
-	dx.Add(ds)
-	return dx
+	r.dx = sumInto(r.dx, r.Main.Backward(dy), r.Shortcut.Backward(dy))
+	return r.dx
+}
+
+// Infer implements Inferer.
+func (r *Residual) Infer(x *tensor.Tensor) *tensor.Tensor {
+	r.out = sumInto(r.out, Infer(r.Main, x), Infer(r.Shortcut, x))
+	return r.out
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/obs"
+	"github.com/appmult/retrain/internal/tensor"
 )
 
 // The GEMM dispatch ladders. Every tier is declared here exactly once:
@@ -32,6 +33,11 @@ const (
 	BwdPathFused  = "fused"  // gather from the padded gradient-table rows
 	BwdPathMixed  = "mixed"
 )
+
+// hasGemmAsm reports whether the AVX2 kernels (gemm_*_amd64.s) are
+// usable: the tiers built on them fall back to the pure-Go rows when
+// false.
+var hasGemmAsm = tensor.HasAVX2
 
 // fwdTier is one row of the forward ladder.
 type fwdTier struct {

@@ -70,9 +70,28 @@ func CalibrateTensor(t *tensor.Tensor, bits int) Params {
 // QMax returns the largest representable integer level, 2^B-1.
 func (p Params) QMax() uint32 { return bitutil.Mask(p.Bits) }
 
+// roundLimit bounds the rounded quotient before it is converted to an
+// integer. Go leaves a float-to-int conversion that does not fit
+// implementation-defined — amd64 yields MinInt32 (so +Inf used to
+// quantize to level 0), arm64 saturates — and 2^24 is beyond any level
+// plus zero point, so clamping here loses nothing and pins one answer.
+const roundLimit = 1 << 24
+
+// level returns round(v/Scale) + Zero, ties away from zero, before the
+// clamp to [0, QMax]. A NaN counts as below the range.
+func (p Params) level(v float32) int32 {
+	r := math.Round(float64(v / p.Scale))
+	if !(r >= -roundLimit) {
+		r = -roundLimit
+	} else if r > roundLimit {
+		r = roundLimit
+	}
+	return int32(r) + p.Zero
+}
+
 // Quantize maps a float to its integer level with clamping (Eq. 7).
 func (p Params) Quantize(v float32) uint32 {
-	q := int32(math.Round(float64(v/p.Scale))) + p.Zero
+	q := p.level(v)
 	if q < 0 {
 		return 0
 	}
@@ -96,7 +115,7 @@ func (p Params) FakeQuant(v float32) float32 {
 // Clipped reports whether v falls outside the representable range, in
 // which case the straight-through gradient of the rounding is zero.
 func (p Params) Clipped(v float32) bool {
-	q := int32(math.Round(float64(v/p.Scale))) + p.Zero
+	q := p.level(v)
 	return q < 0 || q > int32(p.QMax())
 }
 
@@ -105,15 +124,17 @@ func (p Params) Clipped(v float32) bool {
 // divide and round per element, where calling the two scalar methods
 // redoes them. The division stays a division: multiplying by a
 // reciprocal would round differently. Levels are stored as uint8, so
-// Bits must be <= 8.
+// Bits must be <= 8. The whole 8-element blocks go through the AVX2
+// kernel where there is one (quant_amd64.go); the loop below is its
+// tail handler and, elsewhere, the whole pass.
 func (p Params) QuantizeInto(q []uint8, clip []bool, data []float32) {
 	if p.Bits > 8 {
 		panic("quant: QuantizeInto supports Bits <= 8")
 	}
 	q = q[:len(data)]
 	qmax := int32(p.QMax())
-	for i, v := range data {
-		l := int32(math.Round(float64(v/p.Scale))) + p.Zero
+	for i := p.quantizeBlocks(q, clip, data); i < len(data); i++ {
+		l := p.level(data[i])
 		clipped := false
 		if l < 0 {
 			l, clipped = 0, true

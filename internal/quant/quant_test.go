@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -170,11 +171,18 @@ func TestCalibrateRejectsEmptyRange(t *testing.T) {
 	Calibrate(2, 1, 8)
 }
 
-// TestQuantizeIntoMatchesScalar pins the fused slice quantizer to the
-// scalar definitions: for every value, the level equals Quantize and
-// the flag equals Clipped, over sweeps that clip on both sides, sit on
-// rounding ties, and include the padding value zero.
+// TestQuantizeIntoMatchesScalar pins the slice quantizer to the scalar
+// definitions — it is the AVX2 kernel's bit-identity evidence and,
+// under -tags purego, the Go loop's: for every value the level equals
+// Quantize and the flag equals Clipped. Per Params (2 to 8 bits, the
+// zero point at 0, mid-range and qmax) the data holds a sweep that
+// clips on both sides, every rounding boundary (l ± 0.5)*Scale for l in
+// [-300, 400] ± 4 ulp, ±0 (the padding value), denormals, the inputs
+// whose quotient does not fit an int32, and 2^18 random values, half of
+// them random bit patterns; then every length 0..40 at shifting
+// offsets, so each lane position meets the tail.
 func TestQuantizeIntoMatchesScalar(t *testing.T) {
+	inf := float32(math.Inf(1))
 	for _, tc := range []struct {
 		name   string
 		mn, mx float32
@@ -182,13 +190,20 @@ func TestQuantizeIntoMatchesScalar(t *testing.T) {
 	}{
 		{"symmetric/8", -1, 1, 8},
 		{"symmetric/7", -1, 1, 7},
+		{"symmetric/6", -1.3, 1.1, 6},
+		{"positive/8", 0, 2.5, 8},
+		{"positive/7", 0, 2.5, 7},
 		{"positive/6", 0, 2, 6},
+		{"negative/8", -3, 0, 8},
+		{"negative/7", -3, 0, 7},
+		{"negative/6", -3, 0, 6},
 		{"negative/4", -3, 0, 4},
 		{"skewed/2", -0.25, 4, 2},
 		{"widened-to-zero/7", 0.5, 1.5, 7},
 		{"degenerate/8", 0, 0, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
 			p := Calibrate(tc.mn, tc.mx, tc.bits)
 			span := tc.mx - tc.mn
 			if span == 0 {
@@ -198,30 +213,39 @@ func TestQuantizeIntoMatchesScalar(t *testing.T) {
 			for v := tc.mn - 2*span; v <= tc.mx+2*span; v += span / 997 {
 				data = append(data, v)
 			}
-			// Exact ties between adjacent levels, on and beyond both edges.
-			for l := -3; l <= int(p.QMax())+3; l++ {
-				data = append(data, (float32(l)+0.5-float32(p.Zero))*p.Scale)
+			for l := -300; l <= 400; l++ {
+				for _, half := range []float64{-0.5, 0.5} {
+					b := float32((float64(l) + half - float64(p.Zero)) * float64(p.Scale))
+					lo, hi := b, b
+					data = append(data, b)
+					for u := 0; u < 4; u++ {
+						lo, hi = math.Nextafter32(lo, -inf), math.Nextafter32(hi, inf)
+						data = append(data, lo, hi)
+					}
+				}
 			}
-			data = append(data, 0, float32(math.Copysign(0, -1)), 1e30, -1e30, p.Scale/2, -p.Scale/2)
+			data = append(data, 0, float32(math.Copysign(0, -1)), 1e30, -1e30, p.Scale/2, -p.Scale/2,
+				math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -1e-40, 0x1p-126, -0x1p-126)
+			data = append(data, outOfRange(p)...)
+			for i := 0; i < 1<<18; i++ {
+				if i%2 == 0 {
+					data = append(data, math.Float32frombits(rng.Uint32()))
+				} else {
+					data = append(data, float32(rng.NormFloat64())*p.Scale*float32(p.QMax()))
+				}
+			}
 
-			q := make([]uint8, len(data))
-			clip := make([]bool, len(data))
-			p.QuantizeInto(q, clip, data)
-			qOnly := make([]uint8, len(data))
-			p.QuantizeInto(qOnly, nil, data)
+			checkQuantizeInto(t, p, data)
+			for n := 0; n <= 40; n++ {
+				off := (n * 37) % 600
+				checkQuantizeInto(t, p, data[off:off+n])
+			}
 			var low, high int
-			for i, v := range data {
-				if uint32(q[i]) != p.Quantize(v) || clip[i] != p.Clipped(v) {
-					t.Fatalf("v=%v: got (level %d, clipped %v), scalar (%d, %v)",
-						v, q[i], clip[i], p.Quantize(v), p.Clipped(v))
-				}
-				if qOnly[i] != q[i] {
-					t.Fatalf("v=%v: level %d without flags, %d with", v, qOnly[i], q[i])
-				}
-				if clip[i] && q[i] == 0 {
+			for _, v := range data {
+				if p.Clipped(v) && p.Quantize(v) == 0 {
 					low++
 				}
-				if clip[i] && uint32(q[i]) == p.QMax() {
+				if p.Clipped(v) && p.Quantize(v) == p.QMax() {
 					high++
 				}
 			}
@@ -234,5 +258,55 @@ func TestQuantizeIntoMatchesScalar(t *testing.T) {
 				t.Fatalf("Quantize(0) = %d (clipped %v), zero point %d", p.Quantize(0), p.Clipped(0), p.Zero)
 			}
 		})
+	}
+}
+
+// checkQuantizeInto asserts that QuantizeInto over data — with and
+// without clip flags — returns the scalar Quantize level and Clipped
+// flag for every element.
+func checkQuantizeInto(t *testing.T, p Params, data []float32) {
+	t.Helper()
+	q := make([]uint8, len(data))
+	qOnly := make([]uint8, len(data))
+	clip := make([]bool, len(data))
+	for i := range q {
+		q[i], qOnly[i], clip[i] = 0xAA, 0xAA, i%2 == 0 // stale contents
+	}
+	p.QuantizeInto(q, clip, data)
+	p.QuantizeInto(qOnly, nil, data)
+	for i, v := range data {
+		if uint32(q[i]) != p.Quantize(v) || clip[i] != p.Clipped(v) || qOnly[i] != q[i] {
+			t.Fatalf("%+v len %d: v[%d]=%v (%#08x): got level %d / %d without flags, clipped %v; scalar (%d, %v)",
+				p, len(data), i, v, math.Float32bits(v), q[i], qOnly[i], clip[i], p.Quantize(v), p.Clipped(v))
+		}
+	}
+}
+
+// outOfRange lists the inputs whose rounded quotient does not fit an
+// int32 (or is not a number) next to ones that just do.
+func outOfRange(p Params) []float32 {
+	inf := float32(math.Inf(1))
+	edge := float32(math.Ldexp(float64(p.Scale), 31))
+	return []float32{inf, -inf, float32(math.NaN()), -float32(math.NaN()), math.MaxFloat32, -math.MaxFloat32,
+		edge, math.Nextafter32(edge, 0), math.Nextafter32(edge, inf), -edge,
+		math.Nextafter32(-edge, 0), math.Nextafter32(-edge, -inf), edge / 128, -edge / 128}
+}
+
+// TestQuantizeOutOfRangePinned pins what Go leaves implementation-
+// defined: a quotient beyond int32 saturates to the near end of the
+// level range on every GOARCH (amd64's native conversion would send +Inf
+// to level 0), and NaN counts as below the range.
+func TestQuantizeOutOfRangePinned(t *testing.T) {
+	for _, p := range []Params{Calibrate(-1, 1, 8), Calibrate(0, 3, 7), Calibrate(-2, 0, 6), {Scale: 1e-30, Zero: 3, Bits: 8}} {
+		for _, v := range outOfRange(p) {
+			want := uint32(0)
+			if v > 0 {
+				want = p.QMax()
+			}
+			if got := p.Quantize(v); got != want || !p.Clipped(v) {
+				t.Errorf("%+v: Quantize(%v) = %d (clipped %v), want %d clipped", p, v, got, p.Clipped(v), want)
+			}
+		}
+		checkQuantizeInto(t, p, outOfRange(p))
 	}
 }

@@ -107,6 +107,42 @@ func validOut(off, stride, in, out int) (lo, hi int) {
 	return lo, max(min(hi, out), lo)
 }
 
+// wholePlane reports whether every tap's output plane is the input
+// plane shifted by a constant: stride 1 and an output plane of the input
+// plane's shape (3x3/pad 1, 5x5/pad 2 — every padded conv the models
+// build). Im2ColTJob and Col2ImTJob then move whole planes, not rows.
+func (g ConvGeom) wholePlane() bool {
+	return g.Stride == 1 && g.OutH == g.InH && g.OutW == g.InW
+}
+
+// planeTap locates one kernel tap of a whole-plane geometry: output
+// position p takes input position p+off, and the positions that do not
+// overhang the image are [first, last) minus the gaps — the gap
+// positions that follow every run of InW-gap valid ones. first == last
+// when the tap sees only padding.
+type planeTap struct{ off, first, last, gap int }
+
+// planeTaps returns the KH*KW taps of a whole-plane geometry, (ky, kx)
+// ascending, in buf's storage; none for any other geometry.
+func (g ConvGeom) planeTaps(buf []planeTap) []planeTap {
+	buf = buf[:0]
+	if !g.wholePlane() {
+		return buf
+	}
+	for ky := 0; ky < g.KH; ky++ {
+		oyLo, oyHi := validOut(ky-g.Pad, 1, g.InH, g.OutH)
+		for kx := 0; kx < g.KW; kx++ {
+			oxLo, oxHi := validOut(kx-g.Pad, 1, g.InW, g.OutW)
+			t := planeTap{}
+			if oyLo < oyHi && oxLo < oxHi {
+				t = planeTap{(ky-g.Pad)*g.InW + kx - g.Pad, oyLo*g.InW + oxLo, (oyHi-1)*g.InW + oxHi, g.InW - (oxHi - oxLo)}
+			}
+			buf = append(buf, t)
+		}
+	}
+	return buf
+}
+
 // Im2ColTJob is the k-major byte im2col of the approximate layers: it
 // expands n NCHW images of uint8 levels into the transposed patch
 // matrix dst (K x n*outH*outW), row i = (c, ky, kx) holding that kernel
@@ -114,15 +150,18 @@ func validOut(off, stride, in, out int) (lo, hi int) {
 // the quantized zero point, which is what a float zero quantizes to —
 // where the tap overhangs the image. The layers quantize once per input
 // element and expand bytes; the GEMM kernels scan rows of this matrix
-// contiguously, so no transpose follows. At stride 1 every (i, img, oy)
-// is one copy of an input-row run between two pad fills. A layer keeps
-// one job across steps and calls Run, so the parallel dispatch reuses
-// this struct as its RangeRunner instead of allocating a closure.
+// contiguously, so no transpose follows. In a whole-plane geometry
+// every (i, img) is one copy of the shifted input plane followed by the
+// pad fills; otherwise every (i, img, oy) gathers an input row at the
+// stride between two pad fills. A layer keeps one job across steps and
+// calls Run, so the parallel dispatch reuses this struct as its
+// RangeRunner instead of allocating a closure.
 type Im2ColTJob struct {
 	dst, src []uint8
 	pad      uint8
 	n        int
 	g        ConvGeom
+	taps     []planeTap // empty unless g.wholePlane()
 }
 
 // Run expands the n images in src into dst (every position is
@@ -131,7 +170,7 @@ func (j *Im2ColTJob) Run(dst, src []uint8, n int, g ConvGeom, pad uint8) {
 	if len(dst) != n*g.OutH*g.OutW*g.K() || len(src) != n*g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2ColT buffers (%d, %d) do not match geometry", len(dst), len(src)))
 	}
-	j.dst, j.src, j.pad, j.n, j.g = dst, src, pad, n, g
+	j.dst, j.src, j.pad, j.n, j.g, j.taps = dst, src, pad, n, g, g.planeTaps(j.taps)
 	ParallelRowsOn(g.K(), j)
 }
 
@@ -142,6 +181,23 @@ func (j *Im2ColTJob) RunRange(lo, hi int) {
 	ohw := g.OutH * g.OutW
 	for i := lo; i < hi; i++ {
 		c, ky, kx := i/(g.KH*g.KW), i/g.KW%g.KH, i%g.KW
+		if len(j.taps) > 0 {
+			// Every valid position holds the input plane at +off; the
+			// copy also drags neighbours into the gaps, which the fills
+			// then overwrite together with everything outside the span.
+			t := j.taps[ky*g.KW+kx]
+			for img := 0; img < j.n; img++ {
+				s := j.src[(img*g.InC+c)*ohw:][:ohw]
+				d := j.dst[(i*j.n+img)*ohw:][:ohw]
+				copy(d[t.first:t.last], s[t.first+t.off:])
+				fill(d[:t.first], j.pad)
+				fill(d[t.last:], j.pad)
+				for p := t.first + g.InW - t.gap; p < t.last && t.gap > 0; p += g.InW {
+					fill(d[p:p+t.gap], j.pad)
+				}
+			}
+			continue
+		}
 		ix0 := kx - g.Pad
 		oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
 		for img := 0; img < j.n; img++ {
@@ -156,10 +212,6 @@ func (j *Im2ColTJob) RunRange(lo, hi int) {
 				s := plane[iy*g.InW:][:g.InW]
 				fill(d[:oxLo], j.pad)
 				fill(d[oxHi:], j.pad)
-				if g.Stride == 1 {
-					copy(d[oxLo:oxHi], s[oxLo+ix0:])
-					continue
-				}
 				for ox := oxLo; ox < oxHi; ox++ {
 					d[ox] = s[ox*g.Stride+ix0]
 				}
@@ -272,19 +324,28 @@ func (j *Col2ImJob) RunRange(lo, hi int) {
 // descending kx. Walking the taps of a channel with ky then kx
 // descending therefore feeds every element its summands in exactly
 // that order, whole patch-matrix rows at a time.
+//
+// In a whole-plane geometry a tap's patch-matrix plane lands on the
+// input plane at a constant shift, so the job zeroes the plane's gap
+// entries — the ones that overhang the image — and adds the whole span
+// with one vector add. Every accumulator starts at +0 and a sum that
+// started at +0 is never -0, so the extra +0 summands change no bit
+// (the argument kernels_backward.go makes for its zero gradients).
 type Col2ImTJob struct {
 	dst, cols []float32
 	n         int
 	g         ConvGeom
+	taps      []planeTap // empty unless g.wholePlane()
 }
 
 // Run zeroes dst (n NCHW images of the geometry's input shape) and
-// accumulates cols into it through the job's reusable state.
+// accumulates cols into it through the job's reusable state. It
+// consumes cols: the whole-plane path overwrites overhanging entries.
 func (j *Col2ImTJob) Run(dst, cols []float32, n int, g ConvGeom) {
 	if len(cols) != n*g.OutH*g.OutW*g.K() || len(dst) != n*g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Col2ImT buffers (%d, %d) do not match geometry", len(dst), len(cols)))
 	}
-	j.dst, j.cols, j.n, j.g = dst, cols, n, g
+	j.dst, j.cols, j.n, j.g, j.taps = dst, cols, n, g, g.planeTaps(j.taps)
 	// Parallel over (image, channel) planes: each is written by exactly
 	// one block, so no synchronization is needed.
 	ParallelRowsOn(n*g.InC, j)
@@ -303,25 +364,37 @@ func (j *Col2ImTJob) RunRange(lo, hi int) {
 		for ky := g.KH - 1; ky >= 0; ky-- {
 			oyLo, oyHi := validOut(ky-g.Pad, g.Stride, g.InH, g.OutH)
 			for kx := g.KW - 1; kx >= 0; kx-- {
-				ix0 := kx - g.Pad
-				oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
 				i := (c*g.KH+ky)*g.KW + kx
 				src := j.cols[(i*j.n+img)*ohw:][:ohw]
+				if len(j.taps) > 0 {
+					t := j.taps[ky*g.KW+kx]
+					for p := t.first + g.InW - t.gap; p < t.last && t.gap > 0; p += g.InW {
+						for q := p; q < p+t.gap; q++ {
+							src[q] = 0
+						}
+					}
+					addInto(plane[t.first+t.off:t.last+t.off], src[t.first:t.last])
+					continue
+				}
+				ix0 := kx - g.Pad
+				oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
 				for oy := oyLo; oy < oyHi; oy++ {
 					d := plane[(oy*g.Stride-g.Pad+ky)*g.InW:][:g.InW]
 					s := src[oy*g.OutW+oxLo : oy*g.OutW+oxHi]
-					if g.Stride == 1 {
-						d = d[oxLo+ix0:][:len(s)]
-						for ox, v := range s {
-							d[ox] += v
-						}
-						continue
-					}
 					for ox, v := range s {
 						d[(oxLo+ox)*g.Stride+ix0] += v
 					}
 				}
 			}
 		}
+	}
+}
+
+// addInto adds src into dst elementwise, each sum a separately rounded
+// float32 add: AVX2 over the whole 8-lane blocks where available.
+func addInto(dst, src []float32) {
+	src = src[:len(dst)]
+	for i := addBlocks(dst, src); i < len(dst); i++ {
+		dst[i] += src[i]
 	}
 }

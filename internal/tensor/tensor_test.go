@@ -348,21 +348,35 @@ func TestMatMulLinearityProperty(t *testing.T) {
 }
 
 // patchGeoms is the geometry table of the im2col/col2im oracle tests.
-var patchGeoms = []struct{ n, c, h, w, k, stride, pad int }{
-	{2, 3, 8, 8, 3, 1, 1},
-	{1, 1, 5, 5, 3, 2, 0},
-	{3, 2, 7, 9, 5, 1, 2},
-	{2, 2, 6, 4, 1, 1, 0},
-	{2, 2, 9, 6, 1, 2, 0},
-	{1, 3, 5, 8, 3, 2, 1},
-	{2, 1, 6, 7, 5, 2, 2},
-	{1, 2, 4, 2, 3, 1, 1},
-	{1, 1, 3, 3, 5, 1, 2},
-	{2, 2, 6, 5, 3, 1, 2}, // pad reaches past the kernel centre
-	{1, 2, 7, 6, 3, 2, 2},
-	{2, 2, 6, 3, 3, 1, 0}, // OutW = 1
-	{2, 3, 3, 3, 3, 1, 0}, // 1x1 spatial output
-	{1, 2, 5, 5, 5, 2, 0},
+// whole marks the geometries the k-major jobs move as whole planes
+// (stride 1, output plane of the input plane's shape); the rest —
+// some missing the predicate by one pad — take the per-row path.
+var patchGeoms = []struct {
+	n, c, h, w, k, stride, pad int
+	whole                      bool
+}{
+	{2, 3, 8, 8, 3, 1, 1, true},
+	{1, 1, 5, 5, 3, 2, 0, false},
+	{3, 2, 7, 9, 5, 1, 2, true},
+	{2, 2, 6, 4, 1, 1, 0, true}, // 1x1 kernel: the plane itself, no gaps
+	{2, 2, 9, 6, 1, 2, 0, false},
+	{1, 3, 5, 8, 3, 2, 1, false},
+	{2, 1, 6, 7, 5, 2, 2, false},
+	{1, 2, 4, 2, 3, 1, 1, true},
+	{1, 1, 3, 3, 5, 1, 2, true},  // corner taps see only padding
+	{2, 2, 6, 5, 3, 1, 2, false}, // pad reaches past the kernel centre
+	{2, 2, 6, 5, 3, 1, 0, false}, // stride 1 but the plane shrinks
+	{1, 2, 7, 6, 3, 2, 2, false},
+	{2, 2, 6, 3, 3, 1, 0, false}, // OutW = 1
+	{2, 3, 3, 3, 3, 1, 0, false}, // 1x1 spatial output
+	{1, 2, 5, 5, 5, 2, 0, false},
+	{2, 2, 16, 16, 3, 1, 1, true}, // the models' 3x3 convs
+	{2, 2, 16, 16, 5, 1, 2, true}, // lenet's 5x5 convs
+	{3, 2, 2, 2, 3, 1, 1, true},
+	{3, 2, 1, 1, 3, 1, 1, true}, // only the centre tap is inside
+	{2, 1, 2, 2, 5, 1, 2, true}, // kernel wider than the image
+	{1, 2, 1, 7, 3, 1, 1, true},
+	{2, 2, 8, 8, 3, 2, 1, false}, // stride 2 halves the plane
 }
 
 // TestIm2ColMatchesIndexOracle checks the float im2col and the k-major
@@ -379,6 +393,9 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 	const pad = 77
 	for _, cse := range patchGeoms {
 		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
+		if g.wholePlane() != cse.whole {
+			t.Fatalf("case %+v: whole-plane path taken = %v", cse, g.wholePlane())
+		}
 		x := New(cse.n, cse.c, cse.h, cse.w)
 		lv := make([]uint8, len(x.Data))
 		for i := range lv {
@@ -426,13 +443,27 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 // TestCol2ImTMatchesCol2Im pins the k-major col2im bit for bit to
 // Col2ImJob fed the transposed matrix: walking the kernel taps in
 // descending (ky, kx) order must hand every input element its overlaps
-// in the ascending (oy, ox) order of the row-major scatter.
+// in the ascending (oy, ox) order of the row-major scatter — on the
+// whole-plane path too, whose extra +0 summands must change no bit
+// (the matrix holds -0 entries, which only a wrongly ordered or wrongly
+// zeroed sum would turn into +0 or back).
+//
+// It also states the job's contract on cols: Run consumes it. The
+// whole-plane path zeroes entries that overhang the image (those inside
+// the span it adds) and nothing else; the per-row path happens to leave
+// everything — which doubles as the evidence of which path ran.
 func TestCol2ImTMatchesCol2Im(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	negZero := float32(math.Copysign(0, -1))
 	for _, cse := range patchGeoms {
 		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
 		rows, k := cse.n*g.OutH*g.OutW, g.K()
 		cols := randT(rng, rows, k)
+		for i := range cols.Data {
+			if rng.Intn(8) == 0 {
+				cols.Data[i] = negZero
+			}
+		}
 		colsT := make([]float32, rows*k)
 		for r := 0; r < rows; r++ {
 			for i := 0; i < k; i++ {
@@ -448,6 +479,25 @@ func TestCol2ImTMatchesCol2Im(t *testing.T) {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 				t.Fatalf("case %+v: dx[%d] = %v, row-major col2im %v", cse, i, got.Data[i], want.Data[i])
 			}
+		}
+		zeroed := 0
+		for r := 0; r < rows; r++ {
+			oy, ox := r/g.OutW%g.OutH, r%g.OutW
+			for i := 0; i < k; i++ {
+				iy, ix := oy*cse.stride-cse.pad+i/cse.k%cse.k, ox*cse.stride-cse.pad+i%cse.k
+				before, after := math.Float32bits(cols.Data[r*k+i]), math.Float32bits(colsT[i*rows+r])
+				if before == after {
+					continue
+				}
+				if after != 0 || (iy >= 0 && iy < cse.h && ix >= 0 && ix < cse.w) {
+					t.Fatalf("case %+v: Run turned cols[%d][%d] from %#x into %#x", cse, i, r, before, after)
+				}
+				zeroed++
+			}
+		}
+		// Gaps exist once a tap beside the centre column spans two rows.
+		if wantZeroed := cse.whole && cse.k > 1 && cse.h > 1 && cse.w > 1; (zeroed > 0) != wantZeroed {
+			t.Fatalf("case %+v: Run zeroed %d entries of cols; whole-plane path expected = %v", cse, zeroed, wantZeroed)
 		}
 	}
 }
@@ -487,6 +537,38 @@ func TestCol2ImMatchesLoopNest(t *testing.T) {
 		for i := range want {
 			if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("case %+v: dx[%d] = %v, loop nest %v", cse, i, got.Data[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAddIntoMatchesLoop pins addInto (AVX2 blocks plus Go tail, or
+// under -tags purego the Go loop alone) bit for bit to dst[i] += src[i]
+// at every length that moves the block/tail split, on operands that
+// include ±0, ±Inf, NaN and denormals.
+func TestAddIntoMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	inf := float32(math.Inf(1))
+	special := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, float32(math.NaN()), 1e-42, -1e-42, math.MaxFloat32}
+	for n := 0; n <= 40; n++ {
+		dst, src := make([]float32, n), make([]float32, n)
+		for i := range dst {
+			dst[i], src[i] = float32(rng.NormFloat64()), float32(rng.NormFloat64())
+			if rng.Intn(3) == 0 {
+				dst[i] = special[rng.Intn(len(special))]
+			}
+			if rng.Intn(3) == 0 {
+				src[i] = special[rng.Intn(len(special))]
+			}
+		}
+		want := append([]float32(nil), dst...)
+		for i := range want {
+			want[i] += src[i]
+		}
+		addInto(dst, src)
+		for i := range want {
+			if math.Float32bits(dst[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("n=%d: dst[%d] = %v (%#x), loop %v (%#x)", n, i, dst[i], math.Float32bits(dst[i]), want[i], math.Float32bits(want[i]))
 			}
 		}
 	}
