@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet purego maxprocs1 race bench benchreport benchsmoke doccheck verify clean
+.PHONY: build test tier1 vet purego maxprocs1 race servestress bench benchreport benchsmoke doccheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -43,6 +43,13 @@ maxprocs1:
 race:
 	go test -race -count=1 ./internal/tensor/ ./internal/nn/ ./internal/train/ ./internal/data/ ./internal/faults/ ./internal/serve/ ./internal/obs/ ./internal/wire/ ./internal/dist/ ./internal/fleet/
 
+# servestress repeats the scheduling-sensitive serving tests under the
+# race detector: the batcher's runner loops, drain and retire paths and
+# the fleet's kill/hedge/expiry tests depend on goroutine interleavings
+# that one pass does not sample.
+servestress:
+	go test -race -count=10 -run 'Batcher|Fleet' ./internal/serve ./internal/fleet
+
 # bench re-measures the kernel and training-step baselines, fails
 # loudly if anything regressed beyond benchdiff's tolerance, and
 # promotes the new numbers.
@@ -82,7 +89,7 @@ benchsmoke:
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet tier1 purego maxprocs1 benchsmoke doccheck race benchreport
+verify: vet tier1 purego maxprocs1 benchsmoke doccheck race servestress benchreport
 
 clean:
 	go clean ./...

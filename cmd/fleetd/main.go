@@ -59,7 +59,6 @@ func main() {
 		replicas = flag.Int("replicas", 1, "worker: initial inference replicas per model")
 		maxRep   = flag.Int("max-replicas", 0, "worker: autoscale replica cap (0: 4*replicas, min 8)")
 		maxBatch = flag.Int("max-batch", 8, "worker: micro-batch size cap")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "worker: micro-batching window")
 		depth    = flag.Int("queue-depth", 0, "worker: admission queue bound (0: 4*max-batch)")
 		seed     = flag.Int64("seed", 1, "worker: init seed when no checkpoint is given")
 		scale    = flag.Bool("autoscale", true, "worker: autoscale replicas from live queue gauges")
@@ -81,7 +80,7 @@ func main() {
 		runWorker(*router, serve.Spec{
 			Name: *name, Kind: *model, Classes: *classes, InputHW: *hw, Width: *width,
 			Mult: *mult, Ckpt: *ckpt, Replicas: *replicas, MaxReplicas: *maxRep,
-			MaxBatch: *maxBatch, MaxDelay: *maxDelay, QueueDepth: *depth, Seed: *seed,
+			MaxBatch: *maxBatch, QueueDepth: *depth, Seed: *seed,
 		}, *scale)
 	default:
 		log.Fatalf("-role must be router or worker (got %q)", *role)

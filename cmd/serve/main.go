@@ -40,7 +40,6 @@ func main() {
 		ckpt     = flag.String("ckpt", "", "TRCKPv1 checkpoint to serve (empty: fresh seeded weights)")
 		replicas = flag.Int("replicas", 1, "independent inference replicas")
 		maxBatch = flag.Int("max-batch", 8, "micro-batch size cap")
-		maxDelay = flag.Duration("max-delay", 2*time.Millisecond, "micro-batching window")
 		depth    = flag.Int("queue-depth", 0, "admission queue bound (0: 4*max-batch)")
 		seed     = flag.Int64("seed", 1, "init seed when no checkpoint is given")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
@@ -56,7 +55,7 @@ func main() {
 	m, err := serve.Load(serve.Spec{
 		Name: *name, Kind: *model, Classes: *classes, InputHW: *hw, Width: *width,
 		Mult: *mult, Ckpt: *ckpt, Replicas: *replicas,
-		MaxBatch: *maxBatch, MaxDelay: *maxDelay, QueueDepth: *depth, Seed: *seed,
+		MaxBatch: *maxBatch, QueueDepth: *depth, Seed: *seed,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -69,8 +68,8 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("serving %s %q on %s (replicas=%d max-batch=%d max-delay=%s ckpt=%q)",
-		*model, *name, *addr, *replicas, *maxBatch, *maxDelay, *ckpt)
+	log.Printf("serving %s %q on %s (replicas=%d max-batch=%d ckpt=%q)",
+		*model, *name, *addr, *replicas, *maxBatch, *ckpt)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

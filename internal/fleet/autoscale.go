@@ -8,58 +8,41 @@ import (
 	"github.com/appmult/retrain/internal/serve"
 )
 
-// AutoscaleConfig tunes the worker-local per-model replica autoscaler.
-// The autoscaler reads the live serve_* queue gauges the batcher
-// already exports to internal/obs — the same series /metrics scrapes —
-// so its view of pressure is exactly what an operator's dashboard
-// shows.
+// AutoscaleConfig switches the worker-local per-model replica
+// autoscaler. The autoscaler reads the live serve_* queue gauges the
+// batcher already exports to internal/obs — the same series /metrics
+// scrapes — so its view of pressure is exactly what an operator's
+// dashboard shows.
 type AutoscaleConfig struct {
 	// Enabled turns the autoscaler on.
 	Enabled bool
-	// Interval is the decision cadence (default 250ms).
-	Interval time.Duration
-	// MinReplicas floors scale-down (default 1).
-	MinReplicas int
-	// MaxReplicas caps scale-up (default: the model's Spec.MaxReplicas,
-	// enforced by the batcher pool anyway).
-	MaxReplicas int
-	// UpQueueFrac scales up when queue depth exceeds this fraction of
-	// queue capacity (default 0.5).
-	UpQueueFrac float64
-	// DownIdleTicks scales down after this many consecutive ticks with
-	// an empty queue and every replica idle (default 8).
-	DownIdleTicks int
+	// interval overrides autoscaleInterval; in-package tests tick faster.
+	interval time.Duration
 }
 
-func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.MinReplicas < 1 {
-		c.MinReplicas = 1
-	}
-	if c.UpQueueFrac <= 0 {
-		c.UpQueueFrac = 0.5
-	}
-	if c.DownIdleTicks < 1 {
-		c.DownIdleTicks = 8
-	}
-	return c
-}
+const (
+	// autoscaleInterval is the decision cadence.
+	autoscaleInterval = 250 * time.Millisecond
+	// scaleUpQueueFrac scales up when queue depth reaches this fraction
+	// of queue capacity. The ceiling is the model's Spec.MaxReplicas,
+	// enforced by the batcher pool.
+	scaleUpQueueFrac = 0.5
+	// scaleDownIdleTicks scales down after this many consecutive ticks
+	// with an empty queue and every replica idle. The floor of one
+	// replica is the batcher's.
+	scaleDownIdleTicks = 8
+)
 
 // scaleDecision is the pure decision rule, split out so tests can
 // drive it with synthetic observations. It returns +1 (add a replica),
 // -1 (retire one), or 0, given the observed queue depth and capacity,
 // the live and idle replica counts, and how many consecutive ticks the
 // model has been fully idle.
-func scaleDecision(cfg AutoscaleConfig, depth, capacity, live, idle, idleTicks int) int {
-	if capacity > 0 && float64(depth) >= cfg.UpQueueFrac*float64(capacity) {
-		if cfg.MaxReplicas > 0 && live >= cfg.MaxReplicas {
-			return 0
-		}
+func scaleDecision(depth, capacity, live, idle, idleTicks int) int {
+	if capacity > 0 && float64(depth) >= scaleUpQueueFrac*float64(capacity) {
 		return 1
 	}
-	if depth == 0 && idle >= live && live > cfg.MinReplicas && idleTicks >= cfg.DownIdleTicks {
+	if depth == 0 && idle >= live && live > 1 && idleTicks >= scaleDownIdleTicks {
 		return -1
 	}
 	return 0
@@ -70,10 +53,13 @@ func scaleDecision(cfg AutoscaleConfig, depth, capacity, live, idle, idleTicks i
 // serve_queue_capacity, serve_replicas_idle, and serve_replicas_live
 // gauges from the default obs registry and applies scaleDecision.
 func runAutoscaler(ctx context.Context, m *serve.Model, cfg AutoscaleConfig, logf func(string, ...any)) {
-	cfg = cfg.withDefaults()
+	interval := autoscaleInterval
+	if cfg.interval > 0 {
+		interval = cfg.interval
+	}
 	name := m.Spec().Name
 	reg := obs.Default()
-	tick := time.NewTicker(cfg.Interval)
+	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	idleTicks := 0
 	for {
@@ -91,7 +77,7 @@ func runAutoscaler(ctx context.Context, m *serve.Model, cfg AutoscaleConfig, log
 		} else {
 			idleTicks = 0
 		}
-		switch scaleDecision(cfg, int(depth), int(capacity), int(live), int(idle), idleTicks) {
+		switch scaleDecision(int(depth), int(capacity), int(live), int(idle), idleTicks) {
 		case 1:
 			if err := m.AddReplica(); err == nil {
 				autoscaleEvents(name, "up").Inc()

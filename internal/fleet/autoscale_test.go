@@ -3,7 +3,6 @@ package fleet
 import "testing"
 
 func TestScaleDecision(t *testing.T) {
-	cfg := AutoscaleConfig{MinReplicas: 1, MaxReplicas: 4, UpQueueFrac: 0.5, DownIdleTicks: 8}
 	cases := []struct {
 		name                              string
 		depth, capacity, live, idle, tick int
@@ -15,25 +14,22 @@ func TestScaleDecision(t *testing.T) {
 		{"queue below threshold", 10, 32, 2, 0, 0, 0},
 		{"queue at threshold", 16, 32, 2, 0, 0, 1},
 		{"queue above threshold", 30, 32, 2, 0, 0, 1},
-		{"pressure but at cap", 30, 32, 4, 0, 0, 0},
 		{"empty queue, replica busy", 0, 32, 2, 1, 20, 0},
 		{"no capacity gauge yet", 5, 0, 1, 0, 0, 0},
 	}
 	for _, tc := range cases {
-		if got := scaleDecision(cfg, tc.depth, tc.capacity, tc.live, tc.idle, tc.tick); got != tc.want {
+		if got := scaleDecision(tc.depth, tc.capacity, tc.live, tc.idle, tc.tick); got != tc.want {
 			t.Errorf("%s: scaleDecision(depth=%d cap=%d live=%d idle=%d ticks=%d) = %+d, want %+d",
 				tc.name, tc.depth, tc.capacity, tc.live, tc.idle, tc.tick, got, tc.want)
 		}
 	}
 }
 
+// TestScaleDecisionUncappedDefaults: the rule itself has no replica
+// cap — the batcher pool bound (Spec.MaxReplicas) is the backstop — so
+// under pressure it says up however many replicas are live.
 func TestScaleDecisionUncappedDefaults(t *testing.T) {
-	cfg := AutoscaleConfig{}.withDefaults()
-	if cfg.MaxReplicas != 0 {
-		t.Fatalf("defaults invented a MaxReplicas cap: %d", cfg.MaxReplicas)
-	}
-	// With no cap the batcher pool bound is the backstop: decision says up.
-	if got := scaleDecision(cfg, 100, 32, 50, 0, 0); got != 1 {
+	if got := scaleDecision(100, 32, 50, 0, 0); got != 1 {
 		t.Fatalf("uncapped pressure decision = %+d, want +1", got)
 	}
 }

@@ -22,9 +22,9 @@ import (
 
 // fleetSpec is the small deterministic model every e2e test serves:
 // same seed everywhere, so every worker holds bit-identical weights.
-func fleetSpec(maxDelay time.Duration) serve.Spec {
+func fleetSpec() serve.Spec {
 	return serve.Spec{Name: "m", Kind: "lenet", Classes: 3, InputHW: 8, Width: 0.08,
-		MaxBatch: 8, MaxDelay: maxDelay, Replicas: 1, Seed: 7}
+		MaxBatch: 8, Replicas: 1, Seed: 7}
 }
 
 func testImage(rng *rand.Rand) []float32 {
@@ -40,9 +40,6 @@ func testImage(rng *rand.Rand) []float32 {
 func startWorker(t *testing.T, cfg WorkerConfig) (context.CancelFunc, chan struct{}) {
 	t.Helper()
 	cfg.Dial = wire.Backoff{Base: 10 * time.Millisecond, Jitter: -1}
-	if cfg.MaxDialAttempts == 0 {
-		cfg.MaxDialAttempts = 50
-	}
 	w, err := NewWorker(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +67,8 @@ func startRouter(t *testing.T, cfg RouterConfig) *Router {
 
 func TestFleetEndToEndAndCacheBitIdentity(t *testing.T) {
 	r := startRouter(t, RouterConfig{CacheBytes: 1 << 20})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
 	if err := r.AwaitWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -144,20 +141,23 @@ func TestFleetWorkerKillFailoverNoLostResponses(t *testing.T) {
 	// Worker 1's connection is held so the test can sever it abruptly —
 	// the moral equivalent of kill -9 mid-request.
 	var w1conn atomic.Pointer[net.Conn]
+	var lag atomic.Bool
 	cancel1, done1 := startWorker(t, WorkerConfig{
 		Router: r.Addr(),
-		// A long straggler window keeps requests in flight on the worker,
-		// so the kill lands while work is genuinely outstanding.
-		Models: []serve.Spec{fleetSpec(60 * time.Millisecond)},
+		Models: []serve.Spec{fleetSpec()},
+		// Once armed, every answer worker 1 writes straggles 60ms, so
+		// its share of the requests is still outstanding at the router
+		// when the kill lands.
 		WrapConn: func(c net.Conn) net.Conn {
 			w1conn.Store(&c)
-			return c
+			return &laggedConn{Conn: c, armed: &lag, delay: 60 * time.Millisecond}
 		},
 	})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
 	if err := r.AwaitWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	lag.Store(true)
 
 	const n = 24
 	rng := rand.New(rand.NewSource(13))
@@ -179,7 +179,7 @@ func TestFleetWorkerKillFailoverNoLostResponses(t *testing.T) {
 	}
 
 	// Let the router spread the requests, then kill worker 1 while its
-	// 60ms batch window still holds roughly half of them.
+	// lagged connection still owes the answers to roughly half of them.
 	time.Sleep(20 * time.Millisecond)
 	cancel1()
 	if cp := w1conn.Load(); cp != nil {
@@ -228,12 +228,12 @@ func TestFleetHedgingTrimsSlowReplica(t *testing.T) {
 	var lag atomic.Bool
 	startWorker(t, WorkerConfig{
 		Router: r.Addr(),
-		Models: []serve.Spec{fleetSpec(time.Millisecond)},
+		Models: []serve.Spec{fleetSpec()},
 		WrapConn: func(c net.Conn) net.Conn {
 			return &laggedConn{Conn: c, armed: &lag, delay: 200 * time.Millisecond}
 		},
 	})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
 	if err := r.AwaitWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestFleetHedgingTrimsSlowReplica(t *testing.T) {
 
 func TestFleetHTTPHandler(t *testing.T) {
 	r := startRouter(t, RouterConfig{CacheBytes: 1 << 20})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
 	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +292,17 @@ func TestFleetHTTPHandler(t *testing.T) {
 	}
 	if pr.Model != "m" || len(pr.Scores) != 3 || pr.Attempts != 1 {
 		t.Fatalf("predict response %+v", pr)
+	}
+
+	// A wrong-sized image is the client's fault: ErrBadRequest, 400.
+	if _, _, err := r.Predict(context.Background(), "m", make([]float32, 5), 0); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("short image: %v, want ErrBadRequest", err)
+	}
+	body, _ = json.Marshal(PredictRequest{Image: make([]float32, 5)})
+	if resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != 400 {
+		t.Errorf("short image status %d, want 400", resp.StatusCode)
 	}
 
 	for _, path := range []string{"/v1/models", "/healthz", "/fleetz", "/metrics"} {
@@ -325,7 +336,7 @@ func TestFleetWorkerReconnectsAfterRouterRestart(t *testing.T) {
 	r := startRouter(t, RouterConfig{WrapConn: func(c net.Conn) net.Conn {
 		return &crashConn{Conn: c, crashed: &crashed}
 	}})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
 	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -351,19 +362,14 @@ func TestFleetWorkerReconnectsAfterRouterRestart(t *testing.T) {
 }
 
 func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
-	spec := fleetSpec(time.Millisecond)
+	spec := fleetSpec()
 	spec.QueueDepth = 8
 	spec.MaxReplicas = 3
 	r := startRouter(t, RouterConfig{MaxInflight: 64})
 	startWorker(t, WorkerConfig{
-		Router: r.Addr(),
-		Models: []serve.Spec{spec},
-		Autoscale: AutoscaleConfig{
-			Enabled:     true,
-			Interval:    10 * time.Millisecond,
-			MaxReplicas: 3,
-			UpQueueFrac: 0.25,
-		},
+		Router:    r.Addr(),
+		Models:    []serve.Spec{spec},
+		Autoscale: AutoscaleConfig{Enabled: true, interval: 10 * time.Millisecond},
 	})
 	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -404,6 +410,95 @@ func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 	}
 }
 
+// serveCount reads one serve_* counter of the named model from the
+// registry the worker's batcher reports to.
+func serveCount(model, name string, labels ...string) float64 {
+	v, _ := obs.Default().ReadValue(name, append([]string{"model", model}, labels...)...)
+	return v
+}
+
+// TestFleetDeadlineExpiresInWorkerQueue: a routed request's timeout
+// travels to the worker as its queue deadline, so under saturation it
+// expires in the worker's batcher — counted there as expired, and never
+// handed to the replica: with MaxBatch 1 every batch is one image, so
+// the replica saw exactly the completed requests and none of the
+// expired ones.
+func TestFleetDeadlineExpiresInWorkerQueue(t *testing.T) {
+	spec := fleetSpec()
+	spec.Name, spec.MaxBatch, spec.QueueDepth = "q", 1, 256
+	r := startRouter(t, RouterConfig{})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{spec}})
+	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The registry outlives a test run (-count), so count from here.
+	outcomes := func() (completed, expired, batches float64) {
+		return serveCount("q", "serve_requests_total", "outcome", "completed"),
+			serveCount("q", "serve_requests_total", "outcome", "expired"),
+			serveCount("q", "serve_batches_total")
+	}
+	completed0, expired0, batches0 := outcomes()
+
+	// 64 closed-loop callers without a deadline keep the one replica
+	// busy and the queue dozens deep.
+	rng := rand.New(rand.NewSource(37))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var sent atomic.Int64
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		img := testImage(rng)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					sent.Add(1)
+					if _, _, err := r.Predict(context.Background(), "q", img, 0); err != nil {
+						t.Errorf("background request: %v", err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	// Behind that queue a 1ms budget cannot reach the replica in time.
+	img := testImage(rng)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if _, e, _ := outcomes(); e > expired0 {
+			break
+		}
+		sent.Add(1)
+		if _, _, err := r.Predict(context.Background(), "q", img, time.Millisecond); err == nil {
+			continue // slipped through a momentarily short queue
+		} else if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("1ms request under saturation: %v, want ErrDeadlineExceeded", err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// The router gives up on its own timer; the worker answers every
+	// frame regardless. Wait until it has accounted for all of them.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if c, e, _ := outcomes(); c-completed0+e-expired0 == float64(sent.Load()) {
+			break
+		}
+	}
+	completed, expired, batches := outcomes()
+	completed, expired, batches = completed-completed0, expired-expired0, batches-batches0
+	if expired < 1 || completed+expired != float64(sent.Load()) {
+		t.Fatalf("worker batcher: %v completed + %v expired of %d sent, want every request one or the other and some expired",
+			completed, expired, sent.Load())
+	}
+	if batches != completed {
+		t.Errorf("replica ran %v one-image batches for %v completed requests: an expired request reached it", batches, completed)
+	}
+}
+
 // TestFleetWorkerOutlivesHandshakeWindow: admission must clear the read
 // deadline that bounded the handshake — the last SetReadDeadline the
 // router issues on the connection is the zero time — so an idle worker
@@ -414,7 +509,7 @@ func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 func TestFleetWorkerOutlivesHandshakeWindow(t *testing.T) {
 	var dl wiretest.Deadlines
 	r := startRouter(t, RouterConfig{WrapConn: dl.Wrap})
-	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec(time.Millisecond)}})
+	startWorker(t, WorkerConfig{Router: r.Addr(), Models: []serve.Spec{fleetSpec()}})
 	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}

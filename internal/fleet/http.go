@@ -6,24 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/appmult/retrain/internal/obs"
+	"github.com/appmult/retrain/internal/serve"
 )
 
-// PredictRequest is the router's /v1/predict request body — the same
-// shape internal/serve speaks, so clients and loadgen work unchanged
-// against either tier.
-type PredictRequest struct {
-	// Model selects the routed model; optional when exactly one model is
-	// registered fleet-wide.
-	Model string `json:"model"`
-	// Image is the flattened (3, HW, HW) input, values roughly [-1, 1].
-	Image []float32 `json:"image"`
-	// TimeoutMS, when positive, bounds the routed request end to end.
-	TimeoutMS int `json:"timeout_ms"`
-}
+// PredictRequest is the router's /v1/predict request body: the very
+// type internal/serve speaks, so clients and loadgen work unchanged
+// against either tier. TimeoutMS here bounds the routed request end to
+// end.
+type PredictRequest = serve.PredictRequest
 
 // PredictResponse is the router's /v1/predict success body: the serve
 // response shape plus routing metadata.
@@ -131,10 +124,9 @@ func httpStatusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
+	case errors.Is(err, ErrBadRequest):
+		return http.StatusBadRequest
 	default:
-		if err != nil && strings.Contains(err.Error(), "image has") {
-			return http.StatusBadRequest
-		}
 		return http.StatusInternalServerError
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 	"testing"
-	"time"
 
 	"github.com/appmult/retrain/internal/serve"
 	"github.com/appmult/retrain/internal/wire"
@@ -44,7 +43,7 @@ func TestGoldenFrames(t *testing.T) {
 // is what the router's register installs, and a payload cut anywhere is
 // refused without touching the catalog.
 func TestRegisterWireRoundTrip(t *testing.T) {
-	wk, err := NewWorker(WorkerConfig{Models: []serve.Spec{fleetSpec(time.Millisecond)}, QuantLo: -2, QuantHi: 2})
+	wk, err := NewWorker(WorkerConfig{Models: []serve.Spec{fleetSpec()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func TestRegisterWireRoundTrip(t *testing.T) {
 	}
 	ent := r.catalog["m"]
 	if ent == nil || ent.kind != "lenet" || ent.classes != 3 || ent.imageLen != 3*8*8 ||
-		ent.quantLo != -2 || ent.quantHi != 2 || ent.hosts[3] != w || !w.models["m"] {
+		ent.quantLo != quantGridLo || ent.quantHi != quantGridHi || ent.hosts[3] != w || !w.models["m"] {
 		t.Fatalf("registered entry %+v", ent)
 	}
 	for cut := 0; cut < len(payload); cut++ {

@@ -28,6 +28,20 @@ var (
 	// ErrDeadlineExceeded is returned when the request's deadline passed
 	// before any replica answered (504).
 	ErrDeadlineExceeded = errors.New("fleet: deadline exceeded")
+	// ErrBadRequest is returned (wrapped, with the detail) for a request
+	// the router or a worker refused as malformed (400).
+	ErrBadRequest = errors.New("fleet: bad request")
+)
+
+const (
+	// maxAttempts bounds dispatches per request across hedges and
+	// failovers.
+	maxAttempts = 3
+	// hedgeQuantile is the latency quantile the hedge deadline tracks.
+	hedgeQuantile = 0.95
+	// requestTimeout bounds one routed prediction end to end. A client
+	// timeout_ms below it wins.
+	requestTimeout = 30 * time.Second
 )
 
 // RouterConfig parameterizes NewRouter.
@@ -41,32 +55,21 @@ type RouterConfig struct {
 	// MaxInflight bounds concurrently admitted predictions; past it
 	// requests are rejected with 429 (default 256).
 	MaxInflight int
-	// MaxAttempts bounds dispatches per request across hedges and
-	// failovers (default 3).
-	MaxAttempts int
 	// Hedge enables dispatching a second attempt to the next replica
 	// once a request outlives the hedge deadline.
 	Hedge bool
 	// HedgeMin floors the hedge deadline (default 20ms).
 	HedgeMin time.Duration
-	// HedgeFactor scales the observed latency quantile into the hedge
-	// deadline: hedge after max(HedgeMin, HedgeFactor*q) (default 2).
+	// HedgeFactor scales the observed p95 latency into the hedge
+	// deadline: hedge after max(HedgeMin, HedgeFactor*p95) (default 2).
 	HedgeFactor float64
-	// HedgeQuantile is the latency quantile the hedge deadline tracks
-	// (default 0.95).
-	HedgeQuantile float64
 	// CacheBytes is the response-cache budget; 0 disables caching.
 	CacheBytes int
-	// RequestTimeout bounds one routed prediction end to end
-	// (default 30s). A client timeout_ms below it wins.
-	RequestTimeout time.Duration
 	// HeartbeatEvery is the ping cadence per worker (default 500ms).
 	HeartbeatEvery time.Duration
 	// HeartbeatTimeout declares a worker dead when no pong arrived for
 	// this long (default 5s).
 	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
 	// Logf, when non-nil, receives progress and failure lines.
 	Logf func(format string, args ...any)
 	// WrapConn, when non-nil, wraps every accepted connection; tests
@@ -81,20 +84,11 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.MaxInflight < 1 {
 		c.MaxInflight = 256
 	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 3
-	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 20 * time.Millisecond
 	}
 	if c.HedgeFactor <= 0 {
 		c.HedgeFactor = 2
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -177,7 +171,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	srv, err := wire.Listen(proto, wire.ServerConfig{
 		Addr: cfg.Addr, HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
-		WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+		Logf: cfg.Logf, WrapConn: cfg.WrapConn,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
@@ -413,7 +407,7 @@ func (r *Router) deliver(c *call, res callResult) {
 // dispatch sends one more attempt of c to the next untried worker in
 // the model's replica set (rotated round-robin so load spreads across
 // the set). asFailover marks re-dispatches after a worker death; both
-// paths count against MaxAttempts.
+// paths count against maxAttempts.
 func (r *Router) dispatch(c *call, asFailover bool) error {
 	r.mu.Lock()
 	ent, ok := r.catalog[c.model]
@@ -421,7 +415,7 @@ func (r *Router) dispatch(c *call, asFailover bool) error {
 		r.mu.Unlock()
 		return ErrUnknownModel
 	}
-	if c.attempts >= r.cfg.MaxAttempts {
+	if c.attempts >= maxAttempts {
 		r.mu.Unlock()
 		return ErrNoWorker
 	}
@@ -549,10 +543,10 @@ func (r *Router) Predict(ctx context.Context, model string, image []float32, tim
 	r.mu.Unlock()
 	if len(image) != imgLen {
 		requests("bad_request").Inc()
-		return nil, meta, fmt.Errorf("fleet: image has %d values, model %q wants %d", len(image), model, imgLen)
+		return nil, meta, fmt.Errorf("%w: image has %d values, model %q wants %d", ErrBadRequest, len(image), model, imgLen)
 	}
-	if timeout <= 0 || timeout > r.cfg.RequestTimeout {
-		timeout = r.cfg.RequestTimeout
+	if timeout <= 0 || timeout > requestTimeout {
+		timeout = requestTimeout
 	}
 	start := time.Now()
 
@@ -653,6 +647,9 @@ func (r *Router) failCall(c *call, res callResult) error {
 	case errCodeOverloaded:
 		requests("rejected").Inc()
 		return ErrOverloaded
+	case errCodeBadRequest:
+		requests("failed").Inc()
+		return fmt.Errorf("%w: worker %d: %s", ErrBadRequest, res.workerID, res.msg)
 	default:
 		requests("failed").Inc()
 		return fmt.Errorf("fleet: worker %d: %s", res.workerID, res.msg)
@@ -706,7 +703,7 @@ func (r *Router) hedgeDelay(model string) time.Duration {
 	r.latMu.Lock()
 	var q []float64
 	if w, ok := r.lat[model]; ok {
-		q = w.Quantiles(r.cfg.HedgeQuantile)
+		q = w.Quantiles(hedgeQuantile)
 	}
 	r.latMu.Unlock()
 	d := r.cfg.HedgeMin

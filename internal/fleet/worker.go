@@ -19,28 +19,12 @@ type WorkerConfig struct {
 	// loaded warm before the first dial, so the worker registers only
 	// capacity it can actually serve.
 	Models []serve.Spec
-	// QuantLo and QuantHi span the uint8 input grid announced to the
-	// router for response caching: the router canonicalizes cached
-	// models' inputs onto this grid before dispatch (defaults -3..3,
-	// covering the normalized image distribution).
-	QuantLo, QuantHi float32
 	// Autoscale configures the worker-local per-model replica
 	// autoscaler.
 	Autoscale AutoscaleConfig
-	// Dial is the backoff policy for failed dials and reconnects.
+	// Dial is the backoff policy for failed dials and reconnects; the
+	// worker redials forever (a restarting router picks it back up).
 	Dial wire.Backoff
-	// MaxDialAttempts gives up after this many consecutive dial
-	// failures; 0 retries forever (a restarting router picks the worker
-	// back up).
-	MaxDialAttempts int
-	// DialTimeout bounds one dial (default 3s).
-	DialTimeout time.Duration
-	// HeartbeatTimeout is the read-idle limit: the router pings well
-	// inside it, so a read stalled this long means the connection is
-	// dead (default 15s).
-	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
 	// Seed randomizes backoff jitter.
 	Seed int64
 	// Logf, when non-nil, receives progress and failure lines.
@@ -50,12 +34,11 @@ type WorkerConfig struct {
 	WrapConn func(net.Conn) net.Conn
 }
 
-func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.QuantLo == 0 && c.QuantHi == 0 {
-		c.QuantLo, c.QuantHi = -3, 3
-	}
-	return c
-}
+// quantGridLo and quantGridHi span the uint8 input grid a worker
+// announces to the router for response caching: the router
+// canonicalizes cached models' inputs onto this grid before dispatch.
+// -3..3 covers the normalized image distribution.
+const quantGridLo, quantGridHi = -3, 3
 
 func (c WorkerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -76,7 +59,6 @@ type Worker struct {
 // already-warm set, which is what makes a worker restart cheap and a
 // router restart invisible.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("fleet: worker needs at least one model")
 	}
@@ -121,9 +103,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	cfg := w.cfg
 	return wire.RunClient(ctx, proto, wire.ClientConfig{
-		Addr: cfg.Router, Dial: cfg.Dial, MaxDialAttempts: cfg.MaxDialAttempts,
-		DialTimeout: cfg.DialTimeout, HeartbeatTimeout: cfg.HeartbeatTimeout, WriteTimeout: cfg.WriteTimeout,
-		Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+		Addr: cfg.Router, Dial: cfg.Dial, Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
 	}, w.serveConn)
 }
 
@@ -167,8 +147,8 @@ func (w *Worker) encodeRegister() []byte {
 		e.Str(sp.Kind)
 		e.U32(uint32(sp.Classes))
 		e.U32(uint32(m.ImageLen()))
-		e.F32(w.cfg.QuantLo)
-		e.F32(w.cfg.QuantHi)
+		e.F32(quantGridLo)
+		e.F32(quantGridHi)
 	}
 	return e.B
 }

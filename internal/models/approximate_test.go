@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -199,5 +200,41 @@ func TestApproximatePassesUnknownStatelessLayer(t *testing.T) {
 	out := Approximate(m, op)
 	if len(out.Layers) != 1 {
 		t.Fatal("stateless layer dropped")
+	}
+}
+
+// TestApproximateKeepsWhatCloneKeeps: the two cases in which the
+// Approximate walk had drifted from Clone's. A BatchNorm2D keeps its
+// Eps and Momentum, and an ApproxLinear is rebuilt onto the new op with
+// its weights and observer instead of panicking as an unknown layer.
+func TestApproximateKeepsWhatCloneKeeps(t *testing.T) {
+	e, _ := appmult.Lookup("mul6u_rm4")
+	ste, diff := nn.STEOp(e.Mult), nn.DifferenceOp(e.Mult, e.HWS)
+	rng := rand.New(rand.NewSource(5))
+	bn := nn.NewBatchNorm2D("bn", 3)
+	bn.Eps, bn.Momentum = 1e-3, 0.25
+	al := nn.NewApproxLinear("fc", 3*4*4, 2, ste, rng)
+	src := nn.NewSequential("m", bn, nn.NewFlatten(), al)
+	x := tensor.New(2, 3, 4, 4)
+	x.RandNormal(rng, 1)
+	want := src.Forward(x, true).Clone() // also calibrates fc's observer
+
+	out := Approximate(src, diff)
+	if got := out.Layers[0].(*nn.BatchNorm2D); got.Eps != bn.Eps || got.Momentum != bn.Momentum {
+		t.Errorf("BatchNorm2D rebuilt with eps=%v momentum=%v, want %v/%v", got.Eps, got.Momentum, bn.Eps, bn.Momentum)
+	}
+	fc := out.Layers[2].(*nn.ApproxLinear)
+	if fc.Op() != diff {
+		t.Error("ApproxLinear not rebuilt onto the new op")
+	}
+	if fc == al || !fc.Observer.Seen() {
+		t.Error("ApproxLinear aliased, or its observer state dropped")
+	}
+	// Same forward LUT, same weights, same statistics: same bits.
+	got := out.Forward(x, true)
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("output %d: %v, want %v", i, got.Data[i], want.Data[i])
+		}
 	}
 }

@@ -14,13 +14,14 @@ import (
 // of the serving subsystem. Single-image requests arrive concurrently;
 // the approximate GEMM kernels (internal/nn) amortize their fixed
 // costs — LUT-row hoisting, operand transposes, worker-pool handoff —
-// across rows, so serving each request alone wastes most of the PR 2
-// speedup. The batcher coalesces queued requests into one GEMM-friendly
-// batch per free replica: a dispatcher acquires a replica, blocks for
-// the first request, then gathers more until the batch fills or the
-// configured delay elapses. Under load every replica is busy, requests
-// accumulate, and batches fill instantly; under light traffic a lone
-// request waits at most MaxDelay.
+// across rows, so serving each request alone under load wastes most of
+// the kernel speedup. The batcher is a bounded admission queue plus one
+// loop per replica: a loop blocks for the first live request, takes
+// whatever else is already queued (up to MaxBatch) without waiting,
+// runs the batch, answers its riders, and repeats. There is no clock:
+// an idle replica dispatches a lone request at once, and batches fill
+// exactly while every replica is busy, because that is when requests
+// accumulate in the queue.
 
 // Errors a Batcher returns at admission or while a request is queued.
 var (
@@ -40,7 +41,9 @@ var (
 // (see models.Replicas).
 type Runner interface {
 	// Run scores one coalesced batch, returning a score vector per
-	// image in order, or an error that fails every request in it.
+	// image in order, or an error that fails every request in it. The
+	// images slice is the calling loop's scratch: Run must not retain
+	// it past its return.
 	Run(images [][]float32) ([][]float32, error)
 }
 
@@ -61,17 +64,13 @@ type job struct {
 	image    []float32
 	deadline time.Time // zero means none
 	enq      time.Time
-	done     chan Result // buffered; the dispatcher never blocks on it
+	done     chan Result // buffered; a runner loop never blocks on it
 }
 
 // Config tunes one Batcher.
 type BatcherConfig struct {
 	// MaxBatch caps the coalesced batch size (default 8).
 	MaxBatch int
-	// MaxDelay is how long the dispatcher holds a non-full batch open
-	// for stragglers once it has a replica and a first request
-	// (default 2ms).
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue (default 4*MaxBatch).
 	QueueDepth int
 	// MaxRunners bounds how many runners AddRunner may grow the pool
@@ -84,43 +83,47 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 8
 	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
-	}
 	if c.QueueDepth < 1 {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
 	return c
 }
 
-// Batcher coalesces concurrent requests into batches over a fixed set
-// of runners. All methods are safe for concurrent use.
+// Batcher coalesces concurrent requests into batches over a pool of
+// runners. All methods are safe for concurrent use.
 type Batcher struct {
 	cfg     BatcherConfig
 	queue   chan *job
-	runners chan Runner
 	metrics *Metrics
 
 	// mu guards draining against admission: Do holds the read lock
 	// across its inflight.Add, Drain takes the write lock before
 	// waiting, so no request can be admitted after draining flips and
-	// the WaitGroup wait cannot race an Add.
+	// the WaitGroup wait cannot race an Add. AddRunner holds the read
+	// lock the same way across its loops.Add.
 	mu       sync.RWMutex
 	draining bool
 	inflight sync.WaitGroup
 
-	// scaleMu guards the live runner count against concurrent
-	// AddRunner/RemoveRunner calls (the autoscaler and tests).
+	// scaleMu guards the runner accounting: nrunners is how many loops
+	// are registered, busy how many of them are inside a batch. The
+	// difference is the idle count RemoveRunner and the
+	// serve_replicas_idle gauge go by.
 	scaleMu  sync.Mutex
 	nrunners int
+	busy     int
+	// retire carries one token per RemoveRunner; the next loop to come
+	// back for work takes it and exits. Sized to MaxRunners so the send
+	// under scaleMu never blocks.
+	retire chan struct{}
+	loops  sync.WaitGroup
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	done     chan struct{}
 }
 
-// NewBatcher starts a batcher dispatching over the given runners.
-// metrics may be nil.
+// NewBatcher starts a batcher with one loop per given runner. metrics
+// may be nil.
 func NewBatcher(runners []Runner, cfg BatcherConfig, metrics *Metrics) *Batcher {
 	if len(runners) == 0 {
 		panic("serve: batcher needs at least one runner")
@@ -138,11 +141,10 @@ func NewBatcher(runners []Runner, cfg BatcherConfig, metrics *Metrics) *Batcher 
 	b := &Batcher{
 		cfg:      cfg,
 		queue:    make(chan *job, cfg.QueueDepth),
-		runners:  make(chan Runner, cfg.MaxRunners),
 		metrics:  metrics,
 		nrunners: len(runners),
+		retire:   make(chan struct{}, cfg.MaxRunners),
 		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	// Callback gauges: a new batcher for the same model (reload, test
 	// re-run) replaces the previous closure, so the series always
@@ -152,14 +154,14 @@ func NewBatcher(runners []Runner, cfg BatcherConfig, metrics *Metrics) *Batcher 
 		func() float64 { return float64(len(b.queue)) }, "model", metrics.model)
 	reg.GaugeFunc("serve_queue_capacity", "Admission queue bound (requests past it are rejected with 429).",
 		func() float64 { return float64(cap(b.queue)) }, "model", metrics.model)
-	reg.GaugeFunc("serve_replicas_idle", "Replicas currently parked waiting for a batch.",
-		func() float64 { return float64(len(b.runners)) }, "model", metrics.model)
+	reg.GaugeFunc("serve_replicas_idle", "Replicas registered with the batcher and not inside a batch.",
+		func() float64 { return float64(b.idle()) }, "model", metrics.model)
 	reg.GaugeFunc("serve_replicas_live", "Replicas currently registered with the batcher (idle or computing).",
 		func() float64 { return float64(b.Runners()) }, "model", metrics.model)
+	b.loops.Add(len(runners))
 	for _, r := range runners {
-		b.runners <- r
+		go b.loop(r)
 	}
-	go b.dispatch()
 	return b
 }
 
@@ -171,14 +173,22 @@ func (b *Batcher) Runners() int {
 	return b.nrunners
 }
 
-// AddRunner grows the dispatch pool by one runner — the autoscaler's
+// idle returns how many registered runners are not inside a batch.
+// A retired loop finishing its last batch is no longer registered, so
+// the difference is floored at zero.
+func (b *Batcher) idle() int {
+	b.scaleMu.Lock()
+	defer b.scaleMu.Unlock()
+	return max(b.nrunners-b.busy, 0)
+}
+
+// AddRunner grows the pool by one runner loop — the autoscaler's
 // scale-up primitive. It fails once the pool holds MaxRunners or the
 // batcher is draining.
 func (b *Batcher) AddRunner(r Runner) error {
 	b.mu.RLock()
-	draining := b.draining
-	b.mu.RUnlock()
-	if draining {
+	defer b.mu.RUnlock()
+	if b.draining {
 		return ErrDraining
 	}
 	b.scaleMu.Lock()
@@ -187,27 +197,24 @@ func (b *Batcher) AddRunner(r Runner) error {
 		return fmt.Errorf("serve: runner pool at its cap of %d", b.cfg.MaxRunners)
 	}
 	b.nrunners++
-	b.runners <- r
+	b.loops.Add(1)
+	go b.loop(r)
 	return nil
 }
 
-// RemoveRunner retires one idle runner from the pool — the
+// RemoveRunner retires one idle runner loop from the pool — the
 // autoscaler's scale-down primitive. It reports false (and removes
 // nothing) when only one runner remains or every runner is mid-batch;
 // the caller simply retries at its next tick.
 func (b *Batcher) RemoveRunner() bool {
 	b.scaleMu.Lock()
 	defer b.scaleMu.Unlock()
-	if b.nrunners <= 1 {
+	if b.nrunners <= 1 || b.busy >= b.nrunners {
 		return false
 	}
-	select {
-	case <-b.runners:
-		b.nrunners--
-		return true
-	default:
-		return false
-	}
+	b.nrunners--
+	b.retire <- struct{}{}
+	return true
 }
 
 // Metrics returns the batcher's metrics aggregator.
@@ -221,9 +228,10 @@ func (b *Batcher) Do(ctx context.Context, image []float32, deadline time.Time) R
 		b.metrics.Reject()
 		return Result{Err: err}
 	}
-	// The dispatcher always answers an admitted job, so waiting only on
-	// j.done cannot hang; ctx is checked to give disconnected callers a
-	// prompt error (the batch still runs — inference is not abortable).
+	// An admitted job is always answered (by a runner loop or by a
+	// timed-out Drain), so waiting only on j.done cannot hang; ctx is
+	// checked to give disconnected callers a prompt error (the batch
+	// still runs — inference is not abortable).
 	select {
 	case r := <-j.done:
 		return r
@@ -239,8 +247,8 @@ func (b *Batcher) admit(j *job) error {
 	if b.draining {
 		return ErrDraining
 	}
-	// Count the job before it is visible to the dispatcher: a batch can
-	// be gathered, served and Done()d before a post-enqueue Add(1) runs,
+	// Count the job before it is visible to a runner loop: a batch can
+	// be pulled, served and Done()d before a post-enqueue Add(1) runs,
 	// taking the counter negative.
 	b.inflight.Add(1)
 	select {
@@ -252,97 +260,59 @@ func (b *Batcher) admit(j *job) error {
 	}
 }
 
-// dispatch is the batching loop: acquire a replica, gather a batch,
-// hand it off, repeat. Handing the batch to a goroutine lets the
-// dispatcher start gathering for the next free replica while this one
-// computes.
-func (b *Batcher) dispatch() {
-	defer close(b.done)
+// loop is one runner's life: block for a first request, take whatever
+// else is already queued up to MaxBatch without waiting, serve the
+// batch, repeat — until RemoveRunner retires it or Drain stops it.
+func (b *Batcher) loop(r Runner) {
+	defer b.loops.Done()
+	batch := make([]*job, 0, b.cfg.MaxBatch)
+	images := make([][]float32, 0, b.cfg.MaxBatch)
 	for {
-		var r Runner
-		select {
-		case r = <-b.runners:
-		case <-b.stop:
-			return
-		}
-		batch := b.gather()
-		if batch == nil {
-			b.runners <- r
-			return
-		}
-		go b.run(r, batch)
-	}
-}
-
-// gather blocks for the first live job, then keeps the batch open for
-// stragglers until it fills or MaxDelay elapses. It returns nil when
-// the batcher is stopping.
-func (b *Batcher) gather() []*job {
-	var batch []*job
-	for batch == nil {
+		batch = batch[:0]
 		select {
 		case j := <-b.queue:
-			if b.expired(j) {
-				continue
-			}
-			batch = append(batch, j)
+			batch = b.pull(batch, j)
+		case <-b.retire:
+			return
 		case <-b.stop:
-			return nil
+			return
 		}
-	}
-	if b.cfg.MaxBatch > 1 {
-		timer := time.NewTimer(b.cfg.MaxDelay)
-		defer timer.Stop()
+	fill:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
 			case j := <-b.queue:
-				if b.expired(j) {
-					continue
-				}
-				batch = append(batch, j)
-			case <-timer.C:
-				return batch
+				batch = b.pull(batch, j)
+			default:
+				break fill
 			}
 		}
-	}
-	return batch
-}
-
-// expired fails a job whose deadline passed while it queued.
-func (b *Batcher) expired(j *job) bool {
-	if j.deadline.IsZero() || time.Now().Before(j.deadline) {
-		return false
-	}
-	b.metrics.Expire()
-	j.done <- Result{Err: ErrDeadlineExceeded, Queued: time.Since(j.enq)}
-	b.inflight.Done()
-	return true
-}
-
-// run executes one batch on a replica and answers every rider.
-func (b *Batcher) run(r Runner, batch []*job) {
-	defer func() { b.runners <- r }()
-	// Dispatch-time deadline sweep: gather() rejects jobs that are
-	// already expired when pulled off the queue, but a job admitted to
-	// the batch can still expire while the batch is held open for
-	// stragglers (MaxDelay). Serving it anyway would burn replica time
-	// on an answer the caller was promised would be a 504 — so expiry
-	// is re-checked at the last moment before compute, and a batch
-	// whose riders all expired never reaches the replica.
-	live := batch[:0]
-	for _, j := range batch {
-		if b.expired(j) {
-			continue
+		if len(batch) > 0 {
+			b.serve(r, batch, images)
 		}
-		live = append(live, j)
 	}
-	batch = live
-	if len(batch) == 0 {
-		return
+}
+
+// pull appends a job just taken off the queue to the batch — unless
+// its deadline passed while it queued, in which case it is failed here
+// and never reaches a replica. The pull is the one moment a deadline
+// is checked: nothing holds a pulled job back from its Run.
+func (b *Batcher) pull(batch []*job, j *job) []*job {
+	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
+		b.metrics.Expire()
+		j.done <- Result{Err: ErrDeadlineExceeded, Queued: time.Since(j.enq)}
+		b.inflight.Done()
+		return batch
 	}
-	images := make([][]float32, len(batch))
-	for i, j := range batch {
-		images[i] = j.image
+	return append(batch, j)
+}
+
+// serve runs one batch on the loop's replica and answers every rider.
+func (b *Batcher) serve(r Runner, batch []*job, images [][]float32) {
+	b.scaleMu.Lock()
+	b.busy++
+	b.scaleMu.Unlock()
+	for _, j := range batch {
+		images = append(images, j.image)
 	}
 	scores, err := runGuarded(r, images)
 	if err == nil && len(scores) != len(batch) {
@@ -350,6 +320,11 @@ func (b *Batcher) run(r Runner, batch []*job) {
 	}
 	b.metrics.Batch(len(batch))
 	now := time.Now()
+	// Idle again before the riders hear back, so a caller that sees its
+	// answer also sees the replica free.
+	b.scaleMu.Lock()
+	b.busy--
+	b.scaleMu.Unlock()
 	for i, j := range batch {
 		res := Result{BatchSize: len(batch), Queued: now.Sub(j.enq)}
 		if err != nil {
@@ -365,7 +340,7 @@ func (b *Batcher) run(r Runner, batch []*job) {
 }
 
 // runGuarded converts an inference panic into an error so one poisoned
-// batch cannot take the dispatcher down.
+// batch cannot take its runner loop down.
 func runGuarded(r Runner, images [][]float32) (scores [][]float32, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -377,9 +352,11 @@ func runGuarded(r Runner, images [][]float32) (scores [][]float32, err error) {
 
 // Drain gracefully shuts the batcher down: new submissions are
 // rejected with ErrDraining immediately, queued and in-flight requests
-// are served to completion, then the dispatcher exits. It returns
-// ctx's error if the drain does not finish in time (the dispatcher is
-// still stopped; unfinished requests keep their pending state).
+// are served to completion, then every runner loop exits. If ctx ends
+// first Drain returns its error: the loops are told to stop, whatever
+// is still queued is failed with ErrDraining instead of leaving its
+// callers waiting, and a batch already inside Run completes on its own
+// (Drain does not wait for it — inference is not abortable).
 func (b *Batcher) Drain(ctx context.Context) error {
 	b.mu.Lock()
 	b.draining = true
@@ -390,28 +367,21 @@ func (b *Batcher) Drain(ctx context.Context) error {
 		b.inflight.Wait()
 		close(drained)
 	}()
-	var err error
 	select {
 	case <-drained:
+		b.stopOnce.Do(func() { close(b.stop) })
+		b.loops.Wait()
+		return nil
 	case <-ctx.Done():
-		err = fmt.Errorf("serve: drain: %w", ctx.Err())
 	}
 	b.stopOnce.Do(func() { close(b.stop) })
-	<-b.done
-	if err != nil {
-		// Timed out: the dispatcher has exited, so jobs still queued
-		// will never be served — fail them instead of leaving their
-		// callers waiting. In-flight batches still complete on their
-		// own goroutines.
-		for {
-			select {
-			case j := <-b.queue:
-				j.done <- Result{Err: ErrDraining}
-				b.inflight.Done()
-			default:
-				return err
-			}
+	for {
+		select {
+		case j := <-b.queue:
+			j.done <- Result{Err: ErrDraining}
+			b.inflight.Done()
+		default:
+			return fmt.Errorf("serve: drain: %w", ctx.Err())
 		}
 	}
-	return nil
 }

@@ -54,11 +54,27 @@ func (s *stubRunner) batchSizes() []int {
 	return append([]int(nil), s.batches...)
 }
 
+// awaitQueued waits until n requests sit in the admission queue.
+func awaitQueued(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(b.queue) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests queued after 5s", len(b.queue), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBatcherCoalescesAndRoutes: requests that arrive while the only
+// replica is busy ride together in the batch it pulls when it comes
+// free, and every rider gets its own image's answer.
 func TestBatcherCoalescesAndRoutes(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: 32}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 8, QueueDepth: 32}, nil)
 	defer b.Drain(context.Background())
 
+	wait := occupy(t, b, r)
 	const n = 8
 	results := make([]Result, n)
 	var wg sync.WaitGroup
@@ -69,29 +85,13 @@ func TestBatcherCoalescesAndRoutes(t *testing.T) {
 			results[i] = b.Do(context.Background(), []float32{float32(i)}, time.Time{})
 		}(i)
 	}
-	// Feed the gate until every request is answered: the first batch may
-	// catch only the earliest arrivals, the next sweeps the rest.
-	stopFeed := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case r.gate <- struct{}{}:
-			case <-stopFeed:
-				return
-			}
-		}
-	}()
+	awaitQueued(t, b, n)
+	close(r.gate)
 	wg.Wait()
-	close(stopFeed)
+	wait()
 
-	maxBatch := 0
-	for _, bs := range r.batchSizes() {
-		if bs > maxBatch {
-			maxBatch = bs
-		}
-	}
-	if maxBatch < 2 {
-		t.Errorf("no coalescing: batch sizes %v", r.batchSizes())
+	if got := r.batchSizes(); len(got) != 2 || got[0] != 1 || got[1] != n {
+		t.Errorf("batch sizes %v, want [1 %d]: the queued requests must leave as one batch", got, n)
 	}
 	for i, res := range results {
 		if res.Err != nil {
@@ -100,16 +100,30 @@ func TestBatcherCoalescesAndRoutes(t *testing.T) {
 		if len(res.Scores) != 1 || res.Scores[0] != float32(i) {
 			t.Errorf("request %d got scores %v, want [%d] (misrouted)", i, res.Scores, i)
 		}
-		if res.BatchSize < 1 {
-			t.Errorf("request %d reports batch size %d", i, res.BatchSize)
+		if res.BatchSize != n {
+			t.Errorf("request %d reports batch size %d, want %d", i, res.BatchSize, n)
 		}
 	}
-	st := b.Metrics().Snapshot()
-	if st.Completed != n {
-		t.Errorf("completed = %d, want %d", st.Completed, n)
+	if st := b.Metrics().Snapshot(); st.Completed != n+1 || st.Batches != 2 {
+		t.Errorf("completed=%d batches=%d, want %d/2", st.Completed, st.Batches, n+1)
 	}
-	if st.MeanBatch <= 1 && maxBatch > 1 {
-		t.Errorf("mean batch %v inconsistent with observed sizes %v", st.MeanBatch, r.batchSizes())
+}
+
+// TestBatcherLoneRequestDispatchesAtOnce: an idle replica does not
+// hold a request back for riders. With MaxBatch 8 and no second
+// request ever sent, the lone one is served in a batch of one.
+func TestBatcherLoneRequestDispatchesAtOnce(t *testing.T) {
+	r := &stubRunner{}
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 8}, nil)
+	res := b.Do(context.Background(), []float32{9}, time.Time{})
+	if res.Err != nil || res.BatchSize != 1 || res.Scores[0] != 9 {
+		t.Fatalf("lone request: %+v, want scores [9] in a batch of 1", res)
+	}
+	if got := r.batchSizes(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("runner served batches %v, want [1]", got)
+	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 
@@ -131,7 +145,7 @@ func occupy(t *testing.T, b *Batcher, r *stubRunner) (done func() Result) {
 
 func TestBatcherOverloadRejects(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 2}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 2}, nil)
 
 	wait := occupy(t, b, r)
 	// Fill the queue to its depth, then one more must bounce.
@@ -143,10 +157,7 @@ func TestBatcherOverloadRejects(t *testing.T) {
 			b.Do(context.Background(), []float32{0}, time.Time{})
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(b.queue) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	awaitQueued(t, b, 2)
 	res := b.Do(context.Background(), []float32{0}, time.Time{})
 	if !errors.Is(res.Err, ErrOverloaded) {
 		t.Fatalf("overflow request got %v, want ErrOverloaded", res.Err)
@@ -165,7 +176,7 @@ func TestBatcherOverloadRejects(t *testing.T) {
 
 func TestBatcherDeadlineWhileQueued(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 8}, nil)
 
 	wait := occupy(t, b, r)
 	ch := make(chan Result, 1)
@@ -193,7 +204,7 @@ func TestBatcherDeadlineWhileQueued(t *testing.T) {
 // submitted after Drain begins are rejected with ErrDraining.
 func TestBatcherGracefulDrain(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond, QueueDepth: 16}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: 16}, nil)
 
 	wait := occupy(t, b, r)
 	const queued = 3
@@ -201,15 +212,13 @@ func TestBatcherGracefulDrain(t *testing.T) {
 	for i := 0; i < queued; i++ {
 		go func() { pending <- b.Do(context.Background(), []float32{2}, time.Time{}) }()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(b.queue) < queued && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	awaitQueued(t, b, queued)
 
 	drained := make(chan error, 1)
 	go func() { drained <- b.Drain(context.Background()) }()
 	// Wait for Drain to flip admission (its first action), then new
 	// submissions must bounce immediately.
+	deadline := time.Now().Add(2 * time.Second)
 	for {
 		b.mu.RLock()
 		d := b.draining
@@ -246,15 +255,12 @@ func TestBatcherGracefulDrain(t *testing.T) {
 
 func TestBatcherDrainTimeoutFailsQueued(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 8}, nil)
 
 	wait := occupy(t, b, r)
 	queuedRes := make(chan Result, 1)
 	go func() { queuedRes <- b.Do(context.Background(), []float32{4}, time.Time{}) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(b.queue) < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	awaitQueued(t, b, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -273,7 +279,7 @@ func TestBatcherDrainTimeoutFailsQueued(t *testing.T) {
 
 func TestBatcherRunnerPanicIsContained(t *testing.T) {
 	r := &stubRunner{panics: true}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2}, nil)
 
 	res := b.Do(context.Background(), []float32{5}, time.Time{})
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") {
@@ -294,16 +300,13 @@ func TestBatcherRunnerPanicIsContained(t *testing.T) {
 
 func TestBatcherContextCancelledCaller(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 4}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 4}, nil)
 
 	wait := occupy(t, b, r)
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan Result, 1)
 	go func() { ch <- b.Do(ctx, []float32{7}, time.Time{}) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(b.queue) < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	awaitQueued(t, b, 1)
 	cancel()
 	if res := <-ch; !errors.Is(res.Err, context.Canceled) {
 		t.Fatalf("cancelled caller got %v, want context.Canceled", res.Err)
@@ -317,53 +320,83 @@ func TestBatcherContextCancelledCaller(t *testing.T) {
 	}
 }
 
-func TestBatcherExpiredInOpenBatchNotDispatched(t *testing.T) {
-	// A request can be pulled into a batch while still live and then
-	// expire during the MaxDelay straggler window. It must be answered
-	// with ErrDeadlineExceeded and must never reach the replica.
-	r := &stubRunner{}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, MaxDelay: 80 * time.Millisecond, QueueDepth: 8}, nil)
+// TestBatcherExpiredAtPullLiveRiderServed: the pull is where a deadline
+// is checked. Of two requests queued behind a busy replica, the one
+// whose deadline lapsed is answered ErrDeadlineExceeded without
+// reaching Run; the live one is served in a batch of one.
+func TestBatcherExpiredAtPullLiveRiderServed(t *testing.T) {
+	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: 8}, nil)
 
-	res := b.Do(context.Background(), []float32{1}, time.Now().Add(10*time.Millisecond))
-	if !errors.Is(res.Err, ErrDeadlineExceeded) {
-		t.Fatalf("in-batch expired request got %v, want ErrDeadlineExceeded", res.Err)
+	wait := occupy(t, b, r)
+	deadline := time.Now().Add(10 * time.Millisecond)
+	expCh, liveCh := make(chan Result, 1), make(chan Result, 1)
+	go func() { expCh <- b.Do(context.Background(), []float32{1}, deadline) }()
+	go func() { liveCh <- b.Do(context.Background(), []float32{2}, time.Time{}) }()
+	awaitQueued(t, b, 2)
+	time.Sleep(time.Until(deadline) + time.Millisecond)
+	close(r.gate)
+
+	if res := <-expCh; !errors.Is(res.Err, ErrDeadlineExceeded) {
+		t.Fatalf("expired rider got %v, want ErrDeadlineExceeded", res.Err)
 	}
-	if got := r.batchSizes(); len(got) != 0 {
-		t.Fatalf("runner served batches %v for an all-expired batch", got)
+	res := <-liveCh
+	if res.Err != nil || res.BatchSize != 1 || res.Scores[0] != 2 {
+		t.Fatalf("live rider: %+v, want scores [2] in a batch of 1 (the expired rider must not count)", res)
 	}
-	if st := b.Metrics().Snapshot(); st.Expired != 1 || st.Completed != 0 {
-		t.Errorf("expired=%d completed=%d, want 1/0", st.Expired, st.Completed)
+	wait()
+	if got := r.batchSizes(); len(got) != 2 || got[0] != 1 || got[1] != 1 {
+		t.Errorf("runner served batches %v, want [1 1] (occupier, then the live rider alone)", got)
+	}
+	if st := b.Metrics().Snapshot(); st.Expired != 1 || st.Completed != 2 {
+		t.Errorf("expired=%d completed=%d, want 1/2", st.Expired, st.Completed)
 	}
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 }
 
-func TestBatcherExpiredRiderSweptLiveRiderServed(t *testing.T) {
-	// Mixed batch: the expired rider is swept at dispatch, the live one
-	// is served in a batch of one.
-	r := &stubRunner{}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, MaxDelay: 80 * time.Millisecond, QueueDepth: 8}, nil)
+// TestBatcherSaturationShedsAndAnswersAdmitted: offered twice what the
+// queue holds while the replica is busy, the batcher admits exactly a
+// queue's worth, sheds the rest with ErrOverloaded at once, and answers
+// every request it admitted.
+func TestBatcherSaturationShedsAndAnswersAdmitted(t *testing.T) {
+	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	const depth = 8
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: depth}, nil)
 
-	expCh := make(chan Result, 1)
-	go func() { expCh <- b.Do(context.Background(), []float32{1}, time.Now().Add(10*time.Millisecond)) }()
-	// Make sure the doomed request is first into the open batch.
-	time.Sleep(5 * time.Millisecond)
-	liveCh := make(chan Result, 1)
-	go func() { liveCh <- b.Do(context.Background(), []float32{2}, time.Time{}) }()
-
-	if res := <-expCh; !errors.Is(res.Err, ErrDeadlineExceeded) {
-		t.Fatalf("expired rider got %v, want ErrDeadlineExceeded", res.Err)
+	wait := occupy(t, b, r)
+	var wg sync.WaitGroup
+	var served, shed atomic.Int64
+	for i := 0; i < 2*depth; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch res := b.Do(context.Background(), []float32{float32(i)}, time.Time{}); {
+			case errors.Is(res.Err, ErrOverloaded):
+				shed.Add(1)
+			case res.Err != nil || res.Scores[0] != float32(i):
+				t.Errorf("admitted request %d: %+v", i, res)
+			default:
+				served.Add(1)
+			}
+		}(i)
 	}
-	res := <-liveCh
-	if res.Err != nil {
-		t.Fatalf("live rider got %v, want success", res.Err)
+	awaitQueued(t, b, depth)
+	for deadline := time.Now().Add(5 * time.Second); shed.Load() < depth && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
-	if res.BatchSize != 1 {
-		t.Errorf("live rider batch size %d, want 1 (expired rider must not count)", res.BatchSize)
+	if served.Load() != 0 {
+		t.Fatalf("%d requests served while the only replica is gated", served.Load())
 	}
-	if got := r.batchSizes(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("runner served batches %v, want [1]", got)
+	close(r.gate)
+	wg.Wait()
+	wait()
+	if served.Load() != depth || shed.Load() != depth {
+		t.Errorf("served %d, shed %d of %d offered; want %d/%d", served.Load(), shed.Load(), 2*depth, depth, depth)
+	}
+	if st := b.Metrics().Snapshot(); st.Rejected != depth || st.Completed != depth+1 {
+		t.Errorf("rejected=%d completed=%d, want %d/%d", st.Rejected, st.Completed, depth, depth+1)
 	}
 	if err := b.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -372,7 +405,7 @@ func TestBatcherExpiredRiderSweptLiveRiderServed(t *testing.T) {
 
 func TestBatcherRunnerScaling(t *testing.T) {
 	r := &stubRunner{}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond, QueueDepth: 4, MaxRunners: 2}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2, QueueDepth: 4, MaxRunners: 2}, nil)
 
 	if n := b.Runners(); n != 1 {
 		t.Fatalf("initial runners = %d, want 1", n)
@@ -404,6 +437,35 @@ func TestBatcherRunnerScaling(t *testing.T) {
 	}
 }
 
+// TestBatcherRemoveRunnerNeedsIdle: idle means registered and not
+// inside a batch. With both runners gated mid-batch there is nothing to
+// retire; once they are released one can go.
+func TestBatcherRemoveRunnerNeedsIdle(t *testing.T) {
+	gate, entered := make(chan struct{}), make(chan struct{}, 2)
+	b := NewBatcher([]Runner{&stubRunner{gate: gate, entered: entered}, &stubRunner{gate: gate, entered: entered}},
+		BatcherConfig{MaxBatch: 1}, nil)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.Do(context.Background(), []float32{0}, time.Time{})
+		}()
+		<-entered
+	}
+	if b.RemoveRunner() {
+		t.Fatal("RemoveRunner retired a runner while every runner was mid-batch")
+	}
+	close(gate)
+	wg.Wait()
+	if !b.RemoveRunner() {
+		t.Fatal("RemoveRunner failed once the runners were idle again")
+	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
 // TestBatcherAdmitCountsBeforeEnqueue: a job must be counted in flight
 // before the dispatcher can see it. With batches that complete as fast
 // as they form (MaxBatch 1, or MaxBatch 2 filled instantly, over a
@@ -414,7 +476,7 @@ func TestBatcherRunnerScaling(t *testing.T) {
 // must be answered and Drain must find the counter balanced.
 func TestBatcherAdmitCountsBeforeEnqueue(t *testing.T) {
 	for _, maxBatch := range []int{1, 2} {
-		b := NewBatcher([]Runner{&stubRunner{}}, BatcherConfig{MaxBatch: maxBatch, MaxDelay: time.Millisecond, QueueDepth: 4}, nil)
+		b := NewBatcher([]Runner{&stubRunner{}}, BatcherConfig{MaxBatch: maxBatch, QueueDepth: 4}, nil)
 		const callers, each = 4, 20000
 		var wg sync.WaitGroup
 		var answered, rejected atomic.Int64
@@ -443,5 +505,25 @@ func TestBatcherAdmitCountsBeforeEnqueue(t *testing.T) {
 		if got := answered.Load() + rejected.Load(); got != callers*each || answered.Load() == 0 {
 			t.Errorf("MaxBatch %d: %d answered + %d rejected of %d submitted", maxBatch, answered.Load(), rejected.Load(), callers*each)
 		}
+	}
+}
+
+// fixedRunner answers from a preallocated table, so a Do through it
+// allocates only what the batcher itself does.
+type fixedRunner struct{ out [][]float32 }
+
+func (f *fixedRunner) Run(images [][]float32) ([][]float32, error) { return f.out[:len(images)], nil }
+
+// TestBatcherDoAllocs pins what one request costs the allocator on the
+// batcher's side: the job and its answer channel (header and buffer),
+// and nothing per batch — the loop's batch and image slices are reused.
+func TestBatcherDoAllocs(t *testing.T) {
+	b := NewBatcher([]Runner{&fixedRunner{out: [][]float32{{1}}}}, BatcherConfig{MaxBatch: 1}, nil)
+	img := []float32{1}
+	if allocs := testing.AllocsPerRun(500, func() { b.Do(context.Background(), img, time.Time{}) }); allocs > 3 {
+		t.Errorf("Batcher.Do allocates %v times per request, want <= 3", allocs)
+	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

@@ -11,7 +11,6 @@ package serve
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/models"
@@ -50,8 +49,6 @@ type Spec struct {
 	MaxReplicas int `json:"max_replicas"`
 	// MaxBatch caps the coalesced batch size (default 8).
 	MaxBatch int `json:"max_batch"`
-	// MaxDelay is the micro-batching window (default 2ms).
-	MaxDelay time.Duration `json:"-"`
 	// QueueDepth bounds the admission queue (default 4*MaxBatch).
 	QueueDepth int `json:"queue_depth"`
 	// Seed drives initialization when no checkpoint is given.
@@ -152,7 +149,6 @@ func Load(spec Spec) (*Model, error) {
 	metrics := NewMetrics(spec.Name)
 	b := NewBatcher(runners, BatcherConfig{
 		MaxBatch:   spec.MaxBatch,
-		MaxDelay:   spec.MaxDelay,
 		QueueDepth: spec.QueueDepth,
 		MaxRunners: spec.MaxReplicas,
 	}, metrics)

@@ -23,7 +23,7 @@ import (
 func testSpec(name string) Spec {
 	return Spec{
 		Name: name, Kind: "lenet", Classes: 3, InputHW: 8, Width: 0.08,
-		MaxBatch: 4, MaxDelay: time.Millisecond, Replicas: 1, Seed: 7,
+		MaxBatch: 4, Replicas: 1, Seed: 7,
 	}
 }
 
