@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet purego maxprocs1 race servestress bench benchreport benchsmoke doccheck verify clean
+.PHONY: build test tier1 vet purego maxprocs1 nnparanoid race servestress bench benchreport benchsmoke doccheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -33,6 +33,16 @@ purego:
 # tests).
 maxprocs1:
 	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/
+
+# nnparanoid reruns every internal package with the weight-version
+# check switched on: an approximate layer keeps the quantized form of
+# its weights per nn.Param version, and under this tag every reuse
+# re-derives the levels from the float weights and panics, naming the
+# layer, on a mismatch — so code (a test included) that writes
+# Param.Value without Touch fails loudly instead of running on stale
+# levels.
+nnparanoid:
+	go test -tags nnparanoid ./internal/...
 
 # The concurrency-critical packages get a -race pass: the worker pool
 # and the kernels scheduled on it, the guarded train loop, the retrying
@@ -89,7 +99,7 @@ benchsmoke:
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet tier1 purego maxprocs1 benchsmoke doccheck race servestress benchreport
+verify: vet tier1 purego maxprocs1 nnparanoid benchsmoke doccheck race servestress benchreport
 
 clean:
 	go clean ./...

@@ -17,7 +17,10 @@
 // dW lane kernels alone, and whole layer steps on the affine, fused and
 // small tiers — and the passes between the GEMMs: the slice quantizer
 // against its scalar definition and a step of each glue layer (ReLU,
-// batch norm, max pool). It writes ns/op, B/op, and allocs/op per
+// batch norm, max pool) — and inference: the skinny (under-32-row)
+// forward GEMMs of single-image serving on the arith_skinny row next to
+// packed16, and whole-model Predict at batch 1 and 8. It writes ns/op,
+// B/op, and allocs/op per
 // benchmark — plus the dispatch path each forward and backward
 // benchmark actually took and tier-vs-tier speedup summaries — to a
 // JSON file.
@@ -41,6 +44,7 @@ import (
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
@@ -206,7 +210,7 @@ func main() {
 	}
 	fwd := func(name string, fop *nn.Op, o *operands) bench {
 		bias := make([]float32, o.outC)
-		return bench{name: name, path: fop.ForwardPath(o.rows, o.k), fn: loop(func() {
+		return bench{name: name, path: fop.ForwardPath(o.rows, o.outC, o.k), fn: loop(func() {
 			fop.ForwardGEMM(&s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
 		})}
 	}
@@ -323,6 +327,35 @@ func main() {
 			layer.Backward(dy)
 		})})
 	}
+	// Inference. The skinny GEMMs of single-image serving — vgg11's
+	// 64-channel 3x3 convs on 4x4, 2x2 and 1x1 planes — on the arith_skinny
+	// row and pinned to packed16, the row they ran on before it existed;
+	// through the adapter, so each call also derives the weight side (level
+	// sums, k-major copy) a layer keeps per weight version. Then whole-model
+	// Predict at the benchmark's reduced scale (16x16 inputs, eighth width),
+	// which does keep it: batch 1 is a fleet cache miss, batch 8 a busy
+	// replica's batch.
+	var skinny []string
+	for _, rows := range []int{1, 4, 16} {
+		o := newOperands(shape{rows, 64, 576}, 1, rng)
+		label := fmt.Sprintf("r%d_oc64_k576", rows)
+		skinny = append(skinny, label)
+		benches = append(benches,
+			fwd("Kernel_FwdArith_"+label, steOp, o),
+			fwd("Kernel_FwdPacked16_"+label, steOp.Pinned(nn.FwdPathPacked16, ""), o))
+	}
+	for _, kind := range []string{"vgg11", "resnet18", "lenet"} {
+		m, err := models.ByKind(kind, models.Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: models.ApproxConv(steOp), Seed: 3})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchkernels:", err)
+			os.Exit(1)
+		}
+		for _, n := range []int{1, 8} {
+			x := tensor.New(n, 3, 16, 16)
+			x.RandNormal(rng, 1)
+			benches = append(benches, bench{name: fmt.Sprintf("Model_Predict_%s_b%d", kind, n), fn: loop(func() { m.Predict(x) })})
+		}
+	}
 	type pair struct{ label, small, fused string }
 	var pairs []pair
 	smallOp, fusedOp := op.Pinned("", nn.BwdPathSmall), op.Pinned("", nn.BwdPathFused)
@@ -337,7 +370,7 @@ func main() {
 	rec := record{
 		Note:       "approximate-GEMM kernel baseline; regenerate with `make bench`",
 		Multiplier: op.Label,
-		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, *_VGG11Conv1, *_ResNet18* and *_LeNetConv2 rows carry their own shape",
+		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_ResNet18*, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
 			wide.rows, wide.outC, wide.k),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},
@@ -365,6 +398,9 @@ func main() {
 	}
 	ratio("forward_auto_vs_ref", "Kernel_GEMMForwardRef", "Kernel_GEMMForwardAuto")
 	ratio("forward_arith_vs_packed16", "Kernel_GEMMForwardPacked16", "Kernel_GEMMForwardArith")
+	for _, label := range skinny {
+		ratio("forward_arith_skinny_vs_packed16_"+label, "Kernel_FwdPacked16_"+label, "Kernel_FwdArith_"+label)
+	}
 	ratio("backward_fused_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardFused")
 	ratio("backward_affine_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardAffine")
 	for _, p := range pairs {

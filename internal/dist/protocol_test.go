@@ -2,8 +2,12 @@ package dist
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/appmult/retrain/internal/models"
+	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/wire"
 	"github.com/appmult/retrain/internal/wiretest"
 )
@@ -52,5 +56,54 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("round trip changed spec: %+v != %+v", out, in)
+	}
+}
+
+// TestApplyParamsLeavesNoStaleWeights is the dist row of
+// train.TestNoStaleWeightsAfterAnyWriter: a worker replica that has
+// already run holds weight-side state for its old weights; after a
+// params frame its next Predict must equal, bit for bit, a fresh model
+// holding the weights the frame carried.
+func TestApplyParamsLeavesNoStaleWeights(t *testing.T) {
+	spec := tinySpec("lenet")
+	s := &workerSession{}
+	if err := s.buildModel(spec); err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.New(2, 3, s.hw, s.hw)
+	x.RandNormal(rand.New(rand.NewSource(3)), 1)
+	before := s.model.Predict(x).Clone()
+
+	spec.Seed++
+	primary, _, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float32, s.numel)
+	for pi, p := range primary.Params() {
+		copy(buf[s.offsets[pi]:], p.Value.Data)
+	}
+	var e wire.Enc
+	e.U64(1) // step
+	e.F32s(buf)
+	if err := s.applyParams(e.B); err != nil {
+		t.Fatal(err)
+	}
+
+	got := s.model.Predict(x).Clone()
+	want := models.Clone(s.model).Predict(x)
+	same := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(got.Data, want.Data) {
+		t.Fatal("Predict after applyParams differs from a fresh model holding the same weights: stale weight-side state")
+	}
+	if same(got.Data, before.Data) {
+		t.Fatal("the params frame did not move the output")
 	}
 }

@@ -279,6 +279,7 @@ func (s *workerSession) applyParams(p []byte) error {
 	}
 	for pi, prm := range s.params {
 		copy(prm.Value.Data, s.gradBuf[s.offsets[pi]:s.offsets[pi]+prm.Value.Numel()])
+		prm.Touch()
 	}
 	return nil
 }

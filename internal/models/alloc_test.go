@@ -68,3 +68,36 @@ func TestModelStepSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPredictSteadyStateAllocs: a served request allocates nothing in
+// the model. Once two calls have sized every layer-owned buffer —
+// including what the approximate layers keep per weight version and the
+// skinny forward row's transposed accumulator and coefficient stream —
+// Predict on the benchmark's reduced-scale models performs zero
+// allocations, at the batch of a fleet cache miss (1) and of a busy
+// replica (8), at GOMAXPROCS=1.
+func TestPredictSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e, _ := appmult.Lookup("mul7u_rm6")
+	op := nn.STEOp(e.Mult)
+	for _, kind := range []string{"vgg11", "resnet18", "lenet"} {
+		m, err := ByKind(kind, Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: ApproxConv(op), Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 8} {
+			x := tensor.New(n, 3, 16, 16)
+			for i := range x.Data {
+				x.Data[i] = float32(i%17)/17 - 0.5
+			}
+			m.Predict(x)
+			m.Predict(x)
+			if allocs := testing.AllocsPerRun(10, func() { m.Predict(x) }); allocs != 0 {
+				t.Errorf("%s batch %d: %v allocations per steady-state Predict, want 0", kind, n, allocs)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/tensor"
 )
@@ -237,4 +238,59 @@ func TestApproximateKeepsWhatCloneKeeps(t *testing.T) {
 			t.Fatalf("output %d: %v, want %v", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// TestOpSwapAndPerChannelFlipDropWeightSideState: an approximate layer
+// keeps the quantized form of its weights per weight version, and that
+// form also depends on the op (its Bits set the levels, its strip form
+// the kernels' copies of them) and on the quantization scheme. A model
+// that has served under mul7u_rm6/STE, is switched to mul8u_rm8/
+// smoothdiff and then to per-channel quantization — its weights never
+// written — must each time predict, bit for bit, what a freshly built
+// model holding the same weights predicts.
+func TestOpSwapAndPerChannelFlipDropWeightSideState(t *testing.T) {
+	e7, _ := appmult.Lookup("mul7u_rm6")
+	e8, _ := appmult.Lookup("mul8u_rm8")
+	smooth, err := gradient.ParseEstimator(gradient.EstSmoothDiff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := VGG(11, Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: ApproxConv(nn.STEOp(e7.Mult)), Seed: 3})
+	x := tensor.New(1, 3, 16, 16)
+	x.RandNormal(rand.New(rand.NewSource(4)), 1)
+	requireFresh := func(what string, fresh *nn.Sequential, prev *tensor.Tensor) *tensor.Tensor {
+		t.Helper()
+		got := m.Predict(x).Clone()
+		want := fresh.Predict(x)
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: output %d = %v, a fresh model gives %v: stale weight-side state", what, i, got.Data[i], want.Data[i])
+			}
+		}
+		if prev != nil {
+			moved := false
+			for i := range got.Data {
+				moved = moved || got.Data[i] != prev.Data[i]
+			}
+			if !moved {
+				t.Fatalf("%s: output did not move", what)
+			}
+		}
+		return got
+	}
+	out := requireFresh("as built", Clone(m), nil)
+
+	op8 := nn.EstimatorOp(e8.Mult, smooth, e8.HWS)
+	convs := func(f func(c *nn.ApproxConv2D)) {
+		nn.VisitLayers(m, func(l nn.Layer) {
+			if c, ok := l.(*nn.ApproxConv2D); ok {
+				f(c)
+			}
+		})
+	}
+	convs(func(c *nn.ApproxConv2D) { c.SetOp(op8) })
+	out = requireFresh("after SetOp", Approximate(m, op8), out)
+
+	convs(func(c *nn.ApproxConv2D) { c.PerChannel = true })
+	requireFresh("after the per-channel flip", Clone(m), out)
 }

@@ -70,6 +70,7 @@ func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
 // Flatten reshapes NCHW (or any >=2-D) input to (N, rest).
 type Flatten struct {
 	inShape []int
+	view    tensor.Tensor // Infer's result
 }
 
 // NewFlatten returns a flatten layer.
@@ -86,6 +87,15 @@ func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
 	n := x.Shape[0]
 	return x.Reshape(n, x.Numel()/n)
+}
+
+// Infer implements Inferer: the same view of x's data, held in the layer
+// instead of allocated.
+func (f *Flatten) Infer(x *tensor.Tensor) *tensor.Tensor {
+	n := x.Shape[0]
+	f.view.Shape = append(f.view.Shape[:0], n, x.Numel()/n)
+	f.view.Data = x.Data
+	return &f.view
 }
 
 // Backward implements Layer.

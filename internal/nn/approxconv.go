@@ -52,20 +52,22 @@ type ApproxConv2D struct {
 	// Deferred-observe state (see ObservedLayer).
 	lag observerLag
 
+	// w is what the GEMMs derive from the weights alone, kept per weight
+	// version.
+	w weightSide
+
 	// Forward caches consumed by Backward: xq and xClip hold one level
 	// and one clip flag per input element (N*C*H*W), xT the (k x rows)
 	// level patch matrix; the clip flags stay nil on a layer that only
 	// ever ran Infer. trained records that the caches come from Forward:
 	// Infer overwrites the levels but not the flags, so Backward refuses
 	// to run after it.
-	geom         tensor.ConvGeom
-	batch        int
-	trained      bool
-	xq, xT       []uint8
-	wq           []uint8
-	xClip, wClip []bool
-	pw           []quant.Params
-	px           quant.Params
+	geom    tensor.ConvGeom
+	batch   int
+	trained bool
+	xq, xT  []uint8
+	xClip   []bool
+	px      quant.Params
 
 	// Scratch arena (see KernelScratch): buffers sized on first use,
 	// reused every step. dxT is the (k x rows) input-gradient patch
@@ -103,24 +105,9 @@ func (c *ApproxConv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 func (c *ApproxConv2D) Op() *Op { return c.op }
 
 // SetOp swaps the multiplier/gradient bundle (e.g. switching the same
-// trained layer between STE and difference-based estimators).
+// trained layer between STE and difference-based estimators). The op is
+// part of the weight-side state's key, so the next forward rebuilds it.
 func (c *ApproxConv2D) SetOp(op *Op) { c.op = op }
-
-// minMax returns the smallest and largest elements of a non-empty
-// slice (the slice form of tensor.MinMax, avoiding a wrapper
-// allocation for per-channel calibration).
-func minMax(data []float32) (mn, mx float32) {
-	mn, mx = data[0], data[0]
-	for _, v := range data[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
-}
 
 // Forward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Forward call.
@@ -136,11 +123,11 @@ func (c *ApproxConv2D) checkInput(x *tensor.Tensor) {
 	}
 }
 
-// forward is the one forward body behind Forward and Infer: quantize
-// the weights and the input tensor, expand the input levels into the
-// k-major patch matrix, and run the GEMM, whose epilogue writes NCHW.
-// withClip also records the clip flags Backward masks with; Infer skips
-// them.
+// forward is the one forward body behind Forward and Infer: bring the
+// weight-side state up to the weights' version, quantize the input
+// tensor, expand its levels into the k-major patch matrix, and run the
+// GEMM, whose epilogue writes NCHW. withClip also records the input clip
+// flags Backward masks with; Infer skips them.
 func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
 	c.geom = g
@@ -148,33 +135,14 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	c.trained = withClip
 	c.px = c.Observer.Params(c.op.Bits)
 	k := g.K()
+	c.w.sync(c.name, &c.ks, c.Weight, c.op, c.PerChannel, withClip, c.OutC, k)
 
-	c.wq = grow(c.wq, c.OutC*k)
 	c.xq = grow(c.xq, len(x.Data))
-	var wClip, xClip []bool
+	var xClip []bool
 	if withClip {
-		c.wClip = grow(c.wClip, len(c.wq))
 		c.xClip = grow(c.xClip, len(c.xq))
-		wClip, xClip = c.wClip, c.xClip
+		xClip = c.xClip
 	}
-	if c.PerChannel {
-		c.pw = grow(c.pw, c.OutC)
-		for oc := 0; oc < c.OutC; oc++ {
-			ws := c.Weight.Value.Data[oc*k : (oc+1)*k]
-			mn, mx := minMax(ws)
-			c.pw[oc] = quant.Calibrate(mn, mx, c.op.Bits)
-			var clip []bool
-			if withClip {
-				clip = wClip[oc*k : (oc+1)*k]
-			}
-			c.ks.quantizeWithClip(c.wq[oc*k:(oc+1)*k], clip, ws, c.pw[oc])
-		}
-	} else {
-		c.pw = grow(c.pw, 1)
-		c.pw[0] = quant.CalibrateTensor(c.Weight.Value, c.op.Bits)
-		c.ks.quantizeWithClip(c.wq, wClip, c.Weight.Value.Data, c.pw[0])
-	}
-
 	// Calibrate widens every range to include zero, so the zero point
 	// is the level of a float zero — the padding value — and is never
 	// clipped.
@@ -184,7 +152,7 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	c.im2col.Run(c.xT, c.xq, c.batch, g, uint8(c.px.Zero))
 
 	c.y = tensor.Ensure4(c.y, c.batch, g.OutC, g.OutH, g.OutW)
-	c.op.forwardT(&c.ks, c.y.Data, c.xT, c.wq, rows, c.OutC, k, g.OutH*g.OutW, c.pw, c.px, c.Bias.Value.Data)
+	c.op.forwardT(&c.ks, c.y.Data, c.xT, &c.w, rows, g.OutH*g.OutW, c.px, c.Bias.Value.Data)
 	return c.y
 }
 
@@ -203,7 +171,7 @@ func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// dxT comes back unmasked: the mask is applied below, once per input
 	// element.
 	c.op.backwardT(&c.ks, c.dw, c.dxT, c.gsum, dy.Data, g.OutH*g.OutW,
-		c.xT, c.wq, c.wClip, rows, c.OutC, k, c.pw, c.px)
+		c.xT, c.w.wq, c.w.wClip, rows, c.OutC, k, c.w.pw, c.px)
 
 	for i, v := range c.dw {
 		c.Weight.Grad.Data[i] += v

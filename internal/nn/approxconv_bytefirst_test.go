@@ -23,7 +23,7 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 	n, k := x.Shape[0], g.K()
 	rows := n * g.OutH * g.OutW
 	px := c.px
-	pw := append([]quant.Params(nil), c.pw...)
+	pw := append([]quant.Params(nil), c.w.pw...)
 
 	cols := tensor.Im2Col(x, g)
 	xq, xClip := make([]uint8, rows*k), make([]bool, rows*k)
@@ -74,7 +74,8 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // inputs that clip on both sides (also on the image border, next to
 // padding) and with dense and sparse upstream gradients. Every kernel
 // tier is reached through the layer (checked at the end): forward arith
-// (rows >= 32) and packed16; backward affine (ste), fused (smoothdiff),
+// (rows >= 32), arith_skinny (rows < 32 <= outC) and packed16; backward
+// affine (ste), fused (smoothdiff),
 // mixed (cvste) and small; output channel counts below, at and off the
 // dW kernels' eight lanes; row counts off the 32-row SIMD chunk; and
 // images whose OutH*OutW does not divide the 64-row forward tile, so
@@ -110,6 +111,8 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 		{2, 3, 9, 7, 12, 3, 1, 1},   // rows 126, 63 per image; lanes 0-7 + 4-11
 		{3, 2, 6, 7, 24, 3, 1, 1},   // rows 126, 42 per image; three lane groups
 		{2, 1, 12, 11, 16, 5, 2, 2}, // rows 72, odd k = 25
+		{1, 2, 4, 4, 40, 3, 1, 1},   // rows 16 < 32 <= outC: the skinny row, one lane group + 8 tail channels
+		{2, 3, 3, 3, 64, 3, 1, 1},   // rows 18, odd k = 27, two lane groups, an image boundary mid-tile
 	}
 	reached := map[string]bool{}
 	for _, o := range ops {
@@ -146,7 +149,7 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 							t.Fatalf("1-in-%d gradient: small path %v", nzOf, sparse)
 						}
 						reached["bwd "+bwd] = true
-						reached["fwd "+c.op.ForwardPath(len(dy.Data)/gm.outC, gm.inC*gm.k*gm.k)] = true
+						reached["fwd "+c.op.ForwardPath(len(dy.Data)/gm.outC, gm.outC, gm.inC*gm.k*gm.k)] = true
 						var low, high int
 						for i, cl := range c.xClip {
 							if cl && c.xq[i] == 0 {
@@ -176,10 +179,10 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 		}
 	}
 	// Every label of both ladders, less what this table cannot reach: it
-	// has no LUT-less op, and the arith row needs AVX2.
+	// has no LUT-less op, and the arith rows need AVX2.
 	tiers := []string{}
 	for _, l := range fwdLabels() {
-		if l != FwdPathBehavioral && (l != FwdPathArith || hasGemmAsm) {
+		if l != FwdPathBehavioral && (l != FwdPathArith && l != FwdPathArithSkinny || hasGemmAsm) {
 			tiers = append(tiers, "fwd "+l)
 		}
 	}

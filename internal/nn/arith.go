@@ -24,6 +24,10 @@ import (
 // out) silently disables the tier, so it can only ever be a faster
 // route to bit-identical results.
 
+// arithLanes is the kernels' granularity: one chunk is 32 SIMD lanes —
+// rows in the arith row, output channels in the skinny row (tiers.go).
+const arithLanes = 32
+
 // maxStrips caps the rectangles an arithForm accepts. DecomposeStrips
 // guarantees at most B <= 8 for the supported widths; anything larger
 // would mean the decomposition is no longer profitable anyway.
@@ -49,11 +53,28 @@ type arithForm struct {
 	// Pair kernel (gemmArithPairAVX2) tables, valid only when pairOK:
 	// cwb[w*nT+t] = w & wm_t as a byte (the VPMADDUBSW signed operand,
 	// hence the <= 127 gate), xmPair[t] = xm_t duplicated in both bytes
-	// of a word. The kernel folds two k-steps into each madd.
+	// of a word. The kernel folds two k-steps into each madd; cadPair is
+	// its lane budget in k-pairs.
 	cwb     []uint8
 	xmPair  []uint16
 	pairOK  bool
 	cadPair int
+
+	// The skinny row's mirror images (roles swapped: lanes hold weight
+	// levels and are masked with wm_t, an activation level supplies the
+	// coefficients x & xm_t): cx16[x*nT+t] = x & xm_t and wm16[t] = wm_t
+	// for the word kernel, wmPair[t] = wm_t in both bytes for the pair
+	// kernel, which pairOKT admits when every xm_t fits VPMADDUBSW's
+	// signed byte. xmQuad packs xm_t, in both bytes of a word, four
+	// strips per uint64: the masks the skinny row cuts a k-pair's
+	// coefficient bytes with, eight at a time (skinnyPairStream). The
+	// budgets cadWord, cadPair and fits32 bound products and sums of
+	// products, so they hold for either assignment of roles.
+	cx16    []uint16
+	wm16    []uint16
+	wmPair  []uint16
+	xmQuad  []uint64
+	pairOKT bool
 
 	// stripMax is the largest compensation-free product over the grid;
 	// k*stripMax <= k*lutMax bounds the int32 accumulator exactly as the
@@ -98,41 +119,56 @@ func newArithForm(mask mulsynth.PPMask, comp uint32, bits int, lut []uint32) *ar
 	af.cadWord = int(math.MaxUint16 / af.stripMax)
 
 	af.cw16 = make([]uint16, n*af.nT)
+	af.cx16 = make([]uint16, n*af.nT)
 	af.xm16 = make([]uint16, af.nT)
+	af.wm16 = make([]uint16, af.nT)
+	var wmMax, xmMax uint32
 	for t, s := range strips {
-		af.xm16[t] = uint16(s.XMask)
+		af.xm16[t], af.wm16[t] = uint16(s.XMask), uint16(s.WMask)
+		wmMax, xmMax = max(wmMax, s.WMask), max(xmMax, s.XMask)
 	}
-	for w := 0; w < n; w++ {
+	for v := 0; v < n; v++ {
 		for t, s := range strips {
-			af.cw16[w*af.nT+t] = uint16(uint32(w) & s.WMask)
+			af.cw16[v*af.nT+t] = uint16(uint32(v) & s.WMask)
+			af.cx16[v*af.nT+t] = uint16(uint32(v) & s.XMask)
 		}
 	}
 
 	// Pair-kernel gates: the coefficient rides in VPMADDUBSW's signed
-	// byte operand (<= 127), each per-strip pair sum must not saturate
-	// the signed 16-bit madd result (2*termMax <= 32767), and at least
-	// one k-pair must fit the unsigned lane budget (2*stripMax <= 65535).
-	af.pairOK = true
-	for _, s := range strips {
-		if s.WMask > 127 {
-			af.pairOK = false
-		}
-	}
-	if 2*uint64(termMax) > math.MaxInt16 || 2*uint64(af.stripMax) > math.MaxUint16 {
-		af.pairOK = false
+	// byte operand (<= 127: the weight masks for the arith row, the
+	// activation masks for the skinny one), each per-strip pair sum must
+	// not saturate the signed 16-bit madd result (2*termMax <= 32767),
+	// and at least one k-pair must fit the unsigned lane budget
+	// (2*stripMax <= 65535).
+	if 2*uint64(termMax) <= math.MaxInt16 && 2*uint64(af.stripMax) <= math.MaxUint16 {
+		af.cadPair = int(math.MaxUint16 / (2 * af.stripMax))
+		af.pairOK, af.pairOKT = wmMax <= 127, xmMax <= 127
 	}
 	if af.pairOK {
-		af.cadPair = int(math.MaxUint16 / (2 * af.stripMax))
 		af.cwb = make([]uint8, n*af.nT)
 		for i, v := range af.cw16 {
 			af.cwb[i] = uint8(v)
 		}
-		af.xmPair = make([]uint16, af.nT)
-		for t, m := range af.xm16 {
-			af.xmPair[t] = m | m<<8
+		af.xmPair = bothBytes(af.xm16)
+	}
+	if af.pairOKT {
+		af.wmPair = bothBytes(af.wm16)
+		af.xmQuad = make([]uint64, (af.nT+3)/4)
+		for t, m := range bothBytes(af.xm16) {
+			af.xmQuad[t/4] |= uint64(m) << (16 * (t % 4))
 		}
 	}
 	return af
+}
+
+// bothBytes returns the byte masks with each duplicated in both bytes
+// of its word: the pair kernel masks a byte pair with one VPAND.
+func bothBytes(masks []uint16) []uint16 {
+	out := make([]uint16, len(masks))
+	for t, m := range masks {
+		out[t] = m | m<<8
+	}
+	return out
 }
 
 // evalScalar evaluates the compensation-free strip sum for one operand

@@ -53,6 +53,31 @@ func TestArithFormRegistryGrid(t *testing.T) {
 			if af.cadWord < 1 {
 				t.Fatalf("%s: cadWord = %d, want >= 1", m.Name(), af.cadWord)
 			}
+			// The skinny row's mirror images: activation-side coefficients,
+			// weight-side masks, and the pair gate on the activation masks.
+			xmMax := uint16(0)
+			for tn, s := range af.strips {
+				xmMax = max(xmMax, af.xm16[tn])
+				if af.wm16[tn] != uint16(s.WMask) {
+					t.Fatalf("%s: wm16[%d] = %#x, strip mask %#x", m.Name(), tn, af.wm16[tn], s.WMask)
+				}
+				for x := 0; x < n; x++ {
+					if got, want := af.cx16[x*af.nT+tn], uint16(x)&af.xm16[tn]; got != want {
+						t.Fatalf("%s: cx16[%d][%d] = %d, want %d", m.Name(), x, tn, got, want)
+					}
+				}
+			}
+			if af.pairOKT && (xmMax > 127 || af.cadPair < 1) {
+				t.Fatalf("%s: pairOKT with activation mask %#x, cadPair %d", m.Name(), xmMax, af.cadPair)
+			}
+			if (af.wmPair != nil) != af.pairOKT {
+				t.Fatalf("%s: wmPair built = %v, pairOKT = %v", m.Name(), af.wmPair != nil, af.pairOKT)
+			}
+			for tn, mask := range af.wmPair {
+				if want := af.wm16[tn] | af.wm16[tn]<<8; mask != want {
+					t.Fatalf("%s: wmPair[%d] = %#x, want %#x", m.Name(), tn, mask, want)
+				}
+			}
 			if !af.pairOK {
 				if af.cwb != nil || af.xmPair != nil {
 					t.Fatalf("%s: pair tables built despite pairOK=false", m.Name())
@@ -97,6 +122,9 @@ func TestArithPairCoverage(t *testing.T) {
 		wantPair := m.Bits() <= 7
 		if op.arith.pairOK != wantPair {
 			t.Errorf("%s (B=%d): pairOK = %v, want %v", m.Name(), m.Bits(), op.arith.pairOK, wantPair)
+		}
+		if op.arith.pairOKT != wantPair {
+			t.Errorf("%s (B=%d): pairOKT = %v, want %v", m.Name(), m.Bits(), op.arith.pairOKT, wantPair)
 		}
 	}
 }

@@ -123,6 +123,7 @@ func LoadParams(r io.Reader, model Layer) error {
 		for j := range p.Value.Data {
 			p.Value.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(staged[i][4*j:]))
 		}
+		p.Touch()
 	}
 	return nil
 }

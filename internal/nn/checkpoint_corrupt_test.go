@@ -42,30 +42,27 @@ func sameBits(a, b [][]uint32) bool {
 	return true
 }
 
-// TestLoadParamsCorruptionTable feeds LoadParams systematically damaged
-// checkpoints — corrupted headers, bad CRC, short reads, truncations,
-// implausible counts and sizes — and requires each to fail with a
-// descriptive error while leaving the destination model untouched.
-func TestLoadParamsCorruptionTable(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, ckptModel(1)); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+// corruptCkpt is one systematically damaged checkpoint and the words its
+// rejection must contain.
+type corruptCkpt struct {
+	name    string
+	blob    []byte
+	wantErr string
+}
 
+// corruptCheckpoints damages the valid checkpoint blob every way the
+// format can be: corrupted headers, bad CRC, short reads, truncations,
+// implausible counts and sizes. The table test walks it; the fuzz target
+// starts from it.
+func corruptCheckpoints(valid []byte) []corruptCkpt {
 	// Field offsets in the blob: magic(8) count(4), then per parameter
 	// nameLen(2) name numel(4) data.
 	countOff := 8
 	firstNumelOff := countOff + 4 + 2 + int(binary.LittleEndian.Uint16(valid[countOff+4:]))
-
 	mutate := func(fn func(b []byte) []byte) []byte {
 		return fn(append([]byte(nil), valid...))
 	}
-	cases := []struct {
-		name    string
-		blob    []byte
-		wantErr string
-	}{
+	return []corruptCkpt{
 		{"empty", nil, "too short"},
 		{"short read", valid[:10], "too short"},
 		{"header only", valid[:16], "checksum"},
@@ -96,6 +93,17 @@ func TestLoadParamsCorruptionTable(t *testing.T) {
 		{"truncated tail, valid crc", recrc(append([]byte(nil), valid[:len(valid)-24]...)), "truncated"},
 		{"trailing bytes, valid crc", recrc(append(append([]byte(nil), valid...), 0, 0, 0, 0)), "trailing"},
 	}
+}
+
+// TestLoadParamsCorruptionTable feeds LoadParams the damaged checkpoints
+// of corruptCheckpoints and requires each to fail with a descriptive
+// error while leaving the destination model untouched.
+func TestLoadParamsCorruptionTable(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, ckptModel(1)); err != nil {
+		t.Fatal(err)
+	}
+	cases := corruptCheckpoints(buf.Bytes())
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := ckptModel(2)
@@ -131,4 +139,34 @@ func TestLoadParamsTruncationFuzz(t *testing.T) {
 	if err := LoadParams(bytes.NewReader(valid), ckptModel(2)); err != nil {
 		t.Fatalf("full checkpoint rejected: %v", err)
 	}
+}
+
+// FuzzLoadParams mutates NNCKPv1 blobs starting from the valid
+// checkpoint and the corruption table: LoadParams never panics, and an
+// input it rejects changes neither a parameter value nor a version.
+func FuzzLoadParams(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, ckptModel(1)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, c := range corruptCheckpoints(buf.Bytes()) {
+		f.Add(c.blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dst := ckptModel(2)
+		before := paramsBits(dst)
+		err := LoadParams(bytes.NewReader(blob), dst)
+		if err == nil {
+			return
+		}
+		if !sameBits(before, paramsBits(dst)) {
+			t.Fatalf("rejected load (%v) mutated the model", err)
+		}
+		for _, p := range dst.Params() {
+			if p.Version() != 0 {
+				t.Fatalf("rejected load (%v) advanced the version of %s", err, p.Name)
+			}
+		}
+	})
 }

@@ -46,11 +46,15 @@ func numericGradCheck(t *testing.T, model Layer, x *tensor.Tensor, labels []int,
 		checked := 0
 		for i := 0; i < p.Value.Numel() && checked < 12; i += 1 + p.Value.Numel()/12 {
 			orig := p.Value.Data[i]
-			p.Value.Data[i] = orig + eps
+			set := func(v float32) {
+				p.Value.Data[i] = v
+				p.Touch()
+			}
+			set(orig + eps)
 			lp := lossOf(model, x, labels)
-			p.Value.Data[i] = orig - eps
+			set(orig - eps)
 			lm := lossOf(model, x, labels)
-			p.Value.Data[i] = orig
+			set(orig)
 			numeric := (lp - lm) / (2 * float64(eps))
 			analytic := float64(p.Grad.Data[i])
 			diff := math.Abs(numeric - analytic)
@@ -182,6 +186,7 @@ func TestApproxGradientDescends(t *testing.T) {
 			model.Backward(dl)
 			for _, p := range model.Params() {
 				p.Value.AddScaled(p.Grad, -0.05)
+				p.Touch()
 			}
 			loss = lossOf(model, x, labels)
 		}

@@ -130,11 +130,11 @@ func approxScratch(m *Sequential) (total, clipFlags int) {
 			walk(v.Main)
 			walk(v.Shortcut)
 		case *ApproxConv2D:
-			clipFlags += cap(v.xClip) + cap(v.wClip)
-			total += cap(v.xq) + cap(v.xT) + cap(v.wq) + cap(v.xClip) + cap(v.wClip)
+			clipFlags += cap(v.xClip) + cap(v.w.wClip)
+			total += cap(v.xq) + cap(v.xT) + cap(v.w.wq) + cap(v.xClip) + cap(v.w.wClip)
 		case *ApproxLinear:
-			clipFlags += cap(v.xClip) + cap(v.wClip)
-			total += cap(v.xq) + cap(v.wq) + cap(v.xClip) + cap(v.wClip)
+			clipFlags += cap(v.xClip) + cap(v.w.wClip)
+			total += cap(v.xq) + cap(v.w.wq) + cap(v.xClip) + cap(v.w.wClip)
 		}
 	}
 	walk(m)

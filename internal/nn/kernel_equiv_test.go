@@ -28,11 +28,18 @@ type equivCase struct {
 	rows, outC, k  int
 	perChannel     bool
 	wantInt64Accum bool
-	// wantArith/wantAffine: the op must provide the arith forward row
-	// (given AVX2) / the affine backward row. If the verifiers ever stop
+	// wantArith/wantAffine: automatic dispatch must take the case to one
+	// of the arith forward rows (packed16 without AVX2) / the op must
+	// provide the affine backward row. If the verifiers ever stop
 	// accepting the mask family or STE's tables, the flagship tiers
 	// silently disappear and these flags are the tripwire.
 	wantArith, wantAffine bool
+	// saturated puts every operand at the top level: the products the
+	// arith kernels' lane budgets are sized for, on every lane at once.
+	saturated bool
+	// fwdOnly skips the backward-pin subtests (the forward ones still
+	// follow up with an automatic backward).
+	fwdOnly bool
 }
 
 func lookupMult(t testing.TB, name string) appmult.Multiplier {
@@ -159,6 +166,39 @@ func equivCases(t *testing.T) []equivCase {
 		cases = append(cases, equivCase{name: fmt.Sprintf("arith/rows=%d", rows), op: ste,
 			rows: rows, outC: 3, k: 51, wantArith: true, wantAffine: true})
 	}
+
+	// The skinny row (rows < 32 <= outC) over the whole registry, so both
+	// kernel flavours and every mask family: row counts from one to just
+	// under a chunk, channel counts of one chunk, one chunk plus a scalar
+	// tail and two chunks, even and odd k (the pair kernel's virtual
+	// column), random and saturated operands. Ops without a strip form
+	// (mul8u_1DMU) must stay on packed16.
+	for _, e := range appmult.Registry() {
+		_, masked := e.Mult.(*appmult.Masked)
+		_, accurate := e.Mult.(*appmult.Accurate)
+		op := STEOp(e.Mult)
+		for _, rows := range []int{1, 4, 16, 31} {
+			for _, outC := range []int{32, 40, 64} {
+				for _, k := range []int{26, 27} {
+					for _, sat := range []bool{false, true} {
+						cases = append(cases, equivCase{
+							name: fmt.Sprintf("skinny/%s/rows=%d/outC=%d/k=%d/saturated=%v", e.Mult.Name(), rows, outC, k, sat),
+							op:   op, rows: rows, outC: outC, k: k, saturated: sat, fwdOnly: true,
+							wantArith: masked || accurate, wantAffine: true})
+					}
+				}
+			}
+		}
+	}
+	// ... and across k tiles: two full ones and an odd remainder, on a
+	// pair-kernel op and a word-kernel op.
+	for _, name := range []string{"mul7u_rm6", "mul8u_rm8"} {
+		for _, sat := range []bool{false, true} {
+			cases = append(cases, equivCase{name: fmt.Sprintf("skinny/%s/ktile-cross/saturated=%v", name, sat),
+				op: STEOp(lookupMult(t, name)), rows: 5, outC: 40, k: 2*fwdKTile + 3, saturated: sat, fwdOnly: true,
+				wantArith: true, wantAffine: true})
+		}
+	}
 	return cases
 }
 
@@ -169,14 +209,20 @@ func randOperands(rng *rand.Rand, c equivCase) (xq, wq []uint8, xClip, wClip []b
 	levels := 1 << uint(c.op.Bits)
 	xq = make([]uint8, c.rows*c.k)
 	xClip = make([]bool, c.rows*c.k)
+	level := func() uint8 {
+		if c.saturated {
+			return uint8(levels - 1)
+		}
+		return uint8(rng.Intn(levels))
+	}
 	for i := range xq {
-		xq[i] = uint8(rng.Intn(levels))
+		xq[i] = level()
 		xClip[i] = rng.Intn(11) == 0
 	}
 	wq = make([]uint8, c.outC*c.k)
 	wClip = make([]bool, c.outC*c.k)
 	for i := range wq {
-		wq[i] = uint8(rng.Intn(levels))
+		wq[i] = level()
 		wClip[i] = rng.Intn(7) == 0
 	}
 	dy = make([]float32, c.rows*c.outC)
@@ -264,11 +310,21 @@ func TestTierEquivalence(t *testing.T) {
 		for _, pin := range append([]string{""}, fwdLabels()...) {
 			t.Run("fwd/"+pinName(pin)+"/"+c.name, func(t *testing.T) {
 				op := c.op.Pinned(pin, "")
-				if got := op.ForwardPath(c.rows, c.k); pin != "" && got != pin {
-					if c.wantArith && pin == FwdPathArith && hasGemmAsm {
-						t.Fatalf("op must provide the arith row, fell back to %s", got)
+				path := op.ForwardPath(c.rows, c.outC, c.k)
+				if c.wantArith && pin == "" {
+					want := FwdPathPacked16
+					if hasGemmAsm {
+						want = FwdPathArith
+						if c.rows < arithLanes {
+							want = FwdPathArithSkinny
+						}
 					}
-					t.Skipf("op, host or shape cannot provide %s (falls back to %s)", pin, got)
+					if path != want {
+						t.Fatalf("automatic dispatch took the %s row, want %s", path, want)
+					}
+				}
+				if pin != "" && path != pin {
+					t.Skipf("op, host or shape cannot provide %s (falls back to %s)", pin, path)
 				}
 				if c.wantInt64Accum && op.fits32(c.k) {
 					t.Fatal("case meant to exercise the int64 accumulator fits in int32")
@@ -281,6 +337,9 @@ func TestTierEquivalence(t *testing.T) {
 				}
 				backward(t, op, &s, dense)
 			})
+		}
+		if c.fwdOnly {
+			continue
 		}
 		for _, pin := range append([]string{""}, bwdLabels()...) {
 			op := c.op.Pinned("", pin)

@@ -55,12 +55,12 @@ const (
 // every subsequent step, so the kernels allocate nothing in steady
 // state. The zero value is ready to use.
 type KernelScratch struct {
-	// Forward: per-channel dequantization constants and Eq. (8) cross
-	// terms (the per-row level sums live in the worker's fwdTile).
-	zw   []int64
-	ss   []float32
-	kzz  []int64
-	sumW []int64
+	// Forward: per-channel dequantization constants of Eq. (8) (its level
+	// sums live with the weights, in weightSide, and with the rows, in the
+	// worker's fwdTile).
+	zw  []int64
+	ss  []float32
+	kzz []int64
 	// Backward: per-channel scales.
 	swc []float32
 	zwc []float32
@@ -84,14 +84,13 @@ type KernelScratch struct {
 	nzOff []int
 	nzR   []int32
 	nzG   []float32
-	// Row-major adapters only: the operand transpose and the k-major
-	// input gradient (a conv layer owns both matrices itself).
+	// Row-major adapters only: the operand transpose, the k-major input
+	// gradient (a conv layer owns both matrices itself) and the
+	// weight-side state ForwardGEMM derives, on every call, from the
+	// levels it is handed (a layer keeps its own per weight version).
 	xT  []uint8
 	dxT []float32
-	// Arith pair tier: the per-call VPMADDUBSW coefficient stream
-	// (outC x ceil(k/2) x nT byte pairs), built once per forward GEMM
-	// and shared read-only by every row-block worker.
-	cwp []uint8
+	w   weightSide
 	// Reusable RangeRunner bodies for the pool dispatches on the step
 	// hot path (kernels_runners.go) — kept in the arena so passing
 	// &s.<runner> to the *On scheduling entry points allocates nothing.
@@ -120,12 +119,16 @@ func grow[T any](s []T, n int) []T {
 // fwdTile holds one worker's private forward state: the (nK x nR)
 // operand tile, its per-row level sums, and the accumulators. Tiles are
 // pooled so concurrent row blocks never share accumulators and
-// steady-state steps still allocate nothing.
+// steady-state steps still allocate nothing. cx and accT belong to the
+// skinny row (kernels_arith.go): the tile's per-row coefficient stream
+// and the (nR x outC) accumulator its channel lanes store to.
 type fwdTile struct {
 	xt    []uint8
 	sumX  []int64
 	acc32 []int32
 	acc64 []int64
+	cx    []uint8
+	accT  []int32
 }
 
 var fwdTilePool = sync.Pool{New: func() any { return new(fwdTile) }}
@@ -143,14 +146,16 @@ func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xq, wq []uint8, rows,
 	}
 	s.xT = grow(s.xT, k*rows)
 	s.transposeU8(s.xT, xq, rows, k)
-	op.forwardT(s, dst, s.xT, wq, rows, outC, k, 1, pw, px, bias)
+	s.w.adopt(s, wq, pw, outC, k)
+	op.forwardT(s, dst, s.xT, &s.w, rows, 1, px, bias)
 }
 
-// forwardT is the forward GEMM on the k-major operand matrix xT
-// (k x rows). Row r is output position r%hw of image r/hw and y is
-// NCHW: y[(r/hw*outC+oc)*hw + r%hw] receives DQ(sum_i AM(wq[oc][i],
-// xT[i][r])) + bias[oc] per Eq. (8).
-func (op *Op) forwardT(s *KernelScratch, y []float32, xT, wq []uint8, rows, outC, k, hw int, pw []quant.Params, px quant.Params, bias []float32) {
+// forwardT is the forward GEMM of the k-major operand matrix xT
+// (k x rows) with the weights of w (outC x k levels). Row r is output
+// position r%hw of image r/hw and y is NCHW: y[(r/hw*outC+oc)*hw + r%hw]
+// receives DQ(sum_i AM(wq[oc][i], xT[i][r])) + bias[oc] per Eq. (8).
+func (op *Op) forwardT(s *KernelScratch, y []float32, xT []uint8, w *weightSide, rows, hw int, px quant.Params, bias []float32) {
+	outC, k, pw := w.outC, w.k, w.pw
 	checkPW(pw, outC)
 	op.ensurePadded()
 
@@ -164,14 +169,11 @@ func (op *Op) forwardT(s *KernelScratch, y []float32, xT, wq []uint8, rows, outC
 		s.ss[oc] = p.Scale * px.Scale
 		s.kzz[oc] = int64(k) * s.zw[oc] * zx
 	}
-	// Eq. (8) cross terms: the per-channel level sums here, the per-row
-	// ones from each worker's operand tile.
-	s.sumW = grow(s.sumW, outC)
-	s.levelSums(s.sumW, wq, outC, k)
-
-	tier := op.forwardTier(rows, k)
+	// The Eq. (8) cross terms are w's per-channel level sums and the
+	// per-row ones each worker takes from its operand tile.
+	tier := op.forwardTier(rows, outC, k)
 	tier.count.Inc()
-	s.fwdRun = fwdTileRun{op: op, s: s, y: y, xT: xT, wq: wq, bias: bias,
+	s.fwdRun = fwdTileRun{op: op, s: s, y: y, xT: xT, w: w, bias: bias,
 		rows: rows, outC: outC, k: k, hw: hw, zx: zx, tier: tier, use32: op.fits32(k)}
 	if tier.setup != nil {
 		tier.setup(&s.fwdRun)
@@ -210,9 +212,9 @@ func loadTile(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) {
 // on the accumulator width forwardT chose.
 func packed16AccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	if t.use32 {
-		gemmAccumTile(tl.acc32, tl.xt, t.op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
+		gemmAccumTile(tl.acc32, tl.xt, t.op.lutPad16, t.w.wq, nR, t.outC, t.k, kb, nK)
 	} else {
-		gemmAccumTile(tl.acc64, tl.xt, t.op.lutPad16, t.wq, nR, t.outC, t.k, kb, nK)
+		gemmAccumTile(tl.acc64, tl.xt, t.op.lutPad16, t.w.wq, nR, t.outC, t.k, kb, nK)
 	}
 }
 
@@ -261,7 +263,7 @@ func behavioralAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	mulFn := t.op.MulFn
 	for oc := 0; oc < t.outC; oc++ {
 		accRow := tl.acc64[oc*nR : oc*nR+nR]
-		for i, wv := range t.wq[oc*t.k+kb : oc*t.k+kb+nK] {
+		for i, wv := range t.w.wq[oc*t.k+kb : oc*t.k+kb+nK] {
 			for r, xv := range tl.xt[i*nR : i*nR+nR] {
 				accRow[r] += int64(mulFn(uint32(wv), uint32(xv)))
 			}
@@ -320,7 +322,7 @@ func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR i
 	for oc := 0; oc < t.outC; oc++ {
 		accRow := acc[oc*nR : (oc+1)*nR]
 		sx := sumX[:len(accRow)]
-		c0 := addConst - t.zx*s.sumW[oc] + s.kzz[oc]
+		c0 := addConst - t.zx*t.w.sumW[oc] + s.kzz[oc]
 		zw, ss, b := s.zw[oc], s.ss[oc], t.bias[oc]
 		// j walks channel oc's plane of each image in turn, from
 		// position lo%hw of image lo/hw: to the end of the plane, then on

@@ -1,5 +1,7 @@
 package nn
 
+import "encoding/binary"
+
 // Tile kernel of the closed-form forward tier (the arith row of
 // tiers.go): the same row tiling, operand tiles, and Eq. (8) epilogue
 // as the LUT tier (fwdTileRun), with the per-tile accumulation handed
@@ -17,15 +19,24 @@ package nn
 // epilogue. Rows beyond the kernels' 32-row granularity fall back to
 // scalar strip evaluation — the identical integer sum, so the tier
 // stays bit-exact with ForwardGEMMRef regardless of shape.
+//
+// The skinny row (rows < 32 <= outC) calls the same two kernels with
+// the operand roles swapped, which the strip form's symmetry allows: a
+// chunk is 32 output channels of the k-major weight levels
+// (weightSide.wqT), masked with wm_t, and each of the few rows supplies
+// the coefficients x & xm_t. Channels beyond the last chunk take the
+// scalar tail.
 
-// arithSetup is the arith row's per-call state: the compensation the
-// epilogue folds back and, for the pair kernel, the coefficient stream.
+// arithSetup readies the arith row: the compensation the epilogue folds
+// back and, for the pair kernel, the coefficient stream of this weight
+// version.
 func arithSetup(t *fwdTileRun) {
-	af := t.op.arith
+	af, w := t.op.arith, t.w
 	t.kComp = int64(t.k) * int64(af.comp)
-	if af.pairOK {
-		t.s.cwp = grow(t.s.cwp, t.outC*((t.k+1)/2)*af.nT*2)
-		buildPairStream(t.s.cwp, t.wq, af, t.outC, t.k)
+	if af.pairOK && !w.cwpOK {
+		w.cwp = grow(w.cwp, t.outC*((t.k+1)/2)*af.nT*2)
+		buildPairStream(w.cwp, w.wq, af, t.outC, t.k)
+		w.cwpOK = true
 	}
 }
 
@@ -36,7 +47,7 @@ func arithSetup(t *fwdTileRun) {
 func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	af, acc, xt := t.op.arith, tl.acc32, tl.xt
 	nT := af.nT
-	nR32 := nR &^ 31
+	nR32 := nR &^ (arithLanes - 1)
 	if af.pairOK && nK&1 == 1 {
 		// Odd k-step count: the pair kernel reads a virtual last
 		// column whose coefficient byte is zero; zero the column
@@ -48,19 +59,78 @@ func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 			nKpTot := (t.k + 1) / 2
 			for oc := 0; oc < t.outC; oc++ {
 				gemmArithPairAVX2(&acc[oc*nR], &xt[0],
-					&t.s.cwp[(oc*nKpTot+kb/2)*nT*2], &af.xmPair[0],
+					&t.w.cwp[(oc*nKpTot+kb/2)*nT*2], &af.xmPair[0],
 					int64(nR), int64((nK+1)/2), int64(nT), int64(af.cadPair))
 			}
 		} else {
 			for oc := 0; oc < t.outC; oc++ {
 				gemmArithAccumAVX2(&acc[oc*nR], &xt[0],
-					&t.wq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
+					&t.w.wq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
 					int64(nR), int64(nK), int64(nT), int64(af.cadWord))
 			}
 		}
 	}
 	if nR32 < nR {
-		arithTailRows(acc, xt, af, t.wq, nR32, nR, nK, kb, t.outC, t.k)
+		arithTailRows(acc, xt, af, t.w.wq, 0, nR32, nR, nK, kb, t.outC, t.k)
+	}
+}
+
+// arithSkinnySetup readies the skinny row: the compensation and the
+// k-major copy of this weight version's levels.
+func arithSkinnySetup(t *fwdTileRun) {
+	w := t.w
+	t.kComp = int64(t.k) * int64(t.op.arith.comp)
+	if !w.wqTOK {
+		w.wqT = grow(w.wqT, (t.k+1)*t.outC)
+		t.s.transposeU8(w.wqT, w.wq, t.outC, t.k)
+		clear(w.wqT[t.k*t.outC:])
+		w.wqTOK = true
+	}
+}
+
+// arithSkinnyAccumTile adds one (nK x nR) operand tile into tl.acc32
+// with the kernels' lanes on output channels. Per row the kernels
+// accumulate into tl.accT (nR x outC), which is then added, transposed,
+// into the (outC x nR) accumulator the epilogue reads. The row's
+// predicate guarantees op.arith != nil, hasGemmAsm, nR < 32 <= outC and
+// the int32 accumulator; arithSkinnySetup has built wqT.
+func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
+	af, outC, xt := t.op.arith, t.outC, tl.xt
+	nT := af.nT
+	wT := t.w.wqT[kb*outC:]
+	tl.accT = grow(tl.accT, nR*outC)
+	accT := tl.accT
+	clear(accT)
+	if af.pairOKT {
+		nKp := (nK + 1) / 2
+		tl.cx = grow(tl.cx, nKp*nT*2+skinnyStreamSlack)
+		for r := 0; r < nR; r++ {
+			skinnyPairStream(tl.cx, xt, af.xmQuad, r, nR, nK, nT)
+			gemmArithPairAVX2(&accT[r*outC], &wT[0], &tl.cx[0], &af.wmPair[0],
+				int64(outC), int64(nKp), int64(nT), int64(af.cadPair))
+		}
+	} else {
+		// The word kernel looks its coefficients up by level: hand it the
+		// row's nK levels, contiguous.
+		tl.cx = grow(tl.cx, nR*nK)
+		for r := 0; r < nR; r++ {
+			xr := tl.cx[r*nK : (r+1)*nK]
+			for i := range xr {
+				xr[i] = xt[i*nR+r]
+			}
+			gemmArithAccumAVX2(&accT[r*outC], &wT[0], &xr[0], &af.cx16[0], &af.wm16[0],
+				int64(outC), int64(nK), int64(nT), int64(af.cadWord))
+		}
+	}
+	oc32 := outC &^ (arithLanes - 1)
+	for oc := 0; oc < oc32; oc++ {
+		row := tl.acc32[oc*nR : (oc+1)*nR]
+		for r := range row {
+			row[r] += accT[r*outC+oc]
+		}
+	}
+	if oc32 < outC {
+		arithTailRows(tl.acc32, xt, af, t.w.wq, oc32, 0, nR, nK, kb, outC, t.k)
 	}
 }
 
@@ -68,9 +138,8 @@ func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 // output channel and k-pair p, the nT byte pairs
 // (cw(wq[oc][2p]), cw(wq[oc][2p+1])) in strip order. The virtual
 // partner of an odd trailing k-step gets coefficient zero. Built once
-// per call and amortized across every row block; serial on purpose —
-// it is a couple of percent of one call, and another pool dispatch
-// would cost the forward pass its alloc parity with the LUT tiers.
+// per weight version (arithSetup) and shared read-only by every row
+// block of every GEMM until the next.
 func buildPairStream(cwp []uint8, wq []uint8, af *arithForm, outC, k int) {
 	nT := af.nT
 	nKp := (k + 1) / 2
@@ -96,13 +165,39 @@ func buildPairStream(cwp []uint8, wq []uint8, af *arithForm, outC, k int) {
 	}
 }
 
-// arithTailRows evaluates the strip sum scalar for the tile rows in
-// [rLo, nR) that the 32-row SIMD kernels leave behind — the same
-// integer summands in a different order, which integer associativity
-// makes bit-identical. acc and xt use the tile's nR row stride.
-func arithTailRows(acc []int32, xt []uint8, af *arithForm, wq []uint8, rLo, nR, nK, kb, outC, k int) {
+// skinnyStreamSlack is how far skinnyPairStream's last eight-byte store
+// may reach past the stream's end.
+const skinnyStreamSlack = 8
+
+// skinnyPairStream writes the pair kernel's coefficient stream for row r
+// of the (nK x nR) tile xt, the mirror of buildPairStream's: per k-pair
+// p the nT byte pairs (x[2p] & xm_t, x[2p+1] & xm_t), zero for the
+// virtual partner of an odd trailing k-step (whose lanes load wqT's zero
+// row). The byte pair, repeated in the four words of a uint64, is cut
+// with four strips' masks per store; a store past the pair's nT strips
+// lands on the next pair's bytes, written after it, or in the slack.
+func skinnyPairStream(cx, xt []uint8, xmQuad []uint64, r, nR, nK, nT int) {
+	for p := 0; 2*p < nK; p++ {
+		pair := uint64(xt[2*p*nR+r])
+		if 2*p+1 < nK {
+			pair |= uint64(xt[(2*p+1)*nR+r]) << 8
+		}
+		pair *= 0x0001000100010001
+		out := cx[p*nT*2:]
+		for g, m := range xmQuad {
+			binary.LittleEndian.PutUint64(out[8*g:], pair&m)
+		}
+	}
+}
+
+// arithTailRows evaluates the strip sum scalar for what the 32-lane SIMD
+// kernels leave behind, the tile rows [rLo, nR) of the channels
+// [ocLo, outC) — the same integer summands in a different order, which
+// integer associativity makes bit-identical. acc and xt use the tile's
+// nR row stride.
+func arithTailRows(acc []int32, xt []uint8, af *arithForm, wq []uint8, ocLo, rLo, nR, nK, kb, outC, k int) {
 	nT := af.nT
-	for oc := 0; oc < outC; oc++ {
+	for oc := ocLo; oc < outC; oc++ {
 		wr := wq[oc*k+kb : oc*k+kb+nK]
 		accRow := acc[oc*nR : (oc+1)*nR]
 		for i, wv := range wr {

@@ -33,8 +33,8 @@ func (t *levelSumRun) RunRange(lo, hi int) {
 	}
 }
 
-// quantClipRun is the quantizeWithClip body; clip is nil on the
-// inference path.
+// quantClipRun is the quantizeWithClip body; clip is nil for the input
+// of the inference path.
 type quantClipRun struct {
 	q    []uint8
 	clip []bool
@@ -73,7 +73,8 @@ type fwdTileRun struct {
 	op            *Op
 	s             *KernelScratch
 	y             []float32
-	xT, wq        []uint8
+	xT            []uint8
+	w             *weightSide
 	bias          []float32
 	rows, outC, k int
 	hw            int

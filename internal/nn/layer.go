@@ -40,11 +40,26 @@ type Layer interface {
 }
 
 // Param is a trainable tensor with its gradient accumulator.
+//
+// Contract: whoever writes Value advances the version (Touch), and
+// layers derive weight-side state from it. The approximate layers keep
+// the quantized form of their weights (see weightSide) for as long as
+// the version stands, so a write that skips Touch is served from stale
+// levels; the nnparanoid build tag re-derives the levels on every reuse
+// and panics on such a write.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	version uint64
 }
+
+// Touch advances the version: call it after writing Value.
+func (p *Param) Touch() { p.version++ }
+
+// Version counts the writes of Value announced through Touch.
+func (p *Param) Version() uint64 { return p.version }
 
 func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
@@ -117,6 +132,7 @@ func CopyParams(dst, src Layer) {
 				i, dp[i].Name, dp[i].Value.Shape, sp[i].Value.Shape))
 		}
 		copy(dp[i].Value.Data, sp[i].Value.Data)
+		dp[i].Touch()
 	}
 }
 

@@ -16,6 +16,10 @@ type Linear struct {
 	Weight  *Param
 	Bias    *Param
 	x       *tensor.Tensor
+
+	// Infer's output and its matmul dispatch, reused across calls.
+	out *tensor.Tensor
+	mm  tensor.MatMulTransBJob
 }
 
 // NewLinear constructs a fully connected layer with Kaiming init.
@@ -59,6 +63,22 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
+// Infer implements Inferer: Forward's arithmetic into a layer-owned
+// output, so a served request allocates nothing here.
+func (l *Linear) Infer(x *tensor.Tensor) *tensor.Tensor {
+	l.check(x)
+	l.out = tensor.Ensure2(l.out, x.Shape[0], l.Out)
+	l.mm.Run(l.out, x, l.Weight.Value)
+	bias := l.Bias.Value.Data
+	for i := 0; i < x.Shape[0]; i++ {
+		row := l.out.Data[i*l.Out : (i+1)*l.Out]
+		for j, b := range bias {
+			row[j] += b
+		}
+	}
+	return l.out
+}
+
 // Backward implements Layer.
 func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// dW = dyᵀ x; db = sum dy; dx = dy W.
@@ -97,14 +117,17 @@ type ApproxLinear struct {
 	// Deferred-observe state (see ObservedLayer).
 	lag observerLag
 
+	// w is what the GEMMs derive from the weights alone, kept per weight
+	// version.
+	w weightSide
+
 	// trained: the caches below come from Forward, not Infer (see
 	// ApproxConv2D).
-	rows         int
-	trained      bool
-	xq, wq       []uint8
-	xClip, wClip []bool
-	pw           []quant.Params
-	px           quant.Params
+	rows    int
+	trained bool
+	xq      []uint8
+	xClip   []bool
+	px      quant.Params
 
 	// Scratch arena: buffers sized on first use, reused every step.
 	ks   KernelScratch
@@ -135,7 +158,7 @@ func (l *ApproxLinear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // Op returns the layer's multiplier/gradient bundle.
 func (l *ApproxLinear) Op() *Op { return l.op }
 
-// SetOp swaps the multiplier/gradient bundle.
+// SetOp swaps the multiplier/gradient bundle (see ApproxConv2D.SetOp).
 func (l *ApproxLinear) SetOp(op *Op) { l.op = op }
 
 // Forward implements Layer. The returned tensor is owned by the layer
@@ -153,26 +176,27 @@ func (l *ApproxLinear) checkInput(x *tensor.Tensor) {
 }
 
 // forward is the one forward body behind Forward and Infer (see
-// ApproxConv2D.forward): quantize the input and the weights, run the
-// GEMM. withClip also records the clip flags Backward masks with.
+// ApproxConv2D.forward): bring the weight-side state up to the weights'
+// version, quantize the input, run the GEMM. withClip also records the
+// input clip flags Backward masks with.
 func (l *ApproxLinear) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	l.px = l.Observer.Params(l.op.Bits)
-	l.pw = grow(l.pw, 1)
-	l.pw[0] = quant.CalibrateTensor(l.Weight.Value, l.op.Bits)
+	l.w.sync(l.name, &l.ks, l.Weight, l.op, false, withClip, l.Out, l.In)
 	l.rows = x.Shape[0]
 	l.trained = withClip
 	l.xq = grow(l.xq, len(x.Data))
-	l.wq = grow(l.wq, len(l.Weight.Value.Data))
-	var xClip, wClip []bool
+	var xClip []bool
 	if withClip {
 		l.xClip = grow(l.xClip, len(l.xq))
-		l.wClip = grow(l.wClip, len(l.wq))
-		xClip, wClip = l.xClip, l.wClip
+		xClip = l.xClip
 	}
 	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px)
-	l.ks.quantizeWithClip(l.wq, wClip, l.Weight.Value.Data, l.pw[0])
+	// The arena's operand transpose, as in ForwardGEMM; the weight side
+	// is the layer's own.
+	l.ks.xT = grow(l.ks.xT, len(l.xq))
+	l.ks.transposeU8(l.ks.xT, l.xq, l.rows, l.In)
 	l.out = tensor.Ensure2(l.out, l.rows, l.Out)
-	l.op.ForwardGEMM(&l.ks, l.out.Data, l.xq, l.wq, l.rows, l.Out, l.In, l.pw, l.px, l.Bias.Value.Data)
+	l.op.forwardT(&l.ks, l.out.Data, l.ks.xT, &l.w, l.rows, 1, l.px, l.Bias.Value.Data)
 	return l.out
 }
 
@@ -185,8 +209,8 @@ func (l *ApproxLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.dw = grow(l.dw, l.Out*l.In)
 	l.gsum = grow(l.gsum, l.Out)
 	l.dx = tensor.Ensure2(l.dx, l.rows, l.In)
-	l.op.BackwardGEMM(&l.ks, l.dw, l.dx.Data, l.gsum, dy.Data, l.xq, l.wq, l.xClip, l.wClip,
-		l.rows, l.Out, l.In, l.pw, l.px)
+	l.op.BackwardGEMM(&l.ks, l.dw, l.dx.Data, l.gsum, dy.Data, l.xq, l.w.wq, l.xClip, l.w.wClip,
+		l.rows, l.Out, l.In, l.w.pw, l.px)
 	for i, v := range l.dw {
 		l.Weight.Grad.Data[i] += v
 	}

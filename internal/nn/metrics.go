@@ -27,6 +27,20 @@ var (
 	kernelBackwardRef = dispatchCounter("backward", "ref")
 )
 
+// weightPrepCounter is the nn_weight_prep_total series of one outcome of
+// an approximate layer's weight-version check (weightSide.sync): "miss"
+// rebuilds the weight-side GEMM state, "hit" reuses it.
+func weightPrepCounter(result string) *obs.Counter {
+	return obs.Default().Counter("nn_weight_prep_total",
+		"Weight-side GEMM state lookups of the approximate layers, by outcome.",
+		"result", result)
+}
+
+var (
+	weightPrepHit  = weightPrepCounter("hit")
+	weightPrepMiss = weightPrepCounter("miss")
+)
+
 // noteEstimatorOp counts one EstimatorOp construction per estimator
 // family. The label value is runtime data (the estimator registry
 // key), so the counter is resolved through the registry's get-or-create

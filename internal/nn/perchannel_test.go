@@ -94,6 +94,7 @@ func TestPerChannelGradientDescends(t *testing.T) {
 		model.Backward(dl)
 		for _, p := range model.Params() {
 			p.Value.AddScaled(p.Grad, -0.05)
+			p.Touch()
 		}
 	}
 	end := lossOf(model, x, labels)

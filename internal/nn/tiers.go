@@ -24,9 +24,10 @@ import (
 // on: it labels a GEMM whose two sweeps ran on different rows (cvste:
 // DX affine, DW fused).
 const (
-	FwdPathArith      = "arith"      // closed-form strip arithmetic in AVX2 (arith.go, kernels_arith.go)
-	FwdPathPacked16   = "packed16"   // gather from hoisted LUT rows packed as uint16
-	FwdPathBehavioral = "behavioral" // MulFn per MAC, for an op without a LUT
+	FwdPathArith       = "arith"        // closed-form strip arithmetic in AVX2 (arith.go, kernels_arith.go)
+	FwdPathArithSkinny = "arith_skinny" // the same kernels with their lanes on output channels, for GEMMs under 32 rows
+	FwdPathPacked16    = "packed16"     // gather from hoisted LUT rows packed as uint16
+	FwdPathBehavioral  = "behavioral"   // MulFn per MAC, for an op without a LUT
 
 	BwdPathSmall  = "small"  // pays per nonzero upstream gradient (bwdSmallRun)
 	BwdPathAffine = "affine" // the gradient-table gather replaced by its verified per-row affine form
@@ -42,10 +43,13 @@ var hasGemmAsm = tensor.HasAVX2
 // fwdTier is one row of the forward ladder.
 type fwdTier struct {
 	label string
-	// ok reports whether the row can run op (padded) on a rows x k GEMM.
-	ok    func(op *Op, rows, k int) bool
+	// ok reports whether the row can run op (padded) on a GEMM of rows
+	// rows, outC output channels and reduction depth k.
+	ok    func(op *Op, rows, outC, k int) bool
 	count *obs.Counter
-	// setup, where present, builds per-call state the row's tiles share.
+	// setup, where present, readies the state the row's tiles share: the
+	// per-call constants and, on the first GEMM of a weight version, the
+	// row's own form of the weight levels (weightSide).
 	setup func(t *fwdTileRun)
 	// accum adds the (nK x nR) operand tile tl.xt, at k offset kb, into
 	// the accumulators of tl (acc32 when t.use32, else acc64).
@@ -58,22 +62,36 @@ var fwdTiers = [...]fwdTier{
 		// The multiplier's partial-product mask decomposed into strips
 		// that reproduce the LUT over the whole operand grid (op.arith),
 		// AVX2, the int32 accumulator and at least one 32-row chunk.
-		ok: func(op *Op, rows, k int) bool {
-			return op.arith != nil && hasGemmAsm && op.fits32(k) && rows >= 32
+		ok: func(op *Op, rows, outC, k int) bool {
+			return op.arith != nil && hasGemmAsm && op.fits32(k) && rows >= arithLanes
 		},
 		count: dispatchCounter("forward", FwdPathArith),
 		setup: arithSetup,
 		accum: arithAccumTile,
 	},
 	{
+		label: FwdPathArithSkinny,
+		// Too few rows for one chunk but enough output channels: the
+		// strip form is symmetric in its operands, so the same kernels run
+		// with their lanes on 32 output channels and the activations in
+		// the coefficient role (kernels_arith.go; the gates mirror, see
+		// arithForm.pairOKT).
+		ok: func(op *Op, rows, outC, k int) bool {
+			return op.arith != nil && hasGemmAsm && op.fits32(k) && rows < arithLanes && outC >= arithLanes
+		},
+		count: dispatchCounter("forward", FwdPathArithSkinny),
+		setup: arithSkinnySetup,
+		accum: arithSkinnyAccumTile,
+	},
+	{
 		label: FwdPathPacked16,
-		ok:    func(op *Op, rows, k int) bool { return op.lutPad16 != nil },
+		ok:    func(op *Op, rows, outC, k int) bool { return op.lutPad16 != nil },
 		count: dispatchCounter("forward", FwdPathPacked16),
 		accum: packed16AccumTile,
 	},
 	{
 		label: FwdPathBehavioral,
-		ok:    func(op *Op, rows, k int) bool { return op.lutPad16 == nil && op.MulFn != nil },
+		ok:    func(op *Op, rows, outC, k int) bool { return op.lutPad16 == nil && op.MulFn != nil },
 		count: dispatchCounter("forward", FwdPathBehavioral),
 		accum: behavioralAccumTile,
 	},
@@ -86,11 +104,12 @@ func (op *Op) fits32(k int) bool {
 	return uint64(op.lutMax)*uint64(k) <= math.MaxInt32
 }
 
-// forwardTier walks the forward ladder for a rows x k GEMM.
-func (op *Op) forwardTier(rows, k int) *fwdTier {
+// forwardTier walks the forward ladder for a GEMM of rows rows, outC
+// output channels and reduction depth k.
+func (op *Op) forwardTier(rows, outC, k int) *fwdTier {
 	var first *fwdTier
 	for i := range fwdTiers {
-		if t := &fwdTiers[i]; t.ok(op, rows, k) {
+		if t := &fwdTiers[i]; t.ok(op, rows, outC, k) {
 			if t.label == op.pinFwd {
 				return t
 			}
@@ -198,10 +217,10 @@ func (op *Op) Pinned(fwd, bwd string) *Op {
 }
 
 // ForwardPath reports which tier ForwardGEMM will use for a GEMM of the
-// given row count and reduction depth.
-func (op *Op) ForwardPath(rows, k int) string {
+// given row count, output-channel count and reduction depth.
+func (op *Op) ForwardPath(rows, outC, k int) string {
 	op.ensurePadded()
-	return op.forwardTier(rows, k).label
+	return op.forwardTier(rows, outC, k).label
 }
 
 // BackwardPath reports which tier BackwardGEMM will use for the

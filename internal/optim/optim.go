@@ -34,6 +34,7 @@ func (s *SGD) Step(params []*nn.Param, lr float64) {
 	for _, p := range params {
 		if s.Momentum == 0 {
 			p.Value.AddScaled(p.Grad, float32(-lr))
+			p.Touch()
 			continue
 		}
 		v := s.velocity[p]
@@ -46,6 +47,7 @@ func (s *SGD) Step(params []*nn.Param, lr float64) {
 			v[i] = m*v[i] + p.Grad.Data[i]
 			p.Value.Data[i] -= float32(lr) * v[i]
 		}
+		p.Touch()
 	}
 }
 
@@ -89,6 +91,7 @@ func (a *Adam) Step(params []*nn.Param, lr float64) {
 			vhat := v[i] / c2
 			p.Value.Data[i] -= float32(lr * mhat / (math.Sqrt(vhat) + a.Eps))
 		}
+		p.Touch()
 	}
 }
 

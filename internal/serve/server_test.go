@@ -14,6 +14,7 @@ import (
 
 	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
+	"github.com/appmult/retrain/internal/obs"
 	"github.com/appmult/retrain/internal/optim"
 	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
@@ -285,5 +286,47 @@ func TestNewServerValidation(t *testing.T) {
 	defer m.Batcher().Drain(context.Background())
 	if _, err := NewServer(m, m); err == nil {
 		t.Error("duplicate model names accepted")
+	}
+}
+
+// TestWeightPrepMissesOncePerLayerPerReplica: the approximate layers
+// build their weight-side GEMM state once per weight version, and a
+// served model's weights never change — so nn_weight_prep_total counts
+// one miss per approximate layer per replica, all of them during Load's
+// warm-up, and a hundred requests later still does: every request only
+// hits.
+func TestWeightPrepMissesOncePerLayerPerReplica(t *testing.T) {
+	prep := func(result string) float64 {
+		return obs.Default().Counter("nn_weight_prep_total", "", "result", result).Value()
+	}
+	spec := testSpec("prep")
+	spec.Replicas = 2
+	miss0 := prep("miss")
+	m, err := Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := 0
+	nn.VisitLayers(m.base, func(l nn.Layer) {
+		if _, ok := l.(*nn.ApproxConv2D); ok {
+			layers++
+		}
+	})
+	if got, want := prep("miss")-miss0, float64(layers*spec.Replicas); layers == 0 || got != want {
+		t.Fatalf("%v weight-side builds while loading %d replicas of %d approximate layers, want %v", got, spec.Replicas, layers, want)
+	}
+
+	miss1, hit1 := prep("miss"), prep("hit")
+	img := make([]float32, m.ImageLen())
+	const requests = 100
+	for i := 0; i < requests; i++ {
+		img[i%len(img)] = float32(i) / requests
+		predictOne(t, m, img)
+	}
+	if got := prep("miss") - miss1; got != 0 {
+		t.Errorf("%v weight-side builds while serving %d requests, want none", got, requests)
+	}
+	if got, want := prep("hit")-hit1, float64(requests*layers); got != want {
+		t.Errorf("%v weight-side hits over %d lone requests through %d layers, want %v", got, requests, layers, want)
 	}
 }

@@ -59,29 +59,46 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 // (m x n): a fused kernel for forward/backward passes that avoids
 // materializing the transpose.
 func MatMulTransBInto(dst, a, b *Tensor) {
+	var mm MatMulTransBJob
+	mm.Run(dst, a, b)
+}
+
+// MatMulTransBJob is MatMulTransBInto as a reusable job, like
+// Im2ColTJob: a caller that keeps one in long-lived state (a layer)
+// dispatches without allocating. The zero value is ready to use.
+type MatMulTransBJob struct {
+	dst, a, b *Tensor
+}
+
+// Run computes A (m x k) times Bᵀ (B is n x k) into dst (m x n).
+func (mm *MatMulTransBJob) Run(dst, a, b *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic("tensor: MatMulTransB needs 2-D operands")
 	}
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
+	if a.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimensions differ: %v x %v^T", a.Shape, b.Shape))
 	}
-	checkDst(dst, m, n)
-	ParallelRows(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Data[i*k : (i+1)*k]
-			or := dst.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				br := b.Data[j*k : (j+1)*k]
-				var s float32
-				for p := range ar {
-					s += ar[p] * br[p]
-				}
-				or[j] = s
+	checkDst(dst, a.Shape[0], b.Shape[0])
+	mm.dst, mm.a, mm.b = dst, a, b
+	ParallelRowsOn(a.Shape[0], mm)
+}
+
+// RunRange implements RangeRunner over the rows of A.
+func (mm *MatMulTransBJob) RunRange(lo, hi int) {
+	a, b, dst := mm.a, mm.b, mm.dst
+	k, n := a.Shape[1], b.Shape[0]
+	for i := lo; i < hi; i++ {
+		ar := a.Data[i*k : (i+1)*k]
+		or := dst.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			br := b.Data[j*k : (j+1)*k]
+			var s float32
+			for p := range ar {
+				s += ar[p] * br[p]
 			}
+			or[j] = s
 		}
-	})
+	}
 }
 
 // MatMulTransA returns Aᵀ times B where A is (k x m) and B is (k x n).

@@ -418,6 +418,7 @@ func (st *ShardedStep) Broadcast() {
 	for r := 1; r < st.shards; r++ {
 		for pi, p := range st.params[r] {
 			copy(p.Value.Data, src[pi].Value.Data)
+			p.Touch()
 		}
 	}
 }

@@ -396,6 +396,7 @@ func snapshot(model nn.Layer, params []*nn.Param, opt *optim.Adam) *epochSnapsho
 func (s *epochSnapshot) restore(model nn.Layer, params []*nn.Param, opt *optim.Adam) {
 	for i, p := range params {
 		copy(p.Value.Data, s.values[i])
+		p.Touch()
 	}
 	opt.Restore(params, s.adam)
 	if err := nn.RestoreState(model, s.state); err != nil {
