@@ -30,9 +30,12 @@ purego:
 # GOMAXPROCS=1: the pool sizes itself from GOMAXPROCS on first use, so
 # this is the one-worker configuration no other target reaches
 # (internal/nn's TestMain still raises it to two for its pooled-path
-# tests).
+# tests) — and the serving tier on one P, where a replica loop that
+# comes free drains the admission queue before anything else runs, so
+# whatever samples the queue afterwards (the fleet autoscaler did) sees
+# it empty under any load.
 maxprocs1:
-	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/
+	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/ ./internal/serve/ ./internal/fleet/
 
 # nnparanoid reruns every internal package with the weight-version
 # check switched on: an approximate layer keeps the quantized form of

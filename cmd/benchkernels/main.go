@@ -15,7 +15,10 @@
 // benchmark's first layers, the pieces of the k-major conv step: the
 // k-major byte im2col and col2im next to the row-major float ones, the
 // dW lane kernels alone, and whole layer steps on the affine, fused and
-// small tiers — and the passes between the GEMMs: the slice quantizer
+// small tiers — the host's gather rate (Probe_GatherDPS_64KiB,
+// probe.go) and, at the vgg11 GEMM shapes that run on the backward sweep
+// rows, each dW and dX sweep alone in ns per gathered element and as a
+// ratio to that probe — and the passes between the GEMMs: the slice quantizer
 // against its scalar definition and a step of each glue layer (ReLU,
 // batch norm, max pool) — and inference: the skinny (under-32-row)
 // forward GEMMs of single-image serving on the arith_skinny row next to
@@ -81,6 +84,9 @@ type result struct {
 	NsOp     float64 `json:"ns_op"`
 	BytesOp  int64   `json:"bytes_op"`
 	AllocsOp int64   `json:"allocs_op"`
+	// NsElem is ns_op over the table entries the op gathers (or, on the
+	// affine rows, evaluates in their place): the probe and sweep rows.
+	NsElem float64 `json:"ns_per_elem,omitempty"`
 }
 
 type record struct {
@@ -95,6 +101,13 @@ type record struct {
 	Paths    map[string]string  `json:"paths"`
 	Speedups map[string]float64 `json:"speedups"`
 }
+
+// sweeps lists the GEMMs of reduced vgg11 (batch 32, 16x16 inputs, eighth
+// width) that retrain_vgg11_smoothdiff runs on the backward sweep rows —
+// conv2 to conv8; the last two share a shape — where each dW and dX
+// sweep is measured alone, per gathered element, against the host's
+// gather rate (probe.go).
+var sweeps = []shape{{2048, 16, 72}, {512, 32, 144}, {512, 32, 288}, {128, 64, 288}, {128, 64, 576}, {32, 64, 576}}
 
 // operands is one GEMM's inputs and outputs. One dy entry in nzOf is
 // nonzero.
@@ -207,6 +220,7 @@ func main() {
 	type bench struct {
 		name, path string
 		fn         func(b *testing.B)
+		elems      int // table entries gathered per op, where the row reports ns per element
 	}
 	fwd := func(name string, fop *nn.Op, o *operands) bench {
 		bias := make([]float32, o.outC)
@@ -292,8 +306,36 @@ func main() {
 		benches = append(benches, bench{name: d.name, fn: loop(func() {
 			// xq's bytes read as a (k x rows) matrix: random levels
 			// either way.
-			d.op.BackwardDW(&s, o.dw, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+			d.op.BackwardSweep(&s, o.dw, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
 		})})
+	}
+	// The host's gather rate, then each backward sweep alone at the vgg11
+	// shapes: one untimed scan of dy, then only the dW or only the dX
+	// sweep per op, reading what the scan left in the arena.
+	probe := newGatherProbe(rng)
+	benches = append(benches, bench{name: "Probe_GatherDPS_64KiB", fn: loop(probe.run), elems: probe.elems()})
+	var vsProbe [][2]string // speedups key, benchmark name
+	for _, sh := range sweeps {
+		o := newOperands(sh, 1, rng)
+		label := fmt.Sprintf("r%d_oc%d_k%d", sh.rows, sh.outC, sh.k)
+		for _, d := range []struct {
+			key, name string
+			op        *nn.Op
+			dw, dx    []float32
+		}{
+			{"bwd_dx_gather", "Kernel_BwdDXGather_", op, nil, o.dx}, {"bwd_dx_affine", "Kernel_BwdDXAffine_", steOp, nil, o.dx},
+			{"bwd_dw_gather", "Kernel_BwdDWGather_", op, o.dw, nil}, {"bwd_dw_affine", "Kernel_BwdDWAffine_", steOp, o.dw, nil},
+		} {
+			vsProbe = append(vsProbe, [2]string{d.key + "_vs_probe_" + label, d.name + label})
+			benches = append(benches, bench{name: d.name + label, path: d.op.BackwardPath(o.dy), elems: sh.rows * sh.outC * sh.k,
+				fn: func(b *testing.B) {
+					d.op.BackwardSweep(&s, nil, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+					b.ResetTimer()
+					loop(func() {
+						d.op.BackwardSweep(&s, d.dw, d.dx, nil, nil, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+					})(b)
+				}})
+		}
 	}
 	// The passes between the GEMMs. The slice quantizer on one 64k-element
 	// tensor next to the scalar Quantize/Clipped loop that defines it, and
@@ -378,19 +420,22 @@ func main() {
 	}
 	for _, bm := range benches {
 		r := testing.Benchmark(bm.fn)
-		rec.Benchmarks[bm.name] = result{
+		res := result{
 			NsOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesOp:  r.AllocedBytesPerOp(),
 			AllocsOp: r.AllocsPerOp(),
 		}
 		note := ""
+		if bm.elems > 0 {
+			res.NsElem = res.NsOp / float64(bm.elems)
+			note = fmt.Sprintf("  %.3f ns/elem", res.NsElem)
+		}
 		if bm.path != "" {
 			rec.Paths[bm.name] = bm.path
-			note = "  path=" + bm.path
+			note += "  path=" + bm.path
 		}
-		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n",
-			bm.name, rec.Benchmarks[bm.name].NsOp, rec.Benchmarks[bm.name].BytesOp,
-			rec.Benchmarks[bm.name].AllocsOp, note)
+		rec.Benchmarks[bm.name] = res
+		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n", bm.name, res.NsOp, res.BytesOp, res.AllocsOp, note)
 	}
 	ratio := func(key, num, den string) {
 		rec.Speedups[key] = rec.Benchmarks[num].NsOp / rec.Benchmarks[den].NsOp
@@ -405,6 +450,12 @@ func main() {
 	ratio("backward_affine_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardAffine")
 	for _, p := range pairs {
 		ratio("backward_fused_vs_small_"+p.label, p.small, p.fused)
+	}
+	// Both sides are ns per element there: 1.0 is the host's gather rate,
+	// and gather over affine at one shape is what the table lookup costs.
+	for _, r := range vsProbe {
+		rec.Speedups[r[0]] = rec.Benchmarks["Probe_GatherDPS_64KiB"].NsElem / rec.Benchmarks[r[1]].NsElem
+		fmt.Printf("%-44s %.2fx\n", r[0]+":", rec.Speedups[r[0]])
 	}
 
 	buf, err := json.MarshalIndent(rec, "", "  ")

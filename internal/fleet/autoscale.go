@@ -9,10 +9,12 @@ import (
 )
 
 // AutoscaleConfig switches the worker-local per-model replica
-// autoscaler. The autoscaler reads the live serve_* queue gauges the
-// batcher already exports to internal/obs — the same series /metrics
-// scrapes — so its view of pressure is exactly what an operator's
-// dashboard shows.
+// autoscaler. The autoscaler reads the live serve_* replica and
+// capacity gauges the batcher already exports to internal/obs — the
+// same series /metrics scrapes — and, for pressure, the batcher's
+// high-water queue depth since its previous tick: the serve_queue_depth
+// gauge is an instant, and a replica that has just come free has always
+// just emptied the queue.
 type AutoscaleConfig struct {
 	// Enabled turns the autoscaler on.
 	Enabled bool
@@ -49,9 +51,10 @@ func scaleDecision(depth, capacity, live, idle, idleTicks int) int {
 }
 
 // runAutoscaler drives one model's replica count until ctx is
-// cancelled: each tick it reads the model's serve_queue_depth,
-// serve_queue_capacity, serve_replicas_idle, and serve_replicas_live
-// gauges from the default obs registry and applies scaleDecision.
+// cancelled: each tick it reads the queue's high-water depth since the
+// last one (Batcher.QueuePeak) and the model's serve_queue_capacity,
+// serve_replicas_idle, and serve_replicas_live gauges from the default
+// obs registry and applies scaleDecision.
 func runAutoscaler(ctx context.Context, m *serve.Model, cfg AutoscaleConfig, logf func(string, ...any)) {
 	interval := autoscaleInterval
 	if cfg.interval > 0 {
@@ -68,7 +71,7 @@ func runAutoscaler(ctx context.Context, m *serve.Model, cfg AutoscaleConfig, log
 			return
 		case <-tick.C:
 		}
-		depth, _ := reg.ReadValue("serve_queue_depth", "model", name)
+		depth := m.Batcher().QueuePeak()
 		capacity, _ := reg.ReadValue("serve_queue_capacity", "model", name)
 		idle, _ := reg.ReadValue("serve_replicas_idle", "model", name)
 		live, _ := reg.ReadValue("serve_replicas_live", "model", name)
@@ -77,12 +80,12 @@ func runAutoscaler(ctx context.Context, m *serve.Model, cfg AutoscaleConfig, log
 		} else {
 			idleTicks = 0
 		}
-		switch scaleDecision(int(depth), int(capacity), int(live), int(idle), idleTicks) {
+		switch scaleDecision(depth, int(capacity), int(live), int(idle), idleTicks) {
 		case 1:
 			if err := m.AddReplica(); err == nil {
 				autoscaleEvents(name, "up").Inc()
 				if logf != nil {
-					logf("autoscale %s: +1 replica (queue %d/%d) -> %d", name, int(depth), int(capacity), m.Replicas())
+					logf("autoscale %s: +1 replica (queue %d/%d) -> %d", name, depth, int(capacity), m.Replicas())
 				}
 			}
 		case -1:

@@ -45,17 +45,19 @@ func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, wo
 //
 //	dxrow[r] = sum_{oc<outC} gsT[oc*rows+r] * ((aCol[oc]*float32(xcol[r]) + bCol[oc]) - zwCol[oc])
 //
-// over r in [0, rows32) in chunks of 32 rows, oc ascending per lane.
-// gsT holds the pre-scaled gradients dy[r][oc]*s_w[oc]; rows32 is
-// rows&^31 and the caller evaluates the tail rows in Go. dxrow entries
-// are stored, not accumulated.
+// over r in [0, rows32) in chunks of 32 rows, oc ascending per lane; a
+// chunk's levels are converted to float once, not once per oc. gsT
+// holds the pre-scaled gradients dy[r][oc]*s_w[oc]; rows32 is rows&^31
+// and the caller evaluates the tail rows in Go. dxrow entries are
+// stored, not accumulated.
 //
 //go:noescape
 func bwdAffineDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, aCol, bCol, zwCol *float32, rows32, rows, outC int64)
 
 // bwdGatherDXAVX2 is the general-table counterpart: the parenthesized
-// term is gxPad[woffCol[oc] + xcol[r]] fetched by VGATHERDPS, with
-// woffCol[oc] = wq[oc][i]*padStride precomputed by the caller.
+// term is gxPad[woffCol[oc] + xcol[r]] fetched by VGATHERDPS — four
+// independent gathers per oc off the chunk's hoisted index vectors —
+// with woffCol[oc] = wq[oc][i]*padStride precomputed by the caller.
 //
 //go:noescape
 func bwdGatherDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, woffCol *int32, gxPad *float32, zwCol *float32, rows32, rows, outC int64)

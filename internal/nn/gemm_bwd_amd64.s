@@ -12,6 +12,16 @@
 // reference order. All float arithmetic is separately rounded VMULPS /
 // VADDPS / VSUBPS — never FMA — matching the Go expressions (and, for
 // the affine kernels, the verifier's reconstruction) bit for bit.
+//
+// Two rules keep the sweeps at the host's issue rate instead of on a
+// latency chain (asm_deps_test.go enforces the first). VGATHERDPS
+// merges into its destination, so it reads it: every gather gets its
+// own destination and mask register, and the destination is zeroed
+// (VPXOR d, d, d — a dependency-breaking idiom) right before it, or the
+// gather waits for whatever last wrote that register. And what does
+// not depend on oc is loaded once per 32-row chunk of the dX kernels,
+// not once per output channel: the chunk's four index (gather) or
+// float (affine) operand vectors live in Y9..Y12 across the oc loop.
 
 // func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a1, b1 *float32, zx float32, rows, outC int64)
 //
@@ -77,6 +87,7 @@ adwrow:
 //   CX = row countdown  AX, BX = gather bases (gwPad + level)
 //   Y0,Y1 = accumulators  Y2,Y3 = row offsets (the gather indices)
 //   Y4,Y5 = gather masks  Y6 = zx  Y7 = dy lanes  Y8,Y9 = gathered values
+//   (zeroed before each gather: the previous row's VMULPS wrote them)
 TEXT ·bwdGatherDWAVX2(SB), NOSPLIT, $0-88
 	MOVQ out0+0(FP), DI
 	MOVQ out1+8(FP), SI
@@ -103,6 +114,8 @@ gdwrow:
 	LEAQ       (R12)(BX*4), BX
 	VPCMPEQD   Y4, Y4, Y4           // gather consumes the mask: reset to all-ones
 	VPCMPEQD   Y5, Y5, Y5
+	VPXOR      Y8, Y8, Y8
+	VPXOR      Y9, Y9, Y9
 	VGATHERDPS Y4, (AX)(Y2*4), Y8
 	VGATHERDPS Y5, (BX)(Y3*4), Y9
 	VSUBPS     Y6, Y8, Y8
@@ -126,9 +139,10 @@ gdwrow:
 //
 //   DI = dxrow  SI = xcol  R8 = gsT  R9 = aCol  R10 = bCol  R11 = zwCol
 //   R12 = rows32  R13 = rows  R14 = outC  BX = rb  CX = oc
-//   AX = gsT row cursor  DX = x cursor
+//   AX = gsT row cursor
 //   Y0..Y3 = accumulators (4 x 8 rows)  Y4 = a  Y5 = b  Y6 = zw
-//   Y7 = t scratch  Y8 = gs
+//   Y9..Y12 = float32(xcol[rb..rb+31]), converted once per chunk
+//   Y7,Y8,Y13,Y14 = the four t chains
 TEXT ·bwdAffineDXAVX2(SB), NOSPLIT, $0-72
 	MOVQ dxrow+0(FP), DI
 	MOVQ xcol+8(FP), SI
@@ -151,6 +165,15 @@ adxblk:
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
 
+	VPMOVZXBD (SI)(BX*1), Y9
+	VPMOVZXBD 8(SI)(BX*1), Y10
+	VPMOVZXBD 16(SI)(BX*1), Y11
+	VPMOVZXBD 24(SI)(BX*1), Y12
+	VCVTDQ2PS Y9, Y9
+	VCVTDQ2PS Y10, Y10
+	VCVTDQ2PS Y11, Y11
+	VCVTDQ2PS Y12, Y12
+
 	XORQ CX, CX            // oc = 0
 
 adxoc:
@@ -164,43 +187,27 @@ adxoc:
 	IMULQ        R13, AX
 	ADDQ         BX, AX
 	LEAQ         (R8)(AX*4), AX // &gsT[oc*rows+rb]
-	LEAQ         (SI)(BX*1), DX // &xcol[rb]
 
-	VPMOVZXBD (DX), Y7
-	VCVTDQ2PS Y7, Y7
-	VMULPS    Y4, Y7, Y7
-	VADDPS    Y5, Y7, Y7
-	VSUBPS    Y6, Y7, Y7
-	VMOVUPS   (AX), Y8
-	VMULPS    Y8, Y7, Y7
-	VADDPS    Y7, Y0, Y0
-
-	VPMOVZXBD 8(DX), Y7
-	VCVTDQ2PS Y7, Y7
-	VMULPS    Y4, Y7, Y7
-	VADDPS    Y5, Y7, Y7
-	VSUBPS    Y6, Y7, Y7
-	VMOVUPS   32(AX), Y8
-	VMULPS    Y8, Y7, Y7
-	VADDPS    Y7, Y1, Y1
-
-	VPMOVZXBD 16(DX), Y7
-	VCVTDQ2PS Y7, Y7
-	VMULPS    Y4, Y7, Y7
-	VADDPS    Y5, Y7, Y7
-	VSUBPS    Y6, Y7, Y7
-	VMOVUPS   64(AX), Y8
-	VMULPS    Y8, Y7, Y7
-	VADDPS    Y7, Y2, Y2
-
-	VPMOVZXBD 24(DX), Y7
-	VCVTDQ2PS Y7, Y7
-	VMULPS    Y4, Y7, Y7
-	VADDPS    Y5, Y7, Y7
-	VSUBPS    Y6, Y7, Y7
-	VMOVUPS   96(AX), Y8
-	VMULPS    Y8, Y7, Y7
-	VADDPS    Y7, Y3, Y3
+	VMULPS Y4, Y9, Y7
+	VMULPS Y4, Y10, Y8
+	VMULPS Y4, Y11, Y13
+	VMULPS Y4, Y12, Y14
+	VADDPS Y5, Y7, Y7
+	VADDPS Y5, Y8, Y8
+	VADDPS Y5, Y13, Y13
+	VADDPS Y5, Y14, Y14
+	VSUBPS Y6, Y7, Y7
+	VSUBPS Y6, Y8, Y8
+	VSUBPS Y6, Y13, Y13
+	VSUBPS Y6, Y14, Y14
+	VMULPS (AX), Y7, Y7
+	VMULPS 32(AX), Y8, Y8
+	VMULPS 64(AX), Y13, Y13
+	VMULPS 96(AX), Y14, Y14
+	VADDPS Y7, Y0, Y0
+	VADDPS Y8, Y1, Y1
+	VADDPS Y13, Y2, Y2
+	VADDPS Y14, Y3, Y3
 
 	INCQ CX
 	JMP  adxoc
@@ -221,10 +228,12 @@ adxdone:
 //
 //   DI = dxrow  SI = xcol  R8 = gsT  R9 = woffCol  R10 = gxPad
 //   R11 = zwCol  R12 = rows32  R13 = rows  R14 = outC
-//   BX = rb  CX = oc  AX = gsT row cursor  DX = x cursor
+//   BX = rb  CX = oc  AX = gsT row cursor
 //   R15 = gradient-row base (gxPad + woffCol[oc])
-//   Y0..Y3 = accumulators  Y4 = zw  Y5 = gs  Y6 = index
-//   Y7 = gather mask  Y8 = gathered values
+//   Y0..Y3 = accumulators  Y4..Y7 = gathered values
+//   Y9..Y12 = xcol[rb..rb+31] widened to the gather indices, once per chunk
+//   Y8,Y13,Y14,Y15 = gather masks; a gather leaves its mask dead, so
+//   Y8 then carries this channel's zw (sixteen registers, seventeen roles)
 TEXT ·bwdGatherDXAVX2(SB), NOSPLIT, $0-72
 	MOVQ dxrow+0(FP), DI
 	MOVQ xcol+8(FP), SI
@@ -247,52 +256,49 @@ gdxblk:
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
 
+	VPMOVZXBD (SI)(BX*1), Y9
+	VPMOVZXBD 8(SI)(BX*1), Y10
+	VPMOVZXBD 16(SI)(BX*1), Y11
+	VPMOVZXBD 24(SI)(BX*1), Y12
+
 	XORQ CX, CX
 
 gdxoc:
 	CMPQ CX, R14
 	JGE  gdxstore
 
-	VBROADCASTSS (R11)(CX*4), Y4
-	MOVLQSX      (R9)(CX*4), AX
-	LEAQ         (R10)(AX*4), R15 // gradient row for this channel's weight level
-	MOVQ         CX, AX
-	IMULQ        R13, AX
-	ADDQ         BX, AX
-	LEAQ         (R8)(AX*4), AX
-	LEAQ         (SI)(BX*1), DX
+	MOVLQSX (R9)(CX*4), AX
+	LEAQ    (R10)(AX*4), R15 // gradient row for this channel's weight level
+	MOVQ    CX, AX
+	IMULQ   R13, AX
+	ADDQ    BX, AX
+	LEAQ    (R8)(AX*4), AX
 
-	VPMOVZXBD  (DX), Y6
-	VPCMPEQD   Y7, Y7, Y7
-	VGATHERDPS Y7, (R15)(Y6*4), Y8
-	VSUBPS     Y4, Y8, Y8
-	VMOVUPS    (AX), Y5
-	VMULPS     Y5, Y8, Y8
-	VADDPS     Y8, Y0, Y0
-
-	VPMOVZXBD  8(DX), Y6
-	VPCMPEQD   Y7, Y7, Y7
-	VGATHERDPS Y7, (R15)(Y6*4), Y8
-	VSUBPS     Y4, Y8, Y8
-	VMOVUPS    32(AX), Y5
-	VMULPS     Y5, Y8, Y8
-	VADDPS     Y8, Y1, Y1
-
-	VPMOVZXBD  16(DX), Y6
-	VPCMPEQD   Y7, Y7, Y7
-	VGATHERDPS Y7, (R15)(Y6*4), Y8
-	VSUBPS     Y4, Y8, Y8
-	VMOVUPS    64(AX), Y5
-	VMULPS     Y5, Y8, Y8
-	VADDPS     Y8, Y2, Y2
-
-	VPMOVZXBD  24(DX), Y6
-	VPCMPEQD   Y7, Y7, Y7
-	VGATHERDPS Y7, (R15)(Y6*4), Y8
-	VSUBPS     Y4, Y8, Y8
-	VMOVUPS    96(AX), Y5
-	VMULPS     Y5, Y8, Y8
-	VADDPS     Y8, Y3, Y3
+	VPXOR        Y4, Y4, Y4
+	VPXOR        Y5, Y5, Y5
+	VPXOR        Y6, Y6, Y6
+	VPXOR        Y7, Y7, Y7
+	VPCMPEQD     Y8, Y8, Y8
+	VPCMPEQD     Y13, Y13, Y13
+	VPCMPEQD     Y14, Y14, Y14
+	VPCMPEQD     Y15, Y15, Y15
+	VGATHERDPS   Y8, (R15)(Y9*4), Y4
+	VGATHERDPS   Y13, (R15)(Y10*4), Y5
+	VGATHERDPS   Y14, (R15)(Y11*4), Y6
+	VGATHERDPS   Y15, (R15)(Y12*4), Y7
+	VBROADCASTSS (R11)(CX*4), Y8
+	VSUBPS       Y8, Y4, Y4
+	VSUBPS       Y8, Y5, Y5
+	VSUBPS       Y8, Y6, Y6
+	VSUBPS       Y8, Y7, Y7
+	VMULPS       (AX), Y4, Y4
+	VMULPS       32(AX), Y5, Y5
+	VMULPS       64(AX), Y6, Y6
+	VMULPS       96(AX), Y7, Y7
+	VADDPS       Y4, Y0, Y0
+	VADDPS       Y5, Y1, Y1
+	VADDPS       Y6, Y2, Y2
+	VADDPS       Y7, Y3, Y3
 
 	INCQ CX
 	JMP  gdxoc

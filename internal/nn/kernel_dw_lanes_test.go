@@ -60,3 +60,57 @@ func TestDWLaneKernelsMatchGoTwins(t *testing.T) {
 		}
 	}
 }
+
+// TestDXChunkKernelsMatchGoLoops is the dX counterpart: the column-block
+// kernels with their 32-row asm chunks against the same functions with
+// the assembly switched off (every row on the Go tail loops), on
+// synthetic tables. Every registry table the affine row accepts for DX
+// has a = 0 — the gradient with respect to x does not depend on x — so
+// only random coefficients can show the affine kernel reading the wrong
+// one of the four operand vectors it keeps across the oc loop.
+func TestDXChunkKernelsMatchGoLoops(t *testing.T) {
+	if !hasGemmAsm {
+		t.Skip("no assembly to compare: the Go loops are all there is")
+	}
+	defer func() { hasGemmAsm = true }()
+	rng := rand.New(rand.NewSource(13))
+	op := &Op{Label: "synthetic", Bits: 7, Grads: gradient.STE(7)}
+	op.ensurePadded()
+	for i := range op.dxAff {
+		op.dxAff[i] = gradient.Affine{A: float32(rng.NormFloat64()), B: float32(rng.NormFloat64())}
+	}
+	for i := range op.gxPad {
+		op.gxPad[i] = float32(rng.NormFloat64())
+	}
+	for _, rows := range sweepRows {
+		for _, outC := range []int{1, 7, 17} {
+			const k = 5
+			xT := make([]uint8, k*rows)
+			for i := range xT {
+				xT[i] = uint8(rng.Intn(128))
+			}
+			wq := make([]uint8, outC*k)
+			for i := range wq {
+				wq[i] = uint8(rng.Intn(128))
+			}
+			s := &KernelScratch{gsT: make([]float32, outC*rows), zwc: make([]float32, outC),
+				ak: make([]float32, k*outC), bk: make([]float32, k*outC), woff: make([]int32, k*outC)}
+			for i := range s.gsT {
+				s.gsT[i] = float32(rng.NormFloat64())
+			}
+			for i := range s.zwc {
+				s.zwc[i] = float32(rng.Intn(128))
+			}
+			for _, tier := range bwdSweeps {
+				var got, want [k * 96]float32
+				// Two uneven blocks, as the pool hands them out.
+				hasGemmAsm = true
+				tier.dx(op, s, got[:], xT, wq, 0, k/2, rows, outC, k)
+				tier.dx(op, s, got[:], xT, wq, k/2, k, rows, outC, k)
+				hasGemmAsm = false
+				tier.dx(op, s, want[:], xT, wq, 0, k, rows, outC, k)
+				requireSameBits(t, fmt.Sprintf("rows=%d outC=%d %s dxT", rows, outC, tier.label), got[:k*rows], want[:k*rows])
+			}
+		}
+	}
+}

@@ -38,8 +38,13 @@ type equivCase struct {
 	// arith kernels' lane budgets are sized for, on every lane at once.
 	saturated bool
 	// fwdOnly skips the backward-pin subtests (the forward ones still
-	// follow up with an automatic backward).
-	fwdOnly bool
+	// follow up with an automatic backward); sweepOnly skips the
+	// forward-pin ones and the thinned gradient — the case is there for
+	// the backward sweep kernels at its shape, which cost per row
+	// whatever dy holds.
+	fwdOnly, sweepOnly bool
+	// special, when set, replaces one dy entry in six (see glueFlavours).
+	special []float32
 }
 
 func lookupMult(t testing.TB, name string) appmult.Multiplier {
@@ -130,8 +135,15 @@ func equivCases(t *testing.T) []equivCase {
 			t.Fatalf("estimator %s: %v", spec, err)
 		}
 		for _, e := range appmult.Registry() {
-			cases = append(cases, equivCase{name: spec + "/" + e.Mult.Name(), op: EstimatorOp(e.Mult, est, e.HWS),
+			op := EstimatorOp(e.Mult, est, e.HWS)
+			cases = append(cases, equivCase{name: spec + "/" + e.Mult.Name(), op: op,
 				rows: 37, outC: 4, k: 33, wantAffine: spec == gradient.EstSTE})
+			// ... and down the diagonal of sweepShapes below.
+			for i, rows := range sweepRows {
+				outC, k := sweepOutC[i], sweepK[i]
+				cases = append(cases, equivCase{name: fmt.Sprintf("%s/%s/rows=%d/outC=%d/k=%d", spec, e.Mult.Name(), rows, outC, k),
+					op: op, rows: rows, outC: outC, k: k, sweepOnly: true, wantAffine: spec == gradient.EstSTE})
+			}
 		}
 	}
 
@@ -156,6 +168,28 @@ func equivCases(t *testing.T) []equivCase {
 				cases = append(cases, equivCase{name: fmt.Sprintf("%s/outC=%d/k=%d", label, outC, k), op: op,
 					rows: 45, outC: outC, k: k, wantAffine: affine})
 			}
+		}
+		// The sweep kernels' register plans: the dX kernels keep a 32-row
+		// chunk's operand vectors in registers across the oc loop, so one,
+		// two and three chunks with and without a scalar tail behind them;
+		// channel counts with spare dW lanes, one lane group and an
+		// overlapping last eight; and column counts whose ParallelRowsOn
+		// blocks are odd (the pair calls repeat a column; without asm they
+		// reach bwdDXPairs' odd-column tail).
+		for _, rows := range sweepRows {
+			for _, outC := range sweepOutC {
+				for _, k := range sweepK {
+					cases = append(cases, equivCase{name: fmt.Sprintf("%s/rows=%d/outC=%d/k=%d", label, rows, outC, k), op: op,
+						rows: rows, outC: outC, k: k, sweepOnly: true, wantAffine: affine})
+				}
+			}
+		}
+		// Upstream gradients holding -0, denormals, ±Inf and NaN: the
+		// kernels multiply the entries the reference skips (±0) and the
+		// lanes must carry the rest like the scalar expression does.
+		for _, f := range glueFlavours[1:] {
+			cases = append(cases, equivCase{name: fmt.Sprintf("%s/dy=%s", label, f.name), op: op,
+				rows: 95, outC: 9, k: 17, sweepOnly: true, wantAffine: affine, special: f.special})
 		}
 	}
 
@@ -202,6 +236,14 @@ func equivCases(t *testing.T) []equivCase {
 	return cases
 }
 
+// sweepRows x sweepOutC x sweepK is the shape grid of the backward sweep
+// kernels' register plans (see equivCases).
+var (
+	sweepRows = []int{32, 33, 64, 95, 96}
+	sweepOutC = []int{1, 7, 8, 9, 17}
+	sweepK    = []int{1, 2, 15, 17, 72}
+)
+
 // randOperands builds random quantized operands, clip masks with a few
 // set entries, and an upstream gradient with embedded exact zeros (the
 // kernels skip g == 0, so the skip path must be exercised).
@@ -231,6 +273,9 @@ func randOperands(rng *rand.Rand, c equivCase) (xq, wq []uint8, xClip, wClip []b
 			continue // exact zero
 		}
 		dy[i] = float32(rng.NormFloat64())
+		if len(c.special) > 0 && rng.Intn(6) == 0 {
+			dy[i] = c.special[rng.Intn(len(c.special))]
+		}
 	}
 	return xq, wq, xClip, wClip, dy
 }
@@ -307,7 +352,11 @@ func TestTierEquivalence(t *testing.T) {
 			}
 		}
 
-		for _, pin := range append([]string{""}, fwdLabels()...) {
+		fwdPins := append([]string{""}, fwdLabels()...)
+		if c.sweepOnly {
+			fwdPins = nil
+		}
+		for _, pin := range fwdPins {
 			t.Run("fwd/"+pinName(pin)+"/"+c.name, func(t *testing.T) {
 				op := c.op.Pinned(pin, "")
 				path := op.ForwardPath(c.rows, c.outC, c.k)
@@ -347,6 +396,9 @@ func TestTierEquivalence(t *testing.T) {
 				density string
 				dy      []float32
 			}{{"dense", dense}, {"1in8", sparse}} {
+				if c.sweepOnly && g.density != "dense" {
+					continue
+				}
 				t.Run("bwd/"+pinName(pin)+"/"+g.density+"/"+c.name, func(t *testing.T) {
 					nonzero := 0
 					for _, v := range g.dy {

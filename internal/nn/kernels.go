@@ -72,7 +72,7 @@ type KernelScratch struct {
 	// the per-(i, oc) affine coefficients and padded-row offsets
 	// wq*padStride, filled per column block by whichever sweep reads
 	// them. On the dW side all of them have a row stride of at least
-	// dwLanes (see sweepDW).
+	// dwLanes (see scanGrad).
 	gsT  []float32
 	dyR  []float32
 	dwT  []float32
@@ -371,10 +371,11 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 // behind conv -> ReLU -> pool and never behind a batch norm, whose
 // backward is dense. The small path pays per nonzero gradient and
 // skips zeros whole; the big tiers pay per row whatever dy holds
-// (BENCH_kernels.json, Kernel_Bwd{Small,Fused}_* pairs: small 1.4-1.5x
-// ahead of fused at one nonzero in eight and in four, 1.1-1.4x behind
-// on a dense dy, at outC 4, 8 and 16 alike). A dense dy ends the scan
-// after a quarter of it.
+// (BENCH_kernels.json, Kernel_Bwd{Small,Fused}_* pairs, re-derived
+// against the fused tier at the gather rate: small still 1.1-1.2x ahead
+// of fused at one nonzero in eight and in four, 1.4-1.8x behind on a
+// dense dy, at outC 4, 8 and 16 alike). A dense dy ends the scan after
+// a quarter of it.
 func sparseGrad(dy []float32) bool {
 	budget := len(dy) / 4
 	for _, g := range dy {

@@ -19,13 +19,15 @@ import (
 //     while its DW table does not.
 //   - fused: general tables (smoothdiff/stochastic/rawdiff) keep the
 //     gather but run it as an AVX2 VGATHERDPS kernel over the padded
-//     rows, or as Go loops without asm.
+//     rows — independent gathers at the host's gather rate, see the
+//     dependency rule in gemm_bwd_amd64.s — or as Go loops without asm.
 //
 // Both sweeps read the k-major operand matrix xT (k x rows). The dW
 // kernels put SIMD lanes on 8 output channels: for one k column they
 // broadcast the level xT[i][r] and load dy[r][oc..oc+7] as one vector,
 // r ascending, so lane oc accumulates dW[oc][i] in the reference order;
-// the dX kernels put lanes on rows and walk oc ascending. The gsum
+// the dX kernels put lanes on rows and walk oc ascending. Both sweeps
+// are scheduled in ParallelRowsOn blocks of k columns. The gsum
 // column sums, the per-channel dy scaling (gsT) and the row-major dy
 // copy the dW lanes load fall out of one scan of dy (bwdGradRun).
 //
@@ -60,15 +62,9 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 		bwdSmall.run(op, s, dw, dxT, gsum, dy, hw, xT, wq, wClip, rows, outC, k, zx, px.Scale)
 		return
 	}
-	op.sweepDW(s, dw, gsum, dy, hw, xT, wq, wClip, rows, outC, k, zx, px.Scale, dwTier)
-
-	// Input-gradient sweep: each k column of dxT is touched by every
-	// output channel but by no other column; the oc loop stays
-	// ascending per destination. Its column blocks refill the
-	// coefficient tables the dW sweep is done with.
-	dxTier.tables(s, k*outC)
-	s.dxRun = bwdDXRun{op: op, s: s, dxT: dxT, xT: xT, wq: wq, rows: rows, outC: outC, k: k, tier: dxTier}
-	tensor.ParallelBlocksOn(k, transTile, &s.dxRun)
+	s.scanGrad(gsum, dy, hw, rows, outC)
+	op.sweepDW(s, dw, xT, wq, wClip, rows, outC, k, zx, px.Scale, dwTier)
+	op.sweepDX(s, dxT, xT, wq, rows, outC, k, dxTier)
 }
 
 // backwardSmall is the small row's kernel: one scan of dy into the
@@ -97,18 +93,11 @@ func (s *KernelScratch) weightParams(pw []quant.Params, outC int) {
 	}
 }
 
-// sweepDW is the first half of the sweep rows: the scan of dy (gsum, gsT,
-// dyR; see bwdGradRun) and the weight-gradient sweep on tier's kernel.
-// Column i of dwT is touched by no other column, so column blocks
-// parallelize freely; r stays ascending per destination. The k-major tables are grown here
-// (never inside the workers, which share the arena) and filled by the
-// worker that owns the block.
-func (op *Op) sweepDW(s *KernelScratch, dw, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
-	rows, outC, k int, zx, scale float32, tier *bwdSweep) {
-
-	// The dW side's matrices have a lane stride of at least one vector:
-	// below eight channels the spare lanes carry zero gradients (and zero
-	// coefficients), so the lane kernels serve every width.
+// scanGrad is the sweep rows' one scan of dy (gsum, gsT, dyR; see
+// bwdGradRun). The dW side's matrices have a lane stride of at least one
+// vector: below eight channels the spare lanes carry zero gradients (and
+// zero coefficients), so the lane kernels serve every width.
+func (s *KernelScratch) scanGrad(gsum, dy []float32, hw, rows, outC int) {
 	ld := max(outC, dwLanes)
 	s.gsT = grow(s.gsT, outC*rows)
 	s.dyR = grow(s.dyR, rows*ld)
@@ -117,7 +106,17 @@ func (op *Op) sweepDW(s *KernelScratch, dw, gsum, dy []float32, hw int, xT, wq [
 	}
 	s.gradRun = bwdGradRun{s: s, gsum: gsum, dy: dy, rows: rows, outC: outC, ld: ld, hw: hw}
 	tensor.ParallelRowsOn(outC, &s.gradRun)
+}
 
+// sweepDW is the weight-gradient sweep on tier's kernel. Column i of dwT
+// is touched by no other column, so column blocks parallelize freely; r
+// stays ascending per destination. The k-major tables are grown here
+// (never inside the workers, which share the arena) and filled by the
+// worker that owns the block.
+func (op *Op) sweepDW(s *KernelScratch, dw []float32, xT, wq []uint8, wClip []bool,
+	rows, outC, k int, zx, scale float32, tier *bwdSweep) {
+
+	ld := max(outC, dwLanes)
 	s.dwT = grow(s.dwT, k*ld)
 	tier.tables(s, k*ld)
 	s.dwRun = bwdDWRun{op: op, s: s, dw: dw, xT: xT, wq: wq, wClip: wClip,
@@ -125,22 +124,42 @@ func (op *Op) sweepDW(s *KernelScratch, dw, gsum, dy []float32, hw int, xT, wq [
 	tensor.ParallelRowsOn(k, &s.dwRun)
 }
 
+// sweepDX is the input-gradient sweep: each k column of dxT is touched by
+// every output channel but by no other column, so it takes the dW sweep's
+// grain (k = 72 is eight blocks of nine, not 64 + 8); the oc loop stays
+// ascending per destination. Its column blocks refill the coefficient
+// tables the dW sweep is done with.
+func (op *Op) sweepDX(s *KernelScratch, dxT []float32, xT, wq []uint8, rows, outC, k int, tier *bwdSweep) {
+	tier.tables(s, k*outC)
+	s.dxRun = bwdDXRun{op: op, s: s, dxT: dxT, xT: xT, wq: wq, rows: rows, outC: outC, k: k, tier: tier}
+	tensor.ParallelRowsOn(k, &s.dxRun)
+}
+
 // dwLanes is the SIMD width of the dW kernels, in output channels.
 const dwLanes = 8
 
-// BackwardDW runs only the first half of BackwardGEMM's sweep rows — the
-// scan of dy (row-major, rows x outC) and the weight-gradient sweep —
-// on an already k-major operand matrix xT (k x rows), on the row the
-// ladder picks for the op's DW table and pin. A benchmark-harness hook
-// like Pinned: cmd/benchkernels times the dW lane kernels with it; no
-// layer calls it.
-func (op *Op) BackwardDW(s *KernelScratch, dw, gsum, dy []float32, xT, wq []uint8, wClip []bool,
+// BackwardSweep runs the parts of BackwardGEMM's sweep rows the caller
+// names, on an already k-major operand matrix xT (k x rows) and on the
+// rows the ladder picks for the op's tables and pin: the scan of dy
+// (row-major, rows x outC) unless dy is nil — the sweeps then read what
+// the last scan left in s —, the weight-gradient sweep unless dw is nil,
+// and the input-gradient sweep into the k-major dxT unless dxT is nil.
+// A benchmark-harness hook like Pinned: cmd/benchkernels times each
+// sweep's kernels alone with it; no layer calls it.
+func (op *Op) BackwardSweep(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq []uint8, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
 	op.ensurePadded()
 	s.weightParams(pw, outC)
-	op.sweepDW(s, dw, gsum, dy, 1, xT, wq, wClip, rows, outC, k, float32(px.Zero), px.Scale,
-		op.sweepTier(op.dwAff))
+	if dy != nil {
+		s.scanGrad(gsum, dy, 1, rows, outC)
+	}
+	if dw != nil {
+		op.sweepDW(s, dw, xT, wq, wClip, rows, outC, k, float32(px.Zero), px.Scale, op.sweepTier(op.dwAff))
+	}
+	if dxT != nil {
+		op.sweepDX(s, dxT, xT, wq, rows, outC, k, op.sweepTier(op.dxAff))
+	}
 }
 
 // nonzeroLists builds the small tier's operand: for every output

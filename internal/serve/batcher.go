@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/appmult/retrain/internal/obs"
@@ -95,6 +96,10 @@ type Batcher struct {
 	cfg     BatcherConfig
 	queue   chan *job
 	metrics *Metrics
+	// peak is the deepest the queue has been since QueuePeak last read
+	// it: a loop drains the queue the moment it is free, so a sampled
+	// len(queue) can read zero under any load.
+	peak atomic.Int64
 
 	// mu guards draining against admission: Do holds the read lock
 	// across its inflight.Add, Drain takes the write lock before
@@ -217,6 +222,14 @@ func (b *Batcher) RemoveRunner() bool {
 	return true
 }
 
+// QueuePeak returns the deepest the admission queue has been since the
+// previous call and starts over from the present depth — what the
+// autoscaler decides on: the pressure between two of its ticks, not the
+// instant of the second.
+func (b *Batcher) QueuePeak() int {
+	return int(b.peak.Swap(int64(len(b.queue))))
+}
+
 // Metrics returns the batcher's metrics aggregator.
 func (b *Batcher) Metrics() *Metrics { return b.metrics }
 
@@ -253,7 +266,11 @@ func (b *Batcher) admit(j *job) error {
 	b.inflight.Add(1)
 	select {
 	case b.queue <- j:
-		return nil
+		for d := int64(len(b.queue)); ; {
+			if p := b.peak.Load(); d <= p || b.peak.CompareAndSwap(p, d) {
+				return nil
+			}
+		}
 	default:
 		b.inflight.Done()
 		return ErrOverloaded

@@ -174,6 +174,42 @@ func TestBatcherOverloadRejects(t *testing.T) {
 	}
 }
 
+// TestBatcherQueuePeakOutlivesTheQueue: the high-water depth the
+// autoscaler decides on still shows a burst after a replica has drained
+// the queue — when the serve_queue_depth gauge reads zero again — and a
+// read starts the next interval from the present depth.
+func TestBatcherQueuePeakOutlivesTheQueue(t *testing.T) {
+	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: 4}, nil)
+
+	wait := occupy(t, b, r)
+	b.QueuePeak() // forget the occupying request
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.Do(context.Background(), []float32{0}, time.Time{})
+		}()
+	}
+	awaitQueued(t, b, 3)
+	close(r.gate)
+	wait()
+	wg.Wait()
+	if n := len(b.queue); n != 0 {
+		t.Fatalf("%d requests still queued after every caller was answered", n)
+	}
+	if got := b.QueuePeak(); got != 3 {
+		t.Errorf("high-water depth over a burst of 3 = %d", got)
+	}
+	if got := b.QueuePeak(); got != 0 {
+		t.Errorf("high-water depth of an idle interval = %d, want 0", got)
+	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
 func TestBatcherDeadlineWhileQueued(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 8}, nil)
