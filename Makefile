@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet purego maxprocs1 nnparanoid race servestress bench benchreport benchsmoke doccheck verify clean
+.PHONY: build test tier1 vet gofmt purego maxprocs1 nnparanoid race servestress bench benchreport benchsmoke doccheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -14,6 +14,13 @@ tier1: build test
 
 vet:
 	go vet ./...
+
+# gofmt fails on any Go file of the module, the nested bench/ module
+# included, that gofmt would rewrite; .bench_build (bench/run.sh's
+# build cache) is skipped.
+gofmt:
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # purego runs the kernel packages with the assembly compiled out (the
 # `purego` build tag selects the same portable files a non-amd64 host
@@ -102,7 +109,7 @@ benchsmoke:
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet tier1 purego maxprocs1 nnparanoid benchsmoke doccheck race servestress benchreport
+verify: vet gofmt tier1 purego maxprocs1 nnparanoid benchsmoke doccheck race servestress benchreport
 
 clean:
 	go clean ./...

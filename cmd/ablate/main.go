@@ -63,10 +63,16 @@ func main() {
 		t := report.NewTable(
 			fmt.Sprintf("Ablation: smoothing (LeNet, %s, scale=%s)", *mult, *scale),
 			"estimator", "final loss", "top1/%")
-		for _, est := range []train.Estimator{train.EstimatorSTE, train.EstimatorRawDifference, train.EstimatorDifference} {
-			log.Printf("running %v ...", est)
-			r := runWith(train.OpFor(e.Mult, est, e.HWS))
-			t.AddRow(est.String(), fmt.Sprintf("%.4f", r.FinalLoss()), fmt.Sprintf("%.2f", r.FinalTop1()))
+		for _, est := range []struct{ spec, label string }{
+			{gradient.EstSTE, "STE"}, {gradient.EstRawDiff, "RawDiff"}, {gradient.EstSmoothDiff, "Ours"},
+		} {
+			log.Printf("running %s ...", est.label)
+			op, err := train.OpForSpec(e, est.spec)
+			if err != nil {
+				log.Fatal(err)
+			}
+			r := runWith(op)
+			t.AddRow(est.label, fmt.Sprintf("%.4f", r.FinalLoss()), fmt.Sprintf("%.2f", r.FinalTop1()))
 		}
 		t.WriteText(os.Stdout)
 

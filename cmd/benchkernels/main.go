@@ -5,28 +5,28 @@
 // an op pinned to it (closed-form arith, packed-uint16 LUT), the
 // dispatching backward kernel on both table families (general tables →
 // fused gather, STE's affine tables → gather-free affine) plus a
-// forced-fused row on the affine op, the preserved reference kernels, and an ApproxConv2D
-// forward+backward step end-to-end — all at one wide shape, the GEMMs
-// through the row-major ForwardGEMM/BackwardGEMM adapters (their
-// transposes included) — then the backward small-vs-fused pairs at the
-// narrow, row-heavy shapes the training workloads really run, over
-// dense and sparse upstream gradients (the rows that justify
-// BackwardGEMM's sparse-gradient gate), and, at the shapes of the
-// benchmark's first layers, the pieces of the k-major conv step: the
-// k-major byte im2col and col2im next to the row-major float ones, the
-// dW lane kernels alone, and whole layer steps on the affine, fused and
-// small tiers — the host's gather rate (Probe_GatherDPS_64KiB,
-// probe.go) and, at the vgg11 GEMM shapes that run on the backward sweep
-// rows, each dW and dX sweep alone in ns per gathered element and as a
-// ratio to that probe — and the passes between the GEMMs: the slice quantizer
-// against its scalar definition and a step of each glue layer (ReLU,
-// batch norm, max pool) — and inference: the skinny (under-32-row)
-// forward GEMMs of single-image serving on the arith_skinny row next to
-// packed16, and whole-model Predict at batch 1 and 8. It writes ns/op,
-// B/op, and allocs/op per
-// benchmark — plus the dispatch path each forward and backward
-// benchmark actually took and tier-vs-tier speedup summaries — to a
-// JSON file.
+// forced-fused row on the affine op, the preserved reference kernels,
+// and an ApproxConv2D forward+backward step end-to-end — all at one
+// wide shape, the GEMMs through the row-major ForwardGEMM/BackwardGEMM
+// adapters (their transposes included) — then the backward
+// small-vs-fused pairs at the narrow, row-heavy shapes the training
+// workloads really run, over dense and sparse upstream gradients (the
+// rows that justify BackwardGEMM's sparse-gradient gate), and, at the
+// shapes of the benchmark models' layers, the pieces of the k-major
+// conv step: the k-major byte im2col and col2im, the dW lane kernels
+// alone, and whole layer steps on the affine, fused and small tiers
+// next to the float Conv2D's on the same layout — the host's gather
+// rate (Probe_GatherDPS_64KiB, probe.go) and, at the vgg11 GEMM shapes
+// that run on the backward sweep rows, each dW and dX sweep alone in
+// ns per gathered element and as a ratio to that probe — and the
+// passes between the GEMMs: the slice quantizer against its scalar
+// definition and a step of each glue layer (ReLU, batch norm, max
+// pool) — and inference: the skinny (under-32-row) forward GEMMs of
+// single-image serving on the arith_skinny row next to packed16, and
+// whole-model Predict at batch 1 and 8. It writes ns/op, B/op, and
+// allocs/op per benchmark — plus the dispatch path each forward and
+// backward benchmark actually took and tier-vs-tier speedup summaries
+// — to a JSON file.
 //
 // The committed BENCH_kernels.json at the repository root is the
 // current baseline; `make bench` re-measures, diffs against it with
@@ -150,12 +150,18 @@ func loop(fn func()) func(b *testing.B) {
 	}
 }
 
-// convStep benchmarks one ApproxConv2D forward+backward at the given
-// layer and input geometry. pooled thins dy to what conv -> ReLU -> 2x2
-// max pool passes back: one position per 2x2 window, half of those
-// zeroed, one nonzero in eight.
+// convStep benchmarks one conv layer forward+backward at the given
+// layer and input geometry: an ApproxConv2D on op, or the float Conv2D
+// when op is nil. pooled thins dy to what conv -> ReLU -> 2x2 max pool
+// passes back: one position per 2x2 window, half of those zeroed, one
+// nonzero in eight.
 func convStep(op *nn.Op, inC, outC, k, n, hw int, pooled bool, rng *rand.Rand) func(b *testing.B) {
-	layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
+	var layer nn.Layer
+	if op != nil {
+		layer = nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
+	} else {
+		layer = nn.NewConv2D("bench", inC, outC, k, 1, k/2, rng)
+	}
 	x := tensor.New(n, inC, hw, hw)
 	x.RandNormal(rng, 1)
 	dy := tensor.New(layer.Forward(x, true).Shape...)
@@ -263,36 +269,36 @@ func main() {
 		// lenet's second conv on one worker's half batch, 16 images of
 		// 4x8x8 (rows=1024 outC=4 k=100), behind ReLU + 2x2 pool: small.
 		{name: "Layer_ApproxConvStep_LeNetConv2", fn: convStep(op, 4, 4, 5, 16, 8, true, rng)},
+		// The float Conv2D at those geometries and at reduced vgg11's
+		// conv5, 32 images of 32x2x2 into 64 channels (rows=128 k=288).
+		{name: "Layer_FloatConvStep_VGG11Conv1", fn: convStep(nil, 3, 8, 3, 8, 32, false, rng)},
+		{name: "Layer_FloatConvStep_ResNet18Stem", fn: convStep(nil, 3, 8, 3, 16, 16, false, rng)},
+		{name: "Layer_FloatConvStep_ResNet18Stage1", fn: convStep(nil, 8, 8, 3, 16, 16, false, rng)},
+		{name: "Layer_FloatConvStep_VGG11Conv5", fn: convStep(nil, 32, 64, 3, 32, 2, false, rng)},
+		{name: "Layer_FloatConvStep_LeNetConv2", fn: convStep(nil, 4, 4, 5, 16, 8, true, rng)},
 	}
-	// The layout movers of the conv step at the vgg11-conv1 and
-	// resnet18-stem geometries: the k-major byte im2col / col2im the
-	// approximate layers run, next to the row-major float ones Conv2D
-	// runs.
+	// The k-major im2col and col2im at the vgg11-conv1 and resnet18-stem
+	// geometries, the byte im2col the approximate layers run.
 	for _, g := range []struct {
 		label string
 		n, hw int
 	}{{"VGG11Conv1", 8, 32}, {"ResNet18Stem", 16, 16}} {
 		geom := tensor.Geometry(3, g.hw, g.hw, 8, 3, 3, 1, 1)
 		rows, k := g.n*g.hw*g.hw, geom.K()
-		x := tensor.New(g.n, 3, g.hw, g.hw)
-		x.RandNormal(rng, 1)
-		lv := make([]uint8, len(x.Data))
+		lv := make([]uint8, g.n*3*g.hw*g.hw)
 		for i := range lv {
 			lv[i] = uint8(rng.Intn(128))
 		}
-		cols, colsT := tensor.New(rows, k), make([]uint8, k*rows)
-		dcols, dcolsT := tensor.New(rows, k), make([]float32, k*rows)
-		dcols.RandNormal(rng, 1)
-		copy(dcolsT, dcols.Data)
-		dx := tensor.New(g.n, 3, g.hw, g.hw)
-		var im2colT tensor.Im2ColTJob
-		var col2im tensor.Col2ImJob
+		colsT, dcolsT := make([]uint8, k*rows), make([]float32, k*rows)
+		for i := range dcolsT {
+			dcolsT[i] = float32(rng.NormFloat64())
+		}
+		dx := make([]float32, len(lv))
+		var im2colT tensor.Im2ColTJob[uint8]
 		var col2imT tensor.Col2ImTJob
 		benches = append(benches,
-			bench{name: "Kernel_Im2Col_" + g.label, fn: loop(func() { tensor.Im2ColInto(cols, x, geom) })},
 			bench{name: "Kernel_Im2ColT_" + g.label, fn: loop(func() { im2colT.Run(colsT, lv, g.n, geom, 64) })},
-			bench{name: "Kernel_Col2Im_" + g.label, fn: loop(func() { col2im.Run(dx, dcols, g.n, geom) })},
-			bench{name: "Kernel_Col2ImT_" + g.label, fn: loop(func() { col2imT.Run(dx.Data, dcolsT, g.n, geom) })})
+			bench{name: "Kernel_Col2ImT_" + g.label, fn: loop(func() { col2imT.Run(dx, dcolsT, g.n, geom) })})
 	}
 	// The dW lane kernels alone (gradient scan + dW sweep on a k-major
 	// operand) at the resnet18 stage-1 GEMM: STE on the affine kernel,
@@ -412,7 +418,7 @@ func main() {
 	rec := record{
 		Note:       "approximate-GEMM kernel baseline; regenerate with `make bench`",
 		Multiplier: op.Label,
-		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_ResNet18*, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
+		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv5, *_ResNet18*, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
 			wide.rows, wide.outC, wide.k),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},

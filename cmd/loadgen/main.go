@@ -16,6 +16,8 @@
 //     instead of silently throttling the generator, so this is the
 //     mode for latency experiments.
 //
+// Usage:
+//
 //	loadgen -url http://localhost:8090 -c 16 -n 2000
 //	loadgen -url http://localhost:8090 -rate 200 -n 2000 -lat-out lat.json
 package main

@@ -54,26 +54,6 @@ func BuildLUT(m Multiplier) []uint32 {
 	return lut
 }
 
-// BuildLUT16 is BuildLUT narrowed to uint16 entries — the packed form
-// the L1-resident kernel rows and the lut package's packed codec use.
-// It returns ok=false (and no table) if any product exceeds
-// math.MaxUint16, which only compensation constants can cause at B <= 8.
-func BuildLUT16(m Multiplier) (lut []uint16, ok bool) {
-	bits := m.Bits()
-	lut = make([]uint16, bitutil.NumPairs(bits))
-	nv := uint32(bitutil.NumInputs(bits))
-	for w := uint32(0); w < nv; w++ {
-		for x := uint32(0); x < nv; x++ {
-			v := m.Mul(w, x)
-			if v > 0xFFFF {
-				return nil, false
-			}
-			lut[bitutil.PairIndex(w, x, bits)] = uint16(v)
-		}
-	}
-	return lut, true
-}
-
 // Accurate is the exact multiplier of a given width ("mulBu_acc").
 type Accurate struct {
 	bits int

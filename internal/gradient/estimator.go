@@ -87,8 +87,8 @@ func (s SmoothDiff) Describe() string {
 // EffectiveHWS resolves the half window size the estimator will use
 // for a multiplier: the explicit override when set, else the
 // registry-selected value, clamped to the admissible [1, MaxHWS(bits)]
-// range (the clamp mirrors the pre-seam train.OpFor behaviour, so the
-// default estimator stays bit-identical to it).
+// range (the clamp the pre-seam construction applied, so the default
+// estimator stays bit-identical to it).
 func (s SmoothDiff) EffectiveHWS(m MulInfo) int {
 	hws := s.HWS
 	if hws <= 0 {

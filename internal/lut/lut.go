@@ -7,20 +7,13 @@
 //
 // Format (little endian):
 //
-//	magic   [8]byte  "AMLUTv1\n" (products), "AMLUTp1\n" (packed
-//	                 uint16 products) or "AMGRDv1\n" (gradients)
+//	magic   [8]byte  "AMLUTv1\n" (products) or "AMGRDv1\n" (gradients)
 //	nameLen uint16, name bytes
 //	bits    uint8
 //	hws     uint16   (gradients only; 0 = STE/not applicable)
 //	payload product: 2^(2B) x uint32
-//	        packed product: 2^(2B) x uint16
 //	        gradient: 2^(2B) x float32 (DW) then 2^(2B) x float32 (DX)
 //	crc32   uint32   (IEEE, over everything before it)
-//
-// The packed format mirrors the kernels' packed16 dispatch tier (see
-// internal/nn): every registry multiplier's products fit uint16, so the
-// shipped artifact can be half the size and deserialize straight into
-// the representation the hot loops gather from.
 package lut
 
 import (
@@ -36,9 +29,8 @@ import (
 )
 
 var (
-	productMagic   = [8]byte{'A', 'M', 'L', 'U', 'T', 'v', '1', '\n'}
-	product16Magic = [8]byte{'A', 'M', 'L', 'U', 'T', 'p', '1', '\n'}
-	gradientMagic  = [8]byte{'A', 'M', 'G', 'R', 'D', 'v', '1', '\n'}
+	productMagic  = [8]byte{'A', 'M', 'L', 'U', 'T', 'v', '1', '\n'}
+	gradientMagic = [8]byte{'A', 'M', 'G', 'R', 'D', 'v', '1', '\n'}
 )
 
 const maxNameLen = 1 << 12
@@ -83,51 +75,6 @@ func ReadProduct(r io.Reader) (name string, bits int, table []uint32, err error)
 		return "", 0, nil, fmt.Errorf("lut: payload is %d bytes, want %d", len(body), 4*n)
 	}
 	return name, bits, readU32s(body, n), nil
-}
-
-// WriteProduct16 serializes a packed product LUT (uint16 entries, half
-// the artifact size; see appmult.BuildLUT16). The format is
-// distinguished from the uint32 one by magic, so a reader can never
-// confuse the two payload widths.
-func WriteProduct16(w io.Writer, name string, bits int, table []uint16) error {
-	bitutil.CheckWidth(bits)
-	if len(table) != bitutil.NumPairs(bits) {
-		return fmt.Errorf("lut: product table has %d entries, want %d", len(table), bitutil.NumPairs(bits))
-	}
-	if len(name) > maxNameLen {
-		return fmt.Errorf("lut: name too long (%d bytes)", len(name))
-	}
-	var buf bytes.Buffer
-	buf.Write(product16Magic[:])
-	writeName(&buf, name)
-	buf.WriteByte(uint8(bits))
-	writeU16s(&buf, table)
-	return finish(w, &buf)
-}
-
-// ReadProduct16 deserializes a packed product LUT.
-func ReadProduct16(r io.Reader) (name string, bits int, table []uint16, err error) {
-	body, err := verify(r, product16Magic)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	name, body, err = readName(body)
-	if err != nil {
-		return "", 0, nil, err
-	}
-	if len(body) < 1 {
-		return "", 0, nil, fmt.Errorf("lut: truncated header")
-	}
-	bits = int(body[0])
-	body = body[1:]
-	if bits < 1 || bits > bitutil.MaxBits {
-		return "", 0, nil, fmt.Errorf("lut: invalid bit width %d", bits)
-	}
-	n := bitutil.NumPairs(bits)
-	if len(body) != 2*n {
-		return "", 0, nil, fmt.Errorf("lut: payload is %d bytes, want %d", len(body), 2*n)
-	}
-	return name, bits, readU16s(body, n), nil
 }
 
 // WriteTables serializes a gradient-table pair.
@@ -194,14 +141,6 @@ func writeU32s(buf *bytes.Buffer, vals []uint32) {
 	buf.Write(b)
 }
 
-func writeU16s(buf *bytes.Buffer, vals []uint16) {
-	b := make([]byte, 2*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint16(b[2*i:], v)
-	}
-	buf.Write(b)
-}
-
 func writeF32s(buf *bytes.Buffer, vals []float32) {
 	b := make([]byte, 4*len(vals))
 	for i, v := range vals {
@@ -215,14 +154,6 @@ func readU32s(body []byte, n int) []uint32 {
 	out := make([]uint32, n)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(body[4*i:])
-	}
-	return out
-}
-
-func readU16s(body []byte, n int) []uint16 {
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(body[2*i:])
 	}
 	return out
 }

@@ -31,78 +31,6 @@ func TestProductRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProduct16RoundTrip(t *testing.T) {
-	m := appmult.NewTruncated(7, 6)
-	table, ok := appmult.BuildLUT16(m)
-	if !ok {
-		t.Fatal("7-bit products must fit uint16")
-	}
-	var buf bytes.Buffer
-	if err := WriteProduct16(&buf, m.Name(), 7, table); err != nil {
-		t.Fatal(err)
-	}
-	name, bits, got, err := ReadProduct16(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != m.Name() || bits != 7 {
-		t.Fatalf("header: %q/%d", name, bits)
-	}
-	for i := range table {
-		if got[i] != table[i] {
-			t.Fatalf("entry %d differs", i)
-		}
-	}
-	// The packed artifact must be roughly half the uint32 one.
-	var buf32 bytes.Buffer
-	if err := WriteProduct(&buf32, m.Name(), 7, appmult.BuildLUT(m)); err != nil {
-		t.Fatal(err)
-	}
-	if 2*buf.Len() >= buf32.Len()+64 {
-		t.Errorf("packed record is %d bytes, uint32 record %d: packing saved too little", buf.Len(), buf32.Len())
-	}
-}
-
-// TestProduct16CrossFormatRejected pins the magic separation: a packed
-// record must never deserialize through the uint32 reader (or vice
-// versa), even though both carry valid checksums.
-func TestProduct16CrossFormatRejected(t *testing.T) {
-	m := appmult.NewTruncated(4, 2)
-	table, ok := appmult.BuildLUT16(m)
-	if !ok {
-		t.Fatal("4-bit products must fit uint16")
-	}
-	var p16, p32 bytes.Buffer
-	if err := WriteProduct16(&p16, m.Name(), 4, table); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteProduct(&p32, m.Name(), 4, appmult.BuildLUT(m)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadProduct(bytes.NewReader(p16.Bytes())); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("packed record accepted by uint32 reader: %v", err)
-	}
-	if _, _, _, err := ReadProduct16(bytes.NewReader(p32.Bytes())); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("uint32 record accepted by packed reader: %v", err)
-	}
-
-	// Corruption must still be caught under the new magic.
-	raw := append([]byte(nil), p16.Bytes()...)
-	raw[len(raw)-6] ^= 0xFF
-	if _, _, _, err := ReadProduct16(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Errorf("corrupted packed record accepted: %v", err)
-	}
-}
-
-func TestWriteProduct16Validates(t *testing.T) {
-	if err := WriteProduct16(&bytes.Buffer{}, "x", 4, make([]uint16, 3)); err == nil {
-		t.Error("short table accepted")
-	}
-	if err := WriteProduct16(&bytes.Buffer{}, strings.Repeat("n", 5000), 4, make([]uint16, 256)); err == nil {
-		t.Error("oversized name accepted")
-	}
-}
-
 func TestTablesRoundTrip(t *testing.T) {
 	e, _ := appmult.Lookup("mul6u_rm4")
 	src := gradient.Difference(e.Mult.Name(), 6, 2, e.Mult.Mul)

@@ -73,7 +73,7 @@ type ApproxConv2D struct {
 	// reused every step. dxT is the (k x rows) input-gradient patch
 	// matrix.
 	ks     KernelScratch
-	im2col tensor.Im2ColTJob
+	im2col tensor.Im2ColTJob[uint8]
 	col2im tensor.Col2ImTJob
 	y      *tensor.Tensor
 	dxT    []float32

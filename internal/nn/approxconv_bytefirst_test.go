@@ -16,7 +16,7 @@ import (
 // went byte-first, written from the pieces that never changed: float
 // im2col, every patch entry quantized and clip-flagged by the scalar
 // quant.Params methods, the reference GEMMs with the rows x k mask,
-// then col2im. It reads the layer's weights and the quantization
+// then col2im — the row-major loop nests of conv_rowmajor_test.go. It reads the layer's weights and the quantization
 // parameters of its last forward, and returns y, dx, dW and db.
 func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw, db []float32) {
 	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
@@ -25,7 +25,7 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 	px := c.px
 	pw := append([]quant.Params(nil), c.w.pw...)
 
-	cols := tensor.Im2Col(x, g)
+	cols := im2colRows(x, g)
 	xq, xClip := make([]uint8, rows*k), make([]bool, rows*k)
 	for i, v := range cols.Data {
 		xq[i], xClip[i] = uint8(px.Quantize(v)), px.Clipped(v)
@@ -43,7 +43,7 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 	dyFlat := tensor.New(rows, c.OutC)
 	nchwToRowsInto(dyFlat, dy, g)
 	dw, dxcols := c.op.BackwardGEMMRef(dyFlat.Data, xq, wq, xClip, wClip, rows, c.OutC, k, pw, px)
-	dx = tensor.Col2Im(tensor.FromData(dxcols, rows, k), n, g)
+	dx = col2imRows(tensor.FromData(dxcols, rows, k), n, g)
 	db = make([]float32, c.OutC)
 	for r := 0; r < rows; r++ {
 		for oc := range db {

@@ -7,9 +7,20 @@ import (
 	"github.com/appmult/retrain/internal/tensor"
 )
 
-// Conv2D is a float 2-D convolution (NCHW, square kernel) realized as
-// im2col + GEMM. It is the exact counterpart the approximate layer is
-// benchmarked against and the layer used during float pre-training.
+// Conv2D is a float 2-D convolution (NCHW, square kernel), the exact
+// counterpart of ApproxConv2D and the layer of float pre-training, on
+// ApproxConv2D's data path: tensor.Im2ColTJob builds the k-major patch
+// matrix xT (k x rows, padding +0), the forward GEMM writes NCHW, the
+// backward GEMMs leave dxT k-major for tensor.Col2ImTJob.
+//
+// Every sum runs in the row-major formulation's order, so the results
+// equal it bit for bit (TestConv2DMatchesRowMajor): y over taps from +0,
+// then + bias; dW over rows from +0, then into its gradient; the bias
+// gradient into its gradient over rows; dxT over channels from +0. A
+// sparse dy (sparseGrad) walks lists of its nonzero entries, skipping
+// the zero products the row-major GEMMs skip; a dense dy runs
+// branch-free loops that include them, which changes no bit while the
+// other factor is finite but no longer skips 0·Inf or 0·NaN products.
 type Conv2D struct {
 	name           string
 	InC, OutC      int
@@ -18,15 +29,14 @@ type Conv2D struct {
 	geom           tensor.ConvGeom
 	batch          int
 
-	// Scratch arena: buffers sized on first use, reused every step.
-	// cols doubles as the im2col cache consumed by Backward.
-	cols   *tensor.Tensor
-	flat   *tensor.Tensor
-	y      *tensor.Tensor
-	dyFlat *tensor.Tensor
-	dwFlat *tensor.Tensor
-	dcols  *tensor.Tensor
-	dx     *tensor.Tensor
+	// Scratch arena, sized on first use: xT is also Backward's cache, dyT
+	// (outC x rows) and nz its operands.
+	im2col       tensor.Im2ColTJob[float32]
+	col2im       tensor.Col2ImTJob
+	xT, dxT, dyT []float32
+	y, dx        *tensor.Tensor
+	sparse       bool
+	nz           nonzeros
 }
 
 // NewConv2D constructs a convolution with Kaiming-initialized weights.
@@ -46,32 +56,20 @@ func (c *Conv2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 
-func (c *Conv2D) geometry(x *tensor.Tensor) tensor.ConvGeom {
-	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", c.name, c.InC, x.Shape))
-	}
-	return tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
-}
-
 // Forward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Forward call.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	g := c.geometry(x)
+	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
+		panic(fmt.Sprintf("nn: %s expects NCHW with C=%d, got %v", c.name, c.InC, x.Shape))
+	}
+	g := tensor.Geometry(c.InC, x.Shape[2], x.Shape[3], c.OutC, c.K, c.K, c.Stride, c.Pad)
 	c.geom = g
 	c.batch = x.Shape[0]
 	rows := c.batch * g.OutH * g.OutW
-	c.cols = tensor.Ensure2(c.cols, rows, g.K())
-	tensor.Im2ColInto(c.cols, x, g)
-	w2 := c.Weight.Value.Reshape(c.OutC, g.K())
-	c.flat = tensor.Ensure2(c.flat, rows, c.OutC)
-	tensor.MatMulTransBInto(c.flat, c.cols, w2)
-	for r := 0; r < rows; r++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			c.flat.Data[r*c.OutC+oc] += c.Bias.Value.Data[oc]
-		}
-	}
+	c.xT = grow(c.xT, g.K()*rows)
+	c.im2col.Run(c.xT, x.Data, c.batch, g, 0)
 	c.y = tensor.Ensure4(c.y, c.batch, g.OutC, g.OutH, g.OutW)
-	rowsToNCHWInto(c.y, c.flat, c.batch, g)
+	tensor.ParallelRowsOn(c.OutC*((rows+convRowBlock-1)/convRowBlock), (*convForward)(c))
 	return c.y
 }
 
@@ -79,54 +77,119 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // and valid until the next Backward call.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	g := c.geom
-	rows := c.batch * g.OutH * g.OutW
-	c.dyFlat = tensor.Ensure2(c.dyFlat, rows, c.OutC)
-	nchwToRowsInto(c.dyFlat, dy, g)
-	// Weight gradient: dW = dyFlatᵀ (outC x rows) * cols (rows x K).
-	c.dwFlat = tensor.Ensure2(c.dwFlat, c.OutC, g.K())
-	tensor.MatMulTransAInto(c.dwFlat, c.dyFlat, c.cols)
-	for i, v := range c.dwFlat.Data {
-		c.Weight.Grad.Data[i] += v
-	}
-	// Bias gradient.
-	for r := 0; r < rows; r++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			c.Bias.Grad.Data[oc] += c.dyFlat.Data[r*c.OutC+oc]
+	hw := g.OutH * g.OutW
+	rows := c.batch * hw
+	// dy channel-major (outC x rows), so the GEMM loops run over all
+	// images at once; the same scan accumulates the bias gradient.
+	c.dyT = grow(c.dyT, len(dy.Data))
+	for oc, bg := range c.Bias.Grad.Data {
+		for img := 0; img < c.batch; img++ {
+			plane := dy.Data[(img*c.OutC+oc)*hw:][:hw]
+			copy(c.dyT[oc*rows+img*hw:], plane)
+			for _, v := range plane {
+				bg += v
+			}
 		}
+		c.Bias.Grad.Data[oc] = bg
 	}
-	// Input gradient.
-	w2 := c.Weight.Value.Reshape(c.OutC, g.K())
-	c.dcols = tensor.Ensure2(c.dcols, rows, g.K())
-	tensor.MatMulInto(c.dcols, c.dyFlat, w2)
+	if c.sparse = sparseGrad(dy.Data); c.sparse {
+		c.nz.build(nil, c.dyT, rows, c.OutC, rows)
+	}
+	c.dxT = grow(c.dxT, g.K()*rows)
+	tensor.ParallelRowsOn(g.K(), (*convBackward)(c))
 	c.dx = tensor.Ensure4(c.dx, c.batch, g.InC, g.InH, g.InW)
-	tensor.Col2ImInto(c.dx, c.dcols, c.batch, g)
+	c.col2im.Run(c.dx.Data, c.dxT, c.batch, g)
 	return c.dx
 }
 
-// rowsToNCHWInto converts a (N*OH*OW, outC) matrix into NCHW in dst.
-func rowsToNCHWInto(dst, flat *tensor.Tensor, n int, g tensor.ConvGeom) {
-	hw := g.OutH * g.OutW
-	for img := 0; img < n; img++ {
-		for p := 0; p < hw; p++ {
-			row := img*hw + p
-			for oc := 0; oc < g.OutC; oc++ {
-				dst.Data[(img*g.OutC+oc)*hw+p] = flat.Data[row*g.OutC+oc]
+// convRowBlock is the forward work item: one channel's outputs for this
+// many rows, accumulated on the stack.
+const convRowBlock = 256
+
+// The GEMM passes' RangeRunners are the layer under other names, so
+// scheduling them allocates nothing.
+type (
+	convForward  Conv2D
+	convBackward Conv2D
+)
+
+// RunRange computes work items [lo, hi), item = row block * OutC + oc:
+// every output sums its taps' products, i ascending from +0, four taps
+// per sweep of the accumulator, and is written to its NCHW position
+// plus the bias.
+func (f *convForward) RunRange(lo, hi int) {
+	c := (*Conv2D)(f)
+	k, hw := c.geom.K(), c.geom.OutH*c.geom.OutW
+	rows := c.batch * hw
+	var buf [convRowBlock]float32
+	for it := lo; it < hi; it++ {
+		oc, r0 := it%c.OutC, it/c.OutC*convRowBlock
+		acc := buf[:min(convRowBlock, rows-r0)]
+		clear(acc)
+		w := c.Weight.Value.Data[oc*k:][:k]
+		i := 0
+		for ; i+4 <= k; i += 4 {
+			x0 := c.xT[i*rows+r0:][:len(acc)]
+			x1 := c.xT[(i+1)*rows+r0:][:len(acc)]
+			x2 := c.xT[(i+2)*rows+r0:][:len(acc)]
+			x3 := c.xT[(i+3)*rows+r0:][:len(acc)]
+			w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
+			for r, v := range acc {
+				v += x0[r] * w0
+				v += x1[r] * w1
+				v += x2[r] * w2
+				v += x3[r] * w3
+				acc[r] = v
 			}
+		}
+		for ; i < k; i++ {
+			x, wi := c.xT[i*rows+r0:][:len(acc)], w[i]
+			for r, v := range x {
+				acc[r] += v * wi
+			}
+		}
+		b := c.Bias.Value.Data[oc]
+		for r := r0; r < r0+len(acc); {
+			img, p := r/hw, r%hw
+			y := c.y.Data[(img*c.OutC+oc)*hw+p:][:min(hw-p, r0+len(acc)-r)]
+			for j, v := range acc[r-r0:][:len(y)] {
+				y[j] = v + b
+			}
+			r += len(y)
 		}
 	}
 }
 
-// nchwToRowsInto converts NCHW into the (N*OH*OW, outC) row layout in
-// dst.
-func nchwToRowsInto(dst, x *tensor.Tensor, g tensor.ConvGeom) {
-	n := x.Shape[0]
-	hw := g.OutH * g.OutW
-	for img := 0; img < n; img++ {
-		for p := 0; p < hw; p++ {
-			row := img*hw + p
-			for oc := 0; oc < g.OutC; oc++ {
-				dst.Data[row*g.OutC+oc] = x.Data[(img*g.OutC+oc)*hw+p]
+// RunRange computes the weight gradients of taps [lo, hi) and their rows
+// of dxT in one walk of dy per (tap, channel): dW[oc][i] sums over r
+// ascending from +0 and is added into the gradient, dxT[i][r] sums over
+// oc ascending from +0.
+func (b *convBackward) RunRange(lo, hi int) {
+	c := (*Conv2D)(b)
+	k := c.geom.K()
+	rows := c.batch * c.geom.OutH * c.geom.OutW
+	for i := lo; i < hi; i++ {
+		x := c.xT[i*rows:][:rows]
+		d := c.dxT[i*rows:][:rows]
+		clear(d)
+		for oc := 0; oc < c.OutC; oc++ {
+			w := c.Weight.Value.Data[oc*k+i]
+			var acc float32
+			if c.sparse {
+				nzR := c.nz.r[c.nz.off[oc]:c.nz.off[oc+1]]
+				nzG := c.nz.g[c.nz.off[oc]:c.nz.off[oc+1]][:len(nzR)]
+				for j, r := range nzR {
+					g := nzG[j]
+					acc += g * x[r]
+					d[r] += g * w
+				}
+			} else {
+				for r, g := range c.dyT[oc*rows:][:rows] {
+					acc += g * x[r]
+					d[r] += g * w
+				}
 			}
+			c.Weight.Grad.Data[oc*k+i] += acc
 		}
 	}
 }

@@ -79,11 +79,8 @@ type KernelScratch struct {
 	ak   []float32
 	bk   []float32
 	woff []int32
-	// Backward small tier: per-channel lists of the nonzero gradients,
-	// channel oc owning entries nzOff[oc]..nzOff[oc+1] of (nzR, nzG).
-	nzOff []int
-	nzR   []int32
-	nzG   []float32
+	// Backward small tier: per-channel lists of the nonzero gradients.
+	nz nonzeros
 	// Row-major adapters only: the operand transpose, the k-major input
 	// gradient (a conv layer owns both matrices itself) and the
 	// weight-side state ForwardGEMM derives, on every call, from the

@@ -73,7 +73,7 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 func (op *Op) backwardSmall(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
 	rows, outC, k int, zx, scale float32) {
 
-	s.nonzeroLists(gsum, dy, rows, outC, hw)
+	s.nz.build(gsum, dy, rows, outC, hw)
 	s.smallRun = bwdSmallRun{op: op, s: s, dw: dw, dxT: dxT, xT: xT, wq: wq, wClip: wClip,
 		rows: rows, outC: outC, k: k, zx: zx, scale: scale}
 	tensor.ParallelRowsOn(k, &s.smallRun)
@@ -162,29 +162,37 @@ func (op *Op) BackwardSweep(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, w
 	}
 }
 
-// nonzeroLists builds the small tier's operand: for every output
-// channel the (row, gradient) pairs of its nonzero upstream gradients,
-// rows ascending, plus gsum — one scan of dy (NCHW planes of hw
-// positions) per call instead of one zero test per (r, oc, i).
-func (s *KernelScratch) nonzeroLists(gsum, dy []float32, rows, outC, hw int) {
+// nonzeros holds, for every output channel, the (row, gradient) pairs
+// of its nonzero upstream gradients, rows ascending: channel oc owns
+// entries off[oc]..off[oc+1] of (r, g) — the operand of the small tier
+// and of the float Conv2D's sparse path.
+type nonzeros struct {
+	off []int
+	r   []int32
+	g   []float32
+}
+
+// build fills the lists and, unless gsum is nil, the per-channel sums
+// of dy from one scan of dy (NCHW planes of hw positions).
+func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw int) {
 	nnz := 0
 	for _, g := range dy {
 		if g != 0 {
 			nnz++
 		}
 	}
-	s.nzOff = grow(s.nzOff, outC+1)
-	s.nzR = grow(s.nzR, nnz)
-	s.nzG = grow(s.nzG, nnz)
+	l.off = grow(l.off, outC+1)
+	l.r = grow(l.r, nnz)
+	l.g = grow(l.g, nnz)
 	n := 0
 	for oc := 0; oc < outC; oc++ {
-		s.nzOff[oc] = n
+		l.off[oc] = n
 		j, p := oc*hw, 0 // as in bwdGradRun
 		var sum float32
 		for r := 0; r < rows; r++ {
 			if g := dy[j]; g != 0 { // a zero adds nothing to gsum either
 				sum += g
-				s.nzR[n], s.nzG[n] = int32(r), g
+				l.r[n], l.g[n] = int32(r), g
 				n++
 			}
 			j++
@@ -192,9 +200,11 @@ func (s *KernelScratch) nonzeroLists(gsum, dy []float32, rows, outC, hw int) {
 				j, p = j+(outC-1)*hw, 0
 			}
 		}
-		gsum[oc] = sum
+		if gsum != nil {
+			gsum[oc] = sum
+		}
 	}
-	s.nzOff[outC] = n
+	l.off[outC] = n
 }
 
 // backwardTransposeOut writes dxT (k x rows) back into row-major

@@ -214,7 +214,7 @@ func (t *bwdDXRun) RunRange(lo, hi int) {
 
 // bwdSmallRun is the small tier's sweep over k columns: both gradients
 // of a column block in one walk of each channel's nonzero list (see
-// nonzeroLists). The summands and orders are the reference's: channel
+// nonzeros). The summands and orders are the reference's: channel
 // oc's list is row-ascending, so dw[oc][i] accumulates over ascending
 // r, and oc is the outermost loop, so every dxT[i][r] accumulates over
 // ascending oc; the hoisted padded rows hold the table entries
@@ -234,8 +234,8 @@ func (t *bwdSmallRun) RunRange(lo, hi int) {
 	gwPad, gxPad := t.op.gwPad, t.op.gxPad
 	clear(t.dxT[lo*rows : hi*rows])
 	for oc := 0; oc < t.outC; oc++ {
-		nzR := s.nzR[s.nzOff[oc]:s.nzOff[oc+1]]
-		nzG := s.nzG[s.nzOff[oc]:s.nzOff[oc+1]][:len(nzR)]
+		nzR := s.nz.r[s.nz.off[oc]:s.nz.off[oc+1]]
+		nzG := s.nz.g[s.nz.off[oc]:s.nz.off[oc+1]][:len(nzR)]
 		sw, zw := s.swc[oc], s.zwc[oc]
 		for i := lo; i < hi; i++ {
 			row := int(t.wq[oc*k+i]) * padStride

@@ -27,70 +27,6 @@ func Geometry(inC, inH, inW, outC, kh, kw, stride, pad int) ConvGeom {
 // K returns the contraction length inC*kH*kW.
 func (g ConvGeom) K() int { return g.InC * g.KH * g.KW }
 
-// Im2Col expands one NCHW input batch into the (N*outH*outW, K)
-// patch matrix such that convolution becomes patches x weightsᵀ.
-// Padding positions are zero.
-func Im2Col(x *Tensor, g ConvGeom) *Tensor {
-	n := x.Shape[0]
-	out := New(n*g.OutH*g.OutW, g.K())
-	Im2ColInto(out, x, g)
-	return out
-}
-
-// Im2ColInto is Im2Col writing into dst, which must be
-// (N*outH*outW, K). Every position is written (padding positions get
-// explicit zeros), so dst may hold stale data from a previous step.
-func Im2ColInto(dst, x *Tensor, g ConvGeom) {
-	n := x.Shape[0]
-	if dst.Shape[0] != n*g.OutH*g.OutW || dst.Shape[1] != g.K() {
-		panic(fmt.Sprintf("tensor: Im2Col destination %v does not match geometry", dst.Shape))
-	}
-	ParallelRows(n, func(lo, hi int) { im2colRange(dst.Data, x.Data, g, lo, hi) })
-}
-
-// im2colRange expands images [lo, hi) of the NCHW batch src into their
-// patch-matrix rows of dst, writing zeros where a patch overhangs the
-// image. One kernel row (KW entries) moves per step: a row wholly
-// inside the image is a straight copy.
-func im2colRange(dst, src []float32, g ConvGeom, lo, hi int) {
-	k := g.K()
-	hw := g.InH * g.InW
-	for img := lo; img < hi; img++ {
-		base := img * g.InC * hw
-		for oy := 0; oy < g.OutH; oy++ {
-			for ox := 0; ox < g.OutW; ox++ {
-				row := ((img*g.OutH+oy)*g.OutW + ox) * k
-				ix0 := ox*g.Stride - g.Pad
-				inside := ix0 >= 0 && ix0+g.KW <= g.InW
-				for c := 0; c < g.InC; c++ {
-					cbase := base + c*hw
-					for ky := 0; ky < g.KH; ky++ {
-						d := dst[row : row+g.KW]
-						row += g.KW
-						iy := oy*g.Stride - g.Pad + ky
-						if iy < 0 || iy >= g.InH {
-							clear(d)
-							continue
-						}
-						s := src[cbase+iy*g.InW : cbase+(iy+1)*g.InW]
-						if inside {
-							copy(d, s[ix0:])
-							continue
-						}
-						for i := range d {
-							if ix := ix0 + i; ix >= 0 && ix < g.InW {
-								d[i] = s[ix]
-							} else {
-								d[i] = 0
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // validOut returns the half-open range of output positions o in
 // [0, out) whose input coordinate o*stride + off lies in [0, in) — the
 // part of a k-major patch row (or column run) that is not padding.
@@ -143,22 +79,21 @@ func (g ConvGeom) planeTaps(buf []planeTap) []planeTap {
 	return buf
 }
 
-// Im2ColTJob is the k-major byte im2col of the approximate layers: it
-// expands n NCHW images of uint8 levels into the transposed patch
-// matrix dst (K x n*outH*outW), row i = (c, ky, kx) holding that kernel
-// tap's input level for every output position (img, oy, ox), and pad —
-// the quantized zero point, which is what a float zero quantizes to —
-// where the tap overhangs the image. The layers quantize once per input
-// element and expand bytes; the GEMM kernels scan rows of this matrix
-// contiguously, so no transpose follows. In a whole-plane geometry
-// every (i, img) is one copy of the shifted input plane followed by the
-// pad fills; otherwise every (i, img, oy) gathers an input row at the
-// stride between two pad fills. A layer keeps one job across steps and
-// calls Run, so the parallel dispatch reuses this struct as its
-// RangeRunner instead of allocating a closure.
-type Im2ColTJob struct {
-	dst, src []uint8
-	pad      uint8
+// Im2ColTJob is the k-major im2col of the conv layers: it expands n
+// NCHW images into the transposed patch matrix dst (K x n*outH*outW),
+// row i = (c, ky, kx) holding that kernel tap's input for every output
+// position (img, oy, ox), and pad where the tap overhangs the image —
+// for the approximate layers' uint8 levels the quantized zero point,
+// which is what a float zero quantizes to; for the float Conv2D, 0. The
+// GEMMs scan rows of this matrix contiguously, so no transpose follows.
+// In a whole-plane geometry every (i, img) is one copy of the shifted
+// input plane followed by the pad fills; otherwise every (i, img, oy)
+// gathers an input row at the stride between two pad fills. A layer
+// keeps one job across steps and calls Run, so the parallel dispatch
+// reuses this struct as its RangeRunner instead of allocating a closure.
+type Im2ColTJob[T uint8 | float32] struct {
+	dst, src []T
+	pad      T
 	n        int
 	g        ConvGeom
 	taps     []planeTap // empty unless g.wholePlane()
@@ -166,7 +101,7 @@ type Im2ColTJob struct {
 
 // Run expands the n images in src into dst (every position is
 // written) through the job's reusable state.
-func (j *Im2ColTJob) Run(dst, src []uint8, n int, g ConvGeom, pad uint8) {
+func (j *Im2ColTJob[T]) Run(dst, src []T, n int, g ConvGeom, pad T) {
 	if len(dst) != n*g.OutH*g.OutW*g.K() || len(src) != n*g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2ColT buffers (%d, %d) do not match geometry", len(dst), len(src)))
 	}
@@ -176,7 +111,7 @@ func (j *Im2ColTJob) Run(dst, src []uint8, n int, g ConvGeom, pad uint8) {
 
 // RunRange writes patch-matrix rows [lo, hi); it implements
 // RangeRunner for the pool and is not meant to be called directly.
-func (j *Im2ColTJob) RunRange(lo, hi int) {
+func (j *Im2ColTJob[T]) RunRange(lo, hi int) {
 	g := j.g
 	ohw := g.OutH * g.OutW
 	for i := lo; i < hi; i++ {
@@ -220,104 +155,19 @@ func (j *Im2ColTJob) RunRange(lo, hi int) {
 	}
 }
 
-func fill(d []uint8, v uint8) {
+func fill[T uint8 | float32](d []T, v T) {
 	for i := range d {
 		d[i] = v
 	}
 }
 
-// Col2Im scatters a patch-matrix gradient (N*outH*outW, K) back into an
-// NCHW input gradient, accumulating overlaps — the adjoint of Im2Col.
-func Col2Im(cols *Tensor, n int, g ConvGeom) *Tensor {
-	out := New(n, g.InC, g.InH, g.InW)
-	Col2ImInto(out, cols, n, g)
-	return out
-}
-
-// Col2ImInto is Col2Im writing into dst, which must be NCHW of the
-// geometry's input shape. dst is zeroed before accumulation.
-func Col2ImInto(dst, cols *Tensor, n int, g ConvGeom) {
-	var j Col2ImJob
-	j.Run(dst, cols, n, g)
-}
-
-// Col2ImJob is the reusable Col2ImInto.
-type Col2ImJob struct {
-	dst, cols *Tensor
-	g         ConvGeom
-	k, chw    int
-}
-
-// Run performs Col2ImInto(dst, cols, n, g) through the job's reusable
-// state.
-func (j *Col2ImJob) Run(dst, cols *Tensor, n int, g ConvGeom) {
-	k := g.K()
-	if cols.Shape[0] != n*g.OutH*g.OutW || cols.Shape[1] != k {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v does not match geometry", cols.Shape))
-	}
-	chw := g.InC * g.InH * g.InW
-	if len(dst.Data) != n*chw {
-		panic(fmt.Sprintf("tensor: Col2Im destination %v does not match geometry", dst.Shape))
-	}
-	j.dst, j.cols, j.g, j.k, j.chw = dst, cols, g, k, chw
-	// Parallel over images: each image's scatter touches only its own
-	// output region, so no synchronization is needed.
-	ParallelRowsOn(n, j)
-}
-
-// RunRange scatters images [lo, hi); it implements RangeRunner for the
-// pool and is not meant to be called directly. Like im2colRange it
-// moves one kernel row per step, visiting patch entries in the same
-// order as the defining loop nest, so every destination accumulates
-// its overlaps in ascending (oy, ox, c, ky, kx) order.
-func (j *Col2ImJob) RunRange(lo, hi int) {
-	g := j.g
-	dst, cols := j.dst.Data, j.cols.Data
-	hw := g.InH * g.InW
-	for img := lo; img < hi; img++ {
-		base := img * j.chw
-		clear(dst[base : base+j.chw])
-		for oy := 0; oy < g.OutH; oy++ {
-			for ox := 0; ox < g.OutW; ox++ {
-				row := ((img*g.OutH+oy)*g.OutW + ox) * j.k
-				ix0 := ox*g.Stride - g.Pad
-				inside := ix0 >= 0 && ix0+g.KW <= g.InW
-				for c := 0; c < g.InC; c++ {
-					cbase := base + c*hw
-					for ky := 0; ky < g.KH; ky++ {
-						s := cols[row : row+g.KW]
-						row += g.KW
-						iy := oy*g.Stride - g.Pad + ky
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						d := dst[cbase+iy*g.InW : cbase+(iy+1)*g.InW]
-						if inside {
-							d = d[ix0 : ix0+g.KW]
-							for i, v := range s {
-								d[i] += v
-							}
-							continue
-						}
-						for i, v := range s {
-							if ix := ix0 + i; ix >= 0 && ix < g.InW {
-								d[ix] += v
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// Col2ImTJob is the k-major col2im of the approximate layers, the
-// adjoint of Im2ColTJob: it scatters the transposed patch-matrix
-// gradient cols (K x n*outH*outW) straight into the NCHW input gradient
-// dst, so the GEMM's k-major output needs no transpose first.
+// Col2ImTJob is the k-major col2im of every conv layer, the adjoint of
+// Im2ColTJob: it scatters the transposed patch-matrix gradient cols
+// (K x n*outH*outW) straight into the NCHW input gradient dst, so the
+// GEMM's k-major output needs no transpose first.
 //
-// The result is bit-identical to Col2ImJob on the transposed matrix.
-// Col2ImJob adds an input element's overlaps in ascending (oy, ox)
+// The result is bit-identical to the row-major scatter (the test
+// oracle), which adds an input element's overlaps in ascending (oy, ox)
 // order; for one element (c, iy, ix) the kernel tap is a function of
 // the output position — ky = iy + pad - oy*stride, kx likewise — so
 // ascending oy is descending ky and, within one oy, ascending ox is

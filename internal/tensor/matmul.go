@@ -3,10 +3,10 @@ package tensor
 import "fmt"
 
 // The GEMM kernels come in two forms: allocating wrappers (MatMul,
-// MatMulTransB, MatMulTransA) that keep the original API, and *Into
-// variants that write into a caller-owned destination so steady-state
-// training steps allocate nothing. All of them schedule row blocks on
-// the persistent worker pool (see pool.go).
+// MatMulTransB, MatMulTransA) that keep the original API, and forms that
+// write into a caller-owned destination (the *Into functions and
+// MatMulTransBJob). All of them schedule row blocks on the persistent
+// worker pool (see pool.go).
 
 // MatMul returns A (m x k) times B (k x n) as a new (m x n) tensor.
 func MatMul(a, b *Tensor) *Tensor {
@@ -16,8 +16,8 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes A (m x k) times B (k x n) into dst (m x n),
-// overwriting it. It is the GEMM under the float convolution and
-// linear layers.
+// overwriting it. It is the GEMM under the float linear layer's input
+// gradient.
 func MatMulInto(dst, a, b *Tensor) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v x %v", a.Shape, b.Shape))
@@ -51,21 +51,16 @@ func MatMulInto(dst, a, b *Tensor) {
 // MatMulTransB returns A (m x k) times Bᵀ where B is (n x k).
 func MatMulTransB(a, b *Tensor) *Tensor {
 	out := New(a.Shape[0], b.Shape[0])
-	MatMulTransBInto(out, a, b)
+	var mm MatMulTransBJob
+	mm.Run(out, a, b)
 	return out
 }
 
-// MatMulTransBInto computes A (m x k) times Bᵀ (B is n x k) into dst
-// (m x n): a fused kernel for forward/backward passes that avoids
-// materializing the transpose.
-func MatMulTransBInto(dst, a, b *Tensor) {
-	var mm MatMulTransBJob
-	mm.Run(dst, a, b)
-}
-
-// MatMulTransBJob is MatMulTransBInto as a reusable job, like
-// Im2ColTJob: a caller that keeps one in long-lived state (a layer)
-// dispatches without allocating. The zero value is ready to use.
+// MatMulTransBJob computes A (m x k) times Bᵀ (B is n x k) into a
+// caller-owned destination without materializing the transpose. Like
+// Im2ColTJob it is a reusable job: a caller that keeps one in long-lived
+// state (a layer) dispatches without allocating. The zero value is ready
+// to use.
 type MatMulTransBJob struct {
 	dst, a, b *Tensor
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // This file implements the persistent worker pool shared by every
-// parallel kernel in the repository (MatMul, Im2Col, Col2Im, and the
-// approximate-GEMM kernels in internal/nn). Work is split into blocks
-// that idle workers claim from a shared atomic counter, so load
+// parallel kernel in the repository (MatMul, the k-major im2col and
+// col2im jobs, and the GEMM kernels in internal/nn). Work is split into
+// blocks that idle workers claim from a shared atomic counter, so load
 // balances dynamically (work stealing over a block queue) and no
 // goroutines are spawned per call — the pool is started once and lives
 // for the process.
@@ -75,12 +75,12 @@ func (j *poolJob) run() {
 type workerPool struct {
 	work    chan *poolJob
 	workers int
-	// free recycles job headers so a pooled dispatch allocates nothing
-	// in steady state. It holds every header that can be live at once —
-	// one per stale wake-up in the work queue, one per worker, one per
-	// submitter (as many as workers, typically) — so a worker draining a
-	// full queue of stale wake-ups overflows nothing; should it overflow
-	// anyway, release just drops the job for the collector.
+	// free recycles job headers so a pooled dispatch allocates nothing.
+	// It holds every header that can be live at once — one per stale
+	// wake-up in the work queue, one per worker, one per submitter (as
+	// many as workers, typically) — and starts full: filled on demand, a
+	// burst of stale wake-ups still allocated headers steps after start.
+	// Should it overflow anyway, release drops the job for the collector.
 	free chan *poolJob
 }
 
@@ -93,6 +93,9 @@ func newWorkerPool(workers int) *workerPool {
 		// blocking even when all workers are mid-job.
 		p.work = make(chan *poolJob, 4*workers)
 		p.free = make(chan *poolJob, cap(p.work)+2*workers)
+		for len(p.free) < cap(p.free) {
+			p.free <- new(poolJob)
+		}
 		for i := 1; i < workers; i++ {
 			go func() {
 				for j := range p.work {

@@ -257,6 +257,15 @@ func naiveConv(x, w *Tensor, g ConvGeom) *Tensor {
 	return out
 }
 
+// im2colT runs the float32 k-major im2col into a new (K x rows) slice.
+func im2colT(x *Tensor, g ConvGeom) []float32 {
+	n := x.Shape[0]
+	colsT := make([]float32, g.K()*n*g.OutH*g.OutW)
+	var job Im2ColTJob[float32]
+	job.Run(colsT, x.Data, n, g, 0)
+	return colsT
+}
+
 func TestIm2ColConvolutionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	cases := []struct{ n, c, h, w, oc, k, stride, pad int }{
@@ -268,16 +277,16 @@ func TestIm2ColConvolutionEquivalence(t *testing.T) {
 		g := Geometry(cse.c, cse.h, cse.w, cse.oc, cse.k, cse.k, cse.stride, cse.pad)
 		x := randT(rng, cse.n, cse.c, cse.h, cse.w)
 		wt := randT(rng, cse.oc, cse.c, cse.k, cse.k)
-		cols := Im2Col(x, g)
-		w2 := wt.Reshape(cse.oc, g.K())
-		flat := MatMulTransB(cols, w2) // (N*OH*OW, outC)
+		rows := cse.n * g.OutH * g.OutW
+		colsT := FromData(im2colT(x, g), g.K(), rows)
+		flat := MatMul(wt.Reshape(cse.oc, g.K()), colsT) // (outC, N*OH*OW)
 		want := naiveConv(x, wt, g)
 		for img := 0; img < cse.n; img++ {
 			for oc := 0; oc < g.OutC; oc++ {
 				for oy := 0; oy < g.OutH; oy++ {
 					for ox := 0; ox < g.OutW; ox++ {
 						row := (img*g.OutH+oy)*g.OutW + ox
-						got := flat.At(row, oc)
+						got := flat.At(oc, row)
 						if math.Abs(float64(got-want.At(img, oc, oy, ox))) > 1e-3 {
 							t.Fatalf("case %+v: conv mismatch at (%d,%d,%d,%d): %v vs %v",
 								cse, img, oc, oy, ox, got, want.At(img, oc, oy, ox))
@@ -290,35 +299,27 @@ func TestIm2ColConvolutionEquivalence(t *testing.T) {
 }
 
 func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
-	// <Im2Col(x), y> == <x, Col2Im(y)> for all x, y — the defining
+	// <Im2ColT(x), y> == <x, Col2ImT(y)> for all x, y — the defining
 	// property of a correct backward pass.
 	rng := rand.New(rand.NewSource(5))
 	g := Geometry(2, 6, 6, 3, 3, 3, 1, 1)
 	n := 2
 	x := randT(rng, n, 2, 6, 6)
-	y := randT(rng, n*g.OutH*g.OutW, g.K())
-	ax := Im2Col(x, g)
-	ay := Col2Im(y, n, g)
+	y := randT(rng, g.K(), n*g.OutH*g.OutW)
+	ax := im2colT(x, g)
 	var lhs, rhs float64
-	for i := range ax.Data {
-		lhs += float64(ax.Data[i]) * float64(y.Data[i])
+	for i := range ax {
+		lhs += float64(ax[i]) * float64(y.Data[i])
 	}
+	ay := New(n, 2, 6, 6)
+	var job Col2ImTJob
+	job.Run(ay.Data, y.Data, n, g)
 	for i := range x.Data {
 		rhs += float64(x.Data[i]) * float64(ay.Data[i])
 	}
 	if math.Abs(lhs-rhs) > 1e-2*math.Max(1, math.Abs(lhs)) {
 		t.Errorf("adjoint identity violated: %v vs %v", lhs, rhs)
 	}
-}
-
-func TestCol2ImShapeCheck(t *testing.T) {
-	g := Geometry(1, 4, 4, 1, 3, 3, 1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("bad col2im shape accepted")
-		}
-	}()
-	Col2Im(New(3, 3), 1, g)
 }
 
 func TestMatMulLinearityProperty(t *testing.T) {
@@ -379,18 +380,18 @@ var patchGeoms = []struct {
 	{2, 2, 8, 8, 3, 2, 1, false}, // stride 2 halves the plane
 }
 
-// TestIm2ColMatchesIndexOracle checks the float im2col and the k-major
-// byte im2col entry by entry against the defining index arithmetic:
-// patch position (img, oy, ox), kernel tap (c, ky, kx) holds input
-// (img, c, oy*s-p+ky, ox*s-p+kx), or the pad value outside the image —
-// at [position][tap] of the float matrix and [tap][position] of the
-// k-major one. Geometries cover strides 1/2, pads 0-2 (also past the
-// kernel centre), 1x1 to 5x5 kernels, non-square inputs, a kernel wider
-// than the image, one output column, a 1x1 output, a single channel
-// and a single image.
+// TestIm2ColMatchesIndexOracle checks both instantiations of the k-major
+// im2col — uint8 levels with a pad level, float32 values with pad 0 —
+// entry by entry against the defining index arithmetic: kernel tap
+// (c, ky, kx), patch position (img, oy, ox) holds input
+// (img, c, oy*s-p+ky, ox*s-p+kx), or the pad value outside the image.
+// Geometries cover strides 1/2, pads 0-2 (also past the kernel centre),
+// 1x1 to 5x5 kernels, non-square inputs, a kernel wider than the image,
+// one output column, a 1x1 output, a single channel and a single image.
 func TestIm2ColMatchesIndexOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const pad = 77
+	negZero := float32(math.Copysign(0, -1))
 	for _, cse := range patchGeoms {
 		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
 		if g.wholePlane() != cse.whole {
@@ -401,16 +402,21 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 		for i := range lv {
 			lv[i] = uint8(1 + rng.Intn(255))
 			x.Data[i] = float32(lv[i])
+			if rng.Intn(8) == 0 {
+				x.Data[i] = -x.Data[i]
+			}
 		}
-		cols := Im2Col(x, g)
-		colsT := make([]uint8, len(cols.Data))
-		for i := range colsT {
-			colsT[i] = 200 // stale contents must be overwritten
-		}
-		var job Im2ColTJob
-		job.Run(colsT, lv, cse.n, g, pad)
+		x.Data[0] = negZero
 		k := g.K()
 		rows := cse.n * g.OutH * g.OutW
+		colsF, colsU := make([]float32, k*rows), make([]uint8, k*rows)
+		for i := range colsU {
+			colsF[i], colsU[i] = 200, 200 // stale contents must be overwritten
+		}
+		var jobF Im2ColTJob[float32]
+		jobF.Run(colsF, x.Data, cse.n, g, 0)
+		var jobU Im2ColTJob[uint8]
+		jobU.Run(colsU, lv, cse.n, g, pad)
 		for img := 0; img < cse.n; img++ {
 			for oy := 0; oy < g.OutH; oy++ {
 				for ox := 0; ox < g.OutW; ox++ {
@@ -422,14 +428,14 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 								iy, ix := oy*cse.stride-cse.pad+ky, ox*cse.stride-cse.pad+kx
 								wantF, wantU := float32(0), uint8(pad)
 								if iy >= 0 && iy < cse.h && ix >= 0 && ix < cse.w {
-									wantU = lv[((img*cse.c+c)*cse.h+iy)*cse.w+ix]
-									wantF = float32(wantU)
+									in := ((img*cse.c+c)*cse.h+iy)*cse.w + ix
+									wantF, wantU = x.Data[in], lv[in]
 								}
-								if got := cols.Data[row*k+col]; got != wantF {
-									t.Fatalf("case %+v: float cols[%d][%d] = %v, want %v", cse, row, col, got, wantF)
+								if got := colsF[col*rows+row]; math.Float32bits(got) != math.Float32bits(wantF) {
+									t.Fatalf("case %+v: float32 cols[%d][%d] = %v, want %v", cse, col, row, got, wantF)
 								}
-								if got := colsT[col*rows+row]; got != wantU {
-									t.Fatalf("case %+v: k-major cols[%d][%d] = %d, want %d", cse, col, row, got, wantU)
+								if got := colsU[col*rows+row]; got != wantU {
+									t.Fatalf("case %+v: uint8 cols[%d][%d] = %d, want %d", cse, col, row, got, wantU)
 								}
 							}
 						}
@@ -440,12 +446,53 @@ func TestIm2ColMatchesIndexOracle(t *testing.T) {
 	}
 }
 
-// TestCol2ImTMatchesCol2Im pins the k-major col2im bit for bit to
-// Col2ImJob fed the transposed matrix: walking the kernel taps in
-// descending (ky, kx) order must hand every input element its overlaps
-// in the ascending (oy, ox) order of the row-major scatter — on the
-// whole-plane path too, whose extra +0 summands must change no bit
-// (the matrix holds -0 entries, which only a wrongly ordered or wrongly
+// col2imLoopNest is the defining scatter of a row-major (rows x K)
+// patch-matrix gradient: entries visited in ascending
+// (img, oy, ox, c, ky, kx) order, each added to its input element, so
+// every element adds its overlaps in ascending (oy, ox) order. Float
+// addition does not reassociate, so the visiting order is part of the
+// contract the conv layers' bit-identity guarantees rest on.
+func col2imLoopNest(cols []float32, n int, g ConvGeom) []float32 {
+	dx := make([]float32, n*g.InC*g.InH*g.InW)
+	i := 0
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < g.OutH; oy++ {
+			for ox := 0; ox < g.OutW; ox++ {
+				for c := 0; c < g.InC; c++ {
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							iy, ix := oy*g.Stride-g.Pad+ky, ox*g.Stride-g.Pad+kx
+							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+								dx[((img*g.InC+c)*g.InH+iy)*g.InW+ix] += cols[i]
+							}
+							i++
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
+// transposeT returns the (cols x rows) transpose of a row-major
+// (rows x cols) matrix.
+func transposeT(m []float32, rows, cols int) []float32 {
+	t := make([]float32, len(m))
+	for r := 0; r < rows; r++ {
+		for i := 0; i < cols; i++ {
+			t[i*rows+r] = m[r*cols+i]
+		}
+	}
+	return t
+}
+
+// TestCol2ImTMatchesCol2Im pins the k-major col2im bit for bit to the
+// row-major scatter (col2imLoopNest) fed the same matrix untransposed:
+// walking the kernel taps in descending (ky, kx) order must hand every
+// input element its overlaps in ascending (oy, ox) order — on the
+// whole-plane path too, whose extra +0 summands must change no bit (the
+// matrix holds -0 entries, which only a wrongly ordered or wrongly
 // zeroed sum would turn into +0 or back).
 //
 // It also states the job's contract on cols: Run consumes it. The
@@ -464,20 +511,15 @@ func TestCol2ImTMatchesCol2Im(t *testing.T) {
 				cols.Data[i] = negZero
 			}
 		}
-		colsT := make([]float32, rows*k)
-		for r := 0; r < rows; r++ {
-			for i := 0; i < k; i++ {
-				colsT[i*rows+r] = cols.Data[r*k+i]
-			}
-		}
-		want := Col2Im(cols, cse.n, g)
+		colsT := transposeT(cols.Data, rows, k)
+		want := col2imLoopNest(cols.Data, cse.n, g)
 		got := New(cse.n, cse.c, cse.h, cse.w)
 		got.Fill(3) // stale contents must be cleared
 		var job Col2ImTJob
 		job.Run(got.Data, colsT, cse.n, g)
-		for i := range want.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("case %+v: dx[%d] = %v, row-major col2im %v", cse, i, got.Data[i], want.Data[i])
+		for i := range want {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("case %+v: dx[%d] = %v, row-major col2im %v", cse, i, got.Data[i], want[i])
 			}
 		}
 		zeroed := 0
@@ -502,41 +544,38 @@ func TestCol2ImTMatchesCol2Im(t *testing.T) {
 	}
 }
 
-// TestCol2ImMatchesLoopNest pins Col2Im bit for bit to the defining
-// scatter: patch entries visited in ascending (img, oy, ox, c, ky, kx)
-// order, each added to its input element. Float addition does not
-// reassociate, so the visiting order is part of the contract the
-// approximate layers' bit-identity guarantees rest on.
+// TestCol2ImMatchesLoopNest pins the k-major col2im to the defining
+// scatter on non-finite entries as well: ±Inf and NaN patch entries must
+// reach exactly the input elements the loop nest sends them to — an
+// overhanging entry the whole-plane path failed to zero would turn its
+// neighbour into Inf or NaN. (Which NaN payload survives a sum of two
+// NaNs depends on the operand order the compiler picks for a commuted
+// add, so NaNs compare as NaN.)
 func TestCol2ImMatchesLoopNest(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
+	inf := float32(math.Inf(1))
 	for _, cse := range patchGeoms {
 		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
-		cols := randT(rng, cse.n*g.OutH*g.OutW, g.K())
-		want := make([]float32, cse.n*cse.c*cse.h*cse.w)
-		i := 0
-		for img := 0; img < cse.n; img++ {
-			for oy := 0; oy < g.OutH; oy++ {
-				for ox := 0; ox < g.OutW; ox++ {
-					for c := 0; c < cse.c; c++ {
-						for ky := 0; ky < cse.k; ky++ {
-							for kx := 0; kx < cse.k; kx++ {
-								iy, ix := oy*cse.stride-cse.pad+ky, ox*cse.stride-cse.pad+kx
-								if iy >= 0 && iy < cse.h && ix >= 0 && ix < cse.w {
-									want[((img*cse.c+c)*cse.h+iy)*cse.w+ix] += cols.Data[i]
-								}
-								i++
-							}
-						}
-					}
-				}
+		rows, k := cse.n*g.OutH*g.OutW, g.K()
+		cols := randT(rng, rows, k)
+		for i := range cols.Data {
+			switch rng.Intn(16) {
+			case 0:
+				cols.Data[i] = inf
+			case 1:
+				cols.Data[i] = -inf
+			case 2:
+				cols.Data[i] = math.Float32frombits(0x7fc00000 | uint32(rng.Intn(1<<22)))
 			}
 		}
+		want := col2imLoopNest(cols.Data, cse.n, g)
 		got := New(cse.n, cse.c, cse.h, cse.w)
-		got.Fill(3) // stale contents must be cleared
-		Col2ImInto(got, cols, cse.n, g)
-		for i := range want {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("case %+v: dx[%d] = %v, loop nest %v", cse, i, got.Data[i], want[i])
+		var job Col2ImTJob
+		job.Run(got.Data, transposeT(cols.Data, rows, k), cse.n, g)
+		for i, w := range want {
+			v := got.Data[i]
+			if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
+				t.Fatalf("case %+v: dx[%d] = %v, loop nest %v", cse, i, v, w)
 			}
 		}
 	}

@@ -81,11 +81,11 @@ func TestLoadCheckpointSectionBoundaryTruncation(t *testing.T) {
 	add(8) // seed
 	add(4) // epoch
 	nEpochs := int(binary.LittleEndian.Uint32(good[20:]))
-	add(4)              // trajectory length
-	add(nEpochs * 8)    // train loss
-	add(nEpochs * 8)    // top-1
-	add(nEpochs * 8)    // top-5
-	add(8)              // seconds
+	add(4)           // trajectory length
+	add(nEpochs * 8) // train loss
+	add(nEpochs * 8) // top-1
+	add(nEpochs * 8) // top-5
+	add(8)           // seconds
 	for i := 0; i < 4; i++ {
 		add(8) // robustness counters
 	}

@@ -51,37 +51,6 @@ func TestLegLabels(t *testing.T) {
 	}
 }
 
-func TestOpForSpecMatchesOpFor(t *testing.T) {
-	entry, _ := appmult.Lookup("mul7u_rm6")
-	cases := []struct {
-		spec string
-		enum Estimator
-	}{
-		{"ste", EstimatorSTE},
-		{"smoothdiff", EstimatorDifference},
-		{"rawdiff", EstimatorRawDifference},
-	}
-	for _, c := range cases {
-		got, err := OpForSpec(entry, c.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", c.spec, err)
-		}
-		want := OpFor(entry.Mult, c.enum, entry.HWS)
-		if len(got.Grads.DW) != len(want.Grads.DW) {
-			t.Fatalf("%s: table sizes differ", c.spec)
-		}
-		for i := range want.Grads.DW {
-			if math.Float32bits(got.Grads.DW[i]) != math.Float32bits(want.Grads.DW[i]) ||
-				math.Float32bits(got.Grads.DX[i]) != math.Float32bits(want.Grads.DX[i]) {
-				t.Fatalf("%s: gradient tables differ at %d", c.spec, i)
-			}
-		}
-	}
-	if _, err := OpForSpec(entry, "nonsense"); err == nil {
-		t.Error("OpForSpec accepted an unknown estimator")
-	}
-}
-
 // estimatorShardModel builds the BN-free approximate stack used by the
 // shard-invariance tests, with the given estimator op.
 func estimatorShardModel(op *nn.Op, seed int64) *nn.Sequential {

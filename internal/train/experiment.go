@@ -68,59 +68,6 @@ func BuildModel(kind string, classes int, sc Scale, conv models.ConvFactory, see
 	return m
 }
 
-// Estimator selects the gradient method for retraining.
-type Estimator int
-
-// The two estimators the paper compares, plus the unsmoothed ablation.
-const (
-	// EstimatorSTE is the baseline of [8]-[13]: accurate-multiplier
-	// gradients (Eq. 3).
-	EstimatorSTE Estimator = iota
-	// EstimatorDifference is the paper's contribution (Eqs. 4-6).
-	EstimatorDifference
-	// EstimatorRawDifference is the smoothing-off ablation: central
-	// differences of the unsmoothed AppMult function.
-	EstimatorRawDifference
-)
-
-// String names the estimator for reports.
-func (e Estimator) String() string {
-	switch e {
-	case EstimatorSTE:
-		return "STE"
-	case EstimatorDifference:
-		return "Ours"
-	case EstimatorRawDifference:
-		return "RawDiff"
-	default:
-		return fmt.Sprintf("Estimator(%d)", int(e))
-	}
-}
-
-// OpFor builds the nn.Op realizing an estimator for a multiplier.
-// hws values below 1 (the registry's "not applicable" marker on
-// accurate multipliers) fall back to 1, where the difference gradient
-// coincides with STE on a linear row.
-//
-// The enum predates the gradient.GradEstimator seam and is kept for
-// the callers that enumerate the paper's original comparison; it now
-// delegates to the corresponding estimator implementations (the tables
-// are bit-identical either way). New code should prefer OpForSpec.
-func OpFor(m appmult.Multiplier, e Estimator, hws int) *nn.Op {
-	switch e {
-	case EstimatorSTE:
-		return nn.EstimatorOp(m, gradient.STEEstimator{}, hws)
-	case EstimatorDifference:
-		// SmoothDiff applies the same [1, MaxHWS] clamp this function
-		// historically did.
-		return nn.EstimatorOp(m, gradient.SmoothDiff{}, hws)
-	case EstimatorRawDifference:
-		return nn.EstimatorOp(m, gradient.RawDiff{}, hws)
-	default:
-		panic("train: unknown estimator")
-	}
-}
-
 // CompareResult is one Table II row: the reference QAT accuracy with
 // the accurate multiplier, the AppMult model's accuracy before
 // retraining, and the retrained accuracies under each estimator.

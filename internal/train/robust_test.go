@@ -230,7 +230,7 @@ func TestLossAnomaly(t *testing.T) {
 		{1.0, 8.0, 8, 10, false, false},      // normal
 		{math.NaN(), 8.0, 8, 0, true, false}, // NaN always bad
 		{math.Inf(1), 8.0, 8, 10, true, false},
-		{20.0, 8.0, 8, 10, true, true},  // 20 > 10*1.0
+		{20.0, 8.0, 8, 10, true, true},   // 20 > 10*1.0
 		{20.0, 7.0, 7, 10, false, false}, // window not full yet
 		{20.0, 8.0, 8, 0, false, false},  // detector disabled
 	} {

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -73,22 +72,6 @@ func TestBuildModelKinds(t *testing.T) {
 		}
 	}()
 	BuildModel("alexnet", 10, sc, nil, 1)
-}
-
-func TestOpForEstimators(t *testing.T) {
-	e, _ := appmult.Lookup("mul6u_rm4")
-	for _, est := range []Estimator{EstimatorSTE, EstimatorDifference, EstimatorRawDifference} {
-		op := OpFor(e.Mult, est, 2)
-		if op == nil || op.Bits != 6 {
-			t.Errorf("%v: bad op", est)
-		}
-	}
-	if EstimatorSTE.String() != "STE" || EstimatorDifference.String() != "Ours" {
-		t.Error("estimator names wrong")
-	}
-	if !strings.Contains(Estimator(9).String(), "9") {
-		t.Error("unknown estimator should render numerically")
-	}
 }
 
 // TestCompareGradientsEndToEnd runs the full Table II pipeline at tiny
