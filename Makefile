@@ -40,9 +40,11 @@ purego:
 # tests) — and the serving tier on one P, where a replica loop that
 # comes free drains the admission queue before anything else runs, so
 # whatever samples the queue afterwards (the fleet autoscaler did) sees
-# it empty under any load.
+# it empty under any load — and dist, whose coordinator event loop,
+# sync-BN barrier handler goroutines and in-process workers then all
+# share one P.
 maxprocs1:
-	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/ ./internal/serve/ ./internal/fleet/
+	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/ ./internal/serve/ ./internal/fleet/ ./internal/dist/
 
 # nnparanoid reruns every internal package with the weight-version
 # check switched on: an approximate layer keeps the quantized form of

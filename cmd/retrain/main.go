@@ -67,7 +67,6 @@ func main() {
 		every      = flag.Int("ckpt-every", 1, "epochs between checkpoints")
 		spike      = flag.Float64("spike", 0, "loss-spike rollback factor (>1 enables; e.g. 10)")
 		shards     = flag.Int("shards", 0, "data-parallel shard count (>=1 enables the sharded step; 0 = legacy single replica)")
-		sliceRows  = flag.Int("slice-rows", 0, "gradient-slice granularity for the sharded step (0 = default 8)")
 		metricsA   = flag.String("metrics-addr", "", "optional debug listener for /metrics and /debug/pprof (e.g. :8091) exposing live training telemetry")
 		estimatorF = flag.String("estimator", "smoothdiff", "comma-separated gradient-estimator specs (ste|smoothdiff|cvste|stochastic|rawdiff, with optional parameters like smoothdiff(hws=8)); ste always runs as the baseline")
 		metricsOut = flag.String("metrics-out", "", "write a final Prometheus-text snapshot of the process metrics to this file on exit")
@@ -103,7 +102,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	opt := train.CompareOptions{CkptDir: *ckpt, Resume: *resume, CkptEvery: *every, SpikeFactor: *spike, Shards: *shards, SliceRows: *sliceRows, Estimators: estimators}
+	opt := train.CompareOptions{CkptDir: *ckpt, Resume: *resume, CkptEvery: *every, SpikeFactor: *spike, Shards: *shards, Estimators: estimators}
 
 	var rows []train.CompareResult
 	if *all {

@@ -51,7 +51,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		epochs    = flag.Int("epochs", 0, "override the scale's epoch count (0 = scale default)")
 		batch     = flag.Int("batch", 0, "override the scale's batch size (0 = scale default)")
-		sliceRows = flag.Int("slice-rows", 0, "gradient-slice granularity for BN-free models (0 = default 8)")
 
 		// Coordinator.
 		listen      = flag.String("listen", ":9200", "coordinator listen address")
@@ -93,7 +92,6 @@ func main() {
 	spec := dist.Spec{
 		Model: *model, Mult: *mult, Estimator: *estimator, Scale: *scale,
 		Classes: *classes, Seed: *seed, Epochs: *epochs, BatchSize: *batch,
-		SliceRows: *sliceRows,
 	}
 
 	switch *role {
@@ -125,7 +123,6 @@ func main() {
 			HeartbeatTimeout: *hbTimeout,
 			StepTimeout:      *stepTimeout,
 			JoinTimeout:      *joinTimeout,
-			SliceRows:        *sliceRows,
 			Logf:             log.Printf,
 		})
 		if err != nil {
@@ -162,7 +159,6 @@ func runJob(m *nn.Sequential, spec dist.Spec, sc train.Scale, base train.Config,
 	cfg.BatchSize = sc.BatchSize
 	cfg.Schedule = sc.Schedule()
 	cfg.Seed = spec.Seed
-	cfg.ShardSliceRows = spec.SliceRows
 	cfg.Logf = logf
 	cfg.CkptPath = ckpt
 	cfg.Resume = resume

@@ -32,12 +32,6 @@ type CoordinatorConfig struct {
 	// before panicking (the guarded train loop then counts a skipped
 	// step and retries on the next batch). Default StepTimeout.
 	JoinTimeout time.Duration
-	// WriteTimeout bounds each frame write so a dead peer cannot block
-	// the coordinator (default 10s).
-	WriteTimeout time.Duration
-	// SliceRows overrides the BN-free gradient-slice granularity
-	// (default train.DefaultSliceRows — the bit-identity granularity).
-	SliceRows int
 	// Logf, when non-nil, receives progress and failure lines.
 	Logf func(format string, args ...any)
 	// WrapConn, when non-nil, wraps every accepted connection; tests
@@ -52,9 +46,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = c.StepTimeout
-	}
-	if c.SliceRows < 1 {
-		c.SliceRows = train.DefaultSliceRows
 	}
 	return c
 }
@@ -100,14 +91,9 @@ type remote struct {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	model    *nn.Sequential
-	params   []*nn.Param
-	observed []nn.ObservedLayer
-	bns      []*nn.BatchNorm2D
-	groups   []*nn.BNSyncGroup
-	hasBN    bool
-	offsets  []int
-	numel    int
+	model  *nn.Sequential
+	rep    *train.Replica // the primary, in the engine's packed layout
+	groups []*nn.BNSyncGroup
 
 	srv    *wire.Server
 	joinCh chan *remote
@@ -131,21 +117,15 @@ type Coordinator struct {
 	stash    []bnStash
 	closed   bool
 
-	// Per-step scratch, grown on demand and reused.
-	sliceGrads [][]float32
-	sliceLoss  []float64
-	rngMin     []float32
-	rngMax     []float32
-	rngOK      []bool
-	obsMn      []float32
-	obsMx      []float32
-	obsHave    []bool
-	paramBuf   []float32
+	// Per-step state, reused: the slice set the workers' results land
+	// in, and the packed parameter values Broadcast sends.
+	set      train.Slices
+	paramBuf []float32
 }
 
 // bnStash captures one BN position's folded moments during a step so
-// the coordinator can update the primary's running statistics with
-// arithmetic bit-identical to the workers' forwardSync — but only on
+// the coordinator can update the primary's running statistics through
+// BatchNorm2D.UpdateRunning, as the workers' forwards do — but only on
 // step commit, leaving the primary pristine across aborted attempts.
 type bnStash struct {
 	sum     []float64
@@ -164,7 +144,7 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 	cfg = cfg.withDefaults()
 	srv, err := wire.Listen(proto, wire.ServerConfig{
 		Addr: cfg.Addr, HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
-		WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+		Logf: cfg.Logf, WrapConn: cfg.WrapConn,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -172,33 +152,17 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 	c := &Coordinator{
 		cfg:     cfg,
 		model:   model,
-		params:  model.Params(),
+		rep:     train.NewReplica(model, true),
 		srv:     srv,
 		joinCh:  make(chan *remote, 64),
 		events:  make(chan event, 4096),
 		workers: make(map[int]*remote),
 	}
 	c.bnCond = sync.NewCond(&c.mu)
-	nn.VisitLayers(model, func(l nn.Layer) {
-		if ol, ok := l.(nn.ObservedLayer); ok {
-			c.observed = append(c.observed, ol)
-		}
-		if bn, ok := l.(*nn.BatchNorm2D); ok {
-			c.bns = append(c.bns, bn)
-		}
-	})
-	for _, ol := range c.observed {
-		ol.SetDeferObserve(true)
+	for _, bn := range c.rep.BatchNorms() {
+		c.groups = append(c.groups, nn.NewBNSyncGroup(bn.C))
 	}
-	c.hasBN = len(c.bns) > 0
-	if c.hasBN {
-		c.groups = make([]*nn.BNSyncGroup, len(c.bns))
-		c.stash = make([]bnStash, len(c.bns))
-		for i, bn := range c.bns {
-			c.groups[i] = nn.NewBNSyncGroup(bn.C)
-		}
-	}
-	c.offsets, c.numel = train.ParamLayout(c.params)
+	c.stash = make([]bnStash, len(c.groups))
 	var welcome wire.Enc
 	spec.encode(&welcome)
 	srv.Serve(wire.Handler{Welcome: welcome.B, Joined: c.joined, Frame: c.frame, Dead: c.dead})
@@ -367,14 +331,14 @@ func (c *Coordinator) drainIdle() {
 // AwaitWorkers blocks (on the training goroutine) until at least min
 // workers are admitted or the timeout expires.
 func (c *Coordinator) AwaitWorkers(min int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for expired := false; ; {
 		c.drainIdle()
 		if len(c.workers) >= min {
 			return nil
 		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
+		if expired {
 			return fmt.Errorf("dist: %d of %d workers after %s", len(c.workers), min, timeout)
 		}
 		select {
@@ -384,7 +348,8 @@ func (c *Coordinator) AwaitWorkers(min int, timeout time.Duration) error {
 			if ev.kind == evDead {
 				c.removeWorker(ev.w)
 			}
-		case <-time.After(wait):
+		case <-timer.C:
+			expired = true
 		}
 	}
 }
@@ -407,7 +372,7 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 	}
 	start := time.Now()
 	var loss float64
-	if c.hasBN {
+	if len(c.groups) > 0 {
 		loss = c.stepBN(x, y, n)
 	} else {
 		loss = c.stepSliced(x, y, n)
@@ -423,21 +388,31 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 // every slice is deterministic given the (identical) replica state,
 // and the reduction tree is fixed by the plan alone.
 func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
-	bounds := train.PlanSlices(n, c.cfg.SliceRows)
+	bounds := c.set.Plan(c.rep, n, 0)
 	S := len(bounds) - 1
-	c.ensureScratch(S)
 	done := make([]bool, S)
 	got := 0
 	for s := S - 1; s >= 0; s-- { // popped from the tail → ascending dispatch
 		c.queue = append(c.queue, s)
 	}
 	c.dispatch(x, y, n, bounds, 0)
-	deadline := time.Now().Add(c.cfg.StepTimeout)
+	// One timer per step, re-armed when the deadline moves, never a
+	// time.After per pass: under the go 1.22 timer semantics this module
+	// builds with, an unfired time.After timer stays on the heap until
+	// it fires, StepTimeout later.
+	timer := time.NewTimer(c.cfg.StepTimeout)
+	defer timer.Stop()
 	for got < S {
 		if len(c.workers) == 0 {
 			c.awaitAnyWorker()
 			c.dispatch(x, y, n, bounds, 0)
-			deadline = time.Now().Add(c.cfg.StepTimeout)
+			if !timer.Stop() {
+				select { // drain a tick that fired while we waited
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(c.cfg.StepTimeout)
 			continue
 		}
 		select {
@@ -447,7 +422,7 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 				if ev.step != c.stepID || ev.slice < 0 || ev.slice >= S || done[ev.slice] {
 					continue // stale or duplicate
 				}
-				if !c.recordResult(ev, S) {
+				if !c.recordResult(ev) {
 					continue
 				}
 				delete(ev.w.outstanding, ev.slice)
@@ -473,7 +448,7 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 		case w := <-c.joinCh:
 			c.admit(w)
 			c.assignNext(w, x, y, n, bounds, 0)
-		case <-time.After(time.Until(deadline)):
+		case <-timer.C:
 			// Laggards holding slices past the step deadline are dead
 			// as far as this run is concerned: kill their connections
 			// so the resulting death events reassign their slices.
@@ -482,10 +457,10 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 					w.Kill("step deadline exceeded")
 				}
 			}
-			deadline = time.Now().Add(c.cfg.StepTimeout)
+			timer.Reset(c.cfg.StepTimeout)
 		}
 	}
-	return c.finishStep(S, n)
+	return c.finishStep()
 }
 
 // awaitAnyWorker blocks until at least one worker is admitted,
@@ -549,73 +524,43 @@ func (c *Coordinator) curAttempt() uint32 {
 	return c.attempt
 }
 
-// recordResult decodes a SliceResult payload into the per-slice
-// scratch. A malformed payload is a protocol violation: the worker
-// dies and the slice is reassigned via its death event.
-func (c *Coordinator) recordResult(ev event, S int) bool {
+// recordResult decodes a SliceResult payload into the slice's slot. A
+// malformed payload is a protocol violation: the worker dies and the
+// slice is reassigned via its death event.
+func (c *Coordinator) recordResult(ev event) bool {
 	d := wire.Dec{B: ev.payload}
 	d.U64() // step, already checked
 	d.U32() // attempt, already checked by caller where relevant
-	slice := int(d.U32())
-	loss := d.F64()
-	nObs := int(d.U32())
-	if nObs != len(c.observed) {
-		ev.w.Kill(fmt.Sprintf("result carries %d observers, model has %d", nObs, len(c.observed)))
+	d.U32() // slice, already decoded into ev.slice
+	loss, grads, lo, hi, seen := c.set.Slot(ev.slice)
+	*loss = d.F64()
+	if err := decodeRanges(&d, lo, hi, seen); err != nil {
+		ev.w.Kill(fmt.Sprintf("slice result: %v", err))
 		return false
 	}
-	for i := 0; i < nObs; i++ {
-		c.rngMin[slice*nObs+i] = d.F32()
-		c.rngMax[slice*nObs+i] = d.F32()
-		c.rngOK[slice*nObs+i] = d.U8() != 0
-	}
-	if !d.F32sInto(c.sliceGrads[slice]) || d.Err() != nil {
+	if !d.F32sInto(grads) || d.Err() != nil {
 		ev.w.Kill("malformed slice result")
 		return false
 	}
-	c.sliceLoss[slice] = loss
 	return true
 }
 
-// finishStep folds the gathered slices exactly as ShardedStep does:
-// stride-doubling tree into the primary's gradients, ascending-order
-// loss sum, exact min/max observer merge folded into the primary and
-// broadcast to the workers.
-func (c *Coordinator) finishStep(S, n int) float64 {
-	train.FoldSliceTree(c.sliceGrads[:S])
-	buf := c.sliceGrads[0]
-	for pi, p := range c.params {
-		copy(p.Grad.Data, buf[c.offsets[pi]:c.offsets[pi]+p.Grad.Numel()])
-	}
-	var lossSum float64
-	for s := 0; s < S; s++ {
-		lossSum += c.sliceLoss[s]
-	}
-	nObs := len(c.observed)
-	for i := 0; i < nObs; i++ {
-		c.obsHave[i] = false
-	}
-	train.MergeSliceRanges(S, nObs, c.rngMin, c.rngMax, c.rngOK, func(i int, mn, mx float32) {
-		c.observed[i].ActivationObserver().ObserveRange(mn, mx)
-		c.obsMn[i], c.obsMx[i], c.obsHave[i] = mn, mx, true
-	})
+// finishStep folds the gathered slices through the engine, exactly as
+// ShardedStep does, folds the merged observer ranges into the primary
+// and sends them to the workers to fold into theirs.
+func (c *Coordinator) finishStep() float64 {
+	loss := c.set.Fold(c.rep)
+	c.rep.Observe(&c.set)
+	_, _, lo, hi, seen := c.set.Slot(0)
 	var e wire.Enc
 	e.U64(c.stepID)
-	e.U32(uint32(nObs))
-	for i := 0; i < nObs; i++ {
-		e.F32(c.obsMn[i])
-		e.F32(c.obsMx[i])
-		if c.obsHave[i] {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
-	}
+	encodeRanges(&e, lo, hi, seen)
 	for _, w := range c.liveSorted() {
 		if err := w.Conn.Send(frameObserve, e.B); err != nil {
 			w.Kill(fmt.Sprintf("send observe: %v", err))
 		}
 	}
-	return lossSum / float64(n)
+	return loss
 }
 
 // stepBN runs a sync-BN step. Participants are fixed for the attempt
@@ -630,9 +575,8 @@ func (c *Coordinator) stepBN(x *tensor.Tensor, y []int, n int) float64 {
 			c.awaitAnyWorker()
 		}
 		live := c.liveSorted()
-		bounds := train.PlanEvenSlices(n, len(live))
+		bounds := c.set.Plan(c.rep, n, len(live))
 		S := len(bounds) - 1
-		c.ensureScratch(S)
 		c.mu.Lock()
 		c.attempt++
 		att := c.attempt
@@ -653,7 +597,7 @@ func (c *Coordinator) stepBN(x *tensor.Tensor, y []int, n int) float64 {
 		}
 		if ok {
 			c.applyBNStash()
-			return c.finishStep(S, n)
+			return c.finishStep()
 		}
 		c.abortAttempt()
 		stepRetries.Inc()
@@ -688,7 +632,8 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 			return false, nil
 		}
 	}
-	deadline := time.Now().Add(c.cfg.StepTimeout)
+	timer := time.NewTimer(c.cfg.StepTimeout)
+	defer timer.Stop()
 	for got < S {
 		select {
 		case ev := <-c.events:
@@ -697,7 +642,7 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 				if ev.step != c.stepID || ev.attempt != att || ev.slice < 0 || ev.slice >= S || done[ev.slice] {
 					continue
 				}
-				if !c.recordResult(ev, S) {
+				if !c.recordResult(ev) {
 					return false, nil
 				}
 				delete(ev.w.outstanding, ev.slice)
@@ -723,7 +668,7 @@ func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor
 			// Admission mid-attempt is safe (the primary is stable);
 			// the newcomer participates from the next attempt or step.
 			c.admit(w)
-		case <-time.After(time.Until(deadline)):
+		case <-timer.C:
 			for _, w := range c.liveSorted() {
 				if len(w.outstanding) > 0 {
 					w.Kill("step deadline exceeded")
@@ -835,25 +780,17 @@ func (c *Coordinator) stashSquares(group int, att uint32, sq []float64) {
 }
 
 // applyBNStash commits the folded moments to the primary's BatchNorm
-// running statistics with arithmetic identical to the workers'
-// forwardSync update, so the primary's state matches what an
-// in-process replica would hold.
+// running statistics — the update every worker's forward applied — so
+// the primary's state matches what an in-process replica would hold.
 func (c *Coordinator) applyBNStash() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for gi, bn := range c.bns {
+	for gi, bn := range c.rep.BatchNorms() {
 		st := &c.stash[gi]
 		if !st.haveSum || !st.haveSq {
 			panic(fmt.Sprintf("dist: sync-BN stash incomplete for group %d", gi))
 		}
-		cnt := float64(st.cnt)
-		m := bn.Momentum
-		for ch := 0; ch < bn.C; ch++ {
-			mean := st.sum[ch] / cnt
-			vr := st.sq[ch] / cnt
-			bn.RunningMean.Data[ch] = float32((1-m)*float64(bn.RunningMean.Data[ch]) + m*mean)
-			bn.RunningVar.Data[ch] = float32((1-m)*float64(bn.RunningVar.Data[ch]) + m*vr)
-		}
+		bn.UpdateRunning(st.sum, st.sq, st.cnt)
 	}
 }
 
@@ -861,16 +798,10 @@ func (c *Coordinator) applyBNStash() {
 // post-optimizer parameter values to every worker.
 func (c *Coordinator) Broadcast() {
 	c.drainIdle()
-	if cap(c.paramBuf) < c.numel {
-		c.paramBuf = make([]float32, c.numel)
-	}
-	buf := c.paramBuf[:c.numel]
-	for pi, p := range c.params {
-		copy(buf[c.offsets[pi]:], p.Value.Data)
-	}
+	c.paramBuf = c.rep.PackValues(c.paramBuf)
 	var e wire.Enc
 	e.U64(c.stepID)
-	e.F32s(buf)
+	e.F32s(c.paramBuf)
 	for _, w := range c.liveSorted() {
 		if err := w.Conn.Send(frameParams, e.B); err != nil {
 			w.Kill(fmt.Sprintf("send params: %v", err))
@@ -910,37 +841,6 @@ func (c *Coordinator) Close() {
 	}
 	c.srv.Close()
 	c.bnWG.Wait()
-	for _, ol := range c.observed {
-		ol.SetDeferObserve(false)
-	}
+	c.rep.Detach()
 	workersLive.Set(0)
-}
-
-// ensureScratch sizes the per-slice buffers for S slices.
-func (c *Coordinator) ensureScratch(S int) {
-	for len(c.sliceGrads) < S {
-		c.sliceGrads = append(c.sliceGrads, make([]float32, c.numel))
-	}
-	if cap(c.sliceLoss) < S {
-		c.sliceLoss = make([]float64, S)
-	}
-	c.sliceLoss = c.sliceLoss[:S]
-	nObs := len(c.observed)
-	nRng := S * nObs
-	if cap(c.rngMin) < nRng {
-		c.rngMin = make([]float32, nRng)
-		c.rngMax = make([]float32, nRng)
-		c.rngOK = make([]bool, nRng)
-	}
-	c.rngMin = c.rngMin[:nRng]
-	c.rngMax = c.rngMax[:nRng]
-	c.rngOK = c.rngOK[:nRng]
-	if cap(c.obsMn) < nObs {
-		c.obsMn = make([]float32, nObs)
-		c.obsMx = make([]float32, nObs)
-		c.obsHave = make([]bool, nObs)
-	}
-	c.obsMn = c.obsMn[:nObs]
-	c.obsMx = c.obsMx[:nObs]
-	c.obsHave = c.obsHave[:nObs]
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/appmult/retrain/internal/faults"
 	"github.com/appmult/retrain/internal/nn"
+	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
 	"github.com/appmult/retrain/internal/wire"
 	"github.com/appmult/retrain/internal/wiretest"
@@ -408,6 +410,36 @@ func TestDistResumeBitIdentical(t *testing.T) {
 		cfg.Resume = true
 	})
 	assertBitIdentical(t, cl2.model, straight, "dist resumed 2+2 vs straight 4")
+}
+
+// TestCoordinatorStepsHoldNoTimers: a step's gather loop must not leave
+// a live timer behind per pass. The module builds with go 1.22 timer
+// semantics, under which an unfired time.After timer stays on the heap
+// until it fires — StepTimeout (2 min) later — so a loop that armed one
+// per event grew the heap with the step count.
+func TestCoordinatorStepsHoldNoTimers(t *testing.T) {
+	cl := startCluster(t, tinySpec("lenet"), 1, CoordinatorConfig{}, WorkerConfig{}, nil)
+	x := tensor.New(1, 3, cl.scale.HW, cl.scale.HW)
+	y := []int{0}
+	steps := func(n int) {
+		for i := 0; i < n; i++ {
+			cl.co.Step(x, y)
+		}
+	}
+	heapInuse := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	steps(200)
+	base := heapInuse()
+	const n = 3000
+	steps(n)
+	if grown := heapInuse() - base; grown > 256<<10 {
+		t.Fatalf("heap in use grew %d KiB over %d coordinator steps", grown>>10, n)
+	}
 }
 
 // TestAwaitWorkersTimeout: a coordinator with no workers reports the

@@ -18,7 +18,11 @@
 // failure-handling state machine.
 package dist
 
-import "github.com/appmult/retrain/internal/wire"
+import (
+	"fmt"
+
+	"github.com/appmult/retrain/internal/wire"
+)
 
 // ProtocolVersion is the frame-protocol generation carried in
 // Hello/Welcome. A coordinator refuses workers speaking a different
@@ -27,7 +31,8 @@ const ProtocolVersion = 1
 
 // Frame types. The payload layouts are specified in
 // docs/dist-protocol.md; encode/decode helpers live next to their
-// users in coordinator.go and worker.go.
+// users in coordinator.go and worker.go, except the observer ranges
+// both sides write (encodeRanges below).
 const (
 	frameHello        uint8 = iota + 1 // worker → coord: protocol version
 	frameWelcome                       // coord → worker: worker id + job spec
@@ -61,4 +66,35 @@ var proto = &wire.Protocol{
 		"slice_aborted", "observe", "params", "ping", "pong", "bn_reduce",
 		"bn_result", "bn_abort", "bye"},
 	Metrics: wire.NewMetrics("dist", frameSizeBytes),
+}
+
+// encodeRanges appends per-observer activation ranges, the tail shared
+// by slice_result (one slice's raw ranges) and observe (the merged
+// ones): count u32, then min f32 | max f32 | seen u8 per observer.
+func encodeRanges(e *wire.Enc, lo, hi []float32, seen []bool) {
+	e.U32(uint32(len(lo)))
+	for i := range lo {
+		e.F32(lo[i])
+		e.F32(hi[i])
+		if seen[i] {
+			e.U8(1)
+		} else {
+			e.U8(0)
+		}
+	}
+}
+
+// decodeRanges reads encodeRanges' layout into lo, hi and seen, whose
+// length is the model's observer count. A short payload shows in d's
+// error as usual.
+func decodeRanges(d *wire.Dec, lo, hi []float32, seen []bool) error {
+	if n := int(d.U32()); n != len(lo) {
+		return fmt.Errorf("carries %d observers, model has %d", n, len(lo))
+	}
+	for i := range lo {
+		lo[i] = d.F32()
+		hi[i] = d.F32()
+		seen[i] = d.U8() != 0
+	}
+	return nil
 }

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/tensor"
+	"github.com/appmult/retrain/internal/train"
 	"github.com/appmult/retrain/internal/wire"
 	"github.com/appmult/retrain/internal/wiretest"
 )
@@ -42,10 +44,25 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
+// TestWelcomeSpecBytes pins the welcome's spec encoding to the bytes
+// written when the slice granularity was still a spec field set to 8:
+// the slot stays on the wire, so nodes on either side of that change
+// still understand each other.
+func TestWelcomeSpecBytes(t *testing.T) {
+	const want = "050000006c656e6574090000006d756c38755f726d380a000000736d6f6f7468646966660400000074696e79" +
+		"0a0000000500000000000000020000000a00000008000000"
+	var e wire.Enc
+	Spec{Model: "lenet", Mult: "mul8u_rm8", Estimator: "smoothdiff", Scale: "tiny",
+		Classes: 10, Seed: 5, Epochs: 2, BatchSize: 10}.encode(&e)
+	if got := hex.EncodeToString(e.B); got != want {
+		t.Fatalf("welcome spec bytes:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestSpecWireRoundTrip(t *testing.T) {
 	in := Spec{
 		Model: "lenet", Mult: "mul8u_17C8", Estimator: "ours", Scale: "tiny",
-		Classes: 7, Seed: -3, Epochs: 9, BatchSize: 20, SliceRows: 4,
+		Classes: 7, Seed: -3, Epochs: 9, BatchSize: 20,
 	}
 	var e wire.Enc
 	in.encode(&e)
@@ -79,13 +96,9 @@ func TestApplyParamsLeavesNoStaleWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float32, s.numel)
-	for pi, p := range primary.Params() {
-		copy(buf[s.offsets[pi]:], p.Value.Data)
-	}
 	var e wire.Enc
 	e.U64(1) // step
-	e.F32s(buf)
+	e.F32s(train.NewReplica(primary, false).PackValues(nil))
 	if err := s.applyParams(e.B); err != nil {
 		t.Fatal(err)
 	}

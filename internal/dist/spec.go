@@ -38,17 +38,14 @@ type Spec struct {
 	Epochs int
 	// BatchSize overrides the scale's batch size when > 0.
 	BatchSize int
-	// SliceRows overrides the BN-free gradient-slice granularity
-	// (default train.DefaultSliceRows).
-	SliceRows int
 }
 
-// CanonicalEstimator resolves a Spec.Estimator value to the estimator
+// canonicalEstimator resolves a Spec.Estimator value to the estimator
 // spec the GradEstimator seam understands, translating the historical
 // wire aliases ("ours"/"difference" mean "smoothdiff") and validating
 // the result. Coordinator and workers both canonicalize, so mixed-age
 // nodes agree on the estimator a job trains under.
-func CanonicalEstimator(name string) (string, error) {
+func canonicalEstimator(name string) (string, error) {
 	switch name {
 	case "":
 		return gradient.EstSTE, nil
@@ -80,7 +77,7 @@ func (s Spec) Build() (*nn.Sequential, train.Scale, error) {
 	if !ok {
 		return nil, train.Scale{}, fmt.Errorf("dist: unknown multiplier %q", s.Mult)
 	}
-	spec, err := CanonicalEstimator(s.Estimator)
+	spec, err := canonicalEstimator(s.Estimator)
 	if err != nil {
 		return nil, train.Scale{}, err
 	}
@@ -115,7 +112,9 @@ func (s Spec) Datasets(sc train.Scale) (trainSet, testSet *data.Dataset) {
 	})
 }
 
-// encode appends the spec's wire form.
+// encode appends the spec's wire form. The trailing slice_rows slot
+// predates the fixed slice granularity: it is always
+// train.DefaultSliceRows, and decodeSpec skips it.
 func (s Spec) encode(e *wire.Enc) {
 	e.Str(s.Model)
 	e.Str(s.Mult)
@@ -125,12 +124,12 @@ func (s Spec) encode(e *wire.Enc) {
 	e.U64(uint64(s.Seed))
 	e.U32(uint32(s.Epochs))
 	e.U32(uint32(s.BatchSize))
-	e.U32(uint32(s.SliceRows))
+	e.U32(train.DefaultSliceRows)
 }
 
 // decodeSpec reads a spec's wire form.
 func decodeSpec(d *wire.Dec) Spec {
-	return Spec{
+	s := Spec{
 		Model:     d.Str(),
 		Mult:      d.Str(),
 		Estimator: d.Str(),
@@ -139,6 +138,7 @@ func decodeSpec(d *wire.Dec) Spec {
 		Seed:      int64(d.U64()),
 		Epochs:    int(d.U32()),
 		BatchSize: int(d.U32()),
-		SliceRows: int(d.U32()),
 	}
+	d.U32() // slice_rows
+	return s
 }

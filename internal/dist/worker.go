@@ -23,14 +23,10 @@ type WorkerConfig struct {
 	// failures; 0 retries forever (a crashed coordinator restarting
 	// from a checkpoint picks the worker back up).
 	MaxDialAttempts int
-	// DialTimeout bounds one dial (default 3s).
-	DialTimeout time.Duration
 	// HeartbeatTimeout is the read-idle limit: the coordinator pings
 	// well inside it, so a read stalled this long means the connection
 	// is dead (default 15s).
 	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
 	// Seed randomizes backoff jitter.
 	Seed int64
 	// Logf, when non-nil, receives progress and failure lines.
@@ -55,8 +51,7 @@ func (c WorkerConfig) logf(format string, args ...any) {
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	return wire.RunClient(ctx, proto, wire.ClientConfig{
 		Addr: cfg.Coordinator, Dial: cfg.Dial, MaxDialAttempts: cfg.MaxDialAttempts,
-		DialTimeout: cfg.DialTimeout, HeartbeatTimeout: cfg.HeartbeatTimeout, WriteTimeout: cfg.WriteTimeout,
-		Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+		HeartbeatTimeout: cfg.HeartbeatTimeout, Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
 	}, func(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec) error {
 		return serveWorker(ctx, fc, id, welcome, cfg)
 	})
@@ -69,21 +64,19 @@ type wframe struct {
 	err error
 }
 
-// workerSession is one connection's state: the replica model rebuilt
-// from the coordinator's spec plus the frame routing channels.
+// workerSession is one connection's state: the replica rebuilt from
+// the coordinator's spec, its one-slot slice set, and the frame routing
+// channels.
 type workerSession struct {
 	cfg WorkerConfig
 	fc  *wire.Conn
 	id  int
 
-	model    *nn.Sequential
-	params   []*nn.Param
-	observed []nn.ObservedLayer
-	bns      []*nn.BatchNorm2D
-	proxies  []*bnProxy
-	offsets  []int
-	numel    int
-	hw       int
+	model   *nn.Sequential
+	rep     *train.Replica
+	set     train.Slices // slot 0: the slice being computed, then the merged ranges
+	proxies []*bnProxy
+	hw      int
 
 	stateReady bool
 	attempt    uint32
@@ -93,10 +86,9 @@ type workerSession struct {
 	readerDead chan struct{}
 	stop       chan struct{}
 
-	x       *tensor.Tensor
-	dy      *tensor.Tensor
-	labels  []int
-	gradBuf []float32
+	x      *tensor.Tensor
+	labels []int
+	values []float32 // packed parameter values of a params frame
 }
 
 // serveWorker is one connection's session body: rebuild the replica
@@ -120,7 +112,7 @@ func serveWorker(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec, 
 	if err := s.buildModel(spec); err != nil {
 		return err
 	}
-	cfg.logf("worker %d: joined %s (model %s, %d params)", id, cfg.Coordinator, spec.Model, s.numel)
+	cfg.logf("worker %d: joined %s (model %s, %d params)", id, cfg.Coordinator, spec.Model, len(s.values))
 	go s.readLoop()
 
 	for {
@@ -162,34 +154,20 @@ func serveWorker(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec, 
 }
 
 // buildModel reconstructs the replica from the spec and wires the
-// deferred observers and sync-BN proxies.
+// sync-BN proxies.
 func (s *workerSession) buildModel(spec Spec) error {
 	m, sc, err := spec.Build()
 	if err != nil {
 		return err
 	}
-	s.model = m
-	s.params = m.Params()
-	s.hw = sc.HW
-	nn.VisitLayers(m, func(l nn.Layer) {
-		if ol, ok := l.(nn.ObservedLayer); ok {
-			s.observed = append(s.observed, ol)
-		}
-		if bn, ok := l.(*nn.BatchNorm2D); ok {
-			s.bns = append(s.bns, bn)
-		}
-	})
-	for _, ol := range s.observed {
-		ol.SetDeferObserve(true)
+	s.model, s.hw = m, sc.HW
+	s.rep = train.NewReplica(m, true)
+	s.set.Plan(s.rep, 1, 1) // one slot: a worker computes one slice at a time
+	for i, bn := range s.rep.BatchNorms() {
+		s.proxies = append(s.proxies, &bnProxy{s: s, group: i, c: bn.C})
 	}
-	s.proxies = make([]*bnProxy, len(s.bns))
-	for i, bn := range s.bns {
-		s.proxies[i] = &bnProxy{s: s, group: i, c: bn.C}
-	}
-	s.offsets, s.numel = train.ParamLayout(s.params)
-	s.gradBuf = make([]float32, s.numel)
+	s.values = s.rep.PackValues(nil)
 	s.x = tensor.New(1)
-	s.dy = tensor.New(1)
 	return nil
 }
 
@@ -244,26 +222,19 @@ func (s *workerSession) applyState(p []byte) error {
 }
 
 // applyObserve folds the coordinator's merged observer ranges, exactly
-// as an in-process replica folds them in mergeObservers.
+// as an in-process replica folds them after its step.
 func (s *workerSession) applyObserve(p []byte) error {
 	d := wire.Dec{B: p}
 	d.U64() // step
-	nObs := int(d.U32())
-	if nObs != len(s.observed) {
-		return fmt.Errorf("dist: observe carries %d observers, model has %d", nObs, len(s.observed))
+	_, _, lo, hi, seen := s.set.Slot(0)
+	if err := decodeRanges(&d, lo, hi, seen); err != nil {
+		return fmt.Errorf("dist: observe: %w", err)
 	}
-	for i := 0; i < nObs; i++ {
-		mn := d.F32()
-		mx := d.F32()
-		have := d.U8() != 0
-		if d.Failed() {
-			break
-		}
-		if have {
-			s.observed[i].ActivationObserver().ObserveRange(mn, mx)
-		}
+	if err := d.Err(); err != nil {
+		return err
 	}
-	return d.Err()
+	s.rep.Observe(&s.set)
+	return nil
 }
 
 // applyParams overwrites parameter values with the primary's
@@ -271,16 +242,13 @@ func (s *workerSession) applyObserve(p []byte) error {
 func (s *workerSession) applyParams(p []byte) error {
 	d := wire.Dec{B: p}
 	d.U64() // step
-	if !d.F32sInto(s.gradBuf) {
+	if !d.F32sInto(s.values) {
 		return fmt.Errorf("dist: params frame length mismatch")
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	for pi, prm := range s.params {
-		copy(prm.Value.Data, s.gradBuf[s.offsets[pi]:s.offsets[pi]+prm.Value.Numel()])
-		prm.Touch()
-	}
+	s.rep.LoadValues(s.values)
 	return nil
 }
 
@@ -316,7 +284,7 @@ func (s *workerSession) handleSlice(p []byte) error {
 	}
 
 	s.attempt = att
-	for i, bn := range s.bns {
+	for i, bn := range s.rep.BatchNorms() {
 		if parts > 0 {
 			bn.SetSyncGroup(s.proxies[i], partIdx)
 		} else {
@@ -333,7 +301,7 @@ func (s *workerSession) handleSlice(p []byte) error {
 		break
 	}
 
-	loss, abortReason, fatal := s.computeSlice(batchN)
+	abortReason, fatal := s.computeSlice(batchN)
 	if abortReason != "" {
 		var e wire.Enc
 		e.U64(step)
@@ -347,32 +315,23 @@ func (s *workerSession) handleSlice(p []byte) error {
 		e.Str(abortReason)
 		return s.fc.Send(frameSliceAborted, e.B)
 	}
+	loss, grads, lo, hi, seen := s.set.Slot(0)
 	var e wire.Enc
 	e.U64(step)
 	e.U32(att)
 	e.U32(slice)
-	e.F64(loss)
-	e.U32(uint32(len(s.observed)))
-	for _, ol := range s.observed {
-		mn, mx, ok := ol.DeferredRange()
-		e.F32(mn)
-		e.F32(mx)
-		if ok {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
-	}
-	e.F32s(s.gradBuf)
+	e.F64(*loss)
+	encodeRanges(&e, lo, hi, seen)
+	e.F32s(grads)
 	workerSlices.Inc()
 	return s.fc.Send(frameSliceResult, e.B)
 }
 
-// computeSlice runs forward/backward over the staged input, packing
-// gradients into gradBuf. Panics are contained here: ErrSyncAborted is
-// the cooperative unwind of an aborted sync-BN attempt; anything else
-// is a genuine model failure.
-func (s *workerSession) computeSlice(batchN int) (loss float64, abortReason string, fatal bool) {
+// computeSlice runs the engine's slice body over the staged input into
+// slot 0. Panics are contained here: ErrSyncAborted is the cooperative
+// unwind of an aborted sync-BN attempt; anything else is a genuine
+// model failure.
+func (s *workerSession) computeSlice(batchN int) (abortReason string, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == nn.ErrSyncAborted {
@@ -384,19 +343,8 @@ func (s *workerSession) computeSlice(batchN int) (loss float64, abortReason stri
 			}
 		}
 	}()
-	for _, prm := range s.params {
-		for i := range prm.Grad.Data {
-			prm.Grad.Data[i] = 0
-		}
-	}
-	out := s.model.Forward(s.x, true)
-	s.dy = tensor.Ensure(s.dy, out.Shape...)
-	loss = nn.SoftmaxCrossEntropySumInto(s.dy, out, s.labels, batchN)
-	s.model.Backward(s.dy)
-	for pi, prm := range s.params {
-		copy(s.gradBuf[s.offsets[pi]:], prm.Grad.Data)
-	}
-	return loss, "", false
+	s.rep.RunSlice(&s.set, 0, s.x, s.labels, batchN)
+	return "", false
 }
 
 // bnProxy implements nn.BNSyncer for a worker's BatchNorm layers by

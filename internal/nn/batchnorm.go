@@ -35,7 +35,8 @@ type BatchNorm2D struct {
 	syncActive bool
 	syncCnt    float64
 	meanBuf    []float64
-	sumBuf     []float64 // local publish buffer (c wide)
+	sumBuf     []float64 // per-channel sums (c wide)
+	sqBuf      []float64 // per-channel squared deviations (c wide)
 	dyBuf      []float64 // local backward dy sums (c wide)
 	dyxBuf     []float64 // local backward dy*xhat sums (c wide)
 }
@@ -76,20 +77,13 @@ func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train && b.sync != nil {
-		return b.forwardSync(x)
+	if train {
+		return b.forwardTrain(x)
 	}
 	b.syncActive = false
 	n, c, hw := b.begin(x, true)
-	cnt := float64(n * hw)
 	for ch := 0; ch < c; ch++ {
-		mean, vr := float64(b.RunningMean.Data[ch]), float64(b.RunningVar.Data[ch])
-		if train {
-			mean = sumChannel(x.Data, n, c, hw, ch) / cnt
-			vr = sqDevChannel(x.Data, n, c, hw, ch, mean) / cnt
-			b.updateRunning(ch, mean, vr)
-		}
-		b.normalizeChannel(x.Data, n, c, hw, ch, mean, vr, true)
+		b.normalizeChannel(x.Data, n, c, hw, ch, float64(b.RunningMean.Data[ch]), float64(b.RunningVar.Data[ch]), true)
 	}
 	return b.out
 }
@@ -147,12 +141,20 @@ func sqDevChannel(x []float32, n, c, hw, ch int, mean float64) float64 {
 	return s
 }
 
-// updateRunning folds one training batch's moments into the running
-// statistics.
-func (b *BatchNorm2D) updateRunning(ch int, mean, vr float64) {
-	m := b.Momentum
-	b.RunningMean.Data[ch] = float32((1-m)*float64(b.RunningMean.Data[ch]) + m*mean)
-	b.RunningVar.Data[ch] = float32((1-m)*float64(b.RunningVar.Data[ch]) + m*vr)
+// UpdateRunning folds one training batch into the running statistics
+// from its per-channel sums, its per-channel squared deviations about
+// the batch mean, and its element count per channel (rows * H * W) —
+// the moments a training forward folds, which a sync-BN reduction hands
+// back folded over every participant. The dist coordinator commits a
+// step's statistics to its primary through here, so the primary and
+// the workers' replicas run the same arithmetic.
+func (b *BatchNorm2D) UpdateRunning(sum, sq []float64, cnt int) {
+	n, m := float64(cnt), b.Momentum
+	for ch := 0; ch < b.C; ch++ {
+		mean, vr := sum[ch]/n, sq[ch]/n
+		b.RunningMean.Data[ch] = float32((1-m)*float64(b.RunningMean.Data[ch]) + m*mean)
+		b.RunningVar.Data[ch] = float32((1-m)*float64(b.RunningVar.Data[ch]) + m*vr)
+	}
 }
 
 // normalizeChannel writes channel ch of the output from the given
@@ -182,40 +184,47 @@ func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr f
 	}
 }
 
-// forwardSync is the training forward in sync-BN mode: a two-phase
-// cross-shard moment all-reduce through the attached BNSyncer. Phase
-// one publishes the local per-channel sums; the syncer hands back the
-// sums folded over all participants in ascending participant order, so
-// all replicas derive the identical full-batch mean. Phase two does
-// the same for the squared deviations about that global mean,
-// reproducing the legacy two-pass variance. Running statistics update
-// with the global moments on every replica, keeping the replicas'
-// state identical without a broadcast. With one participant the math
-// degenerates to the legacy path exactly.
-func (b *BatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
+// forwardTrain is the training forward: two-pass batch statistics
+// (per-channel sums, then squared deviations about the mean), folded
+// into the running statistics and used to normalize. In sync-BN mode
+// each pass is a cross-shard all-reduce through the attached BNSyncer,
+// which hands back the moments folded over all participants in
+// ascending participant order, so every replica derives the identical
+// full-batch statistics and updates its running statistics with them —
+// the replicas' state stays identical without a broadcast. Without a
+// syncer the moments are the local ones, which is the one-participant
+// case of the same arithmetic.
+func (b *BatchNorm2D) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
 	n, c, hw := b.begin(x, true)
-	b.syncActive = true
+	b.syncActive = b.sync != nil
 	b.meanBuf = grow(b.meanBuf, c)
 	b.sumBuf = grow(b.sumBuf, c)
-	mean, local := b.meanBuf, b.sumBuf
+	b.sqBuf = grow(b.sqBuf, c)
+	mean, sum, sq := b.meanBuf, b.sumBuf, b.sqBuf
 
 	for ch := 0; ch < c; ch++ {
-		local[ch] = sumChannel(x.Data, n, c, hw, ch)
+		sum[ch] = sumChannel(x.Data, n, c, hw, ch)
 	}
-	gsum, totalCnt := b.sync.ReduceMoments(b.syncIdx, local, n*hw)
+	total := n * hw
+	if b.syncActive {
+		var folded []float64
+		folded, total = b.sync.ReduceMoments(b.syncIdx, sum, total)
+		copy(sum, folded) // the syncer's slice is valid only until its next reduction
+	}
 
-	cnt := float64(totalCnt)
+	cnt := float64(total)
 	b.syncCnt = cnt
 	for ch := 0; ch < c; ch++ {
-		mean[ch] = gsum[ch] / cnt
-		local[ch] = sqDevChannel(x.Data, n, c, hw, ch, mean[ch])
+		mean[ch] = sum[ch] / cnt
+		sq[ch] = sqDevChannel(x.Data, n, c, hw, ch, mean[ch])
 	}
-	gsq := b.sync.ReduceSquares(b.syncIdx, local)
+	if b.syncActive {
+		sq = b.sync.ReduceSquares(b.syncIdx, sq)
+	}
 
+	b.UpdateRunning(sum, sq, total)
 	for ch := 0; ch < c; ch++ {
-		vr := gsq[ch] / cnt
-		b.updateRunning(ch, mean[ch], vr)
-		b.normalizeChannel(x.Data, n, c, hw, ch, mean[ch], vr, true)
+		b.normalizeChannel(x.Data, n, c, hw, ch, mean[ch], sq[ch]/cnt, true)
 	}
 	return b.out
 }

@@ -106,10 +106,6 @@ type CompareOptions struct {
 	// Shards forwards to Config.Shards: every phase trains with the
 	// data-parallel sharded step when >= 1.
 	Shards int
-	// SliceRows forwards to Config.ShardSliceRows: the fixed
-	// gradient-slice granularity that keeps sharded results
-	// bit-identical across shard counts (0 = DefaultSliceRows).
-	SliceRows int
 	// Estimators lists the gradient-estimator specs to retrain with,
 	// normalized by NormalizeEstimators: empty selects the repository
 	// default {ste, smoothdiff} — exactly the paper's two legs — and
@@ -121,7 +117,6 @@ type CompareOptions struct {
 func (o CompareOptions) config(base Config, name string) Config {
 	base.SpikeFactor = o.SpikeFactor
 	base.Shards = o.Shards
-	base.ShardSliceRows = o.SliceRows
 	if o.CkptDir != "" {
 		base.CkptPath = filepath.Join(o.CkptDir, name+".ckpt")
 		base.CkptEvery = o.CkptEvery

@@ -63,16 +63,15 @@ type Config struct {
 	// Shards selects data-parallel sharded training when >= 1: each
 	// step splits the minibatch across Shards model replicas and
 	// reduces the gradients deterministically (see ShardedStep). Zero
-	// keeps the legacy single-replica step. Sharded runs are
-	// bit-reproducible, and for BatchNorm-free models any Shards value
-	// produces bit-identical trajectories (Shards=4 == Shards=1).
+	// keeps the legacy single-replica step: one pass over the whole
+	// batch on the model itself, observers folding each batch as it
+	// passes. Sharded runs are bit-reproducible, and for BatchNorm-free
+	// models any Shards value produces bit-identical trajectories
+	// (Shards=4 == Shards=1).
 	Shards int
-	// ShardSliceRows overrides the gradient-slice granularity of
-	// sharded steps (default 8 rows); see ShardedConfig.
-	ShardSliceRows int
 	// Stepper, when non-nil, replaces the built-in step executor: Run
-	// drives it instead of constructing a ShardedStep (Shards and
-	// ShardSliceRows are then ignored). The distributed coordinator
+	// drives it instead of constructing a ShardedStep (Shards is then
+	// ignored). The distributed coordinator
 	// plugs in here. Run calls Stepper.SyncReplicas after a successful
 	// checkpoint resume so external replicas pick up the restored
 	// state; the caller owns the Stepper's lifecycle (Run does not
@@ -235,9 +234,11 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 			panic(fmt.Sprintf("train: sharded training needs *nn.Sequential, got %T", model))
 		}
 		// Built after resume so the clones copy the restored state.
-		shard := NewShardedStep(seq, ShardedConfig{Shards: cfg.Shards, SliceRows: cfg.ShardSliceRows})
+		shard := NewShardedStep(seq, ShardedConfig{Shards: cfg.Shards})
 		defer shard.Detach()
 		stepper = shard
+	default:
+		stepper = soloStep{NewReplica(model, false)}
 	}
 	it := trainSet.Iter(cfg.BatchSize)
 	for epoch := startEpoch; epoch <= cfg.Epochs; epoch++ {
@@ -254,17 +255,7 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 		for bi := 0; it.Next(); bi++ {
 			b := it.Batch()
 			var loss float64
-			err := data.Guarded(func() {
-				if stepper != nil {
-					loss = stepper.Step(b.X, b.Y)
-					return
-				}
-				nn.ZeroGrads(model)
-				out := model.Forward(b.X, true)
-				var grad *tensor.Tensor
-				loss, grad = nn.SoftmaxCrossEntropy(out, b.Y)
-				model.Backward(grad)
-			})
+			err := data.Guarded(func() { loss = stepper.Step(b.X, b.Y) })
 			if err != nil {
 				res.SkippedSteps++
 				stepsSkippedPanic.Inc()
@@ -274,9 +265,7 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 			if bad, spiked := lossAnomaly(loss, lossSum, accepted, cfg.SpikeFactor); bad {
 				if snap != nil {
 					snap.restore(model, params, opt)
-					if stepper != nil {
-						stepper.SyncReplicas()
-					}
+					stepper.SyncReplicas()
 					res.Rollbacks++
 					rollbacksTotal.Inc()
 					cfg.logf("epoch %d batch %d: loss %.4g (spiked=%v); rolled back to epoch start",
@@ -299,9 +288,7 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 			stepLoss.Set(loss)
 			stepsTotal.Inc()
 			opt.Step(params, lr)
-			if stepper != nil {
-				stepper.Broadcast()
-			}
+			stepper.Broadcast()
 		}
 		trainSeconds := time.Since(start).Seconds()
 		res.Seconds += trainSeconds
@@ -343,6 +330,21 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 	}
 	return res
 }
+
+// soloStep is Run's built-in step (Shards 0): the slice body over the
+// whole batch on the model itself, with nothing to broadcast to.
+type soloStep struct{ rep *Replica }
+
+// Step implements Stepper.
+func (s soloStep) Step(x *tensor.Tensor, y []int) float64 {
+	return s.rep.run(x, y, len(y)) / float64(len(y))
+}
+
+// Broadcast implements Stepper: there are no other replicas.
+func (soloStep) Broadcast() {}
+
+// SyncReplicas implements Stepper: there are no other replicas.
+func (soloStep) SyncReplicas() {}
 
 // lossAnomaly classifies a batch loss: bad when the step must not be
 // applied, spiked when it tripped the spike threshold specifically
