@@ -120,14 +120,30 @@ func Synthetic(cfg SynthConfig) (train, test *Dataset) {
 	for i := range protos {
 		protos[i] = newProto(rng)
 	}
+	// A class's prototype value at (c, y, x) is the same for every one
+	// of its samples, so each used class's three planes are evaluated
+	// once, up front; the sample loop reads back the very float64 an
+	// inline p.at call would compute.
+	hw := cfg.HW
+	fhw := float64(hw)
+	plane := 3 * hw * hw
+	used := min(cfg.Classes, max(cfg.Train, cfg.Test)) // labels are i % Classes
+	planes := make([]float64, used*plane)
+	for k := 0; k < used; k++ {
+		for c := 0; c < 3; c++ {
+			for y := 0; y < hw; y++ {
+				for x := 0; x < hw; x++ {
+					planes[k*plane+(c*hw+y)*hw+x] = protos[k].at(c, float64(y), float64(x), fhw)
+				}
+			}
+		}
+	}
 	gen := func(n int, r *rand.Rand) *Dataset {
 		ds := &Dataset{X: tensor.New(n, 3, cfg.HW, cfg.HW), Y: make([]int, n), Classes: cfg.Classes}
-		hw := cfg.HW
-		fhw := float64(hw)
 		for i := 0; i < n; i++ {
 			label := i % cfg.Classes // balanced classes
 			ds.Y[i] = label
-			p := protos[label]
+			p := planes[label*plane : (label+1)*plane]
 			shiftX := r.Intn(5) - 2
 			shiftY := r.Intn(5) - 2
 			flip := r.Intn(2) == 1
@@ -140,9 +156,9 @@ func Synthetic(cfg SynthConfig) (train, test *Dataset) {
 						if flip {
 							sx = hw - 1 - x
 						}
-						px := float64((sx + shiftX + hw) % hw)
-						py := float64((y + shiftY + hw) % hw)
-						v := amp*p.at(c, py, px, fhw) + noise*r.NormFloat64()
+						px := (sx + shiftX + hw) % hw
+						py := (y + shiftY + hw) % hw
+						v := amp*p[(c*hw+py)*hw+px] + noise*r.NormFloat64()
 						if v > 1.5 {
 							v = 1.5
 						}

@@ -118,9 +118,13 @@ type Coordinator struct {
 	closed   bool
 
 	// Per-step state, reused: the slice set the workers' results land
-	// in, and the packed parameter values Broadcast sends.
+	// in, the packed parameter values Broadcast sends, and the payload
+	// encoder of the training goroutine's frames (slice, observe,
+	// params; Conn.Send copies a payload before it returns). The BN
+	// handlers run on their own goroutines and keep their own encoders.
 	set      train.Slices
 	paramBuf []float32
+	enc      wire.Enc
 }
 
 // bnStash captures one BN position's folded moments during a step so
@@ -503,7 +507,7 @@ func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bo
 func (c *Coordinator) sendSlice(w *remote, s int, x *tensor.Tensor, y []int, n int, bounds []int, parts int) error {
 	lo, hi := bounds[s], bounds[s+1]
 	chw := x.Numel() / n
-	var e wire.Enc
+	e := c.resetEnc()
 	e.U64(c.stepID)
 	e.U32(c.curAttempt())
 	e.U32(uint32(s))
@@ -516,6 +520,13 @@ func (c *Coordinator) sendSlice(w *remote, s int, x *tensor.Tensor, y []int, n i
 	}
 	e.F32s(x.Data[lo*chw : hi*chw])
 	return w.Conn.Send(frameSlice, e.B)
+}
+
+// resetEnc empties the training goroutine's payload encoder for the
+// next frame.
+func (c *Coordinator) resetEnc() *wire.Enc {
+	c.enc.B = c.enc.B[:0]
+	return &c.enc
 }
 
 func (c *Coordinator) curAttempt() uint32 {
@@ -552,9 +563,9 @@ func (c *Coordinator) finishStep() float64 {
 	loss := c.set.Fold(c.rep)
 	c.rep.Observe(&c.set)
 	_, _, lo, hi, seen := c.set.Slot(0)
-	var e wire.Enc
+	e := c.resetEnc()
 	e.U64(c.stepID)
-	encodeRanges(&e, lo, hi, seen)
+	encodeRanges(e, lo, hi, seen)
 	for _, w := range c.liveSorted() {
 		if err := w.Conn.Send(frameObserve, e.B); err != nil {
 			w.Kill(fmt.Sprintf("send observe: %v", err))
@@ -799,7 +810,7 @@ func (c *Coordinator) applyBNStash() {
 func (c *Coordinator) Broadcast() {
 	c.drainIdle()
 	c.paramBuf = c.rep.PackValues(c.paramBuf)
-	var e wire.Enc
+	e := c.resetEnc()
 	e.U64(c.stepID)
 	e.F32s(c.paramBuf)
 	for _, w := range c.liveSorted() {

@@ -89,6 +89,7 @@ type workerSession struct {
 	x      *tensor.Tensor
 	labels []int
 	values []float32 // packed parameter values of a params frame
+	enc    wire.Enc  // the slice reply's payload, reused (Send copies it)
 }
 
 // serveWorker is one connection's session body: rebuild the replica
@@ -302,8 +303,9 @@ func (s *workerSession) handleSlice(p []byte) error {
 	}
 
 	abortReason, fatal := s.computeSlice(batchN)
+	s.enc.B = s.enc.B[:0]
+	e := &s.enc
 	if abortReason != "" {
-		var e wire.Enc
 		e.U64(step)
 		e.U32(att)
 		e.U32(slice)
@@ -316,12 +318,11 @@ func (s *workerSession) handleSlice(p []byte) error {
 		return s.fc.Send(frameSliceAborted, e.B)
 	}
 	loss, grads, lo, hi, seen := s.set.Slot(0)
-	var e wire.Enc
 	e.U64(step)
 	e.U32(att)
 	e.U32(slice)
 	e.F64(*loss)
-	encodeRanges(&e, lo, hi, seen)
+	encodeRanges(e, lo, hi, seen)
 	e.F32s(grads)
 	workerSlices.Inc()
 	return s.fc.Send(frameSliceResult, e.B)

@@ -74,7 +74,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body PredictRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	if err := serve.DecodePredictRequest(req.Body, &body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
 		return
 	}

@@ -128,7 +128,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := DecodePredictRequest(r.Body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Enc builds a frame payload in B. All integers are little-endian,
@@ -26,19 +27,23 @@ func (e *Enc) F32(v float32) { e.U32(math.Float32bits(v)) }
 // F64 appends a float64 bit pattern.
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// F32s appends a count-prefixed float32 vector.
+// F32s appends a count-prefixed float32 vector, growing B once.
 func (e *Enc) F32s(vs []float32) {
 	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.U32(math.Float32bits(v))
+	n := len(e.B)
+	e.B = slices.Grow(e.B, 4*len(vs))[:n+4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(e.B[n+4*i:], math.Float32bits(v))
 	}
 }
 
-// F64s appends a count-prefixed float64 vector.
+// F64s appends a count-prefixed float64 vector, growing B once.
 func (e *Enc) F64s(vs []float64) {
 	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.U64(math.Float64bits(v))
+	n := len(e.B)
+	e.B = slices.Grow(e.B, 8*len(vs))[:n+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(e.B[n+8*i:], math.Float64bits(v))
 	}
 }
 
