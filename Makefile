@@ -22,15 +22,17 @@ gofmt:
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# purego runs the kernel packages with the assembly compiled out (the
+# purego runs the whole module with the assembly compiled out (the
 # `purego` build tag selects the same portable files a non-amd64 host
 # builds), so the pure-Go twins of every SIMD kernel (GEMM, quantize,
 # vector add) and the dispatch that routes to them are tested on the
-# amd64 hosts CI has — a second time under the race detector, because
-# the twins are scheduled on the same worker pool as the assembly they
-# replace.
+# amd64 hosts CI has, under every package that reaches them — the
+# models, train, serve and fleet steps included: the dense layers reach
+# the vector add's twin only through their conv's col2im. The kernel
+# packages run a second time under the race detector, because the twins
+# are scheduled on the same worker pool as the assembly they replace.
 purego:
-	go test -tags purego ./internal/nn/ ./internal/tensor/ ./internal/quant/
+	go test -tags purego ./...
 	go test -tags purego -race -count=1 ./internal/nn/ ./internal/tensor/ ./internal/quant/
 
 # maxprocs1 runs the worker pool and what is scheduled on it with

@@ -1,7 +1,9 @@
 package models
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -13,23 +15,26 @@ import (
 // once two steps have sized every layer-owned buffer, one training step
 // (ZeroGrads, Forward, loss, Backward) of the benchmark's reduced-scale
 // models — 16x16 inputs, eighth width, a batch of 32 — allocates only
-// what the float head, the loss gradient and the Params() walks cost:
-// 28.6 kB on lenet (three float Linear layers), 15.5 kB on vgg11,
-// 28.1 kB on resnet18. Before the glue layers owned their buffers the
-// same step allocated 647 kB, 3.93 MB and 14.1 MB (4.4 %, 0.4 % and
-// 0.2 % remain). The budgets are about twice the measured bytes.
+// what the loss gradient and the Params() walks cost: the float head
+// runs on Conv2D's passes and allocates nothing. Measured: 1.8 kB in 17
+// allocations on lenet (three float Linear layers), 2.8 kB in 31 on
+// vgg11, 5.8 kB in 96 on resnet18; while the heads ran tensor's
+// allocating GEMMs, 25.4 kB, 15.1 kB and 18.0 kB, and before the glue
+// layers owned their buffers 647 kB, 3.93 MB and 14.1 MB. The budgets
+// are about twice the measured bytes.
 func TestModelStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; byte counts hold only without -race")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	op := nn.STEOp(appmult.NewAccurate(7))
 	for _, tc := range []struct {
 		kind   string
 		budget uint64 // bytes per step
 	}{
-		{"lenet", 56 << 10},
-		{"vgg11", 32 << 10},
-		{"resnet18", 56 << 10},
+		{"lenet", 4 << 10},
+		{"vgg11", 6 << 10},
+		{"resnet18", 12 << 10},
 	} {
 		m, err := ByKind(tc.kind, Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: ApproxConv(op), Seed: 3})
 		if err != nil {
@@ -48,21 +53,29 @@ func TestModelStepSteadyStateAllocs(t *testing.T) {
 			_, grad := nn.SoftmaxCrossEntropy(m.Forward(x, true), labels)
 			m.Backward(grad)
 		}
-		// A collection now, none while measuring (a step allocates a few
-		// kB): the kernels' tile pool is refilled by the warm-up steps and
-		// not emptied again.
+		// A collection now, none until the measurement is over: the
+		// kernels' tile pool is refilled by the warm-up steps and not
+		// emptied again. The least of three windows counts: a worker that
+		// finds no tile on its P allocates one (sync.Pool cannot take a
+		// tile parked in another P's private slot) — a one-off of 5-25 kB,
+		// not a per-step cost.
 		runtime.GC()
 		step()
 		step()
 		const steps = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < steps; i++ {
-			step()
+		perStep, mallocs := uint64(math.MaxUint64), uint64(0)
+		for w := 0; w < 3; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < steps; i++ {
+				step()
+			}
+			runtime.ReadMemStats(&after)
+			if b := (after.TotalAlloc - before.TotalAlloc) / steps; b < perStep {
+				perStep, mallocs = b, (after.Mallocs-before.Mallocs)/steps
+			}
 		}
-		runtime.ReadMemStats(&after)
-		perStep := (after.TotalAlloc - before.TotalAlloc) / steps
-		t.Logf("%s: %d bytes, %d allocations per steady-state step", tc.kind, perStep, (after.Mallocs-before.Mallocs)/steps)
+		t.Logf("%s: %d bytes, %d allocations per steady-state step", tc.kind, perStep, mallocs)
 		if perStep > tc.budget {
 			t.Errorf("%s: steady-state step allocates %d bytes, budget %d", tc.kind, perStep, tc.budget)
 		}

@@ -228,7 +228,7 @@ func TestApproximateKeepsWhatCloneKeeps(t *testing.T) {
 	if fc.Op() != diff {
 		t.Error("ApproxLinear not rebuilt onto the new op")
 	}
-	if fc == al || !fc.Observer.Seen() {
+	if fc == al || !fc.ActivationObserver().Seen() {
 		t.Error("ApproxLinear aliased, or its observer state dropped")
 	}
 	// Same forward LUT, same weights, same statistics: same bits.

@@ -82,7 +82,7 @@ func rebuild(l nn.Layer, op *nn.Op) nn.Layer {
 		return ac
 	case *nn.ApproxLinear:
 		al := nn.NewApproxLinear(t.Name(), t.In, t.Out, pick(t.Op()), rng())
-		al.Observer = t.Observer
+		*al.ActivationObserver() = *t.ActivationObserver()
 		nn.CopyParams(al, t)
 		return al
 	case *nn.Linear:

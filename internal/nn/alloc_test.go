@@ -68,6 +68,64 @@ func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestDenseStepNoSteadyStateAllocs is TestApproxConvStepNoSteadyStateAllocs
+// for the dense layers at a reduced-scale head's shape, 64 -> 15 on a
+// batch of 32: the float Linear, and ApproxLinear on every backward
+// label. Both run their convolution's passes through views they hold,
+// so a step allocates nothing, on the pooled dispatch path too.
+func TestDenseStepNoSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; exact count holds only without -race")
+	}
+	type dense struct {
+		name   string
+		layer  Layer
+		op     *Op
+		sparse bool
+	}
+	rng := rand.New(rand.NewSource(7))
+	layers := []dense{{name: "float", layer: NewLinear("fc", 64, 15, rng)}}
+	for _, label := range bwdLabels() {
+		op, sparse := bwdExemplar(t, label)
+		layers = append(layers, dense{label, NewApproxLinear("fc", 64, 15, op, rng), op, sparse})
+	}
+	for _, d := range layers {
+		t.Run(d.name, func(t *testing.T) {
+			x := tensor.New(32, 64)
+			x.RandNormal(rng, 1)
+			dy := tensor.New(32, 15)
+			dy.RandNormal(rng, 1)
+			for i := range dy.Data {
+				if d.sparse && i%8 != 0 {
+					dy.Data[i] = 0
+				}
+			}
+			if d.op != nil && d.op.BackwardPath(dy.Data) != d.name {
+				t.Fatalf("backward dispatches to %q", d.op.BackwardPath(dy.Data))
+			}
+			for i := 0; i < 3; i++ {
+				d.layer.Forward(x, true)
+				d.layer.Backward(dy)
+			}
+			pooled := func() float64 {
+				v, _ := obs.Default().ReadValue("tensor_pool_jobs_total", "mode", "pooled")
+				return v
+			}
+			before := pooled()
+			allocs := testing.AllocsPerRun(10, func() {
+				d.layer.Forward(x, true)
+				d.layer.Backward(dy)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state dense step allocates %.1f times per step, want 0", allocs)
+			}
+			if pooled() == before {
+				t.Fatal("no job was dispatched to the worker pool; the 0-alloc claim covered only the inline path")
+			}
+		})
+	}
+}
+
 // retainedBuffers reports every distinct slice buffer reachable from
 // the struct v — through nested structs and *tensor.Tensor fields, not
 // through other pointers (the shared Op, the parameters) — as (element
@@ -131,6 +189,53 @@ func TestApproxConvRetainsOnePatchMatrixEach(t *testing.T) {
 		if bytesM != 1 || floatM != 1 {
 			t.Errorf("%s: retains %d byte and %d float32 buffers of rows*k elements, want 1 (xT) and 1 (dxT)",
 				op.Label, bytesM, floatM)
+		}
+	}
+}
+
+// TestApproxLinearRetainsOnePatchMatrixEach is the same walk over
+// ApproxLinear's convolution. At 1x1 the patch matrices have the input's
+// size, so the input's levels, clip flags and gradient count too: two
+// byte buffers (xq, xT), one of flags (xClip) and two float32 ones (dxT,
+// dx); the caller's input, which the quantize runner still points at, is
+// not the layer's. The row-major adapters' operand transpose, input
+// gradient and weight-side state in the arena stay empty.
+func TestApproxLinearRetainsOnePatchMatrixEach(t *testing.T) {
+	e, ok := appmult.Lookup("mul7u_rm6")
+	if !ok {
+		t.Fatal("mul7u_rm6 missing")
+	}
+	rng := rand.New(rand.NewSource(7))
+	x := tensor.New(128, 64)
+	x.RandNormal(rng, 1)
+	const patch = 128 * 64 // rows * k, above the weight side's largest form
+	for _, op := range []*Op{STEOp(e.Mult), DifferenceOp(e.Mult, 6)} {
+		layer := NewApproxLinear("mem", 64, 15, op, rng)
+		dy := tensor.New(layer.Forward(x, true).Shape...)
+		dy.RandNormal(rng, 1)
+		layer.Backward(dy)
+		for i := range dy.Data { // and a step on the small tier
+			if i%8 != 0 {
+				dy.Data[i] = 0
+			}
+		}
+		layer.Forward(x, true)
+		layer.Backward(dy)
+		kept := map[reflect.Kind]int{}
+		seen := map[uintptr]bool{reflect.ValueOf(x.Data).Pointer(): true}
+		retainedBuffers(reflect.ValueOf(layer.conv).Elem(), seen, func(elem reflect.Kind, n int) {
+			if n >= patch {
+				kept[elem]++
+			}
+		})
+		want := map[reflect.Kind]int{reflect.Uint8: 2, reflect.Bool: 1, reflect.Float32: 2}
+		if !reflect.DeepEqual(kept, want) {
+			t.Errorf("%s: retains %v buffers of rows*k elements, want %v (xq and xT, xClip, dxT and dx)",
+				op.Label, kept, want)
+		}
+		if ks := &layer.conv.ks; ks.xT != nil || ks.dxT != nil || ks.w.wq != nil {
+			t.Errorf("%s: the arena holds adapter scratch (xT %d, dxT %d, weight levels %d)",
+				op.Label, cap(ks.xT), cap(ks.dxT), cap(ks.w.wq))
 		}
 	}
 }

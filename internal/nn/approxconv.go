@@ -16,7 +16,8 @@ import (
 //
 // Weights and activations are fake-quantized to unsigned B-bit levels
 // with per-tensor affine parameters (Eq. 7); products are dequantized
-// per Eq. (8); parameter updates flow through Eq. (9).
+// per Eq. (8); parameter updates flow through Eq. (9). ApproxLinear is
+// its 1x1 case.
 //
 // The data path is byte-first and k-major: the NCHW input is quantized
 // (and its clip flags recorded) once per element, im2col expands the

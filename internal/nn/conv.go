@@ -8,10 +8,11 @@ import (
 )
 
 // Conv2D is a float 2-D convolution (NCHW, square kernel), the exact
-// counterpart of ApproxConv2D and the layer of float pre-training, on
-// ApproxConv2D's data path: tensor.Im2ColTJob builds the k-major patch
-// matrix xT (k x rows, padding +0), the forward GEMM writes NCHW, the
-// backward GEMMs leave dxT k-major for tensor.Col2ImTJob.
+// counterpart of ApproxConv2D and the layer of float pre-training (the
+// float Linear is its 1x1 case), on ApproxConv2D's data path:
+// tensor.Im2ColTJob builds the k-major patch matrix xT (k x rows,
+// padding +0), the forward GEMM writes NCHW, the backward GEMMs leave
+// dxT k-major for tensor.Col2ImTJob.
 //
 // Every sum runs in the row-major formulation's order, so the results
 // equal it bit for bit (TestConv2DMatchesRowMajor): y over taps from +0,

@@ -14,7 +14,8 @@ import (
 // TestConv2DMatchesRowMajor and the baseline BenchmarkConv2DStep times
 // the layer against: im2col into a (rows x K) patch matrix, the tensor
 // GEMMs on row-major matrices, the NCHW <-> rows shuffles and the
-// row-major col2im — all with the parallel dispatch they had.
+// row-major col2im — all with the parallel dispatch they had. The GEMMs
+// are tensor's, which no layer calls any more, kept below verbatim.
 type rowMajorConv2D struct {
 	InC, OutC      int
 	K, Stride, Pad int
@@ -53,7 +54,7 @@ func (c *rowMajorConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	im2colRowsInto(c.cols, x, g)
 	w2 := c.Weight.Value.Reshape(c.OutC, g.K())
 	c.flat = tensor.Ensure2(c.flat, rows, c.OutC)
-	var mm tensor.MatMulTransBJob // what tensor.MatMulTransBInto ran
+	var mm matMulTransBJob // what tensor.MatMulTransBInto ran
 	mm.Run(c.flat, c.cols, w2)
 	for r := 0; r < rows; r++ {
 		for oc := 0; oc < c.OutC; oc++ {
@@ -72,7 +73,7 @@ func (c *rowMajorConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	nchwToRowsInto(c.dyFlat, dy, g)
 	// Weight gradient: dW = dyFlatᵀ (outC x rows) * cols (rows x K).
 	c.dwFlat = tensor.Ensure2(c.dwFlat, c.OutC, g.K())
-	tensor.MatMulTransAInto(c.dwFlat, c.dyFlat, c.cols)
+	matMulTransAInto(c.dwFlat, c.dyFlat, c.cols)
 	for i, v := range c.dwFlat.Data {
 		c.Weight.Grad.Data[i] += v
 	}
@@ -85,10 +86,119 @@ func (c *rowMajorConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// Input gradient.
 	w2 := c.Weight.Value.Reshape(c.OutC, g.K())
 	c.dcols = tensor.Ensure2(c.dcols, rows, g.K())
-	tensor.MatMulInto(c.dcols, c.dyFlat, w2)
+	matMulInto(c.dcols, c.dyFlat, w2)
 	c.dx = tensor.Ensure4(c.dx, c.batch, g.InC, g.InH, g.InW)
 	col2imRowsInto(c.dx, c.dcols, c.batch, g)
 	return c.dx
+}
+
+// matMulInto computes A (m x k) times B (k x n) into dst (m x n),
+// overwriting it: tensor.MatMulInto, the GEMM under the float layers'
+// row-major input gradients.
+func matMulInto(dst, a, b *tensor.Tensor) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v x %v", a.Shape, b.Shape))
+	}
+	m, k := a.Shape[0], a.Shape[1]
+	k2, n := b.Shape[0], b.Shape[1]
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v x %v", a.Shape, b.Shape))
+	}
+	checkDst(dst, m, n)
+	tensor.ParallelRows(m, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ar := a.Data[i*k : (i+1)*k]
+			or := dst.Data[i*n : (i+1)*n]
+			for j := range or {
+				or[j] = 0
+			}
+			for p, av := range ar {
+				if av == 0 {
+					continue
+				}
+				br := b.Data[p*n : (p+1)*n]
+				for j, bv := range br {
+					or[j] += av * bv
+				}
+			}
+		}
+	})
+}
+
+// matMulTransBJob computes A (m x k) times Bᵀ (B is n x k) into a
+// caller-owned destination without materializing the transpose:
+// tensor.MatMulTransBJob.
+type matMulTransBJob struct {
+	dst, a, b *tensor.Tensor
+}
+
+// Run computes A (m x k) times Bᵀ (B is n x k) into dst (m x n).
+func (mm *matMulTransBJob) Run(dst, a, b *tensor.Tensor) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 {
+		panic("tensor: MatMulTransB needs 2-D operands")
+	}
+	if a.Shape[1] != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransB inner dimensions differ: %v x %v^T", a.Shape, b.Shape))
+	}
+	checkDst(dst, a.Shape[0], b.Shape[0])
+	mm.dst, mm.a, mm.b = dst, a, b
+	tensor.ParallelRowsOn(a.Shape[0], mm)
+}
+
+// RunRange implements RangeRunner over the rows of A.
+func (mm *matMulTransBJob) RunRange(lo, hi int) {
+	a, b, dst := mm.a, mm.b, mm.dst
+	k, n := a.Shape[1], b.Shape[0]
+	for i := lo; i < hi; i++ {
+		ar := a.Data[i*k : (i+1)*k]
+		or := dst.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			br := b.Data[j*k : (j+1)*k]
+			var s float32
+			for p := range ar {
+				s += ar[p] * br[p]
+			}
+			or[j] = s
+		}
+	}
+}
+
+// matMulTransAInto computes Aᵀ B (A is k x m, B is k x n) into dst
+// (m x n): tensor.MatMulTransAInto, the weight-gradient GEMM.
+func matMulTransAInto(dst, a, b *tensor.Tensor) {
+	if len(a.Shape) != 2 || len(b.Shape) != 2 {
+		panic("tensor: MatMulTransA needs 2-D operands")
+	}
+	k, m := a.Shape[0], a.Shape[1]
+	k2, n := b.Shape[0], b.Shape[1]
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: MatMulTransA outer dimensions differ: %v^T x %v", a.Shape, b.Shape))
+	}
+	checkDst(dst, m, n)
+	tensor.ParallelRows(m, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			or := dst.Data[i*n : (i+1)*n]
+			for j := range or {
+				or[j] = 0
+			}
+			for p := 0; p < k; p++ {
+				av := a.Data[p*m+i]
+				if av == 0 {
+					continue
+				}
+				br := b.Data[p*n : (p+1)*n]
+				for j, bv := range br {
+					or[j] += av * bv
+				}
+			}
+		}
+	})
+}
+
+func checkDst(dst *tensor.Tensor, m, n int) {
+	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: destination shape %v, want [%d %d]", dst.Shape, m, n))
+	}
 }
 
 // rowsToNCHWInto converts a (N*OH*OW, outC) matrix into NCHW in dst.

@@ -62,11 +62,7 @@ func (c *ApproxConv2D) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return c.forward(x, false)
 }
 
-// Infer implements Inferer: see ApproxConv2D.Infer.
+// Infer implements Inferer: its conv's (see ApproxConv2D.Infer).
 func (l *ApproxLinear) Infer(x *tensor.Tensor) *tensor.Tensor {
-	l.checkInput(x)
-	if !l.Observer.Seen() {
-		l.Observer.Observe(x)
-	}
-	return l.forward(x, false)
+	return flat(&l.io.y, l.conv.Infer(l.io.image(l.conv.name, x, l.In)))
 }

@@ -129,12 +129,11 @@ func approxScratch(m *Sequential) (total, clipFlags int) {
 		case *Residual:
 			walk(v.Main)
 			walk(v.Shortcut)
+		case *ApproxLinear:
+			walk(v.conv)
 		case *ApproxConv2D:
 			clipFlags += cap(v.xClip) + cap(v.w.wClip)
 			total += cap(v.xq) + cap(v.xT) + cap(v.w.wq) + cap(v.xClip) + cap(v.w.wClip)
-		case *ApproxLinear:
-			clipFlags += cap(v.xClip) + cap(v.w.wClip)
-			total += cap(v.xq) + cap(v.w.wq) + cap(v.xClip) + cap(v.w.wClip)
 		}
 	}
 	walk(m)

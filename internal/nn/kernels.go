@@ -28,10 +28,12 @@ import (
 // There is one kernel family: forwardT and backwardT (kernels_backward.go)
 // run the tier their dispatch ladder (tiers.go) selects; both take xT
 // and address the output-side matrices — y, dy — as NCHW planes of hw
-// positions per (image, channel). The exported row-major
-// ForwardGEMM and BackwardGEMM are adapters around them: they transpose
-// the operand matrix in (and the input gradient out) and pass hw = 1,
-// under which the plane layout is the row-major (rows x outC) matrix.
+// positions per (image, channel). Every layer calls them through
+// ApproxConv2D (ApproxLinear is its 1x1 case). The exported row-major
+// ForwardGEMM and BackwardGEMM are adapters around them that no layer
+// calls: they transpose the operand matrix in (and the input gradient
+// out) and pass hw = 1, under which the plane layout is the row-major
+// (rows x outC) matrix.
 //
 // Bit-exactness with the reference kernels is guaranteed by
 // construction: the integer forward accumulation is order-independent,
@@ -82,9 +84,9 @@ type KernelScratch struct {
 	// Backward small tier: per-channel lists of the nonzero gradients.
 	nz nonzeros
 	// Row-major adapters only: the operand transpose, the k-major input
-	// gradient (a conv layer owns both matrices itself) and the
-	// weight-side state ForwardGEMM derives, on every call, from the
-	// levels it is handed (a layer keeps its own per weight version).
+	// gradient (a layer owns both matrices itself) and the weight-side
+	// state ForwardGEMM derives, on every call, from the levels it is
+	// handed (a layer keeps its own per weight version).
 	xT  []uint8
 	dxT []float32
 	w   weightSide
@@ -133,7 +135,8 @@ var fwdTilePool = sync.Pool{New: func() any { return new(fwdTile) }}
 // ForwardGEMM is the blocked counterpart of ForwardGEMMRef, writing
 // the (rows x outC) result into dst: the row-major adapter around
 // forwardT. s may be nil for one-off calls (a temporary arena is then
-// used).
+// used). No layer calls it; it stays for the callers that time the GEMM
+// alone, bench/retrain.go's kernelMetrics and cmd/benchkernels.
 func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xq, wq []uint8, rows, outC, k int, pw []quant.Params, px quant.Params, bias []float32) {
 	if len(dst) != rows*outC {
 		panic("nn: ForwardGEMM destination has wrong size")
@@ -341,8 +344,10 @@ func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR i
 // weight gradient into dw (outC x k), the patch-matrix input gradient
 // into dxcols (rows x k), and the per-channel column sums of dy into
 // gsum (outC) — the bias gradient, folded into the kernels' one scan of
-// dy so the layers need no separate accumulation pass. A nil xClip leaves dxcols unmasked for a
-// caller that masks itself. s may be nil for one-off calls.
+// dy. A nil xClip leaves dxcols unmasked for a caller that masks itself.
+// s may be nil for one-off calls. Like ForwardGEMM it is kept for
+// bench/retrain.go's kernelMetrics and cmd/benchkernels; no layer calls
+// it.
 func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 

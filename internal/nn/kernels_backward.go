@@ -209,7 +209,8 @@ func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw int) {
 
 // backwardTransposeOut writes dxT (k x rows) back into row-major
 // dxcols for rows [lo, hi), zeroing clip-masked entries (none when
-// xClip is nil) — BackwardGEMM's way out of the k-major kernels.
+// xClip is nil) — the BackwardGEMM adapter's way out of the k-major
+// kernels.
 func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k int) {
 	for rb := lo; rb < hi; rb += transTile {
 		rhi := rb + transTile

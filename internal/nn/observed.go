@@ -56,19 +56,14 @@ func (c *ApproxConv2D) DeferredRange() (mn, mx float32, ok bool) {
 	return c.lag.lagMin, c.lag.lagMax, c.lag.lagSeen
 }
 
-// ActivationObserver implements ObservedLayer.
-func (l *ApproxLinear) ActivationObserver() *quant.Observer { return &l.Observer }
+// ActivationObserver implements ObservedLayer: its conv's.
+func (l *ApproxLinear) ActivationObserver() *quant.Observer { return l.conv.ActivationObserver() }
 
 // SetDeferObserve implements ObservedLayer.
-func (l *ApproxLinear) SetDeferObserve(on bool) {
-	l.lag.deferred = on
-	l.lag.lagSeen = false
-}
+func (l *ApproxLinear) SetDeferObserve(on bool) { l.conv.SetDeferObserve(on) }
 
 // DeferredRange implements ObservedLayer.
-func (l *ApproxLinear) DeferredRange() (mn, mx float32, ok bool) {
-	return l.lag.lagMin, l.lag.lagMax, l.lag.lagSeen
-}
+func (l *ApproxLinear) DeferredRange() (mn, mx float32, ok bool) { return l.conv.DeferredRange() }
 
 // observe runs the layer-side half of the observer protocol for one
 // forward pass over input x: the legacy path folds the range into obs

@@ -98,7 +98,7 @@ func (c *ApproxConv2D) StateVec() []float32 { return c.Observer.StateVec() }
 func (c *ApproxConv2D) SetStateVec(s []float32) error { return c.Observer.SetStateVec(s) }
 
 // StateVec implements Stateful: the activation observer's state.
-func (l *ApproxLinear) StateVec() []float32 { return l.Observer.StateVec() }
+func (l *ApproxLinear) StateVec() []float32 { return l.conv.StateVec() }
 
 // SetStateVec implements Stateful.
-func (l *ApproxLinear) SetStateVec(s []float32) error { return l.Observer.SetStateVec(s) }
+func (l *ApproxLinear) SetStateVec(s []float32) error { return l.conv.SetStateVec(s) }

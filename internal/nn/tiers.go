@@ -216,14 +216,14 @@ func (op *Op) Pinned(fwd, bwd string) *Op {
 		mask: op.mask, comp: op.comp, pinFwd: fwd, pinBwd: bwd}
 }
 
-// ForwardPath reports which tier ForwardGEMM will use for a GEMM of the
-// given row count, output-channel count and reduction depth.
+// ForwardPath reports which tier a forward GEMM of the given row count,
+// output-channel count and reduction depth will use.
 func (op *Op) ForwardPath(rows, outC, k int) string {
 	op.ensurePadded()
 	return op.forwardTier(rows, outC, k).label
 }
 
-// BackwardPath reports which tier BackwardGEMM will use for the
+// BackwardPath reports which tier a backward GEMM will use for the
 // upstream gradient dy.
 func (op *Op) BackwardPath(dy []float32) string {
 	op.ensurePadded()

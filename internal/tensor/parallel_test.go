@@ -41,26 +41,3 @@ func TestParallelRowsZero(t *testing.T) {
 		t.Error("zero rows produced a non-empty chunk")
 	}
 }
-
-func TestMatMulEmptyContractionless(t *testing.T) {
-	// 1x1 edge case.
-	a := FromData([]float32{3}, 1, 1)
-	b := FromData([]float32{4}, 1, 1)
-	if got := MatMul(a, b).Data[0]; got != 12 {
-		t.Errorf("1x1 MatMul = %v", got)
-	}
-}
-
-func TestMatMulZeroSkipping(t *testing.T) {
-	// The kernel skips zero entries in A as an optimization; the result
-	// must still be exact.
-	a := FromData([]float32{0, 2, 0, 0, 0, 3}, 2, 3)
-	b := FromData([]float32{1, 1, 10, 10, 100, 100}, 3, 2)
-	got := MatMul(a, b)
-	want := []float32{20, 20, 300, 300}
-	for i := range want {
-		if got.Data[i] != want[i] {
-			t.Errorf("entry %d = %v, want %v", i, got.Data[i], want[i])
-		}
-	}
-}

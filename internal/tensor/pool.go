@@ -8,8 +8,8 @@ import (
 )
 
 // This file implements the persistent worker pool shared by every
-// parallel kernel in the repository (MatMul, the k-major im2col and
-// col2im jobs, and the GEMM kernels in internal/nn). Work is split into
+// parallel kernel in the repository (the k-major im2col and col2im
+// jobs, and the GEMM kernels in internal/nn). Work is split into
 // blocks that idle workers claim from a shared atomic counter, so load
 // balances dynamically (work stealing over a block queue) and no
 // goroutines are spawned per call — the pool is started once and lives

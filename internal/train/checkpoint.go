@@ -199,7 +199,8 @@ func (r *ckptReader) f64s(n int, what string) []float64 {
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint into
 // a model with an identical parameter layout, returning the training
 // state needed to continue the run. The file's CRC and every length
-// field are validated before any model state is touched.
+// field are validated before any model state is touched, and a file
+// rejected after that leaves the model as it found it.
 func LoadCheckpoint(path string, model nn.Layer) (CheckpointState, error) {
 	var st CheckpointState
 	raw, err := os.ReadFile(path)
@@ -273,11 +274,17 @@ func LoadCheckpoint(path string, model nn.Layer) (CheckpointState, error) {
 	if len(r.body) != 0 {
 		return st, fmt.Errorf("train: %d trailing bytes in checkpoint", len(r.body))
 	}
-	// All lengths validated; now mutate the model.
-	if err := nn.LoadParams(bytes.NewReader(pblob), model); err != nil {
+	// All lengths validated; now mutate the model. Only the layers know
+	// their state lengths, so the state goes first and is put back if a
+	// layer refuses its vector; LoadParams validates the whole blob before
+	// it writes a value, so nothing is left to undo after it.
+	old := nn.CollectState(model)
+	if err := nn.RestoreState(model, states); err != nil {
+		_ = nn.RestoreState(model, old) // the model's own vectors: cannot fail
 		return st, err
 	}
-	if err := nn.RestoreState(model, states); err != nil {
+	if err := nn.LoadParams(bytes.NewReader(pblob), model); err != nil {
+		_ = nn.RestoreState(model, old)
 		return st, err
 	}
 	return st, nil

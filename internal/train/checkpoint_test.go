@@ -3,8 +3,11 @@ package train
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/appmult/retrain/internal/nn"
@@ -14,7 +17,7 @@ import (
 // saveTestCheckpoint writes a valid TRCKPv1 file for a small model and
 // returns its bytes. No training run is needed: a zero-moment Adam
 // snapshot is a legal optimizer state.
-func saveTestCheckpoint(t *testing.T, seed int64) (path string, raw []byte) {
+func saveTestCheckpoint(t testing.TB, seed int64) (path string, raw []byte) {
 	t.Helper()
 	m := robustModel(seed)
 	path = filepath.Join(t.TempDir(), "c.ckpt")
@@ -155,6 +158,96 @@ func TestLoadCheckpointWrongMagic(t *testing.T) {
 	if _, err := LoadCheckpoint(p, robustModel(1)); err == nil {
 		t.Error("NNCKPv1 params file accepted as a TRCKPv1 train checkpoint")
 	}
+}
+
+// withCRC returns a copy of the TRCKPv1 file b with its trailing CRC32
+// recomputed over the rest, so a corruption reaches the fields behind
+// the checksum.
+func withCRC(b []byte) []byte {
+	out := append([]byte(nil), b...)
+	if len(out) >= 12 {
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	}
+	return out
+}
+
+// modelSnapshot is what a rejected load must leave alone: every
+// parameter value's bits and version, and every layer state vector.
+type modelSnapshot struct {
+	bits     []uint32
+	versions []uint64
+	state    [][]float32
+}
+
+func snapshotModel(m nn.Layer) modelSnapshot {
+	var s modelSnapshot
+	for _, p := range m.Params() {
+		for _, v := range p.Value.Data {
+			s.bits = append(s.bits, math.Float32bits(v))
+		}
+		s.versions = append(s.versions, p.Version())
+	}
+	s.state = nn.CollectState(m)
+	return s
+}
+
+func (s modelSnapshot) equal(o modelSnapshot) bool {
+	if !slices.Equal(s.bits, o.bits) || !slices.Equal(s.versions, o.versions) || len(s.state) != len(o.state) {
+		return false
+	}
+	for i := range s.state {
+		if !slices.EqualFunc(s.state[i], o.state[i], func(a, b float32) bool {
+			return math.Float32bits(a) == math.Float32bits(b)
+		}) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzLoadCheckpoint mutates TRCKPv1 files, starting from a valid
+// checkpoint, its truncations, its magic flips, a params-only NNCKPv1
+// file and a checksummed file whose last state vector has the wrong
+// length. LoadCheckpoint — what serve.Load and -resume read — never
+// panics, and a file it rejects changes no parameter value or version
+// and no layer state. Every input is also tried with its trailing CRC
+// recomputed, so mutations reach the fields behind the checksum.
+func FuzzLoadCheckpoint(f *testing.F) {
+	_, good := saveTestCheckpoint(f, 3)
+	f.Add(good)
+	for cut := 0; cut < len(good); cut += len(good)/32 + 1 {
+		f.Add(good[:cut])
+	}
+	for i := 0; i < 8; i++ {
+		bad := append([]byte(nil), good...)
+		bad[i] ^= 0x20
+		f.Add(bad)
+	}
+	var params bytes.Buffer
+	if err := nn.SaveParams(&params, robustModel(3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(params.Bytes())
+	// The last state vector (an observer's three values) grown by one:
+	// every length field agrees, the model refuses the vector.
+	end := len(good) - 4
+	long := append(append([]byte(nil), good[:end]...), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(long[end-16:], 4)
+	f.Add(withCRC(long))
+
+	path := filepath.Join(f.TempDir(), "f.ckpt")
+	dst := robustModel(5)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, b := range [][]byte{blob, withCRC(blob)} {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := snapshotModel(dst)
+			if _, err := LoadCheckpoint(path, dst); err != nil && !before.equal(snapshotModel(dst)) {
+				t.Fatalf("rejected load (%v) changed the model", err)
+			}
+		}
+	})
 }
 
 // TestLoadCheckpointRoundTripBitExact complements the corruption tests:
