@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet gofmt purego maxprocs1 nnparanoid race servestress bench benchreport benchsmoke doccheck verify clean
+.PHONY: build test tier1 vet gofmt purego maxprocs1 nnparanoid race servestress bench benchreport benchsmoke doccheck deadcheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -113,7 +113,14 @@ benchsmoke:
 doccheck:
 	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
 
-verify: vet gofmt tier1 purego maxprocs1 nnparanoid benchsmoke doccheck race servestress benchreport
+# deadcheck fails on an exported identifier or method that no program
+# reaches: no reference from a non-test file of either module (bench/
+# included) and none from another package's tests (see
+# scripts/deadcheck; ~5 s).
+deadcheck:
+	go run ./scripts/deadcheck
+
+verify: vet gofmt tier1 purego maxprocs1 nnparanoid benchsmoke doccheck deadcheck race servestress benchreport
 
 clean:
 	go clean ./...

@@ -65,7 +65,7 @@ func BenchmarkTableI_Hardware(b *testing.B) {
 func benchTableIIRow(b *testing.B, mult, model string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		r := train.CompareGradients(mult, model, 4, train.TinyScale, 1, nil)
+		r := train.TableII([]string{mult}, []string{model}, 4, train.TinyScale, 1, nil, train.CompareOptions{})[0]
 		if r.STE.FinalTop1() == 0 && r.Ours.FinalTop1() == 0 {
 			b.Fatal("degenerate retraining result")
 		}
@@ -125,7 +125,7 @@ func BenchmarkFig5_Frontier(b *testing.B) {
 				b.Fatal("non-positive normalized power")
 			}
 		}
-		r := train.CompareGradients("mul7u_rm6", "resnet18", 4, train.TinyScale, 1, nil)
+		r := train.TableII([]string{"mul7u_rm6"}, []string{"resnet18"}, 4, train.TinyScale, 1, nil, train.CompareOptions{})[0]
 		if r.Ours.FinalTop1() < 0 {
 			b.Fatal("bad accuracy")
 		}
@@ -140,7 +140,7 @@ func BenchmarkFig6_ResNet34Top5(b *testing.B) {
 	sc := train.TinyScale
 	sc.Train, sc.Test = 200, 100 // 100 classes need a few samples each
 	for i := 0; i < b.N; i++ {
-		r := train.CompareGradients("mul6u_rm4", "resnet34", 100, sc, 1, nil)
+		r := train.TableII([]string{"mul6u_rm4"}, []string{"resnet34"}, 100, sc, 1, nil, train.CompareOptions{})[0]
 		if len(r.Ours.TestTop5) != sc.Epochs {
 			b.Fatal("missing top-5 trajectory")
 		}
@@ -155,8 +155,8 @@ func BenchmarkHWS_Selection(b *testing.B) {
 	e, _ := appmult.Lookup("mul6u_rm4")
 	sc := train.Scale{HW: 8, Width: 0.08, Train: 60, Test: 30, Epochs: 2, BatchSize: 10, LR0: 6e-3}
 	for i := 0; i < b.N; i++ {
-		best, _ := train.SelectHWS(e.Mult, []int{1, 2, 4}, 4, sc, 1, nil)
-		if best == 0 {
+		best := train.BestCell(train.SweepEstimators(e.Mult, nil, []int{1, 2, 4}, 4, sc, 1, nil))
+		if best.HWS == 0 {
 			b.Fatal("no HWS selected")
 		}
 	}
@@ -351,26 +351,6 @@ func BenchmarkKernel_BehavioralVsLUTForward(b *testing.B) {
 	}
 	b.Run("lut", func(b *testing.B) { run(b, nn.NewOp(e.Mult, grads)) })
 	b.Run("behavioral", func(b *testing.B) { run(b, nn.BehavioralOp(e.Mult, grads)) })
-}
-
-// BenchmarkKernel_ReductionArchitectures characterizes the two
-// multiplier reduction topologies (column compression vs. row ripple)
-// at equal function.
-func BenchmarkKernel_ReductionArchitectures(b *testing.B) {
-	lib := tech.ASAP7()
-	mask := mulsynth.TruncMask(8, 8)
-	b.Run("compressed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := mulsynth.Build("c", mask, 0)
-			_ = n.Analyze(lib, circuit.PowerOptions{Vectors: 64, Seed: 1})
-		}
-	})
-	b.Run("ripple", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := mulsynth.BuildRipple("r", mask, 0)
-			_ = n.Analyze(lib, circuit.PowerOptions{Vectors: 64, Seed: 1})
-		}
-	})
 }
 
 // BenchmarkKernel_FaultSensitivity measures the stuck-at criticality

@@ -51,12 +51,12 @@ func main() {
 		sc.HW = *hw
 	}
 
-	for _, kind := range splitList(*models) {
-		log.Printf("running %s ...", kind)
-		r := train.CompareGradients(*mult, kind, *classes, sc, *seed, nil)
+	kinds := splitList(*models)
+	log.Printf("running %v ...", kinds)
+	for _, r := range train.TableII([]string{*mult}, kinds, *classes, sc, *seed, nil, train.CompareOptions{}) {
 		s := report.NewSeries(
 			fmt.Sprintf("Fig. 6 reproduction: %s top-5 accuracy vs epoch (%s, %d classes, scale=%s)",
-				kind, *mult, *classes, *scale),
+				r.Model, *mult, *classes, *scale),
 			"epoch", "STE top5/%", "ours top5/%")
 		for i := range r.STE.TestTop5 {
 			s.Add(float64(i+1), r.STE.TestTop5[i], r.Ours.TestTop5[i])

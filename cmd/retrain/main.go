@@ -104,16 +104,14 @@ func main() {
 	}
 	opt := train.CompareOptions{CkptDir: *ckpt, Resume: *resume, CkptEvery: *every, SpikeFactor: *spike, Shards: *shards, Estimators: estimators}
 
-	var rows []train.CompareResult
+	multList, modelList := []string{*mult}, []string{*model}
 	if *all {
-		multList := tableIIMults
+		multList, modelList, logf = tableIIMults, strings.Split(*modelsF, ","), log.Printf
 		if *mults != "" {
 			multList = strings.Split(*mults, ",")
 		}
-		rows = train.TableIIOpts(multList, strings.Split(*modelsF, ","), *classes, sc, *seed, log.Printf, opt)
-	} else {
-		rows = append(rows, train.CompareGradientsOpts(*mult, *model, *classes, sc, *seed, logf, opt))
 	}
+	rows := train.TableII(multList, modelList, *classes, sc, *seed, logf, opt)
 
 	lib := tech.ASAP7()
 	popt := circuit.PowerOptions{Vectors: 2048, Seed: 1}

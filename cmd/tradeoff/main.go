@@ -66,16 +66,17 @@ func main() {
 	t := report.NewTable(
 		fmt.Sprintf("Fig. 5 reproduction: ResNet18 accuracy vs normalized power (scale=%s)", *scale),
 		"multiplier", "norm.power", "STE acc/%", "ours acc/%", "ref acc/%")
-	for _, raw := range names {
-		name := strings.TrimSpace(raw)
-		e, ok := appmult.Lookup(name)
-		if !ok {
-			log.Fatalf("unknown multiplier %q", name)
+	for i, raw := range names {
+		names[i] = strings.TrimSpace(raw)
+		if _, ok := appmult.Lookup(names[i]); !ok {
+			log.Fatalf("unknown multiplier %q", names[i])
 		}
-		log.Printf("running %s ...", name)
-		r := train.CompareGradients(name, "resnet18", 10, sc, *seed, nil)
+	}
+	log.Printf("running %v ...", names)
+	for _, r := range train.TableII(names, []string{"resnet18"}, 10, sc, *seed, nil, train.CompareOptions{}) {
+		e, _ := appmult.Lookup(r.Multiplier)
 		hw := e.Hardware(lib, popt)
-		t.AddRow(name,
+		t.AddRow(r.Multiplier,
 			fmt.Sprintf("%.2f", hw.PowerUW/norm),
 			fmt.Sprintf("%.2f", r.STE.FinalTop1()),
 			fmt.Sprintf("%.2f", r.Ours.FinalTop1()),

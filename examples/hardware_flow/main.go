@@ -1,7 +1,7 @@
 // Hardware flow: the EDA-facing half of the library in one script —
 // synthesize a multiplier netlist, rank its gates by stuck-at fault
-// criticality, approximate it, export structural Verilog for a real
-// tool chain, and check the signed-arithmetic extension.
+// criticality, approximate it, and export structural Verilog for a
+// real tool chain.
 //
 //	go run ./examples/hardware_flow
 package main
@@ -66,11 +66,4 @@ func main() {
 	}
 	fmt.Printf("\nstructural Verilog written to %s\n", path)
 
-	// Signed arithmetic via the sign-magnitude wrapper.
-	s := appmult.NewSigned(m)
-	fmt.Printf("\nsigned extension %s:\n", s.Name())
-	for _, pair := range [][2]int32{{-9, 13}, {9, -13}, {-9, -13}, {9, 13}} {
-		fmt.Printf("  %3d * %3d = %4d (exact %4d)\n",
-			pair[0], pair[1], s.MulSigned(pair[0], pair[1]), int64(pair[0])*int64(pair[1]))
-	}
 }

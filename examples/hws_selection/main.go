@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
 
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/gradient"
@@ -43,20 +42,16 @@ func main() {
 	// The selection protocol: 5 epochs of LeNet per candidate, pick the
 	// minimum training loss.
 	sc := train.Scale{HW: 8, Width: 0.15, Train: 160, Test: 80, Epochs: 5, BatchSize: 20, LR0: 6e-3}
-	best, losses := train.SelectHWS(m, []int{1, 2, 4, 8, 16}, 10, sc, 11, nil)
+	cells := train.SweepEstimators(m, nil, []int{1, 2, 4, 8, 16}, 10, sc, 11, nil)
+	best := train.BestCell(cells)
 
 	fmt.Printf("\nHWS selection for %s (LeNet, %d epochs per candidate):\n", m.Name(), sc.Epochs)
-	keys := make([]int, 0, len(losses))
-	for k := range losses {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
+	for _, c := range cells {
 		marker := ""
-		if k == best {
+		if c.HWS == best.HWS {
 			marker = "  <== selected"
 		}
-		fmt.Printf("  HWS %2d: final loss %.4f%s\n", k, losses[k], marker)
+		fmt.Printf("  HWS %2d: final loss %.4f%s\n", c.HWS, c.Loss, marker)
 	}
-	fmt.Printf("\nselected HWS = %d; the paper's Table I selects %d for this multiplier.\n", best, entry.HWS)
+	fmt.Printf("\nselected HWS = %d; the paper's Table I selects %d for this multiplier.\n", best.HWS, entry.HWS)
 }

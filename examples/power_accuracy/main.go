@@ -41,7 +41,7 @@ func main() {
 			log.Fatalf("unknown multiplier %q", name)
 		}
 		log.Printf("retraining with %s ...", name)
-		r := train.CompareGradients(name, "lenet", 10, sc, 13, nil)
+		r := train.TableII([]string{name}, []string{"lenet"}, 10, sc, 13, nil, train.CompareOptions{})[0]
 		hw := e.Hardware(lib, popt)
 		t.AddRow(name,
 			fmt.Sprintf("%.2f", hw.PowerUW/norm),

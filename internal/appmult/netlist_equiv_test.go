@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/appmult/retrain/internal/bitutil"
-	"github.com/appmult/retrain/internal/mulsynth"
 )
 
 // TestRegistryNetlistsMatchBehavior is the hardware/behaviour
@@ -30,37 +29,6 @@ func TestRegistryNetlistsMatchBehavior(t *testing.T) {
 				got := uint32(n.EvaluateUint2(uint64(w), bits, uint64(x)))
 				if got != want {
 					t.Fatalf("%s: netlist(%d,%d) = %d, behaviour %d", e.Mult.Name(), w, x, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestRegistryRippleEquivalence re-synthesizes every masked registry
-// entry with the row-ripple architecture and checks functional
-// equivalence — the architecture choice must never change the LUT.
-func TestRegistryRippleEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive ripple equivalence over the registry")
-	}
-	for _, e := range Registry() {
-		m, ok := e.Mult.(*Masked)
-		if !ok {
-			continue
-		}
-		bits := m.Bits()
-		ripple := mulsynth.BuildRipple(m.Name()+"_ripple", m.Mask(), m.Comp())
-		nv := uint32(bitutil.NumInputs(bits))
-		step := uint32(1)
-		if bits >= 8 {
-			step = 3 // sample every third pair to bound runtime
-		}
-		for w := uint32(0); w < nv; w += step {
-			for x := uint32(0); x < nv; x += step {
-				want := m.Mul(w, x)
-				got := uint32(ripple.EvaluateUint2(uint64(w), bits, uint64(x)))
-				if got != want {
-					t.Fatalf("%s ripple(%d,%d) = %d, want %d", m.Name(), w, x, got, want)
 				}
 			}
 		}

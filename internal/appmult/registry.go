@@ -1,8 +1,6 @@
 package appmult
 
 import (
-	"sort"
-
 	"github.com/appmult/retrain/internal/circuit"
 	"github.com/appmult/retrain/internal/mulsynth"
 	"github.com/appmult/retrain/internal/tech"
@@ -114,15 +112,4 @@ func Lookup(name string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// Names returns all registry multiplier names, sorted.
-func Names() []string {
-	reg := Registry()
-	out := make([]string, len(reg))
-	for i, e := range reg {
-		out[i] = e.Mult.Name()
-	}
-	sort.Strings(out)
-	return out
 }

@@ -29,14 +29,6 @@ func Bit(v uint32, i int) uint32 {
 	return (v >> uint(i)) & 1
 }
 
-// SetBit returns v with the i-th bit set to x (x must be 0 or 1).
-func SetBit(v uint32, i int, x uint32) uint32 {
-	if x == 0 {
-		return v &^ (1 << uint(i))
-	}
-	return v | (1 << uint(i))
-}
-
 // CheckWidth panics unless 1 <= bits <= MaxBits. It is used by
 // constructors that accept an operand width so misuse fails loudly at
 // setup time rather than corrupting LUT indexing later.
@@ -68,11 +60,6 @@ func NumPairs(bits int) int {
 // PairIndex flattens an operand pair into a LUT index: w*2^bits + x.
 func PairIndex(w, x uint32, bits int) int {
 	return int(w)<<uint(bits) | int(x)
-}
-
-// PairFromIndex is the inverse of PairIndex.
-func PairFromIndex(idx, bits int) (w, x uint32) {
-	return uint32(idx >> uint(bits)), uint32(idx) & Mask(bits)
 }
 
 // LeadingOnePos returns the position of the most significant set bit of

@@ -73,18 +73,6 @@ func (n *Netlist) evaluateInto(vals []uint8, inputs []uint8) {
 	}
 }
 
-// EvaluateUint treats the primary inputs as one unsigned operand
-// (bit i of v drives input i, LSB first) and returns the outputs packed
-// the same way. It is a convenience for single-operand blocks; two-
-// operand multipliers use EvaluateUint2.
-func (n *Netlist) EvaluateUint(v uint64) uint64 {
-	bits := make([]uint8, len(n.inputs))
-	for i := range bits {
-		bits[i] = uint8((v >> uint(i)) & 1)
-	}
-	return packBits(n.Evaluate(bits))
-}
-
 // EvaluateUint2 drives the first aBits inputs with operand a (LSB
 // first) and the remaining inputs with operand b, returning the packed
 // output word. Multiplier netlists built by package mulsynth declare

@@ -10,8 +10,8 @@ func TestLiveMask(t *testing.T) {
 	n := New("lm")
 	a, b := n.Input("a"), n.Input("b")
 	used := n.And(a, b)
-	dead := n.Or(a, b)
-	deadDownstream := n.Not(dead)
+	dead := n.add(tech.CellOr2, a, b)
+	deadDownstream := n.add(tech.CellNot, dead)
 	n.MarkOutput(used)
 	live := n.LiveMask()
 	if !live[a] || !live[b] {
@@ -25,29 +25,11 @@ func TestLiveMask(t *testing.T) {
 	}
 }
 
-func TestEvaluateUintPacking(t *testing.T) {
-	// A 3-bit incrementer built from half adders: out = in + 1 (mod 8).
-	n := New("inc")
-	in := []Node{n.Input("b0"), n.Input("b1"), n.Input("b2")}
-	one := n.Const(1)
-	s0, c0 := n.HalfAdder(in[0], one)
-	s1, c1 := n.HalfAdder(in[1], c0)
-	s2, _ := n.HalfAdder(in[2], c1)
-	n.MarkOutput(s0)
-	n.MarkOutput(s1)
-	n.MarkOutput(s2)
-	for v := uint64(0); v < 8; v++ {
-		if got := n.EvaluateUint(v); got != (v+1)%8 {
-			t.Errorf("inc(%d) = %d, want %d", v, got, (v+1)%8)
-		}
-	}
-}
-
 func TestAnalyzeCountsOnlySiliconCells(t *testing.T) {
 	n := New("count")
 	a := n.Input("a")
 	n.Const(1)
-	g := n.Not(a)
+	g := n.add(tech.CellNot, a)
 	n.MarkOutput(g)
 	rep := n.Analyze(tech.ASAP7(), PowerOptions{Vectors: 32, Seed: 1})
 	if rep.Gates != 1 {
@@ -63,7 +45,7 @@ func TestCriticalPathPicksLongestCone(t *testing.T) {
 	n := New("cp")
 	a, b := n.Input("a"), n.Input("b")
 	// Short path: one NAND. Long path: three XORs chained.
-	short := n.Nand(a, b)
+	short := n.add(tech.CellNand2, a, b)
 	x1 := n.Xor(a, b)
 	x2 := n.Xor(x1, b)
 	x3 := n.Xor(x2, a)
@@ -100,7 +82,7 @@ func TestPowerScalesWithActivity(t *testing.T) {
 	// inputs.
 	follow := New("follow")
 	fa := follow.Input("a")
-	follow.MarkOutput(follow.Buf(fa))
+	follow.MarkOutput(follow.add(tech.CellBuf, fa))
 
 	rare := New("rare")
 	ins := make([]Node, 6)

@@ -48,9 +48,6 @@ func New(name string) *Netlist {
 	return &Netlist{name: name}
 }
 
-// Name returns the netlist's display name.
-func (n *Netlist) Name() string { return n.name }
-
 // NumGates returns the total node count, including inputs and constants.
 func (n *Netlist) NumGates() int { return len(n.gates) }
 
@@ -60,20 +57,8 @@ func (n *Netlist) NumInputs() int { return len(n.inputs) }
 // NumOutputs returns the number of primary outputs.
 func (n *Netlist) NumOutputs() int { return len(n.outputs) }
 
-// Inputs returns the primary input nodes in declaration order.
-func (n *Netlist) Inputs() []Node { return n.inputs }
-
-// Outputs returns the primary output nodes in declaration order.
-func (n *Netlist) Outputs() []Node { return n.outputs }
-
 // Kind returns the cell kind of node v.
 func (n *Netlist) Kind(v Node) tech.CellKind { return n.gates[v].kind }
-
-// FanIns returns the fan-in nodes of v.
-func (n *Netlist) FanIns(v Node) []Node {
-	g := &n.gates[v]
-	return g.in[:g.nin]
-}
 
 func (n *Netlist) check(v Node) {
 	if v < 0 || int(v) >= len(n.gates) {
@@ -114,35 +99,11 @@ func (n *Netlist) add(kind tech.CellKind, ins ...Node) Node {
 	return v
 }
 
-// Buf adds a buffer. Not adds an inverter.
-func (n *Netlist) Buf(a Node) Node { return n.add(tech.CellBuf, a) }
-
-// Not adds an inverter of a.
-func (n *Netlist) Not(a Node) Node { return n.add(tech.CellNot, a) }
-
 // And adds a 2-input AND gate.
 func (n *Netlist) And(a, b Node) Node { return n.add(tech.CellAnd2, a, b) }
 
-// Or adds a 2-input OR gate.
-func (n *Netlist) Or(a, b Node) Node { return n.add(tech.CellOr2, a, b) }
-
-// Nand adds a 2-input NAND gate.
-func (n *Netlist) Nand(a, b Node) Node { return n.add(tech.CellNand2, a, b) }
-
-// Nor adds a 2-input NOR gate.
-func (n *Netlist) Nor(a, b Node) Node { return n.add(tech.CellNor2, a, b) }
-
 // Xor adds a 2-input XOR gate.
 func (n *Netlist) Xor(a, b Node) Node { return n.add(tech.CellXor2, a, b) }
-
-// Xnor adds a 2-input XNOR gate.
-func (n *Netlist) Xnor(a, b Node) Node { return n.add(tech.CellXnor2, a, b) }
-
-// And3 adds a 3-input AND gate.
-func (n *Netlist) And3(a, b, c Node) Node { return n.add(tech.CellAnd3, a, b, c) }
-
-// Or3 adds a 3-input OR gate.
-func (n *Netlist) Or3(a, b, c Node) Node { return n.add(tech.CellOr3, a, b, c) }
 
 // Maj3 adds a 3-input majority gate (the carry function of a full adder).
 func (n *Netlist) Maj3(a, b, c Node) Node { return n.add(tech.CellMaj3, a, b, c) }

@@ -14,13 +14,13 @@ func buildGates() *Netlist {
 	a := n.Input("a")
 	b := n.Input("b")
 	n.MarkOutput(n.And(a, b))
-	n.MarkOutput(n.Or(a, b))
-	n.MarkOutput(n.Nand(a, b))
-	n.MarkOutput(n.Nor(a, b))
+	n.MarkOutput(n.add(tech.CellOr2, a, b))
+	n.MarkOutput(n.add(tech.CellNand2, a, b))
+	n.MarkOutput(n.add(tech.CellNor2, a, b))
 	n.MarkOutput(n.Xor(a, b))
-	n.MarkOutput(n.Xnor(a, b))
-	n.MarkOutput(n.Not(a))
-	n.MarkOutput(n.Buf(b))
+	n.MarkOutput(n.add(tech.CellXnor2, a, b))
+	n.MarkOutput(n.add(tech.CellNot, a))
+	n.MarkOutput(n.add(tech.CellBuf, b))
 	return n
 }
 
@@ -45,8 +45,8 @@ func TestGateTruthTables(t *testing.T) {
 func TestThreeInputGates(t *testing.T) {
 	n := New("g3")
 	a, b, c := n.Input("a"), n.Input("b"), n.Input("c")
-	n.MarkOutput(n.And3(a, b, c))
-	n.MarkOutput(n.Or3(a, b, c))
+	n.MarkOutput(n.add(tech.CellAnd3, a, b, c))
+	n.MarkOutput(n.add(tech.CellOr3, a, b, c))
 	n.MarkOutput(n.Maj3(a, b, c))
 	for v := 0; v < 8; v++ {
 		bits := []uint8{uint8(v & 1), uint8(v >> 1 & 1), uint8(v >> 2 & 1)}
@@ -153,7 +153,7 @@ func TestPrunePreservesFunction(t *testing.T) {
 	keep := n.Xor(a, b)
 	// Dead logic.
 	d := n.And(a, b)
-	n.Or(d, b)
+	n.add(tech.CellOr2, d, b)
 	n.MarkOutput(keep)
 	before := n.NumGates()
 	p := n.Prune()
@@ -175,7 +175,7 @@ func TestPrunePreservesUnusedInputs(t *testing.T) {
 	n := New("p")
 	a := n.Input("a")
 	n.Input("unused")
-	n.MarkOutput(n.Not(a))
+	n.MarkOutput(n.add(tech.CellNot, a))
 	p := n.Prune()
 	if p.NumInputs() != 2 {
 		t.Fatalf("unused input dropped: have %d inputs", p.NumInputs())
@@ -188,7 +188,7 @@ func TestPrunePreservesUnusedInputs(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	n := New("c")
 	a := n.Input("a")
-	g := n.Not(a)
+	g := n.add(tech.CellNot, a)
 	n.MarkOutput(g)
 	c := n.Clone()
 	n.ReplaceWithConst(g, 1)

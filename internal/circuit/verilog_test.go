@@ -3,6 +3,8 @@ package circuit
 import (
 	"strings"
 	"testing"
+
+	"github.com/appmult/retrain/internal/tech"
 )
 
 func TestWriteVerilogStructure(t *testing.T) {
@@ -58,7 +60,7 @@ func TestWriteVerilogMaj3AndConst(t *testing.T) {
 func TestWriteVerilogSanitizesNames(t *testing.T) {
 	n := New("x")
 	weird := n.Input("2bad name!")
-	n.MarkOutput(n.Not(weird))
+	n.MarkOutput(n.add(tech.CellNot, weird))
 	var sb strings.Builder
 	if err := n.WriteVerilog(&sb, "8module-name"); err != nil {
 		t.Fatal(err)

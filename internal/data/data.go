@@ -7,16 +7,12 @@
 // Gaussian blobs — with per-sample noise, shifts, and flips. The
 // resulting task is learnable but not trivial, which is what the
 // STE-vs-difference-gradient comparisons require (see DESIGN.md).
-//
-// When real CIFAR binary batches are available on disk, LoadBinary
-// reads them into the same Dataset type.
 package data
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
 	"github.com/appmult/retrain/internal/tensor"
 )
@@ -34,9 +30,6 @@ type Dataset struct {
 
 // Len returns the number of images.
 func (d *Dataset) Len() int { return len(d.Y) }
-
-// HW returns the (square) image resolution.
-func (d *Dataset) HW() int { return d.X.Shape[2] }
 
 // Image returns a view of image i as a (1, 3, HW, HW) tensor copy.
 func (d *Dataset) Image(i int) *tensor.Tensor {
@@ -277,47 +270,3 @@ func (it *BatchIter) Next() bool {
 // The returned tensors are owned by the iterator and overwritten by the
 // next Next/Reset.
 func (it *BatchIter) Batch() Batch { return it.cur }
-
-// LoadBinary reads CIFAR-style binary batches (1 label byte followed by
-// 3072 pixel bytes per record, as in the CIFAR-10 distribution) and
-// normalizes pixels to [-1, 1]. It exists so the harness can run on the
-// real datasets when they are present; the experiments default to
-// Synthetic.
-func LoadBinary(classes int, paths ...string) (*Dataset, error) {
-	const rec = 1 + 3*32*32
-	var raw []byte
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return nil, fmt.Errorf("data: %w", err)
-		}
-		if len(b)%rec != 0 {
-			return nil, fmt.Errorf("data: %s is not a CIFAR binary batch (size %d)", p, len(b))
-		}
-		raw = append(raw, b...)
-	}
-	return parseBinary(raw, classes)
-}
-
-// parseBinary decodes concatenated CIFAR records (shared by LoadBinary
-// and LoadBinaryRetry).
-func parseBinary(raw []byte, classes int) (*Dataset, error) {
-	const rec = 1 + 3*32*32
-	n := len(raw) / rec
-	if n == 0 {
-		return nil, fmt.Errorf("data: no records found")
-	}
-	ds := &Dataset{X: tensor.New(n, 3, 32, 32), Y: make([]int, n), Classes: classes}
-	for i := 0; i < n; i++ {
-		r := raw[i*rec : (i+1)*rec]
-		label := int(r[0])
-		if label >= classes {
-			return nil, fmt.Errorf("data: label %d exceeds class count %d", label, classes)
-		}
-		ds.Y[i] = label
-		for j, px := range r[1:] {
-			ds.X.Data[i*3072+j] = float32(px)/127.5 - 1
-		}
-	}
-	return ds, nil
-}

@@ -2,8 +2,6 @@ package data
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -13,7 +11,7 @@ func TestSyntheticShapesAndDeterminism(t *testing.T) {
 	if tr.Len() != 40 || te.Len() != 20 {
 		t.Fatalf("split sizes %d/%d", tr.Len(), te.Len())
 	}
-	if tr.HW() != 16 || tr.X.Shape[1] != 3 {
+	if tr.X.Shape[2] != 16 || tr.X.Shape[1] != 3 {
 		t.Fatalf("image shape %v", tr.X.Shape)
 	}
 	// Deterministic regeneration.
@@ -150,50 +148,6 @@ func TestImageCopy(t *testing.T) {
 	img.Data[0] = 99
 	if tr.X.Data[3*8*8] == 99 {
 		t.Error("Image returned a view, want copy")
-	}
-}
-
-func TestLoadBinary(t *testing.T) {
-	dir := t.TempDir()
-	// Two records.
-	rec := make([]byte, 2*(1+3072))
-	rec[0] = 3
-	rec[1] = 255
-	rec[1+3072] = 7
-	path := filepath.Join(dir, "batch.bin")
-	if err := os.WriteFile(path, rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := LoadBinary(10, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Len() != 2 || ds.Y[0] != 3 || ds.Y[1] != 7 {
-		t.Fatalf("parsed %d records, labels %v", ds.Len(), ds.Y)
-	}
-	if ds.X.Data[0] != 1.0 { // 255 -> 1.0
-		t.Errorf("pixel normalization: %v", ds.X.Data[0])
-	}
-	if ds.X.Data[1] != -1.0 { // 0 -> -1
-		t.Errorf("zero pixel: %v", ds.X.Data[1])
-	}
-	// Bad size errors.
-	if err := os.WriteFile(path, rec[:100], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBinary(10, path); err == nil {
-		t.Error("truncated file accepted")
-	}
-	// Label out of range errors.
-	rec[0] = 200
-	if err := os.WriteFile(path, rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBinary(10, path); err == nil {
-		t.Error("out-of-range label accepted")
-	}
-	if _, err := LoadBinary(10, filepath.Join(dir, "missing.bin")); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

@@ -176,10 +176,6 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 // Addr returns the listener's address (useful with ":0").
 func (c *Coordinator) Addr() string { return c.srv.Addr() }
 
-// Workers returns the number of currently admitted workers. Only
-// meaningful from the training goroutine.
-func (c *Coordinator) Workers() int { return len(c.workers) }
-
 func (c *Coordinator) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
 		c.cfg.Logf(format, args...)

@@ -473,7 +473,7 @@ func TestDistWorkerOutlivesHandshakeWindow(t *testing.T) {
 	lost := proto.Metrics.WorkersLost.Value()
 	dl.AwaitWindow(t)
 	cl.co.drainIdle()
-	if n := cl.co.Workers(); n != 1 || proto.Metrics.WorkersLost.Value() != lost {
+	if n := len(cl.co.workers); n != 1 || proto.Metrics.WorkersLost.Value() != lost {
 		t.Fatalf("after the handshake window: %d workers admitted, dist_workers_lost_total moved by %v",
 			n, proto.Metrics.WorkersLost.Value()-lost)
 	}

@@ -21,7 +21,7 @@ import (
 type Spec struct {
 	// Model is the architecture kind (see models.Kinds).
 	Model string
-	// Mult names the approximate multiplier (see appmult.Names).
+	// Mult names the approximate multiplier (an appmult registry name).
 	Mult string
 	// Estimator is the gradient-estimator spec (see
 	// gradient.ParseEstimator): "ste", "smoothdiff", "cvste",

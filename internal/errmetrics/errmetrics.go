@@ -73,17 +73,6 @@ func Exhaustive(bits int, approx MulFunc) Metrics {
 	}
 }
 
-// ExhaustiveLUT measures metrics for a multiplier given as a product
-// LUT indexed by bitutil.PairIndex.
-func ExhaustiveLUT(bits int, lut []uint32) Metrics {
-	if len(lut) != bitutil.NumPairs(bits) {
-		panic(fmt.Sprintf("errmetrics: LUT has %d entries, want %d", len(lut), bitutil.NumPairs(bits)))
-	}
-	return Exhaustive(bits, func(w, x uint32) uint32 {
-		return lut[bitutil.PairIndex(w, x, bits)]
-	})
-}
-
 // Weighted measures metrics under an arbitrary input distribution.
 // prob must hold one probability per operand pair (indexed by
 // bitutil.PairIndex) and sum to 1 within tolerance; it generalizes

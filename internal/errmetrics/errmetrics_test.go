@@ -74,33 +74,6 @@ func TestExhaustiveMatchesPaperTruncationFormula(t *testing.T) {
 	}
 }
 
-func TestExhaustiveLUT(t *testing.T) {
-	bits := 4
-	lut := make([]uint32, bitutil.NumPairs(bits))
-	for w := uint32(0); w < 16; w++ {
-		for x := uint32(0); x < 16; x++ {
-			lut[bitutil.PairIndex(w, x, bits)] = w * x
-		}
-	}
-	if m := ExhaustiveLUT(bits, lut); m.ERPercent != 0 {
-		t.Errorf("accurate LUT has ER %v", m.ERPercent)
-	}
-	lut[bitutil.PairIndex(2, 2, bits)] = 5
-	m := ExhaustiveLUT(bits, lut)
-	if m.MaxED != 1 {
-		t.Errorf("MaxED = %d, want 1", m.MaxED)
-	}
-}
-
-func TestExhaustiveLUTSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("short LUT accepted")
-		}
-	}()
-	ExhaustiveLUT(4, make([]uint32, 3))
-}
-
 func TestWeightedUniformMatchesExhaustive(t *testing.T) {
 	bits := 4
 	approx := func(w, x uint32) uint32 { return (w * x) &^ 1 } // drop LSB

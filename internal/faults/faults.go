@@ -196,11 +196,10 @@ func (m Model) bit(rng *rand.Rand, entryBits int) int {
 // Injector applies a Model to product LUTs of one operand width. It is
 // not safe for concurrent use; give each goroutine its own injector.
 type Injector struct {
-	model    Model
-	opBits   int
-	fixed    []Fault // permanent fault set (nil when transient)
-	rng      *rand.Rand
-	injected int
+	model  Model
+	opBits int
+	fixed  []Fault // permanent fault set (nil when transient)
+	rng    *rand.Rand
 }
 
 // NewInjector builds an injector for B-bit-operand product LUTs
@@ -232,12 +231,8 @@ func (in *Injector) Faulty(lut []uint32) ([]uint32, []Fault) {
 	for _, f := range fs {
 		out[f.Index] = f.apply(out[f.Index])
 	}
-	in.injected += len(fs)
 	return out, fs
 }
-
-// Injected returns the total number of faults applied so far.
-func (in *Injector) Injected() int { return in.injected }
 
 // FaultyTables returns a faulted copy of a gradient-table pair: faults
 // hit the IEEE-754 bit patterns of the float32 entries (32-bit width),

@@ -132,9 +132,6 @@ func TestTransientResamples(t *testing.T) {
 	if same {
 		t.Error("transient injector drew identical fault sets twice")
 	}
-	if in.Injected() != len(f1)+len(f2) {
-		t.Errorf("Injected() = %d, want %d", in.Injected(), len(f1)+len(f2))
-	}
 
 	perm := NewInjector(Model{Kind: BitFlip, Rate: 0.05, Seed: 5}, 6)
 	_, p1 := perm.Faulty(lut)

@@ -37,11 +37,6 @@ type NetFaultModel struct {
 	Seed int64
 }
 
-// Enabled reports whether the model can inject anything.
-func (m NetFaultModel) Enabled() bool {
-	return m.DropRate > 0 || m.CorruptRate > 0 || m.TruncateRate > 0 || m.DelayRate > 0
-}
-
 // Wrap returns conn with the model's write-side faults applied. Each
 // wrapped connection draws from its own rng seeded with m.Seed, so a
 // test wrapping several connections should vary the seed per

@@ -87,9 +87,6 @@ func (r *Ring) Remove(member string) {
 	r.points = kept
 }
 
-// Members returns the number of distinct members on the ring.
-func (r *Ring) Members() int { return len(r.members) }
-
 // Ordered returns up to n distinct members in ring order starting at
 // key's position — the per-key preference list. The first entry is the
 // key's primary owner; subsequent entries are the natural hedge and
@@ -116,8 +113,8 @@ func (r *Ring) Ordered(key string, n int) []string {
 	return out
 }
 
-// Owner returns key's primary member, or "" for an empty ring.
-func (r *Ring) Owner(key string) string {
+// owner returns key's primary member, or "" for an empty ring.
+func (r *Ring) owner(key string) string {
 	o := r.Ordered(key, 1)
 	if len(o) == 0 {
 		return ""

@@ -21,13 +21,13 @@ func TestRingJoinMovesOnlyNewOwnersKeys(t *testing.T) {
 	keys := ringKeys(2000)
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k] = r.Owner(k)
+		before[k] = r.owner(k)
 	}
 
 	r.Add("w4")
 	moved := 0
 	for _, k := range keys {
-		now := r.Owner(k)
+		now := r.owner(k)
 		if now != before[k] {
 			if now != "w4" {
 				t.Fatalf("key %s moved %s -> %s on an unrelated join", k, before[k], now)
@@ -51,7 +51,7 @@ func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	before := make(map[string]string, len(keys))
 	owned := 0
 	for _, k := range keys {
-		before[k] = r.Owner(k)
+		before[k] = r.owner(k)
 		if before[k] == "w2" {
 			owned++
 		}
@@ -60,7 +60,7 @@ func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	r.Remove("w2")
 	moved := 0
 	for _, k := range keys {
-		now := r.Owner(k)
+		now := r.owner(k)
 		if now == "w2" {
 			t.Fatalf("key %s still owned by removed member", k)
 		}
@@ -96,8 +96,8 @@ func TestRingOrderedDistinctAndStable(t *testing.T) {
 		if again := r.Ordered(k, 3); fmt.Sprint(again) != fmt.Sprint(set) {
 			t.Fatalf("Ordered(%q) unstable: %v then %v", k, set, again)
 		}
-		if r.Owner(k) != set[0] {
-			t.Fatalf("Owner(%q) = %s, Ordered head %s", k, r.Owner(k), set[0])
+		if r.owner(k) != set[0] {
+			t.Fatalf("owner(%q) = %s, Ordered head %s", k, r.owner(k), set[0])
 		}
 	}
 	// Asking for more members than exist returns them all.
@@ -108,7 +108,7 @@ func TestRingOrderedDistinctAndStable(t *testing.T) {
 
 func TestRingEmptyAndSpread(t *testing.T) {
 	r := NewRing()
-	if r.Owner("k") != "" || r.Ordered("k", 2) != nil {
+	if r.owner("k") != "" || r.Ordered("k", 2) != nil {
 		t.Fatal("empty ring must return no owners")
 	}
 	for i := 0; i < 4; i++ {
@@ -117,7 +117,7 @@ func TestRingEmptyAndSpread(t *testing.T) {
 	counts := map[string]int{}
 	keys := ringKeys(4000)
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[r.owner(k)]++
 	}
 	for m, c := range counts {
 		frac := float64(c) / float64(len(keys))

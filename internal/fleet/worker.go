@@ -82,10 +82,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return w, nil
 }
 
-// Model returns a hosted model by name (nil when absent) — used by
-// tests to compare fleet answers against direct computes.
-func (w *Worker) Model(name string) *serve.Model { return w.models[name] }
-
 // Run joins the router and serves predict frames until dismissed
 // (Bye → nil return), the context is cancelled, or the dial budget is
 // exhausted. Connection loss at any other point re-enters the dial

@@ -53,9 +53,9 @@ func TruncMask(bits, k int) PPMask {
 	return m
 }
 
-// PerforationMask removes entire partial-product rows (all pp for the
+// perforationMask removes entire partial-product rows (all pp for the
 // listed w-bit indices), a classic perforation approximation.
-func PerforationMask(bits int, rows ...int) PPMask {
+func perforationMask(bits int, rows ...int) PPMask {
 	m := FullMask(bits)
 	for _, r := range rows {
 		if r < 0 || r >= bits {
@@ -83,19 +83,6 @@ func (m PPMask) Delete(i, j int) PPMask {
 	return m
 }
 
-// CountKept returns the number of retained partial products.
-func (m PPMask) CountKept() int {
-	n := 0
-	for i := range m.Keep {
-		for j := range m.Keep[i] {
-			if m.Keep[i][j] {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // RemovedWeight returns the sum of weights 2^(i+j) over removed partial
 // products. Without compensation this equals the multiplier's maximum
 // error distance, attained when every removed pp evaluates to 1.
@@ -109,14 +96,6 @@ func (m PPMask) RemovedWeight() int64 {
 		}
 	}
 	return s
-}
-
-// MeanRemoved returns the expected removed value under uniform random
-// operands: each pp is 1 with probability 1/4, so the mean bias of a
-// masked multiplier is RemovedWeight()/4. Compensation constants are
-// typically chosen near this value.
-func (m PPMask) MeanRemoved() float64 {
-	return float64(m.RemovedWeight()) / 4
 }
 
 // Mul evaluates the masked multiplier behaviourally:

@@ -41,8 +41,8 @@ func TestDecomposeStripsExact(t *testing.T) {
 		{"trunc6_4", TruncMask(6, 4), 0, 5},
 		// Row perforation: the surviving rows all keep every column, so
 		// they merge into a single strip.
-		{"perf8_25", PerforationMask(8, 2, 5), 0, 1},
-		{"perf6_0", PerforationMask(6, 0), 9, 1},
+		{"perf8_25", perforationMask(8, 2, 5), 0, 1},
+		{"perf6_0", perforationMask(6, 0), 9, 1},
 		// Scattered deletions on top of truncation (the registry's
 		// fitted stand-in shape).
 		{"trunc+extras", TruncMask(8, 6).Delete(0, 6).Delete(1, 5).Delete(3, 3), 0, -1},
@@ -107,7 +107,7 @@ func TestStripBounds(t *testing.T) {
 		t.Errorf("StripMax(full8) = %d, want %d", got, 255*255)
 	}
 	// Brute-force cross-check of the all-ones-attains-max claim.
-	for _, mask := range []PPMask{TruncMask(6, 5), PerforationMask(5, 1, 3)} {
+	for _, mask := range []PPMask{TruncMask(6, 5), perforationMask(5, 1, 3)} {
 		s := DecomposeStrips(mask)
 		n := uint32(1) << uint(mask.Bits)
 		var mx, tmx uint32

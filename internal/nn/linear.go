@@ -76,9 +76,6 @@ func (l *ApproxLinear) Params() []*Param { return l.conv.Params() }
 // Op returns the layer's multiplier/gradient bundle.
 func (l *ApproxLinear) Op() *Op { return l.conv.Op() }
 
-// SetOp swaps the multiplier/gradient bundle (see ApproxConv2D.SetOp).
-func (l *ApproxLinear) SetOp(op *Op) { l.conv.SetOp(op) }
-
 // Forward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Forward call.
 func (l *ApproxLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -333,7 +333,7 @@ func TestSetOpSwitchesEstimator(t *testing.T) {
 	}
 
 	gradWith := func(op *Op) []float32 {
-		al.SetOp(op)
+		al.conv.SetOp(op)
 		ZeroGrads(al)
 		out := al.Forward(x, true)
 		_, dl := SoftmaxCrossEntropy(out, labels)

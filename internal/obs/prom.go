@@ -139,16 +139,11 @@ func parseSample(line string) (Sample, error) {
 		rest = rest[i:]
 	}
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated labels in %q", line)
-		}
-		labels, err := parseLabels(rest[1:end])
+		labels, after, err := parseLabels(rest[1:])
 		if err != nil {
 			return s, fmt.Errorf("%v in %q", err, line)
 		}
-		s.Labels = labels
-		rest = rest[end+1:]
+		s.Labels, rest = labels, after
 	}
 	v, err := parseValue(strings.TrimSpace(rest))
 	if err != nil {
@@ -171,13 +166,20 @@ func parseValue(text string) (float64, error) {
 	return strconv.ParseFloat(text, 64)
 }
 
-// parseLabels parses the inside of a {...} label block.
-func parseLabels(body string) ([]string, error) {
+// parseLabels parses a label block from just after its "{" through the
+// closing "}" — the first one outside a quoted value, since WriteTo
+// does not escape braces — and returns the labels and the text after
+// the block.
+func parseLabels(body string) ([]string, string, error) {
 	var labels []string
-	for body != "" {
+	for {
+		body = strings.TrimSpace(body)
+		if rest, ok := strings.CutPrefix(body, "}"); ok {
+			return labels, rest, nil
+		}
 		eq := strings.Index(body, "=")
 		if eq < 0 || len(body) < eq+2 || body[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed label %q", body)
+			return nil, "", fmt.Errorf("malformed or unterminated labels %q", body)
 		}
 		key := body[:eq]
 		rest := body[eq+2:]
@@ -201,11 +203,9 @@ func parseLabels(body string) ([]string, error) {
 			sb.WriteByte(c)
 		}
 		if i == len(rest) {
-			return nil, fmt.Errorf("unterminated label value for %q", key)
+			return nil, "", fmt.Errorf("unterminated label value for %q", key)
 		}
 		labels = append(labels, key, sb.String())
 		body = strings.TrimPrefix(strings.TrimSpace(rest[i+1:]), ",")
-		body = strings.TrimSpace(body)
 	}
-	return labels, nil
 }

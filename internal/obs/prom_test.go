@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,64 @@ func TestParseRoundTrip(t *testing.T) {
 	if !found {
 		t.Error("weird_values sample missing after round-trip")
 	}
+}
+
+// TestParseLabelValueWithBrace: WriteTo does not escape "}", and serve
+// and fleet label series with user-chosen model names, so the parser
+// must not end a label block at a brace inside a quoted value.
+func TestParseLabelValueWithBrace(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", "", "model", "a}b", "outcome", "{ok}").Add(1)
+	var sb strings.Builder
+	if err := WriteTo(&sb, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	samples, _, err := ParseText(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != 1 || samples[0].Label("model") != "a}b" || samples[0].Label("outcome") != "{ok}" || samples[0].Value != 1 {
+		t.Errorf("round trip of %q = %+v", sb.String(), samples)
+	}
+}
+
+// FuzzParseText: whatever ParseText accepts, WriteTo re-encodes into
+// text that ParseText reads back as the same samples.
+func FuzzParseText(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "prom_golden.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(golden))
+	f.Add(`x_total{model="a}b"} 1`)
+	f.Fuzz(func(t *testing.T, data string) {
+		samples, _, err := ParseText(data)
+		if err != nil {
+			return
+		}
+		fams := make([]Family, len(samples))
+		for i, s := range samples {
+			fams[i] = Family{Name: s.Name, Kind: KindGauge, Samples: []SeriesValue{{Name: s.Name, Labels: s.Labels, Value: s.Value}}}
+		}
+		var sb strings.Builder
+		if err := WriteTo(&sb, fams); err != nil {
+			t.Fatal(err)
+		}
+		again, _, err := ParseText(sb.String())
+		if err != nil {
+			t.Fatalf("ParseText rejects WriteTo's encoding %q of %q: %v", sb.String(), data, err)
+		}
+		if len(again) != len(samples) {
+			t.Fatalf("%d samples read back as %d from %q", len(samples), len(again), sb.String())
+		}
+		for i, s := range samples {
+			a := again[i]
+			sameValue := a.Value == s.Value || math.IsNaN(a.Value) && math.IsNaN(s.Value)
+			if a.Name != s.Name || !slices.Equal(a.Labels, s.Labels) || !sameValue {
+				t.Fatalf("sample %d: %+v read back as %+v from %q", i, s, a, sb.String())
+			}
+		}
+	})
 }
 
 func TestParseRejectsMalformed(t *testing.T) {

@@ -81,9 +81,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
-// Add shifts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) { g.v.Add(delta) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 

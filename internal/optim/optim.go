@@ -1,7 +1,6 @@
 // Package optim provides the optimizers and learning-rate schedule the
 // paper's retraining setup uses: Adam with a three-stage step schedule
-// (1e-3 for epochs 1-10, 5e-4 for 11-20, 2.5e-4 for 21-30), plus plain
-// SGD with momentum as a baseline.
+// (1e-3 for epochs 1-10, 5e-4 for 11-20, 2.5e-4 for 21-30).
 package optim
 
 import (
@@ -9,47 +8,6 @@ import (
 
 	"github.com/appmult/retrain/internal/nn"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update at the given learning rate and clears
-	// nothing: callers zero gradients themselves (nn.ZeroGrads).
-	Step(params []*nn.Param, lr float64)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	// Momentum in [0, 1); zero disables the velocity term.
-	Momentum float64
-	velocity map[*nn.Param][]float32
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(momentum float64) *SGD {
-	return &SGD{Momentum: momentum, velocity: make(map[*nn.Param][]float32)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*nn.Param, lr float64) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			p.Value.AddScaled(p.Grad, float32(-lr))
-			p.Touch()
-			continue
-		}
-		v := s.velocity[p]
-		if v == nil {
-			v = make([]float32, p.Value.Numel())
-			s.velocity[p] = v
-		}
-		m := float32(s.Momentum)
-		for i := range v {
-			v[i] = m*v[i] + p.Grad.Data[i]
-			p.Value.Data[i] -= float32(lr) * v[i]
-		}
-		p.Touch()
-	}
-}
 
 // Adam is the Adam optimizer [Kingma & Ba, ICLR 2015] with the standard
 // bias-corrected moment estimates.
@@ -69,7 +27,8 @@ func NewAdam() *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update at the given learning rate and clears
+// nothing: callers zero gradients themselves (nn.ZeroGrads).
 func (a *Adam) Step(params []*nn.Param, lr float64) {
 	a.step++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.step))

@@ -32,7 +32,7 @@ func lossAndGrad(p *nn.Param, target []float32) float64 {
 	return loss
 }
 
-func converges(t *testing.T, opt Optimizer, lr float64, steps int) {
+func converges(t *testing.T, opt *Adam, lr float64, steps int) {
 	t.Helper()
 	p, target := quadratic(16, 99)
 	start := lossAndGrad(p, target)
@@ -46,17 +46,7 @@ func converges(t *testing.T, opt Optimizer, lr float64, steps int) {
 	}
 }
 
-func TestSGDConverges(t *testing.T)         { converges(t, NewSGD(0), 0.1, 200) }
-func TestSGDMomentumConverges(t *testing.T) { converges(t, NewSGD(0.9), 0.02, 200) }
-func TestAdamConverges(t *testing.T)        { converges(t, NewAdam(), 0.05, 400) }
-
-func TestSGDSingleStepExactness(t *testing.T) {
-	p := &nn.Param{Name: "p", Value: tensor.FromData([]float32{1}, 1), Grad: tensor.FromData([]float32{2}, 1)}
-	NewSGD(0).Step([]*nn.Param{p}, 0.5)
-	if p.Value.Data[0] != 0 {
-		t.Errorf("value after step = %v, want 0", p.Value.Data[0])
-	}
-}
+func TestAdamConverges(t *testing.T) { converges(t, NewAdam(), 0.05, 400) }
 
 func TestAdamFirstStepIsLRSized(t *testing.T) {
 	// Adam's bias correction makes the first update ~lr * sign(grad).

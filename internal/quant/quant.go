@@ -61,12 +61,6 @@ func Calibrate(mn, mx float32, bits int) Params {
 	return Params{Scale: scale, Zero: zero, Bits: bits}
 }
 
-// CalibrateTensor derives parameters covering a tensor's value range.
-func CalibrateTensor(t *tensor.Tensor, bits int) Params {
-	mn, mx := t.MinMax()
-	return Calibrate(mn, mx, bits)
-}
-
 // QMax returns the largest representable integer level, 2^B-1.
 func (p Params) QMax() uint32 { return bitutil.Mask(p.Bits) }
 
@@ -101,15 +95,9 @@ func (p Params) Quantize(v float32) uint32 {
 	return uint32(q)
 }
 
-// Dequantize maps an integer level back to float: s*(q - Z).
-func (p Params) Dequantize(q uint32) float32 {
+// dequantize maps an integer level back to float: s*(q - Z).
+func (p Params) dequantize(q uint32) float32 {
 	return p.Scale * float32(int32(q)-p.Zero)
-}
-
-// FakeQuant rounds a float through the quantization grid
-// (dequantize(quantize(v))), the standard fake-quantization operation.
-func (p Params) FakeQuant(v float32) float32 {
-	return p.Dequantize(p.Quantize(v))
 }
 
 // Clipped reports whether v falls outside the representable range, in
@@ -146,14 +134,6 @@ func (p Params) QuantizeInto(q []uint8, clip []bool, data []float32) {
 			clip[i] = clipped
 		}
 	}
-}
-
-// QuantizeTensor quantizes a whole tensor into a uint8-per-level slice
-// (levels <= 255 requires Bits <= 8).
-func (p Params) QuantizeTensor(t *tensor.Tensor) []uint8 {
-	out := make([]uint8, t.Numel())
-	p.QuantizeInto(out, nil, t.Data)
-	return out
 }
 
 // Observer tracks activation ranges across batches with an exponential

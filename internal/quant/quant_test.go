@@ -18,8 +18,8 @@ func TestCalibrateBasics(t *testing.T) {
 	if p.Quantize(0) != uint32(p.Zero) {
 		t.Errorf("Quantize(0) = %d, zero point %d", p.Quantize(0), p.Zero)
 	}
-	if p.Dequantize(uint32(p.Zero)) != 0 {
-		t.Errorf("Dequantize(Z) = %v", p.Dequantize(uint32(p.Zero)))
+	if p.dequantize(uint32(p.Zero)) != 0 {
+		t.Errorf("dequantize(Z) = %v", p.dequantize(uint32(p.Zero)))
 	}
 }
 
@@ -65,12 +65,12 @@ func TestQuantizeClamps(t *testing.T) {
 }
 
 func TestRoundTripErrorBound(t *testing.T) {
-	// |FakeQuant(v) - v| <= Scale/2 for in-range v: the defining
+	// |dequantize(Quantize(v)) - v| <= Scale/2 for in-range v: the defining
 	// property of round-to-nearest uniform quantization.
 	p := Calibrate(-2, 2, 7)
 	f := func(raw int16) bool {
 		v := float32(raw) / float32(math.MaxInt16) * 2 // in [-2, 2]
-		fq := p.FakeQuant(v)
+		fq := p.dequantize(p.Quantize(v))
 		return math.Abs(float64(fq-v)) <= float64(p.Scale)/2+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -106,26 +106,11 @@ func TestEq8DequantIdentity(t *testing.T) {
 			X := px.Quantize(x)
 			Y := W * X // accurate integer multiplier
 			lhs := pw.Scale * px.Scale * float32(int64(Y)-int64(px.Zero)*int64(W)-int64(pw.Zero)*int64(X)+int64(pw.Zero)*int64(px.Zero))
-			rhs := pw.Dequantize(W) * px.Dequantize(X)
+			rhs := pw.dequantize(W) * px.dequantize(X)
 			if math.Abs(float64(lhs-rhs)) > 1e-5 {
 				t.Fatalf("Eq.(8) identity violated at (%v,%v): %v vs %v", w, x, lhs, rhs)
 			}
 		}
-	}
-}
-
-func TestQuantizeTensor(t *testing.T) {
-	x := tensor.FromData([]float32{-1, 0, 3}, 3)
-	p := CalibrateTensor(x, 8)
-	q := p.QuantizeTensor(x)
-	if len(q) != 3 {
-		t.Fatalf("len %d", len(q))
-	}
-	if q[0] != 0 || q[2] != 255 {
-		t.Errorf("endpoints: %v", q)
-	}
-	if q[1] != uint8(p.Zero) {
-		t.Errorf("zero maps to %d, zero point %d", q[1], p.Zero)
 	}
 }
 

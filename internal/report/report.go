@@ -49,9 +49,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.AddRow(s...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // WriteText renders the table with aligned columns.
 func (t *Table) WriteText(w io.Writer) {
 	widths := make([]int, len(t.header))
@@ -129,9 +126,6 @@ func (s *Series) Add(values ...float64) {
 	}
 	s.points = append(s.points, append([]float64(nil), values...))
 }
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.points) }
 
 // WriteText renders the series as a fixed-width table.
 func (s *Series) WriteText(w io.Writer) {

@@ -9,8 +9,8 @@ func TestTableText(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", "1")
 	tb.AddRowf("beta", 2.5)
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	var sb strings.Builder
 	tb.WriteText(&sb)
@@ -55,8 +55,8 @@ func TestSeries(t *testing.T) {
 	s := NewSeries("curve", "epoch", "ste", "ours")
 	s.Add(1, 50.0, 52.5)
 	s.Add(2, 60.0, 66.25)
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.points) != 2 {
+		t.Fatalf("len = %d", len(s.points))
 	}
 	var sb strings.Builder
 	s.WriteText(&sb)

@@ -230,9 +230,6 @@ func (b *Batcher) QueuePeak() int {
 	return int(b.peak.Swap(int64(len(b.queue))))
 }
 
-// Metrics returns the batcher's metrics aggregator.
-func (b *Batcher) Metrics() *Metrics { return b.metrics }
-
 // Do submits one image and blocks until its batch has been served (or
 // the request was rejected/expired). deadline zero means no deadline.
 func (b *Batcher) Do(ctx context.Context, image []float32, deadline time.Time) Result {

@@ -104,7 +104,7 @@ func TestBatcherCoalescesAndRoutes(t *testing.T) {
 			t.Errorf("request %d reports batch size %d, want %d", i, res.BatchSize, n)
 		}
 	}
-	if st := b.Metrics().Snapshot(); st.Completed != n+1 || st.Batches != 2 {
+	if st := b.metrics.Snapshot(); st.Completed != n+1 || st.Batches != 2 {
 		t.Errorf("completed=%d batches=%d, want %d/2", st.Completed, st.Batches, n+1)
 	}
 }
@@ -162,7 +162,7 @@ func TestBatcherOverloadRejects(t *testing.T) {
 	if !errors.Is(res.Err, ErrOverloaded) {
 		t.Fatalf("overflow request got %v, want ErrOverloaded", res.Err)
 	}
-	if st := b.Metrics().Snapshot(); st.Rejected != 1 {
+	if st := b.metrics.Snapshot(); st.Rejected != 1 {
 		t.Errorf("rejected = %d, want 1", st.Rejected)
 	}
 
@@ -227,7 +227,7 @@ func TestBatcherDeadlineWhileQueued(t *testing.T) {
 	if res := wait(); res.Err != nil {
 		t.Fatalf("occupying request failed: %v", res.Err)
 	}
-	if st := b.Metrics().Snapshot(); st.Expired != 1 {
+	if st := b.metrics.Snapshot(); st.Expired != 1 {
 		t.Errorf("expired = %d, want 1", st.Expired)
 	}
 	if err := b.Drain(context.Background()); err != nil {
@@ -326,7 +326,7 @@ func TestBatcherRunnerPanicIsContained(t *testing.T) {
 	if res := b.Do(context.Background(), []float32{6}, time.Time{}); res.Err != nil {
 		t.Fatalf("batcher dead after panic: %v", res.Err)
 	}
-	if st := b.Metrics().Snapshot(); st.Failed != 1 || st.Completed != 1 {
+	if st := b.metrics.Snapshot(); st.Failed != 1 || st.Completed != 1 {
 		t.Errorf("failed=%d completed=%d, want 1/1", st.Failed, st.Completed)
 	}
 	if err := b.Drain(context.Background()); err != nil {
@@ -384,7 +384,7 @@ func TestBatcherExpiredAtPullLiveRiderServed(t *testing.T) {
 	if got := r.batchSizes(); len(got) != 2 || got[0] != 1 || got[1] != 1 {
 		t.Errorf("runner served batches %v, want [1 1] (occupier, then the live rider alone)", got)
 	}
-	if st := b.Metrics().Snapshot(); st.Expired != 1 || st.Completed != 2 {
+	if st := b.metrics.Snapshot(); st.Expired != 1 || st.Completed != 2 {
 		t.Errorf("expired=%d completed=%d, want 1/2", st.Expired, st.Completed)
 	}
 	if err := b.Drain(context.Background()); err != nil {
@@ -431,7 +431,7 @@ func TestBatcherSaturationShedsAndAnswersAdmitted(t *testing.T) {
 	if served.Load() != depth || shed.Load() != depth {
 		t.Errorf("served %d, shed %d of %d offered; want %d/%d", served.Load(), shed.Load(), 2*depth, depth, depth)
 	}
-	if st := b.Metrics().Snapshot(); st.Rejected != depth || st.Completed != depth+1 {
+	if st := b.metrics.Snapshot(); st.Rejected != depth || st.Completed != depth+1 {
 		t.Errorf("rejected=%d completed=%d, want %d/%d", st.Rejected, st.Completed, depth, depth+1)
 	}
 	if err := b.Drain(context.Background()); err != nil {

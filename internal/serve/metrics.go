@@ -71,9 +71,6 @@ func NewMetrics(model string) *Metrics {
 	}
 }
 
-// Model returns the model name the metrics are labeled with.
-func (m *Metrics) Model() string { return m.model }
-
 // Complete records one successfully served request and its end-to-end
 // latency (queue wait + inference).
 func (m *Metrics) Complete(latency time.Duration) {

@@ -79,9 +79,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return first
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // PredictRequest is the /v1/predict request body.
 type PredictRequest struct {
 	// Model selects the served model; optional when exactly one model

@@ -258,7 +258,7 @@ func TestHTTPDrain(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if !s.Draining() {
+	if !s.draining.Load() {
 		t.Error("server not marked draining")
 	}
 

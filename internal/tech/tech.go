@@ -92,12 +92,8 @@ type Cell struct {
 
 // Library is an immutable table of cells indexed by kind.
 type Library struct {
-	name  string
 	cells [numCellKinds]Cell
 }
-
-// Name returns the library's display name.
-func (l *Library) Name() string { return l.name }
 
 // Cell returns the characteristics of the given cell kind.
 func (l *Library) Cell(k CellKind) Cell {
@@ -112,7 +108,7 @@ func (l *Library) Cell(k CellKind) Cell {
 // comment; they are deterministic and version-stable so that the
 // Table I reproduction is reproducible byte-for-byte.
 func ASAP7() *Library {
-	l := &Library{name: "asap7-model"}
+	l := &Library{}
 	set := func(k CellKind, area, delay, energy float64) {
 		l.cells[k] = Cell{Kind: k, AreaUM2: area, DelayPS: delay, EnergyFJ: energy}
 	}

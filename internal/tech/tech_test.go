@@ -34,9 +34,6 @@ func TestNumInputs(t *testing.T) {
 
 func TestASAP7Monotonicity(t *testing.T) {
 	l := ASAP7()
-	if l.Name() == "" {
-		t.Error("library has empty name")
-	}
 	// Free bookkeeping nodes.
 	for _, k := range []CellKind{CellInput, CellConst} {
 		c := l.Cell(k)

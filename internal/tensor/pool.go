@@ -16,8 +16,8 @@ import (
 // for the process.
 
 // RangeRunner is the closure-free form of a parallel kernel body: an
-// object whose RunRange method processes [lo, hi). The *On variants of
-// ParallelRows/ParallelBlocks accept one so hot per-step call sites can
+// object whose RunRange method processes [lo, hi). ParallelRowsOn and
+// ParallelBlocksOn accept one so hot per-step call sites can
 // keep a runner struct in long-lived scratch state instead of
 // allocating a closure context per call: the inline path (one worker,
 // or a single block) invokes the runner directly and the pooled path
@@ -222,16 +222,10 @@ func ParallelRowsOn(m int, r RangeRunner) {
 	p.run(m, chunk, r)
 }
 
-// ParallelBlocks runs fn over [0, n) in blocks of exactly chunk (the
+// ParallelBlocksOn runs r over [0, n) in blocks of exactly chunk (the
 // last block may be short), scheduled on the persistent pool. Kernels
 // that tile for cache locality use it to make the parallel grain equal
-// to the cache tile. Like ParallelRows it allocates for the closure;
-// ParallelBlocksOn is the alloc-free variant.
-func ParallelBlocks(n, chunk int, fn func(lo, hi int)) {
-	pool().run(n, chunk, funcRunner(fn))
-}
-
-// ParallelBlocksOn is ParallelBlocks for a reusable RangeRunner.
+// to the cache tile.
 func ParallelBlocksOn(n, chunk int, r RangeRunner) {
 	pool().run(n, chunk, r)
 }

@@ -122,19 +122,19 @@ func TestParallelRowsAndBlocksCoverRange(t *testing.T) {
 		})
 		checkCoverage(t, counts)
 	}
-	// ParallelBlocks degrades to one inline full-range call on a
+	// ParallelBlocksOn degrades to one inline full-range call on a
 	// single-worker pool, so only coverage is asserted here …
 	counts := make([]int32, 333)
-	ParallelBlocks(len(counts), 64, func(lo, hi int) {
+	ParallelBlocksOn(len(counts), 64, funcRunner(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&counts[i], 1)
 		}
-	})
+	}))
 	checkCoverage(t, counts)
 }
 
 // TestSharedPoolConcurrentCallers drives the package-level
-// ParallelRows/ParallelBlocks — the shared singleton every layer
+// ParallelRows/ParallelBlocksOn — the shared singleton every layer
 // schedules on — from many goroutines at once. This is the serving
 // shape: independent model replicas running forward passes
 // concurrently all funnel into this one pool, so every caller must see
@@ -156,11 +156,11 @@ func TestSharedPoolConcurrentCallers(t *testing.T) {
 					}
 				})
 				blocks := make([]int32, n)
-				ParallelBlocks(n, 16, func(lo, hi int) {
+				ParallelBlocksOn(n, 16, funcRunner(func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&blocks[i], 1)
 					}
-				})
+				}))
 				for i := 0; i < n; i++ {
 					if rows[i] != 1 || blocks[i] != 1 {
 						errs[c] = "range not covered exactly once"

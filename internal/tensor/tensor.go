@@ -118,9 +118,6 @@ func ViewRows(t *Tensor, lo, hi int) *Tensor {
 // Numel returns the total element count.
 func (t *Tensor) Numel() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)
@@ -143,8 +140,8 @@ func (t *Tensor) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
 }
 
-// Set writes the element at a multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
+// set writes the element at a multi-index.
+func (t *Tensor) set(v float32, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
 
@@ -199,14 +196,6 @@ func (t *Tensor) Scale(s float32) {
 	}
 }
 
-// MulElem multiplies t elementwise by o.
-func (t *Tensor) MulElem(o *Tensor) {
-	t.checkSame(o)
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
 func (t *Tensor) checkSame(o *Tensor) {
 	if len(t.Data) != len(o.Data) {
 		panic(fmt.Sprintf("tensor: size mismatch %v vs %v", t.Shape, o.Shape))
@@ -225,29 +214,6 @@ func (t *Tensor) MinMax() (mn, mx float32) {
 		}
 	}
 	return mn, mx
-}
-
-// Sum returns the sum of all elements in float64 for stability.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(v)
-	}
-	return s
-}
-
-// AbsMax returns the largest |element|.
-func (t *Tensor) AbsMax() float32 {
-	var m float32
-	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // RandNormal fills t with N(0, std) samples from rng.

@@ -11,15 +11,12 @@ func TestNewAndIndexing(t *testing.T) {
 	if x.Numel() != 24 {
 		t.Fatalf("Numel = %d", x.Numel())
 	}
-	x.Set(5, 1, 2, 3)
+	x.set(5, 1, 2, 3)
 	if x.At(1, 2, 3) != 5 {
 		t.Error("Set/At round trip failed")
 	}
 	if x.Data[1*12+2*4+3] != 5 {
 		t.Error("row-major layout violated")
-	}
-	if x.Dim(1) != 3 {
-		t.Errorf("Dim(1) = %d", x.Dim(1))
 	}
 }
 
@@ -30,12 +27,12 @@ func TestFromDataAndReshape(t *testing.T) {
 	if r.At(2, 1) != 6 {
 		t.Error("reshape changed layout")
 	}
-	r.Set(99, 0, 0)
+	r.set(99, 0, 0)
 	if x.At(0, 0) != 99 {
 		t.Error("reshape should share data")
 	}
 	c := x.Clone()
-	c.Set(-1, 0, 0)
+	c.set(-1, 0, 0)
 	if x.At(0, 0) != 99 {
 		t.Error("clone shares data")
 	}
@@ -75,16 +72,12 @@ func TestElementwiseOps(t *testing.T) {
 	if a.Data[1] != 4 {
 		t.Errorf("Scale: %v", a.Data)
 	}
-	a.MulElem(b)
-	if a.Data[0] != 8 {
-		t.Errorf("MulElem: %v", a.Data)
-	}
 	a.Zero()
-	if a.Sum() != 0 {
+	if a.Data[0] != 0 || a.Data[1] != 0 || a.Data[2] != 0 {
 		t.Error("Zero failed")
 	}
 	a.Fill(3)
-	if a.Sum() != 9 {
+	if a.Data[0] != 3 || a.Data[1] != 3 || a.Data[2] != 3 {
 		t.Error("Fill failed")
 	}
 }
@@ -94,12 +87,6 @@ func TestReductions(t *testing.T) {
 	mn, mx := x.MinMax()
 	if mn != -5 || mx != 3 {
 		t.Errorf("MinMax = %v,%v", mn, mx)
-	}
-	if x.AbsMax() != 5 {
-		t.Errorf("AbsMax = %v", x.AbsMax())
-	}
-	if x.Sum() != 0 {
-		t.Errorf("Sum = %v", x.Sum())
 	}
 }
 
@@ -135,7 +122,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 			for p := 0; p < k; p++ {
 				s += a.At(i, p) * b.At(p, j)
 			}
-			out.Set(s, i, j)
+			out.set(s, i, j)
 		}
 	}
 	return out
@@ -189,7 +176,7 @@ func naiveConv(x, w *Tensor, g ConvGeom) *Tensor {
 							}
 						}
 					}
-					out.Set(s, img, oc, oy, ox)
+					out.set(s, img, oc, oy, ox)
 				}
 			}
 		}

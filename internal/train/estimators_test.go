@@ -146,7 +146,7 @@ func TestRunMetaSidecar(t *testing.T) {
 		CkptPath:  ckpt,
 		Estimator: gradient.EstSTE,
 	})
-	meta, err := ReadRunMeta(ckpt)
+	meta, err := readRunMeta(ckpt)
 	if err != nil {
 		t.Fatalf("sidecar missing: %v", err)
 	}
@@ -164,9 +164,9 @@ func TestCompareLegsEstimators(t *testing.T) {
 		t.Skip("trains three legs")
 	}
 	sc := Scale{HW: 8, Width: 0.08, Train: 60, Test: 30, Epochs: 1, BatchSize: 20, LR0: 6e-3}
-	r := CompareGradientsOpts("mul6u_rm4", "lenet", 3, sc, 5, nil, CompareOptions{
+	r := TableII([]string{"mul6u_rm4"}, []string{"lenet"}, 3, sc, 5, nil, CompareOptions{
 		Estimators: NormalizeEstimators([]string{"cvste", "stochastic(seed=7)"}),
-	})
+	})[0]
 	if len(r.Legs) != 3 {
 		t.Fatalf("got %d legs, want 3", len(r.Legs))
 	}

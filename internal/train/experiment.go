@@ -125,79 +125,6 @@ func (o CompareOptions) config(base Config, name string) Config {
 	return base
 }
 
-// CompareGradients reproduces one Table II row at the given scale:
-// QAT-train a reference model with the accurate multiplier, seed an
-// AppMult twin from its weights, measure initial accuracy, then
-// retrain twice — once with STE gradients, once with difference-based
-// gradients — and report everything.
-func CompareGradients(multName, modelKind string, classes int, sc Scale, seed int64, logf func(string, ...any)) CompareResult {
-	return CompareGradientsOpts(multName, modelKind, classes, sc, seed, logf, CompareOptions{})
-}
-
-// CompareGradientsOpts is CompareGradients with robustness options.
-func CompareGradientsOpts(multName, modelKind string, classes int, sc Scale, seed int64, logf func(string, ...any), opt CompareOptions) CompareResult {
-	entry, ok := appmult.Lookup(multName)
-	if !ok {
-		panic(fmt.Sprintf("train: unknown multiplier %q", multName))
-	}
-	legs := mustPlanLegs(opt.Estimators)
-	trainSet, testSet := data.Synthetic(data.SynthConfig{
-		Classes: classes, Train: sc.Train, Test: sc.Test, HW: sc.HW, Seed: seed,
-	})
-	cfg := Config{Epochs: sc.Epochs, BatchSize: sc.BatchSize, Schedule: sc.Schedule(), Seed: seed, Logf: logf}
-
-	// Reference: QAT with the accurate multiplier of the same width.
-	accOp := nn.STEOp(appmult.NewAccurate(entry.Mult.Bits()))
-	ref := BuildModel(modelKind, classes, sc, models.ApproxConv(accOp), seed)
-	if logf != nil {
-		logf("[%s/%s] QAT reference training", multName, modelKind)
-	}
-	refCfg := opt.config(cfg, fmt.Sprintf("ref_%s_%dbit", modelKind, entry.Mult.Bits()))
-	refCfg.Estimator = gradient.EstSTE
-	refRes := Run(ref, trainSet, testSet, refCfg)
-
-	out := make([]EstimatorLeg, 0, len(legs))
-	for _, lp := range legs {
-		out = append(out, runLeg(lp, entry, modelKind, classes, sc, seed, ref, trainSet, testSet, cfg, opt, logf))
-	}
-	return assembleCompare(multName, modelKind, refRes.FinalTop1(), out)
-}
-
-// SelectHWS reproduces the paper's half-window-size selection: for
-// each candidate, train a LeNet for a few epochs with the
-// difference-based gradient and keep the HWS with the smallest final
-// training loss (Section V-A; the paper uses 5 epochs on CIFAR-10).
-func SelectHWS(m appmult.Multiplier, candidates []int, classes int, sc Scale, seed int64, logf func(string, ...any)) (best int, losses map[int]float64) {
-	if len(candidates) == 0 {
-		candidates = gradient.DefaultHWSCandidates
-	}
-	trainSet, testSet := data.Synthetic(data.SynthConfig{
-		Classes: classes, Train: sc.Train, Test: sc.Test, HW: sc.HW, Seed: seed,
-	})
-	losses = make(map[int]float64)
-	bestLoss := 0.0
-	maxHWS := gradient.MaxHWS(m.Bits())
-	for _, hws := range candidates {
-		if hws < 1 || hws > maxHWS {
-			continue
-		}
-		op := nn.DifferenceOp(m, hws)
-		model := BuildModel("lenet", classes, sc, models.ApproxConv(op), seed)
-		res := Run(model, trainSet, testSet, Config{
-			Epochs: sc.Epochs, BatchSize: sc.BatchSize, Schedule: sc.Schedule(), Seed: seed,
-		})
-		loss := res.FinalLoss()
-		losses[hws] = loss
-		if logf != nil {
-			logf("HWS %2d: final train loss %.4f", hws, loss)
-		}
-		if best == 0 || loss < bestLoss {
-			best, bestLoss = hws, loss
-		}
-	}
-	return best, losses
-}
-
 // SmallScale sits between TinyScale and ReducedScale: the scale the
 // repository's recorded EXPERIMENTS.md sweeps use on a single CPU
 // (roughly two minutes per Table II row).
@@ -219,18 +146,17 @@ func ScaleByName(name string) (Scale, error) {
 	}
 }
 
-// TableII runs the full Table II sweep: every multiplier against every
-// model kind, sharing one QAT reference per (model, bit-width) pair —
-// the references do not depend on the approximate multiplier, only on
-// its width, so retraining all rows reuses them.
-func TableII(multNames, modelKinds []string, classes int, sc Scale, seed int64, logf func(string, ...any)) []CompareResult {
-	return TableIIOpts(multNames, modelKinds, classes, sc, seed, logf, CompareOptions{})
-}
-
-// TableIIOpts is TableII with robustness options; checkpoint files are
-// shared with CompareGradientsOpts, so a killed sweep resumes row by
-// row (finished rows replay from their checkpoints).
-func TableIIOpts(multNames, modelKinds []string, classes int, sc Scale, seed int64, logf func(string, ...any), opt CompareOptions) []CompareResult {
+// TableII reproduces Table II rows at the given scale: for every model
+// kind and multiplier, QAT-train a reference model with the accurate
+// multiplier of the same width, seed an AppMult twin from its weights,
+// measure its initial accuracy, then retrain it once per estimator leg
+// (STE and the difference-based gradient by default) and report
+// everything. One reference is shared per (model, bit width) pair: it
+// does not depend on the approximate multiplier, only on its width.
+// With opt.CkptDir set every phase checkpoints under a deterministic
+// file name, so a killed sweep resumes row by row (finished rows
+// replay from their checkpoints).
+func TableII(multNames, modelKinds []string, classes int, sc Scale, seed int64, logf func(string, ...any), opt CompareOptions) []CompareResult {
 	legs := mustPlanLegs(opt.Estimators)
 	trainSet, testSet := data.Synthetic(data.SynthConfig{
 		Classes: classes, Train: sc.Train, Test: sc.Test, HW: sc.HW, Seed: seed,

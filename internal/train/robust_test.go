@@ -1,9 +1,11 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -12,6 +14,25 @@ import (
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/optim"
 )
+
+func TestGuardedRecoversPanics(t *testing.T) {
+	if err := guarded(func() {}); err != nil {
+		t.Errorf("healthy fn returned %v", err)
+	}
+	err := guarded(func() { panic("boom") })
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("string panic lost: %v", err)
+	}
+	inner := errors.New("inner")
+	err = guarded(func() { panic(inner) })
+	if !errors.Is(err, inner) {
+		t.Errorf("error panic not wrapped: %v", err)
+	}
+	err = guarded(func() { _ = []int{}[1] })
+	if err == nil {
+		t.Error("runtime panic not recovered")
+	}
+}
 
 // robustScale is small enough that each Run takes well under a second.
 var robustScale = Scale{HW: 8, Width: 0.08, Train: 24, Test: 12, Epochs: 4, BatchSize: 6, LR0: 8e-3}

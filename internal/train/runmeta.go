@@ -12,7 +12,7 @@ import (
 // estimator, which the binary TRCKPv1 blob deliberately does not encode
 // (the estimator is baked into the model's gradient tables, not into
 // the parameters). Sweeps and EXPERIMENTS provenance read it back with
-// ReadRunMeta; the checkpoint format itself is untouched.
+// readRunMeta; the checkpoint format itself is untouched.
 type RunMeta struct {
 	// Format names the checkpoint format the sidecar accompanies.
 	Format string `json:"format"`
@@ -65,8 +65,8 @@ func writeRunMeta(cfg Config) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadRunMeta loads the run-metadata sidecar of a checkpoint path.
-func ReadRunMeta(ckptPath string) (RunMeta, error) {
+// readRunMeta loads the run-metadata sidecar of a checkpoint path.
+func readRunMeta(ckptPath string) (RunMeta, error) {
 	var meta RunMeta
 	blob, err := os.ReadFile(MetaPath(ckptPath))
 	if err != nil {

@@ -87,11 +87,6 @@ func NewShardedStep(model *nn.Sequential, cfg ShardedConfig) *ShardedStep {
 	return st
 }
 
-// Replicas exposes the replica models (index 0 is the primary). Tests
-// use it to verify cross-replica invariants; training code should not
-// mutate replicas directly.
-func (st *ShardedStep) Replicas() []*nn.Sequential { return st.models }
-
 // Step runs one sharded training step over minibatch (x, y): concurrent
 // forward/backward over the slices, deterministic gradient reduction
 // into the primary replica's Param.Grad accumulators, and the exact

@@ -166,7 +166,7 @@ func TestShardedObserverMerge(t *testing.T) {
 		t.Fatalf("bad loss %v", loss)
 	}
 
-	reps := st.Replicas()
+	reps := st.models
 	primary := nn.CollectState(reps[0])
 	for r := 1; r < len(reps); r++ {
 		state := nn.CollectState(reps[r])
@@ -192,7 +192,7 @@ func TestShardedObserverMerge(t *testing.T) {
 }
 
 // TestShardedStepPanicPropagates: a poison batch must surface as a
-// panic from Step (for data.Guarded to count), not hang the workers.
+// panic from Step (for the guarded step to count), not hang the workers.
 func TestShardedStepPanicPropagates(t *testing.T) {
 	model := shardBNModel(29)
 	st := NewShardedStep(model, ShardedConfig{Shards: 2})

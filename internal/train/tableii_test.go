@@ -13,7 +13,7 @@ func TestTableIISharesReferences(t *testing.T) {
 		t.Skip("multi-row sweep")
 	}
 	sc := Scale{HW: 8, Width: 0.08, Train: 80, Test: 40, Epochs: 2, BatchSize: 20, LR0: 6e-3}
-	rows := TableII([]string{"mul6u_rm4", "mul6u_acc"}, []string{"lenet"}, 4, sc, 5, nil)
+	rows := TableII([]string{"mul6u_rm4", "mul6u_acc"}, []string{"lenet"}, 4, sc, 5, nil, CompareOptions{})
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -40,7 +40,7 @@ func TestTableIIUnknownMultiplierPanics(t *testing.T) {
 			t.Error("unknown multiplier accepted")
 		}
 	}()
-	TableII([]string{"mul99u_x"}, []string{"lenet"}, 4, TinyScale, 1, nil)
+	TableII([]string{"mul99u_x"}, []string{"lenet"}, 4, TinyScale, 1, nil, CompareOptions{})
 }
 
 func TestScaleByName(t *testing.T) {

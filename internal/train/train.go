@@ -130,9 +130,10 @@ type Result struct {
 	// Robustness counters. SkippedSteps counts batches dropped by the
 	// NaN/Inf gradient guard or recovered from a panic; Rollbacks
 	// counts loss-spike rollbacks to the epoch-start snapshot. Retries
-	// (data-pipeline read retries) and InjectedFaults (LUT faults, see
-	// internal/faults) are populated by the callers that own those
-	// stages — Run has no visibility into them.
+	// (data-pipeline read retries; TRCKPv1 keeps its slot, though no
+	// stage in the repository retries reads today) and InjectedFaults
+	// (LUT faults, see internal/faults) are populated by the callers
+	// that own those stages — Run has no visibility into them.
 	SkippedSteps   int
 	Rollbacks      int
 	Retries        int
@@ -255,7 +256,7 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 		for bi := 0; it.Next(); bi++ {
 			b := it.Batch()
 			var loss float64
-			err := data.Guarded(func() { loss = stepper.Step(b.X, b.Y) })
+			err := guarded(func() { loss = stepper.Step(b.X, b.Y) })
 			if err != nil {
 				res.SkippedSteps++
 				stepsSkippedPanic.Inc()
@@ -345,6 +346,26 @@ func (soloStep) Broadcast() {}
 
 // SyncReplicas implements Stepper: there are no other replicas.
 func (soloStep) SyncReplicas() {}
+
+// guarded runs fn and converts a panic into an error, carrying the
+// panic value and preserving error panics via %w. It is the training
+// loop's last line of defense: a single poisoned batch (bad shape,
+// corrupted record) becomes a skipped step instead of killing a
+// multi-hour run. The stack is unwound normally, so deferred cleanup in
+// fn still runs.
+func guarded(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e, ok := r.(error); ok {
+				err = fmt.Errorf("train: recovered panic: %w", e)
+			} else {
+				err = fmt.Errorf("train: recovered panic: %v", r)
+			}
+		}
+	}()
+	fn()
+	return nil
+}
 
 // lossAnomaly classifies a batch loss: bad when the step must not be
 // applied, spiked when it tripped the spike threshold specifically

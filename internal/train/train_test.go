@@ -74,17 +74,17 @@ func TestBuildModelKinds(t *testing.T) {
 	BuildModel("alexnet", 10, sc, nil, 1)
 }
 
-// TestCompareGradientsEndToEnd runs the full Table II pipeline at tiny
+// TestTableIIEndToEnd runs the full Table II pipeline at tiny
 // scale with a large-error multiplier: QAT reference, initial AppMult
 // accuracy, STE retraining, difference retraining. It asserts
 // structural invariants (retraining recovers accuracy over the initial
 // model) rather than which estimator wins at this scale.
-func TestCompareGradientsEndToEnd(t *testing.T) {
+func TestTableIIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end retraining")
 	}
 	sc := TinyScale
-	res := CompareGradients("mul6u_rm4", "lenet", 4, sc, 7, nil)
+	res := TableII([]string{"mul6u_rm4"}, []string{"lenet"}, 4, sc, 7, nil, CompareOptions{})[0]
 	if res.Multiplier != "mul6u_rm4" || res.Model != "lenet" {
 		t.Fatalf("identity: %+v", res)
 	}
@@ -105,33 +105,37 @@ func TestCompareGradientsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSelectHWSReturnsCandidate(t *testing.T) {
+func TestSweepEstimatorsSelectsCandidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains LeNet per candidate")
 	}
 	e, _ := appmult.Lookup("mul6u_rm4")
 	sc := Scale{HW: 8, Width: 0.08, Train: 60, Test: 30, Epochs: 2, BatchSize: 10}
-	best, losses := SelectHWS(e.Mult, []int{1, 2, 8}, 4, sc, 3, nil)
-	if best != 1 && best != 2 && best != 8 {
-		t.Fatalf("best HWS %d not among candidates", best)
+	cells := SweepEstimators(e.Mult, nil, []int{1, 2, 8}, 4, sc, 3, nil)
+	if len(cells) != 3 {
+		t.Fatalf("losses recorded for %d candidates", len(cells))
 	}
-	if len(losses) != 3 {
-		t.Fatalf("losses recorded for %d candidates", len(losses))
+	best := BestCell(cells)
+	if best.HWS != 1 && best.HWS != 2 && best.HWS != 8 {
+		t.Fatalf("best HWS %d not among candidates", best.HWS)
 	}
-	if losses[best] > losses[1] || losses[best] > losses[2] || losses[best] > losses[8] {
-		t.Error("best HWS does not minimize loss")
+	for _, c := range cells {
+		if best.Loss > c.Loss {
+			t.Errorf("best HWS %d (loss %v) does not minimize loss: HWS %d has %v", best.HWS, best.Loss, c.HWS, c.Loss)
+		}
 	}
 }
 
-func TestSelectHWSSkipsOversizedCandidates(t *testing.T) {
+func TestSweepEstimatorsSkipsOversizedCandidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains LeNet per candidate")
 	}
 	e, _ := appmult.Lookup("mul6u_rm4") // 6-bit: MaxHWS = 31
 	sc := Scale{HW: 8, Width: 0.08, Train: 40, Test: 20, Epochs: 1, BatchSize: 10}
-	_, losses := SelectHWS(e.Mult, []int{2, 64}, 4, sc, 3, nil)
-	if _, ok := losses[64]; ok {
-		t.Error("HWS 64 should be skipped for a 6-bit multiplier")
+	for _, c := range SweepEstimators(e.Mult, nil, []int{2, 64}, 4, sc, 3, nil) {
+		if c.HWS == 64 {
+			t.Error("HWS 64 should be skipped for a 6-bit multiplier")
+		}
 	}
 }
 

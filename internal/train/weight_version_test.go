@@ -58,7 +58,7 @@ func bitsEqual(a, b []float32) bool {
 func TestNoStaleWeightsAfterAnyWriter(t *testing.T) {
 	x := tensor.New(2, 2, 6, 6)
 	x.RandNormal(rand.New(rand.NewSource(9)), 1)
-	step := func(opt optim.Optimizer) func(*testing.T, *nn.Sequential) *nn.Sequential {
+	step := func(opt *optim.Adam) func(*testing.T, *nn.Sequential) *nn.Sequential {
 		return func(t *testing.T, m *nn.Sequential) *nn.Sequential {
 			randomGrads(m, 5)
 			opt.Step(m.Params(), 0.05)
@@ -79,8 +79,6 @@ func TestNoStaleWeightsAfterAnyWriter(t *testing.T) {
 		write    func(t *testing.T, m *nn.Sequential) *nn.Sequential
 		rejected bool
 	}{
-		{name: "optim.SGD", write: step(optim.NewSGD(0))},
-		{name: "optim.SGD momentum", write: step(optim.NewSGD(0.9))},
 		{name: "optim.Adam", write: step(optim.NewAdam())},
 		{name: "nn.CopyParams", write: func(t *testing.T, m *nn.Sequential) *nn.Sequential {
 			nn.CopyParams(m, versionModel(2))
@@ -115,9 +113,9 @@ func TestNoStaleWeightsAfterAnyWriter(t *testing.T) {
 		{name: "ShardedStep.Broadcast", write: func(t *testing.T, m *nn.Sequential) *nn.Sequential {
 			st := NewShardedStep(m, ShardedConfig{Shards: 2})
 			defer st.Detach()
-			replica := st.Replicas()[1]
+			replica := st.models[1]
 			replica.Predict(x)
-			step(optim.NewSGD(0))(t, m)
+			step(optim.NewAdam())(t, m)
 			st.Broadcast()
 			return replica
 		}},
