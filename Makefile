@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet gofmt purego maxprocs1 nnparanoid race servestress bench benchreport benchsmoke doccheck deadcheck verify clean
+.PHONY: build test tier1 vet gofmt purego maxprocs1 maxprocs4 nnparanoid race servestress bench benchreport benchsmoke doccheck deadcheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -47,6 +47,14 @@ purego:
 # share one P.
 maxprocs1:
 	GOMAXPROCS=1 go test -count=1 ./internal/nn/ ./internal/tensor/ ./internal/train/ ./internal/serve/ ./internal/fleet/ ./internal/dist/
+
+# maxprocs4 runs the worker pool and what is scheduled on it with
+# GOMAXPROCS=4, more Ps than the two cores CI and the reference host
+# have: four shares per job, a worker descheduled mid-share, and the
+# submitter and idle workers stealing from the ends of busy workers'
+# shares — the paths two workers on two cores rarely take.
+maxprocs4:
+	GOMAXPROCS=4 go test -count=1 ./internal/tensor/ ./internal/nn/ ./internal/train/ ./internal/dist/
 
 # nnparanoid reruns every internal package with the weight-version
 # check switched on: an approximate layer keeps the quantized form of
@@ -120,7 +128,7 @@ doccheck:
 deadcheck:
 	go run ./scripts/deadcheck
 
-verify: vet gofmt tier1 purego maxprocs1 nnparanoid benchsmoke doccheck deadcheck race servestress benchreport
+verify: vet gofmt tier1 purego maxprocs1 maxprocs4 nnparanoid benchsmoke doccheck deadcheck race servestress benchreport
 
 clean:
 	go clean ./...

@@ -1,7 +1,11 @@
 // Command benchtrain measures the training-step path and records the
 // results as a machine-readable baseline: the legacy single-replica
 // step and the data-parallel sharded step (see train.ShardedStep) at
-// shard counts 1, 2, and 4, on a BatchNorm-free approximate model.
+// shard counts 1, 2, and 4, on a BatchNorm-free approximate model, and
+// one solo vgg11 step at ReducedScale with the smoothdiff estimator
+// (Train_SoloStep_VGG11: zero, forward, loss, backward on one replica —
+// the step of the retrain_vgg11_smoothdiff benchmark workload, whose
+// speed on two CPUs over one is the worker pool's scaling).
 //
 // The committed BENCH_train.json at the repository root is the current
 // baseline; `make bench` re-measures, diffs against it with
@@ -25,6 +29,7 @@ import (
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
@@ -49,6 +54,7 @@ type record struct {
 	Note       string             `json:"note"`
 	Multiplier string             `json:"multiplier"`
 	Shape      string             `json:"shape"`
+	SoloStep   string             `json:"solo_step"`
 	MaxProcs   int                `json:"maxprocs"`
 	Benchmarks map[string]result  `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups"`
@@ -106,6 +112,21 @@ func main() {
 			}
 		},
 	}
+	sdOp, err := train.OpForSpec(e, "smoothdiff")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchtrain:", err)
+		os.Exit(1)
+	}
+	vgg := train.BuildModel("vgg11", classes, train.ReducedScale, models.ApproxConv(sdOp), 42)
+	benches["Train_SoloStep_VGG11"] = func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			nn.ZeroGrads(vgg)
+			logits := vgg.Forward(x, true)
+			_, grad := nn.SoftmaxCrossEntropy(logits, y)
+			vgg.Backward(grad)
+		}
+	}
 	for _, p := range []int{1, 2, 4} {
 		st := train.NewShardedStep(benchModel(op), train.ShardedConfig{Shards: p})
 		benches[fmt.Sprintf("Train_ApproxStepSharded_P%d", p)] = func(b *testing.B) {
@@ -123,13 +144,15 @@ func main() {
 			"pure coordination overhead, not parallelism.",
 		Multiplier: op.Label,
 		Shape:      fmt.Sprintf("batch=%d in=3x%dx%d classes=%d", batch, inHW, inHW, classes),
+		SoloStep: fmt.Sprintf("Train_SoloStep_VGG11: vgg11 width %g, %s, same batch", train.ReducedScale.Width,
+			sdOp.Label),
 		MaxProcs:   runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{},
 		Speedups:   map[string]float64{},
 	}
 	for _, name := range []string{
 		"Train_ApproxStepLegacy", "Train_ApproxStepSharded_P1",
-		"Train_ApproxStepSharded_P2", "Train_ApproxStepSharded_P4",
+		"Train_ApproxStepSharded_P2", "Train_ApproxStepSharded_P4", "Train_SoloStep_VGG11",
 	} {
 		r := testing.Benchmark(benches[name])
 		rec.Benchmarks[name] = result{

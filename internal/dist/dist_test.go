@@ -282,6 +282,25 @@ func TestDistHeartbeatStallRecovery(t *testing.T) {
 	assertBitIdentical(t, cl.model, solo, "dist with heartbeat stall vs solo")
 }
 
+// lateJoin is the coordinator as a train.Stepper that starts a second
+// worker after step 2 and admits it before step 3, so the join lands
+// mid-run however fast the steps are.
+type lateJoin struct {
+	*Coordinator
+	cl    *cluster
+	steps int
+}
+
+func (l *lateJoin) Step(x *tensor.Tensor, y []int) float64 {
+	if l.steps++; l.steps == 3 {
+		l.cl.addWorker(WorkerConfig{}, nil, 1)
+		if err := l.AwaitWorkers(2, 30*time.Second); err != nil {
+			l.cl.t.Fatalf("late worker: %v", err)
+		}
+	}
+	return l.Coordinator.Step(x, y)
+}
+
 // TestDistLateJoin starts with one worker and adds a second mid-run.
 // The newcomer must be admitted at a safe point, receive full state,
 // and share the load without perturbing a single bit.
@@ -291,13 +310,10 @@ func TestDistLateJoin(t *testing.T) {
 	solo := runSolo(t, spec, 1, nil)
 	cl := startCluster(t, spec, 1, CoordinatorConfig{}, WorkerConfig{}, nil)
 	joined := workersJoined.Value()
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cl.addWorker(WorkerConfig{}, nil, 1)
-	}()
-	cl.run(nil)
-	if workersJoined.Value() < joined+1 {
-		t.Fatal("second worker never joined")
+	late := &lateJoin{Coordinator: cl.co, cl: cl}
+	cl.run(func(cfg *train.Config) { cfg.Stepper = late })
+	if late.steps < 3 || workersJoined.Value() < joined+1 {
+		t.Fatalf("second worker never joined (%d steps)", late.steps)
 	}
 	assertBitIdentical(t, cl.model, solo, "dist with late join vs solo")
 }

@@ -12,6 +12,7 @@ type ReLU struct {
 	// keep holds 1 where Forward's input was not negative, else 0.
 	keep    []uint8
 	out, dx *tensor.Tensor
+	run     reluRun
 }
 
 // NewReLU returns a ReLU layer.
@@ -36,24 +37,64 @@ func negative(bits uint32) uint32 {
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape...)
 	r.keep = grow(r.keep, len(x.Data))
-	out, keep := r.out.Data, r.keep
-	for i, v := range x.Data {
-		b := math.Float32bits(v)
-		neg := negative(b)
-		keep[i] = uint8(neg ^ 1)
-		out[i] = math.Float32frombits(b & (neg - 1))
-	}
+	r.run = reluRun{src: x.Data, dst: r.out.Data, keep: r.keep}
+	runPass(&r.run, len(x.Data), len(x.Data), x.Shape[0], reluBlock)
 	return r.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	r.dx = tensor.Ensure(r.dx, dy.Shape...)
-	dx, keep := r.dx.Data, r.keep[:len(dy.Data)]
-	for i, g := range dy.Data {
-		dx[i] = math.Float32frombits(math.Float32bits(g) & -uint32(keep[i]))
-	}
+	r.run = reluRun{src: dy.Data, dst: r.dx.Data, keep: r.keep, backward: true}
+	runPass(&r.run, len(dy.Data), len(dy.Data), dy.Shape[0], reluBlock)
 	return r.dx
+}
+
+// reluBlock is the ReLU passes' work item on the pool, in elements.
+const reluBlock = 8192
+
+// reluRun is the ReLU passes' body over elements [lo, hi): the forward
+// rectifies src into dst and records keep, the backward masks the
+// gradient src into dst with it.
+type reluRun struct {
+	src, dst []float32
+	keep     []uint8
+	backward bool
+}
+
+func (t *reluRun) RunRange(lo, hi int) {
+	src := t.src[lo:hi]
+	dst, keep := t.dst[lo:hi][:len(src)], t.keep[lo:hi][:len(src)]
+	if t.backward {
+		for i, g := range src {
+			dst[i] = math.Float32frombits(math.Float32bits(g) & -uint32(keep[i]))
+		}
+		return
+	}
+	for i, v := range src {
+		b := math.Float32bits(v)
+		neg := negative(b)
+		keep[i] = uint8(neg ^ 1)
+		dst[i] = math.Float32frombits(b & (neg - 1))
+	}
+}
+
+// pooledElems is the size from which the BatchNorm, ReLU and max-pool
+// passes run on the worker pool. Below it, batch-1 inference included,
+// the pass stays on the caller: a hand-off would cost more than it
+// saves. (A variable only so the tests can run both paths.)
+var pooledElems = 32 << 10
+
+// runPass runs r over its n work items, on the worker pool when the pass
+// touches more than pooledElems elements — in shares of whole images
+// when the items are grouped by images (1 for a per-channel pass), and
+// blocks of chunk items (0: the pool's grain) — and inline otherwise.
+func runPass(r tensor.RangeRunner, elems, n, images, chunk int) {
+	if elems > pooledElems {
+		tensor.ParallelImagesOn(n, n/images, chunk, r)
+		return
+	}
+	r.RunRange(0, n)
 }
 
 // Infer implements Inferer: the rectification without the sign mask.

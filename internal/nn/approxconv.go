@@ -147,7 +147,7 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	// Calibrate widens every range to include zero, so the zero point
 	// is the level of a float zero — the padding value — and is never
 	// clipped.
-	c.ks.quantizeWithClip(c.xq, xClip, x.Data, c.px)
+	c.ks.quantizeWithClip(c.xq, xClip, x.Data, c.px, g.InC*g.InH*g.InW)
 	rows := c.batch * g.OutH * g.OutW
 	c.xT = grow(c.xT, k*rows)
 	c.im2col.Run(c.xT, c.xq, c.batch, g, uint8(c.px.Zero))
@@ -187,6 +187,6 @@ func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// Every patch entry aliasing one input element shares its clip
 	// flag, and a sum of masked zeros is +0, so masking the summed
 	// gradient equals masking each patch entry before the sum.
-	c.ks.maskClipped(c.dx.Data, c.xClip)
+	c.ks.maskClipped(c.dx.Data, c.xClip, g.InC*g.InH*g.InW)
 	return c.dx
 }

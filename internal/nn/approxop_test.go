@@ -160,7 +160,7 @@ func TestApproxBackwardClipMasksZeroGradients(t *testing.T) {
 func TestQuantizeWithClip(t *testing.T) {
 	p := quant.Calibrate(-1, 1, 6)
 	q, clip := make([]uint8, 3), make([]bool, 3)
-	new(KernelScratch).quantizeWithClip(q, clip, []float32{-5, 0, 5}, p)
+	new(KernelScratch).quantizeWithClip(q, clip, []float32{-5, 0, 5}, p, 1)
 	if q[0] != 0 || q[2] != uint8(p.QMax()) {
 		t.Errorf("clamped levels: %v", q)
 	}

@@ -39,6 +39,9 @@ type BatchNorm2D struct {
 	sqBuf      []float64 // per-channel squared deviations (c wide)
 	dyBuf      []float64 // local backward dy sums (c wide)
 	dyxBuf     []float64 // local backward dy*xhat sums (c wide)
+
+	// run carries the training passes' per-channel work (bnRun).
+	run bnRun
 }
 
 // SetSyncGroup attaches the layer to a cross-shard moment syncer as
@@ -193,40 +196,110 @@ func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr f
 // full-batch statistics and updates its running statistics with them —
 // the replicas' state stays identical without a broadcast. Without a
 // syncer the moments are the local ones, which is the one-participant
-// case of the same arithmetic.
+// case of the same arithmetic, and every channel runs all of its passes
+// in one go. Each pass runs per channel (bnRun), so no sum is cut.
 func (b *BatchNorm2D) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
 	n, c, hw := b.begin(x, true)
 	b.syncActive = b.sync != nil
 	b.meanBuf = grow(b.meanBuf, c)
 	b.sumBuf = grow(b.sumBuf, c)
 	b.sqBuf = grow(b.sqBuf, c)
-	mean, sum, sq := b.meanBuf, b.sumBuf, b.sqBuf
-
-	for ch := 0; ch < c; ch++ {
-		sum[ch] = sumChannel(x.Data, n, c, hw, ch)
-	}
 	total := n * hw
-	if b.syncActive {
-		var folded []float64
-		folded, total = b.sync.ReduceMoments(b.syncIdx, sum, total)
-		copy(sum, folded) // the syncer's slice is valid only until its next reduction
+	b.run = bnRun{b: b, x: x.Data, n: n, c: c, hw: hw, cnt: float64(total), sq: b.sqBuf}
+	if !b.syncActive {
+		b.runChannels(bnForward)
+		b.syncCnt = b.run.cnt
+		b.UpdateRunning(b.sumBuf, b.sqBuf, total)
+		return b.out
 	}
 
-	cnt := float64(total)
-	b.syncCnt = cnt
-	for ch := 0; ch < c; ch++ {
-		mean[ch] = sum[ch] / cnt
-		sq[ch] = sqDevChannel(x.Data, n, c, hw, ch, mean[ch])
-	}
-	if b.syncActive {
-		sq = b.sync.ReduceSquares(b.syncIdx, sq)
-	}
-
-	b.UpdateRunning(sum, sq, total)
-	for ch := 0; ch < c; ch++ {
-		b.normalizeChannel(x.Data, n, c, hw, ch, mean[ch], sq[ch]/cnt, true)
-	}
+	b.runChannels(bnSums)
+	folded, total := b.sync.ReduceMoments(b.syncIdx, b.sumBuf, total)
+	copy(b.sumBuf, folded) // the syncer's slice is valid only until its next reduction
+	b.run.cnt = float64(total)
+	b.syncCnt = b.run.cnt
+	b.runChannels(bnSquares)
+	b.run.sq = b.sync.ReduceSquares(b.syncIdx, b.sqBuf)
+	b.UpdateRunning(b.sumBuf, b.run.sq, total)
+	b.runChannels(bnNormalize)
 	return b.out
+}
+
+// runChannels runs one per-channel pass of b.run over every channel.
+func (b *BatchNorm2D) runChannels(pass bnPass) {
+	b.run.pass = pass
+	runPass(&b.run, len(b.run.x), b.run.c, 1, 1)
+}
+
+// bnPass names what bnRun computes per channel. bnForward and
+// bnBackward are a whole pass of a layer without a syncer; the sync-BN
+// paths run their parts around the syncer's reductions.
+type bnPass uint8
+
+const (
+	bnForward   bnPass = iota // sum, mean, squared deviations, normalization
+	bnSums                    // sumBuf
+	bnSquares                 // meanBuf, sqBuf from the folded sums
+	bnNormalize               // out and the caches from meanBuf and sq
+	bnBackward                // gradient sums, parameter gradients, dx
+	bnGradSums                // dyBuf, dyxBuf
+	bnInputGrad               // parameter gradients from the local sums, dx from gdy, gdyx
+)
+
+// bnRun is the training passes' body over channels [lo, hi): every
+// channel's sums run over its own elements in the order the one-channel
+// helpers fix, so splitting the channels among workers changes no bit.
+// x is the forward input or the backward's dy.
+type bnRun struct {
+	b         *BatchNorm2D
+	pass      bnPass
+	x         []float32
+	n, c, hw  int
+	cnt       float64
+	sq        []float64 // the squared deviations normalization divides by cnt
+	gdy, gdyx []float64 // the folded gradient sums of bnInputGrad
+}
+
+func (t *bnRun) RunRange(lo, hi int) {
+	b, x, n, c, hw := t.b, t.x, t.n, t.c, t.hw
+	for ch := lo; ch < hi; ch++ {
+		switch t.pass {
+		case bnForward:
+			b.sumBuf[ch] = sumChannel(x, n, c, hw, ch)
+			t.squares(ch)
+			t.normalize(ch)
+		case bnSums:
+			b.sumBuf[ch] = sumChannel(x, n, c, hw, ch)
+		case bnSquares:
+			t.squares(ch)
+		case bnNormalize:
+			t.normalize(ch)
+		case bnBackward:
+			sumDy, sumDyXhat := gradSumsChannel(x, b.xhat.Data, n, c, hw, ch)
+			b.Beta.Grad.Data[ch] += float32(sumDy)
+			b.Gamma.Grad.Data[ch] += float32(sumDyXhat)
+			b.inputGradChannel(x, n, c, hw, ch, t.cnt, sumDy, sumDyXhat)
+		case bnGradSums:
+			b.dyBuf[ch], b.dyxBuf[ch] = gradSumsChannel(x, b.xhat.Data, n, c, hw, ch)
+		case bnInputGrad:
+			b.Beta.Grad.Data[ch] += float32(b.dyBuf[ch])
+			b.Gamma.Grad.Data[ch] += float32(b.dyxBuf[ch])
+			b.inputGradChannel(x, n, c, hw, ch, t.cnt, t.gdy[ch], t.gdyx[ch])
+		}
+	}
+}
+
+// squares derives channel ch's mean from its (folded) sum and its squared
+// deviations about it.
+func (t *bnRun) squares(ch int) {
+	b := t.b
+	b.meanBuf[ch] = b.sumBuf[ch] / t.cnt
+	b.sqBuf[ch] = sqDevChannel(t.x, t.n, t.c, t.hw, ch, b.meanBuf[ch])
+}
+
+// normalize writes channel ch of the output and the backward caches.
+func (t *bnRun) normalize(ch int) {
+	t.b.normalizeChannel(t.x, t.n, t.c, t.hw, ch, t.b.meanBuf[ch], t.sq[ch]/t.cnt, true)
 }
 
 // gradSumsChannel returns channel ch's sum of dy and of dy*xhat.
@@ -259,21 +332,17 @@ func (b *BatchNorm2D) inputGradChannel(dy []float32, n, c, hw, ch int, cnt, sumD
 }
 
 // Backward implements Layer. It uses the full batch-statistics
-// gradient (the training-mode formula).
+// gradient (the training-mode formula), per channel (bnRun).
 func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if b.syncActive {
-		return b.backwardSync(dy)
-	}
 	n, c := b.inShape[0], b.inShape[1]
 	hw := b.inShape[2] * b.inShape[3]
 	b.dx = tensor.Ensure4(b.dx, n, c, b.inShape[2], b.inShape[3])
-	for ch := 0; ch < c; ch++ {
-		sumDy, sumDyXhat := gradSumsChannel(dy.Data, b.xhat.Data, n, c, hw, ch)
-		b.Beta.Grad.Data[ch] += float32(sumDy)
-		b.Gamma.Grad.Data[ch] += float32(sumDyXhat)
-		b.inputGradChannel(dy.Data, n, c, hw, ch, float64(n*hw), sumDy, sumDyXhat)
+	b.run = bnRun{b: b, x: dy.Data, n: n, c: c, hw: hw, cnt: float64(n * hw)}
+	if !b.syncActive {
+		b.runChannels(bnBackward)
+		return b.dx
 	}
-	return b.dx
+	return b.backwardSync()
 }
 
 // backwardSync is Backward in sync-BN mode: the per-channel gradient
@@ -282,22 +351,12 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // batch). Beta/Gamma accumulate only the LOCAL sums — the sharded
 // trainer's generic cross-shard gradient reduction adds the shards'
 // parameter gradients together, which completes those sums globally.
-func (b *BatchNorm2D) backwardSync(dy *tensor.Tensor) *tensor.Tensor {
-	n, c := b.inShape[0], b.inShape[1]
-	hw := b.inShape[2] * b.inShape[3]
-	b.dx = tensor.Ensure4(b.dx, n, c, b.inShape[2], b.inShape[3])
-	b.dyBuf = grow(b.dyBuf, c)
-	b.dyxBuf = grow(b.dyxBuf, c)
-	ldy, ldyx := b.dyBuf, b.dyxBuf
-	for ch := 0; ch < c; ch++ {
-		ldy[ch], ldyx[ch] = gradSumsChannel(dy.Data, b.xhat.Data, n, c, hw, ch)
-	}
-	gdy, gdyx := b.sync.ReduceGrads(b.syncIdx, ldy, ldyx)
-
-	for ch := 0; ch < c; ch++ {
-		b.Beta.Grad.Data[ch] += float32(ldy[ch])
-		b.Gamma.Grad.Data[ch] += float32(ldyx[ch])
-		b.inputGradChannel(dy.Data, n, c, hw, ch, b.syncCnt, gdy[ch], gdyx[ch])
-	}
+func (b *BatchNorm2D) backwardSync() *tensor.Tensor {
+	b.dyBuf = grow(b.dyBuf, b.C)
+	b.dyxBuf = grow(b.dyxBuf, b.C)
+	b.runChannels(bnGradSums)
+	b.run.gdy, b.run.gdyx = b.sync.ReduceGrads(b.syncIdx, b.dyBuf, b.dyxBuf)
+	b.run.cnt = b.syncCnt
+	b.runChannels(bnInputGrad)
 	return b.dx
 }

@@ -3,7 +3,9 @@ package nn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"time"
 )
 
 // ErrSyncAborted is the panic value delivered to every participant
@@ -184,6 +186,15 @@ func (g *BNSyncGroup) ReduceGrads(idx int, dy, dyx []float64) ([]float64, []floa
 // blocks until parts participants have arrived, then releases them all
 // and resets for the next phase. abort wakes every waiter with a panic
 // so a dead sibling cannot deadlock the survivors.
+//
+// A waiter yields for up to barrierSpin before it parks: the replicas
+// run the same layers on equal slices, so the others usually arrive
+// within microseconds. Yielding spares the barrier a park and a wake-up.
+// It also keeps a step's allocations flat: the runtime takes a parked
+// goroutine's wait record from the cache of the core it parks on and
+// returns it to the cache of the core it resumes on, and while a pool
+// worker polls (tensor.OpenWarmWindow) that is often the other core, so
+// one cache runs dry and refills by allocating.
 type syncBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -192,6 +203,9 @@ type syncBarrier struct {
 	gen     int
 	aborted bool
 }
+
+// barrierSpin bounds how long a barrier waiter yields before it parks.
+const barrierSpin = time.Millisecond
 
 func (b *syncBarrier) reset(parts int) {
 	b.mu.Lock()
@@ -224,6 +238,11 @@ func (b *syncBarrier) wait() {
 		return
 	}
 	gen := b.gen
+	for start := time.Now(); gen == b.gen && !b.aborted && time.Since(start) < barrierSpin; {
+		b.mu.Unlock()
+		runtime.Gosched()
+		b.mu.Lock()
+	}
 	for gen == b.gen && !b.aborted {
 		b.cond.Wait()
 	}

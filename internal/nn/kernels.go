@@ -100,6 +100,7 @@ type KernelScratch struct {
 	tU8Run   transU8Run
 	toutRun  bwdTransOutRun
 	gradRun  bwdGradRun
+	dyRRun   bwdDyRRun
 	dwRun    bwdDWRun
 	dxRun    bwdDXRun
 	smallRun bwdSmallRun
@@ -178,7 +179,9 @@ func (op *Op) forwardT(s *KernelScratch, y []float32, xT []uint8, w *weightSide,
 	if tier.setup != nil {
 		tier.setup(&s.fwdRun)
 	}
-	tensor.ParallelBlocksOn(rows, fwdRowTile, &s.fwdRun)
+	// Tiles restart at every share's first row, which no result depends
+	// on: each row's sum and epilogue are its own.
+	tensor.ParallelImagesOn(rows, hw, fwdRowTile, &s.fwdRun)
 }
 
 // loadTile copies the (nK x nR) operand tile at k offset kb, row offset

@@ -28,8 +28,9 @@ import (
 // r ascending, so lane oc accumulates dW[oc][i] in the reference order;
 // the dX kernels put lanes on rows and walk oc ascending. Both sweeps
 // are scheduled in ParallelRowsOn blocks of k columns. The gsum
-// column sums, the per-channel dy scaling (gsT) and the row-major dy
-// copy the dW lanes load fall out of one scan of dy (bwdGradRun).
+// column sums and the per-channel dy scaling (gsT) fall out of one scan
+// of dy per channel (bwdGradRun), the row-major dy copy the dW lanes
+// load out of one per block of rows (bwdDyRRun).
 //
 // Bit-exactness with BackwardGEMMRef is preserved by construction on
 // every tier: per-destination accumulation order is unchanged
@@ -93,19 +94,20 @@ func (s *KernelScratch) weightParams(pw []quant.Params, outC int) {
 	}
 }
 
-// scanGrad is the sweep rows' one scan of dy (gsum, gsT, dyR; see
-// bwdGradRun). The dW side's matrices have a lane stride of at least one
-// vector: below eight channels the spare lanes carry zero gradients (and
-// zero coefficients), so the lane kernels serve every width.
+// scanGrad is the sweep rows' two scans of dy: per channel for gsum and
+// gsT (bwdGradRun), per block of rows for dyR (bwdDyRRun), whose rows
+// the blocks then own whole. The dW side's matrices have a lane stride
+// of at least one vector: below eight channels the spare lanes carry
+// zero gradients (and zero coefficients), so the lane kernels serve
+// every width.
 func (s *KernelScratch) scanGrad(gsum, dy []float32, hw, rows, outC int) {
 	ld := max(outC, dwLanes)
 	s.gsT = grow(s.gsT, outC*rows)
 	s.dyR = grow(s.dyR, rows*ld)
-	if ld > outC {
-		clear(s.dyR)
-	}
-	s.gradRun = bwdGradRun{s: s, gsum: gsum, dy: dy, rows: rows, outC: outC, ld: ld, hw: hw}
+	s.gradRun = bwdGradRun{s: s, gsum: gsum, dy: dy, rows: rows, outC: outC, hw: hw}
 	tensor.ParallelRowsOn(outC, &s.gradRun)
+	s.dyRRun = bwdDyRRun{dyR: s.dyR, dy: dy, outC: outC, ld: ld, hw: hw}
+	tensor.ParallelImagesOn(rows, hw, 0, &s.dyRRun)
 }
 
 // sweepDW is the weight-gradient sweep on tier's kernel. Column i of dwT

@@ -133,16 +133,15 @@ func (t *bwdTransOutRun) RunRange(lo, hi int) {
 	backwardTransposeOut(t.dxcols, t.s.dxT, t.xClip, lo, hi, t.rows, t.k)
 }
 
-// bwdGradRun is the big tiers' one scan of the upstream gradient, a
-// block of output channels per work item: gsum[oc] (the bias gradient,
-// ascending r like the layers' original loop), the pre-scaled row
-// gsT[oc][r] = dy[r][oc]*s_w[oc] of the dX sweep, and column oc of the
-// row-major copy dyR (row stride ld) the dW sweep loads its lanes
-// from. dy is NCHW planes of hw positions (see backwardT).
+// bwdGradRun is the big tiers' per-channel scan of the upstream
+// gradient, a block of output channels per work item: gsum[oc] (the
+// bias gradient, ascending r like the layers' original loop) and the
+// pre-scaled row gsT[oc][r] = dy[r][oc]*s_w[oc] of the dX sweep. dy is
+// NCHW planes of hw positions (see backwardT).
 type bwdGradRun struct {
-	s                  *KernelScratch
-	gsum, dy           []float32
-	rows, outC, ld, hw int
+	s              *KernelScratch
+	gsum, dy       []float32
+	rows, outC, hw int
 }
 
 func (t *bwdGradRun) RunRange(lo, hi int) {
@@ -158,13 +157,38 @@ func (t *bwdGradRun) RunRange(lo, hi int) {
 			g := t.dy[j]
 			sum += g
 			gp[r] = g * sw
-			s.dyR[r*t.ld+oc] = g
 			j++
 			if p++; p == t.hw {
 				j, p = j+(t.outC-1)*t.hw, 0
 			}
 		}
 		t.gsum[oc] = sum
+	}
+}
+
+// bwdDyRRun copies rows [lo, hi) of the NCHW upstream gradient into dyR,
+// the row-major (rows x ld) matrix whose rows the dW sweep loads as
+// lane vectors, spare lanes zero. A work item owns whole rows of dyR,
+// so no two workers write one cache line but at a block's edges.
+type bwdDyRRun struct {
+	dyR, dy      []float32
+	outC, ld, hw int
+}
+
+func (t *bwdDyRRun) RunRange(lo, hi int) {
+	if t.ld > t.outC {
+		clear(t.dyR[lo*t.ld : hi*t.ld])
+	}
+	for r := lo; r < hi; {
+		img, p := r/t.hw, r%t.hw
+		n := min(t.hw-p, hi-r) // the block's positions in image img
+		for oc := 0; oc < t.outC; oc++ {
+			d := t.dyR[r*t.ld+oc:]
+			for q, g := range t.dy[(img*t.outC+oc)*t.hw+p:][:n] {
+				d[q*t.ld] = g
+			}
+		}
+		r += n
 	}
 }
 
@@ -271,17 +295,19 @@ func (s *KernelScratch) levelSums(dst []int64, q []uint8, m, k int) {
 // quantizeWithClip quantizes data into the caller-owned level buffer q
 // and, when clip is non-nil, records which entries were clamped (the
 // straight-through mask; the inference path passes nil) — one pass
-// through the arena's runner, alloc-free.
-func (s *KernelScratch) quantizeWithClip(q []uint8, clip []bool, data []float32, p quant.Params) {
+// through the arena's runner, alloc-free. per is the elements of one
+// image (1 for a weight tensor): the workers' shares are whole images.
+func (s *KernelScratch) quantizeWithClip(q []uint8, clip []bool, data []float32, p quant.Params, per int) {
 	s.qcRun = quantClipRun{q: q, clip: clip, data: data, p: p}
-	tensor.ParallelBlocksOn(len(data), 4096, &s.qcRun)
+	tensor.ParallelImagesOn(len(data), per, 4096, &s.qcRun)
 }
 
 // maskClipped zeroes the entries of grad whose forward operand was
-// clamped during quantization (the straight-through mask).
-func (s *KernelScratch) maskClipped(grad []float32, clip []bool) {
+// clamped during quantization (the straight-through mask), per
+// elements to an image.
+func (s *KernelScratch) maskClipped(grad []float32, clip []bool, per int) {
 	s.maskRun = clipMaskRun{grad: grad, clip: clip}
-	tensor.ParallelBlocksOn(len(grad), 16384, &s.maskRun)
+	tensor.ParallelImagesOn(len(grad), per, 16384, &s.maskRun)
 }
 
 // transposeU8 writes the (rows x cols) matrix src into dst in

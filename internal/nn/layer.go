@@ -85,16 +85,25 @@ func (s *Sequential) Add(l Layer) *Sequential {
 	return s
 }
 
-// Forward implements Layer.
+// Forward implements Layer. A training forward runs in a warm window of
+// the worker pool (tensor.OpenWarmWindow): its layers' parallel passes
+// follow each other closely, so idle workers poll for the next one
+// instead of parking. Evaluation and inference leave the pool as is.
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		tensor.OpenWarmWindow()
+		defer tensor.CloseWarmWindow()
+	}
 	for _, l := range s.Layers {
 		x = l.Forward(x, train)
 	}
 	return x
 }
 
-// Backward implements Layer.
+// Backward implements Layer, in a warm window like a training Forward.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	tensor.OpenWarmWindow()
+	defer tensor.CloseWarmWindow()
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		dy = s.Layers[i].Backward(dy)
 	}

@@ -359,7 +359,7 @@ func (l *frozenApproxLinear) forward(x *tensor.Tensor, withClip bool) *tensor.Te
 		l.xClip = grow(l.xClip, len(l.xq))
 		xClip = l.xClip
 	}
-	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px)
+	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px, 1)
 	// The arena's operand transpose, as in ForwardGEMM; the weight side
 	// is the layer's own.
 	l.ks.xT = grow(l.ks.xT, len(l.xq))

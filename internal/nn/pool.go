@@ -12,6 +12,7 @@ type MaxPool2D struct {
 	inShape   []int
 	argmax    []int
 	out, dx   *tensor.Tensor
+	run       maxPoolRun
 }
 
 // NewMaxPool2D returns a max pooling layer (window k, stride s).
@@ -52,41 +53,69 @@ func (p *MaxPool2D) pool(x *tensor.Tensor, withArgmax bool) *tensor.Tensor {
 		p.argmax = grow(p.argmax, len(p.out.Data))
 		argmax = p.argmax
 	}
-	for pl := 0; pl < n*c; pl++ {
-		in := x.Data[pl*h*w:][:h*w]
-		out := p.out.Data[pl*oh*ow:][:oh*ow]
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				bestIdx := (oy*p.Stride)*w + ox*p.Stride
-				best := in[bestIdx]
-				for ky := 0; ky < p.K; ky++ {
-					row := in[(oy*p.Stride+ky)*w+ox*p.Stride:][:p.K]
-					for kx, v := range row {
-						if v > best {
-							best = v
-							bestIdx = (oy*p.Stride+ky)*w + ox*p.Stride + kx
-						}
-					}
-				}
-				out[oy*ow+ox] = best
-				if argmax != nil {
-					argmax[pl*oh*ow+oy*ow+ox] = pl*h*w + bestIdx
-				}
-			}
-		}
-	}
+	p.run = maxPoolRun{k: p.K, stride: p.Stride, src: x.Data, dst: p.out.Data, argmax: argmax, h: h, w: w, oh: oh, ow: ow}
+	runPass(&p.run, len(x.Data), n*c, n, 0)
 	return p.out
 }
 
 // Backward implements Layer.
 func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	p.dx = tensor.Ensure(p.dx, p.inShape...)
-	dx := p.dx.Data
-	clear(dx)
-	for o, src := range p.argmax {
-		dx[src] += dy.Data[o]
-	}
+	n, c, h, w := p.inShape[0], p.inShape[1], p.inShape[2], p.inShape[3]
+	// The scatter reads only the plane sizes: an output plane as one row.
+	p.run = maxPoolRun{src: dy.Data, dst: p.dx.Data, argmax: p.argmax, h: h, w: w,
+		oh: len(p.argmax) / (n * c), ow: 1, backward: true}
+	runPass(&p.run, len(p.dx.Data), n*c, n, 0)
 	return p.dx
+}
+
+// maxPoolRun is the max-pool passes' body over (image, channel) planes
+// [lo, hi). The forward pools src into dst, recording each maximum's
+// input index in argmax unless it is nil; the backward zeroes the
+// planes of the input gradient dst and adds every output gradient of
+// src into its argmax position, in ascending output order — the one
+// order an input position's overlapping windows are summed in.
+type maxPoolRun struct {
+	k, stride    int
+	src, dst     []float32
+	argmax       []int
+	h, w, oh, ow int
+	backward     bool
+}
+
+func (t *maxPoolRun) RunRange(lo, hi int) {
+	hw, ohw := t.h*t.w, t.oh*t.ow
+	if t.backward {
+		clear(t.dst[lo*hw : hi*hw])
+		am := t.argmax[lo*ohw : hi*ohw]
+		for o, g := range t.src[lo*ohw : hi*ohw][:len(am)] {
+			t.dst[am[o]] += g
+		}
+		return
+	}
+	for pl := lo; pl < hi; pl++ {
+		in := t.src[pl*hw:][:hw]
+		out := t.dst[pl*ohw:][:ohw]
+		for oy := 0; oy < t.oh; oy++ {
+			for ox := 0; ox < t.ow; ox++ {
+				bestIdx := (oy*t.stride)*t.w + ox*t.stride
+				best := in[bestIdx]
+				for ky := 0; ky < t.k; ky++ {
+					row := in[(oy*t.stride+ky)*t.w+ox*t.stride:][:t.k]
+					for kx, v := range row {
+						if v > best {
+							best = v
+							bestIdx = (oy*t.stride+ky)*t.w + ox*t.stride + kx
+						}
+					}
+				}
+				out[oy*t.ow+ox] = best
+				if t.argmax != nil {
+					t.argmax[pl*ohw+oy*t.ow+ox] = pl*hw + bestIdx
+				}
+			}
+		}
+	}
 }
 
 // GlobalAvgPool averages each channel's spatial map to a single value,

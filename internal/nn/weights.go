@@ -115,7 +115,7 @@ func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bo
 		pw = grow(pw, 1)
 		mn, mx := minMax(data)
 		pw[0] = quant.Calibrate(mn, mx, bits)
-		s.quantizeWithClip(wq, clip, data, pw[0])
+		s.quantizeWithClip(wq, clip, data, pw[0], 1)
 		return pw
 	}
 	pw = grow(pw, outC)
@@ -127,7 +127,7 @@ func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bo
 		if clip != nil {
 			cl = clip[oc*k : (oc+1)*k]
 		}
-		s.quantizeWithClip(wq[oc*k:(oc+1)*k], cl, ws, pw[oc])
+		s.quantizeWithClip(wq[oc*k:(oc+1)*k], cl, ws, pw[oc], 1)
 	}
 	return pw
 }

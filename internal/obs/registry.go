@@ -361,9 +361,12 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // (callback gauges are evaluated), and whether the series exists. It
 // is the programmatic read path for control loops — the fleet
 // autoscaler reads the live serve_* queue gauges through it — without
-// the cost of a full Snapshot.
+// the cost of a full Snapshot. A counter family read with only some of
+// its label keys reads the sum of the series that carry those labels, so
+// splitting a counter by a new label leaves readers of the total
+// working.
 func (r *Registry) ReadValue(name string, labels ...string) (float64, bool) {
-	_, id, _ := canonLabels(name, labels)
+	pairs, id, _ := canonLabels(name, labels)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	f, ok := r.families[name]
@@ -372,7 +375,16 @@ func (r *Registry) ReadValue(name string, labels ...string) (float64, bool) {
 	}
 	s, ok := f.series[id]
 	if !ok {
-		return 0, false
+		if f.kind != KindCounter || len(labels) >= 2*len(f.keys) {
+			return 0, false
+		}
+		var sum float64
+		for _, s := range f.series {
+			if hasPairs(s.labels, pairs) {
+				sum, ok = sum+s.c.Value(), true
+			}
+		}
+		return sum, ok
 	}
 	switch {
 	case s.c != nil:
@@ -383,6 +395,24 @@ func (r *Registry) ReadValue(name string, labels ...string) (float64, bool) {
 		return s.g.Value(), true
 	}
 	return 0, false
+}
+
+// hasPairs reports whether the label pairs in have include every pair
+// of want.
+func hasPairs(have, want []string) bool {
+	for i := 0; i < len(want); i += 2 {
+		found := false
+		for j := 0; j < len(have); j += 2 {
+			if have[j] == want[i] && have[j+1] == want[i+1] {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadHistogram returns a point-in-time snapshot of one histogram

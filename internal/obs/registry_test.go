@@ -45,6 +45,36 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestReadValueSumsPartialLabels: a counter read with some of its label
+// keys sums the series that carry them, so splitting a counter by a new
+// label keeps a reader of the total working; a gauge does not sum.
+func TestReadValueSumsPartialLabels(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("blocks_total", "", "who", "submitter", "pool", "a").Add(3)
+	r.Counter("blocks_total", "", "who", "worker", "pool", "a").Add(4)
+	r.Counter("blocks_total", "", "who", "worker", "pool", "b").Add(5)
+	r.Gauge("depth", "", "queue", "x").Set(2)
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   float64
+		ok     bool
+	}{
+		{"blocks_total", nil, 12, true},
+		{"blocks_total", []string{"who", "worker"}, 9, true},
+		{"blocks_total", []string{"pool", "a"}, 7, true},
+		{"blocks_total", []string{"who", "worker", "pool", "b"}, 5, true},
+		{"blocks_total", []string{"who", "nobody"}, 0, false},
+		{"blocks_total", []string{"who", "worker", "pool", "c"}, 0, false},
+		{"depth", nil, 0, false},
+		{"depth", []string{"queue", "x"}, 2, true},
+	} {
+		if v, ok := r.ReadValue(c.name, c.labels...); v != c.want || ok != c.ok {
+			t.Errorf("ReadValue(%s, %v) = %v, %v; want %v, %v", c.name, c.labels, v, ok, c.want, c.ok)
+		}
+	}
+}
+
 func TestCounterRejectsNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {

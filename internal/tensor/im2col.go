@@ -106,49 +106,54 @@ func (j *Im2ColTJob[T]) Run(dst, src []T, n int, g ConvGeom, pad T) {
 		panic(fmt.Sprintf("tensor: Im2ColT buffers (%d, %d) do not match geometry", len(dst), len(src)))
 	}
 	j.dst, j.src, j.pad, j.n, j.g, j.taps = dst, src, pad, n, g, g.planeTaps(j.taps)
-	ParallelRowsOn(g.K(), j)
+	// One work item per (image, channel) input plane, images outermost,
+	// so the pool can hand every worker whole images.
+	ParallelImagesOn(n*g.InC, g.InC, 0, j)
 }
 
-// RunRange writes patch-matrix rows [lo, hi); it implements
-// RangeRunner for the pool and is not meant to be called directly.
+// RunRange writes the patch-matrix entries of input planes [lo, hi)
+// (plane = img*InC + c): image img's part of the KH*KW rows of channel
+// c's taps. It implements RangeRunner for the pool and is not meant to
+// be called directly.
 func (j *Im2ColTJob[T]) RunRange(lo, hi int) {
 	g := j.g
 	ohw := g.OutH * g.OutW
-	for i := lo; i < hi; i++ {
-		c, ky, kx := i/(g.KH*g.KW), i/g.KW%g.KH, i%g.KW
-		if len(j.taps) > 0 {
-			// Every valid position holds the input plane at +off; the
-			// copy also drags neighbours into the gaps, which the fills
-			// then overwrite together with everything outside the span.
-			t := j.taps[ky*g.KW+kx]
-			for img := 0; img < j.n; img++ {
-				s := j.src[(img*g.InC+c)*ohw:][:ohw]
+	for pl := lo; pl < hi; pl++ {
+		img, c := pl/g.InC, pl%g.InC
+		plane := j.src[pl*g.InH*g.InW:][:g.InH*g.InW]
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				i := (c*g.KH+ky)*g.KW + kx
 				d := j.dst[(i*j.n+img)*ohw:][:ohw]
-				copy(d[t.first:t.last], s[t.first+t.off:])
-				fill(d[:t.first], j.pad)
-				fill(d[t.last:], j.pad)
-				for p := t.first + g.InW - t.gap; p < t.last && t.gap > 0; p += g.InW {
-					fill(d[p:p+t.gap], j.pad)
-				}
-			}
-			continue
-		}
-		ix0 := kx - g.Pad
-		oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
-		for img := 0; img < j.n; img++ {
-			plane := j.src[(img*g.InC+c)*g.InH*g.InW:]
-			for oy := 0; oy < g.OutH; oy++ {
-				d := j.dst[(i*j.n+img)*ohw+oy*g.OutW:][:g.OutW]
-				iy := oy*g.Stride - g.Pad + ky
-				if iy < 0 || iy >= g.InH {
-					fill(d, j.pad)
+				if len(j.taps) > 0 {
+					// Every valid position holds the input plane at +off; the
+					// copy also drags neighbours into the gaps, which the
+					// fills then overwrite together with everything outside
+					// the span.
+					t := j.taps[ky*g.KW+kx]
+					copy(d[t.first:t.last], plane[t.first+t.off:])
+					fill(d[:t.first], j.pad)
+					fill(d[t.last:], j.pad)
+					for p := t.first + g.InW - t.gap; p < t.last && t.gap > 0; p += g.InW {
+						fill(d[p:p+t.gap], j.pad)
+					}
 					continue
 				}
-				s := plane[iy*g.InW:][:g.InW]
-				fill(d[:oxLo], j.pad)
-				fill(d[oxHi:], j.pad)
-				for ox := oxLo; ox < oxHi; ox++ {
-					d[ox] = s[ox*g.Stride+ix0]
+				ix0 := kx - g.Pad
+				oxLo, oxHi := validOut(ix0, g.Stride, g.InW, g.OutW)
+				for oy := 0; oy < g.OutH; oy++ {
+					row := d[oy*g.OutW:][:g.OutW]
+					iy := oy*g.Stride - g.Pad + ky
+					if iy < 0 || iy >= g.InH {
+						fill(row, j.pad)
+						continue
+					}
+					s := plane[iy*g.InW:][:g.InW]
+					fill(row[:oxLo], j.pad)
+					fill(row[oxHi:], j.pad)
+					for ox := oxLo; ox < oxHi; ox++ {
+						row[ox] = s[ox*g.Stride+ix0]
+					}
 				}
 			}
 		}
@@ -196,9 +201,9 @@ func (j *Col2ImTJob) Run(dst, cols []float32, n int, g ConvGeom) {
 		panic(fmt.Sprintf("tensor: Col2ImT buffers (%d, %d) do not match geometry", len(dst), len(cols)))
 	}
 	j.dst, j.cols, j.n, j.g, j.taps = dst, cols, n, g, g.planeTaps(j.taps)
-	// Parallel over (image, channel) planes: each is written by exactly
-	// one block, so no synchronization is needed.
-	ParallelRowsOn(n*g.InC, j)
+	// Parallel over (image, channel) planes, images outermost: each is
+	// written by exactly one block, so no synchronization is needed.
+	ParallelImagesOn(n*g.InC, g.InC, 0, j)
 }
 
 // RunRange scatters into input planes [lo, hi) (plane = img*InC + c);

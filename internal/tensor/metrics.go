@@ -15,8 +15,12 @@ var (
 	poolJobsInline = obs.Default().Counter("tensor_pool_jobs_total",
 		"Parallel jobs by scheduling mode: pooled jobs fan out over the worker pool, inline jobs run on the caller.",
 		"mode", "inline")
-	poolBlocksTotal = obs.Default().Counter("tensor_pool_blocks_total",
-		"Work blocks claimed and executed across all pooled jobs.")
+	poolBlocksSubmitter = obs.Default().Counter("tensor_pool_blocks_total",
+		"Work blocks executed across all pooled jobs, by who ran them: the submitting goroutine or a pool worker.",
+		"who", "submitter")
+	poolBlocksWorker = obs.Default().Counter("tensor_pool_blocks_total",
+		"Work blocks executed across all pooled jobs, by who ran them: the submitting goroutine or a pool worker.",
+		"who", "worker")
 	poolJobMs = obs.Default().Histogram("tensor_pool_job_ms",
 		"Wall time of one pooled job from submission until every block completed (scheduling wait plus compute).",
 		obs.LatencyBucketsMs)

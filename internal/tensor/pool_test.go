@@ -1,9 +1,11 @@
 package tensor
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The default pool is sized by GOMAXPROCS and degrades to inline
@@ -215,9 +217,9 @@ func TestPooledDispatchDoesNotAllocate(t *testing.T) {
 	p := newWorkerPool(4)
 	r := &sumRunner{hits: make([]int32, 256)}
 	for i := 0; i < 64; i++ {
-		p.run(len(r.hits), 16, r) // prime the free list
+		p.run(len(r.hits), 16, 1, r) // prime the free list
 	}
-	if allocs := testing.AllocsPerRun(200, func() { p.run(len(r.hits), 16, r) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { p.run(len(r.hits), 16, 1, r) }); allocs != 0 {
 		t.Fatalf("pooled dispatch allocates %.1f times per job, want 0", allocs)
 	}
 }
@@ -239,7 +241,7 @@ func TestWorkerPoolRecycledJobsUnderLateWakeups(t *testing.T) {
 			defer wg.Done()
 			r := &sumRunner{hits: make([]int32, 2)}
 			for j := 1; j <= jobs; j++ {
-				p.run(2, 1, r)
+				p.run(2, 1, 1, r)
 				if r.hits[0] != int32(j) || r.hits[1] != int32(j) {
 					t.Errorf("job %d: blocks ran %v times", j, r.hits)
 					return
@@ -248,4 +250,190 @@ func TestWorkerPoolRecycledJobsUnderLateWakeups(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestWorkerPoolSharesCoverEveryBlockOnce: under per-worker shares and
+// stealing every item runs exactly once, in blocks of at most chunk (one
+// inline call on a one-worker pool) — at 1, 2 and 4 workers, with shares
+// cut on image boundaries (unit > 1) into uneven numbers of images, with
+// fewer blocks than workers, and with a unit that does not divide n.
+func TestWorkerPoolSharesCoverEveryBlockOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := newWorkerPool(workers)
+		for _, c := range []struct{ n, chunk, unit int }{
+			{1, 1, 1}, {3, 1, 1}, {7, 64, 1}, {100, 7, 1}, {1000, 64, 1},
+			{5 * 64, 16, 64}, {7 * 9, 4, 9}, {3 * 100, 64, 100}, {2 * 50, 200, 50},
+			{100, 7, 3}, {4097, 256, 1}, {32 * 72, 18, 72},
+		} {
+			counts := make([]int32, c.n)
+			var over atomic.Int32
+			p.run(c.n, c.chunk, c.unit, funcRunner(func(lo, hi int) {
+				if hi <= lo || hi-lo > c.chunk && workers > 1 {
+					over.Add(1)
+				}
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&counts[i], 1)
+				}
+			}))
+			if over.Load() != 0 {
+				t.Errorf("workers %d %+v: %d blocks outside (0, chunk]", workers, c, over.Load())
+			}
+			checkCoverage(t, counts)
+		}
+	}
+}
+
+// TestSplitImageShares: a job cut on image boundaries gives share w the
+// same images whatever the items per image, so consecutive passes over
+// one batch hand every core the same images; without enough images the
+// shares fall back to block boundaries.
+func TestSplitImageShares(t *testing.T) {
+	j := newWorkerPool(1).newJob()
+	j.shares = make([]share, 4)
+	images := func(n, chunk, unit, ns int) [][2]int {
+		j.chunk = chunk
+		j.split(n, (n+chunk-1)/chunk, unit, ns)
+		var out [][2]int
+		next := 0
+		for w := 0; w < j.ns; w++ {
+			s := &j.shares[w]
+			if s.lo != next || s.hi <= s.lo || s.hi%unit != 0 {
+				t.Fatalf("n %d unit %d: share %d is [%d, %d), want whole images from %d", n, unit, w, s.lo, s.hi, next)
+			}
+			next = s.hi
+			out = append(out, [2]int{s.lo / unit, s.hi / unit})
+		}
+		if next != n {
+			t.Fatalf("n %d: shares end at %d", n, next)
+		}
+		return out
+	}
+	for _, ns := range []int{2, 3, 4} {
+		quant := images(13*4096, 4096, 4096, ns) // quantize: elements, 4096 per block
+		cols := images(13*72, 18, 72, ns)        // im2col: (image, tap) items
+		rows := images(13*256, 64, 256, ns)      // forward rows
+		for w := range quant {
+			if quant[w] != cols[w] || quant[w] != rows[w] {
+				t.Fatalf("ns %d share %d: images %v / %v / %v differ across passes", ns, w, quant[w], cols[w], rows[w])
+			}
+		}
+	}
+	// One image, two shares: block boundaries, as without a unit.
+	j.chunk = 64
+	j.split(256, 4, 256, 2)
+	if j.shares[0].hi != 128 || j.shares[1].lo != 128 {
+		t.Fatalf("single image split at %d/%d, want the block boundary 128", j.shares[0].hi, j.shares[1].lo)
+	}
+}
+
+// TestWorkerPoolJobWhileWorkerBusy: a job submitted while the only
+// worker is stuck in another submitter's block completes — its
+// submitter steals the share the worker cannot take.
+func TestWorkerPoolJobWhileWorkerBusy(t *testing.T) {
+	p := newWorkerPool(2)
+	started, release := make(chan struct{}), make(chan struct{})
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		// Block 0 is the submitter's own; it waits until the worker holds
+		// block 1, so the submitter cannot steal it.
+		p.runFn(2, 1, func(lo, hi int) {
+			if lo == 0 {
+				<-started
+				return
+			}
+			close(started)
+			<-release
+		})
+	}()
+	<-started
+	bDone := make(chan []int32)
+	go func() {
+		counts := make([]int32, 8)
+		p.runFn(8, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&counts[i], 1)
+			}
+		})
+		bDone <- counts
+	}()
+	select {
+	case counts := <-bDone:
+		checkCoverage(t, counts)
+	case <-time.After(10 * time.Second):
+		t.Fatal("job submitted while the worker was busy did not complete")
+	}
+	close(release)
+	<-aDone
+}
+
+// pollsAfter waits up to limit for a worker to poll later than at
+// (since the pool's epoch) and reports whether one did.
+func pollsAfter(p *workerPool, at, limit time.Duration) bool {
+	for start := time.Now(); time.Since(start) < limit; runtime.Gosched() {
+		if time.Duration(p.lastPoll.Load()) > at {
+			return true
+		}
+	}
+	return false
+}
+
+// TestWarmWindowStopsPolling: inside a window the workers poll after a
+// job instead of parking; none polls 2 ms after the last window closes.
+// Windows nest (a Residual's Sequential inside the model's) and overlap
+// (two replicas' steps), and only the last close parks the pool. The
+// hook is the workers' own stamp of their last poll, taken before they
+// look at the window count, so a worker the host deschedules across the
+// close cannot fail the test, while one that ignores the close does.
+func TestWarmWindowStopsPolling(t *testing.T) {
+	p := newWorkerPool(4)
+	p.pollFor = time.Minute // only a closed window may stop the polling here
+	job := func() { p.runFn(64, 1, func(lo, hi int) {}) }
+	since := func() time.Duration { return time.Since(p.epoch) }
+	stopped := func(closed time.Duration) {
+		t.Helper()
+		time.Sleep(10 * time.Millisecond) // time to misbehave
+		if last := time.Duration(p.lastPoll.Load()); last > closed+2*time.Millisecond {
+			t.Fatalf("a worker polled %v after the last window closed", last-closed)
+		}
+	}
+
+	// Nested.
+	p.warm.Add(1)
+	p.warm.Add(1)
+	job()
+	if !pollsAfter(p, 0, 5*time.Second) {
+		t.Fatal("no worker polls inside a window")
+	}
+	p.warm.Add(-1)
+	inner := since()
+	job()
+	if !pollsAfter(p, inner, 5*time.Second) {
+		t.Fatal("closing the inner window stopped the polling")
+	}
+	p.warm.Add(-1)
+	stopped(since())
+
+	// Overlapping, from two goroutines at once.
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.warm.Add(1)
+			defer p.warm.Add(-1)
+			for i := 0; i < 50; i++ {
+				job()
+			}
+		}()
+	}
+	wg.Wait()
+	if w := p.warm.Load(); w != 0 {
+		t.Fatalf("%d windows open after both closed", w)
+	}
+	stopped(since())
+	// Parked workers still take jobs, and do not poll after them.
+	before := since()
+	job()
+	stopped(before)
 }
