@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet gofmt purego maxprocs1 maxprocs4 nnparanoid race servestress bench benchreport benchsmoke doccheck deadcheck verify clean
+.PHONY: build test tier1 vet gofmt purego fmacheck maxprocs1 maxprocs4 nnparanoid race servestress bench benchreport benchsmoke doccheck deadcheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -33,7 +33,18 @@ gofmt:
 # are scheduled on the same worker pool as the assembly they replace.
 purego:
 	go test -tags purego ./...
-	go test -tags purego -race -count=1 ./internal/nn/ ./internal/tensor/ ./internal/quant/
+	go test -tags purego -race -count=1 ./internal/nn/ ./internal/tensor/ ./internal/quant/ ./internal/optim/
+
+# fmacheck fails if the arm64 build of the kernel packages fuses a
+# multiply into an add (FMADD/FMSUB/FNMADD/FNMSUB). The Go spec allows
+# the fusion and the arm64 compiler does it, so a pure-Go twin would
+# round differently there than its amd64 assembly — and a dist worker on
+# arm64 would break dist == solo. Every such site rounds its product
+# explicitly (float32(a*b) + c), which forbids the fusion and is a no-op
+# on amd64.
+fmacheck:
+	@out=$$(GOARCH=arm64 go build -gcflags=-S ./internal/nn/ ./internal/tensor/ ./internal/quant/ ./internal/optim/ 2>&1 | grep -E '\bF(N)?M(ADD|SUB)[SD]\b'); \
+	if [ -n "$$out" ]; then echo "fused multiply-adds in the arm64 build:"; echo "$$out"; exit 1; fi
 
 # maxprocs1 runs the worker pool and what is scheduled on it with
 # GOMAXPROCS=1: the pool sizes itself from GOMAXPROCS on first use, so
@@ -128,7 +139,7 @@ doccheck:
 deadcheck:
 	go run ./scripts/deadcheck
 
-verify: vet gofmt tier1 purego maxprocs1 maxprocs4 nnparanoid benchsmoke doccheck deadcheck race servestress benchreport
+verify: vet gofmt tier1 purego fmacheck maxprocs1 maxprocs4 nnparanoid benchsmoke doccheck deadcheck race servestress benchreport
 
 clean:
 	go clean ./...

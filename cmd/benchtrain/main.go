@@ -5,7 +5,13 @@
 // one solo vgg11 step at ReducedScale with the smoothdiff estimator
 // (Train_SoloStep_VGG11: zero, forward, loss, backward on one replica —
 // the step of the retrain_vgg11_smoothdiff benchmark workload, whose
-// speed on two CPUs over one is the worker pool's scaling).
+// speed on two CPUs over one is the worker pool's scaling), and the
+// optimizer step that follows it (Optim_AdamStep_VGG11: Adam over the
+// same model's parameters, on the calling goroutine).
+//
+// Every model's first layer is approximate and, as the first layer,
+// computes no input gradient, so the legacy and sharded rows exclude
+// that work.
 //
 // The committed BENCH_train.json at the repository root is the current
 // baseline; `make bench` re-measures, diffs against it with
@@ -31,6 +37,7 @@ import (
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
+	"github.com/appmult/retrain/internal/optim"
 	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
 )
@@ -55,6 +62,7 @@ type record struct {
 	Multiplier string             `json:"multiplier"`
 	Shape      string             `json:"shape"`
 	SoloStep   string             `json:"solo_step"`
+	AdamStep   string             `json:"adam_step"`
 	MaxProcs   int                `json:"maxprocs"`
 	Benchmarks map[string]result  `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups"`
@@ -127,6 +135,18 @@ func main() {
 			vgg.Backward(grad)
 		}
 	}
+	vggParams := vgg.Params()
+	numel := 0
+	for _, p := range vggParams {
+		numel += p.Value.Numel()
+	}
+	adam := optim.NewAdam()
+	benches["Optim_AdamStep_VGG11"] = func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			adam.Step(vggParams, 1e-3)
+		}
+	}
 	for _, p := range []int{1, 2, 4} {
 		st := train.NewShardedStep(benchModel(op), train.ShardedConfig{Shards: p})
 		benches[fmt.Sprintf("Train_ApproxStepSharded_P%d", p)] = func(b *testing.B) {
@@ -146,6 +166,7 @@ func main() {
 		Shape:      fmt.Sprintf("batch=%d in=3x%dx%d classes=%d", batch, inHW, inHW, classes),
 		SoloStep: fmt.Sprintf("Train_SoloStep_VGG11: vgg11 width %g, %s, same batch", train.ReducedScale.Width,
 			sdOp.Label),
+		AdamStep:   fmt.Sprintf("Optim_AdamStep_VGG11: Adam over that vgg11's %d parameters", numel),
 		MaxProcs:   runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{},
 		Speedups:   map[string]float64{},
@@ -153,6 +174,7 @@ func main() {
 	for _, name := range []string{
 		"Train_ApproxStepLegacy", "Train_ApproxStepSharded_P1",
 		"Train_ApproxStepSharded_P2", "Train_ApproxStepSharded_P4", "Train_SoloStep_VGG11",
+		"Optim_AdamStep_VGG11",
 	} {
 		r := testing.Benchmark(benches[name])
 		rec.Benchmarks[name] = result{

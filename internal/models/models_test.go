@@ -1,6 +1,7 @@
 package models
 
 import (
+	"math"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -22,13 +23,76 @@ func forwardBackward(t *testing.T, m *nn.Sequential, inputHW, classes int) {
 	if loss <= 0 {
 		t.Fatalf("%s loss %v", m.Name(), loss)
 	}
-	dx := m.Backward(grad)
-	if dx.Numel() != x.Numel() {
-		t.Fatalf("%s input gradient shape %v", m.Name(), dx.Shape)
+	if dx := m.Backward(grad); dx != nil {
+		t.Fatalf("%s: a model's Backward returned an input gradient %v", m.Name(), dx.Shape)
 	}
 	// Every parameter should exist and have a gradient buffer.
 	if len(m.Params()) == 0 {
 		t.Fatalf("%s has no parameters", m.Name())
+	}
+}
+
+// fullBackward is a model's backward with every input gradient, the
+// first layer's included, as Sequential.Backward ran it before the
+// first layer skipped the gradient of the input images.
+func fullBackward(l nn.Layer, dy *tensor.Tensor) *tensor.Tensor {
+	if s, ok := l.(*nn.Sequential); ok {
+		for i := len(s.Layers) - 1; i >= 0; i-- {
+			dy = fullBackward(s.Layers[i], dy)
+		}
+		return dy
+	}
+	return l.Backward(dy)
+}
+
+// TestModelBackwardMatchesFullBackward: a model's Backward leaves every
+// parameter gradient — the first layer's included — Float32bits-equal
+// to a full backward's, for the float conv and for the approximate one
+// on each of its backward rows (lenet's stem on small, vgg11's and
+// resnet18's on affine under STE and on fused under smoothdiff).
+func TestModelBackwardMatchesFullBackward(t *testing.T) {
+	e, ok := appmult.Lookup("mul7u_rm6")
+	if !ok {
+		t.Fatal("registry missing mul7u_rm6")
+	}
+	convs := []struct {
+		name string
+		conv ConvFactory
+	}{
+		{"float", nil},
+		{"ste", ApproxConv(nn.STEOp(e.Mult))},
+		{"smoothdiff", ApproxConv(nn.DifferenceOp(e.Mult, e.HWS))},
+	}
+	x := tensor.New(8, 3, 16, 16)
+	for i := range x.Data {
+		x.Data[i] = float32(i%23)/23 - 0.4
+	}
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, kind := range []string{"lenet", "vgg11", "resnet18"} {
+		for _, c := range convs {
+			cfg := Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: c.conv, Seed: 3}
+			model, err := ByKind(kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, _ := ByKind(kind, cfg)
+			_, g := nn.SoftmaxCrossEntropy(model.Forward(x, true), labels)
+			if dx := model.Backward(g); dx != nil {
+				t.Fatalf("%s/%s: Backward returned an input gradient", kind, c.name)
+			}
+			_, g = nn.SoftmaxCrossEntropy(full.Forward(x, true), labels)
+			if dx := fullBackward(full, g); dx.Numel() != x.Numel() {
+				t.Fatalf("%s/%s: full backward's input gradient has shape %v", kind, c.name, dx.Shape)
+			}
+			fp := full.Params()
+			for i, p := range model.Params() {
+				for j, v := range p.Grad.Data {
+					if math.Float32bits(v) != math.Float32bits(fp[i].Grad.Data[j]) {
+						t.Fatalf("%s/%s: %s grad[%d] = %v, full backward %v", kind, c.name, p.Name, j, v, fp[i].Grad.Data[j])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -72,15 +72,13 @@ type ApproxConv2D struct {
 
 	// Scratch arena (see KernelScratch): buffers sized on first use,
 	// reused every step. dxT is the (k x rows) input-gradient patch
-	// matrix.
+	// matrix; a model's first layer never sizes it or dx.
 	ks     KernelScratch
 	im2col tensor.Im2ColTJob[uint8]
 	col2im tensor.Col2ImTJob
 	y      *tensor.Tensor
 	dxT    []float32
 	dx     *tensor.Tensor
-	dw     []float32
-	gsum   []float32
 }
 
 // NewApproxConv2D constructs an approximate convolution using op's
@@ -159,28 +157,34 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 
 // Backward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Backward call.
-func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(dy, true) }
+
+// backwardParams implements paramGrader: Backward without the input
+// gradient.
+func (c *ApproxConv2D) backwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
+
+// backward adds the parameter gradients into Weight.Grad and Bias.Grad
+// — the kernels write them there: dW in the sweep's epilogue, the bias
+// gradient (the per-channel column sums of dy) in its scan of dy — and,
+// withDX, returns the input gradient.
+func (c *ApproxConv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 	if !c.trained {
 		panic(fmt.Sprintf("nn: %s: Backward must follow Forward; Infer records no clip flags", c.name))
 	}
 	g := c.geom
 	rows := c.batch * g.OutH * g.OutW
 	k := g.K()
-	c.dw = grow(c.dw, c.OutC*k)
-	c.gsum = grow(c.gsum, c.OutC)
-	c.dxT = grow(c.dxT, k*rows)
+	var dxT []float32
+	if withDX {
+		c.dxT = grow(c.dxT, k*rows)
+		dxT = c.dxT
+	}
 	// dxT comes back unmasked: the mask is applied below, once per input
 	// element.
-	c.op.backwardT(&c.ks, c.dw, c.dxT, c.gsum, dy.Data, g.OutH*g.OutW,
+	c.op.backwardT(&c.ks, c.Weight.Grad.Data, dxT, c.Bias.Grad.Data, dy.Data, g.OutH*g.OutW,
 		c.xT, c.w.wq, c.w.wClip, rows, c.OutC, k, c.w.pw, c.px)
-
-	for i, v := range c.dw {
-		c.Weight.Grad.Data[i] += v
-	}
-	// The bias gradient (per-channel column sums of dy) falls out of
-	// the backward kernel's scan of dy.
-	for oc, v := range c.gsum {
-		c.Bias.Grad.Data[oc] += v
+	if !withDX {
+		return nil
 	}
 	c.dx = tensor.Ensure4(c.dx, c.batch, g.InC, g.InH, g.InW)
 	c.col2im.Run(c.dx.Data, c.dxT, c.batch, g)

@@ -51,14 +51,17 @@ type arithForm struct {
 	cadWord int
 
 	// Pair kernel (gemmArithPairAVX2) tables, valid only when pairOK:
-	// cwb[w*nT+t] = w & wm_t as a byte (the VPMADDUBSW signed operand,
-	// hence the <= 127 gate), xmPair[t] = xm_t duplicated in both bytes
-	// of a word. The kernel folds two k-steps into each madd; cadPair is
-	// its lane budget in k-pairs.
-	cwb     []uint8
-	xmPair  []uint16
-	pairOK  bool
-	cadPair int
+	// level w's coefficients w & wm_t, each a byte (the VPMADDUBSW signed
+	// operand, hence the <= 127 gate), spread over the even bytes of two
+	// words, cwSpread[2w] strips 0-3 and cwSpread[2w+1] strips 4-7
+	// (maxStrips), so a k-pair of the stream is two ORs and two stores
+	// (buildPairStream); xmPair[t] = xm_t duplicated in both bytes of a
+	// word. The kernel folds two k-steps into each madd; cadPair is its
+	// lane budget in k-pairs.
+	cwSpread []uint64
+	xmPair   []uint16
+	pairOK   bool
+	cadPair  int
 
 	// The skinny row's mirror images (roles swapped: lanes hold weight
 	// levels and are masked with wm_t, an activation level supplies the
@@ -145,9 +148,10 @@ func newArithForm(mask mulsynth.PPMask, comp uint32, bits int, lut []uint32) *ar
 		af.pairOK, af.pairOKT = wmMax <= 127, xmMax <= 127
 	}
 	if af.pairOK {
-		af.cwb = make([]uint8, n*af.nT)
-		for i, v := range af.cw16 {
-			af.cwb[i] = uint8(v)
+		af.cwSpread = make([]uint64, 2*n)
+		for i, c := range af.cw16 {
+			l, t := i/af.nT, i%af.nT
+			af.cwSpread[2*l+t/4] |= uint64(c) << (16 * (t % 4))
 		}
 		af.xmPair = bothBytes(af.xm16)
 	}
@@ -160,6 +164,14 @@ func newArithForm(mask mulsynth.PPMask, comp uint32, bits int, lut []uint32) *ar
 	}
 	return af
 }
+
+// pairSlack is how far past a channel's last k-pair buildPairStream's
+// 16-byte stores may reach.
+const pairSlack = 16
+
+// pairRow is the length of one output channel's pair stream: ceil(k/2)
+// k-pairs of nT byte pairs, then pairSlack bytes.
+func (af *arithForm) pairRow(k int) int { return (k+1)/2*2*af.nT + pairSlack }
 
 // bothBytes returns the byte masks with each duplicated in both bytes
 // of its word: the pair kernel masks a byte pair with one VPAND.

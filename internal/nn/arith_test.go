@@ -1,9 +1,12 @@
 package nn
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/tensor"
 )
 
 // These tests pin the construction-time guarantees of the closed-form
@@ -79,7 +82,7 @@ func TestArithFormRegistryGrid(t *testing.T) {
 				}
 			}
 			if !af.pairOK {
-				if af.cwb != nil || af.xmPair != nil {
+				if af.cwSpread != nil || af.xmPair != nil {
 					t.Fatalf("%s: pair tables built despite pairOK=false", m.Name())
 				}
 				return
@@ -87,15 +90,18 @@ func TestArithFormRegistryGrid(t *testing.T) {
 			if af.cadPair < 1 {
 				t.Fatalf("%s: cadPair = %d, want >= 1", m.Name(), af.cadPair)
 			}
-			if len(af.cwb) != len(af.cw16) {
-				t.Fatalf("%s: len(cwb) = %d, len(cw16) = %d", m.Name(), len(af.cwb), len(af.cw16))
+			if len(af.cwSpread) != 2*n {
+				t.Fatalf("%s: len(cwSpread) = %d, want 2 per level (%d)", m.Name(), len(af.cwSpread), 2*n)
 			}
 			for i, v := range af.cw16 {
 				if v > 127 {
 					t.Fatalf("%s: cw16[%d] = %d exceeds the VPMADDUBSW signed-byte gate", m.Name(), i, v)
 				}
-				if uint16(af.cwb[i]) != v {
-					t.Fatalf("%s: cwb[%d] = %d, cw16 %d", m.Name(), i, af.cwb[i], v)
+				// Strip tn's byte pair in the level's spread words: the
+				// coefficient, then the zero the partner's byte is ORed into.
+				l, tn := i/af.nT, i%af.nT
+				if got := uint16(af.cwSpread[2*l+tn/4] >> (16 * (tn % 4))); got != v {
+					t.Fatalf("%s: spread word of level %d, strip %d holds %#x, cw16 %d", m.Name(), l, tn, got, v)
 				}
 			}
 			for tn, mask := range af.xm16 {
@@ -104,6 +110,61 @@ func TestArithFormRegistryGrid(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pairStreamRef is the byte loop the spread-word stream replaced: per
+// output channel and k-pair, 2*nT single-byte stores, channels back to
+// back. TestPairStreamMatchesByteLoop's oracle.
+func pairStreamRef(af *arithForm, wq []uint8, outC, k int) []uint8 {
+	nT, nKp := af.nT, (k+1)/2
+	out := make([]uint8, outC*nKp*nT*2)
+	for oc := 0; oc < outC; oc++ {
+		wr := wq[oc*k : (oc+1)*k]
+		for p := 0; p < nKp; p++ {
+			row := out[(oc*nKp+p)*nT*2:][:nT*2]
+			for t := 0; t < nT; t++ {
+				row[2*t] = uint8(af.cw16[int(wr[2*p])*nT+t])
+				if 2*p+1 < k {
+					row[2*t+1] = uint8(af.cw16[int(wr[2*p+1])*nT+t])
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestPairStreamMatchesByteLoop builds the pair stream of every registry
+// multiplier the pair kernel takes, on the worker pool as arithSetup
+// does, at odd and even k, and requires every channel's pairs to equal
+// the byte loop's (what the slack after them holds is nobody's).
+func TestPairStreamMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, e := range appmult.Registry() {
+		op := STEOp(e.Mult)
+		op.ensurePadded()
+		af := op.arith
+		if af == nil || !af.pairOK {
+			continue
+		}
+		levels := 1 << uint(op.Bits)
+		for _, k := range []int{1, 2, 9, 27, 72, 75, 256, 577} {
+			const outC = 40
+			wq := make([]uint8, outC*k)
+			for i := range wq {
+				wq[i] = uint8(rng.Intn(levels))
+			}
+			wq[len(wq)-1] = uint8(levels - 1)
+			want := pairStreamRef(af, wq, outC, k)
+			row, n := af.pairRow(k), (k+1)/2*af.nT*2
+			run := pairStreamRun{cwp: make([]uint8, outC*row), wq: wq, af: af, k: k}
+			tensor.ParallelRowsOn(outC, &run)
+			for oc := 0; oc < outC; oc++ {
+				if got := run.cwp[oc*row:][:n]; !bytes.Equal(got, want[oc*n:][:n]) {
+					t.Fatalf("%s k=%d: channel %d's stream differs from the byte loop", e.Mult.Name(), k, oc)
+				}
+			}
+		}
 	}
 }
 

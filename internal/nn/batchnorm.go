@@ -138,7 +138,7 @@ func sqDevChannel(x []float32, n, c, hw, ch int, mean float64) float64 {
 	for img := 0; img < n; img++ {
 		for _, v := range x[(img*c+ch)*hw:][:hw] {
 			d := float64(v) - mean
-			s += d * d
+			s += float64(d * d)
 		}
 	}
 	return s
@@ -155,8 +155,8 @@ func (b *BatchNorm2D) UpdateRunning(sum, sq []float64, cnt int) {
 	n, m := float64(cnt), b.Momentum
 	for ch := 0; ch < b.C; ch++ {
 		mean, vr := sum[ch]/n, sq[ch]/n
-		b.RunningMean.Data[ch] = float32((1-m)*float64(b.RunningMean.Data[ch]) + m*mean)
-		b.RunningVar.Data[ch] = float32((1-m)*float64(b.RunningVar.Data[ch]) + m*vr)
+		b.RunningMean.Data[ch] = float32(float64((1-m)*float64(b.RunningMean.Data[ch])) + float64(m*mean))
+		b.RunningVar.Data[ch] = float32(float64((1-m)*float64(b.RunningVar.Data[ch])) + float64(m*vr))
 	}
 }
 
@@ -174,7 +174,7 @@ func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr f
 		out := b.out.Data[base:][:hw]
 		if !caches {
 			for j, v := range x[base:][:hw] {
-				out[j] = float32(g*((float64(v)-mean)*inv) + bt)
+				out[j] = float32(float64(g*((float64(v)-mean)*inv)) + bt)
 			}
 			continue
 		}
@@ -182,7 +182,7 @@ func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr f
 		for j, v := range x[base:][:hw] {
 			xh := (float64(v) - mean) * inv
 			xhat[j] = float32(xh)
-			out[j] = float32(g*xh + bt)
+			out[j] = float32(float64(g*xh) + bt)
 		}
 	}
 }
@@ -310,7 +310,7 @@ func gradSumsChannel(dy, xhat []float32, n, c, hw, ch int) (sumDy, sumDyXhat flo
 		for j, v := range dy[base:][:hw] {
 			g := float64(v)
 			sumDy += g
-			sumDyXhat += g * float64(xh[j])
+			sumDyXhat += float64(g * float64(xh[j]))
 		}
 	}
 	return sumDy, sumDyXhat
@@ -326,7 +326,7 @@ func (b *BatchNorm2D) inputGradChannel(dy []float32, n, c, hw, ch int, cnt, sumD
 		base := (img*c + ch) * hw
 		dx, xhat := b.dx.Data[base:][:hw], b.xhat.Data[base:][:hw]
 		for j, v := range dy[base:][:hw] {
-			dx[j] = float32(coef * (cnt*float64(v) - sumDy - float64(xhat[j])*sumDyXhat))
+			dx[j] = float32(coef * (float64(cnt*float64(v)) - sumDy - float64(float64(xhat[j])*sumDyXhat)))
 		}
 	}
 }

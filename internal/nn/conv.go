@@ -31,12 +31,14 @@ type Conv2D struct {
 	batch          int
 
 	// Scratch arena, sized on first use: xT is also Backward's cache, dyT
-	// (outC x rows) and nz its operands.
+	// (outC x rows) and nz its operands. withDX says whether the backward
+	// pass computes dxT; a model's first layer never sizes dxT or dx.
 	im2col       tensor.Im2ColTJob[float32]
 	col2im       tensor.Col2ImTJob
 	xT, dxT, dyT []float32
 	y, dx        *tensor.Tensor
 	sparse       bool
+	withDX       bool
 	nz           nonzeros
 }
 
@@ -76,7 +78,15 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer. The returned tensor is owned by the layer
 // and valid until the next Backward call.
-func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(dy, true) }
+
+// backwardParams implements paramGrader: Backward without the input
+// gradient.
+func (c *Conv2D) backwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
+
+// backward accumulates the weight and bias gradients and, withDX,
+// returns the input gradient.
+func (c *Conv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 	g := c.geom
 	hw := g.OutH * g.OutW
 	rows := c.batch * hw
@@ -96,8 +106,13 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if c.sparse = sparseGrad(dy.Data); c.sparse {
 		c.nz.build(nil, c.dyT, rows, c.OutC, rows)
 	}
-	c.dxT = grow(c.dxT, g.K()*rows)
+	if c.withDX = withDX; withDX {
+		c.dxT = grow(c.dxT, g.K()*rows)
+	}
 	tensor.ParallelRowsOn(g.K(), (*convBackward)(c))
+	if !withDX {
+		return nil
+	}
 	c.dx = tensor.Ensure4(c.dx, c.batch, g.InC, g.InH, g.InW)
 	c.col2im.Run(c.dx.Data, c.dxT, c.batch, g)
 	return c.dx
@@ -136,17 +151,17 @@ func (f *convForward) RunRange(lo, hi int) {
 			x3 := c.xT[(i+3)*rows+r0:][:len(acc)]
 			w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
 			for r, v := range acc {
-				v += x0[r] * w0
-				v += x1[r] * w1
-				v += x2[r] * w2
-				v += x3[r] * w3
+				v += float32(x0[r] * w0)
+				v += float32(x1[r] * w1)
+				v += float32(x2[r] * w2)
+				v += float32(x3[r] * w3)
 				acc[r] = v
 			}
 		}
 		for ; i < k; i++ {
 			x, wi := c.xT[i*rows+r0:][:len(acc)], w[i]
 			for r, v := range x {
-				acc[r] += v * wi
+				acc[r] += float32(v * wi)
 			}
 		}
 		b := c.Bias.Value.Data[oc]
@@ -161,33 +176,46 @@ func (f *convForward) RunRange(lo, hi int) {
 	}
 }
 
-// RunRange computes the weight gradients of taps [lo, hi) and their rows
-// of dxT in one walk of dy per (tap, channel): dW[oc][i] sums over r
-// ascending from +0 and is added into the gradient, dxT[i][r] sums over
-// oc ascending from +0.
+// RunRange computes the weight gradients of taps [lo, hi) and, withDX,
+// their rows of dxT in one walk of dy per (tap, channel): dW[oc][i] sums
+// over r ascending from +0 and is added into the gradient, dxT[i][r]
+// sums over oc ascending from +0.
 func (b *convBackward) RunRange(lo, hi int) {
 	c := (*Conv2D)(b)
 	k := c.geom.K()
 	rows := c.batch * c.geom.OutH * c.geom.OutW
 	for i := lo; i < hi; i++ {
 		x := c.xT[i*rows:][:rows]
-		d := c.dxT[i*rows:][:rows]
-		clear(d)
+		var d []float32
+		if c.withDX {
+			d = c.dxT[i*rows:][:rows]
+			clear(d)
+		}
 		for oc := 0; oc < c.OutC; oc++ {
 			w := c.Weight.Value.Data[oc*k+i]
 			var acc float32
 			if c.sparse {
 				nzR := c.nz.r[c.nz.off[oc]:c.nz.off[oc+1]]
 				nzG := c.nz.g[c.nz.off[oc]:c.nz.off[oc+1]][:len(nzR)]
-				for j, r := range nzR {
-					g := nzG[j]
-					acc += g * x[r]
-					d[r] += g * w
+				if d == nil {
+					for j, r := range nzR {
+						acc += float32(nzG[j] * x[r])
+					}
+				} else {
+					for j, r := range nzR {
+						g := nzG[j]
+						acc += float32(g * x[r])
+						d[r] += float32(g * w)
+					}
+				}
+			} else if dyr := c.dyT[oc*rows:][:rows]; d == nil {
+				for r, g := range dyr {
+					acc += float32(g * x[r])
 				}
 			} else {
-				for r, g := range c.dyT[oc*rows:][:rows] {
-					acc += g * x[r]
-					d[r] += g * w
+				for r, g := range dyr {
+					acc += float32(g * x[r])
+					d[r] += float32(g * w)
 				}
 			}
 			c.Weight.Grad.Data[oc*k+i] += acc

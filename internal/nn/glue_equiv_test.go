@@ -426,10 +426,12 @@ func (r *frozenResidual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. (layerBackward is the one change to the
+// frozen copy: a Sequential's Backward, a model's, returns no input
+// gradient, and layerBackward is the full backward it used to run.)
 func (r *frozenResidual) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dm := r.Main.Backward(dy)
-	ds := r.Shortcut.Backward(dy)
+	dm := layerBackward(r.Main, dy)
+	ds := layerBackward(r.Shortcut, dy)
 	dx := dm.Clone()
 	dx.Add(ds)
 	return dx

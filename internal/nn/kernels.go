@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 
 	"github.com/appmult/retrain/internal/quant"
@@ -97,6 +98,7 @@ type KernelScratch struct {
 	qcRun    quantClipRun
 	maskRun  clipMaskRun
 	fwdRun   fwdTileRun
+	pairRun  pairStreamRun
 	tU8Run   transU8Run
 	toutRun  bwdTransOutRun
 	gradRun  bwdGradRun
@@ -332,7 +334,7 @@ func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR i
 		// to the next image's.
 		j, p := (lo/hw*t.outC+oc)*hw+lo%hw, lo%hw
 		for r, a := range accRow {
-			t.y[j] = ss*float32(int64(a)+c0-zw*sx[r]) + b
+			t.y[j] = float32(ss*float32(int64(a)+c0-zw*sx[r])) + b
 			j++
 			if p++; p == hw {
 				j, p = j+(t.outC-1)*hw, 0
@@ -363,6 +365,15 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 	s.xT = grow(s.xT, k*rows)
 	s.transposeU8(s.xT, xq, rows, k)
 	s.dxT = grow(s.dxT, k*rows)
+	// backwardT adds into dw and gsum. Starting them at −0 makes that a
+	// write: −0 + x is x for every x, +0 and −0 included.
+	negZero := float32(math.Copysign(0, -1))
+	for i := range dw {
+		dw[i] = negZero
+	}
+	for i := range gsum {
+		gsum[i] = negZero
+	}
 	op.backwardT(s, dw, s.dxT, gsum, dy, 1, s.xT, wq, wClip, rows, outC, k, pw, px)
 	// Transpose back to row-major and, unless the caller masks (nil
 	// xClip), apply the straight-through clip mask (zero gradient for

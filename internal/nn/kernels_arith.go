@@ -1,6 +1,10 @@
 package nn
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"github.com/appmult/retrain/internal/tensor"
+)
 
 // Tile kernel of the closed-form forward tier (the arith row of
 // tiers.go): the same row tiling, operand tiles, and Eq. (8) epilogue
@@ -34,8 +38,9 @@ func arithSetup(t *fwdTileRun) {
 	af, w := t.op.arith, t.w
 	t.kComp = int64(t.k) * int64(af.comp)
 	if af.pairOK && !w.cwpOK {
-		w.cwp = grow(w.cwp, t.outC*((t.k+1)/2)*af.nT*2)
-		buildPairStream(w.cwp, w.wq, af, t.outC, t.k)
+		w.cwp = grow(w.cwp, t.outC*af.pairRow(t.k))
+		t.s.pairRun = pairStreamRun{cwp: w.cwp, wq: w.wq, af: af, k: t.k}
+		tensor.ParallelRowsOn(t.outC, &t.s.pairRun)
 		w.cwpOK = true
 	}
 }
@@ -56,10 +61,10 @@ func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	}
 	if nR32 > 0 {
 		if af.pairOK {
-			nKpTot := (t.k + 1) / 2
+			row := af.pairRow(t.k)
 			for oc := 0; oc < t.outC; oc++ {
 				gemmArithPairAVX2(&acc[oc*nR], &xt[0],
-					&t.w.cwp[(oc*nKpTot+kb/2)*nT*2], &af.xmPair[0],
+					&t.w.cwp[oc*row+kb/2*nT*2], &af.xmPair[0],
 					int64(nR), int64((nK+1)/2), int64(nT), int64(af.cadPair))
 			}
 		} else {
@@ -134,33 +139,44 @@ func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	}
 }
 
-// buildPairStream writes the pair kernel's coefficient stream: for each
-// output channel and k-pair p, the nT byte pairs
-// (cw(wq[oc][2p]), cw(wq[oc][2p+1])) in strip order. The virtual
-// partner of an odd trailing k-step gets coefficient zero. Built once
-// per weight version (arithSetup) and shared read-only by every row
+// pairStreamRun builds the pair kernel's coefficient stream, a block of
+// output channels per work item.
+type pairStreamRun struct {
+	cwp, wq []uint8
+	af      *arithForm
+	k       int
+}
+
+func (t *pairStreamRun) RunRange(lo, hi int) { buildPairStream(t.cwp, t.wq, t.af, lo, hi, t.k) }
+
+// buildPairStream writes the pair kernel's coefficient stream of the
+// output channels [lo, hi), one pairRow each: for every k-pair p, the nT
+// byte pairs (cw(wq[oc][2p]), cw(wq[oc][2p+1])) in strip order, the
+// virtual partner of an odd trailing k-step with coefficient zero. Built
+// once per weight version (arithSetup) and shared read-only by every row
 // block of every GEMM until the next.
-func buildPairStream(cwp []uint8, wq []uint8, af *arithForm, outC, k int) {
-	nT := af.nT
-	nKp := (k + 1) / 2
-	for oc := 0; oc < outC; oc++ {
+//
+// A k-pair is two 8-byte stores of the levels' spread words
+// (arithForm.cwSpread), the partner's shifted into the odd bytes. Below
+// eight strips the stores run past the pair's 2*nT bytes: onto the next
+// pair, which is written after it, or into the row's slack. A channel's
+// row is its own, so no two work items write one byte.
+func buildPairStream(cwp, wq []uint8, af *arithForm, lo, hi, k int) {
+	stride, row, sp := 2*af.nT, af.pairRow(k), af.cwSpread
+	for oc := lo; oc < hi; oc++ {
 		wr := wq[oc*k : (oc+1)*k]
-		out := cwp[oc*nKp*nT*2 : (oc+1)*nKp*nT*2]
-		for p := 0; p < nKp; p++ {
-			c0 := af.cwb[int(wr[2*p])*nT : (int(wr[2*p])+1)*nT]
-			row := out[p*nT*2 : (p+1)*nT*2]
+		out := cwp[oc*row : (oc+1)*row]
+		for p := 0; 2*p < k; p++ {
+			l0 := 2 * int(wr[2*p])
+			w0, w1 := sp[l0], sp[l0+1]
 			if 2*p+1 < k {
-				c1 := af.cwb[int(wr[2*p+1])*nT : (int(wr[2*p+1])+1)*nT]
-				for t := 0; t < nT; t++ {
-					row[2*t] = c0[t]
-					row[2*t+1] = c1[t]
-				}
-			} else {
-				for t := 0; t < nT; t++ {
-					row[2*t] = c0[t]
-					row[2*t+1] = 0
-				}
+				l1 := 2 * int(wr[2*p+1])
+				w0 |= sp[l1] << 8
+				w1 |= sp[l1+1] << 8
 			}
+			o := out[p*stride:]
+			binary.LittleEndian.PutUint64(o, w0)
+			binary.LittleEndian.PutUint64(o[8:], w1)
 		}
 	}
 }

@@ -45,9 +45,11 @@ import (
 // matching the verifier's expression exactly.
 
 // backwardT is the backward GEMM on the k-major operand matrix xT
-// (k x rows): it writes the weight gradient into dw (outC x k), the
-// unmasked k-major input gradient into dxT (k x rows) and the column
-// sums of dy into gsum. Like forwardT's y, dy is NCHW planes of hw
+// (k x rows): it adds the weight gradient into dw (outC x k) and the
+// column sums of dy into gsum — a layer's Weight.Grad and Bias.Grad —
+// and writes the unmasked k-major input gradient into dxT (k x rows)
+// unless dxT is nil, which skips the dX sweep (a model's first layer,
+// whose input is data). Like forwardT's y, dy is NCHW planes of hw
 // positions: dy[(r/hw*outC+oc)*hw + r%hw] is the gradient of row r,
 // channel oc.
 func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
@@ -65,7 +67,9 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 	}
 	s.scanGrad(gsum, dy, hw, rows, outC)
 	op.sweepDW(s, dw, xT, wq, wClip, rows, outC, k, zx, px.Scale, dwTier)
-	op.sweepDX(s, dxT, xT, wq, rows, outC, k, dxTier)
+	if dxT != nil {
+		op.sweepDX(s, dxT, xT, wq, rows, outC, k, dxTier)
+	}
 }
 
 // backwardSmall is the small row's kernel: one scan of dy into the
@@ -143,9 +147,10 @@ const dwLanes = 8
 // BackwardSweep runs the parts of BackwardGEMM's sweep rows the caller
 // names, on an already k-major operand matrix xT (k x rows) and on the
 // rows the ladder picks for the op's tables and pin: the scan of dy
-// (row-major, rows x outC) unless dy is nil — the sweeps then read what
-// the last scan left in s —, the weight-gradient sweep unless dw is nil,
-// and the input-gradient sweep into the k-major dxT unless dxT is nil.
+// (row-major, rows x outC; its column sums added into gsum) unless dy is
+// nil — the sweeps then read what the last scan left in s —, the
+// weight-gradient sweep, added into dw, unless dw is nil, and the
+// input-gradient sweep into the k-major dxT unless dxT is nil.
 // A benchmark-harness hook like Pinned: cmd/benchkernels times each
 // sweep's kernels alone with it; no layer calls it.
 func (op *Op) BackwardSweep(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq []uint8, wClip []bool,
@@ -174,8 +179,9 @@ type nonzeros struct {
 	g   []float32
 }
 
-// build fills the lists and, unless gsum is nil, the per-channel sums
-// of dy from one scan of dy (NCHW planes of hw positions).
+// build fills the lists and, unless gsum is nil, adds the per-channel
+// sums of dy into gsum, from one scan of dy (NCHW planes of hw
+// positions).
 func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw int) {
 	nnz := 0
 	for _, g := range dy {
@@ -203,7 +209,7 @@ func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw int) {
 			}
 		}
 		if gsum != nil {
-			gsum[oc] = sum
+			gsum[oc] += sum
 		}
 	}
 	l.off[outC] = n
@@ -317,7 +323,7 @@ func bwdAffineDWLanes(out []float32, xcol []uint8, dyR, a, b []float32, zx float
 		g := dyR[r*len(out):][:len(out)]
 		for l := range out {
 			t := float32(a[l]*xf) + b[l]
-			out[l] += g[l] * (t - zx)
+			out[l] += float32(g[l] * (t - zx))
 		}
 	}
 }
@@ -330,7 +336,7 @@ func bwdGatherDWLanes(out []float32, xcol []uint8, dyR []float32, woff []int32, 
 	for r, xv := range xcol {
 		g := dyR[r*len(out):][:len(out)]
 		for l := range out {
-			out[l] += g[l] * (gwPad[int(woff[l])+int(xv)] - zx)
+			out[l] += float32(g[l] * (gwPad[int(woff[l])+int(xv)] - zx))
 		}
 	}
 }
@@ -364,7 +370,7 @@ func (op *Op) bwdDXAffine(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 			var acc float32
 			for oc := 0; oc < outC; oc++ {
 				t := float32(aCol[oc]*xf) + bCol[oc]
-				acc += s.gsT[oc*rows+r] * (t - s.zwc[oc])
+				acc += float32(s.gsT[oc*rows+r] * (t - s.zwc[oc]))
 			}
 			dxr[r] = acc
 		}
@@ -401,7 +407,7 @@ func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 				if gs == 0 {
 					continue
 				}
-				acc += gs * (gxPad[int(woff[oc])+int(xcol[r])] - s.zwc[oc])
+				acc += float32(gs * (gxPad[int(woff[oc])+int(xcol[r])] - s.zwc[oc]))
 			}
 			dxr[r] = acc
 		}
@@ -439,8 +445,8 @@ func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi
 				if gs == 0 {
 					continue
 				}
-				d0v[r] += gs * (gx0[x0v[r]] - zw)
-				d1v[r] += gs * (gx1[x1v[r]] - zw)
+				d0v[r] += float32(gs * (gx0[x0v[r]] - zw))
+				d1v[r] += float32(gs * (gx1[x1v[r]] - zw))
 			}
 		}
 	}
@@ -461,7 +467,7 @@ func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi
 				if gs == 0 {
 					continue
 				}
-				dxv[r] += gs * (gx[xv[r]] - zw)
+				dxv[r] += float32(gs * (gx[xv[r]] - zw))
 			}
 		}
 	}

@@ -73,7 +73,7 @@ func (op *Op) ForwardGEMMRef(xq, wq []uint8, rows, outC, k int, pw []quant.Param
 					}
 				}
 				acc := sy - zx*sumW[oc] - zw[oc]*sumX[r] + kzz[oc]
-				or[oc] = ss[oc]*float32(acc) + bias[oc]
+				or[oc] = float32(ss[oc]*float32(acc)) + bias[oc]
 			}
 		}
 	})
@@ -119,7 +119,7 @@ func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
 				xr := xq[r*k : (r+1)*k]
 				for i, xv := range xr {
 					idx := int(wr[i])<<bits | int(xv)
-					dwr[i] += g * (gw[idx] - zx)
+					dwr[i] += float32(g * (gw[idx] - zx))
 				}
 			}
 			for i := range dwr {
@@ -148,7 +148,7 @@ func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
 				wr := wq[oc*k : (oc+1)*k]
 				for i, xv := range xr {
 					idx := int(wr[i])<<bits | int(xv)
-					dxr[i] += gs * (gx[idx] - zw)
+					dxr[i] += float32(gs * (gx[idx] - zw))
 				}
 			}
 			for i := range dxr {

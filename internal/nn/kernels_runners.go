@@ -134,8 +134,8 @@ func (t *bwdTransOutRun) RunRange(lo, hi int) {
 }
 
 // bwdGradRun is the big tiers' per-channel scan of the upstream
-// gradient, a block of output channels per work item: gsum[oc] (the
-// bias gradient, ascending r like the layers' original loop) and the
+// gradient, a block of output channels per work item: the column sum
+// over ascending r added into gsum[oc] (the bias gradient) and the
 // pre-scaled row gsT[oc][r] = dy[r][oc]*s_w[oc] of the dX sweep. dy is
 // NCHW planes of hw positions (see backwardT).
 type bwdGradRun struct {
@@ -162,7 +162,7 @@ func (t *bwdGradRun) RunRange(lo, hi int) {
 				j, p = j+(t.outC-1)*t.hw, 0
 			}
 		}
-		t.gsum[oc] = sum
+		t.gsum[oc] += sum
 	}
 }
 
@@ -195,7 +195,7 @@ func (t *bwdDyRRun) RunRange(lo, hi int) {
 // bwdDWRun is the tiered dW sweep, a block of k columns per work item
 // (so a narrow layer still fills every core): the dispatched row's
 // oc-lane kernel into dwT (k x ld, see bwdDWAffine), then the clip/scale
-// epilogue into dw.
+// epilogue, which adds each entry into dw.
 type bwdDWRun struct {
 	op         *Op
 	s          *KernelScratch
@@ -217,7 +217,7 @@ func (t *bwdDWRun) RunRange(lo, hi int) {
 			} else {
 				v *= t.scale
 			}
-			t.dw[oc*t.k+i] = v
+			t.dw[oc*t.k+i] += v
 		}
 	}
 }
@@ -238,11 +238,12 @@ func (t *bwdDXRun) RunRange(lo, hi int) {
 
 // bwdSmallRun is the small tier's sweep over k columns: both gradients
 // of a column block in one walk of each channel's nonzero list (see
-// nonzeros). The summands and orders are the reference's: channel
-// oc's list is row-ascending, so dw[oc][i] accumulates over ascending
-// r, and oc is the outermost loop, so every dxT[i][r] accumulates over
-// ascending oc; the hoisted padded rows hold the table entries
-// Grads.DW/DX[w<<B|x] themselves.
+// nonzeros), dW alone when dxT is nil. The summands and orders are the
+// reference's: channel oc's list is row-ascending, so dW[oc][i]
+// accumulates over ascending r before it is added into dw, and oc is
+// the outermost loop, so every dxT[i][r] accumulates over ascending oc;
+// the hoisted padded rows hold the table entries Grads.DW/DX[w<<B|x]
+// themselves.
 type bwdSmallRun struct {
 	op            *Op
 	s             *KernelScratch
@@ -256,7 +257,9 @@ type bwdSmallRun struct {
 func (t *bwdSmallRun) RunRange(lo, hi int) {
 	s, rows, k := t.s, t.rows, t.k
 	gwPad, gxPad := t.op.gwPad, t.op.gxPad
-	clear(t.dxT[lo*rows : hi*rows])
+	if t.dxT != nil {
+		clear(t.dxT[lo*rows : hi*rows])
+	}
 	for oc := 0; oc < t.outC; oc++ {
 		nzR := s.nz.r[s.nz.off[oc]:s.nz.off[oc+1]]
 		nzG := s.nz.g[s.nz.off[oc]:s.nz.off[oc+1]][:len(nzR)]
@@ -264,21 +267,27 @@ func (t *bwdSmallRun) RunRange(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := int(t.wq[oc*k+i]) * padStride
 			gw := gwPad[row : row+padStride]
-			gx := gxPad[row : row+padStride]
 			xcol := t.xT[i*rows : (i+1)*rows]
-			dcol := t.dxT[i*rows : (i+1)*rows]
 			var acc float32
-			for j, r := range nzR {
-				g, xv := nzG[j], xcol[r]
-				acc += g * (gw[xv] - t.zx)
-				dcol[r] += g * sw * (gx[xv] - zw)
+			if t.dxT == nil {
+				for j, r := range nzR {
+					acc += float32(nzG[j] * (gw[xcol[r]] - t.zx))
+				}
+			} else {
+				gx := gxPad[row : row+padStride]
+				dcol := t.dxT[i*rows : (i+1)*rows]
+				for j, r := range nzR {
+					g, xv := nzG[j], xcol[r]
+					acc += float32(g * (gw[xv] - t.zx))
+					dcol[r] += float32(g * sw * (gx[xv] - zw))
+				}
 			}
 			if t.wClip[oc*k+i] {
 				acc = 0
 			} else {
 				acc *= t.scale
 			}
-			t.dw[oc*k+i] = acc
+			t.dw[oc*k+i] += acc
 		}
 	}
 }

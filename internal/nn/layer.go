@@ -32,7 +32,9 @@ type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the loss gradient w.r.t. the output and
 	// returns the gradient w.r.t. the input — likewise the layer's —
-	// accumulating parameter gradients into Params().
+	// accumulating parameter gradients into Params(). A Sequential is a
+	// model, whose input is data: its Backward returns nil (see
+	// Sequential.Backward).
 	Backward(dy *tensor.Tensor) *tensor.Tensor
 	// Params returns the trainable parameters (empty for stateless
 	// layers).
@@ -100,14 +102,63 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward implements Layer, in a warm window like a training Forward.
+// Backward implements Layer for a model, whose input is data: no caller
+// reads the gradient w.r.t. the input images, so Backward returns nil
+// and the first layer computes only its parameter gradients where it
+// can (paramGrader). Every gradient in Params() is a full backward's,
+// bit for bit. It runs in a warm window like a training Forward.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	s.backwardParams(dy)
+	return nil
+}
+
+// backwardParams implements paramGrader: the full backward of every
+// layer but the first, then the first's parameter gradients.
+func (s *Sequential) backwardParams(dy *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
 	tensor.OpenWarmWindow()
 	defer tensor.CloseWarmWindow()
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		dy = s.Layers[i].Backward(dy)
+	dy = s.backwardTo(1, dy)
+	if p, ok := s.Layers[0].(paramGrader); ok {
+		p.backwardParams(dy)
+	} else {
+		s.Layers[0].Backward(dy)
+	}
+}
+
+// backward is the full backward, the input gradient included: what a
+// Residual branch and a Sequential nested after another layer need.
+func (s *Sequential) backward(dy *tensor.Tensor) *tensor.Tensor {
+	tensor.OpenWarmWindow()
+	defer tensor.CloseWarmWindow()
+	return s.backwardTo(0, dy)
+}
+
+// backwardTo runs the full backward of the layers from the last down to
+// first and returns the input gradient of layer first.
+func (s *Sequential) backwardTo(first int, dy *tensor.Tensor) *tensor.Tensor {
+	for i := len(s.Layers) - 1; i >= first; i-- {
+		dy = layerBackward(s.Layers[i], dy)
 	}
 	return dy
+}
+
+// paramGrader is a layer that can accumulate its parameter gradients
+// without computing its input gradient — what a model's first layer
+// runs.
+type paramGrader interface {
+	backwardParams(dy *tensor.Tensor)
+}
+
+// layerBackward returns l's input gradient: l.Backward, but a
+// Sequential's full backward, since its Backward returns none.
+func layerBackward(l Layer, dy *tensor.Tensor) *tensor.Tensor {
+	if s, ok := l.(*Sequential); ok {
+		return s.backward(dy)
+	}
+	return l.Backward(dy)
 }
 
 // Params implements Layer.

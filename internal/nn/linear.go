@@ -48,6 +48,9 @@ func (l *Linear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return flat(&l.io.dx, l.conv.Backward(dy))
 }
 
+// backwardParams implements paramGrader: its conv's.
+func (l *Linear) backwardParams(dy *tensor.Tensor) { l.conv.backwardParams(dy) }
+
 // ApproxLinear is the fully connected counterpart of ApproxConv2D, on
 // its passes: the same LUT-based forward and LUT-gradient backward over
 // a (N, in) input. The paper approximates only convolutional layers;
@@ -87,6 +90,9 @@ func (l *ApproxLinear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *ApproxLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return flat(&l.io.dx, l.conv.Backward(dy))
 }
+
+// backwardParams implements paramGrader: its conv's.
+func (l *ApproxLinear) backwardParams(dy *tensor.Tensor) { l.conv.backwardParams(dy) }
 
 // denseWeight gives a 1x1 convolution's (out, in, 1, 1) weight the
 // dense layers' (out, in) shape; its values, and so the Kaiming draws,

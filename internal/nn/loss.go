@@ -62,7 +62,7 @@ func SoftmaxCrossEntropySumInto(dst, logits *tensor.Tensor, labels []int, denom 
 		inv := 1 / float64(denom)
 		for j, v := range row {
 			p := math.Exp(float64(v-mx)) / sum
-			g := p * inv
+			g := float64(p * inv) // rounded: never fused into the -= below
 			if j == label {
 				g -= inv
 			}

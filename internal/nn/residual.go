@@ -53,9 +53,10 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return r.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A branch's input is the block's, not data,
+// so a Sequential branch runs its full backward (layerBackward).
 func (r *Residual) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	r.dx = sumInto(r.dx, r.Main.Backward(dy), r.Shortcut.Backward(dy))
+	r.dx = sumInto(r.dx, layerBackward(r.Main, dy), layerBackward(r.Shortcut, dy))
 	return r.dx
 }
 

@@ -37,7 +37,8 @@ type weightSide struct {
 
 	// Tier-owned forms of wq, built by the tier's setup on its first
 	// GEMM after a rebuild: the VPMADDUBSW coefficient stream of the
-	// arith row's pair kernel (outC x ceil(k/2) x nT byte pairs) and the
+	// arith row's pair kernel (outC rows of ceil(k/2) x nT byte pairs and
+	// pairSlack bytes, on the worker pool) and the
 	// k-major copy the skinny row's lanes load ((k+1) x outC, the last
 	// row zero: the virtual partner column of an odd k).
 	cwp, wqT     []uint8

@@ -28,11 +28,19 @@ func NewAdam() *Adam {
 }
 
 // Step applies one update at the given learning rate and clears
-// nothing: callers zero gradients themselves (nn.ZeroGrads).
+// nothing: callers zero gradients themselves (nn.ZeroGrads). It runs on
+// the calling goroutine, four elements per AVX2 step where the host has
+// it (adam_amd64.s) and adamTail for the rest: the same operations in
+// the same order, so no bit depends on which ran.
 func (a *Adam) Step(params []*nn.Param, lr float64) {
 	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	c := adamConsts{
+		beta1: a.Beta1, oneMinusBeta1: 1 - a.Beta1,
+		beta2: a.Beta2, oneMinusBeta2: 1 - a.Beta2,
+		c1: 1 - math.Pow(a.Beta1, float64(a.step)),
+		c2: 1 - math.Pow(a.Beta2, float64(a.step)),
+		lr: lr, eps: a.Eps,
+	}
 	for _, p := range params {
 		m := a.m[p]
 		v := a.v[p]
@@ -42,15 +50,32 @@ func (a *Adam) Step(params []*nn.Param, lr float64) {
 			a.m[p] = m
 			a.v[p] = v
 		}
-		for i := range m {
-			g := float64(p.Grad.Data[i])
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mhat := m[i] / c1
-			vhat := v[i] / c2
-			p.Value.Data[i] -= float32(lr * mhat / (math.Sqrt(vhat) + a.Eps))
-		}
+		val, grad := p.Value.Data[:len(m)], p.Grad.Data[:len(m)]
+		i := adamBlocks(val, grad, m, v, &c)
+		adamTail(val[i:], grad[i:], m[i:], v[i:], &c)
 		p.Touch()
+	}
+}
+
+// adamConsts are one step's scalars, in the order adamAVX2 loads them.
+type adamConsts struct {
+	beta1, oneMinusBeta1, beta2, oneMinusBeta2, c1, c2, lr, eps float64
+}
+
+// adamTail is the update of every element of m: the moments, the
+// bias-corrected step and the weight update, each operation rounded on
+// its own. The float64 conversions forbid fusing a product into the sum
+// that follows it, which the language allows and the arm64 compiler
+// does; on amd64 they change nothing.
+func adamTail(val, grad []float32, m, v []float64, c *adamConsts) {
+	val, grad, v = val[:len(m)], grad[:len(m)], v[:len(m)]
+	for i := range m {
+		g := float64(grad[i])
+		m[i] = float64(c.beta1*m[i]) + float64(c.oneMinusBeta1*g)
+		v[i] = float64(c.beta2*v[i]) + float64(float64(c.oneMinusBeta2*g)*g)
+		mhat := m[i] / c.c1
+		vhat := v[i] / c.c2
+		val[i] -= float32(c.lr * mhat / (math.Sqrt(vhat) + c.eps))
 	}
 }
 

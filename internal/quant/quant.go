@@ -169,8 +169,8 @@ func (o *Observer) ObserveRange(mn, mx float32) {
 	if m == 0 {
 		m = 0.9
 	}
-	o.min = m*o.min + (1-m)*mn
-	o.max = m*o.max + (1-m)*mx
+	o.min = float32(m*o.min) + float32((1-m)*mn)
+	o.max = float32(m*o.max) + float32((1-m)*mx)
 }
 
 // Seen reports whether any batch has been observed.

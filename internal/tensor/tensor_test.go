@@ -82,6 +82,36 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
+// TestAllFinite plants every non-finite class at every position of
+// every length 0-40 (the AVX2 blocks and the Go tail) among the finite
+// boundary values, and requires AllFinite to say what
+// math.IsNaN || math.IsInf says.
+func TestAllFinite(t *testing.T) {
+	finite := []float32{0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 1,
+		math.MaxFloat32, -math.MaxFloat32, math.Float32frombits(0x00800000)}
+	bad := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xffffffff)}
+	for n := 0; n <= 40; n++ {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = finite[i%len(finite)]
+		}
+		if !AllFinite(x) {
+			t.Fatalf("length %d: finite values reported non-finite", n)
+		}
+		for i := range x {
+			for _, b := range bad {
+				keep := x[i]
+				x[i] = b
+				if AllFinite(x) {
+					t.Fatalf("length %d: %#x at %d not found", n, math.Float32bits(b), i)
+				}
+				x[i] = keep
+			}
+		}
+	}
+}
+
 func TestReductions(t *testing.T) {
 	x := FromData([]float32{-5, 2, 3}, 3)
 	mn, mx := x.MinMax()

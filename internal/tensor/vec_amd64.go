@@ -49,3 +49,20 @@ func addBlocks(dst, src []float32) int {
 	addBlocksAVX2(&dst[0], &src[0], int64(n))
 	return n
 }
+
+// nonFiniteAVX2 reports whether any of x[0:n], n a positive multiple of
+// 8, has an exponent field of all ones (NaN or ±Inf).
+//
+//go:noescape
+func nonFiniteAVX2(x *float32, n int64) bool
+
+// finiteBlocks checks the leading whole 8-lane blocks of x and returns
+// how many elements it covered and whether all of them were finite;
+// AllFinite checks the tail.
+func finiteBlocks(x []float32) (int, bool) {
+	n := len(x) &^ 7
+	if !HasAVX2 || n == 0 {
+		return 0, true
+	}
+	return n, !nonFiniteAVX2(&x[0], int64(n))
+}

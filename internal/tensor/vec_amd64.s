@@ -19,6 +19,27 @@ add8:
 	VZEROUPPER
 	RET
 
+// func nonFiniteAVX2(x *float32, n int64) bool
+TEXT ·nonFiniteAVX2(SB), NOSPLIT, $0-17
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVL         $0x7f800000, AX
+	MOVQ         AX, X0
+	VPBROADCASTD X0, Y0         // the exponent field's mask, every lane
+	VPXOR        Y1, Y1, Y1     // lanes that met a NaN or an Inf
+
+exp8:
+	VPAND    (SI), Y0, Y2
+	VPCMPEQD Y0, Y2, Y2         // all ones where the exponent is all ones
+	VPOR     Y2, Y1, Y1
+	ADDQ     $32, SI
+	SUBQ     $8, CX
+	JNZ      exp8
+	VPTEST   Y1, Y1
+	SETNE    ret+16(FP)
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

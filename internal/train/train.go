@@ -386,10 +386,8 @@ func lossAnomaly(loss, lossSum float64, accepted int, factor float64) (bad, spik
 // gradsFinite scans every gradient for NaN/Inf.
 func gradsFinite(params []*nn.Param) bool {
 	for _, p := range params {
-		for _, g := range p.Grad.Data {
-			if math.IsNaN(float64(g)) || math.IsInf(float64(g), 0) {
-				return false
-			}
+		if !tensor.AllFinite(p.Grad.Data) {
+			return false
 		}
 	}
 	return true
