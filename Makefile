@@ -127,10 +127,10 @@ benchreport:
 benchsmoke:
 	cd bench && go test ./...
 
-# doccheck enforces doc comments on every exported identifier in the
-# public-facing internal packages (see scripts/doccheck).
+# doccheck enforces doc comments on every exported identifier of every
+# package under internal/, cmd/ and scripts/ (see scripts/doccheck).
 doccheck:
-	go run ./scripts/doccheck ./internal/serve ./internal/nn ./internal/obs ./internal/wire ./internal/wiretest ./internal/dist ./internal/fleet ./internal/gradient ./internal/train ./cmd/traind ./cmd/fleetd
+	go run ./scripts/doccheck $$(go list -f '{{.Dir}}' ./internal/... ./cmd/... ./scripts/...)
 
 # deadcheck fails on an exported identifier or method that no program
 # reaches: no reference from a non-test file of either module (bench/

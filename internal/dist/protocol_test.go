@@ -76,6 +76,30 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWorkerFramesRejectHugeCounts: a state frame claiming 2^32-1
+// vectors and a slice frame claiming 2^32-1 rows are refused; the
+// worker must not size anything from a count the payload cannot hold.
+func TestWorkerFramesRejectHugeCounts(t *testing.T) {
+	s := &workerSession{}
+	var state wire.Enc
+	state.Bytes(nil) // params blob
+	state.U32(math.MaxUint32)
+	if err := s.applyState(state.B); err == nil || s.stateReady {
+		t.Fatalf("state frame with 2^32-1 vectors: err %v, ready %v", err, s.stateReady)
+	}
+	var slice wire.Enc
+	slice.U64(1)              // step
+	slice.U32(0)              // attempt
+	slice.U32(0)              // slice
+	slice.U32(math.MaxUint32) // batch
+	slice.U32(0)              // part index
+	slice.U32(0)              // parts
+	slice.U32(math.MaxUint32) // rows
+	if err := s.handleSlice(slice.B); err == nil {
+		t.Fatal("slice frame with 2^32-1 rows accepted")
+	}
+}
+
 // TestApplyParamsLeavesNoStaleWeights is the dist row of
 // train.TestNoStaleWeightsAfterAnyWriter: a worker replica that has
 // already run holds weight-side state for its old weights; after a

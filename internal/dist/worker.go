@@ -205,7 +205,9 @@ func (s *workerSession) applyState(p []byte) error {
 	d := wire.Dec{B: p}
 	blob := d.Bytes()
 	nStates := int(d.U32())
-	vecs := make([][]float32, 0, nStates)
+	// nStates comes off the wire: grow vecs by append, never size it
+	// from the count.
+	var vecs [][]float32
 	for i := 0; i < nStates && !d.Failed(); i++ {
 		vecs = append(vecs, d.F32s())
 	}
@@ -266,6 +268,9 @@ func (s *workerSession) handleSlice(p []byte) error {
 	partIdx := int(d.U32())
 	parts := int(d.U32())
 	rows := int(d.U32())
+	// The labels are taken as one run before anything is sized from
+	// rows, so a row count the payload cannot hold fails here.
+	labels := wire.Dec{B: d.Raw(4 * rows)}
 	if d.Failed() || rows < 1 || batchN < rows {
 		return fmt.Errorf("dist: malformed slice header")
 	}
@@ -274,7 +279,7 @@ func (s *workerSession) handleSlice(p []byte) error {
 	}
 	s.labels = s.labels[:rows]
 	for i := range s.labels {
-		s.labels[i] = int(d.U32())
+		s.labels[i] = int(labels.U32())
 	}
 	s.x = tensor.Ensure(s.x, rows, 3, s.hw, s.hw)
 	if !d.F32sInto(s.x.Data) {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -41,16 +40,6 @@ type PredictResponse struct {
 	Worker int `json:"worker,omitempty"`
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 // Handler returns the router's HTTP API:
 //
 //	POST /v1/predict  route one prediction through the fleet
@@ -70,12 +59,12 @@ func (r *Router) Handler() http.Handler {
 
 func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var body PredictRequest
 	if err := serve.DecodePredictRequest(req.Body, &body); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	name := body.Model
@@ -88,18 +77,12 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	scores, meta, err := r.Predict(req.Context(), name, body.Image,
 		time.Duration(body.TimeoutMS)*time.Millisecond)
 	if err != nil {
-		writeJSON(w, httpStatusFor(err), errorResponse{err.Error()})
+		serve.WriteError(w, httpStatusFor(err), err.Error())
 		return
 	}
-	label := 0
-	for i, v := range scores {
-		if v > scores[label] {
-			label = i
-		}
-	}
-	writeJSON(w, http.StatusOK, PredictResponse{
+	serve.WriteJSON(w, http.StatusOK, PredictResponse{
 		Model:     name,
-		Label:     label,
+		Label:     serve.Argmax(scores),
 		Scores:    scores,
 		BatchSize: meta.BatchSize,
 		TotalMS:   float64(time.Since(start)) / float64(time.Millisecond),
@@ -135,7 +118,7 @@ func (r *Router) handleModels(w http.ResponseWriter, req *http.Request) {
 	out := struct {
 		Models []ModelInfo `json:"models"`
 	}{Models: r.Models()}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -179,5 +162,5 @@ func (r *Router) handleFleetz(w http.ResponseWriter, req *http.Request) {
 		CacheEntries: entries,
 		CacheBytes:   bytes,
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }

@@ -68,6 +68,17 @@ func TestRegisterWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsHugeCount: a register payload whose model count
+// the bytes cannot hold is refused; the router must not size anything
+// from the count.
+func TestRegisterRejectsHugeCount(t *testing.T) {
+	r := &Router{workers: map[int]*fworker{}, catalog: map[string]*modelEntry{}, ring: NewRing()}
+	w := &fworker{Peer: &wire.Peer{ID: 3}, member: "w3", models: map[string]bool{}}
+	if err := r.register(w, []byte{0xff, 0xff, 0xff, 0xff}); err == nil || len(r.catalog) != 0 {
+		t.Fatalf("register of a 2^32-1 model count: err %v, catalog %v", err, r.catalog)
+	}
+}
+
 // TestPredictWireRoundTrip: the router's predict encoding decodes to
 // the same request bit for bit, and trailing or missing bytes are
 // refused.

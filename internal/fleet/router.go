@@ -270,7 +270,8 @@ func (r *Router) register(w *fworker, payload []byte) error {
 		classes, imgLen  int
 		quantLo, quantHi float32
 	}
-	regs := make([]reg, 0, n)
+	// n comes off the wire: grow regs by append, never size it from n.
+	var regs []reg
 	for i := 0; i < n && !d.Failed(); i++ {
 		regs = append(regs, reg{
 			name: d.Str(), kind: d.Str(),

@@ -5,7 +5,7 @@
 // can be generated once (e.g. from a slow ALS run or an external
 // characterization) and shipped alongside a model.
 //
-// Format (little endian):
+// Format (little endian, in wire.Seal's magic/CRC envelope):
 //
 //	magic   [8]byte  "AMLUTv1\n" (products) or "AMGRDv1\n" (gradients)
 //	nameLen uint16, name bytes
@@ -17,20 +17,18 @@
 package lut
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"github.com/appmult/retrain/internal/bitutil"
 	"github.com/appmult/retrain/internal/gradient"
+	"github.com/appmult/retrain/internal/wire"
 )
 
-var (
-	productMagic  = [8]byte{'A', 'M', 'L', 'U', 'T', 'v', '1', '\n'}
-	gradientMagic = [8]byte{'A', 'M', 'G', 'R', 'D', 'v', '1', '\n'}
+const (
+	productMagic  = "AMLUTv1\n"
+	gradientMagic = "AMGRDv1\n"
 )
 
 const maxNameLen = 1 << 12
@@ -41,40 +39,26 @@ func WriteProduct(w io.Writer, name string, bits int, table []uint32) error {
 	if len(table) != bitutil.NumPairs(bits) {
 		return fmt.Errorf("lut: product table has %d entries, want %d", len(table), bitutil.NumPairs(bits))
 	}
-	if len(name) > maxNameLen {
-		return fmt.Errorf("lut: name too long (%d bytes)", len(name))
+	e, err := header(name, bits)
+	if err != nil {
+		return err
 	}
-	var buf bytes.Buffer
-	buf.Write(productMagic[:])
-	writeName(&buf, name)
-	buf.WriteByte(uint8(bits))
-	writeU32s(&buf, table)
-	return finish(w, &buf)
+	e.RawU32s(table)
+	_, err = w.Write(wire.Seal(productMagic, e.B))
+	return err
 }
 
 // ReadProduct deserializes a product LUT.
 func ReadProduct(r io.Reader) (name string, bits int, table []uint32, err error) {
-	body, err := verify(r, productMagic)
+	d, name, bits, err := open(r, productMagic)
 	if err != nil {
 		return "", 0, nil, err
 	}
-	name, body, err = readName(body)
-	if err != nil {
-		return "", 0, nil, err
+	table = d.RawU32s(bitutil.NumPairs(bits))
+	if err := d.Err(); err != nil {
+		return "", 0, nil, fmt.Errorf("lut: AMLUTv1 payload: %w", err)
 	}
-	if len(body) < 1 {
-		return "", 0, nil, fmt.Errorf("lut: truncated header")
-	}
-	bits = int(body[0])
-	body = body[1:]
-	if bits < 1 || bits > bitutil.MaxBits {
-		return "", 0, nil, fmt.Errorf("lut: invalid bit width %d", bits)
-	}
-	n := bitutil.NumPairs(bits)
-	if len(body) != 4*n {
-		return "", 0, nil, fmt.Errorf("lut: payload is %d bytes, want %d", len(body), 4*n)
-	}
-	return name, bits, readU32s(body, n), nil
+	return name, bits, table, nil
 }
 
 // WriteTables serializes a gradient-table pair.
@@ -84,132 +68,71 @@ func WriteTables(w io.Writer, t *gradient.Tables) error {
 	if len(t.DW) != n || len(t.DX) != n {
 		return fmt.Errorf("lut: gradient tables have %d/%d entries, want %d", len(t.DW), len(t.DX), n)
 	}
-	if len(t.Name) > maxNameLen {
-		return fmt.Errorf("lut: name too long (%d bytes)", len(t.Name))
-	}
 	if t.HWS < 0 || t.HWS > math.MaxUint16 {
 		return fmt.Errorf("lut: HWS %d out of range", t.HWS)
 	}
-	var buf bytes.Buffer
-	buf.Write(gradientMagic[:])
-	writeName(&buf, t.Name)
-	buf.WriteByte(uint8(t.Bits))
-	var h [2]byte
-	binary.LittleEndian.PutUint16(h[:], uint16(t.HWS))
-	buf.Write(h[:])
-	writeF32s(&buf, t.DW)
-	writeF32s(&buf, t.DX)
-	return finish(w, &buf)
+	e, err := header(t.Name, t.Bits)
+	if err != nil {
+		return err
+	}
+	e.U16(uint16(t.HWS))
+	e.RawF32s(t.DW)
+	e.RawF32s(t.DX)
+	_, err = w.Write(wire.Seal(gradientMagic, e.B))
+	return err
 }
 
 // ReadTables deserializes a gradient-table pair.
 func ReadTables(r io.Reader) (*gradient.Tables, error) {
-	body, err := verify(r, gradientMagic)
+	d, name, bits, err := open(r, gradientMagic)
 	if err != nil {
 		return nil, err
 	}
-	name, body, err := readName(body)
-	if err != nil {
-		return nil, err
+	t := &gradient.Tables{Name: name, Bits: bits, HWS: int(d.U16())}
+	t.DW = d.RawF32s(bitutil.NumPairs(bits))
+	t.DX = d.RawF32s(bitutil.NumPairs(bits))
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("lut: AMGRDv1 payload: %w", err)
 	}
-	if len(body) < 3 {
-		return nil, fmt.Errorf("lut: truncated header")
-	}
-	bits := int(body[0])
-	hws := int(binary.LittleEndian.Uint16(body[1:3]))
-	body = body[3:]
-	if bits < 1 || bits > bitutil.MaxBits {
-		return nil, fmt.Errorf("lut: invalid bit width %d", bits)
-	}
-	n := bitutil.NumPairs(bits)
-	if len(body) != 8*n {
-		return nil, fmt.Errorf("lut: payload is %d bytes, want %d", len(body), 8*n)
-	}
-	return &gradient.Tables{
-		Name: name, Bits: bits, HWS: hws,
-		DW: readF32s(body, n), DX: readF32s(body[4*n:], n),
-	}, nil
+	return t, nil
 }
 
-// writeU32s bulk-encodes a uint32 slice as one little-endian byte run
-// (a single Write per table instead of one per entry).
-func writeU32s(buf *bytes.Buffer, vals []uint32) {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], v)
+// header starts a record body with the fields both formats share: the
+// name and the operand width.
+func header(name string, bits int) (*wire.Enc, error) {
+	if len(name) > maxNameLen {
+		return nil, fmt.Errorf("lut: name too long (%d bytes)", len(name))
 	}
-	buf.Write(b)
+	e := &wire.Enc{}
+	e.U16(uint16(len(name)))
+	e.B = append(e.B, name...)
+	e.U8(uint8(bits))
+	return e, nil
 }
 
-func writeF32s(buf *bytes.Buffer, vals []float32) {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-	}
-	buf.Write(b)
-}
-
-// readU32s bulk-decodes n little-endian uint32 values from body.
-func readU32s(body []byte, n int) []uint32 {
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(body[4*i:])
-	}
-	return out
-}
-
-func readF32s(body []byte, n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
-	}
-	return out
-}
-
-func writeName(buf *bytes.Buffer, name string) {
-	var l [2]byte
-	binary.LittleEndian.PutUint16(l[:], uint16(len(name)))
-	buf.Write(l[:])
-	buf.WriteString(name)
-}
-
-func readName(body []byte) (string, []byte, error) {
-	if len(body) < 2 {
-		return "", nil, fmt.Errorf("lut: truncated name length")
-	}
-	l := int(binary.LittleEndian.Uint16(body))
-	body = body[2:]
-	if l > maxNameLen || len(body) < l {
-		return "", nil, fmt.Errorf("lut: truncated name (%d bytes claimed)", l)
-	}
-	return string(body[:l]), body[l:], nil
-}
-
-// finish appends the checksum and writes the record out.
-func finish(w io.Writer, buf *bytes.Buffer) error {
-	var c [4]byte
-	binary.LittleEndian.PutUint32(c[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(c[:])
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// verify reads a whole record, checks magic and CRC, and returns the
-// body between them.
-func verify(r io.Reader, magic [8]byte) ([]byte, error) {
+// open reads a whole record, checks its envelope and the shared header,
+// and returns a decoder over the rest.
+func open(r io.Reader, magic string) (d *wire.Dec, name string, bits int, err error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("lut: %w", err)
+		return nil, "", 0, fmt.Errorf("lut: %w", err)
 	}
-	if len(raw) < len(magic)+4 {
-		return nil, fmt.Errorf("lut: record too short (%d bytes)", len(raw))
+	body, err := wire.Open(raw, magic)
+	if err != nil {
+		return nil, "", 0, fmt.Errorf("lut: %w", err)
 	}
-	if !bytes.Equal(raw[:8], magic[:]) {
-		return nil, fmt.Errorf("lut: bad magic %q", raw[:8])
+	d = &wire.Dec{B: body}
+	l := int(d.U16())
+	if l > maxNameLen {
+		return nil, "", 0, fmt.Errorf("lut: name length %d exceeds the limit %d", l, maxNameLen)
 	}
-	payload, sum := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sum) {
-		return nil, fmt.Errorf("lut: checksum mismatch")
+	name = string(d.Raw(l))
+	bits = int(d.U8())
+	if d.Failed() {
+		return nil, "", 0, fmt.Errorf("lut: truncated header")
 	}
-	return payload[8:], nil
+	if bits < 1 || bits > bitutil.MaxBits {
+		return nil, "", 0, fmt.Errorf("lut: invalid bit width %d", bits)
+	}
+	return d, name, bits, nil
 }

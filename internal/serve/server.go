@@ -109,24 +109,44 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as a JSON body. The fleet
+// router's HTTP API answers through it and WriteError too, so both
+// tiers speak the same wire shapes.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
+// WriteError answers with status and the {"error": msg} body.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorResponse{msg})
+}
+
+// Argmax returns the predicted label of a score vector: the index of
+// its largest score, the first one on a tie.
+func Argmax(scores []float32) int {
+	label := 0
+	for i, v := range scores {
+		if v > scores[label] {
+			label = i
+		}
+	}
+	return label
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{ErrDraining.Error()})
+		WriteError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		return
 	}
 	var req PredictRequest
 	if err := DecodePredictRequest(r.Body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"bad request: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	name := req.Model
@@ -135,12 +155,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	m, ok := s.models[name]
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{fmt.Sprintf("unknown model %q", name)})
+		WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q", name))
 		return
 	}
 	if len(req.Image) != m.ImageLen() {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{fmt.Sprintf("image has %d values, model %q wants %d", len(req.Image), name, m.ImageLen())})
+		WriteError(w, http.StatusBadRequest,
+			fmt.Sprintf("image has %d values, model %q wants %d", len(req.Image), name, m.ImageLen()))
 		return
 	}
 	var deadline time.Time
@@ -151,18 +171,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	res := m.Batcher().Do(r.Context(), req.Image, deadline)
 	if res.Err != nil {
-		writeJSON(w, statusFor(res.Err), errorResponse{res.Err.Error()})
+		WriteError(w, statusFor(res.Err), res.Err.Error())
 		return
 	}
-	label := 0
-	for i, v := range res.Scores {
-		if v > res.Scores[label] {
-			label = i
-		}
-	}
-	writeJSON(w, http.StatusOK, PredictResponse{
+	WriteJSON(w, http.StatusOK, PredictResponse{
 		Model:     name,
-		Label:     label,
+		Label:     Argmax(res.Scores),
 		Scores:    res.Scores,
 		BatchSize: res.BatchSize,
 		QueueMS:   float64(res.Queued) / float64(time.Millisecond),
@@ -198,7 +212,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		m := s.models[name]
 		out.Models = append(out.Models, modelInfo{Spec: m.Spec(), ImageLen: m.ImageLen()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -221,5 +235,5 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	for name, m := range s.models {
 		out.Models[name] = m.Metrics().Snapshot()
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

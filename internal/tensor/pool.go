@@ -37,6 +37,9 @@ import (
 // invokes the runner directly and the pooled path recycles its job
 // header, so the dispatch allocates nothing.
 type RangeRunner interface {
+	// RunRange processes items [lo, hi). The pool may call it from
+	// several goroutines at once, on disjoint ranges that together
+	// cover the job.
 	RunRange(lo, hi int)
 }
 

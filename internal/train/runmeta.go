@@ -3,7 +3,6 @@ package train
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 )
 
 // RunMeta is the TRCKPv1-adjacent run-metadata sidecar: a small JSON
@@ -30,7 +29,7 @@ type RunMeta struct {
 func MetaPath(ckptPath string) string { return ckptPath + ".meta.json" }
 
 // writeRunMeta atomically writes the run-metadata sidecar for a run's
-// Config (temp file + rename, like SaveCheckpoint).
+// Config, with the checkpoint's own writeFileAtomic.
 func writeRunMeta(cfg Config) error {
 	est := cfg.Estimator
 	if est == "" {
@@ -48,21 +47,7 @@ func writeRunMeta(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	path := MetaPath(cfg.CkptPath)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".meta-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(blob, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(MetaPath(cfg.CkptPath), append(blob, '\n'))
 }
 
 // readRunMeta loads the run-metadata sidecar of a checkpoint path.

@@ -74,7 +74,8 @@ func FuzzRecv(f *testing.F) {
 // FuzzDec drives every Dec accessor over arbitrary payloads, in an
 // order the input itself chooses. No accessor may panic or slice out of
 // range, a failure must be sticky, and nothing may be returned from
-// beyond the payload.
+// beyond the payload. An op byte picks the accessor (op % 15); for
+// F32sInto and the Raw accessors, op / 15 is the length asked for.
 func FuzzDec(f *testing.F) {
 	var e Enc
 	e.U8(7)
@@ -82,17 +83,24 @@ func FuzzDec(f *testing.F) {
 	e.Str("spec")
 	e.F64s([]float64{4})
 	e.Bytes([]byte{9, 8})
-	f.Add([]byte{0, 5, 7, 6, 8}, e.B)
-	f.Add([]byte{5, 5, 5}, []byte{0xff, 0xff, 0xff, 0xff})    // oversized counts
-	f.Add([]byte{7, 1, 2}, []byte{3, 0, 0, 0, 'a', 'b'})      // truncated string
-	f.Add([]byte{0, 0, 0}, []byte{1, 2})                      // runs dry, then trailing check
-	f.Add([]byte{9, 3, 4}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 0}) // F32sInto length mismatch
+	e.U16(300)
+	e.RawF32s([]float32{5, 6})
+	f.Add([]byte{0, 5, 7, 6, 8, 10, 2*15 + 13}, e.B)
+	f.Add([]byte{5, 5, 5}, []byte{0xff, 0xff, 0xff, 0xff})         // oversized counts
+	f.Add([]byte{7, 1, 2}, []byte{3, 0, 0, 0, 'a', 'b'})           // truncated string
+	f.Add([]byte{0, 0, 0}, []byte{1, 2})                           // runs dry, then trailing check
+	f.Add([]byte{15 + 9, 3, 4}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 0}) // F32sInto length mismatch
+	f.Add([]byte{10, 3*15 + 11, 15 + 12, 14}, []byte{1, 0, 'a', 'b', 'c', 1, 0, 0, 0})
+	f.Add([]byte{16*15 + 14}, make([]byte, 8*15)) // a Raw length past the payload
 	f.Fuzz(func(t *testing.T, ops, payload []byte) {
 		d := Dec{B: payload}
 		for _, op := range ops {
 			failedBefore, offBefore := d.Failed(), d.off
-			got := 0 // bytes the accessor claims to have decoded
-			switch op % 10 {
+			n := int(op) / 15
+			got := 0    // bytes the accessor claims to have decoded
+			prefix := 0 // bytes of a count prefix inside got
+			bulk := op%15 >= 5 && op%15 != 9 && op%15 != 10
+			switch op % 15 {
 			case 0:
 				d.U8()
 				got = 1
@@ -109,28 +117,39 @@ func FuzzDec(f *testing.F) {
 				d.F64()
 				got = 8
 			case 5:
-				got = 4 + 4*len(d.F32s())
+				got, prefix = 4+4*len(d.F32s()), 4
 			case 6:
-				got = 4 + 8*len(d.F64s())
+				got, prefix = 4+8*len(d.F64s()), 4
 			case 7:
-				got = 4 + len(d.Str())
+				got, prefix = 4+len(d.Str()), 4
 			case 8:
-				got = 4 + len(d.Bytes())
+				got, prefix = 4+len(d.Bytes()), 4
 			case 9:
-				dst := make([]float32, int(op)/10)
+				dst := make([]float32, n)
 				if d.F32sInto(dst) {
 					got = 4 + 4*len(dst)
 				}
+			case 10:
+				d.U16()
+				got = 2
+			case 11:
+				got = len(d.Raw(n))
+			case 12:
+				got = 4 * len(d.RawU32s(n))
+			case 13:
+				got = 4 * len(d.RawF32s(n))
+			case 14:
+				got = 8 * len(d.RawF64s(n))
 			}
 			switch {
 			case d.off > len(payload):
-				t.Fatalf("op %d: offset %d past the %d-byte payload", op%10, d.off, len(payload))
+				t.Fatalf("op %d: offset %d past the %d-byte payload", op%15, d.off, len(payload))
 			case failedBefore && (!d.Failed() || d.off != offBefore):
-				t.Fatalf("op %d: failure was not sticky", op%10)
-			case d.Failed() && op%10 >= 5 && op%10 <= 8 && got != 4:
-				t.Fatalf("op %d: failed yet returned %d bytes of data", op%10, got-4)
+				t.Fatalf("op %d: failure was not sticky", op%15)
+			case d.Failed() && bulk && got != prefix:
+				t.Fatalf("op %d: failed yet returned %d bytes of data", op%15, got-prefix)
 			case !d.Failed() && d.off-offBefore != got:
-				t.Fatalf("op %d: consumed %d bytes but decoded %d", op%10, d.off-offBefore, got)
+				t.Fatalf("op %d: consumed %d bytes but decoded %d", op%15, d.off-offBefore, got)
 			}
 		}
 		if err := d.Err(); (err == nil) != (!d.Failed() && d.off == len(payload)) {
