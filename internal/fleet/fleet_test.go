@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -313,6 +315,43 @@ func TestFleetHTTPHandler(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
 			t.Errorf("%s status %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// spaceReader yields n spaces, counting those read.
+type spaceReader struct{ n, read int64 }
+
+func (c *spaceReader) Read(p []byte) (int, error) {
+	if c.n == 0 {
+		return 0, io.EOF
+	}
+	k := int(min(int64(len(p)), c.n))
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	c.n -= int64(k)
+	c.read += int64(k)
+	return k, nil
+}
+
+// TestFleetHTTPBodyCap: the router refuses a body one byte over
+// serve.DecodePredictRequest's 8 MiB cap with 413, reading no further.
+func TestFleetHTTPBodyCap(t *testing.T) {
+	const maxBody = 8 << 20
+	r := startRouter(t, RouterConfig{})
+	for _, c := range []struct {
+		n    int64
+		want int
+	}{{maxBody, http.StatusBadRequest}, {maxBody + 1, http.StatusRequestEntityTooLarge}, {maxBody + 1<<20, http.StatusRequestEntityTooLarge}} {
+		body := &spaceReader{n: c.n}
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", body))
+		if rec.Code != c.want {
+			t.Errorf("body of %d bytes: %d %s, want %d", c.n, rec.Code, rec.Body, c.want)
+		}
+		if body.read > maxBody+1 {
+			t.Errorf("body of %d bytes: read %d, want at most %d", c.n, body.read, maxBody+1)
 		}
 	}
 }

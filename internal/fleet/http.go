@@ -64,7 +64,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 	}
 	var body PredictRequest
 	if err := serve.DecodePredictRequest(req.Body, &body); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
+		serve.WriteError(w, serve.DecodeStatus(err), "bad request: "+err.Error())
 		return
 	}
 	name := body.Model

@@ -702,14 +702,15 @@ func (r *Router) observeLatency(model string, start time.Time, plain bool) {
 // slow.
 func (r *Router) hedgeDelay(model string) time.Duration {
 	r.latMu.Lock()
-	var q []float64
-	if w, ok := r.lat[model]; ok {
-		q = w.Quantiles(hedgeQuantile)
+	var q float64
+	var ok bool
+	if w, found := r.lat[model]; found {
+		q, ok = w.Quantile(hedgeQuantile)
 	}
 	r.latMu.Unlock()
 	d := r.cfg.HedgeMin
-	if q != nil {
-		if hd := time.Duration(r.cfg.HedgeFactor * q[0] * float64(time.Millisecond)); hd > d {
+	if ok {
+		if hd := time.Duration(r.cfg.HedgeFactor * q * float64(time.Millisecond)); hd > d {
 			d = hd
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -92,10 +93,26 @@ func clientBodies() [][]byte {
 // cmd/loadgen and bench/httpload.go produce must decode on the fast
 // path — a silent fallback would keep every result and lose the speed,
 // and no other test would notice.
+//
+// Every number in them must also convert on the exact path, not through
+// strconv, except the few edges outside its range (|e| ≤ 22), which must
+// not: a value that quietly took the fallback would cost speed only.
 func TestDecodeClientBodiesTakeFastPath(t *testing.T) {
+	fallback := map[string]bool{"3.4028235e+38": true, "-3.4028235e+38": true,
+		"1e-45": true, "-1e-45": true, "-2.5e-38": true}
 	for _, body := range clientBodies() {
 		if !checkSameAsJSON(t, body) {
 			t.Errorf("client body fell back to encoding/json: %.120q", body)
+		}
+		var tokens struct{ Image []json.Number }
+		if err := json.Unmarshal(body, &tokens); err != nil {
+			t.Fatal(err)
+		}
+		for _, tok := range tokens.Image {
+			m, e, neg, end := scanNumber([]byte(tok), 0)
+			if _, exact := exact32(m, e, neg); end != len(tok) || exact == fallback[string(tok)] {
+				t.Errorf("client value %s: scanned to %d of %d, exact path %v", tok, end, len(tok), exact)
+			}
 		}
 	}
 }
@@ -226,5 +243,163 @@ func BenchmarkDecodePredictRequest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// checkParseFloat32 fails unless parseFloat32(b, 0) returns end, and,
+// for a token, strconv.ParseFloat(tok, 32)'s bits and error. It reports
+// whether exact32 accepted the token's scanned value.
+func checkParseFloat32(t testing.TB, b []byte, end int) (exact bool) {
+	t.Helper()
+	f, gotEnd, err := parseFloat32(b, 0)
+	if gotEnd != end {
+		t.Fatalf("%q: end %d, want %d", b, gotEnd, end)
+	}
+	if end < 0 {
+		return false
+	}
+	tok := string(b[:end])
+	want, wantErr := strconv.ParseFloat(tok, 32)
+	if math.Float32bits(f) != math.Float32bits(float32(want)) ||
+		(err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%q: (%v %#x, %v), strconv (%v %#x, %v)", tok,
+			f, math.Float32bits(f), err, want, math.Float32bits(float32(want)), wantErr)
+	}
+	m, e, neg, _ := scanNumber(b, 0)
+	_, exact = exact32(m, e, neg)
+	return exact
+}
+
+// parseFloat32Edges are number tokens at the exact path's edges, with
+// whether exact32 takes them: float32 midpoints it must refuse, zeros,
+// subnormals and the normal boundary, the top of the range, mantissas
+// at and past 2^53 and 19 digits, and exponents at and past ±22.
+var parseFloat32Edges = []struct {
+	tok   string
+	exact bool
+}{
+	{"16777217", false}, {"-16777217", false}, {"16777219", false}, {"1.6777217e7", false},
+	{"33554434", false}, {"16777216", true}, {"16777218", true}, {"0.5000000298023224", false},
+	{"0", true}, {"-0", true}, {"-0.0", true}, {"0." + strings.Repeat("0", 40), true},
+	{"0e99999", true}, {"-0E-7", true},
+	{"1e-45", false}, {"7e-46", false}, {"1.1754942e-38", false}, {"1.1754944e-38", false},
+	{"3.4028235e38", false}, {"3.4028236e38", false}, {"3.5e38", false}, {"-3.5e38", false},
+	{"1234567890123456789", false}, {"12345678901234567890", false},
+	{"0.1234567890123456789", false}, {"-1.2345678901234567890e-3", false},
+	{"9007199254740991", true}, {"9007199254740992", false}, {"9007199254740993", false},
+	{"90071992547409930e-1", false},
+	{"1e22", true}, {"-1e-22", true}, {"9007199254740991e22", true}, {"9007199254740991e-22", true},
+	{"1e23", false}, {"1e-23", false}, {"1e10000", false}, {"-1e-10000", false},
+	{"0.1", true}, {"-2.5e-3", true}, {"1E+2", true}, {"123456.7e-2", true}, {"0.000001", true},
+}
+
+// parseFloat32Grammar are inputs whose end index parseFloat32 must
+// report: the longest JSON number token at the start, or -1.
+var parseFloat32Grammar = []struct {
+	s   string
+	end int
+}{
+	{"", -1}, {"-", -1}, {"+1", -1}, {".5", -1}, {"1.", -1}, {"1.e3", -1}, {"1e", -1},
+	{"1e+", -1}, {"-e1", -1}, {"x", -1}, {" 1", -1},
+	{"01", 1}, {"-01", 2}, {"1.5,2", 3}, {"2]", 1}, {"1e5e5", 3}, {"0x10", 1}, {"1 ", 1},
+}
+
+func TestParseFloat32Edges(t *testing.T) {
+	for _, c := range parseFloat32Edges {
+		if exact := checkParseFloat32(t, []byte(c.tok), len(c.tok)); exact != c.exact {
+			t.Errorf("%s: exact path %v, want %v", c.tok, exact, c.exact)
+		}
+	}
+	for _, c := range parseFloat32Grammar {
+		checkParseFloat32(t, []byte(c.s), c.end)
+	}
+}
+
+// TestParseFloat32Sweep converts the shortest and the %e form of every
+// 512th float32 bit pattern (every 32768th under -short), NaN and ±Inf
+// excepted, and compares each with strconv.ParseFloat(tok, 32).
+func TestParseFloat32Sweep(t *testing.T) {
+	step := uint64(512)
+	if testing.Short() {
+		step <<= 6
+	}
+	var buf []byte
+	for u := uint64(0); u < 1<<32; u += step {
+		v := float64(math.Float32frombits(uint32(u)))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		buf = strconv.AppendFloat(buf[:0], v, 'g', -1, 32)
+		checkParseFloat32(t, buf, len(buf))
+		buf = strconv.AppendFloat(buf[:0], v, 'e', 6, 32)
+		checkParseFloat32(t, buf, len(buf))
+	}
+}
+
+// FuzzParseFloat32: parseFloat32 stops where the longest JSON number
+// token at the start of the input ends — encoding/json must accept
+// exactly that prefix as a number, and the whole input when it is one —
+// and returns strconv.ParseFloat(tok, 32)'s bits and error for it.
+func FuzzParseFloat32(f *testing.F) {
+	for _, c := range parseFloat32Edges {
+		f.Add(c.tok)
+	}
+	for _, c := range parseFloat32Grammar {
+		f.Add(c.s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b := []byte(s)
+		_, end, _ := parseFloat32(b, 0)
+		if isNumberToken(b) && end != len(b) {
+			t.Fatalf("%q is a JSON number, scanned to %d", s, end)
+		}
+		if end >= 0 && !isNumberToken(b[:end]) {
+			t.Fatalf("%q: scanned prefix %q is not a JSON number", s, b[:end])
+		}
+		checkParseFloat32(t, b, end)
+	})
+}
+
+// isNumberToken reports whether encoding/json reads b, without
+// surrounding whitespace, as one number.
+func isNumberToken(b []byte) bool {
+	return json.Valid(b) && (b[0] == '-' || '0' <= b[0] && b[0] <= '9') && '0' <= b[len(b)-1] && b[len(b)-1] <= '9'
+}
+
+// countingReader yields n bytes of JSON whitespace, counting those read.
+type countingReader struct{ n, read int64 }
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	if c.n == 0 {
+		return 0, io.EOF
+	}
+	k := int(min(int64(len(p)), c.n))
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	c.n -= int64(k)
+	c.read += int64(k)
+	return k, nil
+}
+
+// TestDecodeBodyCap: a body of maxBody bytes decodes as encoding/json
+// decodes it; one byte more is refused with ErrBodyTooLarge, and the
+// decoder reads no further than that byte.
+func TestDecodeBodyCap(t *testing.T) {
+	obj := `{"image":[1]}`
+	var req PredictRequest
+	r := io.MultiReader(strings.NewReader(obj), &countingReader{n: maxBody - int64(len(obj))})
+	if err := DecodePredictRequest(r, &req); err != nil || len(req.Image) != 1 {
+		t.Fatalf("body of maxBody bytes: %+v, %v", req, err)
+	}
+	for _, extra := range []int64{1, 1 << 20} {
+		c := &countingReader{n: maxBody + extra}
+		req = PredictRequest{Model: "stale"}
+		if err := DecodePredictRequest(c, &req); err != ErrBodyTooLarge || req.Model != "" {
+			t.Errorf("body of maxBody+%d bytes: %+v, %v, want ErrBodyTooLarge", extra, req, err)
+		}
+		if c.read > maxBody+1 {
+			t.Errorf("body of maxBody+%d bytes: read %d, want at most maxBody+1", extra, c.read)
+		}
 	}
 }

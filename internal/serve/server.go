@@ -146,7 +146,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	var req PredictRequest
 	if err := DecodePredictRequest(r.Body, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad request: "+err.Error())
+		WriteError(w, DecodeStatus(err), "bad request: "+err.Error())
 		return
 	}
 	name := req.Model

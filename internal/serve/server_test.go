@@ -187,6 +187,21 @@ func TestHTTPPredict(t *testing.T) {
 	}
 }
 
+// TestHTTPPredictBodyCap: a body one byte over the decoder's cap gets
+// 413 without being read past that byte.
+func TestHTTPPredictBodyCap(t *testing.T) {
+	s, _, _ := newTestServer(t)
+	body := &countingReader{n: maxBody + 1<<20}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: %d %s, want 413", rec.Code, rec.Body)
+	}
+	if body.read > maxBody+1 {
+		t.Errorf("oversized body: read %d bytes, want at most %d", body.read, maxBody+1)
+	}
+}
+
 func TestHTTPIntrospection(t *testing.T) {
 	_, ts, m := newTestServer(t)
 
