@@ -53,12 +53,11 @@ func TestModelStepSteadyStateAllocs(t *testing.T) {
 			_, grad := nn.SoftmaxCrossEntropy(m.Forward(x, true), labels)
 			m.Backward(grad)
 		}
-		// A collection now, none until the measurement is over: the
-		// kernels' tile pool is refilled by the warm-up steps and not
-		// emptied again. The least of three windows counts: a worker that
-		// finds no tile on its P allocates one (sync.Pool cannot take a
-		// tile parked in another P's private slot) — a one-off of 5-25 kB,
-		// not a per-step cost.
+		// A collection now, none until the measurement is over. The
+		// least of three windows counts, so a one-off allocation outside
+		// the model does not read as a per-step cost. (The kernels'
+		// forward tiles no longer cause one: forwardT sizes every tile a
+		// GEMM can run on before its row blocks start.)
 		runtime.GC()
 		step()
 		step()

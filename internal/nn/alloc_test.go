@@ -3,6 +3,7 @@ package nn
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -65,6 +66,33 @@ func TestApproxConvStepNoSteadyStateAllocs(t *testing.T) {
 				t.Fatal("no job was dispatched to the worker pool; the 0-alloc claim covered only the inline path")
 			}
 		})
+	}
+}
+
+// TestForwardTilesSurviveCollections: the forward tiles a GEMM runs on
+// are held from one step to the next whatever the collector does, so no
+// steady-state Forward creates or grows one — not after two collections
+// (over which a sync.Pool drops its items), and not on the pooled path,
+// where a second participant needs a tile of its own. Every tile
+// allocation goes through grow, so the scratch gauge would show it.
+func TestForwardTilesSurviveCollections(t *testing.T) {
+	e, _ := appmult.Lookup("mul7u_rm6")
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct{ n, hw int }{{4, 16}, {1, 4}} { // arith row; skinny row (16 rows)
+		layer := NewApproxConv2D("tiles", 16, 32, 3, 1, 1, STEOp(e.Mult), rng)
+		x := tensor.New(c.n, 16, c.hw, c.hw)
+		x.RandNormal(rng, 1)
+		layer.Forward(x, true)
+		layer.Forward(x, true)
+		before := scratchBytes.Load()
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+			runtime.GC()
+			layer.Forward(x, true)
+		}
+		if grown := scratchBytes.Load() - before; grown != 0 {
+			t.Errorf("%dx%d: steady-state Forward after collections grew scratch by %d bytes, want 0", c.hw, c.hw, grown)
+		}
 	}
 }
 

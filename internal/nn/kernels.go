@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
@@ -64,6 +65,9 @@ type KernelScratch struct {
 	zw  []int64
 	ss  []float32
 	kzz []int64
+	// tiles are the forward tiles forwardT holds while its row blocks
+	// run, one per goroutine that can run a block at once (see fwdTiles).
+	tiles []*fwdTile
 	// Backward: per-channel scales.
 	swc []float32
 	zwc []float32
@@ -119,11 +123,11 @@ func grow[T any](s []T, n int) []T {
 }
 
 // fwdTile holds one worker's private forward state: the (nK x nR)
-// operand tile, its per-row level sums, and the accumulators. Tiles are
-// pooled so concurrent row blocks never share accumulators and
-// steady-state steps still allocate nothing. cx and accT belong to the
-// skinny row (kernels_arith.go): the tile's per-row coefficient stream
-// and the (nR x outC) accumulator its channel lanes store to.
+// operand tile, its per-row level sums, and the accumulators, so
+// concurrent row blocks never share accumulators. cx and accT belong to
+// the skinny row (kernels_arith.go): the tile's per-row coefficient
+// stream and the (nR x outC) accumulator its channel lanes store to.
+// busy is set while a row block runs on the tile.
 type fwdTile struct {
 	xt    []uint8
 	sumX  []int64
@@ -131,9 +135,59 @@ type fwdTile struct {
 	acc64 []int64
 	cx    []uint8
 	accT  []int32
+	busy  atomic.Bool
 }
 
-var fwdTilePool = sync.Pool{New: func() any { return new(fwdTile) }}
+// fwdTiles holds the forward tiles no GEMM is running on. forwardT
+// takes one per goroutine that can run its row blocks at once
+// (tensor.Participants) and sizes each for the GEMM before the job
+// starts, so how many tiles a process creates and how large they grow
+// follows from the shapes it runs, not from which core ran which block
+// when: steady-state steps allocate nothing, and a step allocates the
+// same bytes on every run. The tiles stay for the process.
+var fwdTiles struct {
+	sync.Mutex
+	free []*fwdTile
+}
+
+// holdTiles moves n tiles from fwdTiles into t.s.tiles, creating any the
+// free list lacks, and sizes each for every row block of t: at most
+// fwdRowTile rows, at most fwdKTile k-steps.
+func (t *fwdTileRun) holdTiles(n int) {
+	s := t.s
+	fwdTiles.Lock()
+	rest := max(len(fwdTiles.free)-n, 0)
+	s.tiles = append(s.tiles, fwdTiles.free[rest:]...)
+	clear(fwdTiles.free[rest:])
+	fwdTiles.free = fwdTiles.free[:rest]
+	fwdTiles.Unlock()
+	for len(s.tiles) < n {
+		s.tiles = append(s.tiles, new(fwdTile))
+	}
+	nR, nK := min(t.rows, fwdRowTile), min(t.k, fwdKTile)
+	for _, tl := range s.tiles {
+		tl.xt = grow(tl.xt, fwdKTile*nR)
+		tl.sumX = grow(tl.sumX, nR)
+		if t.use32 {
+			tl.acc32 = grow(tl.acc32, t.outC*nR)
+		} else {
+			tl.acc64 = grow(tl.acc64, t.outC*nR)
+		}
+		if t.tier.fit != nil {
+			t.tier.fit(t, tl, nR, nK)
+		}
+	}
+}
+
+// releaseTiles returns s.tiles to fwdTiles in the order holdTiles took
+// them.
+func (s *KernelScratch) releaseTiles() {
+	fwdTiles.Lock()
+	fwdTiles.free = append(fwdTiles.free, s.tiles...)
+	fwdTiles.Unlock()
+	clear(s.tiles)
+	s.tiles = s.tiles[:0]
+}
 
 // ForwardGEMM is the blocked counterpart of ForwardGEMMRef, writing
 // the (rows x outC) result into dst: the row-major adapter around
@@ -181,9 +235,11 @@ func (op *Op) forwardT(s *KernelScratch, y []float32, xT []uint8, w *weightSide,
 	if tier.setup != nil {
 		tier.setup(&s.fwdRun)
 	}
+	s.fwdRun.holdTiles(tensor.Participants(rows, fwdRowTile))
 	// Tiles restart at every share's first row, which no result depends
 	// on: each row's sum and epilogue are its own.
 	tensor.ParallelImagesOn(rows, hw, fwdRowTile, &s.fwdRun)
+	s.releaseTiles()
 }
 
 // loadTile copies the (nK x nR) operand tile at k offset kb, row offset

@@ -93,6 +93,18 @@ func arithSkinnySetup(t *fwdTileRun) {
 	}
 }
 
+// arithSkinnyFit sizes the skinny row's tile buffers for an (nK x nR)
+// operand tile: the (nR x outC) lane accumulator accT and the
+// coefficient stream cx, one row's pair stream or all nR rows' levels.
+func arithSkinnyFit(t *fwdTileRun, tl *fwdTile, nR, nK int) {
+	tl.accT = grow(tl.accT, nR*t.outC)
+	if af := t.op.arith; af.pairOKT {
+		tl.cx = grow(tl.cx, (nK+1)/2*af.nT*2+skinnyStreamSlack)
+	} else {
+		tl.cx = grow(tl.cx, nR*nK)
+	}
+}
+
 // arithSkinnyAccumTile adds one (nK x nR) operand tile into tl.acc32
 // with the kernels' lanes on output channels. Per row the kernels
 // accumulate into tl.accT (nR x outC), which is then added, transposed,
@@ -103,12 +115,11 @@ func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	af, outC, xt := t.op.arith, t.outC, tl.xt
 	nT := af.nT
 	wT := t.w.wqT[kb*outC:]
-	tl.accT = grow(tl.accT, nR*outC)
+	arithSkinnyFit(t, tl, nR, nK)
 	accT := tl.accT
 	clear(accT)
 	if af.pairOKT {
 		nKp := (nK + 1) / 2
-		tl.cx = grow(tl.cx, nKp*nT*2+skinnyStreamSlack)
 		for r := 0; r < nR; r++ {
 			skinnyPairStream(tl.cx, xt, af.xmQuad, r, nR, nK, nT)
 			gemmArithPairAVX2(&accT[r*outC], &wT[0], &tl.cx[0], &af.wmPair[0],
@@ -117,7 +128,6 @@ func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	} else {
 		// The word kernel looks its coefficients up by level: hand it the
 		// row's nK levels, contiguous.
-		tl.cx = grow(tl.cx, nR*nK)
 		for r := 0; r < nR; r++ {
 			xr := tl.cx[r*nK : (r+1)*nK]
 			for i := range xr {

@@ -84,7 +84,7 @@ type fwdTileRun struct {
 }
 
 func (t *fwdTileRun) RunRange(lo, hi int) {
-	tl := fwdTilePool.Get().(*fwdTile)
+	tl := t.claimTile()
 	nR := hi - lo
 	tl.xt = grow(tl.xt, fwdKTile*nR)
 	tl.sumX = grow(tl.sumX, nR)
@@ -106,7 +106,19 @@ func (t *fwdTileRun) RunRange(lo, hi int) {
 	} else {
 		fwdEpilogue(t, tl.acc64, tl.sumX, lo, nR, t.kComp)
 	}
-	fwdTilePool.Put(tl)
+	tl.busy.Store(false)
+}
+
+// claimTile marks one of the tiles forwardT holds busy and returns it.
+// forwardT holds one per goroutine that can run a row block at once,
+// so a free one is always there.
+func (t *fwdTileRun) claimTile() *fwdTile {
+	for _, tl := range t.s.tiles {
+		if tl.busy.CompareAndSwap(false, true) {
+			return tl
+		}
+	}
+	panic("nn: more concurrent forward row blocks than held tiles")
 }
 
 // transU8Run carries the tiled full-matrix transpose of the row-major

@@ -9,7 +9,7 @@ import (
 
 // Kernel telemetry (see DESIGN.md "Observability"): which dispatch
 // path each approximate-GEMM call takes, and how many bytes the
-// KernelScratch arenas (plus the pooled forward tiles) currently hold.
+// KernelScratch arenas (plus the forward tiles) currently hold.
 // One atomic update per GEMM call keeps the overhead invisible next to
 // the kernels' microsecond-to-millisecond runtimes.
 
@@ -52,14 +52,14 @@ func noteEstimatorOp(estimator string) {
 }
 
 // scratchBytes tracks the bytes currently held by every buffer sized
-// through grow — the KernelScratch arenas and the pooled forward
-// tiles. grow adds the delta when it reallocates, so the gauge follows
-// the high-water footprint the kernels actually retain.
+// through grow — the KernelScratch arenas and the forward tiles. grow
+// adds the delta when it reallocates, so the gauge follows the
+// high-water footprint the kernels actually retain.
 var scratchBytes atomic.Int64
 
 func init() {
 	obs.Default().GaugeFunc("nn_kernel_scratch_bytes",
-		"Bytes currently held by kernel scratch arenas (KernelScratch and pooled forward tiles).",
+		"Bytes currently held by kernel scratch arenas (KernelScratch and forward tiles).",
 		func() float64 { return float64(scratchBytes.Load()) })
 }
 

@@ -54,6 +54,9 @@ type fwdTier struct {
 	// accum adds the (nK x nR) operand tile tl.xt, at k offset kb, into
 	// the accumulators of tl (acc32 when t.use32, else acc64).
 	accum func(t *fwdTileRun, tl *fwdTile, nR, kb, nK int)
+	// fit, where present, sizes the tile buffers only this row uses for
+	// an (nK x nR) operand tile.
+	fit func(t *fwdTileRun, tl *fwdTile, nR, nK int)
 }
 
 var fwdTiers = [...]fwdTier{
@@ -82,6 +85,7 @@ var fwdTiers = [...]fwdTier{
 		count: dispatchCounter("forward", FwdPathArithSkinny),
 		setup: arithSkinnySetup,
 		accum: arithSkinnyAccumTile,
+		fit:   arithSkinnyFit,
 	},
 	{
 		label: FwdPathPacked16,

@@ -277,7 +277,8 @@ func (p *workerPool) run(n, chunk, unit int, r RangeRunner) {
 		chunk = 1
 	}
 	nblk := (n + chunk - 1) / chunk
-	if p.workers <= 1 || nblk == 1 {
+	ns := p.shares(nblk)
+	if ns == 1 {
 		poolJobsInline.Inc()
 		r.RunRange(0, n)
 		return
@@ -291,7 +292,7 @@ func (p *workerPool) run(n, chunk, unit int, r RangeRunner) {
 		j = p.newJob()
 	}
 	j.runner, j.chunk = r, chunk
-	j.split(n, nblk, unit, min(p.workers, nblk))
+	j.split(n, nblk, unit, ns)
 	j.wg.Add(1)
 	j.refs.Store(1)
 	// Wake the owner of every other share. The sends are non-blocking: a
@@ -314,6 +315,16 @@ func (p *workerPool) run(n, chunk, unit int, r RangeRunner) {
 	j.wg.Wait()
 	p.release(j)
 	poolJobMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+}
+
+// shares is how many participants run a job of nblk blocks: one per
+// share, or one (the submitter, inline) without workers or with a
+// single block.
+func (p *workerPool) shares(nblk int) int {
+	if p.workers <= 1 || nblk <= 1 {
+		return 1
+	}
+	return min(p.workers, nblk)
 }
 
 // runFn is run for a plain closure body without image alignment.
@@ -371,6 +382,15 @@ func ParallelRowsOn(m int, r RangeRunner) {
 // to the cache tile.
 func ParallelBlocksOn(n, chunk int, r RangeRunner) {
 	pool().run(n, chunk, 1, r)
+}
+
+// Participants reports how many goroutines may run ranges of one job at
+// once when ParallelBlocksOn or ParallelImagesOn runs n items in blocks
+// of chunk > 0: the submitter plus one pool worker per further share.
+// A runner that needs private state per concurrent range keeps that
+// many copies.
+func Participants(n, chunk int) int {
+	return pool().shares((n + chunk - 1) / chunk)
 }
 
 // ParallelImagesOn runs r over n items grouped by image, per items to an

@@ -196,6 +196,46 @@ func TestWorkerPoolRespectsChunk(t *testing.T) {
 	checkCoverage(t, counts)
 }
 
+// peakRunner records how many of its ranges ran at once.
+type peakRunner struct{ now, peak atomic.Int32 }
+
+func (r *peakRunner) RunRange(lo, hi int) {
+	n := r.now.Add(1)
+	for p := r.peak.Load(); n > p && !r.peak.CompareAndSwap(p, n); p = r.peak.Load() {
+	}
+	time.Sleep(50 * time.Microsecond) // let the other participants overlap
+	r.now.Add(-1)
+}
+
+// TestSharesBoundConcurrentRanges: no job runs more ranges at once than
+// shares reports — the count nn's forward GEMM reserves one tile per —
+// however many submitters share the pool.
+func TestSharesBoundConcurrentRanges(t *testing.T) {
+	p := newWorkerPool(4)
+	for _, c := range []struct{ n, chunk, want int }{
+		{0, 8, 1}, {8, 8, 1}, {9, 8, 2}, {24, 8, 3}, {4097, 64, 4}, {4097, 5000, 1},
+	} {
+		if got := p.shares((c.n + c.chunk - 1) / c.chunk); got != c.want {
+			t.Errorf("n=%d chunk=%d: shares = %d, want %d", c.n, c.chunk, got, c.want)
+		}
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < 3; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range []int{9, 24, 200, 4097} {
+				r := &peakRunner{}
+				p.run(n, 8, 1, r)
+				if max := int32(p.shares((n + 7) / 8)); r.peak.Load() > max {
+					t.Errorf("n=%d: %d ranges ran at once, shares = %d", n, r.peak.Load(), max)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // sumRunner is a reusable RangeRunner body, the shape hot call sites
 // keep in their scratch state.
 type sumRunner struct{ hits []int32 }
