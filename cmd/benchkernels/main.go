@@ -20,8 +20,8 @@
 // that run on the backward sweep rows, each dW and dX sweep alone in
 // ns per gathered element and as a ratio to that probe — and the
 // passes between the GEMMs: the slice quantizer against its scalar
-// definition and a step of each glue layer (ReLU, batch norm, max
-// pool) — and inference: the skinny (under-32-row) forward GEMMs of
+// definition, the weights' min/max, and a step of each glue layer
+// (ReLU, batch norm, max pool) — and inference: the skinny (under-32-row) forward GEMMs of
 // single-image serving on the arith_skinny row next to packed16, and
 // whole-model Predict at batch 1 and 8. It writes ns/op, B/op, and
 // allocs/op per benchmark — plus the dispatch path each forward and
@@ -344,13 +344,18 @@ func main() {
 		}
 	}
 	// The passes between the GEMMs. The slice quantizer on one 64k-element
-	// tensor next to the scalar Quantize/Clipped loop that defines it, and
-	// a forward+backward step of each glue layer on one shard's
-	// resnet18-stage-1 activation (16 images of 8x16x16).
+	// tensor next to the scalar Quantize/Clipped loop that defines it, the
+	// weight calibration's min/max over as many values as reduced vgg11
+	// has parameters (145,898), and a forward+backward step of each glue
+	// layer on one shard's resnet18-stage-1 activation (16 images of
+	// 8x16x16).
 	qData := tensor.New(1 << 16)
 	qData.RandNormal(rng, 1)
 	qLv, qClip := make([]uint8, len(qData.Data)), make([]bool, len(qData.Data))
+	mmData := tensor.New(145898)
+	mmData.RandNormal(rng, 0.1)
 	benches = append(benches,
+		bench{name: "Kernel_MinMax_146k", fn: loop(func() { tensor.MinMax(mmData.Data) })},
 		bench{name: "Kernel_QuantizeInto_64k", fn: loop(func() { px.QuantizeInto(qLv, qClip, qData.Data) })},
 		bench{name: "Kernel_QuantizeInto_64k_Scalar", fn: loop(func() {
 			for i, v := range qData.Data {

@@ -3,6 +3,8 @@ package data
 import (
 	"math"
 	"testing"
+
+	"github.com/appmult/retrain/internal/tensor"
 )
 
 func TestSyntheticShapesAndDeterminism(t *testing.T) {
@@ -50,7 +52,7 @@ func TestSyntheticBalancedLabels(t *testing.T) {
 
 func TestSyntheticValueRange(t *testing.T) {
 	tr, _ := Synthetic(SynthConfig{Classes: 4, Train: 16, Test: 4, HW: 8, Seed: 4})
-	mn, mx := tr.X.MinMax()
+	mn, mx := tensor.MinMax(tr.X.Data)
 	if mn < -1.5 || mx > 1.5 {
 		t.Errorf("values outside clamp: [%v, %v]", mn, mx)
 	}

@@ -66,11 +66,15 @@ func (t *reluRun) RunRange(lo, hi int) {
 	src := t.src[lo:hi]
 	dst, keep := t.dst[lo:hi][:len(src)], t.keep[lo:hi][:len(src)]
 	if t.backward {
+		n := reluMaskBlocks(dst, src, keep)
+		src, dst, keep = src[n:], dst[n:], keep[n:]
 		for i, g := range src {
 			dst[i] = math.Float32frombits(math.Float32bits(g) & -uint32(keep[i]))
 		}
 		return
 	}
+	n := reluBlocks(dst, keep, src)
+	src, dst, keep = src[n:], dst[n:], keep[n:]
 	for i, v := range src {
 		b := math.Float32bits(v)
 		neg := negative(b)
@@ -100,8 +104,9 @@ func runPass(r tensor.RangeRunner, elems, n, images, chunk int) {
 // Infer implements Inferer: the rectification without the sign mask.
 func (r *ReLU) Infer(x *tensor.Tensor) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape...)
-	out := r.out.Data
-	for i, v := range x.Data {
+	n := reluBlocks(r.out.Data, nil, x.Data)
+	out := r.out.Data[n:]
+	for i, v := range x.Data[n:] {
 		b := math.Float32bits(v)
 		out[i] = math.Float32frombits(b & (negative(b) - 1))
 	}

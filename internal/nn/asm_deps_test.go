@@ -15,7 +15,7 @@ import (
 // arithmetic retires, and a sweep whose gathers all land in one register
 // runs as a latency chain instead of at the load ports' rate (the dX
 // gather sweep ran 1.6x off the host's gather rate that way).
-// The rule the kernels in gemm_*_amd64.s follow, checked here on their
+// The rule the kernels in *_amd64.s follow, checked here on their
 // source text because no output bit can show a lost cycle:
 //
 //   - the last write to a gather's destination before the gather is
@@ -26,7 +26,7 @@ import (
 
 var vecReg = regexp.MustCompile(`^[XY]([0-9]+)$`)
 
-// asmGather is one VGATHER* instruction: its source line, and the line
+// asmGather is one gather instruction: its source line, and the line
 // of the VPXOR that zeroes its destination (-1 when bad says why not).
 type asmGather struct {
 	line, zeroedAt int
@@ -65,7 +65,7 @@ func checkGathers(src string) (gathers []asmGather) {
 			}
 			in.args = append(in.args, a)
 		}
-		if strings.HasPrefix(op, "VGATHER") && len(in.args) == 3 {
+		if isGather(op) && len(in.args) == 3 {
 			g := asmGather{line: in.line, zeroedAt: -1}
 			mask, dst := in.args[0], in.args[2]
 			for j := len(body) - 1; g.bad == "" && g.zeroedAt < 0; j-- {
@@ -82,7 +82,7 @@ func checkGathers(src string) (gathers []asmGather) {
 				}
 			}
 			for j := len(body) - 1; g.bad == "" && j >= 0 && body[j].op != ""; j-- {
-				if strings.HasPrefix(body[j].op, "VGATHER") && (body[j].args[2] == dst || body[j].args[0] == mask) {
+				if isGather(body[j].op) && (body[j].args[2] == dst || body[j].args[0] == mask) {
 					g.bad = fmt.Sprintf("shares a destination or mask register with the gather on line %d", body[j].line)
 				}
 			}
@@ -93,13 +93,19 @@ func checkGathers(src string) (gathers []asmGather) {
 	return gathers
 }
 
-// TestGathersHaveNoFalseDependency holds every gemm_*_amd64.s to the
-// rules above, and mutation-checks the checker: dropping the VPXOR in
-// front of any one gather must be reported.
+// isGather reports whether op is a float (VGATHER*) or integer
+// (VPGATHER*) gather.
+func isGather(op string) bool {
+	return strings.HasPrefix(op, "VGATHER") || strings.HasPrefix(op, "VPGATHER")
+}
+
+// TestGathersHaveNoFalseDependency holds every *_amd64.s to the rules
+// above, and mutation-checks the checker: dropping the VPXOR in front of
+// any one gather must be reported.
 func TestGathersHaveNoFalseDependency(t *testing.T) {
-	files, err := filepath.Glob("gemm_*_amd64.s")
+	files, err := filepath.Glob("*_amd64.s")
 	if err != nil || len(files) == 0 {
-		t.Fatalf("no gemm_*_amd64.s beside the test (%v)", err)
+		t.Fatalf("no *_amd64.s beside the test (%v)", err)
 	}
 	total := 0
 	for _, f := range files {
@@ -126,7 +132,7 @@ func TestGathersHaveNoFalseDependency(t *testing.T) {
 		}
 	}
 	if total == 0 {
-		t.Fatal("found no VGATHER in gemm_*_amd64.s: the parser is blind")
+		t.Fatal("found no gather in *_amd64.s: the parser is blind")
 	}
 	// Two gathers of one loop body on one destination, or on one mask.
 	for _, shared := range []string{

@@ -131,6 +131,28 @@ func sumChannel(x []float32, n, c, hw, ch int) float64 {
 	return s
 }
 
+// sumChannels sets sums[i] to channel ch+i's sumChannel: a full group
+// of bnLanes channels at once on the AVX2 lanes, each channel's chain
+// in its own order, otherwise one channel after another.
+func sumChannels(sums []float64, x []float32, n, c, hw, ch int) {
+	if len(sums) == bnLanes && sumLanes((*[bnLanes]float64)(sums), x[ch*hw:], n, hw, c*hw) {
+		return
+	}
+	for i := range sums {
+		sums[i] = sumChannel(x, n, c, hw, ch+i)
+	}
+}
+
+// sqDevChannels is sumChannels for sqDevChannel about means[i].
+func sqDevChannels(sq, means []float64, x []float32, n, c, hw, ch int) {
+	if len(sq) == bnLanes && sqDevLanes((*[bnLanes]float64)(sq), x[ch*hw:], (*[bnLanes]float64)(means), n, hw, c*hw) {
+		return
+	}
+	for i := range sq {
+		sq[i] = sqDevChannel(x, n, c, hw, ch+i, means[i])
+	}
+}
+
 // sqDevChannel returns channel ch's sum of squared deviations about
 // mean.
 func sqDevChannel(x []float32, n, c, hw, ch int, mean float64) float64 {
@@ -166,20 +188,25 @@ func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr f
 	inv := 1 / math.Sqrt(vr+b.Eps)
 	g := float64(b.Gamma.Value.Data[ch])
 	bt := float64(b.Beta.Value.Data[ch])
+	var xh []float32
 	if caches {
 		b.invStd[ch] = inv
+		xh = b.xhat.Data[ch*hw:]
 	}
+	k := [4]float64{mean, inv, g, bt}
+	done := bnNormalizeBlocks(b.out.Data[ch*hw:], xh, x[ch*hw:], n, hw, c*hw, &k)
+	m := hw - done
 	for img := 0; img < n; img++ {
-		base := (img*c + ch) * hw
-		out := b.out.Data[base:][:hw]
+		base := (img*c+ch)*hw + done
+		out := b.out.Data[base:][:m]
 		if !caches {
-			for j, v := range x[base:][:hw] {
+			for j, v := range x[base:][:m] {
 				out[j] = float32(float64(g*((float64(v)-mean)*inv)) + bt)
 			}
 			continue
 		}
-		xhat := b.xhat.Data[base:][:hw]
-		for j, v := range x[base:][:hw] {
+		xhat := b.xhat.Data[base:][:m]
+		for j, v := range x[base:][:m] {
 			xh := (float64(v) - mean) * inv
 			xhat[j] = float32(xh)
 			out[j] = float32(float64(g*xh) + bt)
@@ -228,8 +255,13 @@ func (b *BatchNorm2D) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
 // runChannels runs one per-channel pass of b.run over every channel.
 func (b *BatchNorm2D) runChannels(pass bnPass) {
 	b.run.pass = pass
-	runPass(&b.run, len(b.run.x), b.run.c, 1, 1)
+	runPass(&b.run, len(b.run.x), b.run.c, 1, bnLanes)
 }
+
+// bnLanes is the channel group of the per-channel reductions — the
+// float64 lanes of one AVX2 register — and the pool's block of
+// channels, so a pooled pass keeps its groups whole.
+const bnLanes = 4
 
 // bnPass names what bnRun computes per channel. bnForward and
 // bnBackward are a whole pass of a layer without a syncer; the sync-BN
@@ -246,9 +278,10 @@ const (
 	bnInputGrad               // parameter gradients from the local sums, dx from gdy, gdyx
 )
 
-// bnRun is the training passes' body over channels [lo, hi): every
-// channel's sums run over its own elements in the order the one-channel
-// helpers fix, so splitting the channels among workers changes no bit.
+// bnRun is the training passes' body over channels [lo, hi), in groups
+// of bnLanes: every channel's sums run over its own elements in the
+// order the one-channel helpers fix, so neither the grouping nor
+// splitting the channels among workers changes a bit.
 // x is the forward input or the backward's dy.
 type bnRun struct {
 	b         *BatchNorm2D
@@ -261,27 +294,38 @@ type bnRun struct {
 }
 
 func (t *bnRun) RunRange(lo, hi int) {
+	for ch := lo; ch < hi; ch += bnLanes {
+		t.group(ch, min(ch+bnLanes, hi))
+	}
+}
+
+// group runs the pass over channels [lo, hi), at most bnLanes of them.
+func (t *bnRun) group(lo, hi int) {
 	b, x, n, c, hw := t.b, t.x, t.n, t.c, t.hw
-	for ch := lo; ch < hi; ch++ {
-		switch t.pass {
-		case bnForward:
-			b.sumBuf[ch] = sumChannel(x, n, c, hw, ch)
-			t.squares(ch)
-			t.normalize(ch)
-		case bnSums:
-			b.sumBuf[ch] = sumChannel(x, n, c, hw, ch)
-		case bnSquares:
-			t.squares(ch)
-		case bnNormalize:
-			t.normalize(ch)
-		case bnBackward:
-			sumDy, sumDyXhat := gradSumsChannel(x, b.xhat.Data, n, c, hw, ch)
+	switch t.pass {
+	case bnForward:
+		sumChannels(b.sumBuf[lo:hi], x, n, c, hw, lo)
+		t.squares(lo, hi)
+		t.normalize(lo, hi)
+	case bnSums:
+		sumChannels(b.sumBuf[lo:hi], x, n, c, hw, lo)
+	case bnSquares:
+		t.squares(lo, hi)
+	case bnNormalize:
+		t.normalize(lo, hi)
+	case bnBackward:
+		var dy, dyx [bnLanes]float64
+		gradSumsChannels(dy[:hi-lo], dyx[:hi-lo], x, b.xhat.Data, n, c, hw, lo)
+		for ch := lo; ch < hi; ch++ {
+			sumDy, sumDyXhat := dy[ch-lo], dyx[ch-lo]
 			b.Beta.Grad.Data[ch] += float32(sumDy)
 			b.Gamma.Grad.Data[ch] += float32(sumDyXhat)
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, sumDy, sumDyXhat)
-		case bnGradSums:
-			b.dyBuf[ch], b.dyxBuf[ch] = gradSumsChannel(x, b.xhat.Data, n, c, hw, ch)
-		case bnInputGrad:
+		}
+	case bnGradSums:
+		gradSumsChannels(b.dyBuf[lo:hi], b.dyxBuf[lo:hi], x, b.xhat.Data, n, c, hw, lo)
+	case bnInputGrad:
+		for ch := lo; ch < hi; ch++ {
 			b.Beta.Grad.Data[ch] += float32(b.dyBuf[ch])
 			b.Gamma.Grad.Data[ch] += float32(b.dyxBuf[ch])
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, t.gdy[ch], t.gdyx[ch])
@@ -289,17 +333,32 @@ func (t *bnRun) RunRange(lo, hi int) {
 	}
 }
 
-// squares derives channel ch's mean from its (folded) sum and its squared
-// deviations about it.
-func (t *bnRun) squares(ch int) {
+// squares derives channels [lo, hi)'s means from their (folded) sums
+// and their squared deviations about them.
+func (t *bnRun) squares(lo, hi int) {
 	b := t.b
-	b.meanBuf[ch] = b.sumBuf[ch] / t.cnt
-	b.sqBuf[ch] = sqDevChannel(t.x, t.n, t.c, t.hw, ch, b.meanBuf[ch])
+	for ch := lo; ch < hi; ch++ {
+		b.meanBuf[ch] = b.sumBuf[ch] / t.cnt
+	}
+	sqDevChannels(b.sqBuf[lo:hi], b.meanBuf[lo:hi], t.x, t.n, t.c, t.hw, lo)
 }
 
-// normalize writes channel ch of the output and the backward caches.
-func (t *bnRun) normalize(ch int) {
-	t.b.normalizeChannel(t.x, t.n, t.c, t.hw, ch, t.b.meanBuf[ch], t.sq[ch]/t.cnt, true)
+// normalize writes channels [lo, hi) of the output and the backward
+// caches.
+func (t *bnRun) normalize(lo, hi int) {
+	for ch := lo; ch < hi; ch++ {
+		t.b.normalizeChannel(t.x, t.n, t.c, t.hw, ch, t.b.meanBuf[ch], t.sq[ch]/t.cnt, true)
+	}
+}
+
+// gradSumsChannels is sumChannels for gradSumsChannel.
+func gradSumsChannels(sumDy, sumDyXhat []float64, dy, xhat []float32, n, c, hw, ch int) {
+	if len(sumDy) == bnLanes && gradSumsLanes((*[bnLanes]float64)(sumDy), (*[bnLanes]float64)(sumDyXhat), dy[ch*hw:], xhat[ch*hw:], n, hw, c*hw) {
+		return
+	}
+	for i := range sumDy {
+		sumDy[i], sumDyXhat[i] = gradSumsChannel(dy, xhat, n, c, hw, ch+i)
+	}
 }
 
 // gradSumsChannel returns channel ch's sum of dy and of dy*xhat.
@@ -322,10 +381,13 @@ func gradSumsChannel(dy, xhat []float32, n, c, hw, ch int) (sumDy, sumDyXhat flo
 // factor evaluated once, in the order the expression associates.
 func (b *BatchNorm2D) inputGradChannel(dy []float32, n, c, hw, ch int, cnt, sumDy, sumDyXhat float64) {
 	coef := float64(b.Gamma.Value.Data[ch]) * b.invStd[ch] / cnt
+	k := [4]float64{cnt, sumDy, sumDyXhat, coef}
+	done := bnInputGradBlocks(b.dx.Data[ch*hw:], dy[ch*hw:], b.xhat.Data[ch*hw:], n, hw, c*hw, &k)
+	m := hw - done
 	for img := 0; img < n; img++ {
-		base := (img*c + ch) * hw
-		dx, xhat := b.dx.Data[base:][:hw], b.xhat.Data[base:][:hw]
-		for j, v := range dy[base:][:hw] {
+		base := (img*c+ch)*hw + done
+		dx, xhat := b.dx.Data[base:][:m], b.xhat.Data[base:][:m]
+		for j, v := range dy[base:][:m] {
 			dx[j] = float32(coef * (float64(cnt*float64(v)) - sumDy - float64(float64(xhat[j])*sumDyXhat)))
 		}
 	}

@@ -94,19 +94,48 @@ func bnPair(c int) (*BatchNorm2D, *frozenBatchNorm2D) {
 	return b, f
 }
 
+// planes runs c channels through every plane size the AVX2 kernels
+// treat differently — 1×1 and 2×2 (the reductions' adjacent-channel and
+// four-position paths), 3×3 and 5×5 (odd, so the loops take them, and a
+// 2×2 pool drops a row and a column), 4×4, 8×8 and 16×16 — at element
+// counts that are and are not multiples of 8.
+func planes(c int) [][]int {
+	return [][]int{{3, c, 1, 1}, {2, c, 3, 3}, {5, c, 5, 5}, {4, c, 2, 2}, {3, c, 4, 4}, {2, c, 8, 8}, {1, c, 16, 16}, {3, c, 5, 5}}
+}
+
+// poolable is planes with sides of at least k, plus planes of unequal
+// sides: the ones a k×k window covers.
+func poolable(c, k int) [][]int {
+	var out [][]int
+	for _, s := range append(planes(c), []int{3, c, 7, 4}, []int{2, c, 4, 9}) {
+		if s[2] >= k && s[3] >= k {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func gluePairs() []gluePair {
 	nchw := [][]int{{3, 4, 6, 6}, {5, 4, 8, 8}, {2, 4, 6, 6}, {5, 4, 8, 8}}
 	bn, fbn := bnPair(4)
+	bn6, fbn6 := bnPair(6)
+	bn9, fbn9 := bnPair(9)
 	mainBN, fMainBN := bnPair(4)
 	shortBN, fShortBN := bnPair(4)
 	idBN, fIDBN := bnPair(4)
 	return []gluePair{
 		{name: "relu", layer: NewReLU(), twin: newFrozenReLU(), shapes: nchw},
+		{name: "relu/planes", layer: NewReLU(), twin: newFrozenReLU(), shapes: planes(3)},
 		{name: "relu/2d", layer: NewReLU(), twin: newFrozenReLU(), shapes: [][]int{{3, 10}, {7, 33}, {1, 5}}},
 		{name: "maxpool2x2", layer: NewMaxPool2D(2, 2), twin: newFrozenMaxPool2D(2, 2), shapes: nchw},
+		{name: "maxpool2x2/c5", layer: NewMaxPool2D(2, 2), twin: newFrozenMaxPool2D(2, 2), shapes: poolable(5, 2)},
+		{name: "maxpool2x2/c6", layer: NewMaxPool2D(2, 2), twin: newFrozenMaxPool2D(2, 2), shapes: poolable(6, 2)},
 		{name: "maxpool3x3s2", layer: NewMaxPool2D(3, 2), twin: newFrozenMaxPool2D(3, 2), shapes: nchw},
+		{name: "maxpool3x3s2/c5", layer: NewMaxPool2D(3, 2), twin: newFrozenMaxPool2D(3, 2), shapes: poolable(5, 3)},
 		{name: "gap", layer: NewGlobalAvgPool(), twin: newFrozenGlobalAvgPool(), shapes: nchw},
 		{name: "batchnorm", layer: bn, twin: fbn, bns: []*BatchNorm2D{bn}, twinBNs: []*frozenBatchNorm2D{fbn}, shapes: nchw},
+		{name: "batchnorm/c6", layer: bn6, twin: fbn6, bns: []*BatchNorm2D{bn6}, twinBNs: []*frozenBatchNorm2D{fbn6}, shapes: planes(6)},
+		{name: "batchnorm/c9", layer: bn9, twin: fbn9, bns: []*BatchNorm2D{bn9}, twinBNs: []*frozenBatchNorm2D{fbn9}, shapes: planes(9)},
 		{name: "residual/identity",
 			layer:   NewResidual("res", NewSequential("main", idBN, NewReLU()), nil),
 			twin:    newFrozenResidual("res", NewSequential("main", fIDBN, newFrozenReLU()), nil),

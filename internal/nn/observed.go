@@ -73,7 +73,7 @@ func (l *ApproxLinear) DeferredRange() (mn, mx float32, ok bool) { return l.conv
 func (o *observerLag) observe(obs *quant.Observer, x *tensor.Tensor, train bool) {
 	if o.deferred {
 		if train {
-			o.capture(x.MinMax())
+			o.capture(tensor.MinMax(x.Data))
 		}
 		return
 	}

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/appmult/retrain/internal/tensor"
 )
@@ -10,9 +12,10 @@ import (
 type MaxPool2D struct {
 	K, Stride int
 	inShape   []int
-	argmax    []int
+	argmax    []int32
 	out, dx   *tensor.Tensor
 	run       maxPoolRun
+	corners   poolCorners
 }
 
 // NewMaxPool2D returns a max pooling layer (window k, stride s).
@@ -41,19 +44,26 @@ func (p *MaxPool2D) Infer(x *tensor.Tensor) *tensor.Tensor { return p.pool(x, fa
 // where each maximum came from, which Backward scatters to.
 func (p *MaxPool2D) pool(x *tensor.Tensor, withArgmax bool) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := (h-p.K)/p.Stride + 1
-	ow := (w-p.K)/p.Stride + 1
-	if oh < 1 || ow < 1 {
+	if h < p.K || w < p.K {
 		panic(fmt.Sprintf("nn: maxpool output collapses for input %v", x.Shape))
 	}
+	if len(x.Data) > math.MaxInt32 {
+		panic(fmt.Sprintf("nn: maxpool input %v has more elements than its int32 argmax map can index", x.Shape))
+	}
+	oh := (h-p.K)/p.Stride + 1
+	ow := (w-p.K)/p.Stride + 1
 	p.out = tensor.Ensure4(p.out, n, c, oh, ow)
-	var argmax []int
+	var argmax []int32
 	if withArgmax {
 		p.inShape = append(p.inShape[:0], x.Shape...)
 		p.argmax = grow(p.argmax, len(p.out.Data))
 		argmax = p.argmax
 	}
 	p.run = maxPoolRun{k: p.K, stride: p.Stride, src: x.Data, dst: p.out.Data, argmax: argmax, h: h, w: w, oh: oh, ow: ow}
+	if p.K == 2 && p.Stride == 2 {
+		p.corners.build(h, w, oh, ow)
+		p.run.corners = &p.corners
+	}
 	runPass(&p.run, len(x.Data), n*c, n, 0)
 	return p.out
 }
@@ -74,13 +84,45 @@ func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // input index in argmax unless it is nil; the backward zeroes the
 // planes of the input gradient dst and adds every output gradient of
 // src into its argmax position, in ascending output order — the one
-// order an input position's overlapping windows are summed in.
+// order an input position's overlapping windows are summed in. A 2×2 /
+// stride-2 forward runs its whole blocks of corners' planes on the AVX2
+// kernel and the rest on the loop.
 type maxPoolRun struct {
 	k, stride    int
 	src, dst     []float32
-	argmax       []int
+	argmax       []int32
 	h, w, oh, ow int
 	backward     bool
+	corners      *poolCorners
+}
+
+// poolCorners is the 2×2 / stride-2 kernel's window table for one plane
+// geometry: the input index of every window's top-left element, in
+// output order, over a block of the fewest whole planes whose outputs
+// fill whole groups of eight, relative to the block's first plane.
+type poolCorners struct {
+	h, w, planes int
+	tl           []int32
+}
+
+// build makes the table for h x w planes pooled to oh x ow, unless it
+// is already that geometry's.
+func (pc *poolCorners) build(h, w, oh, ow int) {
+	if pc.h == h && pc.w == w {
+		return
+	}
+	pc.h, pc.w = h, w
+	pc.planes = 8 >> min(bits.TrailingZeros(uint(oh*ow)), 3)
+	pc.tl = grow(pc.tl, pc.planes*oh*ow)
+	i := 0
+	for p := 0; p < pc.planes; p++ {
+		for y := 0; y < oh; y++ {
+			for x := 0; x < ow; x++ {
+				pc.tl[i] = int32(p*h*w + 2*y*w + 2*x)
+				i++
+			}
+		}
+	}
 }
 
 func (t *maxPoolRun) RunRange(lo, hi int) {
@@ -93,7 +135,11 @@ func (t *maxPoolRun) RunRange(lo, hi int) {
 		}
 		return
 	}
-	for pl := lo; pl < hi; pl++ {
+	pl := lo
+	if t.corners != nil {
+		pl += t.pool2x2Blocks(lo, hi)
+	}
+	for ; pl < hi; pl++ {
 		in := t.src[pl*hw:][:hw]
 		out := t.dst[pl*ohw:][:ohw]
 		for oy := 0; oy < t.oh; oy++ {
@@ -111,7 +157,7 @@ func (t *maxPoolRun) RunRange(lo, hi int) {
 				}
 				out[oy*t.ow+ox] = best
 				if t.argmax != nil {
-					t.argmax[pl*ohw+oy*t.ow+ox] = pl*hw + bestIdx
+					t.argmax[pl*ohw+oy*t.ow+ox] = int32(pl*hw + bestIdx)
 				}
 			}
 		}

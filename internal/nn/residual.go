@@ -34,16 +34,15 @@ func (r *Residual) Params() []*Param {
 }
 
 // sumInto returns a + b, shaped like a, in buf's storage (see
-// tensor.Ensure).
+// tensor.Ensure): a copied, then b added on tensor's vector add — one
+// rounding per element, as a + b.
 func sumInto(buf, a, b *tensor.Tensor) *tensor.Tensor {
 	if len(a.Data) != len(b.Data) {
 		panic(fmt.Sprintf("nn: residual branches disagree: %v vs %v", a.Shape, b.Shape))
 	}
 	buf = tensor.Ensure(buf, a.Shape...)
-	bd := b.Data
-	for i, v := range a.Data {
-		buf.Data[i] = v + bd[i]
-	}
+	copy(buf.Data, a.Data)
+	buf.Add(b)
 	return buf
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/appmult/retrain/internal/quant"
+	"github.com/appmult/retrain/internal/tensor"
 )
 
 // weightSide is the weight-side state of an approximate layer's GEMMs:
@@ -114,7 +115,7 @@ func (w *weightSide) recheck(layer string, s *KernelScratch) {
 func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bool, data []float32, bits int, perChannel bool, outC, k int) []quant.Params {
 	if !perChannel {
 		pw = grow(pw, 1)
-		mn, mx := minMax(data)
+		mn, mx := tensor.MinMax(data)
 		pw[0] = quant.Calibrate(mn, mx, bits)
 		s.quantizeWithClip(wq, clip, data, pw[0], 1)
 		return pw
@@ -122,7 +123,7 @@ func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bo
 	pw = grow(pw, outC)
 	for oc := 0; oc < outC; oc++ {
 		ws := data[oc*k : (oc+1)*k]
-		mn, mx := minMax(ws)
+		mn, mx := tensor.MinMax(ws)
 		pw[oc] = quant.Calibrate(mn, mx, bits)
 		var cl []bool
 		if clip != nil {
@@ -131,19 +132,4 @@ func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bo
 		s.quantizeWithClip(wq[oc*k:(oc+1)*k], cl, ws, pw[oc], 1)
 	}
 	return pw
-}
-
-// minMax returns the smallest and largest elements of a non-empty
-// slice.
-func minMax(data []float32) (mn, mx float32) {
-	mn, mx = data[0], data[0]
-	for _, v := range data[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
 }

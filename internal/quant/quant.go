@@ -148,7 +148,7 @@ type Observer struct {
 
 // Observe folds one tensor's range into the running estimate.
 func (o *Observer) Observe(t *tensor.Tensor) {
-	mn, mx := t.MinMax()
+	mn, mx := tensor.MinMax(t.Data)
 	o.ObserveRange(mn, mx)
 }
 

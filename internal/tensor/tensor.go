@@ -176,9 +176,7 @@ func (t *Tensor) Zero() {
 // Add accumulates o into t elementwise. Shapes must match exactly.
 func (t *Tensor) Add(o *Tensor) {
 	t.checkSame(o)
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
+	addInto(t.Data, o.Data)
 }
 
 // AddScaled accumulates s*o into t elementwise.
@@ -202,10 +200,22 @@ func (t *Tensor) checkSame(o *Tensor) {
 	}
 }
 
-// MinMax returns the smallest and largest elements.
-func (t *Tensor) MinMax() (mn, mx float32) {
-	mn, mx = t.Data[0], t.Data[0]
-	for _, v := range t.Data[1:] {
+// MinMax returns the smallest and largest elements of a non-empty
+// slice, bit for bit what the scalar loop gives that seeds both with
+// x[0] and replaces them on v < mn and v > mx: a NaN at index 0 is
+// returned twice, a later NaN is never taken, and of equal zeros the
+// first one seen stays. On AVX2 eight lanes run that loop over the
+// leading whole blocks (VMINPS/VMAXPS keep their second source on a tie
+// or a NaN, as the loop keeps mn and mx). The lanes cannot tell which
+// of +0 and -0 came first; a zero result is the slice's first zero,
+// since no element is below it, so it is looked up again.
+func MinMax(x []float32) (mn, mx float32) {
+	mn, mx = x[0], x[0]
+	if mn != mn {
+		return mn, mx
+	}
+	n := minMaxBlocks(x, &mn, &mx)
+	for _, v := range x[n:] {
 		if v < mn {
 			mn = v
 		}
@@ -213,7 +223,26 @@ func (t *Tensor) MinMax() (mn, mx float32) {
 			mx = v
 		}
 	}
+	if n > 0 {
+		if mn == 0 {
+			mn = firstZero(x)
+		}
+		if mx == 0 {
+			mx = firstZero(x)
+		}
+	}
 	return mn, mx
+}
+
+// firstZero returns the first element of x that equals zero, with its
+// sign; x holds one.
+func firstZero(x []float32) float32 {
+	for _, v := range x {
+		if v == 0 {
+			return v
+		}
+	}
+	panic("tensor: no zero to return")
 }
 
 // AllFinite reports whether no element of x is NaN or ±Inf. An exponent

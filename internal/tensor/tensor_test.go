@@ -114,9 +114,92 @@ func TestAllFinite(t *testing.T) {
 
 func TestReductions(t *testing.T) {
 	x := FromData([]float32{-5, 2, 3}, 3)
-	mn, mx := x.MinMax()
+	mn, mx := MinMax(x.Data)
 	if mn != -5 || mx != 3 {
 		t.Errorf("MinMax = %v,%v", mn, mx)
+	}
+}
+
+// frozenMinMax is the scalar loop MinMax must reproduce, kept verbatim.
+func frozenMinMax(data []float32) (mn, mx float32) {
+	mn, mx = data[0], data[0]
+	for _, v := range data[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
+}
+
+// TestMinMaxMatchesLoop requires MinMax to return the scalar loop's bits
+// at every length from 1 to 67 (every lane and tail position), on data
+// laced with both zeros in either order, NaNs of two payloads at index
+// 0, in the middle and last, ±Inf and denormals, and on all-zero,
+// all-negative and all-positive slices where the first zero decides.
+func TestMinMaxMatchesLoop(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan, nan2 := float32(math.NaN()), math.Float32frombits(0x7fc00123)
+	inf := float32(math.Inf(1))
+	specials := []float32{0, negZero, nan, nan2, inf, -inf, 1e-42, -1e-42, math.MaxFloat32, -math.MaxFloat32}
+	check := func(x []float32) {
+		t.Helper()
+		mn, mx := MinMax(x)
+		wmn, wmx := frozenMinMax(x)
+		if math.Float32bits(mn) != math.Float32bits(wmn) || math.Float32bits(mx) != math.Float32bits(wmx) {
+			t.Fatalf("MinMax(%v) = %v (%#x), %v (%#x); loop %v (%#x), %v (%#x)", x,
+				mn, math.Float32bits(mn), mx, math.Float32bits(mx), wmn, math.Float32bits(wmn), wmx, math.Float32bits(wmx))
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 67; n++ {
+		x := make([]float32, n)
+		for trial := 0; trial < 200; trial++ {
+			for i := range x {
+				switch r := rng.Intn(8); {
+				case r < 3:
+					x[i] = specials[rng.Intn(len(specials))]
+				case r < 5:
+					x[i] = [2]float32{0, negZero}[rng.Intn(2)]
+				default:
+					x[i] = float32(rng.NormFloat64())
+				}
+			}
+			check(x)
+			// One sign only: the extreme on that side is a zero, and the
+			// first zero the loop meets is the one it keeps.
+			for i := range x {
+				if math.Float32bits(x[i])&0x7fffffff < 0x7f800001 { // not NaN
+					x[i] = float32(math.Abs(float64(x[i])))
+					if x[i] == 0 && rng.Intn(2) == 0 {
+						x[i] = negZero
+					}
+				}
+			}
+			check(x)
+			for i := range x {
+				if x[i] == x[i] && x[i] != 0 {
+					x[i] = -x[i]
+				}
+			}
+			check(x)
+		}
+		for _, pos := range []int{0, n / 2, n - 1} {
+			for _, z := range [][2]float32{{0, negZero}, {negZero, 0}} {
+				for i := range x {
+					x[i] = z[i%2]
+				}
+				check(x)
+				x[pos] = nan2
+				check(x)
+				x[pos] = -inf
+				check(x)
+				x[pos] = 1e-42
+				check(x)
+			}
+		}
 	}
 }
 

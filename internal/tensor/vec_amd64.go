@@ -66,3 +66,22 @@ func finiteBlocks(x []float32) (int, bool) {
 	}
 	return n, !nonFiniteAVX2(&x[0], int64(n))
 }
+
+// minMaxAVX2 runs MinMax's loop in eight lanes over x[0:n], n a
+// positive multiple of 8, each lane seeded with *mn and *mx, and folds
+// the lanes into *mn and *mx.
+//
+//go:noescape
+func minMaxAVX2(x *float32, n int64, mn, mx *float32)
+
+// minMaxBlocks folds the leading whole 8-lane blocks of x into mn and
+// mx and returns how many elements it covered; MinMax finishes the
+// tail.
+func minMaxBlocks(x []float32, mn, mx *float32) int {
+	n := len(x) &^ 7
+	if !HasAVX2 || n == 0 {
+		return 0
+	}
+	minMaxAVX2(&x[0], int64(n), mn, mx)
+	return n
+}

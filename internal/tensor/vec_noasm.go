@@ -11,3 +11,6 @@ func addBlocks(dst, src []float32) int { return 0 }
 
 // finiteBlocks leaves every element to AllFinite's Go loop.
 func finiteBlocks(x []float32) (int, bool) { return 0, true }
+
+// minMaxBlocks leaves every element to MinMax's Go loop.
+func minMaxBlocks(x []float32, mn, mx *float32) int { return 0 }
