@@ -1,5 +1,5 @@
 # Tier-1: the gate every change must pass.
-.PHONY: build test tier1 vet gofmt purego fmacheck maxprocs1 maxprocs4 nnparanoid race servestress bench benchreport benchsmoke doccheck deadcheck verify clean
+.PHONY: build test tier1 vet gofmt purego fmacheck maxprocs1 maxprocs4 nnparanoid race servestress diststress bench benchreport benchsmoke doccheck deadcheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
 BENCH_TRAIN := BENCH_train.json
@@ -93,6 +93,14 @@ race:
 servestress:
 	go test -race -count=10 -run 'Batcher|Fleet' ./internal/serve ./internal/fleet
 
+# diststress repeats the distributed-training and sync-BN tests under
+# the race detector: the coordinator's attempt loop — deaths, requeues,
+# the zero-worker wait, sync-BN aborts and retries — and the sync
+# group's barrier and alternating slot sets depend on interleavings
+# that one pass does not sample.
+diststress:
+	go test -race -count=10 -run 'Dist|SyncBN|BNSync' ./internal/dist ./internal/nn
+
 # bench re-measures the kernel and training-step baselines, fails
 # loudly if anything regressed beyond benchdiff's tolerance, and
 # promotes the new numbers.
@@ -139,7 +147,7 @@ doccheck:
 deadcheck:
 	go run ./scripts/deadcheck
 
-verify: vet gofmt tier1 purego fmacheck maxprocs1 maxprocs4 nnparanoid benchsmoke doccheck deadcheck race servestress benchreport
+verify: vet gofmt tier1 purego fmacheck maxprocs1 maxprocs4 nnparanoid benchsmoke doccheck deadcheck race servestress diststress benchreport
 
 clean:
 	go clean ./...

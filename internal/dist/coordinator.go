@@ -109,12 +109,15 @@ type Coordinator struct {
 	queue   []int
 
 	// mu guards the sync-BN handler coordination: the current attempt
-	// tag, the in-flight handler count, and the moment stash.
+	// tag, the in-flight handler count, and the moment stash — per
+	// group, the attempt's folded phase-1 and phase-2 vectors, committed
+	// to the primary's running statistics (applyBNStash) only when the
+	// attempt completes, so aborted attempts leave the primary pristine.
 	mu       sync.Mutex
 	bnCond   *sync.Cond
 	attempt  uint32
 	bnActive int
-	stash    []bnStash
+	stash    [][2][]float64
 	closed   bool
 
 	// Per-step state, reused: the slice set the workers' results land
@@ -125,18 +128,6 @@ type Coordinator struct {
 	set      train.Slices
 	paramBuf []float32
 	enc      wire.Enc
-}
-
-// bnStash captures one BN position's folded moments during a step so
-// the coordinator can update the primary's running statistics through
-// BatchNorm2D.UpdateRunning, as the workers' forwards do — but only on
-// step commit, leaving the primary pristine across aborted attempts.
-type bnStash struct {
-	sum     []float64
-	sq      []float64
-	cnt     int
-	haveSum bool
-	haveSq  bool
 }
 
 // NewCoordinator starts listening and accepting workers for the given
@@ -166,7 +157,7 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 	for _, bn := range c.rep.BatchNorms() {
 		c.groups = append(c.groups, nn.NewBNSyncGroup(bn.C))
 	}
-	c.stash = make([]bnStash, len(c.groups))
+	c.stash = make([][2][]float64, len(c.groups))
 	var welcome wire.Enc
 	spec.encode(&welcome)
 	srv.Serve(wire.Handler{Welcome: welcome.B, Joined: c.joined, Frame: c.frame, Dead: c.dead})
@@ -356,7 +347,8 @@ func (c *Coordinator) AwaitWorkers(min int, timeout time.Duration) error {
 
 // Step implements train.Stepper: one distributed training step over
 // minibatch (x, y), returning the full-batch mean loss with the
-// reduced gradients left on the primary model.
+// reduced gradients left on the primary model. The step runs as
+// attempts until one gathers every slice.
 func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 	n := x.Shape[0]
 	if n != len(y) {
@@ -364,94 +356,112 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 	}
 	c.stepID++
 	c.drainIdle()
-	c.queue = c.queue[:0]
-	for _, w := range c.workers {
-		for s := range w.outstanding { // stale assignments from a panicked step
-			delete(w.outstanding, s)
-		}
-	}
 	start := time.Now()
-	var loss float64
-	if len(c.groups) > 0 {
-		loss = c.stepBN(x, y, n)
-	} else {
-		loss = c.stepSliced(x, y, n)
+	for !c.runAttempt(x, y, n) {
+		stepRetries.Inc()
+		c.logf("step %d attempt aborted; retrying with %d workers", c.stepID, len(c.workers))
 	}
+	c.applyBNStash()
+	loss := c.finishStep()
 	stepGatherMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	stepsTotal.Inc()
 	return loss
 }
 
-// stepSliced runs a BN-free step: the fixed 8-row slice plan feeds a
-// dynamic work queue, so which worker computes which slice — and any
-// mid-step reassignment after a death — cannot affect the result bits:
-// every slice is deterministic given the (identical) replica state,
-// and the reduction tree is fixed by the plan alone.
-func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
-	bounds := c.set.Plan(c.rep, n, 0)
+// runAttempt runs one attempt of the step: it plans the slices, queues
+// them and gathers their results, reporting whether it gathered all of
+// them. A BN-free model (parts = 0) has the fixed 8-row slice plan, and
+// which worker computes which slice — and any reassignment after a
+// death — cannot affect the result bits: every slice is deterministic
+// given the (identical) replica state, and the reduction tree is fixed
+// by the plan alone. A sync-BN model has one slice per admitted worker,
+// each a participant of every BN barrier; a barrier needs an exact
+// participant set, so losing an outstanding slice ends the attempt and
+// the step retries with the survivors. A worker's panic ends the step
+// with a panic. An attempt that does not complete bumps the attempt tag
+// and aborts every BN group, unwinding the surviving participants.
+func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
+	if len(c.workers) == 0 {
+		c.awaitAnyWorker()
+	}
+	parts := 0
+	if len(c.groups) > 0 {
+		parts = len(c.workers)
+	}
+	bounds := c.set.Plan(c.rep, n, parts)
 	S := len(bounds) - 1
-	done := make([]bool, S)
-	got := 0
+	if parts > 0 {
+		parts = S // fewer than the workers when the batch has fewer rows
+	}
+	att := c.beginAttempt(S)
+	defer func() {
+		if !ok {
+			c.abortAttempt()
+		}
+	}()
+	c.queue = c.queue[:0]
 	for s := S - 1; s >= 0; s-- { // popped from the tail → ascending dispatch
 		c.queue = append(c.queue, s)
 	}
-	c.dispatch(x, y, n, bounds, 0)
-	// One timer per step, re-armed when the deadline moves, never a
+	for _, w := range c.workers {
+		clear(w.outstanding) // a previous attempt's assignments
+	}
+	// Ascending slices to ascending worker ids: a sync-BN attempt gives
+	// each worker one slice, its participant index.
+	c.dispatch(x, y, n, bounds, parts)
+	done := make([]bool, S)
+	// One timer per attempt, re-armed when the deadline moves, never a
 	// time.After per pass: under the go 1.22 timer semantics this module
 	// builds with, an unfired time.After timer stays on the heap until
 	// it fires, StepTimeout later.
 	timer := time.NewTimer(c.cfg.StepTimeout)
 	defer timer.Stop()
-	for got < S {
-		if len(c.workers) == 0 {
-			c.awaitAnyWorker()
-			c.dispatch(x, y, n, bounds, 0)
-			if !timer.Stop() {
-				select { // drain a tick that fired while we waited
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(c.cfg.StepTimeout)
-			continue
-		}
+	for got := 0; got < S; {
 		select {
 		case ev := <-c.events:
+			if ev.kind != evDead && (ev.step != c.stepID || ev.attempt != att) {
+				continue // stale
+			}
 			switch ev.kind {
 			case evResult:
-				if ev.step != c.stepID || ev.slice < 0 || ev.slice >= S || done[ev.slice] {
-					continue // stale or duplicate
-				}
-				if !c.recordResult(ev) {
-					continue
+				if ev.slice < 0 || ev.slice >= S || done[ev.slice] || !c.recordResult(ev) {
+					continue // duplicate, or a malformed result that killed its worker
 				}
 				delete(ev.w.outstanding, ev.slice)
 				done[ev.slice] = true
 				got++
-				c.assignNext(ev.w, x, y, n, bounds, 0)
+				c.assignNext(ev.w, x, y, n, bounds, parts)
 			case evAborted:
-				if ev.step != c.stepID {
-					continue
-				}
 				if ev.fatal {
 					panic(fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.ID, ev.slice, ev.reason))
 				}
-				delete(ev.w.outstanding, ev.slice)
-				if !done[ev.slice] {
-					c.queue = append(c.queue, ev.slice)
-				}
-				c.dispatch(x, y, n, bounds, 0)
+				return false
 			case evDead:
-				c.removeWorker(ev.w)
-				c.dispatch(x, y, n, bounds, 0)
+				if c.removeWorker(ev.w) > 0 && parts > 0 {
+					return false
+				}
+				if len(c.workers) == 0 {
+					c.awaitAnyWorker()
+					if !timer.Stop() {
+						select { // drain a tick that fired while we waited
+						case <-timer.C:
+						default:
+						}
+					}
+					timer.Reset(c.cfg.StepTimeout)
+				}
+				c.dispatch(x, y, n, bounds, parts)
 			}
 		case w := <-c.joinCh:
+			// Admission mid-attempt is safe (the primary is stable); a
+			// sync-BN attempt has nothing queued for the newcomer, which
+			// participates from the next attempt or step.
 			c.admit(w)
-			c.assignNext(w, x, y, n, bounds, 0)
+			c.assignNext(w, x, y, n, bounds, parts)
 		case <-timer.C:
 			// Laggards holding slices past the step deadline are dead
 			// as far as this run is concerned: kill their connections
-			// so the resulting death events reassign their slices.
+			// and let the resulting deaths do the rest.
 			for _, w := range c.liveSorted() {
 				if len(w.outstanding) > 0 {
 					w.Kill("step deadline exceeded")
@@ -460,7 +470,37 @@ func (c *Coordinator) stepSliced(x *tensor.Tensor, y []int, n int) float64 {
 			timer.Reset(c.cfg.StepTimeout)
 		}
 	}
-	return c.finishStep()
+	return true
+}
+
+// beginAttempt starts a new attempt tag, waits out the previous
+// attempt's BN handlers and configures every BN group for S
+// participants.
+func (c *Coordinator) beginAttempt(S int) uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.attempt++
+	for c.bnActive > 0 { // stragglers from the previous attempt
+		c.bnCond.Wait()
+	}
+	for gi, g := range c.groups {
+		g.Configure(S)
+		c.stash[gi][0] = c.stash[gi][0][:0]
+		c.stash[gi][1] = c.stash[gi][1][:0]
+	}
+	return c.attempt
+}
+
+// abortAttempt invalidates the current attempt tag and poisons every
+// BN barrier so blocked participants unwind instead of waiting for a
+// dead sibling.
+func (c *Coordinator) abortAttempt() {
+	c.mu.Lock()
+	c.attempt++
+	c.mu.Unlock()
+	for _, g := range c.groups {
+		g.Abort()
+	}
 }
 
 // awaitAnyWorker blocks until at least one worker is admitted,
@@ -482,11 +522,12 @@ func (c *Coordinator) dispatch(x *tensor.Tensor, y []int, n int, bounds []int, p
 	}
 }
 
-// assignNext pops one slice off the queue and sends it to w. With
-// parts > 0 the slice participates in sync-BN as participant
-// slice-index of parts.
+// assignNext pops one slice off the queue and sends it to w, if w is
+// admitted. An admitted worker that has died keeps the slice until its
+// death event requeues it. With parts > 0 the slice participates in
+// sync-BN as participant slice-index of parts.
 func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bounds []int, parts int) {
-	if len(c.queue) == 0 || w.Dead() {
+	if len(c.queue) == 0 || c.workers[w.ID] != w {
 		return
 	}
 	s := c.queue[len(c.queue)-1]
@@ -508,7 +549,6 @@ func (c *Coordinator) sendSlice(w *remote, s int, x *tensor.Tensor, y []int, n i
 	e.U32(c.curAttempt())
 	e.U32(uint32(s))
 	e.U32(uint32(n))
-	e.U32(uint32(s)) // BN participant index == slice index
 	e.U32(uint32(parts))
 	e.U32(uint32(hi - lo))
 	for _, lbl := range y[lo:hi] {
@@ -537,7 +577,7 @@ func (c *Coordinator) curAttempt() uint32 {
 func (c *Coordinator) recordResult(ev event) bool {
 	d := wire.Dec{B: ev.payload}
 	d.U64() // step, already checked
-	d.U32() // attempt, already checked by caller where relevant
+	d.U32() // attempt, already checked
 	d.U32() // slice, already decoded into ev.slice
 	loss, grads, lo, hi, seen := c.set.Slot(ev.slice)
 	*loss = d.F64()
@@ -570,147 +610,25 @@ func (c *Coordinator) finishStep() float64 {
 	return loss
 }
 
-// stepBN runs a sync-BN step. Participants are fixed for the attempt
-// (a barrier needs an exact participant set), so a death mid-attempt
-// aborts every BN group — unwinding all survivors — and the whole step
-// retries with the surviving fleet. The primary's BN running
-// statistics come from the stash of folded moments, applied only on
-// commit, so aborted attempts leave the primary untouched.
-func (c *Coordinator) stepBN(x *tensor.Tensor, y []int, n int) float64 {
-	for {
-		if len(c.workers) == 0 {
-			c.awaitAnyWorker()
-		}
-		live := c.liveSorted()
-		bounds := c.set.Plan(c.rep, n, len(live))
-		S := len(bounds) - 1
-		c.mu.Lock()
-		c.attempt++
-		att := c.attempt
-		for c.bnActive > 0 { // stragglers from the previous attempt
-			c.bnCond.Wait()
-		}
-		for gi := range c.groups {
-			c.groups[gi].Configure(S)
-			c.stash[gi].haveSum = false
-			c.stash[gi].haveSq = false
-		}
-		c.mu.Unlock()
-
-		ok, fatal := c.gatherBN(att, S, bounds, x, y, n, live)
-		if fatal != nil {
-			c.abortAttempt()
-			panic(fatal)
-		}
-		if ok {
-			c.applyBNStash()
-			return c.finishStep()
-		}
-		c.abortAttempt()
-		stepRetries.Inc()
-		c.logf("sync-BN step %d attempt %d aborted; retrying with %d workers", c.stepID, att, len(c.workers))
-	}
-}
-
-// abortAttempt invalidates the current attempt tag and poisons every
-// BN barrier so blocked participants unwind instead of waiting for a
-// dead sibling.
-func (c *Coordinator) abortAttempt() {
-	c.mu.Lock()
-	c.attempt++
-	c.mu.Unlock()
-	for _, g := range c.groups {
-		g.Abort()
-	}
-}
-
-// gatherBN assigns slice s to live[s] and waits for all S results of
-// this attempt. It reports failure on any death or abort (the step
-// retries) and surfaces worker panics as fatal.
-func (c *Coordinator) gatherBN(att uint32, S int, bounds []int, x *tensor.Tensor, y []int, n int, live []*remote) (bool, error) {
-	c.queue = c.queue[:0]
-	done := make([]bool, S)
-	got := 0
-	for s := 0; s < S; s++ {
-		w := live[s]
-		w.outstanding[s] = true
-		if err := c.sendSlice(w, s, x, y, n, bounds, S); err != nil {
-			w.Kill(fmt.Sprintf("send slice: %v", err))
-			return false, nil
-		}
-	}
-	timer := time.NewTimer(c.cfg.StepTimeout)
-	defer timer.Stop()
-	for got < S {
-		select {
-		case ev := <-c.events:
-			switch ev.kind {
-			case evResult:
-				if ev.step != c.stepID || ev.attempt != att || ev.slice < 0 || ev.slice >= S || done[ev.slice] {
-					continue
-				}
-				if !c.recordResult(ev) {
-					return false, nil
-				}
-				delete(ev.w.outstanding, ev.slice)
-				done[ev.slice] = true
-				got++
-			case evAborted:
-				if ev.step != c.stepID || ev.attempt != att {
-					continue
-				}
-				delete(ev.w.outstanding, ev.slice)
-				if ev.fatal {
-					return false, fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.ID, ev.slice, ev.reason)
-				}
-				return false, nil
-			case evDead:
-				if c.removeWorker(ev.w) > 0 {
-					return false, nil
-				}
-				// A death with no outstanding slices (e.g. an idle
-				// extra worker) does not invalidate the attempt.
-			}
-		case w := <-c.joinCh:
-			// Admission mid-attempt is safe (the primary is stable);
-			// the newcomer participates from the next attempt or step.
-			c.admit(w)
-		case <-timer.C:
-			for _, w := range c.liveSorted() {
-				if len(w.outstanding) > 0 {
-					w.Kill("step deadline exceeded")
-				}
-			}
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // handleBN serves one sync-BN reduction request on its own goroutine
 // (it blocks in the group barrier on behalf of the remote
 // participant). Stale requests — a previous attempt's stragglers — are
-// answered with an abort so the worker unwinds.
+// answered with an abort so the worker unwinds. The first fold of
+// phase 1 and of phase 2 is stashed for applyBNStash (every
+// participant's fold is identical).
 func (c *Coordinator) handleBN(w *remote, payload []byte) {
 	d := wire.Dec{B: payload}
-	att := d.U32()
-	group := int(d.U32())
-	phase := d.U8()
-	part := int(d.U32())
-	cnt := int(d.U32())
-	v1 := d.F64s()
-	var v2 []float64
-	if phase == 3 {
-		v2 = d.F64s()
-	}
-	if d.Err() != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 {
+	att, group, phase, part := d.U32(), int(d.U32()), d.U8(), int(d.U32())
+	v := d.F64s()
+	if d.Err() != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 ||
+		len(v) != bnWidth(phase, c.groups[group].Channels()) {
 		w.Kill("malformed BN frame")
 		return
 	}
 	c.mu.Lock()
 	if c.closed || att != c.attempt {
 		c.mu.Unlock()
-		c.sendBNAbort(w, att, group, phase)
+		c.sendBN(w, frameBNAbort, att, group, phase, nil)
 		return
 	}
 	c.bnActive++
@@ -725,65 +643,41 @@ func (c *Coordinator) handleBN(w *remote, payload []byte) {
 		if r := recover(); r != nil {
 			// The barrier was poisoned (attempt aborted) or the request
 			// was inconsistent; either way the worker must unwind.
-			c.sendBNAbort(w, att, group, phase)
+			c.sendBN(w, frameBNAbort, att, group, phase, nil)
 		}
 	}()
-	g := c.groups[group]
 	start := time.Now()
-	var e wire.Enc
-	e.U32(att)
-	e.U32(uint32(group))
-	e.U8(phase)
-	switch phase {
-	case 1:
-		out, total := g.ReduceMoments(part, v1, cnt)
-		c.stashMoments(group, att, out, total)
-		e.U32(uint32(total))
-		e.F64s(out)
-	case 2:
-		out := g.ReduceSquares(part, v1)
-		c.stashSquares(group, att, out)
-		e.F64s(out)
-	case 3:
-		gdy, gdyx := g.ReduceGrads(part, v1, v2)
-		e.F64s(gdy)
-		e.F64s(gdyx)
-	}
+	out := c.groups[group].Reduce(part, v)
 	bnReduceMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	if err := w.Conn.Send(frameBNResult, e.B); err != nil {
+	if phase < 3 {
+		c.mu.Lock()
+		if st := &c.stash[group][phase-1]; att == c.attempt && len(*st) == 0 {
+			*st = append(*st, out...)
+		}
+		c.mu.Unlock()
+	}
+	if err := c.sendBN(w, frameBNResult, att, group, phase, out); err != nil {
 		w.Kill(fmt.Sprintf("send BN result: %v", err))
 	}
 }
 
-func (c *Coordinator) sendBNAbort(w *remote, att uint32, group int, phase uint8) {
+// bnWidth is the length of a phase's packed vector for c channels (see
+// nn.BNSyncer): the sums and the count, the squares, Σdy and Σdy·x̂.
+func bnWidth(phase uint8, c int) int {
+	return [4]int{0, c + 1, c, 2 * c}[phase]
+}
+
+// sendBN sends a bn_result (v folded) or a bn_abort (v nil) answering
+// one bn_reduce; an abort is best effort, the conn may be gone.
+func (c *Coordinator) sendBN(w *remote, t uint8, att uint32, group int, phase uint8, v []float64) error {
 	var e wire.Enc
 	e.U32(att)
 	e.U32(uint32(group))
 	e.U8(phase)
-	w.Conn.Send(frameBNAbort, e.B) // best effort; conn may be gone
-}
-
-// stashMoments records one group's folded phase-1 moments (every
-// participant's fold is identical, so the first one wins).
-func (c *Coordinator) stashMoments(group int, att uint32, sum []float64, cnt int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if att != c.attempt || c.stash[group].haveSum {
-		return
+	if t == frameBNResult {
+		e.F64s(v)
 	}
-	c.stash[group].sum = append(c.stash[group].sum[:0], sum...)
-	c.stash[group].cnt = cnt
-	c.stash[group].haveSum = true
-}
-
-func (c *Coordinator) stashSquares(group int, att uint32, sq []float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if att != c.attempt || c.stash[group].haveSq {
-		return
-	}
-	c.stash[group].sq = append(c.stash[group].sq[:0], sq...)
-	c.stash[group].haveSq = true
+	return w.Conn.Send(t, e.B)
 }
 
 // applyBNStash commits the folded moments to the primary's BatchNorm
@@ -793,11 +687,11 @@ func (c *Coordinator) applyBNStash() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for gi, bn := range c.rep.BatchNorms() {
-		st := &c.stash[gi]
-		if !st.haveSum || !st.haveSq {
+		st := c.stash[gi]
+		if len(st[0]) == 0 || len(st[1]) == 0 {
 			panic(fmt.Sprintf("dist: sync-BN stash incomplete for group %d", gi))
 		}
-		bn.UpdateRunning(st.sum, st.sq, st.cnt)
+		bn.UpdateRunning(st[0], st[1])
 	}
 }
 

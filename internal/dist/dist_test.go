@@ -5,6 +5,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,6 +227,78 @@ func TestDistWorkerKillMidRun(t *testing.T) {
 		t.Fatal("no slices were reassigned to the survivor")
 	}
 	assertBitIdentical(t, cl.model, solo, "dist with mid-run kill vs solo")
+}
+
+// killOnResult closes the connection instead of writing the worker's
+// n-th slice_result frame, and sets killed: the slice is lost with its
+// worker, mid-step.
+type killOnResult struct {
+	net.Conn
+	n      atomic.Int64
+	limit  int64
+	killed *atomic.Bool
+}
+
+func (c *killOnResult) Write(b []byte) (int, error) {
+	if len(b) > wire.HeaderLen && b[16] == frameSliceResult && c.n.Add(1) == c.limit {
+		c.killed.Store(true)
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
+// TestDistOnlyWorkerKilledMidStep kills the only worker of a BN-free
+// run while it holds a slice, and starts a replacement once the
+// coordinator reports it is waiting for one. The step must requeue the
+// lost slice to the replacement within the same attempt — no step
+// retry — and finish the run bit-identical to solo.
+func TestDistOnlyWorkerKilledMidStep(t *testing.T) {
+	spec := tinySpec("lenet")
+	solo := runSolo(t, spec, 1, nil)
+	var killed atomic.Bool
+	wrap := func(i int) func(net.Conn) net.Conn {
+		if i != 0 {
+			return nil
+		}
+		return func(c net.Conn) net.Conn {
+			if killed.Load() {
+				c.Close() // the killed worker stays dead: its redials fail
+			}
+			return &killOnResult{Conn: c, limit: 3, killed: &killed}
+		}
+	}
+	var cl *cluster
+	var mu sync.Mutex
+	parked := 0
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(format, "no live workers") {
+			// On the training goroutine, inside the step.
+			mu.Lock()
+			parked++
+			mu.Unlock()
+			cl.addWorker(WorkerConfig{}, nil, 1)
+		}
+		t.Logf(format, args...)
+	}
+	cl = startCluster(t, spec, 1, CoordinatorConfig{Logf: logf}, WorkerConfig{}, wrap)
+	retries, reassigned := stepRetries.Value(), sliceReassignments.Value()
+	cl.run(nil)
+	if !killed.Load() {
+		t.Fatal("the kill wrapper never fired")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if parked != 1 {
+		t.Fatalf("the coordinator waited for a worker %d times, want 1", parked)
+	}
+	if sliceReassignments.Value() <= reassigned {
+		t.Fatal("the lost slice was never requeued")
+	}
+	if got := stepRetries.Value() - retries; got != 0 {
+		t.Fatalf("dist_step_retries_total moved by %v, want 0", got)
+	}
+	assertBitIdentical(t, cl.model, solo, "dist with its only worker replaced mid-step vs solo")
 }
 
 // stallWrites silently discards every write after the first n — the

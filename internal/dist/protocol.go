@@ -27,7 +27,7 @@ import (
 // ProtocolVersion is the frame-protocol generation carried in
 // Hello/Welcome. A coordinator refuses workers speaking a different
 // version — silent cross-version operation could break bit-identity.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Frame types. The payload layouts are specified in
 // docs/dist-protocol.md; encode/decode helpers live next to their

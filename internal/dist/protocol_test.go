@@ -5,9 +5,12 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"net"
+	"sync"
 	"testing"
 
 	"github.com/appmult/retrain/internal/models"
+	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/tensor"
 	"github.com/appmult/retrain/internal/train"
 	"github.com/appmult/retrain/internal/wire"
@@ -17,8 +20,10 @@ import (
 func TestMain(m *testing.M) { wiretest.Main(m) }
 
 // TestGoldenFrames pins DSTFRv1 as this package speaks it — proto's
-// magic plus the frame-type numbers and payload encoders declared here
-// — to the bytes the pre-internal/wire encoder produced.
+// magic plus the frame-type numbers and payload layouts declared here.
+// hello, slice_aborted and bye are built field by field; slice,
+// bn_reduce and bn_result are the frames the coordinator's and the
+// worker's own senders write, the bn_result answering the bn_reduce.
 func TestGoldenFrames(t *testing.T) {
 	golden := wiretest.Golden(t)
 	var hello, aborted wire.Enc
@@ -28,29 +33,78 @@ func TestGoldenFrames(t *testing.T) {
 	aborted.U32(5)  // slice
 	aborted.U8(0)   // not fatal
 	aborted.Str("sync aborted")
+
+	// Slice 1 of a 3-row batch cut [0, 2, 3), for 2 sync-BN participants.
+	var slice sentConn
+	co := &Coordinator{stepID: 42, attempt: 7}
+	x := tensor.New(3, 1)
+	copy(x.Data, []float32{0.5, -1, 2})
+	if err := co.sendSlice(slice.remote(), 1, x, []int{3, 1, 4}, 3, []int{0, 2, 3}, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	// Participant 1's phase-1 reduction for group 2 (two channels): the
+	// sums 0.5 and -1.25, then the count 6.
+	var reduce sentConn
+	dead := make(chan struct{})
+	close(dead) // no reply comes: Reduce unwinds after sending
+	ws := &workerSession{fc: wire.NewConn(proto, &reduce, 0, 0), attempt: 7, readerDead: dead}
+	func() {
+		defer func() {
+			if r := recover(); r != nn.ErrSyncAborted {
+				t.Fatalf("Reduce without a reply recovered %v", r)
+			}
+		}()
+		(&bnProxy{s: ws, group: 2, c: 2}).Reduce(1, []float64{0.5, -1.25, 6})
+	}()
+
+	// The coordinator folds it with participant 0's {1, 2, 4}.
+	var result sentConn
+	co = &Coordinator{attempt: 7, stash: make([][2][]float64, 3)}
+	co.bnCond = sync.NewCond(&co.mu)
+	for range co.stash {
+		co.groups = append(co.groups, nn.NewBNSyncGroup(2))
+	}
+	co.groups[2].Configure(2)
+	go co.groups[2].Reduce(0, []float64{1, 2, 4})
+	co.handleBN(result.remote(), reduce.buf.Bytes()[wire.HeaderLen:reduce.buf.Len()-4])
+
 	for _, tc := range []struct {
-		name    string
-		seq     uint64
-		t       uint8
-		payload []byte
+		name  string
+		frame []byte
 	}{
-		{"dstfrv1/hello", 0, frameHello, hello.B},
-		{"dstfrv1/slice_aborted", 3, frameSliceAborted, aborted.B},
-		{"dstfrv1/bye", 5, frameBye, nil},
+		{"dstfrv1/hello", proto.Frame(nil, 0, frameHello, hello.B)},
+		{"dstfrv1/slice_aborted", proto.Frame(nil, 3, frameSliceAborted, aborted.B)},
+		{"dstfrv1/bye", proto.Frame(nil, 5, frameBye, nil)},
+		{"dstfrv1/slice", slice.buf.Bytes()},
+		{"dstfrv1/bn_reduce", reduce.buf.Bytes()},
+		{"dstfrv1/bn_result", result.buf.Bytes()},
 	} {
-		if got := proto.Frame(nil, tc.seq, tc.t, tc.payload); !bytes.Equal(got, golden[tc.name]) {
-			t.Errorf("%s:\n got %x\nwant %x", tc.name, got, golden[tc.name])
+		if !bytes.Equal(tc.frame, golden[tc.name]) {
+			t.Errorf("%s:\n got %x\nwant %x", tc.name, tc.frame, golden[tc.name])
 		}
 	}
 }
 
-// TestWelcomeSpecBytes pins the welcome's spec encoding to the bytes
-// written when the slice granularity was still a spec field set to 8:
-// the slot stays on the wire, so nodes on either side of that change
-// still understand each other.
+// sentConn is a connection whose writes land in buf; a wire.Conn over
+// it sends with no deadline, so Write is all it needs.
+type sentConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *sentConn) Write(b []byte) (int, error) { return c.buf.Write(b) }
+
+// remote is a coordinator-side worker handle sending into c.
+func (c *sentConn) remote() *remote {
+	return &remote{Peer: &wire.Peer{Conn: wire.NewConn(proto, c, 0, 0)}}
+}
+
+// TestWelcomeSpecBytes pins the welcome's spec encoding for a fixed
+// spec.
 func TestWelcomeSpecBytes(t *testing.T) {
 	const want = "050000006c656e6574090000006d756c38755f726d380a000000736d6f6f7468646966660400000074696e79" +
-		"0a0000000500000000000000020000000a00000008000000"
+		"0a0000000500000000000000020000000a000000"
 	var e wire.Enc
 	Spec{Model: "lenet", Mult: "mul8u_rm8", Estimator: "smoothdiff", Scale: "tiny",
 		Classes: 10, Seed: 5, Epochs: 2, BatchSize: 10}.encode(&e)
@@ -92,7 +146,6 @@ func TestWorkerFramesRejectHugeCounts(t *testing.T) {
 	slice.U32(0)              // attempt
 	slice.U32(0)              // slice
 	slice.U32(math.MaxUint32) // batch
-	slice.U32(0)              // part index
 	slice.U32(0)              // parts
 	slice.U32(math.MaxUint32) // rows
 	if err := s.handleSlice(slice.B); err == nil {

@@ -112,9 +112,7 @@ func (s Spec) Datasets(sc train.Scale) (trainSet, testSet *data.Dataset) {
 	})
 }
 
-// encode appends the spec's wire form. The trailing slice_rows slot
-// predates the fixed slice granularity: it is always
-// train.DefaultSliceRows, and decodeSpec skips it.
+// encode appends the spec's wire form.
 func (s Spec) encode(e *wire.Enc) {
 	e.Str(s.Model)
 	e.Str(s.Mult)
@@ -124,12 +122,11 @@ func (s Spec) encode(e *wire.Enc) {
 	e.U64(uint64(s.Seed))
 	e.U32(uint32(s.Epochs))
 	e.U32(uint32(s.BatchSize))
-	e.U32(train.DefaultSliceRows)
 }
 
 // decodeSpec reads a spec's wire form.
 func decodeSpec(d *wire.Dec) Spec {
-	s := Spec{
+	return Spec{
 		Model:     d.Str(),
 		Mult:      d.Str(),
 		Estimator: d.Str(),
@@ -139,6 +136,4 @@ func decodeSpec(d *wire.Dec) Spec {
 		Epochs:    int(d.U32()),
 		BatchSize: int(d.U32()),
 	}
-	d.U32() // slice_rows
-	return s
 }

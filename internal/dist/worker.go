@@ -265,7 +265,6 @@ func (s *workerSession) handleSlice(p []byte) error {
 	att := d.U32()
 	slice := d.U32()
 	batchN := int(d.U32())
-	partIdx := int(d.U32())
 	parts := int(d.U32())
 	rows := int(d.U32())
 	// The labels are taken as one run before anything is sized from
@@ -292,7 +291,8 @@ func (s *workerSession) handleSlice(p []byte) error {
 	s.attempt = att
 	for i, bn := range s.rep.BatchNorms() {
 		if parts > 0 {
-			bn.SetSyncGroup(s.proxies[i], partIdx)
+			s.proxies[i].phase = 0
+			bn.SetSyncGroup(s.proxies[i], int(slice)) // the slice index is the participant index
 		} else {
 			bn.SetSyncGroup(nil, 0)
 		}
@@ -363,85 +363,41 @@ type bnProxy struct {
 	s     *workerSession
 	group int
 	c     int
+	phase uint8 // the slice's reductions so far: 1 moments, 2 squares, 3 gradient sums
 }
 
 // Channels implements nn.BNSyncer.
 func (p *bnProxy) Channels() int { return p.c }
 
-// ReduceMoments implements nn.BNSyncer.
-func (p *bnProxy) ReduceMoments(idx int, sum []float64, cnt int) ([]float64, int) {
+// Reduce implements nn.BNSyncer: one bn_reduce, then the matching
+// bn_result. Replies tagged with another attempt, group or phase are
+// stale ones from an aborted attempt.
+func (p *bnProxy) Reduce(idx int, v []float64) []float64 {
+	p.phase++
 	var e wire.Enc
 	e.U32(p.s.attempt)
 	e.U32(uint32(p.group))
-	e.U8(1)
+	e.U8(p.phase)
 	e.U32(uint32(idx))
-	e.U32(uint32(cnt))
-	e.F64s(sum)
-	d := p.roundTrip(1, e.B)
-	total := int(d.U32())
-	out := d.F64s()
-	if err := d.Err(); err != nil {
-		panic(err)
-	}
-	return out, total
-}
-
-// ReduceSquares implements nn.BNSyncer.
-func (p *bnProxy) ReduceSquares(idx int, sq []float64) []float64 {
-	var e wire.Enc
-	e.U32(p.s.attempt)
-	e.U32(uint32(p.group))
-	e.U8(2)
-	e.U32(uint32(idx))
-	e.U32(0)
-	e.F64s(sq)
-	d := p.roundTrip(2, e.B)
-	out := d.F64s()
-	if err := d.Err(); err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// ReduceGrads implements nn.BNSyncer.
-func (p *bnProxy) ReduceGrads(idx int, dy, dyx []float64) ([]float64, []float64) {
-	var e wire.Enc
-	e.U32(p.s.attempt)
-	e.U32(uint32(p.group))
-	e.U8(3)
-	e.U32(uint32(idx))
-	e.U32(0)
-	e.F64s(dy)
-	e.F64s(dyx)
-	d := p.roundTrip(3, e.B)
-	gdy := d.F64s()
-	gdyx := d.F64s()
-	if err := d.Err(); err != nil {
-		panic(err)
-	}
-	return gdy, gdyx
-}
-
-// roundTrip sends one BNReduce request and waits for its matching
-// reply, panicking ErrSyncAborted on abort or connection loss.
-func (p *bnProxy) roundTrip(phase uint8, payload []byte) *wire.Dec {
-	if err := p.s.fc.Send(frameBNReduce, payload); err != nil {
+	e.F64s(v)
+	if err := p.s.fc.Send(frameBNReduce, e.B); err != nil {
 		panic(nn.ErrSyncAborted)
 	}
 	for {
 		select {
 		case r := <-p.s.bnCh:
-			d := &wire.Dec{B: r.p}
-			ratt := d.U32()
-			rgroup := int(d.U32())
-			rphase := d.U8()
-			if d.Failed() || ratt != p.s.attempt || rgroup != p.group || rphase != phase {
-				continue // stale reply from an aborted attempt
+			d := wire.Dec{B: r.p}
+			if d.U32() != p.s.attempt || int(d.U32()) != p.group || d.U8() != p.phase || d.Failed() {
+				continue
 			}
 			if r.t == frameBNAbort {
 				panic(nn.ErrSyncAborted)
 			}
-			return d
+			out := d.F64s()
+			if err := d.Err(); err != nil {
+				panic(err)
+			}
+			return out
 		case <-p.s.readerDead:
 			panic(nn.ErrSyncAborted)
 		}

@@ -29,16 +29,16 @@ type BatchNorm2D struct {
 	// Sync-BN hookup (see BNSyncer): when sync is non-nil, training
 	// forwards compute full-batch statistics by all-reducing moments
 	// across the syncer's participants, and Backward all-reduces the
-	// gradient sums the same way.
+	// gradient sums the same way. The buffers hold the vectors in the
+	// syncer's packing, so a reduction publishes them as they are.
 	sync       BNSyncer
 	syncIdx    int
 	syncActive bool
 	syncCnt    float64
 	meanBuf    []float64
-	sumBuf     []float64 // per-channel sums (c wide)
+	sumBuf     []float64 // per-channel sums, then the element count (c+1 wide)
 	sqBuf      []float64 // per-channel squared deviations (c wide)
-	dyBuf      []float64 // local backward dy sums (c wide)
-	dyxBuf     []float64 // local backward dy*xhat sums (c wide)
+	gradBuf    []float64 // local backward Σdy, then Σdy·x̂ (2c wide)
 
 	// run carries the training passes' per-channel work (bnRun).
 	run bnRun
@@ -167,16 +167,17 @@ func sqDevChannel(x []float32, n, c, hw, ch int, mean float64) float64 {
 }
 
 // UpdateRunning folds one training batch into the running statistics
-// from its per-channel sums, its per-channel squared deviations about
-// the batch mean, and its element count per channel (rows * H * W) —
-// the moments a training forward folds, which a sync-BN reduction hands
-// back folded over every participant. The dist coordinator commits a
-// step's statistics to its primary through here, so the primary and
-// the workers' replicas run the same arithmetic.
-func (b *BatchNorm2D) UpdateRunning(sum, sq []float64, cnt int) {
-	n, m := float64(cnt), b.Momentum
+// from its moments, packed as a sync-BN reduction packs them: sums is
+// the per-channel sums followed by the element count per channel
+// (rows * H * W), sq the per-channel squared deviations about the batch
+// mean — the moments a training forward folds, which a sync-BN
+// reduction hands back folded over every participant. The dist
+// coordinator commits a step's statistics to its primary through here,
+// so the primary and the workers' replicas run the same arithmetic.
+func (b *BatchNorm2D) UpdateRunning(sums, sq []float64) {
+	n, m := sums[b.C], b.Momentum
 	for ch := 0; ch < b.C; ch++ {
-		mean, vr := sum[ch]/n, sq[ch]/n
+		mean, vr := sums[ch]/n, sq[ch]/n
 		b.RunningMean.Data[ch] = float32(float64((1-m)*float64(b.RunningMean.Data[ch])) + float64(m*mean))
 		b.RunningVar.Data[ch] = float32(float64((1-m)*float64(b.RunningVar.Data[ch])) + float64(m*vr))
 	}
@@ -229,25 +230,24 @@ func (b *BatchNorm2D) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
 	n, c, hw := b.begin(x, true)
 	b.syncActive = b.sync != nil
 	b.meanBuf = grow(b.meanBuf, c)
-	b.sumBuf = grow(b.sumBuf, c)
+	b.sumBuf = grow(b.sumBuf, c+1)
 	b.sqBuf = grow(b.sqBuf, c)
-	total := n * hw
-	b.run = bnRun{b: b, x: x.Data, n: n, c: c, hw: hw, cnt: float64(total), sq: b.sqBuf}
+	b.sumBuf[c] = float64(n * hw)
+	b.run = bnRun{b: b, x: x.Data, n: n, c: c, hw: hw, cnt: b.sumBuf[c], sq: b.sqBuf}
 	if !b.syncActive {
 		b.runChannels(bnForward)
 		b.syncCnt = b.run.cnt
-		b.UpdateRunning(b.sumBuf, b.sqBuf, total)
+		b.UpdateRunning(b.sumBuf, b.sqBuf)
 		return b.out
 	}
 
 	b.runChannels(bnSums)
-	folded, total := b.sync.ReduceMoments(b.syncIdx, b.sumBuf, total)
-	copy(b.sumBuf, folded) // the syncer's slice is valid only until its next reduction
-	b.run.cnt = float64(total)
+	copy(b.sumBuf, b.sync.Reduce(b.syncIdx, b.sumBuf)) // the syncer's slice is valid only until its next reduction
+	b.run.cnt = b.sumBuf[c]
 	b.syncCnt = b.run.cnt
 	b.runChannels(bnSquares)
-	b.run.sq = b.sync.ReduceSquares(b.syncIdx, b.sqBuf)
-	b.UpdateRunning(b.sumBuf, b.run.sq, total)
+	b.run.sq = b.sync.Reduce(b.syncIdx, b.sqBuf)
+	b.UpdateRunning(b.sumBuf, b.run.sq)
 	b.runChannels(bnNormalize)
 	return b.out
 }
@@ -274,7 +274,7 @@ const (
 	bnSquares                 // meanBuf, sqBuf from the folded sums
 	bnNormalize               // out and the caches from meanBuf and sq
 	bnBackward                // gradient sums, parameter gradients, dx
-	bnGradSums                // dyBuf, dyxBuf
+	bnGradSums                // gradBuf
 	bnInputGrad               // parameter gradients from the local sums, dx from gdy, gdyx
 )
 
@@ -323,11 +323,11 @@ func (t *bnRun) group(lo, hi int) {
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, sumDy, sumDyXhat)
 		}
 	case bnGradSums:
-		gradSumsChannels(b.dyBuf[lo:hi], b.dyxBuf[lo:hi], x, b.xhat.Data, n, c, hw, lo)
+		gradSumsChannels(b.gradBuf[lo:hi], b.gradBuf[c+lo:c+hi], x, b.xhat.Data, n, c, hw, lo)
 	case bnInputGrad:
 		for ch := lo; ch < hi; ch++ {
-			b.Beta.Grad.Data[ch] += float32(b.dyBuf[ch])
-			b.Gamma.Grad.Data[ch] += float32(b.dyxBuf[ch])
+			b.Beta.Grad.Data[ch] += float32(b.gradBuf[ch])
+			b.Gamma.Grad.Data[ch] += float32(b.gradBuf[c+ch])
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, t.gdy[ch], t.gdyx[ch])
 		}
 	}
@@ -414,10 +414,10 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 // trainer's generic cross-shard gradient reduction adds the shards'
 // parameter gradients together, which completes those sums globally.
 func (b *BatchNorm2D) backwardSync() *tensor.Tensor {
-	b.dyBuf = grow(b.dyBuf, b.C)
-	b.dyxBuf = grow(b.dyxBuf, b.C)
+	b.gradBuf = grow(b.gradBuf, 2*b.C)
 	b.runChannels(bnGradSums)
-	b.run.gdy, b.run.gdyx = b.sync.ReduceGrads(b.syncIdx, b.dyBuf, b.dyxBuf)
+	g := b.sync.Reduce(b.syncIdx, b.gradBuf)
+	b.run.gdy, b.run.gdyx = g[:b.C], g[b.C:]
 	b.run.cnt = b.syncCnt
 	b.runChannels(bnInputGrad)
 	return b.dx

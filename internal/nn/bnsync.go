@@ -17,45 +17,41 @@ import (
 // reports the slice as aborted so the coordinator can retry the step.
 var ErrSyncAborted = errors.New("nn: batchnorm sync aborted")
 
-// BNSyncer is the cross-replica moment all-reduce a BatchNorm2D uses
-// in sync-BN mode. Participant idx publishes its local per-channel
-// vectors and receives the vectors folded over every participant in
-// ascending participant order — the fixed fold order is what makes
+// BNSyncer is the cross-replica all-reduce a BatchNorm2D uses in
+// sync-BN mode. Participant idx publishes a packed vector and receives
+// it folded over every participant: each element summed in ascending
+// participant order from +0 — the fixed fold order is what makes
 // sync-BN deterministic. Implementations must deliver bit-identical
 // folds to every participant and must panic with ErrSyncAborted
 // (rather than block forever) when the reduction is aborted.
 //
+// A training step makes three reductions per layer, each packing one
+// phase's per-channel vectors: the forward's sums followed by the
+// element count per channel (rows * H * W) as a float64 — exact, the
+// counts being far below 2^53 — then its squared deviations about the
+// folded mean, and the backward's Σdy followed by Σdy·x̂.
+//
 // BNSyncGroup is the in-process implementation shared by the replicas
 // of a data-parallel sharded step; internal/dist provides a network
-// proxy that forwards the same three exchanges to a coordinator-hosted
+// proxy that forwards the same reductions to a coordinator-hosted
 // BNSyncGroup, extending sync-BN across processes.
 type BNSyncer interface {
 	// Channels returns the per-channel vector width participants must
 	// use.
 	Channels() int
-	// ReduceMoments publishes the participant's per-channel input sums
-	// and element count (rows * H * W) and returns the sums folded over
-	// all participants plus the total element count. The returned slice
-	// is owned by the syncer and valid until the participant's next
-	// reduction.
-	ReduceMoments(idx int, sum []float64, cnt int) (folded []float64, totalCnt int)
-	// ReduceSquares publishes the participant's per-channel squared
-	// deviations about the global mean and returns the folded sums.
-	ReduceSquares(idx int, sq []float64) []float64
-	// ReduceGrads publishes the participant's per-channel gradient sums
-	// (sum dy, sum dy*xhat) and returns both folded over the group.
-	ReduceGrads(idx int, dy, dyx []float64) (gdy, gdyx []float64)
+	// Reduce publishes participant idx's packed vector v and returns
+	// the fold. The returned slice is owned by the syncer and valid
+	// until the participant's next reduction.
+	Reduce(idx int, v []float64) []float64
 }
 
 // BNSyncGroup coordinates one BatchNorm2D position across the model
 // replicas of a data-parallel sharded training step (sync-BN). Every
 // replica's BatchNorm2D at the same architectural position shares one
-// group: during a training forward each participant publishes its
-// slice's per-channel moments into its own slot, waits at a barrier,
-// and then folds all slots in ascending participant order — so all
-// replicas compute identical full-batch statistics, in the same order,
-// without a designated leader. Backward all-reduces the per-channel
-// gradient sums the same way.
+// group: each reduction, a participant publishes its vector into its
+// own slot, waits at a barrier, and then folds all slots in ascending
+// participant order — so all replicas compute identical full-batch
+// statistics, in the same order, without a designated leader.
 //
 // Configure must be called (single-threaded) before each step; slots
 // are reused across steps, so steady-state steps do not allocate.
@@ -64,14 +60,14 @@ type BNSyncGroup struct {
 	parts int
 	bar   syncBarrier
 
-	// Per-participant slots, each c channels wide. sum/sq carry the
-	// forward moment passes; dy/dyx the backward gradient sums. cnt is
-	// the participant's element count per channel (rows * H * W). The
-	// r-prefixed slices are the per-participant fold results handed
-	// back from the Reduce methods.
-	sum, sq, dy, dyx     [][]float64
-	rsum, rsq, rdy, rdyx [][]float64
-	cnt                  []int
+	// Two slot sets, alternating by reduction: a participant may
+	// publish reduction k+1 while a slower one is still folding k, but
+	// none can publish k+2 before every participant has arrived at k+1,
+	// that is, finished folding k. Participant p's slot in a set, and
+	// its fold in out, start at p*2c — room for the widest vector.
+	slots [2][]float64
+	out   []float64
+	odd   []bool // per participant: its next reduction uses slots[1]
 }
 
 // NewBNSyncGroup creates a group for one BatchNorm2D position with c
@@ -88,25 +84,20 @@ func (g *BNSyncGroup) Channels() int { return g.c }
 
 // Configure prepares the group for one training step with parts active
 // participants (participant indices 0..parts-1). It resets the barrier
-// (clearing any previous abort) and sizes the moment slots. It must
-// not be called while participants are inside a reduction.
+// (clearing any previous abort) and sizes the slots. It must not be
+// called while participants are inside a reduction.
 func (g *BNSyncGroup) Configure(parts int) {
 	if parts < 1 {
 		panic(fmt.Sprintf("nn: BNSyncGroup configured with %d participants", parts))
 	}
 	g.parts = parts
 	g.bar.reset(parts)
-	for len(g.sum) < parts {
-		g.sum = append(g.sum, make([]float64, g.c))
-		g.sq = append(g.sq, make([]float64, g.c))
-		g.dy = append(g.dy, make([]float64, g.c))
-		g.dyx = append(g.dyx, make([]float64, g.c))
-		g.rsum = append(g.rsum, make([]float64, g.c))
-		g.rsq = append(g.rsq, make([]float64, g.c))
-		g.rdy = append(g.rdy, make([]float64, g.c))
-		g.rdyx = append(g.rdyx, make([]float64, g.c))
-		g.cnt = append(g.cnt, 0)
+	if n := parts * 2 * g.c; len(g.out) < n {
+		g.slots = [2][]float64{make([]float64, n), make([]float64, n)}
+		g.out = make([]float64, n)
+		g.odd = make([]bool, parts)
 	}
+	clear(g.odd)
 }
 
 // Abort poisons the group's barrier: every participant currently or
@@ -114,72 +105,45 @@ func (g *BNSyncGroup) Configure(parts int) {
 // forever on a sibling that died. The next Configure clears the abort.
 func (g *BNSyncGroup) Abort() { g.bar.abort() }
 
-func (g *BNSyncGroup) checkPart(idx, n int) {
+// Reduce implements BNSyncer: slot publish, barrier, ascending fold.
+func (g *BNSyncGroup) Reduce(idx int, v []float64) []float64 {
+	set := g.publish(idx, v)
+	g.bar.wait()
+	return g.fold(idx, set, len(v))
+}
+
+// publish copies v into participant idx's slot of the set its next
+// reduction uses, and returns that set.
+func (g *BNSyncGroup) publish(idx int, v []float64) []float64 {
 	if idx < 0 || idx >= g.parts {
 		panic(fmt.Sprintf("nn: sync participant %d of %d — BNSyncGroup not configured for this step",
 			idx, g.parts))
 	}
-	if n != g.c {
-		panic(fmt.Sprintf("nn: sync vector has %d channels, group %d", n, g.c))
+	if n := len(v); n != g.c && n != g.c+1 && n != 2*g.c {
+		panic(fmt.Sprintf("nn: sync vector of %d for a %d-channel group", n, g.c))
 	}
+	set := g.slots[0]
+	if g.odd[idx] {
+		set = g.slots[1]
+	}
+	g.odd[idx] = !g.odd[idx]
+	copy(set[idx*2*g.c:], v)
+	return set
 }
 
-// ReduceMoments implements BNSyncer: slot publish, barrier, ascending
-// fold.
-func (g *BNSyncGroup) ReduceMoments(idx int, sum []float64, cnt int) ([]float64, int) {
-	g.checkPart(idx, len(sum))
-	copy(g.sum[idx], sum)
-	g.cnt[idx] = cnt
-	g.bar.wait()
-	total := 0
-	for p := 0; p < g.parts; p++ {
-		total += g.cnt[p]
-	}
-	out := g.rsum[idx]
-	for ch := 0; ch < g.c; ch++ {
+// fold sums the first n elements of every participant's slot in set,
+// ascending from +0, into participant idx's output.
+func (g *BNSyncGroup) fold(idx int, set []float64, n int) []float64 {
+	w := 2 * g.c
+	out := g.out[idx*w : idx*w+n : idx*w+n]
+	for i := range out {
 		var s float64
 		for p := 0; p < g.parts; p++ {
-			s += g.sum[p][ch]
+			s += set[p*w+i]
 		}
-		out[ch] = s
-	}
-	return out, total
-}
-
-// ReduceSquares implements BNSyncer.
-func (g *BNSyncGroup) ReduceSquares(idx int, sq []float64) []float64 {
-	g.checkPart(idx, len(sq))
-	copy(g.sq[idx], sq)
-	g.bar.wait()
-	out := g.rsq[idx]
-	for ch := 0; ch < g.c; ch++ {
-		var s float64
-		for p := 0; p < g.parts; p++ {
-			s += g.sq[p][ch]
-		}
-		out[ch] = s
+		out[i] = s
 	}
 	return out
-}
-
-// ReduceGrads implements BNSyncer.
-func (g *BNSyncGroup) ReduceGrads(idx int, dy, dyx []float64) ([]float64, []float64) {
-	g.checkPart(idx, len(dy))
-	g.checkPart(idx, len(dyx))
-	copy(g.dy[idx], dy)
-	copy(g.dyx[idx], dyx)
-	g.bar.wait()
-	ody, odyx := g.rdy[idx], g.rdyx[idx]
-	for ch := 0; ch < g.c; ch++ {
-		var sdy, sdyx float64
-		for p := 0; p < g.parts; p++ {
-			sdy += g.dy[p][ch]
-			sdyx += g.dyx[p][ch]
-		}
-		ody[ch] = sdy
-		odyx[ch] = sdyx
-	}
-	return ody, odyx
 }
 
 // syncBarrier is a reusable (cyclic) barrier with abort support. wait

@@ -72,12 +72,12 @@ func TestBNSyncGroupConcurrentAbort(t *testing.T) {
 				}()
 				sum := []float64{1, 2, 3}
 				maybeFail(failPhase[idx], 0, errReal)
-				g.ReduceMoments(idx, sum, 10)
+				g.Reduce(idx, append(sum, 10))
 				maybeFail(failPhase[idx], 1, errReal)
-				g.ReduceSquares(idx, sum)
+				g.Reduce(idx, sum)
 				maybeFail(failPhase[idx], 2, errReal)
 				maybeFail(failPhase[idx], 3, errReal)
-				g.ReduceGrads(idx, sum, sum)
+				g.Reduce(idx, append(sum, sum...))
 			}
 
 			done := make(chan struct{})
@@ -118,9 +118,9 @@ func TestBNSyncGroupConcurrentAbort(t *testing.T) {
 				p := p
 				go func() {
 					defer wg.Done()
-					out, total := g.ReduceMoments(p, []float64{float64(p + 1), 0, 0}, 5)
-					if total != 5*tc.parts {
-						t.Errorf("participant %d: total count %d, want %d", p, total, 5*tc.parts)
+					out := g.Reduce(p, []float64{float64(p + 1), 0, 0, 5})
+					if total := out[3]; total != float64(5*tc.parts) {
+						t.Errorf("participant %d: total count %v, want %d", p, total, 5*tc.parts)
 					}
 					sums[p] = append([]float64(nil), out...)
 				}()

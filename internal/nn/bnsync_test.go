@@ -156,3 +156,42 @@ func TestBNSyncAbort(t *testing.T) {
 	g.Configure(1)
 	g.bar.wait() // single participant: returns immediately, no panic
 }
+
+// TestBNSyncSlotsAlternate holds one participant back between its
+// barrier and its fold of reduction k while the other finishes k and
+// publishes k+1. The late fold must still see reduction k's vectors:
+// consecutive reductions publish into different slot sets.
+func TestBNSyncSlotsAlternate(t *testing.T) {
+	g := NewBNSyncGroup(2)
+	g.Configure(2)
+	k0, k1 := []float64{1, 2, 3}, []float64{10, 20, 30}
+	k0late, k1late := []float64{0.5, 0.25, 4}, []float64{5, 6, 7}
+	// Participant 1 publishes reduction k and passes its barrier, but
+	// does not fold.
+	held := make(chan []float64)
+	go func() {
+		set := g.publish(1, k0late)
+		g.bar.wait()
+		held <- set
+	}()
+	if got := g.Reduce(0, k0); got[0] != 1.5 || got[1] != 2.25 || got[2] != 7 {
+		t.Fatalf("participant 0 folded reduction k to %v", got)
+	}
+	set := <-held
+	// Participant 0 publishes reduction k+1 and waits at its barrier.
+	next := make(chan []float64)
+	go func() { next <- append([]float64(nil), g.Reduce(0, k1)...) }()
+	for arrived := 0; arrived == 0; {
+		g.bar.mu.Lock()
+		arrived = g.bar.arrived
+		g.bar.mu.Unlock()
+	}
+	// Now participant 1 folds reduction k.
+	if got := g.fold(1, set, 3); got[0] != 1.5 || got[1] != 2.25 || got[2] != 7 {
+		t.Fatalf("late fold of reduction k read %v: reduction k+1 overwrote its slots", got)
+	}
+	got1 := g.Reduce(1, k1late)
+	if got0 := <-next; got0[0] != 15 || got0[1] != 26 || got0[2] != 37 || got1[0] != 15 || got1[2] != 37 {
+		t.Fatalf("reduction k+1 folded to %v and %v", got0, got1)
+	}
+}

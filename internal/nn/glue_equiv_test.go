@@ -629,7 +629,8 @@ func (b *frozenBatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
 		}
 		local[ch] = s
 	}
-	gsum, totalCnt := b.sync.ReduceMoments(b.syncIdx, local, n*hw)
+	moments := b.sync.Reduce(b.syncIdx, append(local[:c:c], float64(n*hw)))
+	gsum, totalCnt := moments[:c], int(moments[c])
 
 	cnt := float64(totalCnt)
 	b.syncCnt = cnt
@@ -649,7 +650,7 @@ func (b *frozenBatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
 		}
 		local[ch] = s
 	}
-	gsq := b.sync.ReduceSquares(b.syncIdx, local)
+	gsq := b.sync.Reduce(b.syncIdx, local)
 
 	for ch := 0; ch < c; ch++ {
 		vr := gsq[ch] / cnt
@@ -741,7 +742,8 @@ func (b *frozenBatchNorm2D) backwardSync(dy *tensor.Tensor) *tensor.Tensor {
 		ldy[ch] = sumDy
 		ldyx[ch] = sumDyXhat
 	}
-	gdy, gdyx := b.sync.ReduceGrads(b.syncIdx, ldy, ldyx)
+	grads := b.sync.Reduce(b.syncIdx, append(ldy[:c:c], ldyx...))
+	gdy, gdyx := grads[:c], grads[c:]
 
 	cnt := b.syncCnt
 	for ch := 0; ch < c; ch++ {

@@ -24,7 +24,7 @@ func TestMain(m *testing.M) { wiretest.Main(m) }
 // restatement honest.
 var (
 	dstfr = &Protocol{
-		Magic: [8]byte{'D', 'S', 'T', 'F', 'R', 'v', '1', '\n'}, MaxPayload: 1 << 30, Version: 1,
+		Magic: [8]byte{'D', 'S', 'T', 'F', 'R', 'v', '1', '\n'}, MaxPayload: 1 << 30, Version: 2,
 		Hello: 1, Welcome: 2, Ping: 9, Pong: 10, Bye: 14,
 		Metrics: NewMetrics("dist", obs.Default().Histogram("dist_frame_size_bytes",
 			"Size distribution of sent protocol frames.", obs.ByteBuckets)),
@@ -296,10 +296,19 @@ func TestGoldenFrames(t *testing.T) {
 		typ     uint8
 		payload string // hex-free: the decoded fields are checked below
 	}{
-		{"dstfrv1/hello", dstfr, "DSTFRv1\n", 0, 1, "\x01\x00\x00\x00"},
+		{"dstfrv1/hello", dstfr, "DSTFRv1\n", 0, 1, "\x02\x00\x00\x00"},
 		{"dstfrv1/slice_aborted", dstfr, "DSTFRv1\n", 3, 6,
 			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x07\x00\x00\x00" + "\x05\x00\x00\x00" + "\x00" + "\x0c\x00\x00\x00sync aborted"},
 		{"dstfrv1/bye", dstfr, "DSTFRv1\n", 5, 14, ""},
+		{"dstfrv1/slice", dstfr, "DSTFRv1\n", 0, 4,
+			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x07\x00\x00\x00" + "\x01\x00\x00\x00" + "\x03\x00\x00\x00" + "\x02\x00\x00\x00" +
+				"\x01\x00\x00\x00" + "\x04\x00\x00\x00" + "\x01\x00\x00\x00" + "\x00\x00\x00\x40"},
+		{"dstfrv1/bn_reduce", dstfr, "DSTFRv1\n", 0, 11,
+			"\x07\x00\x00\x00" + "\x02\x00\x00\x00" + "\x01" + "\x01\x00\x00\x00" + "\x03\x00\x00\x00" +
+				"\x00\x00\x00\x00\x00\x00\xe0\x3f" + "\x00\x00\x00\x00\x00\x00\xf4\xbf" + "\x00\x00\x00\x00\x00\x00\x18\x40"},
+		{"dstfrv1/bn_result", dstfr, "DSTFRv1\n", 0, 12,
+			"\x07\x00\x00\x00" + "\x02\x00\x00\x00" + "\x01" + "\x03\x00\x00\x00" +
+				"\x00\x00\x00\x00\x00\x00\xf8\x3f" + "\x00\x00\x00\x00\x00\x00\xe8\x3f" + "\x00\x00\x00\x00\x00\x00\x24\x40"},
 		{"fltfrv1/hello", fltfr, "FLTFRv1\n", 0, 1, "\x01\x00\x00\x00"},
 		{"fltfrv1/error", fltfr, "FLTFRv1\n", 2, 6,
 			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x01" + "\x0a\x00\x00\x00queue full"},
