@@ -79,8 +79,10 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // mixed (cvste) and small; output channel counts below, at and off the
 // dW kernels' eight lanes; row counts off the 32-row SIMD chunk; and
 // images whose OutH*OutW does not divide the 64-row forward tile, so
-// the NCHW epilogue crosses an image boundary mid-tile. The same table
-// checks Infer against Forward(x, false).
+// the NCHW epilogue crosses an image boundary mid-tile; and geometries
+// with dead taps — kernel taps that see only padding, whose columns the
+// GEMMs leave out (weightSide.cut) — down to one where every tap is
+// dead. The same table checks Infer against Forward(x, false).
 func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 	e, ok := appmult.Lookup("mul7u_rm6")
 	if !ok {
@@ -113,6 +115,14 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 		{2, 1, 12, 11, 16, 5, 2, 2}, // rows 72, odd k = 25
 		{1, 2, 4, 4, 40, 3, 1, 1},   // rows 16 < 32 <= outC: the skinny row, one lane group + 8 tail channels
 		{2, 3, 3, 3, 64, 3, 1, 1},   // rows 18, odd k = 27, two lane groups, an image boundary mid-tile
+		// Dead taps: kernel taps that see only padding, left out of the GEMMs.
+		{2, 3, 1, 1, 8, 3, 1, 1},  // 1x1 planes: the centre tap alone is live
+		{2, 2, 1, 5, 6, 3, 1, 1},  // 1x5: the middle kernel row is live
+		{3, 2, 5, 1, 9, 3, 1, 1},  // 5x1: the middle kernel column is live
+		{2, 2, 2, 2, 8, 5, 1, 2},  // 5x5/pad 2 on 2x2: the inner 3x3 taps are live
+		{4, 3, 1, 1, 8, 3, 2, 1},  // stride 2 on 1x1: the centre tap alone is live
+		{1, 4, 1, 1, 40, 3, 1, 1}, // batch 1: one row, the skinny row in Forward and Infer
+		{2, 2, 1, 1, 4, 1, 2, 1},  // 1x1 kernel, stride 2, pad 1 on 1x1: every tap is dead
 	}
 	reached := map[string]bool{}
 	for _, o := range ops {
@@ -149,7 +159,10 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 							t.Fatalf("1-in-%d gradient: small path %v", nzOf, sparse)
 						}
 						reached["bwd "+bwd] = true
-						reached["fwd "+c.op.ForwardPath(len(dy.Data)/gm.outC, gm.outC, gm.inC*gm.k*gm.k)] = true
+						reached["fwd "+c.op.ForwardPath(len(dy.Data)/gm.outC, gm.outC, c.w.kl)] = true
+						if len(c.w.dead) > 0 {
+							reached["dead taps"] = true
+						}
 						var low, high int
 						for i, cl := range c.xClip {
 							if cl && c.xq[i] == 0 {
@@ -189,9 +202,45 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 	for _, l := range bwdLabels() {
 		tiers = append(tiers, "bwd "+l)
 	}
+	tiers = append(tiers, "dead taps")
 	for _, tier := range tiers {
 		if !reached[tier] {
 			t.Errorf("no case of the table dispatched to %q", tier)
 		}
+	}
+}
+
+// TestApproxConvDeadTapsFollowGeometry runs one layer on weights of one
+// version across input planes whose dead taps differ — 1x1 (one live
+// tap), 1x4 (three), 4x4 (none) and back — so the weight side re-cuts
+// its view of the same levels each time, and pins every pass to the
+// patch formulation; Infer in between reads the view a Forward cut.
+func TestApproxConvDeadTapsFollowGeometry(t *testing.T) {
+	e, ok := appmult.Lookup("mul7u_rm6")
+	if !ok {
+		t.Fatal("mul7u_rm6 missing")
+	}
+	rng := rand.New(rand.NewSource(5))
+	c := NewApproxConv2D("c", 3, 8, 3, 1, 1, DifferenceOp(e.Mult, 6), rng)
+	calib := tensor.New(2, 3, 4, 4)
+	calib.RandNormal(rng, 1)
+	c.Forward(calib, true)
+	for _, hw := range [][2]int{{1, 1}, {1, 4}, {4, 4}, {1, 1}, {4, 1}} {
+		x := tensor.New(2, 3, hw[0], hw[1])
+		x.RandNormal(rng, 1)
+		inferred := c.Infer(x).Clone()
+		got := c.Forward(x, false)
+		requireSameBits(t, fmt.Sprintf("%dx%d Infer", hw[0], hw[1]), inferred.Data, got.Data)
+		got = c.Forward(x, true)
+		dy := tensor.New(got.Shape...)
+		dy.RandNormal(rng, 1)
+		ZeroGrads(c)
+		gotDX := c.Backward(dy)
+		wantY, wantDX, wantDW, wantDB := convOracle(c, x, dy)
+		name := fmt.Sprintf("%dx%d", hw[0], hw[1])
+		requireSameBits(t, name+" y", got.Data, wantY.Data)
+		requireSameBits(t, name+" dx", gotDX.Data, wantDX.Data)
+		requireSameBits(t, name+" dW", c.Weight.Grad.Data, wantDW)
+		requireSameBits(t, name+" db", c.Bias.Grad.Data, wantDB)
 	}
 }

@@ -199,6 +199,16 @@ func (op *Op) ensurePadded() {
 	})
 }
 
+// product is AM(w, x) as every forward tier sums it: the LUT entry, or
+// MulFn's value for a behavioral op (the arith rows reproduce the LUT
+// over the whole operand grid). ensurePadded must have run.
+func (op *Op) product(w, x uint8) int64 {
+	if op.lutPad16 != nil {
+		return int64(op.lutPad16[int(w)*padStride+int(x)])
+	}
+	return int64(op.MulFn(uint32(w), uint32(x)))
+}
+
 // pwAt resolves per-tensor (len 1) or per-channel (len outC) weight
 // quantization parameter sets.
 func pwAt(pw []quant.Params, oc int) quant.Params {

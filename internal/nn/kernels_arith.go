@@ -39,7 +39,7 @@ func arithSetup(t *fwdTileRun) {
 	t.kComp = int64(t.k) * int64(af.comp)
 	if af.pairOK && !w.cwpOK {
 		w.cwp = grow(w.cwp, t.outC*af.pairRow(t.k))
-		t.s.pairRun = pairStreamRun{cwp: w.cwp, wq: w.wq, af: af, k: t.k}
+		t.s.pairRun = pairStreamRun{cwp: w.cwp, wq: w.lq, af: af, k: t.k}
 		tensor.ParallelRowsOn(t.outC, &t.s.pairRun)
 		w.cwpOK = true
 	}
@@ -70,24 +70,24 @@ func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 		} else {
 			for oc := 0; oc < t.outC; oc++ {
 				gemmArithAccumAVX2(&acc[oc*nR], &xt[0],
-					&t.w.wq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
+					&t.w.lq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
 					int64(nR), int64(nK), int64(nT), int64(af.cadWord))
 			}
 		}
 	}
 	if nR32 < nR {
-		arithTailRows(acc, xt, af, t.w.wq, 0, nR32, nR, nK, kb, t.outC, t.k)
+		arithTailRows(acc, xt, af, t.w.lq, 0, nR32, nR, nK, kb, t.outC, t.k)
 	}
 }
 
 // arithSkinnySetup readies the skinny row: the compensation and the
-// k-major copy of this weight version's levels.
+// k-major copy of this weight version's view of the levels.
 func arithSkinnySetup(t *fwdTileRun) {
 	w := t.w
 	t.kComp = int64(t.k) * int64(t.op.arith.comp)
 	if !w.wqTOK {
 		w.wqT = grow(w.wqT, (t.k+1)*t.outC)
-		t.s.transposeU8(w.wqT, w.wq, t.outC, t.k)
+		t.s.transposeU8(w.wqT, w.lq, t.outC, t.k)
 		clear(w.wqT[t.k*t.outC:])
 		w.wqTOK = true
 	}
@@ -145,7 +145,7 @@ func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 		}
 	}
 	if oc32 < outC {
-		arithTailRows(tl.acc32, xt, af, t.w.wq, oc32, 0, nR, nK, kb, outC, t.k)
+		arithTailRows(tl.acc32, xt, af, t.w.lq, oc32, 0, nR, nK, kb, outC, t.k)
 	}
 }
 

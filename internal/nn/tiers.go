@@ -135,8 +135,8 @@ var bwdSmall = struct {
 	label string
 	ok    func(dy []float32) bool
 	count *obs.Counter
-	run   func(op *Op, s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT, wq []uint8, wClip []bool,
-		rows, outC, k int, zx, scale float32)
+	run   func(op *Op, s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT []uint8, w *weightSide,
+		rows int, zx, scale float32)
 }{BwdPathSmall, sparseGrad, dispatchCounter("backward", BwdPathSmall), (*Op).backwardSmall}
 
 // bwdSweep is one of the rows below the gate. The dW and the dX sweep

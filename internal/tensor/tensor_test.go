@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -392,6 +393,8 @@ var patchGeoms = []struct {
 	{2, 1, 2, 2, 5, 1, 2, true}, // kernel wider than the image
 	{1, 2, 1, 7, 3, 1, 1, true},
 	{2, 2, 8, 8, 3, 2, 1, false}, // stride 2 halves the plane
+	{2, 3, 1, 1, 3, 2, 1, false}, // stride 2 on 1x1: the centre tap alone is live
+	{2, 2, 1, 1, 1, 2, 1, false}, // every tap sees only padding
 }
 
 // TestIm2ColMatchesIndexOracle checks both instantiations of the k-major
@@ -590,6 +593,62 @@ func TestCol2ImMatchesLoopNest(t *testing.T) {
 			v := got.Data[i]
 			if math.Float32bits(v) != math.Float32bits(w) && !(v != v && w != w) {
 				t.Fatalf("case %+v: dx[%d] = %v, loop nest %v", cse, i, v, w)
+			}
+		}
+	}
+}
+
+// TestLiveRowsMatchAllRows pins the live-rows layout of both jobs to the
+// all-rows one: LiveTaps names exactly the taps whose row in Run's
+// matrix holds an input element somewhere, RunLive writes Run's matrix
+// with the other rows — pad alone — left out, and Col2ImTJob.RunLive on
+// those live rows gives Run's input gradient bit for bit, a dead row
+// landing nowhere.
+func TestLiveRowsMatchAllRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const pad = 77
+	for _, cse := range patchGeoms {
+		g := Geometry(cse.c, cse.h, cse.w, 1, cse.k, cse.k, cse.stride, cse.pad)
+		rows, nt := cse.n*g.OutH*g.OutW, cse.k*cse.k
+		lv := make([]uint8, cse.n*cse.c*cse.h*cse.w)
+		for i := range lv {
+			lv[i] = uint8(rng.Intn(pad)) // never the pad level
+		}
+		var job Im2ColTJob[uint8]
+		all := make([]uint8, g.K()*rows)
+		job.Run(all, lv, cse.n, g, pad)
+		live := g.LiveTaps(nil)
+		got := make([]uint8, cse.c*len(live)*rows)
+		job.RunLive(got, lv, cse.n, g, pad)
+		var want []uint8
+		for i := 0; i < g.K(); i++ {
+			row := all[i*rows : (i+1)*rows]
+			seen := slices.ContainsFunc(row, func(v uint8) bool { return v != pad })
+			if isLive := slices.Contains(live, i%nt); seen != isLive {
+				t.Fatalf("case %+v: tap %d of channel %d reads input %v, LiveTaps %v", cse, i%nt, i/nt, seen, live)
+			}
+			if seen {
+				want = append(want, row...)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("case %+v: RunLive differs from Run's live rows", cse)
+		}
+
+		cols := randT(rng, g.K(), rows).Data
+		var liveCols []float32
+		for i := 0; i < g.K(); i++ {
+			if slices.Contains(live, i%nt) {
+				liveCols = append(liveCols, cols[i*rows:(i+1)*rows]...)
+			}
+		}
+		dxAll, dxLive := New(cse.n, cse.c, cse.h, cse.w), New(cse.n, cse.c, cse.h, cse.w)
+		var col2im Col2ImTJob
+		col2im.Run(dxAll.Data, cols, cse.n, g)
+		col2im.RunLive(dxLive.Data, liveCols, cse.n, g)
+		for i, v := range dxAll.Data {
+			if math.Float32bits(dxLive.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("case %+v: RunLive dx[%d] = %v, Run %v", cse, i, dxLive.Data[i], v)
 			}
 		}
 	}
