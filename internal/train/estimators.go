@@ -123,13 +123,15 @@ func mustPlanLegs(specs []string) []legPlan {
 	return plans
 }
 
-// runLeg retrains one estimator leg from the QAT reference model.
-func runLeg(lp legPlan, entry appmult.Entry, modelKind string, classes int, sc Scale, seed int64,
+// runLeg retrains one estimator leg from the QAT reference model: a
+// copy of its whole state — parameters, BatchNorm running statistics and
+// activation observers — on the leg's multiplier, so the leg's initial
+// accuracy is the reference's own model under that multiplier.
+func runLeg(lp legPlan, entry appmult.Entry, modelKind string, sc Scale,
 	ref *nn.Sequential, trainSet, testSet *data.Dataset, cfg Config, opt CompareOptions,
 	logf func(string, ...any)) EstimatorLeg {
 	op := nn.EstimatorOp(entry.Mult, lp.est, entry.HWS)
-	m := BuildModel(modelKind, classes, sc, models.ApproxConv(op), seed)
-	nn.CopyParams(m, ref)
+	m := models.Approximate(ref, op)
 	initial, _ := Evaluate(m, testSet, sc.BatchSize)
 	if logf != nil {
 		logf("[%s/%s] retraining with %s (initial %.2f%%)", entry.Mult.Name(), modelKind, lp.label, initial)

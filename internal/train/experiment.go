@@ -196,7 +196,7 @@ func TableII(multNames, modelKinds []string, classes int, sc Scale, seed int64, 
 			ref := getRef(mk, entry.Mult.Bits())
 			row := make([]EstimatorLeg, 0, len(legs))
 			for _, lp := range legs {
-				row = append(row, runLeg(lp, entry, mk, classes, sc, seed, ref.model, trainSet, testSet, cfg, opt, logf))
+				row = append(row, runLeg(lp, entry, mk, sc, ref.model, trainSet, testSet, cfg, opt, logf))
 			}
 			out = append(out, assembleCompare(mn, mk, ref.top1, row))
 			if logf != nil {

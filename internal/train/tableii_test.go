@@ -70,3 +70,24 @@ func TestScaleSchedule(t *testing.T) {
 		t.Error("default base rate is not 1e-3")
 	}
 }
+
+// TestTableIILegStartsFromReference pins that a retraining leg starts
+// from the QAT reference's whole state — BatchNorm running statistics
+// and activation observers as well as parameters — on a BatchNorm model
+// at TinyScale's geometry: on the accurate multiplier of the
+// reference's own width the leg's model is the reference model, so its
+// initial accuracy must equal the reference's, exactly.
+func TestTableIILegStartsFromReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a reference and a leg")
+	}
+	sc := TinyScale
+	sc.Train, sc.Test, sc.Epochs = 40, 40, 1
+	rows := TableII([]string{"mul6u_acc"}, []string{"vgg11"}, 4, sc, 3, nil, CompareOptions{Estimators: []string{"ste"}})
+	if len(rows) != 1 || len(rows[0].Legs) != 1 {
+		t.Fatalf("got %d rows, want one row of one leg", len(rows))
+	}
+	if r := rows[0]; r.InitialTop1 != r.RefTop1 || r.Legs[0].InitialTop1 != r.RefTop1 {
+		t.Errorf("leg initial top-1 %v (row %v), reference %v; want equal", r.Legs[0].InitialTop1, r.InitialTop1, r.RefTop1)
+	}
+}
