@@ -5,6 +5,7 @@
 // configuration — wired into `make verify`.
 //
 //	go run ./scripts/doccheck ./internal/serve ./internal/nn
+//	go run ./scripts/doccheck -roadmap ROADMAP.md DESIGN.md ./internal/nn
 //
 // Test files are exempt. Methods count: an exported method on any
 // receiver needs a comment, and so does every exported method listed
@@ -12,9 +13,17 @@
 // set is where implementers read the semantics, e.g. every
 // gradient.GradEstimator method). Grouped declarations accept either a
 // comment on the group or one on the individual spec.
+//
+// With -roadmap it also resolves every reference to a ROADMAP item —
+// "ROADMAP item N", "ROADMAP N(x)" — in the Markdown files named on
+// the command line and in the .go files (tests included) of the package
+// directories against the numbered items of that file: item N must
+// exist, and a sub-item (x) must be marked at the start of a line of
+// its body.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -25,15 +34,43 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck ./pkg/dir [./pkg/dir ...]")
+	roadmap := flag.String("roadmap", "", "ROADMAP.md to resolve item references against (off when empty)")
+	flag.Parse()
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: doccheck [-roadmap ROADMAP.md] (./pkg/dir | doc.md)...")
 		os.Exit(2)
 	}
-	bad := 0
-	for _, dir := range os.Args[1:] {
-		probs, err := checkDir(dir)
+	var items map[int]map[string]bool
+	if *roadmap != "" {
+		text, err := os.ReadFile(*roadmap)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", dir, err)
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			os.Exit(2)
+		}
+		items = roadmapItems(string(text))
+	}
+	bad := 0
+	for _, arg := range flag.Args() {
+		var probs []string
+		var err error
+		if strings.HasSuffix(arg, ".md") {
+			if items != nil {
+				probs, err = checkRefsIn([]string{arg}, items)
+			}
+		} else {
+			probs, err = checkDir(arg)
+			if err == nil && items != nil {
+				var files []string
+				files, err = filepath.Glob(filepath.Join(arg, "*.go"))
+				if err == nil {
+					var refs []string
+					refs, err = checkRefsIn(files, items)
+					probs = append(probs, refs...)
+				}
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %s: %v\n", arg, err)
 			os.Exit(2)
 		}
 		for _, p := range probs {
@@ -42,9 +79,22 @@ func main() {
 		}
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d undocumented exported identifier(s)\n", bad)
+		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
+}
+
+// checkRefsIn reads each file and checks its ROADMAP references.
+func checkRefsIn(files []string, items map[int]map[string]bool) ([]string, error) {
+	var probs []string
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		probs = append(probs, checkRoadmapRefs(filepath.ToSlash(f), string(text), items)...)
+	}
+	return probs, nil
 }
 
 // checkDir parses one package directory (non-test files only) and
