@@ -138,12 +138,13 @@ benchsmoke:
 # doccheck enforces doc comments on every exported identifier of every
 # package under internal/, cmd/ and scripts/, and resolves every
 # "ROADMAP item N" / "ROADMAP N(x)" reference in those packages' Go
-# files and in the Markdown docs against ROADMAP.md's numbered items
-# (see scripts/doccheck). CHANGES.md is a log and keeps the numbering
-# of its day; bench/README.md is the nested bench module's and is not
-# scanned.
+# files and in the Markdown docs against ROADMAP.md's numbered items,
+# and every "DESIGN.md §N" / "DESIGN §N(x)" reference against
+# DESIGN.md's numbered sections and their sub-section markers (see
+# scripts/doccheck). CHANGES.md is a log and keeps the numbering of its
+# day; bench/README.md is the nested bench module's and is not scanned.
 doccheck:
-	go run ./scripts/doccheck -roadmap ROADMAP.md README.md DESIGN.md EXPERIMENTS.md docs/*.md \
+	go run ./scripts/doccheck -roadmap ROADMAP.md -design DESIGN.md README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md \
 		$$(go list -f '{{.Dir}}' ./internal/... ./cmd/... ./scripts/...)
 
 # deadcheck fails on an exported identifier or method that no program

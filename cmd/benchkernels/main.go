@@ -15,7 +15,8 @@
 // shapes of the benchmark models' layers, the pieces of the k-major
 // conv step: the k-major byte im2col and col2im, the dW lane kernels
 // alone, and whole layer steps on the affine, fused and small tiers
-// next to the float Conv2D's on the same layout — the host's gather
+// next to the float Conv2D's on the same layout, and layer forwards on
+// the arith row's pair and word kernels — the host's gather
 // rate (Probe_GatherDPS_64KiB, probe.go) and, at the vgg11 GEMM shapes
 // that run on the backward sweep rows, each dW and dX sweep alone in
 // ns per gathered element and as a ratio to that probe — and the
@@ -194,6 +195,21 @@ func convStep(op *nn.Op, inC, outC, k, n, hw int, pooled, touch bool, rng *rand.
 	})
 }
 
+// convFwd benchmarks one ApproxConv2D forward on op at the given layer
+// and input geometry, its weights touched first, as a training step's
+// forward runs after the optimizer step: the layer rebuilds its
+// weight-side state every op.
+func convFwd(op *nn.Op, inC, outC, k, n, hw int, rng *rand.Rand) func(b *testing.B) {
+	layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
+	x := tensor.New(n, inC, hw, hw)
+	x.RandNormal(rng, 1)
+	weight := layer.Params()[0]
+	return loop(func() {
+		weight.Touch()
+		layer.Forward(x, true)
+	})
+}
+
 func main() {
 	out := flag.String("out", "BENCH_kernels.json", "output JSON path")
 	quick := flag.Bool("quick", false, "short benchtime (noisier, for CI smoke reports)")
@@ -218,6 +234,13 @@ func main() {
 	// the backward affine tier; the difference op above exercises the
 	// fused gather tier.
 	steOp := nn.STEOp(e.Mult)
+	e8, ok := appmult.Lookup("mul8u_rm8")
+	if !ok {
+		fmt.Fprintln(os.Stderr, "benchkernels: mul8u_rm8 missing from registry")
+		os.Exit(1)
+	}
+	// Its coefficients exceed the madd operand: the arith row's word kernel.
+	op8 := nn.DifferenceOp(e8.Mult, e8.HWS)
 
 	rng := rand.New(rand.NewSource(42))
 	pw := []quant.Params{quant.Calibrate(-1, 1, 7)}
@@ -279,6 +302,14 @@ func main() {
 		// lenet's second conv on one worker's half batch, 16 images of
 		// 4x8x8 (rows=1024 outC=4 k=100), behind ReLU + 2x2 pool: small.
 		{name: "Layer_ApproxConvStep_LeNetConv2", fn: convStep(op, 4, 4, 5, 16, 8, true, false, rng)},
+		// Forwards alone, on the arith row: lenet's first conv, 32 images of
+		// 3x16x16 into 4 channels, 5x5/pad 2 (rows=8192 outC=4 k=75), and
+		// reduced vgg11's conv4, 32 images of 32x4x4 into 32 channels
+		// (rows=512 outC=32 k=288), on the pair kernel and, under
+		// mul8u_rm8, the word kernel.
+		{name: "Layer_ApproxConvFwd_LeNetConv1", fn: convFwd(op, 3, 4, 5, 32, 16, rng)},
+		{name: "Layer_ApproxConvFwd_VGG11Conv4", fn: convFwd(op, 32, 32, 3, 32, 4, rng)},
+		{name: "Layer_ApproxConvFwd_VGG11Conv4_mul8u_rm8", fn: convFwd(op8, 32, 32, 3, 32, 4, rng)},
 		// The float Conv2D at those geometries and at reduced vgg11's
 		// conv5, 32 images of 32x2x2 into 64 channels (rows=128 k=288).
 		{name: "Layer_FloatConvStep_VGG11Conv1", fn: convStep(nil, 3, 8, 3, 8, 32, false, false, rng)},
@@ -433,7 +464,7 @@ func main() {
 	rec := record{
 		Note:       "approximate-GEMM kernel baseline; regenerate with `make bench`",
 		Multiplier: op.Label,
-		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv5, *_VGG11Conv7, *_ResNet18*, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
+		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, *_VGG11Conv7, *_ResNet18*, *_LeNetConv1, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
 			wide.rows, wide.outC, wide.k),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},

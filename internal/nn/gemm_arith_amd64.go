@@ -35,3 +35,33 @@ func gemmArithAccumAVX2(acc *int32, xt *uint8, wr *uint8, cw *uint16, xm *uint16
 //
 //go:noescape
 func gemmArithPairAVX2(acc *int32, xt *uint8, cwp *uint8, xm *uint16, nR, nKp, nT, cad int64)
+
+// gemmArithPair4AVX2 is gemmArithPairAVX2 for four coefficient streams
+// sharing one operand tile: stream s (s < 4) reads its coefficients from
+// cwp + s*stride and adds into the row acc + s*nR, under the same gates
+// and lane budget. Each k-pair's columns are loaded, interleaved and
+// masked once for all four.
+//
+//go:noescape
+func gemmArithPair4AVX2(acc *int32, xt *uint8, cwp *uint8, xm *uint16, nR, nKp, nT, cad, stride int64)
+
+// loadTileAVX2 is loadTile's pass over the rows [0, nR&^31) of an
+// (nK x nR) tile, 1 <= nK <= fwdKTile: it copies each column's run
+// src[i*rows:][:nR&^31] to xt[i*nR:] and adds the levels into
+// sumX[:nR&^31], through uint16 row sums per 32-row chunk.
+//
+//go:noescape
+func loadTileAVX2(xt *uint8, sumX *int64, src *uint8, rows, nR, nK int64)
+
+// loadTileBlocks runs loadTile's SIMD pass and returns how many leading
+// tile rows it loaded and summed: nR rounded down to the 32-row chunk,
+// or none without AVX2.
+func loadTileBlocks(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) int {
+	n := nR &^ (arithLanes - 1)
+	if !hasGemmAsm || n == 0 {
+		return 0
+	}
+	_, _, _ = xt[(nK-1)*nR+n-1], sumX[n-1], xT[(kb+nK-1)*rows+lo+n-1]
+	loadTileAVX2(&xt[0], &sumX[0], &xT[kb*rows+lo], int64(rows), int64(nR), int64(nK))
+	return n
+}

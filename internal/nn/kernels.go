@@ -261,29 +261,39 @@ func (op *Op) forwardT(s *KernelScratch, y []float32, xT []uint8, w *weightSide,
 // loadTile copies the (nK x nR) operand tile at k offset kb, row offset
 // lo out of the k-major matrix xT (k x rows) into xt — nR-byte runs, no
 // transpose — and adds each row's levels into sumX, the Eq. (8) cross
-// term the epilogue needs for exactly these rows (four columns per pass
-// over sumX, like gemmAccumTile's accumulator rows).
+// term the epilogue needs for exactly these rows. The SIMD pass
+// (loadTileBlocks) takes the whole 32-row chunks; the Go loop, which is
+// also the pure-Go build's whole load, takes the rows after them, four
+// columns per pass over sumX like gemmAccumTile's accumulator rows.
 func loadTile(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) {
-	for i := 0; i < nK; i++ {
-		copy(xt[i*nR:(i+1)*nR], xT[(kb+i)*rows+lo:])
+	r0 := loadTileBlocks(xt, sumX, xT, rows, lo, nR, kb, nK)
+	if r0 == nR {
+		return
 	}
-	sx := sumX[:nR]
+	for i := 0; i < nK; i++ {
+		copy(xt[i*nR+r0:(i+1)*nR], xT[(kb+i)*rows+lo+r0:])
+	}
+	sx := sumX[r0:nR]
 	i := 0
 	for ; i+3 < nK; i += 4 {
-		c0 := xt[i*nR : (i+1)*nR][:len(sx)]
-		c1 := xt[(i+1)*nR : (i+2)*nR][:len(sx)]
-		c2 := xt[(i+2)*nR : (i+3)*nR][:len(sx)]
-		c3 := xt[(i+3)*nR : (i+4)*nR][:len(sx)]
+		c0 := xt[i*nR+r0 : (i+1)*nR][:len(sx)]
+		c1 := xt[(i+1)*nR+r0 : (i+2)*nR][:len(sx)]
+		c2 := xt[(i+2)*nR+r0 : (i+3)*nR][:len(sx)]
+		c3 := xt[(i+3)*nR+r0 : (i+4)*nR][:len(sx)]
 		for r := range sx {
 			sx[r] += int64(c0[r]) + int64(c1[r]) + int64(c2[r]) + int64(c3[r])
 		}
 	}
 	for ; i < nK; i++ {
-		for r, v := range xt[i*nR : (i+1)*nR][:len(sx)] {
+		for r, v := range xt[i*nR+r0 : (i+1)*nR][:len(sx)] {
 			sx[r] += int64(v)
 		}
 	}
 }
+
+// loadTileBlocks sums a tile's columns into uint16 row sums before it
+// widens them: a tile is at most fwdKTile columns of levels <= 255.
+const _ uint16 = fwdKTile * math.MaxUint8
 
 // packed16AccumTile is the packed16 row's tile kernel: gemmAccumTile
 // on the accumulator width forwardT chose.

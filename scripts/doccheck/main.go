@@ -6,6 +6,7 @@
 //
 //	go run ./scripts/doccheck ./internal/serve ./internal/nn
 //	go run ./scripts/doccheck -roadmap ROADMAP.md DESIGN.md ./internal/nn
+//	go run ./scripts/doccheck -design DESIGN.md README.md ./internal/nn
 //
 // Test files are exempt. Methods count: an exported method on any
 // receiver needs a comment, and so does every exported method listed
@@ -19,7 +20,10 @@
 // the command line and in the .go files (tests included) of the package
 // directories against the numbered items of that file: item N must
 // exist, and a sub-item (x) must be marked at the start of a line of
-// its body.
+// its body. With -design it resolves every reference to a DESIGN.md
+// section — "DESIGN.md §3", "DESIGN §3(c′)" — in the same files against
+// that file's sections: the number must head a "## 3." section, and a
+// sub-section (b), (c′) or (c″) must open a "**(b) " marker inside it.
 package main
 
 import (
@@ -35,36 +39,38 @@ import (
 
 func main() {
 	roadmap := flag.String("roadmap", "", "ROADMAP.md to resolve item references against (off when empty)")
+	design := flag.String("design", "", "DESIGN.md to resolve section references against (off when empty)")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck [-roadmap ROADMAP.md] (./pkg/dir | doc.md)...")
+		fmt.Fprintln(os.Stderr, "usage: doccheck [-roadmap ROADMAP.md] [-design DESIGN.md] (./pkg/dir | doc.md)...")
 		os.Exit(2)
 	}
-	var items map[int]map[string]bool
+	// refChecks are the reference resolvers the flags switch on.
+	var refChecks []func(name, text string) []string
 	if *roadmap != "" {
-		text, err := os.ReadFile(*roadmap)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(2)
-		}
-		items = roadmapItems(string(text))
+		items := roadmapItems(mustRead(*roadmap))
+		refChecks = append(refChecks, func(name, text string) []string { return checkRoadmapRefs(name, text, items) })
+	}
+	if *design != "" {
+		secs := designSections(mustRead(*design))
+		refChecks = append(refChecks, func(name, text string) []string { return checkDesignRefs(name, text, secs) })
 	}
 	bad := 0
 	for _, arg := range flag.Args() {
 		var probs []string
 		var err error
 		if strings.HasSuffix(arg, ".md") {
-			if items != nil {
-				probs, err = checkRefsIn([]string{arg}, items)
+			if refChecks != nil {
+				probs, err = checkRefsIn([]string{arg}, refChecks)
 			}
 		} else {
 			probs, err = checkDir(arg)
-			if err == nil && items != nil {
+			if err == nil && refChecks != nil {
 				var files []string
 				files, err = filepath.Glob(filepath.Join(arg, "*.go"))
 				if err == nil {
 					var refs []string
-					refs, err = checkRefsIn(files, items)
+					refs, err = checkRefsIn(files, refChecks)
 					probs = append(probs, refs...)
 				}
 			}
@@ -84,15 +90,27 @@ func main() {
 	}
 }
 
-// checkRefsIn reads each file and checks its ROADMAP references.
-func checkRefsIn(files []string, items map[int]map[string]bool) ([]string, error) {
+// mustRead returns the contents of the file at path, exiting on error.
+func mustRead(path string) string {
+	text, err := os.ReadFile(path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(2)
+	}
+	return string(text)
+}
+
+// checkRefsIn reads each file and runs every reference check on it.
+func checkRefsIn(files []string, checks []func(name, text string) []string) ([]string, error) {
 	var probs []string
 	for _, f := range files {
 		text, err := os.ReadFile(f)
 		if err != nil {
 			return nil, err
 		}
-		probs = append(probs, checkRoadmapRefs(filepath.ToSlash(f), string(text), items)...)
+		for _, check := range checks {
+			probs = append(probs, check(filepath.ToSlash(f), string(text))...)
+		}
 	}
 	return probs, nil
 }
