@@ -140,11 +140,13 @@ benchsmoke:
 # "ROADMAP item N" / "ROADMAP N(x)" reference in those packages' Go
 # files and in the Markdown docs against ROADMAP.md's numbered items,
 # and every "DESIGN.md §N" / "DESIGN §N(x)" reference against
-# DESIGN.md's numbered sections and their sub-section markers (see
-# scripts/doccheck). CHANGES.md is a log and keeps the numbering of its
-# day; bench/README.md is the nested bench module's and is not scanned.
+# DESIGN.md's numbered sections and their sub-section markers, and every
+# "path.go:N" / "path.go:N–M" / "path.go:N,M" reference (in Go files:
+# in comments) against the repository's Go files (see scripts/doccheck).
+# CHANGES.md is a log and keeps the numbering of its day; bench/README.md
+# is the nested bench module's and is not scanned.
 doccheck:
-	go run ./scripts/doccheck -roadmap ROADMAP.md -design DESIGN.md README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md \
+	go run ./scripts/doccheck -roadmap ROADMAP.md -design DESIGN.md -lines . README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md \
 		$$(go list -f '{{.Dir}}' ./internal/... ./cmd/... ./scripts/...)
 
 # deadcheck fails on an exported identifier or method that no program

@@ -19,7 +19,9 @@
 // the arith row's pair and word kernels — the host's gather
 // rate (Probe_GatherDPS_64KiB, probe.go) and, at the vgg11 GEMM shapes
 // that run on the backward sweep rows, each dW and dX sweep alone in
-// ns per gathered element and as a ratio to that probe — and the
+// ns per table entry read and as a ratio to that probe (a gather rate
+// for the gather kernels; the fused dW rows from 2^B rows up read level
+// tables instead, so there it only compares speeds) — and the
 // passes between the GEMMs: the slice quantizer against its scalar
 // definition, the weights' min/max, and a step of each glue layer
 // (ReLU, batch norm, max pool) — and inference: the skinny (under-32-row) forward GEMMs of
@@ -106,8 +108,9 @@ type record struct {
 // sweeps lists the GEMMs of reduced vgg11 (batch 32, 16x16 inputs, eighth
 // width) that retrain_vgg11_smoothdiff runs on the backward sweep rows —
 // conv2 to conv8; the last two share a shape — where each dW and dX
-// sweep is measured alone, per gathered element, against the host's
-// gather rate (probe.go).
+// sweep is measured alone, per table entry read, against the host's
+// gather rate (probe.go). The fused dW sweep gathers only at 32 rows:
+// from 2^7 rows up it reads level tables (nn's bwdDWTables).
 var sweeps = []shape{{2048, 16, 72}, {512, 32, 144}, {512, 32, 288}, {128, 64, 288}, {128, 64, 576}, {32, 64, 576}}
 
 // operands is one GEMM's inputs and outputs. One dy entry in nzOf is
@@ -255,7 +258,7 @@ func main() {
 	type bench struct {
 		name, path string
 		fn         func(b *testing.B)
-		elems      int // table entries gathered per op, where the row reports ns per element
+		elems      int // table entries read per op, where the row reports ns per element
 	}
 	fwd := func(name string, fop *nn.Op, o *operands) bench {
 		bias := make([]float32, o.outC)
@@ -462,7 +465,9 @@ func main() {
 	}
 
 	rec := record{
-		Note:       "approximate-GEMM kernel baseline; regenerate with `make bench`",
+		Note: "approximate-GEMM kernel baseline; regenerate with `make bench`. The Kernel_BwdDWGather_* rows " +
+			"from 128 rows up time the fused row's level tables, not VGATHERDPS, so their bwd_dw_gather_vs_probe " +
+			"ratios are speeds relative to the gather probe, not gather rates.",
 		Multiplier: op.Label,
 		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, *_VGG11Conv7, *_ResNet18*, *_LeNetConv1, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
 			wide.rows, wide.outC, wide.k),
@@ -503,8 +508,9 @@ func main() {
 	for _, p := range pairs {
 		ratio("backward_fused_vs_small_"+p.label, p.small, p.fused)
 	}
-	// Both sides are ns per element there: 1.0 is the host's gather rate,
-	// and gather over affine at one shape is what the table lookup costs.
+	// Both sides are ns per element there: 1.0 is the host's gather rate
+	// (for the rows that gather), and gather over affine at one shape is
+	// what the table lookup costs.
 	for _, r := range vsProbe {
 		rec.Speedups[r[0]] = rec.Benchmarks["Probe_GatherDPS_64KiB"].NsElem / rec.Benchmarks[r[1]].NsElem
 		fmt.Printf("%-44s %.2fx\n", r[0]+":", rec.Speedups[r[0]])

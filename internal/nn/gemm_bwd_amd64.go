@@ -4,7 +4,7 @@ package nn
 
 // Go-side contracts for the AVX2 backward-tier kernels in
 // gemm_bwd_amd64.s (see kernels_backward.go for the dispatch and the
-// bit-exactness argument). All four are gated on the same hasGemmAsm
+// bit-exactness argument). All of them are gated on the same hasGemmAsm
 // detection as the forward arith kernels and preserve the reference
 // accumulation orders exactly: SIMD lanes always map to independent
 // destinations (output channels for dW, rows for dX), never to summation
@@ -40,6 +40,26 @@ func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a
 //
 //go:noescape
 func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, woff1 *int32, gwPad *float32, zx float32, rows, outC int64)
+
+// bwdDWTableAVX2 builds one column's level table for eight output
+// channels, tab[x*8+l] = gwPad[woff[l]+x] - zx for x in [0, n), where
+// woff[l] = wq[oc+l][i]*padStride and n is a positive multiple of 8:
+// the term bwdGatherDWAVX2 gathers, computed once per level instead of
+// once per row. Entries at and above n are left as they are.
+//
+//go:noescape
+func bwdDWTableAVX2(tab *float32, woff *int32, gwPad *float32, zx float32, n int64)
+
+// bwdTableDWAVX2 is bwdGatherDWAVX2 for four columns x0..x3, with the
+// parenthesized term read from their level tables t0..t3 (see
+// bwdDWTableAVX2), which must hold all 256 levels:
+//
+//	outj[l] = sum_{r<rows} dyR[r*outC+l] * tj[xj[r]*8+l]
+//
+// r ascending, l in [0, 8); rows must be positive.
+//
+//go:noescape
+func bwdTableDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dyR, t0, t1, t2, t3 *float32, rows, outC int64)
 
 // bwdAffineDXAVX2 accumulates, for one k column,
 //

@@ -4,8 +4,8 @@
 
 // AVX2 kernels for the tiered backward GEMM: see kernels_backward.go
 // for the dispatch and the bit-exactness argument, and
-// gemm_bwd_amd64.go for the calling contracts. The invariant all four
-// kernels share: SIMD lanes map to independent destinations (output
+// gemm_bwd_amd64.go for the calling contracts. The invariant every
+// sweep kernel shares: SIMD lanes map to independent destinations (output
 // channels for the dW kernels, rows for the dX kernels) while the
 // summation direction (r for dW, oc for dX) stays a sequential scalar
 // loop, so every destination accumulates its terms in exactly the
@@ -132,6 +132,170 @@ gdwrow:
 
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, (SI)
+	VZEROUPPER
+	RET
+
+// func bwdDWTableAVX2(tab *float32, woff *int32, gwPad *float32, zx float32, n int64)
+//
+// One level table: tab[x*8+l] = gwPad[woff[l]+x] - zx for x in [0, n),
+// n a positive multiple of 8, eight levels at a time as an 8x8
+// transpose of eight padded gradient rows. The subtract is done on the
+// rows, before the transpose: the same rounded VSUBPS on the same entry.
+//
+//   DI = table cursor (8 levels of 8 lanes per block)  BX = x  CX = n
+//   R8..R15 = the eight channels' gradient rows (gwPad + woff[l])
+//   Y0..Y7 = rows l at levels x..x+7, then the transpose's registers
+//   Y15 = zx
+TEXT ·bwdDWTableAVX2(SB), NOSPLIT, $0-40
+	MOVQ         tab+0(FP), DI
+	MOVQ         woff+8(FP), SI
+	MOVQ         gwPad+16(FP), AX
+	VBROADCASTSS zx+24(FP), Y15
+	MOVQ         n+32(FP), CX
+	MOVLQSX      0(SI), R8
+	LEAQ         (AX)(R8*4), R8
+	MOVLQSX      4(SI), R9
+	LEAQ         (AX)(R9*4), R9
+	MOVLQSX      8(SI), R10
+	LEAQ         (AX)(R10*4), R10
+	MOVLQSX      12(SI), R11
+	LEAQ         (AX)(R11*4), R11
+	MOVLQSX      16(SI), R12
+	LEAQ         (AX)(R12*4), R12
+	MOVLQSX      20(SI), R13
+	LEAQ         (AX)(R13*4), R13
+	MOVLQSX      24(SI), R14
+	LEAQ         (AX)(R14*4), R14
+	MOVLQSX      28(SI), R15
+	LEAQ         (AX)(R15*4), R15
+	XORQ         BX, BX
+
+tblblk:
+	VMOVUPS (R8)(BX*4), Y0
+	VMOVUPS (R9)(BX*4), Y1
+	VMOVUPS (R10)(BX*4), Y2
+	VMOVUPS (R11)(BX*4), Y3
+	VMOVUPS (R12)(BX*4), Y4
+	VMOVUPS (R13)(BX*4), Y5
+	VMOVUPS (R14)(BX*4), Y6
+	VMOVUPS (R15)(BX*4), Y7
+	VSUBPS  Y15, Y0, Y0
+	VSUBPS  Y15, Y1, Y1
+	VSUBPS  Y15, Y2, Y2
+	VSUBPS  Y15, Y3, Y3
+	VSUBPS  Y15, Y4, Y4
+	VSUBPS  Y15, Y5, Y5
+	VSUBPS  Y15, Y6, Y6
+	VSUBPS  Y15, Y7, Y7
+
+	// Pairs of rows interleaved: Y8 = r0[0] r1[0] r0[1] r1[1] | r0[4] ..
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y0
+
+	// Quads: Y1 = r0..r3 at level x | at x+4, Y2 at x+1 | x+5, ...
+	VSHUFPS $0x44, Y10, Y8, Y1
+	VSHUFPS $0xEE, Y10, Y8, Y2
+	VSHUFPS $0x44, Y11, Y9, Y3
+	VSHUFPS $0xEE, Y11, Y9, Y4
+	VSHUFPS $0x44, Y14, Y12, Y5
+	VSHUFPS $0xEE, Y14, Y12, Y6
+	VSHUFPS $0x44, Y0, Y13, Y7
+	VSHUFPS $0xEE, Y0, Y13, Y8
+
+	// Halves joined: level x+j, all eight lanes.
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x20, Y8, Y4, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y0
+	VPERM2F128 $0x31, Y8, Y4, Y1
+	VMOVUPS    Y9, (DI)
+	VMOVUPS    Y10, 32(DI)
+	VMOVUPS    Y11, 64(DI)
+	VMOVUPS    Y12, 96(DI)
+	VMOVUPS    Y13, 128(DI)
+	VMOVUPS    Y14, 160(DI)
+	VMOVUPS    Y0, 192(DI)
+	VMOVUPS    Y1, 224(DI)
+
+	ADDQ $256, DI
+	ADDQ $8, BX
+	CMPQ BX, CX
+	JLT  tblblk
+
+	VZEROUPPER
+	RET
+
+// func bwdTableDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dyR, t0, t1, t2, t3 *float32, rows, outC int64)
+//
+// bwdGatherDWAVX2 on four columns' level tables: a row's term is one
+// 32-byte load at tc + 32*xc[r], no gather and no subtract.
+//
+//   R8..R11 = x0..x3 + rows, indexed by CX = r - rows (counts up to 0)
+//   R12..R15 = t0..t3  DI = dyR cursor  SI = dyR row stride (bytes)
+//   AX, BX, DX = table row offsets (32*level)
+//   Y0..Y3 = accumulators  Y4 = dy lanes  Y5..Y8 = products
+TEXT ·bwdTableDWAVX2(SB), NOSPLIT, $0-120
+	MOVQ x0+32(FP), R8
+	MOVQ x1+40(FP), R9
+	MOVQ x2+48(FP), R10
+	MOVQ x3+56(FP), R11
+	MOVQ dyR+64(FP), DI
+	MOVQ t0+72(FP), R12
+	MOVQ t1+80(FP), R13
+	MOVQ t2+88(FP), R14
+	MOVQ t3+96(FP), R15
+	MOVQ rows+104(FP), CX
+	MOVQ outC+112(FP), SI
+	SHLQ $2, SI
+	ADDQ CX, R8
+	ADDQ CX, R9
+	ADDQ CX, R10
+	ADDQ CX, R11
+	NEGQ CX
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+
+tdwrow:
+	VMOVUPS (DI), Y4
+	MOVBLZX (R8)(CX*1), AX
+	MOVBLZX (R9)(CX*1), BX
+	MOVBLZX (R10)(CX*1), DX
+	SHLQ    $5, AX
+	SHLQ    $5, BX
+	SHLQ    $5, DX
+	VMULPS  (R12)(AX*1), Y4, Y5 // dy * (gwPad[woff+x] - zx), as a table row
+	VMULPS  (R13)(BX*1), Y4, Y6
+	VMULPS  (R14)(DX*1), Y4, Y7
+	MOVBLZX (R11)(CX*1), AX
+	SHLQ    $5, AX
+	VMULPS  (R15)(AX*1), Y4, Y8
+	VADDPS  Y5, Y0, Y0
+	VADDPS  Y6, Y1, Y1
+	VADDPS  Y7, Y2, Y2
+	VADDPS  Y8, Y3, Y3
+	ADDQ    SI, DI
+	INCQ    CX
+	JNZ     tdwrow
+
+	MOVQ    out0+0(FP), AX
+	VMOVUPS Y0, (AX)
+	MOVQ    out1+8(FP), AX
+	VMOVUPS Y1, (AX)
+	MOVQ    out2+16(FP), AX
+	VMOVUPS Y2, (AX)
+	MOVQ    out3+24(FP), AX
+	VMOVUPS Y3, (AX)
 	VZEROUPPER
 	RET
 

@@ -16,6 +16,14 @@ func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, wo
 	panic("nn: backward kernel called without assembly support")
 }
 
+func bwdDWTableAVX2(tab *float32, woff *int32, gwPad *float32, zx float32, n int64) {
+	panic("nn: backward kernel called without assembly support")
+}
+
+func bwdTableDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dyR, t0, t1, t2, t3 *float32, rows, outC int64) {
+	panic("nn: backward kernel called without assembly support")
+}
+
 func bwdAffineDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, aCol, bCol, zwCol *float32, rows32, rows, outC int64) {
 	panic("nn: backward kernel called without assembly support")
 }

@@ -193,6 +193,21 @@ func equivCases(t *testing.T) []equivCase {
 		}
 	}
 
+	// The fused row's dW crossover at each operand width the registry
+	// has: 2^B - 1 rows gather, 2^B and 2^B + 1 read level tables
+	// (bwdDWTables), over channel counts below, off and past the lane
+	// width and a k whose blocks end in short groups of table columns.
+	for _, name := range []string{"mul6u_rm4", "mul7u_rm6", "mul8u_rm8"} {
+		e, _ := appmult.Lookup(name)
+		op := DifferenceOp(lookupMult(t, name), e.HWS)
+		for _, rows := range []int{1<<op.Bits - 1, 1 << op.Bits, 1<<op.Bits + 1} {
+			for _, outC := range []int{1, 7, 9, 17} {
+				cases = append(cases, equivCase{name: fmt.Sprintf("dw-tables/%s/rows=%d/outC=%d", name, rows, outC), op: op,
+					rows: rows, outC: outC, k: 11, sweepOnly: true})
+			}
+		}
+	}
+
 	// The arith row's rows >= 32 SIMD gate together with its scalar tail:
 	// the asm kernels run over none, some, or all rows.
 	ste, _ := bwdExemplar(t, BwdPathAffine)

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"unsafe"
+
 	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
 )
@@ -18,9 +20,12 @@ import (
 //     STE tables take it on both sweeps; cvste's DX table qualifies
 //     while its DW table does not.
 //   - fused: general tables (smoothdiff/stochastic/rawdiff) keep the
-//     gather but run it as an AVX2 VGATHERDPS kernel over the padded
-//     rows — independent gathers at the host's gather rate, see the
-//     dependency rule in gemm_bwd_amd64.s — or as Go loops without asm.
+//     lookup. The dX sweep runs it as an AVX2 VGATHERDPS kernel over the
+//     padded rows — independent gathers at the host's gather rate, see
+//     the dependency rule in gemm_bwd_amd64.s. The dW sweep does too
+//     below 2^B rows; from 2^B up it reads per-column level tables
+//     (bwdDWTables), one load per row and no gather. Without asm both
+//     are Go loops.
 //
 // Both sweeps read the k-major operand matrix xT (k x rows). The dW
 // kernels put SIMD lanes on 8 output channels: for one k column they
@@ -288,9 +293,12 @@ func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, 
 }
 
 // bwdDWGather is bwdDWAffine on the fused row: T is the table entry
-// gwPad[wq[oc][i]*padStride + x] itself, fetched by VGATHERDPS with the
-// eight channels' row offsets as the index vector and the level as the
-// base.
+// gwPad[wq[oc][i]*padStride + x] itself. From 2^B rows up the asm path
+// reads it from per-column level tables (bwdDWTables). Below, VGATHERDPS
+// fetches it (bwdDWGathers), because a table of 2^B levels costs about
+// what gathering 2^B rows does: on two vCPUs of a Xeon host, 7-bit
+// sweeps at oc64/k576 read the tables at 0.75x the gather's speed at 32
+// rows, 0.9x at 64, 1.1x at 96 and 1.3x at 128.
 func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
 	goLanes := !hasGemmAsm || rows == 0
 	for i := lo; i < hi; i++ {
@@ -303,9 +311,19 @@ func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, 
 			bwdGatherDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, woff, op.gwPad, zx)
 		}
 	}
-	if goLanes {
-		return
+	switch {
+	case goLanes:
+	case rows >= 1<<op.Bits:
+		op.bwdDWTables(s, xT, lo, hi, rows, ld, zx)
+	default:
+		op.bwdDWGathers(s, xT, lo, hi, rows, ld, zx)
 	}
+}
+
+// bwdDWGathers runs bwdGatherDWAVX2 over the k columns [lo, hi), two
+// columns and eight channels per call; the column offsets in s.woff are
+// filled.
+func (op *Op) bwdDWGathers(s *KernelScratch, xT []uint8, lo, hi, rows, ld int, zx float32) {
 	for i := lo; i < hi; i += 2 {
 		i1 := min(i+1, hi-1)
 		for oc := 0; oc < ld; oc += dwLanes {
@@ -313,6 +331,59 @@ func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, 
 			c0, c1 := i*ld+oc, i1*ld+oc
 			bwdGatherDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
 				&s.woff[c0], &s.woff[c1], &op.gwPad[0], zx, int64(rows), int64(ld))
+		}
+	}
+}
+
+// dwTabCols is how many k columns one bwdTableDWAVX2 call sweeps, each
+// on its own level table of dwTabLen entries: dwLanes channels at every
+// uint8 level.
+const (
+	dwTabCols = 4
+	dwTabLen  = padStride * dwLanes
+)
+
+// bwdDWTables is bwdDWGathers on level tables. Per block of eight
+// channels each column's table T[x][l] = gwPad[woff[l]+x] - zx is built
+// once (bwdDWTableAVX2), so the row loop (bwdTableDWAVX2) loads the
+// term the gather kernel fetches and subtracts per row; a short last
+// group of columns repeats its last column. The levels from 2^B up hold
+// fl(0 - zx), the padded rows' zero minus zx, so any uint8 level reads
+// what the gather would. Every entry is the same rounded subtract and
+// every term the same product, added in the same order: no bit differs.
+func (op *Op) bwdDWTables(s *KernelScratch, xT []uint8, lo, hi, rows, ld int, zx float32) {
+	// The tables (32 KiB) live on the stack, as the kernels keep no
+	// pointer, and start on a cache line so that no row load straddles
+	// two: unaligned, the r512 sweep ran 1.2x slower. Only speed depends
+	// on the alignment.
+	var buf [dwTabCols*dwTabLen + 16]float32
+	a := int(-uintptr(unsafe.Pointer(&buf[0])) % 64 / 4)
+	tabs := buf[a : a+dwTabCols*dwTabLen]
+	n := max(1<<op.Bits, dwLanes) // levels the build writes: narrower rows are padded to 8
+	if n < padStride {
+		tail := tabs[n*dwLanes : dwTabLen]
+		tail[0] = 0 - zx
+		for f := 1; f < len(tail); f *= 2 {
+			copy(tail[f:], tail[:f])
+		}
+		for c := 1; c < dwTabCols; c++ {
+			copy(tabs[c*dwTabLen+n*dwLanes:(c+1)*dwTabLen], tail)
+		}
+	}
+	var x [dwTabCols]*uint8
+	var t, out [dwTabCols]*float32
+	for i := lo; i < hi; i += dwTabCols {
+		for oc := 0; oc < ld; oc += dwLanes {
+			oc = min(oc, ld-dwLanes)
+			for j := range x {
+				c := min(i+j, hi-1)
+				if c == i+j {
+					bwdDWTableAVX2(&tabs[j*dwTabLen], &s.woff[c*ld+oc], &op.gwPad[0], zx, int64(n))
+				}
+				x[j], t[j], out[j] = &xT[c*rows], &tabs[(c-i)*dwTabLen], &s.dwT[c*ld+oc]
+			}
+			bwdTableDWAVX2(out[0], out[1], out[2], out[3], x[0], x[1], x[2], x[3], &s.dyR[oc],
+				t[0], t[1], t[2], t[3], int64(rows), int64(ld))
 		}
 	}
 }

@@ -7,6 +7,7 @@
 //	go run ./scripts/doccheck ./internal/serve ./internal/nn
 //	go run ./scripts/doccheck -roadmap ROADMAP.md DESIGN.md ./internal/nn
 //	go run ./scripts/doccheck -design DESIGN.md README.md ./internal/nn
+//	go run ./scripts/doccheck -lines . ROADMAP.md ./internal/nn
 //
 // Test files are exempt. Methods count: an exported method on any
 // receiver needs a comment, and so does every exported method listed
@@ -24,6 +25,12 @@
 // section — "DESIGN.md §3", "DESIGN §3(c′)" — in the same files against
 // that file's sections: the number must head a "## 3." section, and a
 // sub-section (b), (c′) or (c″) must open a "**(b) " marker inside it.
+// With -lines it resolves every reference to lines of a Go file —
+// "path.go:N", "path.go:N–M", "path.go:N,M" — in the same Markdown files
+// and in the comments of the same Go files against the Go files under
+// the directory it names: the path must name a file, or end the path of
+// exactly one (a bare file name must be unique), and every N must be
+// one of its lines.
 package main
 
 import (
@@ -40,9 +47,10 @@ import (
 func main() {
 	roadmap := flag.String("roadmap", "", "ROADMAP.md to resolve item references against (off when empty)")
 	design := flag.String("design", "", "DESIGN.md to resolve section references against (off when empty)")
+	lines := flag.String("lines", "", "directory whose Go files resolve path.go:N references (off when empty)")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: doccheck [-roadmap ROADMAP.md] [-design DESIGN.md] (./pkg/dir | doc.md)...")
+		fmt.Fprintln(os.Stderr, "usage: doccheck [-roadmap ROADMAP.md] [-design DESIGN.md] [-lines dir] (./pkg/dir | doc.md)...")
 		os.Exit(2)
 	}
 	// refChecks are the reference resolvers the flags switch on.
@@ -54,6 +62,14 @@ func main() {
 	if *design != "" {
 		secs := designSections(mustRead(*design))
 		refChecks = append(refChecks, func(name, text string) []string { return checkDesignRefs(name, text, secs) })
+	}
+	if *lines != "" {
+		files, err := goFiles(*lines)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			os.Exit(2)
+		}
+		refChecks = append(refChecks, func(name, text string) []string { return checkLineRefs(name, text, files) })
 	}
 	bad := 0
 	for _, arg := range flag.Args() {
