@@ -2,7 +2,6 @@
 .PHONY: build test tier1 vet gofmt purego fmacheck maxprocs1 maxprocs4 nnparanoid race servestress diststress bench benchreport benchsmoke doccheck deadcheck verify clean
 
 BENCH_BASELINE := BENCH_kernels.json
-BENCH_TRAIN := BENCH_train.json
 
 build:
 	go build ./...
@@ -101,16 +100,13 @@ servestress:
 diststress:
 	go test -race -count=10 -run 'Dist|SyncBN|BNSync' ./internal/dist ./internal/nn
 
-# bench re-measures the kernel and training-step baselines, fails
-# loudly if anything regressed beyond benchdiff's tolerance, and
-# promotes the new numbers.
+# bench re-measures the micro-benchmark baseline (kernels, layers,
+# training steps), fails loudly if anything regressed beyond benchdiff's
+# tolerance, and promotes the new numbers.
 bench:
 	go run ./cmd/benchkernels -out $(BENCH_BASELINE).new
 	go run ./scripts/benchdiff $(BENCH_BASELINE) $(BENCH_BASELINE).new
 	mv $(BENCH_BASELINE).new $(BENCH_BASELINE)
-	go run ./cmd/benchtrain -out $(BENCH_TRAIN).new
-	go run ./scripts/benchdiff $(BENCH_TRAIN) $(BENCH_TRAIN).new
-	mv $(BENCH_TRAIN).new $(BENCH_TRAIN)
 
 # benchreport is the non-blocking flavor used by verify: quick
 # (noisier) measurements, report-only diff. One check IS blocking: the
@@ -123,9 +119,6 @@ benchreport:
 	-go run ./scripts/benchdiff -tol 1.5 $(BENCH_BASELINE) $(BENCH_BASELINE).quick
 	go run ./scripts/benchdiff -check-names -tol 1e9 $(BENCH_BASELINE) $(BENCH_BASELINE).quick
 	-rm -f $(BENCH_BASELINE).quick
-	-go run ./cmd/benchtrain -quick -out $(BENCH_TRAIN).quick
-	-go run ./scripts/benchdiff -tol 1.5 $(BENCH_TRAIN) $(BENCH_TRAIN).quick
-	-rm -f $(BENCH_TRAIN).quick
 
 # benchsmoke runs the end-to-end benchmark's own tests (~20 s). bench/
 # is a nested module, so `go test ./...` at the root never sees them;
@@ -160,4 +153,4 @@ verify: vet gofmt tier1 purego fmacheck maxprocs1 maxprocs4 nnparanoid benchsmok
 
 clean:
 	go clean ./...
-	rm -f $(BENCH_BASELINE).new $(BENCH_BASELINE).quick $(BENCH_TRAIN).new $(BENCH_TRAIN).quick
+	rm -f $(BENCH_BASELINE).new $(BENCH_BASELINE).quick

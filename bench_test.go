@@ -1,6 +1,9 @@
-// Package retrain_test is the benchmark harness: one benchmark per
-// table and figure of the paper, plus the ablations DESIGN.md calls
-// out and microbenchmarks of the hot kernels.
+// Package retrain_test holds the go-test benchmarks a paper table or
+// figure needs: one per table and figure, the ablations DESIGN.md
+// calls out, and four setup costs (product LUT build, netlist power,
+// synthetic data, fault sensitivity). The kernels, layers and training
+// steps are timed by cmd/benchkernels, whose rows are committed in
+// BENCH_kernels.json and gated by scripts/benchdiff.
 //
 // Table/figure benches run the corresponding experiment end-to-end at
 // test scale; the cmd tools run the same code at larger scales (see
@@ -24,7 +27,6 @@ import (
 	"github.com/appmult/retrain/internal/data"
 	"github.com/appmult/retrain/internal/errmetrics"
 	"github.com/appmult/retrain/internal/gradient"
-	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/mulsynth"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/tech"
@@ -225,54 +227,30 @@ func BenchmarkAblation_HWSSweep(b *testing.B) {
 	}
 }
 
-// ---- Microbenchmarks of the hot kernels -------------------------------
-
-// BenchmarkKernel_ApproxConvForward measures the LUT-based approximate
-// convolution forward pass on a realistic layer shape.
-func BenchmarkKernel_ApproxConvForward(b *testing.B) {
+// BenchmarkAblation_PerChannelQuant compares the forward cost of
+// per-tensor vs per-channel weight quantization on the approximate
+// convolution (the accuracy side is cmd/ablate -which perchannel).
+func BenchmarkAblation_PerChannelQuant(b *testing.B) {
 	e, _ := appmult.Lookup("mul8u_rm8")
 	op := nn.STEOp(e.Mult)
-	layer := nn.NewApproxConv2D("c", 16, 32, 3, 1, 1, op, newRng(1))
-	x := tensor.New(4, 16, 16, 16)
+	x := tensor.New(2, 8, 12, 12)
 	fill(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = layer.Forward(x, true)
+	run := func(b *testing.B, pc bool) {
+		layer := nn.NewApproxConv2D("c", 8, 16, 3, 1, 1, op, newRng(1))
+		layer.PerChannel = pc
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = layer.Forward(x, true)
+		}
 	}
+	b.Run("pertensor", func(b *testing.B) { run(b, false) })
+	b.Run("perchannel", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkKernel_ApproxConvBackward measures the LUT-gradient backward
-// pass (Eq. 9) on the same shape.
-func BenchmarkKernel_ApproxConvBackward(b *testing.B) {
-	e, _ := appmult.Lookup("mul8u_rm8")
-	op := nn.DifferenceOp(e.Mult, 16)
-	layer := nn.NewApproxConv2D("c", 16, 32, 3, 1, 1, op, newRng(1))
-	x := tensor.New(4, 16, 16, 16)
-	fill(x)
-	y := layer.Forward(x, true)
-	dy := tensor.New(y.Shape...)
-	fill(dy)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.ZeroGrads(layer)
-		_ = layer.Backward(dy)
-	}
-}
-
-// BenchmarkKernel_FloatConvForward is the float conv baseline for the
-// approximate kernel above.
-func BenchmarkKernel_FloatConvForward(b *testing.B) {
-	layer := nn.NewConv2D("c", 16, 32, 3, 1, 1, newRng(1))
-	x := tensor.New(4, 16, 16, 16)
-	fill(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = layer.Forward(x, true)
-	}
-}
+// ---- Setup costs -------------------------------------------------------
+//
+// What a run pays once, before any layer executes; cmd/benchkernels'
+// committed rows time the kernels, layers and steps themselves.
 
 // BenchmarkKernel_ProductLUTBuild measures building an 8-bit product
 // LUT (64k entries), the per-multiplier setup cost of the framework.
@@ -303,23 +281,12 @@ func BenchmarkKernel_SyntheticData(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel_LeNetTrainStep measures one full optimizer step
-// (forward + loss + backward + Adam) of an approximate LeNet.
-func BenchmarkKernel_LeNetTrainStep(b *testing.B) {
-	e, _ := appmult.Lookup("mul6u_rm4")
-	op := nn.DifferenceOp(e.Mult, 2)
-	model := models.LeNet(models.Config{
-		Classes: 10, InputHW: 16, Width: 0.25,
-		Conv: models.ApproxConv(op), Seed: 1,
-	})
-	trainSet, _ := data.Synthetic(data.SynthConfig{Classes: 10, Train: 32, Test: 10, HW: 16, Seed: 1})
-	batch := trainSet.Batches(32, 0)[0]
-	b.ResetTimer()
+// BenchmarkKernel_FaultSensitivity measures the stuck-at criticality
+// sweep over a 5-bit accurate multiplier.
+func BenchmarkKernel_FaultSensitivity(b *testing.B) {
+	n := mulsynth.BuildAccurate("acc5", 5)
 	for i := 0; i < b.N; i++ {
-		nn.ZeroGrads(model)
-		out := model.Forward(batch.X, true)
-		_, grad := nn.SoftmaxCrossEntropy(out, batch.Y)
-		model.Backward(grad)
+		_ = mulsynth.FaultSensitivity(n, 5, 256, 1)
 	}
 }
 
@@ -332,52 +299,3 @@ func fill(t *tensor.Tensor) {
 }
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// BenchmarkKernel_BehavioralVsLUTForward compares the two
-// forward-simulation styles the paper discusses: LUT-based ([9]-[11],
-// what this framework uses) versus behavioral evaluation of the
-// multiplier function per MAC ([12]).
-func BenchmarkKernel_BehavioralVsLUTForward(b *testing.B) {
-	e, _ := appmult.Lookup("mul8u_2NDH")
-	grads := gradient.STE(8)
-	x := tensor.New(2, 8, 12, 12)
-	fill(x)
-	run := func(b *testing.B, op *nn.Op) {
-		layer := nn.NewApproxConv2D("c", 8, 16, 3, 1, 1, op, newRng(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = layer.Forward(x, true)
-		}
-	}
-	b.Run("lut", func(b *testing.B) { run(b, nn.NewOp(e.Mult, grads)) })
-	b.Run("behavioral", func(b *testing.B) { run(b, nn.BehavioralOp(e.Mult, grads)) })
-}
-
-// BenchmarkKernel_FaultSensitivity measures the stuck-at criticality
-// sweep over a 5-bit accurate multiplier.
-func BenchmarkKernel_FaultSensitivity(b *testing.B) {
-	n := mulsynth.BuildAccurate("acc5", 5)
-	for i := 0; i < b.N; i++ {
-		_ = mulsynth.FaultSensitivity(n, 5, 256, 1)
-	}
-}
-
-// BenchmarkAblation_PerChannelQuant compares the forward cost of
-// per-tensor vs per-channel weight quantization on the approximate
-// convolution (the accuracy side is cmd/ablate -which perchannel).
-func BenchmarkAblation_PerChannelQuant(b *testing.B) {
-	e, _ := appmult.Lookup("mul8u_rm8")
-	op := nn.STEOp(e.Mult)
-	x := tensor.New(2, 8, 12, 12)
-	fill(x)
-	run := func(b *testing.B, pc bool) {
-		layer := nn.NewApproxConv2D("c", 8, 16, 3, 1, 1, op, newRng(1))
-		layer.PerChannel = pc
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = layer.Forward(x, true)
-		}
-	}
-	b.Run("pertensor", func(b *testing.B) { run(b, false) })
-	b.Run("perchannel", func(b *testing.B) { run(b, true) })
-}

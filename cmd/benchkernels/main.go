@@ -1,35 +1,44 @@
-// Command benchkernels measures the approximate-GEMM kernel stack and
-// records the results as a machine-readable baseline. It benchmarks
-// the dispatching forward kernel (the training hot path, on whatever
-// tier it auto-selects), each forward tier forced individually through
-// an op pinned to it (closed-form arith, packed-uint16 LUT), the
-// dispatching backward kernel on both table families (general tables →
-// fused gather, STE's affine tables → gather-free affine) plus a
-// forced-fused row on the affine op, the preserved reference kernels,
-// and an ApproxConv2D forward+backward step end-to-end — all at one
-// wide shape, the GEMMs through the row-major ForwardGEMM/BackwardGEMM
-// adapters (their transposes included) — then the backward
-// small-vs-fused pairs at the narrow, row-heavy shapes the training
-// workloads really run, over dense and sparse upstream gradients (the
-// rows that justify BackwardGEMM's sparse-gradient gate), and, at the
-// shapes of the benchmark models' layers, the pieces of the k-major
-// conv step: the k-major byte im2col and col2im, the dW lane kernels
-// alone, and whole layer steps on the affine, fused and small tiers
-// next to the float Conv2D's on the same layout, and layer forwards on
-// the arith row's pair and word kernels — the host's gather
-// rate (Probe_GatherDPS_64KiB, probe.go) and, at the vgg11 GEMM shapes
-// that run on the backward sweep rows, each dW and dX sweep alone in
-// ns per table entry read and as a ratio to that probe (a gather rate
-// for the gather kernels; the fused dW rows from 2^B rows up read level
-// tables instead, so there it only compares speeds) — and the
-// passes between the GEMMs: the slice quantizer against its scalar
-// definition, the weights' min/max, and a step of each glue layer
-// (ReLU, batch norm, max pool) — and inference: the skinny (under-32-row) forward GEMMs of
-// single-image serving on the arith_skinny row next to packed16, and
-// whole-model Predict at batch 1 and 8. It writes ns/op, B/op, and
-// allocs/op per benchmark — plus the dispatch path each forward and
-// backward benchmark actually took and tier-vs-tier speedup summaries
-// — to a JSON file.
+// Command benchkernels is the repository's one micro-benchmark command.
+// It times the approximate-GEMM kernel stack and what is built on it,
+// and writes ns/op, B/op and allocs/op per row — plus GOMAXPROCS, the
+// dispatch path each GEMM row took and speedup summaries — to a JSON
+// baseline. The rows, in order:
+//
+//   - at one wide shape: the dispatching forward GEMM, each forward tier
+//     pinned (nn.Op.Pinned: arith, packed16), the dispatching backward
+//     GEMM on both table families (general tables → fused gather, STE's
+//     affine tables → affine) and the STE op pinned to fused, the
+//     reference kernels — all through the row-major adapters, their
+//     transposes included — and an ApproxConv2D forward+backward step;
+//   - at the shapes of the benchmark models' layers: approximate and
+//     float conv steps on each backward tier, approximate forwards on the
+//     arith row's pair and word kernels, the k-major byte im2col and
+//     col2im, and the dW lane kernels alone;
+//   - the host's gather rate (Probe_GatherDPS_64KiB, probe.go) and, at
+//     the vgg11 GEMM shapes of the backward sweep rows, each dW and dX
+//     sweep alone, in ns per table entry read and as a ratio to the probe
+//     (a gather rate for the gather kernels; from 2^B rows up the fused
+//     dW rows read level tables, so there it only compares speeds);
+//   - the passes between the GEMMs: the slice quantizer against its
+//     scalar definition, the weights' min/max, and a step of ReLU, batch
+//     norm and max pool;
+//   - inference: single-image serving's skinny forward GEMMs on the
+//     arith_skinny row next to packed16, and whole-model Predict at batch
+//     1 and 8;
+//   - the backward small-vs-fused pairs at the narrow, row-heavy shapes
+//     of the training workloads, over dense and sparse upstream gradients
+//     (the rows behind BackwardGEMM's sparse-gradient gate);
+//   - the training step: the legacy single-replica step and the sharded
+//     step (train.ShardedStep) at 1, 2 and 4 shards on a BN-free model,
+//     the solo step of reduced vgg11 under smoothdiff (the
+//     retrain_vgg11_smoothdiff workload's step; its speed on two CPUs over
+//     one is the worker pool's scaling) and the Adam step after it;
+//   - the two forward simulation styles the paper contrasts, on one
+//     layer: gathering from the product LUT ([9]-[11]) and behavioural,
+//     the multiplier per MAC ([12]).
+//
+// A row that fails stops the command, named, before anything is
+// written.
 //
 // The committed BENCH_kernels.json at the repository root is the
 // current baseline; `make bench` re-measures, diffs against it with
@@ -47,21 +56,24 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
+	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
+	"github.com/appmult/retrain/internal/optim"
 	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
+	"github.com/appmult/retrain/internal/train"
 )
 
 // shape is one GEMM: rows x k operands against outC x k weights.
 type shape struct{ rows, outC, k int }
 
 // wide is the historical kernel shape: batch 4 of 16x16x16 activations
-// through a 3x3 16->32 conv, the same shape as the repository's
-// BenchmarkKernel_* microbenchmarks.
+// through a 3x3 16->32 conv, the shape of the Layer_ApproxConvStep row.
 var wide = shape{rows: 1024, outC: 32, k: 144}
 
 // narrow lists the row-heavy early-layer GEMMs of the benchmark's
@@ -96,6 +108,7 @@ type record struct {
 	Note       string            `json:"note"`
 	Multiplier string            `json:"multiplier"`
 	Shape      string            `json:"shape"`
+	MaxProcs   int               `json:"maxprocs"`
 	Benchmarks map[string]result `json:"benchmarks"`
 	// Paths records the dispatch tier each forward or backward benchmark
 	// actually ran on (host-dependent: the arith tier needs AVX2, so a
@@ -199,18 +212,128 @@ func convStep(op *nn.Op, inC, outC, k, n, hw int, pooled, touch bool, rng *rand.
 }
 
 // convFwd benchmarks one ApproxConv2D forward on op at the given layer
-// and input geometry, its weights touched first, as a training step's
-// forward runs after the optimizer step: the layer rebuilds its
-// weight-side state every op.
-func convFwd(op *nn.Op, inC, outC, k, n, hw int, rng *rand.Rand) func(b *testing.B) {
+// and input geometry. touch bumps the weights' version first, as a
+// training step's forward runs after the optimizer step: the layer
+// rebuilds its weight-side state every op.
+func convFwd(op *nn.Op, inC, outC, k, n, hw int, touch bool, rng *rand.Rand) func(b *testing.B) {
 	layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
 	x := tensor.New(n, inC, hw, hw)
 	x.RandNormal(rng, 1)
 	weight := layer.Params()[0]
 	return loop(func() {
-		weight.Touch()
+		if touch {
+			weight.Touch()
+		}
 		layer.Forward(x, true)
 	})
+}
+
+// trainStep is one replica's training step on model: zero the
+// gradients, forward, loss, backward.
+func trainStep(model *nn.Sequential, x *tensor.Tensor, y []int) func() {
+	return func() {
+		nn.ZeroGrads(model)
+		_, grad := nn.SoftmaxCrossEntropy(model.Forward(x, true), y)
+		model.Backward(grad)
+	}
+}
+
+// stepModel is the sharded-step rows' BatchNorm-free approximate model,
+// drawn from its own source, so every shard count computes the
+// bit-identical gradient (see train.ShardedStep).
+func stepModel(op *nn.Op) *nn.Sequential {
+	rng := rand.New(rand.NewSource(42))
+	return nn.NewSequential("bench",
+		nn.NewApproxConv2D("c1", 3, 8, 3, 1, 1, op, rng),
+		nn.NewReLU(),
+		nn.NewMaxPool2D(2, 2),
+		nn.NewFlatten(),
+		nn.NewApproxLinear("fc", 8*8*8, 10, op, rng),
+	)
+}
+
+// bench is one benchmark row. A GEMM row records the dispatch tier its
+// op takes for the row's shape (forward) or dy (backward). A forced row
+// runs an op pinned to a tier (nn.Op.Pinned), which falls back to the
+// auto choice when the host or op cannot provide the tier — the
+// recorded path makes that visible.
+type bench struct {
+	name, path string
+	fn         func(b *testing.B)
+	elems      int // table entries read per op, where the row reports ns per element
+}
+
+// speedup is one entry of the record's speedups: num's time over den's,
+// per op or, with perElem, per table entry read.
+type speedup struct {
+	key, num, den string
+	perElem       bool
+}
+
+// run measures every row into rec, adds the speedups and writes rec to
+// out as JSON. A row that fails — b.Fatal, or a panic in its body —
+// stops it, named, before anything is written.
+func run(rec *record, benches []bench, speedups []speedup, out string) error {
+	for _, bm := range benches {
+		r := testing.Benchmark(func(b *testing.B) {
+			defer func() {
+				if p := recover(); p != nil {
+					b.Fatal(p)
+				}
+			}()
+			bm.fn(b)
+		})
+		if r.N == 0 {
+			return fmt.Errorf("row %s failed", bm.name)
+		}
+		res := result{
+			NsOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			BytesOp:  r.AllocedBytesPerOp(),
+			AllocsOp: r.AllocsPerOp(),
+		}
+		note := ""
+		if bm.elems > 0 {
+			res.NsElem = res.NsOp / float64(bm.elems)
+			note = fmt.Sprintf("  %.3f ns/elem", res.NsElem)
+		}
+		if bm.path != "" {
+			rec.Paths[bm.name] = bm.path
+			note += "  path=" + bm.path
+		}
+		rec.Benchmarks[bm.name] = res
+		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n", bm.name, res.NsOp, res.BytesOp, res.AllocsOp, note)
+	}
+	for _, q := range speedups {
+		num, den := rec.Benchmarks[q.num], rec.Benchmarks[q.den]
+		v := num.NsOp / den.NsOp
+		if q.perElem {
+			v = num.NsElem / den.NsElem
+		}
+		rec.Speedups[q.key] = v
+		fmt.Printf("%-44s %.2fx\n", q.key+":", v)
+	}
+	buf, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, append(buf, '\n'), 0o644)
+}
+
+// check ends the command on a setup or recording error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchkernels:", err)
+		os.Exit(1)
+	}
+}
+
+// lookup returns the registry entry of the named multiplier.
+func lookup(name string) appmult.Entry {
+	e, ok := appmult.Lookup(name)
+	if !ok {
+		check(fmt.Errorf("%s missing from registry", name))
+	}
+	return e
 }
 
 func main() {
@@ -222,26 +345,15 @@ func main() {
 	if *quick {
 		benchtime = "100ms"
 	}
-	if err := flag.Set("test.benchtime", benchtime); err != nil {
-		fmt.Fprintln(os.Stderr, "benchkernels:", err)
-		os.Exit(1)
-	}
+	check(flag.Set("test.benchtime", benchtime))
 
-	e, ok := appmult.Lookup("mul7u_rm6")
-	if !ok {
-		fmt.Fprintln(os.Stderr, "benchkernels: mul7u_rm6 missing from registry")
-		os.Exit(1)
-	}
+	e := lookup("mul7u_rm6")
 	op := nn.DifferenceOp(e.Mult, 6)
 	// STE's gradient tables are verified row-affine, so this op reaches
 	// the backward affine tier; the difference op above exercises the
 	// fused gather tier.
 	steOp := nn.STEOp(e.Mult)
-	e8, ok := appmult.Lookup("mul8u_rm8")
-	if !ok {
-		fmt.Fprintln(os.Stderr, "benchkernels: mul8u_rm8 missing from registry")
-		os.Exit(1)
-	}
+	e8 := lookup("mul8u_rm8")
 	// Its coefficients exceed the madd operand: the arith row's word kernel.
 	op8 := nn.DifferenceOp(e8.Mult, e8.HWS)
 
@@ -250,16 +362,6 @@ func main() {
 	px := quant.Calibrate(0, 2, 7)
 	var s nn.KernelScratch
 
-	// Each entry is one benchmark row. A GEMM row records the dispatch
-	// tier its op takes for the row's shape (forward) or dy (backward). A
-	// forced row runs an op pinned to a tier (nn.Op.Pinned), which falls
-	// back to the auto choice when the host or op cannot provide the tier
-	// — the recorded path makes that visible.
-	type bench struct {
-		name, path string
-		fn         func(b *testing.B)
-		elems      int // table entries read per op, where the row reports ns per element
-	}
 	fwd := func(name string, fop *nn.Op, o *operands) bench {
 		bias := make([]float32, o.outC)
 		return bench{name: name, path: fop.ForwardPath(o.rows, o.outC, o.k), fn: loop(func() {
@@ -273,6 +375,12 @@ func main() {
 	}
 	w := newOperands(wide, 1, rng)
 	refBias := make([]float32, w.outC)
+	speedups := []speedup{
+		{key: "forward_auto_vs_ref", num: "Kernel_GEMMForwardRef", den: "Kernel_GEMMForwardAuto"},
+		{key: "forward_arith_vs_packed16", num: "Kernel_GEMMForwardPacked16", den: "Kernel_GEMMForwardArith"},
+		{key: "backward_fused_vs_ref", num: "Kernel_GEMMBackwardRef", den: "Kernel_GEMMBackwardFused"},
+		{key: "backward_affine_vs_ref", num: "Kernel_GEMMBackwardRef", den: "Kernel_GEMMBackwardAffine"},
+	}
 	benches := []bench{
 		fwd("Kernel_GEMMForwardAuto", op, w),
 		fwd("Kernel_GEMMForwardArith", op.Pinned(nn.FwdPathArith, ""), w),
@@ -310,9 +418,9 @@ func main() {
 		// reduced vgg11's conv4, 32 images of 32x4x4 into 32 channels
 		// (rows=512 outC=32 k=288), on the pair kernel and, under
 		// mul8u_rm8, the word kernel.
-		{name: "Layer_ApproxConvFwd_LeNetConv1", fn: convFwd(op, 3, 4, 5, 32, 16, rng)},
-		{name: "Layer_ApproxConvFwd_VGG11Conv4", fn: convFwd(op, 32, 32, 3, 32, 4, rng)},
-		{name: "Layer_ApproxConvFwd_VGG11Conv4_mul8u_rm8", fn: convFwd(op8, 32, 32, 3, 32, 4, rng)},
+		{name: "Layer_ApproxConvFwd_LeNetConv1", fn: convFwd(op, 3, 4, 5, 32, 16, true, rng)},
+		{name: "Layer_ApproxConvFwd_VGG11Conv4", fn: convFwd(op, 32, 32, 3, 32, 4, true, rng)},
+		{name: "Layer_ApproxConvFwd_VGG11Conv4_mul8u_rm8", fn: convFwd(op8, 32, 32, 3, 32, 4, true, rng)},
 		// The float Conv2D at those geometries and at reduced vgg11's
 		// conv5, 32 images of 32x2x2 into 64 channels (rows=128 k=288).
 		{name: "Layer_FloatConvStep_VGG11Conv1", fn: convStep(nil, 3, 8, 3, 8, 32, false, false, rng)},
@@ -364,7 +472,9 @@ func main() {
 	// sweep per op, reading what the scan left in the arena.
 	probe := newGatherProbe(rng)
 	benches = append(benches, bench{name: "Probe_GatherDPS_64KiB", fn: loop(probe.run), elems: probe.elems()})
-	var vsProbe [][2]string // speedups key, benchmark name
+	// Both sides of these speedups are ns per element: 1.0 is the host's
+	// gather rate (for the rows that gather), and gather over affine at one
+	// shape is what the table lookup costs.
 	for _, sh := range sweeps {
 		o := newOperands(sh, 1, rng)
 		label := fmt.Sprintf("r%d_oc%d_k%d", sh.rows, sh.outC, sh.k)
@@ -376,7 +486,7 @@ func main() {
 			{"bwd_dx_gather", "Kernel_BwdDXGather_", op, nil, o.dx}, {"bwd_dx_affine", "Kernel_BwdDXAffine_", steOp, nil, o.dx},
 			{"bwd_dw_gather", "Kernel_BwdDWGather_", op, o.dw, nil}, {"bwd_dw_affine", "Kernel_BwdDWAffine_", steOp, o.dw, nil},
 		} {
-			vsProbe = append(vsProbe, [2]string{d.key + "_vs_probe_" + label, d.name + label})
+			speedups = append(speedups, speedup{key: d.key + "_vs_probe_" + label, num: "Probe_GatherDPS_64KiB", den: d.name + label, perElem: true})
 			benches = append(benches, bench{name: d.name + label, path: d.op.BackwardPath(o.dy), elems: sh.rows * sh.outC * sh.k,
 				fn: func(b *testing.B) {
 					d.op.BackwardSweep(&s, nil, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
@@ -432,98 +542,96 @@ func main() {
 	// Predict at the benchmark's reduced scale (16x16 inputs, eighth width),
 	// which does keep it: batch 1 is a fleet cache miss, batch 8 a busy
 	// replica's batch.
-	var skinny []string
 	for _, rows := range []int{1, 4, 16} {
 		o := newOperands(shape{rows, 64, 576}, 1, rng)
 		label := fmt.Sprintf("r%d_oc64_k576", rows)
-		skinny = append(skinny, label)
+		speedups = append(speedups, speedup{key: "forward_arith_skinny_vs_packed16_" + label,
+			num: "Kernel_FwdPacked16_" + label, den: "Kernel_FwdArith_" + label})
 		benches = append(benches,
 			fwd("Kernel_FwdArith_"+label, steOp, o),
 			fwd("Kernel_FwdPacked16_"+label, steOp.Pinned(nn.FwdPathPacked16, ""), o))
 	}
 	for _, kind := range []string{"vgg11", "resnet18", "lenet"} {
 		m, err := models.ByKind(kind, models.Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: models.ApproxConv(steOp), Seed: 3})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchkernels:", err)
-			os.Exit(1)
-		}
+		check(err)
 		for _, n := range []int{1, 8} {
 			x := tensor.New(n, 3, 16, 16)
 			x.RandNormal(rng, 1)
 			benches = append(benches, bench{name: fmt.Sprintf("Model_Predict_%s_b%d", kind, n), fn: loop(func() { m.Predict(x) })})
 		}
 	}
-	type pair struct{ label, small, fused string }
-	var pairs []pair
 	smallOp, fusedOp := op.Pinned("", nn.BwdPathSmall), op.Pinned("", nn.BwdPathFused)
 	for _, n := range narrow {
 		o := newOperands(n.shape, n.nzOf, rng)
 		label := fmt.Sprintf("r%d_oc%d_k%d_nz1of%d", n.rows, n.outC, n.k, n.nzOf)
-		p := pair{label, "Kernel_BwdSmall_" + label, "Kernel_BwdFused_" + label}
-		pairs = append(pairs, p)
-		benches = append(benches, bwd(p.small, smallOp, o), bwd(p.fused, fusedOp, o))
+		small, fused := "Kernel_BwdSmall_"+label, "Kernel_BwdFused_"+label
+		speedups = append(speedups, speedup{key: "backward_fused_vs_small_" + label, num: small, den: fused})
+		benches = append(benches, bwd(small, smallOp, o), bwd(fused, fusedOp, o))
 	}
+	// The training step, on a batch of 32 images of 3x16x16 (its own
+	// source, seed 7), 10 classes: one replica's step on the BN-free
+	// stepModel, the sharded step (then its Broadcast) on a fresh one per
+	// shard count, the solo step of reduced vgg11 under smoothdiff, and
+	// Adam over that vgg11's parameters. The first layer computes no input
+	// gradient.
+	tx := tensor.New(32, 3, 16, 16)
+	tx.RandNormal(rand.New(rand.NewSource(7)), 1)
+	ty := make([]int, 32)
+	for i := range ty {
+		ty[i] = i % 10
+	}
+	benches = append(benches, bench{name: "Train_ApproxStepLegacy", fn: loop(trainStep(stepModel(op), tx, ty))})
+	for _, p := range []int{1, 2, 4} {
+		st := train.NewShardedStep(stepModel(op), train.ShardedConfig{Shards: p})
+		benches = append(benches, bench{name: fmt.Sprintf("Train_ApproxStepSharded_P%d", p), fn: loop(func() {
+			st.Step(tx, ty)
+			st.Broadcast()
+		})})
+	}
+	sdOp, err := train.OpForSpec(e, "smoothdiff")
+	check(err)
+	vgg := train.BuildModel("vgg11", 10, train.ReducedScale, models.ApproxConv(sdOp), 42)
+	vggParams, adam, numel := vgg.Params(), optim.NewAdam(), 0
+	for _, p := range vggParams {
+		numel += p.Value.Numel()
+	}
+	benches = append(benches,
+		bench{name: "Train_SoloStep_VGG11", fn: loop(trainStep(vgg, tx, ty))},
+		bench{name: "Optim_AdamStep_VGG11", fn: loop(func() { adam.Step(vggParams, 1e-3) })})
+	// The forward simulation styles on one layer, its own source (seed 1):
+	// 2 images of 8x12x12 into 16 channels, 3x3/pad 1 (rows=288 outC=16
+	// k=72), mul8u_2NDH under STE tables, weights not touched — gathering
+	// from the product LUT (pinned to packed16: auto-dispatch takes the
+	// arith row, faster still) and behavioural.
+	e2 := lookup("mul8u_2NDH")
+	lutOp := nn.NewOp(e2.Mult, gradient.STE(8)).Pinned(nn.FwdPathPacked16, "")
+	behOp := nn.BehavioralOp(e2.Mult, gradient.STE(8))
+	benches = append(benches,
+		bench{name: "Layer_ApproxConvFwd_LUT_mul8u_2NDH", path: lutOp.ForwardPath(288, 16, 72),
+			fn: convFwd(lutOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1)))},
+		bench{name: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", path: behOp.ForwardPath(288, 16, 72),
+			fn: convFwd(behOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1)))})
+	speedups = append(speedups,
+		speedup{key: "sharded_p2_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P2"},
+		speedup{key: "sharded_p4_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P4"},
+		speedup{key: "sharded_p1_vs_legacy", num: "Train_ApproxStepLegacy", den: "Train_ApproxStepSharded_P1"},
+		speedup{key: "forward_lut_vs_behavioral", num: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", den: "Layer_ApproxConvFwd_LUT_mul8u_2NDH"})
 
 	rec := record{
-		Note: "approximate-GEMM kernel baseline; regenerate with `make bench`. The Kernel_BwdDWGather_* rows " +
+		Note: "micro-benchmark baseline; regenerate with `make bench`. The Kernel_BwdDWGather_* rows " +
 			"from 128 rows up time the fused row's level tables, not VGATHERDPS, so their bwd_dw_gather_vs_probe " +
-			"ratios are speeds relative to the gather probe, not gather rates.",
+			"ratios are speeds relative to the gather probe, not gather rates. Sharded speedups need physical " +
+			"cores: with maxprocs=1 the P>1 rows measure pure coordination overhead, not parallelism.",
 		Multiplier: op.Label,
-		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, *_VGG11Conv7, *_ResNet18*, *_LeNetConv1, *_LeNetConv2 and Model_Predict_* rows carry their own shape",
-			wide.rows, wide.outC, wide.k),
+		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, "+
+			"*_VGG11Conv7, *_ResNet18*, *_LeNetConv1, *_LeNetConv2, *_mul8u_2NDH, Model_Predict_* and Train_* rows carry their own "+
+			"shape; Train_SoloStep_VGG11 runs vgg11 width %g under %s, Optim_AdamStep_VGG11 Adam over its %d parameters",
+			wide.rows, wide.outC, wide.k, train.ReducedScale.Width, sdOp.Label, numel),
+		MaxProcs:   runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},
 		Speedups:   map[string]float64{},
 	}
-	for _, bm := range benches {
-		r := testing.Benchmark(bm.fn)
-		res := result{
-			NsOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesOp:  r.AllocedBytesPerOp(),
-			AllocsOp: r.AllocsPerOp(),
-		}
-		note := ""
-		if bm.elems > 0 {
-			res.NsElem = res.NsOp / float64(bm.elems)
-			note = fmt.Sprintf("  %.3f ns/elem", res.NsElem)
-		}
-		if bm.path != "" {
-			rec.Paths[bm.name] = bm.path
-			note += "  path=" + bm.path
-		}
-		rec.Benchmarks[bm.name] = res
-		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n", bm.name, res.NsOp, res.BytesOp, res.AllocsOp, note)
-	}
-	ratio := func(key, num, den string) {
-		rec.Speedups[key] = rec.Benchmarks[num].NsOp / rec.Benchmarks[den].NsOp
-		fmt.Printf("%-44s %.2fx\n", key+":", rec.Speedups[key])
-	}
-	ratio("forward_auto_vs_ref", "Kernel_GEMMForwardRef", "Kernel_GEMMForwardAuto")
-	ratio("forward_arith_vs_packed16", "Kernel_GEMMForwardPacked16", "Kernel_GEMMForwardArith")
-	for _, label := range skinny {
-		ratio("forward_arith_skinny_vs_packed16_"+label, "Kernel_FwdPacked16_"+label, "Kernel_FwdArith_"+label)
-	}
-	ratio("backward_fused_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardFused")
-	ratio("backward_affine_vs_ref", "Kernel_GEMMBackwardRef", "Kernel_GEMMBackwardAffine")
-	for _, p := range pairs {
-		ratio("backward_fused_vs_small_"+p.label, p.small, p.fused)
-	}
-	// Both sides are ns per element there: 1.0 is the host's gather rate
-	// (for the rows that gather), and gather over affine at one shape is
-	// what the table lookup costs.
-	for _, r := range vsProbe {
-		rec.Speedups[r[0]] = rec.Benchmarks["Probe_GatherDPS_64KiB"].NsElem / rec.Benchmarks[r[1]].NsElem
-		fmt.Printf("%-44s %.2fx\n", r[0]+":", rec.Speedups[r[0]])
-	}
-
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchkernels:", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchkernels:", err)
-		os.Exit(1)
-	}
+	check(run(&rec, benches, speedups, *out))
 	fmt.Println("wrote", *out)
 }

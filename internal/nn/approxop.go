@@ -139,8 +139,8 @@ func EstimatorOp(m appmult.Multiplier, est gradient.GradEstimator, hws int) *Op 
 // behaviourally in the forward pass instead of through a precomputed
 // LUT — the other mainstream AppMult simulation style the paper cites
 // ([12] vs. the LUT-based [9]-[11]). Functionally identical to NewOp;
-// the LUT-vs-behavioral cost difference is measured by
-// BenchmarkKernel_BehavioralVsLUTForward.
+// the LUT-vs-behavioral cost difference is cmd/benchkernels'
+// forward_lut_vs_behavioral.
 func BehavioralOp(m appmult.Multiplier, grads *gradient.Tables) *Op {
 	if grads.Bits != m.Bits() {
 		panic(fmt.Sprintf("nn: gradient tables are %d-bit but multiplier %s is %d-bit",

@@ -345,7 +345,7 @@ func gemmAccumTile[T int32 | int64](acc []T, xt []uint8, lut16 []uint16, wq []ui
 // behavioralAccumTile is the behavioral row's tile kernel: gemmAccumTile
 // with MulFn evaluated per MAC — the [12]-style simulation path. It
 // cannot hoist LUT rows; the LUT-vs-behavioral gap is exactly what
-// BenchmarkKernel_BehavioralVsLUTForward measures.
+// cmd/benchkernels' forward_lut_vs_behavioral measures.
 func behavioralAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	mulFn := t.op.MulFn
 	for oc := 0; oc < t.outC; oc++ {

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -55,23 +56,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol 1.3] [-check-names] old.json new.json")
 		os.Exit(2)
 	}
-	newRec, err := load(flag.Arg(1))
-	if err != nil {
+	if err := compare(os.Stdout, flag.Arg(0), flag.Arg(1), *tol, *checkNames); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		os.Exit(1)
 	}
-	oldRec, err := load(flag.Arg(0))
+}
+
+// compare diffs the recording at newPath against the baseline at
+// oldPath, one line per benchmark to w, and returns an error when a
+// benchmark's ns/op grew beyond tol, when checkNames is set and the two
+// name sets differ, or when a file cannot be read. A missing baseline is
+// not an error: there is nothing to regress against, so the harness's
+// promotion step installs the new recording as the baseline.
+func compare(w io.Writer, oldPath, newPath string, tol float64, checkNames bool) error {
+	newRec, err := load(newPath)
+	if err != nil {
+		return err
+	}
+	oldRec, err := load(oldPath)
 	if os.IsNotExist(err) {
-		// First run: there is nothing to regress against. Exit zero so
-		// the harness's promotion step installs the new recording as the
-		// baseline for the next diff.
-		fmt.Printf("benchdiff: no baseline at %s, promoting %d benchmark(s) from %s\n",
-			flag.Arg(0), len(newRec.Benchmarks), flag.Arg(1))
-		return
+		fmt.Fprintf(w, "benchdiff: no baseline at %s, promoting %d benchmark(s) from %s\n",
+			oldPath, len(newRec.Benchmarks), newPath)
+		return nil
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		return err
 	}
 
 	names := make([]string, 0, len(oldRec.Benchmarks))
@@ -85,35 +94,34 @@ func main() {
 		o := oldRec.Benchmarks[name]
 		n, ok := newRec.Benchmarks[name]
 		if !ok {
-			fmt.Printf("%-28s retired (only in %s)\n", name, flag.Arg(0))
+			fmt.Fprintf(w, "%-40s retired (only in %s)\n", name, oldPath)
 			mismatched++
 			continue
 		}
 		ratio := n.NsOp / o.NsOp
 		status := "ok"
-		if ratio > *tol {
+		if ratio > tol {
 			status = "REGRESSION"
 			regressed++
 		}
-		fmt.Printf("%-28s %12.0f -> %12.0f ns/op  %5.2fx  %s\n", name, o.NsOp, n.NsOp, ratio, status)
+		fmt.Fprintf(w, "%-40s %12.0f -> %12.0f ns/op  %5.2fx  %s\n", name, o.NsOp, n.NsOp, ratio, status)
 		if n.AllocsOp > o.AllocsOp {
-			fmt.Printf("%-28s allocs/op grew %d -> %d\n", name, o.AllocsOp, n.AllocsOp)
+			fmt.Fprintf(w, "%-40s allocs/op grew %d -> %d\n", name, o.AllocsOp, n.AllocsOp)
 		}
 	}
 	for name := range newRec.Benchmarks {
 		if _, ok := oldRec.Benchmarks[name]; !ok {
-			fmt.Printf("%-28s new (no baseline)\n", name)
+			fmt.Fprintf(w, "%-40s new (no baseline)\n", name)
 			mismatched++
 		}
 	}
-	if *checkNames && mismatched > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark name(s) differ between %s and %s — regenerate the baseline with `make bench`\n",
-			mismatched, flag.Arg(0), flag.Arg(1))
-		os.Exit(1)
+	if checkNames && mismatched > 0 {
+		return fmt.Errorf("%d benchmark name(s) differ between %s and %s — regenerate the baseline with `make bench`",
+			mismatched, oldPath, newPath)
 	}
 	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed beyond %.2fx\n", regressed, *tol)
-		os.Exit(1)
+		return fmt.Errorf("%d benchmark(s) regressed beyond %.2fx", regressed, tol)
 	}
-	fmt.Println("benchdiff: no regressions")
+	fmt.Fprintln(w, "benchdiff: no regressions")
+	return nil
 }
