@@ -17,8 +17,10 @@
 //   - the host's gather rate (Probe_GatherDPS_64KiB, probe.go) and, at
 //     the vgg11 GEMM shapes of the backward sweep rows, each dW and dX
 //     sweep alone, in ns per table entry read and as a ratio to the probe
-//     (a gather rate for the gather kernels; from 2^B rows up the fused
-//     dW rows read level tables, so there it only compares speeds);
+//     (a gather rate for the gather kernels only: from 2^B rows up the
+//     fused dW rows read level tables, and the affine rows are float
+//     GEMMs on one shared level table (dW) or one operand per weight
+//     (dX), so there it only compares speeds);
 //   - the passes between the GEMMs: the slice quantizer against its
 //     scalar definition, the weights' min/max, and a step of ReLU, batch
 //     norm and max pool;
@@ -453,15 +455,16 @@ func main() {
 			bench{name: "Kernel_Col2ImT_" + g.label, fn: loop(func() { col2imT.Run(dx, dcolsT, g.n, geom) })})
 	}
 	// The dW lane kernels alone (gradient scan + dW sweep on a k-major
-	// operand) at the resnet18 stage-1 GEMM: STE on the affine kernel,
-	// the difference op on the gather kernel.
+	// operand) at the resnet18 stage-1 GEMM: STE on the affine row's
+	// shared level table, the difference op on the fused row's level
+	// tables (4096 rows is past 2^B).
 	dwShape := newOperands(shape{4096, 8, 72}, 1, rng)
 	for _, d := range []struct {
 		name string
 		op   *nn.Op
 	}{{"Kernel_BwdDWAffine_r4096_oc8_k72", steOp}, {"Kernel_BwdDWGather_r4096_oc8_k72", op}} {
 		d, o := d, dwShape
-		benches = append(benches, bench{name: d.name, fn: loop(func() {
+		benches = append(benches, bench{name: d.name, path: d.op.BackwardPath(o.dy), fn: loop(func() {
 			// xq's bytes read as a (k x rows) matrix: random levels
 			// either way.
 			d.op.BackwardSweep(&s, o.dw, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
@@ -619,8 +622,10 @@ func main() {
 
 	rec := record{
 		Note: "micro-benchmark baseline; regenerate with `make bench`. The Kernel_BwdDWGather_* rows " +
-			"from 128 rows up time the fused row's level tables, not VGATHERDPS, so their bwd_dw_gather_vs_probe " +
-			"ratios are speeds relative to the gather probe, not gather rates. Sharded speedups need physical " +
+			"from 128 rows up time the fused row's level tables, not VGATHERDPS, and the Kernel_Bwd{DW,DX}Affine_* " +
+			"rows time the affine row's float-GEMM kernels (one shared dW level table, one dX operand per weight), " +
+			"so their bwd_dw_gather_vs_probe and bwd_d{w,x}_affine_vs_probe ratios are speeds relative to the " +
+			"gather probe, not gather rates. Sharded speedups need physical " +
 			"cores: with maxprocs=1 the P>1 rows measure pure coordination overhead, not parallelism.",
 		Multiplier: op.Label,
 		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, "+

@@ -61,10 +61,12 @@ type Op struct {
 	arith *arithForm
 
 	// dwAff/dxAff are the verified per-weight-level affine coefficients
-	// of the gradient tables (gradient.RowAffinity over DW/DX), nil when
-	// the corresponding table has any non-affine row. They gate the
-	// backward affine row (tiers.go): like the arith tier, the structure
-	// is synthesized and verified bitwise, so the tier is bit-exact or
+	// of the gradient tables (gradient.RowAffinity over DW/DX), kept only
+	// in the two forms the backward affine row (tiers.go) sweeps as float
+	// GEMMs: a DW table whose rows all have the same coefficients, bit
+	// for bit (uniformRows), and a DX table constant in x on every row
+	// (constantRows); nil otherwise. Like the arith tier, the structure
+	// is synthesized and verified bitwise, so the row is bit-exact or
 	// silently absent.
 	dwAff []gradient.Affine
 	dxAff []gradient.Affine
@@ -194,9 +196,39 @@ func (op *Op) ensurePadded() {
 				copy(op.gwPad[w*padStride:w*padStride+n], op.Grads.DW[w*n:(w+1)*n])
 				copy(op.gxPad[w*padStride:w*padStride+n], op.Grads.DX[w*n:(w+1)*n])
 			}
-			op.dwAff, op.dxAff = op.Grads.Affinity()
+			dw, dx := op.Grads.Affinity()
+			if uniformRows(dw) {
+				op.dwAff = dw
+			}
+			if constantRows(dx) {
+				op.dxAff = dx
+			}
 		}
 	})
+}
+
+// uniformRows reports whether aff is verified and every row has the
+// coefficients of row 0, bit for bit: the table is one function of x
+// whatever the weight level (STE's DW is float32(x) on every row).
+func uniformRows(aff []gradient.Affine) bool {
+	for _, af := range aff {
+		if math.Float32bits(af.A) != math.Float32bits(aff[0].A) || math.Float32bits(af.B) != math.Float32bits(aff[0].B) {
+			return false
+		}
+	}
+	return aff != nil
+}
+
+// constantRows reports whether aff is verified and every row's slope is
+// ±0, so fl(A*x) is fl(A*0) at every level and the row's value does not
+// depend on x (STE's and cvste's DX are the weight level itself).
+func constantRows(aff []gradient.Affine) bool {
+	for _, af := range aff {
+		if af.A != 0 {
+			return false
+		}
+	}
+	return aff != nil
 }
 
 // product is AM(w, x) as every forward tier sums it: the LUT entry, or

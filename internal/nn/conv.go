@@ -103,8 +103,9 @@ func (c *Conv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 		}
 		c.Bias.Grad.Data[oc] = bg
 	}
-	if c.sparse = sparseGrad(dy.Data); c.sparse {
-		c.nz.build(nil, c.dyT, rows, c.OutC, rows)
+	nnz, sparse := sparseGrad(dy.Data)
+	if c.sparse = sparse; sparse {
+		c.nz.build(nil, c.dyT, rows, c.OutC, rows, nnz)
 	}
 	if c.withDX = withDX; withDX {
 		c.dxT = grow(c.dxT, g.K()*rows)

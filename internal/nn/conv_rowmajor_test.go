@@ -408,7 +408,7 @@ func TestConv2DMatchesRowMajor(t *testing.T) {
 					for i := range dy.Data {
 						dy.Data[i] = d.fill(rng, i)
 					}
-					if sparseGrad(dy.Data) != d.sparse {
+					if _, ok := sparseGrad(dy.Data); ok != d.sparse {
 						t.Fatalf("sparseGrad = %v, want %v", !d.sparse, d.sparse)
 					}
 					requireSameBits(t, "dx", c.Backward(dy).Data, o.Backward(dy).Data)

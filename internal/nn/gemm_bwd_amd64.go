@@ -11,32 +11,16 @@ package nn
 // terms, and every float operation is a separately rounded VMULPS /
 // VADDPS / VSUBPS — no FMA contraction.
 
-// levelF32[x] = float32(x): the dW kernels broadcast an operand level
-// as a float straight from this table (two loads, no shuffle-port
-// convert sequence).
-var levelF32 = func() (t [256]float32) {
-	for i := range t {
-		t[i] = float32(i)
-	}
-	return t
-}()
-
-// bwdAffineDWAVX2 accumulates, for the two k columns x0 and x1 (rows
+// bwdGatherDWAVX2 accumulates, for the two k columns x0 and x1 (rows
 // operand levels each) and eight output channels,
 //
-//	out0[l] = sum_{r<rows} dyR[r*outC+l] * ((a0[l]*x0[r] + b0[l]) - zx)
+//	out0[l] = sum_{r<rows} dyR[r*outC+l] * (gwPad[woff0[l] + x0[r]] - zx)
 //
-// and out1 likewise from (x1, a1, b1), r ascending, l in [0, 8). The
-// caller offsets dyR, the coefficient rows and out to the first of the
-// eight channels; rows must be positive. Entries are stored, not
-// accumulated.
-//
-//go:noescape
-func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a1, b1 *float32, zx float32, rows, outC int64)
-
-// bwdGatherDWAVX2 is the general-table counterpart: the parenthesized
-// term is gwPad[woff0[l] + x0[r]] fetched by VGATHERDPS, with
-// woff0[l] = wq[oc+l][i]*padStride precomputed by the caller.
+// and out1 likewise from (x1, woff1), r ascending, l in [0, 8), the
+// table entry fetched by VGATHERDPS, with woff0[l] = wq[oc+l][i]*padStride
+// precomputed by the caller. The caller offsets dyR, woff0/woff1 and
+// out to the first of the eight channels; rows must be positive.
+// Entries are stored, not accumulated.
 //
 //go:noescape
 func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, woff1 *int32, gwPad *float32, zx float32, rows, outC int64)
@@ -61,23 +45,42 @@ func bwdDWTableAVX2(tab *float32, woff *int32, gwPad *float32, zx float32, n int
 //go:noescape
 func bwdTableDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dyR, t0, t1, t2, t3 *float32, rows, outC int64)
 
-// bwdAffineDXAVX2 accumulates, for one k column,
+// bwdUniformDWAVX2 is bwdTableDWAVX2 on one level table shared by the
+// four columns and alike in its lanes, given as one float per level:
 //
-//	dxrow[r] = sum_{oc<outC} gsT[oc*rows+r] * ((aCol[oc]*float32(xcol[r]) + bCol[oc]) - zwCol[oc])
+//	outj[l] = sum_{r<rows} dyR[r*outC+l] * lev[xj[r]]
 //
-// over r in [0, rows32) in chunks of 32 rows, oc ascending per lane; a
-// chunk's levels are converted to float once, not once per oc. gsT
-// holds the pre-scaled gradients dy[r][oc]*s_w[oc]; rows32 is rows&^31
-// and the caller evaluates the tail rows in Go. dxrow entries are
-// stored, not accumulated.
+// r ascending, l in [0, 8); lev must hold all 256 levels and rows must
+// be positive.
 //
 //go:noescape
-func bwdAffineDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, aCol, bCol, zwCol *float32, rows32, rows, outC int64)
+func bwdUniformDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dyR, lev *float32, rows, outC int64)
 
-// bwdGatherDXAVX2 is the general-table counterpart: the parenthesized
-// term is gxPad[woffCol[oc] + xcol[r]] fetched by VGATHERDPS — four
-// independent gathers per oc off the chunk's hoisted index vectors —
-// with woffCol[oc] = wq[oc][i]*padStride precomputed by the caller.
+// bwdConstDXAVX2 accumulates, for two k columns,
+//
+//	dx0[r] = sum_{oc<outC} gsT[oc*rows+r] * v0[oc*k]
+//
+// and dx1 likewise from v1, over r in [0, rows32) in chunks of 32 rows,
+// oc ascending per lane, from +0: a float GEMM, one separately rounded
+// VMULPS and VADDPS per term. A chunk's gradients are loaded once per oc
+// for both columns. gsT holds the pre-scaled gradients dy[r][oc]*s_w[oc]
+// and vj the column's operands fl(fl(A*0) + B) - zw[oc], a column of an
+// (outC x k) matrix (see bwdDXAffine); rows32 is rows&^31 and the caller
+// evaluates the tail rows in Go. dx entries are stored, not accumulated.
+//
+//go:noescape
+func bwdConstDXAVX2(dx0, dx1 *float32, gsT *float32, v0, v1 *float32, rows32, rows, outC, k int64)
+
+// bwdGatherDXAVX2 accumulates, for one k column,
+//
+//	dxrow[r] = sum_{oc<outC} gsT[oc*rows+r] * (gxPad[woffCol[oc] + xcol[r]] - zwCol[oc])
+//
+// over r in [0, rows32) in chunks of 32 rows, oc ascending per lane, the
+// table entry fetched by VGATHERDPS — four independent gathers per oc
+// off the chunk's hoisted index vectors — with woffCol[oc] =
+// wq[oc][i]*padStride precomputed by the caller. rows32 is rows&^31 and
+// the caller evaluates the tail rows in Go; dxrow entries are stored,
+// not accumulated.
 //
 //go:noescape
 func bwdGatherDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, woffCol *int32, gxPad *float32, zwCol *float32, rows32, rows, outC int64)

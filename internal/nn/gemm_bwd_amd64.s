@@ -10,8 +10,8 @@
 // summation direction (r for dW, oc for dX) stays a sequential scalar
 // loop, so every destination accumulates its terms in exactly the
 // reference order. All float arithmetic is separately rounded VMULPS /
-// VADDPS / VSUBPS — never FMA — matching the Go expressions (and, for
-// the affine kernels, the verifier's reconstruction) bit for bit.
+// VADDPS / VSUBPS — never FMA — matching the Go expressions bit for
+// bit.
 //
 // Two rules keep the sweeps at the host's issue rate instead of on a
 // latency chain (asm_deps_test.go enforces the first). VGATHERDPS
@@ -19,66 +19,9 @@
 // own destination and mask register, and the destination is zeroed
 // (VPXOR d, d, d — a dependency-breaking idiom) right before it, or the
 // gather waits for whatever last wrote that register. And what does
-// not depend on oc is loaded once per 32-row chunk of the dX kernels,
-// not once per output channel: the chunk's four index (gather) or
-// float (affine) operand vectors live in Y9..Y12 across the oc loop.
-
-// func bwdAffineDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, a0, b0, a1, b1 *float32, zx float32, rows, outC int64)
-//
-// Register plan:
-//   DI = out0  SI = out1  R8 = x0 cursor  R9 = x1 cursor
-//   R10 = dyR cursor  R11 = dyR row stride (bytes)  R12 = levelF32
-//   CX = row countdown  AX, BX = levels
-//   Y0,Y1 = accumulators  Y2,Y3 = a0,b0  Y4,Y5 = a1,b1  Y6 = zx
-//   Y7 = dy lanes  Y8,Y9 = scratch
-TEXT ·bwdAffineDWAVX2(SB), NOSPLIT, $0-96
-	MOVQ out0+0(FP), DI
-	MOVQ out1+8(FP), SI
-	MOVQ x0+16(FP), R8
-	MOVQ x1+24(FP), R9
-	MOVQ dyR+32(FP), R10
-	MOVQ a0+40(FP), AX
-	VMOVUPS (AX), Y2
-	MOVQ b0+48(FP), AX
-	VMOVUPS (AX), Y3
-	MOVQ a1+56(FP), AX
-	VMOVUPS (AX), Y4
-	MOVQ b1+64(FP), AX
-	VMOVUPS (AX), Y5
-	VBROADCASTSS zx+72(FP), Y6
-	MOVQ rows+80(FP), CX
-	MOVQ outC+88(FP), R11
-	SHLQ $2, R11
-	LEAQ ·levelF32(SB), R12
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-
-adwrow:
-	VMOVUPS      (R10), Y7          // dy[r][oc..oc+7]
-	MOVBLZX      (R8), AX
-	MOVBLZX      (R9), BX
-	VBROADCASTSS (R12)(AX*4), Y8    // float32(x0[r]), exact: levels < 2^8
-	VBROADCASTSS (R12)(BX*4), Y9
-	VMULPS       Y2, Y8, Y8
-	VMULPS       Y4, Y9, Y9
-	VADDPS       Y3, Y8, Y8
-	VADDPS       Y5, Y9, Y9
-	VSUBPS       Y6, Y8, Y8         // t - zx
-	VSUBPS       Y6, Y9, Y9
-	VMULPS       Y7, Y8, Y8
-	VMULPS       Y7, Y9, Y9
-	VADDPS       Y8, Y0, Y0
-	VADDPS       Y9, Y1, Y1
-	INCQ         R8
-	INCQ         R9
-	ADDQ         R11, R10
-	DECQ         CX
-	JNZ          adwrow
-
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, (SI)
-	VZEROUPPER
-	RET
+// not depend on oc is loaded once per 32-row chunk of the dX gather
+// kernel, not once per output channel: the chunk's four index vectors
+// live in Y9..Y12 across the oc loop.
 
 // func bwdGatherDWAVX2(out0, out1 *float32, x0, x1 *uint8, dyR *float32, woff0, woff1 *int32, gwPad *float32, zx float32, rows, outC int64)
 //
@@ -299,92 +242,159 @@ tdwrow:
 	VZEROUPPER
 	RET
 
-// func bwdAffineDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, aCol, bCol, zwCol *float32, rows32, rows, outC int64)
+// func bwdUniformDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dyR, lev *float32, rows, outC int64)
 //
-//   DI = dxrow  SI = xcol  R8 = gsT  R9 = aCol  R10 = bCol  R11 = zwCol
-//   R12 = rows32  R13 = rows  R14 = outC  BX = rb  CX = oc
-//   AX = gsT row cursor
-//   Y0..Y3 = accumulators (4 x 8 rows)  Y4 = a  Y5 = b  Y6 = zw
-//   Y9..Y12 = float32(xcol[rb..rb+31]), converted once per chunk
-//   Y7,Y8,Y13,Y14 = the four t chains
-TEXT ·bwdAffineDXAVX2(SB), NOSPLIT, $0-72
-	MOVQ dxrow+0(FP), DI
-	MOVQ xcol+8(FP), SI
-	MOVQ gsT+16(FP), R8
-	MOVQ aCol+24(FP), R9
-	MOVQ bCol+32(FP), R10
-	MOVQ zwCol+40(FP), R11
-	MOVQ rows32+48(FP), R12
-	MOVQ rows+56(FP), R13
-	MOVQ outC+64(FP), R14
-
-	XORQ BX, BX            // rb = 0
-
-adxblk:
-	CMPQ BX, R12
-	JGE  adxdone
-
+// bwdTableDWAVX2 on one level table whose lanes are alike, kept as one
+// float per level: a row's term is the level's float broadcast from
+// lev, one load, then a register multiply (no table row load, no shift).
+//
+//   R8..R11 = x0..x3 + rows, indexed by CX = r - rows (counts up to 0)
+//   R12 = lev  DI = dyR cursor  SI = dyR row stride (bytes)
+//   AX, BX, DX, R13 = levels
+//   Y0..Y3 = accumulators  Y4 = dy lanes  Y5..Y8 = terms, then products
+TEXT ·bwdUniformDWAVX2(SB), NOSPLIT, $0-96
+	MOVQ x0+32(FP), R8
+	MOVQ x1+40(FP), R9
+	MOVQ x2+48(FP), R10
+	MOVQ x3+56(FP), R11
+	MOVQ dyR+64(FP), DI
+	MOVQ lev+72(FP), R12
+	MOVQ rows+80(FP), CX
+	MOVQ outC+88(FP), SI
+	SHLQ $2, SI
+	ADDQ CX, R8
+	ADDQ CX, R9
+	ADDQ CX, R10
+	ADDQ CX, R11
+	NEGQ CX
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
 
-	VPMOVZXBD (SI)(BX*1), Y9
-	VPMOVZXBD 8(SI)(BX*1), Y10
-	VPMOVZXBD 16(SI)(BX*1), Y11
-	VPMOVZXBD 24(SI)(BX*1), Y12
-	VCVTDQ2PS Y9, Y9
-	VCVTDQ2PS Y10, Y10
-	VCVTDQ2PS Y11, Y11
-	VCVTDQ2PS Y12, Y12
+udwrow:
+	VMOVUPS      (DI), Y4
+	MOVBLZX      (R8)(CX*1), AX
+	MOVBLZX      (R9)(CX*1), BX
+	MOVBLZX      (R10)(CX*1), DX
+	MOVBLZX      (R11)(CX*1), R13
+	VBROADCASTSS (R12)(AX*4), Y5 // fl(fl(fl(A*x)+B) - zx), every lane
+	VBROADCASTSS (R12)(BX*4), Y6
+	VBROADCASTSS (R12)(DX*4), Y7
+	VBROADCASTSS (R12)(R13*4), Y8
+	VMULPS       Y5, Y4, Y5      // dy * term, as bwdTableDWAVX2 rounds it
+	VMULPS       Y6, Y4, Y6
+	VMULPS       Y7, Y4, Y7
+	VMULPS       Y8, Y4, Y8
+	VADDPS       Y5, Y0, Y0
+	VADDPS       Y6, Y1, Y1
+	VADDPS       Y7, Y2, Y2
+	VADDPS       Y8, Y3, Y3
+	ADDQ         SI, DI
+	INCQ         CX
+	JNZ          udwrow
 
-	XORQ CX, CX            // oc = 0
+	MOVQ    out0+0(FP), AX
+	VMOVUPS Y0, (AX)
+	MOVQ    out1+8(FP), AX
+	VMOVUPS Y1, (AX)
+	MOVQ    out2+16(FP), AX
+	VMOVUPS Y2, (AX)
+	MOVQ    out3+24(FP), AX
+	VMOVUPS Y3, (AX)
+	VZEROUPPER
+	RET
 
-adxoc:
-	CMPQ CX, R14
-	JGE  adxstore
+// func bwdConstDXAVX2(dx0, dx1 *float32, gsT *float32, v0, v1 *float32, rows32, rows, outC, k int64)
+//
+// A float GEMM column pair: per 32-row chunk and oc, the chunk's four
+// gradient vectors are loaded once and multiplied by both columns'
+// broadcast operands.
+//
+//   R8 = gsT  R13 = rows32  R14 = outC  R15 = operand stride (k, bytes)
+//   DX = gsT row stride (bytes)  BX = rb  CX = oc countdown
+//   AX = gsT cursor  R11, R12 = v0, v1 cursors  SI = output column
+//   Y0..Y3 = column 0's accumulators (4 x 8 rows)  Y4..Y7 = column 1's
+//   Y8..Y11 = gsT[oc][rb..rb+31]  Y12, Y13 = v0[oc], v1[oc]
+//   Y14, Y15 = products
+TEXT ·bwdConstDXAVX2(SB), NOSPLIT, $0-72
+	MOVQ gsT+16(FP), R8
+	MOVQ rows32+40(FP), R13
+	MOVQ rows+48(FP), DX
+	SHLQ $2, DX
+	MOVQ outC+56(FP), R14
+	MOVQ k+64(FP), R15
+	SHLQ $2, R15
 
-	VBROADCASTSS (R9)(CX*4), Y4
-	VBROADCASTSS (R10)(CX*4), Y5
-	VBROADCASTSS (R11)(CX*4), Y6
-	MOVQ         CX, AX
-	IMULQ        R13, AX
-	ADDQ         BX, AX
-	LEAQ         (R8)(AX*4), AX // &gsT[oc*rows+rb]
+	XORQ BX, BX            // rb = 0
 
-	VMULPS Y4, Y9, Y7
-	VMULPS Y4, Y10, Y8
-	VMULPS Y4, Y11, Y13
-	VMULPS Y4, Y12, Y14
-	VADDPS Y5, Y7, Y7
-	VADDPS Y5, Y8, Y8
-	VADDPS Y5, Y13, Y13
-	VADDPS Y5, Y14, Y14
-	VSUBPS Y6, Y7, Y7
-	VSUBPS Y6, Y8, Y8
-	VSUBPS Y6, Y13, Y13
-	VSUBPS Y6, Y14, Y14
-	VMULPS (AX), Y7, Y7
-	VMULPS 32(AX), Y8, Y8
-	VMULPS 64(AX), Y13, Y13
-	VMULPS 96(AX), Y14, Y14
-	VADDPS Y7, Y0, Y0
-	VADDPS Y8, Y1, Y1
-	VADDPS Y13, Y2, Y2
-	VADDPS Y14, Y3, Y3
+cdxblk:
+	CMPQ BX, R13
+	JGE  cdxdone
 
-	INCQ CX
-	JMP  adxoc
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
 
-adxstore:
-	VMOVUPS Y0, (DI)(BX*4)
-	VMOVUPS Y1, 32(DI)(BX*4)
-	VMOVUPS Y2, 64(DI)(BX*4)
-	VMOVUPS Y3, 96(DI)(BX*4)
+	LEAQ (R8)(BX*4), AX    // &gsT[0*rows+rb]
+	MOVQ v0+24(FP), R11
+	MOVQ v1+32(FP), R12
+	MOVQ R14, CX
+
+cdxoc:
+	TESTQ CX, CX
+	JZ    cdxstore
+
+	VMOVUPS      (AX), Y8
+	VMOVUPS      32(AX), Y9
+	VMOVUPS      64(AX), Y10
+	VMOVUPS      96(AX), Y11
+	VBROADCASTSS (R11), Y12
+	VBROADCASTSS (R12), Y13
+
+	VMULPS Y8, Y12, Y14    // v0 * g, rounded, then added
+	VMULPS Y9, Y12, Y15
+	VADDPS Y14, Y0, Y0
+	VADDPS Y15, Y1, Y1
+	VMULPS Y10, Y12, Y14
+	VMULPS Y11, Y12, Y15
+	VADDPS Y14, Y2, Y2
+	VADDPS Y15, Y3, Y3
+	VMULPS Y8, Y13, Y14
+	VMULPS Y9, Y13, Y15
+	VADDPS Y14, Y4, Y4
+	VADDPS Y15, Y5, Y5
+	VMULPS Y10, Y13, Y14
+	VMULPS Y11, Y13, Y15
+	VADDPS Y14, Y6, Y6
+	VADDPS Y15, Y7, Y7
+
+	ADDQ DX, AX
+	ADDQ R15, R11
+	ADDQ R15, R12
+	DECQ CX
+	JMP  cdxoc
+
+cdxstore:
+	MOVQ    dx0+0(FP), SI
+	VMOVUPS Y0, (SI)(BX*4)
+	VMOVUPS Y1, 32(SI)(BX*4)
+	VMOVUPS Y2, 64(SI)(BX*4)
+	VMOVUPS Y3, 96(SI)(BX*4)
+	MOVQ    dx1+8(FP), SI
+	VMOVUPS Y4, (SI)(BX*4)
+	VMOVUPS Y5, 32(SI)(BX*4)
+	VMOVUPS Y6, 64(SI)(BX*4)
+	VMOVUPS Y7, 96(SI)(BX*4)
 	ADDQ    $32, BX
-	JMP     adxblk
+	JMP     cdxblk
 
-adxdone:
+cdxdone:
 	VZEROUPPER
 	RET
 

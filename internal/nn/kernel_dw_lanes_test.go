@@ -8,46 +8,70 @@ import (
 	"github.com/appmult/retrain/internal/gradient"
 )
 
+// collapsedOp returns an op over gradient.FromFunc tables in the two
+// forms the affine row reaches (Op.dwAff): a DW table that is one affine
+// function of x on every row, with A != 1 and B != 0 (STE's are 1 and 0,
+// which would hide a dropped term), and a DX table constant in x with a
+// distinct value per weight level (a wrong level shows).
+func collapsedOp(t *testing.T, bits int, rng *rand.Rand) *Op {
+	t.Helper()
+	const a, b = -0.625, 1.75
+	bw := make([]float64, 1<<bits)
+	for i := range bw {
+		bw[i] = rng.NormFloat64()
+	}
+	op := &Op{Label: "collapsed", Bits: bits, Grads: gradient.FromFunc("collapsed", bits, func(w, x uint32) (float64, float64) {
+		return float64(float32(a*float32(x)) + b), bw[w]
+	})}
+	op.ensurePadded()
+	if op.dwAff == nil || op.dxAff == nil {
+		t.Fatalf("%d-bit collapsed tables do not reach the affine row on both sweeps", bits)
+	}
+	return op
+}
+
+// generalOp returns an op over random tables, which only the fused row
+// reads.
+func generalOp(bits int, rng *rand.Rand) *Op {
+	op := &Op{Label: "general", Bits: bits, Grads: gradient.FromFunc("general", bits, func(w, x uint32) (float64, float64) {
+		return rng.NormFloat64(), rng.NormFloat64()
+	})}
+	op.ensurePadded()
+	return op
+}
+
 // TestDWLaneKernelsMatchGoTwins runs the dW column-block kernels — the
-// asm lane kernels where the host has them — against the pure-Go twins
-// on synthetic tables: random affine coefficients with nonzero
-// intercepts (STE, the only registry estimator with an affine DW table,
-// has a = 1, b = 0, which would hide a dropped term) and a random
-// gather table. Besides a few shapes below every crossover, each
-// operand width runs at 2^B - 1, 2^B and 2^B + 1 rows — the fused row's
-// gather kernel, then its level tables (bwdDWTables) — with k = 1, 2 and
-// 3 mod 4 (a short last group of table columns) cut into two uneven
-// blocks, and channel counts below, off and past the lane width.
+// asm lane kernels where the host has them — against the pure-Go twins:
+// the affine row on collapsed tables (collapsedOp), whose dW must also
+// equal the gather twin's on the same tables, and the fused row on
+// random ones. Besides a few shapes below every crossover, each operand
+// width runs at 2^B - 1, 2^B and 2^B + 1 rows — the fused row's gather
+// kernel, then its level tables (bwdDWTables) — with k = 1, 2 and 3 mod
+// 4 (a short last group of table columns) cut into two uneven blocks,
+// and channel counts below, at, off and past the lane width.
 func TestDWLaneKernelsMatchGoTwins(t *testing.T) {
+	defer func(v bool) { hasGemmAsm = v }(hasGemmAsm)
+	asm := hasGemmAsm
 	rng := rand.New(rand.NewSource(12))
 	type shape struct{ bits, rows, outC, k int }
 	shapes := []shape{{7, 37, 8, 5}, {7, 64, 12, 4}, {7, 5, 24, 9}, {7, 33, 31, 2}, {7, 20, 6, 3}}
 	for _, bits := range []int{6, 7, 8} {
 		for _, rows := range []int{1<<bits - 1, 1 << bits, 1<<bits + 1} {
-			for _, outC := range []int{1, 7, 9, 17} {
+			for _, outC := range []int{1, 7, 8, 9, 17} {
 				for _, k := range []int{9, 10, 11} {
 					shapes = append(shapes, shape{bits, rows, outC, k})
 				}
 			}
 		}
 	}
-	ops := map[int]*Op{}
+	type opPair struct{ collapsed, general *Op }
+	ops := map[int]opPair{}
 	for _, sh := range shapes {
 		bits, rows, outC, k := sh.bits, sh.rows, sh.outC, sh.k
-		op := ops[bits]
-		if op == nil {
-			op = &Op{Label: "synthetic", Bits: bits, Grads: gradient.STE(bits)}
-			op.ensurePadded()
-			for i := range op.dwAff {
-				op.dwAff[i] = gradient.Affine{A: float32(rng.NormFloat64()), B: float32(rng.NormFloat64())}
-			}
-			for i := range op.gwPad {
-				if i%padStride < 1<<bits { // the padding stays zero, as ensurePadded leaves it
-					op.gwPad[i] = float32(rng.NormFloat64())
-				}
-			}
-			ops[bits] = op
+		if _, ok := ops[bits]; !ok {
+			ops[bits] = opPair{collapsedOp(t, bits, rng), generalOp(bits, rng)}
 		}
+		uni, gen := ops[bits].collapsed, ops[bits].general
 		const zx = 3
 		xT := make([]uint8, k*rows)
 		for i := range xT {
@@ -58,28 +82,38 @@ func TestDWLaneKernelsMatchGoTwins(t *testing.T) {
 			wq[i] = uint8(rng.Intn(1 << bits))
 		}
 		ld := max(outC, dwLanes)
-		s := &KernelScratch{dyR: make([]float32, rows*ld), dwT: make([]float32, k*ld),
-			ak: make([]float32, k*ld), bk: make([]float32, k*ld), woff: make([]int32, k*ld)}
+		s := &KernelScratch{dyR: make([]float32, rows*ld), dwT: make([]float32, k*ld), woff: make([]int32, k*ld)}
 		for i := range s.dyR {
 			if i%ld < outC { // spare lanes carry zero gradients
 				s.dyR[i] = float32(rng.NormFloat64())
 			}
 		}
 		want := make([]float32, ld)
-
 		// Two uneven blocks, as the pool hands them out.
 		cut := (k - 1) / 2
-		op.bwdDWAffine(s, xT, wq, 0, cut, rows, outC, ld, k, zx)
-		op.bwdDWAffine(s, xT, wq, cut, k, rows, outC, ld, k, zx)
-		for i := 0; i < k; i++ {
-			bwdAffineDWLanes(want, xT[i*rows:(i+1)*rows], s.dyR, s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld], zx)
-			requireSameBits(t, fmt.Sprintf("%+v affine dwT[%d]", sh, i), s.dwT[i*ld:i*ld+outC], want[:outC])
+		sweep := func(tier *bwdSweep, op *Op) []float32 {
+			tier.dwPrep(op, s, k*ld, zx)
+			tier.dw(op, s, xT, wq, 0, cut, rows, outC, ld, k, zx)
+			tier.dw(op, s, xT, wq, cut, k, rows, outC, ld, k, zx)
+			return append([]float32(nil), s.dwT...)
 		}
-		op.bwdDWGather(s, xT, wq, 0, cut, rows, outC, ld, k, zx)
-		op.bwdDWGather(s, xT, wq, cut, k, rows, outC, ld, k, zx)
+		affine, fused := &bwdSweeps[0], &bwdSweeps[1]
+
+		got := sweep(affine, uni)
+		hasGemmAsm = false
+		twin := sweep(affine, uni)
+		hasGemmAsm = asm
+		sweep(fused, uni) // fills woff for the gather twin
 		for i := 0; i < k; i++ {
-			bwdGatherDWLanes(want, xT[i*rows:(i+1)*rows], s.dyR, s.woff[i*ld:(i+1)*ld], op.gwPad, zx)
-			requireSameBits(t, fmt.Sprintf("%+v gather dwT[%d]", sh, i), s.dwT[i*ld:i*ld+outC], want[:outC])
+			what := fmt.Sprintf("%+v affine dwT[%d]", sh, i)
+			requireSameBits(t, what+" vs Go twin", got[i*ld:i*ld+outC], twin[i*ld:i*ld+outC])
+			bwdGatherDWLanes(want, xT[i*rows:(i+1)*rows], s.dyR, s.woff[i*ld:(i+1)*ld], uni.gwPad, zx)
+			requireSameBits(t, what+" vs gather twin", got[i*ld:i*ld+outC], want[:outC])
+		}
+		got = sweep(fused, gen)
+		for i := 0; i < k; i++ {
+			bwdGatherDWLanes(want, xT[i*rows:(i+1)*rows], s.dyR, s.woff[i*ld:(i+1)*ld], gen.gwPad, zx)
+			requireSameBits(t, fmt.Sprintf("%+v gather dwT[%d]", sh, i), got[i*ld:i*ld+outC], want[:outC])
 		}
 	}
 }
@@ -132,27 +166,20 @@ func TestDWTablesOutOfRangeLevels(t *testing.T) {
 
 // TestDXChunkKernelsMatchGoLoops is the dX counterpart: the column-block
 // kernels with their 32-row asm chunks against the same functions with
-// the assembly switched off (every row on the Go tail loops), on
-// synthetic tables. Every registry table the affine row accepts for DX
-// has a = 0 — the gradient with respect to x does not depend on x — so
-// only random coefficients can show the affine kernel reading the wrong
-// one of the four operand vectors it keeps across the oc loop.
+// the assembly switched off (every row on the Go tail loops), the affine
+// row on collapsed tables (collapsedOp) — where it must also equal the
+// fused row — and the fused row on random ones, with a zero point per
+// channel.
 func TestDXChunkKernelsMatchGoLoops(t *testing.T) {
 	if !hasGemmAsm {
 		t.Skip("no assembly to compare: the Go loops are all there is")
 	}
 	defer func() { hasGemmAsm = true }()
 	rng := rand.New(rand.NewSource(13))
-	op := &Op{Label: "synthetic", Bits: 7, Grads: gradient.STE(7)}
-	op.ensurePadded()
-	for i := range op.dxAff {
-		op.dxAff[i] = gradient.Affine{A: float32(rng.NormFloat64()), B: float32(rng.NormFloat64())}
-	}
-	for i := range op.gxPad {
-		op.gxPad[i] = float32(rng.NormFloat64())
-	}
+	uni, gen := collapsedOp(t, 7, rng), generalOp(7, rng)
+	affine, fused := &bwdSweeps[0], &bwdSweeps[1]
 	for _, rows := range sweepRows {
-		for _, outC := range []int{1, 7, 17} {
+		for _, outC := range []int{1, 7, 8, 17} {
 			const k = 5
 			xT := make([]uint8, k*rows)
 			for i := range xT {
@@ -162,24 +189,30 @@ func TestDXChunkKernelsMatchGoLoops(t *testing.T) {
 			for i := range wq {
 				wq[i] = uint8(rng.Intn(128))
 			}
-			s := &KernelScratch{gsT: make([]float32, outC*rows), zwc: make([]float32, outC),
-				ak: make([]float32, k*outC), bk: make([]float32, k*outC), woff: make([]int32, k*outC)}
+			s := &KernelScratch{gsT: make([]float32, outC*rows), zwc: make([]float32, outC)}
 			for i := range s.gsT {
 				s.gsT[i] = float32(rng.NormFloat64())
 			}
 			for i := range s.zwc {
 				s.zwc[i] = float32(rng.Intn(128))
 			}
-			for _, tier := range bwdSweeps {
-				var got, want [k * 96]float32
-				// Two uneven blocks, as the pool hands them out.
-				hasGemmAsm = true
-				tier.dx(op, s, got[:], xT, wq, 0, k/2, rows, outC, k)
-				tier.dx(op, s, got[:], xT, wq, k/2, k, rows, outC, k)
-				hasGemmAsm = false
-				tier.dx(op, s, want[:], xT, wq, 0, k, rows, outC, k)
-				requireSameBits(t, fmt.Sprintf("rows=%d outC=%d %s dxT", rows, outC, tier.label), got[:k*rows], want[:k*rows])
+			sweep := func(tier *bwdSweep, op *Op, asm bool) []float32 {
+				hasGemmAsm = asm
+				got := make([]float32, k*rows)
+				tier.dxPrep(s, k*outC)
+				if asm { // two uneven blocks, as the pool hands them out
+					tier.dx(op, s, got, xT, wq, 0, k/2, rows, outC, k)
+					tier.dx(op, s, got, xT, wq, k/2, k, rows, outC, k)
+				} else {
+					tier.dx(op, s, got, xT, wq, 0, k, rows, outC, k)
+				}
+				return got
 			}
+			what := fmt.Sprintf("rows=%d outC=%d", rows, outC)
+			got := sweep(affine, uni, true)
+			requireSameBits(t, what+" affine dxT vs Go loops", got, sweep(affine, uni, false))
+			requireSameBits(t, what+" affine dxT vs fused", got, sweep(fused, uni, false))
+			requireSameBits(t, what+" fused dxT vs Go loops", sweep(fused, gen, true), sweep(fused, gen, false))
 		}
 	}
 }

@@ -83,6 +83,26 @@ func bwdExemplar(t testing.TB, label string) (op *Op, sparse bool) {
 	return nil, false
 }
 
+// dwAffineOp returns an op over m's LUT whose DW table is one affine
+// function of x on every row, with A != 1 and B != 0 (a dropped term
+// shows), and whose DX table is random, so the dW sweep takes the
+// affine row and the dX sweep the fused one. The registry pairs the two
+// rows only the other way round (cvste: dW fused, dX affine).
+func dwAffineOp(t testing.TB, m appmult.Multiplier) *Op {
+	t.Helper()
+	const a, b = -0.625, 1.75
+	rng := rand.New(rand.NewSource(int64(m.Bits())))
+	op := NewOp(m, gradient.FromFunc("dwaffine", m.Bits(), func(w, x uint32) (float64, float64) {
+		return float64(float32(a*float32(x)) + b), rng.NormFloat64()
+	}))
+	op.Label = m.Name()
+	op.ensurePadded()
+	if op.dwAff == nil || op.dxAff != nil {
+		t.Fatalf("%s: tables do not reach (dW affine, dX fused)", op.Label)
+	}
+	return op
+}
+
 // fwdLabels and bwdLabels enumerate the ladders of tiers.go; bwdLabels
 // includes the derived mixed label.
 func fwdLabels() (labels []string) {
@@ -144,6 +164,18 @@ func equivCases(t *testing.T) []equivCase {
 				cases = append(cases, equivCase{name: fmt.Sprintf("%s/%s/rows=%d/outC=%d/k=%d", spec, e.Mult.Name(), rows, outC, k),
 					op: op, rows: rows, outC: outC, k: k, sweepOnly: true, wantAffine: spec == gradient.EstSTE})
 			}
+		}
+	}
+
+	// The mixed label's other half: dW on the affine row, dX on the
+	// fused one (dwAffineOp), at the same shapes as the registry above.
+	for _, bits := range []int{6, 7, 8} {
+		op := dwAffineOp(t, appmult.NewAccurate(bits))
+		cases = append(cases, equivCase{name: "dwaffine/" + op.Label, op: op, rows: 37, outC: 4, k: 33})
+		for i, rows := range sweepRows {
+			outC, k := sweepOutC[i], sweepK[i]
+			cases = append(cases, equivCase{name: fmt.Sprintf("dwaffine/%s/rows=%d/outC=%d/k=%d", op.Label, rows, outC, k),
+				op: op, rows: rows, outC: outC, k: k, sweepOnly: true})
 		}
 	}
 
@@ -526,6 +558,76 @@ func TestBehavioralMatchesLUTForward(t *testing.T) {
 	for i := range a {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
 			t.Fatalf("LUT and behavioral forwards diverge at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestBackwardRowTraffic pins the backward row each sweep of every
+// registry op takes under every estimator, so a change to a gradient
+// table or to the affine row's forms (Op.dwAff) cannot move a workload's
+// tier unnoticed: STE reads the affine row on both sweeps; cvste's DX is
+// constant in x; on the accurate multipliers cvste's and stochastic's
+// tables are STE's; every other table — smoothdiff's and rawdiff's DW on
+// the accurate multipliers are affine, but one row per weight level — is
+// fused.
+func TestBackwardRowTraffic(t *testing.T) {
+	for _, spec := range gradient.EstimatorNames() {
+		est, err := gradient.ParseEstimator(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range appmult.Registry() {
+			op := EstimatorOp(e.Mult, est, e.HWS)
+			op.ensurePadded()
+			accurate := strings.HasSuffix(e.Mult.Name(), "_acc")
+			want := [2]string{BwdPathFused, BwdPathFused}
+			switch {
+			case spec == gradient.EstSTE, accurate && (spec == gradient.EstCVSTE || spec == gradient.EstStochastic):
+				want = [2]string{BwdPathAffine, BwdPathAffine}
+			case spec == gradient.EstCVSTE:
+				want = [2]string{BwdPathFused, BwdPathAffine}
+			}
+			if got := [2]string{op.sweepTier(op.dwAff).label, op.sweepTier(op.dxAff).label}; got != want {
+				t.Errorf("%s: (dW, dX) rows %v, want %v", op.Label, got, want)
+			}
+		}
+	}
+}
+
+// TestSparseGradCountsTheLists: when the small row's gate passes, the
+// count it returns is what nonzeros.build lists — the size the build
+// takes from it instead of counting again — over -0 entries (zero),
+// NaN (nonzero) and gradients at and one past a quarter nonzero.
+func TestSparseGradCountsTheLists(t *testing.T) {
+	const rows, outC, hw = 48, 5, 12
+	rng := rand.New(rand.NewSource(5))
+	for _, nz := range []int{0, 1, rows * outC / 8, rows*outC/4 - 1, rows * outC / 4, rows*outC/4 + 1} {
+		dy := make([]float32, rows*outC)
+		for i := range dy {
+			if rng.Intn(2) == 0 {
+				dy[i] = float32(math.Copysign(0, -1))
+			}
+		}
+		for _, i := range rng.Perm(len(dy))[:nz] {
+			dy[i] = float32(rng.NormFloat64())
+			if rng.Intn(9) == 0 {
+				dy[i] = float32(math.NaN())
+			}
+		}
+		n, ok := sparseGrad(dy)
+		if ok != (4*nz <= len(dy)) {
+			t.Fatalf("%d of %d nonzero: gate says %v", nz, len(dy), ok)
+		}
+		if !ok {
+			continue
+		}
+		if n != nz {
+			t.Fatalf("%d of %d nonzero: gate counted %d", nz, len(dy), n)
+		}
+		var l nonzeros
+		l.build(nil, dy, rows, outC, hw, n)
+		if l.off[outC] != nz || len(l.r) != nz || len(l.g) != nz {
+			t.Fatalf("%d nonzero: lists hold %d (r %d, g %d)", nz, l.off[outC], len(l.r), len(l.g))
 		}
 	}
 }

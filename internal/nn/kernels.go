@@ -75,17 +75,19 @@ type KernelScratch struct {
 	// gsT[oc][r] = dy[r][oc]*s_w[oc], the pre-scaled gradients of the dX
 	// sweep, and dyR, dy as a row-major (rows x outC) matrix, whose rows
 	// the dW sweep loads as vectors. dwT (k x outC) receives the dW
-	// sweep's lanes; ak/bk and woff are the k-major (k x outC) tables of
-	// the per-(i, oc) affine coefficients and padded-row offsets
-	// wq*padStride, filled per column block by whichever sweep reads
-	// them. On the dW side all of them have a row stride of at least
-	// dwLanes (see scanGrad).
-	gsT  []float32
-	dyR  []float32
-	dwT  []float32
-	ak   []float32
-	bk   []float32
-	woff []int32
+	// sweep's lanes; woff is the fused row's k-major (k x outC) table of
+	// padded-row offsets wq*padStride, filled per column block by
+	// whichever sweep reads it; on the dW side dyR, dwT and woff have a
+	// row stride of at least dwLanes (see scanGrad). The affine row reads
+	// dwLev, its dW level table, one float per uint8 level
+	// (affineDWPrep), and dxV, its (outC x k) dX operands, filled per
+	// column block (bwdDXAffine).
+	gsT   []float32
+	dyR   []float32
+	dwT   []float32
+	dxV   []float32
+	dwLev []float32
+	woff  []int32
 	// Backward small tier: per-channel lists of the nonzero gradients.
 	nz nonzeros
 	// Row-major adapters only: the operand transpose, the k-major input
@@ -474,17 +476,25 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 // against the fused tier at the gather rate: small still 1.1-1.2x ahead
 // of fused at one nonzero in eight and in four, 1.4-1.8x behind on a
 // dense dy, at outC 4, 8 and 16 alike). A dense dy ends the scan after
-// a quarter of it.
-func sparseGrad(dy []float32) bool {
-	budget := len(dy) / 4
+// a quarter of it. When the gate passes, nnz is the number of nonzeros
+// in dy, the size of the lists the small paths build (nonzeros.build).
+func sparseGrad(dy []float32) (nnz int, ok bool) {
+	nnz = countNonzero(dy, len(dy)/4)
+	return nnz, nnz <= len(dy)/4
+}
+
+// countNonzero counts the nonzero entries of dy, stopping at the first
+// one past limit.
+func countNonzero(dy []float32, limit int) int {
+	n := 0
 	for _, g := range dy {
 		if g != 0 {
-			if budget--; budget < 0 {
-				return false
+			if n++; n > limit {
+				break
 			}
 		}
 	}
-	return true
+	return n
 }
 
 // transposeU8Tiles moves columns [lo, hi) of the (rows x cols) matrix

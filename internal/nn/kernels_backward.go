@@ -12,13 +12,15 @@ import (
 // (tiers.go); otherwise the dW and the dX sweep each run on the best
 // kernel their own gradient table's structure admits.
 //
-//   - affine: every row of the table is an exact affine function of the
-//     opposing level (verified bitwise at ensurePadded, see
-//     gradient.RowAffinity), so the LUT gather collapses to two dense
-//     float ops — a multiply and an add — evaluated 8/32 lanes at a
-//     time in AVX2 asm (gemm_bwd_amd64.s) with a pure-Go fallback.
-//     STE tables take it on both sweeps; cvste's DX table qualifies
-//     while its DW table does not.
+//   - affine: the table is one verified affine function of x on every
+//     row (dW) or constant in x on every row (dX; verified bitwise at
+//     ensurePadded, see gradient.RowAffinity and Op.dwAff), so each
+//     sweep is a float GEMM. The dW sweep reads one level table shared
+//     by every column and channel, built once per call; the dX sweep
+//     multiplies the gradients by one operand per (weight, column),
+//     V = fl(fl(A*0) + B) - zw, two columns per AVX2 call
+//     (gemm_bwd_amd64.s). STE tables take it on both sweeps, cvste's
+//     DX table too (its DW table is not affine).
 //   - fused: general tables (smoothdiff/stochastic/rawdiff) keep the
 //     lookup. The dX sweep runs it as an AVX2 VGATHERDPS kernel over the
 //     padded rows — independent gathers at the host's gather rate, see
@@ -46,8 +48,9 @@ import (
 // reference skips because a zero gradient contributes ±0 and a float32
 // accumulator that starts at +0 can never change bits by adding ±0.
 // The kernels use no FMA: the affine reconstruction is an explicitly
-// rounded multiply then add (VMULPS + VADDPS, float32(a*x) + b in Go),
-// matching the verifier's expression exactly.
+// rounded multiply then add (float32(a*x) + b in Go), matching the
+// verifier's expression exactly, and is done once per level (dW) or
+// per (weight, column) (dX) rather than per term.
 
 // backwardT is the backward GEMM on the k-major operand matrix xT
 // (kl x rows) and w's view of the weights (outC x kl levels, see
@@ -67,10 +70,10 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 	s.weightParams(w.pw, w.outC)
 	zx := float32(px.Zero)
 
-	dwTier, dxTier, _, count := op.backwardTiers(dy)
+	dwTier, dxTier, nnz, _, count := op.backwardTiers(dy)
 	count.Inc()
 	if dwTier == nil {
-		bwdSmall.run(op, s, dw, dxT, gsum, dy, hw, xT, w, rows, zx, px.Scale)
+		bwdSmall.run(op, s, dw, dxT, gsum, dy, hw, xT, w, rows, nnz, zx, px.Scale)
 	} else {
 		s.scanGrad(gsum, dy, hw, rows, w.outC)
 		op.sweepDW(s, dw, xT, w, rows, zx, px.Scale, dwTier)
@@ -86,13 +89,13 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 	}
 }
 
-// backwardSmall is the small row's kernel: one scan of dy into the
-// per-channel nonzero lists, then both gradients of every k column in
-// one walk of them (bwdSmallRun).
+// backwardSmall is the small row's kernel: one scan of dy, which holds
+// nnz nonzeros, into the per-channel nonzero lists, then both gradients
+// of every k column in one walk of them (bwdSmallRun).
 func (op *Op) backwardSmall(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT []uint8, w *weightSide,
-	rows int, zx, scale float32) {
+	rows, nnz int, zx, scale float32) {
 
-	s.nz.build(gsum, dy, rows, w.outC, hw)
+	s.nz.build(gsum, dy, rows, w.outC, hw, nnz)
 	s.smallRun = bwdSmallRun{op: op, s: s, dw: dw, dxT: dxT, xT: xT, w: w, rows: rows, zx: zx, scale: scale}
 	tensor.ParallelRowsOn(w.kl, &s.smallRun)
 }
@@ -135,7 +138,7 @@ func (s *KernelScratch) scanGrad(gsum, dy []float32, hw, rows, outC int) {
 func (op *Op) sweepDW(s *KernelScratch, dw []float32, xT []uint8, w *weightSide, rows int, zx, scale float32, tier *bwdSweep) {
 	ld := max(w.outC, dwLanes)
 	s.dwT = grow(s.dwT, w.kl*ld)
-	tier.tables(s, w.kl*ld)
+	tier.dwPrep(op, s, w.kl*ld, zx)
 	s.dwRun = bwdDWRun{op: op, s: s, dw: dw, xT: xT, w: w, rows: rows, ld: ld, zx: zx, scale: scale, tier: tier}
 	tensor.ParallelRowsOn(w.kl, &s.dwRun)
 }
@@ -143,10 +146,10 @@ func (op *Op) sweepDW(s *KernelScratch, dw []float32, xT []uint8, w *weightSide,
 // sweepDX is the input-gradient sweep: each k column of dxT is touched by
 // every output channel but by no other column, so it takes the dW sweep's
 // grain (k = 72 is eight blocks of nine, not 64 + 8); the oc loop stays
-// ascending per destination. Its column blocks refill the coefficient
-// tables the dW sweep is done with.
+// ascending per destination. Its column blocks refill the k-major tables
+// the dW sweep is done with.
 func (op *Op) sweepDX(s *KernelScratch, dxT []float32, xT, wq []uint8, rows, outC, k int, tier *bwdSweep) {
-	tier.tables(s, k*outC)
+	tier.dxPrep(s, k*outC)
 	s.dxRun = bwdDXRun{op: op, s: s, dxT: dxT, xT: xT, wq: wq, rows: rows, outC: outC, k: k, tier: tier}
 	tensor.ParallelRowsOn(k, &s.dxRun)
 }
@@ -192,14 +195,8 @@ type nonzeros struct {
 
 // build fills the lists and, unless gsum is nil, adds the per-channel
 // sums of dy into gsum, from one scan of dy (NCHW planes of hw
-// positions).
-func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw int) {
-	nnz := 0
-	for _, g := range dy {
-		if g != 0 {
-			nnz++
-		}
-	}
+// positions), whose nnz nonzeros the caller has counted (sparseGrad).
+func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw, nnz int) {
 	l.off = grow(l.off, outC+1)
 	l.r = grow(l.r, nnz)
 	l.g = grow(l.g, nnz)
@@ -254,46 +251,65 @@ func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k i
 	}
 }
 
-// bwdDWAffine computes the weight gradients of k columns [lo, hi) into
-// dwT (k x ld) on the affine row: dwT[i][oc] accumulates
-// dyR[r][oc] * (T - zx) over ascending r, where T is the verified
-// reconstruction fl(fl(a*x) + b) of the DW table entry for weight level
-// wq[oc][i] and operand level x = xT[i][r]. The block first fills its
-// rows of the k-major coefficient tables (spare lanes zero). The asm
-// kernel takes two columns and eight channels per call; an odd block
-// repeats its last column and a channel count off the lane width its
-// last eight channels (same values stored twice). Without asm the Go
-// twin takes whole columns.
-func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
-	goLanes := !hasGemmAsm || rows == 0
-	for i := lo; i < hi; i++ {
-		aRow, bRow := s.ak[i*ld:(i+1)*ld], s.bk[i*ld:(i+1)*ld]
-		clear(aRow[outC:])
-		clear(bRow[outC:])
-		for oc := 0; oc < outC; oc++ {
-			af := op.dwAff[wq[oc*k+i]]
-			aRow[oc], bRow[oc] = af.A, af.B
-		}
-		if goLanes {
-			bwdAffineDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, aRow, bRow, zx)
-		}
+// affineDWPrep builds the affine row's dW level table for the call:
+// level x holds T = fl(fl(fl(A*x) + B) - zx), the DW table entry at x —
+// alike on every row (uniformRows) — less the operand zero point, for
+// all 256 levels, as the per-term reconstruction computed it.
+func (op *Op) affineDWPrep(s *KernelScratch, n int, zx float32) {
+	s.dwLev = grow(s.dwLev, padStride)
+	af := op.dwAff[0]
+	for x := range s.dwLev {
+		s.dwLev[x] = float32(float32(af.A*float32(x))+af.B) - zx
 	}
-	if goLanes {
+}
+
+// bwdDWAffine computes the weight gradients of k columns [lo, hi) into
+// dwT (k x ld) on the affine row: dwT[i][oc] accumulates dyR[r][oc] * T
+// over ascending r, T read from the call's level table (affineDWPrep) at
+// x = xT[i][r]. The asm kernel takes four columns and eight channels per
+// call, a short last group repeating its last column and a channel count
+// off the lane width its last eight channels (same values stored twice).
+// Without asm the Go twin takes whole columns.
+func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
+	if !hasGemmAsm || rows == 0 {
+		for i := lo; i < hi; i++ {
+			bwdUniformDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, s.dwLev)
+		}
 		return
 	}
-	for i := lo; i < hi; i += 2 {
-		i1 := min(i+1, hi-1)
+	var x [dwTabCols]*uint8
+	var out [dwTabCols]*float32
+	for i := lo; i < hi; i += dwTabCols {
 		for oc := 0; oc < ld; oc += dwLanes {
 			oc = min(oc, ld-dwLanes)
-			c0, c1 := i*ld+oc, i1*ld+oc
-			bwdAffineDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
-				&s.ak[c0], &s.bk[c0], &s.ak[c1], &s.bk[c1], zx, int64(rows), int64(ld))
+			for j := range x {
+				c := min(i+j, hi-1)
+				x[j], out[j] = &xT[c*rows], &s.dwT[c*ld+oc]
+			}
+			bwdUniformDWAVX2(out[0], out[1], out[2], out[3], x[0], x[1], x[2], x[3], &s.dyR[oc],
+				&s.dwLev[0], int64(rows), int64(ld))
+		}
+	}
+}
+
+// bwdUniformDWLanes is the pure-Go twin of bwdUniformDWAVX2 for one k
+// column: out[oc] accumulates dyR[r][oc] * lev[x] over the column's
+// levels xcol, the same rounded product added in the same order. dyR's
+// row stride is len(out).
+func bwdUniformDWLanes(out []float32, xcol []uint8, dyR, lev []float32) {
+	clear(out)
+	lev = lev[:padStride]
+	for r, xv := range xcol {
+		t := lev[xv]
+		g := dyR[r*len(out):][:len(out)]
+		for l := range out {
+			out[l] += float32(g[l] * t)
 		}
 	}
 }
 
 // bwdDWGather is bwdDWAffine on the fused row: T is the table entry
-// gwPad[wq[oc][i]*padStride + x] itself. From 2^B rows up the asm path
+// gwPad[wq[oc][i]*padStride + x] less zx. From 2^B rows up the asm path
 // reads it from per-column level tables (bwdDWTables). Below, VGATHERDPS
 // fetches it (bwdDWGathers), because a table of 2^B levels costs about
 // what gathering 2^B rows does: on two vCPUs of a Xeon host, 7-bit
@@ -388,23 +404,6 @@ func (op *Op) bwdDWTables(s *KernelScratch, xT []uint8, lo, hi, rows, ld int, zx
 	}
 }
 
-// bwdAffineDWLanes is the pure-Go twin of bwdAffineDWAVX2 for one k
-// column and every lane: out[oc] accumulates the weight gradient over
-// the column's levels xcol, with the identical separately rounded
-// expression. dyR's row stride is len(out).
-func bwdAffineDWLanes(out []float32, xcol []uint8, dyR, a, b []float32, zx float32) {
-	clear(out)
-	a, b = a[:len(out)], b[:len(out)]
-	for r, xv := range xcol {
-		xf := float32(xv)
-		g := dyR[r*len(out):][:len(out)]
-		for l := range out {
-			t := float32(a[l]*xf) + b[l]
-			out[l] += float32(g[l] * (t - zx))
-		}
-	}
-}
-
 // bwdGatherDWLanes is the pure-Go twin of bwdGatherDWAVX2 for one k
 // column.
 func bwdGatherDWLanes(out []float32, xcol []uint8, dyR []float32, woff []int32, gwPad []float32, zx float32) {
@@ -419,37 +418,40 @@ func bwdGatherDWLanes(out []float32, xcol []uint8, dyR []float32, woff []int32, 
 }
 
 // bwdDXAffine computes the input gradients for k columns [lo, hi) on
-// the affine tier: dxT[i][r] accumulates, over ascending oc,
-// gsT[oc][r] * (fl(fl(a*x) + b) - zw[oc]) with (a, b) the verified DX
-// coefficients for weight level wq[oc][i]. Full 32-row chunks run in
-// asm; tail rows use the identical Go expression.
+// the affine row: dxT[i][r] accumulates, over ascending oc,
+// gsT[oc][r] * V[oc][i] with V = fl(fl(A*0) + B) - zw[oc] and (A, B)
+// the DX coefficients for weight level wq[oc][i] — the table entry at
+// every x, as A is ±0 (constantRows). The block first fills its columns
+// of the operands s.dxV (outC x k, wq's layout), then full 32-row chunks
+// run in asm, two columns per call (an odd block repeats its last
+// column); tail rows use the identical Go expression.
 func (op *Op) bwdDXAffine(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
+	for oc := 0; oc < outC; oc++ {
+		zw, v := s.zwc[oc], s.dxV[oc*k+lo:oc*k+hi]
+		for j, w := range wq[oc*k+lo : oc*k+hi][:len(v)] {
+			af := op.dxAff[w]
+			v[j] = float32(float32(af.A*0)+af.B) - zw
+		}
+	}
 	rows32 := 0
 	if hasGemmAsm {
 		rows32 = rows &^ 31
 	}
-	for i := lo; i < hi; i++ {
-		aCol := s.ak[i*outC : (i+1)*outC]
-		bCol := s.bk[i*outC : (i+1)*outC]
+	if rows32 > 0 {
+		for i := lo; i < hi; i += 2 {
+			i1 := min(i+1, hi-1)
+			bwdConstDXAVX2(&dxT[i*rows], &dxT[i1*rows], &s.gsT[0], &s.dxV[i], &s.dxV[i1],
+				int64(rows32), int64(rows), int64(outC), int64(k))
+		}
+	}
+	for i := lo; i < hi && rows32 < rows; i++ {
+		dxr := dxT[i*rows+rows32 : (i+1)*rows]
+		clear(dxr)
 		for oc := 0; oc < outC; oc++ {
-			af := op.dxAff[wq[oc*k+i]]
-			aCol[oc] = af.A
-			bCol[oc] = af.B
-		}
-		xcol := xT[i*rows : (i+1)*rows]
-		dxr := dxT[i*rows : (i+1)*rows]
-		if rows32 > 0 {
-			bwdAffineDXAVX2(&dxr[0], &xcol[0], &s.gsT[0], &aCol[0], &bCol[0], &s.zwc[0],
-				int64(rows32), int64(rows), int64(outC))
-		}
-		for r := rows32; r < rows; r++ {
-			xf := float32(xcol[r])
-			var acc float32
-			for oc := 0; oc < outC; oc++ {
-				t := float32(aCol[oc]*xf) + bCol[oc]
-				acc += float32(s.gsT[oc*rows+r] * (t - s.zwc[oc]))
+			v := s.dxV[oc*k+i]
+			for r, g := range s.gsT[oc*rows+rows32 : (oc+1)*rows][:len(dxr)] {
+				dxr[r] += float32(g * v)
 			}
-			dxr[r] = acc
 		}
 	}
 }

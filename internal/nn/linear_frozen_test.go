@@ -50,7 +50,7 @@ func denseGrad(t *testing.T, rng *rand.Rand, n, out int, sparse bool) *tensor.Te
 			dy.Data[i] = float32(rng.NormFloat64())
 		}
 	}
-	if sparseGrad(dy.Data) != sparse {
+	if _, ok := sparseGrad(dy.Data); ok != sparse {
 		t.Fatalf("sparseGrad = %v, want %v", !sparse, sparse)
 	}
 	return dy

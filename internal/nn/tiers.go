@@ -30,7 +30,7 @@ const (
 	FwdPathBehavioral  = "behavioral"   // MulFn per MAC, for an op without a LUT
 
 	BwdPathSmall  = "small"  // pays per nonzero upstream gradient (bwdSmallRun)
-	BwdPathAffine = "affine" // the gradient-table gather replaced by its verified per-row affine form
+	BwdPathAffine = "affine" // float-GEMM sweeps: DW one affine function of x on every row, DX constant in x
 	BwdPathFused  = "fused"  // gather from the padded gradient-table rows
 	BwdPathMixed  = "mixed"
 )
@@ -130,13 +130,13 @@ func (op *Op) forwardTier(rows, outC, k int) *fwdTier {
 
 // bwdSmall is the backward ladder's first row, the gate: it takes a GEMM
 // whole — both gradients in one walk — when ok holds for the upstream
-// gradient.
+// gradient, whose nonzeros ok has then counted and run is handed.
 var bwdSmall = struct {
 	label string
-	ok    func(dy []float32) bool
+	ok    func(dy []float32) (nnz int, ok bool)
 	count *obs.Counter
 	run   func(op *Op, s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT []uint8, w *weightSide,
-		rows int, zx, scale float32)
+		rows, nnz int, zx, scale float32)
 }{BwdPathSmall, sparseGrad, dispatchCounter("backward", BwdPathSmall), (*Op).backwardSmall}
 
 // bwdSweep is one of the rows below the gate. The dW and the dX sweep
@@ -145,13 +145,16 @@ var bwdSmall = struct {
 type bwdSweep struct {
 	label string
 	// ok reports whether the row's kernels can stand in for a gradient
-	// table whose verified affine coefficients are aff (nil: it has a
-	// non-affine row; see gradient.RowAffinity).
+	// table whose verified affine coefficients are aff (nil: not in the
+	// form the affine row reads; see Op.dwAff).
 	ok    func(aff []gradient.Affine) bool
 	count *obs.Counter
-	// tables sizes the k-major (k x ld) coefficient tables in s that
-	// the row's kernels fill and read, to n entries each.
-	tables func(s *KernelScratch, n int)
+	// dwPrep and dxPrep ready, before the column blocks run, what the
+	// row's kernels read besides the operands: the k-major tables of n
+	// entries the blocks fill, or for the dW sweep a table built once
+	// per call at the operand zero point zx.
+	dwPrep func(op *Op, s *KernelScratch, n int, zx float32)
+	dxPrep func(s *KernelScratch, n int)
 	// dw and dx are the row's kernels over the k columns [lo, hi).
 	dw func(op *Op, s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32)
 	dx func(op *Op, s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int)
@@ -159,10 +162,14 @@ type bwdSweep struct {
 
 var bwdSweeps = [...]bwdSweep{
 	{
-		label:  BwdPathAffine,
+		label: BwdPathAffine,
+		// ensurePadded keeps a sweep's coefficients only in the form
+		// this row's kernels read: dW rows all alike (one level table
+		// serves every channel), dX rows constant in x.
 		ok:     func(aff []gradient.Affine) bool { return aff != nil },
 		count:  dispatchCounter("backward", BwdPathAffine),
-		tables: func(s *KernelScratch, n int) { s.ak, s.bk = grow(s.ak, n), grow(s.bk, n) },
+		dwPrep: (*Op).affineDWPrep,
+		dxPrep: func(s *KernelScratch, n int) { s.dxV = grow(s.dxV, n) },
 		dw:     (*Op).bwdDWAffine,
 		dx:     (*Op).bwdDXAffine,
 	},
@@ -170,7 +177,8 @@ var bwdSweeps = [...]bwdSweep{
 		label:  BwdPathFused,
 		ok:     func(aff []gradient.Affine) bool { return true },
 		count:  dispatchCounter("backward", BwdPathFused),
-		tables: func(s *KernelScratch, n int) { s.woff = grow(s.woff, n) },
+		dwPrep: func(op *Op, s *KernelScratch, n int, zx float32) { s.woff = grow(s.woff, n) },
+		dxPrep: func(s *KernelScratch, n int) { s.woff = grow(s.woff, n) },
 		dw:     (*Op).bwdDWGather,
 		dx:     (*Op).bwdDXGather,
 	},
@@ -197,16 +205,22 @@ func (op *Op) sweepTier(aff []gradient.Affine) *bwdSweep {
 // backwardTiers walks the backward ladder for the upstream gradient dy:
 // the rows of the dW and the dX sweep — both nil when the gate row takes
 // the GEMM, because dy passes it or the op is pinned to it; any other
-// pin skips the gate — and the label and counter the GEMM reports under.
-func (op *Op) backwardTiers(dy []float32) (dw, dx *bwdSweep, path string, count *obs.Counter) {
-	if op.pinBwd == bwdSmall.label || op.pinBwd == "" && bwdSmall.ok(dy) {
-		return nil, nil, bwdSmall.label, bwdSmall.count
+// pin skips the gate —, the nonzeros of dy when the gate row takes it,
+// and the label and counter the GEMM reports under.
+func (op *Op) backwardTiers(dy []float32) (dw, dx *bwdSweep, nnz int, path string, count *obs.Counter) {
+	switch op.pinBwd {
+	case bwdSmall.label:
+		return nil, nil, countNonzero(dy, len(dy)), bwdSmall.label, bwdSmall.count
+	case "":
+		if n, ok := bwdSmall.ok(dy); ok {
+			return nil, nil, n, bwdSmall.label, bwdSmall.count
+		}
 	}
 	dw, dx = op.sweepTier(op.dwAff), op.sweepTier(op.dxAff)
 	if dw != dx {
-		return dw, dx, BwdPathMixed, kernelBackwardMixed
+		return dw, dx, 0, BwdPathMixed, kernelBackwardMixed
 	}
-	return dw, dx, dw.label, dw.count
+	return dw, dx, 0, dw.label, dw.count
 }
 
 // Pinned returns an Op with op's multiplier and gradient tables whose
@@ -231,6 +245,6 @@ func (op *Op) ForwardPath(rows, outC, k int) string {
 // upstream gradient dy.
 func (op *Op) BackwardPath(dy []float32) string {
 	op.ensurePadded()
-	_, _, path, _ := op.backwardTiers(dy)
+	_, _, _, path, _ := op.backwardTiers(dy)
 	return path
 }
