@@ -6,16 +6,17 @@
 // BENCH_kernels.json and gated by scripts/benchdiff.
 //
 // Table/figure benches run the corresponding experiment end-to-end at
-// test scale; the cmd tools run the same code at larger scales (see
-// EXPERIMENTS.md for recorded results and paper-vs-measured deltas):
+// test scale; cmd/paper's manifest entries run the same code at larger
+// scales (go run ./cmd/paper -run <entry>; see EXPERIMENTS.md for
+// recorded results and paper-vs-measured deltas):
 //
-//	BenchmarkTableI_*   <-> cmd/amchar
-//	BenchmarkTableII_*  <-> cmd/retrain
-//	BenchmarkFig3_*     <-> cmd/gradviz
-//	BenchmarkFig5_*     <-> cmd/tradeoff
-//	BenchmarkFig6_*     <-> cmd/curves
-//	BenchmarkHWS_*      <-> cmd/sweephws
-//	BenchmarkAblation_* <-> cmd/ablate
+//	BenchmarkTableI_*   <-> table1
+//	BenchmarkTableII_*  <-> table2_vgg19_small, table2_resnet18_small, estimator_matrix
+//	BenchmarkFig3_*     <-> fig3
+//	BenchmarkFig5_*     <-> fig5_7bit
+//	BenchmarkFig6_*     <-> fig6_small
+//	BenchmarkHWS_*      <-> hws_mul6u_rm4
+//	BenchmarkAblation_* <-> ablation_smoothing, ablation_boundary
 package retrain_test
 
 import (
@@ -229,7 +230,7 @@ func BenchmarkAblation_HWSSweep(b *testing.B) {
 
 // BenchmarkAblation_PerChannelQuant compares the forward cost of
 // per-tensor vs per-channel weight quantization on the approximate
-// convolution (the accuracy side is cmd/ablate -which perchannel).
+// convolution (no recorded artifact measures the accuracy side).
 func BenchmarkAblation_PerChannelQuant(b *testing.B) {
 	e, _ := appmult.Lookup("mul8u_rm8")
 	op := nn.STEOp(e.Mult)

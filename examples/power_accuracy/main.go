@@ -24,7 +24,7 @@ func main() {
 
 	// Candidates: the 6-bit truncated multiplier plus two 7-bit points
 	// with different error/power trade-offs (a subset keeps this
-	// example fast; cmd/tradeoff sweeps the full panels).
+	// example fast; go run ./cmd/paper -run fig5_7bit sweeps the 7-bit panel).
 	candidates := []string{"mul6u_rm4", "mul7u_06Q", "mul7u_rm6"}
 
 	lib := tech.ASAP7()

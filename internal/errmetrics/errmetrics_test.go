@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"github.com/appmult/retrain/internal/bitutil"
 )
 
 func accMul(w, x uint32) uint32 { return w * x }
@@ -72,54 +70,6 @@ func TestExhaustiveMatchesPaperTruncationFormula(t *testing.T) {
 	if math.Abs(m.NMEDPercent-0.68) > 0.005 {
 		t.Errorf("NMED = %.4f%%, want 0.68%%", m.NMEDPercent)
 	}
-}
-
-func TestWeightedUniformMatchesExhaustive(t *testing.T) {
-	bits := 4
-	approx := func(w, x uint32) uint32 { return (w * x) &^ 1 } // drop LSB
-	prob := make([]float64, bitutil.NumPairs(bits))
-	for i := range prob {
-		prob[i] = 1.0 / float64(len(prob))
-	}
-	we := Weighted(bits, approx, prob)
-	ex := Exhaustive(bits, approx)
-	if math.Abs(we.ERPercent-ex.ERPercent) > 1e-9 ||
-		math.Abs(we.NMEDPercent-ex.NMEDPercent) > 1e-9 ||
-		we.MaxED != ex.MaxED {
-		t.Errorf("weighted uniform %+v != exhaustive %+v", we, ex)
-	}
-}
-
-func TestWeightedConcentrated(t *testing.T) {
-	bits := 4
-	approx := func(w, x uint32) uint32 {
-		if w == 3 && x == 3 {
-			return 0
-		}
-		return w * x
-	}
-	prob := make([]float64, bitutil.NumPairs(bits))
-	prob[bitutil.PairIndex(3, 3, bits)] = 1.0
-	m := Weighted(bits, approx, prob)
-	if m.ERPercent != 100 || m.MeanED != 9 || m.MaxED != 9 {
-		t.Errorf("concentrated distribution: %+v", m)
-	}
-	// Zero-probability errors must not affect MaxED.
-	prob2 := make([]float64, bitutil.NumPairs(bits))
-	prob2[bitutil.PairIndex(0, 0, bits)] = 1.0
-	m2 := Weighted(bits, approx, prob2)
-	if m2.ERPercent != 0 || m2.MaxED != 0 {
-		t.Errorf("zero-probability error counted: %+v", m2)
-	}
-}
-
-func TestWeightedRejectsBadDistribution(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-normalized distribution accepted")
-		}
-	}()
-	Weighted(4, accMul, make([]float64, bitutil.NumPairs(4)))
 }
 
 func TestMetricsString(t *testing.T) {

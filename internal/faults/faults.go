@@ -7,7 +7,8 @@
 // bit flips; configurable rate and bit-position distribution; permanent
 // or transient), injectors for product LUTs and gradient tables, and a
 // sweep evaluator that measures accuracy degradation as the fault rate
-// grows. cmd/faultsweep drives it end to end.
+// grows. cmd/paper's faultsweep_mul8u_rm8_small artifact drives it end
+// to end.
 package faults
 
 import (
@@ -46,20 +47,6 @@ func (k Kind) String() string {
 	}
 }
 
-// KindByName parses the names printed by String.
-func KindByName(name string) (Kind, error) {
-	switch name {
-	case "stuck0":
-		return StuckAt0, nil
-	case "stuck1":
-		return StuckAt1, nil
-	case "bitflip":
-		return BitFlip, nil
-	default:
-		return 0, fmt.Errorf("faults: unknown kind %q (stuck0|stuck1|bitflip)", name)
-	}
-}
-
 // BitDist selects which product bits faults prefer.
 type BitDist int
 
@@ -85,20 +72,6 @@ func (d BitDist) String() string {
 		return "high"
 	default:
 		return fmt.Sprintf("BitDist(%d)", int(d))
-	}
-}
-
-// DistByName parses the names printed by String.
-func DistByName(name string) (BitDist, error) {
-	switch name {
-	case "uniform":
-		return BitsUniform, nil
-	case "low":
-		return BitsLow, nil
-	case "high":
-		return BitsHigh, nil
-	default:
-		return 0, fmt.Errorf("faults: unknown bit distribution %q (uniform|low|high)", name)
 	}
 }
 

@@ -78,27 +78,6 @@ func TestKindSemantics(t *testing.T) {
 	}
 }
 
-func TestKindAndDistRoundTrip(t *testing.T) {
-	for _, k := range []Kind{StuckAt0, StuckAt1, BitFlip} {
-		got, err := KindByName(k.String())
-		if err != nil || got != k {
-			t.Errorf("kind %v round trip: %v %v", k, got, err)
-		}
-	}
-	if _, err := KindByName("bogus"); err == nil {
-		t.Error("bogus kind accepted")
-	}
-	for _, d := range []BitDist{BitsUniform, BitsLow, BitsHigh} {
-		got, err := DistByName(d.String())
-		if err != nil || got != d {
-			t.Errorf("dist %v round trip: %v %v", d, got, err)
-		}
-	}
-	if _, err := DistByName("bogus"); err == nil {
-		t.Error("bogus dist accepted")
-	}
-}
-
 func TestBitDistBias(t *testing.T) {
 	lut := baseLUT(8)
 	mean := func(d BitDist) float64 {

@@ -65,7 +65,7 @@ type GradEstimator interface {
 // SmoothDiff is the paper's smoothed-difference estimator (Eqs. 4-6)
 // realized as a GradEstimator. The zero value defers to the
 // registry-selected half window size of each multiplier; a positive
-// HWS overrides it (the sweephws protocol sweeps this field).
+// HWS overrides it (the HWS selection protocol sweeps this field).
 type SmoothDiff struct {
 	// HWS overrides the multiplier's registry half window size when
 	// > 0. Zero means "use MulInfo.HWS", clamped to [1, MaxHWS].

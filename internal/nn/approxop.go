@@ -124,8 +124,8 @@ func DifferenceOp(m appmult.Multiplier, hws int) *Op {
 // to synthesize the gradient tables for the multiplier. hws is the
 // registry-selected half window size passed through to estimators that
 // consume it (gradient.SmoothDiff without an explicit override); other
-// estimators ignore it. This is the seam cmd/retrain, cmd/sweephws and
-// the distributed training spec all build their Ops through.
+// estimators ignore it. This is the seam the paper artifacts (cmd/paper)
+// and the distributed training spec all build their Ops through.
 func EstimatorOp(m appmult.Multiplier, est gradient.GradEstimator, hws int) *Op {
 	op := NewOp(m, est.Tables(gradient.MulInfo{
 		Name: m.Name(),

@@ -1,5 +1,5 @@
 // Package report renders experiment results as aligned text tables and
-// CSV, the output layer shared by the cmd tools and the benchmark
+// series, the output layer shared by the cmd tools and the benchmark
 // harness.
 package report
 
@@ -80,28 +80,6 @@ func (t *Table) WriteText(w io.Writer) {
 	line(seps)
 	for _, r := range t.rows {
 		line(r)
-	}
-}
-
-// WriteCSV renders the table as RFC-4180-ish CSV (quoting cells that
-// contain commas or quotes).
-func (t *Table) WriteCSV(w io.Writer) {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-		}
-		return s
-	}
-	row := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = esc(c)
-		}
-		fmt.Fprintln(w, strings.Join(parts, ","))
-	}
-	row(t.header)
-	for _, r := range t.rows {
-		row(r)
 	}
 }
 

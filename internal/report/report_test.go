@@ -37,20 +37,6 @@ func TestTableShortAndLongRows(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "name", "note")
-	tb.AddRow("a", `has "quote", and comma`)
-	var sb strings.Builder
-	tb.WriteCSV(&sb)
-	out := sb.String()
-	if !strings.Contains(out, `"has ""quote"", and comma"`) {
-		t.Errorf("CSV escaping wrong: %s", out)
-	}
-	if !strings.HasPrefix(out, "name,note\n") {
-		t.Errorf("CSV header wrong: %s", out)
-	}
-}
-
 func TestSeries(t *testing.T) {
 	s := NewSeries("curve", "epoch", "ste", "ours")
 	s.Add(1, 50.0, 52.5)

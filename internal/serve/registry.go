@@ -34,7 +34,7 @@ type Spec struct {
 	// Width is the channel-width multiplier (1.0 = paper scale).
 	Width float64 `json:"width"`
 	// Mult is the approximate multiplier's registry name (see
-	// cmd/amchar); empty selects the accurate 8-bit multiplier.
+	// experiments/table1.txt); empty selects the accurate 8-bit multiplier.
 	Mult string `json:"multiplier"`
 	// Ckpt is an optional TRCKPv1 training checkpoint to restore
 	// parameters, batch-norm statistics, and quantization calibration

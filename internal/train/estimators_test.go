@@ -102,7 +102,7 @@ func TestDefaultEstimatorBitIdentity(t *testing.T) {
 	entry, _ := appmult.Lookup("mul7u_rm6")
 	// Pre-seam path: direct Difference table construction.
 	legacy := nn.DifferenceOp(entry.Mult, entry.HWS)
-	// Seam path: parse the default spec like cmd/retrain does.
+	// Seam path: parse the default spec like cmd/paper does.
 	seam, err := OpForSpec(entry, gradient.EstSmoothDiff)
 	if err != nil {
 		t.Fatal(err)

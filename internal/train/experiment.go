@@ -91,18 +91,15 @@ type CompareResult struct {
 	Improve float64
 }
 
-// CompareOptions carries the robustness knobs of cmd/retrain through
-// to the per-phase training runs.
+// CompareOptions carries checkpointing, sharding and the estimator
+// legs of a Table II sweep through to the per-phase training runs.
 type CompareOptions struct {
 	// CkptDir, when non-empty, checkpoints every phase (QAT reference,
-	// STE retrain, difference retrain) under deterministic file names
-	// in that directory, and Resume continues killed phases from them.
-	// Completed phases replay from their checkpoint without retraining.
+	// each estimator leg) as <CkptDir>/<name>.ckpt under deterministic
+	// names and resumes each phase from its file when it exists:
+	// killed phases continue, completed phases replay from their
+	// checkpoint without retraining.
 	CkptDir string
-	Resume  bool
-	// CkptEvery and SpikeFactor forward to Config.
-	CkptEvery   int
-	SpikeFactor float64
 	// Shards forwards to Config.Shards: every phase trains with the
 	// data-parallel sharded step when >= 1.
 	Shards int
@@ -115,12 +112,9 @@ type CompareOptions struct {
 
 // config derives the phase Config for a checkpoint file name.
 func (o CompareOptions) config(base Config, name string) Config {
-	base.SpikeFactor = o.SpikeFactor
 	base.Shards = o.Shards
 	if o.CkptDir != "" {
-		base.CkptPath = filepath.Join(o.CkptDir, name+".ckpt")
-		base.CkptEvery = o.CkptEvery
-		base.Resume = o.Resume
+		base.CkptPath, base.Resume = filepath.Join(o.CkptDir, name+".ckpt"), true
 	}
 	return base
 }
