@@ -142,10 +142,10 @@ doccheck:
 	go run ./scripts/doccheck -roadmap ROADMAP.md -design DESIGN.md -lines . README.md DESIGN.md EXPERIMENTS.md ROADMAP.md docs/*.md \
 		$$(go list -f '{{.Dir}}' ./internal/... ./cmd/... ./scripts/...)
 
-# deadcheck fails on an exported identifier or method that no program
-# reaches: no reference from a non-test file of either module (bench/
-# included) and none from another package's tests (see
-# scripts/deadcheck; ~5 s).
+# deadcheck fails on an exported identifier, a method or an unexported
+# func that no program reaches: no reference from a non-test file of
+# either module (bench/ included) and none from another package's tests
+# (see scripts/deadcheck; ~5 s).
 deadcheck:
 	go run ./scripts/deadcheck
 

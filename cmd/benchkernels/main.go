@@ -37,7 +37,11 @@
 //     one is the worker pool's scaling) and the Adam step after it;
 //   - the two forward simulation styles the paper contrasts, on one
 //     layer: gathering from the product LUT ([9]-[11]) and behavioural,
-//     the multiplier per MAC ([12]).
+//     the multiplier per MAC ([12]);
+//   - the paper's backward design choice, per operand pair: reading both
+//     precomputed gradients from the LUTs (gradient.Tables.At) against
+//     recomputing the smoothed difference row they were built from
+//     (gradient.DifferenceRow).
 //
 // A row that fails stops the command, named, before anything is
 // written.
@@ -77,6 +81,9 @@ type shape struct{ rows, outC, k int }
 // wide is the historical kernel shape: batch 4 of 16x16x16 activations
 // through a 3x3 16->32 conv, the shape of the Layer_ApproxConvStep row.
 var wide = shape{rows: 1024, outC: 32, k: 144}
+
+// gradSink keeps the gradient rows' results live.
+var gradSink float64
 
 // narrow lists the row-heavy early-layer GEMMs of the benchmark's
 // training workloads with the share of dy that is nonzero there (1 in
@@ -614,7 +621,32 @@ func main() {
 			fn: convFwd(lutOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1)))},
 		bench{name: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", path: behOp.ForwardPath(288, 16, 72),
 			fn: convFwd(behOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1)))})
+	// mul7u_rm6's HWS-4 tables, walking every (W, X) pair: the LUT row
+	// reads both gradients, the recompute row multiplies out W's row and
+	// smooths it (Eqs. 4-6) for the one it needs.
+	grads := gradient.Difference(e.Mult.Name(), 7, 4, e.Mult.Mul)
+	benches = append(benches,
+		bench{name: "Kernel_GradLUTGather_mul7u_rm6", fn: func(b *testing.B) {
+			var acc float32
+			for i := 0; i < b.N; i++ {
+				dw, dx := grads.At(uint32(i)&127, uint32(i>>7)&127)
+				acc += dw + dx
+			}
+			gradSink = float64(acc)
+		}},
+		bench{name: "Kernel_GradRecompute_mul7u_rm6", fn: func(b *testing.B) {
+			row, acc := make([]uint32, 128), 0.0
+			for i := 0; i < b.N; i++ {
+				w := uint32(i) & 127
+				for x := range row {
+					row[x] = e.Mult.Mul(w, uint32(x))
+				}
+				acc += gradient.DifferenceRow(row, 4)[uint32(i>>7)&127]
+			}
+			gradSink = acc
+		}})
 	speedups = append(speedups,
+		speedup{key: "grad_lut_vs_recompute", num: "Kernel_GradRecompute_mul7u_rm6", den: "Kernel_GradLUTGather_mul7u_rm6"},
 		speedup{key: "sharded_p2_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P2"},
 		speedup{key: "sharded_p4_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P4"},
 		speedup{key: "sharded_p1_vs_legacy", num: "Train_ApproxStepLegacy", den: "Train_ApproxStepSharded_P1"},
@@ -630,7 +662,7 @@ func main() {
 		Multiplier: op.Label,
 		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, "+
 			"*_VGG11Conv7, *_ResNet18*, *_LeNetConv1, *_LeNetConv2, *_mul8u_2NDH, Model_Predict_* and Train_* rows carry their own "+
-			"shape; Train_SoloStep_VGG11 runs vgg11 width %g under %s, Optim_AdamStep_VGG11 Adam over its %d parameters",
+			"shape, Kernel_Grad*_mul7u_rm6 rows time one operand pair; Train_SoloStep_VGG11 runs vgg11 width %g under %s, Optim_AdamStep_VGG11 Adam over its %d parameters",
 			wide.rows, wide.outC, wide.k, train.ReducedScale.Width, sdOp.Label, numel),
 		MaxProcs:   runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{},

@@ -3,6 +3,7 @@ package retrain_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
@@ -40,6 +41,16 @@ func TestNetlistToTrainingPipeline(t *testing.T) {
 	}
 	if synth.Area(lib) >= exact.Area(lib) {
 		t.Fatal("ALS did not shrink the netlist")
+	}
+
+	// The approximate netlist exports as structural Verilog for an
+	// external tool chain.
+	var vbuf bytes.Buffer
+	if err := synth.WriteVerilog(&vbuf, "m5_als"); err != nil {
+		t.Fatal(err)
+	}
+	if v := vbuf.String(); !strings.HasPrefix(v, "module m5_als(") || !strings.HasSuffix(v, "endmodule\n") {
+		t.Fatalf("Verilog export is not one module:\n%s", v)
 	}
 
 	// Behaviour extraction + error measurement.

@@ -112,12 +112,3 @@ func (r *Ring) Ordered(key string, n int) []string {
 	}
 	return out
 }
-
-// owner returns key's primary member, or "" for an empty ring.
-func (r *Ring) owner(key string) string {
-	o := r.Ordered(key, 1)
-	if len(o) == 0 {
-		return ""
-	}
-	return o[0]
-}

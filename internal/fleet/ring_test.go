@@ -126,3 +126,12 @@ func TestRingEmptyAndSpread(t *testing.T) {
 		}
 	}
 }
+
+// owner returns key's primary member, or "" for an empty ring.
+func (r *Ring) owner(key string) string {
+	o := r.Ordered(key, 1)
+	if len(o) == 0 {
+		return ""
+	}
+	return o[0]
+}

@@ -53,21 +53,6 @@ func TruncMask(bits, k int) PPMask {
 	return m
 }
 
-// perforationMask removes entire partial-product rows (all pp for the
-// listed w-bit indices), a classic perforation approximation.
-func perforationMask(bits int, rows ...int) PPMask {
-	m := FullMask(bits)
-	for _, r := range rows {
-		if r < 0 || r >= bits {
-			panic(fmt.Sprintf("mulsynth: perforated row %d outside [0,%d)", r, bits))
-		}
-		for j := 0; j < bits; j++ {
-			m.Keep[r][j] = false
-		}
-	}
-	return m
-}
-
 // Clone returns a deep copy of the mask.
 func (m PPMask) Clone() PPMask {
 	keep := make([][]bool, m.Bits)

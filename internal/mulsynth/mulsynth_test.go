@@ -1,6 +1,7 @@
 package mulsynth
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -233,4 +234,19 @@ func TestApproxSynthZeroBudgetIsIdentityFunction(t *testing.T) {
 			}
 		}
 	}
+}
+
+// perforationMask removes entire partial-product rows (all pp for the
+// listed w-bit indices), a classic perforation approximation.
+func perforationMask(bits int, rows ...int) PPMask {
+	m := FullMask(bits)
+	for _, r := range rows {
+		if r < 0 || r >= bits {
+			panic(fmt.Sprintf("mulsynth: perforated row %d outside [0,%d)", r, bits))
+		}
+		for j := 0; j < bits; j++ {
+			m.Keep[r][j] = false
+		}
+	}
+	return m
 }

@@ -182,15 +182,3 @@ func bothBytes(masks []uint16) []uint16 {
 	}
 	return out
 }
-
-// evalScalar evaluates the compensation-free strip sum for one operand
-// pair — the scalar form the assembly kernels compute per lane, used
-// for the sub-32-row tail the SIMD kernels leave behind.
-func (af *arithForm) evalScalar(w, x uint32) uint32 {
-	var y uint32
-	cw := af.cw16[int(w)*af.nT : (int(w)+1)*af.nT]
-	for t, c := range cw {
-		y += uint32(c) * (x & uint32(af.xm16[t]))
-	}
-	return y
-}

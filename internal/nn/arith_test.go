@@ -189,3 +189,14 @@ func TestArithPairCoverage(t *testing.T) {
 		}
 	}
 }
+
+// evalScalar evaluates the compensation-free strip sum for one operand
+// pair — the scalar form the assembly kernels compute per lane.
+func (af *arithForm) evalScalar(w, x uint32) uint32 {
+	var y uint32
+	cw := af.cw16[int(w)*af.nT : (int(w)+1)*af.nT]
+	for t, c := range cw {
+		y += uint32(c) * (x & uint32(af.xm16[t]))
+	}
+	return y
+}

@@ -8,8 +8,7 @@ import (
 // Window is a fixed ring of the most recent observations with exact
 // quantiles over them — the recent-traffic view a fixed-bucket
 // Histogram cannot give (/statz percentiles, the fleet router's hedge
-// deadline). It is not synchronized: the owner guards it with the lock
-// it already holds around its own counters.
+// deadline). It is not synchronized: its owner guards it with a lock.
 type Window struct {
 	buf     []float64
 	scratch []float64 // Quantile's selection buffer

@@ -95,11 +95,6 @@ func (p Params) Quantize(v float32) uint32 {
 	return uint32(q)
 }
 
-// dequantize maps an integer level back to float: s*(q - Z).
-func (p Params) dequantize(q uint32) float32 {
-	return p.Scale * float32(int32(q)-p.Zero)
-}
-
 // Clipped reports whether v falls outside the representable range, in
 // which case the straight-through gradient of the rounding is zero.
 func (p Params) Clipped(v float32) bool {

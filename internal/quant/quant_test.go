@@ -295,3 +295,8 @@ func TestQuantizeOutOfRangePinned(t *testing.T) {
 		checkQuantizeInto(t, p, outOfRange(p))
 	}
 }
+
+// dequantize maps an integer level back to float: s*(q - Z).
+func (p Params) dequantize(q uint32) float32 {
+	return p.Scale * float32(int32(q)-p.Zero)
+}

@@ -71,7 +71,7 @@ func awaitQueued(t *testing.T, b *Batcher, n int) {
 // free, and every rider gets its own image's answer.
 func TestBatcherCoalescesAndRoutes(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 8, QueueDepth: 32}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 8, QueueDepth: 32}, freshMetrics(t))
 	defer b.Drain(context.Background())
 
 	wait := occupy(t, b, r)
@@ -145,7 +145,7 @@ func occupy(t *testing.T, b *Batcher, r *stubRunner) (done func() Result) {
 
 func TestBatcherOverloadRejects(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 2}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 2}, freshMetrics(t))
 
 	wait := occupy(t, b, r)
 	// Fill the queue to its depth, then one more must bounce.
@@ -212,7 +212,7 @@ func TestBatcherQueuePeakOutlivesTheQueue(t *testing.T) {
 
 func TestBatcherDeadlineWhileQueued(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 8}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 1, QueueDepth: 8}, freshMetrics(t))
 
 	wait := occupy(t, b, r)
 	ch := make(chan Result, 1)
@@ -315,7 +315,7 @@ func TestBatcherDrainTimeoutFailsQueued(t *testing.T) {
 
 func TestBatcherRunnerPanicIsContained(t *testing.T) {
 	r := &stubRunner{panics: true}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2}, freshMetrics(t))
 
 	res := b.Do(context.Background(), []float32{5}, time.Time{})
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") {
@@ -362,7 +362,7 @@ func TestBatcherContextCancelledCaller(t *testing.T) {
 // reaching Run; the live one is served in a batch of one.
 func TestBatcherExpiredAtPullLiveRiderServed(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: 8}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: 8}, freshMetrics(t))
 
 	wait := occupy(t, b, r)
 	deadline := time.Now().Add(10 * time.Millisecond)
@@ -399,7 +399,7 @@ func TestBatcherExpiredAtPullLiveRiderServed(t *testing.T) {
 func TestBatcherSaturationShedsAndAnswersAdmitted(t *testing.T) {
 	r := &stubRunner{entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	const depth = 8
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: depth}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 4, QueueDepth: depth}, freshMetrics(t))
 
 	wait := occupy(t, b, r)
 	var wg sync.WaitGroup

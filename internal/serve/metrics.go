@@ -17,22 +17,16 @@ const latWindow = 4096
 // achieved batch sizes, and a sliding latency window. All methods are
 // safe for concurrent use.
 //
-// Metrics is a facade over two sinks: the state /statz reports (exact
-// percentiles over recent traffic from an obs.Window, lifetime
-// throughput), and the process-wide obs registry, where the same events
-// land as counters and fixed-bucket histograms labeled by model — the
-// canonical /metrics export. The registry is get-or-create, so two
-// Metrics for the same model name share series.
+// The counts live in the process-wide obs registry, as counters and
+// fixed-bucket histograms labeled by model — the canonical /metrics
+// export — and /statz reads them from there; only the exact
+// percentiles over recent traffic come from Metrics' own obs.Window.
+// The registry is get-or-create, so two Metrics for the same model name
+// share series and report the same totals.
 type Metrics struct {
-	mu        sync.Mutex
-	start     time.Time
-	completed uint64
-	rejected  uint64
-	expired   uint64
-	failed    uint64
-	batches   uint64
-	batched   uint64 // sum of achieved batch sizes
-	lat       *obs.Window
+	start time.Time
+	mu    sync.Mutex // guards lat
+	lat   *obs.Window
 
 	model      string
 	completedC *obs.Counter
@@ -76,7 +70,6 @@ func NewMetrics(model string) *Metrics {
 func (m *Metrics) Complete(latency time.Duration) {
 	ms := float64(latency) / float64(time.Millisecond)
 	m.mu.Lock()
-	m.completed++
 	m.lat.Observe(ms)
 	m.mu.Unlock()
 	m.completedC.Inc()
@@ -85,35 +78,16 @@ func (m *Metrics) Complete(latency time.Duration) {
 
 // Reject records one request refused at admission (queue full or
 // draining).
-func (m *Metrics) Reject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-	m.rejectedC.Inc()
-}
+func (m *Metrics) Reject() { m.rejectedC.Inc() }
 
 // Expire records one request whose deadline passed while queued.
-func (m *Metrics) Expire() {
-	m.mu.Lock()
-	m.expired++
-	m.mu.Unlock()
-	m.expiredC.Inc()
-}
+func (m *Metrics) Expire() { m.expiredC.Inc() }
 
 // Fail records one request that reached a replica but errored.
-func (m *Metrics) Fail() {
-	m.mu.Lock()
-	m.failed++
-	m.mu.Unlock()
-	m.failedC.Inc()
-}
+func (m *Metrics) Fail() { m.failedC.Inc() }
 
 // Batch records one dispatched batch of the given size.
 func (m *Metrics) Batch(size int) {
-	m.mu.Lock()
-	m.batches++
-	m.batched += uint64(size)
-	m.mu.Unlock()
 	m.batchesC.Inc()
 	m.batchH.Observe(float64(size))
 }
@@ -133,26 +107,28 @@ type Stats struct {
 	P99Ms         float64 `json:"p99_ms"`
 }
 
-// Snapshot computes the current stats. Percentiles cover the sliding
-// latency window; throughput covers the full lifetime of the metrics.
+// Snapshot computes the current stats from the registry series.
+// Percentiles cover the sliding latency window; throughput covers the
+// full lifetime of the metrics.
 func (m *Metrics) Snapshot() Stats {
-	m.mu.Lock()
 	s := Stats{
-		Completed: m.completed,
-		Rejected:  m.rejected,
-		Expired:   m.expired,
-		Failed:    m.failed,
-		Batches:   m.batches,
+		Completed: uint64(m.completedC.Value()),
+		Rejected:  uint64(m.rejectedC.Value()),
+		Expired:   uint64(m.expiredC.Value()),
+		Failed:    uint64(m.failedC.Value()),
+		Batches:   uint64(m.batchesC.Value()),
 	}
-	if m.batches > 0 {
-		s.MeanBatch = float64(m.batched) / float64(m.batches)
+	if b := m.batchH.Snapshot(); b.Count > 0 {
+		s.MeanBatch = b.Sum / float64(b.Count)
 	}
 	if el := time.Since(m.start).Seconds(); el > 0 {
-		s.ThroughputRPS = float64(m.completed) / el
+		s.ThroughputRPS = float64(s.Completed) / el
 	}
-	if p := m.lat.Quantiles(0.50, 0.95, 0.99); p != nil {
+	m.mu.Lock()
+	p := m.lat.Quantiles(0.50, 0.95, 0.99)
+	m.mu.Unlock()
+	if p != nil {
 		s.P50Ms, s.P95Ms, s.P99Ms = p[0], p[1], p[2]
 	}
-	m.mu.Unlock()
 	return s
 }

@@ -102,35 +102,67 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsMirrorsStatz pins the facade contract: every event the
-// sliding-window Stats snapshot counts must land identically in the
-// registry counters.
+// freshMetrics returns Metrics under a model name no other test or run
+// (-count=N) uses: the registry is process-wide and get-or-create, so a
+// test that reads counts must start its series from zero.
+func freshMetrics(t testing.TB) *Metrics {
+	return NewMetrics(t.Name() + "-" + strconv.FormatInt(time.Now().UnixNano(), 36))
+}
+
+// TestMetricsMirrorsStatz pins the one-sink contract: every count
+// /statz reports is the registry series /metrics exports, and the mean
+// batch is the batch-size histogram's Sum / Count.
 func TestMetricsMirrorsStatz(t *testing.T) {
-	// The registry is process-wide and get-or-create, so each run
-	// (-count=N) needs its own model label to start from zero.
-	mm := NewMetrics("mirror-test-" + strconv.FormatInt(time.Now().UnixNano(), 36))
+	mm := freshMetrics(t)
 	mm.Complete(3 * time.Millisecond)
 	mm.Complete(7 * time.Millisecond)
 	mm.Reject()
 	mm.Expire()
 	mm.Fail()
 	mm.Batch(2)
+	mm.Batch(5)
 
 	st := mm.Snapshot()
-	if st.Completed != 2 || st.Rejected != 1 || st.Expired != 1 || st.Failed != 1 || st.Batches != 1 {
+	if st.Completed != 2 || st.Rejected != 1 || st.Expired != 1 || st.Failed != 1 || st.Batches != 2 {
 		t.Fatalf("statz snapshot wrong: %+v", st)
 	}
-	if got := mm.completedC.Value(); got != float64(st.Completed) {
-		t.Errorf("registry completed = %v, statz %d", got, st.Completed)
+	reg := obs.Default()
+	for outcome, n := range map[string]uint64{
+		"completed": st.Completed, "rejected": st.Rejected, "expired": st.Expired, "failed": st.Failed,
+	} {
+		if got, ok := reg.ReadValue("serve_requests_total", "model", mm.model, "outcome", outcome); !ok || got != float64(n) {
+			t.Errorf("serve_requests_total{outcome=%s} = %v (found %v), statz %d", outcome, got, ok, n)
+		}
 	}
-	if got := mm.rejectedC.Value(); got != float64(st.Rejected) {
-		t.Errorf("registry rejected = %v, statz %d", got, st.Rejected)
+	if got, ok := reg.ReadValue("serve_batches_total", "model", mm.model); !ok || got != float64(st.Batches) {
+		t.Errorf("serve_batches_total = %v (found %v), statz %d", got, ok, st.Batches)
 	}
-	h := mm.latencyH.Snapshot()
-	if h.Count != st.Completed {
-		t.Errorf("latency histogram count = %d, statz completed %d", h.Count, st.Completed)
+	b, ok := reg.ReadHistogram("serve_batch_size", "model", mm.model)
+	if !ok || b.Count != st.Batches || st.MeanBatch != b.Sum/float64(b.Count) || st.MeanBatch != 3.5 {
+		t.Errorf("mean_batch = %v, serve_batch_size sum %v / count %d (found %v)", st.MeanBatch, b.Sum, b.Count, ok)
 	}
-	if h.Sum < 9.9 || h.Sum > 10.1 {
-		t.Errorf("latency histogram sum = %v ms, want ~10", h.Sum)
+	h, ok := reg.ReadHistogram("serve_request_latency_ms", "model", mm.model)
+	if !ok || h.Count != st.Completed || h.Sum < 9.9 || h.Sum > 10.1 {
+		t.Errorf("latency histogram count %d sum %v ms (found %v), want %d and ~10", h.Count, h.Sum, ok, st.Completed)
+	}
+}
+
+// TestMetricsShareSeriesByModel: the registry is get-or-create, so two
+// Metrics for one model name count into the same series and /statz
+// reports the same totals through either.
+func TestMetricsShareSeriesByModel(t *testing.T) {
+	a := freshMetrics(t)
+	b := NewMetrics(a.model)
+	a.Complete(time.Millisecond)
+	b.Complete(time.Millisecond)
+	b.Reject()
+	a.Batch(1)
+	b.Batch(3)
+	sa, sb := a.Snapshot(), b.Snapshot()
+	if sa.Completed != 2 || sa.Rejected != 1 || sa.Batches != 2 || sa.MeanBatch != 2 {
+		t.Errorf("first Metrics: %+v", sa)
+	}
+	if sb.Completed != sa.Completed || sb.Rejected != sa.Rejected || sb.Batches != sa.Batches || sb.MeanBatch != sa.MeanBatch {
+		t.Errorf("second Metrics %+v differs from first %+v", sb, sa)
 	}
 }

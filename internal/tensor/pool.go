@@ -327,11 +327,6 @@ func (p *workerPool) shares(nblk int) int {
 	return min(p.workers, nblk)
 }
 
-// runFn is run for a plain closure body without image alignment.
-func (p *workerPool) runFn(n, chunk int, fn func(lo, hi int)) {
-	p.run(n, chunk, 1, funcRunner(fn))
-}
-
 var (
 	defaultPool     *workerPool
 	defaultPoolOnce sync.Once

@@ -477,3 +477,8 @@ func TestWarmWindowStopsPolling(t *testing.T) {
 	job()
 	stopped(before)
 }
+
+// runFn is run for a plain closure body without image alignment.
+func (p *workerPool) runFn(n, chunk int, fn func(lo, hi int)) {
+	p.run(n, chunk, 1, funcRunner(fn))
+}

@@ -140,11 +140,6 @@ func (t *Tensor) At(idx ...int) float32 {
 	return t.Data[t.offset(idx)]
 }
 
-// set writes the element at a multi-index.
-func (t *Tensor) set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index %v has wrong arity for shape %v", idx, t.Shape))

@@ -685,3 +685,8 @@ func TestAddIntoMatchesLoop(t *testing.T) {
 		}
 	}
 }
+
+// set writes the element at a multi-index.
+func (t *Tensor) set(v float32, idx ...int) {
+	t.Data[t.offset(idx)] = v
+}

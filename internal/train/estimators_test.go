@@ -1,8 +1,10 @@
 package train
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -191,4 +193,15 @@ func TestCompareLegsEstimators(t *testing.T) {
 	if r.Improve != r.Ours.FinalTop1()-r.STE.FinalTop1() {
 		t.Error("Improve inconsistent with aliases")
 	}
+}
+
+// readRunMeta loads the run-metadata sidecar of a checkpoint path.
+func readRunMeta(ckptPath string) (RunMeta, error) {
+	var meta RunMeta
+	blob, err := os.ReadFile(MetaPath(ckptPath))
+	if err != nil {
+		return meta, err
+	}
+	err = json.Unmarshal(blob, &meta)
+	return meta, err
 }

@@ -120,8 +120,8 @@ func (o CompareOptions) config(base Config, name string) Config {
 }
 
 // SmallScale sits between TinyScale and ReducedScale: the scale the
-// repository's recorded EXPERIMENTS.md sweeps use on a single CPU
-// (roughly two minutes per Table II row).
+// repository's recorded EXPERIMENTS.md sweeps use (~14–16 s per vgg19
+// Table II row on a 2-core host, ROADMAP finding 1).
 var SmallScale = Scale{HW: 12, Width: 0.15, Train: 480, Test: 160, Epochs: 8, BatchSize: 24, LR0: 5e-3}
 
 // ScaleByName maps the cmd-line scale names to configurations.

@@ -1,17 +1,14 @@
 package train
 
-import (
-	"encoding/json"
-	"os"
-)
+import "encoding/json"
 
 // RunMeta is the TRCKPv1-adjacent run-metadata sidecar: a small JSON
 // document written next to every checkpoint (at "<CkptPath>.meta.json")
 // that records what the run trained — most importantly the gradient
 // estimator, which the binary TRCKPv1 blob deliberately does not encode
 // (the estimator is baked into the model's gradient tables, not into
-// the parameters). Sweeps and EXPERIMENTS provenance read it back with
-// readRunMeta; the checkpoint format itself is untouched.
+// the parameters). It is JSON for people and scripts to read; the
+// checkpoint format itself is untouched.
 type RunMeta struct {
 	// Format names the checkpoint format the sidecar accompanies.
 	Format string `json:"format"`
@@ -48,15 +45,4 @@ func writeRunMeta(cfg Config) error {
 		return err
 	}
 	return writeFileAtomic(MetaPath(cfg.CkptPath), append(blob, '\n'))
-}
-
-// readRunMeta loads the run-metadata sidecar of a checkpoint path.
-func readRunMeta(ckptPath string) (RunMeta, error) {
-	var meta RunMeta
-	blob, err := os.ReadFile(MetaPath(ckptPath))
-	if err != nil {
-		return meta, err
-	}
-	err = json.Unmarshal(blob, &meta)
-	return meta, err
 }

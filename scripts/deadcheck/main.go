@@ -1,9 +1,10 @@
-// Command deadcheck fails on exported code that no program reaches: an
-// exported package-level identifier or method, declared in a non-test
-// file of a non-main package, with no reference from a non-test file
-// anywhere and none from another package's tests. A package's own
-// tests do not keep its exports alive — a helper only they call is
-// unexported or deleted.
+// Command deadcheck fails on code that no program reaches: an exported
+// package-level identifier or method, or an unexported package-level
+// func or method, declared in a non-test file of a non-main package,
+// with no reference from a non-test file anywhere and none from another
+// package's tests. A package's own tests do not keep its code alive — a
+// helper only they call moves into their _test.go file or is deleted,
+// and an export only they call is unexported or deleted.
 //
 //	go run ./scripts/deadcheck
 //
@@ -47,9 +48,26 @@ type checker struct {
 }
 
 func main() {
+	dead, err := find()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deadcheck:", err)
+		os.Exit(2)
+	}
+	for _, d := range dead {
+		fmt.Println(d)
+	}
+	if len(dead) > 0 {
+		fmt.Fprintf(os.Stderr, "deadcheck: %d identifier(s) reached only by their own package's tests or not at all\n", len(dead))
+		os.Exit(1)
+	}
+}
+
+// find checks the module in the current directory and returns its dead
+// candidates as sorted "file:line: pkg.Name" lines.
+func find() ([]string, error) {
 	gomod, err := os.ReadFile("go.mod")
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	c := &checker{fset: token.NewFileSet(), parsed: map[string]*ast.File{},
 		decls: map[token.Pos]string{}, used: map[token.Pos]bool{}}
@@ -59,7 +77,7 @@ func main() {
 		}
 	}
 	if c.mod == "" {
-		fail(fmt.Errorf("go.mod: no module line"))
+		return nil, fmt.Errorf("go.mod: no module line")
 	}
 	build.Default.CgoEnabled = false // the pure-Go std files declare the same API
 	c.std = importer.ForCompiler(c.fset, "source", nil)
@@ -67,7 +85,7 @@ func main() {
 		ctxt := build.Default
 		ctxt.BuildTags = tags
 		if err := c.pass(&ctxt); err != nil {
-			fail(err)
+			return nil, err
 		}
 	}
 	var dead []string
@@ -78,18 +96,7 @@ func main() {
 		}
 	}
 	sort.Strings(dead)
-	for _, d := range dead {
-		fmt.Println(d)
-	}
-	if len(dead) > 0 {
-		fmt.Fprintf(os.Stderr, "deadcheck: %d exported identifier(s) reached only by their own package's tests or not at all\n", len(dead))
-		os.Exit(1)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "deadcheck:", err)
-	os.Exit(2)
+	return dead, nil
 }
 
 func (c *checker) inModule(path string) bool {
@@ -222,12 +229,16 @@ func (c *checker) check(path string, files []*ast.File) (*types.Package, error) 
 	return p, nil
 }
 
-// declare records the exported package-level identifiers and concrete
-// methods that p declares in non-test files as candidates; a main
-// package declares none.
+// declare records as candidates the exported package-level
+// identifiers, the unexported package-level funcs, and the concrete
+// methods that p declares in non-test files; a main package declares
+// none.
 func (c *checker) declare(p *types.Package, info *types.Info) {
 	for id, obj := range info.Defs {
-		if obj == nil || !id.IsExported() || p.Name() == "main" || c.inTest(id.Pos()) {
+		if obj == nil || p.Name() == "main" || c.inTest(id.Pos()) {
+			continue
+		}
+		if _, isFunc := obj.(*types.Func); !id.IsExported() && (!isFunc || id.Name == "init" || id.Name == "_") {
 			continue
 		}
 		name := p.Name() + "."
