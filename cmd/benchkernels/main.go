@@ -30,8 +30,8 @@
 //   - the backward small-vs-fused pairs at the narrow, row-heavy shapes
 //     of the training workloads, over dense and sparse upstream gradients
 //     (the rows behind BackwardGEMM's sparse-gradient gate);
-//   - the training step: the legacy single-replica step and the sharded
-//     step (train.ShardedStep) at 1, 2 and 4 shards on a BN-free model,
+//   - the training step: train.Run's step (train.ShardedStep) at 1, 2
+//     and 4 shards on a BN-free model,
 //     the solo step of reduced vgg11 under smoothdiff (the
 //     retrain_vgg11_smoothdiff workload's step; its speed on two CPUs over
 //     one is the worker pool's scaling) and the Adam step after it;
@@ -235,16 +235,6 @@ func convFwd(op *nn.Op, inC, outC, k, n, hw int, touch bool, rng *rand.Rand) fun
 		}
 		layer.Forward(x, true)
 	})
-}
-
-// trainStep is one replica's training step on model: zero the
-// gradients, forward, loss, backward.
-func trainStep(model *nn.Sequential, x *tensor.Tensor, y []int) func() {
-	return func() {
-		nn.ZeroGrads(model)
-		_, grad := nn.SoftmaxCrossEntropy(model.Forward(x, true), y)
-		model.Backward(grad)
-	}
 }
 
 // stepModel is the sharded-step rows' BatchNorm-free approximate model,
@@ -579,9 +569,9 @@ func main() {
 		benches = append(benches, bwd(small, smallOp, o), bwd(fused, fusedOp, o))
 	}
 	// The training step, on a batch of 32 images of 3x16x16 (its own
-	// source, seed 7), 10 classes: one replica's step on the BN-free
-	// stepModel, the sharded step (then its Broadcast) on a fresh one per
-	// shard count, the solo step of reduced vgg11 under smoothdiff, and
+	// source, seed 7), 10 classes: the sharded step (then its Broadcast)
+	// on a fresh BN-free stepModel per shard count, the solo step of
+	// reduced vgg11 under smoothdiff, and
 	// Adam over that vgg11's parameters. The first layer computes no input
 	// gradient.
 	tx := tensor.New(32, 3, 16, 16)
@@ -590,7 +580,6 @@ func main() {
 	for i := range ty {
 		ty[i] = i % 10
 	}
-	benches = append(benches, bench{name: "Train_ApproxStepLegacy", fn: loop(trainStep(stepModel(op), tx, ty))})
 	for _, p := range []int{1, 2, 4} {
 		st := train.NewShardedStep(stepModel(op), train.ShardedConfig{Shards: p})
 		benches = append(benches, bench{name: fmt.Sprintf("Train_ApproxStepSharded_P%d", p), fn: loop(func() {
@@ -606,7 +595,11 @@ func main() {
 		numel += p.Value.Numel()
 	}
 	benches = append(benches,
-		bench{name: "Train_SoloStep_VGG11", fn: loop(trainStep(vgg, tx, ty))},
+		bench{name: "Train_SoloStep_VGG11", fn: loop(func() {
+			nn.ZeroGrads(vgg)
+			_, grad := nn.SoftmaxCrossEntropy(vgg.Forward(tx, true), ty)
+			vgg.Backward(grad)
+		})},
 		bench{name: "Optim_AdamStep_VGG11", fn: loop(func() { adam.Step(vggParams, 1e-3) })})
 	// The forward simulation styles on one layer, its own source (seed 1):
 	// 2 images of 8x12x12 into 16 channels, 3x3/pad 1 (rows=288 outC=16
@@ -649,7 +642,6 @@ func main() {
 		speedup{key: "grad_lut_vs_recompute", num: "Kernel_GradRecompute_mul7u_rm6", den: "Kernel_GradLUTGather_mul7u_rm6"},
 		speedup{key: "sharded_p2_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P2"},
 		speedup{key: "sharded_p4_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P4"},
-		speedup{key: "sharded_p1_vs_legacy", num: "Train_ApproxStepLegacy", den: "Train_ApproxStepSharded_P1"},
 		speedup{key: "forward_lut_vs_behavioral", num: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", den: "Layer_ApproxConvFwd_LUT_mul8u_2NDH"})
 
 	rec := record{

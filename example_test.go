@@ -57,6 +57,6 @@ func Example_quickstart() {
 	//   example: 10 x 100 = 960 (accurate: 1000)
 	//   errors:  ER=93.8% NMED=0.49% MaxED=321
 	//   cost:    11.7 um^2, 348.6 ps, 9.28 uW (netlist)
-	// mul7u_rm6+mul7u/ste              final top-1 35.83%
-	// mul7u_rm6+mul7u_rm6/diff(hws=2)  final top-1 38.33%
+	// mul7u_rm6+mul7u/ste              final top-1 35.00%
+	// mul7u_rm6+mul7u_rm6/diff(hws=2)  final top-1 37.50%
 }

@@ -147,7 +147,7 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 	c := &Coordinator{
 		cfg:     cfg,
 		model:   model,
-		rep:     train.NewReplica(model, true),
+		rep:     train.NewReplica(model),
 		srv:     srv,
 		joinCh:  make(chan *remote, 64),
 		events:  make(chan event, 4096),

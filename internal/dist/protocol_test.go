@@ -175,7 +175,7 @@ func TestApplyParamsLeavesNoStaleWeights(t *testing.T) {
 	}
 	var e wire.Enc
 	e.U64(1) // step
-	e.F32s(train.NewReplica(primary, false).PackValues(nil))
+	e.F32s(train.NewReplica(primary).PackValues(nil))
 	if err := s.applyParams(e.B); err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func (s *workerSession) buildModel(spec Spec) error {
 		return err
 	}
 	s.model, s.hw = m, sc.HW
-	s.rep = train.NewReplica(m, true)
+	s.rep = train.NewReplica(m)
 	s.set.Plan(s.rep, 1, 1) // one slot: a worker computes one slice at a time
 	for i, bn := range s.rep.BatchNorms() {
 		s.proxies = append(s.proxies, &bnProxy{s: s, group: i, c: bn.C})
@@ -333,10 +333,10 @@ func (s *workerSession) handleSlice(p []byte) error {
 	return s.fc.Send(frameSliceResult, e.B)
 }
 
-// computeSlice runs the engine's slice body over the staged input into
-// slot 0. Panics are contained here: ErrSyncAborted is the cooperative
-// unwind of an aborted sync-BN attempt; anything else is a genuine
-// model failure.
+// computeSlice runs the staged input as a run of one slice
+// (Replica.RunSlices) into slot 0. Panics are contained here:
+// ErrSyncAborted is the cooperative unwind of an aborted sync-BN
+// attempt; anything else is a genuine model failure.
 func (s *workerSession) computeSlice(batchN int) (abortReason string, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -349,7 +349,8 @@ func (s *workerSession) computeSlice(batchN int) (abortReason string, fatal bool
 			}
 		}
 	}()
-	s.rep.RunSlice(&s.set, 0, s.x, s.labels, batchN)
+	s.set.Plan(s.rep, s.x.Shape[0], 1)
+	s.rep.RunSlices(&s.set, 0, 1, s.x, s.labels, batchN)
 	return "", false
 }
 

@@ -167,10 +167,10 @@ func (c *ApproxConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.bac
 // gradient.
 func (c *ApproxConv2D) backwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
 
-// backward adds the parameter gradients into Weight.Grad and Bias.Grad
-// — the kernels write them there: dW in the sweep's epilogue, the bias
-// gradient (the per-channel column sums of dy) in its scan of dy — and,
-// withDX, returns the input gradient.
+// backward adds the parameter gradients per slice (gradCuts.to) — the
+// kernels write them: dW in the sweep's epilogue, the bias gradient (the
+// per-channel column sums of dy) in its scan of dy — and, withDX,
+// returns the input gradient.
 func (c *ApproxConv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 	if !c.trained {
 		panic(fmt.Sprintf("nn: %s: Backward must follow Forward; Infer records no clip flags", c.name))
@@ -184,8 +184,8 @@ func (c *ApproxConv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 	}
 	// dxT comes back unmasked: the mask is applied below, once per input
 	// element.
-	c.op.backwardT(&c.ks, c.Weight.Grad.Data, dxT, c.Bias.Grad.Data, dy.Data, g.OutH*g.OutW,
-		c.xT, &c.w, rows, c.px)
+	c.ks.grads.to(c.Weight, c.Bias, c.batch, g.OutH*g.OutW)
+	c.op.backwardT(&c.ks, dxT, dy.Data, g.OutH*g.OutW, c.xT, &c.w, rows, c.px)
 	if !withDX {
 		return nil
 	}

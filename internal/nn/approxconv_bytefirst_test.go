@@ -53,6 +53,53 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 	return y, dx, dw, db
 }
 
+// requireSlicedBackward runs l's backward over the training batch
+// (x, dy) once with slice boundaries (BackwardSlices; slices of
+// min(8, n/2) images, the last one short where n demands) and then
+// once per slice alone, each from zeroed gradients, and requires the
+// two to agree bit for bit on every slice's parameter gradients and on
+// the input gradient. An observed layer's observer is deferred meanwhile,
+// so every forward quantizes alike, and the gradients are restored.
+func requireSlicedBackward(t *testing.T, l Layer, x, dy *tensor.Tensor) {
+	t.Helper()
+	if ol, ok := l.(ObservedLayer); ok {
+		ol.SetDeferObserve(true)
+		defer ol.SetDeferObserve(false)
+	}
+	for _, p := range l.Params() {
+		defer copy(p.Grad.Data, p.Grad.Clone().Data)
+	}
+	n, step := x.Shape[0], max(1, min(8, x.Shape[0]/2))
+	bounds := []int{0}
+	for lo := step; lo < n; lo += step {
+		bounds = append(bounds, lo)
+	}
+	bounds = append(bounds, n)
+	params, numel := l.Params(), 0
+	for _, p := range params {
+		numel += p.Value.Numel()
+	}
+	grads := make([][]float32, len(bounds)-1)
+	for s := range grads {
+		grads[s] = make([]float32, numel)
+	}
+	l.Forward(x, true)
+	dx := BackwardSlices(l, params, dy, bounds, grads).Clone()
+	for s := range grads {
+		lo, hi := bounds[s], bounds[s+1]
+		what := fmt.Sprintf("slice %d of %v", s, bounds)
+		l.Forward(tensor.ViewRows(x, lo, hi), true)
+		ZeroGrads(l)
+		gotDX := l.Backward(tensor.ViewRows(dy, lo, hi))
+		requireSameBits(t, what+" dx", tensor.ViewRows(dx, lo, hi).Data, gotDX.Data)
+		off := 0
+		for _, p := range params {
+			requireSameBits(t, what+" "+p.Name, grads[s][off:off+p.Value.Numel()], p.Grad.Data)
+			off += p.Value.Numel()
+		}
+	}
+}
+
 func requireSameBits(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -82,7 +129,9 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // the NCHW epilogue crosses an image boundary mid-tile; and geometries
 // with dead taps — kernel taps that see only padding, whose columns the
 // GEMMs leave out (weightSide.cut) — down to one where every tap is
-// dead. The same table checks Infer against Forward(x, false).
+// dead. The same table checks Infer against Forward(x, false), and one
+// backward with slice boundaries against the per-slice backwards
+// (requireSlicedBackward), down to a short last slice.
 func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 	e, ok := appmult.Lookup("mul7u_rm6")
 	if !ok {
@@ -123,6 +172,7 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 		{4, 3, 1, 1, 8, 3, 2, 1},  // stride 2 on 1x1: the centre tap alone is live
 		{1, 4, 1, 1, 40, 3, 1, 1}, // batch 1: one row, the skinny row in Forward and Infer
 		{2, 2, 1, 1, 4, 1, 2, 1},  // 1x1 kernel, stride 2, pad 1 on 1x1: every tap is dead
+		{20, 3, 1, 1, 8, 3, 1, 1}, // batch 20: sliced backward over 8/8/4 images
 	}
 	reached := map[string]bool{}
 	for _, o := range ops {
@@ -183,6 +233,7 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 						requireSameBits(t, "dx", gotDX.Data, wantDX.Data)
 						requireSameBits(t, "dW", c.Weight.Grad.Data, wantDW)
 						requireSameBits(t, "db", c.Bias.Grad.Data, wantDB)
+						requireSlicedBackward(t, c, x, dy)
 					}
 
 					want := c.Forward(x, false).Clone()

@@ -291,6 +291,8 @@ type bnRun struct {
 	cnt       float64
 	sq        []float64 // the squared deviations normalization divides by cnt
 	gdy, gdyx []float64 // the folded gradient sums of bnInputGrad
+	dBeta     []float32 // where the backward adds Beta's gradient, and Gamma's
+	dGamma    []float32
 }
 
 func (t *bnRun) RunRange(lo, hi int) {
@@ -318,16 +320,16 @@ func (t *bnRun) group(lo, hi int) {
 		gradSumsChannels(dy[:hi-lo], dyx[:hi-lo], x, b.xhat.Data, n, c, hw, lo)
 		for ch := lo; ch < hi; ch++ {
 			sumDy, sumDyXhat := dy[ch-lo], dyx[ch-lo]
-			b.Beta.Grad.Data[ch] += float32(sumDy)
-			b.Gamma.Grad.Data[ch] += float32(sumDyXhat)
+			t.dBeta[ch] += float32(sumDy)
+			t.dGamma[ch] += float32(sumDyXhat)
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, sumDy, sumDyXhat)
 		}
 	case bnGradSums:
 		gradSumsChannels(b.gradBuf[lo:hi], b.gradBuf[c+lo:c+hi], x, b.xhat.Data, n, c, hw, lo)
 	case bnInputGrad:
 		for ch := lo; ch < hi; ch++ {
-			b.Beta.Grad.Data[ch] += float32(b.gradBuf[ch])
-			b.Gamma.Grad.Data[ch] += float32(b.gradBuf[c+ch])
+			t.dBeta[ch] += float32(b.gradBuf[ch])
+			t.dGamma[ch] += float32(b.gradBuf[c+ch])
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, t.gdy[ch], t.gdyx[ch])
 		}
 	}
@@ -399,7 +401,8 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c := b.inShape[0], b.inShape[1]
 	hw := b.inShape[2] * b.inShape[3]
 	b.dx = tensor.Ensure4(b.dx, n, c, b.inShape[2], b.inShape[3])
-	b.run = bnRun{b: b, x: dy.Data, n: n, c: c, hw: hw, cnt: float64(n * hw)}
+	b.run = bnRun{b: b, x: dy.Data, n: n, c: c, hw: hw, cnt: float64(n * hw),
+		dBeta: b.Beta.oneGrad(), dGamma: b.Gamma.oneGrad()}
 	if !b.syncActive {
 		b.runChannels(bnBackward)
 		return b.dx

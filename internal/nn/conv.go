@@ -40,6 +40,7 @@ type Conv2D struct {
 	sparse       bool
 	withDX       bool
 	nz           nonzeros
+	grads        gradCuts
 }
 
 // NewConv2D constructs a convolution with Kaiming-initialized weights.
@@ -84,28 +85,33 @@ func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor { return c.backward(
 // gradient.
 func (c *Conv2D) backwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
 
-// backward accumulates the weight and bias gradients and, withDX,
-// returns the input gradient.
+// backward accumulates the weight and bias gradients, per slice of the
+// batch (gradCuts.to), and, withDX, returns the input gradient.
 func (c *Conv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 	g := c.geom
 	hw := g.OutH * g.OutW
 	rows := c.batch * hw
+	c.grads.to(c.Weight, c.Bias, c.batch, hw)
+	cuts := c.grads.cuts
 	// dy channel-major (outC x rows), so the GEMM loops run over all
 	// images at once; the same scan accumulates the bias gradient.
 	c.dyT = grow(c.dyT, len(dy.Data))
-	for oc, bg := range c.Bias.Grad.Data {
-		for img := 0; img < c.batch; img++ {
-			plane := dy.Data[(img*c.OutC+oc)*hw:][:hw]
-			copy(c.dyT[oc*rows+img*hw:], plane)
-			for _, v := range plane {
-				bg += v
+	for oc := 0; oc < c.OutC; oc++ {
+		for s, db := range c.grads.db {
+			bg := db[oc]
+			for img := cuts[s] / hw; img < cuts[s+1]/hw; img++ {
+				plane := dy.Data[(img*c.OutC+oc)*hw:][:hw]
+				copy(c.dyT[oc*rows+img*hw:], plane)
+				for _, v := range plane {
+					bg += v
+				}
 			}
+			db[oc] = bg
 		}
-		c.Bias.Grad.Data[oc] = bg
 	}
 	nnz, sparse := sparseGrad(dy.Data)
 	if c.sparse = sparse; sparse {
-		c.nz.build(nil, c.dyT, rows, c.OutC, rows, nnz)
+		c.nz.build(nil, c.dyT, cuts, c.OutC, rows, nnz)
 	}
 	if c.withDX = withDX; withDX {
 		c.dxT = grow(c.dxT, g.K()*rows)
@@ -179,12 +185,13 @@ func (f *convForward) RunRange(lo, hi int) {
 
 // RunRange computes the weight gradients of taps [lo, hi) and, withDX,
 // their rows of dxT in one walk of dy per (tap, channel): dW[oc][i] sums
-// over r ascending from +0 and is added into the gradient, dxT[i][r]
-// sums over oc ascending from +0.
+// over each slice's r ascending from +0 and is added into that slice's
+// gradient, dxT[i][r] sums over oc ascending from +0.
 func (b *convBackward) RunRange(lo, hi int) {
 	c := (*Conv2D)(b)
 	k := c.geom.K()
 	rows := c.batch * c.geom.OutH * c.geom.OutW
+	cuts := c.grads.cuts
 	for i := lo; i < hi; i++ {
 		x := c.xT[i*rows:][:rows]
 		var d []float32
@@ -194,32 +201,33 @@ func (b *convBackward) RunRange(lo, hi int) {
 		}
 		for oc := 0; oc < c.OutC; oc++ {
 			w := c.Weight.Value.Data[oc*k+i]
-			var acc float32
-			if c.sparse {
-				nzR := c.nz.r[c.nz.off[oc]:c.nz.off[oc+1]]
-				nzG := c.nz.g[c.nz.off[oc]:c.nz.off[oc+1]][:len(nzR)]
-				if d == nil {
-					for j, r := range nzR {
-						acc += float32(nzG[j] * x[r])
+			for s, dw := range c.grads.dw {
+				var acc float32
+				if c.sparse {
+					nzR, nzG := c.nz.list(oc, s)
+					if d == nil {
+						for j, r := range nzR {
+							acc += float32(nzG[j] * x[r])
+						}
+					} else {
+						for j, r := range nzR {
+							g := nzG[j]
+							acc += float32(g * x[r])
+							d[r] += float32(g * w)
+						}
+					}
+				} else if r0, r1 := cuts[s], cuts[s+1]; d == nil {
+					for r, g := range c.dyT[oc*rows+r0 : oc*rows+r1] {
+						acc += float32(g * x[r0+r])
 					}
 				} else {
-					for j, r := range nzR {
-						g := nzG[j]
-						acc += float32(g * x[r])
-						d[r] += float32(g * w)
+					for r, g := range c.dyT[oc*rows+r0 : oc*rows+r1] {
+						acc += float32(g * x[r0+r])
+						d[r0+r] += float32(g * w)
 					}
 				}
-			} else if dyr := c.dyT[oc*rows:][:rows]; d == nil {
-				for r, g := range dyr {
-					acc += float32(g * x[r])
-				}
-			} else {
-				for r, g := range dyr {
-					acc += float32(g * x[r])
-					d[r] += float32(g * w)
-				}
+				dw[oc*k+i] += acc
 			}
-			c.Weight.Grad.Data[oc*k+i] += acc
 		}
 	}
 }

@@ -345,6 +345,8 @@ func col2imRowsInto(dst, cols *tensor.Tensor, n int, g tensor.ConvGeom) {
 // two accumulating steps (the gradients start nonzero) per upstream
 // gradient: dense, dense with ±0 entries, and exactly a quarter nonzero
 // among ±0 — both sides of sparseGrad. The inputs hold -0 entries too.
+// Each step also holds one backward with slice boundaries to the
+// per-slice backwards (requireSlicedBackward).
 func TestConv2DMatchesRowMajor(t *testing.T) {
 	geoms := []struct{ n, inC, h, w, outC, k, stride, pad int }{
 		{3, 3, 8, 8, 4, 3, 1, 1},
@@ -414,6 +416,7 @@ func TestConv2DMatchesRowMajor(t *testing.T) {
 					requireSameBits(t, "dx", c.Backward(dy).Data, o.Backward(dy).Data)
 					requireSameBits(t, "dW", c.Weight.Grad.Data, o.Weight.Grad.Data)
 					requireSameBits(t, "db", c.Bias.Grad.Data, o.Bias.Grad.Data)
+					requireSlicedBackward(t, c, x, dy)
 				}
 			})
 		}

@@ -93,8 +93,8 @@ func TestDWLaneKernelsMatchGoTwins(t *testing.T) {
 		cut := (k - 1) / 2
 		sweep := func(tier *bwdSweep, op *Op) []float32 {
 			tier.dwPrep(op, s, k*ld, zx)
-			tier.dw(op, s, xT, wq, 0, cut, rows, outC, ld, k, zx)
-			tier.dw(op, s, xT, wq, cut, k, rows, outC, ld, k, zx)
+			tier.dw(op, s, xT, wq, 0, cut, rows, []int{0, rows}, outC, ld, k, zx)
+			tier.dw(op, s, xT, wq, cut, k, rows, []int{0, rows}, outC, ld, k, zx)
 			return append([]float32(nil), s.dwT...)
 		}
 		affine, fused := &bwdSweeps[0], &bwdSweeps[1]
@@ -150,10 +150,10 @@ func TestDWTablesOutOfRangeLevels(t *testing.T) {
 		}
 	}
 	for _, zx := range []float32{0, 3, 64.5} {
-		op.bwdDWGather(s, xT, wq, 0, k, rows, outC, ld, k, zx) // fills woff (and runs the tables)
+		op.bwdDWGather(s, xT, wq, 0, k, rows, []int{0, rows}, outC, ld, k, zx) // fills woff (and runs the tables)
 		tables := append([]float32(nil), s.dwT...)
 		clear(s.dwT)
-		op.bwdDWGathers(s, xT, 0, k, rows, ld, zx)
+		op.bwdDWGathers(s, xT, 0, k, rows, []int{0, rows}, ld, k, zx)
 		want := make([]float32, ld)
 		for i := 0; i < k; i++ {
 			what := fmt.Sprintf("zx=%v dwT[%d]", zx, i)

@@ -625,7 +625,7 @@ func TestSparseGradCountsTheLists(t *testing.T) {
 			t.Fatalf("%d of %d nonzero: gate counted %d", nz, len(dy), n)
 		}
 		var l nonzeros
-		l.build(nil, dy, rows, outC, hw, n)
+		l.build(nil, dy, []int{0, rows}, outC, hw, n)
 		if l.off[outC] != nz || len(l.r) != nz || len(l.g) != nz {
 			t.Fatalf("%d nonzero: lists hold %d (r %d, g %d)", nz, l.off[outC], len(l.r), len(l.g))
 		}

@@ -90,6 +90,8 @@ type KernelScratch struct {
 	woff  []int32
 	// Backward small tier: per-channel lists of the nonzero gradients.
 	nz nonzeros
+	// Backward: where the parameter gradients go, per slice of the rows.
+	grads gradCuts
 	// Row-major adapters only: the operand transpose, the k-major input
 	// gradient (a layer owns both matrices itself) and the weight-side
 	// state ForwardGEMM derives, on every call, from the levels it is
@@ -459,7 +461,8 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 		gsum[i] = negZero
 	}
 	s.w.adopt(wq, wClip, pw, outC, k)
-	op.backwardT(s, dw, s.dxT, gsum, dy, 1, s.xT, &s.w, rows, px)
+	s.grads.whole(rows, dw, gsum)
+	op.backwardT(s, s.dxT, dy, 1, s.xT, &s.w, rows, px)
 	// Transpose back to row-major and, unless the caller masks (nil
 	// xClip), apply the straight-through clip mask (zero gradient for
 	// operands clamped during quantization).

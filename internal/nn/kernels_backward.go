@@ -54,16 +54,16 @@ import (
 
 // backwardT is the backward GEMM on the k-major operand matrix xT
 // (kl x rows) and w's view of the weights (outC x kl levels, see
-// weightSide.cut): it adds the weight gradient into dw (outC x k, every
-// weight column) and the column sums of dy into gsum — a layer's
-// Weight.Grad and Bias.Grad — and writes the unmasked k-major input
-// gradient of the view's columns into dxT (kl x rows) unless dxT is nil,
-// which skips the dX sweep (a model's first layer, whose input is data).
-// Like forwardT's y, dy is NCHW planes of hw positions:
-// dy[(r/hw*outC+oc)*hw + r%hw] is the gradient of row r, channel oc.
-// The weight columns the view leaves out get their gradient from one
-// pass of their own (bwdDeadRun), whichever row ran the rest.
-func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT []uint8, w *weightSide,
+// weightSide.cut): per slice of the rows (s.grads) it adds the weight
+// gradient into dw (outC x k, every weight column) and the column sums
+// of dy into db, and writes the unmasked k-major input gradient of the
+// view's columns into dxT (kl x rows) unless dxT is nil, which skips the
+// dX sweep (a model's first layer, whose input is data). Like forwardT's
+// y, dy is NCHW planes of hw positions: dy[(r/hw*outC+oc)*hw + r%hw] is
+// the gradient of row r, channel oc. The weight columns the view leaves
+// out get their gradient from one pass of their own (bwdDeadRun),
+// whichever row ran the rest.
+func (op *Op) backwardT(s *KernelScratch, dxT, dy []float32, hw int, xT []uint8, w *weightSide,
 	rows int, px quant.Params) {
 
 	op.ensurePadded()
@@ -73,30 +73,30 @@ func (op *Op) backwardT(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, x
 	dwTier, dxTier, nnz, _, count := op.backwardTiers(dy)
 	count.Inc()
 	if dwTier == nil {
-		bwdSmall.run(op, s, dw, dxT, gsum, dy, hw, xT, w, rows, nnz, zx, px.Scale)
+		bwdSmall.run(op, s, dxT, dy, hw, xT, w, rows, nnz, zx, px.Scale)
 	} else {
-		s.scanGrad(gsum, dy, hw, rows, w.outC)
-		op.sweepDW(s, dw, xT, w, rows, zx, px.Scale, dwTier)
+		s.scanGrad(dy, hw, rows, w.outC)
+		op.sweepDW(s, xT, w, rows, zx, px.Scale, dwTier)
 		if dxT != nil {
 			op.sweepDX(s, dxT, xT, w.lq, rows, w.outC, w.kl, dxTier)
 		}
 	}
 	if len(w.dead) > 0 {
 		d := &s.deadRun
-		d.op, d.w, d.dw, d.dy, d.rows, d.hw, d.scale = op, w, dw, dy, rows, hw, px.Scale
+		d.op, d.w, d.g, d.dy, d.hw, d.scale = op, w, &s.grads, dy, hw, px.Scale
 		d.setLanes(px.Zero)
 		tensor.ParallelRowsOn(w.outC, d)
 	}
 }
 
 // backwardSmall is the small row's kernel: one scan of dy, which holds
-// nnz nonzeros, into the per-channel nonzero lists, then both gradients
-// of every k column in one walk of them (bwdSmallRun).
-func (op *Op) backwardSmall(s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT []uint8, w *weightSide,
+// nnz nonzeros, into the per-channel nonzero lists of each slice, then
+// both gradients of every k column in one walk of them (bwdSmallRun).
+func (op *Op) backwardSmall(s *KernelScratch, dxT, dy []float32, hw int, xT []uint8, w *weightSide,
 	rows, nnz int, zx, scale float32) {
 
-	s.nz.build(gsum, dy, rows, w.outC, hw, nnz)
-	s.smallRun = bwdSmallRun{op: op, s: s, dw: dw, dxT: dxT, xT: xT, w: w, rows: rows, zx: zx, scale: scale}
+	s.nz.build(s.grads.db, dy, s.grads.cuts, w.outC, hw, nnz)
+	s.smallRun = bwdSmallRun{op: op, s: s, dxT: dxT, xT: xT, w: w, rows: rows, zx: zx, scale: scale}
 	tensor.ParallelRowsOn(w.kl, &s.smallRun)
 }
 
@@ -114,32 +114,33 @@ func (s *KernelScratch) weightParams(pw []quant.Params, outC int) {
 	}
 }
 
-// scanGrad is the sweep rows' two scans of dy: per channel for gsum and
-// gsT (bwdGradRun), per block of rows for dyR (bwdDyRRun), whose rows
-// the blocks then own whole. The dW side's matrices have a lane stride
-// of at least one vector: below eight channels the spare lanes carry
-// zero gradients (and zero coefficients), so the lane kernels serve
-// every width.
-func (s *KernelScratch) scanGrad(gsum, dy []float32, hw, rows, outC int) {
+// scanGrad is the sweep rows' two scans of dy: per channel for the
+// column sums and gsT (bwdGradRun), per block of rows for dyR
+// (bwdDyRRun), whose rows the blocks then own whole. The dW side's
+// matrices have a lane stride of at least one vector: below eight
+// channels the spare lanes carry zero gradients (and zero
+// coefficients), so the lane kernels serve every width.
+func (s *KernelScratch) scanGrad(dy []float32, hw, rows, outC int) {
 	ld := max(outC, dwLanes)
 	s.gsT = grow(s.gsT, outC*rows)
 	s.dyR = grow(s.dyR, rows*ld)
-	s.gradRun = bwdGradRun{s: s, gsum: gsum, dy: dy, rows: rows, outC: outC, hw: hw}
+	s.gradRun = bwdGradRun{s: s, dy: dy, rows: rows, outC: outC, hw: hw}
 	tensor.ParallelRowsOn(outC, &s.gradRun)
 	s.dyRRun = bwdDyRRun{dyR: s.dyR, dy: dy, outC: outC, ld: ld, hw: hw}
 	tensor.ParallelImagesOn(rows, hw, 0, &s.dyRRun)
 }
 
 // sweepDW is the weight-gradient sweep on tier's kernel over the kl
-// columns of w's view. Column i of dwT is touched by no other column, so
+// columns of w's view, each slice of the rows into its plane of dwT.
+// Column i of dwT is touched by no other column, so
 // column blocks parallelize freely; r stays ascending per destination.
 // The k-major tables are grown here (never inside the workers, which
 // share the arena) and filled by the worker that owns the block.
-func (op *Op) sweepDW(s *KernelScratch, dw []float32, xT []uint8, w *weightSide, rows int, zx, scale float32, tier *bwdSweep) {
+func (op *Op) sweepDW(s *KernelScratch, xT []uint8, w *weightSide, rows int, zx, scale float32, tier *bwdSweep) {
 	ld := max(w.outC, dwLanes)
-	s.dwT = grow(s.dwT, w.kl*ld)
+	s.dwT = grow(s.dwT, (len(s.grads.cuts)-1)*w.kl*ld)
 	tier.dwPrep(op, s, w.kl*ld, zx)
-	s.dwRun = bwdDWRun{op: op, s: s, dw: dw, xT: xT, w: w, rows: rows, ld: ld, zx: zx, scale: scale, tier: tier}
+	s.dwRun = bwdDWRun{op: op, s: s, xT: xT, w: w, rows: rows, ld: ld, zx: zx, scale: scale, tier: tier}
 	tensor.ParallelRowsOn(w.kl, &s.dwRun)
 }
 
@@ -171,56 +172,68 @@ func (op *Op) BackwardSweep(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, w
 
 	op.ensurePadded()
 	s.weightParams(pw, outC)
+	s.grads.whole(rows, dw, gsum)
 	if dy != nil {
-		s.scanGrad(gsum, dy, 1, rows, outC)
+		s.scanGrad(dy, 1, rows, outC)
 	}
 	if dw != nil {
 		s.w.adopt(wq, wClip, pw, outC, k)
-		op.sweepDW(s, dw, xT, &s.w, rows, float32(px.Zero), px.Scale, op.sweepTier(op.dwAff))
+		op.sweepDW(s, xT, &s.w, rows, float32(px.Zero), px.Scale, op.sweepTier(op.dwAff))
 	}
 	if dxT != nil {
 		op.sweepDX(s, dxT, xT, wq, rows, outC, k, op.sweepTier(op.dxAff))
 	}
 }
 
-// nonzeros holds, for every output channel, the (row, gradient) pairs
-// of its nonzero upstream gradients, rows ascending: channel oc owns
-// entries off[oc]..off[oc+1] of (r, g) — the operand of the small tier
-// and of the float Conv2D's sparse path.
+// nonzeros holds, for every output channel and slice of the rows, the
+// (row, gradient) pairs of its nonzero upstream gradients, rows
+// ascending: channel oc's slice s owns entries off[oc*S+s] to
+// off[oc*S+s+1] — the small tier's and float Conv2D's sparse operand.
 type nonzeros struct {
 	off []int
 	r   []int32
 	g   []float32
+	S   int
 }
 
-// build fills the lists and, unless gsum is nil, adds the per-channel
-// sums of dy into gsum, from one scan of dy (NCHW planes of hw
-// positions), whose nnz nonzeros the caller has counted (sparseGrad).
-func (l *nonzeros) build(gsum, dy []float32, rows, outC, hw, nnz int) {
-	l.off = grow(l.off, outC+1)
+// build fills the lists of the slices cut at cuts (see gradCuts) and,
+// unless gsum is nil, adds their per-channel sums of dy into gsum[s],
+// from one scan of dy (NCHW planes of hw positions), whose nnz nonzeros
+// the caller has counted (sparseGrad).
+func (l *nonzeros) build(gsum [][]float32, dy []float32, cuts []int, outC, hw, nnz int) {
+	l.S = len(cuts) - 1
+	l.off = grow(l.off, outC*l.S+1)
 	l.r = grow(l.r, nnz)
 	l.g = grow(l.g, nnz)
 	n := 0
 	for oc := 0; oc < outC; oc++ {
-		l.off[oc] = n
 		j, p := oc*hw, 0 // as in bwdGradRun
-		var sum float32
-		for r := 0; r < rows; r++ {
-			if g := dy[j]; g != 0 { // a zero adds nothing to gsum either
-				sum += g
-				l.r[n], l.g[n] = int32(r), g
-				n++
+		for s := 0; s < l.S; s++ {
+			l.off[oc*l.S+s] = n
+			var sum float32
+			for r, end := cuts[s], cuts[s+1]; r < end; r++ {
+				if g := dy[j]; g != 0 { // a zero adds nothing to gsum either
+					sum += g
+					l.r[n], l.g[n] = int32(r), g
+					n++
+				}
+				j++
+				if p++; p == hw {
+					j, p = j+(outC-1)*hw, 0
+				}
 			}
-			j++
-			if p++; p == hw {
-				j, p = j+(outC-1)*hw, 0
+			if gsum != nil {
+				gsum[s][oc] += sum
 			}
-		}
-		if gsum != nil {
-			gsum[oc] += sum
 		}
 	}
-	l.off[outC] = n
+	l.off[outC*l.S] = n
+}
+
+// list returns the rows and gradients of channel oc's slice s.
+func (l *nonzeros) list(oc, s int) ([]int32, []float32) {
+	a, b := l.off[oc*l.S+s], l.off[oc*l.S+s+1]
+	return l.r[a:b], l.g[a:b]
 }
 
 // backwardTransposeOut writes dxT (k x rows) back into row-major
@@ -263,17 +276,20 @@ func (op *Op) affineDWPrep(s *KernelScratch, n int, zx float32) {
 	}
 }
 
-// bwdDWAffine computes the weight gradients of k columns [lo, hi) into
-// dwT (k x ld) on the affine row: dwT[i][oc] accumulates dyR[r][oc] * T
-// over ascending r, T read from the call's level table (affineDWPrep) at
-// x = xT[i][r]. The asm kernel takes four columns and eight channels per
-// call, a short last group repeating its last column and a channel count
-// off the lane width its last eight channels (same values stored twice).
+// bwdDWAffine computes the weight gradients of k columns [lo, hi) on
+// the affine row into dwT (a k x ld plane per slice cut at cuts):
+// dwT[sl][i][oc] accumulates dyR[r][oc] * T over the slice's ascending
+// r, T read from the call's level table (affineDWPrep) at x = xT[i][r].
+// The asm kernel takes four columns and eight channels per call, a
+// short last group repeating its last column and a channel count off
+// the lane width its last eight channels (same values stored twice).
 // Without asm the Go twin takes whole columns.
-func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
+func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows int, cuts []int, outC, ld, k int, zx float32) {
 	if !hasGemmAsm || rows == 0 {
-		for i := lo; i < hi; i++ {
-			bwdUniformDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, s.dwLev)
+		for sl, r0 := range cuts[:len(cuts)-1] {
+			for i := lo; i < hi; i++ {
+				bwdUniformDWLanes(s.dwT[(sl*k+i)*ld:][:ld], xT[i*rows+r0:i*rows+cuts[sl+1]], s.dyR[r0*ld:], s.dwLev)
+			}
 		}
 		return
 	}
@@ -282,12 +298,14 @@ func (op *Op) bwdDWAffine(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, 
 	for i := lo; i < hi; i += dwTabCols {
 		for oc := 0; oc < ld; oc += dwLanes {
 			oc = min(oc, ld-dwLanes)
-			for j := range x {
-				c := min(i+j, hi-1)
-				x[j], out[j] = &xT[c*rows], &s.dwT[c*ld+oc]
+			for sl, r0 := range cuts[:len(cuts)-1] {
+				for j := range x {
+					c := min(i+j, hi-1)
+					x[j], out[j] = &xT[c*rows+r0], &s.dwT[(sl*k+c)*ld+oc]
+				}
+				bwdUniformDWAVX2(out[0], out[1], out[2], out[3], x[0], x[1], x[2], x[3], &s.dyR[r0*ld+oc],
+					&s.dwLev[0], int64(cuts[sl+1]-r0), int64(ld))
 			}
-			bwdUniformDWAVX2(out[0], out[1], out[2], out[3], x[0], x[1], x[2], x[3], &s.dyR[oc],
-				&s.dwLev[0], int64(rows), int64(ld))
 		}
 	}
 }
@@ -310,12 +328,12 @@ func bwdUniformDWLanes(out []float32, xcol []uint8, dyR, lev []float32) {
 
 // bwdDWGather is bwdDWAffine on the fused row: T is the table entry
 // gwPad[wq[oc][i]*padStride + x] less zx. From 2^B rows up the asm path
-// reads it from per-column level tables (bwdDWTables). Below, VGATHERDPS
-// fetches it (bwdDWGathers), because a table of 2^B levels costs about
-// what gathering 2^B rows does: on two vCPUs of a Xeon host, 7-bit
-// sweeps at oc64/k576 read the tables at 0.75x the gather's speed at 32
-// rows, 0.9x at 64, 1.1x at 96 and 1.3x at 128.
-func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32) {
+// reads it from per-column level tables (bwdDWTables), one build for
+// every slice. Below, VGATHERDPS fetches it (bwdDWGathers), because a
+// table of 2^B levels costs about what gathering 2^B rows does: on two
+// vCPUs of a Xeon host, 7-bit sweeps at oc64/k576 read the tables at
+// 0.75x the gather's speed at 32 rows, 0.9x at 64, 1.1x at 96 and 1.3x at 128.
+func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows int, cuts []int, outC, ld, k int, zx float32) {
 	goLanes := !hasGemmAsm || rows == 0
 	for i := lo; i < hi; i++ {
 		woff := s.woff[i*ld : (i+1)*ld]
@@ -323,30 +341,34 @@ func (op *Op) bwdDWGather(s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, 
 		for oc := 0; oc < outC; oc++ {
 			woff[oc] = int32(wq[oc*k+i]) * padStride
 		}
-		if goLanes {
-			bwdGatherDWLanes(s.dwT[i*ld:(i+1)*ld], xT[i*rows:(i+1)*rows], s.dyR, woff, op.gwPad, zx)
+		for sl := 0; goLanes && sl+1 < len(cuts); sl++ {
+			r0, r1 := cuts[sl], cuts[sl+1]
+			bwdGatherDWLanes(s.dwT[(sl*k+i)*ld:][:ld], xT[i*rows+r0:i*rows+r1], s.dyR[r0*ld:], woff, op.gwPad, zx)
 		}
 	}
 	switch {
 	case goLanes:
 	case rows >= 1<<op.Bits:
-		op.bwdDWTables(s, xT, lo, hi, rows, ld, zx)
+		op.bwdDWTables(s, xT, lo, hi, rows, cuts, ld, k, zx)
 	default:
-		op.bwdDWGathers(s, xT, lo, hi, rows, ld, zx)
+		op.bwdDWGathers(s, xT, lo, hi, rows, cuts, ld, k, zx)
 	}
 }
 
 // bwdDWGathers runs bwdGatherDWAVX2 over the k columns [lo, hi), two
-// columns and eight channels per call; the column offsets in s.woff are
-// filled.
-func (op *Op) bwdDWGathers(s *KernelScratch, xT []uint8, lo, hi, rows, ld int, zx float32) {
+// columns and eight channels per call and slice; the column offsets in
+// s.woff are filled.
+func (op *Op) bwdDWGathers(s *KernelScratch, xT []uint8, lo, hi, rows int, cuts []int, ld, k int, zx float32) {
 	for i := lo; i < hi; i += 2 {
 		i1 := min(i+1, hi-1)
 		for oc := 0; oc < ld; oc += dwLanes {
 			oc = min(oc, ld-dwLanes)
 			c0, c1 := i*ld+oc, i1*ld+oc
-			bwdGatherDWAVX2(&s.dwT[c0], &s.dwT[c1], &xT[i*rows], &xT[i1*rows], &s.dyR[oc],
-				&s.woff[c0], &s.woff[c1], &op.gwPad[0], zx, int64(rows), int64(ld))
+			for sl, r0 := range cuts[:len(cuts)-1] {
+				p := sl * k * ld
+				bwdGatherDWAVX2(&s.dwT[p+c0], &s.dwT[p+c1], &xT[i*rows+r0], &xT[i1*rows+r0], &s.dyR[r0*ld+oc],
+					&s.woff[c0], &s.woff[c1], &op.gwPad[0], zx, int64(cuts[sl+1]-r0), int64(ld))
+			}
 		}
 	}
 }
@@ -367,7 +389,7 @@ const (
 // fl(0 - zx), the padded rows' zero minus zx, so any uint8 level reads
 // what the gather would. Every entry is the same rounded subtract and
 // every term the same product, added in the same order: no bit differs.
-func (op *Op) bwdDWTables(s *KernelScratch, xT []uint8, lo, hi, rows, ld int, zx float32) {
+func (op *Op) bwdDWTables(s *KernelScratch, xT []uint8, lo, hi, rows int, cuts []int, ld, k int, zx float32) {
 	// The tables (32 KiB) live on the stack, as the kernels keep no
 	// pointer, and start on a cache line so that no row load straddles
 	// two: unaligned, the r512 sweep ran 1.2x slower. Only speed depends
@@ -396,10 +418,16 @@ func (op *Op) bwdDWTables(s *KernelScratch, xT []uint8, lo, hi, rows, ld int, zx
 				if c == i+j {
 					bwdDWTableAVX2(&tabs[j*dwTabLen], &s.woff[c*ld+oc], &op.gwPad[0], zx, int64(n))
 				}
-				x[j], t[j], out[j] = &xT[c*rows], &tabs[(c-i)*dwTabLen], &s.dwT[c*ld+oc]
+				t[j] = &tabs[(c-i)*dwTabLen]
 			}
-			bwdTableDWAVX2(out[0], out[1], out[2], out[3], x[0], x[1], x[2], x[3], &s.dyR[oc],
-				t[0], t[1], t[2], t[3], int64(rows), int64(ld))
+			for sl, r0 := range cuts[:len(cuts)-1] {
+				for j := range x {
+					c := min(i+j, hi-1)
+					x[j], out[j] = &xT[c*rows+r0], &s.dwT[(sl*k+c)*ld+oc]
+				}
+				bwdTableDWAVX2(out[0], out[1], out[2], out[3], x[0], x[1], x[2], x[3], &s.dyR[r0*ld+oc],
+					t[0], t[1], t[2], t[3], int64(cuts[sl+1]-r0), int64(ld))
+			}
 		}
 	}
 }

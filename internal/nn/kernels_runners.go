@@ -148,35 +148,37 @@ func (t *bwdTransOutRun) RunRange(lo, hi int) {
 }
 
 // bwdGradRun is the big tiers' per-channel scan of the upstream
-// gradient, a block of output channels per work item: the column sum
-// over ascending r added into gsum[oc] (the bias gradient) and the
-// pre-scaled row gsT[oc][r] = dy[r][oc]*s_w[oc] of the dX sweep. dy is
-// NCHW planes of hw positions (see backwardT).
+// gradient, a block of output channels per work item: each slice's
+// column sum over ascending r added into its db[oc] (s.grads, the bias
+// gradient) and the pre-scaled row gsT[oc][r] = dy[r][oc]*s_w[oc] of
+// the dX sweep. dy is NCHW planes of hw positions (see backwardT).
 type bwdGradRun struct {
 	s              *KernelScratch
-	gsum, dy       []float32
+	dy             []float32
 	rows, outC, hw int
 }
 
 func (t *bwdGradRun) RunRange(lo, hi int) {
-	s := t.s
+	s, cuts := t.s, t.s.grads.cuts
 	for oc := lo; oc < hi; oc++ {
 		gp := s.gsT[oc*t.rows : (oc+1)*t.rows]
 		sw := s.swc[oc]
 		// j walks channel oc's plane of each image in turn: hw
 		// positions, then on to the next image's.
 		j, p := oc*t.hw, 0
-		var sum float32
-		for r := range gp {
-			g := t.dy[j]
-			sum += g
-			gp[r] = g * sw
-			j++
-			if p++; p == t.hw {
-				j, p = j+(t.outC-1)*t.hw, 0
+		for sl, db := range s.grads.db {
+			var sum float32
+			for r, end := cuts[sl], cuts[sl+1]; r < end; r++ {
+				g := t.dy[j]
+				sum += g
+				gp[r] = g * sw
+				j++
+				if p++; p == t.hw {
+					j, p = j+(t.outC-1)*t.hw, 0
+				}
 			}
+			db[oc] += sum
 		}
-		t.gsum[oc] += sum
 	}
 }
 
@@ -208,13 +210,12 @@ func (t *bwdDyRRun) RunRange(lo, hi int) {
 
 // bwdDWRun is the tiered dW sweep, a block of k columns of w's view per
 // work item (so a narrow layer still fills every core): the dispatched
-// row's oc-lane kernel into dwT (kl x ld, see bwdDWAffine), then the
-// clip/scale epilogue, which adds each entry into its weight column of
-// dw.
+// row's oc-lane kernel into dwT (kl x ld per slice, see bwdDWAffine),
+// then the clip/scale epilogue, which adds each entry into its weight
+// column of the slice's dw (s.grads).
 type bwdDWRun struct {
 	op        *Op
 	s         *KernelScratch
-	dw        []float32
 	xT        []uint8
 	w         *weightSide
 	rows, ld  int
@@ -223,17 +224,20 @@ type bwdDWRun struct {
 }
 
 func (t *bwdDWRun) RunRange(lo, hi int) {
-	w := t.w
-	t.tier.dw(t.op, t.s, t.xT, w.lq, lo, hi, t.rows, w.outC, t.ld, w.kl, t.zx)
-	for i := lo; i < hi; i++ {
-		col := w.col(i)
-		for oc, v := range t.s.dwT[i*t.ld : i*t.ld+w.outC] {
-			if w.wClip[oc*w.k+col] {
-				v = 0
-			} else {
-				v *= t.scale
+	w, g, ld, scale := t.w, &t.s.grads, t.ld, t.scale
+	t.tier.dw(t.op, t.s, t.xT, w.lq, lo, hi, t.rows, g.cuts, w.outC, ld, w.kl, t.zx)
+	for sl, dw := range g.dw {
+		for i := lo; i < hi; i++ {
+			col := w.col(i)
+			for oc, v := range t.s.dwT[(sl*w.kl+i)*ld:][:w.outC] {
+				j := oc*w.k + col
+				if w.wClip[j] {
+					v = 0
+				} else {
+					v *= scale
+				}
+				dw[j] += v
 			}
-			t.dw[oc*w.k+col] += v
 		}
 	}
 }
@@ -254,16 +258,16 @@ func (t *bwdDXRun) RunRange(lo, hi int) {
 
 // bwdSmallRun is the small tier's sweep over the k columns of w's view:
 // both gradients of a column block in one walk of each channel's nonzero
-// list (see nonzeros), dW alone when dxT is nil. The summands and orders
-// are the reference's: channel oc's list is row-ascending, so dW[oc][i]
-// accumulates over ascending r before it is added into dw, and oc is
-// the outermost loop, so every dxT[i][r] accumulates over ascending oc;
-// the hoisted padded rows hold the table entries Grads.DW/DX[w<<B|x]
-// themselves.
+// lists (see nonzeros), dW alone when dxT is nil. The summands and orders
+// are the reference's: channel oc's list of a slice is row-ascending, so
+// dW[oc][i] accumulates over the slice's ascending r before it is added
+// into the slice's dw, and oc is the outermost loop, so every dxT[i][r]
+// accumulates over ascending oc; the hoisted padded rows hold the table
+// entries Grads.DW/DX[w<<B|x] themselves.
 type bwdSmallRun struct {
 	op        *Op
 	s         *KernelScratch
-	dw, dxT   []float32
+	dxT       []float32
 	xT        []uint8
 	w         *weightSide
 	rows      int
@@ -277,41 +281,43 @@ func (t *bwdSmallRun) RunRange(lo, hi int) {
 		clear(t.dxT[lo*rows : hi*rows])
 	}
 	for oc := 0; oc < w.outC; oc++ {
-		nzR := s.nz.r[s.nz.off[oc]:s.nz.off[oc+1]]
-		nzG := s.nz.g[s.nz.off[oc]:s.nz.off[oc+1]][:len(nzR)]
 		sw, zw := s.swc[oc], s.zwc[oc]
-		for i := lo; i < hi; i++ {
-			row := int(w.lq[oc*k+i]) * padStride
-			gw := gwPad[row : row+padStride]
-			xcol := t.xT[i*rows : (i+1)*rows]
-			var acc float32
-			if t.dxT == nil {
-				for j, r := range nzR {
-					acc += float32(nzG[j] * (gw[xcol[r]] - t.zx))
+		for sl, dw := range s.grads.dw {
+			nzR, nzG := s.nz.list(oc, sl)
+			nzG = nzG[:len(nzR)]
+			for i := lo; i < hi; i++ {
+				row := int(w.lq[oc*k+i]) * padStride
+				gw := gwPad[row : row+padStride]
+				xcol := t.xT[i*rows : (i+1)*rows]
+				var acc float32
+				if t.dxT == nil {
+					for j, r := range nzR {
+						acc += float32(nzG[j] * (gw[xcol[r]] - t.zx))
+					}
+				} else {
+					gx := gxPad[row : row+padStride]
+					dcol := t.dxT[i*rows : (i+1)*rows]
+					for j, r := range nzR {
+						g, xv := nzG[j], xcol[r]
+						acc += float32(g * (gw[xv] - t.zx))
+						dcol[r] += float32(g * sw * (gx[xv] - zw))
+					}
 				}
-			} else {
-				gx := gxPad[row : row+padStride]
-				dcol := t.dxT[i*rows : (i+1)*rows]
-				for j, r := range nzR {
-					g, xv := nzG[j], xcol[r]
-					acc += float32(g * (gw[xv] - t.zx))
-					dcol[r] += float32(g * sw * (gx[xv] - zw))
+				col := oc*w.k + w.col(i)
+				if w.wClip[col] {
+					acc = 0
+				} else {
+					acc *= t.scale
 				}
+				dw[col] += acc
 			}
-			col := oc*w.k + w.col(i)
-			if w.wClip[col] {
-				acc = 0
-			} else {
-				acc *= t.scale
-			}
-			t.dw[col] += acc
 		}
 	}
 }
 
 // bwdDeadRun adds the weight gradient of the dead columns (see
-// weightSide.cut) into dw, a block of output channels per work item.
-// Such a column's operand is the zero point zx in every row, so its
+// weightSide.cut) into each slice's dw (g), a block of output channels
+// per work item. Such a column's operand is the zero point zx in every row, so its
 // gradient is the dense dW kernels' own expression
 // sum_r fl(dy[r][oc] * t), t = fl(DW[wq][zx] - zx), r ascending from +0
 // — the small row's sum too, whose skipped zero gradients add ±0 to it.
@@ -323,11 +329,12 @@ func (t *bwdSmallRun) RunRange(lo, hi int) {
 // it — through the sweeps' clip/scale epilogue, unchanged. One pass
 // serves every backward row.
 type bwdDeadRun struct {
-	op       *Op
-	w        *weightSide
-	dw, dy   []float32
-	rows, hw int
-	scale    float32
+	op    *Op
+	w     *weightSide
+	g     *gradCuts
+	dy    []float32
+	hw    int
+	scale float32
 	// lane maps a weight level to its lane, tv holds each lane's t.
 	lane []uint8
 	tv   []float32
@@ -353,35 +360,38 @@ func (t *bwdDeadRun) setLanes(zx int32) {
 }
 
 func (t *bwdDeadRun) RunRange(lo, hi int) {
-	w, hw, tv := t.w, t.hw, t.tv
+	w, hw, tv, cuts := t.w, t.hw, t.tv, t.g.cuts
 	var acc, v [padStride]float32
 	a := acc[:len(tv)]
 	for oc := lo; oc < hi; oc++ {
-		clear(a)
 		// j walks channel oc's plane of each image in turn (as in
 		// bwdGradRun).
 		j, p := oc*hw, 0
-		for r := 0; r < t.rows; r++ {
-			g := t.dy[j]
-			for u, tu := range tv {
-				a[u] += float32(g * tu)
+		wr, clip := w.wq[oc*w.k:(oc+1)*w.k], w.wClip[oc*w.k:(oc+1)*w.k]
+		for sl, dw := range t.g.dw {
+			clear(a)
+			for r, end := cuts[sl], cuts[sl+1]; r < end; r++ {
+				g := t.dy[j]
+				for u, tu := range tv {
+					a[u] += float32(g * tu)
+				}
+				j++
+				if p++; p == hw {
+					j, p = j+(w.outC-1)*hw, 0
+				}
 			}
-			j++
-			if p++; p == hw {
-				j, p = j+(w.outC-1)*hw, 0
+			// v[l] is the scaled sum of level l's lane.
+			for l, u := range t.lane {
+				v[l] = a[u] * t.scale
 			}
-		}
-		// v[l] is the scaled sum of level l's lane.
-		for l, u := range t.lane {
-			v[l] = a[u] * t.scale
-		}
-		wr, dwr, clip := w.wq[oc*w.k:(oc+1)*w.k], t.dw[oc*w.k:(oc+1)*w.k], w.wClip[oc*w.k:(oc+1)*w.k]
-		for _, i := range w.dead {
-			x := v[wr[i]]
-			if clip[i] {
-				x = 0
+			dwr := dw[oc*w.k : (oc+1)*w.k]
+			for _, i := range w.dead {
+				x := v[wr[i]]
+				if clip[i] {
+					x = 0
+				}
+				dwr[i] += x
 			}
-			dwr[i] += x
 		}
 	}
 }

@@ -55,6 +55,9 @@ type Param struct {
 	Grad  *tensor.Tensor
 
 	version uint64
+	// bounds and dst are BackwardSlices' slices and their buffers.
+	bounds []int
+	dst    [][]float32
 }
 
 // Touch advances the version: call it after writing Value.
@@ -65,6 +68,70 @@ func (p *Param) Version() uint64 { return p.version }
 
 func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
+}
+
+// oneGrad returns where a backward that cuts no slices (BatchNorm's)
+// adds p's gradient: Grad, or BackwardSlices' one buffer.
+func (p *Param) oneGrad() []float32 {
+	if p.bounds == nil {
+		return p.Grad.Data
+	} else if len(p.dst) > 1 {
+		panic(fmt.Sprintf("nn: %s: this layer's backward takes one gradient slice, not %d", p.Name, len(p.dst)))
+	}
+	return p.dst[0]
+}
+
+// BackwardSlices is model's Backward over dy, images bounds[0] to
+// bounds[S] of a batch cut into slices at the image bounds, leaving
+// slice s's parameter gradients in grads[s] (model's params, packed back
+// to back in Params() order) instead of Param.Grad: every gradient sum
+// restarts from +0 at a slice boundary, so grads[s] holds, bit for bit,
+// what zeroed Grads would after a Backward over slice s alone. A
+// BatchNorm2D backward takes one slice. It returns Backward's result.
+func BackwardSlices(model Layer, params []*Param, dy *tensor.Tensor, bounds []int, grads [][]float32) *tensor.Tensor {
+	defer func() {
+		for _, p := range params {
+			p.bounds, p.dst = nil, p.dst[:0]
+		}
+	}()
+	off := 0
+	for _, p := range params {
+		p.bounds = bounds
+		for _, g := range grads[:len(bounds)-1] {
+			p.dst = append(p.dst, g[off:off+len(p.Grad.Data)])
+			clear(p.dst[len(p.dst)-1])
+		}
+		off += len(p.Grad.Data)
+	}
+	return model.Backward(dy)
+}
+
+// gradCuts is where a GEMM backward adds its weight and bias gradients:
+// those of rows cuts[s] to cuts[s+1] (from 0 to the GEMM's rows) into
+// dw[s] and, the column sums of dy, db[s].
+type gradCuts struct {
+	cuts   []int
+	dw, db [][]float32
+}
+
+// to points g at the gradients of w and b for a backward over n images
+// of hw rows each: BackwardSlices' slices, or one slice into Grad.
+func (g *gradCuts) to(w, b *Param, n, hw int) {
+	if w.bounds == nil {
+		g.whole(n*hw, w.Grad.Data, b.Grad.Data)
+		return
+	}
+	g.cuts = g.cuts[:0]
+	for _, i := range w.bounds {
+		g.cuts = append(g.cuts, (i-w.bounds[0])*hw)
+	}
+	g.dw, g.db = append(g.dw[:0], w.dst...), append(g.db[:0], b.dst...)
+}
+
+// whole points g at one slice of rows rows into dw and db.
+func (g *gradCuts) whole(rows int, dw, db []float32) {
+	g.cuts = append(g.cuts[:0], 0, rows)
+	g.dw, g.db = append(g.dw[:0], dw), append(g.db[:0], db)
 }
 
 // Sequential chains layers; it implements Layer itself.

@@ -88,7 +88,8 @@ func cloneParam(p *Param) *Param {
 // TestLinearMatchesFrozen pins the float Linear to its row-major
 // predecessor bit for bit on y, dx, dW and db over two accumulating
 // steps, and on Infer, for every shape of denseShapes and a dense and a
-// quarter-sparse dy.
+// quarter-sparse dy; each step also holds one backward with slice
+// boundaries to the per-slice backwards (requireSlicedBackward).
 func TestLinearMatchesFrozen(t *testing.T) {
 	for _, sh := range denseShapes() {
 		for _, sparse := range []bool{false, true} {
@@ -105,6 +106,7 @@ func TestLinearMatchesFrozen(t *testing.T) {
 					requireSameBits(t, "dx", l.Backward(dy).Data, o.Backward(dy).Data)
 					requireSameBits(t, "dW", l.Weight.Grad.Data, o.Weight.Grad.Data)
 					requireSameBits(t, "db", l.Bias.Grad.Data, o.Bias.Grad.Data)
+					requireSlicedBackward(t, l, x, dy)
 				}
 				x := denseInput(rng, n, in, 1)
 				requireSameBits(t, "Infer", Infer(l, x).Data, o.Infer(x).Data)

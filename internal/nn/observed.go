@@ -66,7 +66,8 @@ func (l *ApproxLinear) SetDeferObserve(on bool) { l.conv.SetDeferObserve(on) }
 func (l *ApproxLinear) DeferredRange() (mn, mx float32, ok bool) { return l.conv.DeferredRange() }
 
 // observe runs the layer-side half of the observer protocol for one
-// forward pass over input x: the legacy path folds the range into obs
+// forward pass over input x: the undeferred path (a layer driven
+// directly, outside train.Replica) folds the range into obs
 // immediately (training forwards, or the first evaluation forward of a
 // never-calibrated layer); the deferred path only captures the raw
 // range for the trainer to merge.

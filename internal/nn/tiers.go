@@ -135,7 +135,7 @@ var bwdSmall = struct {
 	label string
 	ok    func(dy []float32) (nnz int, ok bool)
 	count *obs.Counter
-	run   func(op *Op, s *KernelScratch, dw, dxT, gsum, dy []float32, hw int, xT []uint8, w *weightSide,
+	run   func(op *Op, s *KernelScratch, dxT, dy []float32, hw int, xT []uint8, w *weightSide,
 		rows, nnz int, zx, scale float32)
 }{BwdPathSmall, sparseGrad, dispatchCounter("backward", BwdPathSmall), (*Op).backwardSmall}
 
@@ -156,7 +156,7 @@ type bwdSweep struct {
 	dwPrep func(op *Op, s *KernelScratch, n int, zx float32)
 	dxPrep func(s *KernelScratch, n int)
 	// dw and dx are the row's kernels over the k columns [lo, hi).
-	dw func(op *Op, s *KernelScratch, xT, wq []uint8, lo, hi, rows, outC, ld, k int, zx float32)
+	dw func(op *Op, s *KernelScratch, xT, wq []uint8, lo, hi, rows int, cuts []int, outC, ld, k int, zx float32)
 	dx func(op *Op, s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int)
 }
 

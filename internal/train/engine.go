@@ -17,13 +17,14 @@ import (
 // the same equivalence class.
 const DefaultSliceRows = 8
 
-// Replica is one model copy as every training topology drives it:
-// Run's built-in step, each ShardedStep replica, the dist coordinator's
-// primary and each dist worker. One walk finds its approximate layers
-// (whose observers it can defer) and its BatchNorm layers, and it packs
-// parameters back to back in Params() order — the layout of every
-// gradient slot and of the dist wire format, so a slice computed by any
-// replica anywhere drops into the same fold untranslated.
+// Replica is one model copy as every training topology drives it: each
+// ShardedStep replica (Run's one replica at Shards 1), the dist
+// coordinator's primary and each dist worker. One walk finds its
+// approximate layers (whose observers it defers) and its BatchNorm
+// layers, and it packs parameters back to back in Params() order — the
+// layout of every gradient slot and of the dist wire format, so a slice
+// computed by any replica anywhere drops into the same fold
+// untranslated.
 type Replica struct {
 	model    nn.Layer
 	params   []*nn.Param
@@ -32,13 +33,14 @@ type Replica struct {
 	observed []nn.ObservedLayer
 	bns      []*nn.BatchNorm2D
 	dy       *tensor.Tensor // loss-gradient buffer
+	out, d   tensor.Tensor  // one slice's rows of the logits and of dy
 }
 
-// NewReplica wraps model. With deferObserve its approximate layers
-// quantize every slice with the pre-step observer state and only record
-// the slice's raw range, which Slices.Fold merges and Observe folds in
-// after the step; Detach turns that off again.
-func NewReplica(model nn.Layer, deferObserve bool) *Replica {
+// NewReplica wraps model and defers its observers: its approximate
+// layers quantize every step with the pre-step observer state and only
+// record the raw range of their input, which Slices.Fold merges and
+// Observe folds in after the step; Detach turns that off again.
+func NewReplica(model nn.Layer) *Replica {
 	r := &Replica{model: model, params: model.Params()}
 	r.offsets = make([]int, len(r.params))
 	for i, p := range r.params {
@@ -48,16 +50,12 @@ func NewReplica(model nn.Layer, deferObserve bool) *Replica {
 	nn.VisitLayers(model, func(l nn.Layer) {
 		if ol, ok := l.(nn.ObservedLayer); ok {
 			r.observed = append(r.observed, ol)
+			ol.SetDeferObserve(true)
 		}
 		if bn, ok := l.(*nn.BatchNorm2D); ok {
 			r.bns = append(r.bns, bn)
 		}
 	})
-	if deferObserve {
-		for _, ol := range r.observed {
-			ol.SetDeferObserve(true)
-		}
-	}
 	return r
 }
 
@@ -65,35 +63,36 @@ func NewReplica(model nn.Layer, deferObserve bool) *Replica {
 // positions a sync-BN group attaches to.
 func (r *Replica) BatchNorms() []*nn.BatchNorm2D { return r.bns }
 
-// run is the one slice body: zero the gradients, forward the rows x in
-// training mode, take the softmax cross-entropy against labels y with
-// each row's gradient scaled by 1/denom (the full batch's row count),
-// and backward. It returns the SUM of the row losses and leaves the
-// gradients on the params.
-func (r *Replica) run(x *tensor.Tensor, y []int, denom int) float64 {
-	for _, p := range r.params {
-		p.Grad.Zero()
-	}
+// RunSlices runs the slices [s0, s1) of set's plan, whose rows are x
+// (labels y), as one training forward and one backward into their
+// slots: per slice the SUM of its row losses, each row's gradient scaled
+// by 1/denom (the full batch's row count), and its packed parameter
+// gradients summed over its rows alone (nn.BackwardSlices); in slot s0,
+// each observer's range over x, for NaN-free x the slices' ranges merged
+// in ascending order as Fold merges slots (tensor.MinMax keeps the first
+// of tied zeros), the run's other slots unseen. Replicas may fill
+// distinct runs of one set concurrently.
+func (r *Replica) RunSlices(set *Slices, s0, s1 int, x *tensor.Tensor, y []int, denom int) {
 	out := r.model.Forward(x, true)
 	r.dy = tensor.Ensure(r.dy, out.Shape...)
-	loss := nn.SoftmaxCrossEntropySumInto(r.dy, out, y, denom)
-	r.model.Backward(r.dy)
-	return loss
-}
-
-// RunSlice runs the slice body over the rows x (labels y, denom the
-// full batch's row count) and records the slice in slot s of set: its
-// loss sum, its packed gradients and each observer's deferred range.
-// Replicas may fill distinct slots of one set concurrently.
-func (r *Replica) RunSlice(set *Slices, s int, x *tensor.Tensor, y []int, denom int) {
-	loss, grads, lo, hi, seen := set.Slot(s)
-	*loss = r.run(x, y, denom)
-	for i, p := range r.params {
-		copy(grads[r.offsets[i]:], p.Grad.Data)
+	for s, base := s0, set.bounds[s0]; s < s1; s++ {
+		lo, hi := set.bounds[s]-base, set.bounds[s+1]-base
+		set.loss[s] = nn.SoftmaxCrossEntropySumInto(rowView(&r.d, r.dy, lo, hi), rowView(&r.out, out, lo, hi),
+			y[lo:hi], denom)
 	}
+	nn.BackwardSlices(r.model, r.params, r.dy, set.bounds[s0:s1+1], set.grads[s0:s1])
+	clear(set.seen[(s0+1)*set.nObs : s1*set.nObs])
+	_, _, lo, hi, seen := set.Slot(s0)
 	for i, ol := range r.observed {
 		lo[i], hi[i], seen[i] = ol.DeferredRange()
 	}
+}
+
+// rowView points v at rows [lo, hi) of the (N, C) matrix t.
+func rowView(v, t *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	c := t.Shape[1]
+	v.Shape, v.Data = append(v.Shape[:0], hi-lo, c), t.Data[lo*c:hi*c]
+	return v
 }
 
 // PackValues writes the parameter values into dst in the packed layout,
@@ -144,7 +143,8 @@ func (r *Replica) Detach() {
 
 // Slices is one step's slice set: the plan that cuts the batch into
 // slices and, per slice, a slot holding its loss sum, packed gradients
-// and observer ranges. Fold reduces the slots in an order fixed by the
+// and observer ranges (those of the run of slices it starts, see
+// RunSlices). Fold reduces the slots in an order fixed by the
 // plan alone, so which replica or worker filled which slot, and when,
 // cannot change a bit of the result. The zero value is ready to Plan;
 // the storage is reused across steps.
@@ -197,7 +197,7 @@ func (ss *Slices) Plan(rep *Replica, n, parts int) []int {
 	return ss.bounds
 }
 
-// Slot returns slot s's storage, for RunSlice and for a caller that
+// Slot returns slot s's storage, for RunSlices and for a caller that
 // moves slots across the network (a dist worker encoding its slice, the
 // coordinator decoding it): the loss sum, the packed gradients, and per
 // observer the range and whether it saw data.

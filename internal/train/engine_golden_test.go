@@ -79,7 +79,7 @@ func pinRun(name string, m nn.Layer, res train.Result) goldenRun {
 }
 
 // runSpec trains goldenSpec in process with the given shard count
-// (0 = Run's built-in single-replica step).
+// (0 means 1).
 func runSpec(t *testing.T, shards int) (nn.Layer, train.Result) {
 	t.Helper()
 	m, sc, err := goldenSpec.Build()
@@ -155,7 +155,8 @@ func stepAllocs(mk func(int64) *nn.Sequential, shards int) float64 {
 // generated before the topologies shared one slice engine, so a change
 // common to all of them — invisible to the cross-topology bit-identity
 // tests — still fails here. The lenet rows run one approximate job at
-// Shards 0, 1 and 2 and over two dist workers; the sync-BN row runs the
+// Shards 0 (which means 1, so its row equals the next), 1 and 2 and
+// over two dist workers; the sync-BN row runs the
 // BatchNorm model at Shards 2. The allocation rows bound ShardedStep's
 // steady-state Step+Broadcast at the golden counts. If a change is an
 // intended semantic break, regenerate with -update and say so in the

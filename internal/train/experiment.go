@@ -100,8 +100,8 @@ type CompareOptions struct {
 	// killed phases continue, completed phases replay from their
 	// checkpoint without retraining.
 	CkptDir string
-	// Shards forwards to Config.Shards: every phase trains with the
-	// data-parallel sharded step when >= 1.
+	// Shards forwards to Config.Shards: every phase trains on that many
+	// data-parallel replicas (values below 1 mean 1).
 	Shards int
 	// Estimators lists the gradient-estimator specs to retrain with,
 	// normalized by NormalizeEstimators: empty selects the repository

@@ -16,15 +16,17 @@ type ShardedConfig struct {
 	Shards int
 }
 
-// ShardedStep is the data-parallel sharded trainer: one training step
-// splits the minibatch's rows across P model replicas (deep clones via
-// models.Clone), runs forward/backward concurrently, and reduces the
-// per-slice gradients into the primary replica in a fixed tree order.
+// ShardedStep is the data-parallel sharded trainer, train.Run's step:
+// one training step gives each of P model replicas (deep clones via
+// models.Clone) a contiguous run of the minibatch's slices, runs one
+// forward and backward per replica concurrently (Replica.RunSlices),
+// and reduces the per-slice gradients into the primary replica in a
+// fixed tree order.
 //
 // Two cross-shard sync points keep the replicas mathematically
 // coherent: (1) activation observers run a deferred-observe protocol —
 // every replica quantizes with the identical pre-step observer state,
-// records its slice's raw range, and after the step folds the exact
+// records its shard's raw range, and after the step folds the exact
 // min/max-merged range, so all replicas always hold bit-identical
 // quant.Params; (2) models with BatchNorm attach position-matched
 // layers to shared BNSyncGroups, whose two-phase moment all-reduce
@@ -44,8 +46,7 @@ type ShardedConfig struct {
 // without reallocating. After any out-of-band mutation of the primary
 // (rollback, checkpoint resume), call SyncReplicas instead.
 type ShardedStep struct {
-	models []*nn.Sequential // models[0] is the primary
-	reps   []*Replica       // position-matched with models
+	reps   []*Replica // reps[0] wraps the primary
 	groups []*nn.BNSyncGroup
 	set    Slices
 
@@ -62,33 +63,39 @@ type ShardedStep struct {
 // BNSyncGroups. Call Detach when done to return the primary to
 // single-replica semantics.
 func NewShardedStep(model *nn.Sequential, cfg ShardedConfig) *ShardedStep {
-	p := max(cfg.Shards, 1)
-	st := &ShardedStep{models: make([]*nn.Sequential, p), reps: make([]*Replica, p)}
-	st.models[0] = model
-	for r := 1; r < p; r++ {
-		st.models[r] = models.Clone(model)
-	}
-	for r, m := range st.models {
-		rep := NewReplica(m, true)
-		if pr := st.reps[0]; r > 0 && (len(rep.params) != len(pr.params) ||
-			len(rep.observed) != len(pr.observed) || len(rep.bns) != len(pr.bns)) {
+	return newShardedStep(model, cfg.Shards)
+}
+
+// newShardedStep is NewShardedStep for any model at one shard (no
+// clone); more shards clone an *nn.Sequential.
+func newShardedStep(model nn.Layer, shards int) *ShardedStep {
+	pr := NewReplica(model)
+	st := &ShardedStep{reps: []*Replica{pr}}
+	for r := 1; r < shards; r++ {
+		seq, ok := model.(*nn.Sequential)
+		if !ok {
+			panic(fmt.Sprintf("train: sharded training needs *nn.Sequential, got %T", model))
+		}
+		rep := NewReplica(models.Clone(seq))
+		if len(rep.params) != len(pr.params) || len(rep.observed) != len(pr.observed) || len(rep.bns) != len(pr.bns) {
 			panic("train: replica structure diverged from primary")
 		}
-		st.reps[r] = rep
+		st.reps = append(st.reps, rep)
 	}
-	for i, bn := range st.reps[0].bns {
+	for i, bn := range pr.bns {
 		g := nn.NewBNSyncGroup(bn.C)
 		st.groups = append(st.groups, g)
 		for r, rep := range st.reps {
 			rep.bns[i].SetSyncGroup(g, r)
 		}
 	}
-	shardGauge.Set(float64(p))
+	shardGauge.Set(float64(len(st.reps)))
 	return st
 }
 
-// Step runs one sharded training step over minibatch (x, y): concurrent
-// forward/backward over the slices, deterministic gradient reduction
+// Step runs one sharded training step over minibatch (x, y): one
+// forward/backward per replica over its run of slices, concurrently
+// (replica 0 on the calling goroutine), deterministic gradient reduction
 // into the primary replica's Param.Grad accumulators, and the exact
 // observer-range merge. It returns the full-batch mean loss. The
 // caller applies the optimizer to the primary's params and then calls
@@ -118,9 +125,10 @@ func (st *ShardedStep) Step(x *tensor.Tensor, y []int) float64 {
 	var wg sync.WaitGroup
 	workers := min(len(st.reps), S)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go st.worker(w, bounds, x, y, &wg)
+	for w := 1; w < workers; w++ {
+		go st.worker(w, workers, x, y, &wg)
 	}
+	st.worker(0, workers, x, y, &wg)
 	wg.Wait()
 	shardBusySeconds.Add(st.busySeconds)
 	if st.panicReal != nil {
@@ -141,8 +149,9 @@ func (st *ShardedStep) Step(x *tensor.Tensor, y []int) float64 {
 	return loss
 }
 
-// worker runs every P-strided slice assigned to replica w.
-func (st *ShardedStep) worker(w int, bounds []int, x *tensor.Tensor, y []int, wg *sync.WaitGroup) {
+// worker runs replica w's contiguous run of the plan's slices, the
+// w-th of workers near-even runs.
+func (st *ShardedStep) worker(w, workers int, x *tensor.Tensor, y []int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
@@ -153,10 +162,10 @@ func (st *ShardedStep) worker(w int, bounds []int, x *tensor.Tensor, y []int, wg
 		}
 	}()
 	start := time.Now()
-	for s := w; s+1 < len(bounds); s += len(st.reps) {
-		lo, hi := bounds[s], bounds[s+1]
-		st.reps[w].RunSlice(&st.set, s, tensor.ViewRows(x, lo, hi), y[lo:hi], x.Shape[0])
-	}
+	S := len(st.set.bounds) - 1
+	s0, s1 := w*S/workers, (w+1)*S/workers
+	lo, hi := st.set.bounds[s0], st.set.bounds[s1]
+	st.reps[w].RunSlices(&st.set, s0, s1, tensor.ViewRows(x, lo, hi), y[lo:hi], x.Shape[0])
 	elapsed := time.Since(start).Seconds()
 	st.panicMu.Lock()
 	st.busySeconds += elapsed
@@ -183,12 +192,12 @@ func (st *ShardedStep) Broadcast() {
 // machinery.
 func (st *ShardedStep) SyncReplicas() {
 	st.Broadcast()
-	if len(st.models) == 1 {
+	if len(st.reps) == 1 {
 		return
 	}
-	state := nn.CollectState(st.models[0])
-	for _, m := range st.models[1:] {
-		if err := nn.RestoreState(m, state); err != nil {
+	state := nn.CollectState(st.reps[0].model)
+	for _, rep := range st.reps[1:] {
+		if err := nn.RestoreState(rep.model, state); err != nil {
 			// The replicas are structural clones of the primary; a
 			// mismatch means memory corruption, not bad input.
 			panic(fmt.Sprintf("train: replica sync failed: %v", err))

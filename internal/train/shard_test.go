@@ -51,14 +51,14 @@ func runSharded(t *testing.T, mk func(int64) *nn.Sequential, shards int) (Result
 	return res, model
 }
 
-// TestShardedBitIdenticalAcrossShardCounts is the tentpole's headline
-// property: for a BN-free model, -shards 4 (and 3) reproduces -shards 1
-// bit for bit — losses, parameters, and observer state — because the
-// gradient-slice partition and reduction tree depend only on the batch,
-// never on the shard count.
+// TestShardedBitIdenticalAcrossShardCounts is the sharded engine's
+// headline property: for a BN-free model, -shards 4 (and 3, and 0,
+// which means 1) reproduces -shards 1 bit for bit — losses, parameters,
+// and observer state — because the gradient-slice partition and
+// reduction tree depend only on the batch, never on the shard count.
 func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 	ref, refModel := runSharded(t, shardModel, 1)
-	for _, p := range []int{3, 4} {
+	for _, p := range []int{0, 3, 4} {
 		res, model := runSharded(t, shardModel, p)
 		for e := range ref.TrainLoss {
 			if res.TrainLoss[e] != ref.TrainLoss[e] {
@@ -83,26 +83,6 @@ func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestShardedCloseToLegacy sanity-checks the sharded step against the
-// legacy single-replica step. The two are deliberately not bit-equal:
-// the deferred-observe protocol quantizes each batch with the previous
-// step's activation range (the legacy path folds the current batch in
-// first), and the per-slice partial sums round differently. The
-// trajectories must still track each other closely and both learn.
-func TestShardedCloseToLegacy(t *testing.T) {
-	legacy, _ := runSharded(t, shardModel, 0)
-	sharded, _ := runSharded(t, shardModel, 4)
-	for e := range legacy.TrainLoss {
-		a, b := legacy.TrainLoss[e], sharded.TrainLoss[e]
-		if math.Abs(a-b) > 0.05*(1+math.Abs(a)) {
-			t.Fatalf("epoch %d: sharded loss %v far from legacy %v", e, b, a)
-		}
-	}
-	if sharded.FinalLoss() >= sharded.TrainLoss[0] {
-		t.Errorf("sharded run did not learn: %v -> %v", sharded.TrainLoss[0], sharded.FinalLoss())
 	}
 }
 
@@ -166,10 +146,10 @@ func TestShardedObserverMerge(t *testing.T) {
 		t.Fatalf("bad loss %v", loss)
 	}
 
-	reps := st.models
-	primary := nn.CollectState(reps[0])
+	reps := st.reps
+	primary := nn.CollectState(reps[0].model)
 	for r := 1; r < len(reps); r++ {
-		state := nn.CollectState(reps[r])
+		state := nn.CollectState(reps[r].model)
 		for i := range primary {
 			for j := range primary[i] {
 				if math.Float32bits(state[i][j]) != math.Float32bits(primary[i][j]) {

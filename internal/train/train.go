@@ -60,14 +60,12 @@ type Config struct {
 	// labeled "unspecified".
 	Estimator string
 
-	// Shards selects data-parallel sharded training when >= 1: each
-	// step splits the minibatch across Shards model replicas and
-	// reduces the gradients deterministically (see ShardedStep). Zero
-	// keeps the legacy single-replica step: one pass over the whole
-	// batch on the model itself, observers folding each batch as it
-	// passes. Sharded runs are bit-reproducible, and for BatchNorm-free
-	// models any Shards value produces bit-identical trajectories
-	// (Shards=4 == Shards=1).
+	// Shards is the data-parallel replica count (values below 1 mean
+	// 1): each step splits the minibatch across Shards model replicas
+	// and reduces the gradients deterministically (see ShardedStep); at
+	// 1 the model itself is the one replica. Runs are bit-reproducible,
+	// and for BatchNorm-free models any Shards value produces
+	// bit-identical trajectories (Shards=4 == Shards=1).
 	Shards int
 	// Stepper, when non-nil, replaces the built-in step executor: Run
 	// drives it instead of constructing a ShardedStep (Shards is then
@@ -229,17 +227,11 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 			// pre-resume state; push the restored primary to them.
 			stepper.SyncReplicas()
 		}
-	case cfg.Shards >= 1:
-		seq, ok := model.(*nn.Sequential)
-		if !ok {
-			panic(fmt.Sprintf("train: sharded training needs *nn.Sequential, got %T", model))
-		}
+	default:
 		// Built after resume so the clones copy the restored state.
-		shard := NewShardedStep(seq, ShardedConfig{Shards: cfg.Shards})
+		shard := newShardedStep(model, cfg.Shards)
 		defer shard.Detach()
 		stepper = shard
-	default:
-		stepper = soloStep{NewReplica(model, false)}
 	}
 	it := trainSet.Iter(cfg.BatchSize)
 	for epoch := startEpoch; epoch <= cfg.Epochs; epoch++ {
@@ -331,21 +323,6 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 	}
 	return res
 }
-
-// soloStep is Run's built-in step (Shards 0): the slice body over the
-// whole batch on the model itself, with nothing to broadcast to.
-type soloStep struct{ rep *Replica }
-
-// Step implements Stepper.
-func (s soloStep) Step(x *tensor.Tensor, y []int) float64 {
-	return s.rep.run(x, y, len(y)) / float64(len(y))
-}
-
-// Broadcast implements Stepper: there are no other replicas.
-func (soloStep) Broadcast() {}
-
-// SyncReplicas implements Stepper: there are no other replicas.
-func (soloStep) SyncReplicas() {}
 
 // guarded runs fn and converts a panic into an error, carrying the
 // panic value and preserving error panics via %w. It is the training

@@ -38,7 +38,8 @@ type vgg11GoldenRun struct {
 
 // TestVGG11StepsGolden pins three training steps of vgg11 at
 // ReducedScale — the shapes of the retrain_vgg11 benchmark workload,
-// whose last stage runs 3x3 convolutions on 1x1 planes — under the
+// whose last stage runs 3x3 convolutions on 1x1 planes, driven through
+// the same nn calls as that workload's single-replica step — under the
 // paper's estimator (smoothdiff: forward arith, backward fused) and
 // under STE (backward affine). The golden file was written before the
 // approximate convolution learned to skip the kernel taps that only see
@@ -60,7 +61,6 @@ func TestVGG11StepsGolden(t *testing.T) {
 		}
 		op := nn.EstimatorOp(entry.Mult, est, entry.HWS)
 		m := BuildModel("vgg11", 10, sc, models.ApproxConv(op), 7)
-		step := soloStep{NewReplica(m, false)}
 		opt := optim.NewAdam()
 		params := m.Params()
 		run := vgg11GoldenRun{Estimator: name}
@@ -68,7 +68,9 @@ func TestVGG11StepsGolden(t *testing.T) {
 		it.Reset(11)
 		for it.Next() {
 			b := it.Batch()
-			loss := step.Step(b.X, b.Y)
+			nn.ZeroGrads(m)
+			loss, grad := nn.SoftmaxCrossEntropy(m.Forward(b.X, true), b.Y)
+			m.Backward(grad)
 			var grads, values [][]float32
 			for _, p := range params {
 				grads = append(grads, p.Grad.Data)

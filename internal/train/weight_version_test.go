@@ -113,7 +113,7 @@ func TestNoStaleWeightsAfterAnyWriter(t *testing.T) {
 		{name: "ShardedStep.Broadcast", write: func(t *testing.T, m *nn.Sequential) *nn.Sequential {
 			st := NewShardedStep(m, ShardedConfig{Shards: 2})
 			defer st.Detach()
-			replica := st.models[1]
+			replica := st.reps[1].model.(*nn.Sequential)
 			replica.Predict(x)
 			step(optim.NewAdam())(t, m)
 			st.Broadcast()
