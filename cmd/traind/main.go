@@ -15,8 +15,8 @@
 //
 //	cmp solo.params dist.params   # byte-identical
 //
-// Workers are elastic: they may crash (slices are reassigned to
-// survivors mid-step), rejoin (full state re-sync on admission), or
+// Workers are elastic: they may crash (a dead worker's run of slices
+// is reassigned to survivors mid-step), rejoin (full state re-sync on admission), or
 // join late. The coordinator checkpoints like any train.Run caller, so
 // a killed coordinator resumes bit-identically with -ckpt/-resume.
 package main

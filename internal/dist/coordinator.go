@@ -2,10 +2,11 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,7 +26,7 @@ type CoordinatorConfig struct {
 	// this long (default 5s).
 	HeartbeatTimeout time.Duration
 	// StepTimeout bounds one step's gather phase: workers still holding
-	// slices at the deadline are declared dead and their slices
+	// a run of slices at the deadline are declared dead and their runs
 	// reassigned (default 2m).
 	StepTimeout time.Duration
 	// JoinTimeout bounds how long a step waits with zero live workers
@@ -67,18 +68,26 @@ type event struct {
 	kind    evKind
 	step    uint64
 	attempt uint32
-	slice   int
+	slice   int // the run's first slice
+	count   int // a result's slot count
 	fatal   bool
 	reason  string
-	payload []byte // SliceResult payload copy, decoded lazily
+	payload []byte // a result's payload, on a buffer of Coordinator.bufs; decoded lazily
 }
+
+// run is the slices [lo, hi) of an attempt's plan: the work of one
+// slice frame.
+type run struct{ lo, hi int }
+
+func (r run) empty() bool { return r.hi == r.lo }
 
 // remote is the coordinator's handle on one worker connection.
 type remote struct {
 	*wire.Peer
-	// outstanding tracks the slices currently assigned to this worker.
-	// Only the training goroutine touches it.
-	outstanding map[int]bool
+	// outstanding is the run currently assigned to this worker (empty
+	// when idle); a worker holds at most one. Only the training
+	// goroutine touches it.
+	outstanding run
 }
 
 // Coordinator owns the primary model and drives remote workers through
@@ -103,10 +112,12 @@ type Coordinator struct {
 	// spawns; the wire server joins every connection goroutine itself.
 	bnWG sync.WaitGroup
 
-	// Training-goroutine-owned scheduling state.
-	workers map[int]*remote
-	stepID  uint64
-	queue   []int
+	// Training-goroutine-owned scheduling state: the admitted workers in
+	// ascending id order (the dispatch order), the step counter and the
+	// attempt's queue of unassigned runs.
+	live   []*remote
+	stepID uint64
+	queue  []run
 
 	// mu guards the sync-BN handler coordination: the current attempt
 	// tag, the in-flight handler count, and the moment stash — per
@@ -128,6 +139,10 @@ type Coordinator struct {
 	set      train.Slices
 	paramBuf []float32
 	enc      wire.Enc
+
+	// bufs recycles the payloads the connection readers hand to the
+	// training goroutine (results) and to the BN handlers (reductions).
+	bufs bufPool
 }
 
 // NewCoordinator starts listening and accepting workers for the given
@@ -145,13 +160,13 @@ func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Co
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		model:   model,
-		rep:     train.NewReplica(model),
-		srv:     srv,
-		joinCh:  make(chan *remote, 64),
-		events:  make(chan event, 4096),
-		workers: make(map[int]*remote),
+		cfg:    cfg,
+		model:  model,
+		rep:    train.NewReplica(model),
+		srv:    srv,
+		joinCh: make(chan *remote, 64),
+		events: make(chan event, 4096),
+		bufs:   newBufPool(),
 	}
 	c.bnCond = sync.NewCond(&c.mu)
 	for _, bn := range c.rep.BatchNorms() {
@@ -178,7 +193,7 @@ func (c *Coordinator) logf(format string, args ...any) {
 // the worker's reader and heartbeat monitor as soon as this returns, so
 // the worker sees liveness even while admission waits.
 func (c *Coordinator) joined(p *wire.Peer) error {
-	w := &remote{Peer: p, outstanding: make(map[int]bool)}
+	w := &remote{Peer: p}
 	p.Data = w
 	select {
 	case c.joinCh <- w:
@@ -195,31 +210,45 @@ func (c *Coordinator) frame(p *wire.Peer, t uint8, payload []byte) error {
 	w := p.Data.(*remote)
 	switch t {
 	case frameBNReduce:
-		cp := append([]byte(nil), payload...)
+		cp := c.bufs.fill(payload)
 		c.bnWG.Add(1) // Close waits on bnWG only after the server joined this reader
 		go func() {
 			defer c.bnWG.Done()
 			c.handleBN(w, cp)
 		}()
 	case frameSliceResult, frameSliceAborted:
-		d := wire.Dec{B: payload}
-		ev := event{w: w, step: d.U64(), attempt: d.U32(), slice: int(d.U32())}
-		if t == frameSliceResult {
-			ev.kind = evResult
-			ev.payload = append([]byte(nil), payload...)
-		} else {
-			ev.kind = evAborted
-			ev.fatal = d.U8() != 0
-			ev.reason = d.Str()
-		}
-		if d.Failed() {
-			return errors.New("malformed result frame")
+		ev, err := c.workEvent(w, t, payload)
+		if err != nil {
+			return err
 		}
 		c.pushEvent(ev)
 	default:
 		return fmt.Errorf("unexpected %s frame", proto.TypeName(t))
 	}
 	return nil
+}
+
+// workEvent decodes the head of a slice_result or slice_aborted frame
+// into its event. A result's slots stay undecoded: its payload goes
+// along on a buffer of c.bufs.
+func (c *Coordinator) workEvent(w *remote, t uint8, payload []byte) (event, error) {
+	d := wire.Dec{B: payload}
+	ev := event{w: w, step: d.U64(), attempt: d.U32(), slice: int(d.U32())}
+	if t == frameSliceResult {
+		ev.kind = evResult
+		ev.count = int(d.U32())
+	} else {
+		ev.kind = evAborted
+		ev.fatal = d.U8() != 0
+		ev.reason = d.Str()
+	}
+	if d.Failed() {
+		return event{}, errors.New("malformed result frame")
+	}
+	if ev.kind == evResult {
+		ev.payload = c.bufs.fill(payload)
+	}
+	return ev, nil
 }
 
 // dead queues a worker's death (reported exactly once by the wire
@@ -246,30 +275,31 @@ func (c *Coordinator) admit(w *remote) {
 		w.Conn.Close() // its reader will report the death
 		return
 	}
-	c.workers[w.ID] = w
+	i, _ := slices.BinarySearchFunc(c.live, w.ID, func(v *remote, id int) int { return cmp.Compare(v.ID, id) })
+	c.live = slices.Insert(c.live, i, w)
 	workersJoined.Inc()
-	workersLive.Set(float64(len(c.workers)))
-	c.logf("worker %d admitted (%d live)", w.ID, len(c.workers))
+	workersLive.Set(float64(len(c.live)))
+	c.logf("worker %d admitted (%d live)", w.ID, len(c.live))
 }
 
 // removeWorker drops a dead worker from scheduling and requeues its
-// outstanding slices, reporting how many were reassigned.
+// outstanding run whole, reporting how many slices were reassigned.
 func (c *Coordinator) removeWorker(w *remote) int {
-	if _, ok := c.workers[w.ID]; !ok {
+	i := slices.Index(c.live, w)
+	if i < 0 {
 		return 0
 	}
-	delete(c.workers, w.ID)
-	workersLive.Set(float64(len(c.workers)))
-	n := 0
-	for s := range w.outstanding {
-		c.queue = append(c.queue, s)
-		delete(w.outstanding, s)
-		n++
+	c.live = slices.Delete(c.live, i, i+1)
+	workersLive.Set(float64(len(c.live)))
+	r := w.outstanding
+	w.outstanding = run{}
+	if r.empty() {
+		return 0
 	}
-	if n > 0 {
-		sliceReassignments.Add(float64(n))
-		c.logf("worker %d: %d slice(s) reassigned to survivors", w.ID, n)
-	}
+	c.queue = append(c.queue, r)
+	n := r.hi - r.lo
+	sliceReassignments.Add(float64(n))
+	c.logf("worker %d: run of %d slice(s) reassigned to survivors", w.ID, n)
 	return n
 }
 
@@ -292,31 +322,27 @@ func (c *Coordinator) sendState(w *remote) error {
 	return w.Conn.Send(frameState, e.B)
 }
 
-// liveSorted returns the admitted workers in ascending id order — the
-// deterministic dispatch order.
-func (c *Coordinator) liveSorted() []*remote {
-	out := make([]*remote, 0, len(c.workers))
-	for _, w := range c.workers {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // drainIdle processes queued events and joins while no step is active.
 func (c *Coordinator) drainIdle() {
 	for {
 		select {
 		case ev := <-c.events:
-			if ev.kind == evDead {
-				c.removeWorker(ev.w)
-			}
+			c.idleEvent(ev)
 		case w := <-c.joinCh:
 			c.admit(w)
 		default:
 			return
 		}
 	}
+}
+
+// idleEvent handles an event that arrives outside an attempt: a death
+// is booked, anything else is stale.
+func (c *Coordinator) idleEvent(ev event) {
+	if ev.kind == evDead {
+		c.removeWorker(ev.w)
+	}
+	c.bufs.put(ev.payload)
 }
 
 // AwaitWorkers blocks (on the training goroutine) until at least min
@@ -326,19 +352,17 @@ func (c *Coordinator) AwaitWorkers(min int, timeout time.Duration) error {
 	defer timer.Stop()
 	for expired := false; ; {
 		c.drainIdle()
-		if len(c.workers) >= min {
+		if len(c.live) >= min {
 			return nil
 		}
 		if expired {
-			return fmt.Errorf("dist: %d of %d workers after %s", len(c.workers), min, timeout)
+			return fmt.Errorf("dist: %d of %d workers after %s", len(c.live), min, timeout)
 		}
 		select {
 		case w := <-c.joinCh:
 			c.admit(w)
 		case ev := <-c.events:
-			if ev.kind == evDead {
-				c.removeWorker(ev.w)
-			}
+			c.idleEvent(ev)
 		case <-timer.C:
 			expired = true
 		}
@@ -359,7 +383,7 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 	start := time.Now()
 	for !c.runAttempt(x, y, n) {
 		stepRetries.Inc()
-		c.logf("step %d attempt aborted; retrying with %d workers", c.stepID, len(c.workers))
+		c.logf("step %d attempt aborted; retrying with %d workers", c.stepID, len(c.live))
 	}
 	c.applyBNStash()
 	loss := c.finishStep()
@@ -368,25 +392,28 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 	return loss
 }
 
-// runAttempt runs one attempt of the step: it plans the slices, queues
-// them and gathers their results, reporting whether it gathered all of
-// them. A BN-free model (parts = 0) has the fixed 8-row slice plan, and
-// which worker computes which slice — and any reassignment after a
-// death — cannot affect the result bits: every slice is deterministic
-// given the (identical) replica state, and the reduction tree is fixed
-// by the plan alone. A sync-BN model has one slice per admitted worker,
-// each a participant of every BN barrier; a barrier needs an exact
-// participant set, so losing an outstanding slice ends the attempt and
-// the step retries with the survivors. A worker's panic ends the step
-// with a panic. An attempt that does not complete bumps the attempt tag
-// and aborts every BN group, unwinding the surviving participants.
+// runAttempt runs one attempt of the step: it plans the slices, cuts
+// them into runs, queues the runs and gathers their results, reporting
+// whether it gathered every slice. A BN-free model (parts = 0) has the
+// fixed 8-row slice plan, cut into one near-even contiguous run per
+// live worker (the split ShardedStep gives its replicas), and which
+// worker computes which run — and any reassignment after a death —
+// cannot affect the result bits: every slot is deterministic given the
+// (identical) replica state, and the reduction tree is fixed by the
+// plan alone. A sync-BN model has one slice per admitted worker, each
+// a run of one and a participant of every BN barrier; a barrier needs
+// an exact participant set, so losing an outstanding run ends the
+// attempt and the step retries with the survivors. A worker's panic
+// ends the step with a panic. An attempt that does not complete bumps
+// the attempt tag and aborts every BN group, unwinding the surviving
+// participants.
 func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
-	if len(c.workers) == 0 {
+	if len(c.live) == 0 {
 		c.awaitAnyWorker()
 	}
 	parts := 0
 	if len(c.groups) > 0 {
-		parts = len(c.workers)
+		parts = len(c.live)
 	}
 	bounds := c.set.Plan(c.rep, n, parts)
 	S := len(bounds) - 1
@@ -399,17 +426,18 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 			c.abortAttempt()
 		}
 	}()
+	// Ascending runs to ascending worker ids: a sync-BN attempt (S is
+	// at most the live count) gives each worker one slice, its
+	// participant index.
+	R := min(len(c.live), S)
 	c.queue = c.queue[:0]
-	for s := S - 1; s >= 0; s-- { // popped from the tail → ascending dispatch
-		c.queue = append(c.queue, s)
+	for r := R - 1; r >= 0; r-- { // popped from the tail → ascending dispatch
+		c.queue = append(c.queue, run{r * S / R, (r + 1) * S / R})
 	}
-	for _, w := range c.workers {
-		clear(w.outstanding) // a previous attempt's assignments
+	for _, w := range c.live {
+		w.outstanding = run{} // a previous attempt's assignment
 	}
-	// Ascending slices to ascending worker ids: a sync-BN attempt gives
-	// each worker one slice, its participant index.
 	c.dispatch(x, y, n, bounds, parts)
-	done := make([]bool, S)
 	// One timer per attempt, re-armed when the deadline moves, never a
 	// time.After per pass: under the go 1.22 timer semantics this module
 	// builds with, an unfired time.After timer stays on the heap until
@@ -420,16 +448,16 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 		select {
 		case ev := <-c.events:
 			if ev.kind != evDead && (ev.step != c.stepID || ev.attempt != att) {
+				c.bufs.put(ev.payload)
 				continue // stale
 			}
 			switch ev.kind {
 			case evResult:
-				if ev.slice < 0 || ev.slice >= S || done[ev.slice] || !c.recordResult(ev) {
-					continue // duplicate, or a malformed result that killed its worker
+				r, ok := c.takeResult(ev)
+				if !ok {
+					continue
 				}
-				delete(ev.w.outstanding, ev.slice)
-				done[ev.slice] = true
-				got++
+				got += r.hi - r.lo
 				c.assignNext(ev.w, x, y, n, bounds, parts)
 			case evAborted:
 				if ev.fatal {
@@ -440,7 +468,7 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 				if c.removeWorker(ev.w) > 0 && parts > 0 {
 					return false
 				}
-				if len(c.workers) == 0 {
+				if len(c.live) == 0 {
 					c.awaitAnyWorker()
 					if !timer.Stop() {
 						select { // drain a tick that fired while we waited
@@ -459,11 +487,11 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 			c.admit(w)
 			c.assignNext(w, x, y, n, bounds, parts)
 		case <-timer.C:
-			// Laggards holding slices past the step deadline are dead
-			// as far as this run is concerned: kill their connections
-			// and let the resulting deaths do the rest.
-			for _, w := range c.liveSorted() {
-				if len(w.outstanding) > 0 {
+			// Laggards holding runs past the step deadline are dead as
+			// far as this run is concerned: kill their connections and
+			// let the resulting deaths do the rest.
+			for _, w := range c.live {
+				if !w.outstanding.empty() {
 					w.Kill("step deadline exceeded")
 				}
 			}
@@ -513,41 +541,42 @@ func (c *Coordinator) awaitAnyWorker() {
 	}
 }
 
-// dispatch hands queued slices to every idle worker.
+// dispatch hands queued runs to every idle worker.
 func (c *Coordinator) dispatch(x *tensor.Tensor, y []int, n int, bounds []int, parts int) {
-	for _, w := range c.liveSorted() {
-		if len(w.outstanding) == 0 {
+	for _, w := range c.live {
+		if w.outstanding.empty() {
 			c.assignNext(w, x, y, n, bounds, parts)
 		}
 	}
 }
 
-// assignNext pops one slice off the queue and sends it to w, if w is
-// admitted. An admitted worker that has died keeps the slice until its
-// death event requeues it. With parts > 0 the slice participates in
-// sync-BN as participant slice-index of parts.
+// assignNext pops one run off the queue and sends it to w, if w is
+// admitted. An admitted worker that has died keeps the run until its
+// death event requeues it. With parts > 0 the run is one slice, which
+// participates in sync-BN as participant slice-index of parts.
 func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bounds []int, parts int) {
-	if len(c.queue) == 0 || c.workers[w.ID] != w {
+	if len(c.queue) == 0 || !slices.Contains(c.live, w) {
 		return
 	}
-	s := c.queue[len(c.queue)-1]
+	r := c.queue[len(c.queue)-1]
 	c.queue = c.queue[:len(c.queue)-1]
-	w.outstanding[s] = true
-	if err := c.sendSlice(w, s, x, y, n, bounds, parts); err != nil {
+	w.outstanding = r
+	if err := c.sendRun(w, r, x, y, n, bounds, parts); err != nil {
 		// The death event will requeue it from w.outstanding.
 		w.Kill(fmt.Sprintf("send slice: %v", err))
 	}
 }
 
-// sendSlice ships slice s (rows bounds[s]..bounds[s+1]) with its
-// labels and input rows.
-func (c *Coordinator) sendSlice(w *remote, s int, x *tensor.Tensor, y []int, n int, bounds []int, parts int) error {
-	lo, hi := bounds[s], bounds[s+1]
+// sendRun ships the run r (rows bounds[r.lo]..bounds[r.hi]) with its
+// labels and input rows as one slice frame.
+func (c *Coordinator) sendRun(w *remote, r run, x *tensor.Tensor, y []int, n int, bounds []int, parts int) error {
+	lo, hi := bounds[r.lo], bounds[r.hi]
 	chw := x.Numel() / n
 	e := c.resetEnc()
 	e.U64(c.stepID)
 	e.U32(c.curAttempt())
-	e.U32(uint32(s))
+	e.U32(uint32(r.lo))
+	e.U32(uint32(r.hi - r.lo))
 	e.U32(uint32(n))
 	e.U32(uint32(parts))
 	e.U32(uint32(hi - lo))
@@ -571,25 +600,43 @@ func (c *Coordinator) curAttempt() uint32 {
 	return c.attempt
 }
 
-// recordResult decodes a SliceResult payload into the slice's slot. A
-// malformed payload is a protocol violation: the worker dies and the
-// slice is reassigned via its death event.
-func (c *Coordinator) recordResult(ev event) bool {
-	d := wire.Dec{B: ev.payload}
-	d.U64() // step, already checked
-	d.U32() // attempt, already checked
-	d.U32() // slice, already decoded into ev.slice
-	loss, grads, lo, hi, seen := c.set.Slot(ev.slice)
-	*loss = d.F64()
-	if err := decodeRanges(&d, lo, hi, seen); err != nil {
+// takeResult records a current attempt's slice_result and puts its
+// payload back, reporting the run it completed. A result for a run its
+// worker no longer holds (requeued at the worker's death) is dropped;
+// one that does not decode into the run it holds kills the worker,
+// whose death requeues the run.
+func (c *Coordinator) takeResult(ev event) (run, bool) {
+	defer c.bufs.put(ev.payload)
+	r := ev.w.outstanding
+	if r.empty() || ev.slice != r.lo {
+		return run{}, false
+	}
+	if err := c.recordResult(ev, r); err != nil {
 		ev.w.Kill(fmt.Sprintf("slice result: %v", err))
-		return false
+		return run{}, false
 	}
-	if !d.F32sInto(grads) || d.Err() != nil {
-		ev.w.Kill("malformed slice result")
-		return false
+	ev.w.outstanding = run{}
+	return r, true
+}
+
+// recordResult decodes a slice_result payload for the run r into the
+// run's slots: it must carry exactly r's slot count, and every slot the
+// model's layout.
+func (c *Coordinator) recordResult(ev event, r run) error {
+	if ev.count != r.hi-r.lo {
+		return fmt.Errorf("carries %d slices, the run has %d", ev.count, r.hi-r.lo)
 	}
-	return true
+	d := wire.Dec{B: ev.payload}
+	d.Raw(8 + 4 + 4 + 4) // step, attempt, slice, count: decoded into ev
+	for s := r.lo; s < r.hi && !d.Failed(); s++ {
+		loss, grads, lo, hi, seen := c.set.Slot(s)
+		*loss = d.F64()
+		if err := decodeRanges(&d, lo, hi, seen); err != nil {
+			return err
+		}
+		d.F32sInto(grads)
+	}
+	return d.Err()
 }
 
 // finishStep folds the gathered slices through the engine, exactly as
@@ -602,7 +649,7 @@ func (c *Coordinator) finishStep() float64 {
 	e := c.resetEnc()
 	e.U64(c.stepID)
 	encodeRanges(e, lo, hi, seen)
-	for _, w := range c.liveSorted() {
+	for _, w := range c.live {
 		if err := w.Conn.Send(frameObserve, e.B); err != nil {
 			w.Kill(fmt.Sprintf("send observe: %v", err))
 		}
@@ -619,8 +666,9 @@ func (c *Coordinator) finishStep() float64 {
 func (c *Coordinator) handleBN(w *remote, payload []byte) {
 	d := wire.Dec{B: payload}
 	att, group, phase, part := d.U32(), int(d.U32()), d.U8(), int(d.U32())
-	v := d.F64s()
-	if d.Err() != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 ||
+	v, err := d.F64s(), d.Err()
+	c.bufs.put(payload)
+	if err != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 ||
 		len(v) != bnWidth(phase, c.groups[group].Channels()) {
 		w.Kill("malformed BN frame")
 		return
@@ -703,7 +751,7 @@ func (c *Coordinator) Broadcast() {
 	e := c.resetEnc()
 	e.U64(c.stepID)
 	e.F32s(c.paramBuf)
-	for _, w := range c.liveSorted() {
+	for _, w := range c.live {
 		if err := w.Conn.Send(frameParams, e.B); err != nil {
 			w.Kill(fmt.Sprintf("send params: %v", err))
 		}
@@ -714,7 +762,7 @@ func (c *Coordinator) Broadcast() {
 // rollback or checkpoint resume.
 func (c *Coordinator) SyncReplicas() {
 	c.drainIdle()
-	for _, w := range c.liveSorted() {
+	for _, w := range c.live {
 		if err := c.sendState(w); err != nil {
 			w.Kill(fmt.Sprintf("send state: %v", err))
 		}

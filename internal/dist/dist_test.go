@@ -2,9 +2,13 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -301,6 +305,67 @@ func TestDistOnlyWorkerKilledMidStep(t *testing.T) {
 	assertBitIdentical(t, cl.model, solo, "dist with its only worker replaced mid-step vs solo")
 }
 
+// recountResult re-frames the worker's first slice_result with its slot
+// count raised by one: a well-formed frame, seq and CRC intact, whose
+// count disagrees with the run the coordinator assigned.
+type recountResult struct {
+	net.Conn
+	done *atomic.Bool
+}
+
+func (c *recountResult) Write(b []byte) (int, error) {
+	if len(b) > wire.HeaderLen && b[16] == frameSliceResult && c.done.CompareAndSwap(false, true) {
+		p := append([]byte(nil), b[wire.HeaderLen:len(b)-4]...)
+		binary.LittleEndian.PutUint32(p[16:], binary.LittleEndian.Uint32(p[16:])+1) // count
+		if _, err := c.Conn.Write(proto.Frame(nil, binary.LittleEndian.Uint64(b[8:]), frameSliceResult, p)); err != nil {
+			return 0, err
+		}
+		return len(b), nil
+	}
+	return c.Conn.Write(b)
+}
+
+// TestDistResultCountMismatchReassigns: a slice_result whose slot count
+// differs from the run its worker holds kills that worker, and the run
+// goes to a live worker within the same step, so the run still ends
+// bit-identical to solo.
+func TestDistResultCountMismatchReassigns(t *testing.T) {
+	spec := tinySpec("lenet")
+	spec.BatchSize = 32 // four slices: a run of two per worker
+	solo := runSolo(t, spec, 1, nil)
+	var tampered atomic.Bool
+	wrap := func(i int) func(net.Conn) net.Conn {
+		if i != 1 {
+			return nil
+		}
+		return func(c net.Conn) net.Conn { return &recountResult{Conn: c, done: &tampered} }
+	}
+	var mu sync.Mutex
+	var log []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		log = append(log, fmt.Sprintf(format, args...))
+		mu.Unlock()
+		t.Logf(format, args...)
+	}
+	cl := startCluster(t, spec, 2, CoordinatorConfig{Logf: logf}, WorkerConfig{}, wrap)
+	reassigned := sliceReassignments.Value()
+	cl.run(nil)
+	if !tampered.Load() {
+		t.Fatal("no result was re-counted")
+	}
+	if sliceReassignments.Value() <= reassigned {
+		t.Fatal("the run was never reassigned")
+	}
+	mu.Lock()
+	killed := slices.ContainsFunc(log, func(l string) bool { return strings.Contains(l, "slice result: carries 3 slices, the run has 2") })
+	mu.Unlock()
+	if !killed {
+		t.Fatal("the coordinator never killed the worker for its count")
+	}
+	assertBitIdentical(t, cl.model, solo, "dist with a re-counted result vs solo")
+}
+
 // stallWrites silently discards every write after the first n — the
 // connection looks alive (reads still flow) but pongs and results stop
 // arriving, which only the heartbeat monitor can detect.
@@ -531,6 +596,37 @@ func TestCoordinatorStepsHoldNoTimers(t *testing.T) {
 	}
 }
 
+// TestDistStepAllocs: a warm two-worker step, coordinator and both
+// in-process workers together, allocates less per Step+Broadcast than
+// the pixels of one 8-row slice, so neither end copies a frame into a
+// fresh buffer.
+func TestDistStepAllocs(t *testing.T) {
+	cl := startCluster(t, tinySpec("lenet"), 2, CoordinatorConfig{}, WorkerConfig{}, nil)
+	const rows = 4 * train.DefaultSliceRows // a run of two slices per worker
+	x := tensor.New(rows, 3, cl.scale.HW, cl.scale.HW)
+	x.RandNormal(rand.New(rand.NewSource(1)), 1)
+	y := make([]int, rows)
+	step := func() {
+		cl.co.Step(x, y)
+		cl.co.Broadcast()
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / n
+	if pixels := uint64(4 * train.DefaultSliceRows * x.Numel() / rows); perStep >= pixels {
+		t.Fatalf("a warm step allocates %d B, not below one slice's %d B of pixels", perStep, pixels)
+	}
+	t.Logf("%d B per step", perStep)
+}
+
 // TestAwaitWorkersTimeout: a coordinator with no workers reports the
 // shortfall instead of hanging.
 func TestAwaitWorkersTimeout(t *testing.T) {
@@ -562,7 +658,7 @@ func TestDistWorkerOutlivesHandshakeWindow(t *testing.T) {
 	lost := proto.Metrics.WorkersLost.Value()
 	dl.AwaitWindow(t)
 	cl.co.drainIdle()
-	if n := len(cl.co.workers); n != 1 || proto.Metrics.WorkersLost.Value() != lost {
+	if n := len(cl.co.live); n != 1 || proto.Metrics.WorkersLost.Value() != lost {
 		t.Fatalf("after the handshake window: %d workers admitted, dist_workers_lost_total moved by %v",
 			n, proto.Metrics.WorkersLost.Value()-lost)
 	}

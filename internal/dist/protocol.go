@@ -12,10 +12,10 @@
 // than let the replicas desynchronize; a killed connection triggers
 // worker-side reconnect with exponential backoff and a full state
 // re-sync, so recovery is idempotent; and a worker that dies mid-step
-// has its outstanding slices reassigned to survivors within the same
-// step. See docs/dist-protocol.md for the frame types, docs/wire-frame.md
-// for the frame layer under them, and DESIGN.md for the
-// failure-handling state machine.
+// has its outstanding run of slices reassigned to survivors within the
+// same step. See docs/dist-protocol.md for the frame types,
+// docs/wire-frame.md for the frame layer under them, and DESIGN.md for
+// the failure-handling state machine.
 package dist
 
 import (
@@ -27,7 +27,7 @@ import (
 // ProtocolVersion is the frame-protocol generation carried in
 // Hello/Welcome. A coordinator refuses workers speaking a different
 // version — silent cross-version operation could break bit-identity.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Frame types. The payload layouts are specified in
 // docs/dist-protocol.md; encode/decode helpers live next to their
@@ -37,8 +37,8 @@ const (
 	frameHello        uint8 = iota + 1 // worker → coord: protocol version
 	frameWelcome                       // coord → worker: worker id + job spec
 	frameState                         // coord → worker: params blob + layer state
-	frameSlice                         // coord → worker: one gradient-slice work item
-	frameSliceResult                   // worker → coord: loss + ranges + gradients
+	frameSlice                         // coord → worker: a run of gradient slices
+	frameSliceResult                   // worker → coord: per slice of the run, loss + ranges + gradients
 	frameSliceAborted                  // worker → coord: slice unwound (abort or panic)
 	frameObserve                       // coord → worker: merged observer ranges
 	frameParams                        // coord → worker: post-optimizer parameter values
@@ -68,8 +68,44 @@ var proto = &wire.Protocol{
 	Metrics: wire.NewMetrics("dist", frameSizeBytes),
 }
 
+// bufPool recycles payload buffers between a connection's reader,
+// which must copy each payload out before its next Recv, and the
+// goroutine that decodes it and puts the buffer back: a few buffers
+// that have grown to the largest frame serve every frame, instead of
+// one fresh copy per frame. A decoder keeps no reference into a
+// payload it has put back. The nil pool recycles nothing.
+type bufPool chan []byte
+
+// newBufPool returns a pool holding up to four idle buffers. Few frames
+// wait between a reader and its consumer at once — a worker's run with
+// the observe and params frames behind it, a result per worker on the
+// coordinator — and a frame beyond the pool gets a fresh buffer, never
+// a wait.
+func newBufPool() bufPool { return make(bufPool, 4) }
+
+// fill copies p into an idle buffer, or a fresh one when none is idle.
+func (bp bufPool) fill(p []byte) []byte {
+	var b []byte
+	select {
+	case b = <-bp:
+	default:
+	}
+	return append(b[:0], p...)
+}
+
+// put returns b to the pool; with the pool full it is left to the GC.
+func (bp bufPool) put(b []byte) {
+	if b == nil {
+		return
+	}
+	select {
+	case bp <- b:
+	default:
+	}
+}
+
 // encodeRanges appends per-observer activation ranges, the tail shared
-// by slice_result (one slice's raw ranges) and observe (the merged
+// by slice_result (a slot's raw ranges) and observe (the merged
 // ones): count u32, then min f32 | max f32 | seen u8 per observer.
 func encodeRanges(e *wire.Enc, lo, hi []float32, seen []bool) {
 	e.U32(uint32(len(lo)))

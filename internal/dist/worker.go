@@ -42,9 +42,9 @@ func (c WorkerConfig) logf(format string, args ...any) {
 	}
 }
 
-// RunWorker joins the coordinator and computes gradient slices until
-// dismissed (Bye → nil return), the context is cancelled, or the dial
-// budget is exhausted. Connection loss at any other point — including
+// RunWorker joins the coordinator and computes runs of gradient slices
+// until dismissed (Bye → nil return), the context is cancelled, or the
+// dial budget is exhausted. Connection loss at any other point — including
 // mid-step — re-enters the dial loop with exponential backoff; the
 // coordinator re-syncs full state on readmission, so a reconnect is
 // always safe.
@@ -57,7 +57,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	})
 }
 
-// wframe is one routed frame (or the reader's terminal error).
+// wframe is one routed frame (or the reader's terminal error). p is a
+// buffer of the session's bufs, put back by whoever decodes it.
 type wframe struct {
 	t   uint8
 	p   []byte
@@ -65,7 +66,7 @@ type wframe struct {
 }
 
 // workerSession is one connection's state: the replica rebuilt from
-// the coordinator's spec, its one-slot slice set, and the frame routing
+// the coordinator's spec, its slice set, and the frame routing
 // channels.
 type workerSession struct {
 	cfg WorkerConfig
@@ -74,7 +75,7 @@ type workerSession struct {
 
 	model   *nn.Sequential
 	rep     *train.Replica
-	set     train.Slices // slot 0: the slice being computed, then the merged ranges
+	set     train.Slices // the run being computed, then the merged ranges in slot 0
 	proxies []*bnProxy
 	hw      int
 
@@ -83,6 +84,7 @@ type workerSession struct {
 
 	workCh     chan wframe
 	bnCh       chan wframe
+	bufs       bufPool
 	readerDead chan struct{}
 	stop       chan struct{}
 
@@ -93,7 +95,7 @@ type workerSession struct {
 }
 
 // serveWorker is one connection's session body: rebuild the replica
-// from the welcome's spec, then apply state and compute slices until
+// from the welcome's spec, then apply state and compute runs until
 // the stream ends (wire.ErrDismissed when the coordinator said Bye).
 func serveWorker(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec, cfg WorkerConfig) error {
 	spec := decodeSpec(welcome)
@@ -106,6 +108,7 @@ func serveWorker(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec, 
 		id:         id,
 		workCh:     make(chan wframe, 128),
 		bnCh:       make(chan wframe, 8),
+		bufs:       newBufPool(),
 		readerDead: make(chan struct{}),
 		stop:       make(chan struct{}),
 	}
@@ -151,6 +154,7 @@ func serveWorker(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec, 
 		default:
 			return fmt.Errorf("dist: unexpected %s frame", proto.TypeName(f.t))
 		}
+		s.bufs.put(f.p)
 	}
 }
 
@@ -163,7 +167,7 @@ func (s *workerSession) buildModel(spec Spec) error {
 	}
 	s.model, s.hw = m, sc.HW
 	s.rep = train.NewReplica(m)
-	s.set.Plan(s.rep, 1, 1) // one slot: a worker computes one slice at a time
+	s.set.Plan(s.rep, 1, 1) // slot 0 for the observe frame before the first run
 	for i, bn := range s.rep.BatchNorms() {
 		s.proxies = append(s.proxies, &bnProxy{s: s, group: i, c: bn.C})
 	}
@@ -192,7 +196,7 @@ func (s *workerSession) readLoop() {
 			ch = s.bnCh
 		}
 		select {
-		case ch <- wframe{t: t, p: append([]byte(nil), p...)}:
+		case ch <- wframe{t: t, p: s.bufs.fill(p)}:
 		case <-s.stop:
 			return
 		}
@@ -200,7 +204,8 @@ func (s *workerSession) readLoop() {
 }
 
 // applyState loads the primary's full state: params blob plus layer
-// state vectors.
+// state vectors. LoadParams consumes the blob, which aliases p, before
+// it returns.
 func (s *workerSession) applyState(p []byte) error {
 	d := wire.Dec{B: p}
 	blob := d.Bytes()
@@ -255,23 +260,34 @@ func (s *workerSession) applyParams(p []byte) error {
 	return nil
 }
 
-// handleSlice computes one gradient slice and reports the result. A
-// sync-BN abort unwinds as a non-fatal SliceAborted (the coordinator
-// retries the step); any other panic is reported fatal and surfaces as
-// a skipped step on the coordinator.
+// sliceHeader is the slice frame's fixed head: step u64, then attempt,
+// slice, count, batch_n, parts and rows u32.
+const sliceHeader = 8 + 6*4
+
+// handleSlice computes a run of gradient slices and reports all of its
+// slots in one slice_result. A sync-BN abort unwinds as a non-fatal
+// SliceAborted (the coordinator retries the step); any other panic is
+// reported fatal and surfaces as a skipped step on the coordinator.
 func (s *workerSession) handleSlice(p []byte) error {
 	d := wire.Dec{B: p}
 	step := d.U64()
 	att := d.U32()
 	slice := d.U32()
+	count := d.U32()
 	batchN := int(d.U32())
 	parts := int(d.U32())
 	rows := int(d.U32())
-	// The labels are taken as one run before anything is sized from
-	// rows, so a row count the payload cannot hold fails here.
+	// The labels are taken as one run, and the payload must hold the
+	// pixels of as many rows, before anything is sized from rows: a row
+	// count the payload cannot hold fails here.
 	labels := wire.Dec{B: d.Raw(4 * rows)}
-	if d.Failed() || rows < 1 || batchN < rows {
+	if d.Failed() || rows < 1 || batchN < rows || len(p) != sliceHeader+4*rows+4+4*rows*3*s.hw*s.hw {
 		return fmt.Errorf("dist: malformed slice header")
+	}
+	// The run must be its rows' plan: count 8-row slices, or one for
+	// sync-BN.
+	if S := len(s.set.Plan(s.rep, rows, min(parts, 1))) - 1; uint32(S) != count {
+		return fmt.Errorf("dist: slice frame carries %d slices, its %d rows plan %d", count, rows, S)
 	}
 	if cap(s.labels) < rows {
 		s.labels = make([]int, rows)
@@ -300,17 +316,16 @@ func (s *workerSession) handleSlice(p []byte) error {
 	// Drop replies from a previous, aborted reduction.
 	for {
 		select {
-		case <-s.bnCh:
+		case f := <-s.bnCh:
+			s.bufs.put(f.p)
 			continue
 		default:
 		}
 		break
 	}
 
-	abortReason, fatal := s.computeSlice(batchN)
-	s.enc.B = s.enc.B[:0]
-	e := &s.enc
-	if abortReason != "" {
+	if abortReason, fatal := s.computeRun(int(count), batchN); abortReason != "" {
+		e := s.resetEnc()
 		e.U64(step)
 		e.U32(att)
 		e.U32(slice)
@@ -322,22 +337,38 @@ func (s *workerSession) handleSlice(p []byte) error {
 		e.Str(abortReason)
 		return s.fc.Send(frameSliceAborted, e.B)
 	}
-	loss, grads, lo, hi, seen := s.set.Slot(0)
+	return s.sendResult(step, att, slice, int(count))
+}
+
+// sendResult reports the first count slots of the set, the run that
+// starts at slice, as one slice_result.
+func (s *workerSession) sendResult(step uint64, att, slice uint32, count int) error {
+	e := s.resetEnc()
 	e.U64(step)
 	e.U32(att)
 	e.U32(slice)
-	e.F64(*loss)
-	encodeRanges(e, lo, hi, seen)
-	e.F32s(grads)
-	workerSlices.Inc()
+	e.U32(uint32(count))
+	for k := 0; k < count; k++ {
+		loss, grads, lo, hi, seen := s.set.Slot(k)
+		e.F64(*loss)
+		encodeRanges(e, lo, hi, seen)
+		e.F32s(grads)
+	}
+	workerSlices.Add(float64(count))
 	return s.fc.Send(frameSliceResult, e.B)
 }
 
-// computeSlice runs the staged input as a run of one slice
-// (Replica.RunSlices) into slot 0. Panics are contained here:
-// ErrSyncAborted is the cooperative unwind of an aborted sync-BN
+// resetEnc empties the session's reply encoder for the next frame.
+func (s *workerSession) resetEnc() *wire.Enc {
+	s.enc.B = s.enc.B[:0]
+	return &s.enc
+}
+
+// computeRun runs the staged input, the plan's count slices, as one
+// run (Replica.RunSlices) into slots 0..count. Panics are contained
+// here: ErrSyncAborted is the cooperative unwind of an aborted sync-BN
 // attempt; anything else is a genuine model failure.
-func (s *workerSession) computeSlice(batchN int) (abortReason string, fatal bool) {
+func (s *workerSession) computeRun(count, batchN int) (abortReason string, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if r == nn.ErrSyncAborted {
@@ -349,8 +380,7 @@ func (s *workerSession) computeSlice(batchN int) (abortReason string, fatal bool
 			}
 		}
 	}()
-	s.set.Plan(s.rep, s.x.Shape[0], 1)
-	s.rep.RunSlices(&s.set, 0, 1, s.x, s.labels, batchN)
+	s.rep.RunSlices(&s.set, 0, count, s.x, s.labels, batchN)
 	return "", false
 }
 
@@ -389,13 +419,16 @@ func (p *bnProxy) Reduce(idx int, v []float64) []float64 {
 		case r := <-p.s.bnCh:
 			d := wire.Dec{B: r.p}
 			if d.U32() != p.s.attempt || int(d.U32()) != p.group || d.U8() != p.phase || d.Failed() {
+				p.s.bufs.put(r.p)
 				continue
 			}
 			if r.t == frameBNAbort {
+				p.s.bufs.put(r.p)
 				panic(nn.ErrSyncAborted)
 			}
-			out := d.F64s()
-			if err := d.Err(); err != nil {
+			out, err := d.F64s(), d.Err()
+			p.s.bufs.put(r.p)
+			if err != nil {
 				panic(err)
 			}
 			return out

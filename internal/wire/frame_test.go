@@ -296,13 +296,23 @@ func TestGoldenFrames(t *testing.T) {
 		typ     uint8
 		payload string // hex-free: the decoded fields are checked below
 	}{
-		{"dstfrv1/hello", dstfr, "DSTFRv1\n", 0, 1, "\x02\x00\x00\x00"},
+		{"dstfrv1/hello", dstfr, "DSTFRv1\n", 0, 1, "\x03\x00\x00\x00"},
 		{"dstfrv1/slice_aborted", dstfr, "DSTFRv1\n", 3, 6,
 			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x07\x00\x00\x00" + "\x05\x00\x00\x00" + "\x00" + "\x0c\x00\x00\x00sync aborted"},
 		{"dstfrv1/bye", dstfr, "DSTFRv1\n", 5, 14, ""},
 		{"dstfrv1/slice", dstfr, "DSTFRv1\n", 0, 4,
-			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x07\x00\x00\x00" + "\x01\x00\x00\x00" + "\x03\x00\x00\x00" + "\x02\x00\x00\x00" +
-				"\x01\x00\x00\x00" + "\x04\x00\x00\x00" + "\x01\x00\x00\x00" + "\x00\x00\x00\x40"},
+			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x07\x00\x00\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00" +
+				"\x11\x00\x00\x00" + "\x00\x00\x00\x00" + "\x09\x00\x00\x00" +
+				"\x08\x00\x00\x00" + "\x09\x00\x00\x00" + "\x00\x00\x00\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00" +
+				"\x03\x00\x00\x00" + "\x04\x00\x00\x00" + "\x05\x00\x00\x00" + "\x06\x00\x00\x00" +
+				"\x09\x00\x00\x00" + "\x00\x00\x00\x40" + "\x00\x00\x10\x40" + "\x00\x00\x20\x40" + "\x00\x00\x30\x40" +
+				"\x00\x00\x40\x40" + "\x00\x00\x50\x40" + "\x00\x00\x60\x40" + "\x00\x00\x70\x40" + "\x00\x00\x80\x40"},
+		{"dstfrv1/slice_result", dstfr, "DSTFRv1\n", 0, 5,
+			"\x2a\x00\x00\x00\x00\x00\x00\x00" + "\x07\x00\x00\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00" +
+				"\x00\x00\x00\x00\x00\x00\xf8\x3f" + "\x01\x00\x00\x00" + "\x00\x00\x80\xbf" + "\x00\x00\x00\x40" + "\x01" +
+				"\x02\x00\x00\x00" + "\x00\x00\x80\x3e" + "\x00\x00\x00\xbf" +
+				"\x00\x00\x00\x00\x00\x00\xe8\x3f" + "\x01\x00\x00\x00" + "\x00\x00\x00\x00" + "\x00\x00\x00\x00" + "\x00" +
+				"\x02\x00\x00\x00" + "\x00\x00\x00\x3e" + "\x00\x00\x80\x3f"},
 		{"dstfrv1/bn_reduce", dstfr, "DSTFRv1\n", 0, 11,
 			"\x07\x00\x00\x00" + "\x02\x00\x00\x00" + "\x01" + "\x01\x00\x00\x00" + "\x03\x00\x00\x00" +
 				"\x00\x00\x00\x00\x00\x00\xe0\x3f" + "\x00\x00\x00\x00\x00\x00\xf4\xbf" + "\x00\x00\x00\x00\x00\x00\x18\x40"},
