@@ -37,11 +37,6 @@ func main() {
 		// Router flags.
 		addr       = flag.String("addr", ":9100", "router: fleet TCP address workers dial")
 		httpAddr   = flag.String("http", ":8090", "router: client HTTP API address")
-		replicaSet = flag.Int("replica-set", 2, "router: consistent-hash replica set size per model")
-		inflight   = flag.Int("max-inflight", 256, "router: bounded admission limit")
-		hedge      = flag.Bool("hedge", true, "router: hedge slow requests to the next replica")
-		hedgeMin   = flag.Duration("hedge-min", 20*time.Millisecond, "router: hedge deadline floor")
-		hedgeFac   = flag.Float64("hedge-factor", 2, "router: hedge after this multiple of the p95 latency")
 		cacheMB    = flag.Int("cache-mb", 0, "router: response cache budget in MiB (0: disabled)")
 		hbEvery    = flag.Duration("heartbeat", 500*time.Millisecond, "router: worker ping cadence")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 5*time.Second, "router: declare a worker dead after this pong silence")
@@ -57,11 +52,7 @@ func main() {
 		mult     = flag.String("mult", "", "worker: approximate multiplier name (default: accurate 8-bit)")
 		ckpt     = flag.String("ckpt", "", "worker: TRCKPv1 checkpoint to serve (empty: fresh seeded weights)")
 		replicas = flag.Int("replicas", 1, "worker: initial inference replicas per model")
-		maxRep   = flag.Int("max-replicas", 0, "worker: autoscale replica cap (0: 4*replicas, min 8)")
-		maxBatch = flag.Int("max-batch", 8, "worker: micro-batch size cap")
-		depth    = flag.Int("queue-depth", 0, "worker: admission queue bound (0: 4*max-batch)")
 		seed     = flag.Int64("seed", 1, "worker: init seed when no checkpoint is given")
-		scale    = flag.Bool("autoscale", true, "worker: autoscale replicas from live queue gauges")
 
 		metricsA = flag.String("metrics-addr", "", "optional debug listener for /metrics and /debug/pprof")
 	)
@@ -74,29 +65,24 @@ func main() {
 
 	switch *role {
 	case "router":
-		runRouter(*addr, *httpAddr, *replicaSet, *inflight, *hedge, *hedgeMin, *hedgeFac,
-			*cacheMB, *hbEvery, *hbTimeout, *minWorkers)
+		runRouter(*addr, *httpAddr, *cacheMB, *hbEvery, *hbTimeout, *minWorkers)
 	case "worker":
 		runWorker(*router, serve.Spec{
 			Name: *name, Kind: *model, Classes: *classes, InputHW: *hw, Width: *width,
-			Mult: *mult, Ckpt: *ckpt, Replicas: *replicas, MaxReplicas: *maxRep,
-			MaxBatch: *maxBatch, QueueDepth: *depth, Seed: *seed,
-		}, *scale)
+			Mult: *mult, Ckpt: *ckpt, Replicas: *replicas, Seed: *seed,
+		})
 	default:
 		log.Fatalf("-role must be router or worker (got %q)", *role)
 	}
 }
 
-func runRouter(addr, httpAddr string, replicaSet, inflight int, hedge bool,
-	hedgeMin time.Duration, hedgeFac float64, cacheMB int,
-	hbEvery, hbTimeout time.Duration, minWorkers int) {
+// runRouter serves the router role with hedging on and
+// fleet.RouterConfig's default replica set, admission limit and hedge
+// deadline.
+func runRouter(addr, httpAddr string, cacheMB int, hbEvery, hbTimeout time.Duration, minWorkers int) {
 	r, err := fleet.NewRouter(fleet.RouterConfig{
 		Addr:             addr,
-		ReplicaSet:       replicaSet,
-		MaxInflight:      inflight,
-		Hedge:            hedge,
-		HedgeMin:         hedgeMin,
-		HedgeFactor:      hedgeFac,
+		Hedge:            true,
 		CacheBytes:       cacheMB << 20,
 		HeartbeatEvery:   hbEvery,
 		HeartbeatTimeout: hbTimeout,
@@ -106,8 +92,7 @@ func runRouter(addr, httpAddr string, replicaSet, inflight int, hedge bool,
 		log.Fatal(err)
 	}
 	defer r.Close()
-	log.Printf("router: fleet on %s, HTTP on %s (replica-set=%d hedge=%v cache=%dMiB)",
-		r.Addr(), httpAddr, replicaSet, hedge, cacheMB)
+	log.Printf("router: fleet on %s, HTTP on %s (cache=%dMiB)", r.Addr(), httpAddr, cacheMB)
 	if minWorkers > 0 {
 		if err := r.AwaitWorkers(minWorkers, time.Minute); err != nil {
 			log.Fatal(err)
@@ -130,11 +115,13 @@ func runRouter(addr, httpAddr string, replicaSet, inflight int, hedge bool,
 	hs.Shutdown(ctx)
 }
 
-func runWorker(router string, spec serve.Spec, autoscale bool) {
+// runWorker serves the worker role, autoscaling the model's replicas
+// from the live queue gauges.
+func runWorker(router string, spec serve.Spec) {
 	w, err := fleet.NewWorker(fleet.WorkerConfig{
 		Router:    router,
 		Models:    []serve.Spec{spec},
-		Autoscale: fleet.AutoscaleConfig{Enabled: autoscale},
+		Autoscale: true,
 		Logf:      log.Printf,
 	})
 	if err != nil {
@@ -152,8 +139,7 @@ func runWorker(router string, spec serve.Spec, autoscale bool) {
 		w.Drain(dctx)
 		cancel()
 	}()
-	log.Printf("worker: hosting %s %q, joining %s (autoscale=%v)",
-		spec.Kind, spec.Name, router, autoscale)
+	log.Printf("worker: hosting %s %q, joining %s", spec.Kind, spec.Name, router)
 	if err := w.Run(ctx); err != nil && err != context.Canceled {
 		log.Fatal(err)
 	}

@@ -26,6 +26,10 @@ import (
 	"github.com/appmult/retrain/internal/serve"
 )
 
+// drainTimeout bounds the wait for queued and in-flight requests on
+// shutdown.
+const drainTimeout = 30 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serve: ")
@@ -39,10 +43,7 @@ func main() {
 		mult     = flag.String("mult", "", "approximate multiplier name (default: accurate 8-bit)")
 		ckpt     = flag.String("ckpt", "", "TRCKPv1 checkpoint to serve (empty: fresh seeded weights)")
 		replicas = flag.Int("replicas", 1, "independent inference replicas")
-		maxBatch = flag.Int("max-batch", 8, "micro-batch size cap")
-		depth    = flag.Int("queue-depth", 0, "admission queue bound (0: 4*max-batch)")
 		seed     = flag.Int64("seed", 1, "init seed when no checkpoint is given")
-		drainT   = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		metricsA = flag.String("metrics-addr", "", "optional debug listener for /metrics and /debug/pprof (e.g. :8091); the API mux always serves /metrics itself")
 	)
 	flag.Parse()
@@ -54,8 +55,7 @@ func main() {
 
 	m, err := serve.Load(serve.Spec{
 		Name: *name, Kind: *model, Classes: *classes, InputHW: *hw, Width: *width,
-		Mult: *mult, Ckpt: *ckpt, Replicas: *replicas,
-		MaxBatch: *maxBatch, QueueDepth: *depth, Seed: *seed,
+		Mult: *mult, Ckpt: *ckpt, Replicas: *replicas, Seed: *seed,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -68,8 +68,7 @@ func main() {
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("serving %s %q on %s (replicas=%d max-batch=%d ckpt=%q)",
-		*model, *name, *addr, *replicas, *maxBatch, *ckpt)
+	log.Printf("serving %s %q on %s (replicas=%d ckpt=%q)", *model, *name, *addr, *replicas, *ckpt)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -80,7 +79,7 @@ func main() {
 		log.Printf("%s: draining", s)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	// Drain first so queued work finishes while connections stay up,
 	// then close the listener and idle connections.

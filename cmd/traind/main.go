@@ -53,22 +53,18 @@ func main() {
 		batch     = flag.Int("batch", 0, "override the scale's batch size (0 = scale default)")
 
 		// Coordinator.
-		listen      = flag.String("listen", ":9200", "coordinator listen address")
-		minWorkers  = flag.Int("min-workers", 1, "workers to wait for before training starts")
-		heartbeat   = flag.Duration("heartbeat", 500*time.Millisecond, "worker ping cadence")
-		hbTimeout   = flag.Duration("heartbeat-timeout", 5*time.Second, "silence after which a worker is declared dead")
-		stepTimeout = flag.Duration("step-timeout", 2*time.Minute, "per-step gather deadline before laggards are killed")
-		joinTimeout = flag.Duration("join-timeout", 2*time.Minute, "how long to wait for workers (startup, or mid-run with zero live workers)")
+		listen     = flag.String("listen", ":9200", "coordinator listen address")
+		minWorkers = flag.Int("min-workers", 1, "workers to wait for before training starts")
+		heartbeat  = flag.Duration("heartbeat", 500*time.Millisecond, "worker ping cadence")
+		hbTimeout  = flag.Duration("heartbeat-timeout", 5*time.Second, "silence after which a worker is declared dead")
 
 		// Worker.
-		connect      = flag.String("connect", "", "coordinator address to join (worker role)")
-		dialAttempts = flag.Int("dial-attempts", 0, "give up after this many consecutive failed dials (0 = retry forever)")
+		connect = flag.String("connect", "", "coordinator address to join (worker role)")
 
 		// Training robustness (coordinator and solo).
 		shards = flag.Int("shards", 1, "in-process shard count for -role solo")
-		ckpt   = flag.String("ckpt", "", "checkpoint path (enables checkpointing)")
+		ckpt   = flag.String("ckpt", "", "checkpoint path (enables checkpointing after every epoch)")
 		resume = flag.Bool("resume", false, "resume from -ckpt when it exists")
-		every  = flag.Int("ckpt-every", 1, "epochs between checkpoints")
 		spike  = flag.Float64("spike", 0, "loss-spike rollback factor (>1 enables)")
 
 		out      = flag.String("out", "", "write final model parameters (NNCKPv1) here; byte-identical across equivalent runs")
@@ -102,10 +98,9 @@ func main() {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		err := dist.RunWorker(ctx, dist.WorkerConfig{
-			Coordinator:     *connect,
-			MaxDialAttempts: *dialAttempts,
-			Logf:            log.Printf,
-			Seed:            *seed,
+			Coordinator: *connect,
+			Logf:        log.Printf,
+			Seed:        *seed,
 		})
 		if err != nil && ctx.Err() == nil {
 			log.Fatal(err)
@@ -121,8 +116,6 @@ func main() {
 			Addr:             *listen,
 			HeartbeatEvery:   *heartbeat,
 			HeartbeatTimeout: *hbTimeout,
-			StepTimeout:      *stepTimeout,
-			JoinTimeout:      *joinTimeout,
 			Logf:             log.Printf,
 		})
 		if err != nil {
@@ -130,10 +123,10 @@ func main() {
 		}
 		defer co.Close()
 		log.Printf("listening on %s; waiting for %d worker(s)", co.Addr(), *minWorkers)
-		if err := co.AwaitWorkers(*minWorkers, *joinTimeout); err != nil {
+		if err := co.AwaitWorkers(*minWorkers, dist.WorkerTimeout); err != nil {
 			log.Fatal(err)
 		}
-		runJob(m, spec, sc, train.Config{Stepper: co}, logf, *ckpt, *resume, *every, *spike, *out)
+		runJob(m, spec, sc, train.Config{Stepper: co}, logf, *ckpt, *resume, *spike, *out)
 		return
 
 	case "solo":
@@ -141,7 +134,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runJob(m, spec, sc, train.Config{Shards: *shards}, logf, *ckpt, *resume, *every, *spike, *out)
+		runJob(m, spec, sc, train.Config{Shards: *shards}, logf, *ckpt, *resume, *spike, *out)
 		return
 
 	default:
@@ -152,7 +145,7 @@ func main() {
 // runJob drives the shared training path for the solo and coordinator
 // roles and writes the final parameters.
 func runJob(m *nn.Sequential, spec dist.Spec, sc train.Scale, base train.Config,
-	logf func(string, ...any), ckpt string, resume bool, every int, spike float64, out string) {
+	logf func(string, ...any), ckpt string, resume bool, spike float64, out string) {
 	trainSet, testSet := spec.Datasets(sc)
 	cfg := base
 	cfg.Epochs = sc.Epochs
@@ -162,7 +155,6 @@ func runJob(m *nn.Sequential, spec dist.Spec, sc train.Scale, base train.Config,
 	cfg.Logf = logf
 	cfg.CkptPath = ckpt
 	cfg.Resume = resume
-	cfg.CkptEvery = every
 	cfg.SpikeFactor = spike
 	res := train.Run(m, trainSet, testSet, cfg)
 	log.Printf("done: final loss %.6f, top-1 %.2f%%, %d skipped steps, %d rollbacks",

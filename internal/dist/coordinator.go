@@ -25,14 +25,6 @@ type CoordinatorConfig struct {
 	// HeartbeatTimeout declares a worker dead when no pong arrived for
 	// this long (default 5s).
 	HeartbeatTimeout time.Duration
-	// StepTimeout bounds one step's gather phase: workers still holding
-	// a run of slices at the deadline are declared dead and their runs
-	// reassigned (default 2m).
-	StepTimeout time.Duration
-	// JoinTimeout bounds how long a step waits with zero live workers
-	// before panicking (the guarded train loop then counts a skipped
-	// step and retries on the next batch). Default StepTimeout.
-	JoinTimeout time.Duration
 	// Logf, when non-nil, receives progress and failure lines.
 	Logf func(format string, args ...any)
 	// WrapConn, when non-nil, wraps every accepted connection; tests
@@ -41,15 +33,14 @@ type CoordinatorConfig struct {
 	WrapConn func(net.Conn) net.Conn
 }
 
-func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.StepTimeout <= 0 {
-		c.StepTimeout = 2 * time.Minute
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = c.StepTimeout
-	}
-	return c
-}
+// WorkerTimeout bounds every wait of the coordinator on its workers.
+// Workers still holding a run of slices when a step's gather phase has
+// lasted this long are declared dead and their runs reassigned. A step
+// left with zero live workers waits this long for a join before
+// panicking (the guarded train loop then counts a skipped step and
+// retries on the next batch). Callers waiting for the first workers
+// use it too.
+const WorkerTimeout = 2 * time.Minute
 
 // evKind classifies a worker event delivered to the training
 // goroutine.
@@ -151,7 +142,6 @@ type Coordinator struct {
 // The spec must describe the same model (workers rebuild from the spec
 // alone). Call Close when training finishes.
 func NewCoordinator(model *nn.Sequential, spec Spec, cfg CoordinatorConfig) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	srv, err := wire.Listen(proto, wire.ServerConfig{
 		Addr: cfg.Addr, HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Logf: cfg.Logf, WrapConn: cfg.WrapConn,
@@ -441,8 +431,8 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 	// One timer per attempt, re-armed when the deadline moves, never a
 	// time.After per pass: under the go 1.22 timer semantics this module
 	// builds with, an unfired time.After timer stays on the heap until
-	// it fires, StepTimeout later.
-	timer := time.NewTimer(c.cfg.StepTimeout)
+	// it fires, WorkerTimeout later.
+	timer := time.NewTimer(WorkerTimeout)
 	defer timer.Stop()
 	for got := 0; got < S; {
 		select {
@@ -476,7 +466,7 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 						default:
 						}
 					}
-					timer.Reset(c.cfg.StepTimeout)
+					timer.Reset(WorkerTimeout)
 				}
 				c.dispatch(x, y, n, bounds, parts)
 			}
@@ -495,7 +485,7 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 					w.Kill("step deadline exceeded")
 				}
 			}
-			timer.Reset(c.cfg.StepTimeout)
+			timer.Reset(WorkerTimeout)
 		}
 	}
 	return true
@@ -532,12 +522,12 @@ func (c *Coordinator) abortAttempt() {
 }
 
 // awaitAnyWorker blocks until at least one worker is admitted,
-// panicking after JoinTimeout (the guarded loop turns that into a
+// panicking after WorkerTimeout (the guarded loop turns that into a
 // counted skip, and the run resumes when a worker appears).
 func (c *Coordinator) awaitAnyWorker() {
-	c.logf("no live workers; waiting up to %s for a join", c.cfg.JoinTimeout)
-	if c.AwaitWorkers(1, c.cfg.JoinTimeout) != nil {
-		panic(fmt.Errorf("dist: no live workers after %s", c.cfg.JoinTimeout))
+	c.logf("no live workers; waiting up to %s for a join", WorkerTimeout)
+	if c.AwaitWorkers(1, WorkerTimeout) != nil {
+		panic(fmt.Errorf("dist: no live workers after %s", WorkerTimeout))
 	}
 }
 

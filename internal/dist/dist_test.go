@@ -554,7 +554,6 @@ func TestDistResumeBitIdentical(t *testing.T) {
 	cl1.run(func(cfg *train.Config) {
 		cfg.Epochs = 2
 		cfg.CkptPath = ckpt
-		cfg.CkptEvery = 1
 	})
 	cl1.stop()
 
@@ -569,7 +568,7 @@ func TestDistResumeBitIdentical(t *testing.T) {
 // TestCoordinatorStepsHoldNoTimers: a step's gather loop must not leave
 // a live timer behind per pass. The module builds with go 1.22 timer
 // semantics, under which an unfired time.After timer stays on the heap
-// until it fires — StepTimeout (2 min) later — so a loop that armed one
+// until it fires — WorkerTimeout (2 min) later — so a loop that armed one
 // per event grew the heap with the step count.
 func TestCoordinatorStepsHoldNoTimers(t *testing.T) {
 	cl := startCluster(t, tinySpec("lenet"), 1, CoordinatorConfig{}, WorkerConfig{}, nil)

@@ -17,12 +17,10 @@ import (
 type WorkerConfig struct {
 	// Coordinator is the coordinator's TCP address.
 	Coordinator string
-	// Dial is the backoff policy for failed dials and reconnects.
+	// Dial is the backoff policy for failed dials and reconnects; the
+	// worker redials forever (a crashed coordinator restarting from a
+	// checkpoint picks it back up).
 	Dial wire.Backoff
-	// MaxDialAttempts gives up after this many consecutive dial
-	// failures; 0 retries forever (a crashed coordinator restarting
-	// from a checkpoint picks the worker back up).
-	MaxDialAttempts int
 	// HeartbeatTimeout is the read-idle limit: the coordinator pings
 	// well inside it, so a read stalled this long means the connection
 	// is dead (default 15s).
@@ -43,15 +41,15 @@ func (c WorkerConfig) logf(format string, args ...any) {
 }
 
 // RunWorker joins the coordinator and computes runs of gradient slices
-// until dismissed (Bye → nil return), the context is cancelled, or the
-// dial budget is exhausted. Connection loss at any other point — including
+// until dismissed (Bye → nil return) or the context is cancelled. A
+// failed dial, or connection loss at any other point — including
 // mid-step — re-enters the dial loop with exponential backoff; the
 // coordinator re-syncs full state on readmission, so a reconnect is
 // always safe.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	return wire.RunClient(ctx, proto, wire.ClientConfig{
-		Addr: cfg.Coordinator, Dial: cfg.Dial, MaxDialAttempts: cfg.MaxDialAttempts,
-		HeartbeatTimeout: cfg.HeartbeatTimeout, Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
+		Addr: cfg.Coordinator, Dial: cfg.Dial, HeartbeatTimeout: cfg.HeartbeatTimeout,
+		Seed: cfg.Seed, Logf: cfg.Logf, WrapConn: cfg.WrapConn,
 	}, func(ctx context.Context, fc *wire.Conn, id int, welcome *wire.Dec) error {
 		return serveWorker(ctx, fc, id, welcome, cfg)
 	})

@@ -8,26 +8,11 @@ import (
 	"github.com/appmult/retrain/internal/serve"
 )
 
-// AutoscaleConfig switches the worker-local per-model replica
-// autoscaler. The autoscaler reads the live serve_* replica and
-// capacity gauges the batcher already exports to internal/obs — the
-// same series /metrics scrapes — and, for pressure, the batcher's
-// high-water queue depth since its previous tick: the serve_queue_depth
-// gauge is an instant, and a replica that has just come free has always
-// just emptied the queue.
-type AutoscaleConfig struct {
-	// Enabled turns the autoscaler on.
-	Enabled bool
-	// interval overrides autoscaleInterval; in-package tests tick faster.
-	interval time.Duration
-}
-
 const (
 	// autoscaleInterval is the decision cadence.
 	autoscaleInterval = 250 * time.Millisecond
 	// scaleUpQueueFrac scales up when queue depth reaches this fraction
-	// of queue capacity. The ceiling is the model's Spec.MaxReplicas,
-	// enforced by the batcher pool.
+	// of queue capacity. The ceiling is the batcher pool's runner cap.
 	scaleUpQueueFrac = 0.5
 	// scaleDownIdleTicks scales down after this many consecutive ticks
 	// with an empty queue and every replica idle. The floor of one
@@ -50,16 +35,16 @@ func scaleDecision(depth, capacity, live, idle, idleTicks int) int {
 	return 0
 }
 
-// runAutoscaler drives one model's replica count until ctx is
-// cancelled: each tick it reads the queue's high-water depth since the
-// last one (Batcher.QueuePeak) and the model's serve_queue_capacity,
-// serve_replicas_idle, and serve_replicas_live gauges from the default
-// obs registry and applies scaleDecision.
-func runAutoscaler(ctx context.Context, m *serve.Model, cfg AutoscaleConfig, logf func(string, ...any)) {
-	interval := autoscaleInterval
-	if cfg.interval > 0 {
-		interval = cfg.interval
-	}
+// runAutoscaler is the worker-local per-model replica autoscaler
+// (WorkerConfig.Autoscale). It drives one model's replica count until
+// ctx is cancelled: every interval it reads the queue's high-water
+// depth since the last tick (Batcher.QueuePeak) and the model's
+// serve_queue_capacity, serve_replicas_idle, and serve_replicas_live
+// gauges from the default obs registry — the same series /metrics
+// scrapes — and applies scaleDecision. Pressure is the high-water
+// depth, not the serve_queue_depth gauge: that is an instant, and a
+// replica that has just come free has always just emptied the queue.
+func runAutoscaler(ctx context.Context, m *serve.Model, interval time.Duration, logf func(string, ...any)) {
 	name := m.Spec().Name
 	reg := obs.Default()
 	tick := time.NewTicker(interval)

@@ -26,7 +26,7 @@ func TestScaleDecision(t *testing.T) {
 }
 
 // TestScaleDecisionUncappedDefaults: the rule itself has no replica
-// cap — the batcher pool bound (Spec.MaxReplicas) is the backstop — so
+// cap — the batcher pool's runner cap is the backstop — so
 // under pressure it says up however many replicas are live.
 func TestScaleDecisionUncappedDefaults(t *testing.T) {
 	if got := scaleDecision(100, 32, 50, 0, 0); got != 1 {

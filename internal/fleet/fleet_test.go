@@ -319,6 +319,68 @@ func TestFleetHTTPHandler(t *testing.T) {
 	}
 }
 
+// TestFleetHTTPTimeoutSaturates: both tiers' /v1/predict handlers turn
+// timeout_ms into a deadline without wrapping. Milliseconds past the
+// largest Duration mean no deadline in serve and the 30 s cap in the
+// router, as the largest value that fits does. The plain product
+// wrapped: 9,300,000,000,000 ms read as −2,540,762 h (serve answered
+// 504 at once) and 18,446,744,073,710 ms as 448 µs, which the router
+// cannot meet against a worker that lags every write 5 ms.
+func TestFleetHTTPTimeoutSaturates(t *testing.T) {
+	spec := fleetSpec()
+	spec.Name = "timeout"
+	m, err := serve.Load(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.NewServer(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	r := startRouter(t, RouterConfig{})
+	lag := new(atomic.Bool)
+	lag.Store(true)
+	startWorker(t, WorkerConfig{
+		Router: r.Addr(),
+		Models: []serve.Spec{fleetSpec()},
+		WrapConn: func(c net.Conn) net.Conn {
+			return &laggedConn{Conn: c, armed: lag, delay: 5 * time.Millisecond}
+		},
+	})
+	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tiers := []struct {
+		name string
+		h    http.Handler
+	}{{"serve", s.Handler()}, {"router", r.Handler()}}
+	img := testImage(rand.New(rand.NewSource(31)))
+	for _, c := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{0, 0},
+		{-1, 0},
+		{250, 250 * time.Millisecond},
+		{9_300_000_000_000, math.MaxInt64},
+		{18_446_744_073_710, math.MaxInt64},
+	} {
+		req := PredictRequest{Image: img, TimeoutMS: c.ms} // model elided: one per tier
+		if got := req.Timeout(); got != c.want {
+			t.Errorf("timeout_ms %d: Timeout() = %v, want %v", c.ms, got, c.want)
+		}
+		body, _ := json.Marshal(req)
+		for _, tier := range tiers {
+			rec := httptest.NewRecorder()
+			tier.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("%s, timeout_ms %d: %d %s, want 200", tier.name, c.ms, rec.Code, rec.Body)
+			}
+		}
+	}
+}
+
 // spaceReader yields n spaces, counting those read.
 type spaceReader struct{ n, read int64 }
 
@@ -403,12 +465,12 @@ func TestFleetWorkerReconnectsAfterRouterRestart(t *testing.T) {
 func TestFleetAutoscaleGrowsUnderLoad(t *testing.T) {
 	spec := fleetSpec()
 	spec.QueueDepth = 8
-	spec.MaxReplicas = 3
 	r := startRouter(t, RouterConfig{MaxInflight: 64})
 	startWorker(t, WorkerConfig{
-		Router:    r.Addr(),
-		Models:    []serve.Spec{spec},
-		Autoscale: AutoscaleConfig{Enabled: true, interval: 10 * time.Millisecond},
+		Router:         r.Addr(),
+		Models:         []serve.Spec{spec},
+		Autoscale:      true,
+		autoscaleEvery: 10 * time.Millisecond,
 	})
 	if err := r.AwaitWorkers(1, 5*time.Second); err != nil {
 		t.Fatal(err)

@@ -74,8 +74,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	start := time.Now()
-	scores, meta, err := r.Predict(req.Context(), name, body.Image,
-		time.Duration(body.TimeoutMS)*time.Millisecond)
+	scores, meta, err := r.Predict(req.Context(), name, body.Image, body.Timeout())
 	if err != nil {
 		serve.WriteError(w, httpStatusFor(err), err.Error())
 		return

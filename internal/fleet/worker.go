@@ -19,9 +19,9 @@ type WorkerConfig struct {
 	// loaded warm before the first dial, so the worker registers only
 	// capacity it can actually serve.
 	Models []serve.Spec
-	// Autoscale configures the worker-local per-model replica
-	// autoscaler.
-	Autoscale AutoscaleConfig
+	// Autoscale turns on the worker-local per-model replica
+	// autoscaler (see autoscale.go).
+	Autoscale bool
 	// Dial is the backoff policy for failed dials and reconnects; the
 	// worker redials forever (a restarting router picks it back up).
 	Dial wire.Backoff
@@ -32,6 +32,10 @@ type WorkerConfig struct {
 	// WrapConn, when non-nil, wraps every dialed connection; tests use
 	// it to interpose fault injectors and targeted kills.
 	WrapConn func(net.Conn) net.Conn
+
+	// autoscaleEvery overrides autoscaleInterval; in-package tests tick
+	// faster.
+	autoscaleEvery time.Duration
 }
 
 // quantGridLo and quantGridHi span the uint8 input grid a worker
@@ -83,18 +87,22 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 // Run joins the router and serves predict frames until dismissed
-// (Bye → nil return), the context is cancelled, or the dial budget is
-// exhausted. Connection loss at any other point re-enters the dial
-// loop with exponential backoff; the router re-registers the model set
+// (Bye → nil return) or the context is cancelled. A failed dial, or
+// connection loss at any other point, re-enters the dial loop with
+// exponential backoff; the router re-registers the model set
 // on readmission and fails outstanding requests over to surviving
 // replicas in the meantime. Run also starts the per-model autoscalers
 // for its lifetime.
 func (w *Worker) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if w.cfg.Autoscale.Enabled {
+	if w.cfg.Autoscale {
+		every := autoscaleInterval
+		if w.cfg.autoscaleEvery > 0 {
+			every = w.cfg.autoscaleEvery
+		}
 		for _, name := range w.order {
-			go runAutoscaler(ctx, w.models[name], w.cfg.Autoscale, w.cfg.Logf)
+			go runAutoscaler(ctx, w.models[name], every, w.cfg.Logf)
 		}
 	}
 	cfg := w.cfg

@@ -44,8 +44,8 @@ type MulInfo struct {
 // family turns a multiplier behaviour into the gradient-table pair the
 // approximate layers' backward kernels consume. The forward pass is
 // untouched — estimators differ only in the ∂AM/∂W and ∂AM/∂X tables
-// they synthesize — so every estimator composes with every forward
-// dispatch tier (arith, packed16, blocked, behavioral) for free.
+// they synthesize — so every estimator composes with every tier of the
+// forward dispatch ladder (internal/nn/tiers.go) for free.
 //
 // Implementations must be deterministic: the same MulInfo (and, for
 // seeded estimators, the same parameters) must produce bit-identical

@@ -74,10 +74,6 @@ type BatcherConfig struct {
 	MaxBatch int
 	// QueueDepth bounds the admission queue (default 4*MaxBatch).
 	QueueDepth int
-	// MaxRunners bounds how many runners AddRunner may grow the pool
-	// to — the autoscaler's ceiling (default 4x the initial runner
-	// count, at least 8).
-	MaxRunners int
 }
 
 func (c BatcherConfig) withDefaults() BatcherConfig {
@@ -93,9 +89,13 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 // Batcher coalesces concurrent requests into batches over a pool of
 // runners. All methods are safe for concurrent use.
 type Batcher struct {
-	cfg     BatcherConfig
-	queue   chan *job
-	metrics *Metrics
+	cfg BatcherConfig
+	// maxRunners bounds how many runners AddRunner may grow the pool
+	// to — the autoscaler's ceiling: 4x the initial runner count, at
+	// least 8.
+	maxRunners int
+	queue      chan *job
+	metrics    *Metrics
 	// peak is the deepest the queue has been since QueuePeak last read
 	// it: a loop drains the queue the moment it is free, so a sampled
 	// len(queue) can read zero under any load.
@@ -118,7 +118,7 @@ type Batcher struct {
 	nrunners int
 	busy     int
 	// retire carries one token per RemoveRunner; the next loop to come
-	// back for work takes it and exits. Sized to MaxRunners so the send
+	// back for work takes it and exits. Sized to maxRunners so the send
 	// under scaleMu never blocks.
 	retire chan struct{}
 	loops  sync.WaitGroup
@@ -134,22 +134,18 @@ func NewBatcher(runners []Runner, cfg BatcherConfig, metrics *Metrics) *Batcher 
 		panic("serve: batcher needs at least one runner")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.MaxRunners < len(runners) {
-		cfg.MaxRunners = 4 * len(runners)
-		if cfg.MaxRunners < 8 {
-			cfg.MaxRunners = 8
-		}
-	}
 	if metrics == nil {
 		metrics = NewMetrics("default")
 	}
+	maxRunners := max(4*len(runners), 8)
 	b := &Batcher{
-		cfg:      cfg,
-		queue:    make(chan *job, cfg.QueueDepth),
-		metrics:  metrics,
-		nrunners: len(runners),
-		retire:   make(chan struct{}, cfg.MaxRunners),
-		stop:     make(chan struct{}),
+		cfg:        cfg,
+		maxRunners: maxRunners,
+		queue:      make(chan *job, cfg.QueueDepth),
+		metrics:    metrics,
+		nrunners:   len(runners),
+		retire:     make(chan struct{}, maxRunners),
+		stop:       make(chan struct{}),
 	}
 	// Callback gauges: a new batcher for the same model (reload, test
 	// re-run) replaces the previous closure, so the series always
@@ -188,8 +184,8 @@ func (b *Batcher) idle() int {
 }
 
 // AddRunner grows the pool by one runner loop — the autoscaler's
-// scale-up primitive. It fails once the pool holds MaxRunners or the
-// batcher is draining.
+// scale-up primitive. It fails once the pool holds 4x its initial
+// runner count (at least 8) or the batcher is draining.
 func (b *Batcher) AddRunner(r Runner) error {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -198,8 +194,8 @@ func (b *Batcher) AddRunner(r Runner) error {
 	}
 	b.scaleMu.Lock()
 	defer b.scaleMu.Unlock()
-	if b.nrunners >= b.cfg.MaxRunners {
-		return fmt.Errorf("serve: runner pool at its cap of %d", b.cfg.MaxRunners)
+	if b.nrunners >= b.maxRunners {
+		return fmt.Errorf("serve: runner pool at its cap of %d", b.maxRunners)
 	}
 	b.nrunners++
 	b.loops.Add(1)

@@ -441,22 +441,28 @@ func TestBatcherSaturationShedsAndAnswersAdmitted(t *testing.T) {
 
 func TestBatcherRunnerScaling(t *testing.T) {
 	r := &stubRunner{}
-	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2, QueueDepth: 4, MaxRunners: 2}, nil)
+	b := NewBatcher([]Runner{r}, BatcherConfig{MaxBatch: 2, QueueDepth: 4}, nil)
 
 	if n := b.Runners(); n != 1 {
 		t.Fatalf("initial runners = %d, want 1", n)
 	}
-	if err := b.AddRunner(&stubRunner{}); err != nil {
-		t.Fatalf("AddRunner: %v", err)
+	// The cap is 4x the initial runner count, at least 8.
+	const maxRunners = 8
+	for i := 1; i < maxRunners; i++ {
+		if err := b.AddRunner(&stubRunner{}); err != nil {
+			t.Fatalf("AddRunner to %d runners: %v", i+1, err)
+		}
 	}
 	if err := b.AddRunner(&stubRunner{}); err == nil {
-		t.Fatal("AddRunner past MaxRunners succeeded")
+		t.Fatalf("AddRunner past the cap of %d succeeded", maxRunners)
 	}
-	if n := b.Runners(); n != 2 {
-		t.Fatalf("runners = %d, want 2", n)
+	if n := b.Runners(); n != maxRunners {
+		t.Fatalf("runners = %d, want %d", n, maxRunners)
 	}
-	if !b.RemoveRunner() {
-		t.Fatal("RemoveRunner with 2 idle runners failed")
+	for i := maxRunners; i > 1; i-- {
+		if !b.RemoveRunner() {
+			t.Fatalf("RemoveRunner with %d idle runners failed", i)
+		}
 	}
 	if b.RemoveRunner() {
 		t.Fatal("RemoveRunner went below the floor of 1")

@@ -44,9 +44,6 @@ type Spec struct {
 	// Replicas is the number of independent model copies serving
 	// batches concurrently (default 1).
 	Replicas int `json:"replicas"`
-	// MaxReplicas bounds how far AddReplica (the fleet autoscaler) may
-	// grow the pool (default 4*Replicas, at least 8).
-	MaxReplicas int `json:"max_replicas"`
 	// MaxBatch caps the coalesced batch size (default 8).
 	MaxBatch int `json:"max_batch"`
 	// QueueDepth bounds the admission queue (default 4*MaxBatch).
@@ -76,12 +73,8 @@ func (s Spec) withDefaults() Spec {
 	if s.Replicas < 1 {
 		s.Replicas = 1
 	}
-	if s.MaxReplicas < s.Replicas {
-		s.MaxReplicas = 4 * s.Replicas
-		if s.MaxReplicas < 8 {
-			s.MaxReplicas = 8
-		}
-	}
+	b := BatcherConfig{MaxBatch: s.MaxBatch, QueueDepth: s.QueueDepth}.withDefaults()
+	s.MaxBatch, s.QueueDepth = b.MaxBatch, b.QueueDepth
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
@@ -93,12 +86,11 @@ func (s Spec) withDefaults() Spec {
 // mint further warm replicas after load — the fleet autoscaler's
 // scale-up path.
 type Model struct {
-	spec     Spec
-	batcher  *Batcher
-	metrics  *Metrics
-	base     *nn.Sequential
-	op       *nn.Op
-	maxBatch int
+	spec    Spec
+	batcher *Batcher
+	metrics *Metrics
+	base    *nn.Sequential
+	op      *nn.Op
 }
 
 // Spec returns the (defaulted) spec the model was loaded from.
@@ -137,32 +129,26 @@ func Load(spec Spec) (*Model, error) {
 		}
 	}
 
-	maxBatch := BatcherConfig{MaxBatch: spec.MaxBatch}.withDefaults().MaxBatch
 	reps := models.Replicas(base, op, spec.Replicas)
 	runners := make([]Runner, len(reps))
 	for i, r := range reps {
 		rep := &replica{model: r, hw: spec.InputHW, classes: spec.Classes}
-		rep.warm(maxBatch, spec.Seed)
+		rep.warm(spec.MaxBatch, spec.Seed)
 		runners[i] = rep
 	}
 
 	metrics := NewMetrics(spec.Name)
-	b := NewBatcher(runners, BatcherConfig{
-		MaxBatch:   spec.MaxBatch,
-		QueueDepth: spec.QueueDepth,
-		MaxRunners: spec.MaxReplicas,
-	}, metrics)
-	return &Model{spec: spec, batcher: b, metrics: metrics,
-		base: base, op: op, maxBatch: maxBatch}, nil
+	b := NewBatcher(runners, BatcherConfig{MaxBatch: spec.MaxBatch, QueueDepth: spec.QueueDepth}, metrics)
+	return &Model{spec: spec, batcher: b, metrics: metrics, base: base, op: op}, nil
 }
 
 // AddReplica builds, warms, and registers one more inference replica —
 // the scale-up primitive the fleet autoscaler drives. It fails once
-// the pool holds Spec.MaxReplicas runners or the batcher is draining.
+// the pool is at the batcher's runner cap or the batcher is draining.
 func (m *Model) AddReplica() error {
 	rep := &replica{model: models.Replicas(m.base, m.op, 1)[0],
 		hw: m.spec.InputHW, classes: m.spec.Classes}
-	rep.warm(m.maxBatch, m.spec.Seed)
+	rep.warm(m.spec.MaxBatch, m.spec.Seed)
 	return m.batcher.AddRunner(rep)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -91,6 +92,20 @@ type PredictRequest struct {
 	TimeoutMS int `json:"timeout_ms"`
 }
 
+// Timeout returns TimeoutMS as a duration: zero when TimeoutMS is not
+// positive, and the largest Duration when TimeoutMS milliseconds do
+// not fit one. The product alone wraps: 9,300,000,000,000 ms would read
+// as about −2.5 million hours.
+func (r PredictRequest) Timeout() time.Duration {
+	if r.TimeoutMS <= 0 {
+		return 0
+	}
+	if int64(r.TimeoutMS) > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(r.TimeoutMS) * time.Millisecond
+}
+
 // PredictResponse is the /v1/predict success body.
 type PredictResponse struct {
 	Model string `json:"model"`
@@ -164,8 +179,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var deadline time.Time
-	if req.TimeoutMS > 0 {
-		deadline = time.Now().Add(time.Duration(req.TimeoutMS) * time.Millisecond)
+	if d := req.Timeout(); d > 0 {
+		deadline = time.Now().Add(d)
 	}
 
 	start := time.Now()

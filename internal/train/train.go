@@ -88,11 +88,8 @@ type Config struct {
 	// then skip the step instead).
 	SpikeFactor float64
 	// CkptPath, when non-empty, enables atomic checkpointing (see
-	// SaveCheckpoint) after every CkptEvery-th epoch and after the
-	// final one.
+	// SaveCheckpoint) after every epoch.
 	CkptPath string
-	// CkptEvery is the epoch interval between checkpoints; 0 means 1.
-	CkptEvery int
 	// Resume loads CkptPath (when it exists) and continues from the
 	// epoch after the one it recorded. A checkpoint recording a
 	// different seed is refused: its continuation could not match a
@@ -215,10 +212,6 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 			panic(fmt.Sprintf("train: cannot resume: %v", err))
 		}
 	}
-	ckptEvery := cfg.CkptEvery
-	if ckptEvery < 1 {
-		ckptEvery = 1
-	}
 	stepper := cfg.Stepper
 	switch {
 	case stepper != nil:
@@ -303,7 +296,7 @@ func Run(model nn.Layer, trainSet, testSet *data.Dataset, cfg Config) Result {
 		testTop5.Set(top5)
 		cfg.logf("epoch %2d/%d lr %.2e loss %.4f top1 %.2f%% top5 %.2f%%",
 			epoch, cfg.Epochs, lr, meanLoss, top1, top5)
-		if cfg.CkptPath != "" && (epoch%ckptEvery == 0 || epoch == cfg.Epochs) {
+		if cfg.CkptPath != "" {
 			st := CheckpointState{Epoch: epoch, Seed: cfg.Seed, Adam: opt.Snapshot(params), Result: res}
 			ckptStart := time.Now()
 			err := SaveCheckpoint(cfg.CkptPath, model, st)

@@ -13,20 +13,13 @@ import (
 type ClientConfig struct {
 	// Addr is the server's TCP address.
 	Addr string
-	// Dial is the backoff policy for failed dials and reconnects.
+	// Dial is the backoff policy for failed dials and reconnects; the
+	// client redials forever (a restarted server picks it back up).
 	Dial Backoff
-	// MaxDialAttempts gives up after this many consecutive dial
-	// failures; 0 retries forever (a restarted server picks the client
-	// back up).
-	MaxDialAttempts int
-	// DialTimeout bounds one dial (default 3s).
-	DialTimeout time.Duration
 	// HeartbeatTimeout is the read-idle limit: the server pings well
 	// inside it, so a read stalled this long means the connection is
 	// dead (default 15s).
 	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 10s).
-	WriteTimeout time.Duration
 	// Seed randomizes backoff jitter.
 	Seed int64
 	// Logf, when non-nil, receives progress and failure lines.
@@ -36,15 +29,12 @@ type ClientConfig struct {
 	WrapConn func(net.Conn) net.Conn
 }
 
+// dialTimeout bounds one dial.
+const dialTimeout = 3 * time.Second
+
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
-	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -64,11 +54,11 @@ func (c ClientConfig) logf(format string, args ...any) {
 type Session func(ctx context.Context, c *Conn, id int, welcome *Dec) error
 
 // RunClient joins the server at cfg.Addr and runs session over the
-// connection until it is dismissed (Bye → nil return), the context is
-// cancelled, or the dial budget is exhausted. Connection loss at any
-// other point re-enters the dial loop with exponential backoff; the
-// package's handshake re-establishes all state on readmission, so a
-// reconnect is always safe.
+// connection until it is dismissed (Bye → nil return) or the context
+// is cancelled. A failed dial, or connection loss at any other point,
+// re-enters the dial loop with exponential backoff; the package's
+// handshake re-establishes all state on readmission, so a reconnect is
+// always safe.
 func RunClient(ctx context.Context, p *Protocol, cfg ClientConfig, session Session) error {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -77,13 +67,10 @@ func RunClient(ctx context.Context, p *Protocol, cfg ClientConfig, session Sessi
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		conn, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", cfg.Addr, dialTimeout)
 		if err != nil {
 			fails++
 			p.Metrics.DialRetries.Inc()
-			if cfg.MaxDialAttempts > 0 && fails >= cfg.MaxDialAttempts {
-				return fmt.Errorf("wire: dialing %s: %d attempts, last: %w", cfg.Addr, fails, err)
-			}
 			cfg.logf("dial %s failed (attempt %d): %v", cfg.Addr, fails, err)
 			if !cfg.Dial.Sleep(ctx, fails-1, rng) {
 				return ctx.Err()
@@ -94,7 +81,7 @@ func RunClient(ctx context.Context, p *Protocol, cfg ClientConfig, session Sessi
 		if cfg.WrapConn != nil {
 			conn = cfg.WrapConn(conn)
 		}
-		err = runSession(ctx, NewConn(p, conn, cfg.WriteTimeout, cfg.HeartbeatTimeout), session)
+		err = runSession(ctx, NewConn(p, conn, writeTimeout, cfg.HeartbeatTimeout), session)
 		if errors.Is(err, ErrDismissed) {
 			cfg.logf("dismissed by %s", cfg.Addr)
 			return nil

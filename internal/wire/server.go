@@ -14,6 +14,10 @@ import (
 // gives up on it.
 const handshakeTimeout = 10 * time.Second
 
+// writeTimeout bounds each frame write, on both ends, so a dead peer
+// cannot block its sender.
+const writeTimeout = 10 * time.Second
+
 // ServerConfig parameterizes Listen.
 type ServerConfig struct {
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
@@ -23,9 +27,6 @@ type ServerConfig struct {
 	// HeartbeatTimeout declares a peer dead when no pong arrived for
 	// this long (default 5s).
 	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write so a dead peer cannot block
-	// the server (default 10s).
-	WriteTimeout time.Duration
 	// Logf, when non-nil, receives progress and failure lines.
 	Logf func(format string, args ...any)
 	// WrapConn, when non-nil, wraps every accepted connection; tests
@@ -40,9 +41,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	return c
 }
@@ -187,7 +185,7 @@ func (s *Server) acceptLoop() {
 		if s.cfg.WrapConn != nil {
 			conn = s.cfg.WrapConn(conn)
 		}
-		p := &Peer{srv: s, Conn: NewConn(s.p, conn, s.cfg.WriteTimeout, handshakeTimeout)}
+		p := &Peer{srv: s, Conn: NewConn(s.p, conn, writeTimeout, handshakeTimeout)}
 		s.mu.Lock()
 		select {
 		case <-s.done:
