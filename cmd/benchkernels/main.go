@@ -7,9 +7,11 @@
 //   - at one wide shape: the dispatching forward GEMM, each forward tier
 //     pinned (nn.Op.Pinned: arith, packed16), the dispatching backward
 //     GEMM on both table families (general tables → fused gather, STE's
-//     affine tables → affine) and the STE op pinned to fused, the
-//     reference kernels — all through the row-major adapters, their
-//     transposes included — and an ApproxConv2D forward+backward step;
+//     affine tables → affine) and the STE op pinned to fused — each
+//     through nn.Op.ForwardGEMM / BackwardGEMM on the layers' k-major
+//     operand, the forwardT / backwardT call an ApproxConv2D makes —,
+//     the row-major reference kernels, and an ApproxConv2D
+//     forward+backward step;
 //   - at the shapes of the benchmark models' layers: approximate and
 //     float conv steps on each backward tier, approximate forwards on the
 //     arith row's pair and word kernels, the k-major byte im2col and
@@ -136,7 +138,10 @@ type record struct {
 var sweeps = []shape{{2048, 16, 72}, {512, 32, 144}, {512, 32, 288}, {128, 64, 288}, {128, 64, 576}, {32, 64, 576}}
 
 // operands is one GEMM's inputs and outputs. One dy entry in nzOf is
-// nonzero.
+// nonzero. xq, xClip and dx are (rows x k) in the reference kernels'
+// row-major layout and (k x rows) in the blocked GEMMs' k-major one: the
+// levels are random and no flag is set, so both readings time the same
+// work.
 type operands struct {
 	shape
 	xq, wq            []uint8
@@ -645,7 +650,9 @@ func main() {
 		speedup{key: "forward_lut_vs_behavioral", num: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", den: "Layer_ApproxConvFwd_LUT_mul8u_2NDH"})
 
 	rec := record{
-		Note: "micro-benchmark baseline; regenerate with `make bench`. The Kernel_BwdDWGather_* rows " +
+		Note: "micro-benchmark baseline; regenerate with `make bench`. The Kernel_GEMM* rows but the *Ref ones run " +
+			"the layers' k-major contract: the forwardT / backwardT call an ApproxConv2D makes, with no transpose. " +
+			"The Kernel_BwdDWGather_* rows " +
 			"from 128 rows up time the fused row's level tables, not VGATHERDPS, and the Kernel_Bwd{DW,DX}Affine_* " +
 			"rows time the affine row's float-GEMM kernels (one shared dW level table, one dX operand per weight), " +
 			"so their bwd_dw_gather_vs_probe and bwd_d{w,x}_affine_vs_probe ratios are speeds relative to the " +

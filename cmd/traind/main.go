@@ -45,7 +45,7 @@ func main() {
 		// Job spec (coordinator and solo; workers receive it on the wire).
 		model     = flag.String("model", "lenet", "model kind: lenet|vgg11|vgg16|vgg19|resnet18|resnet34|resnet50")
 		mult      = flag.String("mult", "mul8u_acc", "approximate multiplier name (experiments/table1.txt lists them)")
-		estimator = flag.String("estimator", "ste", "gradient-estimator spec: ste|smoothdiff|cvste|stochastic|rawdiff, with optional parameters like stochastic(seed=7) ('ours' = smoothdiff)")
+		estimator = flag.String("estimator", "ste", "gradient-estimator spec: ste|smoothdiff|cvste|stochastic|rawdiff, with optional parameters like stochastic(seed=7)")
 		scale     = flag.String("scale", "tiny", "experiment scale: paper|reduced|small|tiny")
 		classes   = flag.Int("classes", 10, "number of classes")
 		seed      = flag.Int64("seed", 1, "experiment seed")

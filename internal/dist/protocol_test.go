@@ -151,7 +151,7 @@ func TestWelcomeSpecBytes(t *testing.T) {
 
 func TestSpecWireRoundTrip(t *testing.T) {
 	in := Spec{
-		Model: "lenet", Mult: "mul8u_17C8", Estimator: "ours", Scale: "tiny",
+		Model: "lenet", Mult: "mul8u_17C8", Estimator: "stochastic(seed=7)", Scale: "tiny",
 		Classes: 7, Seed: -3, Epochs: 9, BatchSize: 20,
 	}
 	var e wire.Enc

@@ -5,7 +5,6 @@ import (
 
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/data"
-	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/models"
 	"github.com/appmult/retrain/internal/nn"
 	"github.com/appmult/retrain/internal/train"
@@ -25,8 +24,7 @@ type Spec struct {
 	Mult string
 	// Estimator is the gradient-estimator spec (see
 	// gradient.ParseEstimator): "ste", "smoothdiff", "cvste",
-	// "stochastic(seed=7)", "rawdiff", ... The historical aliases
-	// "ours" and "difference" still mean "smoothdiff".
+	// "stochastic(seed=7)", "rawdiff", ...
 	Estimator string
 	// Scale names the experiment scale: paper|reduced|small|tiny.
 	Scale string
@@ -38,24 +36,6 @@ type Spec struct {
 	Epochs int
 	// BatchSize overrides the scale's batch size when > 0.
 	BatchSize int
-}
-
-// canonicalEstimator resolves a Spec.Estimator value to the estimator
-// spec the GradEstimator seam understands, translating the historical
-// wire aliases ("ours"/"difference" mean "smoothdiff") and validating
-// the result. Coordinator and workers both canonicalize, so mixed-age
-// nodes agree on the estimator a job trains under.
-func canonicalEstimator(name string) (string, error) {
-	switch name {
-	case "":
-		return gradient.EstSTE, nil
-	case "ours", "difference":
-		return gradient.EstSmoothDiff, nil
-	}
-	if _, err := gradient.ParseEstimator(name); err != nil {
-		return "", fmt.Errorf("dist: %w", err)
-	}
-	return name, nil
 }
 
 // Build constructs the model and resolves the effective scale for the
@@ -77,13 +57,9 @@ func (s Spec) Build() (*nn.Sequential, train.Scale, error) {
 	if !ok {
 		return nil, train.Scale{}, fmt.Errorf("dist: unknown multiplier %q", s.Mult)
 	}
-	spec, err := canonicalEstimator(s.Estimator)
+	op, err := train.OpForSpec(entry, s.Estimator)
 	if err != nil {
-		return nil, train.Scale{}, err
-	}
-	op, err := train.OpForSpec(entry, spec)
-	if err != nil {
-		return nil, train.Scale{}, err
+		return nil, train.Scale{}, fmt.Errorf("dist: %w", err)
 	}
 	classes := s.Classes
 	if classes < 1 {

@@ -226,8 +226,8 @@ func TestApproxConvRetainsOnePatchMatrixEach(t *testing.T) {
 // size, so the input's levels, clip flags and gradient count too: two
 // byte buffers (xq, xT), one of flags (xClip) and two float32 ones (dxT,
 // dx); the caller's input, which the quantize runner still points at, is
-// not the layer's. The row-major adapters' operand transpose, input
-// gradient and weight-side state in the arena stay empty.
+// not the layer's. The weight-side state the exported GEMMs keep in
+// the arena stays empty.
 func TestApproxLinearRetainsOnePatchMatrixEach(t *testing.T) {
 	e, ok := appmult.Lookup("mul7u_rm6")
 	if !ok {
@@ -261,9 +261,8 @@ func TestApproxLinearRetainsOnePatchMatrixEach(t *testing.T) {
 			t.Errorf("%s: retains %v buffers of rows*k elements, want %v (xq and xT, xClip, dxT and dx)",
 				op.Label, kept, want)
 		}
-		if ks := &layer.conv.ks; ks.xT != nil || ks.dxT != nil || ks.w.wq != nil {
-			t.Errorf("%s: the arena holds adapter scratch (xT %d, dxT %d, weight levels %d)",
-				op.Label, cap(ks.xT), cap(ks.dxT), cap(ks.w.wq))
+		if ks := &layer.conv.ks; ks.w.wq != nil {
+			t.Errorf("%s: the arena holds the exported GEMMs' weight levels (%d)", op.Label, cap(ks.w.wq))
 		}
 	}
 }

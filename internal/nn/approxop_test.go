@@ -1,12 +1,16 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/quant"
+	"github.com/appmult/retrain/internal/tensor"
 )
 
 func TestNewOpBitsMismatchPanics(t *testing.T) {
@@ -55,7 +59,8 @@ func TestApproxGEMMAgainstDirectMath(t *testing.T) {
 	bias := []float32{0.25, -0.5}
 	ref := op.ForwardGEMMRef(xq, wq, rows, outC, k, []quant.Params{pw}, px, bias)
 	blocked := make([]float32, rows*outC)
-	op.ForwardGEMM(nil, blocked, xq, wq, rows, outC, k, []quant.Params{pw}, px, bias)
+	xT, _ := kMajor(xq, nil, rows, k)
+	op.ForwardGEMM(nil, blocked, xT, wq, rows, outC, k, []quant.Params{pw}, px, bias)
 
 	for _, variant := range []struct {
 		name string
@@ -99,9 +104,11 @@ func TestApproxBackwardAgainstDirectMath(t *testing.T) {
 	noClip := make([]bool, 6)
 
 	dw := make([]float32, outC*k)
-	dx := make([]float32, rows*k)
+	dxT := make([]float32, k*rows)
 	gsum := make([]float32, outC)
-	op.BackwardGEMM(nil, dw, dx, gsum, dy, xq, wq, noClip, noClip, rows, outC, k, []quant.Params{pw}, px)
+	xT, _ := kMajor(xq, nil, rows, k)
+	op.BackwardGEMM(nil, dw, dxT, gsum, dy, xT, wq, noClip, noClip, rows, outC, k, []quant.Params{pw}, px)
+	dx := rowMajor(dxT, rows, k)
 
 	for oc := 0; oc < outC; oc++ {
 		for i := 0; i < k; i++ {
@@ -136,7 +143,7 @@ func TestApproxBackwardClipMasksZeroGradients(t *testing.T) {
 	op := STEOp(e.Mult)
 	pw := quant.Calibrate(-1, 1, 6)
 	px := quant.Calibrate(0, 2, 6)
-	rows, outC, k := 1, 1, 2
+	rows, outC, k := 1, 1, 2 // one row: the k-major operand is the row-major one
 	xq := []uint8{10, 20}
 	wq := []uint8{30, 40}
 	dy := []float32{1}
@@ -154,6 +161,65 @@ func TestApproxBackwardClipMasksZeroGradients(t *testing.T) {
 	}
 	if dw[0] == 0 || dx[1] == 0 {
 		t.Error("unclipped entries should have nonzero gradients")
+	}
+}
+
+// TestExportedGEMMsRunTheLayersContract: ForwardGEMM and BackwardGEMM
+// take what an ApproxLinear (a 1x1 convolution: hw = 1, no dead taps)
+// hands its own GEMMs — the k-major operand matrix and clip flags, the
+// weight levels and the quantization parameters — and return the
+// layer's output, weight and bias gradients and clip-masked input
+// gradient bit for bit, on every backward tier the two ops reach.
+func TestExportedGEMMsRunTheLayersContract(t *testing.T) {
+	e, _ := appmult.Lookup("mul7u_rm6")
+	for _, op := range []*Op{STEOp(e.Mult), DifferenceOp(e.Mult, 6)} {
+		for _, sh := range [][3]int{{40, 37, 11}, {5, 64, 10}} {
+			for _, sparse := range []bool{false, true} {
+				n, in, out := sh[0], sh[1], sh[2]
+				rng := rand.New(rand.NewSource(int64(n)))
+				l := NewApproxLinear("fc", in, out, op, rng)
+				// A narrower range than the input's, so some inputs clip.
+				l.ActivationObserver().ObserveRange(-0.5, 0.5)
+				l.SetDeferObserve(true)
+				x := tensor.New(n, in)
+				x.RandNormal(rng, 1)
+				dy := tensor.New(n, out)
+				dy.RandNormal(rng, 1)
+				if sparse {
+					for i := range dy.Data {
+						if i%8 != 0 {
+							dy.Data[i] = 0
+						}
+					}
+				}
+				// Gradients start at −0, as BackwardGEMM's do, so the
+				// layer's sums are written too.
+				negZero := float32(math.Copysign(0, -1))
+				for _, p := range l.Params() {
+					for i := range p.Grad.Data {
+						p.Grad.Data[i] = negZero
+					}
+				}
+				y := l.Forward(x, true).Clone()
+				dx := l.Backward(dy).Clone()
+
+				c := l.conv
+				_, xClipT := kMajor(c.xq, c.xClip, n, in)
+				if !slices.Contains(xClipT, true) {
+					t.Fatal("no input clipped: the mask goes unchecked")
+				}
+				name := fmt.Sprintf("%s %v sparse=%v", op.Label, sh, sparse)
+				var s KernelScratch
+				got := make([]float32, n*out)
+				op.ForwardGEMM(&s, got, c.xT, c.w.wq, n, out, in, c.w.pw, c.px, l.Bias.Value.Data)
+				requireSameBits(t, name+": forward", got, y.Data)
+				dw, dxT, gsum := make([]float32, out*in), make([]float32, in*n), make([]float32, out)
+				op.BackwardGEMM(&s, dw, dxT, gsum, dy.Data, c.xT, c.w.wq, xClipT, c.w.wClip, n, out, in, c.w.pw, c.px)
+				requireSameBits(t, name+": dw", dw, l.Weight.Grad.Data)
+				requireSameBits(t, name+": db", gsum, l.Bias.Grad.Data)
+				requireSameBits(t, name+": dx", rowMajor(dxT, n, in), dx.Data)
+			}
+		}
 	}
 }
 

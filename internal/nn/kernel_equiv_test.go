@@ -327,6 +327,37 @@ func randOperands(rng *rand.Rand, c equivCase) (xq, wq []uint8, xClip, wClip []b
 	return xq, wq, xClip, wClip, dy
 }
 
+// kMajor returns the (k x rows) layout of the row-major (rows x k)
+// operand xq and of its clip flags xClip (nil stays nil): the operands
+// ForwardGEMM and BackwardGEMM take, where the reference kernels take
+// the row-major ones.
+func kMajor(xq []uint8, xClip []bool, rows, k int) ([]uint8, []bool) {
+	xT := make([]uint8, len(xq))
+	transposeU8Tiles(xT, xq, rows, k, 0, k)
+	var clipT []bool
+	if xClip != nil {
+		clipT = make([]bool, len(xClip))
+		for r := 0; r < rows; r++ {
+			for i := 0; i < k; i++ {
+				clipT[i*rows+r] = xClip[r*k+i]
+			}
+		}
+	}
+	return xT, clipT
+}
+
+// rowMajor maps the k-major (k x rows) input gradient dxT back to the
+// (rows x k) layout of BackwardGEMMRef's, by index.
+func rowMajor(dxT []float32, rows, k int) []float32 {
+	dx := make([]float32, len(dxT))
+	for i := 0; i < k; i++ {
+		for r := 0; r < rows; r++ {
+			dx[r*k+i] = dxT[i*rows+r]
+		}
+	}
+	return dx
+}
+
 func quantParams(rng *rand.Rand, c equivCase) (pw []quant.Params, px quant.Params) {
 	px = quant.Calibrate(-0.5, 1.5, c.op.Bits)
 	if !c.perChannel {
@@ -353,7 +384,9 @@ func pinName(pin string) string {
 // both ladders — automatic dispatch, then each row pinned through
 // Op.Pinned, the hook the benchmark harness uses — and requires
 // Float32bits equality with ForwardGEMMRef / BackwardGEMMRef, clip
-// masks and the folded bias gradient included. A row the op, host or
+// masks and the folded bias gradient included: the GEMMs run on the
+// k-major transposes of the references' row-major operands, and their
+// k-major input gradient is compared by index. A row the op, host or
 // shape cannot provide is reported and skipped, so the test also
 // documents which tiers each registry family reaches. Every GEMM runs
 // twice through one scratch arena (the second pass must not see stale
@@ -366,6 +399,7 @@ func TestTierEquivalence(t *testing.T) {
 	for ci, c := range equivCases(t) {
 		rng := rand.New(rand.NewSource(int64(ci)))
 		xq, wq, xClip, wClip, dense := randOperands(rng, c)
+		xT, xClipT := kMajor(xq, xClip, c.rows, c.k)
 		pw, px := quantParams(rng, c)
 		bias := make([]float32, c.outC)
 		for i := range bias {
@@ -389,12 +423,12 @@ func TestTierEquivalence(t *testing.T) {
 				}
 			}
 			dw := make([]float32, c.outC*c.k)
-			dx := make([]float32, c.rows*c.k)
+			dxT := make([]float32, c.k*c.rows)
 			gsum := make([]float32, c.outC)
 			for pass := 0; pass < 2; pass++ {
-				op.BackwardGEMM(s, dw, dx, gsum, dy, xq, wq, xClip, wClip, c.rows, c.outC, c.k, pw, px)
+				op.BackwardGEMM(s, dw, dxT, gsum, dy, xT, wq, xClipT, wClip, c.rows, c.outC, c.k, pw, px)
 				requireSameBits(t, fmt.Sprintf("pass %d: dw", pass), dw, refDW)
-				requireSameBits(t, fmt.Sprintf("pass %d: dx", pass), dx, refDX)
+				requireSameBits(t, fmt.Sprintf("pass %d: dx", pass), rowMajor(dxT, c.rows, c.k), refDX)
 				requireSameBits(t, fmt.Sprintf("pass %d: gsum", pass), gsum, wantSum)
 			}
 		}
@@ -428,7 +462,7 @@ func TestTierEquivalence(t *testing.T) {
 				var s KernelScratch
 				got := make([]float32, c.rows*c.outC)
 				for pass := 0; pass < 2; pass++ {
-					op.ForwardGEMM(&s, got, xq, wq, c.rows, c.outC, c.k, pw, px, bias)
+					op.ForwardGEMM(&s, got, xT, wq, c.rows, c.outC, c.k, pw, px, bias)
 					requireSameBits(t, fmt.Sprintf("pass %d: forward", pass), got, ref.Data)
 				}
 				backward(t, op, &s, dense)

@@ -31,11 +31,12 @@ import (
 // run the tier their dispatch ladder (tiers.go) selects; both take xT
 // and address the output-side matrices — y, dy — as NCHW planes of hw
 // positions per (image, channel). Every layer calls them through
-// ApproxConv2D (ApproxLinear is its 1x1 case). The exported row-major
-// ForwardGEMM and BackwardGEMM are adapters around them that no layer
-// calls: they transpose the operand matrix in (and the input gradient
-// out) and pass hw = 1, under which the plane layout is the row-major
-// (rows x outC) matrix.
+// ApproxConv2D (ApproxLinear is its 1x1 case). The exported
+// ForwardGEMM, BackwardGEMM and BackwardSweep, which no layer calls,
+// take the same k-major operand and input gradient and pass hw = 1,
+// under which the plane layout is the row-major (rows x outC) matrix:
+// the GEMM they time is the one a layer runs. Only the reference
+// kernels (kernels_ref.go) read a row-major (rows x k) operand.
 //
 // Bit-exactness with the reference kernels is guaranteed by
 // construction: the integer forward accumulation is order-independent,
@@ -46,8 +47,8 @@ import (
 
 // Blocking parameters. fwdRowTile rows of a fwdKTile-deep operand
 // tile occupy 16 KiB — half a typical L1d — leaving room for the hot
-// LUT rows and accumulators; transTile is the square tile of the
-// adapters' transposes.
+// LUT rows and accumulators; transTile is the square tile of
+// transposeU8Tiles.
 const (
 	fwdRowTile = 64
 	fwdKTile   = 256
@@ -92,13 +93,10 @@ type KernelScratch struct {
 	nz nonzeros
 	// Backward: where the parameter gradients go, per slice of the rows.
 	grads gradCuts
-	// Row-major adapters only: the operand transpose, the k-major input
-	// gradient (a layer owns both matrices itself) and the weight-side
-	// state ForwardGEMM derives, on every call, from the levels it is
-	// handed (a layer keeps its own per weight version).
-	xT  []uint8
-	dxT []float32
-	w   weightSide
+	// The exported GEMMs only: the weight-side state they derive, on
+	// every call, from the levels they are handed (a layer keeps its own
+	// per weight version).
+	w weightSide
 	// Reusable RangeRunner bodies for the pool dispatches on the step
 	// hot path (kernels_runners.go) — kept in the arena so passing
 	// &s.<runner> to the *On scheduling entry points allocates nothing.
@@ -108,7 +106,6 @@ type KernelScratch struct {
 	fwdRun     fwdTileRun
 	pairRun    pairStreamRun
 	tU8Run     transU8Run
-	toutRun    bwdTransOutRun
 	gradRun    bwdGradRun
 	dyRRun     bwdDyRRun
 	dwRun      bwdDWRun
@@ -195,23 +192,22 @@ func (s *KernelScratch) releaseTiles() {
 	s.tiles = s.tiles[:0]
 }
 
-// ForwardGEMM is the blocked counterpart of ForwardGEMMRef, writing
-// the (rows x outC) result into dst: the row-major adapter around
-// forwardT. s may be nil for one-off calls (a temporary arena is then
-// used). No layer calls it; it stays for the callers that time the GEMM
-// alone, bench/retrain.go's kernelMetrics and cmd/benchkernels.
-func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xq, wq []uint8, rows, outC, k int, pw []quant.Params, px quant.Params, bias []float32) {
-	if len(dst) != rows*outC {
-		panic("nn: ForwardGEMM destination has wrong size")
+// ForwardGEMM is the blocked counterpart of ForwardGEMMRef on the
+// layers' operand: xT is the k-major (k x rows) operand matrix, and dst
+// receives the (rows x outC) result — forwardT at hw = 1. s may be nil
+// for one-off calls (a temporary arena is then used). No layer calls
+// it; it stays for the callers that time the GEMM alone,
+// bench/retrain.go's kernelMetrics and cmd/benchkernels.
+func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xT, wq []uint8, rows, outC, k int, pw []quant.Params, px quant.Params, bias []float32) {
+	if len(dst) != rows*outC || len(xT) != k*rows {
+		panic("nn: ForwardGEMM operand or destination has wrong size")
 	}
 	if s == nil {
 		s = &KernelScratch{}
 	}
-	s.xT = grow(s.xT, k*rows)
-	s.transposeU8(s.xT, xq, rows, k)
 	s.w.adopt(wq, nil, pw, outC, k)
 	s.w.sumLevels(s)
-	op.forwardT(s, dst, s.xT, &s.w, rows, 1, px, bias)
+	op.forwardT(s, dst, xT, &s.w, rows, 1, px, bias)
 }
 
 // forwardT is the forward GEMM of the k-major operand matrix xT
@@ -429,28 +425,25 @@ func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR i
 	}
 }
 
-// BackwardGEMM is the tiered counterpart of BackwardGEMMRef: the
-// row-major adapter around backwardT (see tiers.go for the dispatch
-// ladder; every tier is bit-exact with the reference). It writes the
-// weight gradient into dw (outC x k), the patch-matrix input gradient
-// into dxcols (rows x k), and the per-channel column sums of dy into
-// gsum (outC) — the bias gradient, folded into the kernels' one scan of
-// dy. A nil xClip leaves dxcols unmasked for a caller that masks itself.
-// s may be nil for one-off calls. Like ForwardGEMM it is kept for
-// bench/retrain.go's kernelMetrics and cmd/benchkernels; no layer calls
-// it.
-func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq, wq []uint8, xClip, wClip []bool,
+// BackwardGEMM is the tiered counterpart of BackwardGEMMRef on the
+// layers' operands (see tiers.go for the dispatch ladder; every tier is
+// bit-exact with the reference): backwardT at hw = 1 on the k-major
+// (k x rows) operand matrix xT and its clip flags xClip. It writes the
+// weight gradient into dw (outC x k), the k-major input gradient into
+// dxT (k x rows), clip-masked unless xClip is nil, and the per-channel
+// column sums of the (rows x outC) dy into gsum (outC) — the bias
+// gradient, folded into the kernels' one scan of dy. s may be nil for
+// one-off calls. Like ForwardGEMM it is kept for bench/retrain.go's
+// kernelMetrics and cmd/benchkernels; no layer calls it.
+func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
-	if len(dw) != outC*k || len(dxcols) != rows*k || len(gsum) != outC {
-		panic("nn: BackwardGEMM destination has wrong size")
+	if len(dw) != outC*k || len(dxT) != k*rows || len(gsum) != outC || len(xT) != k*rows {
+		panic("nn: BackwardGEMM operand or destination has wrong size")
 	}
 	if s == nil {
 		s = &KernelScratch{}
 	}
-	s.xT = grow(s.xT, k*rows)
-	s.transposeU8(s.xT, xq, rows, k)
-	s.dxT = grow(s.dxT, k*rows)
 	// backwardT adds into dw and gsum. Starting them at −0 makes that a
 	// write: −0 + x is x for every x, +0 and −0 included.
 	negZero := float32(math.Copysign(0, -1))
@@ -462,12 +455,10 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxcols, gsum, dy []float32, xq,
 	}
 	s.w.adopt(wq, wClip, pw, outC, k)
 	s.grads.whole(rows, dw, gsum)
-	op.backwardT(s, s.dxT, dy, 1, s.xT, &s.w, rows, px)
-	// Transpose back to row-major and, unless the caller masks (nil
-	// xClip), apply the straight-through clip mask (zero gradient for
-	// operands clamped during quantization).
-	s.toutRun = bwdTransOutRun{s: s, dxcols: dxcols, xClip: xClip, rows: rows, k: k}
-	tensor.ParallelBlocksOn(rows, transTile, &s.toutRun)
+	op.backwardT(s, dxT, dy, 1, xT, &s.w, rows, px)
+	if xClip != nil {
+		s.maskClipped(dxT, xClip, 1)
+	}
 }
 
 // sparseGrad is the small-tier gate: at most a quarter of the upstream

@@ -159,12 +159,13 @@ func (op *Op) sweepDX(s *KernelScratch, dxT []float32, xT, wq []uint8, rows, out
 const dwLanes = 8
 
 // BackwardSweep runs the parts of BackwardGEMM's sweep rows the caller
-// names, on an already k-major operand matrix xT (k x rows) and on the
-// rows the ladder picks for the op's tables and pin: the scan of dy
-// (row-major, rows x outC; its column sums added into gsum) unless dy is
-// nil — the sweeps then read what the last scan left in s —, the
-// weight-gradient sweep, added into dw, unless dw is nil, and the
-// input-gradient sweep into the k-major dxT unless dxT is nil.
+// names, on BackwardGEMM's operands — the k-major operand matrix xT
+// (k x rows), dy (rows x outC) — and on the rows the ladder picks for
+// the op's tables and pin: the scan of dy (its column sums added into
+// gsum) unless dy is nil — the sweeps then read what the last scan left
+// in s —, the weight-gradient sweep, added into dw, unless dw is nil,
+// and the unmasked input-gradient sweep into the k-major dxT unless dxT
+// is nil.
 // A benchmark-harness hook like Pinned: cmd/benchkernels times each
 // sweep's kernels alone with it; no layer calls it.
 func (op *Op) BackwardSweep(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq []uint8, wClip []bool,
@@ -234,34 +235,6 @@ func (l *nonzeros) build(gsum [][]float32, dy []float32, cuts []int, outC, hw, n
 func (l *nonzeros) list(oc, s int) ([]int32, []float32) {
 	a, b := l.off[oc*l.S+s], l.off[oc*l.S+s+1]
 	return l.r[a:b], l.g[a:b]
-}
-
-// backwardTransposeOut writes dxT (k x rows) back into row-major
-// dxcols for rows [lo, hi), zeroing clip-masked entries (none when
-// xClip is nil) — the BackwardGEMM adapter's way out of the k-major
-// kernels.
-func backwardTransposeOut(dxcols, dxT []float32, xClip []bool, lo, hi, rows, k int) {
-	for rb := lo; rb < hi; rb += transTile {
-		rhi := rb + transTile
-		if rhi > hi {
-			rhi = hi
-		}
-		for ib := 0; ib < k; ib += transTile {
-			ihi := ib + transTile
-			if ihi > k {
-				ihi = k
-			}
-			for r := rb; r < rhi; r++ {
-				for i := ib; i < ihi; i++ {
-					v := dxT[i*rows+r]
-					if xClip != nil && xClip[r*k+i] {
-						v = 0
-					}
-					dxcols[r*k+i] = v
-				}
-			}
-		}
-	}
 }
 
 // affineDWPrep builds the affine row's dW level table for the call:

@@ -123,8 +123,8 @@ func (t *fwdTileRun) claimTile() *fwdTile {
 	panic("nn: more concurrent forward row blocks than held tiles")
 }
 
-// transU8Run carries the tiled full-matrix transpose of the row-major
-// adapters.
+// transU8Run carries the tiled full-matrix transpose of the skinny
+// row's weight levels (weightSide.wqT).
 type transU8Run struct {
 	dst, src   []uint8
 	rows, cols int
@@ -132,19 +132,6 @@ type transU8Run struct {
 
 func (t *transU8Run) RunRange(lo, hi int) {
 	transposeU8Tiles(t.dst, t.src, t.rows, t.cols, lo, hi)
-}
-
-// bwdTransOutRun is BackwardGEMM's transpose of dxT back to row-major,
-// clip-masked unless xClip is nil.
-type bwdTransOutRun struct {
-	s       *KernelScratch
-	dxcols  []float32
-	xClip   []bool
-	rows, k int
-}
-
-func (t *bwdTransOutRun) RunRange(lo, hi int) {
-	backwardTransposeOut(t.dxcols, t.s.dxT, t.xClip, lo, hi, t.rows, t.k)
 }
 
 // bwdGradRun is the big tiers' per-channel scan of the upstream

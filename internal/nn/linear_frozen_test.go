@@ -16,8 +16,9 @@ import (
 // on Conv2D's and ApproxConv2D's passes, to the dense layers they were
 // before: frozenLinear and frozenApproxLinear below are those layers
 // verbatim — float Linear on tensor's row-major GEMMs (now the copies in
-// conv_rowmajor_test.go), ApproxLinear on its own operand transpose and
-// the row-major BackwardGEMM adapter, which masks while transposing out.
+// conv_rowmajor_test.go), ApproxLinear on its own operand transpose
+// (kMajor), forwardT and BackwardGEMM, whose k-major input gradient it
+// maps back to row-major by index.
 
 // denseShapes are the oracle's (batch, in, out) table: the reduced-scale
 // model heads at batch 1, 8 and 32, and odd shapes — a batch that is not
@@ -320,6 +321,8 @@ type frozenApproxLinear struct {
 	trained bool
 	xq      []uint8
 	xClip   []bool
+	xT      []uint8
+	xClipT  []bool
 	px      quant.Params
 
 	// Scratch arena: buffers sized on first use, reused every step.
@@ -362,12 +365,10 @@ func (l *frozenApproxLinear) forward(x *tensor.Tensor, withClip bool) *tensor.Te
 		xClip = l.xClip
 	}
 	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px, 1)
-	// The arena's operand transpose, as in ForwardGEMM; the weight side
-	// is the layer's own.
-	l.ks.xT = grow(l.ks.xT, len(l.xq))
-	l.ks.transposeU8(l.ks.xT, l.xq, l.rows, l.In)
+	// The layer's own operand transpose and weight side.
+	l.xT, l.xClipT = kMajor(l.xq, xClip, l.rows, l.In)
 	l.out = tensor.Ensure2(l.out, l.rows, l.Out)
-	l.op.forwardT(&l.ks, l.out.Data, l.ks.xT, &l.w, l.rows, 1, l.px, l.Bias.Value.Data)
+	l.op.forwardT(&l.ks, l.out.Data, l.xT, &l.w, l.rows, 1, l.px, l.Bias.Value.Data)
 	return l.out
 }
 
@@ -377,9 +378,11 @@ func (l *frozenApproxLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	}
 	l.dw = grow(l.dw, l.Out*l.In)
 	l.gsum = grow(l.gsum, l.Out)
-	l.dx = tensor.Ensure2(l.dx, l.rows, l.In)
-	l.op.BackwardGEMM(&l.ks, l.dw, l.dx.Data, l.gsum, dy.Data, l.xq, l.w.wq, l.xClip, l.w.wClip,
+	dxT := make([]float32, l.In*l.rows)
+	l.op.BackwardGEMM(&l.ks, l.dw, dxT, l.gsum, dy.Data, l.xT, l.w.wq, l.xClipT, l.w.wClip,
 		l.rows, l.Out, l.In, l.w.pw, l.px)
+	l.dx = tensor.Ensure2(l.dx, l.rows, l.In)
+	copy(l.dx.Data, rowMajor(dxT, l.rows, l.In))
 	for i, v := range l.dw {
 		l.Weight.Grad.Data[i] += v
 	}

@@ -97,7 +97,7 @@ func (w *weightSide) sync(layer string, s *KernelScratch, p *Param, op *Op, perC
 }
 
 // adopt takes levels, and the clip flags if the caller has them, that a
-// caller quantized itself (the row-major adapters). A forward caller
+// caller quantized itself (the exported GEMMs). A forward caller
 // derives the level sums too (sumLevels); the backward reads none.
 func (w *weightSide) adopt(wq []uint8, wClip []bool, pw []quant.Params, outC, k int) {
 	w.wq, w.wClip, w.pw = wq, wClip, pw
