@@ -33,7 +33,7 @@
 //     of the training workloads, over dense and sparse upstream gradients
 //     (the rows behind BackwardGEMM's sparse-gradient gate);
 //   - the training step: train.Run's step (train.ShardedStep) at 1, 2
-//     and 4 shards on a BN-free model,
+//     and 4 shards on a BN-free model and at 1 and 2 with a BatchNorm,
 //     the solo step of reduced vgg11 under smoothdiff (the
 //     retrain_vgg11_smoothdiff workload's step; its speed on two CPUs over
 //     one is the worker pool's scaling) and the Adam step after it;
@@ -45,8 +45,10 @@
 //     recomputing the smoothed difference row they were built from
 //     (gradient.DifferenceRow).
 //
-// A row that fails stops the command, named, before anything is
-// written.
+// Rows that share operands form a group, and each group is built just
+// before its rows run and dropped after them, so no row is timed on a
+// heap or a scratch shaped by other groups' layers. A row that fails
+// stops the command, named, before anything is written.
 //
 // The committed BENCH_kernels.json at the repository root is the
 // current baseline; `make bench` re-measures, diffs against it with
@@ -86,6 +88,12 @@ var wide = shape{rows: 1024, outC: 32, k: 144}
 
 // gradSink keeps the gradient rows' results live.
 var gradSink float64
+
+// pw and px are the GEMM rows' weight and activation quantizers.
+var (
+	pw = []quant.Params{quant.Calibrate(-1, 1, 7)}
+	px = quant.Calibrate(0, 2, 7)
+)
 
 // narrow lists the row-heavy early-layer GEMMs of the benchmark's
 // training workloads with the share of dy that is nonzero there (1 in
@@ -181,79 +189,83 @@ func loop(fn func()) func(b *testing.B) {
 	}
 }
 
-// convStep benchmarks one conv layer forward+backward at the given
-// layer and input geometry: an ApproxConv2D on op, or the float Conv2D
-// when op is nil. pooled thins dy to what conv -> ReLU -> 2x2 max pool
-// passes back: one position per 2x2 window, half of those zeroed, one
-// nonzero in eight. touch bumps the weights' version every op, as an
-// optimizer step does, so the layer rebuilds its weight-side state each
-// time instead of reusing it.
-func convStep(op *nn.Op, inC, outC, k, n, hw int, pooled, touch bool, rng *rand.Rand) func(b *testing.B) {
-	var layer nn.Layer
-	if op != nil {
-		layer = nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
-	} else {
-		layer = nn.NewConv2D("bench", inC, outC, k, 1, k/2, rng)
-	}
-	x := tensor.New(n, inC, hw, hw)
-	x.RandNormal(rng, 1)
-	dy := tensor.New(layer.Forward(x, true).Shape...)
-	dy.RandNormal(rng, 1)
-	if pooled {
-		for base := 0; base < len(dy.Data); base += hw * hw {
-			for oy := 0; oy < hw; oy += 2 {
-				for ox := 0; ox < hw; ox += 2 {
-					// keep < 4: that position was the window's maximum;
-					// otherwise the ReLU had zeroed it.
-					keep := rng.Intn(8)
-					for j, d := range [4]int{0, 1, hw, hw + 1} {
-						if j != keep {
-							dy.Data[base+oy*hw+ox+d] = 0
+// convStep is the row name benchmarking one conv layer
+// forward+backward at the given layer and input geometry: an
+// ApproxConv2D on op, or the float Conv2D when op is nil. pooled thins
+// dy to what conv -> ReLU -> 2x2 max pool passes back: one position per
+// 2x2 window, half of those zeroed, one nonzero in eight. touch bumps
+// the weights' version every op, as an optimizer step does, so the
+// layer rebuilds its weight-side state each time instead of reusing it.
+func convStep(name string, op *nn.Op, inC, outC, k, n, hw int, pooled, touch bool, rng *rand.Rand) group {
+	return one(name, func() func(b *testing.B) {
+		var layer nn.Layer
+		if op != nil {
+			layer = nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
+		} else {
+			layer = nn.NewConv2D("bench", inC, outC, k, 1, k/2, rng)
+		}
+		x := tensor.New(n, inC, hw, hw)
+		x.RandNormal(rng, 1)
+		dy := tensor.New(layer.Forward(x, true).Shape...)
+		dy.RandNormal(rng, 1)
+		if pooled {
+			for base := 0; base < len(dy.Data); base += hw * hw {
+				for oy := 0; oy < hw; oy += 2 {
+					for ox := 0; ox < hw; ox += 2 {
+						// keep < 4: that position was the window's maximum;
+						// otherwise the ReLU had zeroed it.
+						keep := rng.Intn(8)
+						for j, d := range [4]int{0, 1, hw, hw + 1} {
+							if j != keep {
+								dy.Data[base+oy*hw+ox+d] = 0
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-	weight := layer.Params()[0]
-	return loop(func() {
-		if touch {
-			weight.Touch()
-		}
-		layer.Forward(x, true)
-		layer.Backward(dy)
+		weight := layer.Params()[0]
+		return loop(func() {
+			if touch {
+				weight.Touch()
+			}
+			layer.Forward(x, true)
+			layer.Backward(dy)
+		})
 	})
 }
 
-// convFwd benchmarks one ApproxConv2D forward on op at the given layer
-// and input geometry. touch bumps the weights' version first, as a
+// convFwd is the row name benchmarking one ApproxConv2D forward on op
+// at the given layer and input geometry (path, when set, is the
+// dispatch tier it takes). touch bumps the weights' version first, as a
 // training step's forward runs after the optimizer step: the layer
 // rebuilds its weight-side state every op.
-func convFwd(op *nn.Op, inC, outC, k, n, hw int, touch bool, rng *rand.Rand) func(b *testing.B) {
-	layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
-	x := tensor.New(n, inC, hw, hw)
-	x.RandNormal(rng, 1)
-	weight := layer.Params()[0]
-	return loop(func() {
-		if touch {
-			weight.Touch()
-		}
-		layer.Forward(x, true)
-	})
+func convFwd(name, path string, op *nn.Op, inC, outC, k, n, hw int, touch bool, rng *rand.Rand) group {
+	return func() []bench {
+		layer := nn.NewApproxConv2D("bench", inC, outC, k, 1, k/2, op, rng)
+		x := tensor.New(n, inC, hw, hw)
+		x.RandNormal(rng, 1)
+		weight := layer.Params()[0]
+		return []bench{{name: name, path: path, fn: loop(func() {
+			if touch {
+				weight.Touch()
+			}
+			layer.Forward(x, true)
+		})}}
+	}
 }
 
-// stepModel is the sharded-step rows' BatchNorm-free approximate model,
-// drawn from its own source, so every shard count computes the
-// bit-identical gradient (see train.ShardedStep).
-func stepModel(op *nn.Op) *nn.Sequential {
+// stepModel is the sharded-step rows' approximate model, drawn from its
+// own source, so every shard count computes the bit-identical gradient
+// (see train.ShardedStep); bn puts a BatchNorm2D after its conv.
+func stepModel(op *nn.Op, bn bool) *nn.Sequential {
 	rng := rand.New(rand.NewSource(42))
-	return nn.NewSequential("bench",
-		nn.NewApproxConv2D("c1", 3, 8, 3, 1, 1, op, rng),
-		nn.NewReLU(),
-		nn.NewMaxPool2D(2, 2),
-		nn.NewFlatten(),
-		nn.NewApproxLinear("fc", 8*8*8, 10, op, rng),
-	)
+	m := nn.NewSequential("bench", nn.NewApproxConv2D("c1", 3, 8, 3, 1, 1, op, rng))
+	if bn {
+		m.Add(nn.NewBatchNorm2D("bn1", 8))
+	}
+	return m.Add(nn.NewReLU()).Add(nn.NewMaxPool2D(2, 2)).Add(nn.NewFlatten()).
+		Add(nn.NewApproxLinear("fc", 8*8*8, 10, op, rng))
 }
 
 // bench is one benchmark row. A GEMM row records the dispatch tier its
@@ -267,6 +279,29 @@ type bench struct {
 	elems      int // table entries read per op, where the row reports ns per element
 }
 
+// group builds rows that share operands, when they are about to run.
+type group func() []bench
+
+// one is the group of the one row name that build builds.
+func one(name string, build func() func(b *testing.B)) group {
+	return func() []bench { return []bench{{name: name, fn: build()}} }
+}
+
+// fwd is the row timing fop's forward GEMM on o in scratch s.
+func fwd(s *nn.KernelScratch, name string, fop *nn.Op, o *operands) bench {
+	bias := make([]float32, o.outC)
+	return bench{name: name, path: fop.ForwardPath(o.rows, o.outC, o.k), fn: loop(func() {
+		fop.ForwardGEMM(s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
+	})}
+}
+
+// bwd is the row timing bop's backward GEMM on o in scratch s.
+func bwd(s *nn.KernelScratch, name string, bop *nn.Op, o *operands) bench {
+	return bench{name: name, path: bop.BackwardPath(o.dy), fn: loop(func() {
+		bop.BackwardGEMM(s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pw, px)
+	})}
+}
+
 // speedup is one entry of the record's speedups: num's time over den's,
 // per op or, with perElem, per table entry read.
 type speedup struct {
@@ -274,10 +309,34 @@ type speedup struct {
 	perElem       bool
 }
 
-// run measures every row into rec, adds the speedups and writes rec to
-// out as JSON. A row that fails — b.Fatal, or a panic in its body —
-// stops it, named, before anything is written.
-func run(rec *record, benches []bench, speedups []speedup, out string) error {
+// run builds each group in turn and measures its rows into rec, then
+// adds the speedups and writes rec to out as JSON. A row that fails —
+// b.Fatal, or a panic in its body — stops it, named, before anything is
+// written.
+func run(rec *record, groups []group, speedups []speedup, out string) error {
+	for _, g := range groups {
+		if err := measure(rec, g()); err != nil {
+			return err
+		}
+	}
+	for _, q := range speedups {
+		num, den := rec.Benchmarks[q.num], rec.Benchmarks[q.den]
+		v := num.NsOp / den.NsOp
+		if q.perElem {
+			v = num.NsElem / den.NsElem
+		}
+		rec.Speedups[q.key] = v
+		fmt.Printf("%-44s %.2fx\n", q.key+":", v)
+	}
+	buf, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, append(buf, '\n'), 0o644)
+}
+
+// measure times one group's rows into rec.
+func measure(rec *record, benches []bench) error {
 	for _, bm := range benches {
 		r := testing.Benchmark(func(b *testing.B) {
 			defer func() {
@@ -307,20 +366,7 @@ func run(rec *record, benches []bench, speedups []speedup, out string) error {
 		rec.Benchmarks[bm.name] = res
 		fmt.Printf("%-40s %12.0f ns/op %10d B/op %6d allocs/op%s\n", bm.name, res.NsOp, res.BytesOp, res.AllocsOp, note)
 	}
-	for _, q := range speedups {
-		num, den := rec.Benchmarks[q.num], rec.Benchmarks[q.den]
-		v := num.NsOp / den.NsOp
-		if q.perElem {
-			v = num.NsElem / den.NsElem
-		}
-		rec.Speedups[q.key] = v
-		fmt.Printf("%-44s %.2fx\n", q.key+":", v)
-	}
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(buf, '\n'), 0o644)
+	return nil
 }
 
 // check ends the command on a setup or recording error.
@@ -362,76 +408,66 @@ func main() {
 	op8 := nn.DifferenceOp(e8.Mult, e8.HWS)
 
 	rng := rand.New(rand.NewSource(42))
-	pw := []quant.Params{quant.Calibrate(-1, 1, 7)}
-	px := quant.Calibrate(0, 2, 7)
-	var s nn.KernelScratch
-
-	fwd := func(name string, fop *nn.Op, o *operands) bench {
-		bias := make([]float32, o.outC)
-		return bench{name: name, path: fop.ForwardPath(o.rows, o.outC, o.k), fn: loop(func() {
-			fop.ForwardGEMM(&s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
-		})}
-	}
-	bwd := func(name string, bop *nn.Op, o *operands) bench {
-		return bench{name: name, path: bop.BackwardPath(o.dy), fn: loop(func() {
-			bop.BackwardGEMM(&s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pw, px)
-		})}
-	}
-	w := newOperands(wide, 1, rng)
-	refBias := make([]float32, w.outC)
 	speedups := []speedup{
 		{key: "forward_auto_vs_ref", num: "Kernel_GEMMForwardRef", den: "Kernel_GEMMForwardAuto"},
 		{key: "forward_arith_vs_packed16", num: "Kernel_GEMMForwardPacked16", den: "Kernel_GEMMForwardArith"},
 		{key: "backward_fused_vs_ref", num: "Kernel_GEMMBackwardRef", den: "Kernel_GEMMBackwardFused"},
 		{key: "backward_affine_vs_ref", num: "Kernel_GEMMBackwardRef", den: "Kernel_GEMMBackwardAffine"},
 	}
-	benches := []bench{
-		fwd("Kernel_GEMMForwardAuto", op, w),
-		fwd("Kernel_GEMMForwardArith", op.Pinned(nn.FwdPathArith, ""), w),
-		fwd("Kernel_GEMMForwardPacked16", op.Pinned(nn.FwdPathPacked16, ""), w),
-		{name: "Kernel_GEMMForwardRef", fn: loop(func() {
-			op.ForwardGEMMRef(w.xq, w.wq, w.rows, w.outC, w.k, pw, px, refBias)
-		})},
-		// The general-table backward (difference estimator, auto → fused),
-		// the affine-family backward (STE, auto → affine), and the STE op
-		// forced onto the fused gather kernels — the affine-vs-gather gap
-		// on identical operands.
-		bwd("Kernel_GEMMBackwardFused", op, w),
-		bwd("Kernel_GEMMBackwardAffine", steOp, w),
-		bwd("Kernel_GEMMBackwardFusedForced", steOp.Pinned("", nn.BwdPathFused), w),
-		{name: "Kernel_GEMMBackwardRef", fn: loop(func() {
-			op.BackwardGEMMRef(w.dy, w.xq, w.wq, w.xClip, w.wClip, w.rows, w.outC, w.k, pw, px)
-		})},
-		{name: "Layer_ApproxConvStep", fn: convStep(op, 16, 32, 3, 4, 16, false, false, rng)},
+	groups := []group{
+		func() []bench {
+			var s nn.KernelScratch
+			w := newOperands(wide, 1, rng)
+			refBias := make([]float32, w.outC)
+			return []bench{
+				fwd(&s, "Kernel_GEMMForwardAuto", op, w),
+				fwd(&s, "Kernel_GEMMForwardArith", op.Pinned(nn.FwdPathArith, ""), w),
+				fwd(&s, "Kernel_GEMMForwardPacked16", op.Pinned(nn.FwdPathPacked16, ""), w),
+				{name: "Kernel_GEMMForwardRef", fn: loop(func() {
+					op.ForwardGEMMRef(w.xq, w.wq, w.rows, w.outC, w.k, pw, px, refBias)
+				})},
+				// The general-table backward (difference estimator, auto →
+				// fused), the affine-family backward (STE, auto → affine),
+				// and the STE op forced onto the fused gather kernels — the
+				// affine-vs-gather gap on identical operands.
+				bwd(&s, "Kernel_GEMMBackwardFused", op, w),
+				bwd(&s, "Kernel_GEMMBackwardAffine", steOp, w),
+				bwd(&s, "Kernel_GEMMBackwardFusedForced", steOp.Pinned("", nn.BwdPathFused), w),
+				{name: "Kernel_GEMMBackwardRef", fn: loop(func() {
+					op.BackwardGEMMRef(w.dy, w.xq, w.wq, w.xClip, w.wClip, w.rows, w.outC, w.k, pw, px)
+				})},
+			}
+		},
+		convStep("Layer_ApproxConvStep", op, 16, 32, 3, 4, 16, false, false, rng),
 		// vgg11's first conv on a benchmark batch: 8 images of 3x32x32
 		// into 8 channels (rows=8192 outC=8 k=27), fused tier.
-		{name: "Layer_ApproxConvStep_VGG11Conv1", fn: convStep(op, 3, 8, 3, 8, 32, false, false, rng)},
+		convStep("Layer_ApproxConvStep_VGG11Conv1", op, 3, 8, 3, 8, 32, false, false, rng),
 		// vgg11's conv7 at reduced scale on a benchmark batch: 32 images of
 		// 64x1x1 into 64 channels, 3x3/pad 1 (rows=32 outC=64 k=576), where
 		// eight of the nine taps see only padding; weights touched every op.
-		{name: "Layer_ApproxConvStep_VGG11Conv7", fn: convStep(op, 64, 64, 3, 32, 1, false, true, rng)},
+		convStep("Layer_ApproxConvStep_VGG11Conv7", op, 64, 64, 3, 32, 1, false, true, rng),
 		// resnet18's stem and a stage-1 conv on one shard's half batch, 16
 		// images of 16x16 (rows=4096 outC=8, k=27 and 72), STE: affine.
-		{name: "Layer_ApproxConvStep_ResNet18Stem", fn: convStep(steOp, 3, 8, 3, 16, 16, false, false, rng)},
-		{name: "Layer_ApproxConvStep_ResNet18Stage1", fn: convStep(steOp, 8, 8, 3, 16, 16, false, false, rng)},
+		convStep("Layer_ApproxConvStep_ResNet18Stem", steOp, 3, 8, 3, 16, 16, false, false, rng),
+		convStep("Layer_ApproxConvStep_ResNet18Stage1", steOp, 8, 8, 3, 16, 16, false, false, rng),
 		// lenet's second conv on one worker's half batch, 16 images of
 		// 4x8x8 (rows=1024 outC=4 k=100), behind ReLU + 2x2 pool: small.
-		{name: "Layer_ApproxConvStep_LeNetConv2", fn: convStep(op, 4, 4, 5, 16, 8, true, false, rng)},
+		convStep("Layer_ApproxConvStep_LeNetConv2", op, 4, 4, 5, 16, 8, true, false, rng),
 		// Forwards alone, on the arith row: lenet's first conv, 32 images of
 		// 3x16x16 into 4 channels, 5x5/pad 2 (rows=8192 outC=4 k=75), and
 		// reduced vgg11's conv4, 32 images of 32x4x4 into 32 channels
 		// (rows=512 outC=32 k=288), on the pair kernel and, under
 		// mul8u_rm8, the word kernel.
-		{name: "Layer_ApproxConvFwd_LeNetConv1", fn: convFwd(op, 3, 4, 5, 32, 16, true, rng)},
-		{name: "Layer_ApproxConvFwd_VGG11Conv4", fn: convFwd(op, 32, 32, 3, 32, 4, true, rng)},
-		{name: "Layer_ApproxConvFwd_VGG11Conv4_mul8u_rm8", fn: convFwd(op8, 32, 32, 3, 32, 4, true, rng)},
+		convFwd("Layer_ApproxConvFwd_LeNetConv1", "", op, 3, 4, 5, 32, 16, true, rng),
+		convFwd("Layer_ApproxConvFwd_VGG11Conv4", "", op, 32, 32, 3, 32, 4, true, rng),
+		convFwd("Layer_ApproxConvFwd_VGG11Conv4_mul8u_rm8", "", op8, 32, 32, 3, 32, 4, true, rng),
 		// The float Conv2D at those geometries and at reduced vgg11's
 		// conv5, 32 images of 32x2x2 into 64 channels (rows=128 k=288).
-		{name: "Layer_FloatConvStep_VGG11Conv1", fn: convStep(nil, 3, 8, 3, 8, 32, false, false, rng)},
-		{name: "Layer_FloatConvStep_ResNet18Stem", fn: convStep(nil, 3, 8, 3, 16, 16, false, false, rng)},
-		{name: "Layer_FloatConvStep_ResNet18Stage1", fn: convStep(nil, 8, 8, 3, 16, 16, false, false, rng)},
-		{name: "Layer_FloatConvStep_VGG11Conv5", fn: convStep(nil, 32, 64, 3, 32, 2, false, false, rng)},
-		{name: "Layer_FloatConvStep_LeNetConv2", fn: convStep(nil, 4, 4, 5, 16, 8, true, false, rng)},
+		convStep("Layer_FloatConvStep_VGG11Conv1", nil, 3, 8, 3, 8, 32, false, false, rng),
+		convStep("Layer_FloatConvStep_ResNet18Stem", nil, 3, 8, 3, 16, 16, false, false, rng),
+		convStep("Layer_FloatConvStep_ResNet18Stage1", nil, 8, 8, 3, 16, 16, false, false, rng),
+		convStep("Layer_FloatConvStep_VGG11Conv5", nil, 32, 64, 3, 32, 2, false, false, rng),
+		convStep("Layer_FloatConvStep_LeNetConv2", nil, 4, 4, 5, 16, 8, true, false, rng),
 	}
 	// The k-major im2col and col2im at the vgg11-conv1 and resnet18-stem
 	// geometries, the byte im2col the approximate layers run.
@@ -439,68 +475,88 @@ func main() {
 		label string
 		n, hw int
 	}{{"VGG11Conv1", 8, 32}, {"ResNet18Stem", 16, 16}} {
-		geom := tensor.Geometry(3, g.hw, g.hw, 8, 3, 3, 1, 1)
-		rows, k := g.n*g.hw*g.hw, geom.K()
-		lv := make([]uint8, g.n*3*g.hw*g.hw)
-		for i := range lv {
-			lv[i] = uint8(rng.Intn(128))
-		}
-		colsT, dcolsT := make([]uint8, k*rows), make([]float32, k*rows)
-		for i := range dcolsT {
-			dcolsT[i] = float32(rng.NormFloat64())
-		}
-		dx := make([]float32, len(lv))
-		var im2colT tensor.Im2ColTJob[uint8]
-		var col2imT tensor.Col2ImTJob
-		benches = append(benches,
-			bench{name: "Kernel_Im2ColT_" + g.label, fn: loop(func() { im2colT.Run(colsT, lv, g.n, geom, 64) })},
-			bench{name: "Kernel_Col2ImT_" + g.label, fn: loop(func() { col2imT.Run(dx, dcolsT, g.n, geom) })})
+		groups = append(groups, func() []bench {
+			geom := tensor.Geometry(3, g.hw, g.hw, 8, 3, 3, 1, 1)
+			rows, k := g.n*g.hw*g.hw, geom.K()
+			lv := make([]uint8, g.n*3*g.hw*g.hw)
+			for i := range lv {
+				lv[i] = uint8(rng.Intn(128))
+			}
+			colsT, dcolsT := make([]uint8, k*rows), make([]float32, k*rows)
+			for i := range dcolsT {
+				dcolsT[i] = float32(rng.NormFloat64())
+			}
+			dx := make([]float32, len(lv))
+			var im2colT tensor.Im2ColTJob[uint8]
+			var col2imT tensor.Col2ImTJob
+			return []bench{
+				{name: "Kernel_Im2ColT_" + g.label, fn: loop(func() { im2colT.Run(colsT, lv, g.n, geom, 64) })},
+				{name: "Kernel_Col2ImT_" + g.label, fn: loop(func() { col2imT.Run(dx, dcolsT, g.n, geom) })}}
+		})
 	}
 	// The dW lane kernels alone (gradient scan + dW sweep on a k-major
 	// operand) at the resnet18 stage-1 GEMM: STE on the affine row's
 	// shared level table, the difference op on the fused row's level
 	// tables (4096 rows is past 2^B).
-	dwShape := newOperands(shape{4096, 8, 72}, 1, rng)
-	for _, d := range []struct {
-		name string
-		op   *nn.Op
-	}{{"Kernel_BwdDWAffine_r4096_oc8_k72", steOp}, {"Kernel_BwdDWGather_r4096_oc8_k72", op}} {
-		d, o := d, dwShape
-		benches = append(benches, bench{name: d.name, path: d.op.BackwardPath(o.dy), fn: loop(func() {
-			// xq's bytes read as a (k x rows) matrix: random levels
-			// either way.
-			d.op.BackwardSweep(&s, o.dw, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
-		})})
-	}
+	groups = append(groups, func() []bench {
+		var s nn.KernelScratch
+		o := newOperands(shape{4096, 8, 72}, 1, rng)
+		var rows []bench
+		for _, d := range []struct {
+			name string
+			op   *nn.Op
+		}{{"Kernel_BwdDWAffine_r4096_oc8_k72", steOp}, {"Kernel_BwdDWGather_r4096_oc8_k72", op}} {
+			rows = append(rows, bench{name: d.name, path: d.op.BackwardPath(o.dy), fn: loop(func() {
+				// xq's bytes read as a (k x rows) matrix: random levels
+				// either way.
+				d.op.BackwardSweep(&s, o.dw, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+			})})
+		}
+		return rows
+	})
 	// The host's gather rate, then each backward sweep alone at the vgg11
 	// shapes: one untimed scan of dy, then only the dW or only the dX
 	// sweep per op, reading what the scan left in the arena.
-	probe := newGatherProbe(rng)
-	benches = append(benches, bench{name: "Probe_GatherDPS_64KiB", fn: loop(probe.run), elems: probe.elems()})
+	groups = append(groups, func() []bench {
+		probe := newGatherProbe(rng)
+		return []bench{{name: "Probe_GatherDPS_64KiB", fn: loop(probe.run), elems: probe.elems()}}
+	})
 	// Both sides of these speedups are ns per element: 1.0 is the host's
 	// gather rate (for the rows that gather), and gather over affine at one
 	// shape is what the table lookup costs.
+	sweepKinds := []struct {
+		key, name string
+		op        *nn.Op
+		dw        bool // the dW sweep, else the dX one
+	}{
+		{"bwd_dx_gather", "Kernel_BwdDXGather_", op, false}, {"bwd_dx_affine", "Kernel_BwdDXAffine_", steOp, false},
+		{"bwd_dw_gather", "Kernel_BwdDWGather_", op, true}, {"bwd_dw_affine", "Kernel_BwdDWAffine_", steOp, true},
+	}
 	for _, sh := range sweeps {
-		o := newOperands(sh, 1, rng)
 		label := fmt.Sprintf("r%d_oc%d_k%d", sh.rows, sh.outC, sh.k)
-		for _, d := range []struct {
-			key, name string
-			op        *nn.Op
-			dw, dx    []float32
-		}{
-			{"bwd_dx_gather", "Kernel_BwdDXGather_", op, nil, o.dx}, {"bwd_dx_affine", "Kernel_BwdDXAffine_", steOp, nil, o.dx},
-			{"bwd_dw_gather", "Kernel_BwdDWGather_", op, o.dw, nil}, {"bwd_dw_affine", "Kernel_BwdDWAffine_", steOp, o.dw, nil},
-		} {
+		for _, d := range sweepKinds {
 			speedups = append(speedups, speedup{key: d.key + "_vs_probe_" + label, num: "Probe_GatherDPS_64KiB", den: d.name + label, perElem: true})
-			benches = append(benches, bench{name: d.name + label, path: d.op.BackwardPath(o.dy), elems: sh.rows * sh.outC * sh.k,
-				fn: func(b *testing.B) {
-					d.op.BackwardSweep(&s, nil, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
-					b.ResetTimer()
-					loop(func() {
-						d.op.BackwardSweep(&s, d.dw, d.dx, nil, nil, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
-					})(b)
-				}})
 		}
+		groups = append(groups, func() []bench {
+			var s nn.KernelScratch
+			o := newOperands(sh, 1, rng)
+			var rows []bench
+			for _, d := range sweepKinds {
+				dw, dx := []float32(nil), o.dx
+				if d.dw {
+					dw, dx = o.dw, nil
+				}
+				rows = append(rows, bench{name: d.name + label, path: d.op.BackwardPath(o.dy), elems: sh.rows * sh.outC * sh.k,
+					fn: func(b *testing.B) {
+						d.op.BackwardSweep(&s, nil, nil, o.gsum, o.dy, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+						b.ResetTimer()
+						loop(func() {
+							d.op.BackwardSweep(&s, dw, dx, nil, nil, o.xq, o.wq, o.wClip, o.rows, o.outC, o.k, pw, px)
+						})(b)
+					}})
+			}
+			return rows
+		})
 	}
 	// The passes between the GEMMs. The slice quantizer on one 64k-element
 	// tensor next to the scalar Quantize/Clipped loop that defines it, the
@@ -508,36 +564,40 @@ func main() {
 	// has parameters (145,898), and a forward+backward step of each glue
 	// layer on one shard's resnet18-stage-1 activation (16 images of
 	// 8x16x16).
-	qData := tensor.New(1 << 16)
-	qData.RandNormal(rng, 1)
-	qLv, qClip := make([]uint8, len(qData.Data)), make([]bool, len(qData.Data))
-	mmData := tensor.New(145898)
-	mmData.RandNormal(rng, 0.1)
-	benches = append(benches,
-		bench{name: "Kernel_MinMax_146k", fn: loop(func() { tensor.MinMax(mmData.Data) })},
-		bench{name: "Kernel_QuantizeInto_64k", fn: loop(func() { px.QuantizeInto(qLv, qClip, qData.Data) })},
-		bench{name: "Kernel_QuantizeInto_64k_Scalar", fn: loop(func() {
-			for i, v := range qData.Data {
-				qLv[i], qClip[i] = uint8(px.Quantize(v)), px.Clipped(v)
-			}
-		})})
+	groups = append(groups, func() []bench {
+		qData := tensor.New(1 << 16)
+		qData.RandNormal(rng, 1)
+		qLv, qClip := make([]uint8, len(qData.Data)), make([]bool, len(qData.Data))
+		mmData := tensor.New(145898)
+		mmData.RandNormal(rng, 0.1)
+		return []bench{
+			{name: "Kernel_MinMax_146k", fn: loop(func() { tensor.MinMax(mmData.Data) })},
+			{name: "Kernel_QuantizeInto_64k", fn: loop(func() { px.QuantizeInto(qLv, qClip, qData.Data) })},
+			{name: "Kernel_QuantizeInto_64k_Scalar", fn: loop(func() {
+				for i, v := range qData.Data {
+					qLv[i], qClip[i] = uint8(px.Quantize(v)), px.Clipped(v)
+				}
+			})}}
+	})
 	for _, g := range []struct {
 		name  string
-		layer nn.Layer
+		layer func() nn.Layer
 	}{
-		{"Layer_ReLUStep", nn.NewReLU()},
-		{"Layer_BatchNormStep", nn.NewBatchNorm2D("bench", 8)},
-		{"Layer_MaxPoolStep", nn.NewMaxPool2D(2, 2)},
+		{"Layer_ReLUStep", func() nn.Layer { return nn.NewReLU() }},
+		{"Layer_BatchNormStep", func() nn.Layer { return nn.NewBatchNorm2D("bench", 8) }},
+		{"Layer_MaxPoolStep", func() nn.Layer { return nn.NewMaxPool2D(2, 2) }},
 	} {
-		layer := g.layer
-		x := tensor.New(16, 8, 16, 16)
-		x.RandNormal(rng, 1)
-		dy := tensor.New(layer.Forward(x, true).Shape...)
-		dy.RandNormal(rng, 1)
-		benches = append(benches, bench{name: g.name, fn: loop(func() {
-			layer.Forward(x, true)
-			layer.Backward(dy)
-		})})
+		groups = append(groups, one(g.name, func() func(b *testing.B) {
+			layer := g.layer()
+			x := tensor.New(16, 8, 16, 16)
+			x.RandNormal(rng, 1)
+			dy := tensor.New(layer.Forward(x, true).Shape...)
+			dy.RandNormal(rng, 1)
+			return loop(func() {
+				layer.Forward(x, true)
+				layer.Backward(dy)
+			})
+		}))
 	}
 	// Inference. The skinny GEMMs of single-image serving — vgg11's
 	// 64-channel 3x3 convs on 4x4, 2x2 and 1x1 planes — on the arith_skinny
@@ -548,64 +608,88 @@ func main() {
 	// which does keep it: batch 1 is a fleet cache miss, batch 8 a busy
 	// replica's batch.
 	for _, rows := range []int{1, 4, 16} {
-		o := newOperands(shape{rows, 64, 576}, 1, rng)
 		label := fmt.Sprintf("r%d_oc64_k576", rows)
 		speedups = append(speedups, speedup{key: "forward_arith_skinny_vs_packed16_" + label,
 			num: "Kernel_FwdPacked16_" + label, den: "Kernel_FwdArith_" + label})
-		benches = append(benches,
-			fwd("Kernel_FwdArith_"+label, steOp, o),
-			fwd("Kernel_FwdPacked16_"+label, steOp.Pinned(nn.FwdPathPacked16, ""), o))
+		groups = append(groups, func() []bench {
+			var s nn.KernelScratch
+			o := newOperands(shape{rows, 64, 576}, 1, rng)
+			return []bench{
+				fwd(&s, "Kernel_FwdArith_"+label, steOp, o),
+				fwd(&s, "Kernel_FwdPacked16_"+label, steOp.Pinned(nn.FwdPathPacked16, ""), o)}
+		})
 	}
 	for _, kind := range []string{"vgg11", "resnet18", "lenet"} {
-		m, err := models.ByKind(kind, models.Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: models.ApproxConv(steOp), Seed: 3})
-		check(err)
-		for _, n := range []int{1, 8} {
-			x := tensor.New(n, 3, 16, 16)
-			x.RandNormal(rng, 1)
-			benches = append(benches, bench{name: fmt.Sprintf("Model_Predict_%s_b%d", kind, n), fn: loop(func() { m.Predict(x) })})
-		}
+		groups = append(groups, func() []bench {
+			m, err := models.ByKind(kind, models.Config{Classes: 10, InputHW: 16, Width: 0.125, Conv: models.ApproxConv(steOp), Seed: 3})
+			check(err)
+			var rows []bench
+			for _, n := range []int{1, 8} {
+				x := tensor.New(n, 3, 16, 16)
+				x.RandNormal(rng, 1)
+				rows = append(rows, bench{name: fmt.Sprintf("Model_Predict_%s_b%d", kind, n), fn: loop(func() { m.Predict(x) })})
+			}
+			return rows
+		})
 	}
 	smallOp, fusedOp := op.Pinned("", nn.BwdPathSmall), op.Pinned("", nn.BwdPathFused)
 	for _, n := range narrow {
-		o := newOperands(n.shape, n.nzOf, rng)
 		label := fmt.Sprintf("r%d_oc%d_k%d_nz1of%d", n.rows, n.outC, n.k, n.nzOf)
 		small, fused := "Kernel_BwdSmall_"+label, "Kernel_BwdFused_"+label
 		speedups = append(speedups, speedup{key: "backward_fused_vs_small_" + label, num: small, den: fused})
-		benches = append(benches, bwd(small, smallOp, o), bwd(fused, fusedOp, o))
+		groups = append(groups, func() []bench {
+			var s nn.KernelScratch
+			o := newOperands(n.shape, n.nzOf, rng)
+			return []bench{bwd(&s, small, smallOp, o), bwd(&s, fused, fusedOp, o)}
+		})
 	}
 	// The training step, on a batch of 32 images of 3x16x16 (its own
 	// source, seed 7), 10 classes: the sharded step (then its Broadcast)
-	// on a fresh BN-free stepModel per shard count, the solo step of
-	// reduced vgg11 under smoothdiff, and
-	// Adam over that vgg11's parameters. The first layer computes no input
-	// gradient.
+	// on a fresh stepModel per shard count, BatchNorm-free and with one,
+	// the solo step of reduced vgg11 under smoothdiff, and Adam over that
+	// vgg11's parameters. The first layer computes no input gradient.
 	tx := tensor.New(32, 3, 16, 16)
 	tx.RandNormal(rand.New(rand.NewSource(7)), 1)
 	ty := make([]int, 32)
 	for i := range ty {
 		ty[i] = i % 10
 	}
-	for _, p := range []int{1, 2, 4} {
-		st := train.NewShardedStep(stepModel(op), train.ShardedConfig{Shards: p})
-		benches = append(benches, bench{name: fmt.Sprintf("Train_ApproxStepSharded_P%d", p), fn: loop(func() {
-			st.Step(tx, ty)
-			st.Broadcast()
-		})})
+	for _, r := range []struct {
+		name string
+		p    int
+		bn   bool
+	}{
+		{"Train_ApproxStepSharded_P1", 1, false}, {"Train_ApproxStepSharded_P2", 2, false}, {"Train_ApproxStepSharded_P4", 4, false},
+		{"Train_ApproxStepSharded_BN_P1", 1, true}, {"Train_ApproxStepSharded_BN_P2", 2, true},
+	} {
+		groups = append(groups, one(r.name, func() func(b *testing.B) {
+			st := train.NewShardedStep(stepModel(op, r.bn), train.ShardedConfig{Shards: r.p})
+			return loop(func() {
+				st.Step(tx, ty)
+				st.Broadcast()
+			})
+		}))
 	}
 	sdOp, err := train.OpForSpec(e, "smoothdiff")
 	check(err)
-	vgg := train.BuildModel("vgg11", 10, train.ReducedScale, models.ApproxConv(sdOp), 42)
-	vggParams, adam, numel := vgg.Params(), optim.NewAdam(), 0
-	for _, p := range vggParams {
+	vggModel := func() *nn.Sequential {
+		return train.BuildModel("vgg11", 10, train.ReducedScale, models.ApproxConv(sdOp), 42)
+	}
+	numel := 0
+	for _, p := range vggModel().Params() {
 		numel += p.Value.Numel()
 	}
-	benches = append(benches,
-		bench{name: "Train_SoloStep_VGG11", fn: loop(func() {
-			nn.ZeroGrads(vgg)
-			_, grad := nn.SoftmaxCrossEntropy(vgg.Forward(tx, true), ty)
-			vgg.Backward(grad)
-		})},
-		bench{name: "Optim_AdamStep_VGG11", fn: loop(func() { adam.Step(vggParams, 1e-3) })})
+	groups = append(groups, func() []bench {
+		vgg := vggModel()
+		vggParams, adam := vgg.Params(), optim.NewAdam()
+		return []bench{
+			{name: "Train_SoloStep_VGG11", fn: loop(func() {
+				nn.ZeroGrads(vgg)
+				_, grad := nn.SoftmaxCrossEntropy(vgg.Forward(tx, true), ty)
+				vgg.Backward(grad)
+			})},
+			{name: "Optim_AdamStep_VGG11", fn: loop(func() { adam.Step(vggParams, 1e-3) })}}
+	})
 	// The forward simulation styles on one layer, its own source (seed 1):
 	// 2 images of 8x12x12 into 16 channels, 3x3/pad 1 (rows=288 outC=16
 	// k=72), mul8u_2NDH under STE tables, weights not touched — gathering
@@ -614,39 +698,40 @@ func main() {
 	e2 := lookup("mul8u_2NDH")
 	lutOp := nn.NewOp(e2.Mult, gradient.STE(8)).Pinned(nn.FwdPathPacked16, "")
 	behOp := nn.BehavioralOp(e2.Mult, gradient.STE(8))
-	benches = append(benches,
-		bench{name: "Layer_ApproxConvFwd_LUT_mul8u_2NDH", path: lutOp.ForwardPath(288, 16, 72),
-			fn: convFwd(lutOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1)))},
-		bench{name: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", path: behOp.ForwardPath(288, 16, 72),
-			fn: convFwd(behOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1)))})
+	groups = append(groups,
+		convFwd("Layer_ApproxConvFwd_LUT_mul8u_2NDH", lutOp.ForwardPath(288, 16, 72), lutOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1))),
+		convFwd("Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", behOp.ForwardPath(288, 16, 72), behOp, 8, 16, 3, 2, 12, false, rand.New(rand.NewSource(1))))
 	// mul7u_rm6's HWS-4 tables, walking every (W, X) pair: the LUT row
 	// reads both gradients, the recompute row multiplies out W's row and
 	// smooths it (Eqs. 4-6) for the one it needs.
-	grads := gradient.Difference(e.Mult.Name(), 7, 4, e.Mult.Mul)
-	benches = append(benches,
-		bench{name: "Kernel_GradLUTGather_mul7u_rm6", fn: func(b *testing.B) {
-			var acc float32
-			for i := 0; i < b.N; i++ {
-				dw, dx := grads.At(uint32(i)&127, uint32(i>>7)&127)
-				acc += dw + dx
-			}
-			gradSink = float64(acc)
-		}},
-		bench{name: "Kernel_GradRecompute_mul7u_rm6", fn: func(b *testing.B) {
-			row, acc := make([]uint32, 128), 0.0
-			for i := 0; i < b.N; i++ {
-				w := uint32(i) & 127
-				for x := range row {
-					row[x] = e.Mult.Mul(w, uint32(x))
+	groups = append(groups, func() []bench {
+		grads := gradient.Difference(e.Mult.Name(), 7, 4, e.Mult.Mul)
+		return []bench{
+			{name: "Kernel_GradLUTGather_mul7u_rm6", fn: func(b *testing.B) {
+				var acc float32
+				for i := 0; i < b.N; i++ {
+					dw, dx := grads.At(uint32(i)&127, uint32(i>>7)&127)
+					acc += dw + dx
 				}
-				acc += gradient.DifferenceRow(row, 4)[uint32(i>>7)&127]
-			}
-			gradSink = acc
-		}})
+				gradSink = float64(acc)
+			}},
+			{name: "Kernel_GradRecompute_mul7u_rm6", fn: func(b *testing.B) {
+				row, acc := make([]uint32, 128), 0.0
+				for i := 0; i < b.N; i++ {
+					w := uint32(i) & 127
+					for x := range row {
+						row[x] = e.Mult.Mul(w, uint32(x))
+					}
+					acc += gradient.DifferenceRow(row, 4)[uint32(i>>7)&127]
+				}
+				gradSink = acc
+			}}}
+	})
 	speedups = append(speedups,
 		speedup{key: "grad_lut_vs_recompute", num: "Kernel_GradRecompute_mul7u_rm6", den: "Kernel_GradLUTGather_mul7u_rm6"},
 		speedup{key: "sharded_p2_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P2"},
 		speedup{key: "sharded_p4_vs_p1", num: "Train_ApproxStepSharded_P1", den: "Train_ApproxStepSharded_P4"},
+		speedup{key: "sharded_bn_p2_vs_p1", num: "Train_ApproxStepSharded_BN_P1", den: "Train_ApproxStepSharded_BN_P2"},
 		speedup{key: "forward_lut_vs_behavioral", num: "Layer_ApproxConvFwd_Behavioral_mul8u_2NDH", den: "Layer_ApproxConvFwd_LUT_mul8u_2NDH"})
 
 	rec := record{
@@ -668,6 +753,6 @@ func main() {
 		Paths:      map[string]string{},
 		Speedups:   map[string]float64{},
 	}
-	check(run(&rec, benches, speedups, *out))
+	check(run(&rec, groups, speedups, *out))
 	fmt.Println("wrote", *out)
 }

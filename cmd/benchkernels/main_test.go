@@ -20,7 +20,7 @@ func TestRunNamesFailedRow(t *testing.T) {
 	} {
 		out := filepath.Join(t.TempDir(), "out.json")
 		rec := record{Benchmarks: map[string]result{}, Paths: map[string]string{}, Speedups: map[string]float64{}}
-		err := run(&rec, []bench{{name: tc.name, fn: tc.fn}}, nil, out)
+		err := run(&rec, []group{one(tc.name, func() func(b *testing.B) { return tc.fn })}, nil, out)
 		if want := "row " + tc.name + " failed"; err == nil || err.Error() != want {
 			t.Errorf("%s: run returned %v, want %q", tc.name, err, want)
 		}

@@ -384,41 +384,32 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 
 // runAttempt runs one attempt of the step: it plans the slices, cuts
 // them into runs, queues the runs and gathers their results, reporting
-// whether it gathered every slice. A BN-free model (parts = 0) has the
-// fixed 8-row slice plan, cut into one near-even contiguous run per
-// live worker (the split ShardedStep gives its replicas), and which
-// worker computes which run — and any reassignment after a death —
-// cannot affect the result bits: every slot is deterministic given the
-// (identical) replica state, and the reduction tree is fixed by the
-// plan alone. A sync-BN model has one slice per admitted worker, each
-// a run of one and a participant of every BN barrier; a barrier needs
-// an exact participant set, so losing an outstanding run ends the
+// whether it gathered every slice. The plan is the fixed 8-row slice
+// plan, cut into one near-even contiguous run per live worker (the
+// split ShardedStep gives its replicas), and which worker computes
+// which run — and any reassignment after a death — cannot affect the
+// result bits: every slot is deterministic given the (identical)
+// replica state, and the reduction trees are fixed by the plan alone.
+// With BatchNorm every run waits in the BN barriers until the plan's
+// every slice has arrived, so losing an outstanding run ends the
 // attempt and the step retries with the survivors. A worker's panic
 // ends the step with a panic. An attempt that does not complete bumps
 // the attempt tag and aborts every BN group, unwinding the surviving
-// participants.
+// runs.
 func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 	if len(c.live) == 0 {
 		c.awaitAnyWorker()
 	}
-	parts := 0
-	if len(c.groups) > 0 {
-		parts = len(c.live)
-	}
-	bounds := c.set.Plan(c.rep, n, parts)
+	bounds := c.set.Plan(c.rep, n)
 	S := len(bounds) - 1
-	if parts > 0 {
-		parts = S // fewer than the workers when the batch has fewer rows
-	}
 	att := c.beginAttempt(S)
 	defer func() {
 		if !ok {
 			c.abortAttempt()
 		}
 	}()
-	// Ascending runs to ascending worker ids: a sync-BN attempt (S is
-	// at most the live count) gives each worker one slice, its
-	// participant index.
+	// Ascending runs to ascending worker ids, at most one per worker: a
+	// BatchNorm model's runs must all be in its barriers at once.
 	R := min(len(c.live), S)
 	c.queue = c.queue[:0]
 	for r := R - 1; r >= 0; r-- { // popped from the tail → ascending dispatch
@@ -427,7 +418,7 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 	for _, w := range c.live {
 		w.outstanding = run{} // a previous attempt's assignment
 	}
-	c.dispatch(x, y, n, bounds, parts)
+	c.dispatch(x, y, n, bounds)
 	// One timer per attempt, re-armed when the deadline moves, never a
 	// time.After per pass: under the go 1.22 timer semantics this module
 	// builds with, an unfired time.After timer stays on the heap until
@@ -448,14 +439,14 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 					continue
 				}
 				got += r.hi - r.lo
-				c.assignNext(ev.w, x, y, n, bounds, parts)
+				c.assignNext(ev.w, x, y, n, bounds)
 			case evAborted:
 				if ev.fatal {
 					panic(fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.ID, ev.slice, ev.reason))
 				}
 				return false
 			case evDead:
-				if c.removeWorker(ev.w) > 0 && parts > 0 {
+				if c.removeWorker(ev.w) > 0 && len(c.groups) > 0 {
 					return false
 				}
 				if len(c.live) == 0 {
@@ -468,14 +459,14 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 					}
 					timer.Reset(WorkerTimeout)
 				}
-				c.dispatch(x, y, n, bounds, parts)
+				c.dispatch(x, y, n, bounds)
 			}
 		case w := <-c.joinCh:
-			// Admission mid-attempt is safe (the primary is stable); a
-			// sync-BN attempt has nothing queued for the newcomer, which
-			// participates from the next attempt or step.
+			// Admission mid-attempt is safe (the primary is stable); an
+			// attempt that has not lost a run has nothing queued for the
+			// newcomer, which takes runs from the next attempt or step.
 			c.admit(w)
-			c.assignNext(w, x, y, n, bounds, parts)
+			c.assignNext(w, x, y, n, bounds)
 		case <-timer.C:
 			// Laggards holding runs past the step deadline are dead as
 			// far as this run is concerned: kill their connections and
@@ -492,8 +483,8 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 }
 
 // beginAttempt starts a new attempt tag, waits out the previous
-// attempt's BN handlers and configures every BN group for S
-// participants.
+// attempt's BN handlers and configures every BN group for a plan of S
+// slices.
 func (c *Coordinator) beginAttempt(S int) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -532,26 +523,25 @@ func (c *Coordinator) awaitAnyWorker() {
 }
 
 // dispatch hands queued runs to every idle worker.
-func (c *Coordinator) dispatch(x *tensor.Tensor, y []int, n int, bounds []int, parts int) {
+func (c *Coordinator) dispatch(x *tensor.Tensor, y []int, n int, bounds []int) {
 	for _, w := range c.live {
 		if w.outstanding.empty() {
-			c.assignNext(w, x, y, n, bounds, parts)
+			c.assignNext(w, x, y, n, bounds)
 		}
 	}
 }
 
 // assignNext pops one run off the queue and sends it to w, if w is
 // admitted. An admitted worker that has died keeps the run until its
-// death event requeues it. With parts > 0 the run is one slice, which
-// participates in sync-BN as participant slice-index of parts.
-func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bounds []int, parts int) {
+// death event requeues it.
+func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bounds []int) {
 	if len(c.queue) == 0 || !slices.Contains(c.live, w) {
 		return
 	}
 	r := c.queue[len(c.queue)-1]
 	c.queue = c.queue[:len(c.queue)-1]
 	w.outstanding = r
-	if err := c.sendRun(w, r, x, y, n, bounds, parts); err != nil {
+	if err := c.sendRun(w, r, x, y, n, bounds); err != nil {
 		// The death event will requeue it from w.outstanding.
 		w.Kill(fmt.Sprintf("send slice: %v", err))
 	}
@@ -559,7 +549,7 @@ func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bo
 
 // sendRun ships the run r (rows bounds[r.lo]..bounds[r.hi]) with its
 // labels and input rows as one slice frame.
-func (c *Coordinator) sendRun(w *remote, r run, x *tensor.Tensor, y []int, n int, bounds []int, parts int) error {
+func (c *Coordinator) sendRun(w *remote, r run, x *tensor.Tensor, y []int, n int, bounds []int) error {
 	lo, hi := bounds[r.lo], bounds[r.hi]
 	chw := x.Numel() / n
 	e := c.resetEnc()
@@ -568,7 +558,6 @@ func (c *Coordinator) sendRun(w *remote, r run, x *tensor.Tensor, y []int, n int
 	e.U32(uint32(r.lo))
 	e.U32(uint32(r.hi - r.lo))
 	e.U32(uint32(n))
-	e.U32(uint32(parts))
 	e.U32(uint32(hi - lo))
 	for _, lbl := range y[lo:hi] {
 		e.U32(uint32(lbl))
@@ -648,18 +637,17 @@ func (c *Coordinator) finishStep() float64 {
 }
 
 // handleBN serves one sync-BN reduction request on its own goroutine
-// (it blocks in the group barrier on behalf of the remote
-// participant). Stale requests — a previous attempt's stragglers — are
-// answered with an abort so the worker unwinds. The first fold of
-// phase 1 and of phase 2 is stashed for applyBNStash (every
-// participant's fold is identical).
+// (it blocks in the group barrier on behalf of the remote run). Stale
+// requests — a previous attempt's stragglers — are answered with an
+// abort so the worker unwinds. The first fold of phase 1 and of phase
+// 2 is stashed for applyBNStash (every run's fold is identical).
 func (c *Coordinator) handleBN(w *remote, payload []byte) {
 	d := wire.Dec{B: payload}
-	att, group, phase, part := d.U32(), int(d.U32()), d.U8(), int(d.U32())
+	att, group, phase, first := d.U32(), int(d.U32()), d.U8(), int(d.U32())
 	v, err := d.F64s(), d.Err()
 	c.bufs.put(payload)
 	if err != nil || group < 0 || group >= len(c.groups) || phase < 1 || phase > 3 ||
-		len(v) != bnWidth(phase, c.groups[group].Channels()) {
+		len(v) == 0 || len(v)%bnWidth(phase, c.groups[group].Channels()) != 0 {
 		w.Kill("malformed BN frame")
 		return
 	}
@@ -685,7 +673,7 @@ func (c *Coordinator) handleBN(w *remote, payload []byte) {
 		}
 	}()
 	start := time.Now()
-	out := c.groups[group].Reduce(part, v)
+	out := c.groups[group].Reduce(first, len(v)/bnWidth(phase, c.groups[group].Channels()), v)
 	bnReduceMs.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	if phase < 3 {
 		c.mu.Lock()
@@ -699,8 +687,9 @@ func (c *Coordinator) handleBN(w *remote, payload []byte) {
 	}
 }
 
-// bnWidth is the length of a phase's packed vector for c channels (see
-// nn.BNSyncer): the sums and the count, the squares, Σdy and Σdy·x̂.
+// bnWidth is the length of a phase's packed vector per slice for c
+// channels (see nn.BNSyncer): the sums and the count, the squares, Σdy
+// and Σdy·x̂.
 func bnWidth(phase uint8, c int) int {
 	return [4]int{0, c + 1, c, 2 * c}[phase]
 }

@@ -494,26 +494,39 @@ func TestDistFaultInjectionBitIdentity(t *testing.T) {
 	assertBitIdentical(t, cl.model, solo, "dist under fault injection vs solo")
 }
 
-// TestDistSyncBNBitIdentical runs a BatchNorm model (vgg11) with two
-// workers: cross-node sync-BN through the coordinator-hosted barrier
-// must reproduce the in-process -shards 2 run bit for bit — same
-// moment folds, same running-statistics updates, same gradients.
-func TestDistSyncBNBitIdentical(t *testing.T) {
+// bnSpec is the BatchNorm job of the sync-BN tests: vgg11, whose batch
+// of 24 rows is a plan of three 8-row slices, so three workers each
+// hold one and two workers hold two and one.
+func bnSpec() Spec {
 	spec := tinySpec("vgg11")
-	spec.Epochs = 1
-	solo := runSolo(t, spec, 2, nil)
-	cl := startCluster(t, spec, 2, CoordinatorConfig{}, WorkerConfig{}, nil)
-	cl.run(nil)
-	assertBitIdentical(t, cl.model, solo, "dist sync-BN(2 workers) vs -shards 2")
+	spec.Epochs, spec.BatchSize = 1, 24
+	return spec
+}
+
+// TestDistSyncBNBitIdentical runs a BatchNorm model (vgg11) with two and
+// with three workers: cross-node sync-BN through the coordinator-hosted
+// barriers folds the same per-slice moments in the same tree as one
+// process alone, so both runs reproduce the in-process -shards 1 run
+// bit for bit — same running statistics, same gradients.
+func TestDistSyncBNBitIdentical(t *testing.T) {
+	spec := bnSpec()
+	solo := runSolo(t, spec, 1, nil)
+	for _, workers := range []int{2, 3} {
+		cl := startCluster(t, spec, workers, CoordinatorConfig{}, WorkerConfig{}, nil)
+		cl.run(nil)
+		assertBitIdentical(t, cl.model, solo, fmt.Sprintf("dist sync-BN(%d workers) vs -shards 1", workers))
+		cl.stop()
+	}
 }
 
 // TestDistSyncBNWorkerDeathRetries kills one of three workers during a
-// BatchNorm run. Sync-BN attempts have a fixed participant set, so the
-// step must abort (no deadlock on the dead participant's barrier
-// slot), retry with the two survivors, and complete the run.
+// BatchNorm run. A barrier cannot complete without the dead worker's
+// slices, so the step must abort (no deadlock on them), retry with the
+// two survivors holding the same plan, and end bit-identical to the
+// in-process -shards 1 run.
 func TestDistSyncBNWorkerDeathRetries(t *testing.T) {
-	spec := tinySpec("vgg11")
-	spec.Epochs = 1
+	spec := bnSpec()
+	solo := runSolo(t, spec, 1, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wrap := func(i int) func(net.Conn) net.Conn {
@@ -530,39 +543,41 @@ func TestDistSyncBNWorkerDeathRetries(t *testing.T) {
 		cl.cancel[2]()
 	}()
 	retries := stepRetries.Value()
-	res := cl.run(nil)
+	cl.run(nil)
 	if stepRetries.Value() <= retries {
 		t.Fatal("no sync-BN step retry was recorded")
 	}
-	if len(res.TrainLoss) == 0 || math.IsNaN(res.FinalLoss()) || math.IsInf(res.FinalLoss(), 0) {
-		t.Fatalf("run did not complete sanely: %+v", res.TrainLoss)
-	}
+	assertBitIdentical(t, cl.model, solo, "dist sync-BN after a worker death vs -shards 1")
 }
 
-// TestDistResumeBitIdentical interrupts a distributed run after 2
-// epochs and resumes it from the TRCKPv1 checkpoint with a fresh
-// coordinator and fresh workers. The resumed trajectory must match a
-// straight 4-epoch solo run bit for bit — checkpoint state transfer
-// plus SyncReplicas must lose nothing.
+// TestDistResumeBitIdentical interrupts a distributed run halfway and
+// resumes it from the TRCKPv1 checkpoint with a fresh coordinator and
+// fresh workers, on a BN-free model and on a BatchNorm one. The resumed
+// trajectory must match a straight solo run bit for bit — checkpoint
+// state transfer plus SyncReplicas must lose nothing, running
+// statistics included.
 func TestDistResumeBitIdentical(t *testing.T) {
-	spec := tinySpec("lenet")
-	spec.Epochs = 4
-	straight := runSolo(t, spec, 1, nil)
-	ckpt := t.TempDir() + "/dist.ckpt"
+	lenet, vgg := tinySpec("lenet"), bnSpec()
+	lenet.Epochs, vgg.Epochs = 4, 2
+	for _, spec := range []Spec{lenet, vgg} {
+		straight := runSolo(t, spec, 1, nil)
+		ckpt := t.TempDir() + "/dist.ckpt"
 
-	cl1 := startCluster(t, spec, 2, CoordinatorConfig{}, WorkerConfig{}, nil)
-	cl1.run(func(cfg *train.Config) {
-		cfg.Epochs = 2
-		cfg.CkptPath = ckpt
-	})
-	cl1.stop()
+		cl1 := startCluster(t, spec, 2, CoordinatorConfig{}, WorkerConfig{}, nil)
+		cl1.run(func(cfg *train.Config) {
+			cfg.Epochs = spec.Epochs / 2
+			cfg.CkptPath = ckpt
+		})
+		cl1.stop()
 
-	cl2 := startCluster(t, spec, 2, CoordinatorConfig{}, WorkerConfig{}, nil)
-	cl2.run(func(cfg *train.Config) {
-		cfg.CkptPath = ckpt
-		cfg.Resume = true
-	})
-	assertBitIdentical(t, cl2.model, straight, "dist resumed 2+2 vs straight 4")
+		cl2 := startCluster(t, spec, 2, CoordinatorConfig{}, WorkerConfig{}, nil)
+		cl2.run(func(cfg *train.Config) {
+			cfg.CkptPath = ckpt
+			cfg.Resume = true
+		})
+		assertBitIdentical(t, cl2.model, straight, spec.Model+": dist resumed vs straight")
+		cl2.stop()
+	}
 }
 
 // TestCoordinatorStepsHoldNoTimers: a step's gather loop must not leave

@@ -18,7 +18,7 @@ var (
 	sliceReassignments = obs.Default().Counter("dist_slice_reassignments_total",
 		"Gradient slices re-queued to surviving workers after their assignee died.")
 	stepRetries = obs.Default().Counter("dist_step_retries_total",
-		"Whole-step retries (sync-BN steps restart when a participant dies mid-barrier).")
+		"Whole-step retries (sync-BN steps restart when a worker holding a run dies mid-barrier).")
 	stepsTotal = obs.Default().Counter("dist_steps_total",
 		"Distributed training steps completed by the coordinator.")
 	stateSyncs = obs.Default().Counter("dist_state_syncs_total",
@@ -27,7 +27,7 @@ var (
 		"Latency of one distributed step: slice dispatch through last result.",
 		obs.LatencyBucketsMs)
 	bnReduceMs = obs.Default().Histogram("dist_bn_reduce_ms",
-		"Coordinator-side latency of one sync-BN barrier reduction (includes waiting for sibling participants).",
+		"Coordinator-side latency of one sync-BN barrier reduction (includes waiting for the other runs).",
 		obs.LatencyBucketsMs)
 
 	frameSizeBytes = obs.Default().Histogram("dist_frame_size_bytes",

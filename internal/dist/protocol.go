@@ -3,9 +3,9 @@
 // model and the training loop, and workers that compute gradient
 // slices over TCP. The coordinator implements train.Stepper, so
 // train.Run drives a remote fleet exactly as it drives an in-process
-// ShardedStep — same slice plan, same stride-doubling reduction tree,
+// ShardedStep — same slice plan, same stride-doubling reduction trees,
 // same observer merge — which is what makes a 2-worker run over the
-// network bit-identical to `-shards 1` on BN-free models.
+// network bit-identical to `-shards 1`, with or without BatchNorm.
 //
 // Robustness is structural, not best-effort: internal/wire tears a
 // connection down on any dropped, truncated, or corrupted frame rather
@@ -27,7 +27,7 @@ import (
 // ProtocolVersion is the frame-protocol generation carried in
 // Hello/Welcome. A coordinator refuses workers speaking a different
 // version — silent cross-version operation could break bit-identity.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // Frame types. The payload layouts are specified in
 // docs/dist-protocol.md; encode/decode helpers live next to their

@@ -47,7 +47,7 @@ func TestGoldenFrames(t *testing.T) {
 		y[i] = i % 10
 	}
 	co := &Coordinator{stepID: 42, attempt: 7}
-	if err := co.sendRun(slice.remote(), run{1, 3}, x, y, 17, []int{0, 8, 16, 17}, 0); err != nil {
+	if err := co.sendRun(slice.remote(), run{1, 3}, x, y, 17, []int{0, 8, 16, 17}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,7 +55,7 @@ func TestGoldenFrames(t *testing.T) {
 	// slot 1 (the run's second slice) nothing, as RunSlices leaves it.
 	var res sentConn
 	ws := &workerSession{fc: wire.NewConn(proto, &res, 0, 0), rep: tinyReplica()}
-	ws.set.Plan(ws.rep, 9, 0)
+	ws.set.Plan(ws.rep, 9)
 	for k, v := range []struct {
 		loss  float64
 		grads []float32
@@ -71,8 +71,9 @@ func TestGoldenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Participant 1's phase-1 reduction for group 2 (two channels): the
-	// sums 0.5 and -1.25, then the count 6.
+	// The phase-1 reduction for group 2 (two channels) of a run that
+	// starts at slice 1: per slice the sums, then the count — 0.5,
+	// -1.25 and 6, then 0.25, 1 and 2.
 	var reduce sentConn
 	dead := make(chan struct{})
 	close(dead) // no reply comes: Reduce unwinds after sending
@@ -83,18 +84,18 @@ func TestGoldenFrames(t *testing.T) {
 				t.Fatalf("Reduce without a reply recovered %v", r)
 			}
 		}()
-		(&bnProxy{s: ws, group: 2, c: 2}).Reduce(1, []float64{0.5, -1.25, 6})
+		(&bnProxy{s: ws, group: 2, c: 2, first: 1}).Reduce(0, 2, []float64{0.5, -1.25, 6, 0.25, 1, 2})
 	}()
 
-	// The coordinator folds it with participant 0's {1, 2, 4}.
+	// The coordinator folds it with slice 0's {1, 2, 4}.
 	var result sentConn
 	co = &Coordinator{attempt: 7, stash: make([][2][]float64, 3)}
 	co.bnCond = sync.NewCond(&co.mu)
 	for range co.stash {
 		co.groups = append(co.groups, nn.NewBNSyncGroup(2))
 	}
-	co.groups[2].Configure(2)
-	go co.groups[2].Reduce(0, []float64{1, 2, 4})
+	co.groups[2].Configure(3)
+	go co.groups[2].Reduce(0, 1, []float64{1, 2, 4})
 	co.handleBN(result.remote(), reduce.buf.Bytes()[wire.HeaderLen:reduce.buf.Len()-4])
 
 	for _, tc := range []struct {
@@ -185,7 +186,6 @@ func TestWorkerFramesRejectHugeCounts(t *testing.T) {
 	slice.U32(0)              // slice
 	slice.U32(1)              // count
 	slice.U32(math.MaxUint32) // batch
-	slice.U32(0)              // parts
 	slice.U32(math.MaxUint32) // rows
 	if err := s.handleSlice(slice.B); err == nil {
 		t.Fatal("slice frame with 2^32-1 rows accepted")
@@ -204,7 +204,6 @@ func TestWorkerFramesRejectHugeCounts(t *testing.T) {
 		e.U32(0)     // slice
 		e.U32(count) // count
 		e.U32(rows)  // batch
-		e.U32(0)     // parts
 		e.U32(rows)  // rows
 		for i := 0; i < rows; i++ {
 			e.U32(0) // label
@@ -231,7 +230,7 @@ func FuzzHandleSlice(f *testing.F) {
 	var valid sentConn
 	x := tensor.New(12, 3, s.hw, s.hw)
 	x.RandNormal(rand.New(rand.NewSource(1)), 1)
-	if err := (&Coordinator{stepID: 1}).sendRun(valid.remote(), run{0, 2}, x, make([]int, 12), 12, []int{0, 8, 12}, 0); err != nil {
+	if err := (&Coordinator{stepID: 1}).sendRun(valid.remote(), run{0, 2}, x, make([]int, 12), 12, []int{0, 8, 12}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.buf.Bytes()[wire.HeaderLen : valid.buf.Len()-4])
@@ -261,7 +260,7 @@ func FuzzRecordResult(f *testing.F) {
 	f.Add(p)
 	f.Add(p[:len(p)-1])
 	co := &Coordinator{}
-	co.set.Plan(tinyReplica(), 17, 0)
+	co.set.Plan(tinyReplica(), 17)
 	f.Fuzz(func(t *testing.T, p []byte) {
 		ev, err := co.workEvent(nil, frameSliceResult, p)
 		if err != nil {

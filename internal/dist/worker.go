@@ -165,9 +165,11 @@ func (s *workerSession) buildModel(spec Spec) error {
 	}
 	s.model, s.hw = m, sc.HW
 	s.rep = train.NewReplica(m)
-	s.set.Plan(s.rep, 1, 1) // slot 0 for the observe frame before the first run
+	s.set.Plan(s.rep, 1) // slot 0 for the observe frame before the first run
 	for i, bn := range s.rep.BatchNorms() {
-		s.proxies = append(s.proxies, &bnProxy{s: s, group: i, c: bn.C})
+		p := &bnProxy{s: s, group: i, c: bn.C}
+		s.proxies = append(s.proxies, p)
+		bn.SetSyncGroup(p)
 	}
 	s.values = s.rep.PackValues(nil)
 	s.x = tensor.New(1)
@@ -259,8 +261,8 @@ func (s *workerSession) applyParams(p []byte) error {
 }
 
 // sliceHeader is the slice frame's fixed head: step u64, then attempt,
-// slice, count, batch_n, parts and rows u32.
-const sliceHeader = 8 + 6*4
+// slice, count, batch_n and rows u32.
+const sliceHeader = 8 + 5*4
 
 // handleSlice computes a run of gradient slices and reports all of its
 // slots in one slice_result. A sync-BN abort unwinds as a non-fatal
@@ -273,7 +275,6 @@ func (s *workerSession) handleSlice(p []byte) error {
 	slice := d.U32()
 	count := d.U32()
 	batchN := int(d.U32())
-	parts := int(d.U32())
 	rows := int(d.U32())
 	// The labels are taken as one run, and the payload must hold the
 	// pixels of as many rows, before anything is sized from rows: a row
@@ -282,9 +283,8 @@ func (s *workerSession) handleSlice(p []byte) error {
 	if d.Failed() || rows < 1 || batchN < rows || len(p) != sliceHeader+4*rows+4+4*rows*3*s.hw*s.hw {
 		return fmt.Errorf("dist: malformed slice header")
 	}
-	// The run must be its rows' plan: count 8-row slices, or one for
-	// sync-BN.
-	if S := len(s.set.Plan(s.rep, rows, min(parts, 1))) - 1; uint32(S) != count {
+	// The run must be its rows' plan: count 8-row slices.
+	if S := len(s.set.Plan(s.rep, rows)) - 1; uint32(S) != count {
 		return fmt.Errorf("dist: slice frame carries %d slices, its %d rows plan %d", count, rows, S)
 	}
 	if cap(s.labels) < rows {
@@ -303,13 +303,8 @@ func (s *workerSession) handleSlice(p []byte) error {
 	}
 
 	s.attempt = att
-	for i, bn := range s.rep.BatchNorms() {
-		if parts > 0 {
-			s.proxies[i].phase = 0
-			bn.SetSyncGroup(s.proxies[i], int(slice)) // the slice index is the participant index
-		} else {
-			bn.SetSyncGroup(nil, 0)
-		}
+	for _, p := range s.proxies {
+		p.first, p.phase = int(slice), 0
 	}
 	// Drop replies from a previous, aborted reduction.
 	for {
@@ -384,15 +379,18 @@ func (s *workerSession) computeRun(count, batchN int) (abortReason string, fatal
 
 // bnProxy implements nn.BNSyncer for a worker's BatchNorm layers by
 // round-tripping each reduction through the coordinator, which hosts
-// the actual BNSyncGroup barrier on the workers' behalf. An abort (or
-// any connection failure) panics ErrSyncAborted, exactly like the
+// the actual BNSyncGroup barrier on the workers' behalf. The worker's
+// set holds its run at slots 0 on, so the proxy places the run's
+// slices at the frame's first slice of the plan. An abort (or any
+// connection failure) panics ErrSyncAborted, exactly like the
 // in-process group, so BatchNorm's sync path needs no network
 // awareness.
 type bnProxy struct {
 	s     *workerSession
 	group int
 	c     int
-	phase uint8 // the slice's reductions so far: 1 moments, 2 squares, 3 gradient sums
+	first int   // the run's first slice in the step's plan
+	phase uint8 // the run's reductions so far: 1 moments, 2 squares, 3 gradient sums
 }
 
 // Channels implements nn.BNSyncer.
@@ -401,13 +399,13 @@ func (p *bnProxy) Channels() int { return p.c }
 // Reduce implements nn.BNSyncer: one bn_reduce, then the matching
 // bn_result. Replies tagged with another attempt, group or phase are
 // stale ones from an aborted attempt.
-func (p *bnProxy) Reduce(idx int, v []float64) []float64 {
+func (p *bnProxy) Reduce(first, _ int, v []float64) []float64 {
 	p.phase++
 	var e wire.Enc
 	e.U32(p.s.attempt)
 	e.U32(uint32(p.group))
 	e.U8(p.phase)
-	e.U32(uint32(idx))
+	e.U32(uint32(p.first + first))
 	e.F64s(v)
 	if err := p.s.fc.Send(frameBNReduce, e.B); err != nil {
 		panic(nn.ErrSyncAborted)

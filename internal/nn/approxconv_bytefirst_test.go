@@ -54,7 +54,7 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 }
 
 // requireSlicedBackward runs l's backward over the training batch
-// (x, dy) once with slice boundaries (BackwardSlices; slices of
+// (x, dy) once with slice boundaries (SetSlices; slices of
 // min(8, n/2) images, the last one short where n demands) and then
 // once per slice alone, each from zeroed gradients, and requires the
 // two to agree bit for bit on every slice's parameter gradients and on
@@ -83,8 +83,10 @@ func requireSlicedBackward(t *testing.T, l Layer, x, dy *tensor.Tensor) {
 	for s := range grads {
 		grads[s] = make([]float32, numel)
 	}
+	SetSlices(params, bounds, 0, grads)
 	l.Forward(x, true)
-	dx := BackwardSlices(l, params, dy, bounds, grads).Clone()
+	dx := l.Backward(dy).Clone()
+	SetSlices(params, nil, 0, nil)
 	for s := range grads {
 		lo, hi := bounds[s], bounds[s+1]
 		what := fmt.Sprintf("slice %d of %v", s, bounds)

@@ -26,35 +26,32 @@ type BatchNorm2D struct {
 	inShape []int
 	out, dx *tensor.Tensor
 
-	// Sync-BN hookup (see BNSyncer): when sync is non-nil, training
-	// forwards compute full-batch statistics by all-reducing moments
-	// across the syncer's participants, and Backward all-reduces the
-	// gradient sums the same way. The buffers hold the vectors in the
-	// syncer's packing, so a reduction publishes them as they are.
+	// The training passes' slices (SetSlices, or one into Grad) and,
+	// per slice back to back in a BNSyncer's packing, the sums they
+	// fold; cnt is the last training forward's folded element count.
+	cuts       gradCuts
 	sync       BNSyncer
-	syncIdx    int
 	syncActive bool
-	syncCnt    float64
+	cnt        float64
 	meanBuf    []float64
 	sumBuf     []float64 // per-channel sums, then the element count (c+1 wide)
 	sqBuf      []float64 // per-channel squared deviations (c wide)
-	gradBuf    []float64 // local backward Σdy, then Σdy·x̂ (2c wide)
+	gradBuf    []float64 // Σdy, then Σdy·x̂ (2c wide)
 
 	// run carries the training passes' per-channel work (bnRun).
 	run bnRun
 }
 
-// SetSyncGroup attaches the layer to a cross-shard moment syncer as
-// participant idx (nil detaches, restoring single-replica behaviour).
-// All replicas of a sharded model attach their position-matched
-// BatchNorm2D layers to one shared syncer — an in-process BNSyncGroup,
-// or a network proxy forwarding to a coordinator-hosted group.
-func (b *BatchNorm2D) SetSyncGroup(g BNSyncer, idx int) {
+// SetSyncGroup attaches the layer to a cross-replica syncer (nil
+// detaches, restoring single-replica behaviour). All replicas of a
+// sharded model attach their position-matched BatchNorm2D layers to
+// one shared syncer — an in-process BNSyncGroup, or a network proxy
+// forwarding to a coordinator-hosted group.
+func (b *BatchNorm2D) SetSyncGroup(g BNSyncer) {
 	if g != nil && g.Channels() != b.C {
 		panic(fmt.Sprintf("nn: %s has %d channels, sync group %d", b.name, b.C, g.Channels()))
 	}
 	b.sync = g
-	b.syncIdx = idx
 	b.syncActive = false
 }
 
@@ -171,7 +168,7 @@ func sqDevChannel(x []float32, n, c, hw, ch int, mean float64) float64 {
 // the per-channel sums followed by the element count per channel
 // (rows * H * W), sq the per-channel squared deviations about the batch
 // mean — the moments a training forward folds, which a sync-BN
-// reduction hands back folded over every participant. The dist
+// reduction hands back folded over every slice of the plan. The dist
 // coordinator commits a step's statistics to its primary through here,
 // so the primary and the workers' replicas run the same arithmetic.
 func (b *BatchNorm2D) UpdateRunning(sums, sq []float64) {
@@ -217,39 +214,52 @@ func (b *BatchNorm2D) normalizeChannel(x []float32, n, c, hw, ch int, mean, vr f
 
 // forwardTrain is the training forward: two-pass batch statistics
 // (per-channel sums, then squared deviations about the mean), folded
-// into the running statistics and used to normalize. In sync-BN mode
-// each pass is a cross-shard all-reduce through the attached BNSyncer,
-// which hands back the moments folded over all participants in
-// ascending participant order, so every replica derives the identical
-// full-batch statistics and updates its running statistics with them —
-// the replicas' state stays identical without a broadcast. Without a
-// syncer the moments are the local ones, which is the one-participant
-// case of the same arithmetic, and every channel runs all of its passes
-// in one go. Each pass runs per channel (bnRun), so no sum is cut.
+// into the running statistics and used to normalize. Each pass sums
+// per slice and folds the slices' vectors (fold), so every replica of
+// a synced layer derives the identical full-batch statistics and
+// updates its running statistics with them — the replicas' state stays
+// identical without a broadcast. One slice without a syncer folds
+// nothing, and every channel runs all of its passes in one go. Each
+// pass runs per channel (bnRun), so no sum is cut inside a slice.
 func (b *BatchNorm2D) forwardTrain(x *tensor.Tensor) *tensor.Tensor {
 	n, c, hw := b.begin(x, true)
+	b.cuts.to(b.Gamma, b.Beta, n, 1)
+	cuts := b.cuts.cuts
+	k := len(cuts) - 1
 	b.syncActive = b.sync != nil
 	b.meanBuf = grow(b.meanBuf, c)
-	b.sumBuf = grow(b.sumBuf, c+1)
-	b.sqBuf = grow(b.sqBuf, c)
-	b.sumBuf[c] = float64(n * hw)
+	b.sumBuf = grow(b.sumBuf, k*(c+1))
+	b.sqBuf = grow(b.sqBuf, k*c)
+	for j := 0; j < k; j++ {
+		b.sumBuf[j*(c+1)+c] = float64((cuts[j+1] - cuts[j]) * hw)
+	}
 	b.run = bnRun{b: b, x: x.Data, n: n, c: c, hw: hw, cnt: b.sumBuf[c], sq: b.sqBuf}
-	if !b.syncActive {
+	if !b.syncActive && k == 1 {
 		b.runChannels(bnForward)
-		b.syncCnt = b.run.cnt
+		b.cnt = b.run.cnt
 		b.UpdateRunning(b.sumBuf, b.sqBuf)
 		return b.out
 	}
 
 	b.runChannels(bnSums)
-	copy(b.sumBuf, b.sync.Reduce(b.syncIdx, b.sumBuf)) // the syncer's slice is valid only until its next reduction
+	copy(b.sumBuf, b.fold(b.sumBuf, c+1)) // a syncer's fold is valid only until its next reduction
 	b.run.cnt = b.sumBuf[c]
-	b.syncCnt = b.run.cnt
+	b.cnt = b.run.cnt
 	b.runChannels(bnSquares)
-	b.run.sq = b.sync.Reduce(b.syncIdx, b.sqBuf)
+	b.run.sq = b.fold(b.sqBuf, c)
 	b.UpdateRunning(b.sumBuf, b.run.sq)
 	b.runChannels(bnNormalize)
 	return b.out
+}
+
+// fold folds the pass's per-slice vectors of width w, packed in v,
+// over the plan's slices: through the syncer, or with foldSlices in
+// place when the pass holds every slice.
+func (b *BatchNorm2D) fold(v []float64, w int) []float64 {
+	if b.sync == nil {
+		return foldSlices(v, w)
+	}
+	return b.sync.Reduce(b.Gamma.first, len(v)/w, v)
 }
 
 // runChannels runs one per-channel pass of b.run over every channel.
@@ -264,8 +274,8 @@ func (b *BatchNorm2D) runChannels(pass bnPass) {
 const bnLanes = 4
 
 // bnPass names what bnRun computes per channel. bnForward and
-// bnBackward are a whole pass of a layer without a syncer; the sync-BN
-// paths run their parts around the syncer's reductions.
+// bnBackward are a whole pass of one slice without a syncer; the
+// others run around the folds of the per-slice sums.
 type bnPass uint8
 
 const (
@@ -274,15 +284,15 @@ const (
 	bnSquares                 // meanBuf, sqBuf from the folded sums
 	bnNormalize               // out and the caches from meanBuf and sq
 	bnBackward                // gradient sums, parameter gradients, dx
-	bnGradSums                // gradBuf
-	bnInputGrad               // parameter gradients from the local sums, dx from gdy, gdyx
+	bnGradSums                // gradBuf, and the parameter gradients from it
+	bnInputGrad               // dx from gdy, gdyx
 )
 
 // bnRun is the training passes' body over channels [lo, hi), in groups
-// of bnLanes: every channel's sums run over its own elements in the
-// order the one-channel helpers fix, so neither the grouping nor
-// splitting the channels among workers changes a bit.
-// x is the forward input or the backward's dy.
+// of bnLanes: every channel's sums run over each slice's elements in
+// the order the one-channel helpers fix, images then positions, so
+// neither the grouping nor splitting the channels among workers changes
+// a bit. x is the forward input or the backward's dy, cut at b.cuts.
 type bnRun struct {
 	b         *BatchNorm2D
 	pass      bnPass
@@ -291,8 +301,13 @@ type bnRun struct {
 	cnt       float64
 	sq        []float64 // the squared deviations normalization divides by cnt
 	gdy, gdyx []float64 // the folded gradient sums of bnInputGrad
-	dBeta     []float32 // where the backward adds Beta's gradient, and Gamma's
-	dGamma    []float32
+}
+
+// slice returns where slice j of the input starts, as an element
+// offset, and its image count.
+func (t *bnRun) slice(j int) (off, n int) {
+	cuts := t.b.cuts.cuts
+	return cuts[j] * t.c * t.hw, cuts[j+1] - cuts[j]
 }
 
 func (t *bnRun) RunRange(lo, hi int) {
@@ -306,11 +321,11 @@ func (t *bnRun) group(lo, hi int) {
 	b, x, n, c, hw := t.b, t.x, t.n, t.c, t.hw
 	switch t.pass {
 	case bnForward:
-		sumChannels(b.sumBuf[lo:hi], x, n, c, hw, lo)
+		t.sums(lo, hi)
 		t.squares(lo, hi)
 		t.normalize(lo, hi)
 	case bnSums:
-		sumChannels(b.sumBuf[lo:hi], x, n, c, hw, lo)
+		t.sums(lo, hi)
 	case bnSquares:
 		t.squares(lo, hi)
 	case bnNormalize:
@@ -320,29 +335,46 @@ func (t *bnRun) group(lo, hi int) {
 		gradSumsChannels(dy[:hi-lo], dyx[:hi-lo], x, b.xhat.Data, n, c, hw, lo)
 		for ch := lo; ch < hi; ch++ {
 			sumDy, sumDyXhat := dy[ch-lo], dyx[ch-lo]
-			t.dBeta[ch] += float32(sumDy)
-			t.dGamma[ch] += float32(sumDyXhat)
+			b.cuts.db[0][ch] += float32(sumDy)
+			b.cuts.dw[0][ch] += float32(sumDyXhat)
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, sumDy, sumDyXhat)
 		}
 	case bnGradSums:
-		gradSumsChannels(b.gradBuf[lo:hi], b.gradBuf[c+lo:c+hi], x, b.xhat.Data, n, c, hw, lo)
+		for j := range b.cuts.dw {
+			off, m := t.slice(j)
+			sums := b.gradBuf[j*2*c:]
+			gradSumsChannels(sums[lo:hi], sums[c+lo:c+hi], x[off:], b.xhat.Data[off:], m, c, hw, lo)
+			for ch := lo; ch < hi; ch++ {
+				b.cuts.db[j][ch] += float32(sums[ch])
+				b.cuts.dw[j][ch] += float32(sums[c+ch])
+			}
+		}
 	case bnInputGrad:
 		for ch := lo; ch < hi; ch++ {
-			t.dBeta[ch] += float32(b.gradBuf[ch])
-			t.dGamma[ch] += float32(b.gradBuf[c+ch])
 			b.inputGradChannel(x, n, c, hw, ch, t.cnt, t.gdy[ch], t.gdyx[ch])
 		}
 	}
 }
 
+// sums writes every slice's sums of channels [lo, hi).
+func (t *bnRun) sums(lo, hi int) {
+	for j := range t.b.cuts.dw {
+		off, n := t.slice(j)
+		sumChannels(t.b.sumBuf[j*(t.c+1)+lo:j*(t.c+1)+hi], t.x[off:], n, t.c, t.hw, lo)
+	}
+}
+
 // squares derives channels [lo, hi)'s means from their (folded) sums
-// and their squared deviations about them.
+// and every slice's squared deviations about them.
 func (t *bnRun) squares(lo, hi int) {
 	b := t.b
 	for ch := lo; ch < hi; ch++ {
 		b.meanBuf[ch] = b.sumBuf[ch] / t.cnt
 	}
-	sqDevChannels(b.sqBuf[lo:hi], b.meanBuf[lo:hi], t.x, t.n, t.c, t.hw, lo)
+	for j := range b.cuts.dw {
+		off, n := t.slice(j)
+		sqDevChannels(b.sqBuf[j*t.c+lo:j*t.c+hi], b.meanBuf[lo:hi], t.x[off:], n, t.c, t.hw, lo)
+	}
 }
 
 // normalize writes channels [lo, hi) of the output and the backward
@@ -396,32 +428,25 @@ func (b *BatchNorm2D) inputGradChannel(dy []float32, n, c, hw, ch int, cnt, sumD
 }
 
 // Backward implements Layer. It uses the full batch-statistics
-// gradient (the training-mode formula), per channel (bnRun).
+// gradient (the training-mode formula), per channel (bnRun): each
+// slice's Σdy and Σdy·x̂ are its Beta and Gamma gradients, and dx takes
+// their fold (as forwardTrain folds the moments) and the folded count.
+// The trainer's gradient fold completes the parameter gradients.
 func (b *BatchNorm2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n, c := b.inShape[0], b.inShape[1]
 	hw := b.inShape[2] * b.inShape[3]
 	b.dx = tensor.Ensure4(b.dx, n, c, b.inShape[2], b.inShape[3])
-	b.run = bnRun{b: b, x: dy.Data, n: n, c: c, hw: hw, cnt: float64(n * hw),
-		dBeta: b.Beta.oneGrad(), dGamma: b.Gamma.oneGrad()}
-	if !b.syncActive {
+	b.cuts.to(b.Gamma, b.Beta, n, 1)
+	b.run = bnRun{b: b, x: dy.Data, n: n, c: c, hw: hw, cnt: float64(n * hw)}
+	k := len(b.cuts.dw)
+	if !b.syncActive && k == 1 {
 		b.runChannels(bnBackward)
 		return b.dx
 	}
-	return b.backwardSync()
-}
-
-// backwardSync is Backward in sync-BN mode: the per-channel gradient
-// sums are all-reduced across the group so dx uses the full-batch
-// sums and count (the same formula the legacy path applies to a whole
-// batch). Beta/Gamma accumulate only the LOCAL sums — the sharded
-// trainer's generic cross-shard gradient reduction adds the shards'
-// parameter gradients together, which completes those sums globally.
-func (b *BatchNorm2D) backwardSync() *tensor.Tensor {
-	b.gradBuf = grow(b.gradBuf, 2*b.C)
+	b.gradBuf = grow(b.gradBuf, k*2*c)
 	b.runChannels(bnGradSums)
-	g := b.sync.Reduce(b.syncIdx, b.gradBuf)
-	b.run.gdy, b.run.gdyx = g[:b.C], g[b.C:]
-	b.run.cnt = b.syncCnt
+	g := b.fold(b.gradBuf, 2*c)
+	b.run.gdy, b.run.gdyx, b.run.cnt = g[:c], g[c:], b.cnt
 	b.runChannels(bnInputGrad)
 	return b.dx
 }

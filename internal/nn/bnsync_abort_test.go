@@ -72,12 +72,12 @@ func TestBNSyncGroupConcurrentAbort(t *testing.T) {
 				}()
 				sum := []float64{1, 2, 3}
 				maybeFail(failPhase[idx], 0, errReal)
-				g.Reduce(idx, append(sum, 10))
+				g.Reduce(idx, 1, append(sum, 10))
 				maybeFail(failPhase[idx], 1, errReal)
-				g.Reduce(idx, sum)
+				g.Reduce(idx, 1, sum)
 				maybeFail(failPhase[idx], 2, errReal)
 				maybeFail(failPhase[idx], 3, errReal)
-				g.Reduce(idx, append(sum, sum...))
+				g.Reduce(idx, 1, append(sum, sum...))
 			}
 
 			done := make(chan struct{})
@@ -109,7 +109,7 @@ func TestBNSyncGroupConcurrentAbort(t *testing.T) {
 
 			// The group must be reusable after an abort: Configure
 			// clears the poison and a clean step completes with the
-			// correct ascending-order fold.
+			// correct fold.
 			g.Configure(tc.parts)
 			var wg sync.WaitGroup
 			sums := make([][]float64, tc.parts)
@@ -118,7 +118,7 @@ func TestBNSyncGroupConcurrentAbort(t *testing.T) {
 				p := p
 				go func() {
 					defer wg.Done()
-					out := g.Reduce(p, []float64{float64(p + 1), 0, 0, 5})
+					out := g.Reduce(p, 1, []float64{float64(p + 1), 0, 0, 5})
 					if total := out[3]; total != float64(5*tc.parts) {
 						t.Errorf("participant %d: total count %v, want %d", p, total, 5*tc.parts)
 					}

@@ -9,8 +9,9 @@ import (
 	"github.com/appmult/retrain/internal/tensor"
 )
 
-// newSyncPair builds two BatchNorm2D layers with identical non-trivial
-// affine parameters and running state, attached to one sync group.
+// newSyncPair builds three BatchNorm2D layers with identical non-trivial
+// affine parameters and running state, the last two attached to one
+// sync group.
 func newSyncPair(t *testing.T, c int) (ref, a, b *BatchNorm2D, g *BNSyncGroup) {
 	t.Helper()
 	mk := func() *BatchNorm2D {
@@ -25,24 +26,50 @@ func newSyncPair(t *testing.T, c int) (ref, a, b *BatchNorm2D, g *BNSyncGroup) {
 	}
 	ref, a, b = mk(), mk(), mk()
 	g = NewBNSyncGroup(c)
-	a.SetSyncGroup(g, 0)
-	b.SetSyncGroup(g, 1)
+	a.SetSyncGroup(g)
+	b.SetSyncGroup(g)
 	return ref, a, b, g
 }
 
-// TestSyncBNMatchesFullBatch checks the sync-BN invariant the sharded
-// trainer relies on: two participants each normalizing half the batch
-// produce the same outputs, input gradients, summed affine gradients,
-// and running statistics as one layer seeing the whole batch.
-func TestSyncBNMatchesFullBatch(t *testing.T) {
+// sliceBN cuts bn's training passes at the image bounds, into the
+// plan's slices from first on, and returns the slices' gradient
+// buffers (Gamma's, then Beta's).
+func sliceBN(bn *BatchNorm2D, first int, bounds ...int) [][]float32 {
+	grads := make([][]float32, len(bounds)-1)
+	for s := range grads {
+		grads[s] = make([]float32, 2*bn.C)
+	}
+	SetSlices(bn.Params(), bounds, first, grads)
+	return grads
+}
+
+func requireBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d]: %g vs %g", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSyncBNMatchesSlicedBatch checks the invariant the sharded trainer
+// relies on: two replicas each holding one slice of a two-slice plan
+// produce, through their sync group, the same outputs, input
+// gradients, per-slice affine gradients and running statistics, bit
+// for bit, as one layer holding both slices and folding them alone.
+func TestSyncBNMatchesSlicedBatch(t *testing.T) {
 	const c = 3
 	rng := rand.New(rand.NewSource(11))
-	x := tensor.New(4, c, 5, 5)
+	x := tensor.New(5, c, 5, 5)
 	x.RandNormal(rng, 1)
-	dy := tensor.New(4, c, 5, 5)
+	dy := tensor.New(5, c, 5, 5)
 	dy.RandNormal(rng, 1)
 
 	ref, a, b, g := newSyncPair(t, c)
+	refGrads := sliceBN(ref, 0, 0, 2, 5)
 	refOut := ref.Forward(x, true)
 	refDx := ref.Backward(dy)
 
@@ -50,53 +77,37 @@ func TestSyncBNMatchesFullBatch(t *testing.T) {
 	halves := []struct {
 		bn     *BatchNorm2D
 		lo, hi int
-	}{{a, 0, 2}, {b, 2, 4}}
+	}{{a, 0, 2}, {b, 2, 5}}
 	out := make([]*tensor.Tensor, 2)
 	dx := make([]*tensor.Tensor, 2)
+	grads := make([][]float32, 2)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := range halves {
+		h := halves[i]
+		grads[i] = sliceBN(h.bn, i, h.lo, h.hi)[0]
 		go func(i int) {
 			defer wg.Done()
-			h := halves[i]
 			out[i] = h.bn.Forward(tensor.ViewRows(x, h.lo, h.hi), true)
 			dx[i] = h.bn.Backward(tensor.ViewRows(dy, h.lo, h.hi))
 		}(i)
 	}
 	wg.Wait()
 
-	const tol = 1e-5
-	checkClose := func(name string, got, want []float32) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if d := math.Abs(float64(got[i] - want[i])); d > tol {
-				t.Fatalf("%s[%d]: %g vs %g (|d|=%g)", name, i, got[i], want[i], d)
-			}
-		}
+	requireBits(t, "out", append(append([]float32(nil), out[0].Data...), out[1].Data...), refOut.Data)
+	requireBits(t, "dx", append(append([]float32(nil), dx[0].Data...), dx[1].Data...), refDx.Data)
+	for s := range grads {
+		requireBits(t, "slice grads", grads[s], refGrads[s])
 	}
-	checkClose("out", append(append([]float32(nil), out[0].Data...), out[1].Data...), refOut.Data)
-	checkClose("dx", append(append([]float32(nil), dx[0].Data...), dx[1].Data...), refDx.Data)
-	sumGrad := func(p0, p1 *Param) []float32 {
-		s := make([]float32, len(p0.Grad.Data))
-		for i := range s {
-			s[i] = p0.Grad.Data[i] + p1.Grad.Data[i]
-		}
-		return s
+	for _, bn := range []*BatchNorm2D{a, b} {
+		requireBits(t, "running mean", bn.RunningMean.Data, ref.RunningMean.Data)
+		requireBits(t, "running var", bn.RunningVar.Data, ref.RunningVar.Data)
 	}
-	checkClose("beta grad", sumGrad(a.Beta, b.Beta), ref.Beta.Grad.Data)
-	checkClose("gamma grad", sumGrad(a.Gamma, b.Gamma), ref.Gamma.Grad.Data)
-	checkClose("running mean (a)", a.RunningMean.Data, ref.RunningMean.Data)
-	checkClose("running var (a)", a.RunningVar.Data, ref.RunningVar.Data)
-	checkClose("running mean (b)", b.RunningMean.Data, ref.RunningMean.Data)
-	checkClose("running var (b)", b.RunningVar.Data, ref.RunningVar.Data)
 }
 
 // TestSyncBNSingleParticipantBitIdentical checks the degenerate case:
-// a group of one must reproduce the legacy training forward/backward
-// bit for bit.
+// a group of one slice must reproduce the plain training
+// forward/backward bit for bit.
 func TestSyncBNSingleParticipantBitIdentical(t *testing.T) {
 	const c = 2
 	rng := rand.New(rand.NewSource(5))
@@ -112,21 +123,12 @@ func TestSyncBNSingleParticipantBitIdentical(t *testing.T) {
 	g.Configure(1)
 	out := a.Forward(x, true)
 	dx := a.Backward(dy)
-	for i := range refOut.Data {
-		if out.Data[i] != refOut.Data[i] {
-			t.Fatalf("out[%d]: %g != %g", i, out.Data[i], refOut.Data[i])
-		}
-	}
-	for i := range refDx.Data {
-		if dx.Data[i] != refDx.Data[i] {
-			t.Fatalf("dx[%d]: %g != %g", i, dx.Data[i], refDx.Data[i])
-		}
-	}
-	for i := range ref.RunningMean.Data {
-		if a.RunningMean.Data[i] != ref.RunningMean.Data[i] || a.RunningVar.Data[i] != ref.RunningVar.Data[i] {
-			t.Fatalf("running stats diverged at channel %d", i)
-		}
-	}
+	requireBits(t, "out", out.Data, refOut.Data)
+	requireBits(t, "dx", dx.Data, refDx.Data)
+	requireBits(t, "gamma grad", a.Gamma.Grad.Data, ref.Gamma.Grad.Data)
+	requireBits(t, "beta grad", a.Beta.Grad.Data, ref.Beta.Grad.Data)
+	requireBits(t, "running mean", a.RunningMean.Data, ref.RunningMean.Data)
+	requireBits(t, "running var", a.RunningVar.Data, ref.RunningVar.Data)
 }
 
 // TestBNSyncAbort checks the poison path: an aborted barrier panics
@@ -138,7 +140,7 @@ func TestBNSyncAbort(t *testing.T) {
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()
-		g.bar.wait()
+		g.bar.wait(1, func() {})
 	}()
 	g.Abort()
 	if r := <-done; r != ErrSyncAborted {
@@ -151,47 +153,61 @@ func TestBNSyncAbort(t *testing.T) {
 				t.Fatalf("post-abort wait recovered %v, want ErrSyncAborted", r)
 			}
 		}()
-		g.bar.wait()
+		g.bar.wait(1, func() {})
 	}()
 	g.Configure(1)
-	g.bar.wait() // single participant: returns immediately, no panic
+	g.bar.wait(1, func() {}) // one slice: returns immediately, no panic
 }
 
-// TestBNSyncSlotsAlternate holds one participant back between its
-// barrier and its fold of reduction k while the other finishes k and
-// publishes k+1. The late fold must still see reduction k's vectors:
-// consecutive reductions publish into different slot sets.
+// TestBNSyncSlotsAlternate holds the run of slice 1 back between its
+// barrier and its read of fold k while the run of slice 0 finishes k
+// and publishes k+1. The late read must still see fold k: consecutive
+// reductions publish into different slot sets.
 func TestBNSyncSlotsAlternate(t *testing.T) {
 	g := NewBNSyncGroup(2)
 	g.Configure(2)
 	k0, k1 := []float64{1, 2, 3}, []float64{10, 20, 30}
 	k0late, k1late := []float64{0.5, 0.25, 4}, []float64{5, 6, 7}
-	// Participant 1 publishes reduction k and passes its barrier, but
-	// does not fold.
+	// Slice 1 publishes reduction k and passes its barrier, but does
+	// not read the fold.
 	held := make(chan []float64)
 	go func() {
-		set := g.publish(1, k0late)
-		g.bar.wait()
-		held <- set
+		set, w := g.publish(1, 1, k0late)
+		g.bar.wait(1, func() { foldSlices(set[:2*w], w) })
+		held <- set[:w]
 	}()
-	if got := g.Reduce(0, k0); got[0] != 1.5 || got[1] != 2.25 || got[2] != 7 {
-		t.Fatalf("participant 0 folded reduction k to %v", got)
+	if got := g.Reduce(0, 1, k0); got[0] != 1.5 || got[1] != 2.25 || got[2] != 7 {
+		t.Fatalf("slice 0 read fold k as %v", got)
 	}
-	set := <-held
-	// Participant 0 publishes reduction k+1 and waits at its barrier.
+	fold := <-held
+	// Slice 0 publishes reduction k+1 and waits at its barrier.
 	next := make(chan []float64)
-	go func() { next <- append([]float64(nil), g.Reduce(0, k1)...) }()
+	go func() { next <- append([]float64(nil), g.Reduce(0, 1, k1)...) }()
 	for arrived := 0; arrived == 0; {
 		g.bar.mu.Lock()
 		arrived = g.bar.arrived
 		g.bar.mu.Unlock()
 	}
-	// Now participant 1 folds reduction k.
-	if got := g.fold(1, set, 3); got[0] != 1.5 || got[1] != 2.25 || got[2] != 7 {
-		t.Fatalf("late fold of reduction k read %v: reduction k+1 overwrote its slots", got)
+	// Now slice 1 reads fold k.
+	if fold[0] != 1.5 || fold[1] != 2.25 || fold[2] != 7 {
+		t.Fatalf("late read of fold k saw %v: reduction k+1 overwrote its slots", fold)
 	}
-	got1 := g.Reduce(1, k1late)
+	got1 := g.Reduce(1, 1, k1late)
 	if got0 := <-next; got0[0] != 15 || got0[1] != 26 || got0[2] != 37 || got1[0] != 15 || got1[2] != 37 {
 		t.Fatalf("reduction k+1 folded to %v and %v", got0, got1)
+	}
+}
+
+// TestFoldSlicesTree pins foldSlices' order: the stride-doubling tree
+// ((v0+v1)+(v2+v3))+v4, which differs in float64 from the left-to-right
+// sum of these vectors.
+func TestFoldSlicesTree(t *testing.T) {
+	v := []float64{1e16, 1, -1e16, 1, 3}
+	want := ((v[0] + v[1]) + (v[2] + v[3])) + v[4]
+	if seq := (((v[0] + v[1]) + v[2]) + v[3]) + v[4]; seq == want {
+		t.Fatal("the vectors no longer tell the tree from the sequence")
+	}
+	if got := foldSlices(append([]float64(nil), v...), 1); got[0] != want || len(got) != 1 {
+		t.Fatalf("foldSlices = %v, want [%v]", got, want)
 	}
 }

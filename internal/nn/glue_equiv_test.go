@@ -193,10 +193,10 @@ func TestGlueLayersMatchFrozenLoops(t *testing.T) {
 }
 
 // TestSyncBNMatchesFrozenLoops runs the sync-BN paths — one participant
-// and two, each pair of layers on its own group — against the frozen
-// copy: per participant, outputs, input gradients, local parameter
-// gradients and running statistics equal to the bit, over steps whose
-// shard sizes change.
+// and two, each holding one slice of the plan, each pair of layers on
+// its own group — against the frozen copy: per participant, outputs,
+// input gradients, the slice's parameter gradients and running
+// statistics equal to the bit, over steps whose shard sizes change.
 func TestSyncBNMatchesFrozenLoops(t *testing.T) {
 	const c = 4
 	for _, parts := range []int{1, 2} {
@@ -208,12 +208,17 @@ func TestSyncBNMatchesFrozenLoops(t *testing.T) {
 				twins := make([]*frozenBatchNorm2D, parts)
 				for i := range layers {
 					layers[i], twins[i] = bnPair(c)
-					layers[i].SetSyncGroup(group, i)
+					layers[i].SetSyncGroup(group)
 					twins[i].SetSyncGroup(twinGroup, i)
 				}
 				for step, n := range []int{2, 5, 1, 5} {
 					group.Configure(parts)
 					twinGroup.Configure(parts)
+					grads := make([][]float32, parts)
+					for i := range layers {
+						grads[i] = sliceBN(layers[i], i, 0, n+i)[0]
+						ZeroGrads(twins[i])
+					}
 					var wg sync.WaitGroup
 					// One goroutine per participant and implementation; the
 					// comparisons run after the barriers have released
@@ -236,8 +241,10 @@ func TestSyncBNMatchesFrozenLoops(t *testing.T) {
 						when := fmt.Sprintf("step %d participant %d", step, i)
 						glueSame(t, when+": out", out[2*i], out[2*i+1])
 						glueSame(t, when+": dx", dx[2*i], dx[2*i+1])
-						p := gluePair{layer: layers[i], twin: twins[i], bns: layers[i : i+1], twinBNs: twins[i : i+1]}
-						p.compareState(t, when)
+						glueBits(t, when+": grad gamma", grads[i][:c], twins[i].Gamma.Grad.Data)
+						glueBits(t, when+": grad beta", grads[i][c:], twins[i].Beta.Grad.Data)
+						glueBits(t, when+": running mean", layers[i].RunningMean.Data, twins[i].RunningMean.Data)
+						glueBits(t, when+": running var", layers[i].RunningVar.Data, twins[i].RunningVar.Data)
 					}
 				}
 			})
@@ -629,7 +636,7 @@ func (b *frozenBatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
 		}
 		local[ch] = s
 	}
-	moments := b.sync.Reduce(b.syncIdx, append(local[:c:c], float64(n*hw)))
+	moments := b.sync.Reduce(b.syncIdx, 1, append(local[:c:c], float64(n*hw)))
 	gsum, totalCnt := moments[:c], int(moments[c])
 
 	cnt := float64(totalCnt)
@@ -650,7 +657,7 @@ func (b *frozenBatchNorm2D) forwardSync(x *tensor.Tensor) *tensor.Tensor {
 		}
 		local[ch] = s
 	}
-	gsq := b.sync.Reduce(b.syncIdx, local)
+	gsq := b.sync.Reduce(b.syncIdx, 1, local)
 
 	for ch := 0; ch < c; ch++ {
 		vr := gsq[ch] / cnt
@@ -742,7 +749,7 @@ func (b *frozenBatchNorm2D) backwardSync(dy *tensor.Tensor) *tensor.Tensor {
 		ldy[ch] = sumDy
 		ldyx[ch] = sumDyXhat
 	}
-	grads := b.sync.Reduce(b.syncIdx, append(ldy[:c:c], ldyx...))
+	grads := b.sync.Reduce(b.syncIdx, 1, append(ldy[:c:c], ldyx...))
 	gdy, gdyx := grads[:c], grads[c:]
 
 	cnt := b.syncCnt

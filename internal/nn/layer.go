@@ -55,8 +55,9 @@ type Param struct {
 	Grad  *tensor.Tensor
 
 	version uint64
-	// bounds and dst are BackwardSlices' slices and their buffers.
+	// bounds, first and dst are SetSlices' cut.
 	bounds []int
+	first  int
 	dst    [][]float32
 }
 
@@ -70,40 +71,27 @@ func newParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
 
-// oneGrad returns where a backward that cuts no slices (BatchNorm's)
-// adds p's gradient: Grad, or BackwardSlices' one buffer.
-func (p *Param) oneGrad() []float32 {
-	if p.bounds == nil {
-		return p.Grad.Data
-	} else if len(p.dst) > 1 {
-		panic(fmt.Sprintf("nn: %s: this layer's backward takes one gradient slice, not %d", p.Name, len(p.dst)))
-	}
-	return p.dst[0]
-}
-
-// BackwardSlices is model's Backward over dy, images bounds[0] to
-// bounds[S] of a batch cut into slices at the image bounds, leaving
-// slice s's parameter gradients in grads[s] (model's params, packed back
-// to back in Params() order) instead of Param.Grad: every gradient sum
-// restarts from +0 at a slice boundary, so grads[s] holds, bit for bit,
-// what zeroed Grads would after a Backward over slice s alone. A
-// BatchNorm2D backward takes one slice. It returns Backward's result.
-func BackwardSlices(model Layer, params []*Param, dy *tensor.Tensor, bounds []int, grads [][]float32) *tensor.Tensor {
-	defer func() {
-		for _, p := range params {
-			p.bounds, p.dst = nil, p.dst[:0]
-		}
-	}()
+// SetSlices cuts the training passes of the layers owning params (a
+// model's Params()), until the next SetSlices, at the image bounds of
+// their input, images bounds[0] to bounds[S] of a batch: the slices
+// first to first+S-1 of its plan. Slice s's parameter gradients land in
+// grads[s] (params packed back to back), cleared here, each sum
+// restarting from +0 at a slice boundary: bit for bit what zeroed Grads
+// hold after a Backward over slice s's rows of dy alone. A BatchNorm2D
+// sums its statistics per slice too. Nil bounds restores whole passes.
+func SetSlices(params []*Param, bounds []int, first int, grads [][]float32) {
 	off := 0
 	for _, p := range params {
-		p.bounds = bounds
+		p.bounds, p.first, p.dst = bounds, first, p.dst[:0]
+		if bounds == nil {
+			continue
+		}
 		for _, g := range grads[:len(bounds)-1] {
 			p.dst = append(p.dst, g[off:off+len(p.Grad.Data)])
 			clear(p.dst[len(p.dst)-1])
 		}
 		off += len(p.Grad.Data)
 	}
-	return model.Backward(dy)
 }
 
 // gradCuts is where a GEMM backward adds its weight and bias gradients:
@@ -115,7 +103,7 @@ type gradCuts struct {
 }
 
 // to points g at the gradients of w and b for a backward over n images
-// of hw rows each: BackwardSlices' slices, or one slice into Grad.
+// of hw rows each: SetSlices' slices, or one slice into Grad.
 func (g *gradCuts) to(w, b *Param, n, hw int) {
 	if w.bounds == nil {
 		g.whole(n*hw, w.Grad.Data, b.Grad.Data)

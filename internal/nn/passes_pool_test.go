@@ -10,12 +10,12 @@ import (
 	"github.com/appmult/retrain/internal/tensor"
 )
 
-// TestPooledPassesMatchInline runs the BatchNorm (alone and in a sync-BN
-// pair), ReLU and max-pool passes over a batch above pooledElems twice —
-// forced inline, then on the worker pool in shares — and requires every
-// output, input gradient, parameter gradient and running statistic to
-// match bit for bit: the passes are cut per channel or per image, never
-// inside a sum.
+// TestPooledPassesMatchInline runs the BatchNorm (alone, over two
+// slices and in a sync-BN pair), ReLU and max-pool passes over a batch
+// above pooledElems twice — forced inline, then on the worker pool in
+// shares — and requires every output, input gradient, parameter
+// gradient and running statistic to match bit for bit: the passes are
+// cut per channel or per image, never inside a sum.
 func TestPooledPassesMatchInline(t *testing.T) {
 	const n, c, hw = 8, 6, 28 // 37,632 elements per pass
 	if n*c*hw*hw <= pooledElems {
@@ -42,18 +42,27 @@ func TestPooledPassesMatchInline(t *testing.T) {
 			res := make([][]float32, 2)
 			var wg sync.WaitGroup
 			for i, bn := range bns {
-				bn.SetSyncGroup(g, i)
+				bn.SetSyncGroup(g)
+				grads := sliceBN(bn, i, 0, n)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					// Two copies of the batch: each half stays above pooledElems.
 					out := bn.Forward(x, true).Clone()
 					dx := bn.Backward(dy)
-					res[i] = joined(out, dx, bn.Gamma.Grad, bn.Beta.Grad, bn.RunningMean, bn.RunningVar)
+					res[i] = append(joined(out, dx, bn.RunningMean, bn.RunningVar), grads[0]...)
 				}()
 			}
 			wg.Wait()
 			return append(res[0], res[1]...)
+		},
+		"slicedbn": func() []float32 {
+			bn := NewBatchNorm2D("bn", c)
+			grads := sliceBN(bn, 0, 0, 3, 8)
+			out := bn.Forward(x, true).Clone()
+			dx := bn.Backward(dy)
+			SetSlices(bn.Params(), nil, 0, nil)
+			return append(append(joined(out, dx, bn.RunningMean, bn.RunningVar), grads[0]...), grads[1]...)
 		},
 		"relu": func() []float32 {
 			r := NewReLU()

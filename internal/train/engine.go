@@ -5,16 +5,16 @@ import (
 	"github.com/appmult/retrain/internal/tensor"
 )
 
-// DefaultSliceRows is the gradient-slice granularity for BN-free
-// models. The minibatch is cut into fixed slices of this many rows
-// regardless of the shard count, so the set of partial gradient sums —
-// and therefore every float32 rounding decision in the reduction tree
-// — is identical for every P. That is what makes `-shards P`
-// bit-identical to `-shards 1` instead of merely close: floating-point
-// addition is not associative, so a P-dependent partition could not
-// reproduce the P=1 trajectory. The distributed coordinator
-// (internal/dist) plans through the same Slices, so `-workers N` joins
-// the same equivalence class.
+// DefaultSliceRows is the slice granularity of every model. The
+// minibatch is cut into fixed slices of this many rows regardless of
+// the shard count, so the set of partial sums — the gradients' and,
+// with BatchNorm, the batch statistics' — and therefore every rounding
+// decision in their reduction trees is identical for every P. That is
+// what makes `-shards P` bit-identical to `-shards 1` instead of merely
+// close: floating-point addition is not associative, so a P-dependent
+// partition could not reproduce the P=1 trajectory. The distributed
+// coordinator (internal/dist) plans through the same Slices, so
+// `-workers N` joins the same equivalence class.
 const DefaultSliceRows = 8
 
 // Replica is one model copy as every training topology drives it: each
@@ -65,14 +65,18 @@ func (r *Replica) BatchNorms() []*nn.BatchNorm2D { return r.bns }
 
 // RunSlices runs the slices [s0, s1) of set's plan, whose rows are x
 // (labels y), as one training forward and one backward into their
-// slots: per slice the SUM of its row losses, each row's gradient scaled
-// by 1/denom (the full batch's row count), and its packed parameter
-// gradients summed over its rows alone (nn.BackwardSlices); in slot s0,
+// slots (nn.SetSlices), BatchNorm statistics summed per slice and
+// folded through the layers' syncers (or locally, when the run is the
+// whole plan): per slice the SUM of its row losses, each row's gradient
+// scaled by 1/denom (the full batch's row count), and its packed
+// parameter gradients summed over its rows alone; in slot s0,
 // each observer's range over x, for NaN-free x the slices' ranges merged
 // in ascending order as Fold merges slots (tensor.MinMax keeps the first
 // of tied zeros), the run's other slots unseen. Replicas may fill
 // distinct runs of one set concurrently.
 func (r *Replica) RunSlices(set *Slices, s0, s1 int, x *tensor.Tensor, y []int, denom int) {
+	nn.SetSlices(r.params, set.bounds[s0:s1+1], s0, set.grads[s0:s1])
+	defer nn.SetSlices(r.params, nil, 0, nil)
 	out := r.model.Forward(x, true)
 	r.dy = tensor.Ensure(r.dy, out.Shape...)
 	for s, base := s0, set.bounds[s0]; s < s1; s++ {
@@ -80,7 +84,7 @@ func (r *Replica) RunSlices(set *Slices, s0, s1 int, x *tensor.Tensor, y []int, 
 		set.loss[s] = nn.SoftmaxCrossEntropySumInto(rowView(&r.d, r.dy, lo, hi), rowView(&r.out, out, lo, hi),
 			y[lo:hi], denom)
 	}
-	nn.BackwardSlices(r.model, r.params, r.dy, set.bounds[s0:s1+1], set.grads[s0:s1])
+	r.model.Backward(r.dy)
 	clear(set.seen[(s0+1)*set.nObs : s1*set.nObs])
 	_, _, lo, hi, seen := set.Slot(s0)
 	for i, ol := range r.observed {
@@ -137,7 +141,7 @@ func (r *Replica) Detach() {
 		ol.SetDeferObserve(false)
 	}
 	for _, bn := range r.bns {
-		bn.SetSyncGroup(nil, 0)
+		bn.SetSyncGroup(nil)
 	}
 }
 
@@ -157,27 +161,16 @@ type Slices struct {
 	nObs   int
 }
 
-// Plan cuts a batch of n rows into contiguous slices and sizes the
-// slots for rep's layout, returning the slice boundaries (len S+1,
-// valid until the next Plan). With parts == 0, for BN-free models, the
-// slices are DefaultSliceRows rows each (the last may be short): the
-// partition depends on n alone. With parts > 0, for sync-BN models,
-// there is one near-even slice per participant (capped at n), because
-// every slice waits in the BN barriers and a participant cannot wait
-// in two slices at once.
-func (ss *Slices) Plan(rep *Replica, n, parts int) []int {
+// Plan cuts a batch of n rows into contiguous slices of
+// DefaultSliceRows rows each (the last may be short) — a partition that
+// depends on n alone — and sizes the slots for rep's layout, returning
+// the slice boundaries (len S+1, valid until the next Plan).
+func (ss *Slices) Plan(rep *Replica, n int) []int {
 	ss.bounds = ss.bounds[:0]
-	if parts > 0 {
-		s := max(min(parts, n), 1)
-		for i := 0; i <= s; i++ {
-			ss.bounds = append(ss.bounds, i*n/s)
-		}
-	} else {
-		for lo := 0; lo < n; lo += DefaultSliceRows {
-			ss.bounds = append(ss.bounds, lo)
-		}
-		ss.bounds = append(ss.bounds, n)
+	for lo := 0; lo < n; lo += DefaultSliceRows {
+		ss.bounds = append(ss.bounds, lo)
 	}
+	ss.bounds = append(ss.bounds, n)
 	S := len(ss.bounds) - 1
 	for len(ss.grads) < S {
 		ss.grads = append(ss.grads, make([]float32, rep.numel))

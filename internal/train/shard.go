@@ -28,17 +28,16 @@ type ShardedConfig struct {
 // every replica quantizes with the identical pre-step observer state,
 // records its shard's raw range, and after the step folds the exact
 // min/max-merged range, so all replicas always hold bit-identical
-// quant.Params; (2) models with BatchNorm attach position-matched
-// layers to shared BNSyncGroups, whose two-phase moment all-reduce
-// makes shard statistics equal full-batch statistics (sync-BN).
+// quant.Params; (2) with more than one replica, models with BatchNorm
+// attach position-matched layers to shared BNSyncGroups, which fold
+// every replica's per-slice moments into full-batch statistics
+// (sync-BN).
 //
-// Determinism: the slice partition, the reduction tree, and the
+// Determinism: the slice partition, the reduction trees, and the
 // ascending-order loss and observer folds are all independent of
-// scheduling, so a sharded run is bit-reproducible run-to-run. For
-// BN-free models the partition is also independent of P (see
-// DefaultSliceRows), making `-shards P` bit-identical to `-shards 1`;
-// sync-BN models use one slice per replica and are deterministic but
-// only numerically close across different P.
+// scheduling and of P (see DefaultSliceRows), so a sharded run is
+// bit-reproducible run-to-run and `-shards P` is bit-identical to
+// `-shards 1`, with or without BatchNorm.
 //
 // The usual cycle is Step (forward/backward/reduce into the primary's
 // gradients), the caller's optimizer step on the primary's params,
@@ -59,9 +58,9 @@ type ShardedStep struct {
 // NewShardedStep builds the replica set for model. The model itself
 // becomes replica 0 (the primary); cfg.Shards-1 deep clones are
 // created. All replicas are switched into deferred-observe mode and,
-// when the model contains BatchNorm layers, wired into shared
-// BNSyncGroups. Call Detach when done to return the primary to
-// single-replica semantics.
+// when there are several and the model contains BatchNorm layers,
+// wired into shared BNSyncGroups. Call Detach when done to return the
+// primary to single-replica semantics.
 func NewShardedStep(model *nn.Sequential, cfg ShardedConfig) *ShardedStep {
 	return newShardedStep(model, cfg.Shards)
 }
@@ -82,11 +81,13 @@ func newShardedStep(model nn.Layer, shards int) *ShardedStep {
 		}
 		st.reps = append(st.reps, rep)
 	}
-	for i, bn := range pr.bns {
-		g := nn.NewBNSyncGroup(bn.C)
-		st.groups = append(st.groups, g)
-		for r, rep := range st.reps {
-			rep.bns[i].SetSyncGroup(g, r)
+	if len(st.reps) > 1 { // one replica runs the whole plan and folds it alone
+		for i, bn := range pr.bns {
+			g := nn.NewBNSyncGroup(bn.C)
+			st.groups = append(st.groups, g)
+			for _, rep := range st.reps {
+				rep.bns[i].SetSyncGroup(g)
+			}
 		}
 	}
 	shardGauge.Set(float64(len(st.reps)))
@@ -110,11 +111,7 @@ func (st *ShardedStep) Step(x *tensor.Tensor, y []int) float64 {
 	if n != len(y) {
 		panic(fmt.Sprintf("train: %d rows, %d labels", n, len(y)))
 	}
-	parts := 0
-	if len(st.groups) > 0 {
-		parts = len(st.reps)
-	}
-	bounds := st.set.Plan(st.reps[0], n, parts)
+	bounds := st.set.Plan(st.reps[0], n)
 	S := len(bounds) - 1
 	for _, g := range st.groups {
 		g.Configure(S)
