@@ -93,8 +93,8 @@ servestress:
 	go test -race -count=10 -run 'Batcher|Fleet' ./internal/serve ./internal/fleet
 
 # diststress repeats the distributed-training and sync-BN tests under
-# the race detector: the coordinator's attempt loop — deaths, requeues,
-# the zero-worker wait, sync-BN aborts and retries — and the sync
+# the race detector: the coordinator's attempt loop — deaths, aborts
+# and retries, the zero-worker wait at an attempt's start — and the sync
 # group's barrier and alternating slot sets depend on interleavings
 # that one pass does not sample.
 diststress:

@@ -4,8 +4,8 @@
 // docs/dist-protocol.md).
 //
 // The three roles share one job spec (-model/-mult/-estimator/-scale/
-// -seed/...), and for BatchNorm-free models the distributed result is
-// bit-identical to the single-process run — which is what makes the
+// -seed/...), and the distributed result is bit-identical to the
+// single-process run, with or without BatchNorm — which is what makes the
 // solo role useful as a verification reference:
 //
 //	traind -role solo -model lenet -out solo.params
@@ -15,9 +15,8 @@
 //
 //	cmp solo.params dist.params   # byte-identical
 //
-// Workers are elastic: they may crash (a dead worker's run of slices
-// is reassigned to survivors mid-step), rejoin (full state re-sync on admission), or
-// join late. The coordinator checkpoints like any train.Run caller, so
+// Workers are elastic: they may crash (the step retries with the
+// survivors), rejoin (full state re-sync on admission), or join late. The coordinator checkpoints like any train.Run caller, so
 // a killed coordinator resumes bit-identically with -ckpt/-resume.
 package main
 

@@ -34,11 +34,11 @@ type CoordinatorConfig struct {
 }
 
 // WorkerTimeout bounds every wait of the coordinator on its workers.
-// Workers still holding a run of slices when a step's gather phase has
-// lasted this long are declared dead and their runs reassigned. A step
-// left with zero live workers waits this long for a join before
-// panicking (the guarded train loop then counts a skipped step and
-// retries on the next batch). Callers waiting for the first workers
+// Workers still holding a run of slices when an attempt's gather phase
+// has lasted this long are declared dead, which ends the attempt. An
+// attempt that starts with zero live workers waits this long for a join
+// before panicking (the guarded train loop then counts a skipped step
+// and retries on the next batch). Callers waiting for the first workers
 // use it too.
 const WorkerTimeout = 2 * time.Minute
 
@@ -75,9 +75,9 @@ func (r run) empty() bool { return r.hi == r.lo }
 // remote is the coordinator's handle on one worker connection.
 type remote struct {
 	*wire.Peer
-	// outstanding is the run currently assigned to this worker (empty
-	// when idle); a worker holds at most one. Only the training
-	// goroutine touches it.
+	// outstanding is the run this worker holds in the current attempt
+	// (empty when it holds none); a worker holds at most one. Only the
+	// training goroutine touches it.
 	outstanding run
 }
 
@@ -104,11 +104,9 @@ type Coordinator struct {
 	bnWG sync.WaitGroup
 
 	// Training-goroutine-owned scheduling state: the admitted workers in
-	// ascending id order (the dispatch order), the step counter and the
-	// attempt's queue of unassigned runs.
+	// ascending id order (the dispatch order) and the step counter.
 	live   []*remote
 	stepID uint64
-	queue  []run
 
 	// mu guards the sync-BN handler coordination: the current attempt
 	// tag, the in-flight handler count, and the moment stash — per
@@ -272,8 +270,9 @@ func (c *Coordinator) admit(w *remote) {
 	c.logf("worker %d admitted (%d live)", w.ID, len(c.live))
 }
 
-// removeWorker drops a dead worker from scheduling and requeues its
-// outstanding run whole, reporting how many slices were reassigned.
+// removeWorker drops a dead worker from scheduling and returns the
+// slice count of the run it held: the attempt cannot complete when it
+// is not 0.
 func (c *Coordinator) removeWorker(w *remote) int {
 	i := slices.Index(c.live, w)
 	if i < 0 {
@@ -281,15 +280,12 @@ func (c *Coordinator) removeWorker(w *remote) int {
 	}
 	c.live = slices.Delete(c.live, i, i+1)
 	workersLive.Set(float64(len(c.live)))
-	r := w.outstanding
+	n := w.outstanding.hi - w.outstanding.lo
 	w.outstanding = run{}
-	if r.empty() {
-		return 0
+	if n > 0 {
+		sliceReassignments.Add(float64(n))
+		c.logf("step %d: worker %d lost with a run of %d slice(s)", c.stepID, w.ID, n)
 	}
-	c.queue = append(c.queue, r)
-	n := r.hi - r.lo
-	sliceReassignments.Add(float64(n))
-	c.logf("worker %d: run of %d slice(s) reassigned to survivors", w.ID, n)
 	return n
 }
 
@@ -382,47 +378,51 @@ func (c *Coordinator) Step(x *tensor.Tensor, y []int) float64 {
 	return loss
 }
 
-// runAttempt runs one attempt of the step: it plans the slices, cuts
-// them into runs, queues the runs and gathers their results, reporting
-// whether it gathered every slice. The plan is the fixed 8-row slice
-// plan, cut into one near-even contiguous run per live worker (the
-// split ShardedStep gives its replicas), and which worker computes
-// which run — and any reassignment after a death — cannot affect the
-// result bits: every slot is deterministic given the (identical)
-// replica state, and the reduction trees are fixed by the plan alone.
-// With BatchNorm every run waits in the BN barriers until the plan's
-// every slice has arrived, so losing an outstanding run ends the
-// attempt and the step retries with the survivors. A worker's panic
-// ends the step with a panic. An attempt that does not complete bumps
-// the attempt tag and aborts every BN group, unwinding the surviving
-// runs.
+// runAttempt runs one attempt of the step: it plans the slices, sends
+// each of the first R = min(live, S) live workers its run and gathers
+// the results, reporting whether it gathered every slice. The plan is
+// the fixed 8-row slice plan, cut by Slices.Run into one near-even
+// contiguous run per worker, and which worker computes which run cannot
+// affect the result bits: every slot is deterministic given the
+// (identical) replica state, and the reduction trees are fixed by the
+// plan alone. Losing a worker that holds a run ends the attempt, and
+// the step retries the same plan with the survivors; so does a
+// worker's slice_aborted, while a worker's panic ends the step with a
+// panic. A worker admitted mid-attempt waits for the next attempt. An
+// attempt that does not complete bumps the attempt tag and aborts every
+// BN group, unwinding the surviving runs.
 func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 	if len(c.live) == 0 {
-		c.awaitAnyWorker()
+		// The guarded train loop turns the panic into a counted skip, and
+		// the run resumes when a worker appears.
+		c.logf("no live workers; waiting up to %s for a join", WorkerTimeout)
+		if c.AwaitWorkers(1, WorkerTimeout) != nil {
+			panic(fmt.Errorf("dist: no live workers after %s", WorkerTimeout))
+		}
 	}
 	bounds := c.set.Plan(c.rep, n)
 	S := len(bounds) - 1
 	att := c.beginAttempt(S)
 	defer func() {
+		for _, w := range c.live {
+			w.outstanding = run{}
+		}
 		if !ok {
 			c.abortAttempt()
 		}
 	}()
-	// Ascending runs to ascending worker ids, at most one per worker: a
-	// BatchNorm model's runs must all be in its barriers at once.
 	R := min(len(c.live), S)
-	c.queue = c.queue[:0]
-	for r := R - 1; r >= 0; r-- { // popped from the tail → ascending dispatch
-		c.queue = append(c.queue, run{r * S / R, (r + 1) * S / R})
+	for i, w := range c.live[:R] {
+		lo, hi := c.set.Run(i, R)
+		w.outstanding = run{lo, hi}
+		if err := c.sendRun(w, w.outstanding, x, y, n, bounds); err != nil {
+			w.Kill(fmt.Sprintf("send slice: %v", err)) // its death ends the attempt
+		}
 	}
-	for _, w := range c.live {
-		w.outstanding = run{} // a previous attempt's assignment
-	}
-	c.dispatch(x, y, n, bounds)
-	// One timer per attempt, re-armed when the deadline moves, never a
-	// time.After per pass: under the go 1.22 timer semantics this module
-	// builds with, an unfired time.After timer stays on the heap until
-	// it fires, WorkerTimeout later.
+	// One timer per attempt, re-armed after it fires, never a time.After
+	// per pass: under the go 1.22 timer semantics this module builds
+	// with, an unfired time.After timer stays on the heap until it fires,
+	// WorkerTimeout later.
 	timer := time.NewTimer(WorkerTimeout)
 	defer timer.Stop()
 	for got := 0; got < S; {
@@ -434,43 +434,23 @@ func (c *Coordinator) runAttempt(x *tensor.Tensor, y []int, n int) (ok bool) {
 			}
 			switch ev.kind {
 			case evResult:
-				r, ok := c.takeResult(ev)
-				if !ok {
-					continue
-				}
-				got += r.hi - r.lo
-				c.assignNext(ev.w, x, y, n, bounds)
+				got += c.takeResult(ev)
 			case evAborted:
 				if ev.fatal {
 					panic(fmt.Errorf("dist: worker %d slice %d panic: %s", ev.w.ID, ev.slice, ev.reason))
 				}
 				return false
 			case evDead:
-				if c.removeWorker(ev.w) > 0 && len(c.groups) > 0 {
+				if c.removeWorker(ev.w) > 0 {
 					return false
 				}
-				if len(c.live) == 0 {
-					c.awaitAnyWorker()
-					if !timer.Stop() {
-						select { // drain a tick that fired while we waited
-						case <-timer.C:
-						default:
-						}
-					}
-					timer.Reset(WorkerTimeout)
-				}
-				c.dispatch(x, y, n, bounds)
 			}
 		case w := <-c.joinCh:
-			// Admission mid-attempt is safe (the primary is stable); an
-			// attempt that has not lost a run has nothing queued for the
-			// newcomer, which takes runs from the next attempt or step.
-			c.admit(w)
-			c.assignNext(w, x, y, n, bounds)
+			c.admit(w) // the primary is stable mid-attempt
 		case <-timer.C:
-			// Laggards holding runs past the step deadline are dead as
-			// far as this run is concerned: kill their connections and
-			// let the resulting deaths do the rest.
+			// Laggards holding runs past the deadline are dead as far as
+			// this attempt is concerned: kill their connections and let
+			// the resulting deaths end it.
 			for _, w := range c.live {
 				if !w.outstanding.empty() {
 					w.Kill("step deadline exceeded")
@@ -512,41 +492,6 @@ func (c *Coordinator) abortAttempt() {
 	}
 }
 
-// awaitAnyWorker blocks until at least one worker is admitted,
-// panicking after WorkerTimeout (the guarded loop turns that into a
-// counted skip, and the run resumes when a worker appears).
-func (c *Coordinator) awaitAnyWorker() {
-	c.logf("no live workers; waiting up to %s for a join", WorkerTimeout)
-	if c.AwaitWorkers(1, WorkerTimeout) != nil {
-		panic(fmt.Errorf("dist: no live workers after %s", WorkerTimeout))
-	}
-}
-
-// dispatch hands queued runs to every idle worker.
-func (c *Coordinator) dispatch(x *tensor.Tensor, y []int, n int, bounds []int) {
-	for _, w := range c.live {
-		if w.outstanding.empty() {
-			c.assignNext(w, x, y, n, bounds)
-		}
-	}
-}
-
-// assignNext pops one run off the queue and sends it to w, if w is
-// admitted. An admitted worker that has died keeps the run until its
-// death event requeues it.
-func (c *Coordinator) assignNext(w *remote, x *tensor.Tensor, y []int, n int, bounds []int) {
-	if len(c.queue) == 0 || !slices.Contains(c.live, w) {
-		return
-	}
-	r := c.queue[len(c.queue)-1]
-	c.queue = c.queue[:len(c.queue)-1]
-	w.outstanding = r
-	if err := c.sendRun(w, r, x, y, n, bounds); err != nil {
-		// The death event will requeue it from w.outstanding.
-		w.Kill(fmt.Sprintf("send slice: %v", err))
-	}
-}
-
 // sendRun ships the run r (rows bounds[r.lo]..bounds[r.hi]) with its
 // labels and input rows as one slice frame.
 func (c *Coordinator) sendRun(w *remote, r run, x *tensor.Tensor, y []int, n int, bounds []int) error {
@@ -580,28 +525,27 @@ func (c *Coordinator) curAttempt() uint32 {
 }
 
 // takeResult records a current attempt's slice_result and puts its
-// payload back, reporting the run it completed. A result for a run its
-// worker no longer holds (requeued at the worker's death) is dropped;
-// one that does not decode into the run it holds kills the worker,
-// whose death requeues the run.
-func (c *Coordinator) takeResult(ev event) (run, bool) {
+// payload back, returning the slice count it completed. A result that
+// does not decode into the run its worker holds kills the worker, whose
+// death ends the attempt.
+func (c *Coordinator) takeResult(ev event) int {
 	defer c.bufs.put(ev.payload)
 	r := ev.w.outstanding
-	if r.empty() || ev.slice != r.lo {
-		return run{}, false
-	}
 	if err := c.recordResult(ev, r); err != nil {
 		ev.w.Kill(fmt.Sprintf("slice result: %v", err))
-		return run{}, false
+		return 0
 	}
 	ev.w.outstanding = run{}
-	return r, true
+	return r.hi - r.lo
 }
 
 // recordResult decodes a slice_result payload for the run r into the
-// run's slots: it must carry exactly r's slot count, and every slot the
-// model's layout.
+// run's slots: it must start at r's first slice and carry exactly r's
+// slot count, and every slot the model's layout.
 func (c *Coordinator) recordResult(ev event, r run) error {
+	if ev.slice != r.lo {
+		return fmt.Errorf("starts at slice %d, the run at %d", ev.slice, r.lo)
+	}
 	if ev.count != r.hi-r.lo {
 		return fmt.Errorf("carries %d slices, the run has %d", ev.count, r.hi-r.lo)
 	}

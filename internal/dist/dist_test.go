@@ -161,6 +161,49 @@ func assertBitIdentical(t *testing.T, got, want *nn.Sequential, label string) {
 	}
 }
 
+// logLines records a coordinator's log lines and passes them on to
+// t.Logf.
+type logLines struct {
+	t     *testing.T
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+	l.t.Logf(format, args...)
+}
+
+// assertLossesRetried fails unless the log holds a "lost with a run"
+// line and each is followed by its step's retry: the next attempt
+// line the coordinator logs after it is "step N attempt aborted;
+// retrying".
+func (l *logLines) assertLossesRetried() {
+	l.t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lost := 0
+	for i, line := range l.lines {
+		if !strings.Contains(line, "lost with a run") {
+			continue
+		}
+		lost++
+		var step uint64
+		if _, err := fmt.Sscanf(line, "step %d:", &step); err != nil {
+			l.t.Fatalf("%q: %v", line, err)
+		}
+		j := slices.IndexFunc(l.lines[i+1:], func(s string) bool { return strings.Contains(s, "attempt aborted; retrying") })
+		if want := fmt.Sprintf("step %d attempt aborted; retrying", step); j < 0 || !strings.HasPrefix(l.lines[i+1+j], want) {
+			l.t.Fatalf("%q is not followed by %q", line, want)
+		}
+	}
+	if lost == 0 {
+		l.t.Fatal("no worker was lost with a run")
+	}
+}
+
 // TestDistBitIdenticalToSolo is the tentpole's headline property: two
 // workers over TCP reproduce the in-process -shards 1 run bit for bit
 // on a BN-free model — same losses, same parameters, same observer
@@ -193,44 +236,53 @@ func (c *killAfterWrites) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestDistWorkerKillMidRun kills one of two workers partway through
-// training. The coordinator must detect the death, reassign the dead
-// worker's outstanding slices to the survivor within the same step,
-// and finish the run with results still bit-identical to solo.
-func TestDistWorkerKillMidRun(t *testing.T) {
-	spec := tinySpec("lenet")
-	solo := runSolo(t, spec, 1, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var killed atomic.Bool
-	wrap := func(i int) func(net.Conn) net.Conn {
-		if i != 1 {
-			return nil
-		}
-		return func(c net.Conn) net.Conn {
-			killed.Store(true)
-			return &killAfterWrites{Conn: c, limit: 12, cancel: cancel}
-		}
+// TestDistWorkerDeathRetries kills one worker partway through
+// training, on a BN-free model (lenet, one of two workers) and on a
+// BatchNorm one (vgg11, one of three). For both the coordinator must
+// detect the death, count the lost run's slices, end the attempt and
+// retry the step with the survivors over the same plan, and finish
+// the run bit-identical to the in-process -shards 1 run.
+func TestDistWorkerDeathRetries(t *testing.T) {
+	for _, tc := range []struct {
+		spec    Spec
+		workers int
+		writes  int64 // the dying worker's frames before its conn closes
+	}{
+		{tinySpec("lenet"), 2, 12},
+		{bnSpec(), 3, 30},
+	} {
+		t.Run(tc.spec.Model, func(t *testing.T) {
+			solo := runSolo(t, tc.spec, 1, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			victim := tc.workers - 1
+			wrap := func(i int) func(net.Conn) net.Conn {
+				if i != victim {
+					return nil
+				}
+				return func(c net.Conn) net.Conn {
+					return &killAfterWrites{Conn: c, limit: tc.writes, cancel: cancel}
+				}
+			}
+			log := &logLines{t: t}
+			cl := startCluster(t, tc.spec, tc.workers, CoordinatorConfig{Logf: log.logf}, WorkerConfig{}, wrap)
+			// Tie the victim's lifetime to the kill trigger as well.
+			go func() {
+				<-ctx.Done()
+				cl.cancel[victim]()
+			}()
+			retries, reassigned := stepRetries.Value(), sliceReassignments.Value()
+			cl.run(nil)
+			if stepRetries.Value() <= retries {
+				t.Fatal("dist_step_retries_total never moved")
+			}
+			if sliceReassignments.Value() <= reassigned {
+				t.Fatal("dist_slice_reassignments_total never moved")
+			}
+			log.assertLossesRetried()
+			assertBitIdentical(t, cl.model, solo, "dist after a worker death vs solo")
+		})
 	}
-	cl := startCluster(t, spec, 2, CoordinatorConfig{}, WorkerConfig{}, wrap)
-	// Tie worker 1's lifetime to the kill trigger as well.
-	go func() {
-		<-ctx.Done()
-		cl.cancel[1]()
-	}()
-	lost := proto.Metrics.WorkersLost.Value()
-	reassigned := sliceReassignments.Value()
-	cl.run(nil)
-	if !killed.Load() {
-		t.Fatal("kill wrapper never armed")
-	}
-	if proto.Metrics.WorkersLost.Value() <= lost {
-		t.Fatal("coordinator never observed the worker death")
-	}
-	if sliceReassignments.Value() <= reassigned {
-		t.Fatal("no slices were reassigned to the survivor")
-	}
-	assertBitIdentical(t, cl.model, solo, "dist with mid-run kill vs solo")
 }
 
 // killOnResult closes the connection instead of writing the worker's
@@ -254,9 +306,9 @@ func (c *killOnResult) Write(b []byte) (int, error) {
 
 // TestDistOnlyWorkerKilledMidStep kills the only worker of a BN-free
 // run while it holds a slice, and starts a replacement once the
-// coordinator reports it is waiting for one. The step must requeue the
-// lost slice to the replacement within the same attempt — no step
-// retry — and finish the run bit-identical to solo.
+// coordinator reports it is waiting for one. The attempt ends with the
+// lost run, and the step retries once, on the replacement, and the run
+// finishes bit-identical to solo.
 func TestDistOnlyWorkerKilledMidStep(t *testing.T) {
 	spec := tinySpec("lenet")
 	solo := runSolo(t, spec, 1, nil)
@@ -297,10 +349,10 @@ func TestDistOnlyWorkerKilledMidStep(t *testing.T) {
 		t.Fatalf("the coordinator waited for a worker %d times, want 1", parked)
 	}
 	if sliceReassignments.Value() <= reassigned {
-		t.Fatal("the lost slice was never requeued")
+		t.Fatal("the lost slice was never counted")
 	}
-	if got := stepRetries.Value() - retries; got != 0 {
-		t.Fatalf("dist_step_retries_total moved by %v, want 0", got)
+	if got := stepRetries.Value() - retries; got != 1 {
+		t.Fatalf("dist_step_retries_total moved by %v, want 1", got)
 	}
 	assertBitIdentical(t, cl.model, solo, "dist with its only worker replaced mid-step vs solo")
 }
@@ -326,9 +378,9 @@ func (c *recountResult) Write(b []byte) (int, error) {
 }
 
 // TestDistResultCountMismatchReassigns: a slice_result whose slot count
-// differs from the run its worker holds kills that worker, and the run
-// goes to a live worker within the same step, so the run still ends
-// bit-identical to solo.
+// differs from the run its worker holds kills that worker, whose lost
+// run ends the attempt; the step retries with the survivor, so the run
+// still ends bit-identical to solo.
 func TestDistResultCountMismatchReassigns(t *testing.T) {
 	spec := tinySpec("lenet")
 	spec.BatchSize = 32 // four slices: a run of two per worker
@@ -340,29 +392,26 @@ func TestDistResultCountMismatchReassigns(t *testing.T) {
 		}
 		return func(c net.Conn) net.Conn { return &recountResult{Conn: c, done: &tampered} }
 	}
-	var mu sync.Mutex
-	var log []string
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		log = append(log, fmt.Sprintf(format, args...))
-		mu.Unlock()
-		t.Logf(format, args...)
-	}
-	cl := startCluster(t, spec, 2, CoordinatorConfig{Logf: logf}, WorkerConfig{}, wrap)
-	reassigned := sliceReassignments.Value()
+	log := &logLines{t: t}
+	cl := startCluster(t, spec, 2, CoordinatorConfig{Logf: log.logf}, WorkerConfig{}, wrap)
+	retries, reassigned := stepRetries.Value(), sliceReassignments.Value()
 	cl.run(nil)
 	if !tampered.Load() {
 		t.Fatal("no result was re-counted")
 	}
 	if sliceReassignments.Value() <= reassigned {
-		t.Fatal("the run was never reassigned")
+		t.Fatal("the lost run's slices were never counted")
 	}
-	mu.Lock()
-	killed := slices.ContainsFunc(log, func(l string) bool { return strings.Contains(l, "slice result: carries 3 slices, the run has 2") })
-	mu.Unlock()
+	if stepRetries.Value() <= retries {
+		t.Fatal("the step was never retried")
+	}
+	log.mu.Lock()
+	killed := slices.ContainsFunc(log.lines, func(l string) bool { return strings.Contains(l, "slice result: carries 3 slices, the run has 2") })
+	log.mu.Unlock()
 	if !killed {
 		t.Fatal("the coordinator never killed the worker for its count")
 	}
+	log.assertLossesRetried()
 	assertBitIdentical(t, cl.model, solo, "dist with a re-counted result vs solo")
 }
 
@@ -384,7 +433,7 @@ func (c *stallWrites) Write(b []byte) (int, error) {
 
 // TestDistHeartbeatStallRecovery stalls one worker's outbound traffic
 // mid-run: the coordinator's heartbeat monitor must declare it dead,
-// reassign its slices, and — because only that first connection is
+// the step must retry without it, and — because only that first connection is
 // stalled — readmit the worker when it reconnects. The run must still
 // match solo bit for bit.
 func TestDistHeartbeatStallRecovery(t *testing.T) {
@@ -517,37 +566,6 @@ func TestDistSyncBNBitIdentical(t *testing.T) {
 		assertBitIdentical(t, cl.model, solo, fmt.Sprintf("dist sync-BN(%d workers) vs -shards 1", workers))
 		cl.stop()
 	}
-}
-
-// TestDistSyncBNWorkerDeathRetries kills one of three workers during a
-// BatchNorm run. A barrier cannot complete without the dead worker's
-// slices, so the step must abort (no deadlock on them), retry with the
-// two survivors holding the same plan, and end bit-identical to the
-// in-process -shards 1 run.
-func TestDistSyncBNWorkerDeathRetries(t *testing.T) {
-	spec := bnSpec()
-	solo := runSolo(t, spec, 1, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	wrap := func(i int) func(net.Conn) net.Conn {
-		if i != 2 {
-			return nil
-		}
-		return func(c net.Conn) net.Conn {
-			return &killAfterWrites{Conn: c, limit: 30, cancel: cancel}
-		}
-	}
-	cl := startCluster(t, spec, 3, CoordinatorConfig{}, WorkerConfig{}, wrap)
-	go func() {
-		<-ctx.Done()
-		cl.cancel[2]()
-	}()
-	retries := stepRetries.Value()
-	cl.run(nil)
-	if stepRetries.Value() <= retries {
-		t.Fatal("no sync-BN step retry was recorded")
-	}
-	assertBitIdentical(t, cl.model, solo, "dist sync-BN after a worker death vs -shards 1")
 }
 
 // TestDistResumeBitIdentical interrupts a distributed run halfway and

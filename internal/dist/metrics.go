@@ -4,8 +4,8 @@ import "github.com/appmult/retrain/internal/obs"
 
 // Distributed-training telemetry (see DESIGN.md "Observability"). The
 // robustness claims of the coordinator/worker split are only auditable
-// if every failure-handling transition is counted: worker churn,
-// reassignments, and step retries. The connection-level half — frame
+// if every failure-handling transition is counted: worker churn, runs
+// lost with their worker, and step retries. The connection-level half — frame
 // traffic, the per-reason frame-error breakdown that tells protocol
 // corruption apart from plain connection loss, worker deaths and
 // heartbeat expiries, dial retries — is proto.Metrics, registered by
@@ -16,9 +16,9 @@ var (
 	workersJoined = obs.Default().Counter("dist_workers_joined_total",
 		"Workers admitted by the coordinator (reconnects count again).")
 	sliceReassignments = obs.Default().Counter("dist_slice_reassignments_total",
-		"Gradient slices re-queued to surviving workers after their assignee died.")
+		"Slices of runs lost with their worker, recomputed by the step's retry.")
 	stepRetries = obs.Default().Counter("dist_step_retries_total",
-		"Whole-step retries (sync-BN steps restart when a worker holding a run dies mid-barrier).")
+		"Step attempts retried (a worker holding a run died, or a run aborted).")
 	stepsTotal = obs.Default().Counter("dist_steps_total",
 		"Distributed training steps completed by the coordinator.")
 	stateSyncs = obs.Default().Counter("dist_state_syncs_total",

@@ -11,9 +11,9 @@
 // connection down on any dropped, truncated, or corrupted frame rather
 // than let the replicas desynchronize; a killed connection triggers
 // worker-side reconnect with exponential backoff and a full state
-// re-sync, so recovery is idempotent; and a worker that dies mid-step
-// has its outstanding run of slices reassigned to survivors within the
-// same step. See docs/dist-protocol.md for the frame types,
+// re-sync, so recovery is idempotent; and a worker that dies holding a
+// run of slices ends the step's attempt, which the step retries with
+// the survivors on the same plan. See docs/dist-protocol.md for the frame types,
 // docs/wire-frame.md for the frame layer under them, and DESIGN.md for
 // the failure-handling state machine.
 package dist

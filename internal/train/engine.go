@@ -190,6 +190,14 @@ func (ss *Slices) Plan(rep *Replica, n int) []int {
 	return ss.bounds
 }
 
+// Run returns the slices [lo, hi) of the r-th of runs near-even
+// contiguous runs of the plan: the split ShardedStep gives its replicas
+// and a dist coordinator its workers.
+func (ss *Slices) Run(r, runs int) (lo, hi int) {
+	S := len(ss.bounds) - 1
+	return r * S / runs, (r + 1) * S / runs
+}
+
 // Slot returns slot s's storage, for RunSlices and for a caller that
 // moves slots across the network (a dist worker encoding its slice, the
 // coordinator decoding it): the loss sum, the packed gradients, and per

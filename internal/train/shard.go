@@ -159,8 +159,7 @@ func (st *ShardedStep) worker(w, workers int, x *tensor.Tensor, y []int, wg *syn
 		}
 	}()
 	start := time.Now()
-	S := len(st.set.bounds) - 1
-	s0, s1 := w*S/workers, (w+1)*S/workers
+	s0, s1 := st.set.Run(w, workers)
 	lo, hi := st.set.bounds[s0], st.set.bounds[s1]
 	st.reps[w].RunSlices(&st.set, s0, s1, tensor.ViewRows(x, lo, hi), y[lo:hi], x.Shape[0])
 	elapsed := time.Since(start).Seconds()
