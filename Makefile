@@ -113,12 +113,13 @@ bench:
 # benchmark name sets must match the committed baseline (-check-names
 # with an unreachable tolerance), so adding or retiring a benchmark in
 # cmd/benchkernels without regenerating BENCH_kernels.json fails loudly
-# instead of silently losing coverage.
+# instead of silently losing coverage. The recording and the diff report
+# stay behind ($(BENCH_BASELINE).quick, .quick.diff; gitignored): CI
+# uploads them rather than running the quick benchmarks a second time.
 benchreport:
 	go run ./cmd/benchkernels -quick -out $(BENCH_BASELINE).quick
-	-go run ./scripts/benchdiff -tol 1.5 $(BENCH_BASELINE) $(BENCH_BASELINE).quick
+	-go run ./scripts/benchdiff -tol 1.5 $(BENCH_BASELINE) $(BENCH_BASELINE).quick | tee $(BENCH_BASELINE).quick.diff
 	go run ./scripts/benchdiff -check-names -tol 1e9 $(BENCH_BASELINE) $(BENCH_BASELINE).quick
-	-rm -f $(BENCH_BASELINE).quick
 
 # benchsmoke runs the end-to-end benchmark's own tests (~20 s). bench/
 # is a nested module, so `go test ./...` at the root never sees them;
@@ -153,4 +154,4 @@ verify: vet gofmt tier1 purego fmacheck maxprocs1 maxprocs4 nnparanoid benchsmok
 
 clean:
 	go clean ./...
-	rm -f $(BENCH_BASELINE).new $(BENCH_BASELINE).quick
+	rm -f $(BENCH_BASELINE).new $(BENCH_BASELINE).quick $(BENCH_BASELINE).quick.diff

@@ -36,7 +36,9 @@
 //     and 4 shards on a BN-free model and at 1 and 2 with a BatchNorm,
 //     the solo step of reduced vgg11 under smoothdiff (the
 //     retrain_vgg11_smoothdiff workload's step; its speed on two CPUs over
-//     one is the worker pool's scaling) and the Adam step after it;
+//     one is the worker pool's scaling) and the Adam step after it, and
+//     the step of a Table II leg at the sweep's SmallScale shapes (vgg19
+//     and resnet18 under mul8u_rm8's STE op);
 //   - the two forward simulation styles the paper contrasts, on one
 //     layer: gathering from the product LUT ([9]-[11]) and behavioural,
 //     the multiplier per MAC ([12]);
@@ -690,6 +692,31 @@ func main() {
 			})},
 			{name: "Optim_AdamStep_VGG11", fn: loop(func() { adam.Step(vggParams, 1e-3) })}}
 	})
+	// A Table II leg's step at the sweep's shapes: one forward+backward of
+	// vgg19 and resnet18 at SmallScale, on a batch of 24 images of
+	// 3x12x12 (its own source, seed 9), under mul8u_rm8's STE op, no
+	// optimizer.
+	legOp, err := train.OpForSpec(e8, "ste")
+	check(err)
+	sc := train.SmallScale
+	lx := tensor.New(sc.BatchSize, 3, sc.HW, sc.HW)
+	lx.RandNormal(rand.New(rand.NewSource(9)), 1)
+	ly := make([]int, sc.BatchSize)
+	for i := range ly {
+		ly[i] = i % 10
+	}
+	for _, r := range []struct{ name, kind string }{
+		{"Train_Step_VGG19_Small", "vgg19"}, {"Train_Step_ResNet18_Small", "resnet18"},
+	} {
+		groups = append(groups, one(r.name, func() func(b *testing.B) {
+			m := train.BuildModel(r.kind, 10, sc, models.ApproxConv(legOp), 42)
+			return loop(func() {
+				nn.ZeroGrads(m)
+				_, grad := nn.SoftmaxCrossEntropy(m.Forward(lx, true), ly)
+				m.Backward(grad)
+			})
+		}))
+	}
 	// The forward simulation styles on one layer, its own source (seed 1):
 	// 2 images of 8x12x12 into 16 channels, 3x3/pad 1 (rows=288 outC=16
 	// k=72), mul8u_2NDH under STE tables, weights not touched — gathering
@@ -746,8 +773,9 @@ func main() {
 		Multiplier: op.Label,
 		Shape: fmt.Sprintf("rows=%d outC=%d k=%d; Kernel_Bwd*_r*, Kernel_Fwd*_r*, *_VGG11Conv1, *_VGG11Conv4*, *_VGG11Conv5, "+
 			"*_VGG11Conv7, *_ResNet18*, *_LeNetConv1, *_LeNetConv2, *_mul8u_2NDH, Model_Predict_* and Train_* rows carry their own "+
-			"shape, Kernel_Grad*_mul7u_rm6 rows time one operand pair; Train_SoloStep_VGG11 runs vgg11 width %g under %s, Optim_AdamStep_VGG11 Adam over its %d parameters",
-			wide.rows, wide.outC, wide.k, train.ReducedScale.Width, sdOp.Label, numel),
+			"shape, Kernel_Grad*_mul7u_rm6 rows time one operand pair; Train_SoloStep_VGG11 runs vgg11 width %g under %s, Optim_AdamStep_VGG11 Adam over its %d parameters; "+
+			"Train_Step_*_Small run %dx%d inputs, width %g, batch %d under %s",
+			wide.rows, wide.outC, wide.k, train.ReducedScale.Width, sdOp.Label, numel, sc.HW, sc.HW, sc.Width, sc.BatchSize, legOp.Label),
 		MaxProcs:   runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{},
 		Paths:      map[string]string{},

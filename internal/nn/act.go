@@ -38,7 +38,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = tensor.Ensure(r.out, x.Shape...)
 	r.keep = grow(r.keep, len(x.Data))
 	r.run = reluRun{src: x.Data, dst: r.out.Data, keep: r.keep}
-	runPass(&r.run, len(x.Data), len(x.Data), x.Shape[0], reluBlock)
+	runPass(&r.run, len(x.Data), len(x.Data), reluBlock)
 	return r.out
 }
 
@@ -46,7 +46,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	r.dx = tensor.Ensure(r.dx, dy.Shape...)
 	r.run = reluRun{src: dy.Data, dst: r.dx.Data, keep: r.keep, backward: true}
-	runPass(&r.run, len(dy.Data), len(dy.Data), dy.Shape[0], reluBlock)
+	runPass(&r.run, len(dy.Data), len(dy.Data), reluBlock)
 	return r.dx
 }
 
@@ -90,12 +90,15 @@ func (t *reluRun) RunRange(lo, hi int) {
 var pooledElems = 32 << 10
 
 // runPass runs r over its n work items, on the worker pool when the pass
-// touches more than pooledElems elements — in shares of whole images
-// when the items are grouped by images (1 for a per-channel pass), and
-// blocks of chunk items (0: the pool's grain) — and inline otherwise.
-func runPass(r tensor.RangeRunner, elems, n, images, chunk int) {
+// touches more than pooledElems elements — in blocks of chunk items, or
+// ParallelRowsOn's grain when chunk is 0 — and inline otherwise.
+func runPass(r tensor.RangeRunner, elems, n, chunk int) {
 	if elems > pooledElems {
-		tensor.ParallelImagesOn(n, n/images, chunk, r)
+		if chunk == 0 {
+			tensor.ParallelRowsOn(n, r)
+		} else {
+			tensor.ParallelBlocksOn(n, chunk, r)
+		}
 		return
 	}
 	r.RunRange(0, n)

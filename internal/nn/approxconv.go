@@ -149,7 +149,7 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	// Calibrate widens every range to include zero, so the zero point
 	// is the level of a float zero — the padding value — and is never
 	// clipped.
-	c.ks.quantizeWithClip(c.xq, xClip, x.Data, c.px, g.InC*g.InH*g.InW)
+	c.ks.quantizeWithClip(c.xq, xClip, x.Data, c.px)
 	rows := c.batch * g.OutH * g.OutW
 	c.xT = grow(c.xT, c.w.kl*rows)
 	c.im2col.RunLive(c.xT, c.xq, c.batch, g, uint8(c.px.Zero))
@@ -194,6 +194,6 @@ func (c *ApproxConv2D) backward(dy *tensor.Tensor, withDX bool) *tensor.Tensor {
 	// Every patch entry aliasing one input element shares its clip
 	// flag, and a sum of masked zeros is +0, so masking the summed
 	// gradient equals masking each patch entry before the sum.
-	c.ks.maskClipped(c.dx.Data, c.xClip, g.InC*g.InH*g.InW)
+	c.ks.maskClipped(c.dx.Data, c.xClip)
 	return c.dx
 }

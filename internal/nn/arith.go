@@ -28,6 +28,10 @@ import (
 // rows in the arith row, output channels in the skinny row (tiers.go).
 const arithLanes = 32
 
+// padLanes rounds n up to whole chunks, the only width the kernels run
+// at: a tail is padded to a chunk with zeros.
+func padLanes(n int) int { return (n + arithLanes - 1) &^ (arithLanes - 1) }
+
 // maxStrips caps the rectangles an arithForm accepts. DecomposeStrips
 // guarantees at most B <= 8 for the supported widths; anything larger
 // would mean the decomposition is no longer profitable anyway.

@@ -265,7 +265,7 @@ func (b *BatchNorm2D) fold(v []float64, w int) []float64 {
 // runChannels runs one per-channel pass of b.run over every channel.
 func (b *BatchNorm2D) runChannels(pass bnPass) {
 	b.run.pass = pass
-	runPass(&b.run, len(b.run.x), b.run.c, 1, bnLanes)
+	runPass(&b.run, len(b.run.x), b.run.c, bnLanes)
 }
 
 // bnLanes is the channel group of the per-channel reductions — the

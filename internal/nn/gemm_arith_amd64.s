@@ -36,7 +36,7 @@ rchunk:
 	MOVQ R12, AX
 	SUBQ R13, AX
 	CMPQ AX, $32
-	JLT  done              // fewer than 32 rows left: caller's scalar tail
+	JLT  done              // no 32-row chunk left (the caller pads nR)
 
 	MOVQ xt+8(FP), SI
 	ADDQ R13, SI           // x column base for this chunk
@@ -432,21 +432,22 @@ qexit:
 	VZEROUPPER
 	RET
 
-// func loadTileAVX2(xt *uint8, sumX *int64, src *uint8, rows, nR, nK int64)
+// func loadTileAVX2(xt *uint8, sumX *int64, src *uint8, rows, nR, ld, nK int64)
 //
 // loadTile's SIMD pass over the tile rows [0, nR&^31): per 32-row chunk
-// it copies the nK column runs src + i*rows into xt + i*nR and adds the
+// it copies the nK column runs src + i*rows into xt + i*ld and adds the
 // levels into two registers of uint16 row sums (at most nK*255 <=
 // fwdKTile*255, which fits), then widens them into the chunk's sumX.
 //   DI = xt cursor  SI = src cursor  DX = sumX  R8 = rows  R9 = nR
-//   R10 = nK  R11 = rbase  CX = column counter  AX = scratch
+//   R10 = nK  R11 = rbase  R12 = ld  CX = column counter  AX = scratch
 //   Y0 = column run  Y1,Y2 = its levels as words  Y3,Y4 = widening
 //   Y8 = row sums r0-15  Y9 = r16-31
-TEXT ·loadTileAVX2(SB), NOSPLIT, $0-48
+TEXT ·loadTileAVX2(SB), NOSPLIT, $0-56
 	MOVQ sumX+8(FP), DX
 	MOVQ rows+24(FP), R8
 	MOVQ nR+32(FP), R9
-	MOVQ nK+40(FP), R10
+	MOVQ ld+40(FP), R12
+	MOVQ nK+48(FP), R10
 	XORQ R11, R11
 
 lchunk:
@@ -471,7 +472,7 @@ lcol:
 	VPADDW    Y1, Y8, Y8
 	VPADDW    Y2, Y9, Y9
 	ADDQ      R8, SI
-	ADDQ      R9, DI
+	ADDQ      R12, DI
 	DECQ      CX
 	JNZ       lcol
 

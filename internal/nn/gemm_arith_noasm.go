@@ -20,4 +20,6 @@ func gemmArithPair4AVX2(acc *int32, xt *uint8, cwp *uint8, xm *uint16, nR, nKp, 
 
 // loadTileBlocks has no SIMD pass to run: loadTile's Go loop loads the
 // whole tile.
-func loadTileBlocks(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) int { return 0 }
+func loadTileBlocks(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, ld, kb, nK int) int {
+	return 0
+}

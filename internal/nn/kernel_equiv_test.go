@@ -333,7 +333,7 @@ func randOperands(rng *rand.Rand, c equivCase) (xq, wq []uint8, xClip, wClip []b
 // the row-major ones.
 func kMajor(xq []uint8, xClip []bool, rows, k int) ([]uint8, []bool) {
 	xT := make([]uint8, len(xq))
-	transposeU8Tiles(xT, xq, rows, k, 0, k)
+	transposeU8Tiles(xT, xq, rows, k, rows, 0, k)
 	var clipT []bool
 	if xClip != nil {
 		clipT = make([]bool, len(xClip))

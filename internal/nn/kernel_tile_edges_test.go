@@ -9,10 +9,11 @@ import (
 )
 
 // The forward tile work at its edges: the operand-tile load's SIMD pass
-// (whole 32-row chunks) next to its Go loop (the rows after them), the
-// arith row's four-channel pair kernel next to the one-channel calls for
+// (whole 32-row chunks) next to its Go loop (the rows after them and the
+// zero pad up to the next chunk), the arith row's kernels over padded
+// tiles, its four-channel pair kernel next to the one-channel calls for
 // the channels after the last group of four, the skinny row's one-row
-// calls over lane chunks and their scalar tail, and k split at
+// calls over lane chunks padded to whole chunks, and k split at
 // fwdKTile. Every case runs through ApproxConv2D's Forward and Infer
 // and is held to ForwardGEMMRef with Float32bits equality.
 
@@ -65,7 +66,8 @@ func checkForwardEdge(t *testing.T, op *Op, rows, outC, k int, seed int64, fill 
 }
 
 // TestForwardTileEdges crosses channel counts around the groups of four
-// with row counts that leave the load and the strip kernels a tail and k
+// with row counts that leave the load a tail and the strip kernels a
+// padded tile (44 and 48 are the tiles the sweep's shapes met), and k
 // from one column (odd, the pair kernel's virtual column) to past two
 // fwdKTile splits, under each of tileEdgeMults; then the skinny row at
 // row counts from one to 31. With AVX2 the rows >= 32 cases must reach the arith row
@@ -74,7 +76,7 @@ func TestForwardTileEdges(t *testing.T) {
 	for _, name := range tileEdgeMults {
 		op := STEOp(lookupMult(t, name))
 		for _, outC := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
-			for _, rows := range []int{31, 33, 63, 65, 97} {
+			for _, rows := range []int{31, 33, 44, 48, 63, 65, 97} {
 				for _, k := range []int{1, 2, 3, 255, 256, 257, 513} {
 					t.Run(fmt.Sprintf("%s/outC=%d/rows=%d/k=%d", name, outC, rows, k), func(t *testing.T) {
 						_, path := checkForwardEdge(t, op, rows, outC, k, int64(outC*1e6+rows*1e3+k), nil)
@@ -85,9 +87,9 @@ func TestForwardTileEdges(t *testing.T) {
 				}
 			}
 		}
-		// The skinny row: one row to 31, over one lane chunk and one plus
-		// a scalar tail.
-		for _, outC := range []int{32, 37} {
+		// The skinny row: one row to 31, over one lane chunk, and one or
+		// two plus a padded remainder.
+		for _, outC := range []int{32, 37, 38, 77} {
 			for _, rows := range []int{1, 3, 4, 5, 6, 7, 31} {
 				for _, k := range []int{1, 3, 257} {
 					t.Run(fmt.Sprintf("%s/skinny/outC=%d/rows=%d/k=%d", name, outC, rows, k), func(t *testing.T) {
@@ -138,7 +140,8 @@ func TestForwardTileSaturated(t *testing.T) {
 // 32-row chunks and the Go loop after it — to a plain copy and sum, at
 // row counts on, off and under the chunk, column counts up to fwdKTile,
 // random and all-255 levels, from a row offset into a wider matrix and
-// onto row sums that already hold a value.
+// onto row sums that already hold a value, into a tile whose stride is
+// padded to whole chunks and whose pad must come back zero.
 func TestLoadTileMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, nR := range []int{1, 31, 32, 33, 63, 64} {
@@ -152,21 +155,28 @@ func TestLoadTileMatchesScalar(t *testing.T) {
 						xT[i] = 255
 					}
 				}
-				xt := make([]uint8, nK*nR)
+				ld := padLanes(nR)
+				xt := make([]uint8, nK*ld)
+				for i := range xt {
+					xt[i] = 0xA5
+				}
 				sumX := make([]int64, nR)
 				want := make([]int64, nR)
 				for r := range sumX {
 					sumX[r] = int64(r) * 1000
 					want[r] = sumX[r]
 				}
-				loadTile(xt, sumX, xT, rows, lo, nR, kb, nK)
+				loadTile(xt, sumX, xT, rows, lo, nR, ld, kb, nK)
 				for i := 0; i < nK; i++ {
-					for r := 0; r < nR; r++ {
-						v := xT[(kb+i)*rows+lo+r]
-						if xt[i*nR+r] != v {
-							t.Fatalf("nR=%d nK=%d top=%v: xt[%d][%d] = %d, want %d", nR, nK, top, i, r, xt[i*nR+r], v)
+					for r := 0; r < ld; r++ {
+						var v uint8
+						if r < nR {
+							v = xT[(kb+i)*rows+lo+r]
+							want[r] += int64(v)
 						}
-						want[r] += int64(v)
+						if xt[i*ld+r] != v {
+							t.Fatalf("nR=%d nK=%d top=%v: xt[%d][%d] = %d, want %d", nR, nK, top, i, r, xt[i*ld+r], v)
+						}
 					}
 				}
 				for r := range want {

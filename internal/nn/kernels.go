@@ -129,8 +129,8 @@ func grow[T any](s []T, n int) []T {
 // operand tile, its per-row level sums, and the accumulators, so
 // concurrent row blocks never share accumulators. cx and accT belong to
 // the skinny row (kernels_arith.go): the tile's per-row coefficient
-// stream and the (nR x outC) accumulator its channel lanes store to.
-// busy is set while a row block runs on the tile.
+// stream and the (nR x padLanes(outC)) accumulator its channel lanes
+// store to. busy is set while a row block runs on the tile.
 type fwdTile struct {
 	xt    []uint8
 	sumX  []int64
@@ -155,7 +155,7 @@ var fwdTiles struct {
 
 // holdTiles moves n tiles from fwdTiles into t.s.tiles, creating any the
 // free list lacks, and sizes each for every row block of t: at most
-// fwdRowTile rows, at most fwdKTile k-steps.
+// fwdRowTile rows at the tier's stride, at most fwdKTile k-steps.
 func (t *fwdTileRun) holdTiles(n int) {
 	s := t.s
 	fwdTiles.Lock()
@@ -168,13 +168,14 @@ func (t *fwdTileRun) holdTiles(n int) {
 		s.tiles = append(s.tiles, new(fwdTile))
 	}
 	nR, nK := min(t.rows, fwdRowTile), min(t.k, fwdKTile)
+	ld := t.tier.stride(nR)
 	for _, tl := range s.tiles {
-		tl.xt = grow(tl.xt, fwdKTile*nR)
+		tl.xt = grow(tl.xt, fwdKTile*ld)
 		tl.sumX = grow(tl.sumX, nR)
 		if t.use32 {
-			tl.acc32 = grow(tl.acc32, t.outC*nR)
+			tl.acc32 = grow(tl.acc32, t.outC*ld)
 		} else {
-			tl.acc64 = grow(tl.acc64, t.outC*nR)
+			tl.acc64 = grow(tl.acc64, t.outC*ld)
 		}
 		if t.tier.fit != nil {
 			t.tier.fit(t, tl, nR, nK)
@@ -252,40 +253,40 @@ func (op *Op) forwardT(s *KernelScratch, y []float32, xT []uint8, w *weightSide,
 		tier.setup(&s.fwdRun)
 	}
 	s.fwdRun.holdTiles(tensor.Participants(rows, fwdRowTile))
-	// Tiles restart at every share's first row, which no result depends
-	// on: each row's sum and epilogue are its own.
-	tensor.ParallelImagesOn(rows, hw, fwdRowTile, &s.fwdRun)
+	tensor.ParallelBlocksOn(rows, fwdRowTile, &s.fwdRun)
 	s.releaseTiles()
 }
 
 // loadTile copies the (nK x nR) operand tile at k offset kb, row offset
-// lo out of the k-major matrix xT (k x rows) into xt — nR-byte runs, no
-// transpose — and adds each row's levels into sumX, the Eq. (8) cross
-// term the epilogue needs for exactly these rows. The SIMD pass
+// lo out of the k-major matrix xT (k x rows) into xt, whose columns are
+// ld >= nR bytes apart — nR-byte runs, no transpose, the ld-nR rows
+// after them zero — and adds each row's levels into sumX, the Eq. (8)
+// cross term the epilogue needs for exactly these rows. The SIMD pass
 // (loadTileBlocks) takes the whole 32-row chunks; the Go loop, which is
 // also the pure-Go build's whole load, takes the rows after them, four
 // columns per pass over sumX like gemmAccumTile's accumulator rows.
-func loadTile(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, kb, nK int) {
-	r0 := loadTileBlocks(xt, sumX, xT, rows, lo, nR, kb, nK)
-	if r0 == nR {
+func loadTile(xt []uint8, sumX []int64, xT []uint8, rows, lo, nR, ld, kb, nK int) {
+	r0 := loadTileBlocks(xt, sumX, xT, rows, lo, nR, ld, kb, nK)
+	if r0 == ld {
 		return
 	}
 	for i := 0; i < nK; i++ {
-		copy(xt[i*nR+r0:(i+1)*nR], xT[(kb+i)*rows+lo+r0:])
+		copy(xt[i*ld+r0:i*ld+nR], xT[(kb+i)*rows+lo+r0:])
+		clear(xt[i*ld+nR : (i+1)*ld])
 	}
 	sx := sumX[r0:nR]
 	i := 0
 	for ; i+3 < nK; i += 4 {
-		c0 := xt[i*nR+r0 : (i+1)*nR][:len(sx)]
-		c1 := xt[(i+1)*nR+r0 : (i+2)*nR][:len(sx)]
-		c2 := xt[(i+2)*nR+r0 : (i+3)*nR][:len(sx)]
-		c3 := xt[(i+3)*nR+r0 : (i+4)*nR][:len(sx)]
+		c0 := xt[i*ld+r0:][:len(sx)]
+		c1 := xt[(i+1)*ld+r0:][:len(sx)]
+		c2 := xt[(i+2)*ld+r0:][:len(sx)]
+		c3 := xt[(i+3)*ld+r0:][:len(sx)]
 		for r := range sx {
 			sx[r] += int64(c0[r]) + int64(c1[r]) + int64(c2[r]) + int64(c3[r])
 		}
 	}
 	for ; i < nK; i++ {
-		for r, v := range xt[i*nR+r0 : (i+1)*nR][:len(sx)] {
+		for r, v := range xt[i*ld+r0:][:len(sx)] {
 			sx[r] += int64(v)
 		}
 	}
@@ -398,16 +399,16 @@ func putLeU64(b []uint8, v uint64) {
 }
 
 // fwdEpilogue applies the Eq. (8) zero-point corrections and
-// dequantization to the tile rows [lo, lo+nR), matching the reference
-// expression exactly, and writes them to their NCHW positions in t.y.
-// addConst is added to every accumulator before correction: the arith
-// tier accumulates compensation-free strip sums and folds k*comp back
-// here (zero for the LUT tiers, whose table entries already include
-// comp).
-func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR int, addConst int64) {
+// dequantization to the tile rows [lo, lo+nR), whose accumulators are
+// ld apart per channel, matching the reference expression exactly, and
+// writes them to their NCHW positions in t.y. addConst is added to
+// every accumulator before correction: the arith tier accumulates
+// compensation-free strip sums and folds k*comp back here (zero for the
+// LUT tiers, whose table entries already include comp).
+func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR, ld int, addConst int64) {
 	s, hw := t.s, t.hw
 	for oc := 0; oc < t.outC; oc++ {
-		accRow := acc[oc*nR : (oc+1)*nR]
+		accRow := acc[oc*ld : oc*ld+nR]
 		sx := sumX[:len(accRow)]
 		c0 := addConst - t.zx*t.w.sumW[oc] + s.kzz[oc]
 		zw, ss, b := s.zw[oc], s.ss[oc], t.bias[oc]
@@ -457,7 +458,7 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq
 	s.grads.whole(rows, dw, gsum)
 	op.backwardT(s, dxT, dy, 1, xT, &s.w, rows, px)
 	if xClip != nil {
-		s.maskClipped(dxT, xClip, 1)
+		s.maskClipped(dxT, xClip)
 	}
 }
 
@@ -492,12 +493,13 @@ func countNonzero(dy []float32, limit int) int {
 }
 
 // transposeU8Tiles moves columns [lo, hi) of the (rows x cols) matrix
-// src into dst in (cols x rows) layout, in cache-sized tiles. The bulk
+// src into dst in (cols x rows) layout, its rows ld >= rows apart (the
+// bytes past rows untouched), in cache-sized tiles. The bulk
 // moves through 8x8 byte blocks held in uint64 registers
 // (transpose8x8), turning 64 single-byte load/store pairs into 16
 // word-sized memory operations plus shifts. The full-matrix entry
 // point is KernelScratch.transposeU8.
-func transposeU8Tiles(dst, src []uint8, rows, cols, lo, hi int) {
+func transposeU8Tiles(dst, src []uint8, rows, cols, ld, lo, hi int) {
 	for rb := 0; rb < rows; rb += transTile {
 		rhi := rb + transTile
 		if rhi > rows {
@@ -513,19 +515,19 @@ func transposeU8Tiles(dst, src []uint8, rows, cols, lo, hi int) {
 				}
 				transpose8x8(&v)
 				for j := 0; j < 8; j++ {
-					putLeU64(dst[(i+j)*rows+r:], v[j])
+					putLeU64(dst[(i+j)*ld+r:], v[j])
 				}
 			}
 			for ; r < rhi; r++ {
 				row := src[r*cols:]
 				for j := 0; j < 8; j++ {
-					dst[(i+j)*rows+r] = row[i+j]
+					dst[(i+j)*ld+r] = row[i+j]
 				}
 			}
 		}
 		for ; i < hi; i++ {
 			for r := rb; r < rhi; r++ {
-				dst[i*rows+r] = src[r*cols+i]
+				dst[i*ld+r] = src[r*cols+i]
 			}
 		}
 	}

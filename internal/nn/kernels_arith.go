@@ -24,16 +24,17 @@ import (
 //     the remaining mask ops (8-bit families with coefficients > 127).
 //
 // Both accumulate compensation-free sums; k*comp is folded back in the
-// epilogue. Rows beyond the kernels' 32-row granularity fall back to
-// scalar strip evaluation — the identical integer sum, so the tier
-// stays bit-exact with ForwardGEMMRef regardless of shape.
+// epilogue. A tile whose rows are not whole 32-row chunks is loaded
+// padded with zero rows (fwdTier.pad) and the kernels run over the pad;
+// each row's sum is its own, so the live rows are bit-exact with
+// ForwardGEMMRef regardless of shape.
 //
 // The skinny row (rows < 32 <= outC) calls the same two kernels with
 // the operand roles swapped, which the strip form's symmetry allows: a
 // chunk is 32 output channels of the k-major weight levels
 // (weightSide.wqT), masked with wm_t, and each of the few rows supplies
-// the coefficients x & xm_t. Channels beyond the last chunk take the
-// scalar tail.
+// the coefficients x & xm_t. wqT's channels are padded to whole chunks
+// with level 0, whose lanes are dropped.
 
 // pairGroup is how many output channels' coefficient streams
 // gemmArithPair4AVX2 takes.
@@ -54,64 +55,61 @@ func arithSetup(t *fwdTileRun) {
 }
 
 // arithAccumTile adds one (nK x nR) operand tile into tl.acc32 through
-// the strip kernels. The row's predicate guarantees op.arith != nil,
-// hasGemmAsm, rows >= 32, and the int32 accumulator; arithSetup has
-// built the pair stream.
+// the strip kernels; nR is the padded stride, whole 32-row chunks. The
+// row's predicate guarantees op.arith != nil, hasGemmAsm, rows >= 32,
+// and the int32 accumulator; arithSetup has built the pair stream.
 func arithAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	af, acc, xt := t.op.arith, tl.acc32, tl.xt
 	nT := af.nT
-	nR32 := nR &^ (arithLanes - 1)
-	if af.pairOK && nK&1 == 1 {
-		// Odd k-step count: the pair kernel reads a virtual last
-		// column whose coefficient byte is zero; zero the column
-		// so the dead VPAND input is defined.
-		clear(xt[nK*nR : (nK+1)*nR])
-	}
-	if nR32 > 0 {
-		if af.pairOK {
-			// Four channels' pair streams, a row apart, per call; the
-			// channels after the last group of four one at a time.
-			row, off, nKp := af.pairRow(t.k), kb/2*nT*2, int64((nK+1)/2)
-			oc := 0
-			for ; oc+pairGroup <= t.outC; oc += pairGroup {
-				gemmArithPair4AVX2(&acc[oc*nR], &xt[0], &t.w.cwp[oc*row+off], &af.xmPair[0],
-					int64(nR), nKp, int64(nT), int64(af.cadPair), int64(row))
-			}
-			for ; oc < t.outC; oc++ {
-				gemmArithPairAVX2(&acc[oc*nR], &xt[0], &t.w.cwp[oc*row+off], &af.xmPair[0],
-					int64(nR), nKp, int64(nT), int64(af.cadPair))
-			}
-		} else {
-			for oc := 0; oc < t.outC; oc++ {
-				gemmArithAccumAVX2(&acc[oc*nR], &xt[0],
-					&t.w.lq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
-					int64(nR), int64(nK), int64(nT), int64(af.cadWord))
-			}
+	if af.pairOK {
+		if nK&1 == 1 {
+			// Odd k-step count: the pair kernel reads a virtual last
+			// column whose coefficient byte is zero; zero the column
+			// so the dead VPAND input is defined.
+			clear(xt[nK*nR : (nK+1)*nR])
 		}
+		// Four channels' pair streams, a row apart, per call; the
+		// channels after the last group of four one at a time.
+		row, off, nKp := af.pairRow(t.k), kb/2*nT*2, int64((nK+1)/2)
+		oc := 0
+		for ; oc+pairGroup <= t.outC; oc += pairGroup {
+			gemmArithPair4AVX2(&acc[oc*nR], &xt[0], &t.w.cwp[oc*row+off], &af.xmPair[0],
+				int64(nR), nKp, int64(nT), int64(af.cadPair), int64(row))
+		}
+		for ; oc < t.outC; oc++ {
+			gemmArithPairAVX2(&acc[oc*nR], &xt[0], &t.w.cwp[oc*row+off], &af.xmPair[0],
+				int64(nR), nKp, int64(nT), int64(af.cadPair))
+		}
+		return
 	}
-	if nR32 < nR {
-		arithTailRows(acc, xt, af, t.w.lq, 0, nR32, nR, nK, kb, t.outC, t.k)
+	for oc := 0; oc < t.outC; oc++ {
+		gemmArithAccumAVX2(&acc[oc*nR], &xt[0],
+			&t.w.lq[oc*t.k+kb], &af.cw16[0], &af.xm16[0],
+			int64(nR), int64(nK), int64(nT), int64(af.cadWord))
 	}
 }
 
 // arithSkinnySetup readies the skinny row: the compensation and the
-// k-major copy of this weight version's view of the levels.
+// k-major copy of this weight version's view of the levels, its rows
+// padLanes(outC) apart. The pad channels and the zero row after the k
+// columns (the pair kernel's virtual partner) hold level 0.
 func arithSkinnySetup(t *fwdTileRun) {
 	w := t.w
 	t.kComp = int64(t.k) * int64(t.op.arith.comp)
 	if !w.wqTOK {
-		w.wqT = grow(w.wqT, (t.k+1)*t.outC)
-		t.s.transposeU8(w.wqT, w.lq, t.outC, t.k)
-		clear(w.wqT[t.k*t.outC:])
+		ld := padLanes(t.outC)
+		w.wqT = grow(w.wqT, (t.k+1)*ld)
+		clear(w.wqT)
+		t.s.transposeU8(w.wqT, w.lq, t.outC, t.k, ld)
 		w.wqTOK = true
 	}
 }
 
 // arithSkinnyFit sizes the skinny row's tile buffers for an (nK x nR)
-// operand tile: the (nR x outC) lane accumulator accT and the
+// operand tile: the (nR x padLanes(outC)) lane accumulator accT and the
 // coefficient stream cx, one row's pair stream or all nR rows' levels.
 func arithSkinnyFit(t *fwdTileRun, tl *fwdTile, nR, nK int) {
-	tl.accT = grow(tl.accT, nR*t.outC)
+	tl.accT = grow(tl.accT, nR*padLanes(t.outC))
 	if af := t.op.arith; af.pairOKT {
 		tl.cx = grow(tl.cx, (nK+1)/2*af.nT*2+skinnyStreamSlack)
 	} else {
@@ -121,14 +119,15 @@ func arithSkinnyFit(t *fwdTileRun, tl *fwdTile, nR, nK int) {
 
 // arithSkinnyAccumTile adds one (nK x nR) operand tile into tl.acc32
 // with the kernels' lanes on output channels. Per row the kernels
-// accumulate into tl.accT (nR x outC), which is then added, transposed,
-// into the (outC x nR) accumulator the epilogue reads. The row's
-// predicate guarantees op.arith != nil, hasGemmAsm, nR < 32 <= outC and
-// the int32 accumulator; arithSkinnySetup has built wqT.
+// accumulate into tl.accT (nR x ld, ld = padLanes(outC)), whose first
+// outC lanes are then added, transposed, into the (outC x nR)
+// accumulator the epilogue reads. The row's predicate guarantees
+// op.arith != nil, hasGemmAsm, nR < 32 <= outC and the int32
+// accumulator; arithSkinnySetup has built wqT.
 func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 	af, outC, xt := t.op.arith, t.outC, tl.xt
-	nT := af.nT
-	wT := t.w.wqT[kb*outC:]
+	nT, ld := af.nT, padLanes(outC)
+	wT := t.w.wqT[kb*ld:]
 	arithSkinnyFit(t, tl, nR, nK)
 	accT := tl.accT
 	clear(accT)
@@ -136,8 +135,8 @@ func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 		nKp := (nK + 1) / 2
 		for r := 0; r < nR; r++ {
 			skinnyPairStream(tl.cx, xt, af.xmQuad, r, nR, nK, nT)
-			gemmArithPairAVX2(&accT[r*outC], &wT[0], &tl.cx[0], &af.wmPair[0],
-				int64(outC), int64(nKp), int64(nT), int64(af.cadPair))
+			gemmArithPairAVX2(&accT[r*ld], &wT[0], &tl.cx[0], &af.wmPair[0],
+				int64(ld), int64(nKp), int64(nT), int64(af.cadPair))
 		}
 	} else {
 		// The word kernel looks its coefficients up by level: hand it the
@@ -147,19 +146,15 @@ func arithSkinnyAccumTile(t *fwdTileRun, tl *fwdTile, nR, kb, nK int) {
 			for i := range xr {
 				xr[i] = xt[i*nR+r]
 			}
-			gemmArithAccumAVX2(&accT[r*outC], &wT[0], &xr[0], &af.cx16[0], &af.wm16[0],
-				int64(outC), int64(nK), int64(nT), int64(af.cadWord))
+			gemmArithAccumAVX2(&accT[r*ld], &wT[0], &xr[0], &af.cx16[0], &af.wm16[0],
+				int64(ld), int64(nK), int64(nT), int64(af.cadWord))
 		}
 	}
-	oc32 := outC &^ (arithLanes - 1)
-	for oc := 0; oc < oc32; oc++ {
+	for oc := 0; oc < outC; oc++ {
 		row := tl.acc32[oc*nR : (oc+1)*nR]
 		for r := range row {
-			row[r] += accT[r*outC+oc]
+			row[r] += accT[r*ld+oc]
 		}
-	}
-	if oc32 < outC {
-		arithTailRows(tl.acc32, xt, af, t.w.lq, oc32, 0, nR, nK, kb, outC, t.k)
 	}
 }
 
@@ -226,31 +221,6 @@ func skinnyPairStream(cx, xt []uint8, xmQuad []uint64, r, nR, nK, nT int) {
 		out := cx[p*nT*2:]
 		for g, m := range xmQuad {
 			binary.LittleEndian.PutUint64(out[8*g:], pair&m)
-		}
-	}
-}
-
-// arithTailRows evaluates the strip sum scalar for what the 32-lane SIMD
-// kernels leave behind, the tile rows [rLo, nR) of the channels
-// [ocLo, outC) — the same integer summands in a different order, which
-// integer associativity makes bit-identical. acc and xt use the tile's
-// nR row stride.
-func arithTailRows(acc []int32, xt []uint8, af *arithForm, wq []uint8, ocLo, rLo, nR, nK, kb, outC, k int) {
-	nT := af.nT
-	for oc := ocLo; oc < outC; oc++ {
-		wr := wq[oc*k+kb : oc*k+kb+nK]
-		accRow := acc[oc*nR : (oc+1)*nR]
-		for i, wv := range wr {
-			cw := af.cw16[int(wv)*nT : (int(wv)+1)*nT]
-			col := xt[i*nR : (i+1)*nR]
-			for r := rLo; r < nR; r++ {
-				xv := uint32(col[r])
-				var sum uint32
-				for t, c := range cw {
-					sum += uint32(c) * (xv & uint32(af.xm16[t]))
-				}
-				accRow[r] += int32(sum)
-			}
 		}
 	}
 }

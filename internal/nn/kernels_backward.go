@@ -127,7 +127,7 @@ func (s *KernelScratch) scanGrad(dy []float32, hw, rows, outC int) {
 	s.gradRun = bwdGradRun{s: s, dy: dy, rows: rows, outC: outC, hw: hw}
 	tensor.ParallelRowsOn(outC, &s.gradRun)
 	s.dyRRun = bwdDyRRun{dyR: s.dyR, dy: dy, outC: outC, ld: ld, hw: hw}
-	tensor.ParallelImagesOn(rows, hw, 0, &s.dyRRun)
+	tensor.ParallelRowsOn(rows, &s.dyRRun)
 }
 
 // sweepDW is the weight-gradient sweep on tier's kernel over the kl

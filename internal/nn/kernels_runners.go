@@ -88,25 +88,26 @@ type fwdTileRun struct {
 func (t *fwdTileRun) RunRange(lo, hi int) {
 	tl := t.claimTile()
 	nR := hi - lo
-	tl.xt = grow(tl.xt, fwdKTile*nR)
+	ld := t.tier.stride(nR)
+	tl.xt = grow(tl.xt, fwdKTile*ld)
 	tl.sumX = grow(tl.sumX, nR)
 	clear(tl.sumX)
 	if t.use32 {
-		tl.acc32 = grow(tl.acc32, t.outC*nR)
+		tl.acc32 = grow(tl.acc32, t.outC*ld)
 		clear(tl.acc32)
 	} else {
-		tl.acc64 = grow(tl.acc64, t.outC*nR)
+		tl.acc64 = grow(tl.acc64, t.outC*ld)
 		clear(tl.acc64)
 	}
 	for kb := 0; kb < t.k; kb += fwdKTile {
 		nK := min(t.k-kb, fwdKTile)
-		loadTile(tl.xt, tl.sumX, t.xT, t.rows, lo, nR, kb, nK)
-		t.tier.accum(t, tl, nR, kb, nK)
+		loadTile(tl.xt, tl.sumX, t.xT, t.rows, lo, nR, ld, kb, nK)
+		t.tier.accum(t, tl, ld, kb, nK)
 	}
 	if t.use32 {
-		fwdEpilogue(t, tl.acc32, tl.sumX, lo, nR, t.kComp)
+		fwdEpilogue(t, tl.acc32, tl.sumX, lo, nR, ld, t.kComp)
 	} else {
-		fwdEpilogue(t, tl.acc64, tl.sumX, lo, nR, t.kComp)
+		fwdEpilogue(t, tl.acc64, tl.sumX, lo, nR, ld, t.kComp)
 	}
 	tl.busy.Store(false)
 }
@@ -126,12 +127,12 @@ func (t *fwdTileRun) claimTile() *fwdTile {
 // transU8Run carries the tiled full-matrix transpose of the skinny
 // row's weight levels (weightSide.wqT).
 type transU8Run struct {
-	dst, src   []uint8
-	rows, cols int
+	dst, src       []uint8
+	rows, cols, ld int
 }
 
 func (t *transU8Run) RunRange(lo, hi int) {
-	transposeU8Tiles(t.dst, t.src, t.rows, t.cols, lo, hi)
+	transposeU8Tiles(t.dst, t.src, t.rows, t.cols, t.ld, lo, hi)
 }
 
 // bwdGradRun is the big tiers' per-channel scan of the upstream
@@ -395,24 +396,22 @@ func (s *KernelScratch) levelSums(dst []int64, q []uint8, m, k int) {
 // quantizeWithClip quantizes data into the caller-owned level buffer q
 // and, when clip is non-nil, records which entries were clamped (the
 // straight-through mask; the inference path passes nil) — one pass
-// through the arena's runner, alloc-free. per is the elements of one
-// image (1 for a weight tensor): the workers' shares are whole images.
-func (s *KernelScratch) quantizeWithClip(q []uint8, clip []bool, data []float32, p quant.Params, per int) {
+// through the arena's runner, alloc-free.
+func (s *KernelScratch) quantizeWithClip(q []uint8, clip []bool, data []float32, p quant.Params) {
 	s.qcRun = quantClipRun{q: q, clip: clip, data: data, p: p}
-	tensor.ParallelImagesOn(len(data), per, 4096, &s.qcRun)
+	tensor.ParallelBlocksOn(len(data), 4096, &s.qcRun)
 }
 
 // maskClipped zeroes the entries of grad whose forward operand was
-// clamped during quantization (the straight-through mask), per
-// elements to an image.
-func (s *KernelScratch) maskClipped(grad []float32, clip []bool, per int) {
+// clamped during quantization (the straight-through mask).
+func (s *KernelScratch) maskClipped(grad []float32, clip []bool) {
 	s.maskRun = clipMaskRun{grad: grad, clip: clip}
-	tensor.ParallelImagesOn(len(grad), per, 16384, &s.maskRun)
+	tensor.ParallelBlocksOn(len(grad), 16384, &s.maskRun)
 }
 
 // transposeU8 writes the (rows x cols) matrix src into dst in
-// (cols x rows) layout through the arena's runner.
-func (s *KernelScratch) transposeU8(dst, src []uint8, rows, cols int) {
-	s.tU8Run = transU8Run{dst: dst, src: src, rows: rows, cols: cols}
+// (cols x rows) layout, its rows ld apart, through the arena's runner.
+func (s *KernelScratch) transposeU8(dst, src []uint8, rows, cols, ld int) {
+	s.tU8Run = transU8Run{dst: dst, src: src, rows: rows, cols: cols, ld: ld}
 	tensor.ParallelBlocksOn(cols, transTile, &s.tU8Run)
 }

@@ -364,7 +364,7 @@ func (l *frozenApproxLinear) forward(x *tensor.Tensor, withClip bool) *tensor.Te
 		l.xClip = grow(l.xClip, len(l.xq))
 		xClip = l.xClip
 	}
-	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px, 1)
+	l.ks.quantizeWithClip(l.xq, xClip, x.Data, l.px)
 	// The layer's own operand transpose and weight side.
 	l.xT, l.xClipT = kMajor(l.xq, xClip, l.rows, l.In)
 	l.out = tensor.Ensure2(l.out, l.rows, l.Out)

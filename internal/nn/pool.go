@@ -64,7 +64,7 @@ func (p *MaxPool2D) pool(x *tensor.Tensor, withArgmax bool) *tensor.Tensor {
 		p.corners.build(h, w, oh, ow)
 		p.run.corners = &p.corners
 	}
-	runPass(&p.run, len(x.Data), n*c, n, 0)
+	runPass(&p.run, len(x.Data), n*c, 0)
 	return p.out
 }
 
@@ -75,7 +75,7 @@ func (p *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	// The scatter reads only the plane sizes: an output plane as one row.
 	p.run = maxPoolRun{src: dy.Data, dst: p.dx.Data, argmax: p.argmax, h: h, w: w,
 		oh: len(p.argmax) / (n * c), ow: 1, backward: true}
-	runPass(&p.run, len(p.dx.Data), n*c, n, 0)
+	runPass(&p.run, len(p.dx.Data), n*c, 0)
 	return p.dx
 }
 

@@ -52,11 +52,24 @@ type fwdTier struct {
 	// row's own form of the weight levels (weightSide).
 	setup func(t *fwdTileRun)
 	// accum adds the (nK x nR) operand tile tl.xt, at k offset kb, into
-	// the accumulators of tl (acc32 when t.use32, else acc64).
+	// the accumulators of tl (acc32 when t.use32, else acc64); nR is the
+	// tile's row stride (see pad).
 	accum func(t *fwdTileRun, tl *fwdTile, nR, kb, nK int)
 	// fit, where present, sizes the tile buffers only this row uses for
 	// an (nK x nR) operand tile.
 	fit func(t *fwdTileRun, tl *fwdTile, nR, nK int)
+	// pad makes a tile's row stride its live rows rounded up to whole
+	// 32-row chunks: the rows past the live ones are zero, accum runs
+	// over them, and the epilogue reads only the live rows.
+	pad bool
+}
+
+// stride is the row stride of a tile of nR live rows on the row.
+func (t *fwdTier) stride(nR int) int {
+	if t.pad {
+		return padLanes(nR)
+	}
+	return nR
 }
 
 var fwdTiers = [...]fwdTier{
@@ -71,6 +84,7 @@ var fwdTiers = [...]fwdTier{
 		count: dispatchCounter("forward", FwdPathArith),
 		setup: arithSetup,
 		accum: arithAccumTile,
+		pad:   true,
 	},
 	{
 		label: FwdPathArithSkinny,

@@ -62,8 +62,9 @@ type weightSide struct {
 	// first GEMM after a rebuild or cut: the VPMADDUBSW coefficient
 	// stream of the arith row's pair kernel (outC rows of ceil(kl/2) x nT
 	// byte pairs and pairSlack bytes, on the worker pool) and the k-major
-	// copy the skinny row's lanes load ((kl+1) x outC, the last row zero:
-	// the virtual partner column of an odd kl).
+	// copy the skinny row's lanes load ((kl+1) x padLanes(outC), zero in
+	// the pad and in the last row: the virtual partner column of an odd
+	// kl).
 	cwp, wqT     []uint8
 	cwpOK, wqTOK bool
 
@@ -255,7 +256,7 @@ func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bo
 		pw = grow(pw, 1)
 		mn, mx := tensor.MinMax(data)
 		pw[0] = quant.Calibrate(mn, mx, bits)
-		s.quantizeWithClip(wq, clip, data, pw[0], 1)
+		s.quantizeWithClip(wq, clip, data, pw[0])
 		return pw
 	}
 	pw = grow(pw, outC)
@@ -267,7 +268,7 @@ func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bo
 		if clip != nil {
 			cl = clip[oc*k : (oc+1)*k]
 		}
-		s.quantizeWithClip(wq[oc*k:(oc+1)*k], cl, ws, pw[oc], 1)
+		s.quantizeWithClip(wq[oc*k:(oc+1)*k], cl, ws, pw[oc])
 	}
 	return pw
 }

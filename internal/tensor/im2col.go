@@ -165,9 +165,9 @@ func (j *Im2ColTJob[T]) run(dst, src []T, n int, g ConvGeom, pad T, live bool) {
 		panic(fmt.Sprintf("tensor: Im2ColT buffers (%d, %d) do not match geometry", len(dst), len(src)))
 	}
 	j.dst, j.src, j.pad, j.n, j.g, j.taps = dst, src, pad, n, g, g.planeTaps(j.taps)
-	// One work item per (image, channel) input plane, images outermost,
-	// so the pool can hand every worker whole images.
-	ParallelImagesOn(n*g.InC, g.InC, 0, j)
+	// One work item per (image, channel) input plane: each writes its
+	// own part of every row, so blocks may start at any plane.
+	ParallelRowsOn(n*g.InC, j)
 }
 
 // RunRange writes the patch-matrix entries of input planes [lo, hi)
@@ -270,9 +270,9 @@ func (j *Col2ImTJob) run(dst, cols []float32, n int, g ConvGeom, live bool) {
 		panic(fmt.Sprintf("tensor: Col2ImT buffers (%d, %d) do not match geometry", len(dst), len(cols)))
 	}
 	j.dst, j.cols, j.n, j.g, j.taps = dst, cols, n, g, g.planeTaps(j.taps)
-	// Parallel over (image, channel) planes, images outermost: each is
-	// written by exactly one block, so no synchronization is needed.
-	ParallelImagesOn(n*g.InC, g.InC, 0, j)
+	// Parallel over (image, channel) planes: each is written by exactly
+	// one block, so no synchronization is needed.
+	ParallelRowsOn(n*g.InC, j)
 }
 
 // RunRange scatters into input planes [lo, hi) (plane = img*InC + c);

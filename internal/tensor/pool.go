@@ -13,14 +13,11 @@ import (
 // goroutines are spawned per call — the pool is started once and lives
 // for the process.
 //
-// A job over [0, n) is cut into contiguous shares, one per participant:
-// the submitting goroutine takes share 0 and pool worker w share w,
-// each in blocks of the job's chunk from the share's start. A
-// participant that runs out of its own share steals blocks from the
-// ends of the others, so the submitter alone can always finish the job.
-// A job whose items are grouped by image (ParallelImagesOn) is cut on
-// image boundaries, so every pass cut that way hands share w the same
-// images and its data stays in the cache of the core that wrote it.
+// A job over [0, n) is cut into blocks of its chunk from 0 and the
+// blocks into contiguous shares, one per participant: the submitting
+// goroutine takes share 0 and pool worker w share w. A participant that
+// runs out of its own share steals blocks from the ends of the others,
+// so the submitter alone can always finish the job.
 //
 // Warm windows (OpenWarmWindow) are the spans in which jobs follow each
 // other closely, a training forward or backward pass: inside one, an
@@ -108,28 +105,16 @@ type poolJob struct {
 	refs   atomic.Int32
 }
 
-// split cuts [0, n) into ns contiguous shares — on multiples of unit
-// when unit > 1 divides n into at least ns units, else on block
-// boundaries — and arms their cursors.
-func (j *poolJob) split(n, nblk, unit, ns int) {
-	units := 0
-	if unit > 1 && n%unit == 0 {
-		units = n / unit
-	}
-	total := 0
+// split cuts the nblk blocks of [0, n) into ns contiguous shares and
+// arms their cursors.
+func (j *poolJob) split(n, nblk, ns int) {
 	for w := 0; w < ns; w++ {
 		s := &j.shares[w]
-		if units >= ns {
-			s.lo, s.hi = w*units/ns*unit, (w+1)*units/ns*unit
-		} else {
-			s.lo, s.hi = min(w*nblk/ns*j.chunk, n), min((w+1)*nblk/ns*j.chunk, n)
-		}
-		b := (s.hi - s.lo + j.chunk - 1) / j.chunk
-		s.cur.Store(uint64(b))
-		total += b
+		s.lo, s.hi = min(w*nblk/ns*j.chunk, n), min((w+1)*nblk/ns*j.chunk, n)
+		s.cur.Store(uint64((s.hi - s.lo + j.chunk - 1) / j.chunk))
 	}
 	j.ns = ns
-	j.left.Store(int64(total))
+	j.left.Store(int64(nblk))
 }
 
 // work runs participant w's share front to back, then steals blocks
@@ -264,12 +249,11 @@ func (p *workerPool) release(j *poolJob) {
 }
 
 // run executes r over [0, n) in blocks of chunk, in parallel across
-// the pool, with share boundaries on multiples of unit where it can (see
-// poolJob.split). It returns once every block has completed. A job
-// whose block count is 1 (or a pool without workers) runs inline; a
-// pooled job takes its header from the free list, so either way the
-// entry points allocate nothing in steady state.
-func (p *workerPool) run(n, chunk, unit int, r RangeRunner) {
+// the pool. It returns once every block has completed. A job whose
+// block count is 1 (or a pool without workers) runs inline; a pooled
+// job takes its header from the free list, so either way the entry
+// points allocate nothing in steady state.
+func (p *workerPool) run(n, chunk int, r RangeRunner) {
 	if n <= 0 {
 		return
 	}
@@ -292,7 +276,7 @@ func (p *workerPool) run(n, chunk, unit int, r RangeRunner) {
 		j = p.newJob()
 	}
 	j.runner, j.chunk = r, chunk
-	j.split(n, nblk, unit, ns)
+	j.split(n, nblk, ns)
 	j.wg.Add(1)
 	j.refs.Store(1)
 	// Wake the owner of every other share. The sends are non-blocking: a
@@ -366,50 +350,35 @@ func ParallelRows(m int, fn func(lo, hi int)) {
 
 // ParallelRowsOn is ParallelRows for a reusable RangeRunner: passing a
 // pointer to a runner struct held in long-lived state (a scratch arena,
-// a layer) makes the dispatch allocation-free.
+// a layer) makes the dispatch allocation-free. Its grain is about four
+// blocks per worker, and below 16 rows it runs inline.
 func ParallelRowsOn(m int, r RangeRunner) {
-	ParallelImagesOn(m, 1, 0, r)
+	p := pool()
+	if m <= 0 {
+		return
+	}
+	if p.workers <= 1 || m < 16 {
+		poolJobsInline.Inc()
+		r.RunRange(0, m)
+		return
+	}
+	// Four blocks per worker keeps the block queue long enough for
+	// dynamic balancing without making handoff dominate.
+	p.run(m, (m+4*p.workers-1)/(4*p.workers), r)
 }
 
-// ParallelBlocksOn runs r over [0, n) in blocks of exactly chunk (the
-// last block may be short), scheduled on the persistent pool. Kernels
-// that tile for cache locality use it to make the parallel grain equal
-// to the cache tile.
+// ParallelBlocksOn runs r over [0, n) in blocks of exactly chunk from 0
+// (the last block may be short), scheduled on the persistent pool.
+// Kernels that tile for cache locality use it to make the parallel
+// grain equal to the cache tile.
 func ParallelBlocksOn(n, chunk int, r RangeRunner) {
-	pool().run(n, chunk, 1, r)
+	pool().run(n, chunk, r)
 }
 
 // Participants reports how many goroutines may run ranges of one job at
-// once when ParallelBlocksOn or ParallelImagesOn runs n items in blocks
-// of chunk > 0: the submitter plus one pool worker per further share.
-// A runner that needs private state per concurrent range keeps that
-// many copies.
+// once when ParallelBlocksOn runs n items in blocks of chunk > 0: the
+// submitter plus one pool worker per further share. A runner that
+// needs private state per concurrent range keeps that many copies.
 func Participants(n, chunk int) int {
 	return pool().shares((n + chunk - 1) / chunk)
-}
-
-// ParallelImagesOn runs r over n items grouped by image, per items to an
-// image, with the per-worker shares cut on image boundaries whenever
-// there are at least as many images as shares: a layer's passes that
-// all cut this way give each core the same images. Blocks are chunk
-// items from each share's start (the last of a share may be short), so
-// a pass may use it only where no result depends on where a block
-// starts. chunk 0 takes ParallelRowsOn's grain — about four blocks per
-// worker, inline below 16 items.
-func ParallelImagesOn(n, per, chunk int, r RangeRunner) {
-	p := pool()
-	if chunk <= 0 {
-		if n <= 0 {
-			return
-		}
-		if p.workers <= 1 || n < 16 {
-			poolJobsInline.Inc()
-			r.RunRange(0, n)
-			return
-		}
-		// Four blocks per worker keeps the block queue long enough for
-		// dynamic balancing without making handoff dominate.
-		chunk = (n + 4*p.workers - 1) / (4 * p.workers)
-	}
-	p.run(n, chunk, per, r)
 }

@@ -226,7 +226,7 @@ func TestSharesBoundConcurrentRanges(t *testing.T) {
 			defer wg.Done()
 			for _, n := range []int{9, 24, 200, 4097} {
 				r := &peakRunner{}
-				p.run(n, 8, 1, r)
+				p.run(n, 8, r)
 				if max := int32(p.shares((n + 7) / 8)); r.peak.Load() > max {
 					t.Errorf("n=%d: %d ranges ran at once, shares = %d", n, r.peak.Load(), max)
 				}
@@ -257,9 +257,9 @@ func TestPooledDispatchDoesNotAllocate(t *testing.T) {
 	p := newWorkerPool(4)
 	r := &sumRunner{hits: make([]int32, 256)}
 	for i := 0; i < 64; i++ {
-		p.run(len(r.hits), 16, 1, r) // prime the free list
+		p.run(len(r.hits), 16, r) // prime the free list
 	}
-	if allocs := testing.AllocsPerRun(200, func() { p.run(len(r.hits), 16, 1, r) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { p.run(len(r.hits), 16, r) }); allocs != 0 {
 		t.Fatalf("pooled dispatch allocates %.1f times per job, want 0", allocs)
 	}
 }
@@ -281,7 +281,7 @@ func TestWorkerPoolRecycledJobsUnderLateWakeups(t *testing.T) {
 			defer wg.Done()
 			r := &sumRunner{hits: make([]int32, 2)}
 			for j := 1; j <= jobs; j++ {
-				p.run(2, 1, 1, r)
+				p.run(2, 1, r)
 				if r.hits[0] != int32(j) || r.hits[1] != int32(j) {
 					t.Errorf("job %d: blocks ran %v times", j, r.hits)
 					return
@@ -294,20 +294,19 @@ func TestWorkerPoolRecycledJobsUnderLateWakeups(t *testing.T) {
 
 // TestWorkerPoolSharesCoverEveryBlockOnce: under per-worker shares and
 // stealing every item runs exactly once, in blocks of at most chunk (one
-// inline call on a one-worker pool) — at 1, 2 and 4 workers, with shares
-// cut on image boundaries (unit > 1) into uneven numbers of images, with
-// fewer blocks than workers, and with a unit that does not divide n.
+// inline call on a one-worker pool) — at 1, 2 and 4 workers, with fewer
+// blocks than workers and with a short last block.
 func TestWorkerPoolSharesCoverEveryBlockOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		p := newWorkerPool(workers)
-		for _, c := range []struct{ n, chunk, unit int }{
-			{1, 1, 1}, {3, 1, 1}, {7, 64, 1}, {100, 7, 1}, {1000, 64, 1},
-			{5 * 64, 16, 64}, {7 * 9, 4, 9}, {3 * 100, 64, 100}, {2 * 50, 200, 50},
-			{100, 7, 3}, {4097, 256, 1}, {32 * 72, 18, 72},
+		for _, c := range []struct{ n, chunk int }{
+			{1, 1}, {3, 1}, {7, 64}, {100, 7}, {1000, 64},
+			{5 * 64, 16}, {7 * 9, 4}, {3 * 100, 64}, {2 * 50, 200},
+			{4097, 256}, {32 * 72, 18},
 		} {
 			counts := make([]int32, c.n)
 			var over atomic.Int32
-			p.run(c.n, c.chunk, c.unit, funcRunner(func(lo, hi int) {
+			p.run(c.n, c.chunk, funcRunner(func(lo, hi int) {
 				if hi <= lo || hi-lo > c.chunk && workers > 1 {
 					over.Add(1)
 				}
@@ -320,49 +319,6 @@ func TestWorkerPoolSharesCoverEveryBlockOnce(t *testing.T) {
 			}
 			checkCoverage(t, counts)
 		}
-	}
-}
-
-// TestSplitImageShares: a job cut on image boundaries gives share w the
-// same images whatever the items per image, so consecutive passes over
-// one batch hand every core the same images; without enough images the
-// shares fall back to block boundaries.
-func TestSplitImageShares(t *testing.T) {
-	j := newWorkerPool(1).newJob()
-	j.shares = make([]share, 4)
-	images := func(n, chunk, unit, ns int) [][2]int {
-		j.chunk = chunk
-		j.split(n, (n+chunk-1)/chunk, unit, ns)
-		var out [][2]int
-		next := 0
-		for w := 0; w < j.ns; w++ {
-			s := &j.shares[w]
-			if s.lo != next || s.hi <= s.lo || s.hi%unit != 0 {
-				t.Fatalf("n %d unit %d: share %d is [%d, %d), want whole images from %d", n, unit, w, s.lo, s.hi, next)
-			}
-			next = s.hi
-			out = append(out, [2]int{s.lo / unit, s.hi / unit})
-		}
-		if next != n {
-			t.Fatalf("n %d: shares end at %d", n, next)
-		}
-		return out
-	}
-	for _, ns := range []int{2, 3, 4} {
-		quant := images(13*4096, 4096, 4096, ns) // quantize: elements, 4096 per block
-		cols := images(13*72, 18, 72, ns)        // im2col: (image, tap) items
-		rows := images(13*256, 64, 256, ns)      // forward rows
-		for w := range quant {
-			if quant[w] != cols[w] || quant[w] != rows[w] {
-				t.Fatalf("ns %d share %d: images %v / %v / %v differ across passes", ns, w, quant[w], cols[w], rows[w])
-			}
-		}
-	}
-	// One image, two shares: block boundaries, as without a unit.
-	j.chunk = 64
-	j.split(256, 4, 256, 2)
-	if j.shares[0].hi != 128 || j.shares[1].lo != 128 {
-		t.Fatalf("single image split at %d/%d, want the block boundary 128", j.shares[0].hi, j.shares[1].lo)
 	}
 }
 
@@ -478,7 +434,7 @@ func TestWarmWindowStopsPolling(t *testing.T) {
 	stopped(before)
 }
 
-// runFn is run for a plain closure body without image alignment.
+// runFn is run for a plain closure body.
 func (p *workerPool) runFn(n, chunk int, fn func(lo, hi int)) {
-	p.run(n, chunk, 1, funcRunner(fn))
+	p.run(n, chunk, funcRunner(fn))
 }
