@@ -91,10 +91,12 @@ var wide = shape{rows: 1024, outC: 32, k: 144}
 // gradSink keeps the gradient rows' results live.
 var gradSink float64
 
-// pw and px are the GEMM rows' weight and activation quantizers.
+// pw and px are the GEMM rows' weight and activation quantizers; pws is
+// pw as the one-element slice ForwardGEMM and BackwardGEMM take.
 var (
-	pw = []quant.Params{quant.Calibrate(-1, 1, 7)}
-	px = quant.Calibrate(0, 2, 7)
+	pw  = quant.Calibrate(-1, 1, 7)
+	pws = []quant.Params{pw}
+	px  = quant.Calibrate(0, 2, 7)
 )
 
 // narrow lists the row-heavy early-layer GEMMs of the benchmark's
@@ -293,14 +295,14 @@ func one(name string, build func() func(b *testing.B)) group {
 func fwd(s *nn.KernelScratch, name string, fop *nn.Op, o *operands) bench {
 	bias := make([]float32, o.outC)
 	return bench{name: name, path: fop.ForwardPath(o.rows, o.outC, o.k), fn: loop(func() {
-		fop.ForwardGEMM(s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pw, px, bias)
+		fop.ForwardGEMM(s, o.dst, o.xq, o.wq, o.rows, o.outC, o.k, pws, px, bias)
 	})}
 }
 
 // bwd is the row timing bop's backward GEMM on o in scratch s.
 func bwd(s *nn.KernelScratch, name string, bop *nn.Op, o *operands) bench {
 	return bench{name: name, path: bop.BackwardPath(o.dy), fn: loop(func() {
-		bop.BackwardGEMM(s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pw, px)
+		bop.BackwardGEMM(s, o.dw, o.dx, o.gsum, o.dy, o.xq, o.wq, o.xClip, o.wClip, o.rows, o.outC, o.k, pws, px)
 	})}
 }
 

@@ -261,7 +261,10 @@ func modelNames(m map[string]bool) []string {
 
 // register decodes a registration payload and installs the worker into
 // the catalog and the ring. Conflicting model metadata (same name,
-// different shape) is a registration error.
+// different shape) and a name the payload lists twice are registration
+// errors. A payload is checked whole before anything is installed: wire
+// never reports the death of a peer whose Joined failed, so nothing
+// would remove a rejected worker's hosts.
 func (r *Router) register(w *fworker, payload []byte) error {
 	d := wire.Dec{B: payload}
 	n := int(d.U32())
@@ -287,15 +290,23 @@ func (r *Router) register(w *fworker, payload []byte) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	seen := make(map[string]bool, len(regs))
+	for _, g := range regs {
+		if seen[g.name] {
+			return fmt.Errorf("fleet: model %q registered twice", g.name)
+		}
+		seen[g.name] = true
+		if ent, ok := r.catalog[g.name]; ok && (ent.imageLen != g.imgLen || ent.classes != g.classes ||
+			ent.quantLo != g.quantLo || ent.quantHi != g.quantHi) {
+			return fmt.Errorf("fleet: model %q registered with conflicting shape", g.name)
+		}
+	}
 	for _, g := range regs {
 		ent, ok := r.catalog[g.name]
 		if !ok {
 			ent = &modelEntry{kind: g.kind, classes: g.classes, imageLen: g.imgLen,
 				quantLo: g.quantLo, quantHi: g.quantHi, hosts: make(map[int]*fworker)}
 			r.catalog[g.name] = ent
-		} else if ent.imageLen != g.imgLen || ent.classes != g.classes ||
-			ent.quantLo != g.quantLo || ent.quantHi != g.quantHi {
-			return fmt.Errorf("fleet: model %q registered with conflicting shape", g.name)
 		}
 		ent.hosts[w.ID] = w
 		w.models[g.name] = true

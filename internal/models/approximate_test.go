@@ -240,15 +240,14 @@ func TestApproximateKeepsWhatCloneKeeps(t *testing.T) {
 	}
 }
 
-// TestOpSwapAndPerChannelFlipDropWeightSideState: an approximate layer
-// keeps the quantized form of its weights per weight version, and that
-// form also depends on the op (its Bits set the levels, its strip form
-// the kernels' copies of them) and on the quantization scheme. A model
-// that has served under mul7u_rm6/STE, is switched to mul8u_rm8/
-// smoothdiff and then to per-channel quantization — its weights never
-// written — must each time predict, bit for bit, what a freshly built
-// model holding the same weights predicts.
-func TestOpSwapAndPerChannelFlipDropWeightSideState(t *testing.T) {
+// TestOpSwapDropsWeightSideState: an approximate layer keeps the
+// quantized form of its weights per weight version, and that form also
+// depends on the op (its Bits set the levels, its strip form the
+// kernels' copies of them). A model that has served under mul7u_rm6/STE
+// and is switched to mul8u_rm8/smoothdiff — its weights never written —
+// must predict, bit for bit, what a freshly built model holding the same
+// weights predicts.
+func TestOpSwapDropsWeightSideState(t *testing.T) {
 	e7, _ := appmult.Lookup("mul7u_rm6")
 	e8, _ := appmult.Lookup("mul8u_rm8")
 	smooth, err := gradient.ParseEstimator(gradient.EstSmoothDiff)
@@ -281,16 +280,10 @@ func TestOpSwapAndPerChannelFlipDropWeightSideState(t *testing.T) {
 	out := requireFresh("as built", Clone(m), nil)
 
 	op8 := nn.EstimatorOp(e8.Mult, smooth, e8.HWS)
-	convs := func(f func(c *nn.ApproxConv2D)) {
-		nn.VisitLayers(m, func(l nn.Layer) {
-			if c, ok := l.(*nn.ApproxConv2D); ok {
-				f(c)
-			}
-		})
-	}
-	convs(func(c *nn.ApproxConv2D) { c.SetOp(op8) })
-	out = requireFresh("after SetOp", Approximate(m, op8), out)
-
-	convs(func(c *nn.ApproxConv2D) { c.PerChannel = true })
-	requireFresh("after the per-channel flip", Clone(m), out)
+	nn.VisitLayers(m, func(l nn.Layer) {
+		if c, ok := l.(*nn.ApproxConv2D); ok {
+			c.SetOp(op8)
+		}
+	})
+	requireFresh("after SetOp", Approximate(m, op8), out)
 }

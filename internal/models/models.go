@@ -38,17 +38,6 @@ func ApproxConv(op *nn.Op) ConvFactory {
 	}
 }
 
-// ApproxConvPerChannel is ApproxConv with per-output-channel weight
-// quantization enabled on every convolution (the quantization-scheme
-// extension; see nn.ApproxConv2D.PerChannel).
-func ApproxConvPerChannel(op *nn.Op) ConvFactory {
-	return func(name string, inC, outC, k, stride, pad int, rng *rand.Rand) nn.Layer {
-		l := nn.NewApproxConv2D(name, inC, outC, k, stride, pad, op, rng)
-		l.PerChannel = true
-		return l
-	}
-}
-
 // Config selects model scale.
 type Config struct {
 	// Classes is the classifier width (10 for CIFAR-10, 100 for

@@ -12,8 +12,8 @@ import (
 // parameter tensors, scratch buffers, and caches, while preserving the
 // layer's configuration exactly — each approximate layer keeps its own
 // multiplier/gradient Op (unlike Approximate, which rewrites the whole
-// model onto a single op), its observer state, and its PerChannel
-// setting; BatchNorm layers keep their running statistics.
+// model onto a single op) and its observer state; BatchNorm layers keep
+// their running statistics.
 //
 // The clone and the original share only immutable configuration (the
 // Op bundles and their LUTs); all mutable state is copied, so the two
@@ -73,7 +73,6 @@ func rebuild(l nn.Layer, op *nn.Op) nn.Layer {
 		return c
 	case *nn.ApproxConv2D:
 		ac := nn.NewApproxConv2D(t.Name(), t.InC, t.OutC, t.K, t.Stride, t.Pad, pick(t.Op()), rng())
-		ac.PerChannel = t.PerChannel
 		// Carry the activation-range calibration across: dropping it
 		// forces the rebuilt layer to re-observe from scratch and, in
 		// eval-only use, to quantize with a single batch's range.

@@ -45,11 +45,6 @@ type ApproxConv2D struct {
 	K, Stride, Pad int
 	Weight, Bias   *Param
 	Observer       quant.Observer
-	// PerChannel selects per-output-channel weight quantization
-	// (one scale/zero-point per filter) instead of the paper's
-	// per-tensor scheme — the standard accuracy upgrade for quantized
-	// convolutions, supported because Eq. (8) factors per channel.
-	PerChannel bool
 
 	op *Op
 
@@ -137,7 +132,7 @@ func (c *ApproxConv2D) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	c.batch = x.Shape[0]
 	c.trained = withClip
 	c.px = c.Observer.Params(c.op.Bits)
-	c.w.sync(c.name, &c.ks, c.Weight, c.op, c.PerChannel, withClip, c.OutC, g.K())
+	c.w.sync(c.name, &c.ks, c.Weight, c.op, withClip, c.OutC, g.K())
 	c.w.cut(g)
 
 	c.xq = grow(c.xq, len(x.Data))

@@ -8,7 +8,6 @@ import (
 
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/gradient"
-	"github.com/appmult/retrain/internal/quant"
 	"github.com/appmult/retrain/internal/tensor"
 )
 
@@ -23,7 +22,7 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 	n, k := x.Shape[0], g.K()
 	rows := n * g.OutH * g.OutW
 	px := c.px
-	pw := append([]quant.Params(nil), c.w.pw...)
+	pw := c.w.pw
 
 	cols := im2colRows(x, g)
 	xq, xClip := make([]uint8, rows*k), make([]bool, rows*k)
@@ -32,8 +31,7 @@ func convOracle(c *ApproxConv2D, x, dy *tensor.Tensor) (y, dx *tensor.Tensor, dw
 	}
 	wq, wClip := make([]uint8, c.OutC*k), make([]bool, c.OutC*k)
 	for i, v := range c.Weight.Value.Data {
-		p := pwAt(pw, i/k)
-		wq[i], wClip[i] = uint8(p.Quantize(v)), p.Clipped(v)
+		wq[i], wClip[i] = uint8(pw.Quantize(v)), pw.Clipped(v)
 	}
 
 	flat := c.op.ForwardGEMMRef(xq, wq, rows, c.OutC, k, pw, px, c.Bias.Value.Data)
@@ -119,8 +117,8 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 // k-major layer — quantize once per input element, k-major byte im2col,
 // NCHW epilogue, k-major col2im, mask dx after it — to the
 // per-patch-entry row-major formulation bit for bit on y, dx, dW and
-// db, over the geometry, quantization-scheme and estimator table, with
-// inputs that clip on both sides (also on the image border, next to
+// db, over the geometry and estimator table, on initialized weights and
+// on weights with one outlier output channel, with inputs that clip on both sides (also on the image border, next to
 // padding) and with dense and sparse upstream gradients. Every kernel
 // tier is reached through the layer (checked at the end): forward arith
 // (rows >= 32), arith_skinny (rows < 32 <= outC) and packed16; backward
@@ -179,13 +177,22 @@ func TestApproxConvByteFirstMatchesPatchFormulation(t *testing.T) {
 	reached := map[string]bool{}
 	for _, o := range ops {
 		for _, gm := range geoms {
-			for _, perChannel := range []bool{false, true} {
-				name := fmt.Sprintf("%s/n%d_c%d_%dx%d_oc%d_k%d_s%d_p%d/perchannel=%v",
-					o.name, gm.n, gm.inC, gm.h, gm.w, gm.outC, gm.k, gm.stride, gm.pad, perChannel)
+			for _, weights := range []string{"init", "outlier"} {
+				name := fmt.Sprintf("%s/n%d_c%d_%dx%d_oc%d_k%d_s%d_p%d/weights=%s",
+					o.name, gm.n, gm.inC, gm.h, gm.w, gm.outC, gm.k, gm.stride, gm.pad, weights)
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(gm.n*1000 + gm.h*10 + gm.k)))
 					c := NewApproxConv2D("c", gm.inC, gm.outC, gm.k, gm.stride, gm.pad, o.op, rng)
-					c.PerChannel = perChannel
+					if weights == "outlier" {
+						// One output channel 16x wider than the rest sets the
+						// one weight range: the other channels share a few
+						// levels around the zero point.
+						k := gm.inC * gm.k * gm.k
+						for i := range c.Weight.Value.Data[:k] {
+							c.Weight.Value.Data[i] *= 16
+						}
+						c.Weight.Touch()
+					}
 					c.Bias.Value.RandNormal(rng, 0.1)
 
 					// Calibrate on a narrow batch, then step on a wide one: the

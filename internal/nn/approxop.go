@@ -8,7 +8,6 @@ import (
 	"github.com/appmult/retrain/internal/appmult"
 	"github.com/appmult/retrain/internal/gradient"
 	"github.com/appmult/retrain/internal/mulsynth"
-	"github.com/appmult/retrain/internal/quant"
 )
 
 // Op bundles everything the approximate layers need about one
@@ -239,19 +238,4 @@ func (op *Op) product(w, x uint8) int64 {
 		return int64(op.lutPad16[int(w)*padStride+int(x)])
 	}
 	return int64(op.MulFn(uint32(w), uint32(x)))
-}
-
-// pwAt resolves per-tensor (len 1) or per-channel (len outC) weight
-// quantization parameter sets.
-func pwAt(pw []quant.Params, oc int) quant.Params {
-	if len(pw) == 1 {
-		return pw[0]
-	}
-	return pw[oc]
-}
-
-func checkPW(pw []quant.Params, outC int) {
-	if len(pw) != 1 && len(pw) != outC {
-		panic("nn: weight quantization params must be per-tensor or per-channel")
-	}
 }

@@ -57,7 +57,7 @@ func TestApproxGEMMAgainstDirectMath(t *testing.T) {
 		63, 1, 63, 1, 63,
 	}
 	bias := []float32{0.25, -0.5}
-	ref := op.ForwardGEMMRef(xq, wq, rows, outC, k, []quant.Params{pw}, px, bias)
+	ref := op.ForwardGEMMRef(xq, wq, rows, outC, k, pw, px, bias)
 	blocked := make([]float32, rows*outC)
 	xT, _ := kMajor(xq, nil, rows, k)
 	op.ForwardGEMM(nil, blocked, xT, wq, rows, outC, k, []quant.Params{pw}, px, bias)
@@ -211,10 +211,10 @@ func TestExportedGEMMsRunTheLayersContract(t *testing.T) {
 				name := fmt.Sprintf("%s %v sparse=%v", op.Label, sh, sparse)
 				var s KernelScratch
 				got := make([]float32, n*out)
-				op.ForwardGEMM(&s, got, c.xT, c.w.wq, n, out, in, c.w.pw, c.px, l.Bias.Value.Data)
+				op.ForwardGEMM(&s, got, c.xT, c.w.wq, n, out, in, []quant.Params{c.w.pw}, c.px, l.Bias.Value.Data)
 				requireSameBits(t, name+": forward", got, y.Data)
 				dw, dxT, gsum := make([]float32, out*in), make([]float32, in*n), make([]float32, out)
-				op.BackwardGEMM(&s, dw, dxT, gsum, dy.Data, c.xT, c.w.wq, xClipT, c.w.wClip, n, out, in, c.w.pw, c.px)
+				op.BackwardGEMM(&s, dw, dxT, gsum, dy.Data, c.xT, c.w.wq, xClipT, c.w.wClip, n, out, in, []quant.Params{c.w.pw}, c.px)
 				requireSameBits(t, name+": dw", dw, l.Weight.Grad.Data)
 				requireSameBits(t, name+": db", gsum, l.Bias.Grad.Data)
 				requireSameBits(t, name+": dx", rowMajor(dxT, n, in), dx.Data)

@@ -63,8 +63,8 @@ func bwdUniformDWAVX2(out0, out1, out2, out3 *float32, x0, x1, x2, x3 *uint8, dy
 // and dx1 likewise from v1, over r in [0, rows32) in chunks of 32 rows,
 // oc ascending per lane, from +0: a float GEMM, one separately rounded
 // VMULPS and VADDPS per term. A chunk's gradients are loaded once per oc
-// for both columns. gsT holds the pre-scaled gradients dy[r][oc]*s_w[oc]
-// and vj the column's operands fl(fl(A*0) + B) - zw[oc], a column of an
+// for both columns. gsT holds the pre-scaled gradients dy[r][oc]*s_w
+// and vj the column's operands fl(fl(A*0) + B) - zw, a column of an
 // (outC x k) matrix (see bwdDXAffine); rows32 is rows&^31 and the caller
 // evaluates the tail rows in Go. dx entries are stored, not accumulated.
 //
@@ -73,7 +73,7 @@ func bwdConstDXAVX2(dx0, dx1 *float32, gsT *float32, v0, v1 *float32, rows32, ro
 
 // bwdGatherDXAVX2 accumulates, for one k column,
 //
-//	dxrow[r] = sum_{oc<outC} gsT[oc*rows+r] * (gxPad[woffCol[oc] + xcol[r]] - zwCol[oc])
+//	dxrow[r] = sum_{oc<outC} gsT[oc*rows+r] * (gxPad[woffCol[oc] + xcol[r]] - zw)
 //
 // over r in [0, rows32) in chunks of 32 rows, oc ascending per lane, the
 // table entry fetched by VGATHERDPS — four independent gathers per oc
@@ -83,4 +83,4 @@ func bwdConstDXAVX2(dx0, dx1 *float32, gsT *float32, v0, v1 *float32, rows32, ro
 // not accumulated.
 //
 //go:noescape
-func bwdGatherDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, woffCol *int32, gxPad *float32, zwCol *float32, rows32, rows, outC int64)
+func bwdGatherDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, woffCol *int32, gxPad *float32, zw float32, rows32, rows, outC int64)

@@ -398,23 +398,23 @@ cdxdone:
 	VZEROUPPER
 	RET
 
-// func bwdGatherDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, woffCol *int32, gxPad *float32, zwCol *float32, rows32, rows, outC int64)
+// func bwdGatherDXAVX2(dxrow *float32, xcol *uint8, gsT *float32, woffCol *int32, gxPad *float32, zw float32, rows32, rows, outC int64)
 //
 //   DI = dxrow  SI = xcol  R8 = gsT  R9 = woffCol  R10 = gxPad
-//   R11 = zwCol  R12 = rows32  R13 = rows  R14 = outC
+//   R12 = rows32  R13 = rows  R14 = outC
 //   BX = rb  CX = oc  AX = gsT row cursor
 //   R15 = gradient-row base (gxPad + woffCol[oc])
 //   Y0..Y3 = accumulators  Y4..Y7 = gathered values
 //   Y9..Y12 = xcol[rb..rb+31] widened to the gather indices, once per chunk
 //   Y8,Y13,Y14,Y15 = gather masks; a gather leaves its mask dead, so
-//   Y8 then carries this channel's zw (sixteen registers, seventeen roles)
+//   Y8 then carries zw, broadcast again per channel (sixteen registers,
+//   seventeen roles)
 TEXT ·bwdGatherDXAVX2(SB), NOSPLIT, $0-72
 	MOVQ dxrow+0(FP), DI
 	MOVQ xcol+8(FP), SI
 	MOVQ gsT+16(FP), R8
 	MOVQ woffCol+24(FP), R9
 	MOVQ gxPad+32(FP), R10
-	MOVQ zwCol+40(FP), R11
 	MOVQ rows32+48(FP), R12
 	MOVQ rows+56(FP), R13
 	MOVQ outC+64(FP), R14
@@ -460,7 +460,7 @@ gdxoc:
 	VGATHERDPS   Y13, (R15)(Y10*4), Y5
 	VGATHERDPS   Y14, (R15)(Y11*4), Y6
 	VGATHERDPS   Y15, (R15)(Y12*4), Y7
-	VBROADCASTSS (R11)(CX*4), Y8
+	VBROADCASTSS zw+40(FP), Y8
 	VSUBPS       Y8, Y4, Y4
 	VSUBPS       Y8, Y5, Y5
 	VSUBPS       Y8, Y6, Y6

@@ -14,9 +14,8 @@ import (
 // inferModel builds a model exercising every Inferer implementation:
 // approximate and float convolutions, batch norm, ReLU, max pooling, a
 // residual block, global average pooling, and both linear layers.
-func inferModel(op *Op, perChannel bool, rng *rand.Rand) *Sequential {
+func inferModel(op *Op, rng *rand.Rand) *Sequential {
 	c1 := NewApproxConv2D("conv1", 3, 8, 3, 1, 1, op, rng)
-	c1.PerChannel = perChannel
 	res := NewResidual("res", NewSequential("res.main",
 		NewApproxConv2D("res.conv", 8, 8, 3, 1, 1, op, rng),
 		NewBatchNorm2D("res.bn", 8),
@@ -56,19 +55,23 @@ func trainSteps(m *Sequential, rng *rand.Rand, steps int) {
 
 // TestPredictMatchesForward is the inference-path contract: Predict
 // must produce bit-identical outputs to Forward(x, false) on the same
-// weights and input.
+// weights and input, with an accurate multiplier (the arith forward
+// rows where AVX2 has them) and a LUT one (packed16).
 func TestPredictMatchesForward(t *testing.T) {
-	op := STEOp(appmult.NewAccurate(7))
+	e, ok := appmult.Lookup("mul7u_rm6")
+	if !ok {
+		t.Fatal("mul7u_rm6 missing")
+	}
 	for _, tc := range []struct {
-		name       string
-		perChannel bool
+		name string
+		op   *Op
 	}{
-		{"per-tensor", false},
-		{"per-channel", true},
+		{"accurate7", STEOp(appmult.NewAccurate(7))},
+		{"mul7u_rm6", STEOp(e.Mult)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			m := inferModel(op, tc.perChannel, rng)
+			m := inferModel(tc.op, rng)
 			trainSteps(m, rng, 3)
 
 			for trial := 0; trial < 3; trial++ {
@@ -93,14 +96,11 @@ func TestPredictMatchesForward(t *testing.T) {
 	}
 }
 
-// TestPredictFreshModel covers the unseen-observer path: a model that
-// has never trained must still agree with Forward(x, false), which
-// calibrates from the first batch in both paths.
 func TestPredictFreshModel(t *testing.T) {
 	op := STEOp(appmult.NewAccurate(6))
 	rng := rand.New(rand.NewSource(3))
-	mF := inferModel(op, false, rand.New(rand.NewSource(7)))
-	mP := inferModel(op, false, rand.New(rand.NewSource(7)))
+	mF := inferModel(op, rand.New(rand.NewSource(7)))
+	mP := inferModel(op, rand.New(rand.NewSource(7)))
 	x := tensor.New(2, 3, 8, 8)
 	x.RandNormal(rng, 1)
 	// Separate identically initialized models: the first call observes
@@ -154,10 +154,10 @@ func TestPredictSkipsBackwardScratch(t *testing.T) {
 	op := STEOp(appmult.NewAccurate(7))
 	x := tensor.New(4, 3, 8, 8)
 	x.RandNormal(rand.New(rand.NewSource(5)), 1)
-	mF := inferModel(op, false, rand.New(rand.NewSource(5)))
-	mP := inferModel(op, false, rand.New(rand.NewSource(5)))
+	mF := inferModel(op, rand.New(rand.NewSource(5)))
+	mP := inferModel(op, rand.New(rand.NewSource(5)))
 	mF.Forward(x, false) // builds the op's shared tables outside the measurement
-	mF = inferModel(op, false, rand.New(rand.NewSource(5)))
+	mF = inferModel(op, rand.New(rand.NewSource(5)))
 
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats

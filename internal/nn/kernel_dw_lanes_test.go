@@ -189,12 +189,9 @@ func TestDXChunkKernelsMatchGoLoops(t *testing.T) {
 			for i := range wq {
 				wq[i] = uint8(rng.Intn(128))
 			}
-			s := &KernelScratch{gsT: make([]float32, outC*rows), zwc: make([]float32, outC)}
+			s := &KernelScratch{gsT: make([]float32, outC*rows), zwf: float32(rng.Intn(128))}
 			for i := range s.gsT {
 				s.gsT[i] = float32(rng.NormFloat64())
-			}
-			for i := range s.zwc {
-				s.zwc[i] = float32(rng.Intn(128))
 			}
 			sweep := func(tier *bwdSweep, op *Op, asm bool) []float32 {
 				hasGemmAsm = asm

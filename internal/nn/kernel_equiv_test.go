@@ -26,7 +26,6 @@ type equivCase struct {
 	name           string
 	op             *Op
 	rows, outC, k  int
-	perChannel     bool
 	wantInt64Accum bool
 	// wantArith/wantAffine: automatic dispatch must take the case to one
 	// of the arith forward rows (packed16 without AVX2) / the op must
@@ -138,10 +137,10 @@ func equivCases(t *testing.T) []equivCase {
 		{name: "accurate2/tiny", op: STEOp(appmult.NewAccurate(2)), rows: 3, outC: 2, k: 5},
 		{name: "accurate4/odd", op: STEOp(appmult.NewAccurate(4)), rows: 13, outC: 5, k: 17},
 		{name: "mul6u_rm4/odd", op: DifferenceOp(lookupMult(t, "mul6u_rm4"), 2), rows: 67, outC: 5, k: 37},
-		{name: "mul6u_rm4/perchannel", op: DifferenceOp(lookupMult(t, "mul6u_rm4"), 2), rows: 65, outC: 7, k: 144, perChannel: true},
+		{name: "mul6u_rm4/rows65", op: DifferenceOp(lookupMult(t, "mul6u_rm4"), 2), rows: 65, outC: 7, k: 144},
 		{name: "mul7u_rm6/tile+1", op: DifferenceOp(lookupMult(t, "mul7u_rm6"), 6), rows: 65, outC: 3, k: 257},
 		{name: "mul8u_1DMU/ktile-cross", op: STEOp(lookupMult(t, "mul8u_1DMU")), rows: 30, outC: 4, k: 259},
-		{name: "accurate8/perchannel", op: STEOp(appmult.NewAccurate(8)), rows: 129, outC: 6, k: 65, perChannel: true},
+		{name: "accurate8/rows129", op: STEOp(appmult.NewAccurate(8)), rows: 129, outC: 6, k: 65},
 		{name: "big4/int64-accum", op: big, rows: 13, outC: 3, k: 32800, wantInt64Accum: true},
 		{name: "mul7u_rm6/behavioral", op: BehavioralOp(lookupMult(t, "mul7u_rm6"), gradient.STE(7)), rows: 50, outC: 4, k: 70},
 	}
@@ -358,20 +357,6 @@ func rowMajor(dxT []float32, rows, k int) []float32 {
 	return dx
 }
 
-func quantParams(rng *rand.Rand, c equivCase) (pw []quant.Params, px quant.Params) {
-	px = quant.Calibrate(-0.5, 1.5, c.op.Bits)
-	if !c.perChannel {
-		return []quant.Params{quant.Calibrate(-1, 1, c.op.Bits)}, px
-	}
-	pw = make([]quant.Params, c.outC)
-	for oc := range pw {
-		lo := -1 - float32(rng.Float64())
-		hi := 0.5 + float32(rng.Float64())
-		pw[oc] = quant.Calibrate(lo, hi, c.op.Bits)
-	}
-	return pw, px
-}
-
 // pinName names a pin in a subtest path.
 func pinName(pin string) string {
 	if pin == "" {
@@ -400,7 +385,7 @@ func TestTierEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(ci)))
 		xq, wq, xClip, wClip, dense := randOperands(rng, c)
 		xT, xClipT := kMajor(xq, xClip, c.rows, c.k)
-		pw, px := quantParams(rng, c)
+		pw, px := quant.Calibrate(-1, 1, c.op.Bits), quant.Calibrate(-0.5, 1.5, c.op.Bits)
 		bias := make([]float32, c.outC)
 		for i := range bias {
 			bias[i] = float32(rng.NormFloat64())
@@ -426,7 +411,7 @@ func TestTierEquivalence(t *testing.T) {
 			dxT := make([]float32, c.k*c.rows)
 			gsum := make([]float32, c.outC)
 			for pass := 0; pass < 2; pass++ {
-				op.BackwardGEMM(s, dw, dxT, gsum, dy, xT, wq, xClipT, wClip, c.rows, c.outC, c.k, pw, px)
+				op.BackwardGEMM(s, dw, dxT, gsum, dy, xT, wq, xClipT, wClip, c.rows, c.outC, c.k, []quant.Params{pw}, px)
 				requireSameBits(t, fmt.Sprintf("pass %d: dw", pass), dw, refDW)
 				requireSameBits(t, fmt.Sprintf("pass %d: dx", pass), rowMajor(dxT, c.rows, c.k), refDX)
 				requireSameBits(t, fmt.Sprintf("pass %d: gsum", pass), gsum, wantSum)
@@ -462,7 +447,7 @@ func TestTierEquivalence(t *testing.T) {
 				var s KernelScratch
 				got := make([]float32, c.rows*c.outC)
 				for pass := 0; pass < 2; pass++ {
-					op.ForwardGEMM(&s, got, xT, wq, c.rows, c.outC, c.k, pw, px, bias)
+					op.ForwardGEMM(&s, got, xT, wq, c.rows, c.outC, c.k, []quant.Params{pw}, px, bias)
 					requireSameBits(t, fmt.Sprintf("pass %d: forward", pass), got, ref.Data)
 				}
 				backward(t, op, &s, dense)
@@ -518,6 +503,40 @@ func TestOversizedProductPanics(t *testing.T) {
 	for _, want := range []string{"oversized", "LUT[43]", "w=2", "x=11", "65536"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("first kernel use panicked with %q, which does not name %s", msg, want)
+		}
+	}
+}
+
+// TestApproxGEMMRejectsBadParamArity: ForwardGEMM and BackwardGEMM take
+// pw as a one-element slice, the one per-tensor weight quantization; no
+// params, or one per output channel, panics.
+func TestApproxGEMMRejectsBadParamArity(t *testing.T) {
+	op := STEOp(lookupMult(t, "mul6u_rm4"))
+	px := quant.Calibrate(0, 1, 6)
+	rows, outC, k := 2, 2, 2
+	for _, pw := range [][]quant.Params{nil, {px, px}} {
+		for _, gemm := range []struct {
+			name string
+			run  func()
+		}{
+			{"ForwardGEMM", func() {
+				op.ForwardGEMM(nil, make([]float32, rows*outC), make([]uint8, k*rows), make([]uint8, outC*k),
+					rows, outC, k, pw, px, make([]float32, outC))
+			}},
+			{"BackwardGEMM", func() {
+				op.BackwardGEMM(nil, make([]float32, outC*k), make([]float32, k*rows), make([]float32, outC),
+					make([]float32, rows*outC), make([]uint8, k*rows), make([]uint8, outC*k), nil, make([]bool, outC*k),
+					rows, outC, k, pw, px)
+			}},
+		} {
+			msg := func() (msg any) {
+				defer func() { msg = recover() }()
+				gemm.run()
+				return nil
+			}()
+			if s, _ := msg.(string); !strings.Contains(s, "one per-tensor weight quantization") {
+				t.Errorf("%s with %d weight params: panic %v, want the arity panic", gemm.name, len(pw), msg)
+			}
 		}
 	}
 }

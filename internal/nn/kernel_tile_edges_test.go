@@ -35,7 +35,7 @@ func fwdOracle(c *ApproxConv2D, x *tensor.Tensor) *tensor.Tensor {
 	}
 	wq := make([]uint8, c.OutC*k)
 	for i, v := range c.Weight.Value.Data {
-		wq[i] = uint8(pwAt(c.w.pw, i/k).Quantize(v))
+		wq[i] = uint8(c.w.pw.Quantize(v))
 	}
 	flat := c.op.ForwardGEMMRef(xq, wq, rows, c.OutC, k, c.w.pw, c.px, c.Bias.Value.Data)
 	y := tensor.New(n, g.OutC, g.OutH, g.OutW)

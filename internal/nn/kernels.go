@@ -60,20 +60,20 @@ const (
 // every subsequent step, so the kernels allocate nothing in steady
 // state. The zero value is ready to use.
 type KernelScratch struct {
-	// Forward: per-channel dequantization constants of Eq. (8) (its level
-	// sums live with the weights, in weightSide, and with the rows, in the
-	// worker's fwdTile); kzz also carries the dead columns' share.
-	zw  []int64
-	ss  []float32
+	// Forward: the dequantization constants of Eq. (8) — the weight zero
+	// point, the product of the two scales and, per channel, kzz, which
+	// also carries the dead columns' share (its level sums live with the
+	// weights, in weightSide, and with the rows, in the worker's fwdTile).
+	zw  int64
+	ss  float32
 	kzz []int64
 	// tiles are the forward tiles forwardT holds while its row blocks
 	// run, one per goroutine that can run a block at once (see fwdTiles).
 	tiles []*fwdTile
-	// Backward: per-channel scales.
-	swc []float32
-	zwc []float32
+	// Backward: the weight scale and zero point.
+	sw, zwf float32
 	// Backward big tiers (kernels_backward.go): one scan of dy produces
-	// gsT[oc][r] = dy[r][oc]*s_w[oc], the pre-scaled gradients of the dX
+	// gsT[oc][r] = dy[r][oc]*s_w, the pre-scaled gradients of the dX
 	// sweep, and dyR, dy as a row-major (rows x outC) matrix, whose rows
 	// the dW sweep loads as vectors. dwT (k x outC) receives the dW
 	// sweep's lanes; woff is the fused row's k-major (k x outC) table of
@@ -198,15 +198,19 @@ func (s *KernelScratch) releaseTiles() {
 // receives the (rows x outC) result — forwardT at hw = 1. s may be nil
 // for one-off calls (a temporary arena is then used). No layer calls
 // it; it stays for the callers that time the GEMM alone,
-// bench/retrain.go's kernelMetrics and cmd/benchkernels.
+// bench/retrain.go's kernelMetrics and cmd/benchkernels. pw holds the
+// one per-tensor weight quantization; any other length panics.
 func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xT, wq []uint8, rows, outC, k int, pw []quant.Params, px quant.Params, bias []float32) {
 	if len(dst) != rows*outC || len(xT) != k*rows {
 		panic("nn: ForwardGEMM operand or destination has wrong size")
 	}
+	if len(pw) != 1 {
+		panic("nn: ForwardGEMM takes one per-tensor weight quantization")
+	}
 	if s == nil {
 		s = &KernelScratch{}
 	}
-	s.w.adopt(wq, nil, pw, outC, k)
+	s.w.adopt(wq, nil, pw[0], outC, k)
 	s.w.sumLevels(s)
 	op.forwardT(s, dst, xT, &s.w, rows, 1, px, bias)
 }
@@ -221,22 +225,18 @@ func (op *Op) ForwardGEMM(s *KernelScratch, dst []float32, xT, wq []uint8, rows,
 // share of the row's level sum (n_dead*zx) is too; both are exact
 // integers and join the epilogue's int64 constant.
 func (op *Op) forwardT(s *KernelScratch, y []float32, xT []uint8, w *weightSide, rows, hw int, px quant.Params, bias []float32) {
-	outC, kl, pw := w.outC, w.kl, w.pw
-	checkPW(pw, outC)
+	outC, kl := w.outC, w.kl
 	op.ensurePadded()
 
 	zx := int64(px.Zero)
 	d := w.deadSums(s, op, px.Zero)
-	s.zw = grow(s.zw, outC)
-	s.ss = grow(s.ss, outC)
+	s.zw = int64(w.pw.Zero)
+	s.ss = w.pw.Scale * px.Scale
 	s.kzz = grow(s.kzz, outC)
 	for oc := 0; oc < outC; oc++ {
-		p := pwAt(pw, oc)
-		s.zw[oc] = int64(p.Zero)
-		s.ss[oc] = p.Scale * px.Scale
 		// Eq. (8)'s k*zw*zx less zw*(n_dead*zx), the dead columns' share
 		// of the row level sums, which the tiles never see.
-		s.kzz[oc] = int64(kl) * s.zw[oc] * zx
+		s.kzz[oc] = int64(kl) * s.zw * zx
 		if d != nil {
 			s.kzz[oc] += d[oc]
 		}
@@ -407,11 +407,12 @@ func putLeU64(b []uint8, v uint64) {
 // LUT tiers, whose table entries already include comp).
 func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR, ld int, addConst int64) {
 	s, hw := t.s, t.hw
+	zw, ss := s.zw, s.ss
 	for oc := 0; oc < t.outC; oc++ {
 		accRow := acc[oc*ld : oc*ld+nR]
 		sx := sumX[:len(accRow)]
 		c0 := addConst - t.zx*t.w.sumW[oc] + s.kzz[oc]
-		zw, ss, b := s.zw[oc], s.ss[oc], t.bias[oc]
+		b := t.bias[oc]
 		// j walks channel oc's plane of each image in turn, from
 		// position lo%hw of image lo/hw: to the end of the plane, then on
 		// to the next image's.
@@ -435,12 +436,16 @@ func fwdEpilogue[T int32 | int64](t *fwdTileRun, acc []T, sumX []int64, lo, nR, 
 // column sums of the (rows x outC) dy into gsum (outC) — the bias
 // gradient, folded into the kernels' one scan of dy. s may be nil for
 // one-off calls. Like ForwardGEMM it is kept for bench/retrain.go's
-// kernelMetrics and cmd/benchkernels; no layer calls it.
+// kernelMetrics and cmd/benchkernels, and takes pw the same way; no
+// layer calls it.
 func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq []uint8, xClip, wClip []bool,
 	rows, outC, k int, pw []quant.Params, px quant.Params) {
 
 	if len(dw) != outC*k || len(dxT) != k*rows || len(gsum) != outC || len(xT) != k*rows {
 		panic("nn: BackwardGEMM operand or destination has wrong size")
+	}
+	if len(pw) != 1 {
+		panic("nn: BackwardGEMM takes one per-tensor weight quantization")
 	}
 	if s == nil {
 		s = &KernelScratch{}
@@ -454,7 +459,7 @@ func (op *Op) BackwardGEMM(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq
 	for i := range gsum {
 		gsum[i] = negZero
 	}
-	s.w.adopt(wq, wClip, pw, outC, k)
+	s.w.adopt(wq, wClip, pw[0], outC, k)
 	s.grads.whole(rows, dw, gsum)
 	op.backwardT(s, dxT, dy, 1, xT, &s.w, rows, px)
 	if xClip != nil {

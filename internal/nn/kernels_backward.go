@@ -67,7 +67,7 @@ func (op *Op) backwardT(s *KernelScratch, dxT, dy []float32, hw int, xT []uint8,
 	rows int, px quant.Params) {
 
 	op.ensurePadded()
-	s.weightParams(w.pw, w.outC)
+	s.sw, s.zwf = w.pw.Scale, float32(w.pw.Zero)
 	zx := float32(px.Zero)
 
 	dwTier, dxTier, nnz, _, count := op.backwardTiers(dy)
@@ -98,20 +98,6 @@ func (op *Op) backwardSmall(s *KernelScratch, dxT, dy []float32, hw int, xT []ui
 	s.nz.build(s.grads.db, dy, s.grads.cuts, w.outC, hw, nnz)
 	s.smallRun = bwdSmallRun{op: op, s: s, dxT: dxT, xT: xT, w: w, rows: rows, zx: zx, scale: scale}
 	tensor.ParallelRowsOn(w.kl, &s.smallRun)
-}
-
-// weightParams spreads the per-tensor or per-channel weight
-// quantization parameters into the per-channel scale and zero-point
-// rows the backward kernels read.
-func (s *KernelScratch) weightParams(pw []quant.Params, outC int) {
-	checkPW(pw, outC)
-	s.swc = grow(s.swc, outC)
-	s.zwc = grow(s.zwc, outC)
-	for oc := 0; oc < outC; oc++ {
-		p := pwAt(pw, oc)
-		s.swc[oc] = p.Scale
-		s.zwc[oc] = float32(p.Zero)
-	}
 }
 
 // scanGrad is the sweep rows' two scans of dy: per channel for the
@@ -169,10 +155,10 @@ const dwLanes = 8
 // A benchmark-harness hook like Pinned: cmd/benchkernels times each
 // sweep's kernels alone with it; no layer calls it.
 func (op *Op) BackwardSweep(s *KernelScratch, dw, dxT, gsum, dy []float32, xT, wq []uint8, wClip []bool,
-	rows, outC, k int, pw []quant.Params, px quant.Params) {
+	rows, outC, k int, pw, px quant.Params) {
 
 	op.ensurePadded()
-	s.weightParams(pw, outC)
+	s.sw, s.zwf = pw.Scale, float32(pw.Zero)
 	s.grads.whole(rows, dw, gsum)
 	if dy != nil {
 		s.scanGrad(dy, 1, rows, outC)
@@ -420,15 +406,16 @@ func bwdGatherDWLanes(out []float32, xcol []uint8, dyR []float32, woff []int32, 
 
 // bwdDXAffine computes the input gradients for k columns [lo, hi) on
 // the affine row: dxT[i][r] accumulates, over ascending oc,
-// gsT[oc][r] * V[oc][i] with V = fl(fl(A*0) + B) - zw[oc] and (A, B)
+// gsT[oc][r] * V[oc][i] with V = fl(fl(A*0) + B) - zw and (A, B)
 // the DX coefficients for weight level wq[oc][i] — the table entry at
 // every x, as A is ±0 (constantRows). The block first fills its columns
 // of the operands s.dxV (outC x k, wq's layout), then full 32-row chunks
 // run in asm, two columns per call (an odd block repeats its last
 // column); tail rows use the identical Go expression.
 func (op *Op) bwdDXAffine(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
+	zw := s.zwf
 	for oc := 0; oc < outC; oc++ {
-		zw, v := s.zwc[oc], s.dxV[oc*k+lo:oc*k+hi]
+		v := s.dxV[oc*k+lo : oc*k+hi]
 		for j, w := range wq[oc*k+lo : oc*k+hi][:len(v)] {
 			af := op.dxAff[w]
 			v[j] = float32(float32(af.A*0)+af.B) - zw
@@ -468,7 +455,7 @@ func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 		return
 	}
 	rows32 := rows &^ 31
-	gxPad := op.gxPad
+	gxPad, zw := op.gxPad, s.zwf
 	for i := lo; i < hi; i++ {
 		woff := s.woff[i*outC : (i+1)*outC]
 		for oc := 0; oc < outC; oc++ {
@@ -477,7 +464,7 @@ func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 		xcol := xT[i*rows : (i+1)*rows]
 		dxr := dxT[i*rows : (i+1)*rows]
 		if rows32 > 0 {
-			bwdGatherDXAVX2(&dxr[0], &xcol[0], &s.gsT[0], &woff[0], &gxPad[0], &s.zwc[0],
+			bwdGatherDXAVX2(&dxr[0], &xcol[0], &s.gsT[0], &woff[0], &gxPad[0], zw,
 				int64(rows32), int64(rows), int64(outC))
 		}
 		for r := rows32; r < rows; r++ {
@@ -487,7 +474,7 @@ func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 				if gs == 0 {
 					continue
 				}
-				acc += float32(gs * (gxPad[int(woff[oc])+int(xcol[r])] - s.zwc[oc]))
+				acc += float32(gs * (gxPad[int(woff[oc])+int(xcol[r])] - zw))
 			}
 			dxr[r] = acc
 		}
@@ -499,7 +486,7 @@ func (op *Op) bwdDXGather(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, h
 // of rescaling dy per use (identical bits: gsT holds the same g*s_w
 // products, and skipped ±0 entries contribute bit-neutral terms).
 func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi, rows, outC, k int) {
-	gxPad := op.gxPad
+	gxPad, zw := op.gxPad, s.zwf
 	i := lo
 	for ; i+1 < hi; i += 2 {
 		x0 := xT[i*rows : i*rows+rows]
@@ -516,7 +503,6 @@ func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi
 			gx0 := gxPad[int(wq[oc*k+i])*padStride : int(wq[oc*k+i])*padStride+padStride]
 			gx1 := gxPad[int(wq[oc*k+i+1])*padStride : int(wq[oc*k+i+1])*padStride+padStride]
 			gsc := s.gsT[oc*rows : (oc+1)*rows]
-			zw := s.zwc[oc]
 			d0v := d0[:len(gsc)]
 			d1v := d1[:len(gsc)]
 			x0v := x0[:len(gsc)]
@@ -540,7 +526,6 @@ func (op *Op) bwdDXPairs(s *KernelScratch, dxT []float32, xT, wq []uint8, lo, hi
 			wv := wq[oc*k+i]
 			gx := gxPad[int(wv)*padStride : int(wv)*padStride+padStride]
 			gsc := s.gsT[oc*rows : (oc+1)*rows]
-			zw := s.zwc[oc]
 			dxv := dxr[:len(gsc)]
 			xv := xrow[:len(gsc)]
 			for r, gs := range gsc {

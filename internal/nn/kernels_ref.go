@@ -14,23 +14,15 @@ import (
 
 // ForwardGEMMRef computes flat[r][oc] = DQ(sum_k AM(wq[oc][k],
 // xq[r][k])) per Eq. (8), plus bias. xq is rows x K, wq is outC x K,
-// both row-major uint8 level indices. pw holds either one per-tensor
-// weight quantization or one entry per output channel (the per-channel
-// extension; Eq. (8) then uses s_w[oc] and Z_w[oc]).
-func (op *Op) ForwardGEMMRef(xq, wq []uint8, rows, outC, k int, pw []quant.Params, px quant.Params, bias []float32) *tensor.Tensor {
-	checkPW(pw, outC)
+// both row-major uint8 level indices, quantized with the per-tensor
+// parameters pw and px.
+func (op *Op) ForwardGEMMRef(xq, wq []uint8, rows, outC, k int, pw, px quant.Params, bias []float32) *tensor.Tensor {
 	kernelForwardRef.Inc()
 	out := tensor.New(rows, outC)
 	zx := int64(px.Zero)
-	zw := make([]int64, outC)
-	ss := make([]float32, outC)
-	kzz := make([]int64, outC)
-	for oc := 0; oc < outC; oc++ {
-		p := pwAt(pw, oc)
-		zw[oc] = int64(p.Zero)
-		ss[oc] = p.Scale * px.Scale
-		kzz[oc] = int64(k) * zw[oc] * zx
-	}
+	zw := int64(pw.Zero)
+	ss := pw.Scale * px.Scale
+	kzz := int64(k) * zw * zx
 
 	// Per-column and per-row level sums for the Eq. (8) cross terms.
 	sumW := make([]int64, outC)
@@ -72,8 +64,8 @@ func (op *Op) ForwardGEMMRef(xq, wq []uint8, rows, outC, k int, pw []quant.Param
 						sy += int64(mulFn(uint32(wr[i]), uint32(xv)))
 					}
 				}
-				acc := sy - zx*sumW[oc] - zw[oc]*sumX[r] + kzz[oc]
-				or[oc] = float32(ss[oc]*float32(acc)) + bias[oc]
+				acc := sy - zx*sumW[oc] - zw*sumX[r] + kzz
+				or[oc] = float32(ss*float32(acc)) + bias[oc]
 			}
 		}
 	})
@@ -89,20 +81,12 @@ func (op *Op) ForwardGEMMRef(xq, wq []uint8, rows, outC, k int, pw []quant.Param
 // gradient (straight-through clamping); a nil xClip leaves dxcols
 // unmasked for a caller that masks itself. dy is rows x outC row-major.
 func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
-	rows, outC, k int, pw []quant.Params, px quant.Params) (dw, dxcols []float32) {
+	rows, outC, k int, pw, px quant.Params) (dw, dxcols []float32) {
 
-	checkPW(pw, outC)
 	kernelBackwardRef.Inc()
 	dw = make([]float32, outC*k)
 	dxcols = make([]float32, rows*k)
-	zx := float32(px.Zero)
-	swc := make([]float32, outC)
-	zwc := make([]float32, outC)
-	for oc := 0; oc < outC; oc++ {
-		p := pwAt(pw, oc)
-		swc[oc] = p.Scale
-		zwc[oc] = float32(p.Zero)
-	}
+	zx, zw := float32(px.Zero), float32(pw.Zero)
 	bits := uint(op.Bits)
 	gw, gx := op.Grads.DW, op.Grads.DX
 
@@ -132,8 +116,7 @@ func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
 		}
 	})
 
-	// Input gradients: independent per row. Per-channel weight scales
-	// must multiply inside the channel loop.
+	// Input gradients: independent per row.
 	tensor.ParallelRows(rows, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			xr := xq[r*k : (r+1)*k]
@@ -143,8 +126,7 @@ func (op *Op) BackwardGEMMRef(dy []float32, xq, wq []uint8, xClip, wClip []bool,
 				if g == 0 {
 					continue
 				}
-				gs := g * swc[oc]
-				zw := zwc[oc]
+				gs := g * pw.Scale
 				wr := wq[oc*k : (oc+1)*k]
 				for i, xv := range xr {
 					idx := int(wr[i])<<bits | int(xv)

@@ -138,7 +138,7 @@ func (t *transU8Run) RunRange(lo, hi int) {
 // bwdGradRun is the big tiers' per-channel scan of the upstream
 // gradient, a block of output channels per work item: each slice's
 // column sum over ascending r added into its db[oc] (s.grads, the bias
-// gradient) and the pre-scaled row gsT[oc][r] = dy[r][oc]*s_w[oc] of
+// gradient) and the pre-scaled row gsT[oc][r] = dy[r][oc]*s_w of
 // the dX sweep. dy is NCHW planes of hw positions (see backwardT).
 type bwdGradRun struct {
 	s              *KernelScratch
@@ -147,10 +147,9 @@ type bwdGradRun struct {
 }
 
 func (t *bwdGradRun) RunRange(lo, hi int) {
-	s, cuts := t.s, t.s.grads.cuts
+	s, cuts, sw := t.s, t.s.grads.cuts, t.s.sw
 	for oc := lo; oc < hi; oc++ {
 		gp := s.gsT[oc*t.rows : (oc+1)*t.rows]
-		sw := s.swc[oc]
 		// j walks channel oc's plane of each image in turn: hw
 		// positions, then on to the next image's.
 		j, p := oc*t.hw, 0
@@ -265,11 +264,11 @@ type bwdSmallRun struct {
 func (t *bwdSmallRun) RunRange(lo, hi int) {
 	s, w, rows, k := t.s, t.w, t.rows, t.w.kl
 	gwPad, gxPad := t.op.gwPad, t.op.gxPad
+	sw, zw := s.sw, s.zwf
 	if t.dxT != nil {
 		clear(t.dxT[lo*rows : hi*rows])
 	}
 	for oc := 0; oc < w.outC; oc++ {
-		sw, zw := s.swc[oc], s.zwc[oc]
 		for sl, dw := range s.grads.dw {
 			nzR, nzG := s.nz.list(oc, sl)
 			nzG = nzG[:len(nzR)]

@@ -355,7 +355,7 @@ func (l *frozenApproxLinear) checkInput(x *tensor.Tensor) {
 
 func (l *frozenApproxLinear) forward(x *tensor.Tensor, withClip bool) *tensor.Tensor {
 	l.px = l.Observer.Params(l.op.Bits)
-	l.w.sync(l.name, &l.ks, l.Weight, l.op, false, withClip, l.Out, l.In)
+	l.w.sync(l.name, &l.ks, l.Weight, l.op, withClip, l.Out, l.In)
 	l.rows = x.Shape[0]
 	l.trained = withClip
 	l.xq = grow(l.xq, len(x.Data))
@@ -380,7 +380,7 @@ func (l *frozenApproxLinear) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	l.gsum = grow(l.gsum, l.Out)
 	dxT := make([]float32, l.In*l.rows)
 	l.op.BackwardGEMM(&l.ks, l.dw, dxT, l.gsum, dy.Data, l.xT, l.w.wq, l.xClipT, l.w.wClip,
-		l.rows, l.Out, l.In, l.w.pw, l.px)
+		l.rows, l.Out, l.In, []quant.Params{l.w.pw}, l.px)
 	l.dx = tensor.Ensure2(l.dx, l.rows, l.In)
 	copy(l.dx.Data, rowMajor(dxT, l.rows, l.In))
 	for i, v := range l.dw {

@@ -9,9 +9,10 @@ import (
 )
 
 // weightSide is the weight-side state of an approximate layer's GEMMs:
-// everything they derive from the weights alone — the quantization
-// parameters, the levels with their clip flags, the Eq. (8) per-channel
-// level sums, and the forms of the levels single forward tiers scan.
+// everything they derive from the weights alone — the tensor's one
+// quantization scale and zero point, the levels with their clip flags,
+// the Eq. (8) per-channel level sums, and the forms of the levels single
+// forward tiers scan.
 // None of it depends on the input values, so a layer builds it once per
 // weight version (see Param) and every Forward, Infer and Backward until
 // the next write reads it: training misses once per step, evaluation and
@@ -20,21 +21,20 @@ import (
 // the taps that see nothing but padding: the GEMMs' view leaves their
 // columns out (cut), and it is kept per version and live-tap layout.
 type weightSide struct {
-	// The build stands while the layer's weight Param, its version, the
-	// op (its Bits fix the levels, its arithForm the tier forms) and the
-	// quantization scheme are the ones it was made from. The zero key
-	// matches no Param, and SetOp or a PerChannel flip needs no hook.
+	// The build stands while the layer's weight Param, its version and
+	// the op (its Bits fix the levels, its arithForm the tier forms) are
+	// the ones it was made from. The zero key matches no Param, and SetOp
+	// needs no hook.
 	// clipped records that the build filled wClip: Infer's does not (a
 	// model that only serves holds no clip flags), so a Forward that
 	// follows one on the same version builds again.
-	param      *Param
-	version    uint64
-	op         *Op
-	perChannel bool
-	clipped    bool
+	param   *Param
+	version uint64
+	op      *Op
+	clipped bool
 
 	outC, k int
-	pw      []quant.Params
+	pw      quant.Params
 	wq      []uint8
 	wClip   []bool
 	sumW    []int64
@@ -68,17 +68,16 @@ type weightSide struct {
 	cwp, wqT     []uint8
 	cwpOK, wqTOK bool
 
-	// chk, chkPW and chkD hold what a paranoid hit re-derives.
-	chk   []uint8
-	chkPW []quant.Params
-	chkD  []int64
+	// chk and chkD hold what a paranoid hit re-derives.
+	chk  []uint8
+	chkD []int64
 }
 
 // sync brings w up to date with the layer's weights: a no-op when the
 // key stands, otherwise the one place weights are calibrated and
 // quantized. withClip asks for the clip flags Backward masks with.
-func (w *weightSide) sync(layer string, s *KernelScratch, p *Param, op *Op, perChannel, withClip bool, outC, k int) {
-	if w.param == p && w.version == p.version && w.op == op && w.perChannel == perChannel && (w.clipped || !withClip) {
+func (w *weightSide) sync(layer string, s *KernelScratch, p *Param, op *Op, withClip bool, outC, k int) {
+	if w.param == p && w.version == p.version && w.op == op && (w.clipped || !withClip) {
 		weightPrepHit.Inc()
 		if paranoid {
 			w.recheck(layer, s)
@@ -86,21 +85,21 @@ func (w *weightSide) sync(layer string, s *KernelScratch, p *Param, op *Op, perC
 		return
 	}
 	weightPrepMiss.Inc()
-	w.param, w.version, w.op, w.perChannel, w.clipped = p, p.version, op, perChannel, withClip
+	w.param, w.version, w.op, w.clipped = p, p.version, op, withClip
 	w.wq = grow(w.wq, outC*k)
 	var clip []bool
 	if withClip {
 		w.wClip = grow(w.wClip, outC*k)
 		clip = w.wClip
 	}
-	w.pw = s.quantizeWeights(w.pw, w.wq, clip, p.Value.Data, op.Bits, perChannel, outC, k)
+	w.pw = s.quantizeWeights(w.wq, clip, p.Value.Data, op.Bits)
 	w.derive(s, outC, k)
 }
 
 // adopt takes levels, and the clip flags if the caller has them, that a
 // caller quantized itself (the exported GEMMs). A forward caller
 // derives the level sums too (sumLevels); the backward reads none.
-func (w *weightSide) adopt(wq []uint8, wClip []bool, pw []quant.Params, outC, k int) {
+func (w *weightSide) adopt(wq []uint8, wClip []bool, pw quant.Params, outC, k int) {
 	w.wq, w.wClip, w.pw = wq, wClip, pw
 	w.reset(outC, k)
 }
@@ -231,12 +230,9 @@ func (t *deadSumRun) RunRange(lo, hi int) {
 // columns' sums are not what the levels give.
 func (w *weightSide) recheck(layer string, s *KernelScratch) {
 	w.chk = grow(w.chk, len(w.wq))
-	w.chkPW = s.quantizeWeights(w.chkPW, w.chk, nil, w.param.Value.Data, w.op.Bits, w.perChannel, w.outC, w.k)
-	for i, p := range w.chkPW {
-		if p != w.pw[i] {
-			panic(fmt.Sprintf("nn: %s: weights changed under version %d of %s without Touch (quantization params %d: kept %+v, now %+v)",
-				layer, w.version, w.param.Name, i, w.pw[i], p))
-		}
+	if p := s.quantizeWeights(w.chk, nil, w.param.Value.Data, w.op.Bits); p != w.pw {
+		panic(fmt.Sprintf("nn: %s: weights changed under version %d of %s without Touch (quantization params: kept %+v, now %+v)",
+			layer, w.version, w.param.Name, w.pw, p))
 	}
 	for i, q := range w.chk {
 		if q != w.wq[i] {
@@ -247,30 +243,14 @@ func (w *weightSide) recheck(layer string, s *KernelScratch) {
 	w.recheckView(layer, s)
 }
 
-// quantizeWeights calibrates the (outC x k) weight matrix — one range
-// for the tensor, or one per output channel — and quantizes it into wq,
-// recording the clamped entries in clip unless it is nil. It returns pw
-// resized to the parameter sets it filled.
-func (s *KernelScratch) quantizeWeights(pw []quant.Params, wq []uint8, clip []bool, data []float32, bits int, perChannel bool, outC, k int) []quant.Params {
-	if !perChannel {
-		pw = grow(pw, 1)
-		mn, mx := tensor.MinMax(data)
-		pw[0] = quant.Calibrate(mn, mx, bits)
-		s.quantizeWithClip(wq, clip, data, pw[0])
-		return pw
-	}
-	pw = grow(pw, outC)
-	for oc := 0; oc < outC; oc++ {
-		ws := data[oc*k : (oc+1)*k]
-		mn, mx := tensor.MinMax(ws)
-		pw[oc] = quant.Calibrate(mn, mx, bits)
-		var cl []bool
-		if clip != nil {
-			cl = clip[oc*k : (oc+1)*k]
-		}
-		s.quantizeWithClip(wq[oc*k:(oc+1)*k], cl, ws, pw[oc])
-	}
-	return pw
+// quantizeWeights calibrates one range for the weight tensor, quantizes
+// it into wq, recording the clamped entries in clip unless it is nil,
+// and returns the parameters.
+func (s *KernelScratch) quantizeWeights(wq []uint8, clip []bool, data []float32, bits int) quant.Params {
+	mn, mx := tensor.MinMax(data)
+	p := quant.Calibrate(mn, mx, bits)
+	s.quantizeWithClip(wq, clip, data, p)
+	return p
 }
 
 // recheckView re-derives the live view and the dead columns' sums from

@@ -33,29 +33,3 @@ func TestEvaluateBatchSizeInvariance(t *testing.T) {
 		}
 	}
 }
-
-// TestPerChannelFactoryTrains: the per-channel quantization factory
-// must train end to end through the full loop.
-func TestPerChannelFactoryTrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
-	trainSet, testSet := tinyData(t, 4)
-	e, _ := appmult.Lookup("mul6u_rm4")
-	op := nn.DifferenceOp(e.Mult, e.HWS)
-	model := models.LeNet(models.Config{
-		Classes: 4, InputHW: 8, Width: 0.25,
-		Conv: models.ApproxConvPerChannel(op), Seed: 72,
-	})
-	res := Run(model, trainSet, testSet, Config{
-		Epochs: 6, BatchSize: 10, Seed: 72,
-		Schedule: optim.Schedule{{UntilEpoch: 6, LR: 5e-3}},
-	})
-	if res.FinalLoss() >= res.TrainLoss[0] {
-		t.Errorf("per-channel training did not reduce loss: %.3f -> %.3f",
-			res.TrainLoss[0], res.FinalLoss())
-	}
-	if res.FinalTop1() <= 25 {
-		t.Errorf("per-channel model stuck at chance: %.2f%%", res.FinalTop1())
-	}
-}

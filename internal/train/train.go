@@ -64,8 +64,8 @@ type Config struct {
 	// 1): each step splits the minibatch across Shards model replicas
 	// and reduces the gradients deterministically (see ShardedStep); at
 	// 1 the model itself is the one replica. Runs are bit-reproducible,
-	// and for BatchNorm-free models any Shards value produces
-	// bit-identical trajectories (Shards=4 == Shards=1).
+	// and any Shards value produces bit-identical trajectories
+	// (Shards=4 == Shards=1), BatchNorm models included.
 	Shards int
 	// Stepper, when non-nil, replaces the built-in step executor: Run
 	// drives it instead of constructing a ShardedStep (Shards is then
